@@ -7,8 +7,8 @@ Two workloads, three modes:
 - **baseline**: uncached estimator + naive DOP search (every candidate
   move re-times every pipeline) — the pre-overhaul behavior, kept behind
   ``CostEstimator(enable_cache=False)`` / ``DopPlanner(incremental=False)``;
-- **cached**: memoized volumes/timings + incremental DAG re-costing
-  (one new timing per candidate move, cheap ASAP re-schedule).
+- **cached**: compiled per-pipeline cost curves + the table-driven DOP
+  search (one duration lookup per candidate move, lean sweep schedules).
 
 **Literal-varying pool** (each arrival re-instantiates its template with
 fresh constants — the recurring-report traffic shape, where exact-match
@@ -18,8 +18,8 @@ plan caching gets 0% hits):
   per arrival;
 - **parameterized**: the serving path through ``Session.plan`` (the
   public serving API over ``CostIntelligentWarehouse``) — literal
-  extraction, exact-level then skeleton-level plan cache, DAG-planning
-  memo, and batched greedy DOP rounds.  Skeleton hits skip join-order
+  extraction, exact-level then skeleton-level plan cache, and the
+  DAG-planning memo.  Skeleton hits skip join-order
   DP and bushy generation and re-run only binding, cardinality
   re-estimation, and the incremental DOP search.
 
@@ -110,18 +110,16 @@ CONSTRAINTS = (sla_constraint(SLA_SECONDS), budget_constraint(BUDGET_DOLLARS))
 
 
 def fresh_optimizer(catalog, *, cached: bool) -> BiObjectiveOptimizer:
-    """PR 1's two modes: ``cached`` toggles every PR 1 optimization; the
-    DAG memo and batched rounds (this PR) stay off so the reference
-    numbers keep meaning "PR 1's cached path"."""
-    optimizer = BiObjectiveOptimizer(
+    """PR 1's two modes: ``cached`` toggles the estimator's curve cache
+    and the table-driven DOP search together; the DAG memo stays off so
+    the reference numbers keep meaning "fresh optimize per arrival"."""
+    return BiObjectiveOptimizer(
         catalog,
         CostEstimator(enable_cache=cached),
         max_dop=64,
         incremental_dop=cached,
         memoize_dag=False,
     )
-    optimizer.dop_planner.batched = False
-    return optimizer
 
 
 def run_fixed_pool(catalog, bounds, constraints, *, rounds: int) -> tuple[dict, dict]:
@@ -203,11 +201,9 @@ def literal_varying_workload(names, *, seeds: int, rounds: int) -> list[list[str
 def pr1_warehouse(catalog) -> CostIntelligentWarehouse:
     """A warehouse restricted to PR 1's serving semantics: exact-match
     plan cache only (default capacity, misses and evicts on this
-    traffic), keys recomputed per submission, no DAG memo, per-candidate
-    DOP costing."""
+    traffic), keys recomputed per submission, no DAG memo."""
     warehouse = CostIntelligentWarehouse(catalog=catalog, parameterized_serving=False)
     warehouse.optimizer._dag_memo = None
-    warehouse.optimizer.dop_planner.batched = False
     return warehouse
 
 

@@ -443,7 +443,7 @@ class CostIntelligentWarehouse:
         stats = cache.stats
         return {
             ("timing",): getattr(stats, f"timing_{field}"),
-            ("volume",): getattr(stats, f"volume_{field}"),
+            ("curve",): getattr(stats, f"curve_{field}"),
         }
 
     def _admission_source(self) -> dict:
@@ -1370,7 +1370,7 @@ class CostIntelligentWarehouse:
         """Hit-rate and governance observability across serving caches.
 
         Reports the exact plan cache, the template skeleton cache, and
-        the estimator's timing/volume caches — the numbers the
+        the estimator's cost-curve cache — the numbers the
         throughput benchmark records next to its speedups — plus, per
         cache, the retention policy's name and its eviction count, and an
         ``admission`` block with per-tenant verdict counts (empty until a
@@ -1417,7 +1417,7 @@ class CostIntelligentWarehouse:
             cache_hits = metrics.sourced("repro_timing_cache_hits_total")
             computations = metrics.sourced("repro_timing_cache_computations_total")
             block: dict[str, float] = {}
-            for kind in ("timing", "volume"):
+            for kind in ("timing", "curve"):
                 kind_hits = cache_hits.get((kind,), 0)
                 total = kind_hits + computations.get((kind,), 0)
                 block[f"{kind}_hits"] = kind_hits

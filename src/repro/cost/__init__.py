@@ -9,26 +9,47 @@ invoked thousands of times per optimization, and explainably (closed-form
 formulas plus least-squares-calibrated exchange corrections; no black-box
 models).
 
-Caching architecture (the optimizer hot path)
----------------------------------------------
+The optimizer hot path: compiled cost curves
+-------------------------------------------
 
 "Invoked thousands of times per optimization" made the estimator the
-optimize-time bottleneck (~80% of wall time), so estimation is layered
-as cache-friendly pure functions with memoization at three levels:
+optimize-time bottleneck, and planner CPU is itself billed time.  The
+models are stated twice, on purpose:
 
-- **volumes** (:mod:`repro.cost.volumes`): per-operator data flow.
-  DOP-independent except for partial aggregates, so one computation
-  serves the whole DOP grid.  Cached per ``(pipeline, overrides)`` —
-  plus ``dop`` only for DOP-sensitive pipelines.
-- **timings** (:mod:`repro.cost.operator_models` behind
-  :mod:`repro.cost.timing_cache`): pure in ``(pipeline, dop,
-  overrides)``; memoized in weak per-pipeline dictionaries so entries
-  die with their plan.  The DOP planner's incremental coster then
-  re-times only the pipeline a candidate move changed, and its batched
-  greedy rounds price a whole round of candidate moves with one lean
-  :class:`repro.cost.query_simulator.ScheduleSweeper` pass (plus a
-  critical-path prune that skips candidates provably unable to reduce
-  latency) instead of per-candidate full schedules.
+- **readably** — :func:`repro.cost.volumes.pipeline_volumes` derives each
+  operator's data flow and
+  :meth:`repro.cost.operator_models.OperatorModels.op_time` prices one
+  operator from it.  ``CostEstimator(enable_cache=False)`` evaluates
+  exactly this, per call; it is the reference.
+- **compiled** — for a fixed ``(pipeline, overrides)`` only the DOP
+  varies, so :mod:`repro.cost.curve` walks the operator chain once and
+  turns each operator into a flat numeric term (scan, linear rate,
+  shuffle/broadcast/gather exchange with its fitted coefficients,
+  project, build with spill, sort) plus a rule for what it emits
+  downstream (a constant almost everywhere; a recipe after a partial
+  aggregate, whose output ``min(rows, groups * dop)`` is the one volume
+  that depends on parallelism).  ``curve.duration(dop)`` is then a loop
+  over floats performing the same float operations in the same order as
+  the readable statement — bit-identical — and memoized per DOP.
+  Bottleneck labels, per-operator times and ``PipelineTiming`` objects
+  are materialized only where something reads them (the final
+  ``CostEstimate``, the profiler, the simulator).
+
+Around the curves, memoization is layered so that each level dies with
+the object it describes:
+
+- **curves** (:mod:`repro.cost.timing_cache`): one per ``(pipeline,
+  projected overrides)``, keyed weakly by pipeline.  Overrides are
+  projected onto the pipeline's own plan nodes first, so a truth the DOP
+  monitor learns about one node recompiles one pipeline, not the plan.
+- **per DAG** (:class:`repro.cost.estimator.CostEstimator`): scan-request
+  fees and the :class:`repro.cost.query_simulator.ScheduleSweeper` (the
+  DAG's structure as positional indexes), keyed weakly by DAG and shared
+  by the optimizer's DOP search and the monitor's replans of that DAG.
+  The search itself (:mod:`repro.dop.planner`) is table-driven over
+  these: a round of candidate moves costs one duration lookup per
+  candidate and one lean sweep, with a critical-path prune for moves
+  provably unable to reduce latency.
 - **DAG planning** (:mod:`repro.core.bioptimizer`): join-tree variants,
   physical plans, and pipeline decompositions are memoized per bound
   query (weakly) — the user constraint never enters DAG planning, so a
@@ -43,19 +64,23 @@ as cache-friendly pure functions with memoization at three levels:
   kind, and the stats version, so literal-varying report traffic skips
   join-order DP and bushy generation and re-runs only constant binding
   (itself served from a per-template AST cache), cardinality
-  re-estimation, and the incremental DOP search.  A binding cache
-  (normalized SQL -> bound query) makes the second constraint on one
-  arrival share binding, the DAG memo, and all pipeline timings.
+  re-estimation, and the DOP search.  A binding cache (normalized SQL ->
+  bound query) makes the second constraint on one arrival share binding,
+  the DAG memo, and all pipeline curves.
 
-Invalidation: cached volumes/timings key on the cardinality-overrides
+Invalidation: curves key on the (projected) cardinality-overrides
 mapping, so new observations never see stale numbers; catalog mutations
 bump ``Catalog.version``, which invalidates exact, skeleton, and
 binding entries by construction; ``CostEstimator.invalidate_caches()``
-handles the one out-of-band case (hardware/exchange recalibration).
-Caching is bit-identical to the uncached path — enforced by
-``tests/cost/test_estimation_parity.py`` (including literal-varying
-skeleton reuse and batched-vs-per-candidate DOP rounds) and the A/B
-guard in ``benchmarks/bench_optimizer_throughput.py``.
+handles the one out-of-band case — curves and sweepers bake in the
+hardware and exchange calibration they were compiled with, so call it
+after replacing either.  The compiled path is bit-identical to the
+reference — enforced by ``tests/cost/test_estimation_parity.py`` (every
+TPC-H pipeline and generated ad-hoc shapes x DOP 1..64 x five override
+modes; search trajectories against the naive per-candidate search), a
+``hypothesis`` sweep over arbitrary operator chains in
+``tests/properties/``, and the A/B guard in
+``benchmarks/bench_optimizer_throughput.py``.
 ``CostIntelligentWarehouse.describe_caches()`` reports hit rates across
 every level.
 """

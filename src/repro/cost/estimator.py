@@ -13,7 +13,7 @@ from weakref import WeakKeyDictionary
 from repro.cost.estimate import CostEstimate
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.operator_models import OperatorModels, PipelineTiming
-from repro.cost.query_simulator import schedule_timings, simulate_dag
+from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
 from repro.cost.regression import ExchangeCalibration
 from repro.plan.physical import PhysNode, PhysScan, walk_physical
 from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
@@ -22,10 +22,12 @@ from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
 class CostEstimator:
     """Predicts latency / machine time / dollars for plan fragments.
 
-    ``enable_cache=True`` (the default) memoizes pipeline volumes and
-    timings behind :mod:`repro.cost.timing_cache` and per-DAG scan fees;
-    results are bit-identical to the uncached path (the flag exists for
-    A/B benchmarking and as an escape hatch).
+    ``enable_cache=True`` (the default) prices pipelines from compiled
+    cost curves (:mod:`repro.cost.curve`, shared through
+    :mod:`repro.cost.timing_cache`) and memoizes per-DAG scan fees and
+    schedule sweepers; results are bit-identical to the uncached path,
+    which evaluates ``pipeline_volumes`` + ``op_time`` per call and is
+    the reference the parity suite compares against.
     """
 
     def __init__(
@@ -48,6 +50,9 @@ class CostEstimator:
         self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] | None = (
             WeakKeyDictionary() if enable_cache else None
         )
+        self._sweepers: WeakKeyDictionary[PipelineDag, ScheduleSweeper] | None = (
+            WeakKeyDictionary() if enable_cache else None
+        )
 
     @property
     def cache_enabled(self) -> bool:
@@ -58,6 +63,8 @@ class CostEstimator:
         self.models.invalidate_cache()
         if self._scan_dollars_cache is not None:
             self._scan_dollars_cache.clear()
+        if self._sweepers is not None:
+            self._sweepers.clear()
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -79,27 +86,16 @@ class CostEstimator:
         estimate.scan_request_dollars = self.scan_request_dollars(dag)
         return estimate
 
-    def estimate_schedule(
-        self,
-        dag: PipelineDag,
-        dops: dict[int, int],
-        timings: dict[int, PipelineTiming],
-    ) -> CostEstimate:
-        """Price a DAG from per-pipeline timings already in hand.
-
-        The incremental DOP search computes one new timing per candidate
-        move and re-prices with this O(pipelines) call instead of
-        :meth:`estimate_dag`.
-        """
-        estimate = schedule_timings(
-            dag,
-            dops,
-            timings,
-            self.models,
-            price_per_node_second=self.price_per_node_second,
-        )
-        estimate.scan_request_dollars = self.scan_request_dollars(dag)
-        return estimate
+    def sweeper(self, dag: PipelineDag) -> ScheduleSweeper:
+        """The DAG's schedule sweeper: its structure as positional
+        indexes, built once and shared by every DOP search over ``dag``
+        (the optimizer's and the DOP monitor's replans alike)."""
+        if self._sweepers is None:
+            return ScheduleSweeper(dag, self.models)
+        sweeper = self._sweepers.get(dag)
+        if sweeper is None:
+            sweeper = self._sweepers[dag] = ScheduleSweeper(dag, self.models)
+        return sweeper
 
     def pipeline_timing(
         self,
@@ -107,7 +103,7 @@ class CostEstimator:
         dop: int,
         overrides: dict[int, float] | None = None,
     ) -> PipelineTiming:
-        """Timing of one pipeline (memoized when caching is enabled)."""
+        """Timing of one pipeline, per-operator times included."""
         return self.models.pipeline_timing(pipeline, dop, overrides)
 
     def estimate_plan(

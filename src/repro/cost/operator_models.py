@@ -15,11 +15,18 @@ overheads (setup costs that do not overlap with streaming).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable
 
+from repro.cost.curve import (
+    OpTime,
+    PipelineCurve,
+    PipelineTiming,
+    compile_curve,
+    curve_constants,
+)
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.regression import ExchangeCalibration
-from repro.cost.timing_cache import TimingCache
+from repro.cost.timing_cache import TimingCache, TimingCacheStats
 from repro.cost.volumes import OpVolume, pipeline_volumes
 from repro.errors import EstimationError
 from repro.plan.physical import (
@@ -42,28 +49,15 @@ from repro.plan.pipelines import (
 )
 
 
-@dataclass(frozen=True)
-class OpTime:
-    """Streaming time (overlaps with the rest of the pipeline) plus fixed
-    setup time (serializes with everything)."""
-
-    stream_s: float
-    fixed_s: float
-    label: str
-
-
-@dataclass
-class PipelineTiming:
-    """Predicted duration of one pipeline at one DOP."""
-
-    duration: float
-    bottleneck: str
-    op_times: list[OpTime]
-    source_rows: float
-
-
 class OperatorModels:
-    """Evaluates operator and pipeline times from volumes and DOP."""
+    """Evaluates operator and pipeline times from volumes and DOP.
+
+    With the cache enabled (the default) every pipeline-level question is
+    answered from the pipeline's compiled :class:`PipelineCurve`;
+    ``enable_cache=False`` answers from :func:`pipeline_volumes` +
+    :meth:`op_time` directly — the readable statement of the models and
+    the reference the curves are tested against.
+    """
 
     def __init__(
         self,
@@ -75,30 +69,78 @@ class OperatorModels:
         self.hw = hardware or HardwareCalibration()
         self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
         self.cache: TimingCache | None = TimingCache() if enable_cache else None
-        #: Count of actual timing-model evaluations (cache misses when the
-        #: cache is on, every call when it is off) — the benchmark metric.
-        self.timing_computations = 0
+        self._stats = self.cache.stats if self.cache is not None else TimingCacheStats()
+        self._curve_constants: tuple = (None, ())  # (the hw they were read from, them)
+
+    @property
+    def timing_computations(self) -> int:
+        """Count of actual timing-model evaluations (curve evaluations
+        that missed the per-DOP memo when the cache is on, every call
+        when it is off) — the benchmark metric."""
+        return self._stats.timing_computations
+
+    @timing_computations.setter
+    def timing_computations(self, value: int) -> None:
+        self._stats.timing_computations = value
 
     # ------------------------------------------------------------------ #
     # Pipeline-level API
     # ------------------------------------------------------------------ #
+    def curve(
+        self, pipeline: Pipeline, overrides: dict[int, float] | None = None
+    ) -> PipelineCurve:
+        """The pipeline's compiled cost curve under ``overrides`` (shared
+        through the cache when it is enabled, compiled afresh otherwise)."""
+        if self.cache is None:
+            return self._compile(pipeline, overrides)
+        return self.cache.curve(pipeline, overrides, self._compile)
+
+    def _compile(
+        self, pipeline: Pipeline, overrides: dict[int, float] | None
+    ) -> PipelineCurve:
+        hw = self.hw
+        if self._curve_constants[0] is not hw:
+            self._curve_constants = (hw, curve_constants(hw))
+        return compile_curve(
+            pipeline, overrides, hw, self.exchange, self._curve_constants[1], self._stats
+        )
+
+    def durations(
+        self, pipeline: Pipeline, overrides: dict[int, float] | None = None
+    ) -> Callable[[int], float]:
+        """``dop -> duration`` for one pipeline: one lookup, then as many
+        DOP probes as the caller likes."""
+        if self.cache is None:
+            return lambda dop: self._compute_timing(pipeline, dop, overrides).duration
+        return self.curve(pipeline, overrides).duration
+
+    def pipeline_summary(
+        self,
+        pipeline: Pipeline,
+        dop: int,
+        overrides: dict[int, float] | None = None,
+    ) -> tuple[float, str, float]:
+        """``(duration, bottleneck label, source_rows)`` at ``dop`` —
+        :meth:`pipeline_timing` without the per-operator breakdown."""
+        if self.cache is None:
+            timing = self._compute_timing(pipeline, dop, overrides)
+            return timing.duration, timing.bottleneck, timing.source_rows
+        return self.curve(pipeline, overrides).summary(dop)
+
     def pipeline_timing(
         self,
         pipeline: Pipeline,
         dop: int,
         overrides: dict[int, float] | None = None,
     ) -> PipelineTiming:
-        """Duration of ``pipeline`` at ``dop`` (streaming bottleneck model).
-
-        Memoized per ``(pipeline, dop, overrides)`` when the timing cache
-        is enabled; the cached object is shared, treat it as read-only.
-        """
+        """Duration of ``pipeline`` at ``dop`` (streaming bottleneck
+        model) with its per-operator times."""
         if self.cache is None:
             return self._compute_timing(pipeline, dop, overrides)
-        return self.cache.timing(pipeline, dop, overrides, self._compute_timing)
+        return self.curve(pipeline, overrides).timing(dop)
 
     def invalidate_cache(self) -> None:
-        """Drop memoized volumes/timings (after model recalibration)."""
+        """Drop compiled curves (after model recalibration)."""
         if self.cache is not None:
             self.cache.invalidate()
 
@@ -108,11 +150,9 @@ class OperatorModels:
         dop: int,
         overrides: dict[int, float] | None,
     ) -> PipelineTiming:
-        self.timing_computations += 1
-        if self.cache is not None:
-            volumes = self.cache.volumes(pipeline, dop, overrides)
-        else:
-            volumes = pipeline_volumes(pipeline, dop, overrides)
+        """The reference path: volumes, then one ``op_time`` per operator."""
+        self._stats.timing_computations += 1
+        volumes = pipeline_volumes(pipeline, dop, overrides)
         op_times = [
             self.op_time(volume, dop, pipeline=pipeline, index=i)
             for i, volume in enumerate(volumes)
@@ -141,10 +181,10 @@ class OperatorModels:
         This is the throughput function the co-finish heuristic plugs
         into C1/T1(DOP1) ≈ C2/T2(DOP2) (§3.2).
         """
-        timing = self.pipeline_timing(pipeline, dop, overrides)
-        if timing.duration <= 0:
+        duration, _, source_rows = self.pipeline_summary(pipeline, dop, overrides)
+        if duration <= 0:
             return float("inf")
-        return max(timing.source_rows, 1.0) / timing.duration
+        return max(source_rows, 1.0) / duration
 
     # ------------------------------------------------------------------ #
     # Per-operator models
@@ -161,17 +201,7 @@ class OperatorModels:
         node = volume.op.node
         hw = self.hw
         cores = hw.node.cores
-        # The label is pure presentation but op_time runs once per
-        # (operator, DOP) probed by the DOP search; cache it per node so
-        # describe() is not re-rendered for every DOP.
-        labels = node.__dict__.get("_op_labels")
-        if labels is None:
-            labels = {}
-            node.__dict__["_op_labels"] = labels
-        label = labels.get(role)
-        if label is None:
-            label = f"{node.describe()}[{role}]"
-            labels[role] = label
+        label = f"{node.describe()}[{role}]"
 
         if role == ROLE_SOURCE_SCAN:
             scan_s = volume.bytes_in / (dop * hw.scan_bytes_per_node)

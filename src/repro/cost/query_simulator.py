@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.compute.node import NodeSpec
 from repro.cost.estimate import CostEstimate, PipelineCost
-from repro.cost.operator_models import OperatorModels, PipelineTiming
+from repro.cost.operator_models import OperatorModels
 from repro.errors import EstimationError
 from repro.plan.pipelines import PipelineDag
 
@@ -41,38 +41,6 @@ def simulate_dag(
     pipeline that must acquire nodes beyond those inherited from its
     finished producers.
     """
-    pipeline_timings: dict[int, PipelineTiming] = {}
-    for pipeline in dag:
-        pid = pipeline.pipeline_id
-        dop = dops.get(pid)
-        if dop is None:
-            raise EstimationError(f"no DOP for pipeline {pid}")
-        pipeline_timings[pid] = models.pipeline_timing(pipeline, dop, overrides)
-    return schedule_timings(
-        dag,
-        dops,
-        pipeline_timings,
-        models,
-        price_per_node_second=price_per_node_second,
-        include_provisioning=include_provisioning,
-    )
-
-
-def schedule_timings(
-    dag: PipelineDag,
-    dops: dict[int, int],
-    pipeline_timings: dict[int, PipelineTiming],
-    models: OperatorModels,
-    *,
-    price_per_node_second: float | None = None,
-    include_provisioning: bool = True,
-) -> CostEstimate:
-    """ASAP-schedule and price a DAG from already-computed timings.
-
-    This is the cheap O(pipelines) tail of :func:`simulate_dag`; the DOP
-    planner calls it directly when costing a candidate move where all but
-    one pipeline's timing is already known.
-    """
     spec: NodeSpec = models.hw.node
     rate = (
         price_per_node_second
@@ -88,12 +56,15 @@ def schedule_timings(
     timings: dict[int, tuple[float, str, float]] = {}
     for pipeline in dag:
         pid = pipeline.pipeline_id
-        dop = dops[pid]
-        timing = pipeline_timings[pid]
-        duration = timing.duration
+        dop = dops.get(pid)
+        if dop is None:
+            raise EstimationError(f"no DOP for pipeline {pid}")
+        duration, bottleneck, source_rows = models.pipeline_summary(
+            pipeline, dop, overrides
+        )
         if include_provisioning and dop > inherited.get(pid, 0):
             duration += models.hw.warm_attach_latency_s
-        timings[pid] = (duration, timing.bottleneck, timing.source_rows)
+        timings[pid] = (duration, bottleneck, source_rows)
 
     # ASAP schedule over blocking dependencies.
     start: dict[int, float] = {}
@@ -140,10 +111,10 @@ class ScheduleSweeper:
     that differ from the incumbent in exactly one pipeline's DOP, so the
     DAG structure — iteration order, topological order, blocking
     dependencies, consumer edges — is shared by every candidate and is
-    precomputed here once per search (as positional indexes; no dict
+    precomputed here once per DAG (as positional indexes; no dict
     lookups on the per-candidate path).  :meth:`sweep` then prices a
     whole round of moves, returning per move exactly the ``(latency,
-    machine_seconds)`` that :func:`schedule_timings` would produce for
+    machine_seconds)`` that :func:`simulate_dag` would produce for
     the mutated assignment — the same arithmetic in the same order, so
     the floats are bit-identical — without building per-candidate
     ``CostEstimate``/``PipelineCost`` objects.  The planner materializes

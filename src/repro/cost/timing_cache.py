@@ -1,59 +1,48 @@
-"""Memoization for the estimator hot path.
+"""The estimator's memo: one compiled cost curve per pipeline and overrides.
 
-Profiling the DOP search shows ~80% of optimize time inside
-:func:`~repro.cost.operator_models.OperatorModels.pipeline_timing`, and
-most of those calls recompute results already produced earlier in the
-same greedy search: the search mutates one pipeline's DOP per move, yet
-every candidate evaluation re-times every pipeline.
+Pipeline timing is a pure function of ``(pipeline, dop, overrides)``,
+and within one ``(pipeline, overrides)`` only the DOP varies.  The cache
+therefore holds one :class:`~repro.cost.curve.PipelineCurve` per
+``(pipeline, projected overrides)``; the curve memoizes its own
+durations per DOP.  Every consumer of one estimator — the DOP planner's
+search, the co-finish polish, the DOP monitor's replans, the What-If
+Service, the distributed simulator — reads the same curves.
 
-Two observations make the path cacheable:
-
-- :func:`~repro.cost.volumes.pipeline_volumes` is DOP-independent for
-  any pipeline without a partial (DOP-scaled) aggregate, so its result
-  can be shared across the whole DOP grid;
-- ``pipeline_timing`` is a pure function of ``(pipeline, dop,
-  overrides)``, so it can be memoized per pipeline object.
-
-Cached entries are keyed *by pipeline identity* in weak dictionaries:
-pipelines die with their plan, and the cache entries follow — no
-explicit lifetime management, no unbounded growth across queries.
-Results are shared objects; every consumer in the repo treats
-``PipelineTiming``/``OpVolume`` as read-only.
+Curves are keyed *by pipeline identity* in a weak dictionary: pipelines
+die with their plan and their curves follow — no explicit lifetime
+management, no growth across queries.  (Which is why a curve never
+references its pipeline.)
 
 Cardinality overrides are *projected per pipeline* before keying: the
 volume model only ever reads override entries for the pipeline's own
 plan nodes (plus whether a mapping was passed at all, which switches
 un-overridden operators into observed-selectivity mode), so two
 override mappings that agree on this pipeline's nodes are the same
-computation.  Without the projection, a DOP monitor that learns one
-node-local truth would miss the cache for *every* pipeline in the plan;
-with it, only the pipeline that owns the overridden node re-times.
+curve.  Without the projection, a DOP monitor that learns one
+node-local truth would recompile *every* pipeline in the plan; with it,
+only the pipeline that owns the overridden node does.
 
 Correctness contract (enforced by the parity suite in
-``tests/cost/test_estimation_parity.py``): the cache returns objects
-produced by exactly the same computation the uncached path runs, so
-estimates are bit-identical with caching on or off.
+``tests/cost/test_estimation_parity.py``): a curve performs exactly the
+float operations the uncached ``pipeline_volumes`` + ``op_time`` path
+performs, so estimates are bit-identical with caching on or off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 from weakref import WeakKeyDictionary
 
-from repro.cost.volumes import OpVolume, pipeline_volumes
-from repro.plan.physical import AggMode, PhysAggregate
+from repro.cost.curve import PipelineCurve
 from repro.plan.pipelines import Pipeline
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.cost.operator_models import PipelineTiming
 
 
 def overrides_key(overrides: dict[int, float] | None) -> tuple | None:
     """Hashable identity of a cardinality-overrides mapping.
 
     ``None`` and ``{}`` are deliberately distinct: passing any mapping —
-    even an empty one — switches :func:`pipeline_volumes` into
+    even an empty one — switches the volume model into
     observed-selectivity mode for un-overridden operators.
     """
     if overrides is None:
@@ -61,31 +50,23 @@ def overrides_key(overrides: dict[int, float] | None) -> tuple | None:
     return tuple(sorted(overrides.items()))
 
 
-def volumes_depend_on_dop(pipeline: Pipeline) -> bool:
-    """True when the pipeline's volumes change with DOP.
-
-    The only DOP-dependent volume is a partial aggregate's output
-    (``min(rows_in, final_groups * dop)``); everything else is pure data
-    flow.
-    """
-    return any(
-        isinstance(op.node, PhysAggregate) and op.node.mode is AggMode.PARTIAL
-        for op in pipeline.ops
-    )
-
-
 @dataclass
 class TimingCacheStats:
-    """Hit/miss counters (the throughput benchmark reads these)."""
+    """Hit/miss counters (the benchmarks read these).
 
-    volume_hits: int = 0
-    volume_computations: int = 0
+    ``timing_*`` count per-DOP duration lookups on the curves;
+    ``curve_*`` count curve lookups and compilations (one volume walk
+    each).
+    """
+
+    curve_hits: int = 0
+    curve_computations: int = 0
     timing_hits: int = 0
     timing_computations: int = 0
 
     def reset(self) -> None:
-        self.volume_hits = 0
-        self.volume_computations = 0
+        self.curve_hits = 0
+        self.curve_computations = 0
         self.timing_hits = 0
         self.timing_computations = 0
 
@@ -93,49 +74,48 @@ class TimingCacheStats:
         return (
             f"timings: {self.timing_hits} hits / "
             f"{self.timing_computations} computed; "
-            f"volumes: {self.volume_hits} hits / "
-            f"{self.volume_computations} computed"
+            f"curves: {self.curve_hits} hits / "
+            f"{self.curve_computations} compiled"
         )
 
 
 class TimingCache:
-    """Per-pipeline memo of volumes and timings.
+    """Per-pipeline memo of compiled cost curves.
 
     Owned by one :class:`~repro.cost.operator_models.OperatorModels`; all
-    of that estimator's callers (DOP planner, co-finish polish, DOP
-    monitor, What-If Service) share it automatically.
+    of that estimator's callers share it automatically.
     """
 
     def __init__(self) -> None:
-        # pipeline -> {(dop-or-0, overrides_key): [OpVolume, ...]}
-        self._volumes: WeakKeyDictionary[Pipeline, dict] = WeakKeyDictionary()
-        # pipeline -> {(dop, overrides_key): PipelineTiming}
-        self._timings: WeakKeyDictionary[Pipeline, dict] = WeakKeyDictionary()
-        # pipeline -> whether volumes depend on DOP (partial aggregates)
-        self._dop_sensitive: WeakKeyDictionary[Pipeline, bool] = WeakKeyDictionary()
-        # pipeline -> its plan-node ids (for override projection)
-        self._node_ids: WeakKeyDictionary[Pipeline, frozenset] = WeakKeyDictionary()
+        # pipeline -> (its plan-node ids, {overrides_key: PipelineCurve})
+        self._entries: WeakKeyDictionary[Pipeline, tuple[frozenset, dict]] = (
+            WeakKeyDictionary()
+        )
         self.stats = TimingCacheStats()
 
+    def _entry(self, pipeline: Pipeline) -> tuple[frozenset, dict]:
+        entry = self._entries.get(pipeline)
+        if entry is None:
+            node_ids = frozenset(op.node.node_id for op in pipeline.ops)
+            entry = self._entries[pipeline] = (node_ids, {})
+        return entry
+
+    @staticmethod
     def _project_overrides(
-        self, pipeline: Pipeline, overrides: dict[int, float] | None
+        node_ids: frozenset, overrides: dict[int, float] | None
     ) -> dict[int, float] | None:
         """Restrict overrides to the pipeline's own plan nodes.
 
-        Safe because :func:`pipeline_volumes` reads overrides only at
-        this pipeline's node ids; ``None`` stays ``None`` and a non-empty
+        Safe because the volume model reads overrides only at this
+        pipeline's node ids; ``None`` stays ``None`` and a non-empty
         mapping may project to ``{}`` (both distinctions matter — any
         mapping enables observed-selectivity mode).  Projection widens
         key sharing: a node-local truth learned by the DOP monitor no
-        longer fragments every *other* pipeline's cache slots.
+        longer fragments every *other* pipeline's curves.
         """
         if overrides is None:
             return None
-        node_ids = self._node_ids.get(pipeline)
-        if node_ids is None:
-            node_ids = frozenset(op.node.node_id for op in pipeline.ops)
-            self._node_ids[pipeline] = node_ids
-        if all(node_id in node_ids for node_id in overrides):
+        if overrides.keys() <= node_ids:
             return overrides
         return {
             node_id: rows
@@ -143,70 +123,34 @@ class TimingCache:
             if node_id in node_ids
         }
 
-    # ------------------------------------------------------------------ #
-    # Lookups
-    # ------------------------------------------------------------------ #
-    def volumes(
+    def curve(
         self,
         pipeline: Pipeline,
-        dop: int,
         overrides: dict[int, float] | None,
-    ) -> list[OpVolume]:
-        """Cached :func:`pipeline_volumes`; DOP enters the key only for
-        pipelines whose volumes actually depend on it, and overrides
-        only through their projection onto this pipeline's nodes."""
-        sensitive = self._dop_sensitive.get(pipeline)
-        if sensitive is None:
-            sensitive = volumes_depend_on_dop(pipeline)
-            self._dop_sensitive[pipeline] = sensitive
-        overrides = self._project_overrides(pipeline, overrides)
-        key = (dop if sensitive else 0, overrides_key(overrides))
-        per_pipeline = self._volumes.get(pipeline)
-        if per_pipeline is None:
-            per_pipeline = {}
-            self._volumes[pipeline] = per_pipeline
-        found = per_pipeline.get(key)
+        compile: Callable[[Pipeline, dict[int, float] | None], PipelineCurve],
+    ) -> PipelineCurve:
+        """The pipeline's curve under ``overrides``; ``compile`` runs on
+        a miss, with the overrides already projected."""
+        node_ids, curves = self._entry(pipeline)
+        overrides = self._project_overrides(node_ids, overrides)
+        key = overrides_key(overrides)
+        found = curves.get(key)
         if found is None:
-            self.stats.volume_computations += 1
-            found = pipeline_volumes(pipeline, dop, overrides)
-            per_pipeline[key] = found
+            self.stats.curve_computations += 1
+            found = curves[key] = compile(pipeline, overrides)
         else:
-            self.stats.volume_hits += 1
+            self.stats.curve_hits += 1
         return found
 
-    def timing(
-        self,
-        pipeline: Pipeline,
-        dop: int,
-        overrides: dict[int, float] | None,
-        compute: Callable[[Pipeline, int, dict[int, float] | None], "PipelineTiming"],
-    ) -> "PipelineTiming":
-        """Memoized pipeline timing; ``compute`` runs on a miss."""
-        overrides = self._project_overrides(pipeline, overrides)
-        key = (dop, overrides_key(overrides))
-        per_pipeline = self._timings.get(pipeline)
-        if per_pipeline is None:
-            per_pipeline = {}
-            self._timings[pipeline] = per_pipeline
-        found = per_pipeline.get(key)
-        if found is None:
-            self.stats.timing_computations += 1
-            found = compute(pipeline, dop, overrides)
-            per_pipeline[key] = found
-        else:
-            self.stats.timing_hits += 1
-        return found
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
     def invalidate(self) -> None:
-        """Drop every cached entry (call after recalibrating hardware or
-        exchange coefficients — anything that changes the timing model)."""
-        self._volumes.clear()
-        self._timings.clear()
-        self._dop_sensitive.clear()
-        self._node_ids.clear()
+        """Drop every curve (call after recalibrating hardware or
+        exchange coefficients — curves bake both in)."""
+        self._entries.clear()
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._timings.values())
+        """Memoized ``(pipeline, overrides, dop)`` durations."""
+        return sum(
+            len(curve)
+            for _, curves in self._entries.values()
+            for curve in curves.values()
+        )

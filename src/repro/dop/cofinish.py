@@ -37,11 +37,12 @@ def min_dop_for_duration(
     """
     if target_seconds <= 0:
         raise OptimizerError(f"target duration must be positive: {target_seconds}")
+    duration_at = models.durations(pipeline, overrides)
     best_dop = 1
     best_duration = float("inf")
     dop = 1
     while dop <= max_dop:
-        duration = models.pipeline_timing(pipeline, dop, overrides).duration
+        duration = duration_at(dop)
         if duration <= target_seconds:
             return dop
         if duration < best_duration:
@@ -93,13 +94,9 @@ def equalize_siblings(
         group = dag.siblings(pipeline.pipeline_id)
         if len(group) < 2:
             continue
-        durations = {
-            p.pipeline_id: models.pipeline_timing(
-                p, adjusted[p.pipeline_id], overrides
-            ).duration
-            for p in group
-        }
-        target = max(durations.values())
+        target = max(
+            models.durations(p, overrides)(adjusted[p.pipeline_id]) for p in group
+        )
         for sibling in group:
             pid = sibling.pipeline_id
             candidate = min_dop_for_duration(

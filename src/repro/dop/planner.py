@@ -12,32 +12,48 @@ Greedy marginal search with the cost estimator as referee:
 The search evaluates the analytic estimator O(pipelines · log max_dop)
 times — the complexity the paper demands ("comparable to existing
 optimizers") versus the exponential unified search it rejects.
+
+The search is table-driven.  One algorithm (:class:`DopPlanner`) asks a
+*coster* two things: the metrics of an assignment and the metrics of a
+round of single-pipeline moves.  The production coster answers both
+from tables: per pipeline, the compiled cost curve's per-DOP duration
+memo (:mod:`repro.cost.curve`); per DAG, one
+:class:`~repro.cost.query_simulator.ScheduleSweeper` holding the DAG's
+structure as positional indexes, built once and shared by the
+optimizer's search and every DOP-monitor replan of that DAG.  A round
+of candidate moves is then one duration lookup per candidate plus one
+lean sweep — with a critical-path prune that skips candidates provably
+unable to reduce latency — and no ``CostEstimate`` is built during the
+search at all.  The final estimate is built on first read of
+:attr:`DopPlan.estimate`, so a replan that only consumes ``.dops``
+never pays for it.  ``DopPlanner(incremental=False)`` swaps in a coster
+that fully re-estimates every candidate: the reference the parity suite
+holds the tables to — same trajectory, same evaluation count, same
+floats.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterator
 
 from repro.cost.estimate import CostEstimate
 from repro.cost.estimator import CostEstimator
-from repro.cost.operator_models import PipelineTiming
-from repro.cost.query_simulator import ScheduleSweeper
 from repro.dop.cofinish import equalize_siblings
 from repro.dop.constraints import Constraint
-from repro.errors import EstimationError, InfeasibleConstraintError
+from repro.errors import InfeasibleConstraintError
 from repro.plan.pipelines import PipelineDag
 
 
 class _IncrementalCoster:
-    """Incremental DAG re-coster for one ``(dag, overrides)`` search.
+    """Table-driven coster for one ``(dag, overrides)`` search.
 
-    Pipeline timings are memoized per ``(pipeline_id, dop)``, so costing
-    a candidate move re-times only the pipeline whose DOP changed and
-    re-runs the cheap ASAP schedule over known timings — O(1) timing
-    evaluations per candidate instead of O(pipelines).  Produces
-    bit-identical estimates to :meth:`CostEstimator.estimate_dag` (it
-    runs the same scheduling code over the same timings).
+    Durations come from the pipelines' cost curves (memoized per DOP,
+    shared with every other search over the same pipelines); schedules
+    come from the DAG's shared sweeper.  Metrics are bit-identical to
+    :meth:`CostEstimator.estimate_dag` on the same assignment — the
+    sweeper runs the same scheduling arithmetic over the same durations.
     """
 
     def __init__(
@@ -49,29 +65,28 @@ class _IncrementalCoster:
         self.estimator = estimator
         self.dag = dag
         self.overrides = overrides
-        self._timings: dict[tuple[int, int], PipelineTiming] = {}
-        self._sweeper: ScheduleSweeper | None = None
-        self._scan_dollars = 0.0
+        self._curves = [estimator.models.curve(p, overrides) for p in dag]
+        self._sweeper = estimator.sweeper(dag)
+        self._scan_dollars = estimator.scan_request_dollars(dag)
         self.evaluations = 0
 
-    def estimate(self, dops: dict[int, int]) -> CostEstimate:
-        self.evaluations += 1
-        timings: dict[int, PipelineTiming] = {}
-        for pipeline in self.dag:
-            pid = pipeline.pipeline_id
-            dop = dops.get(pid)
-            if dop is None:
-                raise EstimationError(f"no DOP for pipeline {pid}")
-            timings[pid] = self._timing(pipeline, dop)
-        return self.estimator.estimate_schedule(self.dag, dops, timings)
+    def metrics(self, dops: dict[int, int]) -> tuple[float, float]:
+        """``(latency, total_dollars)`` of a whole assignment: a sweep
+        over one no-op move."""
+        pid = next(iter(dops))
+        return next(self.price_moves(dops, [(pid, dops[pid])]))
 
-    def _timing(self, pipeline, dop: int) -> PipelineTiming:
-        key = (pipeline.pipeline_id, dop)
-        timing = self._timings.get(key)
-        if timing is None:
-            timing = self.estimator.pipeline_timing(pipeline, dop, self.overrides)
-            self._timings[key] = timing
-        return timing
+    def price_moves(
+        self,
+        dops: dict[int, int],
+        candidates: list[tuple[int, int]],
+        prune_gainless: bool = False,
+    ) -> Iterator[tuple[float, float]]:
+        """``(latency, total_dollars)`` per ``(pid, new_dop)`` candidate;
+        each one consumed counts as an evaluation."""
+        for metric in self.sweep(dops, candidates, prune_gainless):
+            self.evaluations += 1
+            yield metric
 
     def sweep(
         self,
@@ -79,40 +94,24 @@ class _IncrementalCoster:
         candidates: list[tuple[int, int]],
         prune_gainless: bool = False,
     ) -> list[tuple[float, float]]:
-        """``(latency, total_dollars)`` per ``(pid, new_dop)`` candidate.
+        """Price a round of single-pipeline moves against ``dops``.
 
-        One timing evaluation per candidate (the changed pipeline at its
-        new DOP; everything else is already memoized) plus a single lean
-        :class:`~repro.cost.query_simulator.ScheduleSweeper` pass — the
-        batched greedy round's replacement for per-candidate full
-        schedules.  Metrics are bit-identical to per-candidate
-        :meth:`estimate` calls.
+        One duration lookup per candidate (the changed pipeline at its
+        new DOP) plus a single lean
+        :class:`~repro.cost.query_simulator.ScheduleSweeper` pass.
 
         ``prune_gainless`` (gain-scored growth rounds only): candidates
         provably unable to reduce latency — their pipeline is not an
-        ancestor of the whole critical set — are neither timed nor
+        ancestor of the whole critical set — are neither priced nor
         scheduled; they report the base metrics, which the caller's
         ``gain > epsilon`` test discards exactly as if they had been
         costed.
         """
-        self.evaluations += len(candidates)
-        if self._sweeper is None:
-            self._sweeper = ScheduleSweeper(self.dag, self.estimator.models)
-            self._scan_dollars = self.estimator.scan_request_dollars(self.dag)
         sweeper = self._sweeper
-        timings = self._timings  # inlined hot path of _timing()
-        dop_list: list[int] = []
-        durations: list[float] = []
-        for pipeline in self.dag:
-            pid = pipeline.pipeline_id
-            dop = dops[pid]
-            dop_list.append(dop)
-            timing = timings.get((pid, dop))
-            if timing is None:
-                timing = self.estimator.pipeline_timing(pipeline, dop, self.overrides)
-                timings[(pid, dop)] = timing
-            durations.append(timing.duration)
+        curves = self._curves
         index = sweeper.index
+        dop_list = [dops[pid] for pid in sweeper.pids]
+        durations = [curve.duration(dop) for curve, dop in zip(curves, dop_list)]
         rate = self.estimator.price_per_node_second
         scan_dollars = self._scan_dollars
 
@@ -133,13 +132,8 @@ class _IncrementalCoster:
         for position, (pid, new_dop) in enumerate(candidates):
             if keep is not None and not keep[position]:
                 continue
-            timing = timings.get((pid, new_dop))
-            if timing is None:
-                timing = self.estimator.pipeline_timing(
-                    self.dag.pipeline(pid), new_dop, self.overrides
-                )
-                timings[(pid, new_dop)] = timing
-            moves.append((index[pid], new_dop, timing.duration))
+            moved = index[pid]
+            moves.append((moved, new_dop, curves[moved].duration(new_dop)))
         swept = iter(sweeper.sweep(dop_list, durations, moves, state))
         results: list[tuple[float, float]] = []
         for position in range(len(candidates)):
@@ -152,8 +146,9 @@ class _IncrementalCoster:
 
 
 class _NaiveCoster:
-    """Full re-estimation per candidate (the pre-overhaul baseline, kept
-    behind ``DopPlanner(incremental=False)`` for A/B benchmarking)."""
+    """Full re-estimation per candidate: the reference behind
+    ``DopPlanner(incremental=False)`` that the parity suite compares the
+    table-driven search against."""
 
     def __init__(
         self,
@@ -166,20 +161,78 @@ class _NaiveCoster:
         self.overrides = overrides
         self.evaluations = 0
 
-    def estimate(self, dops: dict[int, int]) -> CostEstimate:
+    def metrics(self, dops: dict[int, int]) -> tuple[float, float]:
         self.evaluations += 1
-        return self.estimator.estimate_dag(self.dag, dops, self.overrides)
+        estimate = self.estimator.estimate_dag(self.dag, dops, self.overrides)
+        return estimate.latency, estimate.total_dollars
+
+    def price_moves(
+        self,
+        dops: dict[int, int],
+        candidates: list[tuple[int, int]],
+        prune_gainless: bool = False,
+    ) -> Iterator[tuple[float, float]]:
+        for pid, new_dop in candidates:
+            trial = dict(dops)
+            trial[pid] = new_dop
+            yield self.metrics(trial)
 
 
-@dataclass
 class DopPlan:
-    """A DOP assignment plus its predicted cost profile."""
+    """A DOP assignment plus its predicted cost profile.
 
-    dops: dict[int, int]
-    estimate: CostEstimate
-    feasible: bool
-    evaluations: int = 0
-    constraint: Constraint | None = None
+    ``estimate`` may be passed as a zero-argument callable producing the
+    :class:`CostEstimate`; it then runs on first read of
+    :attr:`estimate` (and before pickling or comparing, so a plan
+    crosses the sharding wire whole and equal to one read earlier).
+    """
+
+    def __init__(
+        self,
+        dops: dict[int, int],
+        estimate: CostEstimate | Callable[[], CostEstimate],
+        feasible: bool,
+        evaluations: int = 0,
+        constraint: Constraint | None = None,
+    ) -> None:
+        self.dops = dops
+        self._estimate = estimate
+        self.feasible = feasible
+        self.evaluations = evaluations
+        self.constraint = constraint
+
+    @property
+    def estimate(self) -> CostEstimate:
+        estimate = self._estimate
+        if not isinstance(estimate, CostEstimate):
+            estimate = self._estimate = estimate()
+        return estimate
+
+    def _fields(self) -> tuple:
+        return (
+            self.dops,
+            self.estimate,
+            self.feasible,
+            self.evaluations,
+            self.constraint,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DopPlan):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_estimate"] = self.estimate
+        return state
+
+    def __repr__(self) -> str:
+        return (
+            f"DopPlan(dops={self.dops!r}, estimate={self.estimate!r}, "
+            f"feasible={self.feasible!r}, evaluations={self.evaluations!r}, "
+            f"constraint={self.constraint!r})"
+        )
 
     @property
     def max_dop(self) -> int:
@@ -202,16 +255,11 @@ class DopPlanner:
         max_dop: int = 64,
         enforce_sla_strictly: bool = False,
         incremental: bool = True,
-        batched: bool = True,
     ) -> None:
         self.estimator = estimator
         self.max_dop = max_dop
         self.enforce_sla_strictly = enforce_sla_strictly
         self.incremental = incremental
-        #: Cost whole greedy growth rounds with one lean schedule sweep
-        #: (requires the incremental coster); ``batched=False`` keeps the
-        #: per-candidate full schedules for A/B parity checks.
-        self.batched = batched
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -228,19 +276,20 @@ class DopPlanner:
             dops, feasible = self._plan_for_sla(dag, constraint, overrides, coster)
         else:
             dops, feasible = self._plan_for_budget(dag, constraint, overrides, coster)
-        estimate = coster.estimate(dops)
+        plan = DopPlan(
+            dops=dops,
+            estimate=partial(self.estimator.estimate_dag, dag, dops, overrides),
+            feasible=feasible,
+            # The final estimate, built on first read, is one more.
+            evaluations=coster.evaluations + 1,
+            constraint=constraint,
+        )
         if not feasible and self.enforce_sla_strictly:
             raise InfeasibleConstraintError(
                 f"no DOP assignment satisfies {constraint.describe()}",
-                best_achievable=constraint.bound_value(estimate),
+                best_achievable=constraint.bound_value(plan.estimate),
             )
-        return DopPlan(
-            dops=dops,
-            estimate=estimate,
-            feasible=feasible,
-            evaluations=coster.evaluations,
-            constraint=constraint,
-        )
+        return plan
 
     # ------------------------------------------------------------------ #
     # SLA mode: min dollars s.t. latency <= SLA
@@ -254,7 +303,7 @@ class DopPlanner:
     ) -> tuple[dict[int, int], bool]:
         sla = constraint.bound()
         dops = {p.pipeline_id: 1 for p in dag}
-        latency, dollars = self._assignment_metrics(dops, coster)
+        latency, dollars = coster.metrics(dops)
 
         # Phase 1: grow until the SLA is met or no move helps.
         while latency > sla:
@@ -269,55 +318,31 @@ class DopPlanner:
             dag, dops, self.estimator.models, max_dop=self.max_dop, overrides=overrides
         )
         if polished != dops:
-            polished_latency, polished_dollars = self._assignment_metrics(
-                polished, coster
-            )
+            polished_latency, polished_dollars = coster.metrics(polished)
             if polished_latency <= max(latency, sla):
                 dops = polished
                 latency, dollars = polished_latency, polished_dollars
 
         # Phase 3: trim DOPs whose halving keeps the SLA and saves money.
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            dops = self._trim_batched(dops, latency, dollars, sla, feasible, coster)
-        else:
-            improved = True
-            while improved:
-                improved = False
-                for pid in sorted(dops):
-                    if dops[pid] <= 1:
-                        continue
-                    halved = max(1, dops[pid] // 2)
-                    trial_latency, trial_dollars = self._move_metrics(
-                        dops, pid, halved, coster
-                    )
-                    if trial_dollars < dollars and (
-                        trial_latency <= sla or not feasible
-                    ):
-                        dops = dict(dops)
-                        dops[pid] = halved
-                        latency, dollars = trial_latency, trial_dollars
-                        improved = True
-        return dops, feasible
+        return self._trim(dops, dollars, sla, feasible, coster), feasible
 
-    def _trim_batched(
+    def _trim(
         self,
         dops: dict[int, int],
-        latency: float,
         dollars: float,
         sla: float,
         feasible: bool,
-        coster: _IncrementalCoster,
+        coster: _IncrementalCoster | _NaiveCoster,
     ) -> dict[int, int]:
-        """Phase-3 trim with whole-scan sweeps.
+        """Sequential-greedy trim: each pipeline is considered once per
+        round in ascending id order and an accepted halving takes effect
+        immediately.
 
-        Reproduces the sequential-greedy trim exactly: each pipeline is
-        considered once per round in ascending id order and an accepted
-        halving takes effect immediately.  A sweep evaluates every
-        not-yet-visited candidate against the *current* assignment; the
-        first acceptance invalidates the rest of the sweep, so the scan
-        resumes just after it with a fresh sweep.  The common final
-        round (nothing improves) collapses from one schedule per
-        pipeline to a single sweep.
+        A round prices every not-yet-visited candidate against the
+        *current* assignment; the first acceptance invalidates the rest
+        of that pricing, so the scan resumes just after it with a fresh
+        one.  The common final round (nothing improves) is a single
+        sweep.
         """
         pids = sorted(dops)
         improved = True
@@ -328,18 +353,16 @@ class DopPlanner:
                 candidates = [
                     (pid, dops[pid] // 2) for pid in pids[position:] if dops[pid] > 1
                 ]
-                if not candidates:
-                    break
                 applied = False
                 for (pid, halved), (trial_latency, trial_dollars) in zip(
-                    candidates, coster.sweep(dops, candidates)
+                    candidates, coster.price_moves(dops, candidates)
                 ):
                     if trial_dollars < dollars and (
                         trial_latency <= sla or not feasible
                     ):
                         dops = dict(dops)
                         dops[pid] = halved
-                        latency, dollars = trial_latency, trial_dollars
+                        dollars = trial_dollars
                         improved = True
                         applied = True
                         position = pids.index(pid) + 1
@@ -347,38 +370,6 @@ class DopPlanner:
                 if not applied:
                     break
         return dops
-
-    def _move_metrics(
-        self,
-        dops: dict[int, int],
-        pid: int,
-        new_dop: int,
-        coster: _IncrementalCoster | _NaiveCoster,
-    ) -> tuple[float, float]:
-        """``(latency, total_dollars)`` of one single-pipeline move."""
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            return coster.sweep(dops, [(pid, new_dop)])[0]
-        trial = dict(dops)
-        trial[pid] = new_dop
-        estimate = coster.estimate(trial)
-        return estimate.latency, estimate.total_dollars
-
-    def _assignment_metrics(
-        self,
-        dops: dict[int, int],
-        coster: _IncrementalCoster | _NaiveCoster,
-    ) -> tuple[float, float]:
-        """``(latency, total_dollars)`` of a whole assignment.
-
-        Batched mode evaluates it as a sweep over one no-op move (the
-        base assignment is ``dops`` itself), reusing the bit-identical
-        lean scheduling path instead of materializing a full estimate.
-        """
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            pid = next(iter(dops))
-            return coster.sweep(dops, [(pid, dops[pid])])[0]
-        estimate = coster.estimate(dops)
-        return estimate.latency, estimate.total_dollars
 
     def _best_growth_move(
         self,
@@ -392,30 +383,16 @@ class DopPlanner:
 
         With ``budget`` set (budget mode), moves that break the budget
         are discarded.  Returns the mutated assignment plus its metrics.
-        Batched mode scores the whole round from one sweep; the metrics
-        are bit-identical to per-candidate full estimates, so the winner
-        (and therefore the search trajectory) is exactly the
-        per-candidate one.
         """
         candidates = [
             (pid, min(self.max_dop, dops[pid] * 2))
             for pid in dops
             if dops[pid] < self.max_dop
         ]
-        if not candidates:
-            return None
-        if self.batched and isinstance(coster, _IncrementalCoster):
-            metrics = coster.sweep(dops, candidates, prune_gainless=True)
-        else:
-            metrics = []
-            for pid, new_dop in candidates:
-                trial = dict(dops)
-                trial[pid] = new_dop
-                estimate = coster.estimate(trial)
-                metrics.append((estimate.latency, estimate.total_dollars))
-
         best: tuple[float, int, int, float, float] | None = None
-        for (pid, new_dop), (latency, dollars) in zip(candidates, metrics):
+        for (pid, new_dop), (latency, dollars) in zip(
+            candidates, coster.price_moves(dops, candidates, prune_gainless=True)
+        ):
             if budget is not None and dollars > budget:
                 continue
             gain = current_latency - latency
@@ -443,7 +420,7 @@ class DopPlanner:
     ) -> tuple[dict[int, int], bool]:
         budget = constraint.bound()
         dops = {p.pipeline_id: 1 for p in dag}
-        latency, dollars = self._assignment_metrics(dops, coster)
+        latency, dollars = coster.metrics(dops)
         if dollars > budget:
             # Even the minimal assignment exceeds the budget.
             return dops, False
@@ -458,9 +435,7 @@ class DopPlanner:
             dag, dops, self.estimator.models, max_dop=self.max_dop, overrides=overrides
         )
         if polished != dops:
-            polished_latency, polished_dollars = self._assignment_metrics(
-                polished, coster
-            )
+            polished_latency, polished_dollars = coster.metrics(polished)
             if (
                 polished_dollars <= budget
                 and polished_latency <= latency + 1e-9

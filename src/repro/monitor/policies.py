@@ -75,6 +75,7 @@ class PipelineDopMonitor(ScalingPolicy):
         self.thresholds = thresholds or DeviationThresholds()
         self.max_dop = max_dop
         self.max_replans = max_replans
+        self._planner = DopPlanner(estimator, max_dop=max_dop)
         self.learned: dict[int, float] = {}
         self.adjustments = 0
         self.replans = 0
@@ -163,8 +164,7 @@ class PipelineDopMonitor(ScalingPolicy):
         if self.replans >= self.max_replans:
             return self._adjust_single(obs)
         self.replans += 1
-        planner = DopPlanner(self.estimator, max_dop=self.max_dop)
-        plan = planner.plan(self.dag, self.constraint, overrides=self.learned)
+        plan = self._planner.plan(self.dag, self.constraint, overrides=self.learned)
         replan = {
             pid: dop for pid, dop in plan.dops.items() if pid != obs.pipeline_id
         }

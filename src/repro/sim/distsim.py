@@ -36,9 +36,8 @@ from repro.compute.pricing import PriceModel
 from repro.compute.warmpool import WarmPool
 from repro.cost.estimate import CostEstimate
 from repro.cost.operator_models import OperatorModels
-from repro.cost.volumes import pipeline_volumes
 from repro.errors import ExecutionError
-from repro.plan.physical import ExchangeKind, PhysExchange, PhysScan
+from repro.plan.physical import ExchangeKind, PhysScan
 from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.util.rng import derive_rng
 
@@ -397,8 +396,7 @@ class DistributedSimulator:
         )
 
     def _true_source_rows(self, pipeline: Pipeline, dop: int) -> float:
-        volumes = pipeline_volumes(pipeline, dop, self.truth)
-        return volumes[0].rows_out if volumes else 0.0
+        return self.models.curve(pipeline, self.truth or None).source_rows(dop)
 
     def _observation(self, state: _State, now: float) -> CheckpointObservation:
         pid = state.pipeline.pipeline_id
@@ -447,29 +445,24 @@ def true_pipeline_duration(
     """Pipeline duration with the simulator's hidden perturbations."""
     from repro.sim.skew import skew_multiplier
 
-    volumes = pipeline_volumes(pipeline, dop, truth if truth else None)
-    has_shuffle = any(
-        isinstance(v.op.node, PhysExchange) and v.op.node.kind is ExchangeKind.SHUFFLE
-        for v in volumes
-    )
+    curve = models.curve(pipeline, truth if truth else None)
     stream = 0.0
     fixed = models.hw.pipeline_startup_s
-    for index, volume in enumerate(volumes):
-        op_time = models.op_time(volume, dop, pipeline=pipeline, index=index)
-        stream_s, fixed_s = op_time.stream_s, op_time.fixed_s
-        node = volume.op.node
-        if isinstance(node, PhysExchange):
+    for is_exchange, (stream_s, fixed_s, bytes_in, _) in zip(
+        curve.exchange_ops, curve.op_terms(dop)
+    ):
+        if is_exchange:
             stream_s *= config.exchange_transfer_multiplier
             fixed_s *= config.exchange_setup_multiplier
             if config.materialize_exchanges:
                 store = models.hw.store
-                round_trip = 2.0 * volume.bytes_in / (dop * store.per_node_bandwidth)
+                round_trip = 2.0 * bytes_in / (dop * store.per_node_bandwidth)
                 fixed_s += round_trip + 2.0 * store.request_latency_s
         else:
             stream_s /= config.cpu_rate_multiplier
         stream = max(stream, stream_s)
         fixed += fixed_s
-    if has_shuffle and dop > 1:
+    if curve.has_shuffle and dop > 1:
         stream *= skew_multiplier(dop, config.skew_zipf_s, rng)
     noise = float(rng.lognormal(mean=0.0, sigma=config.noise_sigma))
     return (stream + fixed) * noise

@@ -93,6 +93,27 @@ def test_plan_choice_roundtrips_bit_identically(optimizer, bound):
     assert plan_snapshot(restored) == plan_snapshot(choice)
 
 
+def test_dop_plan_with_unread_estimate_roundtrips_equal(optimizer, bound):
+    """``DopPlan.estimate`` is built on first read; a plan shipped before
+    anyone read it must arrive whole, and equal to one that was read."""
+    from repro.cost.estimate import CostEstimate
+
+    constraint = sla_constraint(20.0)
+    dag = optimizer.dag_variants(bound)[0].dag
+    unread = optimizer.dop_planner.plan(dag, constraint)
+    read = optimizer.dop_planner.plan(dag, constraint)
+    assert not isinstance(unread._estimate, CostEstimate)  # still a thunk
+    assert read.estimate.latency > 0
+
+    restored = roundtrip(unread)
+    assert isinstance(restored._estimate, CostEstimate)
+    assert restored == read
+    assert roundtrip(read) == read
+    assert restored.estimate == read.estimate
+    assert restored.evaluations == read.evaluations
+    assert unread == read  # comparing materializes, too
+
+
 def test_bound_query_roundtrip_replans_identically(optimizer, bound):
     constraint = budget_constraint(1.0)
     baseline = optimizer.optimize(bound, constraint)

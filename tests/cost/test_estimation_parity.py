@@ -1,10 +1,12 @@
-"""Parity suite: the cached/incremental hot path must be bit-identical.
+"""Parity suite: the compiled/table-driven hot path must be bit-identical.
 
-The optimizer overhaul (timing cache + incremental DAG re-costing) is a
-pure performance change: across every TPC-H template, both constraint
-kinds, and with/without cardinality overrides, the fast path must return
-*exactly* the same `CostEstimate`s and choose *exactly* the same plans
-as the naive path it replaced.  Float comparisons here are deliberately
+Compiled cost curves and the table-driven DOP search are a pure
+performance change: across every TPC-H template, generated ad-hoc
+shapes, every integer DOP, both constraint kinds, and every way
+cardinality overrides can land on a pipeline, the fast path must return
+*exactly* the same timings and `CostEstimate`s and choose *exactly* the
+same plans as the reference — `pipeline_volumes` + `op_time` under the
+naive per-candidate search.  Float comparisons here are deliberately
 `==`, not approx.
 """
 
@@ -14,10 +16,13 @@ from repro.core.bioptimizer import BiObjectiveOptimizer
 from repro.cost.estimator import CostEstimator
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.dop.planner import DopPlanner
+from repro.plan.physical import AggMode, PhysAggregate
 from repro.plan.pipelines import decompose_pipelines
+from repro.workloads.adhoc import AdhocQueryGenerator
 from repro.workloads.tpch_queries import instantiate, template_names
 
 CONSTRAINTS = [sla_constraint(12.0), budget_constraint(0.05)]
+ALL_DOPS = range(1, 65)  # interval / per-stage policies produce non-powers of two
 
 
 def assert_estimates_identical(a, b):
@@ -36,6 +41,71 @@ def assert_estimates_identical(a, b):
         )
         assert pa.bottleneck == pb.bottleneck
         assert pa.source_rows == pb.source_rows
+
+
+def override_modes(pipeline):
+    """Every way overrides reach one pipeline: estimate-only, observed
+    with nothing learned, a learned source truth (what the DOP monitor
+    feeds back), a mid-pipeline node, and the group count of the final
+    aggregate a partial aggregate sizes its output by."""
+    nodes = [op.node for op in pipeline.ops]
+    source, middle = nodes[0], nodes[len(nodes) // 2]
+    final = next(
+        (
+            node
+            for node in nodes
+            if isinstance(node, PhysAggregate) and node.mode is not AggMode.PARTIAL
+        ),
+        nodes[-1],
+    )
+    return (
+        None,
+        {},
+        {source.node_id: float(source.est_rows) * 3.7 + 1.0},
+        {middle.node_id: float(middle.est_rows) * 0.37 + 11.0},
+        {final.node_id: float(final.est_rows) * 5.0 + 3.0},
+    )
+
+
+def assert_curve_matches_reference(pipeline, fast, reference):
+    """``fast`` prices from the compiled curve, ``reference`` from
+    ``pipeline_volumes`` + ``op_time``; everything a consumer can read
+    must agree to the last bit."""
+    for overrides in override_modes(pipeline):
+        for dop in ALL_DOPS:
+            expected = reference.pipeline_timing(pipeline, dop, overrides)
+            actual = fast.pipeline_timing(pipeline, dop, overrides)
+            context = (pipeline.describe(), overrides, dop)
+            assert actual.duration == expected.duration, context
+            assert actual.bottleneck == expected.bottleneck, context
+            assert actual.source_rows == expected.source_rows, context
+            # statsvc/profiler weighs operators by these.
+            assert actual.op_times == expected.op_times, context
+            assert fast.pipeline_summary(pipeline, dop, overrides) == (
+                expected.duration,
+                expected.bottleneck,
+                expected.source_rows,
+            ), context
+
+
+@pytest.mark.parametrize("template", template_names())
+def test_curve_bitwise_parity_tpch(big_binder, big_planner, template):
+    plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
+    fast = CostEstimator().models
+    reference = CostEstimator(enable_cache=False).models
+    for pipeline in decompose_pipelines(plan):
+        assert_curve_matches_reference(pipeline, fast, reference)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_curve_bitwise_parity_adhoc_shapes(big_binder, big_planner, chunk):
+    """>= 200 generated star-join shapes (50 per chunk)."""
+    fast = CostEstimator().models
+    reference = CostEstimator(enable_cache=False).models
+    for sql in AdhocQueryGenerator(seed=100 + chunk).batch(50):
+        plan = big_planner.plan(big_binder.bind_sql(sql))
+        for pipeline in decompose_pipelines(plan):
+            assert_curve_matches_reference(pipeline, fast, reference)
 
 
 @pytest.mark.parametrize("template", template_names())
@@ -109,20 +179,25 @@ def test_skeleton_reuse_parity_literal_varying(
 @pytest.mark.parametrize("template", template_names())
 @pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
 def test_batched_greedy_rounds_parity(big_binder, big_planner, template, constraint):
-    """Batched round costing (one lean sweep per greedy round) must pick
-    exactly the DOP plans per-candidate costing picks."""
+    """Table-driven round costing (one lean sweep per greedy round over
+    the curves' duration tables) must walk exactly the search trajectory
+    of the naive reference, which fully re-estimates every candidate:
+    same DOPs, same verdict, same number of evaluations, same floats."""
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
     dag = decompose_pipelines(plan)
-    per_candidate = DopPlanner(CostEstimator(), batched=False).plan(dag, constraint)
-    batched = DopPlanner(CostEstimator(), batched=True).plan(dag, constraint)
+    per_candidate = DopPlanner(
+        CostEstimator(enable_cache=False), incremental=False
+    ).plan(dag, constraint)
+    batched = DopPlanner(CostEstimator()).plan(dag, constraint)
     assert batched.dops == per_candidate.dops
     assert batched.feasible == per_candidate.feasible
+    assert batched.evaluations == per_candidate.evaluations
     assert_estimates_identical(batched.estimate, per_candidate.estimate)
 
 
 def test_warehouse_parameterized_serving_parity(big_catalog):
-    """The full serving path (two-level cache, skeleton reuse, DAG memo,
-    batched rounds) returns plans bit-identical to PR 1's exact-match
+    """The full serving path (two-level cache, skeleton reuse, DAG memo)
+    returns plans bit-identical to PR 1's exact-match
     serving path for every literal-varying arrival."""
     from repro.core.warehouse import CostIntelligentWarehouse
 
@@ -130,7 +205,6 @@ def test_warehouse_parameterized_serving_parity(big_catalog):
         catalog=big_catalog, parameterized_serving=False
     )
     reference.optimizer._dag_memo = None
-    reference.optimizer.dop_planner.batched = False
     parameterized = CostIntelligentWarehouse(catalog=big_catalog)
 
     for template in template_names():
@@ -158,9 +232,10 @@ def test_lean_sweep_matches_full_estimates(big_binder, big_planner):
         big_binder.bind_sql(instantiate("q5_local_supplier", seed=1))
     )
     dag = decompose_pipelines(plan)
-    coster = _IncrementalCoster(CostEstimator(), dag, None)
+    estimator = CostEstimator()
+    coster = _IncrementalCoster(estimator, dag, None)
     dops = {p.pipeline_id: 2 for p in dag}
-    base = coster.estimate(dops)
+    base = estimator.estimate_dag(dag, dops)
     base_metrics = (base.latency, base.total_dollars)
     candidates = [(p.pipeline_id, 4) for p in dag] + [(dag.root_id, 1)]
     for (pid, new_dop), (latency, total_dollars) in zip(
@@ -168,7 +243,7 @@ def test_lean_sweep_matches_full_estimates(big_binder, big_planner):
     ):
         mutated = dict(dops)
         mutated[pid] = new_dop
-        full = coster.estimate(mutated)
+        full = estimator.estimate_dag(dag, mutated)
         assert latency == full.latency
         assert total_dollars == full.total_dollars
     # With pruning, every candidate is either priced bit-identically or
@@ -178,7 +253,7 @@ def test_lean_sweep_matches_full_estimates(big_binder, big_planner):
     ):
         mutated = dict(dops)
         mutated[pid] = new_dop
-        full = coster.estimate(mutated)
+        full = estimator.estimate_dag(dag, mutated)
         exact = latency == full.latency and total_dollars == full.total_dollars
         pruned = (latency, total_dollars) == base_metrics and (
             full.latency >= base.latency

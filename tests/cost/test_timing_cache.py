@@ -1,13 +1,15 @@
-"""Tests for the estimator hot-path memoization (cost/timing_cache.py)."""
+"""Tests for the estimator's cost-curve cache (cost/timing_cache.py)."""
+
+import gc
 
 import pytest
 
 from repro.cost.estimator import CostEstimator
-from repro.cost.timing_cache import (
-    TimingCache,
-    overrides_key,
-    volumes_depend_on_dop,
-)
+from repro.cost.hardware import HardwareCalibration
+from repro.cost.regression import ExchangeCalibration, ExchangeCoefficients
+from repro.cost.timing_cache import TimingCache, overrides_key
+from repro.cost.volumes import pipeline_volumes
+from repro.plan.physical import ExchangeKind
 from repro.plan.pipelines import decompose_pipelines
 from repro.workloads.tpch_queries import instantiate
 
@@ -33,7 +35,20 @@ def test_overrides_key_distinguishes_none_from_empty():
 
 
 def test_volumes_dop_sensitivity_detection(q5_dag):
-    sensitive = [volumes_depend_on_dop(p) for p in q5_dag]
+    """A curve re-derives exactly the volumes that move with DOP (the
+    output of a partial aggregate and what flows from it) and keeps the
+    rest constant."""
+    models = fresh_estimator().models
+    sensitive = []
+    for pipeline in q5_dag:
+        curve = models.curve(pipeline)
+        by_dop = {
+            dop: [rows_out for _, _, _, rows_out in curve.op_terms(dop)]
+            for dop in (1, 8)
+        }
+        for dop, rows_out in by_dop.items():
+            assert rows_out == [v.rows_out for v in pipeline_volumes(pipeline, dop)]
+        sensitive.append(by_dop[1] != by_dop[8])
     # q5 aggregates, so at least one pipeline carries a partial aggregate
     # and at least one (a pure scan/probe chain) does not.
     assert any(sensitive)
@@ -116,11 +131,11 @@ def test_dop_independent_volumes_shared_across_dops(q5_dag):
     for dop in (1, 2, 4, 8):
         estimator.estimate_dag(q5_dag, {p.pipeline_id: dop for p in q5_dag})
     stats = estimator.models.cache.stats
-    insensitive = sum(1 for p in q5_dag if not volumes_depend_on_dop(p))
-    sensitive = len(q5_dag) - insensitive
-    # Insensitive pipelines computed volumes once; sensitive ones per DOP.
-    assert stats.volume_computations == insensitive + 4 * sensitive
-    # Timings are DOP-keyed for everyone.
+    # One volume walk (curve compilation) per pipeline serves every DOP,
+    # partial aggregates included.
+    assert stats.curve_computations == len(q5_dag)
+    assert stats.curve_hits == 3 * len(q5_dag)
+    # Durations are DOP-keyed for everyone.
     assert stats.timing_computations == 4 * len(q5_dag)
 
 
@@ -168,8 +183,10 @@ def test_invalidate_clears_everything(q5_dag):
     estimator.estimate_dag(q5_dag, dops)
     cache = estimator.models.cache
     assert len(cache) > 0
+    estimator.sweeper(q5_dag)
     estimator.invalidate_caches()
     assert len(cache) == 0
+    assert len(estimator._sweepers) == 0  # bakes in the attach latency
     before = cache.stats.timing_computations
     estimator.estimate_dag(q5_dag, dops)
     assert cache.stats.timing_computations == before + len(q5_dag)
@@ -185,20 +202,82 @@ def test_cache_entries_die_with_their_pipelines(big_binder, big_planner):
     cache = estimator.models.cache
     assert len(cache) == len(dag)
     del dag, plan  # weak keys: dropping the plan drops its cache entries
-    import gc
-
     gc.collect()
     assert len(cache) == 0
+    assert len(cache._entries) == 0
+
+
+def test_plan_scoped_caches_empty_once_the_plan_is_gone(big_binder, big_planner):
+    """Curves, schedule sweepers and scan fees are keyed weakly by the
+    plan's pipelines / DAG.  Nothing a search leaves behind — a curve,
+    a sweeper, an unread lazy estimate — may keep the plan alive (a
+    curve holding its pipeline would pin every plan ever priced)."""
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    estimator = fresh_estimator()
+    plan = big_planner.plan(
+        big_binder.bind_sql(instantiate("q5_local_supplier", seed=2))
+    )
+    dag = decompose_pipelines(plan)
+    planner = DopPlanner(estimator)
+    source = next(iter(dag)).ops[0].node
+    read = planner.plan(dag, sla_constraint(12.0))
+    assert read.estimate.latency > 0
+    unread = planner.plan(dag, sla_constraint(12.0), {source.node_id: 1e6})
+    assert len(estimator.models.cache._entries) == len(dag)
+    assert len(estimator._sweepers) == 1
+    assert len(estimator._scan_dollars_cache) == 1
+
+    del plan, dag, source, read, unread
+    gc.collect()
+    assert len(estimator.models.cache._entries) == 0
+    assert len(estimator._sweepers) == 0
+    assert len(estimator._scan_dollars_cache) == 0
+
+
+def test_invalidate_after_recalibration_reprices(q5_dag):
+    """Curves bake in the hardware and exchange constants they were
+    compiled with: after either changes, ``invalidate_caches()`` must
+    leave the estimator pricing like one built on the new calibration."""
+    dops = {p.pipeline_id: 4 for p in q5_dag}
+    slow_net = HardwareCalibration(network_efficiency=0.4)
+    fitted = ExchangeCalibration(
+        by_kind={
+            kind: ExchangeCoefficients(
+                transfer_scale=1.7, base_setup_s=0.2, per_peer_setup_s=0.01
+            )
+            for kind in ExchangeKind
+        }
+    )
+    estimator = fresh_estimator()
+    before = estimator.estimate_dag(q5_dag, dops)
+
+    estimator.models.exchange = fitted
+    assert estimator.estimate_dag(q5_dag, dops).latency == before.latency  # stale
+    estimator.invalidate_caches()
+    recalibrated = estimator.estimate_dag(q5_dag, dops)
+    expected = CostEstimator(exchange_calibration=fitted).estimate_dag(q5_dag, dops)
+    assert recalibrated.latency == expected.latency != before.latency
+    assert recalibrated.machine_seconds == expected.machine_seconds
+
+    estimator.hw = estimator.models.hw = slow_net
+    estimator.invalidate_caches()
+    rehosted = estimator.estimate_dag(q5_dag, dops)
+    expected = CostEstimator(slow_net, fitted).estimate_dag(q5_dag, dops)
+    assert rehosted.latency == expected.latency != recalibrated.latency
+    assert rehosted.machine_seconds == expected.machine_seconds
 
 
 def test_direct_cache_api_counts_hits(q5_dag):
+    models = fresh_estimator().models
     cache = TimingCache()
     pipeline = q5_dag.topological_order()[0]
-    first = cache.volumes(pipeline, 2, None)
-    second = cache.volumes(pipeline, 2, None)
+    first = cache.curve(pipeline, None, models._compile)
+    second = cache.curve(pipeline, None, models._compile)
     assert first is second
-    assert cache.stats.volume_computations == 1
-    assert cache.stats.volume_hits == 1
+    assert cache.stats.curve_computations == 1
+    assert cache.stats.curve_hits == 1
     cache.stats.reset()
-    assert cache.stats.volume_hits == 0
-    assert "volumes" in cache.stats.describe()
+    assert cache.stats.curve_hits == 0
+    assert "curves" in cache.stats.describe()

@@ -179,3 +179,109 @@ def test_billing_additive_and_nonnegative(intervals):
     assert report.machine_seconds >= 0
     assert abs(report.machine_seconds - total) < 1e-6
     assert report.compute_dollars >= 0
+
+
+# ---------------------------------------------------------------------- #
+# Compiled cost curves vs the readable models
+# ---------------------------------------------------------------------- #
+_STREAM_KINDS = ("filter", "project", "shuffle", "broadcast", "gather", "limit", "probe")
+_row_counts = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=1e11, allow_nan=False)
+)
+
+
+@st.composite
+def operator_chains(draw):
+    """A pipeline-shaped operator chain — source, streaming operators
+    with 0, 1 or 2 partial aggregates among them, optional sink — with
+    drawn cardinalities, plus overrides on a drawn subset of its nodes."""
+    from repro.plan.physical import (
+        AggMode,
+        ExchangeKind,
+        PhysAggregate,
+        PhysExchange,
+        PhysFilter,
+        PhysHashJoin,
+        PhysLimit,
+        PhysProject,
+        PhysScan,
+        PhysSort,
+    )
+    from repro.plan.pipelines import Pipeline, PipelineOp
+
+    x = ColumnRef("x")
+
+    def sized(node):
+        node.est_rows = draw(_row_counts)
+        node.est_bytes = node.est_rows * draw(st.floats(min_value=0.0, max_value=512.0))
+        return node
+
+    def aggregate(child, mode):
+        return sized(PhysAggregate(child, (x,), (AggCall("sum", x),), ("s",), mode))
+
+    if draw(st.booleans()):
+        read = draw(_row_counts)
+        node = sized(PhysScan("t", ("x",), input_rows=read, input_bytes=read * 40.0))
+        ops = [PipelineOp(node, "source_scan")]
+    else:
+        node = aggregate(PhysScan("t", ("x",)), AggMode.FINAL)
+        ops = [PipelineOp(node, "source_state")]
+
+    kinds = draw(st.lists(st.sampled_from(_STREAM_KINDS), max_size=5))
+    for _ in range(draw(st.sampled_from((0, 1, 2)))):
+        kinds.insert(draw(st.integers(0, len(kinds))), "partial")
+    for kind in kinds:
+        role = "stream"
+        if kind == "filter":
+            node = sized(PhysFilter(node, x))
+        elif kind == "project":
+            width = draw(st.integers(0, 4))
+            node = sized(PhysProject(node, (x,) * width, ("x",) * width))
+        elif kind == "limit":
+            node = sized(PhysLimit(node, 10))
+        elif kind == "partial":
+            node = aggregate(node, AggMode.PARTIAL)
+        elif kind == "probe":
+            node = sized(PhysHashJoin(PhysScan("b", ("x",)), node, (x,), (x,)))
+            role = "probe"
+        else:
+            node = sized(PhysExchange(node, ExchangeKind(kind)))
+        ops.append(PipelineOp(node, role))
+
+    sink = draw(st.sampled_from(("none", "build", "sink_agg", "sink_sort")))
+    if sink == "build":
+        ops.append(PipelineOp(sized(PhysHashJoin(node, PhysScan("p", ("x",)), (x,), (x,))), sink))
+    elif sink == "sink_agg":
+        ops.append(PipelineOp(aggregate(node, AggMode.FINAL), sink))
+    elif sink == "sink_sort":
+        ops.append(PipelineOp(sized(PhysSort(node, ("x",), (True,))), sink))
+
+    overrides = draw(
+        st.one_of(
+            st.none(),
+            st.dictionaries(
+                st.sampled_from([op.node.node_id for op in ops]), _row_counts
+            ),
+        )
+    )
+    return Pipeline(pipeline_id=0, ops=ops), overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_chains(), st.lists(st.integers(1, 64), min_size=1, max_size=4))
+def test_compiled_curve_prices_any_chain_like_the_models(chain, dops):
+    """Chains the planner never emits (two partial aggregates, probes
+    and exchanges downstream of one, zero-row inputs) must still compile
+    to the reference's floats — a curve may never mis-price."""
+    from repro.cost.estimator import CostEstimator
+
+    pipeline, overrides = chain
+    fast = CostEstimator().models
+    reference = CostEstimator(enable_cache=False).models
+    for dop in dops:
+        expected = reference.pipeline_timing(pipeline, dop, overrides)
+        actual = fast.pipeline_timing(pipeline, dop, overrides)
+        assert actual.duration == expected.duration
+        assert actual.bottleneck == expected.bottleneck
+        assert actual.source_rows == expected.source_rows
+        assert actual.op_times == expected.op_times
