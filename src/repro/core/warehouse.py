@@ -442,8 +442,8 @@ class CostIntelligentWarehouse:
             return {}
         stats = cache.stats
         return {
-            ("timing",): getattr(stats, f"timing_{field}"),
-            ("curve",): getattr(stats, f"curve_{field}"),
+            (kind,): getattr(stats, f"{kind}_{field}")
+            for kind in ("timing", "curve", "plan")
         }
 
     def _admission_source(self) -> dict:
@@ -1417,7 +1417,7 @@ class CostIntelligentWarehouse:
             cache_hits = metrics.sourced("repro_timing_cache_hits_total")
             computations = metrics.sourced("repro_timing_cache_computations_total")
             block: dict[str, float] = {}
-            for kind in ("timing", "curve"):
+            for kind in ("timing", "curve", "plan"):
                 kind_hits = cache_hits.get((kind,), 0)
                 total = kind_hits + computations.get((kind,), 0)
                 block[f"{kind}_hits"] = kind_hits

@@ -4,6 +4,26 @@ Bundles the scalability models, exchange calibration, and the query-level
 simulator behind one object with the interface the rest of the system
 uses (the bi-objective optimizer, the DOP planner, the DOP monitor, and
 the What-If Service all "invoke the cost estimator").
+
+What is memoized here, beside the models' compiled curves: three tables
+per :class:`~repro.plan.pipelines.PipelineDag`, each in a dictionary
+keyed *weakly* by the DAG, so an entry lives exactly as long as the plan
+it describes and :meth:`CostEstimator.invalidate_caches` drops all three
+after a recalibration.
+
+- the DAG's object-store GET fees (one float);
+- its :class:`~repro.cost.query_simulator.ScheduleSweeper`;
+- its **DOP-plan memo**: the outcome ``(dops, feasible, evaluations)``
+  of every DOP search already run over the DAG, keyed by ``(constraint,
+  overrides_key(overrides), max_dop, enforce_sla_strictly)``.  The
+  search is a pure function of that key and the calibration, so the DOP
+  monitor's replan with unchanged learned cardinalities, and every
+  replan of a plan served again from the exact plan cache, is one
+  lookup.  Values never reference the DAG (a value that did would pin
+  its own weak key).
+
+``enable_cache=False`` builds none of them: the reference the parity
+suite compares against.
 """
 
 from __future__ import annotations
@@ -24,8 +44,9 @@ class CostEstimator:
 
     ``enable_cache=True`` (the default) prices pipelines from compiled
     cost curves (:mod:`repro.cost.curve`, shared through
-    :mod:`repro.cost.timing_cache`) and memoizes per-DAG scan fees and
-    schedule sweepers; results are bit-identical to the uncached path,
+    :mod:`repro.cost.timing_cache`) and memoizes per-DAG scan fees,
+    schedule sweepers and finished DOP searches (see the module
+    docstring); results are bit-identical to the uncached path,
     which evaluates ``pipeline_volumes`` + ``op_time`` per call and is
     the reference the parity suite compares against.
     """
@@ -53,6 +74,9 @@ class CostEstimator:
         self._sweepers: WeakKeyDictionary[PipelineDag, ScheduleSweeper] | None = (
             WeakKeyDictionary() if enable_cache else None
         )
+        self._plan_memo: WeakKeyDictionary[PipelineDag, dict] | None = (
+            WeakKeyDictionary() if enable_cache else None
+        )
 
     @property
     def cache_enabled(self) -> bool:
@@ -65,6 +89,8 @@ class CostEstimator:
             self._scan_dollars_cache.clear()
         if self._sweepers is not None:
             self._sweepers.clear()
+        if self._plan_memo is not None:
+            self._plan_memo.clear()
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -96,6 +122,32 @@ class CostEstimator:
         if sweeper is None:
             sweeper = self._sweepers[dag] = ScheduleSweeper(dag, self.models)
         return sweeper
+
+    def recall_plan(
+        self, dag: PipelineDag, key: tuple
+    ) -> tuple[dict[int, int], bool, int] | None:
+        """The ``(dops, feasible, evaluations)`` a DOP search over
+        ``dag`` under ``key`` ended with, if one already ran (the
+        caller copies ``dops`` before handing it out)."""
+        if self._plan_memo is None:
+            return None
+        searched = self._plan_memo.get(dag)
+        found = searched.get(key) if searched is not None else None
+        if found is not None:
+            self.models.cache.stats.plan_hits += 1
+        return found
+
+    def remember_plan(
+        self, dag: PipelineDag, key: tuple, dops: dict[int, int], feasible: bool, evaluations: int
+    ) -> None:
+        """Record a finished DOP search over ``dag`` under ``key``."""
+        if self._plan_memo is None:
+            return
+        self.models.cache.stats.plan_computations += 1
+        searched = self._plan_memo.get(dag)
+        if searched is None:
+            searched = self._plan_memo[dag] = {}
+        searched[key] = (dict(dops), feasible, evaluations)
 
     def pipeline_timing(
         self,

@@ -56,26 +56,33 @@ class TimingCacheStats:
 
     ``timing_*`` count per-DOP duration lookups on the curves;
     ``curve_*`` count curve lookups and compilations (one volume walk
-    each).
+    each); ``plan_*`` count whole DOP searches answered from, and stored
+    into, the estimator's per-DAG plan memo.
     """
 
     curve_hits: int = 0
     curve_computations: int = 0
     timing_hits: int = 0
     timing_computations: int = 0
+    plan_hits: int = 0
+    plan_computations: int = 0
 
     def reset(self) -> None:
         self.curve_hits = 0
         self.curve_computations = 0
         self.timing_hits = 0
         self.timing_computations = 0
+        self.plan_hits = 0
+        self.plan_computations = 0
 
     def describe(self) -> str:
         return (
             f"timings: {self.timing_hits} hits / "
             f"{self.timing_computations} computed; "
             f"curves: {self.curve_hits} hits / "
-            f"{self.curve_computations} compiled"
+            f"{self.curve_computations} compiled; "
+            f"plans: {self.plan_hits} hits / "
+            f"{self.plan_computations} searched"
         )
 
 

@@ -26,10 +26,23 @@ lean sweep — with a critical-path prune that skips candidates provably
 unable to reduce latency — and no ``CostEstimate`` is built during the
 search at all.  The final estimate is built on first read of
 :attr:`DopPlan.estimate`, so a replan that only consumes ``.dops``
-never pays for it.  ``DopPlanner(incremental=False)`` swaps in a coster
-that fully re-estimates every candidate: the reference the parity suite
-holds the tables to — same trajectory, same evaluation count, same
-floats.
+never pays for it.
+
+A finished search is memoized: before it builds a coster,
+:meth:`DopPlanner.plan` asks the estimator's per-DAG plan memo
+(:meth:`~repro.cost.estimator.CostEstimator.recall_plan`) for
+``(constraint, overrides_key(overrides), max_dop,
+enforce_sla_strictly)`` and, on a hit, returns a fresh :class:`DopPlan`
+over a copy of the remembered DOPs with the evaluation count the search
+recorded.  The memo lives with the DAG (weakly keyed) and is dropped by
+``CostEstimator.invalidate_caches()``; the DOP monitor's repeated
+replans, and every replan of a plan served again from the exact plan
+cache, are answered there.
+
+``DopPlanner(incremental=False)`` swaps in a coster that fully
+re-estimates every candidate and never reads or writes the memo: the
+reference the parity suite holds the tables to — same trajectory, same
+evaluation count, same floats.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ from typing import Callable, Iterator
 
 from repro.cost.estimate import CostEstimate
 from repro.cost.estimator import CostEstimator
+from repro.cost.timing_cache import overrides_key
 from repro.dop.cofinish import equalize_siblings
 from repro.dop.constraints import Constraint
 from repro.errors import InfeasibleConstraintError
@@ -270,18 +284,31 @@ class DopPlanner:
         constraint: Constraint,
         overrides: dict[int, float] | None = None,
     ) -> DopPlan:
-        coster_cls = _IncrementalCoster if self.incremental else _NaiveCoster
-        coster = coster_cls(self.estimator, dag, overrides)
-        if constraint.is_sla:
-            dops, feasible = self._plan_for_sla(dag, constraint, overrides, coster)
+        estimator = self.estimator
+        key = (
+            constraint,
+            overrides_key(overrides),
+            self.max_dop,
+            self.enforce_sla_strictly,
+        )
+        found = estimator.recall_plan(dag, key) if self.incremental else None
+        if found is not None:
+            dops, feasible, evaluations = found
+            dops = dict(dops)
         else:
-            dops, feasible = self._plan_for_budget(dag, constraint, overrides, coster)
+            coster_cls = _IncrementalCoster if self.incremental else _NaiveCoster
+            coster = coster_cls(estimator, dag, overrides)
+            search = self._plan_for_sla if constraint.is_sla else self._plan_for_budget
+            dops, feasible = search(dag, constraint, overrides, coster)
+            # The final estimate, built on first read, is one more.
+            evaluations = coster.evaluations + 1
+            if self.incremental:
+                estimator.remember_plan(dag, key, dops, feasible, evaluations)
         plan = DopPlan(
             dops=dops,
-            estimate=partial(self.estimator.estimate_dag, dag, dops, overrides),
+            estimate=partial(estimator.estimate_dag, dag, dops, overrides),
             feasible=feasible,
-            # The final estimate, built on first read, is one more.
-            evaluations=coster.evaluations + 1,
+            evaluations=evaluations,
             constraint=constraint,
         )
         if not feasible and self.enforce_sla_strictly:

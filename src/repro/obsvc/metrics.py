@@ -125,10 +125,10 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source", "Retention-policy evictions per plan-cache level.", ("cache",)
     ),
     "repro_timing_cache_hits_total": MetricSpec(
-        "source", "Estimator memo hits (per-DOP timing / compiled curve).", ("kind",)
+        "source", "Estimator memo hits (per-DOP timing / compiled curve / DOP plan).", ("kind",)
     ),
     "repro_timing_cache_computations_total": MetricSpec(
-        "source", "Estimator memo computations (per-DOP timing / compiled curve).", ("kind",)
+        "source", "Estimator memo computations (per-DOP timing / compiled curve / DOP plan).", ("kind",)
     ),
     # -- admission (sourced from AdmissionController) -------------------
     "repro_admission_verdicts_total": MetricSpec(

@@ -19,6 +19,16 @@ leased (idle, billed) until the consumer starts and inherits them; in
 ``materialize_exchanges`` mode (the BigQuery-style "clean cuts" baseline)
 nodes release immediately but every exchange pays a materialization
 round-trip through shared storage.
+
+What is memoized: the two random draws behind a pipeline's skew and
+noise.  They are a pure function of ``(seed, pipeline id, epoch, DOP,
+skew exponent, noise sigma)`` — the generator is derived from the first
+three and consumed in a fixed order — so :func:`perturbation_draws`
+keeps them in a bounded process-wide table (least recently used entries
+leave first; nothing in it depends on a plan, a calibration or a
+warehouse, so it is never invalidated).  A serving warehouse simulates
+every query under one :class:`SimConfig`, so after the first few
+queries a pipeline start draws nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +37,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import lru_cache
 
 from repro.compute.billing import BillingMeter, CostBreakdown
 from repro.compute.node import NodeSpec
@@ -388,11 +397,18 @@ class DistributedSimulator:
     # ------------------------------------------------------------------ #
     def _true_duration(self, state: _State, dop: int) -> float:
         pipeline = state.pipeline
-        rng = derive_rng(
-            self.config.seed, "pipeline", str(pipeline.pipeline_id), str(state.epoch)
+        config = self.config
+        curve = self.models.curve(pipeline, self.truth or None)
+        draws = perturbation_draws(
+            config.seed,
+            pipeline.pipeline_id,
+            state.epoch,
+            dop if curve.has_shuffle and dop > 1 else 0,
+            config.skew_zipf_s,
+            config.noise_sigma,
         )
         return true_pipeline_duration(
-            pipeline, dop, self.models, self.truth, self.config, rng
+            pipeline, dop, self.models, self.truth, config, draws
         )
 
     def _true_source_rows(self, pipeline: Pipeline, dop: int) -> float:
@@ -434,17 +450,40 @@ class DistributedSimulator:
 # ---------------------------------------------------------------------- #
 # Ground-truth duration model
 # ---------------------------------------------------------------------- #
+@lru_cache(maxsize=4096)
+def perturbation_draws(
+    seed: int,
+    pipeline_id: int,
+    epoch: int,
+    skew_dop: int,
+    skew_zipf_s: float,
+    noise_sigma: float,
+) -> tuple[float, float]:
+    """``(skew_multiplier, noise)`` of one pipeline run.
+
+    ``skew_dop`` is the DOP when the pipeline shuffles at a DOP above 1
+    and 0 otherwise (no straggler: the multiplier is 1.0 and the
+    generator's first draw is the noise).  Skew is drawn before the
+    lognormal noise, from ``derive_rng(seed, "pipeline", id, epoch)``.
+    """
+    from repro.sim.skew import skew_multiplier
+
+    rng = derive_rng(seed, "pipeline", str(pipeline_id), str(epoch))
+    skew = skew_multiplier(skew_dop, skew_zipf_s, rng) if skew_dop else 1.0
+    return skew, float(rng.lognormal(mean=0.0, sigma=noise_sigma))
+
+
 def true_pipeline_duration(
     pipeline: Pipeline,
     dop: int,
     models: OperatorModels,
     truth: dict[int, float],
     config: SimConfig,
-    rng: np.random.Generator,
+    draws: tuple[float, float],
 ) -> float:
-    """Pipeline duration with the simulator's hidden perturbations."""
-    from repro.sim.skew import skew_multiplier
-
+    """Pipeline duration with the simulator's hidden perturbations;
+    ``draws`` is the run's :func:`perturbation_draws` pair."""
+    skew, noise = draws
     curve = models.curve(pipeline, truth if truth else None)
     stream = 0.0
     fixed = models.hw.pipeline_startup_s
@@ -462,10 +501,7 @@ def true_pipeline_duration(
             stream_s /= config.cpu_rate_multiplier
         stream = max(stream, stream_s)
         fixed += fixed_s
-    if curve.has_shuffle and dop > 1:
-        stream *= skew_multiplier(dop, config.skew_zipf_s, rng)
-    noise = float(rng.lognormal(mean=0.0, sigma=config.noise_sigma))
-    return (stream + fixed) * noise
+    return (stream * skew + fixed) * noise
 
 
 def measure_exchange(

@@ -229,6 +229,17 @@ def test_describe_caches_reports_all_levels(warehouse):
     assert report["skeleton_cache"]["hit_rate"] == 0.5
     assert report["timing_cache"]["timing_computations"] > 0
     assert 0.0 <= report["timing_cache"]["timing_hit_rate"] <= 1.0
+    # The DOP-plan memo is counted beside the curves, under kind="plan".
+    plans = {
+        name: warehouse.metrics.sourced(f"repro_timing_cache_{name}_total")[("plan",)]
+        for name in ("hits", "computations")
+    }
+    assert plans["computations"] >= 2  # at least one search per arrival
+    assert report["timing_cache"]["plan_hits"] == plans["hits"]
+    assert report["timing_cache"]["plan_computations"] == plans["computations"]
+    assert report["timing_cache"]["plan_hit_rate"] == plans["hits"] / (
+        plans["hits"] + plans["computations"]
+    )
     warehouse.reset_cache_stats()
     report = warehouse.describe_caches()
     assert report["plan_cache"]["hits"] == 0

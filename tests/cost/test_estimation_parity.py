@@ -195,6 +195,86 @@ def test_batched_greedy_rounds_parity(big_binder, big_planner, template, constra
     assert_estimates_identical(batched.estimate, per_candidate.estimate)
 
 
+def _monitored_run(estimator, dag, constraint, truth):
+    """Simulate ``dag`` under the DOP monitor; returns everything the
+    plan memo could perturb: the monitor's replans (DOPs and evaluation
+    counts), its counters and learned cardinalities, and the result."""
+    from repro.monitor.policies import PipelineDopMonitor
+    from repro.sim.distsim import DistributedSimulator, SimConfig
+
+    planned = DopPlanner(estimator).plan(dag, constraint)
+    monitor = PipelineDopMonitor(
+        dag,
+        estimator,
+        constraint,
+        planned.dops,
+        planned_latency=planned.estimate.latency,
+        planned_durations={
+            pid: p.duration for pid, p in planned.estimate.pipelines.items()
+        },
+    )
+    replans = []
+    search = monitor._planner.plan
+
+    def recording_plan(*args, **kwargs):
+        replanned = search(*args, **kwargs)
+        replans.append((dict(replanned.dops), replanned.feasible, replanned.evaluations))
+        return replanned
+
+    monitor._planner.plan = recording_plan
+    result = DistributedSimulator(
+        dag,
+        planned.dops,
+        estimator.models,
+        truth=truth,
+        planned=planned.estimate,
+        policy=monitor,
+        config=SimConfig(seed=3),
+    ).run()
+    return (
+        (dict(planned.dops), planned.feasible, planned.evaluations),
+        replans,
+        (monitor.adjustments, monitor.replans, dict(monitor.learned)),
+        (
+            result.latency,
+            result.total_dollars,
+            result.machine_seconds,
+            result.resize_count,
+            {pid: (run.dop_history, run.finish) for pid, run in result.runs.items()},
+        ),
+    )
+
+
+@pytest.mark.parametrize("template", template_names())
+@pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["no-truth", "truth-x6"])
+def test_plan_memo_parity_under_the_dop_monitor(
+    big_binder, big_planner, template, constraint, perturbed
+):
+    """The per-DAG DOP-plan memo is a pure lookup: monitor decisions,
+    simulation results and every replan's ``evaluations`` are equal with
+    the memo cold, with it warm (a second arrival of the same plan, all
+    replans answered from it) and with ``CostEstimator(enable_cache=
+    False)``, which has no memo."""
+    plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
+    dag = decompose_pipelines(plan)
+    truth = None
+    if perturbed:
+        truth = {
+            p.ops[0].node.node_id: float(p.ops[0].node.est_rows) * 6.0 for p in dag
+        }
+    reference = _monitored_run(CostEstimator(enable_cache=False), dag, constraint, truth)
+    memoized = CostEstimator()
+    stats = memoized.models.cache.stats
+    cold = _monitored_run(memoized, dag, constraint, truth)
+    searches = stats.plan_computations
+    warm = _monitored_run(memoized, dag, constraint, truth)
+    assert cold == reference
+    assert warm == reference
+    assert stats.plan_computations == searches  # the second arrival searched nothing
+    assert stats.plan_hits >= 1 + len(reference[1])
+
+
 def test_warehouse_parameterized_serving_parity(big_catalog):
     """The full serving path (two-level cache, skeleton reuse, DAG memo)
     returns plans bit-identical to PR 1's exact-match

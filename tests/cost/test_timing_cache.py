@@ -228,12 +228,135 @@ def test_plan_scoped_caches_empty_once_the_plan_is_gone(big_binder, big_planner)
     assert len(estimator.models.cache._entries) == len(dag)
     assert len(estimator._sweepers) == 1
     assert len(estimator._scan_dollars_cache) == 1
+    assert len(estimator._plan_memo) == 1
+    assert len(estimator._plan_memo[dag]) == 2  # both searches remembered
 
     del plan, dag, source, read, unread
     gc.collect()
     assert len(estimator.models.cache._entries) == 0
     assert len(estimator._sweepers) == 0
     assert len(estimator._scan_dollars_cache) == 0
+    assert len(estimator._plan_memo) == 0
+
+
+# --------------------------- DOP-plan memo ----------------------------- #
+def test_repeated_replan_is_a_lookup_not_a_search(q5_dag):
+    """A second search under an unchanged ``(constraint, learned)`` is
+    answered from the DAG's plan memo: no curve is looked up, no
+    duration priced, no sweep run — and the answer is the same plan."""
+    from repro.dop.constraints import budget_constraint, sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    estimator = fresh_estimator()
+    stats = estimator.models.cache.stats
+    planner = DopPlanner(estimator)
+    source = next(iter(q5_dag)).ops[0].node
+    learned = {source.node_id: float(source.est_rows) * 6.0}
+
+    first = planner.plan(q5_dag, sla_constraint(12.0), learned)
+    assert (stats.plan_hits, stats.plan_computations) == (0, 1)
+    searched = (
+        stats.curve_hits,
+        stats.curve_computations,
+        stats.timing_hits,
+        stats.timing_computations,
+    )
+    again = planner.plan(q5_dag, sla_constraint(12.0), dict(learned))
+    assert (stats.plan_hits, stats.plan_computations) == (1, 1)
+    assert searched == (
+        stats.curve_hits,
+        stats.curve_computations,
+        stats.timing_hits,
+        stats.timing_computations,
+    )
+    assert again.dops == first.dops and again.dops is not first.dops
+    assert again.evaluations == first.evaluations
+    assert again == first  # reads both lazy estimates
+
+    # Anything the search depends on is part of the key.
+    planner.plan(q5_dag, sla_constraint(12.0))  # estimate-only
+    planner.plan(q5_dag, sla_constraint(12.0), {})  # observed mode
+    planner.plan(q5_dag, budget_constraint(0.05), learned)
+    DopPlanner(estimator, max_dop=16).plan(q5_dag, sla_constraint(12.0), learned)
+    assert (stats.plan_hits, stats.plan_computations) == (1, 5)
+
+
+def test_mutating_a_returned_assignment_leaves_the_memo_alone(q5_dag):
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    planner = DopPlanner(fresh_estimator())
+    expected = dict(planner.plan(q5_dag, sla_constraint(12.0)).dops)
+    for _ in range(2):  # the searched plan's dict, then a hit's
+        handed_out = planner.plan(q5_dag, sla_constraint(12.0))
+        assert handed_out.dops == expected
+        handed_out.dops.clear()
+    assert planner.plan(q5_dag, sla_constraint(12.0)).dops == expected
+
+
+def test_reference_paths_bypass_the_plan_memo(q5_dag):
+    """``enable_cache=False`` has no memo; ``incremental=False`` neither
+    reads nor writes the one its estimator has."""
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    assert CostEstimator(enable_cache=False)._plan_memo is None
+    uncached = DopPlanner(CostEstimator(enable_cache=False))
+    assert (
+        uncached.plan(q5_dag, sla_constraint(12.0)).dops
+        == uncached.plan(q5_dag, sla_constraint(12.0)).dops
+    )
+
+    estimator = fresh_estimator()
+    stats = estimator.models.cache.stats
+    naive = DopPlanner(estimator, incremental=False)
+    naive.plan(q5_dag, sla_constraint(12.0))
+    assert len(estimator._plan_memo) == 0
+    DopPlanner(estimator).plan(q5_dag, sla_constraint(12.0))
+    naive.plan(q5_dag, sla_constraint(12.0))
+    assert (stats.plan_hits, stats.plan_computations) == (0, 1)
+
+
+def test_strict_sla_still_raises_on_a_memo_hit(q5_dag):
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+    from repro.errors import InfeasibleConstraintError
+
+    estimator = fresh_estimator()
+    impossible = sla_constraint(1e-6)
+    assert not DopPlanner(estimator).plan(q5_dag, impossible).feasible
+    strict = DopPlanner(estimator, enforce_sla_strictly=True)
+    for _ in range(2):  # a search, then a hit
+        with pytest.raises(InfeasibleConstraintError):
+            strict.plan(q5_dag, impossible)
+
+
+def test_invalidate_empties_the_plan_memo_and_a_new_hw_researches(q5_dag):
+    """The memo bakes in the calibration the search ran under, like the
+    curves: ``invalidate_caches()`` drops it, and the next search prices
+    against the new hardware."""
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    estimator = fresh_estimator()
+    stats = estimator.models.cache.stats
+    planner = DopPlanner(estimator)
+    constraint = sla_constraint(12.0)
+    before = planner.plan(q5_dag, constraint)
+
+    slow_scan = HardwareCalibration(
+        scan_bytes_per_core=estimator.hw.scan_bytes_per_core / 8
+    )
+    estimator.hw = estimator.models.hw = slow_scan
+    assert planner.plan(q5_dag, constraint).dops == before.dops  # stale hit
+    estimator.invalidate_caches()
+    assert len(estimator._plan_memo) == 0
+    rehosted = planner.plan(q5_dag, constraint)
+    assert (stats.plan_hits, stats.plan_computations) == (1, 2)
+    expected = DopPlanner(CostEstimator(slow_scan)).plan(q5_dag, constraint)
+    assert rehosted == expected
+    assert rehosted.dops != before.dops
+    assert rehosted.evaluations > before.evaluations
 
 
 def test_invalidate_after_recalibration_reprices(q5_dag):

@@ -11,7 +11,10 @@ from repro.sim.distsim import (
     ResizeDecision,
     ScalingPolicy,
     SimConfig,
+    perturbation_draws,
 )
+from repro.sim.skew import skew_multiplier
+from repro.util.rng import derive_rng
 from repro.workloads.tpch_queries import instantiate
 
 
@@ -164,3 +167,51 @@ def test_provisioning_toggle(q5, estimator):
         config=SimConfig(seed=5, include_provisioning=False),
     )
     assert without.latency < with_prov.latency
+
+
+# ------------------------ perturbation-draw table ---------------------- #
+def test_perturbation_draws_equal_fresh_draws_to_the_bit():
+    """The table holds exactly what a fresh generator yields: skew
+    first (shuffled pipelines above DOP 1 only), then the lognormal."""
+    config = SimConfig(seed=7)
+    for pipeline_id in range(12):
+        for epoch in range(4):
+            for dop in range(1, 65):
+                for has_shuffle in (False, True):
+                    rng = derive_rng(
+                        config.seed, "pipeline", str(pipeline_id), str(epoch)
+                    )
+                    skew = 1.0
+                    if has_shuffle and dop > 1:
+                        skew = skew_multiplier(dop, config.skew_zipf_s, rng)
+                    noise = float(rng.lognormal(mean=0.0, sigma=config.noise_sigma))
+                    for _ in range(2):  # computed, then remembered
+                        assert perturbation_draws(
+                            config.seed,
+                            pipeline_id,
+                            epoch,
+                            dop if has_shuffle and dop > 1 else 0,
+                            config.skew_zipf_s,
+                            config.noise_sigma,
+                        ) == (skew, noise)
+
+
+def test_perturbation_table_is_bounded():
+    maxsize = perturbation_draws.cache_info().maxsize
+    assert maxsize is not None
+    for seed in range(1000):
+        for pipeline_id in range(6):
+            perturbation_draws(seed, pipeline_id, 0, 4, 0.5, 0.06)
+    info = perturbation_draws.cache_info()
+    assert info.misses >= 6000 > maxsize
+    assert info.currsize <= maxsize
+
+
+def test_repeated_simulation_draws_nothing_new(q5, estimator):
+    dag, dop_plan = q5
+    first = run_sim(dag, dop_plan, estimator, config=SimConfig(seed=5))
+    misses = perturbation_draws.cache_info().misses
+    again = run_sim(dag, dop_plan, estimator, config=SimConfig(seed=5))
+    assert perturbation_draws.cache_info().misses == misses
+    assert again.latency == first.latency
+    assert again.total_dollars == first.total_dollars
