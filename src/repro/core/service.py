@@ -795,6 +795,16 @@ class Session:
             and warehouse.parameterized_serving
         )
 
+    def _sharded_room(self, handle: QueryHandle, pool) -> bool:
+        """Whether dispatching ``handle`` now could not block: it stages
+        in-process anyway, or its template's worker is below the pool's
+        in-flight cap."""
+        if not self._sharded_eligible(handle):
+            return True
+        from repro.sql.parameterize import parameterize_sql
+
+        return pool.has_room(parameterize_sql(handle.request.sql).template_key)
+
     def _dispatch_sharded(self, handle: QueryHandle, pool) -> int | None:
         """Send one handle's planning to the pool; ``None`` = stage it
         in-process (ineligible request, or an exact-cache hit that
@@ -1147,27 +1157,45 @@ class ServingScheduler:
     def _serve_sharded(self, batch: list[QueryHandle], pool) -> None:
         """Stage over the warm worker-process pool, finalize in order.
 
-        Two phases: dispatch every eligible handle's planning in
-        submission order (pipelining — every worker starts planning
-        immediately), then collect + finalize in submission order.
-        Per-worker pipe FIFO plus ordered collection means each recv
-        yields exactly the task being waited on.  Throttled and
-        ineligible handles (and exact-cache hits) stage in-process *at
-        their collect position*, exactly where the threaded path would
-        run them serially.  Outcomes, logs, and bills are bit-identical
-        to the threaded and sequential paths — enforced by the sharded
-        parity matrix.
+        One loop over submission positions.  Before position *i* is
+        collected, planning is dispatched ahead in submission order for
+        as long as the next handle's worker has room under the pool's
+        in-flight cap, stopping at the first full worker (so sends, and
+        the ``worker_crash`` draws made per send, stay in submission
+        order); then *i* is collected and finalized.  The coordinator
+        therefore finalizes the first handle while the workers plan the
+        ones behind it, and never waits on a reply it is not about to
+        use.  Nothing is polled, so which handles are dispatched is a
+        pure function of the batch.  Per-worker pipe FIFO plus ordered
+        collection means each recv yields exactly the task being waited
+        on.  Throttled and ineligible handles (and exact-cache hits)
+        stage in-process *at their collect position*, exactly where the
+        threaded path would run them serially.  Outcomes, logs, and
+        bills are bit-identical to the threaded and sequential paths —
+        enforced by the sharded parity matrix.
         """
         session = self.session
         pool.sync()
         task_ids: dict[QueryHandle, int] = {}
-        for handle in batch:
-            if handle.denied or handle.admission is AdmissionVerdict.THROTTLE:
-                continue
-            task_id = session._dispatch_sharded(handle, pool)
-            if task_id is not None:
-                task_ids[handle] = task_id
-        for handle in batch:
+        ahead = 0  # first position not yet considered for dispatch
+        for position, handle in enumerate(batch):
+            while ahead < len(batch):
+                candidate = batch[ahead]
+                if not (
+                    candidate.denied
+                    or candidate.admission is AdmissionVerdict.THROTTLE
+                ):
+                    # Position i itself always goes out: only replies to
+                    # abandoned tasks can still fill its worker, and
+                    # dispatch drains those.
+                    if ahead > position and not session._sharded_room(
+                        candidate, pool
+                    ):
+                        break
+                    task_id = session._dispatch_sharded(candidate, pool)
+                    if task_id is not None:
+                        task_ids[candidate] = task_id
+                ahead += 1
             if handle.denied:
                 if self.fail_fast:
                     pool.abandon(list(task_ids.values()))

@@ -187,11 +187,12 @@ class PlannerWorkerPool:
 
     The pool is coordinator-side machinery: it owns the worker
     processes, their duplex pipes, the per-worker FIFO of in-flight
-    tasks, and the crash/hang recovery story.  The serving layer drives
-    it in two phases per batch — dispatch every task in submission
-    order (:meth:`dispatch`), then collect results in submission order
-    (:meth:`result_for`) — so per-worker pipe FIFO ordering is all the
-    multiplexing needed.
+    tasks, and the crash/hang recovery story.  The serving layer
+    dispatches a batch's tasks in submission order (:meth:`dispatch`,
+    running ahead of collection only while :meth:`has_room` says the
+    target worker is below the in-flight cap) and collects results in
+    submission order (:meth:`result_for`), so per-worker pipe FIFO
+    ordering is all the multiplexing needed.
     """
 
     def __init__(
@@ -431,6 +432,12 @@ class PlannerWorkerPool:
             self.injected_kills += 1
             self.kill_worker(index)
         return task_id
+
+    def has_room(self, template_key: tuple) -> bool:
+        """Whether a :meth:`dispatch` for this template would send at
+        once instead of first draining its worker down to the cap."""
+        index = _worker_index_for(template_key, self.size)
+        return len(self._outstanding[index]) < _MAX_INFLIGHT
 
     def _drain(self, index: int) -> None:
         """Consume one pending event from a worker pipe (blocking), with

@@ -205,6 +205,76 @@ def test_deep_single_template_batch_does_not_deadlock():
         warehouse.disable_sharding()
 
 
+def test_dispatch_runs_ahead_of_collection_without_blocking(monkeypatch):
+    # One worker, 48 tasks, cap 8: the serving loop tops the worker up
+    # before each collect and never enters dispatch's blocking drain,
+    # so the first handle is finalized while later ones are unsent.
+    from repro.core import sharding
+
+    warehouse = make_warehouse()
+    warehouse.enable_sharding(workers=1)
+    try:
+        pool = warehouse.worker_pool
+
+        def no_drain(index):
+            raise AssertionError("dispatch blocked on a full worker")
+
+        monkeypatch.setattr(pool, "_drain", no_drain)
+        events = []
+        dispatch, result_for = pool.dispatch, pool.result_for
+
+        def recording_dispatch(**task):
+            depth = len(pool._outstanding[0])
+            events.append(("send", depth))
+            return dispatch(**task)
+
+        def recording_result_for(task_id):
+            events.append(("collect", task_id))
+            return result_for(task_id)
+
+        monkeypatch.setattr(pool, "dispatch", recording_dispatch)
+        monkeypatch.setattr(pool, "result_for", recording_result_for)
+        session = warehouse.session(tenant="t1", constraint=SLA)
+        requests = [
+            QueryRequest(sql=T_ORDERS.format(v=300_000 + i), at_time=30.0 * i)
+            for i in range(48)
+        ]
+        assert len(outcomes(session.submit_many(requests, max_workers=4))) == 48
+        assert pool.tasks_dispatched == 48 and pool.restarts == 0
+        sends = [depth for kind, depth in events if kind == "send"]
+        assert max(sends) == sharding._MAX_INFLIGHT - 1
+        # Eight go out, the first is collected, the ninth goes out, ...
+        kinds = [kind for kind, _ in events]
+        assert kinds[:10] == ["send"] * 8 + ["collect", "send"]
+        assert [task for kind, task in events if kind == "collect"] == list(range(48))
+    finally:
+        warehouse.disable_sharding()
+
+
+def test_fail_fast_abandons_only_what_was_sent():
+    # A failure at position 0 of a deep batch: only the tasks already
+    # dispatched ahead are abandoned, and their late replies neither
+    # leak into nor block the next batch.
+    warehouse = make_warehouse()
+    warehouse.enable_sharding(workers=1)
+    try:
+        pool = warehouse.worker_pool
+        session = warehouse.session(tenant="t1", constraint=SLA)
+        bad = QueryRequest(sql="SELECT nope FROM orders", at_time=0.0)
+        good = [
+            QueryRequest(sql=T_ORDERS.format(v=400_000 + i), at_time=30.0 * (i + 1))
+            for i in range(20)
+        ]
+        with pytest.raises(ReproError):
+            session.submit_many([bad] + good, max_workers=4, fail_fast=True)
+        assert pool.tasks_dispatched <= 8
+        served = outcomes(session.submit_many(good, max_workers=4))
+        assert len(served) == 20
+        assert not pool._abandoned and not pool._results and not pool._owner
+    finally:
+        warehouse.disable_sharding()
+
+
 # ------------------------------ recovery -------------------------------- #
 def test_kill_worker_between_batches_restarts_warm(threaded_baseline):
     warehouse = make_warehouse()
