@@ -31,6 +31,16 @@ class Constraint:
         if self.budget is not None and self.budget <= 0:
             raise OptimizerError(f"budget must be positive: {self.budget}")
 
+    def __hash__(self) -> int:
+        # Not the dataclass's field-tuple hash: that folds in
+        # ``hash(None)``, which CPython <= 3.11 derives from the object's
+        # address.  Constraints sit inside plan-cache keys, and the
+        # striped caches place a key by ``hash(key) % stripes``, so an
+        # address-derived hash made stripe placement, hence evictions,
+        # differ from process to process.  0.0 stands for the unset side
+        # (both bounds must be positive).
+        return hash((self.latency_sla or 0.0, self.budget or 0.0))
+
     @property
     def is_sla(self) -> bool:
         return self.latency_sla is not None

@@ -326,3 +326,42 @@ def test_submit_many_per_item_constraints(warehouse):
 def test_submit_many_requires_constraint_for_bare_sql(warehouse):
     with pytest.raises(ReproError):
         warehouse.submit_many([Q1])
+
+
+_PLACEMENT_PROBE = """
+from repro.core.plan_cache import PlanCache
+from repro.dop.constraints import budget_constraint, sla_constraint
+from repro.sql.parameterize import parameterize_sql
+
+sla, budget = sla_constraint(12.0), budget_constraint(0.05)
+key = (parameterize_sql("SELECT count(*) FROM orders WHERE o_totalprice > 7").normalized, sla, 3)
+cache = PlanCache(256)
+print(hash(sla), hash(budget), cache._stripes.index(cache._stripe(key)))
+"""
+
+
+def test_exact_key_stripe_placement_repeats_across_processes():
+    """Regression: ``Constraint`` hashed through ``hash(None)``, which
+    CPython <= 3.11 takes from the object's address, so with a fixed
+    ``PYTHONHASHSEED`` an exact key still landed on different stripes
+    (and evicted differently) from one process to the next."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    placements = {
+        subprocess.run(
+            [sys.executable, "-c", _PLACEMENT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        for _ in range(3)
+    }
+    assert len(placements) == 1, placements
