@@ -138,7 +138,12 @@ class CostEstimator:
         return found
 
     def remember_plan(
-        self, dag: PipelineDag, key: tuple, dops: dict[int, int], feasible: bool, evaluations: int
+        self,
+        dag: PipelineDag,
+        key: tuple,
+        dops: dict[int, int],
+        feasible: bool,
+        evaluations: int,
     ) -> None:
         """Record a finished DOP search over ``dag`` under ``key``."""
         if self._plan_memo is None:

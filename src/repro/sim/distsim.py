@@ -48,6 +48,7 @@ from repro.cost.operator_models import OperatorModels
 from repro.errors import ExecutionError
 from repro.plan.physical import ExchangeKind, PhysScan
 from repro.plan.pipelines import Pipeline, PipelineDag
+from repro.sim.skew import skew_multiplier
 from repro.util.rng import derive_rng
 
 
@@ -466,8 +467,6 @@ def perturbation_draws(
     generator's first draw is the noise).  Skew is drawn before the
     lognormal noise, from ``derive_rng(seed, "pipeline", id, epoch)``.
     """
-    from repro.sim.skew import skew_multiplier
-
     rng = derive_rng(seed, "pipeline", str(pipeline_id), str(epoch))
     skew = skew_multiplier(skew_dop, skew_zipf_s, rng) if skew_dop else 1.0
     return skew, float(rng.lognormal(mean=0.0, sigma=noise_sigma))
@@ -520,7 +519,6 @@ def measure_exchange(
     would measure on its cluster to pre-train the regression models.
     """
     from repro.cost.regression import analytic_transfer_seconds
-    from repro.sim.skew import skew_multiplier
 
     models = models or OperatorModels()
     config = config or SimConfig()

@@ -253,22 +253,20 @@ def test_repeated_replan_is_a_lookup_not_a_search(q5_dag):
     source = next(iter(q5_dag)).ops[0].node
     learned = {source.node_id: float(source.est_rows) * 6.0}
 
+    def pricing_work():
+        return (
+            stats.curve_hits,
+            stats.curve_computations,
+            stats.timing_hits,
+            stats.timing_computations,
+        )
+
     first = planner.plan(q5_dag, sla_constraint(12.0), learned)
     assert (stats.plan_hits, stats.plan_computations) == (0, 1)
-    searched = (
-        stats.curve_hits,
-        stats.curve_computations,
-        stats.timing_hits,
-        stats.timing_computations,
-    )
+    searched = pricing_work()
     again = planner.plan(q5_dag, sla_constraint(12.0), dict(learned))
     assert (stats.plan_hits, stats.plan_computations) == (1, 1)
-    assert searched == (
-        stats.curve_hits,
-        stats.curve_computations,
-        stats.timing_hits,
-        stats.timing_computations,
-    )
+    assert pricing_work() == searched
     assert again.dops == first.dops and again.dops is not first.dops
     assert again.evaluations == first.evaluations
     assert again == first  # reads both lazy estimates
