@@ -201,8 +201,9 @@ def literal_varying_workload(names, *, seeds: int, rounds: int) -> list[list[str
 def pr1_warehouse(catalog) -> CostIntelligentWarehouse:
     """A warehouse restricted to PR 1's serving semantics: exact-match
     plan cache only (default capacity, misses and evicts on this
-    traffic), keys recomputed per submission, no DAG memo."""
-    warehouse = CostIntelligentWarehouse(catalog=catalog, parameterized_serving=False)
+    traffic), no binding or skeleton level, no DAG memo."""
+    warehouse = CostIntelligentWarehouse(catalog=catalog)
+    warehouse.planning.bindings = warehouse.planning.skeletons = None
     warehouse.optimizer._dag_memo = None
     return warehouse
 

@@ -87,7 +87,6 @@ WAREHOUSE_INIT_PARAMS = frozenset(
         "max_dop",
         "explore_bushy",
         "plan_cache_size",
-        "parameterized_serving",
         "tuning_policy",
         "retention_policy",
         "tenant_budgets",
@@ -596,7 +595,11 @@ class PicklableRecordRule(Rule):
 #: of the worker is what makes crash-restart + re-stage safe (a worker
 #: can die and its tasks replay without double-billing or
 #: double-logging).
-WORKER_ISOLATED_MODULES = frozenset({"repro/core/sharding_worker.py"})
+WORKER_ISOLATED_MODULES = frozenset(
+    # The entrypoint, and the planning pipeline it instantiates (without
+    # which the rule would have a hole one import deep).
+    {"repro/core/sharding_worker.py", "repro/core/planning.py"}
+)
 
 #: Import prefixes that carry coordinator authority (journal writes,
 #: billing, admission, statistics/metrics emission).

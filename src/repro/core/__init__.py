@@ -13,8 +13,12 @@ The serving surface is the request/lifecycle API in
 :class:`QueryHandle` tracks ``QUEUED -> BOUND -> PLANNED -> SIMULATED ->
 DONE/FAILED`` (or ``DENIED``, when admission control refuses the
 tenant), per-tenant :class:`Session`\\ s carry defaults and isolated
-log/billing views, and the :class:`ServingScheduler` plans batches
-concurrently over the lock-striped plan caches.
+log/billing views, and the :class:`ServingScheduler` is the one ordered
+*dispatch ahead -> collect or stage -> finalize* loop, staging inline,
+on threads or on planner worker processes.  Planning itself is one walk
+(:class:`~repro.core.planning.PlanningPipeline`: binder, optimizer,
+applied-MV rewrite, and the lock-striped cache levels it was given)
+that the warehouse and every worker process both instantiate.
 
 Resource decisions live in :mod:`repro.core.governance`, not in the
 caches or sessions they govern.  Cache *retention* is a pluggable
@@ -105,8 +109,8 @@ coordinator-side :class:`~repro.core.sharding.PlannerWorkerPool`) and
 batch serving interleaves CPU-bound planning under the GIL; with
 ``warehouse.enable_sharding(workers=N)`` the scheduler instead stages
 ``bind -> optimize`` in warm, long-lived worker *processes*, keyed by
-literal-free template so each worker's private binding/skeleton caches
-serve every instantiation of its templates.  Workers exchange only
+literal-free template so each worker's private (bounded)
+binding/skeleton caches serve every instantiation of its templates.  Workers exchange only
 picklable wire records (:class:`~repro.core.sharding.StageTask` out,
 :class:`~repro.core.sharding.StagedPlan` back); every authoritative
 effect — admission, billing, statistics logs, journal appends,

@@ -3,14 +3,21 @@
 Analytical traffic is dominated by recurring report templates — the same
 SQL shapes resubmitted with *varying literals* under the same
 constraints.  Re-running the bi-objective optimizer for each arrival
-wastes exactly the machine time the paper's economics are about, so the
-warehouse memoizes planning work at two levels:
+wastes exactly the machine time the paper's economics are about, so
+planning work is memoized at three levels, walked in this order by the
+one planning pipeline (:mod:`repro.core.planning`) — each is optional,
+and a pipeline built without one simply skips it:
 
 - **Exact level** (:class:`PlanCache`): the full
   :class:`~repro.core.bioptimizer.PlanChoice` keyed on the *normalized*
   SQL token stream (whitespace, letter case, and comments do not
   fragment the cache), the user constraint, and the catalog's stats
   version.  A verbatim resubmission pays nothing.
+- **Binding level** (:class:`BindingCache`): the bound query keyed on
+  the normalized SQL and the stats version.  Binding is
+  constraint-independent, so the same query under a second constraint
+  skips the binder (and, through the optimizer's DAG memo, physical
+  planning).
 - **Skeleton level** (:class:`SkeletonCache`): the template's *plan
   skeleton* — the DP-chosen join tree plus its bushy variant shapes —
   keyed on the literal-free template key
@@ -23,7 +30,7 @@ warehouse memoizes planning work at two levels:
   workload suite by ``tests/cost/test_estimation_parity.py`` and the
   benchmark's parity guard).
 
-The stats version inside both keys is the invalidation story: any
+The stats version inside every key is the invalidation story: any
 catalog mutation (stats refresh, recluster, MV creation, table DDL)
 bumps the version, so stale entries can never be served — they simply
 stop matching and age out of the LRU.  ``invalidate()`` exists for
@@ -41,14 +48,15 @@ counters) to the pre-governance hardcoded behavior.  A
 :class:`~repro.core.governance.CostAwarePolicy` instead scores entries
 by forecast template frequency times re-optimization cost saved, so hot
 recurring templates survive eviction pressure that plain recency would
-age them out of; the warehouse attaches the scoring metadata via
+age them out of; the pipeline attaches the scoring metadata via
 ``cache.policy.record(...)`` when it stores an entry.
 
 Thread safety
 -------------
 
-The :class:`~repro.core.service.ServingScheduler` plans concurrently, so
-every cache is a *lock-striped* LRU: keys hash onto one of N stripes,
+The :class:`~repro.core.service.ServingScheduler`'s thread executor (and
+concurrent sessions on user threads) plan concurrently, so every cache
+is a *lock-striped* LRU: keys hash onto one of N stripes,
 each a lock-guarded OrderedDict with ``capacity / N`` slots.  Planning
 threads touching different templates never contend on the same lock, and
 the per-stripe recency is exact within its stripe (global recency is

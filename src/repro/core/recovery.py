@@ -137,9 +137,11 @@ def _restore_checkpoint(
     warehouse.admission.restore_counts(
         {tenant: dict(counts) for tenant, counts in state.verdicts}
     )
-    warehouse._applied_mvs = {
-        candidate.name: candidate for candidate in state.applied_mvs
-    }
+    # In place: the planning pipeline rewrites over this same mapping.
+    warehouse._applied_mvs.clear()
+    warehouse._applied_mvs.update(
+        (candidate.name, candidate) for candidate in state.applied_mvs
+    )
     warehouse._durable_tuning = {
         durable.rec_id: durable.copy() for durable in state.durable_tuning
     }
@@ -330,7 +332,7 @@ def _rebuild_template_bindings(warehouse: "CostIntelligentWarehouse") -> None:
     for template, records in warehouse.logs.by_template().items():
         sql = records[-1].sql
         try:
-            bound = warehouse._maybe_rewrite_mv(warehouse.binder.bind_sql(sql))
+            bound = warehouse.planning.rewrite_mv(warehouse.binder.bind_sql(sql))
         except ReproError:
             continue
         warehouse._remember_template(template, bound)

@@ -18,12 +18,18 @@ arguments.  This module is the warehouse's public serving API:
   defaults (constraint, scaling policy, template namespace), sees an
   isolated per-tenant view of the Statistics Service log, and its
   spending rolls up into the warehouse's per-tenant billing.
-- :class:`ServingScheduler` — the concurrent planner behind
-  ``submit_many``.  Staging (bind -> optimize -> execute -> simulate) is
-  deterministic and runs on a thread pool over the lock-striped plan
-  caches; finalization (logging, billing, template bookkeeping) runs in
-  submission order, so a threaded batch is bit-identical to sequential
-  submission and the log order is deterministic.
+- :class:`ServingScheduler` — the one ordered serve loop behind
+  ``submit_many``: *dispatch ahead -> collect or stage -> finalize*.
+  Staging (plan -> execute -> simulate) is deterministic, so where it
+  runs is an executor adapter's business: inline (nothing dispatched),
+  a future per handle on a thread pool over the lock-striped plan
+  caches, or planning on the warm worker-*process* pool
+  (:mod:`repro.core.sharding`).  Finalization (logging, billing,
+  template bookkeeping) runs in submission order on the calling thread,
+  so every batch is bit-identical to sequential submission.  Denial,
+  ``fail_fast``, throttling, the degraded fallback, failure wrapping and
+  the failure counter each exist once: in that loop and in the
+  per-handle step :meth:`Session.submit` shares with it.
 
 Per-tenant admission and accounting follows the framing of *Saving Money
 for Analytical Workloads in the Cloud* (Srivastava et al.): cost-aware
@@ -44,6 +50,8 @@ from repro.core.journal import AdmissionDecision as JournalAdmissionDecision
 from repro.dop.constraints import Constraint
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import DeadlineExceededError, QueryFailedError, ReproError
+from repro.sql.parameterize import parameterize_sql
+from repro.util.units import from_ledger_units, to_ledger_units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bioptimizer import PlanChoice
@@ -325,50 +333,36 @@ class TenantBill:
         )
 
     def charge(self, record: "QueryRecord") -> None:
-        from repro.core.journal import to_ledger_units
-
         self.queries += 1
         self._dollars_units += to_ledger_units(record.dollars)
         self.machine_seconds += record.machine_seconds
 
     def charge_background(self, dollars: float) -> None:
         """Meter one background tuning apply/rollback against this tenant."""
-        from repro.core.journal import to_ledger_units
-
         self.background_actions += 1
         self._background_units += to_ledger_units(dollars)
 
     def charge_retry(self, dollars: float) -> None:
         """Meter one retry attempt's modeled compute against this tenant."""
-        from repro.core.journal import to_ledger_units
-
         self.retries += 1
         self._retry_units += to_ledger_units(dollars)
 
     @property
     def dollars(self) -> float:
         """Serving spend (sum of served records' dollars)."""
-        from repro.core.journal import from_ledger_units
-
         return from_ledger_units(self._dollars_units)
 
     @property
     def background_dollars(self) -> float:
-        from repro.core.journal import from_ledger_units
-
         return from_ledger_units(self._background_units)
 
     @property
     def retry_dollars(self) -> float:
-        from repro.core.journal import from_ledger_units
-
         return from_ledger_units(self._retry_units)
 
     @property
     def total_dollars(self) -> float:
         """Serving plus background plus retry spend."""
-        from repro.core.journal import from_ledger_units
-
         return from_ledger_units(
             self._dollars_units + self._background_units + self._retry_units
         )
@@ -509,11 +503,10 @@ class Session:
         # A single submission has no batch to defer behind, so DEFER
         # downgrades to THROTTLE (which for one query just serves it).
         self._admit([handle], defer_ok=False)
-        if handle.denied:
-            return handle
-        _serve_one(self, handle)
-        self.warehouse._maybe_autotune()
-        self.warehouse._maybe_collect()
+        if not handle.denied:
+            self._serve_handle(handle)
+            self.warehouse._maybe_autotune()
+            self.warehouse._maybe_collect()
         return handle
 
     def submit_many(
@@ -535,8 +528,9 @@ class Session:
         handle in the ``DENIED`` state) — is reported on its own handle
         (index + SQL prefix) and the rest of the batch proceeds;
         ``fail_fast=True`` keeps the legacy abort-the-batch behavior.
-        ``max_workers`` > 1 plans on a thread pool, bit-identical to
-        sequential submission.
+        ``max_workers`` > 1 stages on a thread pool (unless a planner
+        worker-process pool is enabled, which takes precedence) —
+        bit-identical to sequential submission either way.
         """
         entries: list[QueryRequest | QueryHandle] = []
         for index, item in enumerate(items):
@@ -580,7 +574,7 @@ class Session:
             raise ReproError(
                 "no constraint for query: pass one or give the session a default"
             )
-        return self.warehouse._plan(sql, resolved, use_plan_cache)
+        return self.warehouse.plan(sql, resolved, use_plan_cache=use_plan_cache)
 
     # -- per-tenant views ----------------------------------------------- #
     @property
@@ -672,8 +666,34 @@ class Session:
                 warehouse.clock = max(warehouse.clock, timestamp)
                 handle.timestamp = timestamp
 
-    def _stage(self, handle: QueryHandle) -> _Staged:
-        """The concurrent phase: bind -> optimize -> execute -> simulate.
+    def _serve_handle(
+        self,
+        handle: QueryHandle,
+        executor: "_InlineExecutor | None" = None,
+        ticket=None,
+    ) -> bool:
+        """Stage (or, given a ``ticket``, collect what ``executor``
+        staged ahead) and finalize one admitted handle.  Never raises:
+        a failure is carried on the handle and counted; returns whether
+        the handle was served."""
+        try:
+            staged = (
+                self._stage(handle)
+                if ticket is None
+                else executor.collect(handle, ticket)
+            )
+            self._finalize(handle, staged)
+            return True
+        except Exception as exc:  # noqa: BLE001 - carried on the handle
+            handle._fail(_wrap_failure(handle, exc))
+            self.warehouse.metrics.counter(
+                "repro_queries_failed_total",
+                tenant=handle.request.tenant or self.tenant,
+            )
+            return False
+
+    def _stage(self, handle: QueryHandle, remote_plan=None) -> _Staged:
+        """The concurrent phase: plan -> execute -> simulate.
 
         Deterministic given the request (caches only memoize pure
         planning functions and the simulator derives its own RNG), so
@@ -682,10 +702,11 @@ class Session:
         memo hits, timing-evaluation counts) are updated without locks
         and may under-count slightly under a concurrent batch; the
         benchmark measures them on single-threaded runs only.
+        ``remote_plan`` blocks for a plan a worker process was sent
+        ahead of time, in place of planning here.
         """
         warehouse = self.warehouse
         request = handle.request
-        handle._advance(handle.state, "queued")
         assert request.constraint is not None  # resolved at submission
         guard = warehouse._stage_guard(request.tenant)
 
@@ -693,15 +714,18 @@ class Session:
             handle._advance(QueryState.BOUND, "bind")
 
         degraded = False
-        degraded_mode: str | None = None
         try:
-            bound, choice = warehouse._plan(
-                request.sql,
-                request.constraint,
-                request.use_plan_cache,
-                on_bound=on_bound,
-                guard=guard,
-            )
+            if remote_plan is None:
+                handle._advance(handle.state, "queued")
+                planned = warehouse.planning.plan(
+                    request.sql,
+                    request.constraint,
+                    use_cache=request.use_plan_cache,
+                    on_bound=on_bound,
+                    guard=guard,
+                )
+            else:
+                planned = remote_plan()
         except DeadlineExceededError as exc:
             if (
                 guard is None
@@ -709,39 +733,22 @@ class Session:
                 or not warehouse.resilience.degraded_fallback
             ):
                 raise
-            # Degraded-mode serving: an optimize timeout never fails the
-            # batch.  Fall back to the skeleton-cache shapes or the
-            # heuristic default plan, and finish the remaining stages
-            # unguarded — the request already blew its deadline; what is
-            # left is completing at floor quality, not enforcing it.
+            # Degraded-mode serving: an optimize timeout (or a planner
+            # worker unresponsive past it) never fails the batch.  Fall
+            # back to the skeleton-cache shapes or the heuristic default
+            # plan, and finish the remaining stages unguarded — the
+            # request already blew its deadline; what is left is
+            # completing at floor quality, not enforcing it.
             handle.retries += guard.retries
             guard = None
-            bound, choice, degraded_mode = warehouse._plan_degraded(
-                request.sql, request.constraint
-            )
             degraded = True
+            planned = warehouse.planning.plan(
+                request.sql, request.constraint, degraded=True
+            )
             warehouse.resilience_stats.note_degraded()
-        return self._finish_stage(
-            handle, guard, bound, choice, degraded, degraded_mode
-        )
-
-    def _finish_stage(
-        self,
-        handle: QueryHandle,
-        guard,
-        bound: "BoundQuery",
-        choice: "PlanChoice",
-        degraded: bool,
-        degraded_mode: str | None,
-    ) -> _Staged:
-        """The post-planning half of staging: execute -> simulate.
-
-        Shared by the in-process path (:meth:`_stage`) and the sharded
-        path (:meth:`_collect_sharded`), which differ only in where the
-        plan came from.
-        """
-        warehouse = self.warehouse
-        request = handle.request
+        if remote_plan is not None:
+            on_bound(planned.bound)
+        choice = planned.choice
         handle._advance(QueryState.PLANNED, "plan")
 
         batch: "Batch | None" = None
@@ -769,162 +776,13 @@ class Session:
         if guard is not None:
             handle.retries += guard.retries
         return _Staged(
-            bound=bound,
+            bound=planned.bound,
             choice=choice,
             batch=batch,
             sim=sim,
             degraded=degraded,
-            degraded_mode=degraded_mode,
+            degraded_mode=planned.level if degraded else None,
         )
-
-    # -- sharded staging (see repro.core.sharding) ---------------------- #
-    def _sharded_eligible(self, handle: QueryHandle) -> bool:
-        """Whether a handle's planning can run on a worker process.
-
-        Remote staging replicates the *parameterized cached* planning
-        path only; anything else (cache bypass, local execution, the
-        PR 1 exact-match-only mode) stages in-process at its collect
-        position, preserving submission-order semantics.
-        """
-        request = handle.request
-        warehouse = self.warehouse
-        return (
-            request.use_plan_cache
-            and not request.execute_locally
-            and warehouse.plan_cache is not None
-            and warehouse.parameterized_serving
-        )
-
-    def _sharded_room(self, handle: QueryHandle, pool) -> bool:
-        """Whether dispatching ``handle`` now could not block: it stages
-        in-process anyway, or its template's worker is below the pool's
-        in-flight cap."""
-        if not self._sharded_eligible(handle):
-            return True
-        from repro.sql.parameterize import parameterize_sql
-
-        return pool.has_room(parameterize_sql(handle.request.sql).template_key)
-
-    def _dispatch_sharded(self, handle: QueryHandle, pool) -> int | None:
-        """Send one handle's planning to the pool; ``None`` = stage it
-        in-process (ineligible request, or an exact-cache hit that
-        needs no planning at all)."""
-        if not self._sharded_eligible(handle):
-            return None
-        from repro.sql.parameterize import parameterize_sql
-
-        warehouse = self.warehouse
-        request = handle.request
-        assert request.constraint is not None  # resolved at submission
-        parameterized = parameterize_sql(request.sql)
-        version = warehouse.catalog.version
-        exact_key = (parameterized.normalized, request.constraint, version)
-        assert warehouse.plan_cache is not None
-        if warehouse.plan_cache.lookup(exact_key) is not None:
-            # A hit costs no planning: the in-process stage at this
-            # handle's collect position will hit the cache again.
-            return None
-        skeleton_hint = None
-        skeleton_key = None
-        if warehouse.skeleton_cache is not None:
-            kind = "sla" if request.constraint.is_sla else "budget"
-            skeleton_key = (parameterized.template_key, kind, version)
-            skeleton_hint = warehouse.skeleton_cache.lookup(skeleton_key)
-        handle._advance(handle.state, "queued")
-        return pool.dispatch(
-            sql=request.sql,
-            constraint=request.constraint,
-            template_key=parameterized.template_key,
-            stats_version=version,
-            skeleton_trees=skeleton_hint,
-            skeleton_key=skeleton_key,
-        )
-
-    def _collect_sharded(
-        self, handle: QueryHandle, pool, task_id: int
-    ) -> _Staged:
-        """Await one remote plan and finish staging in-process.
-
-        Mirrors :meth:`_stage`'s degraded-fallback contract: an
-        unresponsive worker surfaces as a
-        :class:`~repro.errors.DeadlineExceededError` on the ``optimize``
-        stage and falls back to degraded-mode planning instead of
-        failing the batch.  Worker crashes never reach here — the pool
-        restarts them warm and re-stages transparently.
-        """
-        warehouse = self.warehouse
-        request = handle.request
-        assert request.constraint is not None  # resolved at submission
-        guard = warehouse._stage_guard(request.tenant)
-        degraded = False
-        degraded_mode: str | None = None
-        try:
-            plan = pool.result_for(task_id)
-        except DeadlineExceededError as exc:
-            if (
-                guard is None
-                or exc.stage != "optimize"
-                or not warehouse.resilience.degraded_fallback
-            ):
-                raise
-            handle.retries += guard.retries
-            guard = None
-            bound, choice, degraded_mode = warehouse._plan_degraded(
-                request.sql, request.constraint
-            )
-            degraded = True
-            warehouse.resilience_stats.note_degraded()
-            handle._advance(QueryState.BOUND, "bind")
-        else:
-            bound, choice = plan.bound, plan.choice
-            self._absorb_staged(handle, plan)
-            handle._advance(QueryState.BOUND, "bind")
-        return self._finish_stage(
-            handle, guard, bound, choice, degraded, degraded_mode
-        )
-
-    def _absorb_staged(self, handle: QueryHandle, plan) -> None:
-        """Fold one remote plan into the coordinator's caches.
-
-        The exact plan cache gets the (bound, choice) pair under the
-        same key and governed annotations ``_plan`` would use; freshly
-        computed skeleton shapes land in the skeleton cache so later
-        batches (and the degraded fallback) reuse them.  The binding
-        cache is *not* written: it stores pre-MV-rewrite bindings while
-        a worker returns the post-rewrite bound query, and storing the
-        wrong flavor would double-rewrite on the next in-process plan.
-
-        Handle stage timings get the worker's measured planning costs
-        (``worker_bind`` / ``worker_optimize``) alongside the wall
-        timings ``_advance`` records coordinator-side.
-        """
-        from repro.sql.parameterize import parameterize_sql
-
-        warehouse = self.warehouse
-        request = handle.request
-        assert request.constraint is not None
-        parameterized = parameterize_sql(request.sql)
-        version = warehouse.catalog.version
-        governed = warehouse._governed
-        template = parameterized.template_key if governed else None
-        if plan.new_skeleton_trees is not None and warehouse.skeleton_cache is not None:
-            kind = "sla" if request.constraint.is_sla else "budget"
-            warehouse.skeleton_cache.store(
-                (parameterized.template_key, kind, version),
-                plan.new_skeleton_trees,
-                template=template,
-                cost_s=plan.optimize_s if governed else 0.0,
-            )
-        assert warehouse.plan_cache is not None
-        warehouse.plan_cache.store(
-            (parameterized.normalized, request.constraint, version),
-            plan.bound,
-            plan.choice,
-            template=template,
-            cost_s=plan.optimize_s if governed else 0.0,
-        )
-        handle.stage_timings["worker_bind"] = plan.bind_s
-        handle.stage_timings["worker_optimize"] = plan.optimize_s
 
     def _finalize(self, handle: QueryHandle, staged: _Staged) -> None:
         """The ordered phase: log, bill the tenant, track templates.
@@ -956,8 +814,6 @@ class Session:
             warehouse._remember_template(request.template, staged.bound)
             # Serving-event metrics (registry lock is innermost; dollar
             # amounts are integral ledger units).
-            from repro.core.journal import to_ledger_units
-
             warehouse.metrics.counter(
                 "repro_queries_served_total", tenant=record.tenant
             )
@@ -1012,35 +868,133 @@ def _wrap_failure(handle: QueryHandle, exc: Exception) -> QueryFailedError:
     )
 
 
-def _serve_one(session: Session, handle: QueryHandle) -> bool:
-    """Stage + finalize one admitted handle inline; False on failure."""
-    try:
-        session._finalize(handle, session._stage(handle))
+# --------------------------------------------------------------------- #
+# Executors: where a batch's staging runs ahead of its serve position
+# --------------------------------------------------------------------- #
+class _InlineExecutor:
+    """The executor port, and its inline adapter: nothing is dispatched,
+    so every handle stages on the calling thread when the loop reaches
+    it.  Adapters that dispatch add ``collect(handle, ticket)``, which
+    blocks for the staged result or raises its failure."""
+
+    def has_room(self, handle: QueryHandle) -> bool:
+        """Whether dispatching ``handle`` now could not block."""
         return True
-    except Exception as exc:  # noqa: BLE001 - carried on the handle
-        handle._fail(_wrap_failure(handle, exc))
-        session.warehouse.metrics.counter(
-            "repro_queries_failed_total",
-            tenant=handle.request.tenant or session.tenant,
+
+    def dispatch(self, handle: QueryHandle):
+        """Start staging ``handle`` ahead; returns a ticket to collect,
+        or ``None`` to stage it in-process at its position."""
+        return None
+
+    def close(self, unclaimed: Iterable) -> None:
+        """The batch is over; ``unclaimed`` tickets (a ``fail_fast``
+        abort leaves some) will never be collected."""
+
+
+class _ThreadExecutor(_InlineExecutor):
+    """A future per handle: the whole stage phase runs on a thread pool
+    over the lock-striped plan caches, every handle dispatched up front."""
+
+    def __init__(self, session: Session, max_workers: int) -> None:
+        self._stage = session._stage
+        self._pool = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="serving"
         )
-        return False
+
+    def dispatch(self, handle: QueryHandle):
+        return self._pool.submit(self._stage, handle)
+
+    def collect(self, handle: QueryHandle, ticket) -> _Staged:
+        return ticket.result()
+
+    def close(self, unclaimed: Iterable) -> None:
+        for future in unclaimed:
+            future.cancel()
+        self._pool.shutdown()
+
+
+class _ProcessExecutor(_InlineExecutor):
+    """Planning on the warm worker-process pool (:mod:`repro.core.sharding`,
+    which owns ordering, crash and hang recovery); execute and simulate
+    in-process at the serve position.  Dispatch runs ahead only while
+    the target worker is below the pool's in-flight cap, so the
+    coordinator finalizes the first handle while workers plan the ones
+    behind it and never waits on a reply it is not about to use.
+    Nothing is polled: which handles are dispatched is a pure function
+    of the batch."""
+
+    def __init__(self, session: Session, pool) -> None:
+        self.session = session
+        self.pool = pool
+        self.planning = session.warehouse.planning
+        pool.sync()
+
+    def _eligible(self, handle: QueryHandle) -> bool:
+        """A worker runs the cached walk only; a request that bypasses
+        the cache or executes locally stages in-process."""
+        request = handle.request
+        return (
+            request.use_plan_cache
+            and not request.execute_locally
+            and self.planning.exact is not None
+        )
+
+    def has_room(self, handle: QueryHandle) -> bool:
+        return not self._eligible(handle) or self.pool.has_room(
+            parameterize_sql(handle.request.sql).template_key
+        )
+
+    def dispatch(self, handle: QueryHandle):
+        if not self._eligible(handle):
+            return None
+        request = handle.request
+        planning = self.planning
+        keys = planning.keys(request.sql, request.constraint)
+        if planning.exact.lookup(keys.exact) is not None:
+            # A hit costs no planning: the in-process stage at this
+            # handle's serve position will hit the cache again.
+            return None
+        skeleton_hint = None
+        if planning.skeletons is not None:
+            skeleton_hint = planning.skeletons.lookup(keys.skeleton)
+        handle._advance(handle.state, "queued")
+        return self.pool.dispatch(
+            sql=request.sql,
+            constraint=request.constraint,
+            template_key=keys.parameterized.template_key,
+            stats_version=keys.version,
+            skeleton_trees=skeleton_hint,
+            skeleton_key=keys.skeleton,
+        )
+
+    def collect(self, handle: QueryHandle, ticket) -> _Staged:
+        return self.session._stage(handle, lambda: self._plan_for(handle, ticket))
+
+    def _plan_for(self, handle: QueryHandle, task_id: int):
+        """Await one remote plan and fold it into the coordinator's
+        levels, so later batches (and the degraded fallback) reuse it.
+        The worker's measured planning costs join the handle's wall
+        timings as ``worker_bind`` / ``worker_optimize``."""
+        plan = self.pool.result_for(task_id)
+        request = handle.request
+        self.planning.absorb(self.planning.keys(request.sql, request.constraint), plan)
+        handle.stage_timings["worker_bind"] = plan.bind_s
+        handle.stage_timings["worker_optimize"] = plan.optimize_s
+        return plan
+
+    def close(self, unclaimed: Iterable) -> None:
+        self.pool.abandon(list(unclaimed))
 
 
 # --------------------------------------------------------------------- #
 # Scheduler
 # --------------------------------------------------------------------- #
 class ServingScheduler:
-    """Concurrent request scheduler over one session.
-
-    Splits serving into the deterministic *stage* phase (bind ->
-    optimize -> execute -> simulate), fanned out over a thread pool with
-    the lock-striped plan caches shared between workers, and the ordered
-    *finalize* phase (Statistics Service logging, per-tenant billing,
-    template bookkeeping) applied strictly in submission order.  A
-    threaded batch therefore produces bit-identical outcomes and an
-    identical, deterministic log to sequential submission — enforced by
-    the concurrency parity test.
-    """
+    """The ordered serve loop over one session (see the module
+    docstring): whichever executor stages, finalization is applied in
+    submission order on the calling thread, so outcomes and the log are
+    bit-identical to sequential submission — enforced by the concurrency
+    and sharded parity tests."""
 
     def __init__(
         self,
@@ -1057,21 +1011,37 @@ class ServingScheduler:
         self.max_workers = max_workers
         self.fail_fast = fail_fast
 
+    def _executor(self, order: list[QueryHandle]) -> _InlineExecutor:
+        worker_pool = self.session.warehouse._worker_pool
+        if worker_pool is not None and worker_pool.alive:
+            return _ProcessExecutor(self.session, worker_pool)
+        if self.max_workers > 1 and sum(map(_dispatchable, order)) > 1:
+            return _ThreadExecutor(self.session, self.max_workers)
+        return _InlineExecutor()
+
     def run(
         self, entries: "list[QueryRequest | QueryHandle]"
     ) -> list[QueryHandle]:
         """Serve resolved requests; already-failed handles (items that
         died during resolution) pass through in position, unscheduled.
 
+        One loop over serve positions: before position *i* is served,
+        staging is dispatched ahead in order while the executor has
+        room, stopping at the first handle that would block; then *i* is
+        collected — or, if never dispatched, staged here — and finalized.
+
         Admission verdicts shape the batch: ``DENIED`` handles pass
         through unserved (typed error carried; other tenants' items are
-        unaffected), ``THROTTLE``\\ d handles lose batch parallelism
-        (staged serially on the calling thread, finalized in submission
-        order like everything else), and ``DEFER``\\ red handles are
-        pushed behind the rest of the batch and re-admitted once it has
-        finalized — by which point the deferring tenant's bill includes
-        the batch's spend, so the re-check may deny them.
+        unaffected); ``THROTTLE``\\ d handles lose batch parallelism
+        (staged at their position); ``DEFER``\\ red handles go behind
+        the rest of the batch and are re-admitted when reached — by then
+        the tenant's bill includes the batch's spend, so the re-check
+        may deny them.  Under ``fail_fast`` a denial or failure aborts
+        *at its position*: items before it are served, logged, and
+        billed exactly as sequential submission would have (the legacy
+        abort-the-batch contract).
         """
+        session = self.session
         handles = [
             entry
             if isinstance(entry, QueryHandle)
@@ -1079,139 +1049,44 @@ class ServingScheduler:
             for index, entry in enumerate(entries)
         ]
         live = [handle for handle in handles if not handle.failed]
-        self.session._admit(live)
-        batch = [h for h in live if h.admission is not AdmissionVerdict.DEFER]
-        deferred = [h for h in live if h.admission is AdmissionVerdict.DEFER]
-        self._serve(batch)
-        for handle in deferred:
-            # Re-admission assigns the timestamp now, so the log stays
-            # append-ordered behind the batch it deferred to.
-            self.session._admit([handle], defer_ok=False)
-            if handle.denied:
-                if self.fail_fast:
+        session._admit(live)
+        order = [h for h in live if h.admission is not AdmissionVerdict.DEFER]
+        order += [h for h in live if h.admission is AdmissionVerdict.DEFER]
+        executor = self._executor(order)
+        tickets: dict[QueryHandle, object] = {}
+        ahead = 0  # first position not yet considered for dispatch
+        try:
+            for position, handle in enumerate(order):
+                while ahead < len(order):
+                    candidate = order[ahead]
+                    if _dispatchable(candidate):
+                        # Position i itself always goes out: only replies
+                        # to abandoned work can still fill its worker,
+                        # and dispatch drains those.
+                        if ahead > position and not executor.has_room(candidate):
+                            break
+                        ticket = executor.dispatch(candidate)
+                        if ticket is not None:
+                            tickets[candidate] = ticket
+                    ahead += 1
+                if handle.admission is AdmissionVerdict.DEFER:
+                    # Re-admission assigns the timestamp now, so the log
+                    # stays append-ordered behind the batch it deferred to.
+                    session._admit([handle], defer_ok=False)
+                served = not handle.denied and session._serve_handle(
+                    handle, executor, tickets.pop(handle, None)
+                )
+                if not served and self.fail_fast:
                     assert handle.error is not None
                     raise handle.error
-                continue
-            if not _serve_one(self.session, handle) and self.fail_fast:
-                assert handle.error is not None
-                raise handle.error
+        finally:
+            executor.close(tickets.values())
         return handles
 
-    def _serve(self, batch: list[QueryHandle]) -> None:
-        """Stage + finalize admitted handles, finalizing in submission
-        order.  Throttled handles never enter the thread pool; denied
-        handles pass through unserved — under ``fail_fast`` a denial
-        aborts *at its position*, so items submitted before it are
-        served, logged, and billed exactly as sequential submission
-        would have (the legacy abort-the-batch contract).
-        """
-        worker_pool = self.session.warehouse._worker_pool
-        if worker_pool is not None and worker_pool.alive:
-            self._serve_sharded(batch, worker_pool)
-            return
 
-        pooled = [
-            h
-            for h in batch
-            if not h.denied and h.admission is not AdmissionVerdict.THROTTLE
-        ]
-        if self.max_workers == 1 or len(pooled) <= 1:
-            for handle in batch:
-                if handle.denied:
-                    if self.fail_fast:
-                        assert handle.error is not None
-                        raise handle.error
-                    continue
-                if not _serve_one(self.session, handle) and self.fail_fast:
-                    assert handle.error is not None
-                    raise handle.error
-            return
-
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="serving"
-        ) as pool:
-            futures = {h: pool.submit(self.session._stage, h) for h in pooled}
-            for handle in batch:
-                if handle.denied:
-                    if self.fail_fast:
-                        for pending in futures.values():
-                            pending.cancel()
-                        assert handle.error is not None
-                        raise handle.error
-                    continue
-                try:
-                    future = futures.get(handle)
-                    staged = (
-                        future.result()
-                        if future is not None
-                        else self.session._stage(handle)
-                    )
-                    self.session._finalize(handle, staged)
-                except Exception as exc:  # noqa: BLE001 - carried on handle
-                    handle._fail(_wrap_failure(handle, exc))
-                    if self.fail_fast:
-                        for pending in futures.values():
-                            pending.cancel()
-                        raise handle.error from exc
-
-    def _serve_sharded(self, batch: list[QueryHandle], pool) -> None:
-        """Stage over the warm worker-process pool, finalize in order.
-
-        One loop over submission positions.  Before position *i* is
-        collected, planning is dispatched ahead in submission order for
-        as long as the next handle's worker has room under the pool's
-        in-flight cap, stopping at the first full worker (so sends, and
-        the ``worker_crash`` draws made per send, stay in submission
-        order); then *i* is collected and finalized.  The coordinator
-        therefore finalizes the first handle while the workers plan the
-        ones behind it, and never waits on a reply it is not about to
-        use.  Nothing is polled, so which handles are dispatched is a
-        pure function of the batch.  Per-worker pipe FIFO plus ordered
-        collection means each recv yields exactly the task being waited
-        on.  Throttled and ineligible handles (and exact-cache hits)
-        stage in-process *at their collect position*, exactly where the
-        threaded path would run them serially.  Outcomes, logs, and
-        bills are bit-identical to the threaded and sequential paths —
-        enforced by the sharded parity matrix.
-        """
-        session = self.session
-        pool.sync()
-        task_ids: dict[QueryHandle, int] = {}
-        ahead = 0  # first position not yet considered for dispatch
-        for position, handle in enumerate(batch):
-            while ahead < len(batch):
-                candidate = batch[ahead]
-                if not (
-                    candidate.denied
-                    or candidate.admission is AdmissionVerdict.THROTTLE
-                ):
-                    # Position i itself always goes out: only replies to
-                    # abandoned tasks can still fill its worker, and
-                    # dispatch drains those.
-                    if ahead > position and not session._sharded_room(
-                        candidate, pool
-                    ):
-                        break
-                    task_id = session._dispatch_sharded(candidate, pool)
-                    if task_id is not None:
-                        task_ids[candidate] = task_id
-                ahead += 1
-            if handle.denied:
-                if self.fail_fast:
-                    pool.abandon(list(task_ids.values()))
-                    assert handle.error is not None
-                    raise handle.error
-                continue
-            try:
-                task_id = task_ids.pop(handle, None)
-                staged = (
-                    session._collect_sharded(handle, pool, task_id)
-                    if task_id is not None
-                    else session._stage(handle)
-                )
-                session._finalize(handle, staged)
-            except Exception as exc:  # noqa: BLE001 - carried on handle
-                handle._fail(_wrap_failure(handle, exc))
-                if self.fail_fast:
-                    pool.abandon(list(task_ids.values()))
-                    raise handle.error from exc
+def _dispatchable(handle: QueryHandle) -> bool:
+    """Whether an executor may stage ``handle`` ahead of its position:
+    admitted outright, or no budgets configured.  (Throttled handles
+    stage serially, deferred ones await re-admission, denied ones are
+    never served.)"""
+    return handle.admission in (None, AdmissionVerdict.ADMIT)

@@ -61,6 +61,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.core.planning import skeleton_key
 from repro.errors import DeadlineExceededError, ReproError
 from repro.util.rng import derive_rng
 
@@ -153,6 +154,10 @@ class WorkerSpec:
     applied_mvs: tuple
     skeleton_seed: tuple
     fingerprint: tuple
+    #: Capacity of the worker's private binding and skeleton caches: the
+    #: coordinator's own plan-cache capacity (a warm process that never
+    #: forgets is a leak).
+    cache_capacity: int = 256
 
 
 # --------------------------------------------------------------------- #
@@ -285,6 +290,7 @@ class PlannerWorkerPool:
         skeleton_seed: tuple = ()
         if warehouse.skeleton_cache is not None:
             skeleton_seed = warehouse.skeleton_cache.export_state()
+        exact = warehouse.plan_cache
         seed_stream = derive_rng(self.base_seed, "sharding", str(index))
         return WorkerSpec(
             worker_index=index,
@@ -296,6 +302,8 @@ class PlannerWorkerPool:
             applied_mvs=tuple(warehouse._applied_mvs.values()),
             skeleton_seed=skeleton_seed,
             fingerprint=self._current_fingerprint(),
+            # Without an exact level nothing is ever dispatched.
+            cache_capacity=exact.capacity if exact is not None else 1,
         )
 
     def _spawn(self, index: int) -> None:
@@ -602,9 +610,8 @@ class PlannerWorkerPool:
                 self.warm_skeleton_hits += 1
             # Whether warm or freshly computed, the worker now holds
             # this template's skeleton: stop shipping hints for it.
-            kind = "sla" if task.constraint.is_sla else "budget"
             self._warmed[index].add(
-                (task.template_key, kind, task.stats_version)
+                skeleton_key(task.template_key, task.constraint, task.stats_version)
             )
         if payload.task_id in self._abandoned:
             self._abandoned.discard(payload.task_id)

@@ -1,8 +1,8 @@
 """Planner worker process entrypoint (the isolated side of sharding).
 
 This module is everything a planner worker process runs: a
-:class:`PlannerShard` replicating the coordinator's parameterized
-bind -> optimize path over *private* warm caches, and the
+:class:`PlannerShard` running the coordinator's bind -> optimize
+pipeline over *private* warm caches, and the
 :func:`worker_main` message loop.  It is deliberately minimal and
 machine-isolated: the ``worker-isolation`` lint rule forbids this
 module from importing or calling anything that could append to the
@@ -14,33 +14,24 @@ hardware, query, constraint) and nothing else, which is exactly why a
 crashed worker can be restarted and its tasks re-staged without any
 risk of double-billing or double-logging.
 
-Staging here mirrors ``CostIntelligentWarehouse._plan``'s parameterized
-path, unguarded (fault points and retries are coordinator-side
-machinery): template-keyed binding reuse, MV rewrite after the binding
-cache, skeleton-shape reuse keyed on (template key, constraint kind,
-stats version), and ``variant_trees`` export on a skeleton miss so the
-coordinator can absorb freshly computed shapes.  Caches are plain
-dicts — the process is single-threaded, so the coordinator's
-lock-striped LRUs would buy nothing — seeded warm from the
-:class:`~repro.core.sharding.WorkerSpec` at (re)start.
+Staging is :meth:`repro.core.planning.PlanningPipeline.plan` — the
+same class the coordinator instantiates, here unguarded (fault points
+and retries are coordinator-side machinery), with no exact level (the
+coordinator answers exact hits without dispatching) and private
+binding/skeleton caches bounded at the coordinator's capacity, seeded
+warm from the :class:`~repro.core.sharding.WorkerSpec` at (re)start.
 """
 
 from __future__ import annotations
 
 import pickle
-import time
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.core.bioptimizer import BiObjectiveOptimizer
+from repro.core.plan_cache import BindingCache, SkeletonCache
+from repro.core.planning import PlanningPipeline
 from repro.core.sharding import RefreshState, StagedPlan, StageTask, WorkerFailure, WorkerSpec
 from repro.cost.estimator import CostEstimator
 from repro.errors import ReproError
-from repro.sql.binder import Binder
-from repro.sql.parameterize import parameterize_sql
-from repro.tuning.mv import try_rewrite
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sql.binder import BoundQuery
 
 
 def _picklable(error: Exception) -> Exception:
@@ -54,35 +45,32 @@ def _picklable(error: Exception) -> Exception:
 
 
 class PlannerShard:
-    """One worker's warm planning state: catalog, binder, optimizer,
-    and private binding/skeleton caches."""
+    """One worker's warm planning state: a planning pipeline over the
+    worker's catalog copy and private binding/skeleton caches."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.worker_index = spec.worker_index
-        self.seed = spec.seed
+        self.hardware = spec.hardware
         self.max_dop = spec.max_dop
         self.explore_bushy = spec.explore_bushy
-        self.hardware = spec.hardware
+        self.cache_capacity = spec.cache_capacity
         self._install(spec.catalog, spec.applied_mvs, spec.fingerprint)
-        for key, trees in spec.skeleton_seed:
-            self._skeletons.setdefault(key, trees)
+        self.pipeline.skeletons.import_state(spec.skeleton_seed)
 
     def _install(
         self, catalog: Any, applied_mvs: tuple, fingerprint: tuple
     ) -> None:
         self.catalog = catalog
-        self.applied_mvs = tuple(applied_mvs)
         self.fingerprint = fingerprint
-        self.estimator = CostEstimator(self.hardware)
-        self.optimizer = BiObjectiveOptimizer(
+        self.pipeline = PlanningPipeline(
             catalog,
-            self.estimator,
+            CostEstimator(self.hardware),
             max_dop=self.max_dop,
             explore_bushy=self.explore_bushy,
+            applied_mvs={candidate.name: candidate for candidate in applied_mvs},
+            bindings=BindingCache(self.cache_capacity),
+            skeletons=SkeletonCache(self.cache_capacity),
         )
-        self.binder = Binder(catalog)
-        self._bindings: dict = {}
-        self._skeletons: dict = {}
 
     def refresh(self, state: RefreshState) -> None:
         """Apply a coherency broadcast: rebuild planning state over the
@@ -91,22 +79,11 @@ class PlannerShard:
         caches must be dropped explicitly)."""
         self._install(state.catalog, state.applied_mvs, state.fingerprint)
 
-    def _maybe_rewrite_mv(self, bound: "BoundQuery") -> "BoundQuery":
-        # Mirrors CostIntelligentWarehouse._maybe_rewrite_mv over the
-        # spec's applied-MV snapshot, so worker plans rewrite onto
-        # applied views exactly as coordinator plans do.
-        for candidate in self.applied_mvs:
-            if not self.catalog.has_table(candidate.name) or not self.catalog.has_view(
-                candidate.name
-            ):
-                continue
-            rewritten = try_rewrite(bound, candidate)
-            if rewritten is not None:
-                return rewritten
-        return bound
+    def _enter_optimize(self, _bound: Any) -> None:
+        self.current_stage = "optimize"
 
     def stage(self, task: StageTask) -> StagedPlan:
-        """Bind + optimize one task (the remote half of ``_plan``)."""
+        """Bind + optimize one task (the remote half of staging)."""
         self.current_stage = "protocol"
         if task.stats_version != self.catalog.version:
             raise ReproError(
@@ -115,44 +92,22 @@ class PlannerShard:
                 f"{self.catalog.version} (missed RefreshState broadcast?)"
             )
         self.current_stage = "bind"
-        parameterized = parameterize_sql(task.sql)
-        version = self.catalog.version
-        binding_key = (parameterized.normalized, version)
-        bound = self._bindings.get(binding_key)
-        warm_bind = bound is not None
-        bind_start = time.perf_counter()
-        if bound is None:
-            bound = self.binder.bind_parameterized(
-                parameterized.template_key, parameterized.constants, sql=task.sql
-            )
-            self._bindings[binding_key] = bound
-        bind_s = time.perf_counter() - bind_start
-        bound = self._maybe_rewrite_mv(bound)
-        kind = "sla" if task.constraint.is_sla else "budget"
-        skeleton_key = (parameterized.template_key, kind, version)
-        trees = self._skeletons.get(skeleton_key)
-        if trees is None and task.skeleton_trees is not None:
+        planned = self.pipeline.plan(
+            task.sql,
+            task.constraint,
+            on_bound=self._enter_optimize,
             # The coordinator's hint warms a cold (or restarted) worker.
-            trees = tuple(task.skeleton_trees)
-            self._skeletons[skeleton_key] = trees
-        warm_skeleton = trees is not None
-        self.current_stage = "optimize"
-        optimize_start = time.perf_counter()
-        choice = self.optimizer.optimize(bound, task.constraint, skeleton_trees=trees)
-        optimize_s = time.perf_counter() - optimize_start
-        new_trees = None
-        if trees is None:
-            new_trees = self.optimizer.variant_trees(bound)
-            self._skeletons[skeleton_key] = new_trees
+            skeleton_hint=task.skeleton_trees,
+        )
         return StagedPlan(
             task_id=task.task_id,
-            bound=bound,
-            choice=choice,
-            new_skeleton_trees=new_trees,
-            bind_s=bind_s,
-            optimize_s=optimize_s,
-            warm_bind=warm_bind,
-            warm_skeleton=warm_skeleton,
+            bound=planned.bound,
+            choice=planned.choice,
+            new_skeleton_trees=planned.new_skeleton_trees,
+            bind_s=planned.bind_s,
+            optimize_s=planned.optimize_s,
+            warm_bind=planned.warm_bind,
+            warm_skeleton=planned.level == "skeleton",
         )
 
     def serve(self, task: StageTask) -> tuple:

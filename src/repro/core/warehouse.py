@@ -12,10 +12,12 @@ The public serving API lives in :mod:`repro.core.service`
 :class:`~repro.core.service.QueryHandle` /
 :class:`~repro.core.service.QueryOutcome` out, per-tenant
 :class:`~repro.core.service.Session`\\ s, and the concurrent
-:class:`~repro.core.service.ServingScheduler`).  The warehouse owns the
-shared serving machinery — catalog, optimizer, the lock-striped
-three-level plan-cache stack, the Statistics Service log, and per-tenant
-billing — and keeps :meth:`CostIntelligentWarehouse.submit` /
+:class:`~repro.core.service.ServingScheduler`).  The warehouse wires the
+shared serving machinery — catalog, the planning pipeline
+(:mod:`repro.core.planning`: binder, optimizer, applied-MV rewrite and
+the lock-striped three-level plan-cache stack), the Statistics Service
+log, and per-tenant billing — and keeps
+:meth:`CostIntelligentWarehouse.submit` /
 :meth:`~CostIntelligentWarehouse.submit_many` as thin shims over the
 default session so existing callers work unchanged.
 
@@ -32,12 +34,11 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import replace as dataclasses_replace
 from typing import Callable, Iterable, Mapping
 
 from repro.catalog.catalog import Catalog
-from repro.core.bioptimizer import BiObjectiveOptimizer, PlanChoice
+from repro.core.bioptimizer import PlanChoice
 from repro.core.governance import (
     AdmissionController,
     AdmissionVerdict,
@@ -63,6 +64,7 @@ from repro.core.journal import (
     to_ledger_units,
 )
 from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
+from repro.core.planning import PlanningPipeline
 from repro.core.recovery import RecoveryReport, recover_warehouse
 from repro.core.resilience import (
     CircuitBreaker,
@@ -71,7 +73,7 @@ from repro.core.resilience import (
     StageGuard,
 )
 from repro.core.service import QueryOutcome, QueryRequest, Session, TenantBill
-from repro.sql.parameterize import normalize_sql, parameterize_sql
+from repro.sql.parameterize import parameterize_sql
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
 from repro.dop.constraints import Constraint
@@ -88,10 +90,10 @@ from repro.obsvc.history import CostHistoryStore
 from repro.obsvc.metrics import MetricsRegistry
 from repro.plan.expressions import referenced_columns
 from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig, SimResult
-from repro.sql.binder import Binder, BoundQuery
+from repro.sql.binder import BoundQuery
 from repro.statsvc.logs import QueryLogStore, QueryRecord
 from repro.tuning.advisor import AdvisorProposals
-from repro.tuning.mv import MVCandidate, try_rewrite
+from repro.tuning.mv import MVCandidate
 from repro.tuning.service import TuningPolicy, TuningService
 
 POLICY_NAMES = ("dop-monitor", "static", "interval-scaler", "stage-scaler")
@@ -155,7 +157,6 @@ class CostIntelligentWarehouse:
         max_dop: int = 64,
         explore_bushy: bool = True,
         plan_cache_size: int = 256,
-        parameterized_serving: bool = True,
         tuning_policy: TuningPolicy | None = None,
         retention_policy: "str | Callable[[], RetentionPolicy]" = "lru",
         tenant_budgets: "Mapping[str, TenantBudget | float] | None" = None,
@@ -169,13 +170,6 @@ class CostIntelligentWarehouse:
         assert self.catalog is not None
         self.hw = hardware or HardwareCalibration()
         self.estimator = estimator or CostEstimator(self.hw)
-        self.optimizer = BiObjectiveOptimizer(
-            self.catalog,
-            self.estimator,
-            max_dop=max_dop,
-            explore_bushy=explore_bushy,
-        )
-        self.binder = Binder(self.catalog)
         self.sim_config = sim_config or SimConfig()
         self.max_dop = max_dop
         self.logs = QueryLogStore()
@@ -218,17 +212,6 @@ class CostIntelligentWarehouse:
         #: rewrites matching queries onto these views, so an applied MV
         #: actually changes served plans (and a rollback restores them).
         self._applied_mvs: dict[str, MVCandidate] = {}
-        #: Serving-layer plan caches; ``plan_cache_size=0`` disables both
-        #: levels.  Exact level: full plans keyed (normalized SQL,
-        #: constraint, stats version).  Skeleton level: template plan
-        #: skeletons keyed (literal-free template key, constraint kind,
-        #: stats version) — literal-varying resubmissions skip join-order
-        #: DP and bushy generation.
-        #: ``parameterized_serving=False`` reproduces the exact-match-only
-        #: serving path (PR 1 semantics) for A/B benchmarking: no
-        #: skeleton or binding level, keys recomputed per submission.
-        self.parameterized_serving = parameterized_serving
-        parameterized = parameterized_serving and plan_cache_size > 0
         #: Resource governance (see :mod:`repro.core.governance`).
         #: ``self.frequency`` bridges the Statistics Service's per-family
         #: arrival forecasts to cache retention and warming;
@@ -259,24 +242,34 @@ class CostIntelligentWarehouse:
         self.retention_policy_name = (
             retention_policy if isinstance(retention_policy, str) else "custom"
         )
-        self._governed = retention_policy != "lru"
 
         def _policy() -> RetentionPolicy:
             return make_retention_policy(
                 retention_policy, frequency=self.frequency.rate_for
             )
 
-        self.plan_cache: PlanCache | None = (
-            PlanCache(plan_cache_size, policy=_policy())
-            if plan_cache_size > 0
-            else None
+        def _level(cache_type):
+            if plan_cache_size <= 0:
+                return None
+            return cache_type(plan_cache_size, policy=_policy())
+
+        #: The planning pipeline (see :mod:`repro.core.planning`): the
+        #: binder, the optimizer, the applied-MV rewrite and the
+        #: lock-striped three-level cache stack, walked by one function.
+        #: ``plan_cache_size=0`` builds it with no levels.
+        self.planning = PlanningPipeline(
+            self.catalog,
+            self.estimator,
+            max_dop=max_dop,
+            explore_bushy=explore_bushy,
+            applied_mvs=self._applied_mvs,
+            exact=_level(PlanCache),
+            bindings=_level(BindingCache),
+            skeletons=_level(SkeletonCache),
+            governed=retention_policy != "lru",
         )
-        self.skeleton_cache: SkeletonCache | None = (
-            SkeletonCache(plan_cache_size, policy=_policy()) if parameterized else None
-        )
-        self.binding_cache: BindingCache | None = (
-            BindingCache(plan_cache_size, policy=_policy()) if parameterized else None
-        )
+        self.optimizer = self.planning.optimizer
+        self.binder = self.planning.binder
         #: Cost observability (see :mod:`repro.obsvc`): the typed
         #: metrics registry every serving emission and the
         #: ``describe_health`` / ``describe_caches`` views go through,
@@ -426,15 +419,7 @@ class CostIntelligentWarehouse:
         )
 
     def _cache_source(self, read) -> dict:
-        values = {}
-        for name, cache in (
-            ("plan", self.plan_cache),
-            ("skeleton", self.skeleton_cache),
-            ("binding", self.binding_cache),
-        ):
-            if cache is not None:
-                values[(name,)] = read(cache)
-        return values
+        return {(name,): read(cache) for name, cache in self.planning.levels()}
 
     def _timing_cache_source(self, field: str) -> dict:
         cache = self.estimator.models.cache
@@ -701,201 +686,28 @@ class CostIntelligentWarehouse:
     ) -> tuple[BoundQuery, PlanChoice]:
         """Bind + optimize one query without executing or logging it.
 
-        This is the serving-layer planning path :meth:`submit` uses —
-        exact plan-cache hit, then skeleton-cache hit (re-plan cached
-        join shapes under fresh literals), then full optimization.
+        This is the planning walk :meth:`submit` uses (see
+        :meth:`repro.core.planning.PlanningPipeline.plan`): exact hit,
+        else binding hit or bind, MV rewrite, skeleton hit (re-plan
+        cached join shapes under fresh literals) or full optimization.
         """
-        return self._plan(sql, constraint, use_plan_cache)
+        planned = self.planning.plan(sql, constraint, use_cache=use_plan_cache)
+        return planned.bound, planned.choice
 
-    def _plan(
-        self,
-        sql: str,
-        constraint: Constraint,
-        use_plan_cache: bool,
-        on_bound: Callable[[BoundQuery], None] | None = None,
-        guard: StageGuard | None = None,
-    ) -> tuple[BoundQuery, PlanChoice]:
-        """Bind + optimize, via the two-level plan cache when possible.
+    @property
+    def plan_cache(self) -> PlanCache | None:
+        """The exact level of the planning pipeline's cache stack."""
+        return self.planning.exact
 
-        ``on_bound`` fires as soon as the bound query is available (from
-        a cache or a fresh bind) — the serving layer uses it to stamp the
-        :class:`~repro.core.service.QueryHandle`'s ``BOUND`` transition.
-        ``guard`` (when resilience is enabled) wraps the ``bind`` and
-        ``optimize`` fault points with retry/deadline/fault-injection
-        handling; cache hits bypass both points — a cached plan needs no
-        binding or optimization, so there is nothing to fail.
-        """
+    @property
+    def skeleton_cache(self) -> SkeletonCache | None:
+        """The template-skeleton level of the cache stack."""
+        return self.planning.skeletons
 
-        def staged(stage: str, fn: Callable[[], object]):
-            return guard.run(stage, fn) if guard is not None else fn()
-
-        if not use_plan_cache or self.plan_cache is None:
-            bound = staged(
-                "bind", lambda: self._maybe_rewrite_mv(self.binder.bind_sql(sql))
-            )
-            if on_bound is not None:
-                on_bound(bound)
-            return bound, staged(
-                "optimize", lambda: self.optimizer.optimize(bound, constraint)
-            )
-
-        if not self.parameterized_serving:
-            # PR 1 serving semantics: exact-match level only, key
-            # recomputed per submission, fresh bind on every miss.
-            key = (normalize_sql(sql), constraint, self.catalog.version)
-            cached = self.plan_cache.lookup(key)
-            if cached is not None:
-                if on_bound is not None:
-                    on_bound(cached[0])
-                return cached
-            bound = staged(
-                "bind", lambda: self._maybe_rewrite_mv(self.binder.bind_sql(sql))
-            )
-            if on_bound is not None:
-                on_bound(bound)
-            choice = staged(
-                "optimize", lambda: self.optimizer.optimize(bound, constraint)
-            )
-            self.plan_cache.store(key, bound, choice)
-            return bound, choice
-
-        version = self.catalog.version
-        parameterized = parameterize_sql(sql)
-        normalized = parameterized.normalized
-        exact_key = (normalized, constraint, version)
-        cached = self.plan_cache.lookup(exact_key)
-        if cached is not None:
-            if on_bound is not None:
-                on_bound(cached[0])
-            return cached
-
-        # Binding (and, via the optimizer's DAG memo keyed on the bound
-        # object, physical planning) is constraint-independent: reuse it
-        # when the same query arrives under a second constraint.
-        # ``governed`` = a non-LRU retention policy is active: stores are
-        # annotated with the template identity and the planning seconds
-        # the entry saves, so eviction can weigh forecast value.
-        governed = self._governed
-        bound = None
-        binding_key = (normalized, version)
-        if self.binding_cache is not None:
-            bound = self.binding_cache.lookup(binding_key)
-        if bound is None:
-            # Reuse the parameterization already lexed for the cache
-            # keys: recurring templates bind from a cached template AST
-            # with the fresh constants substituted (no lex, no parse).
-            bind_start = time.perf_counter() if governed else 0.0
-            bound = staged(
-                "bind",
-                lambda: self.binder.bind_parameterized(
-                    parameterized.template_key, parameterized.constants, sql=sql
-                ),
-            )
-            if self.binding_cache is not None:
-                if governed:
-                    self.binding_cache.store(
-                        binding_key,
-                        bound,
-                        template=parameterized.template_key,
-                        cost_s=time.perf_counter() - bind_start,
-                    )
-                else:
-                    self.binding_cache.store(binding_key, bound)
-        # MV rewriting happens after the binding cache (which keeps the
-        # original binding) and is deterministic per (template, catalog
-        # version), so skeleton reuse stays coherent: every instance of a
-        # template either rewrites onto the view or none does.
-        bound = self._maybe_rewrite_mv(bound)
-        if on_bound is not None:
-            on_bound(bound)
-        skeleton_key = None
-        trees = None
-        if self.skeleton_cache is not None:
-            # The constraint kind is conservative key hygiene (DAG
-            # planning never reads the constraint); it costs one extra
-            # DP per template and kind.  Skeleton reuse trusts the
-            # template's join shapes to be stable under literal changes
-            # — enforced for the workload suite by the parity tests and
-            # the benchmark guard; a template whose literals swing the
-            # join-order DP would be re-planned on its cached shapes.
-            kind = "sla" if constraint.is_sla else "budget"
-            skeleton_key = (parameterized.template_key, kind, version)
-            trees = self.skeleton_cache.lookup(skeleton_key)
-        plan_start = time.perf_counter() if governed else 0.0
-        choice = staged(
-            "optimize",
-            lambda: self.optimizer.optimize(bound, constraint, skeleton_trees=trees),
-        )
-        # The planning seconds this optimize took are what a future hit
-        # on the stored entries saves (a proxy for the skeleton level,
-        # whose hits still re-run physical planning and the DOP search).
-        planning_s = time.perf_counter() - plan_start if governed else 0.0
-        if skeleton_key is not None and trees is None:
-            # variant_trees() reads the optimizer's DAG memo — no rework.
-            self.skeleton_cache.store(
-                skeleton_key,
-                self.optimizer.variant_trees(bound),
-                template=parameterized.template_key if governed else None,
-                cost_s=planning_s,
-            )
-        self.plan_cache.store(
-            exact_key,
-            bound,
-            choice,
-            template=parameterized.template_key if governed else None,
-            cost_s=planning_s,
-        )
-        return bound, choice
-
-    def _plan_degraded(
-        self, sql: str, constraint: Constraint
-    ) -> tuple[BoundQuery, PlanChoice, str]:
-        """Degraded-mode planning: never fails, never pollutes the caches.
-
-        The fallback the serving layer takes when the ``optimize`` stage
-        blows its deadline.  Runs *unguarded* (no fault points, no
-        deadlines — the degraded path is the floor under the batch) and
-        returns ``(bound, choice, mode)`` where ``mode`` is:
-
-        - ``"skeleton"`` — the template's cached skeleton shapes were
-          re-planned under the query's literals, exactly as a skeleton
-          cache hit would have (bit-identical to full optimization by
-          the skeleton parity contract), or
-        - ``"heuristic"`` — the default plan: the left-deep DP winner
-          with one DOP search, bit-identical to a cold
-          ``explore_bushy=False`` optimizer.
-
-        Nothing is stored in the exact plan cache: a heuristic plan is
-        *not* what full optimization would produce, and caching it would
-        serve degraded plans to healthy future submissions (the chaos
-        suite's cache-consistency invariant).
-        """
-        if self.plan_cache is None or not self.parameterized_serving:
-            bound = self._maybe_rewrite_mv(self.binder.bind_sql(sql))
-            return bound, self.optimizer.optimize_heuristic(bound, constraint), "heuristic"
-        version = self.catalog.version
-        parameterized = parameterize_sql(sql)
-        bound = None
-        if self.binding_cache is not None:
-            # The guarded path usually bound this query before its
-            # optimize deadline tripped; reuse that binding.
-            bound = self.binding_cache.lookup((parameterized.normalized, version))
-        if bound is None:
-            bound = self.binder.bind_parameterized(
-                parameterized.template_key, parameterized.constants, sql=sql
-            )
-        bound = self._maybe_rewrite_mv(bound)
-        if self.skeleton_cache is not None:
-            kind = "sla" if constraint.is_sla else "budget"
-            trees = self.skeleton_cache.lookup(
-                (parameterized.template_key, kind, version)
-            )
-            if trees is not None:
-                choice = self.optimizer.optimize(
-                    bound, constraint, skeleton_trees=trees
-                )
-                return bound, choice, "skeleton"
-        return bound, self.optimizer.optimize_heuristic(bound, constraint), "heuristic"
+    @property
+    def binding_cache(self) -> BindingCache | None:
+        """The bound-query level of the cache stack."""
+        return self.planning.bindings
 
     # ------------------------------------------------------------------ #
     # Resilience / fault injection
@@ -1211,29 +1023,6 @@ class CostIntelligentWarehouse:
             },
         }
 
-    def _maybe_rewrite_mv(self, bound: BoundQuery) -> BoundQuery:
-        """Rewrite a bound query onto an applied materialized view.
-
-        Applied MVs must change served plans — without this hook the
-        caches would keep returning (version-keyed but semantically
-        pre-tuning) base-table plans forever.  Rewrites only happen for
-        views the :class:`~repro.tuning.service.TuningService` has
-        applied and that are still present in the catalog, so a rollback
-        (or an out-of-band drop) immediately restores base-table plans.
-        """
-        if not self._applied_mvs:
-            return bound
-        assert self.catalog is not None
-        for candidate in self._applied_mvs.values():
-            if not self.catalog.has_table(candidate.name) or not self.catalog.has_view(
-                candidate.name
-            ):
-                continue
-            rewritten = try_rewrite(bound, candidate)
-            if rewritten is not None:
-                return rewritten
-        return bound
-
     def _register_applied_mv(self, candidate: MVCandidate) -> None:
         self._applied_mvs[candidate.name] = candidate
 
@@ -1270,8 +1059,8 @@ class CostIntelligentWarehouse:
             ranked = ranked[: max(top, 0)]
         warmed: list[str] = []
         for family, sql in ranked:
-            self._plan(sql, constraint, True)
-            if self._governed:
+            self.planning.plan(sql, constraint)
+            if self.planning.governed:
                 self.frequency.note_template(
                     family, parameterize_sql(sql).template_key
                 )
@@ -1284,12 +1073,8 @@ class CostIntelligentWarehouse:
         stats version; use this after out-of-band changes such as
         hardware recalibration)."""
         self._plan_cache_epoch += 1
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate()
-        if self.skeleton_cache is not None:
-            self.skeleton_cache.invalidate()
-        if self.binding_cache is not None:
-            self.binding_cache.invalidate()
+        for _, cache in self.planning.levels():
+            cache.invalidate()
         # The representative template bindings embed the same statistics
         # the plan caches do; a flush that leaves them behind would hand
         # the tuning advisor bound queries from a world that no longer
@@ -1350,9 +1135,8 @@ class CostIntelligentWarehouse:
         """Zero all cache, optimizer, retention-policy, admission, and
         resilience counters without dropping entries or budgets
         (benchmark warmup: report steady-state rates only)."""
-        for cache in (self.plan_cache, self.skeleton_cache, self.binding_cache):
-            if cache is not None:
-                cache.reset_stats()
+        for _, cache in self.planning.levels():
+            cache.reset_stats()
         if self.estimator.models.cache is not None:
             self.estimator.models.cache.stats.reset()
         self.optimizer.reset_counters()
@@ -1388,16 +1172,10 @@ class CostIntelligentWarehouse:
         evictions = metrics.sourced("repro_cache_evictions_total")
         policy_evictions = metrics.sourced("repro_cache_policy_evictions_total")
         report: dict[str, dict] = {}
-        for name, label, cache in (
-            ("plan", "plan_cache", self.plan_cache),
-            ("skeleton", "skeleton_cache", self.skeleton_cache),
-            ("binding", "binding_cache", self.binding_cache),
-        ):
-            if cache is None:
-                continue
+        for name, cache in self.planning.levels():
             cache_hits = hits.get((name,), 0)
             lookups = cache_hits + misses.get((name,), 0)
-            report[label] = {
+            report[f"{name}_cache"] = {
                 "entries": entries.get((name,), 0),
                 "capacity": capacity.get((name,), 0),
                 "hits": cache_hits,
@@ -1638,7 +1416,7 @@ class CostIntelligentWarehouse:
         live serving and recovery replay."""
         self.logs.append(record)
         template = record.template
-        if self._governed and template.rpartition(".")[2] != "adhoc":
+        if self.planning.governed and template.rpartition(".")[2] != "adhoc":
             # Teach the frequency provider which literal-free template
             # key this logged family instantiates, so forecast rates can
             # score that template's cache entries (parameterize_sql is

@@ -359,30 +359,43 @@ def test_warehouse_kwargs_reports_stale_allowlist_entry():
     assert "'journal'" in fired[0].message
 
 
+#: Every module a planner worker process runs.
+WORKER_MODULES = (
+    "src/repro/core/sharding_worker.py",
+    "src/repro/core/planning.py",
+)
+
+
 def test_worker_isolation_scopes_to_worker_modules_only():
     # The same authority-touching code is legal coordinator-side.
     bad = CORPUS["worker-isolation"].bad
     fired, _ = findings_for("worker-isolation", bad, "src/repro/core/service.py")
     assert fired == []
-    # Forbidden import prefixes fire individually.
-    for stmt in (
-        "import repro.core.warehouse\n",
-        "from repro.statsvc.logs import QueryLogStore\n",
-        "from repro.obsvc.metrics import MetricsRegistry\n",
-    ):
-        fired, _ = findings_for(
-            "worker-isolation", stmt, "src/repro/core/sharding_worker.py"
+    for worker_path in WORKER_MODULES:
+        # It fires, and suppresses, in every worker module.
+        fired, _ = findings_for("worker-isolation", bad, worker_path)
+        assert fired, worker_path
+        lines = bad.splitlines()
+        for line in sorted({f.line for f in fired}):
+            lines[line - 1] += "  # lint-allow: worker-isolation corpus fixture"
+        active, suppressed = findings_for(
+            "worker-isolation", "\n".join(lines) + "\n", worker_path
         )
-        assert fired, f"did not fire on {stmt!r}"
+        assert active == [] and suppressed, worker_path
+        # Forbidden import prefixes fire individually.
+        for stmt in (
+            "import repro.core.warehouse\n",
+            "from repro.statsvc.logs import QueryLogStore\n",
+            "from repro.obsvc.metrics import MetricsRegistry\n",
+        ):
+            fired, _ = findings_for("worker-isolation", stmt, worker_path)
+            assert fired, f"did not fire on {stmt!r} in {worker_path}"
 
 
 def test_worker_isolation_passes_on_the_real_worker_module():
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[2] / (
-        "src/repro/core/sharding_worker.py"
-    )
-    fired, _ = findings_for(
-        "worker-isolation", path.read_text(), "src/repro/core/sharding_worker.py"
-    )
-    assert fired == []
+    for worker_path in WORKER_MODULES:
+        path = Path(__file__).resolve().parents[2] / worker_path
+        fired, _ = findings_for("worker-isolation", path.read_text(), worker_path)
+        assert fired == [], worker_path

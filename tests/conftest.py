@@ -56,3 +56,22 @@ def big_planner(big_catalog) -> DagPlanner:
 @pytest.fixture(scope="session")
 def estimator() -> CostEstimator:
     return CostEstimator()
+
+
+@pytest.fixture(params=("inline", "threads", "process"))
+def serving_executor(request):
+    """Each of the three serving executors in turn.  Yields a function
+    that sets a warehouse up for the executor and returns the
+    ``max_workers`` to submit batches with (a planner worker pool, once
+    enabled, takes precedence over threads)."""
+    sharded = []
+
+    def configure(warehouse) -> int:
+        if request.param == "process":
+            warehouse.enable_sharding(workers=1)
+            sharded.append(warehouse)
+        return 4 if request.param == "threads" else 1
+
+    yield configure
+    for warehouse in sharded:
+        warehouse.disable_sharding()

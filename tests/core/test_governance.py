@@ -23,7 +23,7 @@ from repro.core.governance import (
     rank_by_forecast,
 )
 from repro.core.plan_cache import PlanCache, SkeletonCache
-from repro.core.service import QueryRequest, QueryState
+from repro.core.service import QueryHandle, QueryRequest, QueryState, ServingScheduler
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import AdmissionDeniedError, ReproError
@@ -530,22 +530,32 @@ def test_denial_raises_under_fail_fast(catalog):
         )
 
 
-def test_fail_fast_denial_aborts_at_its_position(catalog):
-    """Legacy abort-the-batch semantics: items submitted *before* the
-    denied one are served, logged, and billed; items after are not."""
+def test_fail_fast_denial_aborts_at_its_position(catalog, serving_executor):
+    """Legacy abort-the-batch semantics, on every executor: items
+    submitted *before* the denied one are served, logged, and billed;
+    items after are not."""
     warehouse = fresh_warehouse(catalog)
     poor = warehouse.session(tenant="poor", constraint=CONSTRAINT)
     exhaust_tenant(warehouse, poor)
+    max_workers = serving_executor(warehouse)
     rich = warehouse.session(tenant="rich", constraint=CONSTRAINT)
     items = [
         quick_request(instantiate("q6_revenue_forecast", seed=61), tenant="rich"),
         quick_request(instantiate("q6_revenue_forecast", seed=62), tenant="poor"),
         quick_request(instantiate("q6_revenue_forecast", seed=63), tenant="rich"),
     ]
+    handles = [
+        QueryHandle(rich.resolve(item), index=index)
+        for index, item in enumerate(items)
+    ]
+    scheduler = ServingScheduler(rich, max_workers=max_workers, fail_fast=True)
     with pytest.raises(AdmissionDeniedError):
-        rich.submit_many(items, fail_fast=True, max_workers=1)
+        scheduler.run(handles)
+    assert [h.state for h in handles[:2]] == [QueryState.DONE, QueryState.DENIED]
+    assert not handles[2].done
     assert warehouse.billing["rich"].queries == 1  # item 0 served
-    assert len(warehouse.logs) == 2  # probe + item 0; item 2 never ran
+    # probe + item 0, in that order; item 2 never ran
+    assert [record.tenant for record in warehouse.logs] == ["poor", "rich"]
 
 
 def test_deferred_tenant_runs_after_batch_and_can_be_denied(catalog):

@@ -209,16 +209,6 @@ def test_binding_shared_across_constraints(warehouse):
     assert second.record.sql == first.record.sql
 
 
-def test_parameterized_serving_disabled_restores_pr1_path(tpch_db):
-    warehouse = CostIntelligentWarehouse(tpch_db, parameterized_serving=False)
-    assert warehouse.skeleton_cache is None
-    assert warehouse.binding_cache is None
-    constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
-    warehouse.submit(Q1, constraint)
-    assert warehouse.plan_cache.hits == 1  # exact level still works
-
-
 def test_describe_caches_reports_all_levels(warehouse):
     constraint = sla_constraint(12.0)
     warehouse.submit(instantiate("q1_pricing_summary", seed=1), constraint)

@@ -20,6 +20,8 @@ from repro.workloads.tpch_queries import instantiate
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 Q_COUNT = "SELECT count(*) AS c FROM orders"
+Q_SUM = "SELECT sum(o_totalprice) AS s FROM orders"
+Q_BROKEN = "SELECT broken FROM no_such_table"
 
 
 @pytest.fixture()
@@ -210,13 +212,38 @@ def test_failed_item_reports_index_and_sql_prefix(warehouse):
     assert len(warehouse.logs) == 2
 
 
-def test_fail_fast_aborts_the_batch(warehouse):
+def test_fail_fast_aborts_the_batch(warehouse, serving_executor):
+    """A failure aborts at its position on every executor: the item
+    before it is served, logged and billed; the one after never is."""
+    max_workers = serving_executor(warehouse)
     session = warehouse.session(constraint=sla_constraint(15.0))
+    handles = [
+        QueryHandle(session.resolve(sql), index=index)
+        for index, sql in enumerate((Q_COUNT, Q_BROKEN, Q_SUM))
+    ]
+    scheduler = ServingScheduler(session, max_workers=max_workers, fail_fast=True)
     with pytest.raises(QueryFailedError) as excinfo:
-        session.submit_many(
-            ["SELECT broken FROM no_such_table", Q_COUNT], fail_fast=True
-        )
-    assert excinfo.value.index == 0
+        scheduler.run(handles)
+    assert excinfo.value.index == 1
+    assert [h.state for h in handles[:2]] == [QueryState.DONE, QueryState.FAILED]
+    assert not handles[2].done
+    assert [record.sql for record in warehouse.logs] == [Q_COUNT]
+    assert session.bill.queries == 1
+
+
+def test_failed_handles_are_counted_on_every_executor(warehouse, serving_executor):
+    """``repro_queries_failed_total`` counts a handle that fails inside a
+    batch wherever its staging ran (it used to count inline ones only)."""
+    max_workers = serving_executor(warehouse)
+    session = warehouse.session(constraint=sla_constraint(15.0))
+    handles = session.submit_many([Q_COUNT, Q_BROKEN, Q_SUM], max_workers=max_workers)
+    assert [h.state for h in handles] == [
+        QueryState.DONE,
+        QueryState.FAILED,
+        QueryState.DONE,
+    ]
+    counter = warehouse.observe()["metrics"]["repro_queries_failed_total"]
+    assert [sample["value"] for sample in counter["samples"]] == [1]
 
 
 def test_warehouse_submit_shim_raises_original_error_types(warehouse):

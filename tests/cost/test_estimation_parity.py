@@ -276,22 +276,23 @@ def test_plan_memo_parity_under_the_dop_monitor(
 
 
 def test_warehouse_parameterized_serving_parity(big_catalog):
-    """The full serving path (two-level cache, skeleton reuse, DAG memo)
-    returns plans bit-identical to PR 1's exact-match
-    serving path for every literal-varying arrival."""
+    """The full serving path (three-level cache, skeleton reuse, DAG
+    memo) returns plans bit-identical to a fresh bind + a fresh,
+    memo-free optimization for every literal-varying arrival."""
+    from repro.core.bioptimizer import BiObjectiveOptimizer
     from repro.core.warehouse import CostIntelligentWarehouse
+    from repro.sql.binder import Binder
 
-    reference = CostIntelligentWarehouse(
-        catalog=big_catalog, parameterized_serving=False
-    )
-    reference.optimizer._dag_memo = None
+    binder = Binder(big_catalog)
+    reference = BiObjectiveOptimizer(big_catalog, CostEstimator())
+    reference._dag_memo = None
     parameterized = CostIntelligentWarehouse(catalog=big_catalog)
 
     for template in template_names():
         for seed in (1, 2, 3):
             sql = instantiate(template, seed=seed)
             for constraint in CONSTRAINTS:
-                _, expected = reference.plan(sql, constraint)
+                expected = reference.optimize(binder.bind_sql(sql), constraint)
                 _, actual = parameterized.plan(sql, constraint)
                 assert actual.dop_plan.dops == expected.dop_plan.dops
                 assert actual.variant_index == expected.variant_index
