@@ -31,7 +31,6 @@ fresh cardinalities plus the DOP search.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 from weakref import WeakKeyDictionary
@@ -92,42 +91,25 @@ class BiObjectiveOptimizer:
         max_dop: int = 64,
         explore_bushy: bool = True,
         max_variants: int = 4,
-        incremental_dop: bool = True,
-        memoize_dag: bool = True,
     ) -> None:
         self.catalog = catalog
         self.estimator = estimator or CostEstimator()
         self.dag_planner = DagPlanner(catalog)
-        self.dop_planner = DopPlanner(
-            self.estimator, max_dop=max_dop, incremental=incremental_dop
-        )
+        self.dop_planner = DopPlanner(self.estimator, max_dop=max_dop)
         self.explore_bushy = explore_bushy
         self.max_variants = max_variants
-        #: Per-query memo of ``(catalog version, planned variants)``;
-        #: ``memoize_dag=False`` is the A/B escape hatch (the
-        #: benchmark's pre-overhaul baseline).
-        self._dag_memo: (
-            WeakKeyDictionary[BoundQuery, tuple[int, list[PlannedVariant]]] | None
-        ) = WeakKeyDictionary() if memoize_dag else None
+        #: Per-query memo of ``(catalog version, planned variants)``.
+        self._dag_memo: WeakKeyDictionary[
+            BoundQuery, tuple[int, list[PlannedVariant]]
+        ] = WeakKeyDictionary()
         self.dag_memo_hits = 0
         self.dag_plans = 0
-        #: Cumulative wall time per optimize() stage (seconds), for the
-        #: benchmark's breakdown: join-order DP, bushy generation,
-        #: physical planning + pipeline decomposition, and DOP search.
-        self.stage_times: dict[str, float] = {
-            "join_order": 0.0,
-            "bushy": 0.0,
-            "physical": 0.0,
-            "dop": 0.0,
-        }
 
     def reset_counters(self) -> None:
-        """Zero the memo-hit/plan counters and stage timings (benchmark
-        warmup) without dropping memoized state."""
+        """Zero the memo-hit/plan counters without dropping memoized
+        state."""
         self.dag_memo_hits = 0
         self.dag_plans = 0
-        for stage in self.stage_times:
-            self.stage_times[stage] = 0.0
 
     # ------------------------------------------------------------------ #
     # DAG planning (constraint-independent)
@@ -148,23 +130,19 @@ class BiObjectiveOptimizer:
         re-derived, exactly as fresh planning with those trees would.
         """
         version = self.catalog.version
-        if self._dag_memo is not None:
-            memoized = self._dag_memo.get(query)
-            # The catalog version guards against serving plans built
-            # from stale statistics when the same bound query is
-            # re-optimized across a stats refresh / DDL.
-            if memoized is not None and memoized[0] == version:
-                self.dag_memo_hits += 1
-                return memoized[1]
+        memoized = self._dag_memo.get(query)
+        # The catalog version guards against serving plans built from
+        # stale statistics when the same bound query is re-optimized
+        # across a stats refresh / DDL.
+        if memoized is not None and memoized[0] == version:
+            self.dag_memo_hits += 1
+            return memoized[1]
 
         self.dag_plans += 1
         if skeleton_trees is not None:
             trees: list[JoinTree | Leaf] = list(skeleton_trees)
         else:
-            t0 = time.perf_counter()
             base_tree = self.dag_planner.choose_join_tree(query)
-            t1 = time.perf_counter()
-            self.stage_times["join_order"] += t1 - t0
             trees = [base_tree]
             if self.explore_bushy and len(query.tables) >= 4:
                 base_relations = {
@@ -178,19 +156,14 @@ class BiObjectiveOptimizer:
                     self.dag_planner.estimator,
                     max_variants=self.max_variants,
                 )
-                self.stage_times["bushy"] += time.perf_counter() - t1
 
-        t2 = time.perf_counter()
         variants = []
         for tree in trees:
             plan = self.dag_planner.plan_with_tree(query, tree)
             variants.append(
                 PlannedVariant(tree=tree, plan=plan, dag=decompose_pipelines(plan))
             )
-        self.stage_times["physical"] += time.perf_counter() - t2
-
-        if self._dag_memo is not None:
-            self._dag_memo[query] = (version, variants)
+        self._dag_memo[query] = (version, variants)
         return variants
 
     def variant_trees(self, query: BoundQuery) -> tuple[JoinTree | Leaf, ...]:
@@ -213,8 +186,6 @@ class BiObjectiveOptimizer:
         template skeleton (see :meth:`dag_variants`).
         """
         variants = self.dag_variants(query, skeleton_trees=skeleton_trees)
-
-        t0 = time.perf_counter()
         best: PlanChoice | None = None
         for index, variant in enumerate(variants):
             dop_plan = self.dop_planner.plan(variant.dag, constraint)
@@ -229,7 +200,6 @@ class BiObjectiveOptimizer:
             )
             if best is None or _better(choice, best, constraint):
                 best = choice
-        self.stage_times["dop"] += time.perf_counter() - t0
         assert best is not None
         return best
 
@@ -245,21 +215,19 @@ class BiObjectiveOptimizer:
         left-deep base plan (``bushy_variants`` keeps the original tree
         first), so no planning is repeated.
         """
-        version = self.catalog.version
-        if self._dag_memo is not None:
-            memoized = self._dag_memo.get(query)
-            if memoized is not None and memoized[0] == version:
-                self.dag_memo_hits += 1
-                variant = memoized[1][0]
-                return PlanChoice(
-                    plan=variant.plan,
-                    dag=variant.dag,
-                    dop_plan=self.dop_planner.plan(variant.dag, constraint),
-                    join_tree=variant.tree,
-                    variant_index=0,
-                    bushiness=bushiness(variant.tree),
-                    variants_considered=1,
-                )
+        memoized = self._dag_memo.get(query)
+        if memoized is not None and memoized[0] == self.catalog.version:
+            self.dag_memo_hits += 1
+            variant = memoized[1][0]
+            return PlanChoice(
+                plan=variant.plan,
+                dag=variant.dag,
+                dop_plan=self.dop_planner.plan(variant.dag, constraint),
+                join_tree=variant.tree,
+                variant_index=0,
+                bushiness=bushiness(variant.tree),
+                variants_considered=1,
+            )
         self.dag_plans += 1
         tree = self.dag_planner.choose_join_tree(query)
         plan = self.dag_planner.plan_with_tree(query, tree)

@@ -27,8 +27,7 @@ and a pipeline built without one simply skips it:
   cardinality re-estimation over the cached shapes, and the incremental
   DOP search — bit-identical to fresh optimization whenever the new
   literals would lead the DP to the same shapes (enforced on the
-  workload suite by ``tests/cost/test_estimation_parity.py`` and the
-  benchmark's parity guard).
+  workload suite by ``tests/cost/test_estimation_parity.py``).
 
 The stats version inside every key is the invalidation story: any
 catalog mutation (stats refresh, recluster, MV creation, table DDL)
@@ -112,16 +111,11 @@ class _LruStats:
         capacity: int,
         name: str,
         *,
-        stripes: int | None = None,
         policy: RetentionPolicy | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"{name} capacity must be >= 1, got {capacity}")
-        if stripes is None:
-            stripes = max(1, min(_MAX_STRIPES, capacity // _MIN_STRIPE_CAPACITY))
-        if stripes < 1:
-            raise ValueError(f"{name} stripe count must be >= 1, got {stripes}")
-        stripes = min(stripes, capacity)
+        stripes = max(1, min(_MAX_STRIPES, capacity // _MIN_STRIPE_CAPACITY))
         self.capacity = capacity
         self.name = name
         #: Who decides evictions; one policy instance per cache (its

@@ -39,9 +39,9 @@ def skeleton_key(template_key: tuple, constraint: "Constraint", version: int) ->
     key hygiene (DAG planning never reads the constraint); it costs one
     extra DP per template and kind.  Skeleton reuse trusts the
     template's join shapes to be stable under literal changes — enforced
-    for the workload suite by the parity tests and the benchmark guard;
-    a template whose literals swing the join-order DP would be
-    re-planned on its cached shapes."""
+    for the workload suite by the parity tests; a template whose
+    literals swing the join-order DP would be re-planned on its cached
+    shapes."""
     return (template_key, "sla" if constraint.is_sla else "budget", version)
 
 
@@ -142,7 +142,7 @@ class PlanningPipeline:
 
         ``on_bound`` fires as soon as the bound query is available (the
         serving layer stamps the handle's ``BOUND`` transition with it).
-        ``guard`` (when resilience is enabled) wraps the ``bind`` and
+        ``guard`` (the serving layer's, per request) wraps the ``bind`` and
         ``optimize`` fault points with retry/deadline/fault-injection
         handling; an exact hit bypasses both — a cached plan needs no
         binding or optimization, so there is nothing to fail.

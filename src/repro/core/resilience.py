@@ -249,19 +249,17 @@ class CircuitBreaker:
 class ResiliencePolicy:
     """Warehouse-level resilience configuration.
 
-    ``enabled=False`` removes every wrapper (the benchmark's A/B
-    baseline: the pre-resilience serving path, byte for byte).  Stage
-    deadlines are keyed by fault-point name (``bind`` / ``optimize`` /
-    ``simulate``); the request deadline spans all of one submission's
-    stages.  ``degraded_fallback`` controls whether an ``optimize``
-    deadline falls back to degraded-mode planning instead of failing.
+    Stage deadlines are keyed by fault-point name (``bind`` /
+    ``optimize`` / ``simulate``); the request deadline spans all of one
+    submission's stages.  ``degraded_fallback`` controls whether an
+    ``optimize`` deadline falls back to degraded-mode planning instead
+    of failing.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     request_deadline_s: float | None = None
     stage_deadline_s: Mapping[str, float] = field(default_factory=dict)
     degraded_fallback: bool = True
-    enabled: bool = True
 
 
 class ResilienceStats:

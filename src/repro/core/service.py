@@ -7,7 +7,7 @@ arguments.  This module is the warehouse's public serving API:
 
 - :class:`QueryRequest` — one frozen value object describing a
   submission: the SQL, the user constraint, and the execution /
-  simulation options that used to sprawl across ``submit()`` kwargs.
+  simulation options.
 - :class:`QueryHandle` — the lifecycle of one submission
   (``QUEUED -> BOUND -> PLANNED -> SIMULATED -> DONE/FAILED``) with
   per-stage wall timings and ``result()`` returning the
@@ -38,7 +38,6 @@ serving is a multi-tenant scheduling problem, not a single call.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -515,7 +514,7 @@ class Session:
         *,
         constraint: Constraint | None = None,
         fail_fast: bool = False,
-        max_workers: int | None = None,
+        max_workers: int = 1,
     ) -> list[QueryHandle]:
         """Serve a batch of requests through the :class:`ServingScheduler`.
 
@@ -698,10 +697,9 @@ class Session:
         Deterministic given the request (caches only memoize pure
         planning functions and the simulator derives its own RNG), so
         outcomes, logs, and billing are exact on scheduler threads.
-        The optimizer/estimator *observability counters* (stage times,
-        memo hits, timing-evaluation counts) are updated without locks
-        and may under-count slightly under a concurrent batch; the
-        benchmark measures them on single-threaded runs only.
+        The optimizer/estimator *observability counters* (memo hits,
+        timing-evaluation counts) are updated without locks and may
+        under-count slightly under a concurrent batch.
         ``remote_plan`` blocks for a plan a worker process was sent
         ahead of time, in place of planning here.
         """
@@ -727,11 +725,7 @@ class Session:
             else:
                 planned = remote_plan()
         except DeadlineExceededError as exc:
-            if (
-                guard is None
-                or exc.stage != "optimize"
-                or not warehouse.resilience.degraded_fallback
-            ):
+            if exc.stage != "optimize" or not warehouse.resilience.degraded_fallback:
                 raise
             # Degraded-mode serving: an optimize timeout (or a planner
             # worker unresponsive past it) never fails the batch.  Fall
@@ -1000,11 +994,9 @@ class ServingScheduler:
         self,
         session: Session,
         *,
-        max_workers: int | None = None,
+        max_workers: int = 1,
         fail_fast: bool = False,
     ) -> None:
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 2)
         if max_workers < 1:
             raise ReproError(f"max_workers must be >= 1, got {max_workers}")
         self.session = session

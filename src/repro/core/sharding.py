@@ -510,11 +510,9 @@ class PlannerWorkerPool:
     def _liveness_timeout(self) -> float:
         if self.liveness_timeout_s is not None:
             return self.liveness_timeout_s
-        policy = self.warehouse.resilience
-        if policy.enabled:
-            stage_deadline = policy.stage_deadline_s.get("optimize")
-            if stage_deadline is not None:
-                return stage_deadline
+        stage_deadline = self.warehouse.resilience.stage_deadline_s.get("optimize")
+        if stage_deadline is not None:
+            return stage_deadline
         return _DEFAULT_LIVENESS_TIMEOUT_S
 
     def result_for(self, task_id: int) -> StagedPlan:

@@ -16,18 +16,14 @@ The public serving API lives in :mod:`repro.core.service`
 shared serving machinery — catalog, the planning pipeline
 (:mod:`repro.core.planning`: binder, optimizer, applied-MV rewrite and
 the lock-striped three-level plan-cache stack), the Statistics Service
-log, and per-tenant billing — and keeps
-:meth:`CostIntelligentWarehouse.submit` /
-:meth:`~CostIntelligentWarehouse.submit_many` as thin shims over the
-default session so existing callers work unchanged.
+log, and per-tenant billing; :meth:`CostIntelligentWarehouse.session`
+is the way in.
 
 The tuning surface mirrors it in :mod:`repro.tuning.service`:
 ``warehouse.tuning`` is a persistent
 :class:`~repro.tuning.service.TuningService` whose typed
 :class:`~repro.tuning.service.Recommendation`\\ s are applied and rolled
-back with full serving-cache coherence;
-:meth:`~CostIntelligentWarehouse.run_tuning_cycle` is the deprecated
-shim over it.
+back with full serving-cache coherence.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ from repro.core.resilience import (
     ResilienceStats,
     StageGuard,
 )
-from repro.core.service import QueryOutcome, QueryRequest, Session, TenantBill
+from repro.core.service import Session, TenantBill
 from repro.sql.parameterize import parameterize_sql
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
@@ -92,7 +88,6 @@ from repro.plan.expressions import referenced_columns
 from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig, SimResult
 from repro.sql.binder import BoundQuery
 from repro.statsvc.logs import QueryLogStore, QueryRecord
-from repro.tuning.advisor import AdvisorProposals
 from repro.tuning.mv import MVCandidate
 from repro.tuning.service import TuningPolicy, TuningService
 
@@ -203,7 +198,6 @@ class CostIntelligentWarehouse:
         #: the stats version it was bound under so the tuning advisor
         #: never reasons over bindings from stale statistics.
         self._template_queries: dict[str, tuple[int, BoundQuery]] = {}
-        self._default_session = Session(self)
         #: The persistent tuning service (lazily created on first use);
         #: ``tuning_policy`` configures cadence / budgets / auto-apply.
         self.tuning_policy = tuning_policy
@@ -222,10 +216,9 @@ class CostIntelligentWarehouse:
         #: templates alive under eviction pressure.
         #: Failure-domain hardening (see :mod:`repro.core.resilience`).
         #: The policy configures per-stage retries/deadlines and the
-        #: degraded-mode fallback; ``resilience=ResiliencePolicy(
-        #: enabled=False)`` is the unwrapped A/B baseline.  ``faults``
-        #: holds the active :class:`~repro.testing.faults.FaultPlan`
-        #: (``None`` outside chaos testing — see :meth:`inject_faults`).
+        #: degraded-mode fallback.  ``faults`` holds the active
+        #: :class:`~repro.testing.faults.FaultPlan` (``None`` outside
+        #: chaos testing — see :meth:`inject_faults`).
         self.resilience = resilience or ResiliencePolicy()
         self.resilience_stats = ResilienceStats()
         self.faults = None
@@ -422,10 +415,7 @@ class CostIntelligentWarehouse:
         return {(name,): read(cache) for name, cache in self.planning.levels()}
 
     def _timing_cache_source(self, field: str) -> dict:
-        cache = self.estimator.models.cache
-        if cache is None:
-            return {}
-        stats = cache.stats
+        stats = self.estimator.models.cache.stats
         return {
             (kind,): getattr(stats, f"{kind}_{field}")
             for kind in ("timing", "curve", "plan")
@@ -590,103 +580,12 @@ class CostIntelligentWarehouse:
             template_namespace=template_namespace,
         )
 
-    def submit(
-        self,
-        sql: str,
-        constraint: Constraint,
-        *,
-        template: str = "adhoc",
-        at_time: float | None = None,
-        policy: str | ScalingPolicy = "dop-monitor",
-        execute_locally: bool = False,
-        simulate: bool = True,
-        truth: dict[int, float] | None = None,
-        use_plan_cache: bool = True,
-    ) -> QueryOutcome:
-        """Optimize, (optionally) execute locally, and simulate one query.
-
-        Thin shim over the default :class:`~repro.core.service.Session`:
-        builds a :class:`~repro.core.service.QueryRequest` and returns
-        ``session.submit(request).result()``.  ``truth`` overrides
-        plan-node cardinalities in the simulator; when
-        ``execute_locally`` is set and the warehouse holds real data,
-        true cardinalities come from actual execution instead.
-        ``use_plan_cache=False`` forces a fresh plan.
-        """
-        request = QueryRequest(
-            sql=sql,
-            constraint=constraint,
-            template=template,
-            at_time=at_time,
-            policy=policy,
-            execute_locally=execute_locally,
-            simulate=simulate,
-            truth=truth,
-            use_plan_cache=use_plan_cache,
-        )
-        handle = self._default_session.submit(request)
-        if handle.error is not None and handle.error.cause is not None:
-            # Legacy contract: submit() raises the original error type
-            # (BindError, ParseError, ...), not the serving wrapper —
-            # pre-redesign callers catch concrete subclasses.
-            raise handle.error.cause
-        return handle.result()
-
-    def submit_many(
-        self,
-        queries: Iterable[str | tuple[str, Constraint] | QueryRequest],
-        *,
-        constraint: Constraint | None = None,
-        max_workers: int = 1,
-        **submit_kwargs,
-    ) -> list[QueryOutcome]:
-        """Submit a batch through the default session's scheduler.
-
-        ``queries`` yields SQL strings (planned under the shared
-        ``constraint``), ``(sql, constraint)`` pairs, or full
-        :class:`~repro.core.service.QueryRequest`\\ s.  Remaining keyword
-        arguments become request fields — batch-wide settings that also
-        override the corresponding fields of explicit ``QueryRequest``
-        items, and the shared ``constraint`` fills any request without
-        one.  ``max_workers`` > 1 plans on
-        the concurrent :class:`~repro.core.service.ServingScheduler`
-        (bit-identical outcomes, deterministic log order).  A failing
-        item aborts the batch with a
-        :class:`~repro.errors.QueryFailedError` naming the item (an
-        admission denial aborts with the typed
-        :class:`~repro.errors.AdmissionDeniedError`); use
-        :meth:`Session.submit_many` with ``fail_fast=False`` for
-        per-handle error reporting instead.
-        """
-        requests: list[QueryRequest] = []
-        for item in queries:
-            if isinstance(item, QueryRequest):
-                request = item.replace(**submit_kwargs) if submit_kwargs else item
-                if request.constraint is None and constraint is not None:
-                    request = request.replace(constraint=constraint)
-            elif isinstance(item, str):
-                if constraint is None:
-                    raise ReproError(
-                        "submit_many needs a shared constraint for bare SQL items"
-                    )
-                request = QueryRequest(sql=item, constraint=constraint, **submit_kwargs)
-            else:
-                sql, item_constraint = item
-                request = QueryRequest(
-                    sql=sql, constraint=item_constraint, **submit_kwargs
-                )
-            requests.append(request)
-        handles = self._default_session.submit_many(
-            requests, fail_fast=True, max_workers=max_workers
-        )
-        return [handle.result() for handle in handles]
-
     def plan(
         self, sql: str, constraint: Constraint, *, use_plan_cache: bool = True
     ) -> tuple[BoundQuery, PlanChoice]:
         """Bind + optimize one query without executing or logging it.
 
-        This is the planning walk :meth:`submit` uses (see
+        This is the planning walk serving uses (see
         :meth:`repro.core.planning.PlanningPipeline.plan`): exact hit,
         else binding hit or bind, MV rewrite, skeleton hit (re-plan
         cached join shapes under fresh literals) or full optimization.
@@ -743,18 +642,15 @@ class CostIntelligentWarehouse:
         if decision is not None and decision.error is not None:
             raise decision.error
 
-    def _stage_guard(self, tenant: str | None) -> StageGuard | None:
+    def _stage_guard(self, tenant: str | None) -> StageGuard:
         """One per-request :class:`~repro.core.resilience.StageGuard`.
 
-        ``None`` when resilience is disabled (the unwrapped A/B
-        baseline).  The retry allowance is budget-aware: the tenant's
-        current admission verdict (a lock-free peek — advisory, never
-        counted) maps to a pressure ordinal that shrinks the attempts a
-        near-DENY tenant may burn.
+        The retry allowance is budget-aware: the tenant's current
+        admission verdict (a lock-free peek — advisory, never counted)
+        maps to a pressure ordinal that shrinks the attempts a near-DENY
+        tenant may burn.
         """
         policy = self.resilience
-        if not policy.enabled:
-            return None
         attempts = policy.retry.max_attempts
         if tenant is not None and self.admission.active:
             verdict = self.admission.peek(tenant, self.billing.get(tenant))
@@ -967,7 +863,6 @@ class CostIntelligentWarehouse:
             ),
             "deadline_hits": metrics.value("repro_deadline_hits_total"),
             "degraded_queries": metrics.value("repro_degraded_queries_total"),
-            "enabled": self.resilience.enabled,
         }
         last_error = self._tuning.last_error if self._tuning is not None else None
         tuning = {
@@ -1137,8 +1032,7 @@ class CostIntelligentWarehouse:
         (benchmark warmup: report steady-state rates only)."""
         for _, cache in self.planning.levels():
             cache.reset_stats()
-        if self.estimator.models.cache is not None:
-            self.estimator.models.cache.stats.reset()
+        self.estimator.models.cache.stats.reset()
         self.optimizer.reset_counters()
         self.admission.reset_stats()
         # Retry / deadline / degraded tallies are warmup noise too: a
@@ -1154,11 +1048,10 @@ class CostIntelligentWarehouse:
         """Hit-rate and governance observability across serving caches.
 
         Reports the exact plan cache, the template skeleton cache, and
-        the estimator's cost-curve cache — the numbers the
-        throughput benchmark records next to its speedups — plus, per
-        cache, the retention policy's name and its eviction count, and an
-        ``admission`` block with per-tenant verdict counts (empty until a
-        tenant budget is configured).
+        the estimator's cost-curve cache, plus, per cache, the retention
+        policy's name and its eviction count, and an ``admission`` block
+        with per-tenant verdict counts (empty until a tenant budget is
+        configured).
 
         Like :meth:`describe_health`, every number is a read-only view
         over the metrics registry's sourced providers; only the policy
@@ -1191,17 +1084,16 @@ class CostIntelligentWarehouse:
         ):
             verdicts.setdefault(tenant, {})[verdict] = count
         report["admission"] = verdicts
-        if self.estimator.models.cache is not None:
-            cache_hits = metrics.sourced("repro_timing_cache_hits_total")
-            computations = metrics.sourced("repro_timing_cache_computations_total")
-            block: dict[str, float] = {}
-            for kind in ("timing", "curve", "plan"):
-                kind_hits = cache_hits.get((kind,), 0)
-                total = kind_hits + computations.get((kind,), 0)
-                block[f"{kind}_hits"] = kind_hits
-                block[f"{kind}_computations"] = computations.get((kind,), 0)
-                block[f"{kind}_hit_rate"] = kind_hits / total if total else 0.0
-            report["timing_cache"] = block
+        cache_hits = metrics.sourced("repro_timing_cache_hits_total")
+        computations = metrics.sourced("repro_timing_cache_computations_total")
+        block: dict[str, float] = {}
+        for kind in ("timing", "curve", "plan"):
+            kind_hits = cache_hits.get((kind,), 0)
+            total = kind_hits + computations.get((kind,), 0)
+            block[f"{kind}_hits"] = kind_hits
+            block[f"{kind}_computations"] = computations.get((kind,), 0)
+            block[f"{kind}_hit_rate"] = kind_hits / total if total else 0.0
+        report["timing_cache"] = block
         return report
 
     def _simulate(
@@ -1457,30 +1349,3 @@ class CostIntelligentWarehouse:
         if policy is None or not policy.recurring:
             return
         self.tuning.maybe_run_cycle()
-
-    def run_tuning_cycle(
-        self,
-        *,
-        apply: bool = False,
-        storage_budget_bytes: float | None = None,
-    ) -> AdvisorProposals:
-        """One advisor pass over the logged workload.
-
-        .. deprecated::
-            Thin shim over :attr:`tuning` for pre-redesign callers.
-            Prefer the typed lifecycle — ``warehouse.tuning.propose()``
-            returns :class:`~repro.tuning.service.Recommendation`\\ s
-            that can be applied *and rolled back* individually, with
-            background spend metered per tenant.
-
-        With ``apply=True``, accepted actions run on background compute
-        (physically when the warehouse holds data).
-        """
-        service = self.tuning
-        recommendations = service.propose(
-            storage_budget_bytes=storage_budget_bytes
-        )
-        if apply:
-            service.apply_all(recommendations)
-        assert service.last_proposals is not None
-        return service.last_proposals

@@ -19,8 +19,9 @@ models are stated twice, on purpose:
 - **readably** — :func:`repro.cost.volumes.pipeline_volumes` derives each
   operator's data flow and
   :meth:`repro.cost.operator_models.OperatorModels.op_time` prices one
-  operator from it.  ``CostEstimator(enable_cache=False)`` evaluates
-  exactly this, per call; it is the reference.
+  operator from it.  :mod:`repro.testing.reference` evaluates exactly
+  this, per call; it is the reference, and production code cannot
+  import it.
 - **compiled** — for a fixed ``(pipeline, overrides)`` only the DOP
   varies, so :mod:`repro.cost.curve` walks the operator chain once and
   turns each operator into a flat numeric term (scan, linear rate,
@@ -77,10 +78,9 @@ hardware and exchange calibration they were compiled with, so call it
 after replacing either.  The compiled path is bit-identical to the
 reference — enforced by ``tests/cost/test_estimation_parity.py`` (every
 TPC-H pipeline and generated ad-hoc shapes x DOP 1..64 x five override
-modes; search trajectories against the naive per-candidate search), a
-``hypothesis`` sweep over arbitrary operator chains in
-``tests/properties/``, and the A/B guard in
-``benchmarks/bench_optimizer_throughput.py``.
+modes; search trajectories against the naive per-candidate search) and
+a ``hypothesis`` sweep over arbitrary operator chains in
+``tests/properties/``.
 ``CostIntelligentWarehouse.describe_caches()`` reports hit rates across
 every level.
 """

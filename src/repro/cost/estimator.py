@@ -22,8 +22,8 @@ after a recalibration.
   lookup.  Values never reference the DAG (a value that did would pin
   its own weak key).
 
-``enable_cache=False`` builds none of them: the reference the parity
-suite compares against.
+:class:`repro.testing.reference.ReferenceEstimator` builds none of them:
+the reference the parity suite compares against.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
 class CostEstimator:
     """Predicts latency / machine time / dollars for plan fragments.
 
-    ``enable_cache=True`` (the default) prices pipelines from compiled
-    cost curves (:mod:`repro.cost.curve`, shared through
-    :mod:`repro.cost.timing_cache`) and memoizes per-DAG scan fees,
-    schedule sweepers and finished DOP searches (see the module
-    docstring); results are bit-identical to the uncached path,
-    which evaluates ``pipeline_volumes`` + ``op_time`` per call and is
-    the reference the parity suite compares against.
+    Prices pipelines from compiled cost curves (:mod:`repro.cost.curve`,
+    shared through :mod:`repro.cost.timing_cache`) and memoizes per-DAG
+    scan fees, schedule sweepers and finished DOP searches (see the
+    module docstring); results are bit-identical to evaluating
+    ``pipeline_volumes`` + ``op_time`` per call, which
+    :mod:`repro.testing.reference` does for the parity suite.
     """
 
     def __init__(
@@ -57,40 +56,28 @@ class CostEstimator:
         exchange_calibration: ExchangeCalibration | None = None,
         *,
         price_per_node_second: float | None = None,
-        enable_cache: bool = True,
     ) -> None:
         self.hw = hardware or HardwareCalibration()
-        self.models = OperatorModels(
-            self.hw, exchange_calibration, enable_cache=enable_cache
-        )
+        self.models = OperatorModels(self.hw, exchange_calibration)
         self.price_per_node_second = (
             price_per_node_second
             if price_per_node_second is not None
             else self.hw.node.price_per_second
         )
-        self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] | None = (
-            WeakKeyDictionary() if enable_cache else None
+        self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] = (
+            WeakKeyDictionary()
         )
-        self._sweepers: WeakKeyDictionary[PipelineDag, ScheduleSweeper] | None = (
-            WeakKeyDictionary() if enable_cache else None
+        self._sweepers: WeakKeyDictionary[PipelineDag, ScheduleSweeper] = (
+            WeakKeyDictionary()
         )
-        self._plan_memo: WeakKeyDictionary[PipelineDag, dict] | None = (
-            WeakKeyDictionary() if enable_cache else None
-        )
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self.models.cache is not None
+        self._plan_memo: WeakKeyDictionary[PipelineDag, dict] = WeakKeyDictionary()
 
     def invalidate_caches(self) -> None:
         """Drop all memoized state (after hardware/model recalibration)."""
         self.models.invalidate_cache()
-        if self._scan_dollars_cache is not None:
-            self._scan_dollars_cache.clear()
-        if self._sweepers is not None:
-            self._sweepers.clear()
-        if self._plan_memo is not None:
-            self._plan_memo.clear()
+        self._scan_dollars_cache.clear()
+        self._sweepers.clear()
+        self._plan_memo.clear()
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -116,8 +103,6 @@ class CostEstimator:
         """The DAG's schedule sweeper: its structure as positional
         indexes, built once and shared by every DOP search over ``dag``
         (the optimizer's and the DOP monitor's replans alike)."""
-        if self._sweepers is None:
-            return ScheduleSweeper(dag, self.models)
         sweeper = self._sweepers.get(dag)
         if sweeper is None:
             sweeper = self._sweepers[dag] = ScheduleSweeper(dag, self.models)
@@ -129,8 +114,6 @@ class CostEstimator:
         """The ``(dops, feasible, evaluations)`` a DOP search over
         ``dag`` under ``key`` ended with, if one already ran (the
         caller copies ``dops`` before handing it out)."""
-        if self._plan_memo is None:
-            return None
         searched = self._plan_memo.get(dag)
         found = searched.get(key) if searched is not None else None
         if found is not None:
@@ -146,8 +129,6 @@ class CostEstimator:
         evaluations: int,
     ) -> None:
         """Record a finished DOP search over ``dag`` under ``key``."""
-        if self._plan_memo is None:
-            return
         self.models.cache.stats.plan_computations += 1
         searched = self._plan_memo.get(dag)
         if searched is None:
@@ -184,9 +165,7 @@ class CostEstimator:
     # ------------------------------------------------------------------ #
     def scan_request_dollars(self, dag: PipelineDag) -> float:
         """Object-store GET fees for the plan's scans (DOP-independent,
-        memoized per DAG when caching is enabled)."""
-        if self._scan_dollars_cache is None:
-            return self._compute_scan_request_dollars(dag)
+        memoized per DAG)."""
         dollars = self._scan_dollars_cache.get(dag)
         if dollars is None:
             dollars = self._compute_scan_request_dollars(dag)

@@ -26,8 +26,8 @@ from repro.cost.curve import (
 )
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.regression import ExchangeCalibration
-from repro.cost.timing_cache import TimingCache, TimingCacheStats
-from repro.cost.volumes import OpVolume, pipeline_volumes
+from repro.cost.timing_cache import TimingCache
+from repro.cost.volumes import OpVolume
 from repro.errors import EstimationError
 from repro.plan.physical import (
     ExchangeKind,
@@ -52,36 +52,27 @@ from repro.plan.pipelines import (
 class OperatorModels:
     """Evaluates operator and pipeline times from volumes and DOP.
 
-    With the cache enabled (the default) every pipeline-level question is
-    answered from the pipeline's compiled :class:`PipelineCurve`;
-    ``enable_cache=False`` answers from :func:`pipeline_volumes` +
-    :meth:`op_time` directly — the readable statement of the models and
-    the reference the curves are tested against.
+    Every pipeline-level question is answered from the pipeline's
+    compiled :class:`PipelineCurve`; :meth:`op_time` is the readable
+    statement of the models, which the curves are held to bit for bit by
+    the per-call evaluator in :mod:`repro.testing.reference`.
     """
 
     def __init__(
         self,
         hardware: HardwareCalibration | None = None,
         exchange_calibration: ExchangeCalibration | None = None,
-        *,
-        enable_cache: bool = True,
     ) -> None:
         self.hw = hardware or HardwareCalibration()
         self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
-        self.cache: TimingCache | None = TimingCache() if enable_cache else None
-        self._stats = self.cache.stats if self.cache is not None else TimingCacheStats()
+        self.cache = TimingCache()
         self._curve_constants: tuple = (None, ())  # (the hw they were read from, them)
 
     @property
     def timing_computations(self) -> int:
         """Count of actual timing-model evaluations (curve evaluations
-        that missed the per-DOP memo when the cache is on, every call
-        when it is off) — the benchmark metric."""
-        return self._stats.timing_computations
-
-    @timing_computations.setter
-    def timing_computations(self, value: int) -> None:
-        self._stats.timing_computations = value
+        that missed the per-DOP memo)."""
+        return self.cache.stats.timing_computations
 
     # ------------------------------------------------------------------ #
     # Pipeline-level API
@@ -89,10 +80,8 @@ class OperatorModels:
     def curve(
         self, pipeline: Pipeline, overrides: dict[int, float] | None = None
     ) -> PipelineCurve:
-        """The pipeline's compiled cost curve under ``overrides`` (shared
-        through the cache when it is enabled, compiled afresh otherwise)."""
-        if self.cache is None:
-            return self._compile(pipeline, overrides)
+        """The pipeline's compiled cost curve under ``overrides``, shared
+        through the cache."""
         return self.cache.curve(pipeline, overrides, self._compile)
 
     def _compile(
@@ -102,7 +91,12 @@ class OperatorModels:
         if self._curve_constants[0] is not hw:
             self._curve_constants = (hw, curve_constants(hw))
         return compile_curve(
-            pipeline, overrides, hw, self.exchange, self._curve_constants[1], self._stats
+            pipeline,
+            overrides,
+            hw,
+            self.exchange,
+            self._curve_constants[1],
+            self.cache.stats,
         )
 
     def durations(
@@ -110,8 +104,6 @@ class OperatorModels:
     ) -> Callable[[int], float]:
         """``dop -> duration`` for one pipeline: one lookup, then as many
         DOP probes as the caller likes."""
-        if self.cache is None:
-            return lambda dop: self._compute_timing(pipeline, dop, overrides).duration
         return self.curve(pipeline, overrides).duration
 
     def pipeline_summary(
@@ -122,9 +114,6 @@ class OperatorModels:
     ) -> tuple[float, str, float]:
         """``(duration, bottleneck label, source_rows)`` at ``dop`` —
         :meth:`pipeline_timing` without the per-operator breakdown."""
-        if self.cache is None:
-            timing = self._compute_timing(pipeline, dop, overrides)
-            return timing.duration, timing.bottleneck, timing.source_rows
         return self.curve(pipeline, overrides).summary(dop)
 
     def pipeline_timing(
@@ -135,40 +124,11 @@ class OperatorModels:
     ) -> PipelineTiming:
         """Duration of ``pipeline`` at ``dop`` (streaming bottleneck
         model) with its per-operator times."""
-        if self.cache is None:
-            return self._compute_timing(pipeline, dop, overrides)
         return self.curve(pipeline, overrides).timing(dop)
 
     def invalidate_cache(self) -> None:
         """Drop compiled curves (after model recalibration)."""
-        if self.cache is not None:
-            self.cache.invalidate()
-
-    def _compute_timing(
-        self,
-        pipeline: Pipeline,
-        dop: int,
-        overrides: dict[int, float] | None,
-    ) -> PipelineTiming:
-        """The reference path: volumes, then one ``op_time`` per operator."""
-        self._stats.timing_computations += 1
-        volumes = pipeline_volumes(pipeline, dop, overrides)
-        op_times = [
-            self.op_time(volume, dop, pipeline=pipeline, index=i)
-            for i, volume in enumerate(volumes)
-        ]
-        stream = max((t.stream_s for t in op_times), default=0.0)
-        fixed = sum(t.fixed_s for t in op_times) + self.hw.pipeline_startup_s
-        bottleneck = ""
-        if op_times:
-            bottleneck = max(op_times, key=lambda t: t.stream_s).label
-        source_rows = volumes[0].rows_out if volumes else 0.0
-        return PipelineTiming(
-            duration=stream + fixed,
-            bottleneck=bottleneck,
-            op_times=op_times,
-            source_rows=source_rows,
-        )
+        self.cache.invalidate()
 
     def throughput(
         self,

@@ -24,8 +24,9 @@ only the pipeline that owns the overridden node does.
 
 Correctness contract (enforced by the parity suite in
 ``tests/cost/test_estimation_parity.py``): a curve performs exactly the
-float operations the uncached ``pipeline_volumes`` + ``op_time`` path
-performs, so estimates are bit-identical with caching on or off.
+float operations the per-call ``pipeline_volumes`` + ``op_time``
+reference (:mod:`repro.testing.reference`) performs, so estimates are
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def overrides_key(overrides: dict[int, float] | None) -> tuple | None:
 
 @dataclass
 class TimingCacheStats:
-    """Hit/miss counters (the benchmarks read these).
+    """Hit/miss counters (``describe_caches()["timing_cache"]``).
 
     ``timing_*`` count per-DOP duration lookups on the curves;
     ``curve_*`` count curve lookups and compilations (one volume walk

@@ -39,10 +39,10 @@ recorded.  The memo lives with the DAG (weakly keyed) and is dropped by
 replans, and every replan of a plan served again from the exact plan
 cache, are answered there.
 
-``DopPlanner(incremental=False)`` swaps in a coster that fully
-re-estimates every candidate and never reads or writes the memo: the
-reference the parity suite holds the tables to — same trajectory, same
-evaluation count, same floats.
+The parity suite runs the same search phases over
+:class:`repro.testing.reference.NaiveCoster` — every candidate fully
+re-estimated, the memo neither read nor written — and holds the tables
+to it: same trajectory, same evaluation count, same floats.
 """
 
 from __future__ import annotations
@@ -159,39 +159,6 @@ class _IncrementalCoster:
         return results
 
 
-class _NaiveCoster:
-    """Full re-estimation per candidate: the reference behind
-    ``DopPlanner(incremental=False)`` that the parity suite compares the
-    table-driven search against."""
-
-    def __init__(
-        self,
-        estimator: CostEstimator,
-        dag: PipelineDag,
-        overrides: dict[int, float] | None,
-    ) -> None:
-        self.estimator = estimator
-        self.dag = dag
-        self.overrides = overrides
-        self.evaluations = 0
-
-    def metrics(self, dops: dict[int, int]) -> tuple[float, float]:
-        self.evaluations += 1
-        estimate = self.estimator.estimate_dag(self.dag, dops, self.overrides)
-        return estimate.latency, estimate.total_dollars
-
-    def price_moves(
-        self,
-        dops: dict[int, int],
-        candidates: list[tuple[int, int]],
-        prune_gainless: bool = False,
-    ) -> Iterator[tuple[float, float]]:
-        for pid, new_dop in candidates:
-            trial = dict(dops)
-            trial[pid] = new_dop
-            yield self.metrics(trial)
-
-
 class DopPlan:
     """A DOP assignment plus its predicted cost profile.
 
@@ -268,12 +235,10 @@ class DopPlanner:
         *,
         max_dop: int = 64,
         enforce_sla_strictly: bool = False,
-        incremental: bool = True,
     ) -> None:
         self.estimator = estimator
         self.max_dop = max_dop
         self.enforce_sla_strictly = enforce_sla_strictly
-        self.incremental = incremental
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -291,19 +256,17 @@ class DopPlanner:
             self.max_dop,
             self.enforce_sla_strictly,
         )
-        found = estimator.recall_plan(dag, key) if self.incremental else None
+        found = estimator.recall_plan(dag, key)
         if found is not None:
             dops, feasible, evaluations = found
             dops = dict(dops)
         else:
-            coster_cls = _IncrementalCoster if self.incremental else _NaiveCoster
-            coster = coster_cls(estimator, dag, overrides)
+            coster = _IncrementalCoster(estimator, dag, overrides)
             search = self._plan_for_sla if constraint.is_sla else self._plan_for_budget
             dops, feasible = search(dag, constraint, overrides, coster)
             # The final estimate, built on first read, is one more.
             evaluations = coster.evaluations + 1
-            if self.incremental:
-                estimator.remember_plan(dag, key, dops, feasible, evaluations)
+            estimator.remember_plan(dag, key, dops, feasible, evaluations)
         plan = DopPlan(
             dops=dops,
             estimate=partial(estimator.estimate_dag, dag, dops, overrides),
@@ -326,7 +289,7 @@ class DopPlanner:
         dag: PipelineDag,
         constraint: Constraint,
         overrides: dict[int, float] | None,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
     ) -> tuple[dict[int, int], bool]:
         sla = constraint.bound()
         dops = {p.pipeline_id: 1 for p in dag}
@@ -359,7 +322,7 @@ class DopPlanner:
         dollars: float,
         sla: float,
         feasible: bool,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
     ) -> dict[int, int]:
         """Sequential-greedy trim: each pipeline is considered once per
         round in ascending id order and an accepted halving takes effect
@@ -403,7 +366,7 @@ class DopPlanner:
         dops: dict[int, int],
         current_latency: float,
         current_dollars: float,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
         budget: float | None = None,
     ) -> tuple[dict[int, int], float, float] | None:
         """The doubling with the best latency gain per added dollar.
@@ -443,7 +406,7 @@ class DopPlanner:
         dag: PipelineDag,
         constraint: Constraint,
         overrides: dict[int, float] | None,
-        coster: _IncrementalCoster | _NaiveCoster,
+        coster: _IncrementalCoster,
     ) -> tuple[dict[int, int], bool]:
         budget = constraint.bound()
         dops = {p.pipeline_id: 1 for p in dag}

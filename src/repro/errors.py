@@ -151,8 +151,8 @@ class QueryFailedError(ReproError):
     The cause chain is carried in picklable form (``cause_type`` /
     ``cause_message`` strings plus the failing ``stage``) so handles can
     cross process boundaries; :attr:`cause` additionally keeps the live
-    exception object in-process for the legacy ``submit()`` re-raise
-    contract, but is dropped on pickling.
+    exception object in-process (for callers that want the concrete
+    ``BindError`` / ``ParseError``), but is dropped on pickling.
     """
 
     def __init__(

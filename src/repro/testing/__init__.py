@@ -1,5 +1,7 @@
 """Deterministic testing utilities (fault injection for chaos suites,
-lock-order sanitizing for deadlock detection).
+lock-order sanitizing for deadlock detection, and — imported explicitly
+as :mod:`repro.testing.reference` — the slow parity references the cost
+model and DOP search are held to).
 
 Separate from :mod:`repro.core` so production modules never import test
 machinery; the warehouse only *accepts* an injected

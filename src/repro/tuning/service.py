@@ -270,8 +270,7 @@ class TuningService:
     """The warehouse's persistent auto-tuning service.
 
     Owns one What-If Service, one advisor, and one background-compute
-    executor for the warehouse's lifetime (the old
-    ``run_tuning_cycle`` reconstructed all three per call), keeps the
+    executor for the warehouse's lifetime, keeps the
     full :class:`Recommendation` history, and guarantees serving-layer
     coherence: every apply/rollback flushes the plan, skeleton, and
     binding caches plus the advisor's template bindings, and registers /

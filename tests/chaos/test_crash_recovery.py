@@ -428,3 +428,7 @@ def test_warm_cache_rewarns_from_the_recovered_forecast():
     assert {
         t: b.ledger_snapshot() for t, b in recovered.billing.items()
     } == ref_bills
+
+
+def test_recovery_matrix_sweeps_at_least_twenty_seeds():
+    assert len(RECOVERY_SEEDS) >= 20

@@ -586,3 +586,7 @@ def test_statsvc_outage_never_fails_serving(catalog):
         ]
     )
     assert all(h.state is QueryState.DONE for h in handles)
+
+
+def test_chaos_matrix_sweeps_at_least_twenty_seeds():
+    assert len(CHAOS_SEEDS) >= 20

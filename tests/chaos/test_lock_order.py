@@ -118,3 +118,7 @@ def test_sanitized_warehouse_serving_is_bit_identical(catalog):
         )
 
     assert run(False) == run(True)
+
+
+def test_lock_order_sweep_covers_at_least_twenty_seeds():
+    assert len(LOCK_SWEEP_SEEDS) >= 20

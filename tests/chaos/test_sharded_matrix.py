@@ -175,3 +175,10 @@ def test_crash_sweep_covers_every_dispatch_boundary(catalog):
         kills, _, _ = stats
         boundaries_hit += kills
     assert boundaries_hit >= 6  # the sweep really killed workers
+
+
+def test_sharded_matrix_sweeps_at_least_twenty_seeds_with_worker_crashes():
+    from repro.testing import FAULT_POINTS
+
+    assert len(CHAOS_SEEDS) >= 20
+    assert "worker_crash" in FAULT_POINTS

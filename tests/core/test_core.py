@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.bioptimizer import BiObjectiveOptimizer
+from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
@@ -49,6 +50,12 @@ def test_infeasible_reported_not_raised(bioptimizer, big_binder):
 
 
 # --------------------------- warehouse -------------------------------- #
+def serve(warehouse, sql, constraint, **fields):
+    """One query through a default-tenant session; returns its outcome."""
+    request = QueryRequest(sql=sql, constraint=constraint, **fields)
+    return warehouse.session().submit(request).result()
+
+
 def test_warehouse_requires_catalog_or_db():
     with pytest.raises(ReproError):
         CostIntelligentWarehouse()
@@ -56,7 +63,8 @@ def test_warehouse_requires_catalog_or_db():
 
 def test_warehouse_submit_stats_only(big_catalog):
     wh = CostIntelligentWarehouse(catalog=big_catalog)
-    outcome = wh.submit(
+    outcome = serve(
+        wh,
         instantiate("scan_orders", seed=1),
         sla_constraint(20.0),
         template="scan_orders",
@@ -70,7 +78,8 @@ def test_warehouse_submit_stats_only(big_catalog):
 def test_warehouse_local_execution_needs_db(big_catalog):
     wh = CostIntelligentWarehouse(catalog=big_catalog)
     with pytest.raises(ReproError):
-        wh.submit(
+        serve(
+            wh,
             "SELECT count(*) AS c FROM orders",
             sla_constraint(5.0),
             execute_locally=True,
@@ -79,7 +88,8 @@ def test_warehouse_local_execution_needs_db(big_catalog):
 
 def test_warehouse_full_path_with_data(tpch_db):
     wh = CostIntelligentWarehouse(database=tpch_db)
-    outcome = wh.submit(
+    outcome = serve(
+        wh,
         "SELECT count(*) AS c FROM orders WHERE o_totalprice > 100000",
         sla_constraint(15.0),
         execute_locally=True,
@@ -116,12 +126,12 @@ def test_constraint_met_covers_budget(tpch_db):
     reports the budget check instead."""
     wh = CostIntelligentWarehouse(database=tpch_db)
     sql = "SELECT count(*) AS c FROM orders WHERE o_totalprice > 100000"
-    generous = wh.submit(sql, budget_constraint(1.0))
+    generous = serve(wh, sql, budget_constraint(1.0))
     assert generous.sla_met is None
     assert generous.constraint_met is (generous.dollars <= 1.0)
     assert generous.constraint_met is True
     assert "constraint met: True" in generous.describe()
-    impossible = wh.submit(sql, budget_constraint(1e-9))
+    impossible = serve(wh, sql, budget_constraint(1e-9))
     assert impossible.sla_met is None
     assert impossible.constraint_met is False
 
@@ -129,7 +139,8 @@ def test_constraint_met_covers_budget(tpch_db):
 def test_warehouse_all_policies_run(tpch_db):
     wh = CostIntelligentWarehouse(database=tpch_db)
     for policy in ("static", "dop-monitor", "interval-scaler", "stage-scaler"):
-        outcome = wh.submit(
+        outcome = serve(
+            wh,
             instantiate("q12_shipmode", seed=2),
             sla_constraint(20.0),
             template="q12",
@@ -141,7 +152,8 @@ def test_warehouse_all_policies_run(tpch_db):
 def test_warehouse_unknown_policy(tpch_db):
     wh = CostIntelligentWarehouse(database=tpch_db)
     with pytest.raises(ReproError):
-        wh.submit(
+        serve(
+            wh,
             "SELECT count(*) AS c FROM orders",
             sla_constraint(5.0),
             policy="nope",
@@ -150,7 +162,8 @@ def test_warehouse_unknown_policy(tpch_db):
 
 def test_warehouse_log_records_structure(tpch_db):
     wh = CostIntelligentWarehouse(database=tpch_db)
-    wh.submit(
+    serve(
+        wh,
         instantiate("q12_shipmode", seed=1),
         sla_constraint(20.0),
         template="q12_shipmode",
@@ -166,8 +179,6 @@ def test_warehouse_log_records_structure(tpch_db):
 
 def test_describe_outputs(tpch_db):
     wh = CostIntelligentWarehouse(database=tpch_db)
-    outcome = wh.submit(
-        "SELECT count(*) AS c FROM orders", sla_constraint(15.0)
-    )
+    outcome = serve(wh, "SELECT count(*) AS c FROM orders", sla_constraint(15.0))
     text = outcome.describe()
     assert "constraint" in text and "outcome" in text

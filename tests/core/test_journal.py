@@ -42,6 +42,7 @@ from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import JournalError, RecoveryError, ReproError
 from repro.statsvc.logs import QueryRecord
+from repro.util.rng import derive_rng
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SLA = sla_constraint(20.0)
@@ -50,6 +51,7 @@ T_JOIN = (
     "FROM customer, nation WHERE c_nationkey = n_nationkey "
     "AND n_regionkey = {v} GROUP BY n_name"
 )
+T_ORDERS = "SELECT count(*) AS c FROM orders WHERE o_totalprice > {v}"
 
 
 def make_record(query_id: int = 1, tenant: str = "acme") -> QueryRecord:
@@ -367,6 +369,41 @@ def test_checkpoint_every_rolls_checkpoints_automatically():
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert recovered.last_recovery.checkpoint_id is not None
     assert len(recovered.logs) == 4
+
+
+def test_journaled_serving_is_bit_identical_to_journal_free():
+    """The journal records and nothing else: one seeded two-tenant
+    workload served with ``journal=None`` and with a checkpointing
+    journal yields equal logs, ledgers and plans."""
+    catalog = synthetic_tpch_catalog(1.0)
+    journal = WriteAheadJournal(checkpoint_every=32)
+    states = []
+    for attached in (None, journal):
+        warehouse = CostIntelligentWarehouse(catalog=catalog, journal=attached)
+        sessions = [
+            warehouse.session(tenant=tenant, constraint=SLA)
+            for tenant in ("acme", "bolt")
+        ]
+        rng = derive_rng(7, "journal-parity")
+        plans = []
+        for i in range(40):
+            if rng.random() < 0.5:  # recurring: exact-cache hits
+                sql = T_JOIN.format(v=int(rng.integers(4)))
+            else:  # literal-varying: skeleton hits
+                sql = T_ORDERS.format(v=int(rng.integers(1, 400_000)))
+            choice = (
+                sessions[int(rng.integers(2))]
+                .submit(QueryRequest(sql=sql, at_time=10.0 * i))
+                .result()
+                .choice
+            )
+            # DopPlan equality covers DOPs, the full estimate and verdict.
+            plans.append((choice.join_tree.describe(), choice.dop_plan))
+        bills = {t: b.ledger_snapshot() for t, b in warehouse.billing.items()}
+        states.append((list(warehouse.logs), bills, plans))
+    assert states[0] == states[1]
+    assert len(states[0][0]) == 40 and len(states[0][1]) == 2
+    assert journal.last_checkpoint_id is not None  # >= 1 checkpoint taken
 
 
 def test_checkpoint_requires_a_journal():

@@ -8,6 +8,7 @@ from repro.core.plan_cache import (
     SkeletonCache,
     normalize_sql,
 )
+from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
@@ -20,6 +21,12 @@ def warehouse(tpch_db):
 
 
 Q1 = "SELECT count(*) AS n FROM orders"
+
+
+def serve(warehouse, sql, constraint, **fields):
+    """One query through a default-tenant session; returns its outcome."""
+    request = QueryRequest(sql=sql, constraint=constraint, **fields)
+    return warehouse.session().submit(request).result()
 
 
 # --------------------------- normalize_sql ---------------------------- #
@@ -136,8 +143,8 @@ def test_striped_eviction_goes_through_the_policy():
 # --------------------------- warehouse hits --------------------------- #
 def test_repeat_submission_hits_cache(warehouse):
     constraint = sla_constraint(12.0)
-    first = warehouse.submit(Q1, constraint)
-    second = warehouse.submit(Q1, constraint)
+    first = serve(warehouse, Q1, constraint)
+    second = serve(warehouse, Q1, constraint)
     assert warehouse.plan_cache.hits == 1
     assert second.choice is first.choice
     # Logging still happens per submission.
@@ -146,23 +153,23 @@ def test_repeat_submission_hits_cache(warehouse):
 
 def test_formatting_variants_share_one_plan(warehouse):
     constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
-    warehouse.submit("select COUNT( * ) as N\nfrom ORDERS", constraint)
+    serve(warehouse, Q1, constraint)
+    serve(warehouse, "select COUNT( * ) as N\nfrom ORDERS", constraint)
     assert warehouse.plan_cache.hits == 1
 
 
 def test_different_constraints_plan_separately(warehouse):
-    warehouse.submit(Q1, sla_constraint(12.0))
-    warehouse.submit(Q1, budget_constraint(0.05))
-    warehouse.submit(Q1, sla_constraint(5.0))
+    serve(warehouse, Q1, sla_constraint(12.0))
+    serve(warehouse, Q1, budget_constraint(0.05))
+    serve(warehouse, Q1, sla_constraint(5.0))
     assert warehouse.plan_cache.hits == 0
     assert warehouse.plan_cache.misses == 3
 
 
 def test_use_plan_cache_false_bypasses(warehouse):
     constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
-    warehouse.submit(Q1, constraint, use_plan_cache=False)
+    serve(warehouse, Q1, constraint)
+    serve(warehouse, Q1, constraint, use_plan_cache=False)
     assert warehouse.plan_cache.hits == 0
 
 
@@ -170,49 +177,56 @@ def test_plan_cache_disabled_by_size_zero(tpch_db):
     warehouse = CostIntelligentWarehouse(tpch_db, plan_cache_size=0)
     assert warehouse.plan_cache is None
     constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
-    warehouse.submit(Q1, constraint)  # no cache, no crash
+    serve(warehouse, Q1, constraint)
+    serve(warehouse, Q1, constraint)  # no cache, no crash
     warehouse.invalidate_plan_cache()  # no-op
 
 
 # ------------------------- two-level serving -------------------------- #
-def test_literal_variants_hit_the_skeleton_level(warehouse):
+def test_literal_variants_hit_the_skeleton_level(warehouse, monkeypatch):
     """Same template, different constants: exact level misses, skeleton
     level serves the join shapes (no join-order DP re-run)."""
     constraint = sla_constraint(12.0)
-    warehouse.submit(instantiate("q1_pricing_summary", seed=1), constraint)
-    dag_plans_after_first = warehouse.optimizer.dag_plans
-    join_order_s = warehouse.optimizer.stage_times["join_order"]
-    warehouse.submit(instantiate("q1_pricing_summary", seed=2), constraint)
+    serve(warehouse, instantiate("q1_pricing_summary", seed=1), constraint)
+    optimizer = warehouse.optimizer
+    dag_plans_after_first = optimizer.dag_plans
+    memo_hits_after_first = optimizer.dag_memo_hits
+
+    def join_order_dp(query):
+        raise AssertionError("join-order DP re-ran on a skeleton hit")
+
+    monkeypatch.setattr(optimizer.dag_planner, "choose_join_tree", join_order_dp)
+    serve(warehouse, instantiate("q1_pricing_summary", seed=2), constraint)
     assert warehouse.plan_cache.hits == 0  # different literals
     assert warehouse.skeleton_cache.hits == 1
-    # DAG planning ran for the new literals, but skipped the join DP.
-    assert warehouse.optimizer.dag_plans == dag_plans_after_first + 1
-    assert warehouse.optimizer.stage_times["join_order"] == join_order_s
+    # DAG planning ran for the new literals (a new bound query: the DAG
+    # memo cannot answer), but on the cached shapes.
+    assert optimizer.dag_plans == dag_plans_after_first + 1
+    assert optimizer.dag_memo_hits == memo_hits_after_first
 
 
 def test_skeleton_key_separates_constraint_kinds(warehouse):
     sql = instantiate("q1_pricing_summary", seed=1)
-    warehouse.submit(sql, sla_constraint(12.0))
-    warehouse.submit(sql, budget_constraint(0.05))
+    serve(warehouse, sql, sla_constraint(12.0))
+    serve(warehouse, sql, budget_constraint(0.05))
     # Same kind, different bound: the skeleton is shared.
-    warehouse.submit(instantiate("q1_pricing_summary", seed=2), sla_constraint(5.0))
+    serve(warehouse, instantiate("q1_pricing_summary", seed=2), sla_constraint(5.0))
     assert warehouse.skeleton_cache.misses == 2  # one per kind
     assert warehouse.skeleton_cache.hits == 1
 
 
 def test_binding_shared_across_constraints(warehouse):
     sql = instantiate("q1_pricing_summary", seed=1)
-    first = warehouse.submit(sql, sla_constraint(12.0))
-    second = warehouse.submit(sql, budget_constraint(0.05))
+    first = serve(warehouse, sql, sla_constraint(12.0))
+    second = serve(warehouse, sql, budget_constraint(0.05))
     assert warehouse.binding_cache.hits == 1
     assert second.record.sql == first.record.sql
 
 
 def test_describe_caches_reports_all_levels(warehouse):
     constraint = sla_constraint(12.0)
-    warehouse.submit(instantiate("q1_pricing_summary", seed=1), constraint)
-    warehouse.submit(instantiate("q1_pricing_summary", seed=2), constraint)
+    serve(warehouse, instantiate("q1_pricing_summary", seed=1), constraint)
+    serve(warehouse, instantiate("q1_pricing_summary", seed=2), constraint)
     report = warehouse.describe_caches()
     assert report["plan_cache"]["misses"] == 2
     assert report["skeleton_cache"]["hits"] == 1
@@ -255,52 +269,53 @@ def test_skeleton_and_binding_caches_are_lru():
 # --------------------------- invalidation ----------------------------- #
 def test_stats_change_invalidates(warehouse):
     constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
+    serve(warehouse, Q1, constraint)
     catalog = warehouse.catalog
     version = catalog.version
     catalog.update_stats("orders", catalog.table("orders").stats)
     assert catalog.version == version + 1
-    warehouse.submit(Q1, constraint)
+    serve(warehouse, Q1, constraint)
     assert warehouse.plan_cache.hits == 0
     assert warehouse.plan_cache.misses == 2
 
 
 def test_explicit_invalidation(warehouse):
     constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
+    serve(warehouse, Q1, constraint)
     warehouse.invalidate_plan_cache()
     assert len(warehouse.plan_cache) == 0
-    warehouse.submit(Q1, constraint)
+    serve(warehouse, Q1, constraint)
     assert warehouse.plan_cache.hits == 0
 
 
 def test_tuning_apply_invalidates_via_version(warehouse):
     """Catalog mutations from auto-tuning invalidate cached plans."""
     constraint = sla_constraint(12.0)
-    warehouse.submit(Q1, constraint)
+    serve(warehouse, Q1, constraint)
     warehouse.catalog.set_clustering("orders", "o_orderdate", 0.2)
-    warehouse.submit(Q1, constraint)
+    serve(warehouse, Q1, constraint)
     assert warehouse.plan_cache.hits == 0
 
 
 # --------------------------- submit_many ------------------------------ #
 def test_submit_many_request_items_inherit_shared_settings(warehouse):
-    """QueryRequest items honor the shared constraint and batch-wide
-    keyword arguments, like str/tuple items do."""
-    from repro.core.service import QueryRequest
-
-    outcomes = warehouse.submit_many(
-        [QueryRequest(sql=Q1), QueryRequest(sql=Q1)],
-        constraint=sla_constraint(12.0),
-        simulate=False,
+    """QueryRequest items honor the shared constraint, like str/tuple
+    items do, and keep their own fields."""
+    request = QueryRequest(sql=Q1, simulate=False)
+    handles = warehouse.session().submit_many(
+        [request, request], constraint=sla_constraint(12.0)
     )
+    outcomes = [handle.result() for handle in handles]
     assert all(o.sim is None for o in outcomes)
     assert all(o.constraint.latency_sla == 12.0 for o in outcomes)
 
 
 def test_submit_many_shared_constraint(warehouse):
     sql = instantiate("q1_pricing_summary", seed=1)
-    outcomes = warehouse.submit_many([sql, sql, Q1], constraint=sla_constraint(12.0))
+    handles = warehouse.session().submit_many(
+        [sql, sql, Q1], constraint=sla_constraint(12.0)
+    )
+    outcomes = [handle.result() for handle in handles]
     assert len(outcomes) == 3
     assert warehouse.plan_cache.hits == 1
     assert outcomes[1].choice is outcomes[0].choice
@@ -308,14 +323,14 @@ def test_submit_many_shared_constraint(warehouse):
 
 def test_submit_many_per_item_constraints(warehouse):
     pairs = [(Q1, sla_constraint(12.0)), (Q1, budget_constraint(0.05))]
-    outcomes = warehouse.submit_many(pairs)
-    assert len(outcomes) == 2
+    handles = warehouse.session().submit_many(pairs)
+    assert [handle.state.value for handle in handles] == ["done", "done"]
     assert warehouse.plan_cache.misses == 2
 
 
 def test_submit_many_requires_constraint_for_bare_sql(warehouse):
     with pytest.raises(ReproError):
-        warehouse.submit_many([Q1])
+        warehouse.session().submit_many([Q1], fail_fast=True)
 
 
 _PLACEMENT_PROBE = """

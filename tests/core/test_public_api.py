@@ -5,7 +5,6 @@ the snapshot deliberately, alongside the examples and the quickstart.
 """
 
 import inspect
-import warnings
 
 import pytest
 
@@ -116,6 +115,7 @@ def test_session_signatures():
         "max_workers",
     ]
     assert submit_many.parameters["fail_fast"].default is False
+    assert submit_many.parameters["max_workers"].default == 1
     session_factory = inspect.signature(CostIntelligentWarehouse.session)
     assert list(session_factory.parameters) == [
         "self",
@@ -140,42 +140,11 @@ def test_handle_surface():
     }
 
 
-def test_warehouse_submit_shim_signature_unchanged():
-    """The legacy entry point keeps its exact keyword surface."""
-    signature = inspect.signature(CostIntelligentWarehouse.submit)
-    assert list(signature.parameters) == [
-        "self",
-        "sql",
-        "constraint",
-        "template",
-        "at_time",
-        "policy",
-        "execute_locally",
-        "simulate",
-        "truth",
-        "use_plan_cache",
-    ]
-
-
 @pytest.fixture()
 def stats_warehouse():
     from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
     return CostIntelligentWarehouse(catalog=synthetic_tpch_catalog(1.0))
-
-
-def test_submit_shim_emits_no_warnings(stats_warehouse):
-    """The legacy submit()/submit_many() shims are supported API, not a
-    deprecation trap: using them must stay silent."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        outcome = stats_warehouse.submit(
-            "SELECT count(*) AS c FROM orders", sla_constraint(15.0)
-        )
-        stats_warehouse.submit_many(
-            ["SELECT count(*) AS c FROM orders"], constraint=sla_constraint(15.0)
-        )
-    assert outcome.constraint_met is not None
 
 
 # --------------------------------------------------------------------- #
@@ -203,9 +172,9 @@ def test_describe_caches_snapshot(stats_warehouse):
     """describe_caches() reports retention + admission observability:
     each cache block carries the policy name and its eviction counter,
     and the admission block counts per-tenant verdicts."""
-    stats_warehouse.submit(
+    stats_warehouse.session().submit(
         "SELECT count(*) AS c FROM orders", sla_constraint(15.0)
-    )
+    ).result()
     report = stats_warehouse.describe_caches()
     assert set(report) == {
         "plan_cache",
@@ -264,7 +233,6 @@ def test_resilience_policy_field_snapshot():
         "request_deadline_s",
         "stage_deadline_s",
         "degraded_fallback",
-        "enabled",
     ]
     assert [f.name for f in RetryPolicy.__dataclass_fields__.values()] == [
         "max_attempts",
@@ -311,7 +279,12 @@ def test_describe_health_snapshot(stats_warehouse):
     }
     assert report["tuning"]["last_error"] is None
     assert report["faults"]["active"] is False
-    assert report["resilience"]["enabled"] is True
+    assert set(report["resilience"]) == {
+        "retries",
+        "retry_dollars",
+        "deadline_hits",
+        "degraded_queries",
+    }
     assert report["resilience"]["retries"] == 0
     assert report["resilience"]["degraded_queries"] == 0
 
@@ -387,25 +360,3 @@ def test_tuning_actions_are_frozen_and_typed():
     assert MaterializeView.kind == "materialized-view"
     assert Recluster.kind == "recluster"
     assert ResizeWarehouse(target_nodes=8).name == "resize_warehouse_to_8"
-
-
-def test_run_tuning_cycle_shim_signature_and_silence(stats_warehouse):
-    """The legacy tuning entry point keeps its keyword surface and stays
-    silent (shim, not a deprecation trap)."""
-    signature = inspect.signature(CostIntelligentWarehouse.run_tuning_cycle)
-    assert list(signature.parameters) == [
-        "self",
-        "apply",
-        "storage_budget_bytes",
-    ]
-    for i in range(3):
-        stats_warehouse.submit(
-            "SELECT count(*) AS c FROM orders WHERE o_totalprice > 100",
-            sla_constraint(15.0),
-            template="counts",
-            at_time=float(i * 60),
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        proposals = stats_warehouse.run_tuning_cycle(apply=False)
-    assert proposals is stats_warehouse.tuning.last_proposals

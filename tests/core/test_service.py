@@ -2,6 +2,7 @@
 and the concurrent ServingScheduler."""
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -247,19 +248,26 @@ def test_failed_handles_are_counted_on_every_executor(warehouse, serving_executo
 
 
 def test_warehouse_submit_shim_raises_original_error_types(warehouse):
-    """Legacy contract: warehouse.submit() surfaces the original error
-    class (BindError, ...), not the QueryFailedError serving wrapper."""
+    """A failed handle's QueryFailedError keeps the original error
+    (BindError, ...) as its in-process ``cause``: callers that want the
+    concrete class read it there.  (The test id is kept stable.)"""
     from repro.errors import BindError
 
-    with pytest.raises(BindError):
-        warehouse.submit("SELECT x FROM no_such_table", sla_constraint(15.0))
+    handle = warehouse.session().submit(
+        "SELECT x FROM no_such_table", sla_constraint(15.0)
+    )
+    with pytest.raises(QueryFailedError) as excinfo:
+        handle.result()
+    assert isinstance(excinfo.value.cause, BindError)
+    assert excinfo.value.cause_type == "BindError"
 
 
 def test_warehouse_submit_many_keeps_abort_behavior(warehouse):
     with pytest.raises(QueryFailedError) as excinfo:
-        warehouse.submit_many(
+        warehouse.session().submit_many(
             [Q_COUNT, "SELECT broken FROM no_such_table"],
             constraint=sla_constraint(15.0),
+            fail_fast=True,
         )
     assert excinfo.value.index == 1
     assert "broken" in excinfo.value.sql_prefix
@@ -342,6 +350,26 @@ def test_scheduler_rejects_bad_worker_count(warehouse):
         ServingScheduler(warehouse.session(), max_workers=0)
 
 
+def test_default_batch_stages_inline_on_no_serving_thread(warehouse, monkeypatch):
+    """Without ``max_workers`` a batch is staged inline: the thread
+    adapter is something a caller asks for, never a default."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    session = warehouse.session(constraint=sla_constraint(15.0))
+    handles = session.submit_many([Q_COUNT, Q_SUM])
+    assert [h.state for h in handles] == [QueryState.DONE] * 2
+    assert not [name for name in started if name.startswith("serving")]
+    # The probe does see the adapter's threads when one is asked for.
+    session.submit_many([Q_COUNT + " WHERE o_totalprice > 1", Q_SUM], max_workers=2)
+    assert [name for name in started if name.startswith("serving")]
+
+
 def test_scheduler_timestamps_match_sequential_clock(warehouse):
     session = warehouse.session(constraint=sla_constraint(15.0))
     handles = session.submit_many(
@@ -381,20 +409,26 @@ def test_stage_scaler_does_not_mutate_shared_sim_config(warehouse):
     """_simulate must derive the materializing config via
     dataclasses.replace, leaving the warehouse's SimConfig untouched."""
     assert warehouse.sim_config.materialize_exchanges is False
-    warehouse.submit(
-        instantiate("q12_shipmode", seed=1),
-        sla_constraint(25.0),
-        policy="stage-scaler",
-    )
+    warehouse.session().submit(
+        QueryRequest(
+            sql=instantiate("q12_shipmode", seed=1),
+            constraint=sla_constraint(25.0),
+            policy="stage-scaler",
+        )
+    ).result()
     assert warehouse.sim_config.materialize_exchanges is False
 
 
 def test_optimizer_reset_counters(warehouse):
-    warehouse.submit(Q_COUNT, sla_constraint(15.0))
+    session = warehouse.session()
+    session.submit(Q_COUNT, sla_constraint(15.0)).result()
+    # A second constraint reuses the binding, so DAG planning is a memo hit.
+    session.submit(Q_COUNT, budget_constraint(0.5)).result()
     optimizer = warehouse.optimizer
-    assert optimizer.dag_plans > 0
-    assert sum(optimizer.stage_times.values()) > 0
+    assert optimizer.dag_plans == 1
+    assert optimizer.dag_memo_hits > 0
+    assert warehouse.skeleton_cache.misses == 2  # one per constraint kind
     warehouse.reset_cache_stats()
     assert optimizer.dag_plans == 0
     assert optimizer.dag_memo_hits == 0
-    assert sum(optimizer.stage_times.values()) == 0.0
+    assert warehouse.skeleton_cache.misses == 0

@@ -5,9 +5,9 @@ performance change: across every TPC-H template, generated ad-hoc
 shapes, every integer DOP, both constraint kinds, and every way
 cardinality overrides can land on a pipeline, the fast path must return
 *exactly* the same timings and `CostEstimate`s and choose *exactly* the
-same plans as the reference — `pipeline_volumes` + `op_time` under the
-naive per-candidate search.  Float comparisons here are deliberately
-`==`, not approx.
+same plans as the reference (`repro.testing.reference`) —
+`pipeline_volumes` + `op_time` under the naive per-candidate search.
+Float comparisons here are deliberately `==`, not approx.
 """
 
 import pytest
@@ -18,6 +18,12 @@ from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.dop.planner import DopPlanner
 from repro.plan.physical import AggMode, PhysAggregate
 from repro.plan.pipelines import decompose_pipelines
+from repro.testing.reference import (
+    NaiveDopPlanner,
+    ReferenceEstimator,
+    ReferenceModels,
+    reference_optimizer,
+)
 from repro.workloads.adhoc import AdhocQueryGenerator
 from repro.workloads.tpch_queries import instantiate, template_names
 
@@ -92,7 +98,7 @@ def assert_curve_matches_reference(pipeline, fast, reference):
 def test_curve_bitwise_parity_tpch(big_binder, big_planner, template):
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
     fast = CostEstimator().models
-    reference = CostEstimator(enable_cache=False).models
+    reference = ReferenceModels()
     for pipeline in decompose_pipelines(plan):
         assert_curve_matches_reference(pipeline, fast, reference)
 
@@ -101,7 +107,7 @@ def test_curve_bitwise_parity_tpch(big_binder, big_planner, template):
 def test_curve_bitwise_parity_adhoc_shapes(big_binder, big_planner, chunk):
     """>= 200 generated star-join shapes (50 per chunk)."""
     fast = CostEstimator().models
-    reference = CostEstimator(enable_cache=False).models
+    reference = ReferenceModels()
     for sql in AdhocQueryGenerator(seed=100 + chunk).batch(50):
         plan = big_planner.plan(big_binder.bind_sql(sql))
         for pipeline in decompose_pipelines(plan):
@@ -112,12 +118,10 @@ def test_curve_bitwise_parity_adhoc_shapes(big_binder, big_planner, chunk):
 @pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
 def test_optimizer_parity_all_templates(big_catalog, big_binder, template, constraint):
     bound = big_binder.bind_sql(instantiate(template, seed=1))
-    naive = BiObjectiveOptimizer(
-        big_catalog, CostEstimator(enable_cache=False), incremental_dop=False
-    ).optimize(bound, constraint)
-    fast = BiObjectiveOptimizer(
-        big_catalog, CostEstimator(enable_cache=True), incremental_dop=True
-    ).optimize(bound, constraint)
+    naive = reference_optimizer(big_catalog).optimize(bound, constraint)
+    fast = BiObjectiveOptimizer(big_catalog, CostEstimator()).optimize(
+        bound, constraint
+    )
 
     assert fast.dop_plan.dops == naive.dop_plan.dops
     assert fast.variant_index == naive.variant_index
@@ -136,12 +140,8 @@ def test_dop_planner_parity_with_overrides(
     dag = decompose_pipelines(plan)
     scan = dag.topological_order()[0].ops[0].node
     for overrides in (None, {scan.node_id: float(scan.est_rows) * 3.0}):
-        naive = DopPlanner(CostEstimator(enable_cache=False), incremental=False).plan(
-            dag, constraint, overrides
-        )
-        fast = DopPlanner(CostEstimator(enable_cache=True), incremental=True).plan(
-            dag, constraint, overrides
-        )
+        naive = NaiveDopPlanner(ReferenceEstimator()).plan(dag, constraint, overrides)
+        fast = DopPlanner(CostEstimator()).plan(dag, constraint, overrides)
         assert fast.dops == naive.dops
         assert fast.feasible == naive.feasible
         assert_estimates_identical(fast.estimate, naive.estimate)
@@ -185,9 +185,7 @@ def test_batched_greedy_rounds_parity(big_binder, big_planner, template, constra
     same DOPs, same verdict, same number of evaluations, same floats."""
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
     dag = decompose_pipelines(plan)
-    per_candidate = DopPlanner(
-        CostEstimator(enable_cache=False), incremental=False
-    ).plan(dag, constraint)
+    per_candidate = NaiveDopPlanner(ReferenceEstimator()).plan(dag, constraint)
     batched = DopPlanner(CostEstimator()).plan(dag, constraint)
     assert batched.dops == per_candidate.dops
     assert batched.feasible == per_candidate.feasible
@@ -254,8 +252,8 @@ def test_plan_memo_parity_under_the_dop_monitor(
     """The per-DAG DOP-plan memo is a pure lookup: monitor decisions,
     simulation results and every replan's ``evaluations`` are equal with
     the memo cold, with it warm (a second arrival of the same plan, all
-    replans answered from it) and with ``CostEstimator(enable_cache=
-    False)``, which has no memo."""
+    replans answered from it) and with ``ReferenceEstimator``, which has
+    no memo."""
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
     dag = decompose_pipelines(plan)
     truth = None
@@ -263,7 +261,7 @@ def test_plan_memo_parity_under_the_dop_monitor(
         truth = {
             p.ops[0].node.node_id: float(p.ops[0].node.est_rows) * 6.0 for p in dag
         }
-    reference = _monitored_run(CostEstimator(enable_cache=False), dag, constraint, truth)
+    reference = _monitored_run(ReferenceEstimator(), dag, constraint, truth)
     memoized = CostEstimator()
     stats = memoized.models.cache.stats
     cold = _monitored_run(memoized, dag, constraint, truth)
@@ -277,22 +275,21 @@ def test_plan_memo_parity_under_the_dop_monitor(
 
 def test_warehouse_parameterized_serving_parity(big_catalog):
     """The full serving path (three-level cache, skeleton reuse, DAG
-    memo) returns plans bit-identical to a fresh bind + a fresh,
-    memo-free optimization for every literal-varying arrival."""
-    from repro.core.bioptimizer import BiObjectiveOptimizer
+    memo) returns plans bit-identical to a fresh bind + a fresh
+    optimizer (nothing memoized) for every literal-varying arrival."""
     from repro.core.warehouse import CostIntelligentWarehouse
     from repro.sql.binder import Binder
 
     binder = Binder(big_catalog)
-    reference = BiObjectiveOptimizer(big_catalog, CostEstimator())
-    reference._dag_memo = None
     parameterized = CostIntelligentWarehouse(catalog=big_catalog)
 
     for template in template_names():
         for seed in (1, 2, 3):
             sql = instantiate(template, seed=seed)
             for constraint in CONSTRAINTS:
-                expected = reference.optimize(binder.bind_sql(sql), constraint)
+                expected = BiObjectiveOptimizer(big_catalog, CostEstimator()).optimize(
+                    binder.bind_sql(sql), constraint
+                )
                 _, actual = parameterized.plan(sql, constraint)
                 assert actual.dop_plan.dops == expected.dop_plan.dops
                 assert actual.variant_index == expected.variant_index
@@ -344,25 +341,19 @@ def test_lean_sweep_matches_full_estimates(big_binder, big_planner):
 
 def test_incremental_search_times_fewer_pipelines(big_catalog, big_binder):
     """The hot-path contract over the template pool: >=5x fewer
-    timing-model evaluations than the naive search (the acceptance
-    criterion the throughput benchmark also enforces)."""
+    timing-model evaluations than the naive search."""
     bounds = [
         big_binder.bind_sql(instantiate(name, seed=1)) for name in template_names()
     ]
 
-    naive_estimator = CostEstimator(enable_cache=False)
-    naive_optimizer = BiObjectiveOptimizer(
-        big_catalog, naive_estimator, incremental_dop=False
-    )
-    fast_estimator = CostEstimator(enable_cache=True)
-    fast_optimizer = BiObjectiveOptimizer(
-        big_catalog, fast_estimator, incremental_dop=True
-    )
+    naive_optimizer = reference_optimizer(big_catalog)
+    fast_estimator = CostEstimator()
+    fast_optimizer = BiObjectiveOptimizer(big_catalog, fast_estimator)
     for bound in bounds:
         for constraint in CONSTRAINTS:
             naive_optimizer.optimize(bound, constraint)
             fast_optimizer.optimize(bound, constraint)
 
-    naive_timings = naive_estimator.models.timing_computations
+    naive_timings = naive_optimizer.estimator.models.timing_computations
     fast_timings = fast_estimator.models.timing_computations
     assert fast_timings * 5 <= naive_timings

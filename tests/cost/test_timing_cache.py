@@ -11,6 +11,7 @@ from repro.cost.timing_cache import TimingCache, overrides_key
 from repro.cost.volumes import pipeline_volumes
 from repro.plan.physical import ExchangeKind
 from repro.plan.pipelines import decompose_pipelines
+from repro.testing.reference import NaiveDopPlanner, ReferenceEstimator
 from repro.workloads.tpch_queries import instantiate
 
 
@@ -21,7 +22,7 @@ def q5_dag(big_binder, big_planner):
 
 
 def fresh_estimator() -> CostEstimator:
-    return CostEstimator(enable_cache=True)
+    return CostEstimator()
 
 
 # ------------------------------ keys ---------------------------------- #
@@ -161,7 +162,7 @@ def test_overrides_keyed_separately(q5_dag):
 
 def test_cached_matches_uncached_exactly(q5_dag):
     cached = fresh_estimator()
-    uncached = CostEstimator(enable_cache=False)
+    uncached = ReferenceEstimator()
     scan_node = q5_dag.topological_order()[0].ops[0].node
     for dop in (1, 3, 16):
         for overrides in (None, {}, {scan_node.node_id: 5e6}):
@@ -293,13 +294,13 @@ def test_mutating_a_returned_assignment_leaves_the_memo_alone(q5_dag):
 
 
 def test_reference_paths_bypass_the_plan_memo(q5_dag):
-    """``enable_cache=False`` has no memo; ``incremental=False`` neither
+    """``ReferenceEstimator`` has no memo; ``NaiveDopPlanner`` neither
     reads nor writes the one its estimator has."""
     from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
 
-    assert CostEstimator(enable_cache=False)._plan_memo is None
-    uncached = DopPlanner(CostEstimator(enable_cache=False))
+    assert not hasattr(ReferenceEstimator(), "_plan_memo")
+    uncached = DopPlanner(ReferenceEstimator())
     assert (
         uncached.plan(q5_dag, sla_constraint(12.0)).dops
         == uncached.plan(q5_dag, sla_constraint(12.0)).dops
@@ -307,7 +308,7 @@ def test_reference_paths_bypass_the_plan_memo(q5_dag):
 
     estimator = fresh_estimator()
     stats = estimator.models.cache.stats
-    naive = DopPlanner(estimator, incremental=False)
+    naive = NaiveDopPlanner(estimator)
     naive.plan(q5_dag, sla_constraint(12.0))
     assert len(estimator._plan_memo) == 0
     DopPlanner(estimator).plan(q5_dag, sla_constraint(12.0))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.engine.local_executor import LocalExecutor
@@ -48,29 +49,26 @@ def test_bushy_variants_preserve_results(tpch_db, tpch_binder):
 def test_simulated_sla_compliance_rate(big_catalog):
     """With accurate estimates, the planner's SLA holds in simulation for
     the vast majority of queries (noise/skew eat the rest)."""
-    wh = CostIntelligentWarehouse(catalog=big_catalog)
+    session = CostIntelligentWarehouse(catalog=big_catalog).session(
+        constraint=sla_constraint(30.0), policy="dop-monitor"
+    )
     met = 0
     total = 0
     for seed in range(3):
         for name in ("q1_pricing_summary", "q6_revenue_forecast", "scan_orders"):
-            outcome = wh.submit(
-                instantiate(name, seed=seed),
-                sla_constraint(30.0),
-                template=name,
-                policy="dop-monitor",
-            )
+            outcome = session.submit(
+                QueryRequest(sql=instantiate(name, seed=seed), template=name)
+            ).result()
             met += bool(outcome.sla_met)
             total += 1
     assert met / total >= 0.8
 
 
 def test_budget_respected_in_simulation(big_catalog):
-    wh = CostIntelligentWarehouse(catalog=big_catalog)
-    outcome = wh.submit(
-        instantiate("q1_pricing_summary", seed=3),
-        budget_constraint(0.05),
-        policy="static",
-    )
+    session = CostIntelligentWarehouse(catalog=big_catalog).session(policy="static")
+    outcome = session.submit(
+        instantiate("q1_pricing_summary", seed=3), budget_constraint(0.05)
+    ).result()
     # Simulated cost close to planned; allow hidden-factor slack.
     assert outcome.dollars <= 0.05 * 2.0
 
@@ -86,17 +84,18 @@ def test_tuning_cycle_applies_and_improves():
 
     db = load_tpch(scale_factor=0.002, partition_rows=4000)
     wh = CostIntelligentWarehouse(database=db)
-    t = 0.0
+    session = wh.session(constraint=sla_constraint(20.0))
     for i in range(5):
-        wh.submit(
-            instantiate("q12_shipmode", seed=i),
-            sla_constraint(20.0),
-            template="q12_shipmode",
-            at_time=t,
-            simulate=False,
-        )
-        t += 600.0
-    proposals = wh.run_tuning_cycle(apply=True)
+        session.submit(
+            QueryRequest(
+                sql=instantiate("q12_shipmode", seed=i),
+                template="q12_shipmode",
+                at_time=i * 600.0,
+                simulate=False,
+            )
+        ).result()
+    wh.tuning.apply_all(wh.tuning.propose())
+    proposals = wh.tuning.last_proposals
     applied_mvs = [
         r for r in proposals.accepted if r.kind == "materialized-view"
     ]

@@ -128,3 +128,7 @@ def test_degraded_serving_stays_observable():
     assert warehouse.metrics.value("repro_degraded_queries_total") > 0
     for snapshot in warehouse.cost_history.snapshots():
         DrillDownNavigator(snapshot).reconcile()
+
+
+def test_observability_chaos_matrix_sweeps_at_least_twenty_seeds():
+    assert len(CHAOS_SEEDS) >= 20

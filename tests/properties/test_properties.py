@@ -274,10 +274,11 @@ def test_compiled_curve_prices_any_chain_like_the_models(chain, dops):
     and exchanges downstream of one, zero-row inputs) must still compile
     to the reference's floats — a curve may never mis-price."""
     from repro.cost.estimator import CostEstimator
+    from repro.testing.reference import ReferenceModels
 
     pipeline, overrides = chain
     fast = CostEstimator().models
-    reference = CostEstimator(enable_cache=False).models
+    reference = ReferenceModels()
     for dop in dops:
         expected = reference.pipeline_timing(pipeline, dop, overrides)
         actual = fast.pipeline_timing(pipeline, dop, overrides)

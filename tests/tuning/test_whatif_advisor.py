@@ -122,22 +122,25 @@ def test_report_describe_verdicts():
 
 
 def test_advisor_cycle_on_warehouse(tpch_db):
-    from repro import CostIntelligentWarehouse, sla_constraint
+    from repro import CostIntelligentWarehouse, QueryRequest, sla_constraint
     from repro.workloads import instantiate
 
     wh = CostIntelligentWarehouse(database=tpch_db)
+    session = wh.session(constraint=sla_constraint(20.0))
     t = 0.0
     for i in range(4):
         for name in ("q5_local_supplier", "q12_shipmode"):
-            wh.submit(
-                instantiate(name, seed=i),
-                sla_constraint(20.0),
-                template=name,
-                at_time=t,
-                simulate=False,
-            )
+            session.submit(
+                QueryRequest(
+                    sql=instantiate(name, seed=i),
+                    template=name,
+                    at_time=t,
+                    simulate=False,
+                )
+            ).result()
             t += 900.0
-    proposals = wh.run_tuning_cycle(apply=False)
+    wh.tuning.propose()
+    proposals = wh.tuning.last_proposals
     assert proposals.reports
     kinds = {r.kind for r in proposals.reports}
     assert "materialized-view" in kinds
