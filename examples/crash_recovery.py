@@ -72,7 +72,7 @@ def run_to_completion(warehouse) -> None:
         serve(warehouse, done, 3)
         done = 3
     if not any(
-        d.state == "applied" for d in warehouse._durable_tuning.values()
+        d.state == "applied" for d in warehouse.ledger.durable_tuning.values()
     ):
         apply_mv(warehouse)
     serve(warehouse, done, len(STEPS))
@@ -93,7 +93,7 @@ def main() -> None:
     }
     print(
         f"reference: {len(reference.logs)} queries, "
-        f"{len(reference._applied_mvs)} MV applied, bills {totals}"
+        f"{len(reference.ledger.applied_mvs)} MV applied, bills {totals}"
     )
 
     # --- The crashing run: same workload, journaled, killed mid-apply.
@@ -109,7 +109,7 @@ def main() -> None:
         print(f"process died at {crash.point!r} (invocation {crash.invocation})")
 
     stranded = [
-        d for d in doomed._durable_tuning.values() if d.state == "applying"
+        d for d in doomed.ledger.durable_tuning.values() if d.state == "applying"
     ]
     mv_name = stranded[0].name
     print(
@@ -124,7 +124,7 @@ def main() -> None:
     warehouse = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     report = warehouse.last_recovery
     print(report.describe())
-    durable = warehouse._durable_tuning[stranded[0].rec_id]
+    durable = warehouse.ledger.durable_tuning[stranded[0].rec_id]
     print(
         f"in-doubt apply resolved {durable.resolution!r}: state "
         f"{durable.state!r}, catalog mutation undone (MV registered: "
@@ -132,14 +132,14 @@ def main() -> None:
     )
     assert durable.state == "failed" and durable.resolution == "back"
     assert not catalog.has_view(mv_name) and not catalog.has_table(mv_name)
-    assert not any(d.in_doubt for d in warehouse._durable_tuning.values())
+    assert not any(d.in_doubt for d in warehouse.ledger.durable_tuning.values())
 
     # --- Resume: finish the tuning apply and the remaining queries.
     print("\nResuming the workload on the recovered warehouse...")
     run_to_completion(warehouse)
     print(
         f"resumed: {len(warehouse.logs)} queries total, "
-        f"{len(warehouse._applied_mvs)} MV applied"
+        f"{len(warehouse.ledger.applied_mvs)} MV applied"
     )
 
     # --- The punchline: exactly-once billing, bit-identical plans.

@@ -14,9 +14,10 @@ ROADMAP prose.  The rules (see :mod:`repro.analysis.rules`):
                         ``derive_rng`` only; ``perf_counter`` allowed)
 ``float-billing``       no float ``+=`` on ``*_dollars`` balances
                         (integral ledger units via ``repro.util.units``)
-``journal-site``        every journal append site is registered in
-                        ``REGISTERED_JOURNAL_SITES`` for kill-point
-                        matrix coverage
+``journal-site``        ``journal.append`` only inside
+                        ``repro/core/ledger.py``, at the sites
+                        ``REGISTERED_JOURNAL_SITES`` documents
+                        kill-point coverage for
 ``metric-name``         every metric emitted or read through a registry
                         is a literal name declared in
                         ``repro.obsvc.metrics.REGISTERED_METRICS``

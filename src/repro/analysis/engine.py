@@ -165,7 +165,7 @@ class ModuleSource:
     # -- AST helpers --------------------------------------------------- #
     def enclosing_qualname(self, node: ast.AST) -> str:
         """Dotted class/function scope containing *node* (``<module>``
-        at top level), e.g. ``CostIntelligentWarehouse._charge_retry``."""
+        at top level), e.g. ``Ledger.checkpoint``."""
         names: list[str] = []
         current = self._parents.get(node)
         while current is not None:

@@ -4,7 +4,7 @@ Each rule machine-enforces one invariant that PRs 3–7 established in
 prose (ROADMAP "machine-checked invariants" section); the rule's
 docstring names the contract and the failure it prevents.  Rules are
 syntactic and conservative by design: they key on the repo's own
-idioms (``_journal_append``, ``_fire_fault``, ``*_dollars``,
+idioms (``journal.append``, ``_fire_fault``, ``*_dollars``,
 ``*lock*.acquire``) rather than attempting type inference, so a
 violation is a near-certain contract breach and a false positive is a
 one-line ``# lint-allow: <rule> <why>`` away.
@@ -27,46 +27,29 @@ from repro.analysis.engine import (
 #: Subpackages that must be deterministic and virtual-time only.
 DETERMINISTIC_PACKAGES = frozenset({"core", "tuning", "statsvc", "obsvc"})
 
-#: Every call site that appends to the write-ahead journal, keyed by
-#: ``<normalized path>::<enclosing qualname>``.  The value records how
-#: the site is covered by the kill-point recovery matrix
-#: (``tests/recovery``): a new append site MUST be added here *and*
-#: given crash-probe coverage, otherwise the ``journal-site`` rule
-#: fails — a write site the kill-point matrix never crashes through is
-#: a recovery path that has never been tested.
+#: The one module that may append to the write-ahead journal: every
+#: transition goes through ``Ledger.commit`` / ``write_ahead``, so the
+#: kill-point matrix (``tests/chaos/test_crash_recovery.py``) crashes
+#: through every journaled write by crashing through these.
+JOURNAL_MODULE = "repro/core/ledger.py"
+
+#: Its append sites, keyed by ``<normalized path>::<enclosing
+#: qualname>``, with how the recovery tests cover each.  A new site MUST
+#: be added here *and* given crash-probe coverage, otherwise the
+#: ``journal-site`` rule fails — a write site the kill-point matrix never
+#: crashes through is a recovery path that has never been tested.
 REGISTERED_JOURNAL_SITES: dict[str, str] = {
-    "repro/core/warehouse.py::CostIntelligentWarehouse._journal_append": (
-        "the single probe-bracketed WAL write: crash_pre_write / "
-        "crash_post_write fire around journal.append here"
+    f"{JOURNAL_MODULE}::Ledger._append": (
+        "the single probe-bracketed WAL write behind commit() and "
+        "write_ahead(): crash_pre_write / crash_post_write fire around "
+        "journal.append here, crash_pre_commit before a TuningCommit / "
+        "RollbackCommit; swept per record type by the kill-point matrix "
+        "(serving, admission, retry, tuning) and by the collector "
+        "crash-consistency tests (tests/obsvc/test_observability_recovery.py)"
     ),
-    "repro/core/warehouse.py::CostIntelligentWarehouse._charge_retry": (
-        "RetryCharge records route through _journal_append; covered by "
-        "the chaos matrix's retry billing replay checks"
-    ),
-    "repro/core/warehouse.py::CostIntelligentWarehouse.checkpoint": (
-        "checkpoint compaction appends directly under the journal lock; "
+    f"{JOURNAL_MODULE}::Ledger.checkpoint": (
+        "checkpoint compaction appends directly under the ledger lock; "
         "covered by checkpoint/restore kill-point tests"
-    ),
-    "repro/core/warehouse.py::CostIntelligentWarehouse._log": (
-        "QueryServed append per served query; covered by post-write "
-        "crash replay tests"
-    ),
-    "repro/core/service.py::Session._admit": (
-        "AdmissionDecision append per admitted/denied request; covered "
-        "by admission replay tests"
-    ),
-    "repro/tuning/service.py::TuningService.apply": (
-        "TuningIntent / TuningFailed / TuningCommit two-record "
-        "protocol; covered by crash_pre_commit kill-point tests"
-    ),
-    "repro/tuning/service.py::TuningService.rollback": (
-        "RollbackIntent / TuningFailed / RollbackCommit mirror "
-        "protocol; covered by rollback kill-point tests"
-    ),
-    "repro/obsvc/collector.py::SnapshotCollector._append_snapshot": (
-        "CostSnapshotTaken journaled write-ahead of the in-memory "
-        "history append; covered by the collector crash-consistency "
-        "kill-point tests (tests/obsvc/test_observability_recovery.py)"
     ),
 }
 
@@ -265,20 +248,21 @@ class FloatBillingRule(Rule):
 
 @register
 class JournalSiteRule(Rule):
-    """Every journal append site must be registered for kill-point
-    coverage.
+    """The journal is appended to only inside the ledger module.
 
     The crash-consistency guarantee is only as strong as the set of
-    write sites the kill-point matrix crashes through.  A new
-    ``_journal_append`` / ``journal.append`` call site must be added to
-    ``REGISTERED_JOURNAL_SITES`` together with recovery-test coverage;
-    the registry entry documents which tests cover it.
+    write sites the kill-point matrix crashes through, and "journal,
+    then apply through the one transition function" only holds if
+    nothing writes the journal around ``Ledger.commit``.  So
+    ``journal.append`` is legal in ``repro/core/ledger.py`` alone, at
+    the sites ``REGISTERED_JOURNAL_SITES`` documents coverage for;
+    everything else commits a record through the ledger.
     """
 
     rule_id = "journal-site"
     description = (
-        "journal append site not in REGISTERED_JOURNAL_SITES (kill-point "
-        "matrix cannot cover it)"
+        "journal.append outside repro/core/ledger.py's registered sites "
+        "(commit the record through the ledger)"
     )
 
     def applies_to(self, module: ModuleSource) -> bool:
@@ -289,20 +273,18 @@ class JournalSiteRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if not isinstance(func, ast.Attribute):
+            if not isinstance(func, ast.Attribute) or func.attr != "append":
                 continue
-            receiver = dotted_name(func.value) or ""
-            is_site = func.attr == "_journal_append" or (
-                func.attr == "append" and "journal" in receiver.lower()
-            )
-            if not is_site:
+            if "journal" not in (dotted_name(func.value) or "").lower():
                 continue
             key = f"{module.norm}::{module.enclosing_qualname(node)}"
             if key not in REGISTERED_JOURNAL_SITES:
                 yield self.finding(
                     module,
                     node,
-                    f"unregistered journal append site {key}; add it to "
+                    f"journal append at {key}; only {JOURNAL_MODULE} may "
+                    "write the journal — call ledger.commit(record), or "
+                    "register a new ledger site in "
                     "repro.analysis.rules.REGISTERED_JOURNAL_SITES with "
                     "kill-point test coverage",
                 )
@@ -605,16 +587,16 @@ WORKER_ISOLATED_MODULES = frozenset(
 #: billing, admission, statistics/metrics emission).
 _COORDINATOR_IMPORTS = (
     "repro.core.journal",
+    "repro.core.ledger",
     "repro.core.service",
     "repro.core.warehouse",
     "repro.statsvc",
     "repro.obsvc",
 )
 
-#: Method names that perform coordinator-only effects.
-_COORDINATOR_CALLS = frozenset(
-    {"_journal_append", "_log", "_charge_retry", "_account", "record_query"}
-)
+#: Method names that perform coordinator-only effects (the ledger's
+#: write verbs).
+_COORDINATOR_CALLS = frozenset({"commit", "write_ahead"})
 
 
 @register
@@ -626,8 +608,8 @@ class WorkerIsolationRule(Rule):
     and statistics-log write in the coordinator's ordered finalize
     phase; worker processes only bind and optimize.  This rule pins
     that statically for the worker entrypoint module: no imports of the
-    journal/service/warehouse/statsvc/obsvc layers, no journal-append
-    or billing/logging calls, no ``TenantBill`` references.  Without
+    journal/ledger/service/warehouse/statsvc/obsvc layers, no ledger
+    commits or journal/log appends, no ``TenantBill`` references.  Without
     it, a drive-by "just log it in the worker" edit would silently
     break exactly-once semantics — a restarted worker replays its
     in-flight tasks, and any side effect it performed runs twice.

@@ -61,19 +61,25 @@ drives the chaos suite, and ``warehouse.describe_health()`` reports
 breaker states, retry/degraded counters, and the tuning service's last
 swallowed error.
 
-Crash consistency lives in :mod:`repro.core.journal` and
-:mod:`repro.core.recovery`.  With a :class:`WriteAheadJournal` attached
-(``CostIntelligentWarehouse(journal=...)``), every authoritative state
-transition — a served query's log append plus its billing delta, each
-admission verdict, each retry charge, and every tuning-lifecycle edge —
-is journaled *before* it is applied in memory, with periodic inline
-checkpoints.  Billing accumulates in integral dyadic ledger units
+Crash consistency lives in :mod:`repro.core.ledger`,
+:mod:`repro.core.journal` and :mod:`repro.core.recovery`.  One
+:class:`~repro.core.ledger.Ledger` owns every piece of authoritative
+state (statistics log, clock, per-tenant bills, verdict counters,
+applied MVs, tuning bookkeeping, cost history), and every transition is
+a journal record folded in by one function, ``Ledger.apply``: live code
+calls ``Ledger.commit`` — journal the record first when a
+:class:`WriteAheadJournal` is attached
+(``CostIntelligentWarehouse(journal=...)``), the same call minus the
+append when not — and recovery applies each replayed record, with
+periodic inline checkpoints bounding replay.  Billing accumulates in
+integral dyadic ledger units
 (:data:`~repro.core.journal.LEDGER_SCALE` per dollar), so a replay
 reproduces live totals to the last bit.  Tuning applies are a
 two-record protocol: a ``TuningIntent`` carrying a declarative,
 picklable :class:`~repro.core.journal.UndoSnapshot` (captured before
-the catalog mutates) and a ``TuningCommit`` after; a crash between the
-two leaves the apply *in doubt*, and
+the catalog mutates; live rollbacks and recovery execute the same one)
+and a ``TuningCommit`` after; a crash
+between the two leaves the apply *in doubt*, and
 ``CostIntelligentWarehouse.recover(journal, database=...)`` — which
 restores the latest checkpoint, replays the tail in LSN order, and
 resolves in-doubt records (forward if the commit landed, back via the
@@ -127,8 +133,8 @@ surfaces.
 
 The contracts above are *machine-enforced*: ``python -m repro.analysis
 --strict src tests`` (the CI ``lint`` gate — see
-:mod:`repro.analysis`) lints this package's journal-before-mutate
-append sites, ledger-unit billing, StageGuard-only fault handling,
+:mod:`repro.analysis`) lints that only the ledger module appends to
+the journal, ledger-unit billing, StageGuard-only fault handling,
 virtual-time discipline, lock hygiene, worker isolation, and the
 frozen warehouse constructor surface; the lock-order sanitizer
 (:mod:`repro.testing.locks`) checks the runtime complement, a

@@ -490,9 +490,7 @@ class AdmissionController:
                 verdict = projected  # spend is monotone: never less severe
             if verdict is AdmissionVerdict.DEFER and not defer_ok:
                 verdict = AdmissionVerdict.THROTTLE
-        with self._lock:
-            counts = self._verdicts.setdefault(tenant, {})
-            counts[verdict.value] = counts.get(verdict.value, 0) + 1
+        self.count_verdict(tenant, verdict.value)
         return verdict
 
     def peek(self, tenant: str, bill: "TenantBill | None") -> AdmissionVerdict:
@@ -537,9 +535,10 @@ class AdmissionController:
         with self._lock:
             return {tenant: dict(counts) for tenant, counts in self._verdicts.items()}
 
-    def restore_verdict(self, tenant: str, verdict: str) -> None:
-        """Re-count one journaled verdict during crash-recovery replay
-        (no budget check runs — the decision already happened)."""
+    def count_verdict(self, tenant: str, verdict: str) -> None:
+        """Count one decision: :meth:`check`'s last step, and the whole
+        of replaying a journaled ``AdmissionDecision`` (no budget check
+        runs again — the decision already happened)."""
         with self._lock:
             counts = self._verdicts.setdefault(tenant, {})
             counts[verdict] = counts.get(verdict, 0) + 1

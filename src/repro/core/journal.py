@@ -16,12 +16,12 @@ gates).  This module is the durability substrate:
   and their rollback mirrors), plus periodic :class:`Checkpoint`\\ s;
 - :class:`UndoSnapshot` — a *declarative*, picklable capture of how to
   reverse a tuning action, journaled in the intent record **before**
-  the catalog mutates, so recovery can roll an in-doubt apply back even
-  though the live closure-based undo token died with the process;
+  the catalog mutates: the one undo representation, executed by a live
+  rollback and by recovery's in-doubt resolution alike;
 - :class:`WriteAheadJournal` — the append-ordered, LSN-stamped record
-  store the warehouse writes to (write-ahead: the record lands before
-  the in-memory state it describes mutates, so redo replay is always
-  sufficient).
+  store the ledger (:mod:`repro.core.ledger`) writes to (write-ahead:
+  the record lands before the in-memory state it describes mutates, so
+  redo replay is always sufficient).
 
 The catalog/database object is treated as *durable storage shared with
 the crashed process* (it survives, possibly half-mutated); the journal
@@ -40,7 +40,7 @@ from __future__ import annotations
 import pickle
 import threading
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import JournalError
 
@@ -70,10 +70,10 @@ from repro.util.units import (  # noqa: F401  (re-export)
 class UndoSnapshot:
     """Declarative, picklable capture of how to reverse a tuning action.
 
-    The live :class:`~repro.tuning.background.UndoAction` holds a
-    closure and dies with the process; this snapshot carries the same
-    prior state as plain data (captured *before* anything mutates) so
-    recovery can resolve an in-doubt apply.  :meth:`apply` is
+    Captured by the background executor *before* anything mutates
+    (:meth:`~repro.tuning.background.BackgroundComputeService.capture_undo`)
+    as plain data, so the same object serves a live rollback and
+    recovery's resolution of an in-doubt apply.  :meth:`apply` is
     idempotent: every step checks current state first, so resolving the
     same in-doubt record twice (a crash during recovery) is safe.
     """
@@ -113,51 +113,6 @@ class UndoSnapshot:
             catalog.register_table(self.prior_entry, replace_existing=True)
             return
         raise JournalError(f"no undo semantics for action kind {self.kind!r}")
-
-
-def capture_undo_snapshot(
-    action, report, database: "Database | None", catalog: "Catalog"
-) -> UndoSnapshot:
-    """Snapshot prior state for ``action`` before anything mutates.
-
-    Mirrors the capture the background executor performs for its live
-    undo closures (:mod:`repro.tuning.background`), but as plain data —
-    this is what :class:`TuningIntent` journals.
-    """
-    from repro.tuning.service import MaterializeView, Recluster
-
-    if isinstance(action, MaterializeView):
-        candidate = action.candidate
-        physical = database is not None and all(
-            t in database.table_names for t in candidate.base_tables
-        )
-        return UndoSnapshot(
-            action_name=candidate.name,
-            kind="materialized-view",
-            dollars=0.0,  # dropping a view is metadata-only
-            physical=physical,
-            base_tables=tuple(candidate.base_tables),
-        )
-    if isinstance(action, Recluster):
-        candidate = action.candidate
-        physical = (
-            database is not None and candidate.table in database.table_names
-        )
-        return UndoSnapshot(
-            action_name=candidate.name,
-            kind="recluster",
-            dollars=report.one_time_dollars,  # sorting back is a rewrite
-            physical=physical,
-            table=candidate.table,
-            prior_entry=catalog.table(candidate.table),
-            prior_stored=(
-                database.stored_table(candidate.table) if physical else None
-            ),
-        )
-    raise JournalError(
-        f"cannot snapshot undo state for action kind "
-        f"{getattr(action, 'kind', type(action).__name__)!r}"
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -291,9 +246,10 @@ class RollbackCommit:
 class DurableRecommendation:
     """Journal-derived bookkeeping for one recommendation's lifecycle.
 
-    Maintained identically by live appends and by replay
-    (``warehouse._note_durable``), so the recovered warehouse knows
-    which applies committed, which are in doubt, and how to undo them.
+    Maintained by the tuning records' handlers in
+    :meth:`repro.core.ledger.Ledger.apply` — the same code live and on
+    replay — so the recovered warehouse knows which applies committed,
+    which are in doubt, and how to undo them.
     ``state`` is one of ``applying`` / ``applied`` / ``failed`` /
     ``rolling_back`` / ``rolled_back``; recovery guarantees no record
     is ever left in an in-doubt state (``applying`` / ``rolling_back``).
@@ -339,8 +295,7 @@ class CheckpointState:
     durable_tuning: tuple[DurableRecommendation, ...]
     ledger: tuple[object, ...] = ()  # background LedgerEntry values
     next_rec_id: int = 1
-    #: CostHistoryStore.as_state() rows (plain tuples); trailing default
-    #: keeps pre-observability checkpoints loadable.
+    #: CostHistoryStore.as_state() rows (plain tuples).
     cost_history: tuple = ()
 
 
@@ -500,6 +455,3 @@ def shares_tuple(shares: "dict[str, float] | None") -> tuple[tuple[str, float], 
         return ()
     return tuple(sorted(shares.items()))
 
-
-def shares_dict(shares: Iterable[tuple[str, float]]) -> dict[str, float]:
-    return dict(shares)

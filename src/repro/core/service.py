@@ -46,10 +46,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.governance import AdmissionVerdict
 from repro.core.journal import AdmissionDecision as JournalAdmissionDecision
+from repro.core.journal import QueryServed
 from repro.dop.constraints import Constraint
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import DeadlineExceededError, QueryFailedError, ReproError
+from repro.plan.expressions import referenced_columns
 from repro.sql.parameterize import parameterize_sql
+from repro.statsvc.logs import QueryLogStore, QueryRecord
 from repro.util.units import from_ledger_units, to_ledger_units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.batch import Batch
     from repro.sim.distsim import ScalingPolicy, SimResult
     from repro.sql.binder import BoundQuery
-    from repro.statsvc.logs import QueryRecord, TenantLogView
+    from repro.statsvc.logs import TenantLogView
 
 
 # --------------------------------------------------------------------- #
@@ -612,14 +615,15 @@ class Session:
         fast path, byte for byte.
         """
         warehouse = self.warehouse
+        ledger = warehouse.ledger
         controller = warehouse.admission
         reserved: dict[str, float] = {}
-        with warehouse._serving_lock:
+        with ledger.lock:
             for handle in handles:
                 was_deferred = handle.admission is AdmissionVerdict.DEFER
                 if controller.active:
                     tenant = handle.request.tenant or self.tenant
-                    bill = warehouse.billing.get(tenant)
+                    bill = ledger.billing.get(tenant)
                     verdict = controller.check(
                         tenant,
                         bill,
@@ -627,10 +631,12 @@ class Session:
                         reserved_dollars=reserved.get(tenant, 0.0),
                     )
                     # Verdict counters are authoritative state (budget
-                    # enforcement history): journal every decision.  For
-                    # a DENY this is the *only* record the query leaves
-                    # — no billing, no log entry.
-                    warehouse._journal_append(
+                    # enforcement history): journal every decision —
+                    # check() has already counted it, so this is the
+                    # write-ahead half only.  For a DENY this is the
+                    # *only* record the query leaves — no billing, no
+                    # log entry.
+                    ledger.write_ahead(
                         JournalAdmissionDecision(tenant=tenant, verdict=verdict.value)
                     )
                     handle.admission = verdict
@@ -641,7 +647,7 @@ class Session:
                         handle._deny(
                             controller.denied_error(
                                 tenant,
-                                warehouse.billing.get(tenant),
+                                bill,
                                 index=handle.index,
                                 sql=handle.request.sql,
                             )
@@ -656,13 +662,13 @@ class Session:
                             bill.dollars / bill.queries
                         )
                 at_time = handle.request.at_time
-                timestamp = warehouse.clock if at_time is None else at_time
+                timestamp = ledger.clock if at_time is None else at_time
                 if was_deferred:
                     # A re-admitted deferred handle finalizes behind work
                     # admitted after it; clamp its explicit at_time up to
                     # the clock so the log stays append-ordered.
-                    timestamp = max(timestamp, warehouse.clock)
-                warehouse.clock = max(warehouse.clock, timestamp)
+                    timestamp = max(timestamp, ledger.clock)
+                ledger.advance_clock(timestamp)
                 handle.timestamp = timestamp
 
     def _serve_handle(
@@ -787,24 +793,21 @@ class Session:
         the same handle twice.
         """
         warehouse = self.warehouse
+        ledger = warehouse.ledger
         request = handle.request
         assert handle.timestamp is not None and request.constraint is not None
         assert request.tenant is not None
-        with warehouse._serving_lock:
+        with ledger.lock:
             if handle._finalized:
                 return
             handle._finalized = True
-            record = warehouse._log(
-                request.sql,
-                staged.bound,
-                request.template,
-                handle.timestamp,
-                staged.choice,
-                staged.sim,
-                request.constraint,
-                tenant=request.tenant,
-            )
-            warehouse._account(record)
+            record = _served_record(ledger.logs, request, handle.timestamp, staged)
+            # Write-ahead: the record (which carries the billing delta)
+            # is journaled *before* the log append and the charge, so a
+            # crash between them is redone by replay and a crash before
+            # the journal write leaves no trace (the consumed query id
+            # is re-issued after recovery).
+            ledger.commit(QueryServed(record=record))
             warehouse._remember_template(request.template, staged.bound)
             # Serving-event metrics (registry lock is innermost; dollar
             # amounts are integral ledger units).
@@ -821,8 +824,7 @@ class Session:
                 record.latency_s,
                 tenant=record.tenant,
             )
-        # Outside the serving lock (checkpoint re-acquires it): roll a
-        # checkpoint when the journal's interval policy says so.
+        # Roll a checkpoint when the journal's interval policy says so.
         warehouse._maybe_checkpoint()
         handle._complete(
             QueryOutcome(
@@ -836,6 +838,139 @@ class Session:
                 degraded_mode=staged.degraded_mode,
             )
         )
+
+
+def _served_record(
+    logs: QueryLogStore, request: QueryRequest, timestamp: float, staged: _Staged
+) -> QueryRecord:
+    """The Statistics Service log record of one served query (built
+    under the ledger lock: it reads the log's tail and issues its id)."""
+    # Timestamps are assigned at *admission* (monotonic across the
+    # warehouse), but concurrent sessions interleave their finalize
+    # phases arbitrarily, so a later-admitted handle from one batch
+    # can reach the log before an earlier-admitted one from another.
+    # Clamp up to the last logged timestamp: the log stays
+    # append-ordered and no finalize ever dies on the ordering check
+    # (which would lose the record and fail a successful query).
+    tail = logs.tail(1)
+    if tail and timestamp < tail[0].timestamp:
+        timestamp = tail[0].timestamp
+    bound, choice, sim = staged.bound, staged.choice, staged.sim
+    columns: set[str] = set()
+    filter_columns: set[str] = set()
+    for table in bound.table_names:
+        for column in bound.columns_needed(table):
+            columns.add(f"{table}.{column}")
+        for predicate in bound.filters.get(table, []):
+            for column in referenced_columns(predicate):
+                filter_columns.add(column)
+    edges = tuple(
+        (
+            f"{e.left.table}.{e.left.name}",
+            f"{e.right.table}.{e.right.name}",
+        )
+        for e in bound.join_edges
+    )
+    spent = sim if sim is not None else choice.dop_plan.estimate
+    bytes_scanned = sum(
+        op.node.input_bytes
+        for pipeline in choice.dag
+        for op in pipeline.ops
+        if hasattr(op.node, "input_bytes")
+    )
+    return QueryRecord(
+        query_id=logs.next_query_id(),
+        timestamp=timestamp,
+        sql=request.sql,
+        template=request.template,
+        tables=tuple(bound.table_names),
+        columns=tuple(sorted(columns)),
+        join_edges=edges,
+        group_keys=tuple(k.name for k in bound.group_keys),
+        filter_columns=tuple(sorted(filter_columns)),
+        aggregate_sqls=tuple(a.sql() for a in bound.aggregates),
+        latency_s=spent.latency,
+        machine_seconds=spent.machine_seconds,
+        dollars=spent.total_dollars,
+        bytes_scanned=bytes_scanned,
+        sla_seconds=request.constraint.latency_sla,
+        tenant=request.tenant,
+        cost_breakdown=_cost_breakdown(choice, spent.total_dollars),
+    )
+
+
+def _cost_breakdown(
+    choice: "PlanChoice", dollars: float
+) -> tuple[tuple[str, str, int], ...]:
+    """Apportion one query's spend over its plan's operators, exactly.
+
+    Two-level largest-remainder split of ``to_ledger_units(dollars)``:
+    pipelines weighted by their planned durations, operators within a
+    pipeline by ``input_bytes`` (uniform when unknown).  Integer math
+    throughout, so the returned ``(pipeline, operator, units)`` leaves
+    always sum bitwise to the units the tenant's bill is charged —
+    the invariant the drill-down navigator reconciles against.
+    Zero-share leaves are dropped.
+    """
+    total_units = to_ledger_units(dollars)
+    pipelines = list(choice.dag)
+    if not pipelines:
+        return ((("(plan)"), "(operator)", total_units),) if total_units else ()
+    per_pipe = choice.dop_plan.estimate.pipelines
+    pipe_weights = _int_weights(
+        getattr(per_pipe.get(p.pipeline_id), "duration", 0.0)
+        for p in pipelines
+    )
+    leaves: list[tuple[str, str, int]] = []
+    for pipeline, pipe_units in zip(
+        pipelines, _largest_remainder(total_units, pipe_weights)
+    ):
+        label = f"P{pipeline.pipeline_id}"
+        ops = list(pipeline.ops)
+        if not ops:
+            if pipe_units:
+                leaves.append((label, "(pipeline)", pipe_units))
+            continue
+        op_weights = _int_weights(
+            float(getattr(op.node, "input_bytes", 0.0)) for op in ops
+        )
+        for op, op_units in zip(
+            ops, _largest_remainder(pipe_units, op_weights)
+        ):
+            if op_units:
+                leaves.append(
+                    (label, f"{op.node.describe()}[{op.role}]", op_units)
+                )
+    return tuple(leaves)
+
+
+def _int_weights(weights: "list[float]") -> list[int]:
+    """Apportionment weights as integers (exact big-int arithmetic);
+    all-zero weight vectors degrade to uniform."""
+    scaled = [max(int(round(weight * 1e9)), 0) for weight in weights]
+    if not any(scaled):
+        return [1] * len(scaled)
+    return scaled
+
+
+def _largest_remainder(total: int, weights: list[int]) -> list[int]:
+    """Split ``total`` integral units proportionally to ``weights`` with
+    no unit created or lost: floor shares first, then one extra unit to
+    the largest remainders (ties broken by position, so the split is
+    deterministic)."""
+    if not weights:
+        return []
+    if total <= 0:
+        return [0] * len(weights)
+    weight_sum = sum(weights)
+    shares = [total * weight // weight_sum for weight in weights]
+    remainders = [total * weight % weight_sum for weight in weights]
+    leftover = total - sum(shares)
+    for index in sorted(
+        range(len(weights)), key=lambda i: (-remainders[i], i)
+    )[:leftover]:
+        shares[index] += 1
+    return shares
 
 
 def _as_request(item: object, constraint: Constraint | None) -> QueryRequest:

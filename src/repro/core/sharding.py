@@ -299,7 +299,7 @@ class PlannerWorkerPool:
             hardware=warehouse.hw,
             max_dop=warehouse.max_dop,
             explore_bushy=warehouse.optimizer.explore_bushy,
-            applied_mvs=tuple(warehouse._applied_mvs.values()),
+            applied_mvs=tuple(warehouse.ledger.applied_mvs.values()),
             skeleton_seed=skeleton_seed,
             fingerprint=self._current_fingerprint(),
             # Without an exact level nothing is ever dispatched.
@@ -360,7 +360,7 @@ class PlannerWorkerPool:
         warehouse = self.warehouse
         return (
             warehouse.catalog.version,
-            tuple(sorted(warehouse._applied_mvs)),
+            tuple(sorted(warehouse.ledger.applied_mvs)),
             warehouse._plan_cache_epoch,
         )
 
@@ -377,7 +377,7 @@ class PlannerWorkerPool:
         warehouse = self.warehouse
         refresh = RefreshState(
             catalog=warehouse.catalog,
-            applied_mvs=tuple(warehouse._applied_mvs.values()),
+            applied_mvs=tuple(warehouse.ledger.applied_mvs.values()),
             fingerprint=fingerprint,
         )
         for index in range(self.size):

@@ -15,9 +15,11 @@ The public serving API lives in :mod:`repro.core.service`
 :class:`~repro.core.service.ServingScheduler`).  The warehouse wires the
 shared serving machinery — catalog, the planning pipeline
 (:mod:`repro.core.planning`: binder, optimizer, applied-MV rewrite and
-the lock-striped three-level plan-cache stack), the Statistics Service
-log, and per-tenant billing; :meth:`CostIntelligentWarehouse.session`
-is the way in.
+the lock-striped three-level plan-cache stack) and the ledger
+(:mod:`repro.core.ledger`: the Statistics Service log, the clock,
+per-tenant billing, the journal and every other piece of authoritative
+state, mutated by one transition function) — and exposes read views of
+them; :meth:`CostIntelligentWarehouse.session` is the way in.
 
 The tuning surface mirrors it in :mod:`repro.tuning.service`:
 ``warehouse.tuning`` is a persistent
@@ -29,7 +31,6 @@ back with full serving-cache coherence.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import replace as dataclasses_replace
 from typing import Callable, Iterable, Mapping
 
@@ -45,20 +46,12 @@ from repro.core.governance import (
     rank_by_forecast,
 )
 from repro.core.journal import (
-    Checkpoint,
-    CheckpointState,
-    DurableRecommendation,
-    QueryServed,
     RetryCharge,
-    RollbackCommit,
-    RollbackIntent,
-    TuningCommit,
-    TuningFailed,
-    TuningIntent,
     WriteAheadJournal,
     from_ledger_units,
     to_ledger_units,
 )
+from repro.core.ledger import Ledger
 from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
 from repro.core.planning import PlanningPipeline
 from repro.core.recovery import RecoveryReport, recover_warehouse
@@ -68,7 +61,7 @@ from repro.core.resilience import (
     ResilienceStats,
     StageGuard,
 )
-from repro.core.service import Session, TenantBill
+from repro.core.service import Session
 from repro.sql.parameterize import parameterize_sql
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
@@ -82,13 +75,10 @@ from repro.monitor.policies import (
     StaticPolicy,
 )
 from repro.obsvc.collector import CollectionPolicy, SnapshotCollector
-from repro.obsvc.history import CostHistoryStore
 from repro.obsvc.metrics import MetricsRegistry
-from repro.plan.expressions import referenced_columns
 from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig, SimResult
 from repro.sql.binder import BoundQuery
-from repro.statsvc.logs import QueryLogStore, QueryRecord
-from repro.tuning.mv import MVCandidate
+from repro.statsvc.logs import QueryLogStore
 from repro.tuning.service import TuningPolicy, TuningService
 
 POLICY_NAMES = ("dop-monitor", "static", "interval-scaler", "stage-scaler")
@@ -107,35 +97,6 @@ _RETRY_PRESSURE = {
 #: (Prometheus samples are numbers; ``describe_health`` maps back).
 _BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
 _BREAKER_STATE_NAMES = {code: name for name, code in _BREAKER_STATE_CODES.items()}
-
-
-def _int_weights(weights: "list[float]") -> list[int]:
-    """Apportionment weights as integers (exact big-int arithmetic);
-    all-zero weight vectors degrade to uniform."""
-    scaled = [max(int(round(weight * 1e9)), 0) for weight in weights]
-    if not any(scaled):
-        return [1] * len(scaled)
-    return scaled
-
-
-def _largest_remainder(total: int, weights: list[int]) -> list[int]:
-    """Split ``total`` integral units proportionally to ``weights`` with
-    no unit created or lost: floor shares first, then one extra unit to
-    the largest remainders (ties broken by position, so the split is
-    deterministic)."""
-    if not weights:
-        return []
-    if total <= 0:
-        return [0] * len(weights)
-    weight_sum = sum(weights)
-    shares = [total * weight // weight_sum for weight in weights]
-    remainders = [total * weight % weight_sum for weight in weights]
-    leftover = total - sum(shares)
-    for index in sorted(
-        range(len(weights)), key=lambda i: (-remainders[i], i)
-    )[:leftover]:
-        shares[index] += 1
-    return shares
 
 
 class CostIntelligentWarehouse:
@@ -167,33 +128,6 @@ class CostIntelligentWarehouse:
         self.estimator = estimator or CostEstimator(self.hw)
         self.sim_config = sim_config or SimConfig()
         self.max_dop = max_dop
-        self.logs = QueryLogStore()
-        self.clock = 0.0
-        #: Per-tenant spend roll-up; ``billed_dollars`` totals it.
-        self.billing: dict[str, TenantBill] = {}
-        #: Crash durability (see :mod:`repro.core.journal`): when a
-        #: :class:`~repro.core.journal.WriteAheadJournal` is attached,
-        #: every authoritative state transition (log append + billing
-        #: delta, admission verdict, retry charge, tuning lifecycle
-        #: edge) is journaled *before* it is applied in memory, and
-        #: :meth:`recover` rebuilds a bit-identical warehouse over the
-        #: surviving catalog/database after a crash.  ``None`` (the
-        #: default) is the journal-free fast path, byte for byte.
-        self.journal = journal
-        #: Highest journal LSN whose effects are reflected in memory —
-        #: the replay-idempotence watermark (see
-        #: :func:`repro.core.recovery.apply_entry`).
-        self._applied_lsn = 0
-        #: Journal-derived recommendation lifecycle bookkeeping, by
-        #: recommendation id (kept identically by live appends and by
-        #: replay; recovery resolves any record left in doubt).
-        self._durable_tuning: dict[int, DurableRecommendation] = {}
-        #: The :class:`~repro.core.recovery.RecoveryReport` of the pass
-        #: that built this warehouse, when it came from :meth:`recover`.
-        self.last_recovery: RecoveryReport | None = None
-        #: Orders admission (timestamps) and finalization (log append,
-        #: billing, template bookkeeping) under concurrent serving.
-        self._serving_lock = threading.Lock()
         #: Representative bound query per template family, tagged with
         #: the stats version it was bound under so the tuning advisor
         #: never reasons over bindings from stale statistics.
@@ -202,10 +136,6 @@ class CostIntelligentWarehouse:
         #: ``tuning_policy`` configures cadence / budgets / auto-apply.
         self.tuning_policy = tuning_policy
         self._tuning: TuningService | None = None
-        #: Applied materialized views, by name.  The serving plan path
-        #: rewrites matching queries onto these views, so an applied MV
-        #: actually changes served plans (and a rollback restores them).
-        self._applied_mvs: dict[str, MVCandidate] = {}
         #: Resource governance (see :mod:`repro.core.governance`).
         #: ``self.frequency`` bridges the Statistics Service's per-family
         #: arrival forecasts to cache retention and warming;
@@ -226,6 +156,7 @@ class CostIntelligentWarehouse:
         #: forecast refreshes are skipped and cost-aware retention
         #: scores degrade to plain LRU instead of stalling serving.
         self.statsvc_breaker = CircuitBreaker("statsvc")
+        self.logs = QueryLogStore()
         self.frequency = TemplateFrequencyProvider(
             self.logs,
             breaker=self.statsvc_breaker,
@@ -235,6 +166,22 @@ class CostIntelligentWarehouse:
         self.retention_policy_name = (
             retention_policy if isinstance(retention_policy, str) else "custom"
         )
+        governed = retention_policy != "lru"
+        #: The ledger (see :mod:`repro.core.ledger`): every piece of
+        #: authoritative state plus the journal, mutated only through
+        #: ``ledger.apply(record)`` — live via ``ledger.commit``, and on
+        #: replay when :meth:`recover` rebuilds the warehouse.
+        #: ``logs``, ``billing`` and ``cost_history`` are views of
+        #: containers the ledger only ever updates in place.
+        self.ledger = Ledger(
+            self.logs,
+            journal=journal,
+            admission=self.admission,
+            fire_fault=self._fire_fault,
+            note_template=self.frequency.note_template if governed else None,
+        )
+        self.billing = self.ledger.billing
+        self.cost_history = self.ledger.cost_history
 
         def _policy() -> RetentionPolicy:
             return make_retention_policy(
@@ -255,23 +202,21 @@ class CostIntelligentWarehouse:
             self.estimator,
             max_dop=max_dop,
             explore_bushy=explore_bushy,
-            applied_mvs=self._applied_mvs,
+            applied_mvs=self.ledger.applied_mvs,
             exact=_level(PlanCache),
             bindings=_level(BindingCache),
             skeletons=_level(SkeletonCache),
-            governed=retention_policy != "lru",
+            governed=governed,
         )
         self.optimizer = self.planning.optimizer
         self.binder = self.planning.binder
         #: Cost observability (see :mod:`repro.obsvc`): the typed
         #: metrics registry every serving emission and the
         #: ``describe_health`` / ``describe_caches`` views go through,
-        #: the crash-consistent cost history, and the scheduled
-        #: snapshot collector.  The collector is configured
-        #: post-construction (:meth:`enable_collection`) so the frozen
-        #: constructor surface is untouched.
+        #: and the scheduled snapshot collector (configured
+        #: post-construction, :meth:`enable_collection`, so the frozen
+        #: constructor surface is untouched).
         self.metrics = MetricsRegistry()
-        self.cost_history = CostHistoryStore()
         self.collector = SnapshotCollector(self)
         #: Process-sharded serving (see :mod:`repro.core.sharding`):
         #: a warm :class:`~repro.core.sharding.PlannerWorkerPool` when
@@ -657,8 +602,9 @@ class CostIntelligentWarehouse:
             attempts = policy.retry.attempts_for(_RETRY_PRESSURE[verdict])
 
         def charge(dollars: float) -> None:
-            if tenant is not None:
-                self._charge_retry(tenant, dollars)
+            """Meter one retry's modeled compute into the tenant's bill."""
+            if tenant is not None and dollars > 0.0:
+                self.ledger.commit(RetryCharge(tenant=tenant, dollars=dollars))
 
         return StageGuard(
             policy,
@@ -668,149 +614,34 @@ class CostIntelligentWarehouse:
             stats=self.resilience_stats,
         )
 
-    def _charge_retry(self, tenant: str, dollars: float) -> None:
-        """Meter one retry's modeled compute into the tenant's bill
-        (write-ahead: the charge is journaled before it lands)."""
-        if dollars <= 0.0:
-            return
-        with self._serving_lock:
-            self._journal_append(RetryCharge(tenant=tenant, dollars=dollars))
-            self._bill_for(tenant).charge_retry(dollars)
-
     # ------------------------------------------------------------------ #
-    # Durability: write-ahead journal + checkpoint/restore
+    # Ledger views: state, journal, checkpoint / recover
     # ------------------------------------------------------------------ #
-    def _bill_for(self, tenant: str) -> TenantBill:
-        """The tenant's bill, created on first charge."""
-        bill = self.billing.get(tenant)
-        if bill is None:
-            bill = self.billing[tenant] = TenantBill(tenant)
-        return bill
+    @property
+    def clock(self) -> float:
+        """The warehouse's virtual clock (seconds)."""
+        return self.ledger.clock
 
-    def _journal_append(self, record) -> None:
-        """Write-ahead append: the record lands in the journal *before*
-        the in-memory state it describes mutates.
+    @property
+    def journal(self) -> WriteAheadJournal | None:
+        """The attached write-ahead journal, or ``None``."""
+        return self.ledger.journal
 
-        No-op without an attached journal.  The two crash fault points
-        bracketing the append (``crash_pre_write`` /
-        ``crash_post_write``) are where the kill-point recovery harness
-        severs the process: before the point the transition never
-        happened; after it, replay redoes it exactly once.
-        """
-        journal = self.journal
-        if journal is None:
-            return
-        self._fire_fault("crash_pre_write")
-        entry = journal.append(record)
-        self._note_durable(record)
-        self._applied_lsn = entry.lsn
-        self._fire_fault("crash_post_write")
-
-    def _note_durable(self, record) -> None:
-        """Fold one journal record into the durable tuning bookkeeping.
-
-        Called on every live append *and* on every replayed record, so
-        the live process and a recovered one agree on which
-        recommendations committed and which are in doubt.
-        """
-        if isinstance(record, TuningIntent):
-            self._durable_tuning[record.rec_id] = DurableRecommendation(
-                rec_id=record.rec_id,
-                name=record.name,
-                kind=record.kind,
-                state="applying",
-                undo=record.undo,
-                tenant_shares=record.tenant_shares,
-            )
-            return
-        durable = (
-            self._durable_tuning.get(record.rec_id)
-            if isinstance(
-                record, (TuningCommit, TuningFailed, RollbackIntent, RollbackCommit)
-            )
-            else None
-        )
-        if isinstance(record, TuningCommit):
-            if durable is None:
-                durable = self._durable_tuning[record.rec_id] = (
-                    DurableRecommendation(
-                        rec_id=record.rec_id,
-                        name=record.name,
-                        kind=record.kind,
-                        state="applied",
-                    )
-                )
-            # Keep the apply-time undo snapshot on the committed record:
-            # a later rollback (live or crash-resolved) needs it.
-            durable.state = "applied"
-            durable.dollars = record.dollars
-            durable.tenant_shares = record.tenant_shares
-            durable.candidate = record.candidate
-            durable.physical = record.physical
-        elif isinstance(record, TuningFailed) and durable is not None:
-            durable.state = "failed"
-        elif isinstance(record, RollbackIntent) and durable is not None:
-            durable.state = "rolling_back"
-            if record.undo is not None:
-                durable.undo = record.undo
-            durable.dollars = record.dollars
-            durable.tenant_shares = record.tenant_shares
-        elif isinstance(record, RollbackCommit) and durable is not None:
-            durable.state = "rolled_back"
-            durable.dollars = record.dollars
+    @property
+    def last_recovery(self) -> RecoveryReport | None:
+        """The report of the pass that built this warehouse, when it
+        came from :meth:`recover`."""
+        return self.ledger.last_recovery
 
     def checkpoint(self) -> None:
-        """Write a :class:`~repro.core.journal.Checkpoint` record
-        capturing the warehouse's full journaled state, so recovery
-        replays only the records after it.  Taken under the serving
-        lock: the snapshot is consistent with no finalize in flight.
-        """
-        journal = self.journal
-        if journal is None:
-            raise ReproError("checkpoint() needs an attached journal")
-        with self._serving_lock:
-            state = self._checkpoint_state()
-            entry = journal.append(
-                Checkpoint(checkpoint_id=journal.next_checkpoint_id(), state=state)
-            )
-            self._applied_lsn = entry.lsn
-
-    def _checkpoint_state(self) -> CheckpointState:
-        ledger: tuple = ()
-        next_rec_id = 1
-        if self._tuning is not None:
-            ledger = tuple(self._tuning.background.ledger)
-            next_rec_id = self._tuning._next_id
-        return CheckpointState(
-            clock=self.clock,
-            records=tuple(self.logs),
-            bills=tuple(
-                bill.ledger_snapshot()
-                for _, bill in sorted(self.billing.items())
-            ),
-            verdicts=tuple(
-                (tenant, tuple(sorted(counts.items())))
-                for tenant, counts in sorted(
-                    self.admission.verdict_counts.items()
-                )
-            ),
-            applied_mvs=tuple(self._applied_mvs.values()),
-            durable_tuning=tuple(
-                durable.copy() for durable in self._durable_tuning.values()
-            ),
-            ledger=ledger,
-            next_rec_id=next_rec_id,
-            cost_history=self.cost_history.as_state(),
-        )
+        """Journal a checkpoint of the ledger's full state, so recovery
+        replays only the records after it."""
+        self.ledger.checkpoint()
 
     def _maybe_checkpoint(self) -> None:
         """Roll a checkpoint when the journal's interval policy says so
-        (called by the serving layer after each finalize, outside the
-        serving lock)."""
-        journal = self.journal
-        if journal is None or journal.checkpoint_every is None:
-            return
-        if journal.records_since_checkpoint >= journal.checkpoint_every:
+        (called by the serving layer after each finalize)."""
+        if self.ledger.checkpoint_due():
             self.checkpoint()
 
     @classmethod
@@ -834,9 +665,9 @@ class CostIntelligentWarehouse:
         never re-reads this one's work.
         """
         warehouse = cls(database, catalog, **kwargs)
-        report = recover_warehouse(warehouse, journal)
-        warehouse.journal = journal
-        warehouse.last_recovery = report
+        ledger = warehouse.ledger
+        ledger.last_recovery = recover_warehouse(warehouse, journal)
+        ledger.journal = journal
         warehouse.checkpoint()
         return warehouse
 
@@ -918,12 +749,6 @@ class CostIntelligentWarehouse:
             },
         }
 
-    def _register_applied_mv(self, candidate: MVCandidate) -> None:
-        self._applied_mvs[candidate.name] = candidate
-
-    def _unregister_applied_mv(self, candidate: MVCandidate) -> None:
-        self._applied_mvs.pop(candidate.name, None)
-
     def warm_cache(
         self,
         workload: "Mapping[str, str] | Iterable[tuple[str, str]]",
@@ -991,40 +816,19 @@ class CostIntelligentWarehouse:
     def _remember_template(self, template: str, bound: BoundQuery) -> None:
         self._template_queries[template] = (self.catalog.version, bound)
 
-    def _account(self, record: QueryRecord) -> None:
-        """Roll one served query into the tenant's running bill."""
-        self._bill_for(record.tenant).charge(record)
-
     @property
     def billed_dollars(self) -> float:
         """Total serving dollars billed across all tenants."""
-        return sum(bill.dollars for bill in self.billing.values())
+        return self.ledger.billed_dollars
 
     @property
     def background_dollars(self) -> float:
         """Total background-tuning dollars metered across all tenants."""
-        return sum(bill.background_dollars for bill in self.billing.values())
+        return self.ledger.background_dollars
 
     def describe_billing(self) -> str:
         """Per-tenant spend roll-up, one line per tenant plus the total."""
-        if not self.billing:
-            return "billing: no queries served"
-        lines = []
-        for bill in sorted(self.billing.values(), key=lambda b: b.tenant):
-            line = (
-                f"  {bill.tenant}: {bill.queries} queries, ${bill.dollars:.4f}, "
-                f"{bill.machine_seconds:.1f} machine-seconds"
-            )
-            if bill.background_actions:
-                line += (
-                    f", ${bill.background_dollars:.4f} background "
-                    f"({bill.background_actions} tuning actions)"
-                )
-            lines.append(line)
-        total = f"\n  total: ${self.billed_dollars:.4f}"
-        if self.background_dollars:
-            total += f" serving + ${self.background_dollars:.4f} background"
-        return "billing by tenant:\n" + "\n".join(lines) + total
+        return self.ledger.describe_billing()
 
     def reset_cache_stats(self) -> None:
         """Zero all cache, optimizer, retention-policy, admission, and
@@ -1034,7 +838,13 @@ class CostIntelligentWarehouse:
             cache.reset_stats()
         self.estimator.models.cache.stats.reset()
         self.optimizer.reset_counters()
-        self.admission.reset_stats()
+        with self.ledger.lock:
+            # Verdict counters are journaled state: checkpoint the zeroed
+            # counters, or recovery would replay the decisions the reset
+            # forgot.
+            self.admission.reset_stats()
+            if self.journal is not None:
+                self.checkpoint()
         # Retry / deadline / degraded tallies are warmup noise too: a
         # benchmark that resets cache counters but keeps phantom retries
         # reports steady-state hit rates against warmup failures.
@@ -1159,168 +969,6 @@ class CostIntelligentWarehouse:
                 choice.dag, choice.dop_plan.dops, max_dop=self.max_dop
             )
         raise ReproError(f"unknown policy {name!r}; known: {POLICY_NAMES}")
-
-    # ------------------------------------------------------------------ #
-    # Statistics Service logging
-    # ------------------------------------------------------------------ #
-    def _log(
-        self,
-        sql: str,
-        bound: BoundQuery,
-        template: str,
-        timestamp: float,
-        choice: PlanChoice,
-        sim: SimResult | None,
-        constraint: Constraint,
-        tenant: str = "default",
-    ) -> QueryRecord:
-        """Build, journal, and apply one served query's log record.
-
-        Write-ahead: the :class:`~repro.core.journal.QueryServed` record
-        (which carries the billing delta) is journaled *before* the log
-        append, so a crash between the two is redone by replay and a
-        crash before the journal write leaves no trace (the consumed
-        query id is re-issued after recovery).
-        """
-        record = self._build_record(
-            sql, bound, template, timestamp, choice, sim, constraint, tenant
-        )
-        self._journal_append(QueryServed(record=record))
-        self._apply_served(record)
-        return record
-
-    def _build_record(
-        self,
-        sql: str,
-        bound: BoundQuery,
-        template: str,
-        timestamp: float,
-        choice: PlanChoice,
-        sim: SimResult | None,
-        constraint: Constraint,
-        tenant: str = "default",
-    ) -> QueryRecord:
-        # Timestamps are assigned at *admission* (monotonic across the
-        # warehouse), but concurrent sessions interleave their finalize
-        # phases arbitrarily, so a later-admitted handle from one batch
-        # can reach the log before an earlier-admitted one from another.
-        # Clamp up to the last logged timestamp: the log stays
-        # append-ordered and no finalize ever dies on the ordering check
-        # (which would lose the record and fail a successful query).
-        tail = self.logs.tail(1)
-        if tail and timestamp < tail[0].timestamp:
-            timestamp = tail[0].timestamp
-        columns: set[str] = set()
-        filter_columns: set[str] = set()
-        for table in bound.table_names:
-            for column in bound.columns_needed(table):
-                columns.add(f"{table}.{column}")
-            for predicate in bound.filters.get(table, []):
-                for column in referenced_columns(predicate):
-                    filter_columns.add(column)
-        edges = tuple(
-            (
-                f"{e.left.table}.{e.left.name}",
-                f"{e.right.table}.{e.right.name}",
-            )
-            for e in bound.join_edges
-        )
-        latency = sim.latency if sim is not None else choice.dop_plan.estimate.latency
-        dollars = sim.total_dollars if sim is not None else choice.dop_plan.estimate.total_dollars
-        machine = (
-            sim.machine_seconds if sim is not None else choice.dop_plan.estimate.machine_seconds
-        )
-        bytes_scanned = sum(
-            op.node.input_bytes
-            for pipeline in choice.dag
-            for op in pipeline.ops
-            if hasattr(op.node, "input_bytes")
-        )
-        record = QueryRecord(
-            query_id=self.logs.next_query_id(),
-            timestamp=timestamp,
-            sql=sql,
-            template=template,
-            tables=tuple(bound.table_names),
-            columns=tuple(sorted(columns)),
-            join_edges=edges,
-            group_keys=tuple(k.name for k in bound.group_keys),
-            filter_columns=tuple(sorted(filter_columns)),
-            aggregate_sqls=tuple(a.sql() for a in bound.aggregates),
-            latency_s=latency,
-            machine_seconds=machine,
-            dollars=dollars,
-            bytes_scanned=bytes_scanned,
-            sla_seconds=constraint.latency_sla,
-            tenant=tenant,
-            cost_breakdown=self._cost_breakdown(choice, dollars),
-        )
-        return record
-
-    def _cost_breakdown(
-        self, choice: PlanChoice, dollars: float
-    ) -> tuple[tuple[str, str, int], ...]:
-        """Apportion one query's spend over its plan's operators, exactly.
-
-        Two-level largest-remainder split of ``to_ledger_units(dollars)``:
-        pipelines weighted by their planned durations, operators within a
-        pipeline by ``input_bytes`` (uniform when unknown).  Integer math
-        throughout, so the returned ``(pipeline, operator, units)`` leaves
-        always sum bitwise to the units the tenant's bill is charged —
-        the invariant the drill-down navigator reconciles against.
-        Zero-share leaves are dropped.
-        """
-        total_units = to_ledger_units(dollars)
-        pipelines = list(choice.dag)
-        if not pipelines:
-            return ((("(plan)"), "(operator)", total_units),) if total_units else ()
-        per_pipe = choice.dop_plan.estimate.pipelines
-        pipe_weights = _int_weights(
-            getattr(per_pipe.get(p.pipeline_id), "duration", 0.0)
-            for p in pipelines
-        )
-        leaves: list[tuple[str, str, int]] = []
-        for pipeline, pipe_units in zip(
-            pipelines, _largest_remainder(total_units, pipe_weights)
-        ):
-            label = f"P{pipeline.pipeline_id}"
-            ops = list(pipeline.ops)
-            if not ops:
-                if pipe_units:
-                    leaves.append((label, "(pipeline)", pipe_units))
-                continue
-            op_weights = _int_weights(
-                float(getattr(op.node, "input_bytes", 0.0)) for op in ops
-            )
-            for op, op_units in zip(
-                ops, _largest_remainder(pipe_units, op_weights)
-            ):
-                if op_units:
-                    leaves.append(
-                        (label, f"{op.node.describe()}[{op.role}]", op_units)
-                    )
-        return tuple(leaves)
-
-    def _apply_served(self, record: QueryRecord) -> None:
-        """Apply a (journaled) served-query record to warehouse memory:
-        append it to the Statistics Service log and register its
-        template key with the frequency provider.  Shared verbatim by
-        live serving and recovery replay."""
-        self.logs.append(record)
-        template = record.template
-        if self.planning.governed and template.rpartition(".")[2] != "adhoc":
-            # Teach the frequency provider which literal-free template
-            # key this logged family instantiates, so forecast rates can
-            # score that template's cache entries (parameterize_sql is
-            # lru-cached — the serving path just computed this).  The
-            # default "adhoc" family (any namespace) is deliberately
-            # skipped: it aggregates unrelated one-off queries, and its
-            # combined arrival rate would let never-reused entries
-            # outscore genuinely recurring templates.  Unregistered keys
-            # score zero — exactly right for one-offs.
-            self.frequency.note_template(
-                template, parameterize_sql(record.sql).template_key
-            )
 
     # ------------------------------------------------------------------ #
     # Background auto-tuning

@@ -44,8 +44,8 @@ without cycles):
 Invariants inherited from the serving core: virtual time only, seeded
 randomness only, dollars as integral ledger units, locks held via
 ``with`` (the registry/history locks are innermost; the lock-order
-sanitizer covers them), and every journal append site registered in
-``REGISTERED_JOURNAL_SITES``.
+sanitizer covers them), and journal writes only through the ledger
+(``journal-site``).
 """
 
 from repro.obsvc.collector import (

@@ -10,7 +10,7 @@ clock; never wall time, so identical seeded runs collect at identical
 instants and the history is bitwise reproducible).
 
 Collection is crash-consistent by the same write-ahead discipline as
-serving: under the serving lock the collector folds the newly logged
+serving: under the ledger lock the collector folds the newly logged
 records' per-operator cost leaves into its cumulative drill-down
 aggregation, builds one :class:`~repro.obsvc.history.TenantCostSlice`
 per billed tenant (ledger units copied from the authoritative
@@ -125,7 +125,7 @@ class SnapshotCollector:
         if policy is None or not policy.recurring:
             return None
         warehouse = self.warehouse
-        with warehouse._serving_lock:
+        with warehouse.ledger.lock:
             self._prime_locked()
             due = False
             if policy.cadence_queries is not None:
@@ -145,7 +145,7 @@ class SnapshotCollector:
 
     def collect_now(self) -> CostSnapshot:
         """Take one snapshot immediately, cadence notwithstanding."""
-        with self.warehouse._serving_lock:
+        with self.warehouse.ledger.lock:
             self._prime_locked()
             return self._collect_locked()
 
@@ -182,13 +182,15 @@ class SnapshotCollector:
     def _append_snapshot(self, snapshot: CostSnapshot) -> None:
         # Write-ahead: the journal record lands (and the crash probes
         # fire) before the in-memory history mutates; replay re-appends
-        # idempotently by seq.  Registered in REGISTERED_JOURNAL_SITES.
-        # _journal_append (probes included) is a no-op without a
-        # journal, so the O(leaves) row materialization is skipped too.
-        if self.warehouse.journal is not None:
+        # idempotently by seq.  The snapshot object built here is what
+        # is appended live (not one rebuilt from the record's rows), and
+        # without a journal the O(leaves) row materialization is
+        # skipped too.
+        ledger = self.warehouse.ledger
+        if ledger.journal is not None:
             from repro.core.journal import CostSnapshotTaken
 
-            self.warehouse._journal_append(
+            ledger.write_ahead(
                 CostSnapshotTaken(
                     seq=snapshot.seq,
                     clock=snapshot.clock,
@@ -198,7 +200,7 @@ class SnapshotCollector:
                     ),
                 )
             )
-        self.warehouse.cost_history.append(snapshot)
+        ledger.cost_history.append(snapshot)
 
     def _fold_locked(self) -> None:
         """Fold newly logged records' cost leaves into the cumulative

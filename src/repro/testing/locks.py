@@ -217,7 +217,8 @@ def instrument_warehouse(
 ) -> LockOrderSanitizer:
     """Swap every known lock on *warehouse* for a sanitized wrapper.
 
-    Covers the serving lock, the journal, all three plan-cache stripe
+    Covers the ledger lock (which orders serving; it keeps the edge
+    graph's ``warehouse.serving`` name), the journal, all three plan-cache stripe
     sets and their retention policies, admission, the template
     frequency provider, both circuit breakers (statsvc + tuning, the
     latter only if the tuning service has materialized), resilience
@@ -229,8 +230,8 @@ def instrument_warehouse(
     per lock.
     """
     sanitizer = sanitizer or LockOrderSanitizer()
-    warehouse._serving_lock = sanitizer.wrap(
-        warehouse._serving_lock, "warehouse.serving"
+    warehouse.ledger.lock = sanitizer.wrap(
+        warehouse.ledger.lock, "warehouse.serving"
     )
     if warehouse.journal is not None:
         warehouse.journal._lock = sanitizer.wrap(

@@ -28,9 +28,9 @@ Tuning is a long-lived service, not a one-shot call.  The pipeline:
    :class:`~repro.tuning.service.Recommendation` with an explicit
    lifecycle (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED / REJECTED /
    ROLLED_BACK / FAILED``).  ``apply()`` runs on *background compute*
-   (:mod:`~repro.tuning.background`), which returns an
-   :class:`~repro.tuning.background.UndoAction` snapshotting prior state
-   so ``rollback()`` restores bit-identical plans and catalog entries.
+   (:mod:`~repro.tuning.background`), which captures an
+   :class:`~repro.core.journal.UndoSnapshot` of prior state before it
+   mutates so ``rollback()`` restores bit-identical plans and catalog entries.
    Every apply/rollback flushes the warehouse's plan/skeleton/binding
    caches and meters its dollars into the originating tenants' bills.
 5. A :class:`~repro.tuning.service.TuningPolicy` (cadence, storage
@@ -42,7 +42,7 @@ from repro.tuning.mv import MVCandidate, mv_candidate_from_query, try_rewrite
 from repro.tuning.clustering import ReclusterCandidate, recluster_one_time_cost
 from repro.tuning.whatif import TuningReport, WhatIfService
 from repro.tuning.advisor import AutoTuningAdvisor
-from repro.tuning.background import BackgroundComputeService, UndoAction
+from repro.tuning.background import BackgroundComputeService
 from repro.tuning.service import (
     MaterializeView,
     Recluster,
@@ -64,7 +64,6 @@ __all__ = [
     "WhatIfService",
     "AutoTuningAdvisor",
     "BackgroundComputeService",
-    "UndoAction",
     "TuningAction",
     "MaterializeView",
     "Recluster",

@@ -6,13 +6,14 @@ work from contending with foreground queries (the §4 argument for why
 auto-tuning is more solvable in the cloud); its spend is metered in a
 ledger so experiments can report foreground vs background dollars.
 
-Every ``apply_*`` method returns an :class:`UndoAction` — a typed token
-that captures, *before* mutating anything, exactly how to physically
-reverse the action (and what that reversal will cost).  The
-:class:`~repro.tuning.service.TuningService` holds these tokens on
-applied :class:`~repro.tuning.service.Recommendation`\\ s so tuning
-actions stay revisitable as the workload drifts instead of being
-fire-and-forget.
+Every ``apply_*`` method captures, *before* mutating anything, an
+:class:`~repro.core.journal.UndoSnapshot` — plain data saying exactly
+how to physically reverse the action (and what that reversal will
+cost) — and returns it; :meth:`BackgroundComputeService.rollback`
+executes one.  The :class:`~repro.tuning.service.TuningService`
+journals the snapshot ahead of the mutation and holds it on the applied
+:class:`~repro.tuning.service.Recommendation`, so tuning actions stay
+revisitable as the workload drifts instead of being fire-and-forget.
 """
 
 from __future__ import annotations
@@ -21,13 +22,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.catalog.catalog import Catalog
+from repro.core.journal import UndoSnapshot
 from repro.engine.database import Database
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import TuningError
 from repro.optimizer.dag_planner import DagPlanner
 from repro.sql.binder import Binder
 from repro.tuning.clustering import ReclusterCandidate, improved_depth
-from repro.tuning.mv import MVCandidate, mv_build_sql, mv_schema
+from repro.tuning.mv import (
+    MVCandidate,
+    mv_build_sql,
+    mv_schema,
+    register_hypothetical_mv,
+)
 from repro.tuning.whatif import TuningReport
 
 
@@ -41,35 +48,22 @@ class LedgerEntry:
     applied_physically: bool
 
 
-@dataclass(frozen=True)
-class UndoAction:
-    """How to physically reverse one applied tuning action.
-
-    Captured at apply time (prior catalog entry, prior stored table) so a
-    later rollback restores bit-identical state regardless of what else
-    happened in between.  ``dollars`` is what executing the rollback will
-    cost: re-sorting a table back is another full rewrite, dropping a
-    materialized view is a metadata-only operation.
-    """
-
-    action_name: str
-    kind: str
-    dollars: float
-    physical: bool
-    run: Callable[[], None]
-
-
 @dataclass
 class BackgroundComputeService:
     """Executes accepted tuning actions against the database/catalog."""
 
     database: Database | None = None
     catalog: Catalog | None = None
+    #: One entry per committed apply / rollback.  Written by the
+    #: warehouse ledger when the commit record lands
+    #: (:meth:`repro.core.ledger.Ledger.apply`); the
+    #: :class:`~repro.tuning.service.TuningService` passes the ledger's
+    #: own list here so this stays the place to read background spend.
     ledger: list[LedgerEntry] = field(default_factory=list)
     #: The ``tuning_apply`` fault-injection point: runs before any job
     #: (apply or rollback) mutates state, so an injected failure models
     #: background compute dying *before* the action landed — nothing is
-    #: half-applied and no ledger entry is written.  Wired by
+    #: half-applied.  Wired by
     #: :class:`~repro.tuning.service.TuningService` to the warehouse's
     #: active :class:`~repro.testing.faults.FaultPlan`; ``None`` outside
     #: chaos testing.
@@ -90,45 +84,44 @@ class BackgroundComputeService:
         if self.fault_hook is not None:
             self.fault_hook()
 
-    def apply_mv(self, candidate: MVCandidate, report: TuningReport) -> UndoAction:
-        """Materialize an accepted MV (physically when data is present)."""
-        self._fire_fault()
+    def capture_undo(
+        self, candidate: "MVCandidate | ReclusterCandidate", report: TuningReport
+    ) -> UndoSnapshot:
+        """Snapshot, before anything mutates, how to reverse applying
+        ``candidate`` — the prior catalog entry and stored table for a
+        recluster, so a later rollback restores bit-identical state
+        regardless of what else happened in between."""
         assert self.catalog is not None
-        catalog = self.catalog
         database = self.database
-        physical = database is not None and all(
-            t in database.table_names for t in candidate.base_tables
-        )
-        if physical:
-            self._materialize_mv(candidate)
-        else:
-            from repro.tuning.mv import register_hypothetical_mv
-
-            register_hypothetical_mv(catalog, candidate, catalog)
-        self.ledger.append(
-            LedgerEntry(
+        if isinstance(candidate, MVCandidate):
+            return UndoSnapshot(
                 action_name=candidate.name,
                 kind="materialized-view",
-                dollars=report.one_time_dollars,
-                applied_physically=physical,
+                dollars=0.0,  # dropping a view is metadata-only
+                physical=database is not None
+                and all(t in database.table_names for t in candidate.base_tables),
+                base_tables=tuple(candidate.base_tables),
             )
-        )
-
-        def undo() -> None:
-            if physical:
-                assert database is not None
-                database.drop_table(candidate.name)
-            else:
-                catalog.drop_table(candidate.name)
-            catalog.drop_view(candidate.name)
-
-        return UndoAction(
+        physical = database is not None and candidate.table in database.table_names
+        return UndoSnapshot(
             action_name=candidate.name,
-            kind="materialized-view",
-            dollars=0.0,  # dropping a view is metadata-only
+            kind="recluster",
+            dollars=report.one_time_dollars,  # sorting back is another rewrite
             physical=physical,
-            run=undo,
+            table=candidate.table,
+            prior_entry=self.catalog.table(candidate.table),
+            prior_stored=database.stored_table(candidate.table) if physical else None,
         )
+
+    def apply_mv(self, candidate: MVCandidate, report: TuningReport) -> UndoSnapshot:
+        """Materialize an accepted MV (physically when data is present)."""
+        self._fire_fault()
+        undo = self.capture_undo(candidate, report)
+        if undo.physical:
+            self._materialize_mv(candidate)
+        else:
+            register_hypothetical_mv(self.catalog, candidate, self.catalog)
+        return undo
 
     def _materialize_mv(self, candidate: MVCandidate) -> None:
         assert self.database is not None
@@ -152,61 +145,24 @@ class BackgroundComputeService:
     # ------------------------------------------------------------------ #
     def apply_recluster(
         self, candidate: ReclusterCandidate, report: TuningReport
-    ) -> UndoAction:
+    ) -> UndoSnapshot:
         """Physically re-sort the table (or update the overlay stats)."""
         self._fire_fault()
-        assert self.catalog is not None
-        catalog = self.catalog
-        database = self.database
-        # Snapshot prior state *before* mutating so the undo restores the
-        # exact catalog entry (schema, stats, clustering depth) verbatim.
-        prior_entry = catalog.table(candidate.table)
-        physical = database is not None and candidate.table in database.table_names
-        prior_stored = database.stored_table(candidate.table) if physical else None
-        if physical:
-            assert database is not None
-            database.replace_table_storage(
-                candidate.table, database.stored_table(candidate.table).recluster(candidate.key)
+        undo = self.capture_undo(candidate, report)
+        if undo.physical:
+            self.database.replace_table_storage(
+                candidate.table, undo.prior_stored.recluster(candidate.key)
             )
         else:
-            catalog.set_clustering(
+            self.catalog.set_clustering(
                 candidate.table,
                 candidate.key,
-                improved_depth(catalog, candidate.table),
+                improved_depth(self.catalog, candidate.table),
             )
-        self.ledger.append(
-            LedgerEntry(
-                action_name=candidate.name,
-                kind="recluster",
-                dollars=report.one_time_dollars,
-                applied_physically=physical,
-            )
-        )
-
-        def undo() -> None:
-            if physical:
-                assert database is not None and prior_stored is not None
-                database.replace_table_storage(candidate.table, prior_stored)
-            catalog.register_table(prior_entry, replace_existing=True)
-
-        return UndoAction(
-            action_name=candidate.name,
-            kind="recluster",
-            dollars=report.one_time_dollars,  # sorting back is another rewrite
-            physical=physical,
-            run=undo,
-        )
+        return undo
 
     # ------------------------------------------------------------------ #
-    def rollback(self, undo: UndoAction) -> None:
-        """Execute an undo token and meter the reversal in the ledger."""
+    def rollback(self, undo: UndoSnapshot) -> None:
+        """Execute an undo snapshot."""
         self._fire_fault()
-        undo.run()
-        self.ledger.append(
-            LedgerEntry(
-                action_name=undo.action_name,
-                kind=f"rollback-{undo.kind}",
-                dollars=undo.dollars,
-                applied_physically=undo.physical,
-            )
-        )
+        undo.apply(self.database, self.catalog)

@@ -17,7 +17,7 @@ compute) keeps its components, but the API around them becomes:
   (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED / REJECTED /
   ROLLED_BACK / FAILED``) with per-stage wall timings, the What-If
   :class:`~repro.tuning.whatif.TuningReport` attached, and the undo
-  token captured at apply time.
+  snapshot captured at apply time.
 - :class:`TuningService` — owned by the warehouse; holds one persistent
   :class:`~repro.tuning.whatif.WhatIfService` /
   :class:`~repro.tuning.advisor.AutoTuningAdvisor` /
@@ -52,14 +52,14 @@ from repro.core.journal import (
     TuningCommit,
     TuningFailed,
     TuningIntent,
-    capture_undo_snapshot,
+    UndoSnapshot,
     shares_tuple,
 )
 from repro.core.resilience import CircuitBreaker
 from repro.errors import ReproError, TuningError, TuningStateError
 from repro.statsvc.logs import QueryLogStore, TenantLogView
 from repro.tuning.advisor import AdvisorProposals, AutoTuningAdvisor
-from repro.tuning.background import BackgroundComputeService, UndoAction
+from repro.tuning.background import BackgroundComputeService
 from repro.tuning.clustering import ReclusterCandidate
 from repro.tuning.mv import MVCandidate
 from repro.tuning.whatif import TuningReport, WhatIfService
@@ -185,7 +185,7 @@ class Recommendation:
     tenant_shares: dict[str, float] = field(default_factory=dict)
     stage_timings: dict[str, float] = field(default_factory=dict)
     error: Exception | None = None
-    _undo: UndoAction | None = field(default=None, repr=False)
+    _undo: UndoSnapshot | None = field(default=None, repr=False)
 
     @property
     def applied(self) -> bool:
@@ -299,6 +299,7 @@ class TuningService:
         self.background = background or BackgroundComputeService(
             database=warehouse.database,
             catalog=warehouse.catalog,
+            ledger=warehouse.ledger.background_spend,
             fault_hook=lambda: warehouse._fire_fault("tuning_apply"),
         )
         #: Full recommendation history, every cycle, every state.
@@ -316,9 +317,6 @@ class TuningService:
         self.last_error: Exception | None = None
         self.consecutive_failures = 0
         self.breaker = breaker or CircuitBreaker("tuning")
-        #: Next recommendation id (a plain int, not an iterator, so a
-        #: recovery checkpoint can snapshot and restore it).
-        self._next_id = 1
         self._last_cycle_log_len = 0
         self._last_cycle_clock: float | None = None
 
@@ -365,7 +363,7 @@ class TuningService:
         recommendations: list[Recommendation] = []
         for report in proposals.reports:
             rec = Recommendation(
-                rec_id=self._new_id(),
+                rec_id=self.warehouse.ledger.issue_rec_id(),
                 action=self._action_for(report),
                 report=report,
                 tenant_shares=self._tenant_shares(store, report),
@@ -395,88 +393,51 @@ class TuningService:
         return rec
 
     # -- apply / rollback ------------------------------------------------ #
-    def _new_id(self) -> int:
-        rec_id = self._next_id
-        self._next_id += 1
-        return rec_id
-
     def apply(self, rec: Recommendation) -> Recommendation:
         """Apply one accepted recommendation on background compute.
 
-        Transactional over the catalog: the undo token snapshots prior
-        state before anything mutates.  On success the plan caches and
-        template bindings are flushed (serving must never reuse a
-        pre-tuning plan), applied MVs are registered with the serving
-        rewriter, and the one-time dollars are metered into the
-        originating tenants' bills.
-
-        With a journal attached this is a **two-record protocol**: a
-        :class:`~repro.core.journal.TuningIntent` carrying a declarative
-        pre-mutation :class:`~repro.core.journal.UndoSnapshot` lands
-        before the catalog mutates, and a
-        :class:`~repro.core.journal.TuningCommit` lands after.  A crash
-        between the two leaves the apply *in doubt*; recovery rolls it
-        back via the journaled snapshot (see
-        :mod:`repro.core.recovery`).
+        A **two-record protocol** over the warehouse ledger
+        (:mod:`repro.core.ledger`): a
+        :class:`~repro.core.journal.TuningIntent` carrying the
+        pre-mutation :class:`~repro.core.journal.UndoSnapshot` is
+        committed before the catalog mutates, and a
+        :class:`~repro.core.journal.TuningCommit` after — whose effects
+        register an applied MV with the serving rewriter, meter the
+        one-time dollars into the originating tenants' bills and list
+        the background spend.  A crash between the two leaves the apply
+        *in doubt*; recovery rolls it back via the journaled snapshot
+        (see :mod:`repro.core.recovery`).  On success the plan caches
+        and template bindings are flushed: serving must never reuse a
+        pre-tuning plan.
         """
-        warehouse = self.warehouse
-        journaled = warehouse.journal is not None
+        ledger = self.warehouse.ledger
+        action, report = rec.action, rec.report
+        ident = {"rec_id": rec.rec_id, "name": action.name, "kind": action.kind}
+        shares = shares_tuple(rec.tenant_shares)
         self._transition(rec, RecommendationState.APPLYING)
         start = time.perf_counter()
-        snapshot = None
-        if journaled:
-            snapshot = capture_undo_snapshot(
-                rec.action, rec.report, warehouse.database, warehouse.catalog
-            )
-            warehouse._journal_append(
-                TuningIntent(
-                    rec_id=rec.rec_id,
-                    name=rec.action.name,
-                    kind=rec.action.kind,
-                    undo=snapshot,
-                    tenant_shares=shares_tuple(rec.tenant_shares),
-                )
-            )
         try:
-            undo = self._dispatch_apply(rec.action, rec.report)
+            undo = self._capture_undo(action, report)
+            ledger.commit(TuningIntent(**ident, undo=undo, tenant_shares=shares))
+            self._dispatch_apply(action, report)
         except Exception as exc:
-            rec.error = exc
-            rec.stage_timings["apply"] = time.perf_counter() - start
-            if journaled:
-                # In-process failure: nothing mutated (dispatch is
-                # all-or-nothing before its first catalog write), so the
-                # intent is closed as failed rather than left in doubt.
-                warehouse._journal_append(
-                    TuningFailed(
-                        rec_id=rec.rec_id,
-                        name=rec.action.name,
-                        kind=rec.action.kind,
-                        message=str(exc),
-                    )
-                )
-            self._transition(rec, RecommendationState.FAILED)
+            # Nothing mutated (dispatch is all-or-nothing before its
+            # first catalog write), so the intent is closed as failed
+            # rather than left in doubt.
+            self._fail(rec, "apply", start, exc)
             raise
         rec._undo = undo
-        if journaled:
-            warehouse._fire_fault("crash_pre_commit")
-            warehouse._journal_append(
-                TuningCommit(
-                    rec_id=rec.rec_id,
-                    name=rec.action.name,
-                    kind=rec.action.kind,
-                    dollars=rec.report.one_time_dollars,
-                    tenant_shares=shares_tuple(rec.tenant_shares),
-                    candidate=(
-                        rec.action.candidate
-                        if isinstance(rec.action, MaterializeView)
-                        else None
-                    ),
-                    physical=undo.physical,
-                )
+        ledger.commit(
+            TuningCommit(
+                **ident,
+                dollars=report.one_time_dollars,
+                tenant_shares=shares,
+                candidate=action.candidate
+                if isinstance(action, MaterializeView)
+                else None,
+                physical=undo.physical,
             )
-        if isinstance(rec.action, MaterializeView):
-            self.warehouse._register_applied_mv(rec.action.candidate)
-        self._meter(rec, rec.report.one_time_dollars)
+        )
         self.warehouse.invalidate_plan_cache()
         rec.stage_timings["apply"] = time.perf_counter() - start
         self._transition(rec, RecommendationState.APPLIED)
@@ -515,7 +476,11 @@ class TuningService:
         Physically restores the snapshotted prior state (bit-identical
         catalog entries; for reclustering, the exact prior stored
         table), meters the reversal's cost, and flushes the plan caches
-        so serving immediately returns to pre-tuning plans.
+        so serving immediately returns to pre-tuning plans.  The mirror
+        protocol of :meth:`apply`: the
+        :class:`~repro.core.journal.RollbackIntent` carries the
+        apply-time snapshot, so if the process dies mid-rollback,
+        recovery completes the reversal forward.
         """
         if rec.state is not RecommendationState.APPLIED:
             raise TuningStateError(
@@ -524,69 +489,55 @@ class TuningService:
                 state=rec.state.value,
             )
         assert rec._undo is not None
-        warehouse = self.warehouse
-        journaled = warehouse.journal is not None
-        undo = rec._undo
+        ledger = self.warehouse.ledger
+        action, undo = rec.action, rec._undo
+        ident = {"rec_id": rec.rec_id, "name": action.name, "kind": action.kind}
+        spend = {
+            "dollars": undo.dollars,
+            "tenant_shares": shares_tuple(rec.tenant_shares),
+        }
         start = time.perf_counter()
-        if journaled:
-            # The intent carries the *original apply-time* undo snapshot
-            # (kept on the durable record): if the process dies
-            # mid-rollback, recovery completes the reversal forward.
-            durable = warehouse._durable_tuning.get(rec.rec_id)
-            warehouse._journal_append(
-                RollbackIntent(
-                    rec_id=rec.rec_id,
-                    name=rec.action.name,
-                    kind=rec.action.kind,
-                    undo=durable.undo if durable is not None else None,
-                    dollars=undo.dollars,
-                    tenant_shares=shares_tuple(rec.tenant_shares),
-                )
-            )
+        ledger.commit(RollbackIntent(**ident, undo=undo, **spend))
         try:
             self.background.rollback(undo)
         except Exception as exc:
-            rec.error = exc
-            rec.stage_timings["rollback"] = time.perf_counter() - start
-            if journaled:
-                # Close the in-doubt window: an in-process rollback
-                # failure (fault fired before anything mutated) must not
-                # be "completed forward" by a later crash recovery.
-                warehouse._journal_append(
-                    TuningFailed(
-                        rec_id=rec.rec_id,
-                        name=rec.action.name,
-                        kind=rec.action.kind,
-                        message=str(exc),
-                    )
-                )
-            self._transition(rec, RecommendationState.FAILED)
+            # Close the in-doubt window: an in-process rollback failure
+            # (fault fired before anything mutated) must not be
+            # "completed forward" by a later crash recovery.
+            self._fail(rec, "rollback", start, exc)
             raise
-        if journaled:
-            warehouse._fire_fault("crash_pre_commit")
-            warehouse._journal_append(
-                RollbackCommit(
-                    rec_id=rec.rec_id,
-                    name=rec.action.name,
-                    kind=rec.action.kind,
-                    dollars=undo.dollars,
-                    tenant_shares=shares_tuple(rec.tenant_shares),
-                    candidate=(
-                        rec.action.candidate
-                        if isinstance(rec.action, MaterializeView)
-                        else None
-                    ),
-                    physical=undo.physical,
-                )
+        ledger.commit(
+            RollbackCommit(
+                **ident,
+                **spend,
+                candidate=action.candidate
+                if isinstance(action, MaterializeView)
+                else None,
+                physical=undo.physical,
             )
-        if isinstance(rec.action, MaterializeView):
-            self.warehouse._unregister_applied_mv(rec.action.candidate)
-        self._meter(rec, undo.dollars)
+        )
         self.warehouse.invalidate_plan_cache()
         rec.stage_timings["rollback"] = time.perf_counter() - start
         rec._undo = None
         self._transition(rec, RecommendationState.ROLLED_BACK)
         return rec
+
+    def _fail(
+        self, rec: Recommendation, stage: str, start: float, exc: Exception
+    ) -> None:
+        """An in-process apply / rollback failure: carried on the
+        recommendation and committed as ``TuningFailed``."""
+        rec.error = exc
+        rec.stage_timings[stage] = time.perf_counter() - start
+        self.warehouse.ledger.commit(
+            TuningFailed(
+                rec_id=rec.rec_id,
+                name=rec.action.name,
+                kind=rec.action.kind,
+                message=str(exc),
+            )
+        )
+        self._transition(rec, RecommendationState.FAILED)
 
     # -- recurring cycles ------------------------------------------------ #
     def maybe_run_cycle(self) -> list[Recommendation] | None:
@@ -678,9 +629,16 @@ class TuningService:
             "(was it produced by the What-If Service?)"
         )
 
-    def _dispatch_apply(
+    def _capture_undo(
         self, action: TuningAction, report: TuningReport
-    ) -> UndoAction:
+    ) -> UndoSnapshot:
+        if isinstance(action, (MaterializeView, Recluster)):
+            return self.background.capture_undo(action.candidate, report)
+        raise TuningError(
+            f"no background executor for {action.kind!r} actions yet"
+        )
+
+    def _dispatch_apply(self, action: TuningAction, report: TuningReport) -> None:
         if isinstance(action, MaterializeView):
             name = action.candidate.name
             catalog = self.warehouse.catalog
@@ -689,12 +647,9 @@ class TuningService:
                     f"{name!r} already exists in the catalog; roll the prior "
                     "application back (or rename the candidate) first"
                 )
-            return self.background.apply_mv(action.candidate, report)
-        if isinstance(action, Recluster):
-            return self.background.apply_recluster(action.candidate, report)
-        raise TuningError(
-            f"no background executor for {action.kind!r} actions yet"
-        )
+            self.background.apply_mv(action.candidate, report)
+        else:
+            self.background.apply_recluster(action.candidate, report)
 
     def _tenant_shares(
         self, store: "QueryLogStore | TenantLogView", report: TuningReport
@@ -705,21 +660,6 @@ class TuningService:
         if not total:
             return {}
         return {tenant: count / total for tenant, count in counts.items()}
-
-    def _meter(self, rec: Recommendation, dollars: float) -> None:
-        """Charge background spend to the tenants that motivated it."""
-        if dollars <= 0.0:
-            return
-        from repro.core.service import TenantBill
-
-        warehouse = self.warehouse
-        shares = rec.tenant_shares or {"default": 1.0}
-        with warehouse._serving_lock:
-            for tenant, share in shares.items():
-                bill = warehouse.billing.get(tenant)
-                if bill is None:
-                    bill = warehouse.billing[tenant] = TenantBill(tenant)
-                bill.charge_background(dollars * share)
 
     def _transition(
         self, rec: Recommendation, target: RecommendationState

@@ -78,15 +78,15 @@ CORPUS: dict[str, Fixture] = {
         bad=(
             "class SideChannel:\n"
             "    def save(self, record):\n"
-            "        self._journal_append(record)\n"
+            "        self.journal.append(record)\n"
         ),
-        # the real registered site keeps its exact path + qualname
+        # the ledger's registered site keeps its exact path + qualname
         good=(
-            "class CostIntelligentWarehouse:\n"
-            "    def _charge_retry(self, tenant, dollars):\n"
-            "        self._journal_append(record(tenant, dollars))\n"
+            "class Ledger:\n"
+            "    def _append(self, record):\n"
+            "        self.applied_lsn = self.journal.append(record).lsn\n"
         ),
-        good_path="src/repro/core/warehouse.py",
+        good_path="src/repro/core/ledger.py",
     ),
     "metric-name": Fixture(
         path="src/repro/core/snippet.py",
@@ -158,7 +158,7 @@ CORPUS: dict[str, Fixture] = {
             "from repro.core.journal import QueryServed\n"
             "def finalize(self, record, bill):\n"
             "    self.journal.append(record)\n"
-            "    self.warehouse._journal_append(record)\n"
+            "    self.warehouse.ledger.commit(record)\n"
             "    bill.charged = TenantBill()\n"
         ),
         good=(
@@ -274,6 +274,13 @@ def test_journal_site_catches_direct_append_and_respects_registry():
     fired, _ = findings_for("journal-site", direct, "src/repro/core/x.py")
     assert len(fired) == 1
     assert "Foo.flush" in fired[0].message
+    # the ledger module is not a free pass: an unregistered site in it fires
+    fired, _ = findings_for("journal-site", direct, "src/repro/core/ledger.py")
+    assert len(fired) == 1
+    # a commit through the ledger is the idiom, anywhere
+    commit = "class Foo:\n    def flush(self):\n        self.ledger.commit(entry)\n"
+    fired, _ = findings_for("journal-site", commit, "src/repro/core/x.py")
+    assert fired == []
     # list appends on non-journal receivers are not sites
     benign = "class Foo:\n    def flush(self):\n        self.rows.append(1)\n"
     fired, _ = findings_for("journal-site", benign, "src/repro/core/x.py")
@@ -385,6 +392,7 @@ def test_worker_isolation_scopes_to_worker_modules_only():
         # Forbidden import prefixes fire individually.
         for stmt in (
             "import repro.core.warehouse\n",
+            "from repro.core.ledger import Ledger\n",
             "from repro.statsvc.logs import QueryLogStore\n",
             "from repro.obsvc.metrics import MetricsRegistry\n",
         ):

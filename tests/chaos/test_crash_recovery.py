@@ -104,7 +104,7 @@ def tune(warehouse) -> None:
 def tuning_applied(warehouse) -> bool:
     return any(
         durable.state == "applied"
-        for durable in warehouse._durable_tuning.values()
+        for durable in warehouse.ledger.durable_tuning.values()
     )
 
 
@@ -163,7 +163,7 @@ def assert_log_invariants(warehouse) -> None:
 
 
 def assert_no_stranded_recommendations(warehouse) -> None:
-    for durable in warehouse._durable_tuning.values():
+    for durable in warehouse.ledger.durable_tuning.values():
         assert not durable.in_doubt, (
             f"recommendation #{durable.rec_id} stranded in {durable.state!r}"
         )
@@ -230,7 +230,7 @@ def test_matrix_reaches_the_in_doubt_window():
     with pytest.raises(SimulatedCrashError):
         run_script(crashed, seed)
     stranded = [
-        d for d in crashed._durable_tuning.values() if d.state == "applying"
+        d for d in crashed.ledger.durable_tuning.values() if d.state == "applying"
     ]
     assert stranded, "crash_pre_commit must strand an intent"
     name = stranded[0].name
@@ -238,10 +238,10 @@ def test_matrix_reaches_the_in_doubt_window():
 
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert recovered.last_recovery.in_doubt_back == 1
-    durable = recovered._durable_tuning[stranded[0].rec_id]
+    durable = recovered.ledger.durable_tuning[stranded[0].rec_id]
     assert durable.state == "failed" and durable.resolution == "back"
     assert not catalog.has_view(name) and not catalog.has_table(name)
-    assert not recovered._applied_mvs
+    assert not recovered.ledger.applied_mvs
     # Unbilled: the tenant never got the action.
     assert all(
         bill.background_dollars == 0.0
@@ -276,14 +276,14 @@ def test_crash_mid_rollback_completes_forward():
     warehouse.inject_faults(FaultPlan([kill("crash_pre_commit")], seed=seed))
     with pytest.raises(SimulatedCrashError):
         warehouse.tuning.rollback(rec)
-    assert warehouse._durable_tuning[rec.rec_id].state == "rolling_back"
+    assert warehouse.ledger.durable_tuning[rec.rec_id].state == "rolling_back"
 
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert recovered.last_recovery.in_doubt_forward == 1
-    durable = recovered._durable_tuning[rec.rec_id]
+    durable = recovered.ledger.durable_tuning[rec.rec_id]
     assert durable.state == "rolled_back" and durable.resolution == "forward"
     assert not catalog.has_view(name) and not catalog.has_table(name)
-    assert not recovered._applied_mvs
+    assert not recovered.ledger.applied_mvs
     assert {
         t: b.ledger_snapshot() for t, b in recovered.billing.items()
     } == {t: b.ledger_snapshot() for t, b in reference.billing.items()}

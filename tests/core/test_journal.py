@@ -32,7 +32,6 @@ from repro.core.journal import (
     UndoSnapshot,
     WriteAheadJournal,
     from_ledger_units,
-    shares_dict,
     shares_tuple,
     to_ledger_units,
 )
@@ -181,7 +180,9 @@ def test_replayed_billing_equals_live_billing_to_the_last_bit():
         session.submit(
             QueryRequest(sql=T_JOIN.format(v=i % 4), at_time=10.0 * i)
         ).result()
-    live._charge_retry("acme", 0.0001230000000000000081)
+    live.ledger.commit(
+        RetryCharge(tenant="acme", dollars=0.0001230000000000000081)
+    )
     live_snapshots = {t: b.ledger_snapshot() for t, b in live.billing.items()}
 
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
@@ -253,7 +254,7 @@ def test_lsns_are_sequential_and_gap_free():
 def test_shares_helpers_are_canonical():
     assert shares_tuple({"b": 0.25, "a": 0.75}) == (("a", 0.75), ("b", 0.25))
     assert shares_tuple(None) == ()
-    assert shares_dict((("a", 0.75), ("b", 0.25))) == {"a": 0.75, "b": 0.25}
+    assert dict(shares_tuple({"b": 0.25, "a": 0.75})) == {"a": 0.75, "b": 0.25}
 
 
 # --------------------------------------------------------------------- #
@@ -341,7 +342,7 @@ def test_undo_snapshot_apply_is_idempotent():
     if not rec.accepted:
         warehouse.tuning.accept(rec)
     warehouse.tuning.apply(rec)
-    durable = warehouse._durable_tuning[rec.rec_id]
+    durable = warehouse.ledger.durable_tuning[rec.rec_id]
     assert durable.state == "applied" and durable.undo is not None
     name = durable.name
     assert catalog.has_view(name) and catalog.has_table(name)
@@ -371,15 +372,19 @@ def test_checkpoint_every_rolls_checkpoints_automatically():
     assert len(recovered.logs) == 4
 
 
-def test_journaled_serving_is_bit_identical_to_journal_free():
+def test_journaled_serving_is_bit_identical_to_journal_free(
+    history_warehouse, drive_ledger_history
+):
     """The journal records and nothing else: one seeded two-tenant
-    workload served with ``journal=None`` and with a checkpointing
-    journal yields equal logs, ledgers and plans."""
-    catalog = synthetic_tpch_catalog(1.0)
+    workload — serving, then a retry charge, collected snapshots, an MV
+    apply, a failed apply and a rollback — run with ``journal=None`` and
+    with a checkpointing journal yields equal ledgers, background spend,
+    catalogs and plans.  (``journal=None`` is the same ``commit`` minus
+    the append, and there is one undo path: this is what holds both.)"""
     journal = WriteAheadJournal(checkpoint_every=32)
     states = []
     for attached in (None, journal):
-        warehouse = CostIntelligentWarehouse(catalog=catalog, journal=attached)
+        warehouse = history_warehouse(attached)
         sessions = [
             warehouse.session(tenant=tenant, constraint=SLA)
             for tenant in ("acme", "bolt")
@@ -399,10 +404,22 @@ def test_journaled_serving_is_bit_identical_to_journal_free():
             )
             # DopPlan equality covers DOPs, the full estimate and verdict.
             plans.append((choice.join_tree.describe(), choice.dop_plan))
+        drive_ledger_history(warehouse, t0=400.0)
         bills = {t: b.ledger_snapshot() for t, b in warehouse.billing.items()}
-        states.append((list(warehouse.logs), bills, plans))
+        catalog = warehouse.catalog
+        states.append(
+            (
+                list(warehouse.logs),
+                bills,
+                plans,
+                warehouse.ledger.snapshot(),
+                list(warehouse.tuning.background.ledger),
+                (catalog.table_names, [view.name for view in catalog.views()]),
+            )
+        )
     assert states[0] == states[1]
-    assert len(states[0][0]) == 40 and len(states[0][1]) == 2
+    assert len(states[0][0]) == 46 and len(states[0][1]) == 2
+    assert len(states[0][4]) == 2 and states[0][3].durable_tuning
     assert journal.last_checkpoint_id is not None  # >= 1 checkpoint taken
 
 

@@ -142,7 +142,7 @@ def test_instrument_warehouse_covers_core_locks_and_serving_works():
         retention_policy="cost-aware",
     )
     sanitizer = instrument_warehouse(wh)
-    assert isinstance(wh._serving_lock, SanitizedLock)
+    assert isinstance(wh.ledger.lock, SanitizedLock)
     assert all(
         isinstance(s.lock, SanitizedLock) for s in wh.plan_cache._stripes
     )
@@ -165,5 +165,5 @@ def test_instrument_warehouse_covers_core_locks_and_serving_works():
     # idempotent: instrumenting again must not double-wrap
     again = instrument_warehouse(wh, sanitizer)
     assert again is sanitizer
-    assert isinstance(wh._serving_lock, SanitizedLock)
-    assert not isinstance(wh._serving_lock._inner_lock, SanitizedLock)
+    assert isinstance(wh.ledger.lock, SanitizedLock)
+    assert not isinstance(wh.ledger.lock._inner_lock, SanitizedLock)
