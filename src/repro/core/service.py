@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.core.governance import AdmissionVerdict
 from repro.core.journal import AdmissionDecision as JournalAdmissionDecision
 from repro.core.journal import QueryServed
+from repro.core.planning import Planned
 from repro.dop.constraints import Constraint
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import DeadlineExceededError, QueryFailedError, ReproError
@@ -1079,10 +1080,13 @@ class _ProcessExecutor(_InlineExecutor):
         request = handle.request
         planning = self.planning
         keys = planning.keys(request.sql, request.constraint)
-        if planning.exact.lookup(keys.exact) is not None:
-            # A hit costs no planning: the in-process stage at this
-            # handle's serve position will hit the cache again.
-            return None
+        cached = planning.exact.lookup(keys.exact)
+        if cached is not None:
+            # A hit costs no planning.  The entry itself is the ticket:
+            # the stage at this handle's serve position starts from it,
+            # so this is the query's one exact lookup, as on every other
+            # executor (looking it up again there counted each hit twice).
+            return Planned(*cached)
         skeleton_hint = None
         if planning.skeletons is not None:
             skeleton_hint = planning.skeletons.lookup(keys.skeleton)
@@ -1097,6 +1101,11 @@ class _ProcessExecutor(_InlineExecutor):
         )
 
     def collect(self, handle: QueryHandle, ticket) -> _Staged:
+        if isinstance(ticket, Planned):
+            # Nothing ran ahead for a carried hit: it was queued until
+            # now, as at the inline stage's start.
+            handle._advance(handle.state, "queued")
+            return self.session._stage(handle, lambda: ticket)
         return self.session._stage(handle, lambda: self._plan_for(handle, ticket))
 
     def _plan_for(self, handle: QueryHandle, task_id: int):
@@ -1112,7 +1121,7 @@ class _ProcessExecutor(_InlineExecutor):
         return plan
 
     def close(self, unclaimed: Iterable) -> None:
-        self.pool.abandon(list(unclaimed))
+        self.pool.abandon([t for t in unclaimed if not isinstance(t, Planned)])
 
 
 # --------------------------------------------------------------------- #

@@ -65,6 +65,7 @@ from repro.core.service import Session
 from repro.sql.parameterize import parameterize_sql
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
+from repro.cost.timing_cache import overrides_key
 from repro.dop.constraints import Constraint
 from repro.engine.database import Database
 from repro.errors import ReproError
@@ -92,6 +93,10 @@ _RETRY_PRESSURE = {
     AdmissionVerdict.DEFER: 2,
     AdmissionVerdict.DENY: 3,
 }
+
+#: The estimator memos reported as ``kind`` under the
+#: ``repro_timing_cache_*`` metrics and in ``describe_caches()``.
+_TIMING_CACHE_KINDS = ("timing", "curve", "plan", "simulation")
 
 #: Breaker state <-> numeric code for the ``repro_breaker_state`` gauge
 #: (Prometheus samples are numbers; ``describe_health`` maps back).
@@ -363,7 +368,7 @@ class CostIntelligentWarehouse:
         stats = self.estimator.models.cache.stats
         return {
             (kind,): getattr(stats, f"{kind}_{field}")
-            for kind in ("timing", "curve", "plan")
+            for kind in _TIMING_CACHE_KINDS
         }
 
     def _admission_source(self) -> dict:
@@ -858,7 +863,8 @@ class CostIntelligentWarehouse:
         """Hit-rate and governance observability across serving caches.
 
         Reports the exact plan cache, the template skeleton cache, and
-        the estimator's cost-curve cache, plus, per cache, the retention
+        the estimator's memos (per-DOP timings, compiled curves, finished
+        DOP searches, simulated executions), plus, per cache, the retention
         policy's name and its eviction count, and an ``admission`` block
         with per-tenant verdict counts (empty until a tenant budget is
         configured).
@@ -897,7 +903,7 @@ class CostIntelligentWarehouse:
         cache_hits = metrics.sourced("repro_timing_cache_hits_total")
         computations = metrics.sourced("repro_timing_cache_computations_total")
         block: dict[str, float] = {}
-        for kind in ("timing", "curve", "plan"):
+        for kind in _TIMING_CACHE_KINDS:
             kind_hits = cache_hits.get((kind,), 0)
             total = kind_hits + computations.get((kind,), 0)
             block[f"{kind}_hits"] = kind_hits
@@ -913,11 +919,34 @@ class CostIntelligentWarehouse:
         policy: str | ScalingPolicy,
         truth: dict[int, float] | None,
     ) -> SimResult:
-        policy_obj = (
-            policy
-            if isinstance(policy, ScalingPolicy)
-            else self.make_policy(policy, choice, constraint)
-        )
+        """Simulate one execution of ``choice``.
+
+        Under a policy *name* this is a pure function of its arguments,
+        ``sim_config``, ``max_dop`` and the estimator's calibration —
+        the policy object, the warm pool and the simulator are built
+        fresh from them, and no clock or carried state is read — so the
+        result is kept in the estimator's per-DAG simulation memo and
+        every later arrival of the plan gets the same (shared,
+        read-only) :class:`SimResult`.  One DAG can sit behind an SLA
+        and a budget ``PlanChoice``, hence the constraint and the DOP
+        assignment in the key.  A :class:`ScalingPolicy` *instance* is
+        the caller's, possibly stateful: it bypasses the memo.
+        """
+        if isinstance(policy, ScalingPolicy):
+            key, policy_obj = None, policy
+        else:
+            key = (
+                policy,
+                constraint,
+                tuple(sorted(choice.dop_plan.dops.items())),
+                overrides_key(truth),
+                self.sim_config,
+                self.max_dop,
+            )
+            found = self.estimator.recall_simulation(choice.dag, key)
+            if found is not None:
+                return found
+            policy_obj = self.make_policy(policy, choice, constraint)
         config = self.sim_config
         if getattr(policy_obj, "name", "") == "stage-scaler":
             config = dataclasses_replace(config, materialize_exchanges=True)
@@ -930,7 +959,10 @@ class CostIntelligentWarehouse:
             policy=policy_obj,
             config=config,
         )
-        return simulator.run()
+        result = simulator.run()
+        if key is not None:
+            self.estimator.remember_simulation(choice.dag, key, result)
+        return result
 
     def make_policy(
         self, name: str, choice: PlanChoice, constraint: Constraint

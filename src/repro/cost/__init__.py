@@ -50,7 +50,13 @@ the object it describes:
   The search itself (:mod:`repro.dop.planner`) is table-driven over
   these: a round of candidate moves costs one duration lookup per
   candidate and one lean sweep, with a critical-path prune for moves
-  provably unable to reduce latency.
+  provably unable to reduce latency.  Two more tables, keyed weakly by
+  DAG the same way (four in all), hold what is computed *from* a
+  finished plan: the DOP searches already run over the DAG, and the
+  simulated executions of it the warehouse has served (one per policy
+  name, constraint, DOP assignment, truth, ``SimConfig`` and
+  ``max_dop``), so a plan answered from the exact cache is neither
+  searched nor simulated again.
 - **DAG planning** (:mod:`repro.core.bioptimizer`): join-tree variants,
   physical plans, and pipeline decompositions are memoized per bound
   query (weakly) — the user constraint never enters DAG planning, so a

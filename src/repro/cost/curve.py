@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cost.volumes import (
+    MAX_INPUT_SCALE,
     _expected_stream_rows,
     _final_groups,
     _node_rows,
@@ -112,7 +113,7 @@ _EXCHANGES = (_SHUFFLE, _BROADCAST, _GATHER)
 _CONST = 0  # rows, bytes = r1, r2
 _SELECT = 1  # rows *= r1 (estimated selectivity); bytes = rows * r2
 _PARTIAL = 2  # rows = min(rows, r1 * dop); bytes = rows * r2
-_PROBE_SCALED = 3  # rows = r1[0] * (rows / r1[1]); bytes = rows * r2
+_PROBE_SCALED = 3  # rows = r1[0] * min(rows / r1[1], ceiling); bytes = rows * r2
 
 _NEG_INF = float("-inf")
 
@@ -265,7 +266,10 @@ class PipelineCurve:
                     rows = groups
                 nbytes = rows * r2
             else:  # _PROBE_SCALED
-                rows = r1[0] * (rows / r1[1])
+                scale = rows / r1[1]
+                if scale > MAX_INPUT_SCALE:
+                    scale = MAX_INPUT_SCALE
+                rows = r1[0] * scale
                 nbytes = rows * r2
             if detail is not None:
                 detail.append((s, f, bytes_in, rows))

@@ -5,10 +5,10 @@ simulator behind one object with the interface the rest of the system
 uses (the bi-objective optimizer, the DOP planner, the DOP monitor, and
 the What-If Service all "invoke the cost estimator").
 
-What is memoized here, beside the models' compiled curves: three tables
+What is memoized here, beside the models' compiled curves: four tables
 per :class:`~repro.plan.pipelines.PipelineDag`, each in a dictionary
 keyed *weakly* by the DAG, so an entry lives exactly as long as the plan
-it describes and :meth:`CostEstimator.invalidate_caches` drops all three
+it describes and :meth:`CostEstimator.invalidate_caches` drops all four
 after a recalibration.
 
 - the DAG's object-store GET fees (one float);
@@ -21,6 +21,14 @@ after a recalibration.
   replan of a plan served again from the exact plan cache, is one
   lookup.  Values never reference the DAG (a value that did would pin
   its own weak key).
+- its **simulation memo**: the
+  :class:`~repro.sim.distsim.SimResult` of every simulated execution of
+  the DAG the warehouse has run, under the key the warehouse builds
+  (see ``CostIntelligentWarehouse._simulate`` and the
+  :mod:`repro.sim.distsim` module docstring for why that is a pure
+  function).  Kept here because it has the lifetime of the other three:
+  it dies with the plan and with the calibration (a ``SimResult`` holds
+  pipeline ids, never the DAG, so it does not pin its own weak key).
 
 :class:`repro.testing.reference.ReferenceEstimator` builds none of them:
 the reference the parity suite compares against.
@@ -28,6 +36,7 @@ the reference the parity suite compares against.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
 from weakref import WeakKeyDictionary
 
 from repro.cost.estimate import CostEstimate
@@ -37,6 +46,9 @@ from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
 from repro.cost.regression import ExchangeCalibration
 from repro.plan.physical import PhysNode, PhysScan, walk_physical
 from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.distsim import SimResult
 
 
 class CostEstimator:
@@ -71,6 +83,9 @@ class CostEstimator:
             WeakKeyDictionary()
         )
         self._plan_memo: WeakKeyDictionary[PipelineDag, dict] = WeakKeyDictionary()
+        self._simulation_memo: WeakKeyDictionary[PipelineDag, dict] = (
+            WeakKeyDictionary()
+        )
 
     def invalidate_caches(self) -> None:
         """Drop all memoized state (after hardware/model recalibration)."""
@@ -78,6 +93,7 @@ class CostEstimator:
         self._scan_dollars_cache.clear()
         self._sweepers.clear()
         self._plan_memo.clear()
+        self._simulation_memo.clear()
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -134,6 +150,25 @@ class CostEstimator:
         if searched is None:
             searched = self._plan_memo[dag] = {}
         searched[key] = (dict(dops), feasible, evaluations)
+
+    def recall_simulation(self, dag: PipelineDag, key: tuple) -> "SimResult | None":
+        """The result a simulated execution of ``dag`` under ``key``
+        produced, if one already ran (shared: treat it as read-only)."""
+        simulated = self._simulation_memo.get(dag)
+        found = simulated.get(key) if simulated is not None else None
+        if found is not None:
+            self.models.cache.stats.simulation_hits += 1
+        return found
+
+    def remember_simulation(
+        self, dag: PipelineDag, key: tuple, result: "SimResult"
+    ) -> None:
+        """Record a finished simulated execution of ``dag`` under ``key``."""
+        self.models.cache.stats.simulation_computations += 1
+        simulated = self._simulation_memo.get(dag)
+        if simulated is None:
+            simulated = self._simulation_memo[dag] = {}
+        simulated[key] = result
 
     def pipeline_timing(
         self,

@@ -58,7 +58,9 @@ class TimingCacheStats:
     ``timing_*`` count per-DOP duration lookups on the curves;
     ``curve_*`` count curve lookups and compilations (one volume walk
     each); ``plan_*`` count whole DOP searches answered from, and stored
-    into, the estimator's per-DAG plan memo.
+    into, the estimator's per-DAG plan memo; ``simulation_*`` count
+    simulated executions answered from, and stored into, its per-DAG
+    simulation memo.
     """
 
     curve_hits: int = 0
@@ -67,6 +69,8 @@ class TimingCacheStats:
     timing_computations: int = 0
     plan_hits: int = 0
     plan_computations: int = 0
+    simulation_hits: int = 0
+    simulation_computations: int = 0
 
     def reset(self) -> None:
         self.curve_hits = 0
@@ -75,6 +79,8 @@ class TimingCacheStats:
         self.timing_computations = 0
         self.plan_hits = 0
         self.plan_computations = 0
+        self.simulation_hits = 0
+        self.simulation_computations = 0
 
     def describe(self) -> str:
         return (
@@ -83,7 +89,9 @@ class TimingCacheStats:
             f"curves: {self.curve_hits} hits / "
             f"{self.curve_computations} compiled; "
             f"plans: {self.plan_hits} hits / "
-            f"{self.plan_computations} searched"
+            f"{self.plan_computations} searched; "
+            f"simulations: {self.simulation_hits} hits / "
+            f"{self.simulation_computations} run"
         )
 
 

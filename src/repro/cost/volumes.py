@@ -39,6 +39,16 @@ class OpVolume:
     bytes_out: float
 
 
+#: Ceiling on the observed/expected input ratio a probe scales its output
+#: by.  A plan-time estimate of almost no rows (``hypothesis`` found a
+#: subnormal one) makes ``rows / expected_in`` overflow to ``inf``, and
+#: ``0 * inf`` then priced every operator downstream at NaN — which
+#: ``max`` silently drops from the pipeline's duration.  The models emit
+#: finite numbers for finite cardinalities; no real ratio comes near the
+#: ceiling, so every finite result is unchanged to the bit.
+MAX_INPUT_SCALE = 1e30
+
+
 def _node_rows(node: PhysNode, overrides: dict[int, float] | None) -> float:
     if overrides is not None and node.node_id in overrides:
         return float(overrides[node.node_id])
@@ -105,7 +115,7 @@ def pipeline_volumes(
             # plan-time probe estimate was off.
             expected_in = _expected_stream_rows(pipeline, index)
             if expected_in > 0 and overrides is not None:
-                rows_out *= rows / expected_in
+                rows_out *= min(rows / expected_in, MAX_INPUT_SCALE)
             volume = OpVolume(
                 op=op,
                 rows_in=rows,

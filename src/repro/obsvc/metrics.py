@@ -125,10 +125,16 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source", "Retention-policy evictions per plan-cache level.", ("cache",)
     ),
     "repro_timing_cache_hits_total": MetricSpec(
-        "source", "Estimator memo hits (per-DOP timing / compiled curve / DOP plan).", ("kind",)
+        "source",
+        "Estimator memo hits (per-DOP timing / compiled curve / DOP plan / "
+        "simulated execution).",
+        ("kind",),
     ),
     "repro_timing_cache_computations_total": MetricSpec(
-        "source", "Estimator memo computations (per-DOP timing / compiled curve / DOP plan).", ("kind",)
+        "source",
+        "Estimator memo computations (per-DOP timing / compiled curve / DOP plan / "
+        "simulated execution).",
+        ("kind",),
     ),
     # -- admission (sourced from AdmissionController) -------------------
     "repro_admission_verdicts_total": MetricSpec(

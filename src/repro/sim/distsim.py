@@ -20,15 +20,50 @@ leased (idle, billed) until the consumer starts and inherits them; in
 nodes release immediately but every exchange pays a materialization
 round-trip through shared storage.
 
-What is memoized: the two random draws behind a pipeline's skew and
-noise.  They are a pure function of ``(seed, pipeline id, epoch, DOP,
-skew exponent, noise sigma)`` — the generator is derived from the first
-three and consumed in a fixed order — so :func:`perturbation_draws`
-keeps them in a bounded process-wide table (least recently used entries
-leave first; nothing in it depends on a plan, a calibration or a
-warehouse, so it is never invalidated).  A serving warehouse simulates
-every query under one :class:`SimConfig`, so after the first few
-queries a pipeline start draws nothing.
+What is memoized, at two levels:
+
+- *The two random draws* behind a pipeline's skew and noise.  They are
+  a pure function of ``(seed, pipeline id, epoch, DOP, skew exponent,
+  noise sigma)`` — the generator is derived from the first three and
+  consumed in a fixed order — so :func:`perturbation_draws` keeps them
+  in a bounded process-wide table (least recently used entries leave
+  first; nothing in it depends on a plan, a calibration or a warehouse,
+  so it is never invalidated).
+- *The whole* :class:`SimResult` *of a served plan*, by the warehouse
+  (``CostIntelligentWarehouse._simulate``), in the estimator's per-DAG
+  simulation memo (:meth:`~repro.cost.estimator.CostEstimator.recall_simulation`).
+  A run of this simulator reads the DAG, the DOP assignment, the planned
+  estimate (a function of the two and the calibration), ``truth``, the
+  :class:`SimConfig`, the operator models, and whatever the scaling
+  policy holds; the warehouse builds the policy, the :class:`WarmPool`
+  and the simulator fresh per call from the policy *name*, the
+  constraint and ``max_dop``, and nothing reads a clock or an arrival
+  time.  So under a policy name the result is a pure function of the
+  key ``(policy name, constraint, DOP items, truth items or None,
+  SimConfig, max_dop)`` beside the DAG — every later arrival of a plan
+  served from the exact plan cache replayed, event by event, the run
+  the first one got — and is stored once
+  (``tests/core/test_simulation_memo.py`` sweeps the purity claim
+  against a freshly built simulator).  *Lifetime*: the table is keyed
+  weakly by the DAG, so an entry dies with the plan (the exact cache's
+  eviction is the only retention policy) and
+  ``CostEstimator.invalidate_caches()`` drops it with the curves it was
+  computed from; nothing sizes it.  A caller-supplied
+  :class:`ScalingPolicy` *instance* may carry state between runs and
+  bypasses the table.  *Sharing*: one :class:`SimResult` is handed to
+  the :class:`~repro.core.service.QueryOutcome` of every arrival it
+  answers, like the cached ``PlanChoice`` beside it — treat it, its
+  ``cost`` and its ``runs`` as read-only.
+
+The modelling statement behind the second level: a warehouse simulates
+under one :class:`SimConfig`, hence one ``seed``, so every arrival of a
+plan sees the *same* skew and noise draw.  The paper's §3.3 deviations
+are per execution — two runs of one plan on a real cluster straggle
+differently — which this model has never expressed: before the memo,
+arrivals recomputed identical numbers.  Giving each arrival its own seed
+(say, derived from the query id) would be a change of model that makes
+the result depend on the arrival and so *retires* the table; it is not a
+setting of it.
 """
 
 from __future__ import annotations
@@ -95,7 +130,9 @@ class PipelineRun:
 
 @dataclass
 class SimResult:
-    """Outcome of one simulated query execution."""
+    """Outcome of one simulated query execution.  The warehouse hands
+    one instance to every arrival of the plan it describes (see the
+    module docstring): read-only once returned."""
 
     latency: float
     cost: CostBreakdown

@@ -89,7 +89,8 @@ class ReferenceModels(OperatorModels):
 
 class ReferenceEstimator(CostEstimator):
     """A :class:`CostEstimator` over :class:`ReferenceModels` with no
-    scan-fee table, no sweeper table and no DOP-plan memo."""
+    scan-fee table, no sweeper table, no DOP-plan memo and no simulation
+    memo."""
 
     def __init__(self, hardware=None, exchange_calibration=None) -> None:
         # Not super().__init__(): that builds the per-DAG tables.
@@ -104,6 +105,12 @@ class ReferenceEstimator(CostEstimator):
         return None
 
     def remember_plan(self, dag: PipelineDag, key: tuple, *outcome) -> None:
+        """Nothing is kept."""
+
+    def recall_simulation(self, dag: PipelineDag, key: tuple) -> None:
+        return None
+
+    def remember_simulation(self, dag: PipelineDag, key: tuple, result) -> None:
         """Nothing is kept."""
 
     def scan_request_dollars(self, dag: PipelineDag) -> float:

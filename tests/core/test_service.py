@@ -247,6 +247,45 @@ def test_failed_handles_are_counted_on_every_executor(warehouse, serving_executo
     assert [sample["value"] for sample in counter["samples"]] == [1]
 
 
+def test_each_served_query_counts_one_exact_lookup(warehouse, serving_executor):
+    """``hits + misses == queries served`` on every executor.  The
+    process executor used to look an exact hit up when deciding not to
+    dispatch it and again at its serve position, so under sharding every
+    hit was counted twice; the dispatch-time entry is now carried to the
+    serve position."""
+    max_workers = serving_executor(warehouse)
+    session = warehouse.session(constraint=sla_constraint(15.0))
+    batch = [Q_COUNT, Q_SUM, Q_COUNT, Q_SUM, Q_COUNT]
+    cold = session.submit_many(batch, max_workers=max_workers)
+    warm = session.submit_many(batch, max_workers=max_workers)
+    assert all(handle.state is QueryState.DONE for handle in cold + warm)
+    block = warehouse.describe_caches()["plan_cache"]
+    assert block["hits"] + block["misses"] == len(warehouse.logs) == 10
+    assert block["hits"] >= len(warm)  # the second batch only hits
+    assert [h.result().choice for h in warm[2:]] == [
+        h.result().choice for h in warm[:2]
+    ] + [warm[0].result().choice]
+
+
+def test_fail_fast_abort_leaves_a_carried_exact_hit_unclaimed(
+    warehouse, serving_executor
+):
+    """An exact hit dispatched ahead of a failing item is a ticket the
+    abort never collects; closing the executor must cope (the process
+    executor's other tickets are worker task ids it abandons)."""
+    max_workers = serving_executor(warehouse)
+    session = warehouse.session(constraint=sla_constraint(15.0))
+    session.submit(Q_COUNT).result()
+    with pytest.raises(QueryFailedError) as excinfo:
+        session.submit_many(
+            [Q_COUNT, Q_BROKEN, Q_COUNT], max_workers=max_workers, fail_fast=True
+        )
+    assert excinfo.value.index == 1
+    assert [record.sql for record in warehouse.logs] == [Q_COUNT, Q_COUNT]
+    # The executor is still serviceable afterwards.
+    assert session.submit_many([Q_SUM], max_workers=max_workers)[0].result()
+
+
 def test_warehouse_submit_shim_raises_original_error_types(warehouse):
     """A failed handle's QueryFailedError keeps the original error
     (BindError, ...) as its in-process ``cause``: callers that want the

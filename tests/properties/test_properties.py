@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog.statistics import EquiDepthHistogram
 from repro.engine.batch import Batch
@@ -267,12 +269,37 @@ def operator_chains(draw):
     return Pipeline(pipeline_id=0, ops=ops), overrides
 
 
+def _almost_empty_probe_input():
+    """The shrunk chain ``hypothesis`` once drew (PR 18): a scan whose
+    plan-time estimate is a subnormal 2.2e-311 rows but which is observed
+    to emit one, feeding a probe that expects no output, then a build.
+    ``rows / expected_in`` overflowed to ``inf``, the probe emitted
+    ``0 * inf`` and the build was priced at ``stream_s=nan``."""
+    from repro.plan.physical import PhysHashJoin, PhysScan
+    from repro.plan.pipelines import Pipeline, PipelineOp
+
+    x = ColumnRef("x")
+    scan = PhysScan("t", ("x",), input_rows=1.0, input_bytes=40.0)
+    scan.est_rows = 2.2e-311
+    probe = PhysHashJoin(PhysScan("b", ("x",)), scan, (x,), (x,))
+    build = PhysHashJoin(probe, PhysScan("p", ("x",)), (x,), (x,))
+    ops = [
+        PipelineOp(scan, "source_scan"),
+        PipelineOp(probe, "probe"),
+        PipelineOp(build, "build"),
+    ]
+    return Pipeline(pipeline_id=0, ops=ops), {scan.node_id: 1.0}
+
+
 @settings(max_examples=300, deadline=None)
 @given(operator_chains(), st.lists(st.integers(1, 64), min_size=1, max_size=4))
+@example(_almost_empty_probe_input(), [1])
 def test_compiled_curve_prices_any_chain_like_the_models(chain, dops):
     """Chains the planner never emits (two partial aggregates, probes
-    and exchanges downstream of one, zero-row inputs) must still compile
-    to the reference's floats — a curve may never mis-price."""
+    and exchanges downstream of one, zero-row inputs, estimates of almost
+    no rows) must still compile to the reference's floats — a curve may
+    never mis-price — and both must price every operator at a finite
+    time: a NaN compares unequal to itself and drops out of ``max``."""
     from repro.cost.estimator import CostEstimator
     from repro.testing.reference import ReferenceModels
 
@@ -286,3 +313,4 @@ def test_compiled_curve_prices_any_chain_like_the_models(chain, dops):
         assert actual.bottleneck == expected.bottleneck
         assert actual.source_rows == expected.source_rows
         assert actual.op_times == expected.op_times
+        assert all(math.isfinite(t.stream_s + t.fixed_s) for t in actual.op_times)
