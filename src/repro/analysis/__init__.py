@@ -1,7 +1,7 @@
 """Static architecture lint for the repro warehouse.
 
 ``python -m repro.analysis --strict src tests`` is a CI gate: it runs
-~9 AST rules that machine-enforce the contracts the warehouse's
+seven AST rules that machine-enforce the contracts the warehouse's
 correctness rests on — contracts that previously existed only as
 ROADMAP prose.  The rules (see :mod:`repro.analysis.rules`):
 
@@ -14,10 +14,6 @@ ROADMAP prose.  The rules (see :mod:`repro.analysis.rules`):
                         ``derive_rng`` only; ``perf_counter`` allowed)
 ``float-billing``       no float ``+=`` on ``*_dollars`` balances
                         (integral ledger units via ``repro.util.units``)
-``journal-site``        ``journal.append`` only inside
-                        ``repro/core/ledger.py``, at the sites
-                        ``REGISTERED_JOURNAL_SITES`` documents
-                        kill-point coverage for
 ``metric-name``         every metric emitted or read through a registry
                         is a literal name declared in
                         ``repro.obsvc.metrics.REGISTERED_METRICS``
@@ -28,10 +24,16 @@ ROADMAP prose.  The rules (see :mod:`repro.analysis.rules`):
                         ``.acquire()``/``.release()``
 ``picklable-record``    journal records and ``ReproError`` fields
                         restricted to picklable plain-data types
-``warehouse-kwargs``    ``CostIntelligentWarehouse.__init__`` keyword
-                        surface frozen (extend ``Session`` /
-                        ``TuningService`` instead)
 ======================  =================================================
+
+Rules inspect code *shape*.  Three contracts that are facts about
+module boundaries — ``journal.append`` is called only inside
+``repro/core/ledger.py``; ``core/sharding_worker.py`` and
+``core/planning.py`` import nothing of the journal / ledger / service /
+warehouse / ``statsvc`` / ``obsvc`` layers and never name ``TenantBill``;
+the ``CostIntelligentWarehouse.__init__`` keyword set is frozen — were
+rules until PR 21 and are now assertions over the import graph in
+``tests/testing/test_production_imports.py``.
 
 **Adding a rule.**  Subclass :class:`~repro.analysis.engine.Rule` in
 :mod:`repro.analysis.rules`, set ``rule_id`` (kebab-case) and
@@ -82,21 +84,15 @@ from repro.analysis.engine import (
     normalize_path,
     register,
 )
-from repro.analysis.rules import (
-    REGISTERED_JOURNAL_SITES,
-    WAREHOUSE_INIT_PARAMS,
-)
 
 __all__ = [
     "Baseline",
     "BaselineEntry",
     "Finding",
     "ModuleSource",
-    "REGISTERED_JOURNAL_SITES",
     "RULES",
     "Report",
     "Rule",
-    "WAREHOUSE_INIT_PARAMS",
     "analyze_paths",
     "check_module",
     "module_from_source",

@@ -60,12 +60,12 @@ _SUPPRESS_RE = re.compile(
 
 
 def normalize_path(path: "Path | str") -> str:
-    """Stable repo-relative posix path for fingerprints and registries.
+    """Stable repo-relative posix path for fingerprints.
 
     ``/anything/src/repro/core/x.py`` -> ``repro/core/x.py`` and
     ``/anything/tests/core/test_x.py`` -> ``tests/core/test_x.py``, so
-    fingerprints and the journal-site registry do not depend on the
-    checkout location or the CLI's working directory.
+    fingerprints do not depend on the checkout location or the CLI's
+    working directory.
     """
     parts = Path(path).as_posix().split("/")
     for anchor in ("repro", "tests"):
@@ -127,10 +127,6 @@ class ModuleSource:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
-        self._parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self._parents[child] = parent
         # line -> {rule_id: justification}; None justification means the
         # comment was malformed (missing reason) and must not suppress.
         self.suppressions: dict[int, dict[str, str | None]] = {}
@@ -161,20 +157,6 @@ class ModuleSource:
     @property
     def is_tests(self) -> bool:
         return self.norm.split("/")[0] == "tests"
-
-    # -- AST helpers --------------------------------------------------- #
-    def enclosing_qualname(self, node: ast.AST) -> str:
-        """Dotted class/function scope containing *node* (``<module>``
-        at top level), e.g. ``Ledger.checkpoint``."""
-        names: list[str] = []
-        current = self._parents.get(node)
-        while current is not None:
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                names.append(current.name)
-            current = self._parents.get(current)
-        return ".".join(reversed(names)) or "<module>"
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):

@@ -4,10 +4,13 @@ Each rule machine-enforces one invariant that PRs 3–7 established in
 prose (ROADMAP "machine-checked invariants" section); the rule's
 docstring names the contract and the failure it prevents.  Rules are
 syntactic and conservative by design: they key on the repo's own
-idioms (``journal.append``, ``_fire_fault``, ``*_dollars``,
-``*lock*.acquire``) rather than attempting type inference, so a
-violation is a near-certain contract breach and a false positive is a
-one-line ``# lint-allow: <rule> <why>`` away.
+idioms (``_fire_fault``, ``*_dollars``, ``*lock*.acquire``) rather than
+attempting type inference, so a violation is a near-certain contract
+breach and a false positive is a one-line
+``# lint-allow: <rule> <why>`` away.  Facts about module boundaries
+(who appends to the journal, what a planner worker may import, the
+warehouse constructor's keywords) are not rules: they are assertions in
+``tests/testing/test_production_imports.py``.
 """
 
 from __future__ import annotations
@@ -26,57 +29,6 @@ from repro.analysis.engine import (
 
 #: Subpackages that must be deterministic and virtual-time only.
 DETERMINISTIC_PACKAGES = frozenset({"core", "tuning", "statsvc", "obsvc"})
-
-#: The one module that may append to the write-ahead journal: every
-#: transition goes through ``Ledger.commit`` / ``write_ahead``, so the
-#: kill-point matrix (``tests/chaos/test_crash_recovery.py``) crashes
-#: through every journaled write by crashing through these.
-JOURNAL_MODULE = "repro/core/ledger.py"
-
-#: Its append sites, keyed by ``<normalized path>::<enclosing
-#: qualname>``, with how the recovery tests cover each.  A new site MUST
-#: be added here *and* given crash-probe coverage, otherwise the
-#: ``journal-site`` rule fails — a write site the kill-point matrix never
-#: crashes through is a recovery path that has never been tested.
-REGISTERED_JOURNAL_SITES: dict[str, str] = {
-    f"{JOURNAL_MODULE}::Ledger._append": (
-        "the single probe-bracketed WAL write behind commit() and "
-        "write_ahead(): crash_pre_write / crash_post_write fire around "
-        "journal.append here, crash_pre_commit before a TuningCommit / "
-        "RollbackCommit; swept per record type by the kill-point matrix "
-        "(serving, admission, retry, tuning) and by the collector "
-        "crash-consistency tests (tests/obsvc/test_observability_recovery.py)"
-    ),
-    f"{JOURNAL_MODULE}::Ledger.checkpoint": (
-        "checkpoint compaction appends directly under the ledger lock; "
-        "covered by checkpoint/restore kill-point tests"
-    ),
-}
-
-#: The exact keyword surface of ``CostIntelligentWarehouse.__init__``.
-#: Frozen on purpose: new serving features extend ``Session`` /
-#: ``ServingScheduler``, new tuning features extend ``TuningService``
-#: / ``TuningPolicy`` — the warehouse constructor is the narrow waist
-#: and must not regrow a kwarg per feature.  Changing this list is an
-#: explicit API decision made here, not a drive-by.
-WAREHOUSE_INIT_PARAMS = frozenset(
-    {
-        "self",
-        "database",
-        "catalog",
-        "hardware",
-        "estimator",
-        "sim_config",
-        "max_dop",
-        "explore_bushy",
-        "plan_cache_size",
-        "tuning_policy",
-        "retention_policy",
-        "tenant_budgets",
-        "resilience",
-        "journal",
-    }
-)
 
 
 def _handler_names(handler: ast.ExceptHandler) -> list[str | None]:
@@ -246,50 +198,6 @@ class FloatBillingRule(Rule):
                 )
 
 
-@register
-class JournalSiteRule(Rule):
-    """The journal is appended to only inside the ledger module.
-
-    The crash-consistency guarantee is only as strong as the set of
-    write sites the kill-point matrix crashes through, and "journal,
-    then apply through the one transition function" only holds if
-    nothing writes the journal around ``Ledger.commit``.  So
-    ``journal.append`` is legal in ``repro/core/ledger.py`` alone, at
-    the sites ``REGISTERED_JOURNAL_SITES`` documents coverage for;
-    everything else commits a record through the ledger.
-    """
-
-    rule_id = "journal-site"
-    description = (
-        "journal.append outside repro/core/ledger.py's registered sites "
-        "(commit the record through the ledger)"
-    )
-
-    def applies_to(self, module: ModuleSource) -> bool:
-        return module.in_repro and not module.is_testing
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr != "append":
-                continue
-            if "journal" not in (dotted_name(func.value) or "").lower():
-                continue
-            key = f"{module.norm}::{module.enclosing_qualname(node)}"
-            if key not in REGISTERED_JOURNAL_SITES:
-                yield self.finding(
-                    module,
-                    node,
-                    f"journal append at {key}; only {JOURNAL_MODULE} may "
-                    "write the journal — call ledger.commit(record), or "
-                    "register a new ledger site in "
-                    "repro.analysis.rules.REGISTERED_JOURNAL_SITES with "
-                    "kill-point test coverage",
-                )
-
-
 #: Registry-emission methods the ``metric-name`` rule audits.  Reads
 #: (``value`` / ``sourced``) are included: a typo'd read silently
 #: returns zero forever, which is exactly the drift the typed registry
@@ -304,8 +212,7 @@ class MetricNameRule(Rule):
     """Every metric emitted or read must be declared in
     ``REGISTERED_METRICS``.
 
-    The observability contract (PR 9) mirrors ``journal-site``: the
-    typed registry in :mod:`repro.obsvc.metrics` raises
+    The typed registry in :mod:`repro.obsvc.metrics` raises
     ``MetricNameError`` at runtime for undeclared names, but only on
     paths a test actually exercises.  This rule closes the gap
     statically — any ``*.metrics.counter("name", ...)`` (or gauge /
@@ -567,171 +474,3 @@ class PicklableRecordRule(Rule):
                                     cls.name,
                                     arg.arg,
                                 )
-
-
-#: Modules that run inside planner worker *processes*.  Everything in
-#: this set is held to the ``worker-isolation`` contract: workers
-#: compute pure planning functions and must never reach the journal,
-#: tenant bills, the statistics log, or the metrics registry — those
-#: are ordered, exactly-once coordinator effects, and keeping them out
-#: of the worker is what makes crash-restart + re-stage safe (a worker
-#: can die and its tasks replay without double-billing or
-#: double-logging).
-WORKER_ISOLATED_MODULES = frozenset(
-    # The entrypoint, and the planning pipeline it instantiates (without
-    # which the rule would have a hole one import deep).
-    {"repro/core/sharding_worker.py", "repro/core/planning.py"}
-)
-
-#: Import prefixes that carry coordinator authority (journal writes,
-#: billing, admission, statistics/metrics emission).
-_COORDINATOR_IMPORTS = (
-    "repro.core.journal",
-    "repro.core.ledger",
-    "repro.core.service",
-    "repro.core.warehouse",
-    "repro.statsvc",
-    "repro.obsvc",
-)
-
-#: Method names that perform coordinator-only effects (the ledger's
-#: write verbs).
-_COORDINATOR_CALLS = frozenset({"commit", "write_ahead"})
-
-
-@register
-class WorkerIsolationRule(Rule):
-    """Planner worker modules never touch coordinator authority.
-
-    The process-sharded serving path (``repro.core.sharding``) keeps
-    every journal append, ``TenantBill`` mutation, admission decision,
-    and statistics-log write in the coordinator's ordered finalize
-    phase; worker processes only bind and optimize.  This rule pins
-    that statically for the worker entrypoint module: no imports of the
-    journal/ledger/service/warehouse/statsvc/obsvc layers, no ledger
-    commits or journal/log appends, no ``TenantBill`` references.  Without
-    it, a drive-by "just log it in the worker" edit would silently
-    break exactly-once semantics — a restarted worker replays its
-    in-flight tasks, and any side effect it performed runs twice.
-    """
-
-    rule_id = "worker-isolation"
-    description = (
-        "coordinator authority (journal/billing/statistics/metrics) "
-        "reachable from a planner worker module"
-    )
-
-    def applies_to(self, module: ModuleSource) -> bool:
-        return module.norm in WORKER_ISOLATED_MODULES
-
-    def _forbidden_import(self, node: ast.AST) -> str | None:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith(_COORDINATOR_IMPORTS):
-                    return alias.name
-        if isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith(_COORDINATOR_IMPORTS):
-                return node.module
-        return None
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            name = self._forbidden_import(node)
-            if name is not None:
-                yield self.finding(
-                    module,
-                    node,
-                    f"worker module imports {name}; journal, billing, "
-                    "statistics, and metrics are coordinator-side only "
-                    "(workers must stay restartable without replayed "
-                    "side effects)",
-                )
-                continue
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                receiver = dotted_name(node.func.value) or ""
-                attr = node.func.attr
-                is_journal_append = attr == "append" and (
-                    "journal" in receiver.lower() or "log" in receiver.lower()
-                )
-                if attr in _COORDINATOR_CALLS or is_journal_append:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"worker module calls {receiver}.{attr}(); ordered "
-                        "exactly-once effects belong to the coordinator's "
-                        "finalize phase",
-                    )
-            if (
-                isinstance(node, ast.Name) and node.id == "TenantBill"
-            ) or (
-                isinstance(node, ast.Attribute) and node.attr == "TenantBill"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "worker module references TenantBill; bills are "
-                    "coordinator state — a worker touching one would "
-                    "double-charge on crash-restart re-staging",
-                )
-
-
-@register
-class WarehouseKwargsRule(Rule):
-    """``CostIntelligentWarehouse.__init__`` keywords are frozen.
-
-    The warehouse constructor is the narrow waist of the public API;
-    serving extensions belong on ``Session`` / ``ServingScheduler`` and
-    tuning extensions on ``TuningService`` / ``TuningPolicy``.  Growing
-    a kwarg here is an explicit API decision recorded by editing
-    ``WAREHOUSE_INIT_PARAMS`` in the same commit.
-    """
-
-    rule_id = "warehouse-kwargs"
-    description = (
-        "CostIntelligentWarehouse.__init__ keyword not in the frozen "
-        "WAREHOUSE_INIT_PARAMS allowlist"
-    )
-
-    def applies_to(self, module: ModuleSource) -> bool:
-        return module.norm == "repro/core/warehouse.py"
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for cls in module.tree.body:
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            if cls.name != "CostIntelligentWarehouse":
-                continue
-            init = next(
-                (
-                    stmt
-                    for stmt in cls.body
-                    if isinstance(stmt, ast.FunctionDef)
-                    and stmt.name == "__init__"
-                ),
-                None,
-            )
-            if init is None:
-                continue
-            args = init.args
-            actual = [
-                a.arg
-                for a in args.posonlyargs + args.args + args.kwonlyargs
-            ]
-            for arg in args.posonlyargs + args.args + args.kwonlyargs:
-                if arg.arg not in WAREHOUSE_INIT_PARAMS:
-                    yield self.finding(
-                        module,
-                        arg.lineno,
-                        f"new warehouse kwarg {arg.arg!r}: route the "
-                        "feature through Session/TuningService, or record "
-                        "the API decision in WAREHOUSE_INIT_PARAMS",
-                    )
-            for missing in sorted(WAREHOUSE_INIT_PARAMS - set(actual)):
-                yield self.finding(
-                    module,
-                    init.lineno,
-                    f"WAREHOUSE_INIT_PARAMS lists {missing!r} but __init__ "
-                    "no longer takes it; update the allowlist",
-                )

@@ -122,11 +122,6 @@ class Catalog:
     def table_names(self) -> tuple[str, ...]:
         return tuple(self._tables)
 
-    def update_stats(self, name: str, stats: TableStats) -> None:
-        entry = self.table(name)
-        self._tables[name] = replace(entry, stats=stats)
-        self._bump_version()
-
     def set_clustering(self, name: str, key: str | None, depth: float) -> None:
         """Record a (re)clustering layout change for ``name``.
 

@@ -137,10 +137,6 @@ class ColumnStats:
         if self.ndv > max(self.row_count, 1):
             raise CatalogError("ndv cannot exceed row count")
 
-    @property
-    def avg_width_bytes(self) -> int:
-        return self.column.dtype.width_bytes
-
     def scaled(self, factor: float) -> "ColumnStats":
         """Return stats for a uniformly scaled row count (used by what-if)."""
         rows = int(round(self.row_count * factor))

@@ -92,10 +92,6 @@ class BillingMeter:
             self.close_lease(lease_id, now)
 
     @property
-    def open_lease_count(self) -> int:
-        return len(self._open)
-
-    @property
     def leases(self) -> list[LeaseRecord]:
         return list(self._closed)
 

@@ -126,17 +126,18 @@ logs, ledger bills, admission verdicts — enforced by the sharded
 parity matrix).  Crashed workers (including the seeded
 ``worker_crash`` fault point) restart warm with their in-flight tasks
 re-staged exactly-once; an unresponsive worker surfaces as an
-``optimize`` deadline and takes the degraded fallback above.  The
-``worker-isolation`` lint rule machine-checks that the worker module
-can never import or call the coordinator's journal/billing/logging
-surfaces.
+``optimize`` deadline and takes the degraded fallback above.  An
+import-graph assertion (``tests/testing/test_production_imports.py``)
+checks that the worker module never imports the coordinator's
+journal/billing/logging surfaces.
 
 The contracts above are *machine-enforced*: ``python -m repro.analysis
 --strict src tests`` (the CI ``lint`` gate — see
-:mod:`repro.analysis`) lints that only the ledger module appends to
-the journal, ledger-unit billing, StageGuard-only fault handling,
-virtual-time discipline, lock hygiene, worker isolation, and the
-frozen warehouse constructor surface; the lock-order sanitizer
+:mod:`repro.analysis`) lints ledger-unit billing, StageGuard-only fault
+handling, virtual-time discipline and lock hygiene;
+``tests/testing/test_production_imports.py`` asserts that only the
+ledger module appends to the journal, worker isolation, and the frozen
+warehouse constructor surface; the lock-order sanitizer
 (:mod:`repro.testing.locks`) checks the runtime complement, a
 cycle-free lock acquisition order, across the chaos matrix.
 """
@@ -153,6 +154,7 @@ from repro.core.journal import (
     from_ledger_units,
     to_ledger_units,
 )
+from repro.core.ledger import TenantBill
 from repro.core.recovery import RecoveryReport, recover_warehouse
 from repro.core.governance import (
     AdmissionController,
@@ -180,7 +182,6 @@ from repro.core.service import (
     QueryState,
     ServingScheduler,
     Session,
-    TenantBill,
 )
 from repro.core.sharding import PlannerWorkerPool
 from repro.core.warehouse import CostIntelligentWarehouse

@@ -21,7 +21,7 @@ statistics, and billing:
   recency would age out.
 - **Admission** (:class:`AdmissionController`): whether to serve a
   tenant's query at all, given the tenant's running
-  :class:`~repro.core.service.TenantBill` (serving *plus* background
+  :class:`~repro.core.ledger.TenantBill` (serving *plus* background
   tuning spend) against a configured :class:`TenantBudget`.  Verdicts
   escalate ``ADMIT -> THROTTLE -> DEFER -> DENY`` as spend approaches
   the budget; a denial surfaces as a typed
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections import OrderedDict
 
     from repro.core.resilience import CircuitBreaker
-    from repro.core.service import TenantBill
+    from repro.core.ledger import TenantBill
     from repro.statsvc.logs import QueryLogStore
 
 #: Retention policies constructible by name (the warehouse constructor's
@@ -445,12 +445,6 @@ class AdmissionController:
         if not isinstance(budget, TenantBudget):
             budget = TenantBudget(dollars=float(budget))
         self._budgets[tenant] = budget
-
-    def remove_budget(self, tenant: str) -> None:
-        self._budgets.pop(tenant, None)
-
-    def budget_for(self, tenant: str) -> TenantBudget | None:
-        return self._budgets.get(tenant)
 
     def check(
         self,

@@ -49,15 +49,144 @@ from repro.core.journal import (
     TuningIntent,
     WriteAheadJournal,
 )
-from repro.core.service import TenantBill
 from repro.errors import RecoveryError, ReproError
 from repro.obsvc.history import CostHistoryStore
 from repro.sql.parameterize import parameterize_sql
-from repro.statsvc.logs import QueryLogStore
+from repro.statsvc.logs import QueryLogStore, QueryRecord
 from repro.tuning.background import LedgerEntry
+from repro.util.units import from_ledger_units, to_ledger_units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tuning.mv import MVCandidate
+
+
+class TenantBill:
+    """Running per-tenant spend, rolled up into warehouse billing.
+
+    Serving dollars (``dollars``) and background-tuning dollars
+    (``background_dollars``) are metered separately so experiments can
+    report foreground vs background spend per tenant; the
+    :class:`~repro.tuning.service.TuningService` attributes each applied
+    action's cost to the tenants whose traffic motivated it.
+
+    Dollar balances accumulate internally in **integral ledger units**
+    (:data:`~repro.core.journal.LEDGER_SCALE` units per dollar — a
+    power of two, so each charge's conversion is exact and accumulation
+    is order-independent).  Floats drift; a crash-recovery replay must
+    reproduce live totals *to the last bit*, and integer sums do.  The
+    public ``dollars`` / ``background_dollars`` / ``retry_dollars``
+    views stay floats.
+    """
+
+    def __init__(self, tenant: str) -> None:
+        self.tenant = tenant
+        self.queries = 0
+        self.machine_seconds = 0.0
+        self.background_actions = 0
+        self.retries = 0
+        self._dollars_units = 0
+        self._background_units = 0
+        self._retry_units = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"TenantBill(tenant={self.tenant!r}, queries={self.queries}, "
+            f"dollars={self.dollars:.6f}, total={self.total_dollars:.6f})"
+        )
+
+    def charge(self, record: QueryRecord) -> None:
+        self.queries += 1
+        self._dollars_units += to_ledger_units(record.dollars)
+        self.machine_seconds += record.machine_seconds
+
+    def charge_background(self, dollars: float) -> None:
+        """Meter one background tuning apply/rollback against this tenant."""
+        self.background_actions += 1
+        self._background_units += to_ledger_units(dollars)
+
+    def charge_retry(self, dollars: float) -> None:
+        """Meter one retry attempt's modeled compute against this tenant."""
+        self.retries += 1
+        self._retry_units += to_ledger_units(dollars)
+
+    @property
+    def dollars(self) -> float:
+        """Serving spend (sum of served records' dollars)."""
+        return from_ledger_units(self._dollars_units)
+
+    @property
+    def background_dollars(self) -> float:
+        return from_ledger_units(self._background_units)
+
+    @property
+    def retry_dollars(self) -> float:
+        return from_ledger_units(self._retry_units)
+
+    @property
+    def total_dollars(self) -> float:
+        """Serving plus background plus retry spend."""
+        return from_ledger_units(
+            self._dollars_units + self._background_units + self._retry_units
+        )
+
+    # -- exact ledger views (observability reconciles against these) --- #
+    @property
+    def serving_units(self) -> int:
+        """Serving spend in integral ledger units."""
+        return self._dollars_units
+
+    @property
+    def background_units(self) -> int:
+        """Background-tuning spend in integral ledger units."""
+        return self._background_units
+
+    @property
+    def retry_units(self) -> int:
+        """Retry spend in integral ledger units."""
+        return self._retry_units
+
+    @property
+    def total_units(self) -> int:
+        """Total spend in integral ledger units."""
+        return self._dollars_units + self._background_units + self._retry_units
+
+    # -- durability ----------------------------------------------------- #
+    def ledger_snapshot(self) -> tuple:
+        """The bill's exact state as a plain tuple (checkpointing, and
+        bit-equality assertions in the recovery tests)."""
+        return (
+            self.tenant,
+            self.queries,
+            self._dollars_units,
+            self.machine_seconds,
+            self._background_units,
+            self.background_actions,
+            self._retry_units,
+            self.retries,
+        )
+
+    @classmethod
+    def from_ledger_snapshot(cls, snapshot: tuple) -> "TenantBill":
+        """Rebuild a bill from :meth:`ledger_snapshot` output."""
+        (
+            tenant,
+            queries,
+            dollars_units,
+            machine_seconds,
+            background_units,
+            background_actions,
+            retry_units,
+            retries,
+        ) = snapshot
+        bill = cls(tenant)
+        bill.queries = queries
+        bill._dollars_units = dollars_units
+        bill.machine_seconds = machine_seconds
+        bill._background_units = background_units
+        bill.background_actions = background_actions
+        bill._retry_units = retry_units
+        bill.retries = retries
+        return bill
 
 
 class Ledger:

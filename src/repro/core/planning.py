@@ -11,9 +11,9 @@ over whichever cache levels (:mod:`repro.core.plan_cache`) the pipeline
 was given.  A level that is not there is skipped: ``use_cache=False``
 and a pipeline built without levels are the same walk with nothing to
 look up or store.  The coordinator and every planner worker process
-instantiate this class, so the module is held to the
-``worker-isolation`` lint contract: planning is a pure function of
-catalog, hardware, query and constraint.
+instantiate this class, so the module is held to the worker-isolation
+contract (``tests/testing/test_production_imports.py``): planning is
+a pure function of catalog, hardware, query and constraint.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ per-request guard that applies them:
   layer maps the tenant's admission pressure to
   :meth:`RetryPolicy.attempts_for`, so a tenant near ``DENY`` gets
   fewer attempts, and every backoff's modeled compute is charged to the
-  tenant's :class:`~repro.core.service.TenantBill` as ``retry_dollars``
+  tenant's :class:`~repro.core.ledger.TenantBill` as ``retry_dollars``
   (visible to admission on the next check).
 - :class:`Deadline` — per-request and per-stage timeout enforcement.
   Wall time plus *virtual* charged seconds (injected latency spikes,
@@ -266,7 +266,7 @@ class ResilienceStats:
     """Thread-safe counters for ``warehouse.describe_health()``.
 
     Retry dollars accumulate in integral ledger units (the same
-    fixed-point scale as :class:`~repro.core.service.TenantBill` and the
+    fixed-point scale as :class:`~repro.core.ledger.TenantBill` and the
     journal), so the health snapshot's total matches the sum of the
     per-tenant ``retry_dollars`` metered onto bills bit for bit,
     independent of accumulation order.

@@ -47,14 +47,14 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.core.governance import AdmissionVerdict
 from repro.core.journal import AdmissionDecision as JournalAdmissionDecision
 from repro.core.journal import QueryServed
+from repro.core.ledger import TenantBill
 from repro.core.planning import Planned
 from repro.dop.constraints import Constraint
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import DeadlineExceededError, QueryFailedError, ReproError
-from repro.plan.expressions import referenced_columns
 from repro.sql.parameterize import parameterize_sql
-from repro.statsvc.logs import QueryLogStore, QueryRecord
-from repro.util.units import from_ledger_units, to_ledger_units
+from repro.statsvc.records import served_record
+from repro.util.units import to_ledger_units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bioptimizer import PlanChoice
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.batch import Batch
     from repro.sim.distsim import ScalingPolicy, SimResult
     from repro.sql.binder import BoundQuery
-    from repro.statsvc.logs import TenantLogView
+    from repro.statsvc.logs import QueryRecord, TenantLogView
 
 
 # --------------------------------------------------------------------- #
@@ -296,138 +296,6 @@ class QueryHandle:
             for name, seconds in self.stage_timings.items()
         )
         return f"{head}\n  stages: {stages}"
-
-
-# --------------------------------------------------------------------- #
-# Per-tenant billing
-# --------------------------------------------------------------------- #
-class TenantBill:
-    """Running per-tenant spend, rolled up into warehouse billing.
-
-    Serving dollars (``dollars``) and background-tuning dollars
-    (``background_dollars``) are metered separately so experiments can
-    report foreground vs background spend per tenant; the
-    :class:`~repro.tuning.service.TuningService` attributes each applied
-    action's cost to the tenants whose traffic motivated it.
-
-    Dollar balances accumulate internally in **integral ledger units**
-    (:data:`~repro.core.journal.LEDGER_SCALE` units per dollar — a
-    power of two, so each charge's conversion is exact and accumulation
-    is order-independent).  Floats drift; a crash-recovery replay must
-    reproduce live totals *to the last bit*, and integer sums do.  The
-    public ``dollars`` / ``background_dollars`` / ``retry_dollars``
-    views stay floats.
-    """
-
-    def __init__(self, tenant: str) -> None:
-        self.tenant = tenant
-        self.queries = 0
-        self.machine_seconds = 0.0
-        self.background_actions = 0
-        self.retries = 0
-        self._dollars_units = 0
-        self._background_units = 0
-        self._retry_units = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TenantBill(tenant={self.tenant!r}, queries={self.queries}, "
-            f"dollars={self.dollars:.6f}, total={self.total_dollars:.6f})"
-        )
-
-    def charge(self, record: "QueryRecord") -> None:
-        self.queries += 1
-        self._dollars_units += to_ledger_units(record.dollars)
-        self.machine_seconds += record.machine_seconds
-
-    def charge_background(self, dollars: float) -> None:
-        """Meter one background tuning apply/rollback against this tenant."""
-        self.background_actions += 1
-        self._background_units += to_ledger_units(dollars)
-
-    def charge_retry(self, dollars: float) -> None:
-        """Meter one retry attempt's modeled compute against this tenant."""
-        self.retries += 1
-        self._retry_units += to_ledger_units(dollars)
-
-    @property
-    def dollars(self) -> float:
-        """Serving spend (sum of served records' dollars)."""
-        return from_ledger_units(self._dollars_units)
-
-    @property
-    def background_dollars(self) -> float:
-        return from_ledger_units(self._background_units)
-
-    @property
-    def retry_dollars(self) -> float:
-        return from_ledger_units(self._retry_units)
-
-    @property
-    def total_dollars(self) -> float:
-        """Serving plus background plus retry spend."""
-        return from_ledger_units(
-            self._dollars_units + self._background_units + self._retry_units
-        )
-
-    # -- exact ledger views (observability reconciles against these) --- #
-    @property
-    def serving_units(self) -> int:
-        """Serving spend in integral ledger units."""
-        return self._dollars_units
-
-    @property
-    def background_units(self) -> int:
-        """Background-tuning spend in integral ledger units."""
-        return self._background_units
-
-    @property
-    def retry_units(self) -> int:
-        """Retry spend in integral ledger units."""
-        return self._retry_units
-
-    @property
-    def total_units(self) -> int:
-        """Total spend in integral ledger units."""
-        return self._dollars_units + self._background_units + self._retry_units
-
-    # -- durability ----------------------------------------------------- #
-    def ledger_snapshot(self) -> tuple:
-        """The bill's exact state as a plain tuple (checkpointing, and
-        bit-equality assertions in the recovery tests)."""
-        return (
-            self.tenant,
-            self.queries,
-            self._dollars_units,
-            self.machine_seconds,
-            self._background_units,
-            self.background_actions,
-            self._retry_units,
-            self.retries,
-        )
-
-    @classmethod
-    def from_ledger_snapshot(cls, snapshot: tuple) -> "TenantBill":
-        """Rebuild a bill from :meth:`ledger_snapshot` output."""
-        (
-            tenant,
-            queries,
-            dollars_units,
-            machine_seconds,
-            background_units,
-            background_actions,
-            retry_units,
-            retries,
-        ) = snapshot
-        bill = cls(tenant)
-        bill.queries = queries
-        bill._dollars_units = dollars_units
-        bill.machine_seconds = machine_seconds
-        bill._background_units = background_units
-        bill.background_actions = background_actions
-        bill._retry_units = retry_units
-        bill.retries = retries
-        return bill
 
 
 # --------------------------------------------------------------------- #
@@ -802,7 +670,7 @@ class Session:
             if handle._finalized:
                 return
             handle._finalized = True
-            record = _served_record(ledger.logs, request, handle.timestamp, staged)
+            record = served_record(ledger.logs, request, handle.timestamp, staged)
             # Write-ahead: the record (which carries the billing delta)
             # is journaled *before* the log append and the charge, so a
             # crash between them is redone by replay and a crash before
@@ -839,139 +707,6 @@ class Session:
                 degraded_mode=staged.degraded_mode,
             )
         )
-
-
-def _served_record(
-    logs: QueryLogStore, request: QueryRequest, timestamp: float, staged: _Staged
-) -> QueryRecord:
-    """The Statistics Service log record of one served query (built
-    under the ledger lock: it reads the log's tail and issues its id)."""
-    # Timestamps are assigned at *admission* (monotonic across the
-    # warehouse), but concurrent sessions interleave their finalize
-    # phases arbitrarily, so a later-admitted handle from one batch
-    # can reach the log before an earlier-admitted one from another.
-    # Clamp up to the last logged timestamp: the log stays
-    # append-ordered and no finalize ever dies on the ordering check
-    # (which would lose the record and fail a successful query).
-    tail = logs.tail(1)
-    if tail and timestamp < tail[0].timestamp:
-        timestamp = tail[0].timestamp
-    bound, choice, sim = staged.bound, staged.choice, staged.sim
-    columns: set[str] = set()
-    filter_columns: set[str] = set()
-    for table in bound.table_names:
-        for column in bound.columns_needed(table):
-            columns.add(f"{table}.{column}")
-        for predicate in bound.filters.get(table, []):
-            for column in referenced_columns(predicate):
-                filter_columns.add(column)
-    edges = tuple(
-        (
-            f"{e.left.table}.{e.left.name}",
-            f"{e.right.table}.{e.right.name}",
-        )
-        for e in bound.join_edges
-    )
-    spent = sim if sim is not None else choice.dop_plan.estimate
-    bytes_scanned = sum(
-        op.node.input_bytes
-        for pipeline in choice.dag
-        for op in pipeline.ops
-        if hasattr(op.node, "input_bytes")
-    )
-    return QueryRecord(
-        query_id=logs.next_query_id(),
-        timestamp=timestamp,
-        sql=request.sql,
-        template=request.template,
-        tables=tuple(bound.table_names),
-        columns=tuple(sorted(columns)),
-        join_edges=edges,
-        group_keys=tuple(k.name for k in bound.group_keys),
-        filter_columns=tuple(sorted(filter_columns)),
-        aggregate_sqls=tuple(a.sql() for a in bound.aggregates),
-        latency_s=spent.latency,
-        machine_seconds=spent.machine_seconds,
-        dollars=spent.total_dollars,
-        bytes_scanned=bytes_scanned,
-        sla_seconds=request.constraint.latency_sla,
-        tenant=request.tenant,
-        cost_breakdown=_cost_breakdown(choice, spent.total_dollars),
-    )
-
-
-def _cost_breakdown(
-    choice: "PlanChoice", dollars: float
-) -> tuple[tuple[str, str, int], ...]:
-    """Apportion one query's spend over its plan's operators, exactly.
-
-    Two-level largest-remainder split of ``to_ledger_units(dollars)``:
-    pipelines weighted by their planned durations, operators within a
-    pipeline by ``input_bytes`` (uniform when unknown).  Integer math
-    throughout, so the returned ``(pipeline, operator, units)`` leaves
-    always sum bitwise to the units the tenant's bill is charged —
-    the invariant the drill-down navigator reconciles against.
-    Zero-share leaves are dropped.
-    """
-    total_units = to_ledger_units(dollars)
-    pipelines = list(choice.dag)
-    if not pipelines:
-        return ((("(plan)"), "(operator)", total_units),) if total_units else ()
-    per_pipe = choice.dop_plan.estimate.pipelines
-    pipe_weights = _int_weights(
-        getattr(per_pipe.get(p.pipeline_id), "duration", 0.0)
-        for p in pipelines
-    )
-    leaves: list[tuple[str, str, int]] = []
-    for pipeline, pipe_units in zip(
-        pipelines, _largest_remainder(total_units, pipe_weights)
-    ):
-        label = f"P{pipeline.pipeline_id}"
-        ops = list(pipeline.ops)
-        if not ops:
-            if pipe_units:
-                leaves.append((label, "(pipeline)", pipe_units))
-            continue
-        op_weights = _int_weights(
-            float(getattr(op.node, "input_bytes", 0.0)) for op in ops
-        )
-        for op, op_units in zip(
-            ops, _largest_remainder(pipe_units, op_weights)
-        ):
-            if op_units:
-                leaves.append(
-                    (label, f"{op.node.describe()}[{op.role}]", op_units)
-                )
-    return tuple(leaves)
-
-
-def _int_weights(weights: "list[float]") -> list[int]:
-    """Apportionment weights as integers (exact big-int arithmetic);
-    all-zero weight vectors degrade to uniform."""
-    scaled = [max(int(round(weight * 1e9)), 0) for weight in weights]
-    if not any(scaled):
-        return [1] * len(scaled)
-    return scaled
-
-
-def _largest_remainder(total: int, weights: list[int]) -> list[int]:
-    """Split ``total`` integral units proportionally to ``weights`` with
-    no unit created or lost: floor shares first, then one extra unit to
-    the largest remainders (ties broken by position, so the split is
-    deterministic)."""
-    if not weights:
-        return []
-    if total <= 0:
-        return [0] * len(weights)
-    weight_sum = sum(weights)
-    shares = [total * weight // weight_sum for weight in weights]
-    remainders = [total * weight % weight_sum for weight in weights]
-    leftover = total - sum(shares)
-    for index in sorted(
-        range(len(weights)), key=lambda i: (-remainders[i], i)
-    )[:leftover]:
-        shares[index] += 1
-    return shares
 
 
 def _as_request(item: object, constraint: Constraint | None) -> QueryRequest:

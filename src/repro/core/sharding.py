@@ -13,9 +13,10 @@ exemplar — while keeping every authoritative effect in the coordinator:
   query + :class:`~repro.core.bioptimizer.PlanChoice`, newly computed
   skeleton shapes, per-stage timings, warm-hit flags).  All journal
   appends, billing, admission, statistics-log writes, and simulation
-  stay in the coordinator process — the ``worker-isolation`` lint rule
-  machine-checks that the worker entrypoint module
-  (:mod:`repro.core.sharding_worker`) can never reach them.
+  stay in the coordinator process — an import-graph assertion
+  (``tests/testing/test_production_imports.py``) checks that the worker
+  entrypoint module (:mod:`repro.core.sharding_worker`) never imports
+  them.
 - **Template affinity keeps workers warm.**  Tasks are keyed to workers
   by a stable hash of the literal-free template key, so one worker's
   private binding/skeleton caches serve every instantiation of a
@@ -491,10 +492,6 @@ class PlannerWorkerPool:
             self._conns[index].send(("drop",))
         except (BrokenPipeError, OSError):
             self._restart(index)
-
-    def worker_for(self, template_key: tuple) -> int:
-        """The worker index a template's tasks are keyed to."""
-        return _worker_index_for(template_key, self.size)
 
     def abandon(self, task_ids: Iterable[int]) -> None:
         """Mark in-flight tasks as never-to-be-collected (fail-fast

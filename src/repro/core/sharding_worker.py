@@ -4,9 +4,9 @@ This module is everything a planner worker process runs: a
 :class:`PlannerShard` running the coordinator's bind -> optimize
 pipeline over *private* warm caches, and the
 :func:`worker_main` message loop.  It is deliberately minimal and
-machine-isolated: the ``worker-isolation`` lint rule forbids this
-module from importing or calling anything that could append to the
-write-ahead journal, mutate a :class:`~repro.core.service.TenantBill`,
+machine-isolated: ``tests/testing/test_production_imports.py``
+forbids this module from importing anything that could append to the
+write-ahead journal, mutate a :class:`~repro.core.ledger.TenantBill`,
 or write the statistics log — those are authoritative, ordered,
 exactly-once effects that belong to the coordinator's finalize phase
 alone.  A worker computes pure planning functions of (catalog,

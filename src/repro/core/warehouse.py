@@ -30,7 +30,6 @@ back with full serving-cache coherence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace as dataclasses_replace
 from typing import Callable, Iterable, Mapping
 
@@ -45,12 +44,7 @@ from repro.core.governance import (
     make_retention_policy,
     rank_by_forecast,
 )
-from repro.core.journal import (
-    RetryCharge,
-    WriteAheadJournal,
-    from_ledger_units,
-    to_ledger_units,
-)
+from repro.core.journal import RetryCharge, WriteAheadJournal
 from repro.core.ledger import Ledger
 from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
 from repro.core.planning import PlanningPipeline
@@ -69,20 +63,14 @@ from repro.cost.timing_cache import overrides_key
 from repro.dop.constraints import Constraint
 from repro.engine.database import Database
 from repro.errors import ReproError
-from repro.monitor.policies import (
-    IntervalScalerPolicy,
-    PerStageScalerPolicy,
-    PipelineDopMonitor,
-    StaticPolicy,
-)
+from repro.monitor.policies import make_policy
+from repro.obsvc import views
 from repro.obsvc.collector import CollectionPolicy, SnapshotCollector
 from repro.obsvc.metrics import MetricsRegistry
 from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig, SimResult
 from repro.sql.binder import BoundQuery
 from repro.statsvc.logs import QueryLogStore
 from repro.tuning.service import TuningPolicy, TuningService
-
-POLICY_NAMES = ("dop-monitor", "static", "interval-scaler", "stage-scaler")
 
 #: Admission verdict -> retry-pressure ordinal: each escalation step a
 #: tenant's spend has climbed costs one retry attempt (see
@@ -93,15 +81,6 @@ _RETRY_PRESSURE = {
     AdmissionVerdict.DEFER: 2,
     AdmissionVerdict.DENY: 3,
 }
-
-#: The estimator memos reported as ``kind`` under the
-#: ``repro_timing_cache_*`` metrics and in ``describe_caches()``.
-_TIMING_CACHE_KINDS = ("timing", "curve", "plan", "simulation")
-
-#: Breaker state <-> numeric code for the ``repro_breaker_state`` gauge
-#: (Prometheus samples are numbers; ``describe_health`` maps back).
-_BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
-_BREAKER_STATE_NAMES = {code: name for name, code in _BREAKER_STATE_CODES.items()}
 
 
 class CostIntelligentWarehouse:
@@ -141,14 +120,6 @@ class CostIntelligentWarehouse:
         #: ``tuning_policy`` configures cadence / budgets / auto-apply.
         self.tuning_policy = tuning_policy
         self._tuning: TuningService | None = None
-        #: Resource governance (see :mod:`repro.core.governance`).
-        #: ``self.frequency`` bridges the Statistics Service's per-family
-        #: arrival forecasts to cache retention and warming;
-        #: ``self.admission`` enforces per-tenant dollar budgets at
-        #: :meth:`Session._admit` time.  The default ``retention_policy``
-        #: ("lru") keeps served plans and cache counters bit-identical to
-        #: the pre-governance warehouse; "cost-aware" keeps hot forecast
-        #: templates alive under eviction pressure.
         #: Failure-domain hardening (see :mod:`repro.core.resilience`).
         #: The policy configures per-stage retries/deadlines and the
         #: degraded-mode fallback.  ``faults`` holds the active
@@ -162,6 +133,14 @@ class CostIntelligentWarehouse:
         #: scores degrade to plain LRU instead of stalling serving.
         self.statsvc_breaker = CircuitBreaker("statsvc")
         self.logs = QueryLogStore()
+        #: Resource governance (see :mod:`repro.core.governance`).
+        #: ``self.frequency`` bridges the Statistics Service's per-family
+        #: arrival forecasts to cache retention and warming;
+        #: ``self.admission`` enforces per-tenant dollar budgets at
+        #: :meth:`Session._admit` time.  The default ``retention_policy``
+        #: ("lru") keeps served plans and cache counters bit-identical to
+        #: the pre-governance warehouse; "cost-aware" keeps hot forecast
+        #: templates alive under eviction pressure.
         self.frequency = TemplateFrequencyProvider(
             self.logs,
             breaker=self.statsvc_breaker,
@@ -221,7 +200,7 @@ class CostIntelligentWarehouse:
         #: and the scheduled snapshot collector (configured
         #: post-construction, :meth:`enable_collection`, so the frozen
         #: constructor surface is untouched).
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(self)
         self.collector = SnapshotCollector(self)
         #: Process-sharded serving (see :mod:`repro.core.sharding`):
         #: a warm :class:`~repro.core.sharding.PlannerWorkerPool` when
@@ -234,208 +213,27 @@ class CostIntelligentWarehouse:
         #: part of the coherency fingerprint the worker pool broadcasts
         #: on (version-less flushes must still reach the workers).
         self._plan_cache_epoch = 0
-        self._register_metric_sources()
 
     # ------------------------------------------------------------------ #
-    # Observability: metric sources + unified entry point
+    # Observability (the views live in :mod:`repro.obsvc.views`)
     # ------------------------------------------------------------------ #
-    def _register_metric_sources(self) -> None:
-        """Wire every sourced metric to its authoritative subsystem.
-
-        Sources are read-through: the caches keep their lock-striped
-        integer stats, admission its journaled verdict counters,
-        resilience its ledger-unit tallies — the registry only *views*
-        them, so nothing on a hot path pays for observability twice.
-        """
-        metrics = self.metrics
-        metrics.source("repro_tenant_cost_ledger_units", self._billing_units_source)
-        metrics.source("repro_cache_entries", lambda: self._cache_source(len))
-        metrics.source(
-            "repro_cache_capacity", lambda: self._cache_source(lambda c: c.capacity)
-        )
-        metrics.source(
-            "repro_cache_hits_total", lambda: self._cache_source(lambda c: c.hits)
-        )
-        metrics.source(
-            "repro_cache_misses_total", lambda: self._cache_source(lambda c: c.misses)
-        )
-        metrics.source(
-            "repro_cache_evictions_total",
-            lambda: self._cache_source(lambda c: c.evictions),
-        )
-        metrics.source(
-            "repro_cache_policy_evictions_total",
-            lambda: self._cache_source(lambda c: c.policy.evictions),
-        )
-        metrics.source(
-            "repro_timing_cache_hits_total",
-            lambda: self._timing_cache_source("hits"),
-        )
-        metrics.source(
-            "repro_timing_cache_computations_total",
-            lambda: self._timing_cache_source("computations"),
-        )
-        metrics.source("repro_admission_verdicts_total", self._admission_source)
-        metrics.source("repro_retries_total", lambda: self.resilience_stats.retries)
-        metrics.source(
-            "repro_retry_cost_ledger_units",
-            lambda: self.resilience_stats.retry_units,
-        )
-        metrics.source(
-            "repro_deadline_hits_total",
-            lambda: self.resilience_stats.deadline_hits,
-        )
-        metrics.source(
-            "repro_degraded_queries_total",
-            lambda: self.resilience_stats.degraded_queries,
-        )
-        metrics.source("repro_breaker_state", lambda: self._breaker_source("state"))
-        metrics.source(
-            "repro_breaker_opens_total", lambda: self._breaker_source("opens")
-        )
-        metrics.source(
-            "repro_breaker_consecutive_failures",
-            lambda: self._breaker_source("consecutive_failures"),
-        )
-        metrics.source(
-            "repro_tuning_cycles_total",
-            lambda: self._tuning.cycles_run if self._tuning is not None else 0,
-        )
-        metrics.source(
-            "repro_tuning_consecutive_failures",
-            lambda: (
-                self._tuning.consecutive_failures if self._tuning is not None else 0
-            ),
-        )
-        metrics.source(
-            "repro_background_cost_ledger_units", self._background_units_source
-        )
-        metrics.source(
-            "repro_tuning_estimated_savings_ledger_units_per_hour",
-            self._estimated_savings_source,
-        )
-        metrics.source(
-            "repro_journal_records_total",
-            lambda: len(self.journal) if self.journal is not None else 0,
-        )
-        metrics.source(
-            "repro_journal_records_since_checkpoint",
-            lambda: (
-                self.journal.records_since_checkpoint
-                if self.journal is not None
-                else 0
-            ),
-        )
-        metrics.source(
-            "repro_journal_last_checkpoint_id",
-            lambda: (
-                (self.journal.last_checkpoint_id or 0)
-                if self.journal is not None
-                else 0
-            ),
-        )
-        metrics.source("repro_virtual_clock_seconds", lambda: self.clock)
-        metrics.source("repro_queries_logged_total", lambda: len(self.logs))
-        metrics.source(
-            "repro_worker_pool_size",
-            lambda: self._worker_pool.size if self._worker_pool is not None else 0,
-        )
-        metrics.source(
-            "repro_worker_restarts_total",
-            lambda: (
-                self._worker_pool.restarts if self._worker_pool is not None else 0
-            ),
-        )
-        metrics.source(
-            "repro_worker_restaged_tasks_total",
-            lambda: (
-                self._worker_pool.restaged_tasks
-                if self._worker_pool is not None
-                else 0
-            ),
-        )
-        metrics.source(
-            "repro_worker_warm_task_hits_total",
-            lambda: (
-                self._worker_pool.warm_hits if self._worker_pool is not None else {}
-            ),
-        )
-
-    def _cache_source(self, read) -> dict:
-        return {(name,): read(cache) for name, cache in self.planning.levels()}
-
-    def _timing_cache_source(self, field: str) -> dict:
-        stats = self.estimator.models.cache.stats
-        return {
-            (kind,): getattr(stats, f"{kind}_{field}")
-            for kind in _TIMING_CACHE_KINDS
-        }
-
-    def _admission_source(self) -> dict:
-        return {
-            (tenant, verdict): count
-            for tenant, counts in self.admission.verdict_counts.items()
-            for verdict, count in counts.items()
-        }
-
-    def _billing_units_source(self) -> dict:
-        values = {}
-        for tenant, bill in sorted(self.billing.items()):
-            values[(tenant, "serving")] = bill.serving_units
-            values[(tenant, "background")] = bill.background_units
-            values[(tenant, "retry")] = bill.retry_units
-        return values
-
-    def _background_units_source(self) -> dict:
-        return {
-            (tenant,): bill.background_units
-            for tenant, bill in sorted(self.billing.items())
-            if bill.background_units
-        }
-
-    def _breaker_source(self, field: str) -> dict:
-        breakers = [("statsvc", self.statsvc_breaker)]
-        if self._tuning is not None:
-            breakers.append(("tuning", self._tuning.breaker))
-        values = {}
-        for name, breaker in breakers:
-            value = breaker.snapshot()[field]
-            if field == "state":
-                value = _BREAKER_STATE_CODES[value]
-            values[(name,)] = value
-        return values
-
-    def _estimated_savings_source(self) -> int:
-        if self._tuning is None:
-            return 0
-        return sum(
-            to_ledger_units(rec.report.net_per_hour)
-            for rec in self._tuning.applied_recommendations
-        )
-
     def observe(self, format: str = "dict"):
-        """Unified observability entry point (see :mod:`repro.obsvc`).
+        """Health + cache views, the metrics registry and the cost
+        history as one ``"dict"``, as ``"json"``, or the registry in the
+        ``"prometheus"`` text format (:func:`repro.obsvc.views.observe`)."""
+        return views.observe(self, format)
 
-        ``format="dict"`` (default) returns health + cache views, the
-        full metrics registry, and the collected cost history as plain
-        data; ``"json"`` returns the same serialized; ``"prometheus"``
-        returns the registry in the Prometheus text exposition format.
-        """
-        from repro.obsvc.export import history_json, prometheus_text, registry_json
+    def describe_health(self) -> dict:
+        """Resilience counters, durability, both circuit breakers, the
+        tuning service's failure state and the fault plan's tallies
+        (:func:`repro.obsvc.views.describe_health`)."""
+        return views.describe_health(self)
 
-        if format == "prometheus":
-            return prometheus_text(self.metrics)
-        data = {
-            "health": self.describe_health(),
-            "caches": self.describe_caches(),
-            "metrics": registry_json(self.metrics),
-            "cost_history": history_json(self.cost_history),
-        }
-        if format == "json":
-            return json.dumps(data, indent=2, sort_keys=True, default=str)
-        if format != "dict":
-            raise ReproError(f"unknown observe() format {format!r}")
-        return data
+    def describe_caches(self) -> dict[str, dict]:
+        """Hit rates, retention policies and eviction counts per cache
+        level, admission verdicts per tenant, and the estimator's memos
+        (:func:`repro.obsvc.views.describe_caches`)."""
+        return views.describe_caches(self)
 
     def enable_collection(
         self,
@@ -676,84 +474,6 @@ class CostIntelligentWarehouse:
         warehouse.checkpoint()
         return warehouse
 
-    def describe_health(self) -> dict:
-        """Failure-domain observability, alongside :meth:`describe_caches`.
-
-        Reports the resilience counters (retries, retry dollars,
-        deadline hits, degraded outcomes), both circuit breakers
-        (``statsvc`` and ``tuning``), the tuning service's last swallowed
-        error and consecutive-failure count, and the active fault plan's
-        fired tallies (empty outside chaos testing).
-
-        Every counter here is a **read-only view over the metrics
-        registry** (:mod:`repro.obsvc.metrics`): the registry's sourced
-        providers are the single path to the underlying subsystems, so
-        this dict, the Prometheus exposition, and the JSON export can
-        never disagree.
-        """
-        metrics = self.metrics
-        resilience = {
-            "retries": metrics.value("repro_retries_total"),
-            "retry_dollars": from_ledger_units(
-                metrics.value("repro_retry_cost_ledger_units")
-            ),
-            "deadline_hits": metrics.value("repro_deadline_hits_total"),
-            "degraded_queries": metrics.value("repro_degraded_queries_total"),
-        }
-        last_error = self._tuning.last_error if self._tuning is not None else None
-        tuning = {
-            "cycles_run": metrics.value("repro_tuning_cycles_total"),
-            "consecutive_failures": metrics.value(
-                "repro_tuning_consecutive_failures"
-            ),
-            "last_error": (
-                f"{type(last_error).__name__}: {last_error}"
-                if last_error is not None
-                else None
-            ),
-        }
-        states = metrics.sourced("repro_breaker_state")
-        opens = metrics.sourced("repro_breaker_opens_total")
-        failures = metrics.sourced("repro_breaker_consecutive_failures")
-        breakers = {
-            name: {
-                "state": _BREAKER_STATE_NAMES[states.get((name,), 0)],
-                "consecutive_failures": failures.get((name,), 0),
-                "opens": opens.get((name,), 0),
-            }
-            for name in ("statsvc", "tuning")
-        }
-        journal = self.journal
-        recovery = self.last_recovery
-        durability = {
-            "journaled": journal is not None,
-            "journal_records": metrics.value("repro_journal_records_total"),
-            "last_checkpoint_id": (
-                journal.last_checkpoint_id if journal is not None else None
-            ),
-            "records_since_checkpoint": metrics.value(
-                "repro_journal_records_since_checkpoint"
-            ),
-            "recovered": recovery is not None,
-            "records_replayed": (
-                recovery.records_replayed if recovery is not None else 0
-            ),
-            "in_doubt_forward": (
-                recovery.in_doubt_forward if recovery is not None else 0
-            ),
-            "in_doubt_back": recovery.in_doubt_back if recovery is not None else 0,
-        }
-        return {
-            "resilience": resilience,
-            "durability": durability,
-            "breakers": breakers,
-            "tuning": tuning,
-            "faults": {
-                "active": self.faults is not None,
-                "fired": self.faults.fired if self.faults is not None else {},
-            },
-        }
-
     def warm_cache(
         self,
         workload: "Mapping[str, str] | Iterable[tuple[str, str]]",
@@ -859,59 +579,6 @@ class CostIntelligentWarehouse:
         # argument; sourced metrics re-read the subsystems just reset.
         self.metrics.reset()
 
-    def describe_caches(self) -> dict[str, dict]:
-        """Hit-rate and governance observability across serving caches.
-
-        Reports the exact plan cache, the template skeleton cache, and
-        the estimator's memos (per-DOP timings, compiled curves, finished
-        DOP searches, simulated executions), plus, per cache, the retention
-        policy's name and its eviction count, and an ``admission`` block
-        with per-tenant verdict counts (empty until a tenant budget is
-        configured).
-
-        Like :meth:`describe_health`, every number is a read-only view
-        over the metrics registry's sourced providers; only the policy
-        *name* (a string, not a metric) is read off the cache directly.
-        """
-        metrics = self.metrics
-        entries = metrics.sourced("repro_cache_entries")
-        capacity = metrics.sourced("repro_cache_capacity")
-        hits = metrics.sourced("repro_cache_hits_total")
-        misses = metrics.sourced("repro_cache_misses_total")
-        evictions = metrics.sourced("repro_cache_evictions_total")
-        policy_evictions = metrics.sourced("repro_cache_policy_evictions_total")
-        report: dict[str, dict] = {}
-        for name, cache in self.planning.levels():
-            cache_hits = hits.get((name,), 0)
-            lookups = cache_hits + misses.get((name,), 0)
-            report[f"{name}_cache"] = {
-                "entries": entries.get((name,), 0),
-                "capacity": capacity.get((name,), 0),
-                "hits": cache_hits,
-                "misses": misses.get((name,), 0),
-                "evictions": evictions.get((name,), 0),
-                "hit_rate": cache_hits / lookups if lookups else 0.0,
-                "policy": cache.policy.name,
-                "policy_evictions": policy_evictions.get((name,), 0),
-            }
-        verdicts: dict[str, dict[str, int]] = {}
-        for (tenant, verdict), count in sorted(
-            metrics.sourced("repro_admission_verdicts_total").items()
-        ):
-            verdicts.setdefault(tenant, {})[verdict] = count
-        report["admission"] = verdicts
-        cache_hits = metrics.sourced("repro_timing_cache_hits_total")
-        computations = metrics.sourced("repro_timing_cache_computations_total")
-        block: dict[str, float] = {}
-        for kind in _TIMING_CACHE_KINDS:
-            kind_hits = cache_hits.get((kind,), 0)
-            total = kind_hits + computations.get((kind,), 0)
-            block[f"{kind}_hits"] = kind_hits
-            block[f"{kind}_computations"] = computations.get((kind,), 0)
-            block[f"{kind}_hit_rate"] = kind_hits / total if total else 0.0
-        report["timing_cache"] = block
-        return report
-
     def _simulate(
         self,
         choice: PlanChoice,
@@ -946,7 +613,9 @@ class CostIntelligentWarehouse:
             found = self.estimator.recall_simulation(choice.dag, key)
             if found is not None:
                 return found
-            policy_obj = self.make_policy(policy, choice, constraint)
+            policy_obj = make_policy(
+                policy, choice, constraint, self.estimator, max_dop=self.max_dop
+            )
         config = self.sim_config
         if getattr(policy_obj, "name", "") == "stage-scaler":
             config = dataclasses_replace(config, materialize_exchanges=True)
@@ -963,44 +632,6 @@ class CostIntelligentWarehouse:
         if key is not None:
             self.estimator.remember_simulation(choice.dag, key, result)
         return result
-
-    def make_policy(
-        self, name: str, choice: PlanChoice, constraint: Constraint
-    ) -> ScalingPolicy:
-        """Instantiate a scaling policy by name for one query."""
-        if name == "static":
-            return StaticPolicy()
-        if name == "dop-monitor":
-            return PipelineDopMonitor(
-                choice.dag,
-                self.estimator,
-                constraint,
-                choice.dop_plan.dops,
-                planned_latency=choice.dop_plan.estimate.latency,
-                planned_durations={
-                    pid: p.duration
-                    for pid, p in choice.dop_plan.estimate.pipelines.items()
-                },
-                max_dop=self.max_dop,
-            )
-        if name == "interval-scaler":
-            sla = constraint.latency_sla or choice.dop_plan.estimate.latency * 1.5
-            durations = {
-                pid: p.duration
-                for pid, p in choice.dop_plan.estimate.pipelines.items()
-            }
-            return IntervalScalerPolicy(
-                choice.dag,
-                sla,
-                choice.dop_plan.dops,
-                durations,
-                max_dop=self.max_dop,
-            )
-        if name == "stage-scaler":
-            return PerStageScalerPolicy(
-                choice.dag, choice.dop_plan.dops, max_dop=self.max_dop
-            )
-        raise ReproError(f"unknown policy {name!r}; known: {POLICY_NAMES}")
 
     # ------------------------------------------------------------------ #
     # Background auto-tuning

@@ -34,7 +34,7 @@ models are stated twice, on purpose:
   the readable statement — bit-identical — and memoized per DOP.
   Bottleneck labels, per-operator times and ``PipelineTiming`` objects
   are materialized only where something reads them (the final
-  ``CostEstimate``, the profiler, the simulator).
+  ``CostEstimate``, the simulator).
 
 Around the curves, memoization is layered so that each level dies with
 the object it describes:

@@ -44,8 +44,8 @@ from repro.cost.hardware import HardwareCalibration
 from repro.cost.operator_models import OperatorModels, PipelineTiming
 from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
 from repro.cost.regression import ExchangeCalibration
-from repro.plan.physical import PhysNode, PhysScan, walk_physical
-from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
+from repro.plan.physical import PhysScan, walk_physical
+from repro.plan.pipelines import Pipeline, PipelineDag
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.distsim import SimResult
@@ -178,18 +178,6 @@ class CostEstimator:
     ) -> PipelineTiming:
         """Timing of one pipeline, per-operator times included."""
         return self.models.pipeline_timing(pipeline, dop, overrides)
-
-    def estimate_plan(
-        self,
-        plan: PhysNode,
-        dops: dict[int, int] | int,
-        overrides: dict[int, float] | None = None,
-    ) -> CostEstimate:
-        """Estimate a physical plan; ``dops`` may be one uniform DOP."""
-        dag = decompose_pipelines(plan)
-        if isinstance(dops, int):
-            dops = {p.pipeline_id: dops for p in dag}
-        return self.estimate_dag(dag, dops, overrides)
 
     def throughput(self, pipeline, dop: int, overrides=None) -> float:
         """Pipeline throughput T(dop) in source rows/second."""

@@ -200,7 +200,7 @@ class AdmissionDeniedError(QueryFailedError):
 
     Raised (well — carried on the :class:`~repro.core.service.QueryHandle`,
     whose terminal state becomes ``DENIED``) when a tenant's
-    :class:`~repro.core.service.TenantBill` total spend (serving plus
+    :class:`~repro.core.ledger.TenantBill` total spend (serving plus
     background tuning) has reached its configured
     :class:`~repro.core.governance.TenantBudget`.  Subclasses
     :class:`QueryFailedError` so batch error reporting

@@ -20,11 +20,13 @@ protocol and run inside the distributed simulator.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from repro.cost.estimator import CostEstimator
 from repro.dop.cofinish import min_dop_for_duration
 from repro.dop.constraints import Constraint
 from repro.dop.planner import DopPlanner
+from repro.errors import ReproError
 from repro.monitor.deviation import DeviationThresholds, deviation_ratio
 from repro.plan.pipelines import PipelineDag
 from repro.sim.distsim import (
@@ -32,6 +34,11 @@ from repro.sim.distsim import (
     ResizeDecision,
     ScalingPolicy,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.bioptimizer import PlanChoice
+
+POLICY_NAMES = ("dop-monitor", "static", "interval-scaler", "stage-scaler")
 
 
 class StaticPolicy(ScalingPolicy):
@@ -293,3 +300,36 @@ class PerStageScalerPolicy(ScalingPolicy):
         if new_dop != planned:
             self.restages += 1
         return {consumer: new_dop}
+
+
+def make_policy(
+    name: str,
+    choice: "PlanChoice",
+    constraint: Constraint,
+    estimator: CostEstimator,
+    *,
+    max_dop: int,
+) -> ScalingPolicy:
+    """Instantiate a scaling policy by name for one query."""
+    plan = choice.dop_plan
+    if name == "static":
+        return StaticPolicy()
+    if name == "stage-scaler":
+        return PerStageScalerPolicy(choice.dag, plan.dops, max_dop=max_dop)
+    durations = {pid: p.duration for pid, p in plan.estimate.pipelines.items()}
+    if name == "dop-monitor":
+        return PipelineDopMonitor(
+            choice.dag,
+            estimator,
+            constraint,
+            plan.dops,
+            planned_latency=plan.estimate.latency,
+            planned_durations=durations,
+            max_dop=max_dop,
+        )
+    if name == "interval-scaler":
+        sla = constraint.latency_sla or plan.estimate.latency * 1.5
+        return IntervalScalerPolicy(
+            choice.dag, sla, plan.dops, durations, max_dop=max_dop
+        )
+    raise ReproError(f"unknown policy {name!r}; known: {POLICY_NAMES}")

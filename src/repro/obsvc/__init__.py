@@ -1,7 +1,7 @@
 """Fleet-scale cost observability for the cost-intelligent warehouse.
 
 The paper frames cloud cost reduction as a continuous
-measure-decide-act loop; this package is the **measure** leg.  Four
+measure-decide-act loop; this package is the **measure** leg.  Five
 pieces, layered strictly below :mod:`repro.core` (nothing here imports
 core at module scope, so the serving stack can import the registry
 without cycles):
@@ -16,8 +16,11 @@ without cycles):
   (the three plan-cache levels, admission verdicts, resilience stats,
   breakers, tuning, the journal) without double-counting.  All dollar
   metrics are integral :data:`~repro.util.units.LEDGER_SCALE` units.
-  ``warehouse.describe_health()`` / ``describe_caches()`` are
-  read-only views over this registry.
+  Each sourced row carries its reader over the warehouse's components.
+
+- :mod:`repro.obsvc.views` — ``describe_health`` / ``describe_caches`` /
+  ``observe``: read-only views over this registry, behind the
+  warehouse's delegates of the same names.
 
 - :mod:`repro.obsvc.collector` + :mod:`repro.obsvc.history` —
   **scheduled collection** into a **queryable cost history**.  A
@@ -35,7 +38,7 @@ without cycles):
   level an exact integral partition of the one above (the warehouse
   apportions every served query's ledger units across its plan's
   operators by largest remainder, so leaves reconcile bitwise against
-  :class:`~repro.core.service.TenantBill`).
+  :class:`~repro.core.ledger.TenantBill`).
 
 - :mod:`repro.obsvc.export` — **exposition**: Prometheus text format
   and plain-JSON renderings of the registry and the history, unified
@@ -44,8 +47,7 @@ without cycles):
 Invariants inherited from the serving core: virtual time only, seeded
 randomness only, dollars as integral ledger units, locks held via
 ``with`` (the registry/history locks are innermost; the lock-order
-sanitizer covers them), and journal writes only through the ledger
-(``journal-site``).
+sanitizer covers them), and journal writes only through the ledger.
 """
 
 from repro.obsvc.collector import (

@@ -14,15 +14,15 @@ serving: under the ledger lock the collector folds the newly logged
 records' per-operator cost leaves into its cumulative drill-down
 aggregation, builds one :class:`~repro.obsvc.history.TenantCostSlice`
 per billed tenant (ledger units copied from the authoritative
-:class:`~repro.core.service.TenantBill`), journals a
+:class:`~repro.core.ledger.TenantBill`), journals a
 ``CostSnapshotTaken`` record **before** appending to the in-memory
 :class:`~repro.obsvc.history.CostHistoryStore`.  A crash between the
 two is healed on replay; cadence watermarks re-prime from the restored
 history so a recovered warehouse resumes the schedule deterministically.
 
 The collector is configured post-construction
-(``warehouse.enable_collection(...)``) — the warehouse constructor
-surface stays frozen per the ``warehouse-kwargs`` contract.
+(``warehouse.enable_collection(...)``) — the warehouse constructor's
+keyword surface stays frozen.
 """
 
 from __future__ import annotations

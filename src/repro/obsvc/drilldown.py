@@ -95,7 +95,7 @@ class DrillDownNavigator:
         """Assert the exact-partition invariant; raise on any stray unit.
 
         For each (or the given) tenant: the operator-level leaves sum
-        bitwise to the slice's :class:`~repro.core.service.TenantBill`
+        bitwise to the slice's :class:`~repro.core.ledger.TenantBill`
         ledger-unit total, and every intermediate level re-partitions
         exactly.  Returns ``{tenant: total units}`` on success.
         """

@@ -4,7 +4,7 @@ A :class:`CostSnapshot` is one scheduled observation of the fleet's
 spend: the virtual clock, the log length, and one
 :class:`TenantCostSlice` per billed tenant.  Each slice carries the
 tenant's authoritative ledger-unit totals (serving / background /
-retry, copied bit-for-bit from :class:`~repro.core.service.TenantBill`)
+retry, copied bit-for-bit from :class:`~repro.core.ledger.TenantBill`)
 plus the **drill-down leaves**: ``(template, pipeline, operator)``
 triples whose integral ledger units sum *exactly* to the slice total —
 the per-record largest-remainder apportionment in the warehouse

@@ -11,15 +11,16 @@ Two kinds of instruments live here:
 - **Sourced** read-through views over subsystems that already keep
   authoritative, recovery-participating state (cache stripes,
   admission verdicts, resilience stats, breakers, tuning, the
-  journal).  A source is one callable per metric *name* returning a
-  scalar (label-less metrics) or a ``{label-values-tuple: value}``
-  mapping; nothing is double-counted and the hot cache paths keep
-  their existing lock-striped integer stats.
+  journal).  A sourced metric's row carries its ``read``: a function of
+  the warehouse returning a scalar (label-less metrics) or a
+  ``{label-values-tuple: value}`` mapping, bound by the one loop in
+  :class:`MetricsRegistry`'s constructor; nothing is double-counted and
+  the hot cache paths keep their existing lock-striped integer stats.
 
 Every emission must name a metric declared in
 :data:`REGISTERED_METRICS` — the analysis engine's ``metric-name``
-rule enforces this statically (mirroring ``journal-site``), and the
-registry enforces it at runtime by raising :class:`MetricNameError`.
+rule enforces this statically, and the registry enforces it at runtime
+by raising :class:`MetricNameError`.
 ``reset()`` zeroes only owned instruments; sourced views follow their
 underlying subsystem's own reset (``warehouse.reset_cache_stats``
 calls both).  The registry lock is always innermost (acquired under
@@ -31,12 +32,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from repro.errors import ReproError
+from repro.util.units import to_ledger_units
 
 __all__ = [
+    "BREAKER_STATE_CODES",
     "LATENCY_BUCKETS",
     "REGISTERED_METRICS",
+    "TIMING_CACHE_KINDS",
     "MetricNameError",
     "MetricSpec",
     "MetricsRegistry",
@@ -62,12 +68,107 @@ class MetricSpec:
     help: str
     labels: tuple[str, ...] = ()
     buckets: tuple[float, ...] = field(default=())
+    #: ``kind="source"`` only: the provider, a function of the warehouse.
+    read: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("counter", "gauge", "histogram", "source"):
             raise MetricNameError(f"unknown metric kind {self.kind!r}")
         if self.kind == "histogram" and not self.buckets:
             raise MetricNameError("histogram metrics must declare buckets")
+        if (self.kind == "source") != (self.read is not None):
+            raise MetricNameError("exactly the source metrics declare a read")
+
+
+# --------------------------------------------------------------------- #
+# Readers: what a sourced row's ``read`` is built from
+# --------------------------------------------------------------------- #
+#: The estimator memos reported as ``kind`` under the
+#: ``repro_timing_cache_*`` metrics and in ``describe_caches()``.
+TIMING_CACHE_KINDS = ("timing", "curve", "plan", "simulation")
+
+#: Breaker state -> numeric code for the ``repro_breaker_state`` gauge
+#: (Prometheus samples are numbers; ``describe_health`` maps back).
+BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
+
+
+def _optional(component: str, read: Callable, absent=0) -> Callable:
+    """A reader over a component the warehouse only has once it is
+    asked for (``_tuning``, ``journal``, ``worker_pool``): ``absent``
+    until then."""
+
+    def reader(warehouse):
+        part = getattr(warehouse, component)
+        return absent if part is None else read(part)
+
+    return reader
+
+
+def _per_cache(read: Callable) -> Callable:
+    return lambda warehouse: {
+        (name,): read(cache) for name, cache in warehouse.planning.levels()
+    }
+
+
+def _per_memo(field_name: str) -> Callable:
+    def reader(warehouse) -> dict:
+        stats = warehouse.estimator.models.cache.stats
+        return {
+            (kind,): getattr(stats, f"{kind}_{field_name}")
+            for kind in TIMING_CACHE_KINDS
+        }
+
+    return reader
+
+
+_tuning_breaker = _optional("_tuning", lambda tuning: tuning.breaker, absent=None)
+
+
+def _per_breaker(read: Callable) -> Callable:
+    def reader(warehouse) -> dict:
+        breakers = {
+            "statsvc": warehouse.statsvc_breaker,
+            "tuning": _tuning_breaker(warehouse),
+        }
+        return {
+            (name,): read(breaker.snapshot())
+            for name, breaker in breakers.items()
+            if breaker is not None
+        }
+
+    return reader
+
+
+def _billing_units(warehouse) -> dict:
+    values = {}
+    for tenant, bill in sorted(warehouse.billing.items()):
+        values[(tenant, "serving")] = bill.serving_units
+        values[(tenant, "background")] = bill.background_units
+        values[(tenant, "retry")] = bill.retry_units
+    return values
+
+
+def _background_units(warehouse) -> dict:
+    return {
+        (tenant,): bill.background_units
+        for tenant, bill in sorted(warehouse.billing.items())
+        if bill.background_units
+    }
+
+
+def _admission_verdicts(warehouse) -> dict:
+    return {
+        (tenant, verdict): count
+        for tenant, counts in warehouse.admission.verdict_counts.items()
+        for verdict, count in counts.items()
+    }
+
+
+def _estimated_savings(tuning) -> int:
+    return sum(
+        to_ledger_units(rec.report.net_per_hour)
+        for rec in tuning.applied_recommendations
+    )
 
 
 #: The canonical metric catalogue.  Adding a metric means adding a row
@@ -104,116 +205,146 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "Authoritative per-tenant spend in ledger units, by component "
         "(serving / background / retry).",
         ("tenant", "component"),
+        read=_billing_units,
     ),
     # -- plan caches (sourced from the lock-striped cache stats) --------
     "repro_cache_entries": MetricSpec(
-        "source", "Live entries per plan-cache level.", ("cache",)
+        "source", "Live entries per plan-cache level.", ("cache",),
+        read=_per_cache(len),
     ),
     "repro_cache_capacity": MetricSpec(
-        "source", "Configured capacity per plan-cache level.", ("cache",)
+        "source", "Configured capacity per plan-cache level.", ("cache",),
+        read=_per_cache(lambda cache: cache.capacity),
     ),
     "repro_cache_hits_total": MetricSpec(
-        "source", "Cache hits per plan-cache level.", ("cache",)
+        "source", "Cache hits per plan-cache level.", ("cache",),
+        read=_per_cache(lambda cache: cache.hits),
     ),
     "repro_cache_misses_total": MetricSpec(
-        "source", "Cache misses per plan-cache level.", ("cache",)
+        "source", "Cache misses per plan-cache level.", ("cache",),
+        read=_per_cache(lambda cache: cache.misses),
     ),
     "repro_cache_evictions_total": MetricSpec(
-        "source", "Capacity evictions per plan-cache level.", ("cache",)
+        "source", "Capacity evictions per plan-cache level.", ("cache",),
+        read=_per_cache(lambda cache: cache.evictions),
     ),
     "repro_cache_policy_evictions_total": MetricSpec(
-        "source", "Retention-policy evictions per plan-cache level.", ("cache",)
+        "source", "Retention-policy evictions per plan-cache level.", ("cache",),
+        read=_per_cache(lambda cache: cache.policy.evictions),
     ),
     "repro_timing_cache_hits_total": MetricSpec(
         "source",
         "Estimator memo hits (per-DOP timing / compiled curve / DOP plan / "
         "simulated execution).",
         ("kind",),
+        read=_per_memo("hits"),
     ),
     "repro_timing_cache_computations_total": MetricSpec(
         "source",
         "Estimator memo computations (per-DOP timing / compiled curve / DOP plan / "
         "simulated execution).",
         ("kind",),
+        read=_per_memo("computations"),
     ),
     # -- admission (sourced from AdmissionController) -------------------
     "repro_admission_verdicts_total": MetricSpec(
-        "source", "Admission verdicts by tenant and verdict.", ("tenant", "verdict")
+        "source", "Admission verdicts by tenant and verdict.", ("tenant", "verdict"),
+        read=_admission_verdicts,
     ),
     # -- resilience (sourced from ResilienceStats / breakers) -----------
     "repro_retries_total": MetricSpec(
-        "source", "Transient-failure retries across all serving stages."
+        "source", "Transient-failure retries across all serving stages.",
+        read=lambda w: w.resilience_stats.retries,
     ),
     "repro_retry_cost_ledger_units": MetricSpec(
-        "source", "Retry spend in integral ledger units."
+        "source", "Retry spend in integral ledger units.",
+        read=lambda w: w.resilience_stats.retry_units,
     ),
     "repro_deadline_hits_total": MetricSpec(
-        "source", "Per-request or per-stage deadline expirations."
+        "source", "Per-request or per-stage deadline expirations.",
+        read=lambda w: w.resilience_stats.deadline_hits,
     ),
     "repro_degraded_queries_total": MetricSpec(
-        "source", "Queries served via the degraded-mode plan path."
+        "source", "Queries served via the degraded-mode plan path.",
+        read=lambda w: w.resilience_stats.degraded_queries,
     ),
     "repro_breaker_state": MetricSpec(
         "source",
         "Circuit-breaker state (0=closed, 1=half_open, 2=open).",
         ("breaker",),
+        read=_per_breaker(lambda snap: BREAKER_STATE_CODES[snap["state"]]),
     ),
     "repro_breaker_opens_total": MetricSpec(
-        "source", "Times each circuit breaker has opened.", ("breaker",)
+        "source", "Times each circuit breaker has opened.", ("breaker",),
+        read=_per_breaker(lambda snap: snap["opens"]),
     ),
     "repro_breaker_consecutive_failures": MetricSpec(
-        "source", "Current consecutive-failure count per breaker.", ("breaker",)
+        "source", "Current consecutive-failure count per breaker.", ("breaker",),
+        read=_per_breaker(lambda snap: snap["consecutive_failures"]),
     ),
     # -- tuning (sourced from TuningService, 0 until materialized) ------
     "repro_tuning_cycles_total": MetricSpec(
-        "source", "Background tuning cycles run this process."
+        "source", "Background tuning cycles run this process.",
+        read=_optional("_tuning", lambda tuning: tuning.cycles_run),
     ),
     "repro_tuning_consecutive_failures": MetricSpec(
-        "source", "Consecutive swallowed tuning-cycle failures."
+        "source", "Consecutive swallowed tuning-cycle failures.",
+        read=_optional("_tuning", lambda tuning: tuning.consecutive_failures),
     ),
     "repro_background_cost_ledger_units": MetricSpec(
         "source",
         "Background tuning spend billed per tenant, in ledger units.",
         ("tenant",),
+        read=_background_units,
     ),
     "repro_tuning_estimated_savings_ledger_units_per_hour": MetricSpec(
         "source",
         "Estimated net savings rate of currently applied recommendations, "
         "in ledger units per hour.",
+        read=_optional("_tuning", _estimated_savings),
     ),
     # -- journal / durability (sourced from the WAL) --------------------
     "repro_journal_records_total": MetricSpec(
-        "source", "Entries in the write-ahead journal (0 when detached)."
+        "source", "Entries in the write-ahead journal (0 when detached).",
+        read=_optional("journal", len),
     ),
     "repro_journal_records_since_checkpoint": MetricSpec(
-        "source", "Journal entries appended since the last checkpoint."
+        "source", "Journal entries appended since the last checkpoint.",
+        read=_optional("journal", lambda journal: journal.records_since_checkpoint),
     ),
     "repro_journal_last_checkpoint_id": MetricSpec(
-        "source", "Id of the most recent inline checkpoint (0 when none)."
+        "source", "Id of the most recent inline checkpoint (0 when none).",
+        read=_optional("journal", lambda journal: journal.last_checkpoint_id or 0),
     ),
     # -- serving state (sourced from the warehouse) ---------------------
     "repro_virtual_clock_seconds": MetricSpec(
-        "source", "The warehouse's virtual serving clock."
+        "source", "The warehouse's virtual serving clock.",
+        read=lambda w: w.clock,
     ),
     "repro_queries_logged_total": MetricSpec(
-        "source", "Records in the statistics-service query log."
+        "source", "Records in the statistics-service query log.",
+        read=lambda w: len(w.logs),
     ),
     # -- process-sharded serving (sourced from PlannerWorkerPool, 0 /
     #    empty until enable_sharding; IPC histogram owned) --------------
     "repro_worker_pool_size": MetricSpec(
-        "source", "Planner worker processes in the active pool."
+        "source", "Planner worker processes in the active pool.",
+        read=_optional("worker_pool", lambda pool: pool.size),
     ),
     "repro_worker_restarts_total": MetricSpec(
-        "source", "Planner workers restarted warm after a crash or hang."
+        "source", "Planner workers restarted warm after a crash or hang.",
+        read=_optional("worker_pool", lambda pool: pool.restarts),
     ),
     "repro_worker_restaged_tasks_total": MetricSpec(
-        "source", "In-flight tasks re-sent to a restarted planner worker."
+        "source", "In-flight tasks re-sent to a restarted planner worker.",
+        read=_optional("worker_pool", lambda pool: pool.restaged_tasks),
     ),
     "repro_worker_warm_task_hits_total": MetricSpec(
         "source",
         "Tasks served from a worker's warm private cache, by level "
         "(bind / skeleton).",
         ("level",),
+        read=_optional("worker_pool", lambda pool: pool.warm_hits, absent={}),
     ),
     "repro_worker_ipc_roundtrip_seconds": MetricSpec(
         "histogram",
@@ -280,18 +411,29 @@ class _Histogram:
 class MetricsRegistry:
     """Owned instruments + sourced views behind one declared namespace.
 
+    Given a ``warehouse``, every sourced row is bound to it; without
+    one, sources are whatever :meth:`source` registers.
     All mutation happens under a single internal lock (always acquired
     via ``with``, always innermost relative to the serving lock).
     ``collect()`` returns a deterministically ordered sample list; the
     exporters in :mod:`repro.obsvc.export` render it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, warehouse=None) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, tuple[str, ...]], int] = {}
         self._gauges: dict[tuple[str, tuple[str, ...]], float] = {}
         self._histograms: dict[tuple[str, tuple[str, ...]], _Histogram] = {}
         self._sources: dict[str, object] = {}  # name -> provider callable
+        if warehouse is not None:
+            # Every sourced row reads through to the warehouse's own
+            # state: the caches keep their lock-striped integer stats,
+            # admission its journaled verdict counters, resilience its
+            # ledger-unit tallies, so nothing on a hot path pays for
+            # observability twice.
+            for name, spec in REGISTERED_METRICS.items():
+                if spec.read is not None:
+                    self.source(name, partial(spec.read, warehouse))
 
     # -- declaration enforcement ---------------------------------------- #
     @staticmethod

@@ -261,15 +261,6 @@ def referenced_columns(expr: Expr) -> set[str]:
     return {node.name for node in walk(expr) if isinstance(node, ColumnRef)}
 
 
-def referenced_tables(expr: Expr) -> set[str]:
-    """All table names attached to column refs in ``expr`` (bound exprs)."""
-    return {
-        node.table
-        for node in walk(expr)
-        if isinstance(node, ColumnRef) and node.table is not None
-    }
-
-
 def contains_aggregate(expr: Expr) -> bool:
     return any(isinstance(node, AggCall) for node in walk(expr))
 

@@ -77,10 +77,6 @@ class Pipeline:
     consumer_id: int | None = None
 
     @property
-    def is_root(self) -> bool:
-        return self.consumer_id is None
-
-    @property
     def source(self) -> PipelineOp:
         if not self.ops:
             raise PlanError(f"pipeline {self.pipeline_id} has no operators")

@@ -167,13 +167,6 @@ class CheckpointObservation:
     planned_source_rows: float
     true_source_rows: float
 
-    @property
-    def cardinality_ratio(self) -> float:
-        """Observed/planned source cardinality (the §3.3 deviation signal)."""
-        if self.planned_source_rows <= 0:
-            return 1.0
-        return self.true_source_rows / self.planned_source_rows
-
 
 @dataclass
 class ResizeDecision:

@@ -11,7 +11,6 @@ from repro.statsvc.logs import QueryLogStore, QueryRecord
 from repro.statsvc.summaries import WorkloadSummary, build_summary
 from repro.statsvc.join_graph import JoinGraph
 from repro.statsvc.forecast import WorkloadForecaster, TemplateForecast
-from repro.statsvc.profiler import OperatorProfile, attribute_machine_time
 from repro.statsvc.sampling import StatsServiceCostModel, summary_error
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "JoinGraph",
     "WorkloadForecaster",
     "TemplateForecast",
-    "OperatorProfile",
-    "attribute_machine_time",
     "StatsServiceCostModel",
     "summary_error",
 ]

@@ -49,9 +49,6 @@ class WorkloadSummary:
         span = max(end - start, 1e-9)
         return self.template_counts.get(template, 0) * 3600.0 / span
 
-    def hottest_attributes(self, top_k: int = 10) -> list[tuple[str, int]]:
-        return self.attribute_access.most_common(top_k)
-
     def hottest_filters(self, top_k: int = 10) -> list[tuple[str, int]]:
         return self.filter_access.most_common(top_k)
 

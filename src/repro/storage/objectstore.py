@@ -101,9 +101,6 @@ class ObjectStore:
     def exists(self, key: str) -> bool:
         return key in self._blobs
 
-    def size_of(self, key: str) -> int:
-        return self._meta(key).size_bytes
-
     def total_bytes(self) -> int:
         return sum(b.size_bytes for b in self._blobs.values())
 

@@ -27,7 +27,7 @@ compute) keeps its components, but the API around them becomes:
   mutation), flush the warehouse's plan/skeleton/binding caches and
   template bindings so serving never reuses a pre-tuning plan, and meter
   background dollars into the originating tenants'
-  :class:`~repro.core.service.TenantBill`\\ s.
+  :class:`~repro.core.ledger.TenantBill`\\ s.
 - :class:`TuningPolicy` — cadence, storage budget, tenant scope, and
   forecast-fed auto-apply thresholds, so the serving layer
   (:class:`~repro.core.service.Session` /

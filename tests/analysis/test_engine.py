@@ -235,11 +235,10 @@ def test_cli_list_rules(capsys):
         "bare-except",
         "wall-clock",
         "float-billing",
-        "journal-site",
+        "metric-name",
         "stage-guard",
         "naked-acquire",
         "picklable-record",
-        "warehouse-kwargs",
     ):
         assert rule_id in out
 

@@ -1,12 +1,11 @@
 """The repo's own gate: src + tests are clean under the shipped
-baseline, and the registries the rules key on have not gone stale."""
+baseline."""
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
-from repro.analysis import REGISTERED_JOURNAL_SITES, Baseline, analyze_paths
+from repro.analysis import Baseline, analyze_paths
 from repro.analysis.__main__ import DEFAULT_BASELINE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -26,28 +25,3 @@ def test_repo_is_clean_under_shipped_baseline():
     ]
     # and the baseline stays an exception list, not a dumping ground
     assert len(baseline.entries) <= 3
-
-
-def test_registered_journal_sites_still_exist():
-    """Registry staleness check: each registered site's file, class,
-    and method must still exist — a renamed or deleted site leaves a
-    dangling registry entry that would mask a future unregistered one."""
-    for key in REGISTERED_JOURNAL_SITES:
-        rel, qualname = key.split("::")
-        path = REPO_ROOT / "src" / rel
-        assert path.exists(), f"registered journal site file gone: {rel}"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        class_name, method_name = qualname.split(".")
-        cls = next(
-            (
-                node
-                for node in tree.body
-                if isinstance(node, ast.ClassDef) and node.name == class_name
-            ),
-            None,
-        )
-        assert cls is not None, f"{rel}: class {class_name} gone"
-        assert any(
-            isinstance(node, ast.FunctionDef) and node.name == method_name
-            for node in cls.body
-        ), f"{rel}: method {qualname} gone"

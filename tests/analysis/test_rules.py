@@ -7,12 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis import (
-    RULES,
-    WAREHOUSE_INIT_PARAMS,
-    check_module,
-    module_from_source,
-)
+from repro.analysis import RULES, check_module, module_from_source
 
 
 @dataclass(frozen=True)
@@ -20,10 +15,6 @@ class Fixture:
     path: str  # where the snippet pretends to live (drives scoping)
     bad: str  # yields >= 1 finding of the rule
     good: str  # idiomatic equivalent, clean for the rule
-    good_path: str | None = None  # when the clean idiom is path-bound
-
-
-_WAREHOUSE_PARAMS = ", ".join(sorted(WAREHOUSE_INIT_PARAMS - {"self"}))
 
 CORPUS: dict[str, Fixture] = {
     "bare-except": Fixture(
@@ -72,21 +63,6 @@ CORPUS: dict[str, Fixture] = {
             "    def note(self, dollars):\n"
             "        self._retry_units += to_ledger_units(dollars)\n"
         ),
-    ),
-    "journal-site": Fixture(
-        path="src/repro/core/snippet.py",
-        bad=(
-            "class SideChannel:\n"
-            "    def save(self, record):\n"
-            "        self.journal.append(record)\n"
-        ),
-        # the ledger's registered site keeps its exact path + qualname
-        good=(
-            "class Ledger:\n"
-            "    def _append(self, record):\n"
-            "        self.applied_lsn = self.journal.append(record).lsn\n"
-        ),
-        good_path="src/repro/core/ledger.py",
     ),
     "metric-name": Fixture(
         path="src/repro/core/snippet.py",
@@ -152,37 +128,6 @@ CORPUS: dict[str, Fixture] = {
             "    tables: tuple[str, ...]\n"
         ),
     ),
-    "worker-isolation": Fixture(
-        path="src/repro/core/sharding_worker.py",
-        bad=(
-            "from repro.core.journal import QueryServed\n"
-            "def finalize(self, record, bill):\n"
-            "    self.journal.append(record)\n"
-            "    self.warehouse.ledger.commit(record)\n"
-            "    bill.charged = TenantBill()\n"
-        ),
-        good=(
-            "from repro.core.bioptimizer import BiObjectiveOptimizer\n"
-            "from repro.sql.binder import Binder\n"
-            "def stage(self, task):\n"
-            "    bound = self.binder.bind_parameterized(\n"
-            "        task.template_key, task.constants, sql=task.sql)\n"
-            "    return self.optimizer.optimize(bound, task.constraint)\n"
-        ),
-    ),
-    "warehouse-kwargs": Fixture(
-        path="src/repro/core/warehouse.py",
-        bad=(
-            "class CostIntelligentWarehouse:\n"
-            f"    def __init__(self, {_WAREHOUSE_PARAMS}, shiny_new_knob=None):\n"
-            "        pass\n"
-        ),
-        good=(
-            "class CostIntelligentWarehouse:\n"
-            f"    def __init__(self, {_WAREHOUSE_PARAMS}):\n"
-            "        pass\n"
-        ),
-    ),
 }
 
 
@@ -218,9 +163,7 @@ def test_every_rule_fires_and_suppresses(rule_id):
     assert suppressed, f"{rule_id}: suppression not reported"
 
     # the idiomatic version is clean with no suppression at all
-    clean, _ = findings_for(
-        rule_id, fixture.good, fixture.good_path or fixture.path
-    )
+    clean, _ = findings_for(rule_id, fixture.good, fixture.path)
     assert clean == [], f"{rule_id}: good fixture fired {clean}"
 
 
@@ -262,28 +205,6 @@ def test_wall_clock_catches_randomness_and_scopes_to_deterministic_pkgs():
 def test_float_billing_ignores_non_dollar_accumulators():
     src = "class S:\n    def f(self, n):\n        self.rows += n\n"
     fired, _ = findings_for("float-billing", src, "src/repro/core/x.py")
-    assert fired == []
-
-
-def test_journal_site_catches_direct_append_and_respects_registry():
-    direct = (
-        "class Foo:\n"
-        "    def flush(self):\n"
-        "        self.journal.append(entry)\n"
-    )
-    fired, _ = findings_for("journal-site", direct, "src/repro/core/x.py")
-    assert len(fired) == 1
-    assert "Foo.flush" in fired[0].message
-    # the ledger module is not a free pass: an unregistered site in it fires
-    fired, _ = findings_for("journal-site", direct, "src/repro/core/ledger.py")
-    assert len(fired) == 1
-    # a commit through the ledger is the idiom, anywhere
-    commit = "class Foo:\n    def flush(self):\n        self.ledger.commit(entry)\n"
-    fired, _ = findings_for("journal-site", commit, "src/repro/core/x.py")
-    assert fired == []
-    # list appends on non-journal receivers are not sites
-    benign = "class Foo:\n    def flush(self):\n        self.rows.append(1)\n"
-    fired, _ = findings_for("journal-site", benign, "src/repro/core/x.py")
     assert fired == []
 
 
@@ -350,60 +271,3 @@ def test_picklable_record_checks_error_init_annotations():
     fired, _ = findings_for("picklable-record", bad, "src/repro/errors.py")
     assert len(fired) == 1
     assert "CustomStateError.lock" in fired[0].message
-
-
-def test_warehouse_kwargs_reports_stale_allowlist_entry():
-    params = ", ".join(sorted(WAREHOUSE_INIT_PARAMS - {"self", "journal"}))
-    src = (
-        "class CostIntelligentWarehouse:\n"
-        f"    def __init__(self, {params}):\n"
-        "        pass\n"
-    )
-    fired, _ = findings_for(
-        "warehouse-kwargs", src, "src/repro/core/warehouse.py"
-    )
-    assert len(fired) == 1
-    assert "'journal'" in fired[0].message
-
-
-#: Every module a planner worker process runs.
-WORKER_MODULES = (
-    "src/repro/core/sharding_worker.py",
-    "src/repro/core/planning.py",
-)
-
-
-def test_worker_isolation_scopes_to_worker_modules_only():
-    # The same authority-touching code is legal coordinator-side.
-    bad = CORPUS["worker-isolation"].bad
-    fired, _ = findings_for("worker-isolation", bad, "src/repro/core/service.py")
-    assert fired == []
-    for worker_path in WORKER_MODULES:
-        # It fires, and suppresses, in every worker module.
-        fired, _ = findings_for("worker-isolation", bad, worker_path)
-        assert fired, worker_path
-        lines = bad.splitlines()
-        for line in sorted({f.line for f in fired}):
-            lines[line - 1] += "  # lint-allow: worker-isolation corpus fixture"
-        active, suppressed = findings_for(
-            "worker-isolation", "\n".join(lines) + "\n", worker_path
-        )
-        assert active == [] and suppressed, worker_path
-        # Forbidden import prefixes fire individually.
-        for stmt in (
-            "import repro.core.warehouse\n",
-            "from repro.core.ledger import Ledger\n",
-            "from repro.statsvc.logs import QueryLogStore\n",
-            "from repro.obsvc.metrics import MetricsRegistry\n",
-        ):
-            fired, _ = findings_for("worker-isolation", stmt, worker_path)
-            assert fired, f"did not fire on {stmt!r} in {worker_path}"
-
-
-def test_worker_isolation_passes_on_the_real_worker_module():
-    from pathlib import Path
-
-    for worker_path in WORKER_MODULES:
-        path = Path(__file__).resolve().parents[2] / worker_path
-        fired, _ = findings_for("worker-isolation", path.read_text(), worker_path)
-        assert fired == [], worker_path

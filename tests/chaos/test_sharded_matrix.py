@@ -123,6 +123,24 @@ def run_mode(catalog, seed, *, mode, fault_plan=None):
             warehouse.disable_sharding()
 
 
+def assert_same_state(actual, expected, context: str = "") -> None:
+    """``actual == expected``, reporting the first handle row / log row /
+    bill that differs (an intermittent failure must be readable from the
+    ``-q`` output of the run that hit it)."""
+    for part, got, want in zip(("handle", "log row", "bill"), actual, expected):
+        if part == "bill":
+            got, want = sorted(got.items()), sorted(want.items())
+        assert len(got) == len(want), (
+            f"{context}: {len(got)} {part}s, expected {len(want)}"
+        )
+        for index, (got_row, want_row) in enumerate(zip(got, want)):
+            assert got_row == want_row, (
+                f"{context}: first differing {part} is #{index}:\n"
+                f"  got      {got_row}\n  expected {want_row}"
+            )
+    assert actual == expected, context
+
+
 # --------------------------------------------------------------------- #
 # The matrix: every seed, four modes, one observable state
 # --------------------------------------------------------------------- #
@@ -136,14 +154,17 @@ def test_sharded_serving_is_bit_identical_across_modes(catalog, seed):
 
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
 def test_worker_crashes_never_lose_or_double_bill(catalog, seed):
-    baseline, _ = run_mode(catalog, seed, mode="threaded")
+    # Sequential, not threaded: four threads racing over the skeleton
+    # cache are themselves a candidate for "which side moved", and the
+    # test above holds threaded == sequential.
+    baseline, _ = run_mode(catalog, seed, mode="sequential")
     crash_plan = FaultPlan(
         [FaultSpec(point="worker_crash", error_rate=0.3)], seed=seed
     )
     crashed, stats = run_mode(
         catalog, seed, mode="sharded", fault_plan=crash_plan
     )
-    assert crashed == baseline
+    assert_same_state(crashed, baseline, f"seed {seed}, worker_crash stats {stats}")
     kills, restarts, restaged = stats
     if kills:
         assert restarts >= 1
@@ -154,7 +175,7 @@ def test_crash_sweep_covers_every_dispatch_boundary(catalog):
     may lose a query, double-bill, or otherwise perturb the observable
     state."""
     seed = 3
-    baseline, _ = run_mode(catalog, seed, mode="threaded")
+    baseline, _ = run_mode(catalog, seed, mode="sequential")
     boundaries_hit = 0
     for boundary in range(8):
         plan = FaultPlan(
@@ -171,7 +192,7 @@ def test_crash_sweep_covers_every_dispatch_boundary(catalog):
         state, stats = run_mode(
             catalog, seed, mode="sharded", fault_plan=plan
         )
-        assert state == baseline, f"boundary {boundary} broke parity"
+        assert_same_state(state, baseline, f"kill after dispatch {boundary}: {stats}")
         kills, _, _ = stats
         boundaries_hit += kills
     assert boundaries_hit >= 6  # the sweep really killed workers

@@ -448,14 +448,11 @@ def test_controller_counts_and_defer_downgrade():
     }
     controller.reset_stats()
     assert controller.verdict_counts == {}
-    assert controller.budget_for("a") is not None
-    controller.remove_budget("a")
-    assert not controller.active
+    assert controller.active  # budgets survive a stats reset
 
 
 def test_controller_accepts_bare_floats():
     controller = AdmissionController({"a": 2.5})
-    assert controller.budget_for("a") == TenantBudget(dollars=2.5)
     error = controller.denied_error("a", _Bill(3.0), index=4, sql="SELECT 1")
     assert isinstance(error, AdmissionDeniedError)
     assert error.tenant == "a"

@@ -35,8 +35,9 @@ from repro.core.journal import (
     shares_tuple,
     to_ledger_units,
 )
+from repro.core.ledger import TenantBill
 from repro.core.recovery import apply_entry, recover_warehouse
-from repro.core.service import QueryRequest, TenantBill
+from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import JournalError, RecoveryError, ReproError

@@ -272,7 +272,7 @@ def test_stats_change_invalidates(warehouse):
     serve(warehouse, Q1, constraint)
     catalog = warehouse.catalog
     version = catalog.version
-    catalog.update_stats("orders", catalog.table("orders").stats)
+    catalog.register_table(catalog.table("orders"), replace_existing=True)
     assert catalog.version == version + 1
     serve(warehouse, Q1, constraint)
     assert warehouse.plan_cache.hits == 0

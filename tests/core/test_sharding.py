@@ -350,7 +350,7 @@ def test_stats_refresh_broadcasts_before_dispatch():
             session = warehouse.session(tenant="t1", constraint=SLA)
             served = outcomes(session.submit_many(requests[:6], max_workers=4))
             catalog = warehouse.catalog
-            catalog.update_stats("orders", catalog.table("orders").stats)
+            catalog.register_table(catalog.table("orders"), replace_existing=True)
             served += outcomes(session.submit_many(requests[6:], max_workers=4))
             results.append((served, observable_state(warehouse)))
         assert results[0] == results[1]

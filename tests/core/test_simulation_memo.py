@@ -14,9 +14,10 @@ import weakref
 import pytest
 
 from repro.core.service import QueryRequest, QueryState
-from repro.core.warehouse import POLICY_NAMES, CostIntelligentWarehouse
+from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.dop.planner import DopPlan
+from repro.monitor.policies import POLICY_NAMES, make_policy
 from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig
 from repro.testing.faults import FaultPlan, FaultSpec
 from repro.workloads.tpch_queries import instantiate, template_names
@@ -43,7 +44,9 @@ def warehouse(catalog):
 def _fresh_simulation(warehouse, choice, constraint, policy_name, truth):
     """What ``_simulate`` computes on a miss, spelled out: a new policy
     object, a new simulator (hence a new warm pool and meter), one run."""
-    policy = warehouse.make_policy(policy_name, choice, constraint)
+    policy = make_policy(
+        policy_name, choice, constraint, warehouse.estimator, max_dop=warehouse.max_dop
+    )
     config = warehouse.sim_config
     if policy_name == "stage-scaler":
         config = dataclasses.replace(config, materialize_exchanges=True)

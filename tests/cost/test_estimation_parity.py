@@ -85,7 +85,6 @@ def assert_curve_matches_reference(pipeline, fast, reference):
             assert actual.duration == expected.duration, context
             assert actual.bottleneck == expected.bottleneck, context
             assert actual.source_rows == expected.source_rows, context
-            # statsvc/profiler weighs operators by these.
             assert actual.op_times == expected.op_times, context
             assert fast.pipeline_summary(pipeline, dop, overrides) == (
                 expected.duration,

@@ -82,7 +82,8 @@ def test_estimator_facade_uniform_int(big_binder, big_planner):
     plan = big_planner.plan(
         big_binder.bind_sql("SELECT count(*) AS c FROM orders")
     )
-    estimate = estimator.estimate_plan(plan, 4)
+    dag = decompose_pipelines(plan)
+    estimate = estimator.estimate_dag(dag, uniform(dag, 4))
     assert estimate.latency > 0
     assert estimate.scan_request_dollars > 0
 

@@ -106,4 +106,4 @@ def test_object_store_tracks_table_bytes():
     schema = TableSchema("t", (Column("k", DataType.INT64),))
     db.create_table(schema, {"k": np.arange(1000)})
     assert db.store.exists("tables/t")
-    assert db.store.size_of("tables/t") > 0
+    assert db.store.total_bytes() > 0

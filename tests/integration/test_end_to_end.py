@@ -112,31 +112,3 @@ def test_tuning_cycle_applies_and_improves():
             wh.catalog.drop_table(report.action_name)
         if wh.catalog.has_view(report.action_name):
             wh.catalog.drop_view(report.action_name)
-
-
-def test_profiler_attribution_sums_to_machine_time(big_catalog, estimator):
-    from repro.dop.planner import DopPlanner
-    from repro.plan.pipelines import decompose_pipelines
-    from repro.optimizer.dag_planner import DagPlanner
-    from repro.sim.distsim import DistributedSimulator
-    from repro.sql.binder import Binder
-    from repro.statsvc.profiler import attribute_machine_time
-
-    binder = Binder(big_catalog)
-    plan = DagPlanner(big_catalog).plan(
-        binder.bind_sql(instantiate("q5_local_supplier", seed=2))
-    )
-    dag = decompose_pipelines(plan)
-    dop_plan = DopPlanner(estimator, max_dop=16).plan(dag, sla_constraint(60.0))
-    sim = DistributedSimulator(
-        dag, dop_plan.dops, estimator.models, planned=dop_plan.estimate
-    )
-    result = sim.run()
-    profiles = attribute_machine_time(dag, result, estimator.models)
-    by_pipeline = {}
-    for profile in profiles:
-        by_pipeline.setdefault(profile.pipeline_id, 0.0)
-        by_pipeline[profile.pipeline_id] += profile.machine_seconds
-    for pid, run in result.runs.items():
-        expected = run.final_dop * run.duration
-        assert by_pipeline[pid] == pytest.approx(expected, rel=1e-6)

@@ -64,6 +64,11 @@ def test_spec_validation():
         MetricSpec("exotic", "bad kind")
     with pytest.raises(MetricNameError):
         MetricSpec("histogram", "no buckets")
+    # a sourced row is its own provider; no other kind has one
+    with pytest.raises(MetricNameError):
+        MetricSpec("source", "no read")
+    with pytest.raises(MetricNameError):
+        MetricSpec("counter", "with a read", read=lambda warehouse: 0)
 
 
 def test_catalogue_is_well_formed():

@@ -25,7 +25,7 @@ def test_scan_agg_query_has_two_pipelines(tpch_binder, tpch_planner):
     # P0: scan -> partial agg -> gather exchange -> final agg (sink)
     # P1: state source -> result gather
     assert len(dag) == 2
-    roots = [p for p in dag if p.is_root]
+    roots = [p for p in dag if p.consumer_id is None]
     assert len(roots) == 1
     assert roots[0].source.role == ROLE_SOURCE_STATE
 

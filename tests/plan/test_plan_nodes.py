@@ -1,19 +1,9 @@
-"""Physical/logical node helpers: describe, walk, signatures, validation."""
+"""Physical node helpers: describe, walk, signatures, validation."""
 
 import pytest
 
 from repro.errors import PlanError
-from repro.plan.expressions import AggCall, BinaryOp, ColumnRef, Literal
-from repro.plan.logical import (
-    LogicalAggregate,
-    LogicalFilter,
-    LogicalJoin,
-    LogicalLimit,
-    LogicalProject,
-    LogicalScan,
-    LogicalSort,
-    walk_logical,
-)
+from repro.plan.expressions import BinaryOp, ColumnRef, Literal
 from repro.plan.physical import (
     PhysFilter,
     PhysLimit,
@@ -66,53 +56,3 @@ def test_sort_describe_directions():
     sort = PhysSort(child=scan, keys=("a", "b"), ascending=(True, False), limit=3)
     text = sort.describe()
     assert "a ASC" in text and "b DESC" in text and "limit=3" in text
-
-
-# ----------------------------- logical -------------------------------- #
-def test_logical_tree_construction_and_walk():
-    scan = LogicalScan(table="t", columns=("a", "b"))
-    filt = LogicalFilter(child=scan, predicate=BinaryOp(">", ColumnRef("a"), Literal(1)))
-    proj = LogicalProject(child=filt, exprs=(ColumnRef("a"),), names=("a",))
-    agg = LogicalAggregate(
-        child=proj,
-        group_keys=(ColumnRef("a"),),
-        aggregates=(AggCall("count", None),),
-        agg_names=("c",),
-    )
-    sort = LogicalSort(child=agg, keys=("c",), ascending=(False,))
-    limit = LogicalLimit(child=sort, limit=10)
-    assert len(list(walk_logical(limit))) == 6
-    assert limit.output_columns() == ("a", "c")
-    assert "Aggregate" in agg.describe()
-    assert limit.pretty().count("\n") == 5
-
-
-def test_logical_join_validation():
-    left = LogicalScan(table="l", columns=("a",))
-    right = LogicalScan(table="r", columns=("b",))
-    join = LogicalJoin(
-        left=left,
-        right=right,
-        left_keys=(ColumnRef("a", "l"),),
-        right_keys=(ColumnRef("b", "r"),),
-    )
-    assert join.output_columns() == ("a", "b")
-    with pytest.raises(PlanError):
-        LogicalJoin(left=left, right=right, left_keys=(), right_keys=())
-    with pytest.raises(PlanError):
-        LogicalJoin(
-            left=left,
-            right=right,
-            left_keys=(ColumnRef("a", "l"),),
-            right_keys=(),
-        )
-
-
-def test_logical_validation_errors():
-    scan = LogicalScan(table="t", columns=("a",))
-    with pytest.raises(PlanError):
-        LogicalProject(child=scan, exprs=(ColumnRef("a"),), names=())
-    with pytest.raises(PlanError):
-        LogicalSort(child=scan, keys=("a",), ascending=())
-    with pytest.raises(PlanError):
-        LogicalLimit(child=scan, limit=-1)

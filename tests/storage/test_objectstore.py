@@ -10,7 +10,7 @@ def test_put_get_roundtrip():
     store.put("k", 1000, payload={"x": 1})
     assert store.exists("k")
     assert store.get("k") == {"x": 1}
-    assert store.size_of("k") == 1000
+    assert store.total_bytes() == 1000
     assert store.stats.gets == 1
     assert store.stats.puts == 1
     assert store.stats.bytes_read == 1000
