@@ -10,7 +10,7 @@ and a pipeline built without one simply skips it:
 
 - **Exact level** (:class:`PlanCache`): the full
   :class:`~repro.core.bioptimizer.PlanChoice` keyed on the *normalized*
-  SQL token stream (whitespace, letter case, and comments do not
+  SQL string (whitespace, letter case, and comments do not
   fragment the cache), the user constraint, and the catalog's stats
   version.  A verbatim resubmission pays nothing.
 - **Binding level** (:class:`BindingCache`): the bound query keyed on

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dop.constraints import Constraint
 
 
-def skeleton_key(template_key: tuple, constraint: "Constraint", version: int) -> tuple:
+def skeleton_key(template_key: str, constraint: "Constraint", version: int) -> tuple:
     """The skeleton level's key.  The constraint kind is conservative
     key hygiene (DAG planning never reads the constraint); it costs one
     extra DP per template and kind.  Skeleton reuse trusts the

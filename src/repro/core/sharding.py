@@ -82,7 +82,7 @@ class StageTask:
     sql: str
     constraint: "Constraint"
     #: Literal-free template key (worker affinity + warm-cache key).
-    template_key: tuple
+    template_key: str
     #: Catalog stats version the coordinator planned this dispatch
     #: against; the worker re-checks it against its own catalog copy.
     stats_version: int
@@ -181,11 +181,11 @@ _STARTUP_TIMEOUT_S = 60.0
 _MAX_INFLIGHT = 8
 
 
-def _worker_index_for(template_key: tuple, workers: int) -> int:
+def _worker_index_for(template_key: str, workers: int) -> int:
     """Stable template -> worker assignment (crc32, not ``hash()``:
     string hashing is randomized per process, and a run-stable
     assignment keeps chaos schedules meaningful across reruns)."""
-    return zlib.crc32(repr(template_key).encode("utf-8")) % workers
+    return zlib.crc32(template_key.encode("utf-8")) % workers
 
 
 class PlannerWorkerPool:
@@ -397,7 +397,7 @@ class PlannerWorkerPool:
         *,
         sql: str,
         constraint: "Constraint",
-        template_key: tuple,
+        template_key: str,
         stats_version: int,
         skeleton_trees: tuple | None,
         skeleton_key: tuple | None = None,
@@ -442,7 +442,7 @@ class PlannerWorkerPool:
             self.kill_worker(index)
         return task_id
 
-    def has_room(self, template_key: tuple) -> bool:
+    def has_room(self, template_key: str) -> bool:
         """Whether a :meth:`dispatch` for this template would send at
         once instead of first draining its worker down to the cap."""
         index = _worker_index_for(template_key, self.size)

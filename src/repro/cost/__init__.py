@@ -63,7 +63,7 @@ the object it describes:
   second constraint on the same query re-runs only the DOP search.
 - **plans** (:mod:`repro.core.plan_cache`): the serving layer is a
   *two-level* cache.  The exact level memoizes whole ``PlanChoice``s
-  keyed on (normalized SQL token stream, constraint, catalog stats
+  keyed on (normalized SQL string, constraint, catalog stats
   version).  The skeleton level keys the template's *plan skeleton* —
   the DP-chosen join tree plus bushy variant shapes — on the
   literal-free template key

@@ -49,7 +49,8 @@ class ExchangeCalibration:
     by_kind: dict[ExchangeKind, ExchangeCoefficients] = field(default_factory=dict)
 
     def coefficients(self, kind: ExchangeKind) -> ExchangeCoefficients:
-        return self.by_kind.get(kind, ExchangeCoefficients())
+        found = self.by_kind.get(kind)
+        return ExchangeCoefficients() if found is None else found
 
     @classmethod
     def analytic(cls, hardware) -> "ExchangeCalibration":

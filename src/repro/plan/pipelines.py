@@ -21,7 +21,6 @@ and the discrete-event simulator):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -106,10 +105,35 @@ class PipelineDag:
 
     pipelines: dict[int, Pipeline]
     root_id: int
-    _topo: list[Pipeline] | None = field(default=None, init=False, repr=False)
+    _topo: list[Pipeline] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._check_acyclic()
+        """Validate the dependencies and record the topological order in
+        one depth-first walk.  A loop over an explicit stack, not a
+        recursive closure: a closure that calls itself is a reference
+        cycle that captures ``self``, so every DAG would wait for the
+        cycle collector instead of dying with its last reference."""
+        state: dict[int, int] = {}  # absent=unvisited, 1=on the stack, 2=done
+        for start in self.pipelines:
+            if start in state:
+                continue
+            state[start] = 1
+            stack = [(start, iter(self.pipelines[start].blocking_deps))]
+            while stack:
+                pid, deps = stack[-1]
+                for dep in deps:
+                    if dep not in self.pipelines:
+                        raise PlanError(f"pipeline {pid} depends on unknown {dep}")
+                    if state.get(dep) == 1:
+                        raise PlanError(f"pipeline dependency cycle at {dep}")
+                    if dep not in state:
+                        state[dep] = 1
+                        stack.append((dep, iter(self.pipelines[dep].blocking_deps)))
+                        break
+                else:
+                    stack.pop()
+                    state[pid] = 2
+                    self._topo.append(self.pipelines[pid])
 
     @property
     def root(self) -> Pipeline:
@@ -130,27 +154,11 @@ class PipelineDag:
     def topological_order(self) -> list[Pipeline]:
         """Pipelines ordered so every blocking dep precedes its consumer.
 
-        Memoized — the structure is fixed after decomposition and the
-        estimator's scheduler asks once per candidate evaluation.  Treat
-        the returned list as read-only.
+        Computed at construction — the structure is fixed after
+        decomposition and the estimator's scheduler asks once per
+        candidate evaluation.  Treat the returned list as read-only.
         """
-        if self._topo is not None:
-            return self._topo
-        order: list[Pipeline] = []
-        visited: set[int] = set()
-
-        def visit(pid: int) -> None:
-            if pid in visited:
-                return
-            visited.add(pid)
-            for dep in self.pipelines[pid].blocking_deps:
-                visit(dep)
-            order.append(self.pipelines[pid])
-
-        for pid in self.pipelines:
-            visit(pid)
-        self._topo = order
-        return order
+        return self._topo
 
     def siblings(self, pipeline_id: int) -> list[Pipeline]:
         """Pipelines sharing a consumer with ``pipeline_id`` (incl. itself).
@@ -164,82 +172,66 @@ class PipelineDag:
         consumer = self.pipeline(me.consumer_id)
         return [self.pipelines[dep] for dep in consumer.blocking_deps]
 
-    def _check_acyclic(self) -> None:
-        state: dict[int, int] = {}  # 0=unvisited,1=in-stack,2=done
-
-        def visit(pid: int) -> None:
-            if state.get(pid) == 1:
-                raise PlanError(f"pipeline dependency cycle at {pid}")
-            if state.get(pid) == 2:
-                return
-            state[pid] = 1
-            for dep in self.pipelines[pid].blocking_deps:
-                if dep not in self.pipelines:
-                    raise PlanError(f"pipeline {pid} depends on unknown {dep}")
-                visit(dep)
-            state[pid] = 2
-
-        for pid in self.pipelines:
-            visit(pid)
-
     def describe(self) -> str:
         return "\n".join(p.describe() for p in self.topological_order())
 
 
 def decompose_pipelines(root: PhysNode) -> PipelineDag:
     """Split a physical plan into its pipeline DAG."""
-    counter = itertools.count(0)
     pipelines: dict[int, Pipeline] = {}
+    root_pipeline = _stream(root, pipelines)
+    return PipelineDag(pipelines=pipelines, root_id=root_pipeline.pipeline_id)
 
-    def new_pipeline() -> Pipeline:
-        pipeline = Pipeline(pipeline_id=next(counter))
-        pipelines[pipeline.pipeline_id] = pipeline
+
+def _new_pipeline(pipelines: dict[int, Pipeline]) -> Pipeline:
+    pipeline = Pipeline(pipeline_id=len(pipelines))
+    pipelines[pipeline.pipeline_id] = pipeline
+    return pipeline
+
+
+def _stream(node: PhysNode, pipelines: dict[int, Pipeline]) -> Pipeline:
+    """Return the open pipeline whose stream ends at ``node``'s output,
+    adding every pipeline below it to ``pipelines``.  (A module-level
+    function: as a closure it would be a reference cycle per call.)"""
+    if isinstance(node, PhysScan):
+        pipeline = _new_pipeline(pipelines)
+        pipeline.ops.append(PipelineOp(node, ROLE_SOURCE_SCAN))
         return pipeline
 
-    def stream(node: PhysNode) -> Pipeline:
-        """Return the open pipeline whose stream ends at ``node``'s output."""
-        if isinstance(node, PhysScan):
-            pipeline = new_pipeline()
-            pipeline.ops.append(PipelineOp(node, ROLE_SOURCE_SCAN))
-            return pipeline
+    if isinstance(node, (PhysFilter, PhysProject, PhysExchange, PhysLimit)):
+        pipeline = _stream(node.child, pipelines)
+        pipeline.ops.append(PipelineOp(node, ROLE_STREAM))
+        return pipeline
 
-        if isinstance(node, (PhysFilter, PhysProject, PhysExchange, PhysLimit)):
-            pipeline = stream(node.child)
+    if isinstance(node, PhysAggregate):
+        if node.mode is AggMode.PARTIAL:
+            pipeline = _stream(node.child, pipelines)
             pipeline.ops.append(PipelineOp(node, ROLE_STREAM))
             return pipeline
+        producer = _stream(node.child, pipelines)
+        producer.ops.append(PipelineOp(node, ROLE_SINK_AGG))
+        consumer = _new_pipeline(pipelines)
+        consumer.ops.append(PipelineOp(node, ROLE_SOURCE_STATE))
+        consumer.blocking_deps.append(producer.pipeline_id)
+        producer.consumer_id = consumer.pipeline_id
+        return consumer
 
-        if isinstance(node, PhysAggregate):
-            if node.mode is AggMode.PARTIAL:
-                pipeline = stream(node.child)
-                pipeline.ops.append(PipelineOp(node, ROLE_STREAM))
-                return pipeline
-            producer = stream(node.child)
-            producer.ops.append(PipelineOp(node, ROLE_SINK_AGG))
-            consumer = new_pipeline()
-            consumer.ops.append(PipelineOp(node, ROLE_SOURCE_STATE))
-            consumer.blocking_deps.append(producer.pipeline_id)
-            producer.consumer_id = consumer.pipeline_id
-            return consumer
+    if isinstance(node, PhysSort):
+        producer = _stream(node.child, pipelines)
+        producer.ops.append(PipelineOp(node, ROLE_SINK_SORT))
+        consumer = _new_pipeline(pipelines)
+        consumer.ops.append(PipelineOp(node, ROLE_SOURCE_STATE))
+        consumer.blocking_deps.append(producer.pipeline_id)
+        producer.consumer_id = consumer.pipeline_id
+        return consumer
 
-        if isinstance(node, PhysSort):
-            producer = stream(node.child)
-            producer.ops.append(PipelineOp(node, ROLE_SINK_SORT))
-            consumer = new_pipeline()
-            consumer.ops.append(PipelineOp(node, ROLE_SOURCE_STATE))
-            consumer.blocking_deps.append(producer.pipeline_id)
-            producer.consumer_id = consumer.pipeline_id
-            return consumer
+    if isinstance(node, PhysHashJoin):
+        build_pipeline = _stream(node.build, pipelines)
+        build_pipeline.ops.append(PipelineOp(node, ROLE_BUILD))
+        probe_pipeline = _stream(node.probe, pipelines)
+        probe_pipeline.ops.append(PipelineOp(node, ROLE_PROBE))
+        probe_pipeline.blocking_deps.append(build_pipeline.pipeline_id)
+        build_pipeline.consumer_id = probe_pipeline.pipeline_id
+        return probe_pipeline
 
-        if isinstance(node, PhysHashJoin):
-            build_pipeline = stream(node.build)
-            build_pipeline.ops.append(PipelineOp(node, ROLE_BUILD))
-            probe_pipeline = stream(node.probe)
-            probe_pipeline.ops.append(PipelineOp(node, ROLE_PROBE))
-            probe_pipeline.blocking_deps.append(build_pipeline.pipeline_id)
-            build_pipeline.consumer_id = probe_pipeline.pipeline_id
-            return probe_pipeline
-
-        raise PlanError(f"cannot decompose operator {type(node).__name__}")
-
-    root_pipeline = stream(root)
-    return PipelineDag(pipelines=pipelines, root_id=root_pipeline.pipeline_id)
+    raise PlanError(f"cannot decompose operator {type(node).__name__}")

@@ -15,7 +15,6 @@ from repro.sql.parameterize import (
     bind_constants,
     normalize_sql,
     parameterize_sql,
-    render_sql,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "bind_constants",
     "normalize_sql",
     "parameterize_sql",
-    "render_sql",
 ]

@@ -144,11 +144,11 @@ class Binder:
         return self.bind(parse(sql), sql=sql)
 
     def bind_parameterized(
-        self, template_key: tuple, constants: tuple, sql: str = ""
+        self, template_key: str, constants: tuple, sql: str = ""
     ) -> BoundQuery:
         """Bind a ``(template_key, constants)`` pair via the template-AST
         cache — recurring templates skip lexing and parsing entirely."""
-        return self.bind(parse_parameterized(template_key, constants), sql=sql)
+        return self.bind(parse_parameterized(template_key, constants, sql), sql=sql)
 
     # ------------------------------------------------------------------ #
     # Statement binding

@@ -1,6 +1,9 @@
 """SQL lexer: text -> token stream.
 
-Hand-rolled single-pass scanner.  Keywords are case-insensitive;
+One compiled pattern, :data:`TOKEN_PATTERN`, is the only lexical
+definition: :func:`tokenize` walks its matches into ``Token``s and
+``repro.sql.parameterize`` walks the same matches into the two identity
+strings without building any.  Keywords are case-insensitive;
 identifiers are lower-cased at lexing time (the workload schemas use
 lower-case names throughout).
 """
@@ -8,6 +11,7 @@ lower-case names throughout).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -46,8 +50,27 @@ KEYWORDS = {
     "date",
 }
 
-#: Multi-character symbols first so the scanner is greedy.
-_SYMBOLS = ("<>", "!=", "<=", ">=", "<", ">", "=", "(", ")", ",", ".", "+", "-", "*", "/", ";")
+#: One alternative per token class, tried in order: whitespace and
+#: ``--`` comments match outside every group (skipped); a word starts
+#: with any ``\w`` character that is not a decimal digit; a dot is a
+#: decimal point only when a digit follows (``t1.c2`` is a qualifier);
+#: a string closes at the first quote run of odd length (``''`` is an
+#: escaped quote — the lookahead stops backtracking from splitting
+#: one); multi-character symbols come first so the scan is greedy.
+#: ``bad`` catches everything else, so no character is passed over.
+TOKEN_PATTERN = re.compile(
+    r"\s+|--[^\n]*"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<number>\d+(?:\.\d+)?|\.\d+)"
+    r"|(?P<string>'[^']*(?:''[^']*)*'(?!'))"
+    r"|(?P<symbol><>|!=|<=|>=|[<>=(),.+\-*/;])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+#: ``match.lastindex`` of each token class (``None`` for skipped text).
+WORD, NUMBER, STRING, SYMBOL = (
+    TOKEN_PATTERN.groupindex[name] for name in ("word", "number", "string", "symbol")
+)
 
 
 @dataclass(frozen=True)
@@ -63,65 +86,38 @@ class Token:
         return self.type is TokenType.SYMBOL and self.text == symbol
 
 
+def lex_error(match: re.Match) -> ParseError:
+    """The error for a ``bad`` match: a quote the string alternative
+    refused never closes; anything else is not SQL."""
+    if match.group() == "'":
+        return ParseError("unterminated string literal", match.start())
+    return ParseError(f"unexpected character {match.group()!r}", match.start())
+
+
+def unquote(literal: str) -> str:
+    """The value of a ``string`` match (its quoted source form)."""
+    return literal[1:-1].replace("''", "'")
+
+
 def tokenize(sql: str) -> list[Token]:
     """Scan ``sql`` into tokens, ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    length = len(sql)
-    while i < length:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    for match in TOKEN_PATTERN.finditer(sql):
+        kind = match.lastindex
+        if kind is None:
             continue
-        if ch == "-" and sql.startswith("--", i):
-            newline = sql.find("\n", i)
-            i = length if newline < 0 else newline + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < length and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i].lower()
-            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind, word, start))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < length and sql[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            while i < length and (sql[i].isdigit() or (sql[i] == "." and not seen_dot)):
-                if sql[i] == ".":
-                    # A dot not followed by a digit is a qualifier, not a
-                    # decimal point (e.g. ``t1.c2``).
-                    if i + 1 >= length or not sql[i + 1].isdigit():
-                        break
-                    seen_dot = True
-                i += 1
-            tokens.append(Token(TokenType.NUMBER, sql[start:i], start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            chunks: list[str] = []
-            while True:
-                if i >= length:
-                    raise ParseError("unterminated string literal", start)
-                if sql[i] == "'":
-                    if i + 1 < length and sql[i + 1] == "'":
-                        chunks.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                chunks.append(sql[i])
-                i += 1
-            tokens.append(Token(TokenType.STRING, "".join(chunks), start))
-            continue
-        for symbol in _SYMBOLS:
-            if sql.startswith(symbol, i):
-                tokens.append(Token(TokenType.SYMBOL, symbol, i))
-                i += len(symbol)
-                break
+        text = match.group()
+        if kind == WORD:
+            text = text.lower()
+            token_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
+        elif kind == NUMBER:
+            token_type = TokenType.NUMBER
+        elif kind == STRING:
+            token_type, text = TokenType.STRING, unquote(text)
+        elif kind == SYMBOL:
+            token_type = TokenType.SYMBOL
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", length))
+            raise lex_error(match)
+        tokens.append(Token(token_type, text, match.start()))
+    tokens.append(Token(TokenType.EOF, "", len(sql)))
     return tokens

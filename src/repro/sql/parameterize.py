@@ -1,163 +1,127 @@
 """Template parameterization: SQL text -> (template key, constants).
 
 Real report traffic re-issues the same SQL *shape* with different
-literals, so keying a plan cache on the literal-bearing token stream
-(PR 1's ``normalize_sql``) makes every parameter change a full miss.
-This module splits the normalized token stream into two parts:
+literals, so keying a plan cache on the literal-bearing text makes every
+parameter change a full miss.  One scan of the lexer's pattern writes
+each token's canonical text (words lower-cased, numbers verbatim,
+strings in their quoted source form) into two space-joined strings:
 
-- the **template key**: the token stream with every literal replaced by
-  a positional placeholder — whitespace-, case-, and comment-insensitive
-  like the normalized stream, but shared by all instantiations of one
-  template;
-- the **constants**: the extracted ``(kind, text)`` literal tokens, in
-  query order.
+- the **normalized** string, literals in place — whitespace-, case- and
+  comment-insensitive, and itself executable SQL whose re-lexing
+  reproduces the token stream (the exact-match key);
+- the **template key**, every literal replaced by :data:`PARAM` — shared
+  by all instantiations of one template, and interned, so they share one
+  object;
+
+plus the **constants**, the extracted ``(kind, text)`` literals in query
+order.  A ``str`` caches its hash, compares by ``memcmp`` and is
+invisible to the cycle collector, which is why the identity is two
+strings and not two tuples of tokens.
 
 ``bind_constants(template_key, constants)`` is the exact inverse: it
-reproduces the literal-bearing normalized stream, so the pair is a
-lossless factorization of :func:`normalize_sql` (property-tested in
-``tests/sql/test_parameterize.py``).  ``render_sql`` re-emits executable
-SQL text from a template and constants for re-binding and round-trip
-checks.
+reproduces the normalized string, so the pair is a lossless
+factorization of :func:`normalize_sql` (property-tested in
+``tests/sql/test_parameterize.py``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import ReproError
-from repro.sql.lexer import TokenType, tokenize
+from repro.sql.lexer import (
+    NUMBER,
+    STRING,
+    SYMBOL,
+    TOKEN_PATTERN,
+    WORD,
+    lex_error,
+    unquote,
+)
 
-#: Placeholder marker used inside template keys.  A plain string cannot
-#: collide with real tokens because every real entry is a 2-tuple.
+#: Placeholder for a literal inside template keys.  The lexer rejects
+#: the character, so it cannot collide with a real token.
 PARAM = "?"
-
-#: Token kinds treated as extractable constants.
-_LITERAL_KINDS = frozenset({TokenType.NUMBER.name, TokenType.STRING.name})
-
-
-class HashedKey(tuple):
-    """A tuple that caches its hash.
-
-    Cache keys built from token streams are long (one entry per token)
-    and get hashed on every dict operation; caching the hash makes
-    repeated lookups with the same key object O(1) instead of O(tokens).
-    """
-
-    def __hash__(self) -> int:  # type: ignore[override]
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = tuple.__hash__(self)
-            self.__dict__["_hash"] = cached
-        return cached
 
 
 @dataclass(frozen=True)
 class ParameterizedSQL:
-    """The two-part identity of a SQL text.
+    """The two-part identity of a SQL text: the interned literal-free
+    ``template_key``, the extracted ``(kind, text)`` ``constants`` in
+    order, and ``normalized``, the literal-bearing exact-match key
+    (precomputed because the serving path reads it on every arrival)."""
 
-    ``template_key`` entries are ``(kind, text)`` tuples for structural
-    tokens and the :data:`PARAM` marker for literal positions;
-    ``constants`` holds the extracted ``(kind, text)`` literals in order.
-    ``normalized`` is the literal-bearing normalized stream (the
-    exact-match cache key), precomputed because the serving path reads
-    it on every arrival.
-    """
-
-    template_key: tuple
+    template_key: str
     constants: tuple[tuple[str, str], ...]
-    normalized: tuple
+    normalized: str
 
 
-def normalize_sql(sql: str) -> tuple:
+def normalize_sql(sql: str) -> str:
     """Whitespace/case/comment-insensitive identity of a SQL text.
 
-    Returns the token stream as a hashable tuple of ``(kind, text)``
-    pairs; the lexer already lowercases keywords and identifiers and
-    drops comments, so formatting differences collapse to one key.
     String and numeric literals keep their exact text — two queries with
     different parameters are different exact-match keys (the skeleton
-    level uses :func:`parameterize_sql` to collapse them).
+    level uses the template key to collapse them).
     """
-    return tuple(
-        (token.type.name, token.text)
-        for token in tokenize(sql)
-        if token.type is not TokenType.EOF
-    )
+    return parameterize_sql(sql).normalized
 
 
 @lru_cache(maxsize=4096)
 def parameterize_sql(sql: str) -> ParameterizedSQL:
     """Split ``sql`` into a literal-free template key plus its constants.
 
-    One tokenize pass produces both halves plus the exact-match key, so
-    callers need only this function on the serving path.  Memoized on
-    the raw text (a pure function of it): report traffic re-sends
-    byte-identical SQL per (template, parameters) pair, and one arrival
-    is typically planned under more than one constraint.
+    One scan produces both halves plus the exact-match key, so callers
+    need only this function on the serving path.  Memoized on the raw
+    text (a pure function of it): report traffic re-sends byte-identical
+    SQL per (template, parameters) pair, and one arrival is typically
+    planned under more than one constraint.
     """
-    template: list = []
+    template: list[str] = []
     constants: list[tuple[str, str]] = []
-    normalized: list[tuple[str, str]] = []
-    for token in tokenize(sql):
-        if token.type is TokenType.EOF:
+    normalized: list[str] = []
+    for match in TOKEN_PATTERN.finditer(sql):
+        kind = match.lastindex
+        if kind is None:
             continue
-        entry = (token.type.name, token.text)
-        normalized.append(entry)
-        if token.type.name in _LITERAL_KINDS:
+        text = match.group()
+        if kind == WORD:
+            text = text.lower()
+            template.append(text)
+        elif kind == SYMBOL:
+            template.append(text)
+        elif kind == NUMBER:
+            constants.append(("NUMBER", text))
             template.append(PARAM)
-            constants.append(entry)
+        elif kind == STRING:
+            constants.append(("STRING", unquote(text)))
+            template.append(PARAM)
         else:
-            template.append(entry)
+            raise lex_error(match)
+        normalized.append(text)
     return ParameterizedSQL(
-        template_key=HashedKey(template),
+        template_key=sys.intern(" ".join(template)),
         constants=tuple(constants),
-        normalized=HashedKey(normalized),
+        normalized=" ".join(normalized),
     )
 
 
-def bind_constants(
-    template_key: tuple, constants: tuple[tuple[str, str], ...]
-) -> tuple:
-    """Substitute ``constants`` back into ``template_key``.
+def bind_constants(template_key: str, constants: tuple[tuple[str, str], ...]) -> str:
+    """Substitute ``constants`` into the :data:`PARAM` slots of
+    ``template_key``.
 
-    Returns the normalized token stream the original query would produce
-    (``normalize_sql(sql)``); raises when the constant count does not
-    match the template's placeholder count.
+    Returns the normalized string the original query produces
+    (``normalize_sql(sql)``) — executable SQL; raises when the constant
+    count does not match the template's placeholder count.
     """
-    bound: list = []
-    index = 0
-    for entry in template_key:
-        if entry == PARAM:
-            if index >= len(constants):
-                raise ReproError(
-                    f"template expects more than {len(constants)} constants"
-                )
-            bound.append(constants[index])
-            index += 1
-        else:
-            bound.append(entry)
-    if index != len(constants):
+    pieces = template_key.split(PARAM)
+    if len(pieces) != len(constants) + 1:
         raise ReproError(
-            f"template takes {index} constants, got {len(constants)}"
+            f"template takes {len(pieces) - 1} constants, got {len(constants)}"
         )
-    return tuple(bound)
-
-
-def render_sql(
-    template_key: tuple, constants: tuple[tuple[str, str], ...]
-) -> str:
-    """Re-emit executable SQL text from a template and constants.
-
-    The output is a formatting-normalized equivalent of the original
-    query: re-tokenizing it reproduces exactly
-    ``bind_constants(template_key, constants)``.
-    """
-    parts: list[str] = []
-    for kind, text in bind_constants(template_key, constants):
-        if kind == TokenType.STRING.name:
-            escaped = text.replace("'", "''")
-            parts.append(f"'{escaped}'")
-        else:
-            parts.append(text)
-    return " ".join(parts)
+    bound = [pieces[0]]
+    for (kind, text), piece in zip(constants, pieces[1:]):
+        bound.append("'" + text.replace("'", "''") + "'" if kind == "STRING" else text)
+        bound.append(piece)
+    return "".join(bound)

@@ -56,7 +56,9 @@ _TEMPLATE_CACHE: dict = {}
 _TEMPLATE_CACHE_CAP = 4096
 
 
-def parse_parameterized(template_key: tuple, constants: tuple) -> AstSelect:
+def parse_parameterized(
+    template_key: str, constants: tuple, sql: str = ""
+) -> AstSelect:
     """Parse a ``(template_key, constants)`` pair, reusing the template.
 
     Grammar structure depends only on token kinds and keyword/symbol
@@ -65,18 +67,15 @@ def parse_parameterized(template_key: tuple, constants: tuple) -> AstSelect:
     constants into a structural copy: bit-identical to re-parsing the
     full token stream, minus the token walk.  Error cases a real parse
     would reject (a non-string after DATE, a negated string, a
-    non-numeric LIMIT) are re-checked during substitution.
+    non-numeric LIMIT) are re-checked during substitution.  A template
+    seen for the first time is lexed from ``sql`` (the text the pair was
+    split from) or, without it, from the identity the pair renders to.
     """
     from repro.sql.parameterize import bind_constants
 
     entry = _TEMPLATE_CACHE.get(template_key)
     if entry is None:
-        tokens = [
-            Token(TokenType[kind], text, 0)
-            for kind, text in bind_constants(template_key, constants)
-        ]
-        tokens.append(Token(TokenType.EOF, "", 0))
-        parser = _Parser(tokens)
+        parser = _Parser(tokenize(sql or bind_constants(template_key, constants)))
         stmt = parser.parse_select()
         slots = parser.literal_slots
         if len(slots) != len(constants):

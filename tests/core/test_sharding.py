@@ -113,8 +113,10 @@ def test_enable_disable_lifecycle():
 
 
 def test_worker_affinity_is_deterministic():
-    assert _worker_index_for(("a", "b"), 4) == _worker_index_for(("a", "b"), 4)
-    spread = {_worker_index_for((f"t{i}",), 4) for i in range(32)}
+    assert _worker_index_for("a b", 4) == _worker_index_for("a b", 4)
+    # crc32 of the key's bytes, not ``hash()``: stable across processes.
+    assert _worker_index_for("select ? from t", 4) == 3
+    spread = {_worker_index_for(f"t{i}", 4) for i in range(32)}
     assert len(spread) > 1  # templates actually spread across workers
 
 

@@ -5,20 +5,24 @@ The serving layer's two-level plan cache rests on two properties:
 - normalization is whitespace/case/comment-insensitive but keeps
   literals distinct (the exact-match level);
 - ``(template_key, constants)`` is a lossless factorization of the
-  normalized stream, and re-binding the constants reproduces the
+  normalized string, and re-binding the constants reproduces the
   original query's semantics (the skeleton level).
+
+Both keys are plain strings (``tests/sql/test_lexer_parity.py`` holds
+them to the token stream they stand for).
 """
+
+import pickle
+import sys
 
 import pytest
 
 from repro.errors import ReproError
 from repro.sql.parameterize import (
     PARAM,
-    HashedKey,
     bind_constants,
     normalize_sql,
     parameterize_sql,
-    render_sql,
 )
 from repro.sql.parser import parse, parse_parameterized
 from repro.workloads.tpch_queries import instantiate, template_names
@@ -55,9 +59,12 @@ def test_extracts_numeric_and_string_literals_in_order():
         ("NUMBER", "1"),
         ("NUMBER", "2.5"),
     )
-    assert parameterized.template_key.count(PARAM) == 3
+    assert parameterized.template_key.split().count(PARAM) == 3
     # Structural tokens keep their identity.
-    assert ("KEYWORD", "select") in parameterized.template_key
+    assert parameterized.template_key.split()[0] == "select"
+    assert parameterized.template_key == (
+        "select a from t where s = ? and a between ? and ?"
+    )
 
 
 def test_literal_varying_queries_share_a_template():
@@ -109,9 +116,10 @@ def test_render_roundtrip_reproduces_semantics(template, big_binder):
     for seed in (1, 5, 11):
         sql = instantiate(template, seed=seed)
         parameterized = parameterize_sql(sql)
-        rendered = render_sql(
+        rendered = bind_constants(
             parameterized.template_key, parameterized.constants
         )
+        assert rendered == parameterized.normalized
         assert normalize_sql(rendered) == parameterized.normalized
         original = big_binder.bind_sql(sql)
         roundtrip = big_binder.bind_sql(rendered)
@@ -129,7 +137,8 @@ def test_string_literal_quotes_roundtrip():
     sql = "SELECT a FROM t WHERE s = 'it''s'"
     parameterized = parameterize_sql(sql)
     assert parameterized.constants == (("STRING", "it's"),)
-    rendered = render_sql(parameterized.template_key, parameterized.constants)
+    rendered = bind_constants(parameterized.template_key, parameterized.constants)
+    assert rendered == parameterized.normalized == "select a from t where s = 'it''s'"
     assert normalize_sql(rendered) == parameterized.normalized
 
 
@@ -187,8 +196,47 @@ def test_bind_parameterized_matches_bind_sql(big_binder):
 
 
 # ------------------------------- keys --------------------------------- #
-def test_hashed_key_equals_plain_tuple():
-    key = HashedKey((("IDENT", "a"), ("NUMBER", "1")))
-    assert key == (("IDENT", "a"), ("NUMBER", "1"))
-    assert hash(key) == hash((("IDENT", "a"), ("NUMBER", "1")))
-    assert hash(key) == hash(key)  # cached path
+def test_keys_are_plain_strings_and_templates_are_interned():
+    """What ``HashedKey`` was for — equal to and hashing like the plain
+    value, hashed once — is what a ``str`` does; instances of a template
+    share one interned key object, here and across a pickle."""
+    a = parameterize_sql("SELECT a FROM t WHERE a = 1")
+    b = parameterize_sql("select a  from t where a = 22")
+    assert type(a.template_key) is type(a.normalized) is str
+    assert a.normalized == "select a from t where a = 1"
+    assert hash(a.normalized) == hash("select a from t where a = 1")
+    assert a.template_key is b.template_key
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def _reachable_bytes(roots) -> int:
+    """``sys.getsizeof`` summed over every distinct object reachable from
+    ``roots`` through tuples and instance dicts."""
+    sizes: dict[int, int] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in sizes:
+            continue
+        sizes[id(obj)] = sys.getsizeof(obj)
+        if isinstance(obj, tuple):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__"):
+            stack.append(obj.__dict__)
+    return sum(sizes.values())
+
+
+@pytest.mark.parametrize("template", template_names())
+def test_identity_footprint_stays_small(template):
+    """The identity is what every served SQL string leaves behind in the
+    4,096-entry memo (≈ 4,960 bytes an entry as two token tuples): all
+    instances of a template share one key object, and an entry — that
+    shared key counted once — stays under 1,200 bytes."""
+    instances = [
+        parameterize_sql(instantiate(template, seed=seed)) for seed in range(50)
+    ]
+    assert all(p.template_key is instances[0].template_key for p in instances)
+    assert len({p.normalized for p in instances}) > 1
+    assert _reachable_bytes(instances) / len(instances) <= 1200
