@@ -17,7 +17,7 @@ log/billing views, and the :class:`ServingScheduler` is the one ordered
 *dispatch ahead -> collect or stage -> finalize* loop, staging inline,
 on threads or on planner worker processes.  Planning itself is one walk
 (:class:`~repro.core.planning.PlanningPipeline`: binder, optimizer,
-applied-MV rewrite, and the lock-striped cache levels it was given)
+applied-MV rewrite, and the cache levels it was given)
 that the warehouse and every worker process both instantiate.
 
 Resource decisions live in :mod:`repro.core.governance`, not in the

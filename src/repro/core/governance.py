@@ -11,7 +11,7 @@ explicit, pluggable objects the warehouse wires through serving,
 statistics, and billing:
 
 - **Retention** (:class:`RetentionPolicy`): which cache entry to evict
-  when a lock-striped plan cache exceeds capacity.  :class:`LruPolicy`
+  when a plan cache exceeds capacity.  :class:`LruPolicy`
   is the default and is bit-identical to the pre-governance behavior.
   :class:`CostAwarePolicy` scores each entry by *forecast-fed template
   frequency* (from the Statistics Service log, via
@@ -41,10 +41,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
 
 from repro.errors import AdmissionDeniedError, ReproError
 from repro.statsvc.forecast import WorkloadForecaster
+from repro.statsvc.logs import LogView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections import OrderedDict
@@ -56,21 +58,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Retention policies constructible by name (the warehouse constructor's
 #: ``retention_policy`` argument).
 RETENTION_POLICY_NAMES = ("lru", "cost-aware")
+#: How many entries, from the least recently used end, a
+#: :class:`CostAwarePolicy` scores per eviction.  Victim selection runs
+#: under the cache lock on every over-capacity store, so it must not
+#: scan the whole cache; 64 is what one eviction scanned when a default
+#: 256-entry cache was four hash partitions, and it measures the same.
+VICTIM_WINDOW = 64
 
 
 # --------------------------------------------------------------------- #
 # Retention policies
 # --------------------------------------------------------------------- #
 class RetentionPolicy:
-    """Pluggable eviction decision for one lock-striped serving cache.
+    """Pluggable eviction decision for one serving cache.
 
-    The cache calls :meth:`victim` under the stripe lock whenever a
-    stripe exceeds capacity, :meth:`record` when the warehouse stores an
-    entry (attaching the template identity and the planning seconds the
-    entry saves), :meth:`on_evict` after removing the chosen victim, and
-    :meth:`clear` on explicit invalidation.  One policy instance governs
-    one cache (metadata is keyed by that cache's keys); construct a
-    fresh instance per cache via :func:`make_retention_policy`.
+    The cache calls :meth:`victim` whenever it exceeds capacity,
+    :meth:`record` when the warehouse stores an entry (attaching the
+    template identity and the planning seconds the entry saves),
+    :meth:`on_evict` after removing the chosen victim, and :meth:`clear`
+    on explicit invalidation — every hook under the cache's lock, so a
+    policy needs none of its own.  One policy instance governs one cache
+    (metadata is keyed by that cache's keys); construct a fresh instance
+    per cache via :func:`make_retention_policy`.
     """
 
     name = "retention"
@@ -80,7 +89,6 @@ class RetentionPolicy:
         #: from the cache's lifetime ``evictions`` total only when the
         #: policy is swapped mid-flight).
         self.evictions = 0
-        self._lock = threading.Lock()
 
     def victim(self, entries: "OrderedDict[Hashable, object]") -> Hashable:
         """The key to evict; ``entries`` iterates LRU -> MRU."""
@@ -98,21 +106,19 @@ class RetentionPolicy:
         cost an eviction would re-incur).  No-op for recency policies."""
 
     def on_evict(self, key: Hashable) -> None:
-        with self._lock:
-            self.evictions += 1
+        self.evictions += 1
 
     def clear(self) -> None:
         """Drop per-key metadata (the cache was invalidated)."""
 
     def reset_stats(self) -> None:
-        with self._lock:
-            self.evictions = 0
+        self.evictions = 0
 
 
 class LruPolicy(RetentionPolicy):
     """Evict the least-recently-used entry — the pre-governance default.
 
-    ``victim`` returns the front of the stripe's ordered dict, which is
+    ``victim`` returns the front of the cache's ordered dict, which is
     exactly what ``popitem(last=False)`` removed before retention became
     pluggable; behavior and counters are bit-identical (pinned by the
     parity tests in ``tests/core/test_governance.py``).
@@ -131,7 +137,8 @@ class CostAwarePolicy(RetentionPolicy):
     planning seconds saved per re-use``: the arrival-rate forecast of
     the entry's template family (from the Statistics Service, via the
     ``frequency`` callable) times the measured planning time the entry
-    amortizes.  The victim is the lowest-scoring entry; ties (including
+    amortizes.  The victim is the lowest-scoring of the
+    :data:`VICTIM_WINDOW` least recently used entries; ties (including
     the cold-start case where no forecast exists yet) break toward the
     least recently used, so with no signal the policy degrades to exact
     LRU.  Entries never :meth:`record`-ed score zero and are evicted
@@ -159,8 +166,7 @@ class CostAwarePolicy(RetentionPolicy):
         template: Hashable | None = None,
         cost_s: float = 0.0,
     ) -> None:
-        with self._lock:
-            self._meta[key] = (template, float(cost_s))
+        self._meta[key] = (template, float(cost_s))
 
     def score(self, key: Hashable) -> float:
         meta = self._meta.get(key)
@@ -174,7 +180,8 @@ class CostAwarePolicy(RetentionPolicy):
     def victim(self, entries: "OrderedDict[Hashable, object]") -> Hashable:
         best_key: Hashable = None
         best_score = float("inf")
-        for key in entries:  # LRU -> MRU; strict < keeps LRU order on ties
+        # LRU -> MRU; strict < keeps LRU order on ties
+        for key in islice(entries, VICTIM_WINDOW):
             current = self.score(key)
             if current < best_score:
                 best_key, best_score = key, current
@@ -182,12 +189,10 @@ class CostAwarePolicy(RetentionPolicy):
 
     def on_evict(self, key: Hashable) -> None:
         super().on_evict(key)
-        with self._lock:
-            self._meta.pop(key, None)
+        self._meta.pop(key, None)
 
     def clear(self) -> None:
-        with self._lock:
-            self._meta.clear()
+        self._meta.clear()
 
 
 def make_retention_policy(
@@ -236,8 +241,8 @@ class TemplateFrequencyProvider:
     recent ``window_records`` of the log (refresh cost is bounded, not
     O(total history) — it runs under the serving lock); :meth:`rate_for`
     is a lock-free dictionary read, because it runs during victim
-    selection under a cache stripe lock — a full-log forecast there
-    would stall every planning thread hashing to that stripe.
+    selection under a cache lock — a full-log forecast there would
+    stall every planning thread.
     """
 
     def __init__(
@@ -276,7 +281,7 @@ class TemplateFrequencyProvider:
         """Register that ``template_key`` instantiates log family
         ``family``, refreshing the forecasts when enough new records
         have accumulated (this runs once per logged query, outside any
-        cache stripe lock)."""
+        cache lock)."""
         with self._lock:
             self._families[template_key] = family
         self._maybe_refresh()
@@ -285,7 +290,7 @@ class TemplateFrequencyProvider:
         """Forecast arrivals/hour for a template key (0.0 when unknown).
 
         Lock-free: reads the dictionaries the refresh path replaces
-        wholesale — safe to call from eviction under a stripe lock.
+        wholesale — safe to call from eviction under a cache lock.
         """
         family = self._families.get(template_key)
         if family is None:
@@ -343,32 +348,7 @@ class TemplateFrequencyProvider:
         records = self.logs.tail(self.window_records)
         if not records:
             return {}
-        return self.forecaster.rates(_LogTail(records))
-
-
-class _LogTail:
-    """A bounded slice of a log, store-shaped for the forecaster.
-
-    Exposes exactly the read surface
-    :meth:`~repro.statsvc.forecast.WorkloadForecaster.rates` consumes
-    (``by_template()`` + ``horizon``), so the provider's windowed
-    refresh runs the same forecasting code as a full-store call.
-    """
-
-    def __init__(self, records: list) -> None:
-        self._records = records
-
-    def by_template(self) -> dict[str, list]:
-        grouped: dict[str, list] = {}
-        for record in self._records:
-            grouped.setdefault(record.template, []).append(record)
-        return grouped
-
-    @property
-    def horizon(self) -> tuple[float, float]:
-        if not self._records:
-            return (0.0, 0.0)
-        return (self._records[0].timestamp, self._records[-1].timestamp)
+        return self.forecaster.rates(LogView(records))
 
 
 # --------------------------------------------------------------------- #

@@ -238,7 +238,8 @@ class Ledger:
         self.last_recovery = None
         self._admission = admission
         self._fire_fault = fire_fault
-        self._note_template = note_template
+        #: ``None`` unless a retention policy reads template forecasts.
+        self.note_template = note_template
         #: Record type -> its transition; one handler per journal type.
         self.handlers: dict[type, Callable[[object], None]] = {
             QueryServed: self._apply_served,
@@ -313,7 +314,7 @@ class Ledger:
         self.logs.append(served)
         template = served.template
         if (
-            self._note_template is not None
+            self.note_template is not None
             and template.rpartition(".")[2] != "adhoc"
         ):
             # Teach the frequency provider which literal-free template
@@ -324,7 +325,7 @@ class Ledger:
             # aggregates unrelated one-off queries, and its combined
             # arrival rate would let never-reused entries outscore
             # genuinely recurring templates.
-            self._note_template(
+            self.note_template(
                 template, parameterize_sql(served.sql).template_key
             )
         self._bill_for(served.tenant).charge(served)

@@ -39,31 +39,20 @@ without touching the catalog).
 Retention
 ---------
 
-*Which* entry leaves a full stripe is delegated to a pluggable
+*Which* entry leaves a full cache is delegated to a pluggable
 :class:`~repro.core.governance.RetentionPolicy`.  The default
-:class:`~repro.core.governance.LruPolicy` evicts the stripe's
-least-recently-used entry — bit-identical (plans, hit/miss/eviction
-counters) to the pre-governance hardcoded behavior.  A
+:class:`~repro.core.governance.LruPolicy` evicts the
+least-recently-used entry, so each level is an exact LRU of its stated
+capacity: which level answers a query (and so its dollars) is a
+function of the traffic, never of ``hash()``.  A
 :class:`~repro.core.governance.CostAwarePolicy` instead scores entries
 by forecast template frequency times re-optimization cost saved, so hot
 recurring templates survive eviction pressure that plain recency would
-age them out of; the pipeline attaches the scoring metadata via
-``cache.policy.record(...)`` when it stores an entry.
+age them out of; the pipeline passes the scoring metadata with every
+``store``.
 
-Thread safety
--------------
-
-The :class:`~repro.core.service.ServingScheduler`'s thread executor (and
-concurrent sessions on user threads) plan concurrently, so every cache
-is a *lock-striped* LRU: keys hash onto one of N stripes,
-each a lock-guarded OrderedDict with ``capacity / N`` slots.  Planning
-threads touching different templates never contend on the same lock, and
-the per-stripe recency is exact within its stripe (global recency is
-approximate under striping, which only matters under eviction pressure).
-Small capacities collapse to a single stripe, so the sequential eviction
-semantics the unit tests pin down are unchanged below
-``_MIN_STRIPE_CAPACITY`` entries per stripe.  Victim selection runs
-under the stripe lock; policies guard their own shared metadata.
+Each level is one :class:`threading.Lock` over one ``OrderedDict`` and
+three integer counters; the policy's hooks all run under that lock.
 """
 
 from __future__ import annotations
@@ -80,31 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.join_order import JoinTree, Leaf
     from repro.sql.binder import BoundQuery
 
-#: Upper bound on stripes per cache; more stripes than planning threads
-#: buys nothing.
-_MAX_STRIPES = 8
-#: Don't split a cache into stripes smaller than this — tiny stripes
-#: evict under no memory pressure and tiny caches are only used by unit
-#: tests that pin down exact sequential LRU behavior.
-_MIN_STRIPE_CAPACITY = 64
-
-
-class _Stripe:
-    """One lock-guarded LRU shard."""
-
-    __slots__ = ("lock", "capacity", "entries", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int) -> None:
-        self.lock = threading.Lock()
-        self.capacity = capacity
-        self.entries: OrderedDict[Hashable, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
 
 class _LruStats:
-    """Shared lock-striped LRU bookkeeping with hit/miss counters."""
+    """One lock-guarded LRU with hit/miss/eviction counters."""
 
     def __init__(
         self,
@@ -115,33 +82,25 @@ class _LruStats:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"{name} capacity must be >= 1, got {capacity}")
-        stripes = max(1, min(_MAX_STRIPES, capacity // _MIN_STRIPE_CAPACITY))
         self.capacity = capacity
         self.name = name
         #: Who decides evictions; one policy instance per cache (its
         #: metadata is keyed by this cache's keys).
         self.policy = policy or LruPolicy()
-        base, extra = divmod(capacity, stripes)
-        self._stripes = tuple(
-            _Stripe(base + (1 if index < extra else 0)) for index in range(stripes)
-        )
-
-    @property
-    def stripe_count(self) -> int:
-        return len(self._stripes)
-
-    def _stripe(self, key: Hashable) -> _Stripe:
-        return self._stripes[hash(key) % len(self._stripes)]
+        self.lock = threading.Lock()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     def _get(self, key: Hashable):
-        stripe = self._stripe(key)
-        with stripe.lock:
-            found = stripe.entries.get(key)
+        with self.lock:
+            found = self._entries.get(key)
             if found is None:
-                stripe.misses += 1
+                self.misses += 1
                 return None
-            stripe.entries.move_to_end(key)
-            stripe.hits += 1
+            self._entries.move_to_end(key)
+            self.hits += 1
             return found
 
     def _put(
@@ -152,10 +111,9 @@ class _LruStats:
         template: Hashable | None = None,
         cost_s: float = 0.0,
     ) -> None:
-        stripe = self._stripe(key)
-        with stripe.lock:
-            stripe.entries[key] = value
-            stripe.entries.move_to_end(key)
+        with self.lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
             if template is not None:
                 # Metadata must land before victim selection: the entry
                 # being stored competes in its own store's eviction, and
@@ -163,35 +121,30 @@ class _LruStats:
                 # scored resident (and leak its metadata, recorded after
                 # the fact for a key no longer present).
                 self.policy.record(key, template=template, cost_s=cost_s)
-            while len(stripe.entries) > stripe.capacity:
-                victim = self.policy.victim(stripe.entries)
-                del stripe.entries[victim]
-                stripe.evictions += 1
+            while len(self._entries) > self.capacity:
+                victim = self.policy.victim(self._entries)
+                del self._entries[victim]
+                self.evictions += 1
                 self.policy.on_evict(victim)
 
     def invalidate(self) -> None:
         """Drop every cached entry (and the policy's per-key metadata)."""
-        for stripe in self._stripes:
-            with stripe.lock:
-                stripe.entries.clear()
-        self.policy.clear()
+        with self.lock:
+            self._entries.clear()
+            self.policy.clear()
 
     def export_state(self) -> tuple[tuple[Hashable, object], ...]:
         """Snapshot the cached entries as ``(key, value)`` pairs.
 
-        Entries come out stripe by stripe, least-recently-used first
-        within each stripe, so replaying them through
-        :meth:`import_state` reproduces the per-stripe recency order.
+        Entries come out least-recently-used first, so replaying them
+        through :meth:`import_state` reproduces the recency order.
         The warm hand-off to planner worker processes pickles this
         snapshot into the :class:`~repro.core.sharding.WorkerSpec`; the
         values themselves must therefore be picklable (skeleton trees
         and bound/choice pairs are — see ``tests/core/test_pickling.py``).
         """
-        pairs: list[tuple[Hashable, object]] = []
-        for stripe in self._stripes:
-            with stripe.lock:
-                pairs.extend(stripe.entries.items())
-        return tuple(pairs)
+        with self.lock:
+            return tuple(self._entries.items())
 
     def import_state(
         self, pairs: Iterable[tuple[Hashable, object]]
@@ -207,27 +160,12 @@ class _LruStats:
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/eviction counters (benchmark warmup)."""
-        for stripe in self._stripes:
-            with stripe.lock:
-                stripe.hits = 0
-                stripe.misses = 0
-                stripe.evictions = 0
-        self.policy.reset_stats()
+        with self.lock:
+            self.hits = self.misses = self.evictions = 0
+            self.policy.reset_stats()
 
     def __len__(self) -> int:
-        return sum(len(stripe.entries) for stripe in self._stripes)
-
-    @property
-    def hits(self) -> int:
-        return sum(stripe.hits for stripe in self._stripes)
-
-    @property
-    def misses(self) -> int:
-        return sum(stripe.misses for stripe in self._stripes)
-
-    @property
-    def evictions(self) -> int:
-        return sum(stripe.evictions for stripe in self._stripes)
+        return len(self._entries)
 
     @property
     def hit_rate(self) -> float:
@@ -237,7 +175,7 @@ class _LruStats:
     def describe(self) -> str:
         return (
             f"{self.name}: {len(self)}/{self.capacity} entries "
-            f"({self.stripe_count} stripe(s), {self.policy.name} retention), "
+            f"({self.policy.name} retention), "
             f"{self.hits} hits / {self.misses} misses "
             f"({self.hit_rate:.0%}), {self.evictions} evictions"
         )

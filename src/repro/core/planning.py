@@ -91,7 +91,6 @@ class PlanningPipeline:
         exact: "PlanCache | None" = None,
         bindings: "BindingCache | None" = None,
         skeletons: "SkeletonCache | None" = None,
-        governed: bool = False,
     ) -> None:
         self.catalog = catalog
         self.binder = Binder(catalog)
@@ -104,10 +103,6 @@ class PlanningPipeline:
         self.exact = exact
         self.bindings = bindings
         self.skeletons = skeletons
-        #: A non-LRU retention policy is active: stores are annotated
-        #: with the template identity and the planning seconds the entry
-        #: saves, so eviction can weigh forecast value.
-        self.governed = governed
 
     def keys(self, sql: str, constraint: "Constraint") -> PlanKeys:
         parameterized = parameterize_sql(sql)
@@ -196,10 +191,7 @@ class PlanningPipeline:
             bind_s = time.perf_counter() - start
             if bindings is not None and not degraded:
                 bindings.store(
-                    keys.binding,
-                    bound,
-                    template=template_key if self.governed else None,
-                    cost_s=bind_s,
+                    keys.binding, bound, template=template_key, cost_s=bind_s
                 )
         # MV rewriting happens after the binding level (which keeps the
         # original binding) and is deterministic per (template, catalog
@@ -269,7 +261,7 @@ class PlanningPipeline:
         skeleton and exact levels.  Never in the binding level: it holds
         pre-MV-rewrite bindings while ``planned.bound`` is post-rewrite,
         and the wrong flavor would double-rewrite on the next walk."""
-        template = keys.parameterized.template_key if self.governed else None
+        template = keys.parameterized.template_key
         if planned.new_skeleton_trees is not None and self.skeletons is not None:
             self.skeletons.store(
                 keys.skeleton,

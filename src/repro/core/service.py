@@ -22,7 +22,7 @@ arguments.  This module is the warehouse's public serving API:
   ``submit_many``: *dispatch ahead -> collect or stage -> finalize*.
   Staging (plan -> execute -> simulate) is deterministic, so where it
   runs is an executor adapter's business: inline (nothing dispatched),
-  a future per handle on a thread pool over the lock-striped plan
+  a future per handle on a thread pool over the locked plan
   caches, or planning on the warm worker-*process* pool
   (:mod:`repro.core.sharding`).  Finalization (logging, billing,
   template bookkeeping) runs in submission order on the calling thread,
@@ -758,7 +758,7 @@ class _InlineExecutor:
 
 class _ThreadExecutor(_InlineExecutor):
     """A future per handle: the whole stage phase runs on a thread pool
-    over the lock-striped plan caches, every handle dispatched up front."""
+    over the locked plan caches, every handle dispatched up front."""
 
     def __init__(self, session: Session, max_workers: int) -> None:
         self._stage = session._stage

@@ -15,7 +15,7 @@ The public serving API lives in :mod:`repro.core.service`
 :class:`~repro.core.service.ServingScheduler`).  The warehouse wires the
 shared serving machinery — catalog, the planning pipeline
 (:mod:`repro.core.planning`: binder, optimizer, applied-MV rewrite and
-the lock-striped three-level plan-cache stack) and the ledger
+the three-level plan-cache stack) and the ledger
 (:mod:`repro.core.ledger`: the Statistics Service log, the clock,
 per-tenant billing, the journal and every other piece of authoritative
 state, mutated by one transition function) — and exposes read views of
@@ -150,7 +150,6 @@ class CostIntelligentWarehouse:
         self.retention_policy_name = (
             retention_policy if isinstance(retention_policy, str) else "custom"
         )
-        governed = retention_policy != "lru"
         #: The ledger (see :mod:`repro.core.ledger`): every piece of
         #: authoritative state plus the journal, mutated only through
         #: ``ledger.apply(record)`` — live via ``ledger.commit``, and on
@@ -162,7 +161,11 @@ class CostIntelligentWarehouse:
             journal=journal,
             admission=self.admission,
             fire_fault=self._fire_fault,
-            note_template=self.frequency.note_template if governed else None,
+            # Only a non-LRU retention policy reads the forecasts
+            # this feeds.
+            note_template=(
+                self.frequency.note_template if retention_policy != "lru" else None
+            ),
         )
         self.billing = self.ledger.billing
         self.cost_history = self.ledger.cost_history
@@ -179,7 +182,7 @@ class CostIntelligentWarehouse:
 
         #: The planning pipeline (see :mod:`repro.core.planning`): the
         #: binder, the optimizer, the applied-MV rewrite and the
-        #: lock-striped three-level cache stack, walked by one function.
+        #: three-level cache stack, walked by one function.
         #: ``plan_cache_size=0`` builds it with no levels.
         self.planning = PlanningPipeline(
             self.catalog,
@@ -190,7 +193,6 @@ class CostIntelligentWarehouse:
             exact=_level(PlanCache),
             bindings=_level(BindingCache),
             skeletons=_level(SkeletonCache),
-            governed=governed,
         )
         self.optimizer = self.planning.optimizer
         self.binder = self.planning.binder
@@ -505,8 +507,8 @@ class CostIntelligentWarehouse:
         warmed: list[str] = []
         for family, sql in ranked:
             self.planning.plan(sql, constraint)
-            if self.planning.governed:
-                self.frequency.note_template(
+            if self.ledger.note_template is not None:
+                self.ledger.note_template(
                     family, parameterize_sql(sql).template_key
                 )
             warmed.append(family)

@@ -34,11 +34,10 @@ class Constraint:
     def __hash__(self) -> int:
         # Not the dataclass's field-tuple hash: that folds in
         # ``hash(None)``, which CPython <= 3.11 derives from the object's
-        # address.  Constraints sit inside plan-cache keys, and the
-        # striped caches place a key by ``hash(key) % stripes``, so an
-        # address-derived hash made stripe placement, hence evictions,
-        # differ from process to process.  0.0 stands for the unset side
-        # (both bounds must be positive).
+        # address, so a constraint (and every plan-cache key holding
+        # one) would hash differently from process to process even under
+        # a fixed ``PYTHONHASHSEED``.  0.0 stands for the unset side (both
+        # bounds must be positive).
         return hash((self.latency_sla or 0.0, self.budget or 0.0))
 
     @property

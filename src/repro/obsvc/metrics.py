@@ -9,13 +9,13 @@ Two kinds of instruments live here:
   integral :data:`~repro.util.units.LEDGER_SCALE` units — never float
   dollars — so identical seeded runs produce bit-identical values.
 - **Sourced** read-through views over subsystems that already keep
-  authoritative, recovery-participating state (cache stripes,
+  authoritative, recovery-participating state (cache counters,
   admission verdicts, resilience stats, breakers, tuning, the
   journal).  A sourced metric's row carries its ``read``: a function of
   the warehouse returning a scalar (label-less metrics) or a
   ``{label-values-tuple: value}`` mapping, bound by the one loop in
   :class:`MetricsRegistry`'s constructor; nothing is double-counted and
-  the hot cache paths keep their existing lock-striped integer stats.
+  the hot cache paths keep their existing integer stats.
 
 Every emission must name a metric declared in
 :data:`REGISTERED_METRICS` — the analysis engine's ``metric-name``
@@ -207,7 +207,7 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         ("tenant", "component"),
         read=_billing_units,
     ),
-    # -- plan caches (sourced from the lock-striped cache stats) --------
+    # -- plan caches (sourced from the caches' own counters) ------------
     "repro_cache_entries": MetricSpec(
         "source", "Live entries per plan-cache level.", ("cache",),
         read=_per_cache(len),
@@ -427,7 +427,7 @@ class MetricsRegistry:
         self._sources: dict[str, object] = {}  # name -> provider callable
         if warehouse is not None:
             # Every sourced row reads through to the warehouse's own
-            # state: the caches keep their lock-striped integer stats,
+            # state: the caches keep their integer stats,
             # admission its journaled verdict counters, resilience its
             # ledger-unit tallies, so nothing on a hot path pays for
             # observability twice.

@@ -48,11 +48,73 @@ class QueryRecord:
         return self.latency_s <= self.sla_seconds
 
 
-class QueryLogStore:
+class LogView:
+    """The log read API, derived from ``__iter__`` (records in append
+    order).  Usable as-is over any re-iterable run of records — the
+    governance layer forecasts over ``LogView(logs.tail(n))``."""
+
+    def __init__(self, records: Iterable[QueryRecord] = ()) -> None:
+        self._records = records
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def by_template(self) -> dict[str, list[QueryRecord]]:
+        grouped: dict[str, list[QueryRecord]] = {}
+        for record in self:
+            grouped.setdefault(record.template, []).append(record)
+        return grouped
+
+    def tenant_counts(
+        self, templates: Iterable[str] | None = None
+    ) -> dict[str, int]:
+        """Logged-query counts per tenant, optionally restricted to the
+        given template families.
+
+        The tuning layer uses this to attribute background-compute spend
+        to the tenants whose traffic motivated an action.
+        """
+        wanted = set(templates) if templates is not None else None
+        counts: dict[str, int] = {}
+        for record in self:
+            if wanted is not None and record.template not in wanted:
+                continue
+            counts[record.tenant] = counts.get(record.tenant, 0) + 1
+        return counts
+
+    def template_counts(self) -> dict[str, int]:
+        """Logged-query counts per template family.
+
+        The raw-arrival complement of the forecaster's rates: cache
+        warming uses it to break ranking ties when the forecast has not
+        seen a family yet.
+        """
+        counts: dict[str, int] = {}
+        for record in self:
+            counts[record.template] = counts.get(record.template, 0) + 1
+        return counts
+
+    @property
+    def total_dollars(self) -> float:
+        return sum(r.dollars for r in self)
+
+    @property
+    def horizon(self) -> tuple[float, float]:
+        """(first, last) record timestamps; (0, 0) when empty."""
+        timestamps = [r.timestamp for r in self]
+        if not timestamps:
+            return (0.0, 0.0)
+        return (timestamps[0], timestamps[-1])
+
+
+class QueryLogStore(LogView):
     """Append-only in-memory log with time-window queries."""
 
     def __init__(self) -> None:
-        self._records: list[QueryRecord] = []
+        super().__init__([])
         self._ids = itertools.count(1)
 
     def next_query_id(self) -> int:
@@ -92,9 +154,6 @@ class QueryLogStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[QueryRecord]:
-        return iter(self._records)
-
     def window(self, start: float, end: float) -> list[QueryRecord]:
         """Records with ``start <= timestamp < end``."""
         return [r for r in self._records if start <= r.timestamp < end]
@@ -115,36 +174,6 @@ class QueryLogStore:
         O(log)) — lets the cost collector fold incrementally."""
         return self._records[start:]
 
-    def by_template(self) -> dict[str, list[QueryRecord]]:
-        grouped: dict[str, list[QueryRecord]] = {}
-        for record in self._records:
-            grouped.setdefault(record.template, []).append(record)
-        return grouped
-
-    def tenant_counts(
-        self, templates: Iterable[str] | None = None
-    ) -> dict[str, int]:
-        """Logged-query counts per tenant, optionally restricted to the
-        given template families.
-
-        The tuning layer uses this to attribute background-compute spend
-        to the tenants whose traffic motivated an action.
-        """
-        return _tenant_counts(self, templates)
-
-    def template_counts(self) -> dict[str, int]:
-        """Logged-query counts per template family.
-
-        The raw-arrival complement of the forecaster's rates: cache
-        warming uses it to break ranking ties when the forecast has not
-        seen a family yet.
-        """
-        return _template_counts(self)
-
-    @property
-    def total_dollars(self) -> float:
-        return sum(r.dollars for r in self._records)
-
     @property
     def horizon(self) -> tuple[float, float]:
         """(first, last) record timestamps; (0, 0) when empty."""
@@ -157,14 +186,14 @@ class QueryLogStore:
         return TenantLogView(self, tenant)
 
 
-class TenantLogView:
+class TenantLogView(LogView):
     """Read-only per-tenant projection of a shared :class:`QueryLogStore`.
 
     The Statistics Service keeps one ground-truth log per warehouse
     ("collects the query execution logs from all the tenants"); each
     :class:`~repro.core.service.Session` sees only its tenant's records
-    through this view.  It mirrors the store's read API so per-tenant
-    analysis (forecasting, accounting) runs unchanged over a slice.
+    through this view, so per-tenant analysis (forecasting, accounting)
+    runs unchanged over a slice.
     """
 
     def __init__(self, store: QueryLogStore, tenant: str) -> None:
@@ -174,56 +203,6 @@ class TenantLogView:
     def __iter__(self) -> Iterator[QueryRecord]:
         return (r for r in self._store if r.tenant == self.tenant)
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
     def window(self, start: float, end: float) -> list[QueryRecord]:
         """This tenant's records with ``start <= timestamp < end``."""
         return [r for r in self._store.window(start, end) if r.tenant == self.tenant]
-
-    def by_template(self) -> dict[str, list[QueryRecord]]:
-        grouped: dict[str, list[QueryRecord]] = {}
-        for record in self:
-            grouped.setdefault(record.template, []).append(record)
-        return grouped
-
-    def tenant_counts(
-        self, templates: Iterable[str] | None = None
-    ) -> dict[str, int]:
-        """Per-tenant counts over this view (at most one key: the tenant)."""
-        return _tenant_counts(self, templates)
-
-    def template_counts(self) -> dict[str, int]:
-        """This tenant's logged-query counts per template family."""
-        return _template_counts(self)
-
-    @property
-    def total_dollars(self) -> float:
-        return sum(r.dollars for r in self)
-
-    @property
-    def horizon(self) -> tuple[float, float]:
-        """(first, last) record timestamps of this tenant; (0, 0) when empty."""
-        timestamps = [r.timestamp for r in self]
-        if not timestamps:
-            return (0.0, 0.0)
-        return (timestamps[0], timestamps[-1])
-
-
-def _template_counts(records: Iterable[QueryRecord]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for record in records:
-        counts[record.template] = counts.get(record.template, 0) + 1
-    return counts
-
-
-def _tenant_counts(
-    records: Iterable[QueryRecord], templates: Iterable[str] | None
-) -> dict[str, int]:
-    wanted = set(templates) if templates is not None else None
-    counts: dict[str, int] = {}
-    for record in records:
-        if wanted is not None and record.template not in wanted:
-            continue
-        counts[record.tenant] = counts.get(record.tenant, 0) + 1
-    return counts

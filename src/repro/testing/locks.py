@@ -2,11 +2,11 @@
 guard (:mod:`repro.analysis` is the static half).
 
 The serving stack holds ~9 locks across `core/` (serving admission,
-journal, cache stripes, retention policies, circuit breakers, stats,
-fault plans).  The AST lint can prove every one is held via ``with``,
-but not that two threads never acquire them in opposite orders — the
-classic deadlock that only bites under concurrency the test happened
-not to schedule.  This module makes acquisition *order* observable:
+journal, plan-cache levels, circuit breakers, stats, fault plans).
+The AST lint can prove every one is held via ``with``, but not that two
+threads never acquire them in opposite orders — the classic deadlock
+that only bites under concurrency the test happened not to schedule.
+This module makes acquisition *order* observable:
 
 - :class:`SanitizedLock` wraps a real lock; every successful acquire
   records a ``held -> acquired`` edge for each lock the acquiring
@@ -218,10 +218,10 @@ def instrument_warehouse(
     """Swap every known lock on *warehouse* for a sanitized wrapper.
 
     Covers the ledger lock (which orders serving; it keeps the edge
-    graph's ``warehouse.serving`` name), the journal, all three plan-cache stripe
-    sets and their retention policies, admission, the template
-    frequency provider, both circuit breakers (statsvc + tuning, the
-    latter only if the tuning service has materialized), resilience
+    graph's ``warehouse.serving`` name), the journal, all three
+    plan-cache levels, admission, the template frequency provider, both
+    circuit breakers (statsvc + tuning, the latter only if the tuning
+    service has materialized), resilience
     stats, the observability locks (metrics registry, cost history,
     snapshot collector), and an installed fault plan.  Call *after*
     the warehouse is fully constructed (and after ``inject_faults`` /
@@ -241,15 +241,7 @@ def instrument_warehouse(
         cache = getattr(warehouse, cache_name, None)
         if cache is None:
             continue
-        for index, stripe in enumerate(cache._stripes):
-            stripe.lock = sanitizer.wrap(
-                stripe.lock, f"{cache_name}.stripe[{index}]"
-            )
-        policy = getattr(cache, "policy", None)
-        if policy is not None and hasattr(policy, "_lock"):
-            policy._lock = sanitizer.wrap(
-                policy._lock, f"{cache_name}.policy"
-            )
+        cache.lock = sanitizer.wrap(cache.lock, cache_name)
     warehouse.admission._lock = sanitizer.wrap(
         warehouse.admission._lock, "admission"
     )

@@ -2,7 +2,7 @@
 
 Runs the same seeded fault schedules as ``test_fault_matrix`` against a
 fully instrumented warehouse (every core lock wrapped — serving,
-journal, cache stripes, retention policies, admission, frequency,
+journal, plan-cache levels, admission, frequency,
 breakers, resilience stats, fault plan) and asserts the acquisition-
 order graph stays acyclic under every schedule and interleaving.  A
 cycle here is a latent deadlock two threads could reach even if this
@@ -81,7 +81,7 @@ def test_chaos_schedule_has_acyclic_lock_order(catalog, seed):
     ]
     handles = session.submit_many(requests[:3], max_workers=4)
     # statsvc traffic mid-workload: exercises frequency/breaker locks
-    # while serving threads hold cache-stripe and serving locks.
+    # while serving threads hold cache and serving locks.
     wh.frequency.invalidate()
     wh.frequency.family_rates()
     handles += session.submit_many(requests[3:], max_workers=4)

@@ -1,7 +1,7 @@
 """Tests for the resource-governance layer (core/governance.py).
 
-Covers both halves: retention policies threaded through the lock-striped
-plan caches (LRU parity with the pre-governance eviction, cost-aware
+Covers both halves: retention policies threaded through the plan
+caches (LRU parity with the pre-governance eviction, cost-aware
 survival of hot templates under pressure, cache warming), and
 budget-driven tenant admission (verdict escalation, denial isolation,
 deferred re-admission, throttled scheduling parity).
@@ -11,6 +11,8 @@ import random
 from collections import OrderedDict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.governance import (
     AdmissionController,
@@ -19,6 +21,7 @@ from repro.core.governance import (
     LruPolicy,
     TemplateFrequencyProvider,
     TenantBudget,
+    VICTIM_WINDOW,
     make_retention_policy,
     rank_by_forecast,
 )
@@ -78,13 +81,12 @@ class ReferenceLru:
 
 
 def test_lru_policy_parity_with_pre_governance_eviction():
-    """Random lookup/store traffic over a single-stripe cache: the
-    pluggable LruPolicy must reproduce the hardcoded eviction exactly —
-    same hits, misses, evictions, same surviving keys in order."""
+    """Random lookup/store traffic over a small cache: the pluggable
+    LruPolicy must reproduce the hardcoded eviction exactly — same
+    hits, misses, evictions, same surviving keys in order."""
     rng = random.Random(7)
     cache = PlanCache(capacity=8, policy=LruPolicy())
     reference = ReferenceLru(capacity=8)
-    assert cache.stripe_count == 1
     for step in range(2000):
         key = ("q", rng.randrange(24))
         if rng.random() < 0.5:
@@ -95,7 +97,32 @@ def test_lru_policy_parity_with_pre_governance_eviction():
     assert cache.hits == reference.hits
     assert cache.misses == reference.misses
     assert cache.evictions == reference.evictions
-    assert list(cache._stripes[0].entries) == list(reference.entries)
+    assert cache.export_state() == tuple(reference.entries.items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 399)), max_size=400))
+def test_default_capacity_cache_is_one_exact_lru(operations):
+    """At the default capacity, full, any sequence of lookups and stores
+    leaves the contents, recency order and counters of one global LRU —
+    whatever the keys hash to."""
+    cache, reference = PlanCache(256), ReferenceLru(256)
+    for number in range(256):
+        cache.store(("q", number), "bound", "warm")
+        reference.store(("q", number), ("bound", "warm"))
+    for step, (is_store, number) in enumerate(operations):
+        key = ("q", number)
+        if is_store:
+            cache.store(key, "bound", step)
+            reference.store(key, ("bound", step))
+        else:
+            assert cache.lookup(key) == reference.lookup(key)
+    assert cache.export_state() == tuple(reference.entries.items())
+    assert (cache.hits, cache.misses, cache.evictions) == (
+        reference.hits,
+        reference.misses,
+        reference.evictions,
+    )
 
 
 def test_default_policy_is_lru_and_counted():
@@ -109,13 +136,13 @@ def test_default_policy_is_lru_and_counted():
     assert "lru" in cache.describe()
     cache.reset_stats()
     assert cache.policy.evictions == 0
-    # The striping counter and the policy counter stay in lockstep.
+    # The cache's counter and the policy counter stay in lockstep.
     assert cache.evictions == 0
 
 
 def test_sequential_lru_pinned_at_single_stripe_capacity():
-    """Exact eviction order at capacity on one stripe: least recently
-    *used* (not least recently stored) leaves first."""
+    """Exact eviction order at capacity: least recently *used* (not
+    least recently stored) leaves first."""
     cache = PlanCache(capacity=2)
     cache.store("a", "b", "c")
     cache.store("x", "y", "z")
@@ -130,8 +157,8 @@ def test_sequential_lru_pinned_at_single_stripe_capacity():
 # Retention: cost-aware
 # --------------------------------------------------------------------- #
 def test_cost_aware_keeps_hot_template_under_pressure():
-    """At capacity on one stripe, pressure that ages a hot template out
-    of plain LRU leaves it untouched under the cost-aware policy."""
+    """At capacity, pressure that ages a hot template out of plain LRU
+    leaves it untouched under the cost-aware policy."""
     rates = {"hot": 60.0, "cold": 0.5}
     lru = SkeletonCache(capacity=2, policy=LruPolicy())
     aware = SkeletonCache(
@@ -189,6 +216,26 @@ def test_cost_aware_meta_never_leaks_under_churn():
         cache.store(f"key-{index}", "bound", "choice", template="t", cost_s=0.1)
     assert len(cache) == 2
     assert len(policy._meta) == 2  # one record per resident entry
+
+
+def test_cost_aware_scores_only_the_least_recently_used_window():
+    """Victim selection is bounded: the lowest score among the
+    ``VICTIM_WINDOW`` least recently used entries leaves, and an
+    unscored entry (zero, the lowest score there is) beyond the window
+    survives."""
+    capacity = VICTIM_WINDOW + 36
+    rates = {index: 10.0 + index for index in range(capacity)}
+    rates[17] = 1.0
+    cache = PlanCache(capacity, policy=CostAwarePolicy(rates.__getitem__))
+    for index in range(capacity):
+        if index == VICTIM_WINDOW + 6:
+            cache.store("unscored", "bound", "choice")
+        else:
+            cache.store(index, "bound", "choice", template=index, cost_s=1.0)
+    cache.store("newcomer", "bound", "choice", template=0, cost_s=1.0)
+    assert cache.evictions == 1
+    assert cache.lookup(17) is None
+    assert cache.lookup("unscored") is not None
 
 
 def test_make_retention_policy_names_and_errors():

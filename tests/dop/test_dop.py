@@ -55,6 +55,13 @@ def test_constraint_describe():
     assert "cost" in budget_constraint(1.0).describe()
 
 
+def test_constraint_hash_never_goes_through_hash_none():
+    """``hash(None)`` is address-derived on CPython <= 3.11, so a hash
+    folding in the unset side differed from process to process."""
+    assert hash(sla_constraint(12.0)) == hash((12.0, 0.0))
+    assert hash(budget_constraint(0.05)) == hash((0.0, 0.05))
+
+
 # --------------------------- co-finish -------------------------------- #
 def test_min_dop_for_duration_monotone(q5_dag, estimator):
     pipeline = q5_dag.topological_order()[0]

@@ -9,6 +9,7 @@
   never touch coordinator authority; the warehouse constructor's keyword
   surface is frozen.  (Until PR 21 these three were AST lint rules with
   registries and fixtures; each is one fact about module boundaries.)
+- One production module creates threads: ``core/service.py``.
 """
 
 import ast
@@ -81,9 +82,6 @@ UNREACHED_ON_PURPOSE = {
         "VirtualWarehouse, the lease-level cluster the parked ResizeWarehouse "
         "executor resizes"
     ),
-    "repro.optimizer.rewrites": (
-        "queued for deletion with its 8 tests (tests/optimizer/test_rewrites.py)"
-    ),
 }
 
 
@@ -127,6 +125,23 @@ def test_every_production_module_is_reachable():
                 reached.add(target)
     unreached = sorted(set(candidates) - reached)
     assert unreached == sorted(UNREACHED_ON_PURPOSE), unreached
+
+
+def test_the_thread_executor_is_the_only_thread_creator():
+    """Every lock in the package has exactly one in-tree concurrent
+    caller: ``submit_many``'s thread executor.  When that adapter goes,
+    this assertion flips, and the remaining locks guard against user
+    threads only."""
+    pool_importers = set()
+    for path, tree in PRODUCTION.items():
+        relative = str(path.relative_to(PACKAGE_ROOT))
+        if any(m.startswith("concurrent.futures") for m in imported_modules(tree)):
+            pool_importers.add(relative)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = ast.unparse(node.func)
+                assert called not in ("threading.Thread", "Thread"), relative
+    assert pool_importers == {"core/service.py"}
 
 
 def test_only_the_ledger_appends_to_the_journal():
