@@ -1,4 +1,4 @@
-"""Elastic compute layer: nodes, pricing, warm pool, clusters, billing.
+"""Elastic compute layer: nodes, pricing, warm pool, billing.
 
 Models the paper's assumptions (§3): symmetric stateless compute nodes
 acquired on demand, a provider-maintained warm pool for rapid cluster
@@ -10,7 +10,6 @@ from repro.compute.node import NodeSpec, NODE_SPECS
 from repro.compute.pricing import PriceModel, TSHIRT_SIZES
 from repro.compute.billing import BillingMeter, CostBreakdown
 from repro.compute.warmpool import WarmPool
-from repro.compute.cluster import VirtualWarehouse, NodeLease
 
 __all__ = [
     "NodeSpec",
@@ -20,6 +19,4 @@ __all__ = [
     "BillingMeter",
     "CostBreakdown",
     "WarmPool",
-    "VirtualWarehouse",
-    "NodeLease",
 ]

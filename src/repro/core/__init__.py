@@ -100,8 +100,9 @@ declared up front; dollar metrics carried in integral ledger units) that
 and a :class:`~repro.obsvc.collector.SnapshotCollector`
 (``warehouse.enable_collection``, off by default) that folds the
 statistics log into per-tenant :class:`~repro.obsvc.history.CostSnapshot`\\ s
-on a virtual-time or query-count cadence — journaled write-ahead as
-``CostSnapshotTaken`` records, so the
+on a virtual-time or query-count cadence — each committed through the
+ledger inside a ``CostSnapshotTaken`` record, which carries the
+snapshot object itself as checkpoints do, so the
 :class:`~repro.obsvc.history.CostHistoryStore` participates in
 checkpoint/recovery like every other authoritative state.  The
 :class:`~repro.obsvc.drilldown.DrillDownNavigator` decomposes spend

@@ -11,7 +11,8 @@ gates).  This module is the durability substrate:
   authoritative transition: a served query's log append plus its billing
   delta (:class:`QueryServed`), an admission verdict
   (:class:`AdmissionDecision`), a retry's modeled compute
-  (:class:`RetryCharge`), and the tuning lifecycle edges
+  (:class:`RetryCharge`), a collected cost snapshot
+  (:class:`CostSnapshotTaken`), and the tuning lifecycle edges
   (:class:`TuningIntent` / :class:`TuningCommit` / :class:`TuningFailed`
   and their rollback mirrors), plus periodic :class:`Checkpoint`\\ s;
 - :class:`UndoSnapshot` — a *declarative*, picklable capture of how to
@@ -151,19 +152,17 @@ class RetryCharge:
 class CostSnapshotTaken:
     """One scheduled cost-observability snapshot landed.
 
-    Journaled write-ahead by the
-    :class:`~repro.obsvc.collector.SnapshotCollector` before the
-    in-memory :class:`~repro.obsvc.history.CostHistoryStore` append;
-    replay re-appends idempotently by ``seq``.  ``tenants`` holds
-    plain-tuple :class:`~repro.obsvc.history.TenantCostSlice` rows
-    (ledger-unit totals plus the exact drill-down leaves) so the
-    record stays picklable without importing the observability layer.
+    Committed by the :class:`~repro.obsvc.collector.SnapshotCollector`:
+    journaled before the in-memory
+    :class:`~repro.obsvc.history.CostHistoryStore` append, and replay
+    re-appends idempotently by ``snapshot.seq``.  Like
+    :class:`QueryServed`, the record carries the immutable object
+    itself — the frozen :class:`~repro.obsvc.history.CostSnapshot` the
+    store keeps — so this module imports nothing of the observability
+    layer and a snapshot is never copied into a second form.
     """
 
-    seq: int
-    clock: float
-    log_len: int
-    tenants: tuple
+    snapshot: object  # repro.obsvc.history.CostSnapshot
 
 
 @dataclass(frozen=True)
@@ -283,8 +282,8 @@ class CheckpointState:
     Everything replay would otherwise rebuild from the full journal:
     the query log, the clock, per-tenant bills (as integral ledger-unit
     snapshots), admission verdict counters, the applied-MV registry,
-    the durable tuning bookkeeping, the background-compute ledger, and
-    the next recommendation id.
+    the durable tuning bookkeeping, the background-compute ledger, the
+    next recommendation id, and the cost history.
     """
 
     clock: float
@@ -295,7 +294,8 @@ class CheckpointState:
     durable_tuning: tuple[DurableRecommendation, ...]
     ledger: tuple[object, ...] = ()  # background LedgerEntry values
     next_rec_id: int = 1
-    #: CostHistoryStore.as_state() rows (plain tuples).
+    #: ``CostHistoryStore.snapshots()``: references to the store's own
+    #: frozen snapshots, so successive checkpoints share them.
     cost_history: tuple = ()
 
 

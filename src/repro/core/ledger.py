@@ -16,16 +16,17 @@ a recovered ledger equals the live one by construction rather than by a
 hand-kept mirror.  ``journal=None`` is not a second path: it is the
 same ``commit`` minus the append and its probes.
 
-Two sites journal through :meth:`Ledger.write_ahead` without
-re-applying, because their effect is applied where it is computed:
-:meth:`~repro.core.governance.AdmissionController.check` decides *and*
-counts a verdict in one step (replay re-counts it from the
-``AdmissionDecision`` through the same counting method), and the
-snapshot collector appends the :class:`~repro.obsvc.history.CostSnapshot`
-object it built rather than rebuilding it from the record's rows.  Two
-counters advance without a record — the clock at admission and the
-recommendation id at proposal — and replay re-derives both (the newest
-served timestamp, the newest intent's id).
+One site journals through :meth:`Ledger.write_ahead` without
+re-applying: admission.  The verdict an ``AdmissionDecision`` carries
+does not exist until
+:meth:`~repro.core.governance.AdmissionController.check` has decided,
+and ``check`` counts what it decides in the same step, so
+``Session._admit`` journals a verdict that is already counted (replay
+re-counts it through the same counting method).  Every other site —
+the snapshot collector included — builds its record first and commits
+it.  Two counters advance without a record — the clock at
+admission and the recommendation id at proposal — and replay re-derives
+both (the newest served timestamp, the newest intent's id).
 """
 
 from __future__ import annotations
@@ -264,8 +265,8 @@ class Ledger:
             self.apply(record)
 
     def write_ahead(self, record: object) -> None:
-        """Journal ``record`` for a site that applies its effect itself
-        (the two named in the module docstring)."""
+        """Journal ``record`` for the site that applies its effect itself
+        (admission, see the module docstring)."""
         with self.lock:
             self._append(record)
 
@@ -447,7 +448,7 @@ class Ledger:
             ),
             ledger=tuple(self.background_spend),
             next_rec_id=self.next_rec_id,
-            cost_history=self.cost_history.as_state(),
+            cost_history=self.cost_history.snapshots(),
         )
 
     def restore(self, state: CheckpointState) -> None:
@@ -473,7 +474,7 @@ class Ledger:
         )
         self.background_spend[:] = state.ledger
         self.next_rec_id = state.next_rec_id
-        self.cost_history.restore_state(state.cost_history)
+        self.cost_history.restore(state.cost_history)
 
     def checkpoint(self) -> None:
         """Journal a :class:`~repro.core.journal.Checkpoint` of the full

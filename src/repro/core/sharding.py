@@ -32,9 +32,9 @@ exemplar — while keeping every authoritative effect in the coordinator:
 - **Crashes restart warm; tasks re-stage exactly-once.**  A dead pipe
   (real crash, injected ``worker_crash`` fault, or
   :meth:`PlannerWorkerPool.kill_worker` in tests) restarts the worker
-  from a fresh :class:`WorkerSpec` — re-seeded deterministically and
-  re-warmed from the coordinator's exported skeleton cache — and
-  re-sends its in-flight tasks in order.  Billing happens only at the
+  from a fresh :class:`WorkerSpec` — re-warmed from the coordinator's
+  exported skeleton cache — and re-sends its in-flight tasks in order.
+  Billing happens only at the
   coordinator's ordered finalize behind the handle's exactly-once
   latch, so a re-staged task can never double-bill.  An *unresponsive*
   worker surfaces as a
@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.planning import skeleton_key
 from repro.errors import DeadlineExceededError, ReproError
-from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.warehouse import CostIntelligentWarehouse
@@ -140,14 +139,10 @@ class WorkerSpec:
     Specs are rebuilt from live coordinator state at every (re)spawn,
     so a worker restarted after a crash comes back *warm*: current
     catalog, currently applied MVs, and the coordinator's exported
-    skeleton-cache entries.  ``seed`` is derived deterministically from
-    the pool's base seed and the worker index; planning is currently
-    seed-free, but the seed pins any future stochastic component to the
-    reproducibility contract.
+    skeleton-cache entries.
     """
 
     worker_index: int
-    seed: int
     catalog: Any
     hardware: Any
     max_dop: int
@@ -206,7 +201,6 @@ class PlannerWorkerPool:
         warehouse: "CostIntelligentWarehouse",
         *,
         workers: int | None = None,
-        base_seed: int = 0,
         liveness_timeout_s: float | None = None,
     ) -> None:
         if workers is None:
@@ -215,7 +209,6 @@ class PlannerWorkerPool:
             raise ReproError(f"worker pool needs >= 1 workers, got {workers}")
         self.warehouse = warehouse
         self.size = workers
-        self.base_seed = base_seed
         self.liveness_timeout_s = liveness_timeout_s
         self._ctx = multiprocessing.get_context("spawn")
         self._procs: list[Any] = [None] * workers
@@ -292,10 +285,8 @@ class PlannerWorkerPool:
         if warehouse.skeleton_cache is not None:
             skeleton_seed = warehouse.skeleton_cache.export_state()
         exact = warehouse.plan_cache
-        seed_stream = derive_rng(self.base_seed, "sharding", str(index))
         return WorkerSpec(
             worker_index=index,
-            seed=int(seed_stream.integers(2**31)),
             catalog=warehouse.catalog,
             hardware=warehouse.hw,
             max_dop=warehouse.max_dop,
@@ -569,8 +560,6 @@ class PlannerWorkerPool:
 
     def _consume(self, index: int, message: tuple) -> None:
         kind = message[0]
-        if kind == "pong":
-            return
         if kind not in ("done", "fail"):
             raise ReproError(
                 f"planner worker {index} sent unknown message {kind!r}"

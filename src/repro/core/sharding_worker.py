@@ -149,9 +149,6 @@ def worker_main(conn: Any, spec: WorkerSpec) -> None:
         if kind == "refresh":
             shard.refresh(message[1])
             continue
-        if kind == "ping":
-            conn.send(("pong", message[1]))
-            continue
         if kind == "drop":
             drop_tasks = True
             continue

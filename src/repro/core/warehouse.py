@@ -258,7 +258,6 @@ class CostIntelligentWarehouse:
         self,
         *,
         workers: "int | None" = None,
-        base_seed: int = 0,
         liveness_timeout_s: "float | None" = None,
     ) -> None:
         """Serve batches over a warm planner worker-*process* pool.
@@ -280,7 +279,6 @@ class CostIntelligentWarehouse:
         pool = PlannerWorkerPool(
             self,
             workers=workers,
-            base_seed=base_seed,
             liveness_timeout_s=liveness_timeout_s,
         )
         pool.start()

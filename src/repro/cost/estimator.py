@@ -46,9 +46,30 @@ from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
 from repro.cost.regression import ExchangeCalibration
 from repro.plan.physical import PhysScan, walk_physical
 from repro.plan.pipelines import Pipeline, PipelineDag
+from repro.util.units import MB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.distsim import SimResult
+    from repro.storage.objectstore import ObjectStoreConfig
+
+#: Scans read the object store in ranged GETs of this many bytes.
+SCAN_GET_BYTES = 8 * MB
+
+
+def scan_request_dollars(dag: PipelineDag, store: ObjectStoreConfig) -> float:
+    """Object-store GET fees for the plan's scans, each scan node counted
+    once: the one fee formula, shared by the estimator (memoized per DAG)
+    and the distributed simulator's bill."""
+    dollars = 0.0
+    seen: set[int] = set()
+    for pipeline in dag:
+        for op in pipeline.ops:
+            node = op.node
+            if isinstance(node, PhysScan) and node.node_id not in seen:
+                seen.add(node.node_id)
+                gets = max(1.0, node.input_bytes / SCAN_GET_BYTES)
+                dollars += gets * store.price_per_get
+    return dollars
 
 
 class CostEstimator:
@@ -191,20 +212,6 @@ class CostEstimator:
         memoized per DAG)."""
         dollars = self._scan_dollars_cache.get(dag)
         if dollars is None:
-            dollars = self._compute_scan_request_dollars(dag)
+            dollars = scan_request_dollars(dag, self.hw.store)
             self._scan_dollars_cache[dag] = dollars
-        return dollars
-
-    def _compute_scan_request_dollars(self, dag: PipelineDag) -> float:
-        store = self.hw.store
-        chunk = 8 * 1024 * 1024  # ranged GETs of 8 MB
-        dollars = 0.0
-        seen: set[int] = set()
-        for pipeline in dag:
-            for op in pipeline.ops:
-                node = op.node
-                if isinstance(node, PhysScan) and node.node_id not in seen:
-                    seen.add(node.node_id)
-                    gets = max(1.0, node.input_bytes / chunk)
-                    dollars += gets * store.price_per_get
         return dollars

@@ -27,11 +27,12 @@ without cycles):
   :class:`~repro.obsvc.collector.CollectionPolicy` (cadence by queries
   or *virtual* seconds, mirroring ``TuningPolicy``) drives
   :class:`~repro.obsvc.collector.SnapshotCollector` from the serving
-  layer; each snapshot journals a write-ahead ``CostSnapshotTaken``
-  record before appending to the picklable
-  :class:`~repro.obsvc.history.CostHistoryStore`, which also rides in
-  every checkpoint — so the history is crash-consistent and, under a
-  fixed seed, bitwise reproducible.
+  layer; each frozen :class:`~repro.obsvc.history.CostSnapshot` is
+  committed through the ledger inside a ``CostSnapshotTaken`` record
+  (journaled before the append to the picklable
+  :class:`~repro.obsvc.history.CostHistoryStore`), and every checkpoint
+  references the same objects — so the history is crash-consistent and,
+  under a fixed seed, bitwise reproducible.
 
 - :mod:`repro.obsvc.drilldown` — the **drill-down navigator**: spend
   decomposed tenant → template family → pipeline → operator, each

@@ -14,11 +14,14 @@ serving: under the ledger lock the collector folds the newly logged
 records' per-operator cost leaves into its cumulative drill-down
 aggregation, builds one :class:`~repro.obsvc.history.TenantCostSlice`
 per billed tenant (ledger units copied from the authoritative
-:class:`~repro.core.ledger.TenantBill`), journals a
-``CostSnapshotTaken`` record **before** appending to the in-memory
-:class:`~repro.obsvc.history.CostHistoryStore`.  A crash between the
-two is healed on replay; cadence watermarks re-prime from the restored
-history so a recovered warehouse resumes the schedule deterministically.
+:class:`~repro.core.ledger.TenantBill`) and commits the
+:class:`~repro.obsvc.history.CostSnapshot` through
+:meth:`~repro.core.ledger.Ledger.commit` like every other transition:
+the ``CostSnapshotTaken`` record carrying it is journaled **before** the
+in-memory :class:`~repro.obsvc.history.CostHistoryStore` append.  A
+crash between the two is healed on replay; cadence watermarks re-prime
+from the restored history so a recovered warehouse resumes the schedule
+deterministically.
 
 The collector is configured post-construction
 (``warehouse.enable_collection(...)``) — the warehouse constructor's
@@ -32,6 +35,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.journal import CostSnapshotTaken
 from repro.errors import ReproError
 from repro.obsvc.history import (
     BACKGROUND_LEAF,
@@ -92,10 +96,9 @@ class SnapshotCollector:
         self._lock = threading.Lock()
         #: Index into the query log up to which leaves are folded.
         self._folded = 0
-        #: tenant -> (template, pipeline, operator) -> ledger units.
-        self._cumulative: dict[str, dict[tuple[str, str, str], int]] = {}
-        #: Snapshot-build caches: a :class:`CostLeaf` is rebuilt only
-        #: when its units change, and keys keep sorted order
+        #: tenant -> (template, pipeline, operator) -> the leaf holding
+        #: its cumulative ledger units.  A :class:`CostLeaf` is rebuilt
+        #: only when its units change, and keys keep sorted order
         #: incrementally — so a snapshot reuses unchanged leaf objects
         #: instead of re-sorting and re-materializing the whole
         #: cumulative aggregation every cadence tick.
@@ -173,34 +176,11 @@ class SnapshotCollector:
             log_len=len(warehouse.logs),
             tenants=slices,
         )
-        self._append_snapshot(snapshot)
+        warehouse.ledger.commit(CostSnapshotTaken(snapshot))
         self._last_log_len = snapshot.log_len
         self._last_clock = snapshot.clock
         warehouse.metrics.counter("repro_cost_snapshots_total")
         return snapshot
-
-    def _append_snapshot(self, snapshot: CostSnapshot) -> None:
-        # Write-ahead: the journal record lands (and the crash probes
-        # fire) before the in-memory history mutates; replay re-appends
-        # idempotently by seq.  The snapshot object built here is what
-        # is appended live (not one rebuilt from the record's rows), and
-        # without a journal the O(leaves) row materialization is
-        # skipped too.
-        ledger = self.warehouse.ledger
-        if ledger.journal is not None:
-            from repro.core.journal import CostSnapshotTaken
-
-            ledger.write_ahead(
-                CostSnapshotTaken(
-                    seq=snapshot.seq,
-                    clock=snapshot.clock,
-                    log_len=snapshot.log_len,
-                    tenants=tuple(
-                        entry.as_row() for entry in snapshot.tenants
-                    ),
-                )
-            )
-        ledger.cost_history.append(snapshot)
 
     def _fold_locked(self) -> None:
         """Fold newly logged records' cost leaves into the cumulative
@@ -210,19 +190,16 @@ class SnapshotCollector:
         self._folded += len(records)
         for record in records:
             tenant = record.tenant
-            by_key = self._cumulative.setdefault(tenant, {})
             cache = self._leaf_cache.setdefault(tenant, {})
             ordered = self._sorted_keys.setdefault(tenant, [])
             for pipeline, operator, units in record.cost_breakdown:
                 key = (record.template or "(adhoc)", pipeline, operator)
-                prior = by_key.get(key)
+                prior = cache.get(key)
                 if prior is None:
                     bisect.insort(ordered, key)
-                    total = units
                 else:
-                    total = prior + units
-                by_key[key] = total
-                cache[key] = CostLeaf(key[0], key[1], key[2], total)
+                    units += prior.units
+                cache[key] = CostLeaf(key[0], key[1], key[2], units)
 
     def _slice_for(self, tenant: str, bill) -> TenantCostSlice:
         cache = self._leaf_cache.get(tenant, {})

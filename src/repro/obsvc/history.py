@@ -12,10 +12,12 @@ guarantees there is never a stray unit.
 
 The :class:`CostHistoryStore` participates in crash consistency the
 same way the query log does: every snapshot is journaled write-ahead
-(``CostSnapshotTaken``) before the in-memory append, the whole store
-rides inside ``CheckpointState``, and replay re-appends idempotently
-by sequence number.  All row shapes are plain tuples of plain data so
-both the journal record and the checkpoint state stay picklable.
+(``CostSnapshotTaken``) before the in-memory append, the snapshots so
+far ride inside ``CheckpointState``, and replay re-appends idempotently
+by sequence number.  The three classes are frozen and hold only ints,
+floats, strings and tuples of each other, so a snapshot has one
+representation: the journal record, every checkpoint and the store
+reference the same object, and pickling it is the only serialization.
 """
 
 from __future__ import annotations
@@ -52,14 +54,6 @@ class CostLeaf:
     def dollars(self) -> float:
         return from_ledger_units(self.units)
 
-    def as_row(self) -> tuple:
-        return (self.template, self.pipeline, self.operator, self.units)
-
-    @classmethod
-    def from_row(cls, row: tuple) -> "CostLeaf":
-        template, pipeline, operator, units = row
-        return cls(template, pipeline, operator, units)
-
 
 @dataclass(frozen=True)
 class TenantCostSlice:
@@ -90,44 +84,6 @@ class TenantCostSlice:
         reconciliation matrix)."""
         return sum(leaf.units for leaf in self.leaves)
 
-    def as_row(self) -> tuple:
-        return (
-            self.tenant,
-            self.queries,
-            self.machine_seconds,
-            self.serving_units,
-            self.background_units,
-            self.background_actions,
-            self.retry_units,
-            self.retries,
-            tuple(leaf.as_row() for leaf in self.leaves),
-        )
-
-    @classmethod
-    def from_row(cls, row: tuple) -> "TenantCostSlice":
-        (
-            tenant,
-            queries,
-            machine_seconds,
-            serving_units,
-            background_units,
-            background_actions,
-            retry_units,
-            retries,
-            leaf_rows,
-        ) = row
-        return cls(
-            tenant=tenant,
-            queries=queries,
-            machine_seconds=machine_seconds,
-            serving_units=serving_units,
-            background_units=background_units,
-            background_actions=background_actions,
-            retry_units=retry_units,
-            retries=retries,
-            leaves=tuple(CostLeaf.from_row(r) for r in leaf_rows),
-        )
-
 
 @dataclass(frozen=True)
 class CostSnapshot:
@@ -148,32 +104,14 @@ class CostSnapshot:
     def total_units(self) -> int:
         return sum(entry.total_units for entry in self.tenants)
 
-    def as_row(self) -> tuple:
-        return (
-            self.seq,
-            self.clock,
-            self.log_len,
-            tuple(entry.as_row() for entry in self.tenants),
-        )
-
-    @classmethod
-    def from_row(cls, row: tuple) -> "CostSnapshot":
-        seq, clock, log_len, tenant_rows = row
-        return cls(
-            seq=seq,
-            clock=clock,
-            log_len=log_len,
-            tenants=tuple(TenantCostSlice.from_row(r) for r in tenant_rows),
-        )
-
 
 class CostHistoryStore:
     """Append-only, seq-ordered store of collected cost snapshots.
 
     Appends are idempotent by ``seq`` (journal replay may revisit a
     record the checkpoint already restored); reads return immutable
-    snapshots.  ``as_state()`` / ``restore_state()`` round-trip the
-    store through ``CheckpointState`` as plain tuples.
+    snapshots, which is what ``CheckpointState`` carries and
+    :meth:`restore` takes back.
     """
 
     def __init__(self) -> None:
@@ -197,17 +135,14 @@ class CostHistoryStore:
             return True
 
     def apply_record(self, record) -> bool:
-        """Idempotently append a replayed ``CostSnapshotTaken`` record."""
-        return self.append(
-            CostSnapshot(
-                seq=record.seq,
-                clock=record.clock,
-                log_len=record.log_len,
-                tenants=tuple(
-                    TenantCostSlice.from_row(row) for row in record.tenants
-                ),
-            )
-        )
+        """Idempotently append a ``CostSnapshotTaken`` record's snapshot
+        (live and on replay)."""
+        return self.append(record.snapshot)
+
+    def restore(self, snapshots: tuple[CostSnapshot, ...]) -> None:
+        """Replace the store's contents with a checkpoint's snapshots."""
+        with self._lock:
+            self._snapshots = list(snapshots)
 
     # -- reads ------------------------------------------------------------ #
     def snapshots(self, tenant: "str | None" = None) -> tuple[CostSnapshot, ...]:
@@ -241,21 +176,10 @@ class CostHistoryStore:
                 seen.setdefault(entry.tenant, None)
         return tuple(sorted(seen))
 
-    # -- checkpoint round-trip -------------------------------------------- #
-    def as_state(self) -> tuple:
-        """Plain-tuple image of the store for ``CheckpointState``."""
-        return tuple(s.as_row() for s in self.snapshots())
-
-    def restore_state(self, state: tuple) -> None:
-        with self._lock:
-            self._snapshots = [CostSnapshot.from_row(row) for row in state]
-
     # -- pickling (the lock is process-local) ------------------------------ #
     def __getstate__(self) -> dict:
-        return {"snapshots": self.as_state()}
+        return {"snapshots": self.snapshots()}
 
     def __setstate__(self, state: dict) -> None:
         self._lock = threading.Lock()
-        self._snapshots = [
-            CostSnapshot.from_row(row) for row in state["snapshots"]
-        ]
+        self.restore(state["snapshots"])

@@ -79,9 +79,10 @@ from repro.compute.node import NodeSpec
 from repro.compute.pricing import PriceModel
 from repro.compute.warmpool import WarmPool
 from repro.cost.estimate import CostEstimate
+from repro.cost.estimator import scan_request_dollars
 from repro.cost.operator_models import OperatorModels
 from repro.errors import ExecutionError
-from repro.plan.physical import ExchangeKind, PhysScan
+from repro.plan.physical import ExchangeKind
 from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.sim.skew import skew_multiplier
 from repro.util.rng import derive_rng
@@ -280,7 +281,9 @@ class DistributedSimulator:
         return SimResult(
             latency=last_time,
             cost=self.meter.breakdown(),
-            scan_request_dollars=self._scan_request_dollars(),
+            scan_request_dollars=scan_request_dollars(
+                self.dag, self.models.hw.store
+            ),
             resize_count=self._resize_count,
             cold_starts=self.pool.cold_starts,
             runs=runs,
@@ -463,19 +466,6 @@ class DistributedSimulator:
             planned_source_rows=planned_rows,
             true_source_rows=state.run.true_source_rows,
         )
-
-    def _scan_request_dollars(self) -> float:
-        store = self.models.hw.store
-        chunk = 8 * 1024 * 1024
-        dollars = 0.0
-        seen: set[int] = set()
-        for pipeline in self.dag:
-            for op in pipeline.ops:
-                node = op.node
-                if isinstance(node, PhysScan) and node.node_id not in seen:
-                    seen.add(node.node_id)
-                    dollars += max(1.0, node.input_bytes / chunk) * store.price_per_get
-        return dollars
 
 
 # ---------------------------------------------------------------------- #

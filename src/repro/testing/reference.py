@@ -17,7 +17,7 @@ from typing import Callable, Iterator
 
 from repro.core.bioptimizer import BiObjectiveOptimizer
 from repro.cost import curve as curves
-from repro.cost.estimator import CostEstimator
+from repro.cost.estimator import CostEstimator, scan_request_dollars
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.operator_models import OperatorModels
 from repro.cost.query_simulator import ScheduleSweeper
@@ -114,7 +114,7 @@ class ReferenceEstimator(CostEstimator):
         """Nothing is kept."""
 
     def scan_request_dollars(self, dag: PipelineDag) -> float:
-        return self._compute_scan_request_dollars(dag)
+        return scan_request_dollars(dag, self.hw.store)
 
 
 class NaiveCoster:

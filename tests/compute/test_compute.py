@@ -3,7 +3,6 @@
 import pytest
 
 from repro.compute.billing import BillingMeter, CostBreakdown
-from repro.compute.cluster import VirtualWarehouse
 from repro.compute.node import NODE_SPECS, node_spec
 from repro.compute.pricing import PriceModel, TSHIRT_SIZES, tshirt_for_nodes
 from repro.compute.warmpool import WarmPool, WarmPoolConfig
@@ -132,29 +131,3 @@ def test_warm_pool_invalid_counts():
     with pytest.raises(ComputeError):
         pool.release(0)
 
-
-# --------------------------- warehouse ------------------------------- #
-def test_warehouse_scaling_and_billing():
-    wh = VirtualWarehouse(node_spec("standard"), price_model=PriceModel(minimum_billed_seconds=1.0))
-    wh.scale_to(4, now=0.0)
-    assert wh.size == 4
-    wh.scale_to(2, now=100.0)  # two nodes released at t=100
-    wh.release_all(now=200.0)
-    report = wh.cost()
-    # 2 nodes x 100s + 2 nodes x 200s = 600 machine-seconds
-    assert report.machine_seconds == pytest.approx(600.0)
-    assert wh.resize_count == 3
-
-
-def test_warehouse_negative_size_rejected():
-    wh = VirtualWarehouse(node_spec("standard"))
-    with pytest.raises(ComputeError):
-        wh.scale_to(-1, now=0.0)
-
-
-def test_warehouse_noop_resize_is_free():
-    wh = VirtualWarehouse(node_spec("standard"))
-    wh.scale_to(2, now=0.0)
-    assert wh.scale_to(2, now=1.0) == 0.0
-    assert wh.resize_count == 1
-    wh.release_all(2.0)

@@ -41,6 +41,7 @@ from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import JournalError, RecoveryError, ReproError
+from repro.obsvc.history import CostLeaf, CostSnapshot, TenantCostSlice
 from repro.statsvc.logs import QueryRecord
 from repro.util.rng import derive_rng
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -102,22 +103,26 @@ def sample_records() -> list:
         ),
         RollbackCommit(rec_id=1, name="mv_q5ish", kind="materialized-view"),
         CostSnapshotTaken(
-            seq=1,
-            clock=30.0,
-            log_len=3,
-            tenants=(
-                (
-                    "acme",
-                    3,
-                    4.5,
-                    to_ledger_units(0.000370370367),
-                    0,
-                    0,
-                    0,
-                    0,
-                    (("q5ish", "P0", "Scan[source_scan]", 123456),),
+            CostSnapshot(
+                seq=1,
+                clock=30.0,
+                log_len=3,
+                tenants=(
+                    TenantCostSlice(
+                        tenant="acme",
+                        queries=3,
+                        machine_seconds=4.5,
+                        serving_units=to_ledger_units(0.000370370367),
+                        background_units=0,
+                        background_actions=0,
+                        retry_units=0,
+                        retries=0,
+                        leaves=(
+                            CostLeaf("q5ish", "P0", "Scan[source_scan]", 123456),
+                        ),
+                    ),
                 ),
-            ),
+            )
         ),
         Checkpoint(
             checkpoint_id=1,

@@ -199,7 +199,6 @@ def test_worker_failure_roundtrip_preserves_typed_error():
 def test_worker_spec_and_refresh_state_roundtrip(catalog):
     spec = WorkerSpec(
         worker_index=1,
-        seed=1234,
         catalog=catalog,
         hardware=None,
         max_dop=64,

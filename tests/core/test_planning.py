@@ -117,7 +117,6 @@ def make_shard(catalog, capacity: int) -> PlannerShard:
     return PlannerShard(
         WorkerSpec(
             worker_index=0,
-            seed=0,
             catalog=catalog,
             hardware=HardwareCalibration(),
             max_dop=64,

@@ -86,7 +86,7 @@ def test_identical_seeded_runs_yield_bitwise_identical_histories():
         return warehouse
 
     first, second = run(), run()
-    assert first.cost_history.as_state() == second.cost_history.as_state()
+    assert first.cost_history.snapshots() == second.cost_history.snapshots()
     assert len(first.cost_history) > 0
 
 
@@ -100,7 +100,7 @@ def test_checkpoint_round_trips_the_history(catalog):
 
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert (
-        recovered.cost_history.as_state() == warehouse.cost_history.as_state()
+        recovered.cost_history.snapshots() == warehouse.cost_history.snapshots()
     )
     # the recovered schedule resumes where the history left off
     recovered.enable_collection(cadence_queries=2)

@@ -1,8 +1,11 @@
-"""Unit tests for the cost-history store and its snapshot rows."""
+"""Unit tests for the cost-history store and its immutable snapshots."""
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+
+import pytest
 
 from repro.obsvc.history import (
     BACKGROUND_LEAF,
@@ -61,8 +64,18 @@ def test_leaf_dollars_round_trip():
 
 
 def test_rows_round_trip_bitwise():
+    """The snapshot itself is the serialized form: pickling it is the
+    only round trip, and it is safe to share between the store, the
+    journal record and every checkpoint because nothing in it mutates."""
     snapshot = make_snapshot()
-    assert CostSnapshot.from_row(snapshot.as_row()) == snapshot
+    assert pickle.loads(pickle.dumps(snapshot)) == snapshot
+    leaf = snapshot.tenants[0].leaves[0]
+    for obj in (snapshot, snapshot.tenants[0], leaf):
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+    assert type(snapshot.tenants) is tuple
+    assert all(type(entry.leaves) is tuple for entry in snapshot.tenants)
 
 
 def test_append_is_idempotent_by_seq():
@@ -94,9 +107,10 @@ def test_state_round_trip_bitwise():
     store.append(make_snapshot(seq=1))
     store.append(make_snapshot(seq=2, clock=60.0))
     clone = CostHistoryStore()
-    clone.restore_state(store.as_state())
-    assert clone.as_state() == store.as_state()
+    clone.restore(store.snapshots())
     assert clone.snapshots() == store.snapshots()
+    assert clone.append(make_snapshot(seq=3, clock=90.0))
+    assert len(store) == 2  # the restored store owns its own list
 
 
 def test_pickle_round_trip_bitwise():

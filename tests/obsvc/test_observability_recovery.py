@@ -9,14 +9,17 @@ reference — while serving state holds all its own invariants.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from tests.obsvc.conftest import SLA, TENANTS, run_workload, workload_steps
 from repro.core.service import QueryRequest
-from repro.core.journal import WriteAheadJournal
+from repro.core.journal import Checkpoint, CostSnapshotTaken, WriteAheadJournal
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.obsvc.drilldown import DrillDownNavigator
 from repro.testing import FaultPlan, SimulatedCrashError, crash_probes, kill
+from repro.workloads.adhoc import AdhocQueryGenerator
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 RECOVERY_SEEDS = range(4)
@@ -59,7 +62,7 @@ def reference_run(seed: int):
     )
     run_workload(warehouse, count=QUERIES, seed=seed)
     return (
-        warehouse.cost_history.as_state(),
+        warehouse.cost_history.snapshots(),
         {t: b.ledger_snapshot() for t, b in warehouse.billing.items()},
         dict(probes.invocations),
     )
@@ -79,7 +82,7 @@ def crash_recover_resume(seed: int, point: str, at: int, ref_history):
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     # the history survived as a prefix of the reference, every snapshot
     # intact and reconciled (never a torn half-written snapshot)
-    state = recovered.cost_history.as_state()
+    state = recovered.cost_history.snapshots()
     assert state == ref_history[: len(state)], (
         f"kill({point!r}, at={at}) tore the history"
     )
@@ -115,8 +118,8 @@ def test_kill_points_leave_the_history_crash_consistent(seed):
             # identical second crashed run converges bitwise
             twin = crash_recover_resume(seed, point, at, ref_history)
             assert (
-                twin.cost_history.as_state()
-                == resumed.cost_history.as_state()
+                twin.cost_history.snapshots()
+                == resumed.cost_history.snapshots()
             ), f"kill({point!r}, at={at}) resume is non-deterministic"
 
             final = resumed.collector.collect_now()
@@ -156,3 +159,63 @@ def test_snapshot_taken_mid_crash_is_replayed_not_lost():
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert len(recovered.cost_history) == 1
     DrillDownNavigator(recovered.cost_history.latest()).reconcile()
+
+
+def test_journal_and_checkpoints_reference_the_stored_snapshots(catalog, tmp_path):
+    """One representation: every ``CostSnapshotTaken`` record and every
+    checkpoint hold the store's own frozen snapshot objects (identity,
+    not equality), and the saved journal recovers an equal history."""
+    journal = WriteAheadJournal(checkpoint_every=CHECKPOINT_EVERY)
+    warehouse = make_observed(catalog, journal)
+    run_workload(warehouse, count=QUERIES)
+    warehouse.checkpoint()
+    stored = warehouse.cost_history.snapshots()
+    assert len(stored) >= 2
+
+    records = [entry.record for entry in journal.entries()]
+    taken = [r for r in records if isinstance(r, CostSnapshotTaken)]
+    assert len(taken) == len(stored)
+    assert all(r.snapshot is s for r, s in zip(taken, stored))
+    checkpoints = [r for r in records if isinstance(r, Checkpoint)]
+    assert len(checkpoints) >= 2
+    for checkpoint in checkpoints:
+        carried = checkpoint.state.cost_history
+        assert all(c is s for c, s in zip(carried, stored))
+    assert len(checkpoints[-1].state.cost_history) == len(stored)
+
+    path = str(tmp_path / "journal.pkl")
+    journal.save(path)
+    recovered = CostIntelligentWarehouse.recover(
+        WriteAheadJournal.load(path), catalog=catalog
+    )
+    assert recovered.cost_history.snapshots() == stored
+
+
+def test_journal_bytes_per_query_stay_flat_as_history_grows(catalog):
+    """The pickled journal per served query must not grow with the
+    number of queries served: each checkpoint references the snapshots
+    (and their cumulative leaves) taken so far instead of copying them,
+    so ad-hoc traffic — whose leaf count grows with every new shape —
+    costs the same bytes per query after 4N queries as after N."""
+    base, batch = 256, 32
+    journal = WriteAheadJournal(checkpoint_every=64)
+    warehouse = CostIntelligentWarehouse(catalog=catalog, journal=journal)
+    warehouse.enable_collection(cadence_queries=batch)
+    session = warehouse.session(tenant=TENANTS[0], constraint=SLA)
+    queries = AdhocQueryGenerator(seed=5).batch(4 * base)
+
+    def serve(sqls) -> float:
+        """Serve ``sqls`` in collection-sized batches; returns pickled
+        journal bytes per query served so far."""
+        for start in range(0, len(sqls), batch):
+            for handle in session.submit_many(
+                [QueryRequest(sql=sql) for sql in sqls[start : start + batch]]
+            ):
+                handle.result()
+        return len(pickle.dumps(journal.entries())) / len(warehouse.logs)
+
+    early = serve(queries[:base])
+    late = serve(queries[base:])
+    assert len(warehouse.logs) == 4 * base
+    assert len(warehouse.cost_history) == 4 * base // batch
+    assert late <= 1.5 * early, (early, late)

@@ -15,7 +15,7 @@ from repro.sim.distsim import (
 )
 from repro.sim.skew import skew_multiplier
 from repro.util.rng import derive_rng
-from repro.workloads.tpch_queries import instantiate
+from repro.workloads.tpch_queries import instantiate, template_names
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +67,23 @@ def test_simulated_latency_tracks_estimate(q5, estimator):
     result = run_sim(dag, dop_plan, estimator)
     assert result.latency == pytest.approx(dop_plan.estimate.latency, rel=1.0)
     assert result.latency >= dop_plan.estimate.latency * 0.5
+
+
+def test_simulated_scan_fee_is_the_estimated_scan_fee(
+    big_binder, big_planner, estimator
+):
+    """The simulator bills object-store GETs with the estimator's own
+    formula (one function), so the two figures agree to the bit on every
+    TPC-H template."""
+    for template in template_names():
+        plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
+        dag = decompose_pipelines(plan)
+        dop_plan = DopPlanner(estimator, max_dop=32).plan(dag, sla_constraint(30.0))
+        result = run_sim(dag, dop_plan, estimator)
+        assert dop_plan.estimate.scan_request_dollars > 0.0
+        assert (
+            result.scan_request_dollars == dop_plan.estimate.scan_request_dollars
+        ), template
 
 
 def test_billing_covers_all_pipelines(q5, estimator):

@@ -78,10 +78,6 @@ UNREACHED_ON_PURPOSE = {
     "repro.workloads.arrivals": (
         "arrival processes for the parked multi-tenant trace generator"
     ),
-    "repro.compute.cluster": (
-        "VirtualWarehouse, the lease-level cluster the parked ResizeWarehouse "
-        "executor resizes"
-    ),
 }
 
 
