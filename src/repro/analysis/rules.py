@@ -4,7 +4,7 @@ Each rule machine-enforces one invariant that PRs 3–7 established in
 prose (ROADMAP "machine-checked invariants" section); the rule's
 docstring names the contract and the failure it prevents.  Rules are
 syntactic and conservative by design: they key on the repo's own
-idioms (``_fire_fault``, ``*_dollars``, ``*lock*.acquire``) rather than
+idioms (``faults.fire``, ``*_dollars``, ``*lock*.acquire``) rather than
 attempting type inference, so a violation is a near-certain contract
 breach and a false positive is a one-line
 ``# lint-allow: <rule> <why>`` away.  Facts about module boundaries
@@ -203,7 +203,7 @@ class FloatBillingRule(Rule):
 #: returns zero forever, which is exactly the drift the typed registry
 #: exists to prevent.
 _METRIC_METHODS = frozenset(
-    {"counter", "gauge", "histogram", "source", "value", "sourced"}
+    {"counter", "histogram", "source", "value", "sourced"}
 )
 
 
@@ -215,8 +215,8 @@ class MetricNameRule(Rule):
     The typed registry in :mod:`repro.obsvc.metrics` raises
     ``MetricNameError`` at runtime for undeclared names, but only on
     paths a test actually exercises.  This rule closes the gap
-    statically — any ``*.metrics.counter("name", ...)`` (or gauge /
-    histogram / source / value / sourced) call whose name is not a
+    statically — any ``*.metrics.counter("name", ...)`` (or histogram /
+    source / value / sourced) call whose name is not a
     string literal found in ``REGISTERED_METRICS`` fails the lint, so a
     typo'd or undeclared metric never ships.  Dynamic names are legal
     only behind an explicit ``# lint-allow: metric-name <why>``.
@@ -285,10 +285,12 @@ class StageGuardRule(Rule):
     ``StageGuard.run`` is the sanctioned wrapper for the bind /
     optimize / simulate fault points: it owns retry budgets, deadline
     charging, and typed error translation.  An ad-hoc broad
-    ``try/except`` around a fault point double-retries, hides
-    ``InjectedFault`` from the chaos matrix, or eats the typed errors
-    the degraded path keys on.  Narrow typed catches (e.g. the
-    sanctioned ``DeadlineExceededError`` degraded fallback) stay legal.
+    ``try/except`` around a fault point — a guarded stage's ``run`` or a
+    :class:`~repro.core.resilience.FaultPort`'s ``fire`` / ``decide`` —
+    double-retries, hides ``InjectedFault`` from the chaos matrix, or
+    eats the typed errors the degraded path keys on.  Narrow typed
+    catches (e.g. the sanctioned ``DeadlineExceededError`` degraded
+    fallback) stay legal.
     """
 
     rule_id = "stage-guard"
@@ -305,13 +307,13 @@ class StageGuardRule(Rule):
 
     def _is_fault_point(self, node: ast.Call) -> bool:
         func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        if name in ("_fire_fault", "_fault_decision"):
+        if not isinstance(func, ast.Attribute):
+            return False
+        name = func.attr
+        receiver = dotted_name(func.value) or ""
+        if name in ("fire", "decide") and "fault" in receiver.lower():
             return True
-        if name == "run" and isinstance(func, ast.Attribute):
-            receiver = dotted_name(func.value) or ""
+        if name == "run":
             first = node.args[0] if node.args else None
             if (
                 isinstance(first, ast.Constant)

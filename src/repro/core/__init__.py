@@ -55,11 +55,14 @@ forecaster and the tuner with
 :class:`~repro.core.resilience.CircuitBreaker`\\ s — an open statsvc
 breaker degrades cost-aware retention to plain LRU, an open tuning
 breaker stops a failing tuner from burning background dollars.
-Failures are a deterministic, testable input: a seeded
-:class:`~repro.testing.faults.FaultPlan` (``warehouse.inject_faults``)
-drives the chaos suite, and ``warehouse.describe_health()`` reports
-breaker states, retry/degraded counters, and the tuning service's last
-swallowed error.
+Failures are a deterministic, testable input: ``warehouse.inject_faults``
+installs a seeded :class:`~repro.testing.faults.FaultPlan` on the
+warehouse's one :class:`~repro.core.resilience.FaultPort`, which every
+fault point draws through — the guard's stages, the ledger's crash
+probes, the forecaster, background tuning and the worker pool's
+``worker_crash`` — and drives the chaos suite;
+``warehouse.describe_health()`` reports breaker states, retry/degraded
+counters, and the tuning service's last swallowed error.
 
 Crash consistency lives in :mod:`repro.core.ledger`,
 :mod:`repro.core.journal` and :mod:`repro.core.recovery`.  One
@@ -137,8 +140,9 @@ The contracts above are *machine-enforced*: ``python -m repro.analysis
 :mod:`repro.analysis`) lints ledger-unit billing, StageGuard-only fault
 handling, virtual-time discipline and lock hygiene;
 ``tests/testing/test_production_imports.py`` asserts that only the
-ledger module appends to the journal, worker isolation, and the frozen
-warehouse constructor surface; the lock-order sanitizer
+ledger module appends to the journal, that only the fault port draws
+from a fault plan, worker isolation, and the frozen warehouse
+constructor surface; the lock-order sanitizer
 (:mod:`repro.testing.locks`) checks the runtime complement, a
 cycle-free lock acquisition order, across the chaos matrix.
 """

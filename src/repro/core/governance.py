@@ -30,10 +30,12 @@ statistics, and billing:
   failure of other tenants' in-flight work.
 
 Layering: this module sits between the Statistics Service (it *reads*
-logs and forecasts) and the serving layer (which *consults* it); it
-imports neither :mod:`repro.core.plan_cache` nor
-:mod:`repro.core.service` at runtime, so caches and sessions can depend
-on it without cycles.
+logs and forecasts) and the serving layer (which *consults* it); of
+:mod:`repro.core` it imports only :mod:`repro.core.resilience` at
+runtime — the forecast refresh is the ``statsvc`` fault point and fires
+through the warehouse's :class:`~repro.core.resilience.FaultPort` — and
+neither :mod:`repro.core.plan_cache` nor :mod:`repro.core.service`, so
+caches and sessions can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from enum import Enum
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
 
+from repro.core.resilience import FaultPort
 from repro.errors import AdmissionDeniedError, ReproError
 from repro.statsvc.forecast import WorkloadForecaster
 from repro.statsvc.logs import LogView
@@ -253,7 +256,7 @@ class TemplateFrequencyProvider:
         refresh_every: int = 32,
         window_records: int = 2048,
         breaker: "CircuitBreaker | None" = None,
-        fault_hook: Callable[[], None] | None = None,
+        faults: FaultPort | None = None,
     ) -> None:
         if refresh_every < 1:
             raise ReproError(f"refresh_every must be >= 1, got {refresh_every}")
@@ -267,11 +270,11 @@ class TemplateFrequencyProvider:
         #: ``statsvc`` failure domain): a failing forecaster clears the
         #: rates — cost-aware retention scores drop to zero, which is
         #: exact LRU — and an OPEN breaker skips refresh attempts until
-        #: its call-counted cooldown elapses.  ``fault_hook`` is the
-        #: ``statsvc`` fault-injection point (chaos testing); it runs at
-        #: the top of every attempted refresh.
+        #: its call-counted cooldown elapses.  The ``statsvc`` fault
+        #: point (chaos testing) fires through ``faults`` at the top of
+        #: every attempted refresh.
         self.breaker = breaker
-        self.fault_hook = fault_hook
+        self.faults = faults or FaultPort()
         self._rates: dict[str, float] = {}
         self._families: dict[Hashable, str] = {}
         self._refreshed_at = -1
@@ -325,10 +328,9 @@ class TemplateFrequencyProvider:
                 self._refreshed_at = size
                 return
             try:
-                if self.fault_hook is not None:
-                    self.fault_hook()
+                self.faults.fire("statsvc")
                 rates = self._compute_rates()
-            except ReproError:
+            except ReproError:  # lint-allow: stage-guard the statsvc breaker's degrade path
                 # Forecaster down: degrade retention scoring to LRU
                 # (empty rates score every entry 0.0, and CostAwarePolicy
                 # ties break toward least-recently-used) rather than

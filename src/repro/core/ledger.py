@@ -5,7 +5,9 @@ log, the virtual clock, per-tenant bills, admission verdict counters,
 the applied-MV registry, the durable tuning bookkeeping, the background
 spend list, the cost history and the next recommendation id — is owned
 by one :class:`Ledger`, together with the write-ahead journal, the lock
-that orders writers, and the crash probes around each journal write.
+that orders writers, and the crash probes around each journal write
+(drawn through the warehouse's
+:class:`~repro.core.resilience.FaultPort`).
 
 Every transition is a journal record (:mod:`repro.core.journal`), and
 :meth:`Ledger.apply` is the only code that folds a record into state.
@@ -50,6 +52,7 @@ from repro.core.journal import (
     TuningIntent,
     WriteAheadJournal,
 )
+from repro.core.resilience import FaultPort
 from repro.errors import RecoveryError, ReproError
 from repro.obsvc.history import CostHistoryStore
 from repro.sql.parameterize import parameterize_sql
@@ -196,9 +199,9 @@ class Ledger:
 
     Holds no reference to the warehouse: it is given the log store, the
     journal (or ``None``), the admission controller whose verdict
-    counters it checkpoints, the crash-probe hook, and — under a
-    governed retention policy — the frequency provider's
-    ``note_template``.
+    counters it checkpoints, the fault port its crash probes fire
+    through, and — under a governed retention policy — the frequency
+    provider's ``note_template``.
     """
 
     def __init__(
@@ -207,7 +210,7 @@ class Ledger:
         *,
         journal: WriteAheadJournal | None,
         admission: AdmissionController,
-        fire_fault: Callable[[str], None],
+        faults: FaultPort,
         note_template: Callable[[str, Hashable], None] | None,
     ) -> None:
         self.journal = journal
@@ -238,7 +241,7 @@ class Ledger:
         #: that built this ledger, when it was recovered.
         self.last_recovery = None
         self._admission = admission
-        self._fire_fault = fire_fault
+        self._faults = faults
         #: ``None`` unless a retention policy reads template forecasts.
         self.note_template = note_template
         #: Record type -> its transition; one handler per journal type.
@@ -284,10 +287,10 @@ class Ledger:
         if journal is None:
             return
         if isinstance(record, (TuningCommit, RollbackCommit)):
-            self._fire_fault("crash_pre_commit")
-        self._fire_fault("crash_pre_write")
+            self._faults.fire("crash_pre_commit")
+        self._faults.fire("crash_pre_write")
         self.applied_lsn = journal.append(record).lsn
-        self._fire_fault("crash_post_write")
+        self._faults.fire("crash_post_write")
 
     def apply(self, record: object) -> None:
         """Fold one journal record into state — live and on replay."""

@@ -5,8 +5,9 @@ The paper's premise is a *production* cloud warehouse: cost intelligence
 has to keep working when a component misbehaves, and — following the
 "Saving Money for Analytical Workloads in the Cloud" framing — failure
 handling itself costs dollars, so it must be metered and budget-aware
-like everything else.  This module holds the three mechanisms and the
-per-request guard that applies them:
+like everything else.  This module holds the three mechanisms, the
+per-request guard that applies them, and the port every fault point
+draws through:
 
 - :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* seeded jitter (:func:`repro.util.rng.derive_rng`, so a
@@ -16,11 +17,13 @@ per-request guard that applies them:
   constraints) re-fail identically on every attempt and propagate
   immediately, keeping fault-free behavior bit-identical to the
   pre-resilience serving path.  Retries are *budget-aware*: the serving
-  layer maps the tenant's admission pressure to
+  layer passes the position of the tenant's admission verdict in
+  :class:`~repro.core.governance.AdmissionVerdict` to
   :meth:`RetryPolicy.attempts_for`, so a tenant near ``DENY`` gets
-  fewer attempts, and every backoff's modeled compute is charged to the
-  tenant's :class:`~repro.core.ledger.TenantBill` as ``retry_dollars``
-  (visible to admission on the next check).
+  fewer attempts, and every backoff's modeled compute is committed to
+  the tenant's :class:`~repro.core.ledger.TenantBill` as a
+  :class:`~repro.core.journal.RetryCharge` (visible to admission on the
+  next check).
 - :class:`Deadline` — per-request and per-stage timeout enforcement.
   Wall time plus *virtual* charged seconds (injected latency spikes,
   retry backoffs) count against the deadline; expiry raises a typed
@@ -36,6 +39,13 @@ per-request guard that applies them:
   open breaker stops a failing tuner from burning background dollars).
   Cooldown is measured in *denied calls*, not wall-clock seconds, so
   breaker transitions are deterministic under test fault schedules.
+- :class:`FaultPort` — the one holder of the installed
+  :class:`~repro.testing.faults.FaultPlan`.  The warehouse builds one
+  and hands it to every fault point: the stage guard (``bind`` /
+  ``optimize`` / ``simulate``), the ledger's crash probes, the statsvc
+  forecast refresh, background compute (``tuning_apply``) and the
+  planner worker pool (``worker_crash``).  No other module draws from a
+  plan.
 
 Layering: this module imports only :mod:`repro.errors` and
 :mod:`repro.util` — governance, serving, and tuning all sit above it.
@@ -106,11 +116,11 @@ class RetryPolicy:
     def attempts_for(self, pressure: int) -> int:
         """Allowed attempts under admission ``pressure``.
 
-        ``pressure`` is the ordinal of the tenant's admission verdict
-        (0=admit, 1=throttle, 2=defer, 3=deny): each escalation step
-        costs one attempt, floored at a single try — a tenant out of
-        budget still gets its query served once, but pays for no
-        retries.
+        ``pressure`` is the position of the tenant's admission verdict
+        in :class:`~repro.core.governance.AdmissionVerdict` (0=admit,
+        1=throttle, 2=defer, 3=deny): each escalation step costs one
+        attempt, floored at a single try — a tenant out of budget still
+        gets its query served once, but pays for no retries.
         """
         return max(1, self.max_attempts - max(0, int(pressure)))
 
@@ -243,6 +253,36 @@ class CircuitBreaker:
 
 
 # --------------------------------------------------------------------- #
+# Fault port
+# --------------------------------------------------------------------- #
+class FaultPort:
+    """The installed fault plan (``None`` outside chaos testing) and the
+    two things a fault point does with it.
+
+    :meth:`decide` draws the plan's decision for the next invocation of
+    a point — the stage guard charges its latency, the worker pool kills
+    a worker on it — and :meth:`fire` raises that decision's error, if
+    one fires.  ``plan`` is read on every draw, so a plan swapped in
+    mid-workload models an outage starting or ending.
+    """
+
+    def __init__(self) -> None:
+        self.plan = None
+
+    def decide(self, point: str):
+        """The plan's :class:`~repro.testing.faults.FaultDecision` for
+        the next invocation of ``point``, or ``None``."""
+        plan = self.plan
+        return None if plan is None else plan.draw(point)
+
+    def fire(self, point: str) -> None:
+        """Raise the injected error for ``point``, if one fires."""
+        decision = self.decide(point)
+        if decision is not None and decision.error is not None:
+            raise decision.error
+
+
+# --------------------------------------------------------------------- #
 # Policy + per-request guard
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
@@ -324,12 +364,12 @@ class ResilienceStats:
 class StageGuard:
     """Applies faults, deadlines, and retries around one request's stages.
 
-    Built per admitted request by the warehouse
-    (:meth:`~repro.core.warehouse.CostIntelligentWarehouse._stage_guard`)
-    and threaded through ``Session._stage`` into the planning path.
+    Built per admitted request by ``Session._stage``
+    (``repro.core.service._request_guard``) and threaded into the
+    planning path.
     ``run(stage, fn)`` is the only entry point: it draws the stage's
-    fault decision (if a :class:`~repro.testing.faults.FaultPlan` is
-    active), charges injected latency against the deadlines, retries
+    fault decision from the :class:`FaultPort`, charges injected
+    latency against the deadlines, retries
     transient failures within the budget-aware attempt allowance, and
     surfaces terminal failures as typed errors
     (:class:`~repro.errors.DeadlineExceededError`,
@@ -342,13 +382,13 @@ class StageGuard:
         policy: ResiliencePolicy,
         *,
         attempts: int,
-        fault_decision: "Callable[[str], object | None] | None" = None,
+        faults: FaultPort | None = None,
         charge_retry: Callable[[float], None] | None = None,
         stats: ResilienceStats | None = None,
     ) -> None:
         self.policy = policy
         self.attempts = max(1, attempts)
-        self._fault_decision = fault_decision
+        self._faults = faults or FaultPort()
         self._charge_retry = charge_retry
         self._stats = stats
         self.deadline = Deadline(policy.request_deadline_s)
@@ -361,22 +401,17 @@ class StageGuard:
         attempt = 0
         while True:
             attempt += 1
-            decision = (
-                self._fault_decision(stage)
-                if self._fault_decision is not None
-                else None
-            )
+            decision = self._faults.decide(stage)
             try:
                 if decision is not None:
-                    latency = getattr(decision, "latency_s", 0.0)
+                    latency = decision.latency_s
                     if latency:
                         self.deadline.charge(latency)
                         if stage_deadline is not None:
                             stage_deadline.charge(latency)
                     self._check(stage, stage_deadline)
-                    error = getattr(decision, "error", None)
-                    if error is not None:
-                        raise error
+                    if decision.error is not None:
+                        raise decision.error
                 else:
                     self._check(stage, stage_deadline)
                 return fn()

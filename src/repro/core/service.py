@@ -46,9 +46,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.governance import AdmissionVerdict
 from repro.core.journal import AdmissionDecision as JournalAdmissionDecision
-from repro.core.journal import QueryServed
+from repro.core.journal import QueryServed, RetryCharge
 from repro.core.ledger import TenantBill
 from repro.core.planning import Planned
+from repro.core.resilience import StageGuard
 from repro.dop.constraints import Constraint
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import DeadlineExceededError, QueryFailedError, ReproError
@@ -376,8 +377,7 @@ class Session:
         self._admit([handle], defer_ok=False)
         if not handle.denied:
             self._serve_handle(handle)
-            self.warehouse._maybe_autotune()
-            self.warehouse._maybe_collect()
+            self.warehouse._between_batches()
         return handle
 
     def submit_many(
@@ -427,8 +427,7 @@ class Session:
         # Recurring tuning runs *between* batches (policy cadence), never
         # while scheduler threads are staging over the shared caches;
         # scheduled cost collection follows the same contract.
-        self.warehouse._maybe_autotune()
-        self.warehouse._maybe_collect()
+        self.warehouse._between_batches()
         return handles
 
     def plan(
@@ -581,7 +580,7 @@ class Session:
         warehouse = self.warehouse
         request = handle.request
         assert request.constraint is not None  # resolved at submission
-        guard = warehouse._stage_guard(request.tenant)
+        guard = _request_guard(warehouse, request.tenant)
 
         def on_bound(_bound: "BoundQuery") -> None:
             handle._advance(QueryState.BOUND, "bind")
@@ -730,6 +729,36 @@ def _wrap_failure(handle: QueryHandle, exc: Exception) -> QueryFailedError:
         # anything else, the handle's lifecycle state at failure time
         # is the best picklable locator we have.
         stage=getattr(exc, "stage", None) or handle.state.value,
+    )
+
+
+def _request_guard(
+    warehouse: "CostIntelligentWarehouse", tenant: str | None
+) -> StageGuard:
+    """One request's :class:`~repro.core.resilience.StageGuard`.
+
+    The retry allowance is budget-aware: every step the tenant's current
+    admission verdict (a lock-free peek, never counted) sits past
+    ``ADMIT`` in :class:`AdmissionVerdict` costs one attempt, and each
+    retry's modeled compute is committed to the tenant's bill as a
+    :class:`~repro.core.journal.RetryCharge`.
+    """
+    policy = warehouse.resilience
+    attempts = policy.retry.max_attempts
+    if tenant is not None and warehouse.admission.active:
+        verdict = warehouse.admission.peek(tenant, warehouse.billing.get(tenant))
+        attempts = policy.retry.attempts_for(list(AdmissionVerdict).index(verdict))
+
+    def charge(dollars: float) -> None:
+        if tenant is not None and dollars > 0.0:
+            warehouse.ledger.commit(RetryCharge(tenant=tenant, dollars=dollars))
+
+    return StageGuard(
+        policy,
+        attempts=attempts,
+        faults=warehouse.fault_port,
+        charge_retry=charge,
+        stats=warehouse.resilience_stats,
     )
 
 

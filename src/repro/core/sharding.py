@@ -427,7 +427,7 @@ class PlannerWorkerPool:
         self._outstanding[index].append(task)
         self._send(index, task)
         self.tasks_dispatched += 1
-        decision = self.warehouse._fault_decision("worker_crash")
+        decision = self.warehouse.fault_port.decide("worker_crash")
         if decision is not None and decision.error is not None:
             self.injected_kills += 1
             self.kill_worker(index)

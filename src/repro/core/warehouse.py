@@ -37,23 +37,22 @@ from repro.catalog.catalog import Catalog
 from repro.core.bioptimizer import PlanChoice
 from repro.core.governance import (
     AdmissionController,
-    AdmissionVerdict,
     RetentionPolicy,
     TemplateFrequencyProvider,
     TenantBudget,
     make_retention_policy,
     rank_by_forecast,
 )
-from repro.core.journal import RetryCharge, WriteAheadJournal
+from repro.core.journal import WriteAheadJournal
 from repro.core.ledger import Ledger
 from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
 from repro.core.planning import PlanningPipeline
 from repro.core.recovery import RecoveryReport, recover_warehouse
 from repro.core.resilience import (
     CircuitBreaker,
+    FaultPort,
     ResiliencePolicy,
     ResilienceStats,
-    StageGuard,
 )
 from repro.core.service import Session
 from repro.sql.parameterize import parameterize_sql
@@ -71,17 +70,6 @@ from repro.sim.distsim import DistributedSimulator, ScalingPolicy, SimConfig, Si
 from repro.sql.binder import BoundQuery
 from repro.statsvc.logs import QueryLogStore
 from repro.tuning.service import TuningPolicy, TuningService
-
-#: Admission verdict -> retry-pressure ordinal: each escalation step a
-#: tenant's spend has climbed costs one retry attempt (see
-#: :meth:`repro.core.resilience.RetryPolicy.attempts_for`).
-_RETRY_PRESSURE = {
-    AdmissionVerdict.ADMIT: 0,
-    AdmissionVerdict.THROTTLE: 1,
-    AdmissionVerdict.DEFER: 2,
-    AdmissionVerdict.DENY: 3,
-}
-
 
 class CostIntelligentWarehouse:
     """The user-facing cost-intelligent warehouse service."""
@@ -120,14 +108,13 @@ class CostIntelligentWarehouse:
         #: ``tuning_policy`` configures cadence / budgets / auto-apply.
         self.tuning_policy = tuning_policy
         self._tuning: TuningService | None = None
-        #: Failure-domain hardening (see :mod:`repro.core.resilience`).
-        #: The policy configures per-stage retries/deadlines and the
-        #: degraded-mode fallback.  ``faults`` holds the active
-        #: :class:`~repro.testing.faults.FaultPlan` (``None`` outside
-        #: chaos testing — see :meth:`inject_faults`).
+        #: Failure-domain hardening (see :mod:`repro.core.resilience`):
+        #: the policy configures per-stage retries/deadlines and the
+        #: degraded-mode fallback; every fault point draws through the
+        #: one port (see :meth:`inject_faults`).
         self.resilience = resilience or ResiliencePolicy()
         self.resilience_stats = ResilienceStats()
-        self.faults = None
+        self.fault_port = FaultPort()
         #: Breaker around the Statistics Service forecaster: while OPEN,
         #: forecast refreshes are skipped and cost-aware retention
         #: scores degrade to plain LRU instead of stalling serving.
@@ -144,7 +131,7 @@ class CostIntelligentWarehouse:
         self.frequency = TemplateFrequencyProvider(
             self.logs,
             breaker=self.statsvc_breaker,
-            fault_hook=lambda: self._fire_fault("statsvc"),
+            faults=self.fault_port,
         )
         self.admission = AdmissionController(tenant_budgets)
         self.retention_policy_name = (
@@ -160,7 +147,7 @@ class CostIntelligentWarehouse:
             self.logs,
             journal=journal,
             admission=self.admission,
-            fire_fault=self._fire_fault,
+            faults=self.fault_port,
             # Only a non-LRU retention policy reads the forecasts
             # this feeds.
             note_template=(
@@ -296,14 +283,6 @@ class CostIntelligentWarehouse:
         """The active planner worker pool, or ``None``."""
         return self._worker_pool
 
-    def _maybe_collect(self) -> None:
-        """Serving-layer hook mirroring :meth:`_maybe_autotune`: take a
-        scheduled cost snapshot when the collection policy is due."""
-        collector = self.collector
-        if collector.policy is None or not collector.policy.recurring:
-            return
-        collector.maybe_collect()
-
     # ------------------------------------------------------------------ #
     # Sessions / query path
     # ------------------------------------------------------------------ #
@@ -360,62 +339,16 @@ class CostIntelligentWarehouse:
     # Resilience / fault injection
     # ------------------------------------------------------------------ #
     def inject_faults(self, plan) -> None:
-        """Install (or clear, with ``None``) a deterministic fault plan.
+        """Install (or clear, with ``None``) a deterministic
+        :class:`~repro.testing.faults.FaultPlan` on the fault port: every
+        fault and crash point draws from it live (see
+        :class:`~repro.core.resilience.FaultPort`)."""
+        self.fault_port.plan = plan
 
-        ``plan`` is a :class:`~repro.testing.faults.FaultPlan`; the
-        named fault points (``bind``, ``optimize``, ``simulate``,
-        ``statsvc``, ``tuning_apply``, and — under sharded serving —
-        ``worker_crash``) consult it live, so a plan can be
-        swapped mid-workload to model an outage starting or ending.  The
-        three *crash* points (``crash_pre_write``, ``crash_post_write``,
-        ``crash_pre_commit`` — see
-        :data:`~repro.testing.faults.CRASH_POINTS`) consult it too: they
-        sever the process at journal-record boundaries for the
-        kill-point recovery harness, raising
-        :class:`~repro.testing.faults.SimulatedCrashError` (a
-        ``BaseException`` no serving-layer handler swallows).
-        """
-        self.faults = plan
-
-    def _fault_decision(self, point: str):
-        plan = self.faults
-        if plan is None:
-            return None
-        return plan.draw(point)
-
-    def _fire_fault(self, point: str) -> None:
-        """Raise the injected error for ``point``, if one fires (hook
-        for non-staged fault points: ``statsvc``, ``tuning_apply``)."""
-        decision = self._fault_decision(point)
-        if decision is not None and decision.error is not None:
-            raise decision.error
-
-    def _stage_guard(self, tenant: str | None) -> StageGuard:
-        """One per-request :class:`~repro.core.resilience.StageGuard`.
-
-        The retry allowance is budget-aware: the tenant's current
-        admission verdict (a lock-free peek — advisory, never counted)
-        maps to a pressure ordinal that shrinks the attempts a near-DENY
-        tenant may burn.
-        """
-        policy = self.resilience
-        attempts = policy.retry.max_attempts
-        if tenant is not None and self.admission.active:
-            verdict = self.admission.peek(tenant, self.billing.get(tenant))
-            attempts = policy.retry.attempts_for(_RETRY_PRESSURE[verdict])
-
-        def charge(dollars: float) -> None:
-            """Meter one retry's modeled compute into the tenant's bill."""
-            if tenant is not None and dollars > 0.0:
-                self.ledger.commit(RetryCharge(tenant=tenant, dollars=dollars))
-
-        return StageGuard(
-            policy,
-            attempts=attempts,
-            fault_decision=self._fault_decision,
-            charge_retry=charge,
-            stats=self.resilience_stats,
-        )
+    @property
+    def faults(self):
+        """The installed fault plan, or ``None``."""
+        return self.fault_port.plan
 
     # ------------------------------------------------------------------ #
     # Ledger views: state, journal, checkpoint / recover
@@ -649,14 +582,14 @@ class CostIntelligentWarehouse:
             self._tuning = TuningService(self, self.tuning_policy)
         return self._tuning
 
-    def _maybe_autotune(self) -> None:
-        """Serving-layer hook: run a tuning cycle when the policy is due.
-
-        Called between batches by :class:`~repro.core.service.Session` /
-        :class:`~repro.core.service.ServingScheduler`; a no-op unless a
-        recurring :class:`~repro.tuning.service.TuningPolicy` is set.
-        """
+    def _between_batches(self) -> None:
+        """Serving-layer hook, run by :class:`~repro.core.service.Session`
+        after every submission: a tuning cycle when a recurring
+        :class:`~repro.tuning.service.TuningPolicy` is due, then a cost
+        snapshot when a recurring collection policy is due."""
         policy = self._tuning.policy if self._tuning is not None else self.tuning_policy
-        if policy is None or not policy.recurring:
-            return
-        self.tuning.maybe_run_cycle()
+        if policy is not None and policy.recurring:
+            self.tuning.maybe_run_cycle()
+        collection = self.collector.policy
+        if collection is not None and collection.recurring:
+            self.collector.maybe_collect()

@@ -10,8 +10,8 @@ without cycles):
   metric the warehouse emits is declared once in
   :data:`~repro.obsvc.metrics.REGISTERED_METRICS`; emissions against
   undeclared names fail at runtime (``MetricNameError``) *and* at lint
-  time (the ``metric-name`` analysis rule).  Owned counters /
-  gauges / histograms capture serving events; **sourced** read-through
+  time (the ``metric-name`` analysis rule).  Owned counters and
+  histograms capture serving events; **sourced** read-through
   views expose the subsystems that already keep authoritative state
   (the three plan-cache levels, admission verdicts, resilience stats,
   breakers, tuning, the journal) without double-counting.  All dollar

@@ -2,7 +2,7 @@
 
 :class:`SnapshotCollector` is to the cost history what
 :class:`~repro.tuning.service.TuningService` is to auto-tuning: the
-serving layer pings ``warehouse._maybe_collect()`` after every
+serving layer pings ``warehouse._between_batches()`` after every
 submit/batch, and a snapshot is taken when the configured
 :class:`CollectionPolicy` cadence has elapsed — counted in **queries**
 (log length, an O(1) check) or **virtual seconds** (the warehouse

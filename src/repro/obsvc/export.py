@@ -63,7 +63,6 @@ def _histogram_lines(sample: Sample) -> list[str]:
 #: Registry kind -> Prometheus TYPE.
 _PROM_TYPES = {
     "counter": "counter",
-    "gauge": "gauge",
     "histogram": "histogram",
     "source": "gauge",
 }

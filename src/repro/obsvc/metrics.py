@@ -3,7 +3,7 @@ metric the warehouse emits.
 
 Two kinds of instruments live here:
 
-- **Owned** counters / gauges / histograms, incremented by the serving
+- **Owned** counters / histograms, incremented by the serving
   path at event time (a query finalizing, an admission denial, a cost
   snapshot landing).  All dollar-valued owned metrics accumulate in
   integral :data:`~repro.util.units.LEDGER_SCALE` units — never float
@@ -64,7 +64,7 @@ LATENCY_BUCKETS: tuple[float, ...] = (
 class MetricSpec:
     """Declaration of one metric: kind, help text, and label names."""
 
-    kind: str  # "counter" | "gauge" | "histogram" | "source"
+    kind: str  # "counter" | "histogram" | "source"
     help: str
     labels: tuple[str, ...] = ()
     buckets: tuple[float, ...] = field(default=())
@@ -72,7 +72,7 @@ class MetricSpec:
     read: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("counter", "gauge", "histogram", "source"):
+        if self.kind not in ("counter", "histogram", "source"):
             raise MetricNameError(f"unknown metric kind {self.kind!r}")
         if self.kind == "histogram" and not self.buckets:
             raise MetricNameError("histogram metrics must declare buckets")
@@ -422,7 +422,6 @@ class MetricsRegistry:
     def __init__(self, warehouse=None) -> None:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, tuple[str, ...]], int] = {}
-        self._gauges: dict[tuple[str, tuple[str, ...]], float] = {}
         self._histograms: dict[tuple[str, tuple[str, ...]], _Histogram] = {}
         self._sources: dict[str, object] = {}  # name -> provider callable
         if warehouse is not None:
@@ -471,13 +470,6 @@ class MetricsRegistry:
             key = (name, values)
             self._counters[key] = self._counters.get(key, 0) + amount
 
-    def gauge(self, name: str, value: float, **labels: str) -> None:
-        """Set an owned gauge to an absolute value."""
-        spec = self._spec(name, "gauge")
-        values = self._label_values(spec, name, labels)
-        with self._lock:
-            self._gauges[(name, values)] = value
-
     def histogram(self, name: str, value: float, **labels: str) -> None:
         """Observe one value into an owned fixed-bucket histogram."""
         spec = self._spec(name, "histogram")
@@ -513,9 +505,6 @@ class MetricsRegistry:
         if spec.kind == "counter":
             with self._lock:
                 return self._counters.get((name, values), 0)
-        if spec.kind == "gauge":
-            with self._lock:
-                return self._gauges.get((name, values), 0.0)
         if spec.kind == "histogram":
             with self._lock:
                 hist = self._histograms.get((name, values))
@@ -546,15 +535,12 @@ class MetricsRegistry:
         samples: list[Sample] = []
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = {
                 key: hist.snapshot() for key, hist in self._histograms.items()
             }
             sources = dict(self._sources)
         for (name, values), count in counters.items():
             samples.append(self._sample(name, values, count))
-        for (name, values), value in gauges.items():
-            samples.append(self._sample(name, values, value))
         for (name, values), snap in histograms.items():
             samples.append(self._sample(name, values, snap))
         for name, provider in sources.items():
@@ -585,5 +571,4 @@ class MetricsRegistry:
         (their owners reset their own state)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()

@@ -6,23 +6,27 @@ work from contending with foreground queries (the §4 argument for why
 auto-tuning is more solvable in the cloud); its spend is metered in a
 ledger so experiments can report foreground vs background dollars.
 
-Every ``apply_*`` method captures, *before* mutating anything, an
-:class:`~repro.core.journal.UndoSnapshot` — plain data saying exactly
-how to physically reverse the action (and what that reversal will
-cost) — and returns it; :meth:`BackgroundComputeService.rollback`
-executes one.  The :class:`~repro.tuning.service.TuningService`
-journals the snapshot ahead of the mutation and holds it on the applied
-:class:`~repro.tuning.service.Recommendation`, so tuning actions stay
-revisitable as the workload drifts instead of being fire-and-forget.
+Before anything mutates, :meth:`BackgroundComputeService.capture_undo`
+builds an :class:`~repro.core.journal.UndoSnapshot` — plain data saying
+exactly how to physically reverse the action (and what that reversal
+will cost).  The :class:`~repro.tuning.service.TuningService` journals
+that snapshot ahead of the mutation, hands the same snapshot to the
+``apply_*`` method (which reads the physical flag and, for a recluster,
+the prior stored table from it) and holds it on the applied
+:class:`~repro.tuning.service.Recommendation`;
+:meth:`BackgroundComputeService.rollback` executes it.  Tuning actions
+stay revisitable as the workload drifts instead of being
+fire-and-forget.  Every job first fires the ``tuning_apply`` fault
+point through the warehouse's :class:`~repro.core.resilience.FaultPort`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.catalog.catalog import Catalog
 from repro.core.journal import UndoSnapshot
+from repro.core.resilience import FaultPort
 from repro.engine.database import Database
 from repro.engine.local_executor import LocalExecutor
 from repro.errors import TuningError
@@ -60,14 +64,12 @@ class BackgroundComputeService:
     #: :class:`~repro.tuning.service.TuningService` passes the ledger's
     #: own list here so this stays the place to read background spend.
     ledger: list[LedgerEntry] = field(default_factory=list)
-    #: The ``tuning_apply`` fault-injection point: runs before any job
-    #: (apply or rollback) mutates state, so an injected failure models
-    #: background compute dying *before* the action landed — nothing is
-    #: half-applied.  Wired by
-    #: :class:`~repro.tuning.service.TuningService` to the warehouse's
-    #: active :class:`~repro.testing.faults.FaultPlan`; ``None`` outside
-    #: chaos testing.
-    fault_hook: Callable[[], None] | None = None
+    #: Fires the ``tuning_apply`` fault point before any job (apply or
+    #: rollback) mutates state, so an injected failure models background
+    #: compute dying *before* the action landed — nothing is
+    #: half-applied.  The :class:`~repro.tuning.service.TuningService`
+    #: passes the warehouse's port.
+    faults: FaultPort = field(default_factory=FaultPort)
 
     def __post_init__(self) -> None:
         if self.database is None and self.catalog is None:
@@ -80,10 +82,6 @@ class BackgroundComputeService:
         return sum(e.dollars for e in self.ledger)
 
     # ------------------------------------------------------------------ #
-    def _fire_fault(self) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook()
-
     def capture_undo(
         self, candidate: "MVCandidate | ReclusterCandidate", report: TuningReport
     ) -> UndoSnapshot:
@@ -113,15 +111,14 @@ class BackgroundComputeService:
             prior_stored=database.stored_table(candidate.table) if physical else None,
         )
 
-    def apply_mv(self, candidate: MVCandidate, report: TuningReport) -> UndoSnapshot:
-        """Materialize an accepted MV (physically when data is present)."""
-        self._fire_fault()
-        undo = self.capture_undo(candidate, report)
+    def apply_mv(self, candidate: MVCandidate, undo: UndoSnapshot) -> None:
+        """Materialize an accepted MV (physically when data is present);
+        ``undo`` is the snapshot :meth:`capture_undo` took for it."""
+        self.faults.fire("tuning_apply")
         if undo.physical:
             self._materialize_mv(candidate)
         else:
             register_hypothetical_mv(self.catalog, candidate, self.catalog)
-        return undo
 
     def _materialize_mv(self, candidate: MVCandidate) -> None:
         assert self.database is not None
@@ -144,11 +141,11 @@ class BackgroundComputeService:
 
     # ------------------------------------------------------------------ #
     def apply_recluster(
-        self, candidate: ReclusterCandidate, report: TuningReport
-    ) -> UndoSnapshot:
-        """Physically re-sort the table (or update the overlay stats)."""
-        self._fire_fault()
-        undo = self.capture_undo(candidate, report)
+        self, candidate: ReclusterCandidate, undo: UndoSnapshot
+    ) -> None:
+        """Physically re-sort the table (or update the overlay stats);
+        ``undo`` is the snapshot :meth:`capture_undo` took for it."""
+        self.faults.fire("tuning_apply")
         if undo.physical:
             self.database.replace_table_storage(
                 candidate.table, undo.prior_stored.recluster(candidate.key)
@@ -159,10 +156,9 @@ class BackgroundComputeService:
                 candidate.key,
                 improved_depth(self.catalog, candidate.table),
             )
-        return undo
 
     # ------------------------------------------------------------------ #
     def rollback(self, undo: UndoSnapshot) -> None:
         """Execute an undo snapshot."""
-        self._fire_fault()
+        self.faults.fire("tuning_apply")
         undo.apply(self.database, self.catalog)

@@ -300,7 +300,7 @@ class TuningService:
             database=warehouse.database,
             catalog=warehouse.catalog,
             ledger=warehouse.ledger.background_spend,
-            fault_hook=lambda: warehouse._fire_fault("tuning_apply"),
+            faults=warehouse.fault_port,
         )
         #: Full recommendation history, every cycle, every state.
         self.recommendations: list[Recommendation] = []
@@ -419,7 +419,7 @@ class TuningService:
         try:
             undo = self._capture_undo(action, report)
             ledger.commit(TuningIntent(**ident, undo=undo, tenant_shares=shares))
-            self._dispatch_apply(action, report)
+            self._dispatch_apply(action, undo)
         except Exception as exc:
             # Nothing mutated (dispatch is all-or-nothing before its
             # first catalog write), so the intent is closed as failed
@@ -638,7 +638,7 @@ class TuningService:
             f"no background executor for {action.kind!r} actions yet"
         )
 
-    def _dispatch_apply(self, action: TuningAction, report: TuningReport) -> None:
+    def _dispatch_apply(self, action: TuningAction, undo: UndoSnapshot) -> None:
         if isinstance(action, MaterializeView):
             name = action.candidate.name
             catalog = self.warehouse.catalog
@@ -647,9 +647,9 @@ class TuningService:
                     f"{name!r} already exists in the catalog; roll the prior "
                     "application back (or rename the candidate) first"
                 )
-            self.background.apply_mv(action.candidate, report)
+            self.background.apply_mv(action.candidate, undo)
         else:
-            self.background.apply_recluster(action.candidate, report)
+            self.background.apply_recluster(action.candidate, undo)
 
     def _tenant_shares(
         self, store: "QueryLogStore | TenantLogView", report: TuningReport

@@ -244,15 +244,25 @@ def test_stage_guard_allows_unrelated_try_and_flags_variable_receiver():
     )
     fired, _ = findings_for("stage-guard", unrelated, "src/repro/core/x.py")
     assert fired == []
-    fault_point = (
-        "def f(self):\n"
-        "    try:\n"
-        "        self._fire_fault('crash_pre_write')\n"
-        "    except BaseException:\n"
-        "        pass\n"
-    )
-    fired, _ = findings_for("stage-guard", fault_point, "src/repro/core/x.py")
-    assert len(fired) == 1
+    for call in ("self._faults.fire('crash_pre_write')", "faults.decide('bind')"):
+        fault_point = (
+            "def f(self, faults):\n"
+            "    try:\n"
+            f"        {call}\n"
+            "    except BaseException:\n"
+            "        pass\n"
+        )
+        fired, _ = findings_for("stage-guard", fault_point, "src/repro/core/x.py")
+        assert len(fired) == 1, call
+        allowed = fault_point.replace(
+            "except BaseException:", "except BaseException:  # lint-allow: stage-guard why"
+        )
+        fired, suppressed = findings_for("stage-guard", allowed, "src/repro/core/x.py")
+        assert fired == [] and len(suppressed) == 1, call
+    # the same method names on another receiver are not fault points
+    other = fault_point.replace("faults.decide('bind')", "self.rocket.fire('x')")
+    fired, _ = findings_for("stage-guard", other, "src/repro/core/x.py")
+    assert fired == []
 
 
 def test_naked_acquire_ignores_compute_pool_leases():

@@ -2,8 +2,9 @@
 
 RetryPolicy (deterministic seeded backoff, budget-aware attempts),
 Deadline (virtual time), CircuitBreaker (call-counted cooldown),
-StageGuard (retry/deadline/fault orchestration), and the picklable
-cause-chain contract on the serving errors.
+StageGuard (retry/deadline/fault orchestration), the FaultPort every
+fault point draws through, and the picklable cause-chain contract on
+the serving errors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core.resilience import (
     BreakerState,
     CircuitBreaker,
     Deadline,
+    FaultPort,
     ResiliencePolicy,
     ResilienceStats,
     RetryPolicy,
@@ -30,7 +32,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientError,
 )
-from repro.testing import FaultDecision
+from repro.testing import FaultPlan, FaultSpec, InjectedFault
 
 
 # --------------------------------------------------------------------- #
@@ -252,14 +254,28 @@ def test_guard_never_retries_deterministic_errors():
     assert guard.retries == 0
 
 
+def test_fault_port_draws_from_the_installed_plan_only():
+    port = FaultPort()
+    port.fire("statsvc")  # no plan: nothing fires, nothing is drawn
+    assert port.decide("statsvc") is None
+    plan = FaultPlan([FaultSpec(point="statsvc", error_rate=1.0, limit=1)])
+    port.plan = plan
+    with pytest.raises(InjectedFault):
+        port.fire("statsvc")
+    assert port.decide("statsvc") is None  # the limit is spent
+    assert plan.invocations == {"statsvc": 2}
+    port.plan = None  # swapped out mid-workload: the outage ends
+    port.fire("statsvc")
+    assert plan.invocations == {"statsvc": 2}
+
+
 def test_guard_injected_latency_charges_deadline():
-    decisions = iter(
-        [FaultDecision(point="optimize", invocation=0, latency_s=5.0)]
+    port = FaultPort()
+    port.plan = FaultPlan(
+        [FaultSpec(point="optimize", latency_rate=1.0, latency_s=5.0)]
     )
     policy = ResiliencePolicy(request_deadline_s=1.0)
-    guard = StageGuard(
-        policy, attempts=3, fault_decision=lambda stage: next(decisions, None)
-    )
+    guard = StageGuard(policy, attempts=3, faults=port)
     with pytest.raises(DeadlineExceededError) as excinfo:
         guard.run("optimize", lambda: "never reached")
     assert excinfo.value.stage == "optimize"

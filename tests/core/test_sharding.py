@@ -313,6 +313,56 @@ def test_injected_worker_crash_keeps_parity(threaded_baseline):
         warehouse.disable_sharding()
 
 
+def test_restart_with_an_uncollected_reply_keeps_sequential_parity(monkeypatch):
+    # One worker and every task dispatched up front: past the in-flight
+    # cap, dispatch drains the first reply (the template's freshly
+    # planned skeleton) into the pool's results, where it waits for its
+    # ordered collect.  The kill drawn at that dispatch makes the next
+    # one restart the worker while the reply is still uncollected, so
+    # the restart spec cannot have been seeded from it.
+    from repro.core import sharding
+    from tests.chaos.test_sharded_matrix import assert_same_state, observable_state
+
+    requests = [
+        QueryRequest(sql=T_JOIN.format(v=i), at_time=30.0 * i)
+        for i in range(sharding._MAX_INFLIGHT + 4)
+    ]
+    sequential = make_warehouse()
+    session = sequential.session(tenant="t1", constraint=SLA)
+    baseline = observable_state(sequential, session.submit_many(requests))
+
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                point="worker_crash",
+                error_rate=1.0,
+                after=sharding._MAX_INFLIGHT,
+                limit=1,
+            )
+        ]
+    )
+    warehouse = make_warehouse(plan)
+    warehouse.enable_sharding(workers=1)
+    try:
+        pool = warehouse.worker_pool
+        uncollected_at_restart = []
+        restart = pool._restart
+
+        def recording_restart(index):
+            uncollected_at_restart.append(len(pool._results))
+            restart(index)
+
+        monkeypatch.setattr(pool, "has_room", lambda template_key: True)
+        monkeypatch.setattr(pool, "_restart", recording_restart)
+        session = warehouse.session(tenant="t1", constraint=SLA)
+        handles = session.submit_many(requests, max_workers=4)
+        assert pool.injected_kills == 1
+        assert uncollected_at_restart and uncollected_at_restart[0] >= 1
+        assert_same_state(observable_state(warehouse, handles), baseline)
+    finally:
+        warehouse.disable_sharding()
+
+
 def test_hung_worker_takes_degraded_fallback_and_restages():
     warehouse = make_warehouse()
     warehouse.enable_sharding(workers=2, liveness_timeout_s=1.5)

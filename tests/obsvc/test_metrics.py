@@ -21,7 +21,7 @@ def test_undeclared_name_is_rejected_everywhere():
     with pytest.raises(MetricNameError):
         registry.counter("no_such_metric")
     with pytest.raises(MetricNameError):
-        registry.gauge("no_such_metric", 1.0)
+        registry.counter("no_such_metric", 1)
     with pytest.raises(MetricNameError):
         registry.histogram("no_such_metric", 1.0)
     with pytest.raises(MetricNameError):
@@ -32,9 +32,9 @@ def test_undeclared_name_is_rejected_everywhere():
 
 def test_kind_mismatch_is_rejected():
     registry = MetricsRegistry()
-    # declared counter, emitted as gauge (and vice versa)
+    # declared histogram / source, emitted as counter
     with pytest.raises(MetricNameError):
-        registry.gauge("repro_queries_served_total", 1.0, tenant="a")
+        registry.counter("repro_query_latency_seconds", tenant="a")
     with pytest.raises(MetricNameError):
         registry.counter("repro_virtual_clock_seconds")
 

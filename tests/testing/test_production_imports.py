@@ -5,6 +5,7 @@
   parity references (``repro.testing.reference``); nothing outside it (and
   outside the ``repro.analysis`` linter, which is tooling) may import it.
 - Every production module is reached by some production path.
+- Only ``core/resilience.py``'s fault port draws from a fault plan.
 - Only the ledger appends to the journal; the planner-worker modules
   never touch coordinator authority; the warehouse constructor's keyword
   surface is frozen.  (Until PR 21 these three were AST lint rules with
@@ -71,16 +72,6 @@ def test_no_production_module_imports_repro_testing():
     assert not offenders, offenders
 
 
-#: Unreached modules kept on purpose, each with why.  Their lines count
-#: against ``src/``; an entry that becomes reachable, or whose module is
-#: deleted, must leave this dict (asserted below).
-UNREACHED_ON_PURPOSE = {
-    "repro.workloads.arrivals": (
-        "arrival processes for the parked multi-tenant trace generator"
-    ),
-}
-
-
 def test_every_production_module_is_reachable():
     """Each module is imported by another production module, a benchmark
     or an example.  A package ``__init__`` re-exporting it does not
@@ -120,7 +111,22 @@ def test_every_production_module_is_reachable():
             if target != importer:
                 reached.add(target)
     unreached = sorted(set(candidates) - reached)
-    assert unreached == sorted(UNREACHED_ON_PURPOSE), unreached
+    assert unreached == [], unreached
+
+
+def test_only_the_fault_port_draws_from_a_fault_plan():
+    """Every fault and crash point goes through
+    :class:`~repro.core.resilience.FaultPort`: installing a plan reaches
+    all of them, and a seeded schedule's draws happen in one place."""
+    sites = sorted(
+        str(path.relative_to(PACKAGE_ROOT))
+        for path, tree in PRODUCTION.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "draw"
+    )
+    assert sites == ["core/resilience.py"], sites
 
 
 def test_the_thread_executor_is_the_only_thread_creator():

@@ -91,7 +91,7 @@ def test_mv_end_to_end_result_equality(tpch_db, tpch_binder, candidate):
         savings_per_hour=1.0, cost_per_hour=0.0, one_time_dollars=0.0,
     )
     background = BackgroundComputeService(database=tpch_db)
-    background.apply_mv(candidate, report)
+    background.apply_mv(candidate, background.capture_undo(candidate, report))
     try:
         executor = LocalExecutor(tpch_db)
         planner = DagPlanner(tpch_db.catalog)

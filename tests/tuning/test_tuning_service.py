@@ -373,7 +373,7 @@ def test_background_failures_do_not_fail_foreground_serving(monkeypatch):
         catalog=synthetic_tpch_catalog(1.0), tuning_policy=policy
     )
 
-    def broken_apply(candidate, report):
+    def broken_apply(candidate, undo):
         raise CatalogError("simulated engine failure during materialization")
 
     monkeypatch.setattr(wh.tuning.background, "apply_mv", broken_apply)

@@ -1,15 +1,10 @@
-"""Workload substrate: data generation, templates, ad-hoc, arrivals."""
+"""Workload substrate: data generation, templates, ad-hoc."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.adhoc import AdhocQueryGenerator
-from repro.workloads.arrivals import (
-    PeriodicArrivals,
-    PoissonArrivals,
-    merge_arrivals,
-)
 from repro.workloads.tpch_data import generate_tpch
 from repro.workloads.tpch_queries import QUERY_TEMPLATES, instantiate
 from repro.workloads.tpch_schema import BASE_ROW_COUNTS, TPCH_SCHEMAS
@@ -90,39 +85,3 @@ def test_synthetic_catalog_clustering():
 def test_synthetic_catalog_all_schemas_present():
     catalog = synthetic_tpch_catalog(0.1)
     assert set(catalog.table_names) == set(TPCH_SCHEMAS)
-
-
-def test_poisson_arrivals_rate():
-    process = PoissonArrivals("t", rate_per_hour=60.0, seed=4)
-    arrivals = list(process.arrivals(36_000.0))  # 10 hours
-    assert len(arrivals) == pytest.approx(600, rel=0.2)
-    times = [a.time for a in arrivals]
-    assert times == sorted(times)
-
-
-def test_periodic_arrivals_spacing():
-    process = PeriodicArrivals("t", period_s=600.0, offset_s=60.0)
-    arrivals = list(process.arrivals(3600.0))
-    assert len(arrivals) == 6
-    gaps = np.diff([a.time for a in arrivals])
-    assert np.allclose(gaps, 600.0)
-
-
-def test_merge_arrivals_sorted():
-    merged = merge_arrivals(
-        [
-            PoissonArrivals("a", 30.0, seed=1),
-            PeriodicArrivals("b", 900.0),
-        ],
-        horizon=7200.0,
-    )
-    times = [a.time for a in merged]
-    assert times == sorted(times)
-    assert {a.template for a in merged} == {"a", "b"}
-
-
-def test_invalid_arrival_parameters():
-    with pytest.raises(WorkloadError):
-        PoissonArrivals("t", rate_per_hour=0.0)
-    with pytest.raises(WorkloadError):
-        PeriodicArrivals("t", period_s=-1.0)
