@@ -56,13 +56,9 @@ The justification is mandatory; a ``lint-allow`` comment naming only
 the rule does not suppress and raises a ``suppression-format`` finding
 instead.
 
-**Baseline policy.**  ``baseline.json`` (next to this file) holds
-grandfathered findings from before a rule existed, each with a
-mandatory one-line justification.  Entries match on a hash of
-rule + path + stripped source line, so they survive unrelated edits
-but die with the offending line — fix the code and the entry goes
-stale (reported as a warning; delete it).  New code never goes in the
-baseline: suppress inline with a reason or fix it.
+**No baseline.**  There is no file of grandfathered findings: a
+finding is either fixed or suppressed on its own line with a reason,
+so every exception is visible where it is made.
 
 The runtime counterpart to this static lint is the lock-order
 sanitizer in :mod:`repro.testing.locks`, which checks the one contract
@@ -72,8 +68,6 @@ an AST cannot see: a cycle-free lock acquisition order across threads.
 from repro.analysis import rules as rules  # registers the rule set
 from repro.analysis.engine import (
     RULES,
-    Baseline,
-    BaselineEntry,
     Finding,
     ModuleSource,
     Report,
@@ -86,8 +80,6 @@ from repro.analysis.engine import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ModuleSource",
     "RULES",

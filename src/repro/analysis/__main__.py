@@ -1,8 +1,8 @@
 """CLI: ``python -m repro.analysis [paths...] [options]``.
 
-Exit codes: 0 clean (or advisory mode), 1 unbaselined findings under
-``--strict``, 2 usage error.  ``--json`` emits the machine-readable
-report (the CI lint job archives it); the default output is one
+Exit codes: 0 clean (or advisory mode), 1 findings under ``--strict``,
+2 usage error.  ``--json`` emits the machine-readable report (the CI
+lint job archives it); the default output is one
 ``path:line: [rule] message`` line per finding.
 """
 
@@ -11,12 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.analysis import rules as _rules  # noqa: F401  (registers rules)
-from repro.analysis.engine import RULES, Baseline, analyze_paths
-
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
+from repro.analysis.engine import RULES, analyze_paths
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -33,19 +30,13 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit 1 on any unbaselined finding (CI mode)",
+        help="exit 1 on any finding (CI mode)",
     )
     parser.add_argument(
         "--json",
         action="store_true",
         dest="as_json",
         help="emit the machine-readable report on stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help=f"baseline file (default: {DEFAULT_BASELINE})",
     )
     parser.add_argument(
         "--list-rules",
@@ -60,9 +51,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     try:
-        baseline = Baseline.load(args.baseline)
-        report = analyze_paths(args.paths, baseline=baseline)
-    except (FileNotFoundError, ValueError) as exc:
+        report = analyze_paths(args.paths)
+    except FileNotFoundError as exc:
         parser.exit(2, f"error: {exc}\n")
 
     if args.as_json:
@@ -70,16 +60,9 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         for finding in report.findings:
             print(finding.render())
-        for entry in report.stale_baseline:
-            print(
-                f"warning: stale baseline entry {entry.rule} at {entry.path} "
-                f"({entry.fingerprint}) no longer matches anything; remove it",
-                file=sys.stderr,
-            )
         print(
             f"{len(report.findings)} finding(s) in {report.files_checked} "
-            f"file(s) ({len(report.baselined)} baselined, "
-            f"{len(report.suppressed)} suppressed)",
+            f"file(s) ({len(report.suppressed)} suppressed)",
             file=sys.stderr,
         )
     if args.strict and report.findings:

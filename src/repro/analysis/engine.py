@@ -1,5 +1,5 @@
 """Engine of the repo lint: module model, rule registry, suppressions,
-baseline, and the path walker.
+and the path walker.
 
 The engine is deliberately small and dependency-free (stdlib ``ast``
 only).  It knows nothing about the repo's invariants — those live in
@@ -11,14 +11,9 @@ only).  It knows nothing about the repo's invariants — those live in
 - :class:`Rule` + :func:`register` — the rule registry.  A rule is a
   class with a ``rule_id``, a ``description``, an ``applies_to(module)``
   scope predicate, and a ``check(module)`` generator of findings;
-- :class:`Finding` — one violation, with a line-number-independent
-  ``fingerprint`` (hash of rule + path + stripped source line) so
-  baseline entries survive unrelated edits above them;
-- :class:`Baseline` — the grandfathered-findings file.  Every entry
-  must carry a non-empty justification; matching findings are reported
-  separately and do not fail ``--strict``;
+- :class:`Finding` — one violation at one source line;
 - :func:`check_module` / :func:`analyze_paths` — run the registry over
-  one module or a path tree and fold in suppressions and the baseline.
+  one module or a path tree and fold in suppressions.
 
 Suppressions are per line: ``# lint-allow: <rule-id> <justification>``
 on the offending line.  A justification is mandatory — a
@@ -30,16 +25,12 @@ cannot accrete.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ModuleSource",
     "Report",
@@ -60,12 +51,12 @@ _SUPPRESS_RE = re.compile(
 
 
 def normalize_path(path: "Path | str") -> str:
-    """Stable repo-relative posix path for fingerprints.
+    """Stable repo-relative posix path for rule scoping and reports.
 
     ``/anything/src/repro/core/x.py`` -> ``repro/core/x.py`` and
     ``/anything/tests/core/test_x.py`` -> ``tests/core/test_x.py``, so
-    fingerprints do not depend on the checkout location or the CLI's
-    working directory.
+    classification does not depend on the checkout location or the
+    CLI's working directory.
     """
     parts = Path(path).as_posix().split("/")
     for anchor in ("repro", "tests"):
@@ -97,13 +88,6 @@ class Finding:
     path: str  # normalized (see normalize_path)
     line: int
     message: str
-    line_text: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline."""
-        payload = f"{self.rule}\0{self.path}\0{self.line_text.strip()}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_json(self) -> dict:
         return {
@@ -111,7 +95,6 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:
@@ -125,12 +108,11 @@ class ModuleSource:
         self.path = Path(path)
         self.norm = normalize_path(path)
         self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
         # line -> {rule_id: justification}; None justification means the
         # comment was malformed (missing reason) and must not suppress.
         self.suppressions: dict[int, dict[str, str | None]] = {}
-        for lineno, text in enumerate(self.lines, start=1):
+        for lineno, text in enumerate(source.splitlines(), start=1):
             match = _SUPPRESS_RE.search(text)
             if match:
                 self.suppressions.setdefault(lineno, {})[
@@ -157,11 +139,6 @@ class ModuleSource:
     @property
     def is_tests(self) -> bool:
         return self.norm.split("/")[0] == "tests"
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
     def suppression_for(self, rule_id: str, lineno: int) -> str | None:
         """The justification if *lineno* carries a valid suppression."""
@@ -199,7 +176,6 @@ class Rule:
             path=module.norm,
             line=lineno,
             message=message,
-            line_text=module.line_text(lineno),
         )
 
 
@@ -218,96 +194,14 @@ def register(cls: type) -> type:
 
 
 # --------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BaselineEntry:
-    rule: str
-    path: str
-    fingerprint: str
-    justification: str
-
-    def matches(self, finding: Finding) -> bool:
-        return (
-            self.rule == finding.rule
-            and self.path == finding.path
-            and self.fingerprint == finding.fingerprint
-        )
-
-
-class Baseline:
-    """Grandfathered findings, each with a mandatory justification."""
-
-    VERSION = 1
-
-    def __init__(self, entries: Iterable[BaselineEntry] = ()) -> None:
-        self.entries: list[BaselineEntry] = list(entries)
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "Baseline":
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported baseline version {payload.get('version')!r} "
-                f"in {path}"
-            )
-        entries = []
-        for raw in payload.get("findings", []):
-            justification = str(raw.get("justification", "")).strip()
-            if not justification:
-                raise ValueError(
-                    f"baseline entry {raw.get('rule')}:{raw.get('path')} in "
-                    f"{path} has no justification; every grandfathered "
-                    "finding must say why it is kept"
-                )
-            entries.append(
-                BaselineEntry(
-                    rule=str(raw["rule"]),
-                    path=str(raw["path"]),
-                    fingerprint=str(raw["fingerprint"]),
-                    justification=justification,
-                )
-            )
-        return cls(entries)
-
-    def save(self, path: "Path | str") -> None:
-        payload = {
-            "version": self.VERSION,
-            "findings": [
-                {
-                    "rule": e.rule,
-                    "path": e.path,
-                    "fingerprint": e.fingerprint,
-                    "justification": e.justification,
-                }
-                for e in self.entries
-            ],
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-
-    def match(self, finding: Finding) -> BaselineEntry | None:
-        for entry in self.entries:
-            if entry.matches(finding):
-                return entry
-        return None
-
-
-# --------------------------------------------------------------------- #
 # Running
 # --------------------------------------------------------------------- #
 @dataclass
 class Report:
     """Outcome of one analysis run."""
 
-    findings: list[Finding]  # active: not suppressed, not baselined
+    findings: list[Finding]  # active: not suppressed
     suppressed: list[tuple[Finding, str]]  # (finding, justification)
-    baselined: list[tuple[Finding, BaselineEntry]]
-    stale_baseline: list[BaselineEntry]  # entries that matched nothing
     files_checked: int = 0
 
     @property
@@ -319,11 +213,6 @@ class Report:
             "files_checked": self.files_checked,
             "findings": [f.to_json() for f in self.findings],
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
-            "stale_baseline": [
-                {"rule": e.rule, "path": e.path, "fingerprint": e.fingerprint}
-                for e in self.stale_baseline
-            ],
         }
 
 
@@ -332,11 +221,9 @@ def check_module(
 ) -> tuple[list[Finding], list[tuple[Finding, str]]]:
     """Run the registry over one module.
 
-    Returns ``(active, suppressed)``; the baseline is applied by the
-    caller (:func:`analyze_paths`) because it is a repo-level artifact.
-    Malformed suppression comments (no justification) surface as
-    ``suppression-format`` findings, which cannot themselves be
-    suppressed.
+    Returns ``(active, suppressed)``.  Malformed suppression comments
+    (no justification) surface as ``suppression-format`` findings, which
+    cannot themselves be suppressed.
     """
     active: list[Finding] = []
     suppressed: list[tuple[Finding, str]] = []
@@ -362,7 +249,6 @@ def check_module(
                             "justification; write '# lint-allow: "
                             f"{rule_id} <why>'"
                         ),
-                        line_text=module.line_text(lineno),
                     )
                 )
     active.sort(key=lambda f: (f.path, f.line, f.rule))
@@ -390,18 +276,13 @@ def iter_python_files(paths: Iterable["Path | str"]) -> list[Path]:
 
 
 def analyze_paths(
-    paths: Iterable["Path | str"],
-    baseline: "Baseline | None" = None,
-    rules: "Iterable[Rule] | None" = None,
+    paths: Iterable["Path | str"], rules: "Iterable[Rule] | None" = None
 ) -> Report:
-    """Run the registry over every ``*.py`` under *paths* and fold in
-    the baseline.  A file that fails to parse becomes a ``parse-error``
-    finding rather than aborting the run."""
-    baseline = baseline or Baseline()
+    """Run the registry over every ``*.py`` under *paths*.  A file that
+    fails to parse becomes a ``parse-error`` finding rather than
+    aborting the run."""
     active: list[Finding] = []
     suppressed: list[tuple[Finding, str]] = []
-    baselined: list[tuple[Finding, BaselineEntry]] = []
-    matched_entries: set[int] = set()
     files = iter_python_files(paths)
     for file_path in files:
         try:
@@ -419,20 +300,7 @@ def analyze_paths(
             )
             continue
         module_active, module_suppressed = check_module(module, rules)
+        active.extend(module_active)
         suppressed.extend(module_suppressed)
-        for finding in module_active:
-            entry = baseline.match(finding)
-            if entry is not None:
-                baselined.append((finding, entry))
-                matched_entries.add(id(entry))
-            else:
-                active.append(finding)
-    stale = [e for e in baseline.entries if id(e) not in matched_entries]
     active.sort(key=lambda f: (f.path, f.line, f.rule))
-    return Report(
-        findings=active,
-        suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
-        files_checked=len(files),
-    )
+    return Report(findings=active, suppressed=suppressed, files_checked=len(files))

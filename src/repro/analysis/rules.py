@@ -287,7 +287,7 @@ class StageGuardRule(Rule):
     charging, and typed error translation.  An ad-hoc broad
     ``try/except`` around a fault point — a guarded stage's ``run`` or a
     :class:`~repro.core.resilience.FaultPort`'s ``fire`` / ``decide`` —
-    double-retries, hides ``InjectedFault`` from the chaos matrix, or
+    double-retries, hides ``InjectedFault`` from the chaos suite, or
     eats the typed errors the degraded path keys on.  Narrow typed
     catches (e.g. the sanctioned ``DeadlineExceededError`` degraded
     fallback) stay legal.

@@ -127,7 +127,7 @@ effect — admission, billing, statistics logs, journal appends,
 simulation — happens at the coordinator's ordered finalize, so sharded
 output is bit-identical to the threaded and sequential paths (plans,
 logs, ledger bills, admission verdicts — enforced by the sharded
-parity matrix).  Crashed workers (including the seeded
+chaos histories).  Crashed workers (including the seeded
 ``worker_crash`` fault point) restart warm with their in-flight tasks
 re-staged exactly-once; an unresponsive worker surfaces as an
 ``optimize`` deadline and takes the degraded fallback above.  An
@@ -144,7 +144,7 @@ ledger module appends to the journal, that only the fault port draws
 from a fault plan, worker isolation, and the frozen warehouse
 constructor surface; the lock-order sanitizer
 (:mod:`repro.testing.locks`) checks the runtime complement, a
-cycle-free lock acquisition order, across the chaos matrix.
+cycle-free lock acquisition order, across the chaos histories.
 """
 
 from repro.core.bioptimizer import BiObjectiveOptimizer, PlanChoice

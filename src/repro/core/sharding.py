@@ -49,7 +49,7 @@ workers — so a seeded :class:`~repro.testing.faults.FaultPlan` kills the
 same worker at the same dispatch boundary in every run, regardless of
 worker timing.  Planning itself is a pure function of (catalog,
 hardware, query, constraint), so sharded output is bit-identical to the
-threaded and sequential paths — enforced by the sharded parity matrix.
+threaded and sequential paths — enforced by the sharded chaos histories.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ The navigator is a pure view over one
 integral partition of the level above (ledger units, never floats), so
 ``sum(operators) == sum(pipelines) == sum(templates) == tenant total``
 holds **bitwise** — :meth:`DrillDownNavigator.reconcile` asserts it
-and the 20-seed chaos matrix drives it with faults injected.
+and the generated chaos histories drive it with faults injected.
 
 Shape borrowed from the FinOps drill-down dashboards cited in the
 paper's related work: start at the fleet, follow the biggest number

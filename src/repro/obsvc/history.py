@@ -80,8 +80,8 @@ class TenantCostSlice:
     @property
     def leaf_units(self) -> int:
         """Sum of all drill-down leaves — bitwise equal to
-        :attr:`total_units` by construction (asserted by the chaos
-        reconciliation matrix)."""
+        :attr:`total_units` by construction (asserted after every step
+        of the generated chaos histories)."""
         return sum(leaf.units for leaf in self.leaves)
 
 

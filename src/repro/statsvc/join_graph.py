@@ -39,15 +39,6 @@ class JoinGraph:
             else:
                 self.graph.add_edge(a, b, count=weight, dollars=record.dollars * weight)
 
-    @classmethod
-    def from_records(
-        cls, records: list[QueryRecord], weight: int = 1
-    ) -> "JoinGraph":
-        graph = cls()
-        for record in records:
-            graph.add_record(record, weight)
-        return graph
-
     # ------------------------------------------------------------------ #
     # Queries over the graph
     # ------------------------------------------------------------------ #
@@ -56,22 +47,3 @@ class JoinGraph:
             JoinEdgeStat(left=a, right=b, count=data["count"], total_dollars=data["dollars"])
             for a, b, data in self.graph.edges(data=True)
         ]
-
-    def hottest_edges(self, top_k: int = 10) -> list[JoinEdgeStat]:
-        return sorted(self.edges(), key=lambda e: e.count, reverse=True)[:top_k]
-
-    def edge_count(self, left: str, right: str) -> int:
-        a, b = sorted((left, right))
-        if self.graph.has_edge(a, b):
-            return int(self.graph[a][b]["count"])
-        return 0
-
-    def tables(self) -> set[str]:
-        return {attr.split(".")[0] for attr in self.graph.nodes}
-
-    def connected_table_groups(self) -> list[set[str]]:
-        """Table sets connected by joins (candidate MV scopes)."""
-        groups: list[set[str]] = []
-        for component in nx.connected_components(self.graph):
-            groups.append({attr.split(".")[0] for attr in component})
-        return groups

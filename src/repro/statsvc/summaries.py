@@ -25,7 +25,6 @@ class WorkloadSummary:
     """Aggregated view of a log window."""
 
     num_queries: int = 0
-    window: tuple[float, float] = (0.0, 0.0)
     sample_rate: float = 1.0
     table_access: Counter = field(default_factory=Counter)
     attribute_access: Counter = field(default_factory=Counter)
@@ -37,17 +36,6 @@ class WorkloadSummary:
     total_dollars: float = 0.0
     total_bytes_scanned: float = 0.0
     dollars_by_template: Counter = field(default_factory=Counter)
-
-    @property
-    def queries_per_hour(self) -> float:
-        start, end = self.window
-        span = max(end - start, 1e-9)
-        return self.num_queries * 3600.0 / span
-
-    def template_rate_per_hour(self, template: str) -> float:
-        start, end = self.window
-        span = max(end - start, 1e-9)
-        return self.template_counts.get(template, 0) * 3600.0 / span
 
     def hottest_filters(self, top_k: int = 10) -> list[tuple[str, int]]:
         return self.filter_access.most_common(top_k)
@@ -71,7 +59,6 @@ def build_summary(
     summary = WorkloadSummary(sample_rate=sample_rate)
     if not records:
         return summary
-    summary.window = (records[0].timestamp, records[-1].timestamp)
     summary.num_queries = len(records)
 
     if sample_rate < 1.0:
@@ -91,7 +78,7 @@ def build_summary(
         summary.template_counts.update({record.template: weight})
         summary.join_graph.add_record(record, weight)
         summary.total_machine_seconds += record.machine_seconds * scale
-        summary.total_dollars += record.dollars * scale
+        summary.total_dollars += record.dollars * scale  # lint-allow: float-billing sample-weighted workload summary estimate, not an authoritative ledger balance; replay never reconciles it
         summary.total_bytes_scanned += record.bytes_scanned * scale
         summary.dollars_by_template.update({record.template: record.dollars * scale})
     return summary

@@ -283,8 +283,8 @@ def kill(point: str, *, at: int = 0) -> FaultSpec:
     """A one-shot crash spec: invocation ``at`` of ``point`` dies.
 
     ``point`` must be one of :data:`CRASH_POINTS`; the fired error is a
-    :class:`SimulatedCrashError`.  The chaos recovery matrix sweeps
-    ``at`` over every reachable invocation of every crash point.
+    :class:`SimulatedCrashError`.  The chaos histories draw ``point``
+    and ``at`` for every kill they make.
     """
     if point not in CRASH_POINTS:
         raise ReproError(
@@ -296,5 +296,5 @@ def kill(point: str, *, at: int = 0) -> FaultSpec:
 def crash_probes() -> list[FaultSpec]:
     """Zero-rate specs for every crash point: never fire, but make the
     plan *count invocations*, so a fault-free run enumerates every
-    reachable kill point (``plan.invocations``) for the matrix."""
+    reachable kill point (``plan.invocations``)."""
     return [FaultSpec(point=point) for point in CRASH_POINTS]

@@ -20,9 +20,9 @@ This module makes acquisition *order* observable:
   sanitized wrapper in place, returning the sanitizer so a test can
   ``assert_clean()`` after driving a workload.
 
-The chaos matrix (``tests/chaos/test_lock_order.py``) drives all 20
-seeds through an instrumented warehouse and asserts a cycle-free
-graph; CI runs it as a dedicated step.  Wrapping is transparent to the
+Every generated chaos history (``tests/chaos/test_histories.py``) runs
+on an instrumented warehouse and asserts a cycle-free graph when it
+ends.  Wrapping is transparent to the
 serving path — ``with lock:`` works unchanged — and, like everything
 in :mod:`repro.testing`, is never active in production configurations.
 """

@@ -1,4 +1,4 @@
-"""Engine mechanics: fingerprints, suppressions, baseline, CLI."""
+"""Engine mechanics: path classification, suppressions, CLI."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ import json
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
-    Finding,
     analyze_paths,
     check_module,
     module_from_source,
@@ -33,32 +30,6 @@ def test_normalize_path_is_checkout_independent():
     )
     assert normalize_path("tests/core/test_x.py") == "tests/core/test_x.py"
     assert normalize_path("scratch/loose.py") == "scratch/loose.py"
-
-
-def test_fingerprint_survives_line_moves_but_not_line_edits():
-    base = Finding(
-        rule="wall-clock",
-        path="repro/core/x.py",
-        line=4,
-        message="m",
-        line_text="    return time.time()",
-    )
-    moved = Finding(
-        rule="wall-clock",
-        path="repro/core/x.py",
-        line=40,
-        message="m",
-        line_text="\t    return time.time()  ",
-    )
-    edited = Finding(
-        rule="wall-clock",
-        path="repro/core/x.py",
-        line=4,
-        message="m",
-        line_text="    return time.time_ns()",
-    )
-    assert base.fingerprint == moved.fingerprint
-    assert base.fingerprint != edited.fingerprint
 
 
 def test_module_classification():
@@ -112,81 +83,12 @@ def test_wrong_rule_suppression_does_not_suppress():
     assert [f.rule for f in active] == ["wall-clock"]
 
 
-def test_baseline_round_trip(tmp_path):
-    entry = BaselineEntry(
-        rule="float-billing",
-        path="repro/statsvc/summaries.py",
-        fingerprint="90d0d9ff127032db",
-        justification="sampled estimate, not a ledger",
-    )
-    baseline = Baseline([entry])
-    target = tmp_path / "baseline.json"
-    baseline.save(target)
-    loaded = Baseline.load(target)
-    assert loaded.entries == [entry]
-    # missing file -> empty baseline, not an error
-    assert Baseline.load(tmp_path / "absent.json").entries == []
-
-
-def test_baseline_requires_justification(tmp_path):
-    target = tmp_path / "baseline.json"
-    target.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "findings": [
-                    {
-                        "rule": "wall-clock",
-                        "path": "repro/core/x.py",
-                        "fingerprint": "abc",
-                        "justification": "   ",
-                    }
-                ],
-            }
-        )
-    )
-    with pytest.raises(ValueError, match="justification"):
-        Baseline.load(target)
-    target.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ValueError, match="version"):
-        Baseline.load(target)
-
-
 def make_tree(tmp_path):
     pkg = tmp_path / "src" / "repro" / "core"
     pkg.mkdir(parents=True)
     (pkg / "bad.py").write_text(BAD_CORE)
     (pkg / "good.py").write_text("import time\nd = time.perf_counter()\n")
     return tmp_path / "src"
-
-
-def test_analyze_paths_applies_baseline_and_reports_stale(tmp_path):
-    src = make_tree(tmp_path)
-    report = analyze_paths([src])
-    assert [f.rule for f in report.findings] == ["wall-clock"]
-    assert report.files_checked == 2
-
-    matched = report.findings[0]
-    baseline = Baseline(
-        [
-            BaselineEntry(
-                rule=matched.rule,
-                path=matched.path,
-                fingerprint=matched.fingerprint,
-                justification="grandfathered in the fixture",
-            ),
-            BaselineEntry(
-                rule="wall-clock",
-                path="repro/core/gone.py",
-                fingerprint="dead0000dead0000",
-                justification="already fixed",
-            ),
-        ]
-    )
-    baselined = analyze_paths([src], baseline=baseline)
-    assert baselined.findings == []
-    assert len(baselined.baselined) == 1
-    assert [e.path for e in baselined.stale_baseline] == ["repro/core/gone.py"]
 
 
 def test_unparsable_file_becomes_parse_error_finding(tmp_path):
@@ -207,25 +109,22 @@ def test_missing_path_raises(tmp_path):
 # --------------------------------------------------------------------- #
 def test_cli_strict_exit_codes(tmp_path, capsys):
     src = make_tree(tmp_path)
-    empty = tmp_path / "empty-baseline.json"
 
-    assert main([str(src), "--baseline", str(empty)]) == 0  # advisory
-    assert main([str(src), "--strict", "--baseline", str(empty)]) == 1
+    assert main([str(src)]) == 0  # advisory
+    assert main([str(src), "--strict"]) == 1
     out = capsys.readouterr().out
     assert "[wall-clock]" in out
 
     clean = src / "repro" / "core" / "good.py"
-    assert main([str(clean), "--strict", "--baseline", str(empty)]) == 0
+    assert main([str(clean), "--strict"]) == 0
 
 
 def test_cli_json_output(tmp_path, capsys):
     src = make_tree(tmp_path)
-    empty = tmp_path / "empty-baseline.json"
-    assert main([str(src), "--json", "--baseline", str(empty)]) == 0
+    assert main([str(src), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["files_checked"] == 2
     assert [f["rule"] for f in payload["findings"]] == ["wall-clock"]
-    assert payload["findings"][0]["fingerprint"]
 
 
 def test_cli_list_rules(capsys):
@@ -246,12 +145,4 @@ def test_cli_list_rules(capsys):
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["--no-such-flag"])
-    assert excinfo.value.code == 2
-
-
-def test_cli_corrupt_baseline_exits_2(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text(json.dumps({"version": 1, "findings": [{"rule": "x"}]}))
-    with pytest.raises(SystemExit) as excinfo:
-        main([str(make_tree(tmp_path)), "--baseline", str(bad)])
     assert excinfo.value.code == 2

@@ -1,30 +1,16 @@
-"""Kill-point recovery matrix: crash anywhere, recover everywhere (PR 7).
+"""Named crash scenarios: a kill at one journal boundary, then recovery.
 
-The crash counterpart of ``test_fault_matrix.py``: a seeded multi-tenant
-workload (serving traffic + one mid-workload tuning apply) runs against
-a journaled warehouse while a :func:`~repro.testing.faults.kill` spec
-severs the process at **every reachable kill point** — before a journal
-write, after the write but before the in-memory apply, and after a
-tuning apply's catalog mutation but before its commit record.  After
-each crash the warehouse is recovered from the journal over the *same*
-surviving catalog, the workload resumes to completion, and the crash
-invariants are asserted against an uncrashed journaled reference run:
-
-- **exactly-once billing** — recovered + resumed ``TenantBill`` ledger
-  snapshots are *bitwise* equal to the reference (no lost charge, no
-  double charge, for serving, background, and retry dollars alike);
-- **append-ordered, gap-free log** — query ids are sequential from 1
-  and timestamps never decrease, across the crash;
-- **no stranded recommendations** — no durable tuning record is ever
-  left ``applying`` / ``rolling_back``, and an in-doubt apply's catalog
-  mutation is physically rolled back;
-- **bit-identical plans** — the recovered warehouse (caches cold)
-  plans every workload template identically to the reference.
-
-Every cycle also re-checks reachability coverage: the reference run
-carries zero-rate :func:`~repro.testing.faults.crash_probes`, and the
-matrix asserts each declared crash point was actually invoked — a new
-journal write site cannot silently dodge the matrix.
+A multi-tenant workload (serving traffic plus one mid-workload tuning
+apply) runs against a journaled warehouse; a
+:func:`~repro.testing.faults.kill` spec severs the process at a chosen
+journal-record boundary, and the warehouse is recovered from the
+journal over the *same* surviving catalog.  The scenarios: an apply
+killed in its in-doubt window is rolled back; a rollback killed before
+its commit record is completed forward and metered; a denied query
+journals its verdict and nothing else, at every boundary around it;
+and serving caches re-warm from the recovered forecast to the
+reference's plans.  Kills at generated points of generated histories
+are ``test_histories.py``'s.
 """
 
 from __future__ import annotations
@@ -36,11 +22,10 @@ from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import AdmissionDeniedError
-from repro.testing import CRASH_POINTS, FaultPlan, SimulatedCrashError, crash_probes, kill
+from repro.testing import FaultPlan, SimulatedCrashError, crash_probes, kill
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SLA = sla_constraint(20.0)
-RECOVERY_SEEDS = range(20)
 CHECKPOINT_EVERY = 4
 
 T_JOIN = (
@@ -160,61 +145,6 @@ def assert_log_invariants(warehouse) -> None:
     assert [r.query_id for r in records] == list(range(1, len(records) + 1))
     timestamps = [r.timestamp for r in records]
     assert timestamps == sorted(timestamps)
-
-
-def assert_no_stranded_recommendations(warehouse) -> None:
-    for durable in warehouse.ledger.durable_tuning.values():
-        assert not durable.in_doubt, (
-            f"recommendation #{durable.rec_id} stranded in {durable.state!r}"
-        )
-
-
-@pytest.mark.parametrize("seed", RECOVERY_SEEDS)
-def test_kill_point_matrix(seed):
-    """Crash at every reachable (point, invocation), recover, resume,
-    and hold every crash invariant against the uncrashed reference."""
-    ref_bills, ref_plans, reachable = reference_run(seed)
-
-    # Coverage gate: every declared kill point must actually be
-    # reachable in this workload — a crash family the workload never
-    # exercises would make the whole matrix vacuous.
-    for point in CRASH_POINTS:
-        assert reachable.get(point, 0) >= 1, f"{point} never invoked"
-
-    for point in CRASH_POINTS:
-        for at in range(reachable[point]):
-            catalog = synthetic_tpch_catalog(1.0)
-            journal = WriteAheadJournal(checkpoint_every=CHECKPOINT_EVERY)
-            crashed = make_warehouse(
-                catalog, journal, FaultPlan([kill(point, at=at)], seed=seed)
-            )
-            fired = False
-            try:
-                run_script(crashed, seed)
-            except SimulatedCrashError:
-                fired = True
-            assert fired, f"kill({point!r}, at={at}) did not crash the run"
-
-            recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
-            assert_no_stranded_recommendations(recovered)
-            assert_log_invariants(recovered)
-
-            run_script(recovered, seed)  # resume to completion
-            assert_log_invariants(recovered)
-            assert_no_stranded_recommendations(recovered)
-            bills = {
-                t: b.ledger_snapshot() for t, b in recovered.billing.items()
-            }
-            assert bills == ref_bills, (
-                f"billing diverged after kill({point!r}, at={at})"
-            )
-            plans = {
-                sql: plan_snapshot(recovered.plan(sql, SLA)[1])
-                for _, _, sql, _ in script(seed)
-            }
-            assert plans == ref_plans, (
-                f"plans diverged after kill({point!r}, at={at})"
-            )
 
 
 def test_matrix_reaches_the_in_doubt_window():
@@ -429,6 +359,3 @@ def test_warm_cache_rewarns_from_the_recovered_forecast():
         t: b.ledger_snapshot() for t, b in recovered.billing.items()
     } == ref_bills
 
-
-def test_recovery_matrix_sweeps_at_least_twenty_seeds():
-    assert len(RECOVERY_SEEDS) >= 20

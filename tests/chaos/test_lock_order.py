@@ -1,14 +1,9 @@
-"""Lock-order sanitizer sweep over the 20-seed chaos matrix.
+"""Lock-order sanitizer sweep over 20 seeded, threaded fault schedules.
 
-Runs the same seeded fault schedules as ``test_fault_matrix`` against a
-fully instrumented warehouse (every core lock wrapped — serving,
-journal, plan-cache levels, admission, frequency,
-breakers, resilience stats, fault plan) and asserts the acquisition-
-order graph stays acyclic under every schedule and interleaving.  A
-cycle here is a latent deadlock two threads could reach even if this
-run's timing never did.
-
-CI runs this file as its own chaos step (the sanitizer gate).
+A fully instrumented warehouse must keep an acyclic acquisition-order
+graph under every schedule: a cycle is a latent deadlock two threads
+could reach even if this run's timing never did.  ``test_histories.py``
+asserts the same at the end of every generated history.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from repro.testing import FaultPlan, FaultSpec, instrument_warehouse
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SLA = sla_constraint(20.0)
-LOCK_SWEEP_SEEDS = range(20)  # mirrors CHAOS_SEEDS in test_fault_matrix
+LOCK_SWEEP_SEEDS = range(20)
 
 T_ORDERS = "SELECT count(*) AS c FROM orders WHERE o_totalprice > {v}"
 T_LINEITEM = "SELECT count(*) AS c FROM lineitem WHERE l_quantity > {v}"
@@ -49,36 +44,21 @@ def test_chaos_schedule_has_acyclic_lock_order(catalog, seed):
         retention_policy="cost-aware",
         journal=WriteAheadJournal(),
         resilience=ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=3, seed=seed),
-            stage_deadline_s={"optimize": 1.0},
+            retry=RetryPolicy(max_attempts=3, seed=seed), stage_deadline_s={"optimize": 1.0}
         ),
     )
-    plan = FaultPlan(
-        [
-            FaultSpec(point="bind", error_rate=0.15),
-            FaultSpec(
-                point="optimize",
-                error_rate=0.15,
-                latency_rate=0.3,
-                latency_s=2.0,
-            ),
-            FaultSpec(point="simulate", error_rate=0.15),
-            FaultSpec(point="statsvc", error_rate=0.6),
-        ],
-        seed=seed,
-    )
-    wh.inject_faults(plan)
+    specs = [
+        FaultSpec(point="bind", error_rate=0.15),
+        FaultSpec(point="optimize", error_rate=0.15, latency_rate=0.3, latency_s=2.0),
+        FaultSpec(point="simulate", error_rate=0.15),
+        FaultSpec(point="statsvc", error_rate=0.6),
+    ]
+    wh.inject_faults(FaultPlan(specs, seed=seed))
     sanitizer = instrument_warehouse(wh)
 
     session = wh.session(tenant="chaos", constraint=SLA)
-    sqls = [
-        template.format(v=value)
-        for value in (seed, seed + 1)
-        for template in (T_ORDERS, T_LINEITEM, T_JOIN)
-    ]
-    requests = [
-        QueryRequest(sql=sql, at_time=30.0 * i) for i, sql in enumerate(sqls)
-    ]
+    sqls = [t.format(v=v) for v in (seed, seed + 1) for t in (T_ORDERS, T_LINEITEM, T_JOIN)]
+    requests = [QueryRequest(sql=sql, at_time=30.0 * i) for i, sql in enumerate(sqls)]
     handles = session.submit_many(requests[:3], max_workers=4)
     # statsvc traffic mid-workload: exercises frequency/breaker locks
     # while serving threads hold cache and serving locks.
@@ -87,9 +67,7 @@ def test_chaos_schedule_has_acyclic_lock_order(catalog, seed):
     handles += session.submit_many(requests[3:], max_workers=4)
 
     assert len(handles) == len(sqls)
-    assert all(
-        h.state in (QueryState.DONE, QueryState.FAILED) for h in handles
-    )
+    assert all(h.state in (QueryState.DONE, QueryState.FAILED) for h in handles)
     # Real coverage, not a vacuous pass: the sweep must actually have
     # exercised instrumented locks, including nested holds.
     report = sanitizer.describe()

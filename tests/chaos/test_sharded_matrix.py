@@ -1,13 +1,11 @@
-"""Chaos matrix for process-sharded serving (PR 10).
+"""A planner worker killed after every dispatch position in turn.
 
-The sharded path's contract is *bit-identical observability*: for any
-seeded workload — including schedules where planner worker processes
-are killed at dispatch boundaries — plans, statistics-log records,
-ledger-unit bills, and admission verdicts must match the threaded and
-sequential paths exactly.  Worker crashes are free for tenants (no
-retry charges) and exactly-once (a re-staged task never double-bills
-or double-logs).  The sweep below drives every seed through four
-serving modes and compares the full observable state.
+The sharded path's contract is bit-identical observability: plans,
+statistics-log records, ledger-unit bills and admission verdicts match
+sequential serving, and a worker crash is free for tenants and
+exactly-once.  ``test_histories.py`` holds that over generated histories
+with seeded ``worker_crash`` schedules; this sweep is the exhaustive
+half — one kill at each dispatch boundary of a fixed workload.
 """
 
 from __future__ import annotations
@@ -20,9 +18,9 @@ from repro.dop.constraints import sla_constraint
 from repro.testing import FaultPlan, FaultSpec
 from repro.util.rng import derive_rng
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
+from tests.chaos.test_histories import assert_same_state
 
 SLA = sla_constraint(20.0)
-CHAOS_SEEDS = range(20)
 
 T_ORDERS = "SELECT count(*) AS c FROM orders WHERE o_totalprice > {v}"
 T_LINEITEM = "SELECT count(*) AS c FROM lineitem WHERE l_quantity > {v}"
@@ -123,53 +121,6 @@ def run_mode(catalog, seed, *, mode, fault_plan=None):
             warehouse.disable_sharding()
 
 
-def assert_same_state(actual, expected, context: str = "") -> None:
-    """``actual == expected``, reporting the first handle row / log row /
-    bill that differs (an intermittent failure must be readable from the
-    ``-q`` output of the run that hit it)."""
-    for part, got, want in zip(("handle", "log row", "bill"), actual, expected):
-        if part == "bill":
-            got, want = sorted(got.items()), sorted(want.items())
-        assert len(got) == len(want), (
-            f"{context}: {len(got)} {part}s, expected {len(want)}"
-        )
-        for index, (got_row, want_row) in enumerate(zip(got, want)):
-            assert got_row == want_row, (
-                f"{context}: first differing {part} is #{index}:\n"
-                f"  got      {got_row}\n  expected {want_row}"
-            )
-    assert actual == expected, context
-
-
-# --------------------------------------------------------------------- #
-# The matrix: every seed, four modes, one observable state
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_sharded_serving_is_bit_identical_across_modes(catalog, seed):
-    sequential, _ = run_mode(catalog, seed, mode="sequential")
-    threaded, _ = run_mode(catalog, seed, mode="threaded")
-    sharded, _ = run_mode(catalog, seed, mode="sharded")
-    assert sharded == threaded == sequential
-
-
-@pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_worker_crashes_never_lose_or_double_bill(catalog, seed):
-    # Sequential, not threaded: four threads racing over the skeleton
-    # cache are themselves a candidate for "which side moved", and the
-    # test above holds threaded == sequential.
-    baseline, _ = run_mode(catalog, seed, mode="sequential")
-    crash_plan = FaultPlan(
-        [FaultSpec(point="worker_crash", error_rate=0.3)], seed=seed
-    )
-    crashed, stats = run_mode(
-        catalog, seed, mode="sharded", fault_plan=crash_plan
-    )
-    assert_same_state(crashed, baseline, f"seed {seed}, worker_crash stats {stats}")
-    kills, restarts, restaged = stats
-    if kills:
-        assert restarts >= 1
-
-
 def test_crash_sweep_covers_every_dispatch_boundary(catalog):
     """Kill a worker after each dispatch position in turn: no boundary
     may lose a query, double-bill, or otherwise perturb the observable
@@ -197,9 +148,3 @@ def test_crash_sweep_covers_every_dispatch_boundary(catalog):
         boundaries_hit += kills
     assert boundaries_hit >= 6  # the sweep really killed workers
 
-
-def test_sharded_matrix_sweeps_at_least_twenty_seeds_with_worker_crashes():
-    from repro.testing import FAULT_POINTS
-
-    assert len(CHAOS_SEEDS) >= 20
-    assert "worker_crash" in FAULT_POINTS

@@ -1,8 +1,10 @@
-"""Shared fixtures: small real database, large stats-only catalog."""
+"""Shared fixtures: small real database, large stats-only catalog, and
+the hypothesis profiles."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cost.estimator import CostEstimator
 from repro.engine.database import Database
@@ -13,6 +15,15 @@ from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SMALL_SF = 0.004
 SMALL_PARTITION_ROWS = 4_000
+
+# Tier-1 never explores at random: every run replays the same examples,
+# so a property cannot fire as a flake.  ``--hypothesis-profile=explore``
+# (CI's chaos job) draws fresh ones, more of them.
+settings.register_profile(
+    "tier1", max_examples=100, derandomize=True, database=None, deadline=None
+)
+settings.register_profile("explore", max_examples=1000, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

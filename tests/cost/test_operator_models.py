@@ -3,7 +3,6 @@ import pytest
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.operator_models import OperatorModels
 from repro.plan.pipelines import ROLE_SOURCE_SCAN, decompose_pipelines
-from repro.util.units import GB
 
 
 @pytest.fixture(scope="module")

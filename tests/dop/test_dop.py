@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cost.estimator import CostEstimator
 from repro.dop.cofinish import cofinish_dops, equalize_siblings, min_dop_for_duration
 from repro.dop.constraints import Constraint, budget_constraint, sla_constraint
 from repro.dop.planner import DopPlanner, exhaustive_search

@@ -41,26 +41,13 @@ def workload_steps(count: int = 6, seed: int = 0):
     return steps
 
 
-def run_workload(
-    warehouse, count: int = 6, seed: int = 0, tolerate_failures: bool = False
-) -> None:
-    """Serve the seed's steps sequentially (deterministic ordering).
-
-    With ``tolerate_failures`` the workload keeps going past failed
-    handles — chaos schedules fail queries by design.
-    """
+def run_workload(warehouse, count: int = 6, seed: int = 0) -> None:
+    """Serve the seed's steps sequentially (deterministic ordering)."""
     sessions = {
         tenant: warehouse.session(tenant=tenant, constraint=SLA)
         for tenant in TENANTS
     }
     for tenant, template, sql, at in workload_steps(count, seed):
-        handle = sessions[tenant].submit(
+        sessions[tenant].submit(
             QueryRequest(sql=sql, template=template, at_time=at)
-        )
-        if tolerate_failures:
-            try:
-                handle.result()
-            except Exception:
-                pass
-        else:
-            handle.result()
+        ).result()

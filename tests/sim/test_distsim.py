@@ -1,7 +1,6 @@
 import pytest
 
 from repro.compute.pricing import PriceModel
-from repro.cost.estimator import CostEstimator
 from repro.dop.constraints import sla_constraint
 from repro.dop.planner import DopPlanner
 from repro.plan.pipelines import decompose_pipelines

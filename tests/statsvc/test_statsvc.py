@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.statsvc.forecast import WorkloadForecaster
-from repro.statsvc.join_graph import JoinGraph
 from repro.statsvc.logs import QueryLogStore, QueryRecord
 from repro.statsvc.sampling import StatsServiceCostModel, summary_error
 from repro.statsvc.summaries import build_summary
@@ -78,16 +77,6 @@ def test_summary_counts(store):
     assert summary.total_dollars == pytest.approx(1.0)
 
 
-def test_summary_rates(store):
-    summary = build_summary(list(store))
-    assert summary.queries_per_hour == pytest.approx(
-        100 * 3600 / (99 * 60), rel=0.01
-    )
-    assert summary.template_rate_per_hour("t1") == pytest.approx(
-        50 * 3600 / (99 * 60), rel=0.01
-    )
-
-
 def test_sampled_summary_approximates(store):
     reference = build_summary(list(store))
     sampled = build_summary(list(store), sample_rate=0.5, seed=1)
@@ -110,17 +99,10 @@ def test_invalid_sample_rate(store):
 
 # --------------------------- join graph ------------------------------- #
 def test_join_graph_weights(store):
-    graph = JoinGraph.from_records(list(store))
-    assert graph.edge_count("orders.o_orderkey", "lineitem.l_orderkey") == 100
-    hottest = graph.hottest_edges(1)
-    assert hottest[0].count == 100
-    assert graph.tables() == {"orders", "lineitem"}
-
-
-def test_join_graph_groups(store):
-    graph = JoinGraph.from_records(list(store))
-    groups = graph.connected_table_groups()
-    assert {"orders", "lineitem"} in groups
+    (edge,) = build_summary(list(store)).join_graph.edges()
+    assert (edge.left, edge.right) == ("lineitem.l_orderkey", "orders.o_orderkey")
+    assert edge.count == 100
+    assert edge.total_dollars == pytest.approx(1.0)
 
 
 # --------------------------- forecasting ------------------------------ #
