@@ -188,11 +188,6 @@ class Catalog:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def total_storage_bytes(self) -> int:
-        tables = sum(e.storage_bytes for e in self._tables.values())
-        views = sum(v.storage_bytes for v in self._views.values())
-        return tables + views
-
     def describe(self) -> str:
         """Human-readable catalog summary (for examples and debugging)."""
         lines = []

@@ -34,16 +34,6 @@ class PriceModel:
     def lease_dollars(self, spec: NodeSpec, lease_seconds: float) -> float:
         return self.billed_seconds(lease_seconds) * spec.price_per_second * self.markup
 
-    def machine_time_dollars(self, spec: NodeSpec, machine_seconds: float) -> float:
-        """Cost of raw machine time without the per-lease minimum.
-
-        Used by the analytic cost estimator, which reasons in machine
-        seconds; the simulator's billing meter applies lease minimums.
-        """
-        if machine_seconds < 0:
-            raise ValueError(f"negative machine time: {machine_seconds}")
-        return machine_seconds * spec.price_per_second * self.markup
-
 
 #: Snowflake-style warehouse size ladder: name -> node count.
 TSHIRT_SIZES: dict[str, int] = {

@@ -135,10 +135,10 @@ import-graph assertion (``tests/testing/test_production_imports.py``)
 checks that the worker module never imports the coordinator's
 journal/billing/logging surfaces.
 
-The contracts above are *machine-enforced*: ``python -m repro.analysis
---strict src tests`` (the CI ``lint`` gate — see
-:mod:`repro.analysis`) lints ledger-unit billing, StageGuard-only fault
-handling, virtual-time discipline and lock hygiene;
+The contracts above are *machine-enforced*: the shape checks in
+``tests/analysis/shape_rules.py`` (the CI ``lint`` job) hold ledger-unit
+billing, StageGuard-only fault handling, virtual-time discipline and
+lock hygiene over ``src`` and ``tests``;
 ``tests/testing/test_production_imports.py`` asserts that only the
 ledger module appends to the journal, that only the fault port draws
 from a fault plan, worker isolation, and the frozen warehouse

@@ -447,8 +447,9 @@ class AdmissionController:
         denies, so an estimate cannot refuse work a budget would have
         covered.
 
-        ``defer_ok=False`` (single submissions, and the re-check of a
-        deferred query at the tail of its batch) downgrades ``DEFER`` to
+        ``defer_ok=False`` (an admission of one handle: a single
+        submission, a one-item batch, or the re-check of a deferred
+        query at the tail of its batch) downgrades ``DEFER`` to
         ``THROTTLE`` — there is nothing left to defer behind, and spend
         at the defer threshold is above the throttle threshold by
         construction.

@@ -372,9 +372,7 @@ class Session:
             handle._fail(_wrap_failure(handle, exc))
             return handle
         handle = QueryHandle(resolved)
-        # A single submission has no batch to defer behind, so DEFER
-        # downgrades to THROTTLE (which for one query just serves it).
-        self._admit([handle], defer_ok=False)
+        self._admit([handle])
         if not handle.denied:
             self._serve_handle(handle)
             self.warehouse._between_batches()
@@ -462,7 +460,7 @@ class Session:
         return self.bill.dollars
 
     # -- serving internals ---------------------------------------------- #
-    def _admit(self, handles: list[QueryHandle], *, defer_ok: bool = True) -> None:
+    def _admit(self, handles: list[QueryHandle]) -> None:
         """Admission-check and timestamp handles in submission order.
 
         Done up front under the serving lock so threaded staging cannot
@@ -479,13 +477,17 @@ class Session:
         tenant escalates mid-batch (to THROTTLE, then DEFER — whose
         tail re-check sees the real dollars and may deny) instead of
         being admitted wholesale against the bill as of batch start.
-        With no budgets this is timestamping only — the pre-governance
-        fast path, byte for byte.
+        A single handle (one submission, a one-item batch, a deferred
+        handle's re-admission) has nothing to defer behind, so its
+        ``DEFER`` downgrades to ``THROTTLE``, which for one query just
+        serves it.  With no budgets this is timestamping only — the
+        pre-governance fast path, byte for byte.
         """
         warehouse = self.warehouse
         ledger = warehouse.ledger
         controller = warehouse.admission
         reserved: dict[str, float] = {}
+        defer_ok = len(handles) > 1
         with ledger.lock:
             for handle in handles:
                 was_deferred = handle.admission is AdmissionVerdict.DEFER
@@ -972,7 +974,7 @@ class ServingScheduler:
                 if handle.admission is AdmissionVerdict.DEFER:
                     # Re-admission assigns the timestamp now, so the log
                     # stays append-ordered behind the batch it deferred to.
-                    session._admit([handle], defer_ok=False)
+                    session._admit([handle])
                 served = not handle.denied and session._serve_handle(
                     handle, executor, tickets.pop(handle, None)
                 )

@@ -535,6 +535,9 @@ class PlannerWorkerPool:
             found = self._results.pop(task_id, None)
             if found is not None:
                 if isinstance(found, WorkerFailure):
+                    # Name the stage that broke, as StageGuard does inline.
+                    if getattr(found.error, "stage", None) is None:
+                        found.error.stage = found.stage
                     raise found.error
                 return found
             index = self._owner.get(task_id)

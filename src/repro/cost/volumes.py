@@ -171,11 +171,3 @@ def _final_groups(
     # Partial aggregate whose final phase lives in the consumer pipeline
     # (global aggregation): fall back to its own estimate.
     return float(pipeline.ops[partial_index].node.est_rows)
-
-
-def pipeline_output(
-    pipeline: Pipeline, dop: int, overrides: dict[int, float] | None = None
-) -> OpVolume:
-    """Volume record of the pipeline's last operator."""
-    volumes = pipeline_volumes(pipeline, dop, overrides)
-    return volumes[-1]

@@ -50,11 +50,6 @@ class Batch:
     def head(self, n: int) -> "Batch":
         return Batch({name: arr[:n] for name, arr in self.columns.items()})
 
-    def with_columns(self, extra: dict[str, np.ndarray]) -> "Batch":
-        merged = dict(self.columns)
-        merged.update(extra)
-        return Batch(merged)
-
     @classmethod
     def empty(cls, names: tuple[str, ...]) -> "Batch":
         return cls({name: np.empty(0, dtype=np.float64) for name in names})

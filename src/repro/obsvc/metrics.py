@@ -18,9 +18,9 @@ Two kinds of instruments live here:
   the hot cache paths keep their existing integer stats.
 
 Every emission must name a metric declared in
-:data:`REGISTERED_METRICS` — the analysis engine's ``metric-name``
-rule enforces this statically, and the registry enforces it at runtime
-by raising :class:`MetricNameError`.
+:data:`REGISTERED_METRICS` — the ``metric-name`` shape check in
+``tests/analysis`` enforces this statically, and the registry enforces
+it at runtime by raising :class:`MetricNameError`.
 ``reset()`` zeroes only owned instruments; sourced views follow their
 underlying subsystem's own reset (``warehouse.reset_cache_stats``
 calls both).  The registry lock is always innermost (acquired under

@@ -114,14 +114,6 @@ class StoredTable:
     # ------------------------------------------------------------------ #
     # Pruning & clustering quality
     # ------------------------------------------------------------------ #
-    def prune_range(
-        self, column: str, lo: float | None, hi: float | None
-    ) -> list[MicroPartition]:
-        """Partitions that may contain rows with ``lo <= column <= hi``."""
-        return [
-            p for p in self.partitions if not p.prunable_by_range(column, lo, hi)
-        ]
-
     def clustering_depth(self, column: str, probes: int = 64) -> float:
         """Measured clustering depth of ``column``.
 

@@ -1,5 +1,6 @@
 """Runtime lock-order sanitizer: the dynamic half of the invariant
-guard (:mod:`repro.analysis` is the static half).
+guard (the shape checks in ``tests/analysis/shape_rules.py`` are the
+static half).
 
 The serving stack holds ~9 locks across `core/` (serving admission,
 journal, plan-cache levels, circuit breakers, stats, fault plans).

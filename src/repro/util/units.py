@@ -29,8 +29,9 @@ HOURS_PER_MONTH: float = 730.0  # convention used by cloud storage pricing
 #: what makes a crash-recovery replay reproduce live totals to the
 #: last bit.  Every authoritative dollar balance in the repo — tenant
 #: bills, journal replay, resilience retry metering — accumulates in
-#: these units; the ``float-billing`` rule in :mod:`repro.analysis`
-#: rejects float ``+=`` on ``*_dollars`` state outside these helpers.
+#: these units; the ``float-billing`` check in
+#: ``tests/analysis/shape_rules.py`` rejects float ``+=`` on
+#: ``*_dollars`` state outside these helpers.
 LEDGER_SCALE = 1 << 80
 
 

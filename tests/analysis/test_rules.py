@@ -3,11 +3,12 @@ stays quiet on the idiomatic version of the same code."""
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis import RULES, check_module, module_from_source
+from tests.analysis.shape_rules import CHECKS, justification
 
 
 @dataclass(frozen=True)
@@ -132,29 +133,28 @@ CORPUS: dict[str, Fixture] = {
 
 
 def findings_for(rule_id: str, source: str, path: str):
-    module = module_from_source(source, path)
-    active, suppressed = check_module(module, [RULES[rule_id]])
-    return (
-        [f for f in active if f.rule == rule_id],
-        [f for f, _ in suppressed if f.rule == rule_id],
-    )
+    """``(active, suppressed)`` ``(line, message)`` pairs of one check."""
+    lines = source.splitlines()
+    found = list(CHECKS[rule_id](path, ast.parse(source), lines))
+    suppressed = [f for f in found if justification(rule_id, f[0], lines)]
+    return [f for f in found if f not in suppressed], suppressed
 
 
 def test_corpus_covers_every_registered_rule():
-    assert set(CORPUS) == set(RULES)
+    assert set(CORPUS) == set(CHECKS)
 
 
-@pytest.mark.parametrize("rule_id", sorted(RULES))
+@pytest.mark.parametrize("rule_id", sorted(CHECKS))
 def test_every_rule_fires_and_suppresses(rule_id):
     fixture = CORPUS[rule_id]
     fired, _ = findings_for(rule_id, fixture.bad, fixture.path)
     assert fired, f"{rule_id}: bad fixture did not fire"
-    for finding in fired:
-        assert finding.message and finding.path and finding.line > 0
+    for line, message in fired:
+        assert message and line > 0
 
     # an inline justified lint-allow on each offending line suppresses
     lines = fixture.bad.splitlines()
-    for line in sorted({f.line for f in fired}):
+    for line in sorted({line for line, _ in fired}):
         lines[line - 1] += f"  # lint-allow: {rule_id} corpus fixture"
     active, suppressed = findings_for(
         rule_id, "\n".join(lines) + "\n", fixture.path
@@ -215,7 +215,7 @@ def test_metric_name_flags_dynamic_names_and_skips_other_receivers():
     )
     fired, _ = findings_for("metric-name", dynamic, "src/repro/core/x.py")
     assert len(fired) == 1
-    assert "non-literal" in fired[0].message
+    assert "non-literal" in fired[0][1]
     # reads are audited too: a typo'd read returns zero forever
     read = "def f(self):\n    return self.metrics.value('no_such_metric')\n"
     fired, _ = findings_for("metric-name", read, "src/repro/core/x.py")
@@ -280,4 +280,4 @@ def test_picklable_record_checks_error_init_annotations():
     )
     fired, _ = findings_for("picklable-record", bad, "src/repro/errors.py")
     assert len(fired) == 1
-    assert "CustomStateError.lock" in fired[0].message
+    assert "CustomStateError.lock" in fired[0][1]

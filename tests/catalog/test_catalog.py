@@ -80,17 +80,6 @@ def test_views_share_name_with_backing_table():
     assert not catalog.has_view("mv1")
 
 
-def test_total_storage_counts_views():
-    catalog = Catalog()
-    catalog.register_table(make_entry())
-    catalog.register_view(
-        MaterializedViewDef(
-            name="v", base_tables=("t",), join_keys=(), storage_bytes=123
-        )
-    )
-    assert catalog.total_storage_bytes() == 100 * 8 + 123
-
-
 def test_describe_mentions_tables():
     catalog = Catalog()
     catalog.register_table(make_entry())

@@ -43,14 +43,6 @@ def test_lease_dollars_uses_minimum():
     )
 
 
-def test_machine_time_dollars_no_minimum():
-    model = PriceModel(minimum_billed_seconds=60.0)
-    spec = node_spec("standard")
-    assert model.machine_time_dollars(spec, 10.0) == pytest.approx(
-        10.0 * spec.price_per_second
-    )
-
-
 def test_tshirt_ladder_doubles():
     sizes = list(TSHIRT_SIZES.values())
     for small, large in zip(sizes, sizes[1:]):

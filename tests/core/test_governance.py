@@ -25,6 +25,7 @@ from repro.core.governance import (
     make_retention_policy,
     rank_by_forecast,
 )
+from repro.core.journal import WriteAheadJournal
 from repro.core.plan_cache import PlanCache, SkeletonCache
 from repro.core.service import QueryHandle, QueryRequest, QueryState, ServingScheduler
 from repro.core.warehouse import CostIntelligentWarehouse
@@ -760,3 +761,24 @@ def test_single_submit_defers_nothing(catalog):
     handle = session.submit(quick_request(instantiate("q6_revenue_forecast", seed=31)))
     assert handle.admission is AdmissionVerdict.THROTTLE
     assert handle.state is QueryState.DONE
+
+
+def test_one_item_batch_admits_like_a_single_submit(catalog):
+    """A batch of one has nothing to defer behind either: both entry
+    points count and journal the same single decision."""
+    effects = []
+    for batch in (False, True):
+        journal = WriteAheadJournal()
+        warehouse = fresh_warehouse(catalog, journal=journal)
+        session = warehouse.session(tenant="a", constraint=CONSTRAINT)
+        spent = exhaust_tenant(warehouse, session)  # no budget yet: no decision
+        warehouse.admission.set_budget(
+            "a", TenantBudget(dollars=spent * 1.5, throttle_at=0.1, defer_at=0.2)
+        )
+        served = len(journal)
+        request = quick_request(instantiate("q6_revenue_forecast", seed=31))
+        handle = session.submit_many([request])[0] if batch else session.submit(request)
+        records = [entry.record for entry in journal.entries(after_lsn=served)]
+        effects.append((handle.state, warehouse.admission.verdict_counts, records))
+    assert effects[0] == effects[1]
+    assert effects[0][:2] == (QueryState.DONE, {"a": {"throttle": 1}})

@@ -277,6 +277,23 @@ def test_fail_fast_abandons_only_what_was_sent():
         warehouse.disable_sharding()
 
 
+def test_worker_failures_name_the_stage_that_broke():
+    # The worker reports which stage failed; the handle carries it exactly
+    # as StageGuard names it inline, not the handle's lifecycle state.
+    bad = [f"SELECT no_such_column FROM orders WHERE o_orderkey > {i}" for i in range(2)]
+    failures = []
+    for sharded in (False, True):
+        warehouse = make_warehouse()
+        if sharded:
+            warehouse.enable_sharding(workers=1)
+        try:
+            handles = warehouse.session(tenant="t1", constraint=SLA).submit_many(bad)
+        finally:
+            warehouse.disable_sharding()
+        failures.append([(h.state.value, h.error.stage, h.error.cause_type) for h in handles])
+    assert failures[0] == failures[1] == [("failed", "bind", "BindError")] * 2
+
+
 # ------------------------------ recovery -------------------------------- #
 def test_kill_worker_between_batches_restarts_warm(threaded_baseline):
     warehouse = make_warehouse()

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cost.volumes import pipeline_output, pipeline_volumes
+from repro.cost.volumes import pipeline_volumes
 from repro.errors import EstimationError
 from repro.plan.physical import AggMode, PhysAggregate, walk_physical
 from repro.plan.pipelines import ROLE_SOURCE_SCAN, decompose_pipelines
@@ -69,12 +69,6 @@ def test_invalid_dop(agg_dag):
     _, dag = agg_dag
     with pytest.raises(EstimationError):
         pipeline_volumes(scan_pipeline(dag), 0)
-
-
-def test_pipeline_output_is_last(agg_dag):
-    _, dag = agg_dag
-    pipeline = scan_pipeline(dag)
-    assert pipeline_output(pipeline, 2) == pipeline_volumes(pipeline, 2)[-1]
 
 
 def test_scan_input_independent_of_dop(agg_dag):

@@ -36,8 +36,6 @@ def test_batch_take_head_with_columns():
     batch = Batch({"a": np.arange(10)})
     assert batch.take(np.array([3, 1])).column("a").tolist() == [3, 1]
     assert batch.head(3).num_rows == 3
-    extended = batch.with_columns({"b": np.arange(10) * 2})
-    assert extended.column_names == ("a", "b")
 
 
 def test_batch_concat():

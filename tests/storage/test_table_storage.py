@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from repro.catalog.schema import Column, DataType, TableSchema
+from repro.engine.operators import execute_scan
 from repro.errors import StorageError
+from repro.plan.expressions import BinaryOp, ColumnRef, Literal
 from repro.storage.table_storage import StoredTable, cluster_by, split_into_partitions
 
 SCHEMA = TableSchema(
@@ -47,18 +49,26 @@ def test_clustering_depth_ordering():
     assert depth_random > 0.9
 
 
+K_0_TO_499 = BinaryOp(
+    "and",
+    BinaryOp(">=", ColumnRef("k"), Literal(0)),
+    BinaryOp("<=", ColumnRef("k"), Literal(499)),
+)
+
+
 def test_prune_range_on_clustered_table():
     table = StoredTable.from_columns(
         SCHEMA, make_columns(10_000), partition_rows=500, cluster_key="k"
     )
-    surviving = table.prune_range("k", 0, 499)
-    assert len(surviving) <= 2
-    assert sum(p.row_count for p in surviving) >= 500
+    _, partitions_read, rows_read = execute_scan(table, ("k",), K_0_TO_499)
+    assert partitions_read <= 2
+    assert rows_read >= 500
 
 
 def test_prune_range_unclustered_reads_everything():
     table = StoredTable.from_columns(SCHEMA, make_columns(10_000), partition_rows=500)
-    assert len(table.prune_range("k", 0, 499)) == table.num_partitions
+    _, partitions_read, _ = execute_scan(table, ("k",), K_0_TO_499)
+    assert partitions_read == table.num_partitions
 
 
 def test_recluster_preserves_multiset():

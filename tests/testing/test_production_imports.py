@@ -2,8 +2,8 @@
 
 - Production code cannot reach the slow reference paths:
   ``repro.testing`` holds fault injection, the lock sanitizer and the
-  parity references (``repro.testing.reference``); nothing outside it (and
-  outside the ``repro.analysis`` linter, which is tooling) may import it.
+  parity references (``repro.testing.reference``); nothing outside it
+  may import it.
 - Every production module is reached by some production path.
 - Only ``core/resilience.py``'s fault port draws from a fault plan.
 - Only the ledger appends to the journal; the planner-worker modules
@@ -22,7 +22,7 @@ from repro.core.warehouse import CostIntelligentWarehouse
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 REPO_ROOT = PACKAGE_ROOT.parents[1]
-EXEMPT = {"testing", "analysis"}
+EXEMPT = {"testing"}
 
 
 def module_name(path: Path) -> str:
