@@ -16,11 +16,13 @@ after a recalibration.
 - its **DOP-plan memo**: the outcome ``(dops, feasible, evaluations)``
   of every DOP search already run over the DAG, keyed by ``(constraint,
   overrides_key(overrides), max_dop, enforce_sla_strictly)``.  The
-  search is a pure function of that key and the calibration, so the DOP
-  monitor's replan with unchanged learned cardinalities, and every
-  replan of a plan served again from the exact plan cache, is one
-  lookup.  Values never reference the DAG (a value that did would pin
-  its own weak key).
+  search is a pure function of that key and the calibration, so a
+  second DOP-monitor replan of a DAG under the same learned
+  cardinalities is one lookup.  (A monitor that has learned nothing
+  does not search at all, and a plan served again from the exact plan
+  cache is answered by the simulation memo and never replans.)  Values
+  never reference the DAG (a value that did would pin its own weak
+  key).
 - its **simulation memo**: the
   :class:`~repro.sim.distsim.SimResult` of every simulated execution of
   the DAG the warehouse has run, under the key the warehouse builds

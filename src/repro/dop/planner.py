@@ -35,9 +35,11 @@ A finished search is memoized: before it builds a coster,
 enforce_sla_strictly)`` and, on a hit, returns a fresh :class:`DopPlan`
 over a copy of the remembered DOPs with the evaluation count the search
 recorded.  The memo lives with the DAG (weakly keyed) and is dropped by
-``CostEstimator.invalidate_caches()``; the DOP monitor's repeated
-replans, and every replan of a plan served again from the exact plan
-cache, are answered there.
+``CostEstimator.invalidate_caches()``; a DOP monitor's repeated replan
+under the same learned cardinalities is answered there.  A monitor that
+has learned nothing takes its planned DOPs without calling the planner,
+and a plan served again from the exact plan cache never replans (the
+simulation memo answers it).
 
 The parity suite runs the same search phases over
 :class:`repro.testing.reference.NaiveCoster` — every candidate fully

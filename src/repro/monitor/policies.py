@@ -56,6 +56,20 @@ class PipelineDopMonitor(ScalingPolicy):
     duration.  A deviation beyond the major threshold re-invokes the DOP
     planner over the remaining pipelines with all observations learned
     so far.
+
+    "Learned" means "differs from what the plan assumed": a source whose
+    true rows equal its ``est_rows`` is not recorded.  While nothing is
+    learned, a full replan takes ``planned_dops`` as the replanned
+    assignment without searching, and the single-pipeline correction
+    reads the estimate-mode curve (``overrides=None``) the optimizer
+    already compiled.  This rests on one invariant: ``planned_dops`` is
+    the estimator's own ``overrides=None`` search for this DAG under this
+    constraint and ``max_dop`` (what :func:`make_policy` passes from the
+    served :class:`PlanChoice`), which an observed-mode search with every
+    source pinned to its estimate returns unchanged
+    (``tests/cost/test_estimation_parity.py`` holds that equivalence).
+    Deviations in duration alone — skew, noise — then trigger no search,
+    since a DOP replan on unchanged cardinalities cannot correct them.
     """
 
     name = "dop-monitor"
@@ -137,7 +151,7 @@ class PipelineDopMonitor(ScalingPolicy):
             max(target_full, 1e-3),
             self.estimator.models,
             max_dop=self.max_dop,
-            overrides=self.learned,
+            overrides=self.learned or None,
         )
         if new_dop == obs.dop:
             return None
@@ -171,15 +185,18 @@ class PipelineDopMonitor(ScalingPolicy):
         if self.replans >= self.max_replans:
             return self._adjust_single(obs)
         self.replans += 1
-        plan = self._planner.plan(self.dag, self.constraint, overrides=self.learned)
-        replan = {
-            pid: dop for pid, dop in plan.dops.items() if pid != obs.pipeline_id
-        }
+        if self.learned:
+            dops = self._planner.plan(
+                self.dag, self.constraint, overrides=self.learned
+            ).dops
+        else:
+            dops = self.planned_dops  # a search would return them; see class doc
+        replan = {pid: dop for pid, dop in dops.items() if pid != obs.pipeline_id}
         # The replanned DOP for the running pipeline may still be too slow
         # given the time already burned; take the max with the
         # budget-aware single-pipeline correction.
         adjusted = self._adjust_single(obs)
-        new_dop = plan.dops.get(obs.pipeline_id, obs.dop)
+        new_dop = dops.get(obs.pipeline_id, obs.dop)
         if adjusted is not None and adjusted.new_dop is not None:
             new_dop = max(new_dop, adjusted.new_dop)
         return ResizeDecision(
@@ -196,7 +213,8 @@ class PipelineDopMonitor(ScalingPolicy):
     def _learn(self, pipeline_id: int, true_rows: float) -> None:
         pipeline = self.dag.pipeline(pipeline_id)
         source = pipeline.ops[0].node
-        self.learned[source.node_id] = true_rows
+        if true_rows != float(source.est_rows):
+            self.learned[source.node_id] = true_rows
 
 
 class IntervalScalerPolicy(ScalingPolicy):

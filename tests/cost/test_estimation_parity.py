@@ -270,6 +270,63 @@ def test_plan_memo_parity_under_the_dop_monitor(
     assert warm == reference
     assert stats.plan_computations == searches  # the second arrival searched nothing
     assert stats.plan_hits >= 1 + len(reference[1])
+    if not perturbed:
+        assert reference[1] == []  # nothing learned, nothing searched
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
+def test_the_monitor_replans_without_truth(big_binder, big_planner, constraint):
+    """The ``no-truth`` leg above is not vacuous: without cardinality
+    errors, duration skew and noise still drive the monitor past its
+    major threshold on some template, and such a replan searches
+    nothing."""
+    replan_counts = []
+    for template in template_names():
+        plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
+        _, searches, (_, replans, learned), _ = _monitored_run(
+            CostEstimator(), decompose_pipelines(plan), constraint, None
+        )
+        assert searches == [] and learned == {}
+        replan_counts.append(replans)
+    assert any(replan_counts)
+
+
+def _assert_pinned_search_is_the_plan(dag, constraint):
+    """Every pipeline source overridden with its own estimate (what a
+    monitor would search with if it recorded estimate-equal rows)."""
+    pinned_sources = {
+        p.ops[0].node.node_id: float(p.ops[0].node.est_rows) for p in dag
+    }
+    planner = DopPlanner(CostEstimator())
+    planned = planner.plan(dag, constraint)
+    pinned = planner.plan(dag, constraint, overrides=pinned_sources)
+    assert pinned.dops == planned.dops
+    assert pinned.feasible == planned.feasible
+
+
+@pytest.mark.parametrize("template", template_names())
+@pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
+def test_est_rows_overrides_search_the_planned_dops_tpch(
+    big_binder, big_planner, template, constraint
+):
+    """The invariant the DOP monitor's no-search replan rests on: an
+    observed-mode search with every source pinned to its estimate
+    returns the estimate-mode search's DOPs and verdict.  The two modes
+    differ only by rounding (``x * (y / x)`` against ``y``) and the
+    ``min(1, ...)`` selectivity cap; a cost-model change that makes that
+    difference choose another DOP breaks the monitor's shortcut."""
+    plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
+    _assert_pinned_search_is_the_plan(decompose_pipelines(plan), constraint)
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS, ids=["sla", "budget"])
+def test_est_rows_overrides_search_the_planned_dops_adhoc(
+    big_binder, big_planner, constraint
+):
+    """The same invariant over 50 generated ad hoc shapes."""
+    for sql in AdhocQueryGenerator(seed=28).batch(50):
+        plan = big_planner.plan(big_binder.bind_sql(sql))
+        _assert_pinned_search_is_the_plan(decompose_pipelines(plan), constraint)
 
 
 def test_warehouse_parameterized_serving_parity(big_catalog):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cost.estimator import CostEstimator
 from repro.dop.constraints import sla_constraint
 from repro.dop.planner import DopPlanner
 from repro.monitor.deviation import DeviationThresholds, deviation_ratio
@@ -106,6 +107,36 @@ def test_monitor_learns_truth(setup, estimator):
     for node_id, rows in policy.learned.items():
         if node_id in truth:
             assert rows == pytest.approx(truth[node_id])
+
+
+def test_monitor_without_learned_cardinalities_searches_nothing(setup):
+    """Exact cardinalities (``truth=None``) leave nothing to learn, so a
+    forced replan takes the planned DOPs: no DOP search, no new curve."""
+    dag, _, _, sla = setup
+    estimator = CostEstimator()
+    constraint = sla_constraint(sla)
+    dop_plan = DopPlanner(estimator, max_dop=64).plan(dag, constraint)
+    policy = PipelineDopMonitor(
+        dag, estimator, constraint, dop_plan.dops,
+        planned_latency=dop_plan.estimate.latency,
+        planned_durations={
+            pid: p.duration for pid, p in dop_plan.estimate.pipelines.items()
+        },
+        thresholds=DeviationThresholds(minor=1.0, major=1.0),
+        max_dop=64,
+    )
+    sim = DistributedSimulator(
+        dag, dop_plan.dops, estimator.models,
+        truth=None, planned=dop_plan.estimate, policy=policy,
+        config=SimConfig(seed=11),
+    )
+    stats = estimator.models.cache.stats
+    searches, curves = stats.plan_computations, stats.curve_computations
+    sim.run()
+    assert policy.replans > 0
+    assert policy.learned == {}
+    assert stats.plan_computations == searches
+    assert stats.curve_computations == curves
 
 
 def test_interval_scaler_scales_up(setup, estimator):
