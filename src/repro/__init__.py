@@ -17,13 +17,13 @@ latency, auditable dollars).  Batches plan concurrently via the
 :class:`ServingScheduler`, bit-identical to sequential submission.
 
 Resource governance makes both of the serving stack's resource
-decisions cost-driven: plan-cache retention is a pluggable
-:class:`RetentionPolicy` (default :class:`LruPolicy`; the
-:class:`CostAwarePolicy` keeps templates alive by forecast frequency x
-re-optimization cost saved, and ``warehouse.warm_cache`` pre-plans the
-hottest forecast templates), and per-tenant :class:`TenantBudget` dollar
-ceilings are enforced by an :class:`AdmissionController` whose verdicts
-escalate admit -> throttle -> defer -> deny (a denial is a typed
+decisions cost-driven: plan-cache retention is a score each cache level
+reads (``retention_policy="lru"`` by default; ``"cost-aware"`` keeps
+templates alive by forecast frequency x re-optimization cost saved, and
+``warehouse.warm_cache`` pre-plans the hottest forecast templates), and
+per-tenant :class:`TenantBudget` dollar ceilings are enforced by an
+:class:`AdmissionController` whose verdicts escalate
+admit -> throttle -> defer -> deny (a denial is a typed
 :class:`AdmissionDeniedError` and a ``DENIED`` handle state, never a
 failure of other tenants' work).
 
@@ -71,16 +71,13 @@ from repro.core import (
     BiObjectiveOptimizer,
     BreakerState,
     CircuitBreaker,
-    CostAwarePolicy,
     CostIntelligentWarehouse,
     Deadline,
-    LruPolicy,
     QueryHandle,
     QueryOutcome,
     QueryRequest,
     QueryState,
     ResiliencePolicy,
-    RetentionPolicy,
     RetryPolicy,
     ServingScheduler,
     Session,
@@ -127,9 +124,6 @@ __all__ = [
     "AdmissionVerdict",
     "AdmissionDeniedError",
     "TenantBudget",
-    "RetentionPolicy",
-    "LruPolicy",
-    "CostAwarePolicy",
     "ResiliencePolicy",
     "RetryPolicy",
     "CircuitBreaker",

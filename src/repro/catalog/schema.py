@@ -11,8 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import CatalogError
 
 
@@ -31,11 +29,6 @@ class DataType(enum.Enum):
         return _WIDTHS[self]
 
     @property
-    def numpy_dtype(self) -> np.dtype:
-        """The dtype the local engine materializes this type with."""
-        return _NUMPY_DTYPES[self]
-
-    @property
     def is_numeric(self) -> bool:
         return self in (DataType.INT64, DataType.FLOAT64, DataType.DATE)
 
@@ -46,14 +39,6 @@ _WIDTHS = {
     DataType.STRING: 16,  # dictionary code + amortized dictionary share
     DataType.DATE: 8,
     DataType.BOOL: 1,
-}
-
-_NUMPY_DTYPES = {
-    DataType.INT64: np.dtype(np.int64),
-    DataType.FLOAT64: np.dtype(np.float64),
-    DataType.STRING: np.dtype(np.int64),  # dictionary-encoded codes
-    DataType.DATE: np.dtype(np.int64),  # epoch days
-    DataType.BOOL: np.dtype(np.bool_),
 }
 
 

@@ -46,11 +46,3 @@ TSHIRT_SIZES: dict[str, int] = {
     "3XL": 64,
     "4XL": 128,
 }
-
-
-def tshirt_for_nodes(nodes: int) -> str:
-    """Smallest T-shirt size with at least ``nodes`` nodes (clamped to 4XL)."""
-    for name, count in TSHIRT_SIZES.items():
-        if count >= nodes:
-            return name
-    return "4XL"

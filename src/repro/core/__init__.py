@@ -20,16 +20,16 @@ on threads or on planner worker processes.  Planning itself is one walk
 applied-MV rewrite, and the cache levels it was given)
 that the warehouse and every worker process both instantiate.
 
-Resource decisions live in :mod:`repro.core.governance`, not in the
-caches or sessions they govern.  Cache *retention* is a pluggable
-:class:`RetentionPolicy` threaded through all three plan-cache levels:
-:class:`LruPolicy` (default) evicts by recency, bit-identical to the
-pre-governance warehouse; :class:`CostAwarePolicy` scores entries by the
-Statistics Service's forecast template frequency times the measured
-re-optimization seconds an entry saves, so hot recurring reports survive
-eviction pressure (``warehouse.warm_cache`` pre-plans the hottest
-forecast templates the same way).  Tenant *admission* is an
-:class:`AdmissionController` consulted at ``Session._admit`` time: per
+Resource decisions read :mod:`repro.core.governance`.  Cache
+*retention* is one score each plan-cache level computes itself: under
+the default ``retention_policy="lru"`` a level evicts by recency; under
+``"cost-aware"`` it scores entries by the Statistics Service's forecast
+template frequency (:class:`TemplateFrequencyProvider`) times the
+measured re-optimization seconds an entry saves, so hot recurring
+reports survive eviction pressure (``warehouse.warm_cache`` pre-plans
+the hottest forecast templates the same way).  Tenant *admission* is an
+:class:`AdmissionController` consulted at ``Session._admit`` time, each
+verdict committed to the ledger like every other transition: per
 :class:`TenantBudget` dollar ceilings over the tenant's full
 :class:`TenantBill` (serving + background tuning) escalate ``ADMIT ->
 THROTTLE -> DEFER -> DENY``, with denials surfaced as typed
@@ -140,7 +140,8 @@ The contracts above are *machine-enforced*: the shape checks in
 billing, StageGuard-only fault handling, virtual-time discipline and
 lock hygiene over ``src`` and ``tests``;
 ``tests/testing/test_production_imports.py`` asserts that only the
-ledger module appends to the journal, that only the fault port draws
+ledger module appends to the journal, and only through ``Ledger.commit``
+(or a checkpoint), that only the fault port draws
 from a fault plan, worker isolation, and the frozen warehouse
 constructor surface; the lock-order sanitizer
 (:mod:`repro.testing.locks`) checks the runtime complement, a
@@ -164,12 +165,8 @@ from repro.core.recovery import RecoveryReport, recover_warehouse
 from repro.core.governance import (
     AdmissionController,
     AdmissionVerdict,
-    CostAwarePolicy,
-    LruPolicy,
-    RetentionPolicy,
     TemplateFrequencyProvider,
     TenantBudget,
-    make_retention_policy,
 )
 from repro.core.resilience import (
     BreakerState,
@@ -197,12 +194,8 @@ __all__ = [
     "CostIntelligentWarehouse",
     "AdmissionController",
     "AdmissionVerdict",
-    "CostAwarePolicy",
-    "LruPolicy",
-    "RetentionPolicy",
     "TemplateFrequencyProvider",
     "TenantBudget",
-    "make_retention_policy",
     "LEDGER_SCALE",
     "Checkpoint",
     "CheckpointState",

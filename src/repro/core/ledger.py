@@ -18,13 +18,10 @@ a recovered ledger equals the live one by construction rather than by a
 hand-kept mirror.  ``journal=None`` is not a second path: it is the
 same ``commit`` minus the append and its probes.
 
-One site journals through :meth:`Ledger.write_ahead` without
-re-applying: admission.  The verdict an ``AdmissionDecision`` carries
-does not exist until
-:meth:`~repro.core.governance.AdmissionController.check` has decided,
-and ``check`` counts what it decides in the same step, so
-``Session._admit`` journals a verdict that is already counted (replay
-re-counts it through the same counting method).  Every other site —
+Admission is no exception:
+:meth:`~repro.core.governance.AdmissionController.check` only decides,
+and ``Session._admit`` commits the verdict as an ``AdmissionDecision``
+whose transition counts it — live exactly as on replay.  Every site —
 the snapshot collector included — builds its record first and commits
 it.  Two counters advance without a record — the clock at
 admission and the recommendation id at proposal — and replay re-derives
@@ -266,12 +263,6 @@ class Ledger:
         with self.lock:
             self._append(record)
             self.apply(record)
-
-    def write_ahead(self, record: object) -> None:
-        """Journal ``record`` for the site that applies its effect itself
-        (admission, see the module docstring)."""
-        with self.lock:
-            self._append(record)
 
     def _append(self, record: object) -> None:
         """The probe-bracketed journal write (no-op without a journal).

@@ -39,29 +39,34 @@ without touching the catalog).
 Retention
 ---------
 
-*Which* entry leaves a full cache is delegated to a pluggable
-:class:`~repro.core.governance.RetentionPolicy`.  The default
-:class:`~repro.core.governance.LruPolicy` evicts the
-least-recently-used entry, so each level is an exact LRU of its stated
-capacity: which level answers a query (and so its dollars) is a
-function of the traffic, never of ``hash()``.  A
-:class:`~repro.core.governance.CostAwarePolicy` instead scores entries
-by forecast template frequency times re-optimization cost saved, so hot
-recurring templates survive eviction pressure that plain recency would
-age them out of; the pipeline passes the scoring metadata with every
-``store``.
+Each level decides its own evictions.  Without a rate function it
+evicts the least-recently-used entry, so the level is an exact LRU of
+its stated capacity: which level answers a query (and so its dollars)
+is a function of the traffic, never of ``hash()``.  Given one — the
+warehouse passes the Statistics Service's forecast arrivals per hour,
+:meth:`~repro.core.governance.TemplateFrequencyProvider.rate_for`, under
+``retention_policy="cost-aware"`` — each entry keeps the
+``(template, cost_s)`` it was stored with and scores ``rate(template) x
+cost_s``: expected re-uses per hour times the planning seconds a re-use
+saves.  The victim is the lowest score among the :data:`VICTIM_WINDOW`
+least recently used entries; ties (the cold start, where no forecast
+exists yet) and entries stored without metadata (score zero) leave
+least recently used first, so with no signal the level is exact LRU
+again.  Hot recurring templates thereby survive eviction pressure that
+plain recency would age them out of.
 
-Each level is one :class:`threading.Lock` over one ``OrderedDict`` and
-three integer counters; the policy's hooks all run under that lock.
+Each level is one :class:`threading.Lock` over one ``OrderedDict``, the
+per-entry scoring metadata and three integer counters; the rate
+function is a lock-free read, called under that lock.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Iterable
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
-from repro.core.governance import LruPolicy, RetentionPolicy
 from repro.sql.parameterize import normalize_sql  # noqa: F401  (re-export)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,26 +74,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimizer.join_order import JoinTree, Leaf
     from repro.sql.binder import BoundQuery
 
+#: How many entries, from the least recently used end, one cost-aware
+#: eviction scores.  Victim selection runs under the cache lock on every
+#: over-capacity store, so it must not scan the whole cache; 64 is what
+#: one eviction scanned when a default 256-entry cache was four hash
+#: partitions, and it measures the same.
+VICTIM_WINDOW = 64
+#: The smallest planning cost an entry is scored with, so a recorded
+#: entry of a forecast template never ties an unrecorded one.
+MIN_COST_S = 1e-6
+
 
 class _LruStats:
-    """One lock-guarded LRU with hit/miss/eviction counters."""
+    """One lock-guarded cache level with hit/miss/eviction counters.
+
+    ``rate`` maps a template to its forecast arrivals per hour; without
+    one the level is a plain LRU and keeps no scoring metadata.
+    """
+
+    name = "cache"
 
     def __init__(
         self,
-        capacity: int,
-        name: str,
+        capacity: int = 256,
         *,
-        policy: RetentionPolicy | None = None,
+        rate: Callable[[Hashable], float] | None = None,
     ) -> None:
         if capacity < 1:
-            raise ValueError(f"{name} capacity must be >= 1, got {capacity}")
+            raise ValueError(f"{self.name} capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.name = name
-        #: Who decides evictions; one policy instance per cache (its
-        #: metadata is keyed by this cache's keys).
-        self.policy = policy or LruPolicy()
+        self.rate = rate
+        #: ``"cost-aware"`` when evictions are scored, else ``"lru"``.
+        self.retention = "lru" if rate is None else "cost-aware"
         self.lock = threading.Lock()
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        #: key -> (template, planning seconds saved), for resident keys
+        #: stored with a template; filled only under a rate function.
+        self._meta: dict[Hashable, tuple[Hashable, float]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -114,24 +136,45 @@ class _LruStats:
         with self.lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            if template is not None:
+            if template is not None and self.rate is not None:
                 # Metadata must land before victim selection: the entry
                 # being stored competes in its own store's eviction, and
                 # an unscored newcomer would evict itself against any
                 # scored resident (and leak its metadata, recorded after
                 # the fact for a key no longer present).
-                self.policy.record(key, template=template, cost_s=cost_s)
+                self._meta[key] = (template, float(cost_s))
             while len(self._entries) > self.capacity:
-                victim = self.policy.victim(self._entries)
+                victim = self._victim()
                 del self._entries[victim]
                 self.evictions += 1
-                self.policy.on_evict(victim)
+                self._meta.pop(victim, None)
+
+    def _victim(self) -> Hashable:
+        """The least recently used entry without a rate function; with
+        one, the lowest-scoring of the :data:`VICTIM_WINDOW` least
+        recently used entries (strict ``<`` over LRU -> MRU: ties leave
+        least recently used first)."""
+        rate, meta = self.rate, self._meta
+        if rate is None:
+            return next(iter(self._entries))
+        best_key: Hashable = None
+        best_score = float("inf")
+        for key in islice(self._entries, VICTIM_WINDOW):
+            recorded = meta.get(key)
+            score = (
+                0.0
+                if recorded is None
+                else rate(recorded[0]) * max(recorded[1], MIN_COST_S)
+            )
+            if score < best_score:
+                best_key, best_score = key, score
+        return best_key
 
     def invalidate(self) -> None:
-        """Drop every cached entry (and the policy's per-key metadata)."""
+        """Drop every cached entry (and its scoring metadata)."""
         with self.lock:
             self._entries.clear()
-            self.policy.clear()
+            self._meta.clear()
 
     def export_state(self) -> tuple[tuple[Hashable, object], ...]:
         """Snapshot the cached entries as ``(key, value)`` pairs.
@@ -152,7 +195,7 @@ class _LruStats:
         """Replay exported ``(key, value)`` pairs into this cache.
 
         Insertion goes through the normal store path, so capacity and
-        the retention policy apply; importing more entries than fit
+        retention apply; importing more entries than fit
         simply evicts as usual.
         """
         for key, value in pairs:
@@ -162,7 +205,6 @@ class _LruStats:
         """Zero the hit/miss/eviction counters (benchmark warmup)."""
         with self.lock:
             self.hits = self.misses = self.evictions = 0
-            self.policy.reset_stats()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -175,7 +217,7 @@ class _LruStats:
     def describe(self) -> str:
         return (
             f"{self.name}: {len(self)}/{self.capacity} entries "
-            f"({self.policy.name} retention), "
+            f"({self.retention} retention), "
             f"{self.hits} hits / {self.misses} misses "
             f"({self.hit_rate:.0%}), {self.evictions} evictions"
         )
@@ -189,10 +231,7 @@ class PlanCache(_LruStats):
     is part of the work the cache amortizes.
     """
 
-    def __init__(
-        self, capacity: int = 256, *, policy: RetentionPolicy | None = None
-    ) -> None:
-        super().__init__(capacity, "plan cache", policy=policy)
+    name = "plan cache"
 
     def lookup(self, key: Hashable) -> tuple["BoundQuery", "PlanChoice"] | None:
         return self._get(key)  # type: ignore[return-value]
@@ -219,10 +258,7 @@ class BindingCache(_LruStats):
     transitively shares physical planning and pipeline timings too.
     """
 
-    def __init__(
-        self, capacity: int = 256, *, policy: RetentionPolicy | None = None
-    ) -> None:
-        super().__init__(capacity, "binding cache", policy=policy)
+    name = "binding cache"
 
     def lookup(self, key: Hashable) -> "BoundQuery | None":
         return self._get(key)  # type: ignore[return-value]
@@ -247,10 +283,7 @@ class SkeletonCache(_LruStats):
     one entry serves every instantiation of the template.
     """
 
-    def __init__(
-        self, capacity: int = 256, *, policy: RetentionPolicy | None = None
-    ) -> None:
-        super().__init__(capacity, "skeleton cache", policy=policy)
+    name = "skeleton cache"
 
     def lookup(self, key: Hashable) -> tuple["JoinTree | Leaf", ...] | None:
         return self._get(key)  # type: ignore[return-value]

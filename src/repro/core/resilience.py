@@ -291,15 +291,13 @@ class ResiliencePolicy:
 
     Stage deadlines are keyed by fault-point name (``bind`` /
     ``optimize`` / ``simulate``); the request deadline spans all of one
-    submission's stages.  ``degraded_fallback`` controls whether an
-    ``optimize`` deadline falls back to degraded-mode planning instead
-    of failing.
+    submission's stages.  An ``optimize`` deadline never fails a
+    request: it falls back to degraded-mode planning.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     request_deadline_s: float | None = None
     stage_deadline_s: Mapping[str, float] = field(default_factory=dict)
-    degraded_fallback: bool = True
 
 
 class ResilienceStats:

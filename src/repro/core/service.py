@@ -109,18 +109,6 @@ class QueryState(Enum):
     DENIED = "denied"
 
 
-#: Forward progression of the lifecycle (``FAILED`` can follow any state,
-#: ``DENIED`` only replaces ``QUEUED``; ``SIMULATED`` is skipped when
-#: ``simulate=False``).
-STATE_ORDER = (
-    QueryState.QUEUED,
-    QueryState.BOUND,
-    QueryState.PLANNED,
-    QueryState.SIMULATED,
-    QueryState.DONE,
-)
-
-
 # --------------------------------------------------------------------- #
 # Outcome
 # --------------------------------------------------------------------- #
@@ -472,7 +460,9 @@ class Session:
         warehouse clock never advances for work that is not served);
         ``DEFER`` leaves the timestamp unassigned, to be granted by a
         re-admission at the tail of the batch; ``ADMIT``/``THROTTLE``
-        proceed.  Each admitted handle also *reserves* its tenant's
+        proceed.  Every verdict is committed to the ledger as an
+        ``AdmissionDecision`` (its transition counts it), in handle
+        order.  Each admitted handle also *reserves* its tenant's
         historical average cost per query, so a long batch from one
         tenant escalates mid-batch (to THROTTLE, then DEFER — whose
         tail re-check sees the real dollars and may deny) instead of
@@ -501,12 +491,11 @@ class Session:
                         reserved_dollars=reserved.get(tenant, 0.0),
                     )
                     # Verdict counters are authoritative state (budget
-                    # enforcement history): journal every decision —
-                    # check() has already counted it, so this is the
-                    # write-ahead half only.  For a DENY this is the
-                    # *only* record the query leaves — no billing, no
-                    # log entry.
-                    ledger.write_ahead(
+                    # enforcement history): every decision is committed,
+                    # and its transition counts it.  For a DENY this is
+                    # the *only* record the query leaves — no billing,
+                    # no log entry.
+                    ledger.commit(
                         JournalAdmissionDecision(tenant=tenant, verdict=verdict.value)
                     )
                     handle.admission = verdict
@@ -601,7 +590,7 @@ class Session:
             else:
                 planned = remote_plan()
         except DeadlineExceededError as exc:
-            if exc.stage != "optimize" or not warehouse.resilience.degraded_fallback:
+            if exc.stage != "optimize":
                 raise
             # Degraded-mode serving: an optimize timeout (or a planner
             # worker unresponsive past it) never fails the batch.  Fall
@@ -740,15 +729,15 @@ def _request_guard(
     """One request's :class:`~repro.core.resilience.StageGuard`.
 
     The retry allowance is budget-aware: every step the tenant's current
-    admission verdict (a lock-free peek, never counted) sits past
-    ``ADMIT`` in :class:`AdmissionVerdict` costs one attempt, and each
+    admission verdict (``check`` with no reservation, never committed)
+    sits past ``ADMIT`` in :class:`AdmissionVerdict` costs one attempt, and each
     retry's modeled compute is committed to the tenant's bill as a
     :class:`~repro.core.journal.RetryCharge`.
     """
     policy = warehouse.resilience
     attempts = policy.retry.max_attempts
     if tenant is not None and warehouse.admission.active:
-        verdict = warehouse.admission.peek(tenant, warehouse.billing.get(tenant))
+        verdict = warehouse.admission.check(tenant, warehouse.billing.get(tenant))
         attempts = policy.retry.attempts_for(list(AdmissionVerdict).index(verdict))
 
     def charge(dollars: float) -> None:

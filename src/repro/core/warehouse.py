@@ -31,16 +31,15 @@ back with full serving-cache coherence.
 from __future__ import annotations
 
 from dataclasses import replace as dataclasses_replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.catalog.catalog import Catalog
 from repro.core.bioptimizer import PlanChoice
 from repro.core.governance import (
+    RETENTION_POLICY_NAMES,
     AdmissionController,
-    RetentionPolicy,
     TemplateFrequencyProvider,
     TenantBudget,
-    make_retention_policy,
     rank_by_forecast,
 )
 from repro.core.journal import WriteAheadJournal
@@ -86,13 +85,18 @@ class CostIntelligentWarehouse:
         explore_bushy: bool = True,
         plan_cache_size: int = 256,
         tuning_policy: TuningPolicy | None = None,
-        retention_policy: "str | Callable[[], RetentionPolicy]" = "lru",
+        retention_policy: str = "lru",
         tenant_budgets: "Mapping[str, TenantBudget | float] | None" = None,
         resilience: ResiliencePolicy | None = None,
         journal: WriteAheadJournal | None = None,
     ) -> None:
         if database is None and catalog is None:
             raise ReproError("provide a Database (with data) or a Catalog (stats-only)")
+        if retention_policy not in RETENTION_POLICY_NAMES:
+            raise ReproError(
+                f"unknown retention policy {retention_policy!r}; "
+                f"known: {RETENTION_POLICY_NAMES}"
+            )
         self.database = database
         self.catalog = database.catalog if database is not None else catalog
         assert self.catalog is not None
@@ -125,18 +129,16 @@ class CostIntelligentWarehouse:
         #: arrival forecasts to cache retention and warming;
         #: ``self.admission`` enforces per-tenant dollar budgets at
         #: :meth:`Session._admit` time.  The default ``retention_policy``
-        #: ("lru") keeps served plans and cache counters bit-identical to
-        #: the pre-governance warehouse; "cost-aware" keeps hot forecast
-        #: templates alive under eviction pressure.
+        #: ("lru") evicts by recency; "cost-aware" hands every cache
+        #: level ``frequency.rate_for`` to score its entries with, which
+        #: keeps hot forecast templates alive under eviction pressure.
         self.frequency = TemplateFrequencyProvider(
             self.logs,
             breaker=self.statsvc_breaker,
             faults=self.fault_port,
         )
         self.admission = AdmissionController(tenant_budgets)
-        self.retention_policy_name = (
-            retention_policy if isinstance(retention_policy, str) else "custom"
-        )
+        cost_aware = retention_policy == "cost-aware"
         #: The ledger (see :mod:`repro.core.ledger`): every piece of
         #: authoritative state plus the journal, mutated only through
         #: ``ledger.apply(record)`` — live via ``ledger.commit``, and on
@@ -148,24 +150,18 @@ class CostIntelligentWarehouse:
             journal=journal,
             admission=self.admission,
             faults=self.fault_port,
-            # Only a non-LRU retention policy reads the forecasts
-            # this feeds.
-            note_template=(
-                self.frequency.note_template if retention_policy != "lru" else None
-            ),
+            # Only cost-aware retention reads the forecasts this feeds.
+            note_template=self.frequency.note_template if cost_aware else None,
         )
         self.billing = self.ledger.billing
         self.cost_history = self.ledger.cost_history
 
-        def _policy() -> RetentionPolicy:
-            return make_retention_policy(
-                retention_policy, frequency=self.frequency.rate_for
-            )
+        rate = self.frequency.rate_for if cost_aware else None
 
         def _level(cache_type):
             if plan_cache_size <= 0:
                 return None
-            return cache_type(plan_cache_size, policy=_policy())
+            return cache_type(plan_cache_size, rate=rate)
 
         #: The planning pipeline (see :mod:`repro.core.planning`): the
         #: binder, the optimizer, the applied-MV rewrite and the

@@ -228,10 +228,6 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source", "Capacity evictions per plan-cache level.", ("cache",),
         read=_per_cache(lambda cache: cache.evictions),
     ),
-    "repro_cache_policy_evictions_total": MetricSpec(
-        "source", "Retention-policy evictions per plan-cache level.", ("cache",),
-        read=_per_cache(lambda cache: cache.policy.evictions),
-    ),
     "repro_timing_cache_hits_total": MetricSpec(
         "source",
         "Estimator memo hits (per-DOP timing / compiled curve / DOP plan / "

@@ -97,10 +97,10 @@ def describe_caches(warehouse) -> dict[str, dict]:
 
     Reports the exact plan cache, the template skeleton cache, and the
     estimator's memos (per-DOP timings, compiled curves, finished DOP
-    searches, simulated executions), plus, per cache, the retention
-    policy's name and its eviction count, and an ``admission`` block
-    with per-tenant verdict counts (empty until a tenant budget is
-    configured).  Only the policy *name* (a string, not a metric) is
+    searches, simulated executions), plus, per cache, its retention
+    (``"lru"`` or ``"cost-aware"``), and an ``admission`` block with
+    per-tenant verdict counts (empty until a tenant budget is
+    configured).  Only the retention *name* (a string, not a metric) is
     read off the cache directly.
     """
     metrics = warehouse.metrics
@@ -109,7 +109,6 @@ def describe_caches(warehouse) -> dict[str, dict]:
     hits = metrics.sourced("repro_cache_hits_total")
     misses = metrics.sourced("repro_cache_misses_total")
     evictions = metrics.sourced("repro_cache_evictions_total")
-    policy_evictions = metrics.sourced("repro_cache_policy_evictions_total")
     report: dict[str, dict] = {}
     for name, cache in warehouse.planning.levels():
         cache_hits = hits.get((name,), 0)
@@ -121,8 +120,7 @@ def describe_caches(warehouse) -> dict[str, dict]:
             "misses": misses.get((name,), 0),
             "evictions": evictions.get((name,), 0),
             "hit_rate": cache_hits / lookups if lookups else 0.0,
-            "policy": cache.policy.name,
-            "policy_evictions": policy_evictions.get((name,), 0),
+            "policy": cache.retention,
         }
     verdicts: dict[str, dict[str, int]] = {}
     for (tenant, verdict), count in sorted(

@@ -280,16 +280,3 @@ def make_and(parts: Iterable[Expr]) -> Expr | None:
     for part in parts:
         result = part if result is None else BinaryOp("and", result, part)
     return result
-
-
-def is_equi_join_condition(expr: Expr) -> tuple[ColumnRef, ColumnRef] | None:
-    """Return the two column refs when ``expr`` is ``col_a = col_b`` between
-    different tables, else None."""
-    if not (isinstance(expr, BinaryOp) and expr.op == "="):
-        return None
-    left, right = expr.left, expr.right
-    if not (isinstance(left, ColumnRef) and isinstance(right, ColumnRef)):
-        return None
-    if left.table is not None and left.table == right.table:
-        return None
-    return (left, right)

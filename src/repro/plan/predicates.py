@@ -13,7 +13,6 @@ from repro.plan.expressions import (
     BinaryOp,
     ColumnRef,
     Expr,
-    InList,
     Literal,
     conjuncts,
 )
@@ -31,10 +30,6 @@ class ColumnRange:
 
     def tighten_hi(self, value: float) -> None:
         self.hi = value if self.hi is None else min(self.hi, value)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo is not None and self.hi is not None and self.lo > self.hi
 
 
 def extract_column_ranges(predicate: Expr | None) -> dict[str, ColumnRange]:
@@ -79,14 +74,4 @@ def _as_simple_comparison(expr: Expr) -> tuple[str, str, float] | None:
             return None
         flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
         return (right.name, flipped, float(left.value))
-    return None
-
-
-def in_list_values(expr: Expr) -> tuple[str, tuple[float, ...]] | None:
-    """Decompose a positive IN-list over a plain column, if possible."""
-    if isinstance(expr, InList) and not expr.negated:
-        if isinstance(expr.operand, ColumnRef):
-            values = tuple(float(v) for v in expr.values if not isinstance(v, str))
-            if len(values) == len(expr.values):
-                return (expr.operand.name, values)
     return None

@@ -281,22 +281,17 @@ class TuningService:
         self,
         warehouse: "CostIntelligentWarehouse",
         policy: TuningPolicy | None = None,
-        *,
-        whatif: WhatIfService | None = None,
-        advisor: AutoTuningAdvisor | None = None,
-        background: BackgroundComputeService | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.warehouse = warehouse
         self.policy = policy or TuningPolicy()
-        self.whatif = whatif or WhatIfService(warehouse.catalog, warehouse.estimator)
-        self.advisor = advisor or AutoTuningAdvisor(
+        self.whatif = WhatIfService(warehouse.catalog, warehouse.estimator)
+        self.advisor = AutoTuningAdvisor(
             warehouse.catalog,
             self.whatif,
             storage_budget_bytes=self.policy.storage_budget_bytes,
             min_template_count=self.policy.min_forecast_observations,
         )
-        self.background = background or BackgroundComputeService(
+        self.background = BackgroundComputeService(
             database=warehouse.database,
             catalog=warehouse.catalog,
             ledger=warehouse.ledger.background_spend,
@@ -316,7 +311,7 @@ class TuningService:
         #: ``warehouse.describe_health()``.
         self.last_error: Exception | None = None
         self.consecutive_failures = 0
-        self.breaker = breaker or CircuitBreaker("tuning")
+        self.breaker = CircuitBreaker("tuning")
         self._last_cycle_log_len = 0
         self._last_cycle_clock: float | None = None
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -9,12 +8,6 @@ def test_datatype_widths():
     assert DataType.INT64.width_bytes == 8
     assert DataType.STRING.width_bytes == 16
     assert DataType.BOOL.width_bytes == 1
-
-
-def test_datatype_numpy_dtypes():
-    assert DataType.INT64.numpy_dtype == np.dtype(np.int64)
-    assert DataType.STRING.numpy_dtype == np.dtype(np.int64)  # dictionary codes
-    assert DataType.BOOL.numpy_dtype == np.dtype(np.bool_)
 
 
 def test_is_numeric():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.compute.billing import BillingMeter, CostBreakdown
 from repro.compute.node import NODE_SPECS, node_spec
-from repro.compute.pricing import PriceModel, TSHIRT_SIZES, tshirt_for_nodes
+from repro.compute.pricing import PriceModel, TSHIRT_SIZES
 from repro.compute.warmpool import WarmPool, WarmPoolConfig
 from repro.errors import ComputeError
 
@@ -47,12 +47,6 @@ def test_tshirt_ladder_doubles():
     sizes = list(TSHIRT_SIZES.values())
     for small, large in zip(sizes, sizes[1:]):
         assert large == 2 * small
-
-
-def test_tshirt_for_nodes():
-    assert tshirt_for_nodes(1) == "XS"
-    assert tshirt_for_nodes(3) == "M"
-    assert tshirt_for_nodes(1000) == "4XL"
 
 
 # --------------------------- billing --------------------------------- #

@@ -1,32 +1,31 @@
 """Tests for the resource-governance layer (core/governance.py).
 
-Covers both halves: retention policies threaded through the plan
-caches (LRU parity with the pre-governance eviction, cost-aware
-survival of hot templates under pressure, cache warming), and
-budget-driven tenant admission (verdict escalation, denial isolation,
-deferred re-admission, throttled scheduling parity).
+Covers both halves: retention as the plan-cache levels decide it (LRU
+parity with the pre-governance eviction, cost-aware parity with the
+policy object it replaced, survival of hot templates under pressure,
+cache warming), and budget-driven tenant admission (verdict escalation,
+denial isolation, deferred re-admission, throttled scheduling parity).
 """
 
 import random
 from collections import OrderedDict
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import governance
 from repro.core.governance import (
     AdmissionController,
     AdmissionVerdict,
-    CostAwarePolicy,
-    LruPolicy,
     TemplateFrequencyProvider,
     TenantBudget,
-    VICTIM_WINDOW,
-    make_retention_policy,
     rank_by_forecast,
 )
 from repro.core.journal import WriteAheadJournal
-from repro.core.plan_cache import PlanCache, SkeletonCache
+from repro.core.plan_cache import VICTIM_WINDOW, PlanCache, SkeletonCache
+from repro.core.resilience import CircuitBreaker, FaultPort
 from repro.core.service import QueryHandle, QueryRequest, QueryState, ServingScheduler
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
@@ -81,12 +80,119 @@ class ReferenceLru:
             self.evictions += 1
 
 
+class ReferenceCostAware(ReferenceLru):
+    """Cost-aware retention as it was when a ``CostAwarePolicy`` object
+    sat beside the LRU, verbatim: store-time ``(template, cost_s)``
+    metadata is recorded before victim selection; the victim is the
+    lowest ``rate(template) x max(cost_s, 1e-6)`` among the
+    ``VICTIM_WINDOW`` least recently used entries, scanned with strict
+    ``<`` so ties and unrecorded entries (score zero) leave least
+    recently used first; metadata is dropped on eviction and on
+    invalidation.  ``rate=None`` scores everything zero: exact LRU."""
+
+    def __init__(self, capacity: int, rate) -> None:
+        super().__init__(capacity)
+        self.rate = rate
+        self.meta: dict = {}
+
+    def score(self, key) -> float:
+        meta = self.meta.get(key)
+        if meta is None:
+            return 0.0
+        template, cost_s = meta
+        if template is None or self.rate is None:
+            return 0.0
+        return self.rate(template) * max(cost_s, 1e-6)
+
+    def store(self, key, value, *, template=None, cost_s=0.0):
+        self.entries[key] = value
+        self.entries.move_to_end(key)
+        if template is not None:
+            self.meta[key] = (template, float(cost_s))
+        while len(self.entries) > self.capacity:
+            victim, lowest = None, float("inf")
+            for candidate in islice(self.entries, VICTIM_WINDOW):
+                score = self.score(candidate)
+                if score < lowest:
+                    victim, lowest = candidate, score
+            del self.entries[victim]
+            self.evictions += 1
+            self.meta.pop(victim, None)
+
+    def invalidate(self):
+        self.entries.clear()
+        self.meta.clear()
+
+    def reset_stats(self):
+        self.hits = self.misses = self.evictions = 0
+
+
+TEMPLATES = ("t0", "t1", "t2", "t3")
+
+
+@st.composite
+def retention_programs(draw):
+    """A capacity, per-template rates (or ``None``) and a sequence of
+    ``(opcode, key, metadata)`` steps: opcodes 0-9 store (with or
+    without ``(template, cost_s)``), 10-17 look up, 18 invalidates, 19
+    resets the counters."""
+    capacity = draw(st.sampled_from([1, 2, 3, 5, VICTIM_WINDOW + 2]))
+    rates = draw(
+        st.none()
+        | st.fixed_dictionaries({name: st.floats(0.0, 100.0) for name in TEMPLATES})
+    )
+    metadata = st.none() | st.tuples(
+        st.sampled_from(TEMPLATES), st.floats(0.0, 2.0)  # 0.0 hits the floor
+    )
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(0, 19), st.integers(0, 2 * capacity + 1), metadata),
+            max_size=120,
+        )
+    )
+    return capacity, rates, steps
+
+
+@given(retention_programs())
+def test_retention_matches_the_reference_after_every_step(program):
+    """Random store / lookup / invalidate / reset sequences under random
+    rates and costs leave the same contents, recency order, hits,
+    misses and evictions as :class:`ReferenceCostAware` after every
+    step — with a rate and without one."""
+    capacity, rates, steps = program
+    rate = rates.__getitem__ if rates is not None else None
+    cache, reference = PlanCache(capacity, rate=rate), ReferenceCostAware(capacity, rate)
+    for key in range(capacity):  # start full, so stores evict
+        template, cost_s = TEMPLATES[key % len(TEMPLATES)], key / 10
+        cache.store(key, "bound", "warm", template=template, cost_s=cost_s)
+        reference.store(key, ("bound", "warm"), template=template, cost_s=cost_s)
+    for step, (opcode, key, meta) in enumerate(steps):
+        if opcode < 10:
+            template, cost_s = meta if meta is not None else (None, 0.0)
+            cache.store(key, "bound", step, template=template, cost_s=cost_s)
+            reference.store(key, ("bound", step), template=template, cost_s=cost_s)
+        elif opcode < 18:
+            assert cache.lookup(key) == reference.lookup(key)
+        elif opcode == 18:
+            cache.invalidate()
+            reference.invalidate()
+        else:
+            cache.reset_stats()
+            reference.reset_stats()
+        assert cache.export_state() == tuple(reference.entries.items()), step
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            reference.hits,
+            reference.misses,
+            reference.evictions,
+        ), step
+
+
 def test_lru_policy_parity_with_pre_governance_eviction():
-    """Random lookup/store traffic over a small cache: the pluggable
-    LruPolicy must reproduce the hardcoded eviction exactly — same
-    hits, misses, evictions, same surviving keys in order."""
+    """Random lookup/store traffic over a small cache: a level without
+    a rate function must reproduce the hardcoded eviction exactly —
+    same hits, misses, evictions, same surviving keys in order."""
     rng = random.Random(7)
-    cache = PlanCache(capacity=8, policy=LruPolicy())
+    cache = PlanCache(capacity=8)
     reference = ReferenceLru(capacity=8)
     for step in range(2000):
         key = ("q", rng.randrange(24))
@@ -128,16 +234,14 @@ def test_default_capacity_cache_is_one_exact_lru(operations):
 
 def test_default_policy_is_lru_and_counted():
     cache = SkeletonCache(capacity=1)
-    assert cache.policy.name == "lru"
-    cache.store("a", ("tree-a",))
+    assert cache.retention == "lru"
+    cache.store("a", ("tree-a",), template="t", cost_s=1.0)
     cache.store("b", ("tree-b",))
     assert cache.lookup("a") is None
-    assert cache.policy.evictions == 1
     assert cache.evictions == 1
     assert "lru" in cache.describe()
+    assert cache._meta == {}  # plain LRU keeps no scoring metadata
     cache.reset_stats()
-    assert cache.policy.evictions == 0
-    # The cache's counter and the policy counter stay in lockstep.
     assert cache.evictions == 0
 
 
@@ -161,10 +265,9 @@ def test_cost_aware_keeps_hot_template_under_pressure():
     """At capacity, pressure that ages a hot template out of plain LRU
     leaves it untouched under the cost-aware policy."""
     rates = {"hot": 60.0, "cold": 0.5}
-    lru = SkeletonCache(capacity=2, policy=LruPolicy())
-    aware = SkeletonCache(
-        capacity=2, policy=CostAwarePolicy(lambda template: rates[template])
-    )
+    lru = SkeletonCache(capacity=2)
+    aware = SkeletonCache(capacity=2, rate=lambda template: rates[template])
+    assert aware.retention == "cost-aware"
     for cache in (lru, aware):
         cache.store("hot-key", ("hot-tree",), template="hot", cost_s=0.02)
         for index in range(4):  # sustained cold pressure
@@ -177,13 +280,13 @@ def test_cost_aware_keeps_hot_template_under_pressure():
     # entry, never itself: store-time metadata competes in the entry's
     # own eviction round).
     assert aware.lookup("cold-3") is not None
-    assert aware.policy.evictions == lru.policy.evictions == 3
+    assert aware.evictions == lru.evictions == 3
 
 
 def test_cost_aware_degrades_to_lru_without_signal():
     """No recorded metadata / no forecast: scores tie at zero and the
     victim falls back to exact LRU order."""
-    aware = PlanCache(capacity=2, policy=CostAwarePolicy(lambda template: 0.0))
+    aware = PlanCache(capacity=2, rate=lambda template: 0.0)
     aware.store("a", "b", "c")
     aware.store("x", "y", "z")
     assert aware.lookup("a") is not None
@@ -193,30 +296,28 @@ def test_cost_aware_degrades_to_lru_without_signal():
 
 
 def test_cost_aware_meta_follows_evictions_and_invalidation():
-    policy = CostAwarePolicy(lambda template: 1.0)
-    cache = PlanCache(capacity=2, policy=policy)
+    cache = PlanCache(capacity=2, rate=lambda template: 1.0)
     cache.store("a", "b", "c", template="t", cost_s=0.5)
-    assert policy.score("a") > 0
+    assert cache._meta == {"a": ("t", 0.5)}
     cache.store("b", "b", "c")
     cache.store("c", "b", "c")  # evicts "b": zero score, oldest of the zeros
     assert cache.lookup("b") is None
     assert cache.lookup("a") is not None  # the scored entry survived
-    policy.on_evict("a")
-    assert policy.score("a") == 0.0  # eviction drops the metadata
-    cache.store("d", "b", "c", template="t", cost_s=0.5)
+    cache.store("d", "b", "c", template="t", cost_s=0.25)  # evicts "c"
+    cache.store("e", "b", "c", template="t", cost_s=0.75)  # evicts "d"
+    assert cache._meta == {"a": ("t", 0.5), "e": ("t", 0.75)}  # eviction drops it
     cache.invalidate()
-    assert policy.score("d") == 0.0  # clear() dropped everything
+    assert cache._meta == {}  # invalidation drops everything
 
 
 def test_cost_aware_meta_never_leaks_under_churn():
     """Literal-varying traffic stores a unique scored key per arrival;
     the policy's metadata must track cache residency, not history."""
-    policy = CostAwarePolicy(lambda template: 1.0)
-    cache = PlanCache(capacity=2, policy=policy)
+    cache = PlanCache(capacity=2, rate=lambda template: 1.0)
     for index in range(100):
         cache.store(f"key-{index}", "bound", "choice", template="t", cost_s=0.1)
     assert len(cache) == 2
-    assert len(policy._meta) == 2  # one record per resident entry
+    assert len(cache._meta) == 2  # one record per resident entry
 
 
 def test_cost_aware_scores_only_the_least_recently_used_window():
@@ -227,7 +328,7 @@ def test_cost_aware_scores_only_the_least_recently_used_window():
     capacity = VICTIM_WINDOW + 36
     rates = {index: 10.0 + index for index in range(capacity)}
     rates[17] = 1.0
-    cache = PlanCache(capacity, policy=CostAwarePolicy(rates.__getitem__))
+    cache = PlanCache(capacity, rate=rates.__getitem__)
     for index in range(capacity):
         if index == VICTIM_WINDOW + 6:
             cache.store("unscored", "bound", "choice")
@@ -239,15 +340,16 @@ def test_cost_aware_scores_only_the_least_recently_used_window():
     assert cache.lookup("unscored") is not None
 
 
-def test_make_retention_policy_names_and_errors():
-    assert make_retention_policy("lru").name == "lru"
-    assert make_retention_policy("cost-aware").name == "cost-aware"
-    custom = make_retention_policy(LruPolicy)
-    assert isinstance(custom, LruPolicy)
-    with pytest.raises(ReproError):
-        make_retention_policy("mru")
-    with pytest.raises(ReproError):
-        make_retention_policy(lambda: object())
+def test_warehouse_rejects_an_unknown_retention_policy(catalog):
+    """The name is validated at construction — with cache levels or
+    without (``plan_cache_size=0`` builds none) — and each known name
+    reaches every level."""
+    for size in (4, 0):
+        with pytest.raises(ReproError, match="unknown retention policy"):
+            fresh_warehouse(catalog, plan_cache_size=size, retention_policy="mru")
+    for name in ("lru", "cost-aware"):
+        warehouse = fresh_warehouse(catalog, plan_cache_size=4, retention_policy=name)
+        assert {cache.retention for _, cache in warehouse.planning.levels()} == {name}
 
 
 # --------------------------------------------------------------------- #
@@ -384,15 +486,6 @@ def test_frequency_provider_refresh_and_mapping(catalog):
     assert provider.rate_for(("unknown",)) == 0.0
 
 
-def test_frequency_provider_validates_refresh_interval():
-    from repro.statsvc.logs import QueryLogStore
-
-    with pytest.raises(ReproError):
-        TemplateFrequencyProvider(QueryLogStore(), refresh_every=0)
-    with pytest.raises(ReproError):
-        TemplateFrequencyProvider(QueryLogStore(), window_records=0)
-
-
 def test_adhoc_family_never_feeds_retention_scores(catalog):
     """Untemplated queries all log under the default 'adhoc' family; its
     aggregate arrival rate must not score their cache entries, or a
@@ -418,8 +511,8 @@ def test_adhoc_family_never_feeds_retention_scores(catalog):
     assert warehouse.frequency.rate_for(key) == 0.0
 
 
-def test_frequency_refresh_is_bounded_to_the_log_tail():
-    """Rates are computed over the last window_records only, so the
+def test_frequency_refresh_is_bounded_to_the_log_tail(monkeypatch):
+    """Rates are computed over the last ``WINDOW_RECORDS`` only, so the
     serving-path refresh never scales with total log history."""
     from repro.statsvc.logs import QueryLogStore, QueryRecord
 
@@ -443,7 +536,10 @@ def test_frequency_refresh_is_bounded_to_the_log_tail():
         store.append(record(100 + index, 10_000.0 + index * 60.0, "current"))
     assert [r.template for r in store.tail(3)] == ["current"] * 3
     assert store.tail(0) == []
-    provider = TemplateFrequencyProvider(store, window_records=8)
+    monkeypatch.setattr(governance, "WINDOW_RECORDS", 8)
+    provider = TemplateFrequencyProvider(
+        store, breaker=CircuitBreaker("statsvc"), faults=FaultPort()
+    )
     provider.note_template("legacy", ("legacy-key",))
     provider.note_template("current", ("current-key",))
     rates = provider.family_rates()
@@ -482,14 +578,20 @@ def test_tenant_budget_validation():
 def test_controller_counts_and_defer_downgrade():
     controller = AdmissionController({"a": TenantBudget(5.0, defer_at=0.9)})
     assert controller.active
-    assert controller.check("a", _Bill(0.0)) is AdmissionVerdict.ADMIT
-    assert controller.check("a", _Bill(4.6)) is AdmissionVerdict.DEFER
+
+    def decide(tenant, bill, **kwargs):
+        verdict = controller.check(tenant, bill, **kwargs)
+        controller.count_verdict(tenant, verdict.value)
+        return verdict
+
+    assert decide("a", _Bill(0.0)) is AdmissionVerdict.ADMIT
+    assert decide("a", _Bill(4.6)) is AdmissionVerdict.DEFER
     # No batch to defer behind: the same spend throttles instead.
-    assert (
-        controller.check("a", _Bill(4.6), defer_ok=False)
-        is AdmissionVerdict.THROTTLE
-    )
-    assert controller.check("b", None) is AdmissionVerdict.ADMIT  # no budget
+    assert decide("a", _Bill(4.6), defer_ok=False) is AdmissionVerdict.THROTTLE
+    assert decide("b", None) is AdmissionVerdict.ADMIT  # no budget
+    # Deciding alone counts nothing: counting is the committed
+    # decision's transition.
+    assert controller.check("a", _Bill(4.6)) is AdmissionVerdict.DEFER
     assert controller.verdict_counts == {
         "a": {"admit": 1, "defer": 1, "throttle": 1},
         "b": {"admit": 1},

@@ -12,7 +12,6 @@ from repro.core.service import (
     QueryState,
     ServingScheduler,
     Session,
-    STATE_ORDER,
 )
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
@@ -70,16 +69,6 @@ def test_simulate_false_skips_simulated_state(warehouse):
     assert handle.state is QueryState.DONE
     assert "simulate" not in handle.stage_timings
     assert handle.result().sim is None
-
-
-def test_state_order_is_the_documented_progression():
-    assert STATE_ORDER == (
-        QueryState.QUEUED,
-        QueryState.BOUND,
-        QueryState.PLANNED,
-        QueryState.SIMULATED,
-        QueryState.DONE,
-    )
 
 
 def test_unfinished_handle_result_raises():

@@ -12,7 +12,6 @@ from repro.plan.expressions import (
     UnaryOp,
     conjuncts,
     contains_aggregate,
-    is_equi_join_condition,
     make_and,
     referenced_columns,
 )
@@ -131,15 +130,6 @@ def test_contains_aggregate():
         BinaryOp("+", Literal(1), AggCall(func="count", arg=None))
     )
     assert not contains_aggregate(Literal(1))
-
-
-def test_is_equi_join_condition():
-    good = BinaryOp("=", ColumnRef("a", "t1"), ColumnRef("b", "t2"))
-    assert is_equi_join_condition(good) is not None
-    same_table = BinaryOp("=", ColumnRef("a", "t1"), ColumnRef("b", "t1"))
-    assert is_equi_join_condition(same_table) is None
-    not_eq = BinaryOp("<", ColumnRef("a", "t1"), ColumnRef("b", "t2"))
-    assert is_equi_join_condition(not_eq) is None
 
 
 def test_sql_rendering():

@@ -1,5 +1,5 @@
-from repro.plan.expressions import BinaryOp, ColumnRef, InList, Literal, make_and
-from repro.plan.predicates import ColumnRange, extract_column_ranges, in_list_values
+from repro.plan.expressions import BinaryOp, ColumnRef, Literal, make_and
+from repro.plan.predicates import extract_column_ranges
 
 
 def col(name):
@@ -38,13 +38,6 @@ def test_conflicting_bounds_tighten():
     assert (r.lo, r.hi) == (8, 12)
 
 
-def test_empty_range_detection():
-    r = ColumnRange(lo=10, hi=5)
-    assert r.is_empty
-    assert not ColumnRange(lo=1, hi=2).is_empty
-    assert not ColumnRange().is_empty
-
-
 def test_non_simple_conjuncts_ignored():
     predicate = make_and(
         [
@@ -63,10 +56,3 @@ def test_non_simple_conjuncts_ignored():
 
 def test_none_predicate():
     assert extract_column_ranges(None) == {}
-
-
-def test_in_list_values():
-    expr = InList(col("a"), (1, 2, 3))
-    assert in_list_values(expr) == ("a", (1.0, 2.0, 3.0))
-    assert in_list_values(InList(col("a"), (1,), negated=True)) is None
-    assert in_list_values(BinaryOp("=", col("a"), Literal(1))) is None

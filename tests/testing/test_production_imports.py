@@ -167,6 +167,33 @@ def test_only_the_ledger_appends_to_the_journal():
     assert sites and set(sites) == {"core/ledger.py"}, sites
 
 
+def test_the_ledger_journals_only_through_commit():
+    """Inside the ledger, the journal append sits only in ``_append``
+    (the probe-bracketed write) and ``checkpoint`` (a snapshot, not a
+    transition), and ``_append`` is called only from ``commit`` — so no
+    record is journaled without being applied by the same call."""
+    tree = TREES[PACKAGE_ROOT / "core" / "ledger.py"]
+    ledger = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Ledger"
+    )
+    appends, callers = set(), set()
+    for method in ledger.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        for node in ast.walk(method):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            target = ast.unparse(node.func.value)
+            if node.func.attr == "append" and "journal" in target.lower():
+                appends.add(method.name)
+            if node.func.attr == "_append" and target == "self":
+                callers.add(method.name)
+    assert appends == {"_append", "checkpoint"}, appends
+    assert callers == {"commit"}, callers
+
+
 def test_planner_worker_modules_never_touch_coordinator_authority():
     """Workers bind and optimize; every journal append, bill, admission
     decision and statistics-log write stays in the coordinator's ordered
