@@ -99,7 +99,6 @@ from repro.tuning import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
     TuningAction,
     TuningPolicy,
     TuningReport,
@@ -145,7 +144,6 @@ __all__ = [
     "TuningAction",
     "MaterializeView",
     "Recluster",
-    "ResizeWarehouse",
     "Recommendation",
     "RecommendationState",
     "TuningPolicy",

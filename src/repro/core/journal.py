@@ -22,7 +22,9 @@ gates).  This module is the durability substrate:
 - :class:`WriteAheadJournal` — the append-ordered, LSN-stamped record
   store the ledger (:mod:`repro.core.ledger`) writes to (write-ahead:
   the record lands before the in-memory state it describes mutates, so
-  redo replay is always sufficient).
+  redo replay is always sufficient).  It keeps no counter beside its
+  entries: the next checkpoint id is the newest checkpoint's id + 1, so
+  a saved and loaded journal continues the sequence by construction.
 
 The catalog/database object is treated as *durable storage shared with
 the crashed process* (it survives, possibly half-mutated); the journal
@@ -355,7 +357,6 @@ class WriteAheadJournal:
         self.checkpoint_every = checkpoint_every
         self._entries: list[JournalEntry] = []
         self._lock = threading.Lock()
-        self._next_checkpoint_id = 1
         self._last_checkpoint_lsn = 0  # 0 = no checkpoint yet
 
     def append(self, record: object) -> JournalEntry:
@@ -402,10 +403,8 @@ class WriteAheadJournal:
             return len(self._entries) - self._last_checkpoint_lsn
 
     def next_checkpoint_id(self) -> int:
-        with self._lock:
-            checkpoint_id = self._next_checkpoint_id
-            self._next_checkpoint_id += 1
-            return checkpoint_id
+        """The id the next :class:`Checkpoint` takes (ids start at 1)."""
+        return (self.last_checkpoint_id or 0) + 1
 
     # -- persistence ---------------------------------------------------- #
     def save(self, path: str) -> None:
@@ -414,7 +413,6 @@ class WriteAheadJournal:
             payload = {
                 "entries": list(self._entries),
                 "checkpoint_every": self.checkpoint_every,
-                "next_checkpoint_id": self._next_checkpoint_id,
             }
         with open(path, "wb") as fh:
             pickle.dump(payload, fh)
@@ -435,7 +433,6 @@ class WriteAheadJournal:
             if isinstance(entry.record, Checkpoint):
                 last_cp = entry.lsn
         journal._last_checkpoint_lsn = last_cp
-        journal._next_checkpoint_id = payload.get("next_checkpoint_id", 1)
         return journal
 
     def describe(self) -> str:

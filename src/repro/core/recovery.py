@@ -22,10 +22,13 @@ with the crashed process) and calls :func:`recover_warehouse`, which
    landed is completed *forward* by applying the ``RollbackCommit`` it
    was about to write (the reversal was requested — finish it, meter
    it).  No record is ever left ``applying`` or ``rolling_back``.
-4. re-derives the advisor's representative template bindings from the
-   recovered log (serving caches themselves restart cold — they are
-   pure derived state; ``warm_cache`` re-warms them from the recovered
-   forecast).
+
+Nothing else is re-primed.  What the warehouse derives from its ledger
+is read from it: the next query id from the newest logged record, the
+collector's cadence from the newest cost snapshot, the next
+checkpoint id from the journal's newest checkpoint, and the tuning
+advisor's template bindings from the log on every read.  Serving caches
+restart cold (``warm_cache`` re-warms them from the recovered forecast).
 
 In-doubt *roll-back* resolution is deliberately unbilled: the apply
 never committed, so the tenant sees no charge and the background ledger
@@ -50,7 +53,7 @@ from repro.core.journal import (
     TuningFailed,
     WriteAheadJournal,
 )
-from repro.errors import RecoveryError, ReproError
+from repro.errors import RecoveryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.warehouse import CostIntelligentWarehouse
@@ -107,10 +110,6 @@ def recover_warehouse(
             report.records_replayed += 1
 
     _resolve_in_doubt(warehouse, report)
-    # Ids stay gap-free across the crash: one handed out by the dead
-    # process for a never-journaled record is simply re-issued.
-    ledger.logs.restore_ids()
-    _rebuild_template_bindings(warehouse)
     return report
 
 
@@ -182,20 +181,3 @@ def _resolve_in_doubt(
             durable.resolution = "forward"
             report.in_doubt_forward += 1
 
-
-# --------------------------------------------------------------------- #
-# Derived state
-# --------------------------------------------------------------------- #
-def _rebuild_template_bindings(warehouse: "CostIntelligentWarehouse") -> None:
-    """Re-derive the advisor's representative bound query per template
-    family from the recovered log (the last served instance of each),
-    bound under the *current* catalog version — the same bindings
-    continued serving would remember.  Best-effort: a family whose SQL
-    no longer binds (out-of-band schema change) is skipped."""
-    for template, records in warehouse.logs.by_template().items():
-        sql = records[-1].sql
-        try:
-            bound = warehouse.planning.rewrite_mv(warehouse.binder.bind_sql(sql))
-        except ReproError:
-            continue
-        warehouse._remember_template(template, bound)

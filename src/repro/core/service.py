@@ -24,9 +24,9 @@ arguments.  This module is the warehouse's public serving API:
   runs is an executor adapter's business: inline (nothing dispatched),
   a future per handle on a thread pool over the locked plan
   caches, or planning on the warm worker-*process* pool
-  (:mod:`repro.core.sharding`).  Finalization (logging, billing,
-  template bookkeeping) runs in submission order on the calling thread,
-  so every batch is bit-identical to sequential submission.  Denial,
+  (:mod:`repro.core.sharding`).  Finalization (logging and billing)
+  runs in submission order on the calling thread, so every batch is
+  bit-identical to sequential submission.  Denial,
   ``fail_fast``, throttling, the degraded fallback, failure wrapping and
   the failure counter each exist once: in that loop and in the
   per-handle step :meth:`Session.submit` shares with it.
@@ -644,7 +644,7 @@ class Session:
         )
 
     def _finalize(self, handle: QueryHandle, staged: _Staged) -> None:
-        """The ordered phase: log, bill the tenant, track templates.
+        """The ordered phase: log and bill the tenant.
 
         Exactly-once: the handle's finalize latch is checked and set
         under the serving lock, so no interleaving of scheduler threads
@@ -664,10 +664,9 @@ class Session:
             # Write-ahead: the record (which carries the billing delta)
             # is journaled *before* the log append and the charge, so a
             # crash between them is redone by replay and a crash before
-            # the journal write leaves no trace (the consumed query id
-            # is re-issued after recovery).
+            # the journal write leaves no trace (the next record takes
+            # the same query id).
             ledger.commit(QueryServed(record=record))
-            warehouse._remember_template(request.template, staged.bound)
             # Serving-event metrics (registry lock is innermost; dollar
             # amounts are integral ledger units).
             warehouse.metrics.counter(

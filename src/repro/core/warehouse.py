@@ -104,10 +104,6 @@ class CostIntelligentWarehouse:
         self.estimator = estimator or CostEstimator(self.hw)
         self.sim_config = sim_config or SimConfig()
         self.max_dop = max_dop
-        #: Representative bound query per template family, tagged with
-        #: the stats version it was bound under so the tuning advisor
-        #: never reasons over bindings from stale statistics.
-        self._template_queries: dict[str, tuple[int, BoundQuery]] = {}
         #: The persistent tuning service (lazily created on first use);
         #: ``tuning_policy`` configures cadence / budgets / auto-apply.
         self.tuning_policy = tuning_policy
@@ -442,33 +438,36 @@ class CostIntelligentWarehouse:
         return warmed
 
     def invalidate_plan_cache(self) -> None:
-        """Explicitly flush cached plans, skeletons, and template
-        bindings (catalog mutations invalidate automatically via the
-        stats version; use this after out-of-band changes such as
-        hardware recalibration)."""
+        """Explicitly flush cached plans, skeletons, and bindings
+        (catalog mutations invalidate automatically via the stats
+        version; use this after out-of-band changes such as hardware
+        recalibration)."""
         self._plan_cache_epoch += 1
         for _, cache in self.planning.levels():
             cache.invalidate()
-        # The representative template bindings embed the same statistics
-        # the plan caches do; a flush that leaves them behind would hand
-        # the tuning advisor bound queries from a world that no longer
-        # exists.
-        self._template_queries.clear()
 
     @property
     def template_queries(self) -> dict[str, BoundQuery]:
-        """Representative bound query per template family, restricted to
-        bindings made under the *current* stats version (stale ones are
-        invisible until the template is served again)."""
-        version = self.catalog.version
-        return {
-            template: bound
-            for template, (bound_version, bound) in self._template_queries.items()
-            if bound_version == version
-        }
+        """Representative bound query per logged template family: the
+        family's newest logged SQL, bound under the *current* catalog
+        with the applied-MV rewrite (SQL that no longer binds, after an
+        out-of-band schema change, is skipped).
 
-    def _remember_template(self, template: str, bound: BoundQuery) -> None:
-        self._template_queries[template] = (self.catalog.version, bound)
+        Derived from the log on every read and never stored, so a live
+        and a recovered warehouse advertise the same bindings, and after
+        a flush, a stats change or a tuning apply every logged family is
+        re-bound under the new catalog rather than hidden until it is
+        served again.
+        """
+        newest = {record.template: record.sql for record in self.logs}
+        bindings: dict[str, BoundQuery] = {}
+        for template, sql in newest.items():
+            try:
+                bound = self.binder.bind_sql(sql)
+            except ReproError:
+                continue
+            bindings[template] = self.planning.rewrite_mv(bound)
+        return bindings
 
     @property
     def billed_dollars(self) -> float:

@@ -89,16 +89,11 @@ class CostEstimator:
         self,
         hardware: HardwareCalibration | None = None,
         exchange_calibration: ExchangeCalibration | None = None,
-        *,
-        price_per_node_second: float | None = None,
     ) -> None:
         self.hw = hardware or HardwareCalibration()
         self.models = OperatorModels(self.hw, exchange_calibration)
-        self.price_per_node_second = (
-            price_per_node_second
-            if price_per_node_second is not None
-            else self.hw.node.price_per_second
-        )
+        #: The node price every estimate charges (``DopPlanner`` reads it).
+        self.price_per_node_second = self.hw.node.price_per_second
         self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] = (
             WeakKeyDictionary()
         )

@@ -19,9 +19,10 @@ per billed tenant (ledger units copied from the authoritative
 :meth:`~repro.core.ledger.Ledger.commit` like every other transition:
 the ``CostSnapshotTaken`` record carrying it is journaled **before** the
 in-memory :class:`~repro.obsvc.history.CostHistoryStore` append.  A
-crash between the two is healed on replay; cadence watermarks re-prime
-from the restored history so a recovered warehouse resumes the schedule
-deterministically.
+crash between the two is healed on replay.  The cadence has no
+watermarks of its own: it is measured from the newest snapshot in the
+history (its ``log_len`` and ``clock``), so a recovered warehouse
+resumes the schedule exactly where the restored history left off.
 
 The collector is configured post-construction
 (``warehouse.enable_collection(...)``) — the warehouse constructor's
@@ -104,10 +105,6 @@ class SnapshotCollector:
         #: cumulative aggregation every cadence tick.
         self._leaf_cache: dict[str, dict[tuple[str, str, str], CostLeaf]] = {}
         self._sorted_keys: dict[str, list[tuple[str, str, str]]] = {}
-        #: Cadence watermarks (primed lazily from restored history).
-        self._last_log_len = 0
-        self._last_clock: "float | None" = None
-        self._primed = False
 
     # -- configuration --------------------------------------------------- #
     def configure(self, policy: "CollectionPolicy | None") -> None:
@@ -121,46 +118,34 @@ class SnapshotCollector:
         return policy is not None and policy.recurring
 
     # -- scheduling ------------------------------------------------------- #
+    def due(self) -> bool:
+        """Whether the cadence has elapsed since the newest snapshot in
+        the cost history.  Before the first snapshot a query cadence
+        counts from an empty log and a time cadence is due at once."""
+        policy = self.policy
+        if policy is None or not policy.recurring:
+            return False
+        warehouse = self.warehouse
+        latest = warehouse.cost_history.latest()
+        if policy.cadence_queries is not None:
+            collected = latest.log_len if latest is not None else 0
+            if len(warehouse.logs) - collected >= policy.cadence_queries:
+                return True
+        return policy.cadence_seconds is not None and (
+            latest is None
+            or warehouse.clock - latest.clock >= policy.cadence_seconds
+        )
+
     def maybe_collect(self) -> "CostSnapshot | None":
         """Take a snapshot if the cadence has elapsed (serving calls
         this after every submit/batch)."""
-        policy = self.policy
-        if policy is None or not policy.recurring:
-            return None
-        warehouse = self.warehouse
-        with warehouse.ledger.lock:
-            self._prime_locked()
-            due = False
-            if policy.cadence_queries is not None:
-                due = (
-                    len(warehouse.logs) - self._last_log_len
-                    >= policy.cadence_queries
-                )
-            if not due and policy.cadence_seconds is not None:
-                due = (
-                    self._last_clock is None
-                    or warehouse.clock - self._last_clock
-                    >= policy.cadence_seconds
-                )
-            if not due:
-                return None
-            return self._collect_locked()
+        with self.warehouse.ledger.lock:
+            return self._collect_locked() if self.due() else None
 
     def collect_now(self) -> CostSnapshot:
         """Take one snapshot immediately, cadence notwithstanding."""
         with self.warehouse.ledger.lock:
-            self._prime_locked()
             return self._collect_locked()
-
-    def _prime_locked(self) -> None:
-        """Resume the schedule from restored history after recovery."""
-        if self._primed:
-            return
-        self._primed = True
-        latest = self.warehouse.cost_history.latest()
-        if latest is not None:
-            self._last_log_len = latest.log_len
-            self._last_clock = latest.clock
 
     # -- snapshotting ----------------------------------------------------- #
     def _collect_locked(self) -> CostSnapshot:
@@ -177,8 +162,6 @@ class SnapshotCollector:
             tenants=slices,
         )
         warehouse.ledger.commit(CostSnapshotTaken(snapshot))
-        self._last_log_len = snapshot.log_len
-        self._last_clock = snapshot.clock
         warehouse.metrics.counter("repro_cost_snapshots_total")
         return snapshot
 

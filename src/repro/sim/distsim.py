@@ -75,7 +75,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.compute.billing import BillingMeter, CostBreakdown
-from repro.compute.node import NodeSpec
 from repro.compute.pricing import PriceModel
 from repro.compute.warmpool import WarmPool
 from repro.cost.estimate import CostEstimate
@@ -91,13 +90,19 @@ from repro.util.rng import derive_rng
 # ---------------------------------------------------------------------- #
 # Configuration and results
 # ---------------------------------------------------------------------- #
+#: A running pipeline reports progress to the policy every this share of
+#: its full duration, unless it runs shorter than ``MIN_CHECKPOINT_S``.
+CHECKPOINT_FRACTION = 0.2
+MIN_CHECKPOINT_S = 0.2
+#: Seconds a mid-pipeline resize stalls the pipeline.
+RESIZE_LATENCY_S = 1.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulator behavior knobs, including hidden ground-truth factors."""
 
     seed: int = 0
-    checkpoint_fraction: float = 0.2
-    min_checkpoint_seconds: float = 0.2
     noise_sigma: float = 0.06
     skew_zipf_s: float = 0.5
     cpu_rate_multiplier: float = 0.94
@@ -105,7 +110,6 @@ class SimConfig:
     exchange_setup_multiplier: float = 1.6
     materialize_exchanges: bool = False
     include_provisioning: bool = True
-    resize_latency_s: float = 1.0
 
 
 @dataclass
@@ -229,7 +233,6 @@ class DistributedSimulator:
         policy: ScalingPolicy | None = None,
         config: SimConfig | None = None,
         price_model: PriceModel | None = None,
-        pool: WarmPool | None = None,
     ) -> None:
         self.dag = dag
         self.models = models
@@ -237,8 +240,7 @@ class DistributedSimulator:
         self.planned = planned
         self.policy = policy or ScalingPolicy()
         self.config = config or SimConfig()
-        spec: NodeSpec = models.hw.node
-        self.pool = pool or WarmPool(spec)
+        self.pool = WarmPool(models.hw.node)
         self.meter = BillingMeter(price_model or PriceModel(minimum_billed_seconds=1.0))
         self._states: dict[int, _State] = {}
         for pipeline in dag:
@@ -332,7 +334,7 @@ class DistributedSimulator:
         self._resize_count += 1
         state.run.resizes += 1
         latency = self._adjust_leases(state, new_dop, now)
-        latency += self.config.resize_latency_s
+        latency += RESIZE_LATENCY_S
         state.dop = new_dop
         state.epoch += 1
         state.duration_full = self._true_duration(state, new_dop)
@@ -379,11 +381,10 @@ class DistributedSimulator:
     def _schedule_progress(self, state: _State, now: float) -> None:
         remaining = max(0.0, (1.0 - state.progress) * state.duration_full)
         finish_at = now + remaining
-        checkpoint_gap = self.config.checkpoint_fraction * state.duration_full
+        checkpoint_gap = CHECKPOINT_FRACTION * state.duration_full
         pid = state.pipeline.pipeline_id
         if (
-            state.duration_full >= self.config.min_checkpoint_seconds
-            and checkpoint_gap > 0
+            state.duration_full >= MIN_CHECKPOINT_S
             and now + checkpoint_gap < finish_at - 1e-9
         ):
             self._push(now + checkpoint_gap, "checkpoint", pid, state.epoch)

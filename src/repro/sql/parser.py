@@ -465,7 +465,7 @@ class _Parser:
         raise ParseError(f"unexpected token {token.text!r}", token.position)
 
     def _literal(self) -> AstLiteral:
-        expr = self._primary()
+        expr = self._factor()
         if isinstance(expr, AstUnary) and expr.op == "-" and isinstance(expr.operand, AstLiteral):
             value = expr.operand.value
             if isinstance(value, str):

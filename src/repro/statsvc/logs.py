@@ -3,11 +3,15 @@
 "For each database instance, the Statistics Service collects the query
 execution logs from all the tenants to form the 'ground truth' for
 understanding workload behaviors."
+
+The store keeps no counter beside its records: the next query id is the
+newest record's id + 1.  The serving layer takes an id and appends its
+record inside one ledger-lock hold, so ids stay sequential and gap-free,
+and a recovered log continues them with nothing re-seeded.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -115,10 +119,10 @@ class QueryLogStore(LogView):
 
     def __init__(self) -> None:
         super().__init__([])
-        self._ids = itertools.count(1)
 
     def next_query_id(self) -> int:
-        return next(self._ids)
+        """The id the next appended record takes (ids start at 1)."""
+        return self.last_query_id + 1
 
     def append(self, record: QueryRecord) -> None:
         if self._records and record.timestamp < self._records[-1].timestamp:
@@ -138,18 +142,9 @@ class QueryLogStore(LogView):
 
         Crash-recovery only (:mod:`repro.core.recovery`): the records
         come from a checkpoint of this same store, so append order and
-        id assignment are already consistent.  Re-seeds the id counter
-        so post-recovery serving continues gap-free.
+        id assignment are already consistent.
         """
         self._records = list(records)
-        self.restore_ids()
-
-    def restore_ids(self) -> None:
-        """Re-seed the query-id counter to follow the newest record —
-        ids stay sequential and gap-free across a crash (an id handed
-        out by the dead process for a never-journaled record is simply
-        re-issued)."""
-        self._ids = itertools.count(self.last_query_id + 1)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -22,6 +22,12 @@ from repro.tuning.mv import MVCandidate, mv_candidate_from_query
 from repro.tuning.whatif import TuningReport, WhatIfService
 from repro.util.units import GB
 
+#: The forecaster every cycle runs (stateless: its settings only).
+FORECASTER = WorkloadForecaster()
+#: Most MV / recluster candidates one cycle prices.
+MAX_MV_CANDIDATES = 5
+MAX_RECLUSTER_CANDIDATES = 3
+
 
 @dataclass
 class AdvisorProposals:
@@ -46,19 +52,13 @@ class AutoTuningAdvisor:
         catalog: Catalog,
         whatif: WhatIfService,
         *,
-        forecaster: WorkloadForecaster | None = None,
         storage_budget_bytes: float = 50 * GB,
         min_template_count: int = 2,
-        max_mv_candidates: int = 5,
-        max_recluster_candidates: int = 3,
     ) -> None:
         self.catalog = catalog
         self.whatif = whatif
-        self.forecaster = forecaster or WorkloadForecaster()
         self.storage_budget_bytes = storage_budget_bytes
         self.min_template_count = min_template_count
-        self.max_mv_candidates = max_mv_candidates
-        self.max_recluster_candidates = max_recluster_candidates
 
     # ------------------------------------------------------------------ #
     def propose(
@@ -71,7 +71,8 @@ class AutoTuningAdvisor:
         """One tuning cycle over the logged workload.
 
         ``bound_queries`` maps template name -> a representative bound
-        query of that family (the warehouse facade maintains these).
+        query of that family (``warehouse.template_queries``, derived
+        from the log on read).
         ``storage_budget_bytes`` overrides the advisor's configured
         budget for this cycle only.
         """
@@ -79,7 +80,7 @@ class AutoTuningAdvisor:
         if not records:
             raise TuningError("no logged queries to tune against")
         summary = build_summary(records)
-        forecasts = self.forecaster.forecast(store)
+        forecasts = FORECASTER.forecast(store)
         workload = {
             template: (bound_queries[template], forecast)
             for template, forecast in forecasts.items()
@@ -124,7 +125,7 @@ class AutoTuningAdvisor:
         candidates: list[MVCandidate] = []
         seen_shapes: set[tuple] = set()
         for template, (query, _) in ranked:
-            if len(candidates) >= self.max_mv_candidates:
+            if len(candidates) >= MAX_MV_CANDIDATES:
                 break
             if len(query.tables) < 2 or not query.aggregates:
                 continue
@@ -154,7 +155,7 @@ class AutoTuningAdvisor:
     ) -> list[ReclusterCandidate]:
         candidates: list[ReclusterCandidate] = []
         for column, _count in summary.hottest_filters(20):
-            if len(candidates) >= self.max_recluster_candidates:
+            if len(candidates) >= MAX_RECLUSTER_CANDIDATES:
                 break
             table = self._owning_table(column)
             if table is None:

@@ -6,10 +6,9 @@ paper's §4 loop (Statistics Service -> What-If pricing -> background
 compute) keeps its components, but the API around them becomes:
 
 - :class:`TuningAction` — a frozen, typed action hierarchy
-  (:class:`MaterializeView`, :class:`Recluster`, the future
-  :class:`ResizeWarehouse`).  Each action *carries its candidate object*
-  end-to-end, so nothing downstream ever re-derives a candidate by
-  parsing ``action_name`` strings (the old
+  (:class:`MaterializeView`, :class:`Recluster`).  Each action *carries
+  its candidate object* end-to-end, so nothing downstream ever
+  re-derives a candidate by parsing ``action_name`` strings (the old
   ``recluster_<table>_on_<key>`` round-trip broke for identifiers that
   contain ``_on_`` and silently skipped MVs whose template binding had
   gone stale).
@@ -24,10 +23,11 @@ compute) keeps its components, but the API around them becomes:
   :class:`~repro.tuning.background.BackgroundComputeService` and exposes
   ``propose() / apply(rec) / apply_all() / rollback(rec)``.  Apply and
   rollback are transactional over the catalog (state snapshotted before
-  mutation), flush the warehouse's plan/skeleton/binding caches and
-  template bindings so serving never reuses a pre-tuning plan, and meter
-  background dollars into the originating tenants'
-  :class:`~repro.core.ledger.TenantBill`\\ s.
+  mutation), flush the warehouse's plan/skeleton/binding caches so
+  serving never reuses a pre-tuning plan, and meter background dollars
+  into the originating tenants' :class:`~repro.core.ledger.TenantBill`\\ s.
+  The advisor reads ``warehouse.template_queries``, derived from the log
+  under the current catalog, so it sees the post-tuning bindings at once.
 - :class:`TuningPolicy` — cadence, storage budget, tenant scope, and
   forecast-fed auto-apply thresholds, so the serving layer
   (:class:`~repro.core.service.Session` /
@@ -110,23 +110,6 @@ class Recluster(TuningAction):
     @property
     def name(self) -> str:
         return self.candidate.name
-
-
-@dataclass(frozen=True)
-class ResizeWarehouse(TuningAction):
-    """Change the warehouse's node count (future action kind).
-
-    Typed now so the lifecycle and report plumbing are in place; the
-    background executor for it does not exist yet, so applying one
-    raises :class:`~repro.errors.TuningError`.
-    """
-
-    target_nodes: int
-    kind: ClassVar[str] = "resize-warehouse"
-
-    @property
-    def name(self) -> str:
-        return f"resize_warehouse_to_{self.target_nodes}"
 
 
 # --------------------------------------------------------------------- #
@@ -273,8 +256,8 @@ class TuningService:
     executor for the warehouse's lifetime, keeps the
     full :class:`Recommendation` history, and guarantees serving-layer
     coherence: every apply/rollback flushes the plan, skeleton, and
-    binding caches plus the advisor's template bindings, and registers /
-    unregisters applied MVs with the serving path's rewriter.
+    binding caches, and registers / unregisters applied MVs with the
+    serving path's rewriter.
     """
 
     def __init__(
@@ -402,8 +385,7 @@ class TuningService:
         the background spend.  A crash between the two leaves the apply
         *in doubt*; recovery rolls it back via the journaled snapshot
         (see :mod:`repro.core.recovery`).  On success the plan caches
-        and template bindings are flushed: serving must never reuse a
-        pre-tuning plan.
+        are flushed: serving must never reuse a pre-tuning plan.
         """
         ledger = self.warehouse.ledger
         action, report = rec.action, rec.report

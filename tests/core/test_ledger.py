@@ -3,6 +3,8 @@ function shared by live commits and crash replay."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.journal import RECORD_TYPES, Checkpoint, WriteAheadJournal
@@ -12,6 +14,7 @@ from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import RecoveryError
 from repro.testing import instrument_warehouse
+from repro.workloads.tpch_queries import instantiate, template_names
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 
@@ -100,3 +103,71 @@ def test_verdict_counts_survive_a_stats_reset_and_a_recovery():
         journal, catalog=catalog, tenant_budgets={"acme": 100.0}
     )
     assert recovered.admission.verdict_counts == live.admission.verdict_counts
+
+
+def _bound_fields(bound) -> dict:
+    return {f.name: getattr(bound, f.name) for f in fields(bound)}
+
+
+def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
+    """Template bindings, query ids, collector watermarks and checkpoint
+    ids are read from the ledger, so nothing needs re-priming after a
+    recovery.  They used to be mirrors kept in step by hand: after an
+    apply the live warehouse's bindings were flushed (``propose()``
+    returned nothing) while a recovered one re-derived them."""
+    catalog = synthetic_tpch_catalog(1.0)
+    live = CostIntelligentWarehouse(
+        catalog=catalog, journal=WriteAheadJournal(checkpoint_every=16)
+    )
+    live.enable_collection(cadence_queries=8)
+    session = live.session(constraint=sla_constraint(20.0))
+    requests = [
+        QueryRequest(sql=instantiate(name, seed=seed), template=name, simulate=False)
+        for seed in range(6)
+        for name in template_names()
+    ]
+    for request in requests:
+        session.submit(request).result()
+    accepted = next(rec for rec in live.tuning.propose() if rec.accepted)
+    live.tuning.apply(accepted)
+
+    path = str(tmp_path / "journal.pkl")
+    live.journal.save(path)
+    recovered = CostIntelligentWarehouse.recover(
+        WriteAheadJournal.load(path), catalog=catalog
+    )
+    recovered.enable_collection(cadence_queries=8)
+    live.checkpoint()  # matches the checkpoint recovery writes
+
+    live_bindings, recovered_bindings = (
+        live.template_queries,
+        recovered.template_queries,
+    )
+    assert set(live_bindings) == set(template_names())
+    assert set(recovered_bindings) == set(live_bindings)
+    for template, bound in live_bindings.items():
+        assert _bound_fields(recovered_bindings[template]) == _bound_fields(bound)
+
+    live_names = [rec.action.name for rec in live.tuning.propose()]
+    assert live_names
+    assert [rec.action.name for rec in recovered.tuning.propose()] == live_names
+
+    assert live.journal.last_checkpoint_id > 2
+    assert recovered.journal.next_checkpoint_id() == live.journal.next_checkpoint_id()
+    assert recovered.collector.due() == live.collector.due()
+    served = []
+    for warehouse in (live, recovered):
+        session = warehouse.session(constraint=sla_constraint(20.0))
+        first = session.submit(QueryRequest(sql=requests[0].sql, simulate=False))
+        served.append(first.result().record.query_id)
+        assert not warehouse.collector.due()
+        for request in requests[1:4]:
+            session.submit(request).result()
+    assert served[0] == served[1] == len(requests) + 1
+    latest = [w.cost_history.latest() for w in (live, recovered)]
+    assert (latest[0].seq, latest[0].log_len, latest[0].clock) == (
+        latest[1].seq,
+        latest[1].log_len,
+        latest[1].clock,
+    )
+    assert latest[0].log_len == len(requests) + 4

@@ -18,7 +18,6 @@ from repro import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
     Session,
     TenantBudget,
     TuningAction,
@@ -62,7 +61,6 @@ EXPECTED_ALL = [
     "TuningAction",
     "MaterializeView",
     "Recluster",
-    "ResizeWarehouse",
     "Recommendation",
     "RecommendationState",
     "TuningPolicy",
@@ -328,6 +326,45 @@ def test_tuning_policy_field_snapshot():
     ]
 
 
+def test_settings_nothing_sets_are_constants_not_options():
+    """Simulator, estimator and advisor settings no caller sets are
+    module constants (``sim.distsim.CHECKPOINT_FRACTION`` and
+    friends), not constructor options."""
+    from repro import CostEstimator, DistributedSimulator, SimConfig
+    from repro.tuning.advisor import AutoTuningAdvisor
+
+    assert [f.name for f in SimConfig.__dataclass_fields__.values()] == [
+        "seed",
+        "noise_sigma",
+        "skew_zipf_s",
+        "cpu_rate_multiplier",
+        "exchange_transfer_multiplier",
+        "exchange_setup_multiplier",
+        "materialize_exchanges",
+        "include_provisioning",
+    ]
+    assert list(inspect.signature(DistributedSimulator).parameters) == [
+        "dag",
+        "dops",
+        "models",
+        "truth",
+        "planned",
+        "policy",
+        "config",
+        "price_model",
+    ]
+    assert list(inspect.signature(CostEstimator).parameters) == [
+        "hardware",
+        "exchange_calibration",
+    ]
+    assert list(inspect.signature(AutoTuningAdvisor).parameters) == [
+        "catalog",
+        "whatif",
+        "storage_budget_bytes",
+        "min_template_count",
+    ]
+
+
 def test_recommendation_lifecycle_surface():
     assert {state.name for state in RecommendationState} == {
         "PROPOSED",
@@ -347,10 +384,9 @@ def test_recommendation_lifecycle_surface():
 def test_tuning_actions_are_frozen_and_typed():
     import dataclasses
 
-    for action_cls in (MaterializeView, Recluster, ResizeWarehouse):
+    for action_cls in (MaterializeView, Recluster):
         assert issubclass(action_cls, TuningAction)
         assert dataclasses.is_dataclass(action_cls)
         assert action_cls.__dataclass_params__.frozen
     assert MaterializeView.kind == "materialized-view"
     assert Recluster.kind == "recluster"
-    assert ResizeWarehouse(target_nodes=8).name == "resize_warehouse_to_8"

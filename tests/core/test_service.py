@@ -413,24 +413,39 @@ def test_scheduler_timestamps_match_sequential_clock(warehouse):
 
 
 # ---------------------- satellite regressions -------------------------- #
-def test_template_bindings_invisible_after_stats_change(warehouse):
-    """The tuning advisor must never see bound queries from a previous
-    stats version (regression: invalidate_plan_cache left them)."""
+def test_template_bindings_rebind_under_the_current_catalog(warehouse):
+    """The tuning advisor never sees a binding from a previous stats
+    version: bindings are derived from the log on every read, so a stats
+    change re-binds every logged family (it used to hide them until each
+    was served again) and a family whose SQL no longer binds is
+    skipped."""
     session = warehouse.session(constraint=sla_constraint(15.0))
     session.submit(QueryRequest(sql=Q_COUNT, template="counts"))
-    assert "counts" in warehouse.template_queries
+    session.submit(
+        QueryRequest(sql="SELECT count(*) AS c FROM lineitem", template="items")
+    )
+    before = warehouse.template_queries
+    assert set(before) == {"counts", "items"}
     warehouse.catalog.set_clustering("orders", "o_orderdate", 0.2)
-    assert warehouse.template_queries == {}
-    # Serving the template again under the new stats restores it.
-    session.submit(QueryRequest(sql=Q_COUNT, template="counts"))
-    assert "counts" in warehouse.template_queries
+    after = warehouse.template_queries
+    assert set(after) == {"counts", "items"}
+    assert after["counts"] is not before["counts"]
+    assert after["counts"].table_names == ["orders"]
+    warehouse.catalog.drop_table("orders")
+    assert set(warehouse.template_queries) == {"items"}
 
 
-def test_invalidate_plan_cache_clears_template_bindings(warehouse):
+def test_template_bindings_survive_invalidate_plan_cache(warehouse):
+    """A flush empties every cache level; the bindings are not one of
+    them, so the family is bound afresh, not from the flushed entry."""
     session = warehouse.session(constraint=sla_constraint(15.0))
     session.submit(QueryRequest(sql=Q_COUNT, template="counts"))
+    cached, _ = warehouse.plan(Q_COUNT, sla_constraint(15.0))  # exact hit
     warehouse.invalidate_plan_cache()
-    assert warehouse.template_queries == {}
+    assert warehouse.describe_caches()["binding_cache"]["entries"] == 0
+    bound = warehouse.template_queries["counts"]
+    assert bound is not cached
+    assert bound.sql == Q_COUNT and bound.table_names == ["orders"]
 
 
 def test_stage_scaler_does_not_mutate_shared_sim_config(warehouse):

@@ -93,8 +93,10 @@ def test_identical_seeded_runs_yield_bitwise_identical_histories():
 def test_checkpoint_round_trips_the_history(catalog):
     journal = WriteAheadJournal()
     warehouse = CostIntelligentWarehouse(catalog=catalog, journal=journal)
-    warehouse.enable_collection(cadence_queries=2)
-    run_workload(warehouse, count=4)
+    twin = CostIntelligentWarehouse(catalog=catalog)  # never crashes
+    for served in (warehouse, twin):
+        served.enable_collection(cadence_queries=2)
+        run_workload(served, count=4)  # the last snapshot is at the end
     assert len(warehouse.cost_history) == 2
     warehouse.checkpoint()
 
@@ -102,9 +104,15 @@ def test_checkpoint_round_trips_the_history(catalog):
     assert (
         recovered.cost_history.snapshots() == warehouse.cost_history.snapshots()
     )
-    # the recovered schedule resumes where the history left off
+    # The cadence is measured from the newest snapshot in the restored
+    # history, so the resumed schedule collects exactly when the
+    # uncrashed twin does, fed the same queries.
     recovered.enable_collection(cadence_queries=2)
-    run_workload(recovered, count=4)
-    # 4 recovered-run queries were already folded pre-crash; the resumed
-    # collector only sees re-served traffic through the log watermarks
-    assert recovered.cost_history.latest().seq >= warehouse.cost_history.latest().seq
+    for served in (recovered, twin):
+        run_workload(served, count=4, seed=1)
+
+    def cadence(served):
+        return [(s.seq, s.log_len, s.clock) for s in served.cost_history]
+
+    assert cadence(recovered) == cadence(twin)
+    assert [log_len for _, log_len, _ in cadence(twin)] == [2, 4, 6, 8]

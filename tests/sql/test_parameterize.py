@@ -170,6 +170,26 @@ def test_parse_parameterized_negated_date_matches_full_parse():
     assert str(substituted.__dict__) == str(parse(second).__dict__)
 
 
+def test_negative_literals_in_an_in_list(big_binder):
+    """Regression: an IN list read each value as a primary, which never
+    sees a unary minus, so ``IN (-1, 2)`` raised ``unexpected token
+    '-'`` and the negation fold was unreachable."""
+    first = "SELECT o_orderkey FROM orders WHERE o_orderkey IN (-1, 2)"
+    second = "SELECT o_orderkey FROM orders WHERE o_orderkey IN (-7, 3)"
+    assert [value.value for value in parse(first).where.values] == [-1, 2]
+    bound = big_binder.bind_sql(first)
+    assert bound.table_names == ["orders"]
+    assert [f.sql() for f in bound.filters["orders"]] == [
+        "(orders.o_orderkey IN (-1, 2))"
+    ]
+    p1 = parameterize_sql(first)
+    p2 = parameterize_sql(second)
+    assert p1.template_key == p2.template_key
+    parse_parameterized(p1.template_key, p1.constants)  # populate cache
+    substituted = parse_parameterized(p2.template_key, p2.constants)
+    assert str(substituted.__dict__) == str(parse(second).__dict__)
+
+
 def test_parse_parameterized_substitutes_limit_and_dates():
     first = "SELECT a FROM t WHERE d >= DATE '1995-03-04' LIMIT 2"
     second = "SELECT a FROM t WHERE d >= DATE '1996-07-01' LIMIT 9"

@@ -6,6 +6,9 @@ the old string-round-trip failure modes (missing template binding,
 ``_on_`` identifiers) are dead.
 """
 
+import dataclasses
+from typing import ClassVar
+
 import pytest
 
 from repro import (
@@ -15,7 +18,7 @@ from repro import (
     Recluster,
     Recommendation,
     RecommendationState,
-    ResizeWarehouse,
+    TuningAction,
     TuningPolicy,
     sla_constraint,
 )
@@ -241,11 +244,12 @@ def test_apply_invalidates_plan_and_skeleton_caches():
     recs = wh.tuning.propose()
     mv = next(r for r in recs if isinstance(r.action, MaterializeView))
     wh.tuning.apply(mv)
-    # Every serving cache level and the template bindings are flushed.
+    # Every serving cache level is flushed, and the template binding
+    # is re-derived under the new catalog: it reads the view.
     caches = wh.describe_caches()
     for level in ("plan_cache", "skeleton_cache", "binding_cache"):
         assert caches[level]["entries"] == 0
-    assert wh.template_queries == {}
+    assert wh.template_queries["q5ish"].table_names == [mv.action.name]
     # Same SQL no longer serves the pre-tuning cached plan.
     post_bound, post_choice = wh.plan(sql, SLA)
     assert post_bound.table_names == [mv.action.name]
@@ -255,14 +259,17 @@ def test_apply_invalidates_plan_and_skeleton_caches():
 # --------------------------------------------------------------------- #
 # Regression: the old string-round-trip failure modes (satellite 2)
 # --------------------------------------------------------------------- #
-def test_apply_survives_missing_template_binding():
+def test_apply_survives_missing_template_binding(monkeypatch):
     """The old apply path silently ``continue``d when the accepted MV's
     template binding had gone stale; the typed action carries the
     candidate, so apply no longer consults template bindings at all."""
     wh = stats_warehouse()
     recs = wh.tuning.propose()
     mv = next(r for r in recs if isinstance(r.action, MaterializeView))
-    wh._template_queries.clear()  # simulate the stale-binding condition
+    # Simulate the stale-binding condition: no family binds any more.
+    monkeypatch.setattr(
+        CostIntelligentWarehouse, "template_queries", property(lambda self: {})
+    )
     wh.tuning.apply(mv)
     assert mv.applied
     assert wh.catalog.has_view(mv.action.name)
@@ -325,9 +332,22 @@ def test_lifecycle_transitions_enforced():
         wh.tuning.rollback(mv)  # double-rollback
 
 
+@dataclasses.dataclass(frozen=True)
+class _UnexecutableAction(TuningAction):
+    """An action kind with no background executor."""
+
+    kind: ClassVar[str] = "unexecutable"
+
+    @property
+    def name(self) -> str:
+        return "unexecutable_action"
+
+
 def test_resize_warehouse_action_is_typed_but_not_executable():
+    """An action kind with no background executor fails its apply with
+    a typed error and lands in ``FAILED``."""
     wh = stats_warehouse()
-    action = ResizeWarehouse(target_nodes=8)
+    action = _UnexecutableAction()
     report = TuningReport(
         action_name=action.name,
         kind=action.kind,
