@@ -119,8 +119,9 @@ coordinator-side :class:`~repro.core.sharding.PlannerWorkerPool`) and
 batch serving interleaves CPU-bound planning under the GIL; with
 ``warehouse.enable_sharding(workers=N)`` the scheduler instead stages
 ``bind -> optimize`` in warm, long-lived worker *processes*, keyed by
-literal-free template so each worker's private (bounded)
-binding/skeleton caches serve every instantiation of its templates.  Workers exchange only
+literal-free template so each worker's bound templates and private
+(bounded) skeleton cache serve every instantiation of its templates.
+Workers exchange only
 picklable wire records (:class:`~repro.core.sharding.StageTask` out,
 :class:`~repro.core.sharding.StagedPlan` back); every authoritative
 effect — admission, billing, statistics logs, journal appends,

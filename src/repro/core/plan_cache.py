@@ -4,7 +4,7 @@ Analytical traffic is dominated by recurring report templates — the same
 SQL shapes resubmitted with *varying literals* under the same
 constraints.  Re-running the bi-objective optimizer for each arrival
 wastes exactly the machine time the paper's economics are about, so
-planning work is memoized at three levels, walked in this order by the
+planning work is memoized at two levels, walked in this order by the
 one planning pipeline (:mod:`repro.core.planning`) — each is optional,
 and a pipeline built without one simply skips it:
 
@@ -13,21 +13,22 @@ and a pipeline built without one simply skips it:
   SQL string (whitespace, letter case, and comments do not
   fragment the cache), the user constraint, and the catalog's stats
   version.  A verbatim resubmission pays nothing.
-- **Binding level** (:class:`BindingCache`): the bound query keyed on
-  the normalized SQL and the stats version.  Binding is
-  constraint-independent, so the same query under a second constraint
-  skips the binder (and, through the optimizer's DAG memo, physical
-  planning).
 - **Skeleton level** (:class:`SkeletonCache`): the template's *plan
   skeleton* — the DP-chosen join tree plus its bushy variant shapes —
   keyed on the literal-free template key
   (:func:`~repro.sql.parameterize.parameterize_sql`), the constraint
   kind, and the stats version.  A resubmission with new literals skips
-  join-order DP and bushy generation and re-runs only constant binding,
-  cardinality re-estimation over the cached shapes, and the incremental
-  DOP search — bit-identical to fresh optimization whenever the new
-  literals would lead the DP to the same shapes (enforced on the
-  workload suite by ``tests/cost/test_estimation_parity.py``).
+  join-order DP and bushy generation and re-runs only the literal fill
+  of its bound template, cardinality re-estimation over the cached
+  shapes, and the incremental DOP search — bit-identical to fresh
+  optimization whenever the new literals would lead the DP to the same
+  shapes (enforced on the workload suite by
+  ``tests/cost/test_estimation_parity.py``).
+
+Bound templates are not a level: the binder keeps them
+(:class:`~repro.sql.binder.BindingCache`, re-exported here because the
+end-to-end benchmark's trace probes its lookups as plan-cache time) and
+uses them on every walk that misses the exact level.
 
 The stats version inside every key is the invalidation story: any
 catalog mutation (stats refresh, recluster, MV creation, table DDL)
@@ -67,6 +68,7 @@ from collections import OrderedDict
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
+from repro.sql.binder import BindingCache  # noqa: F401  (re-export)
 from repro.sql.parameterize import normalize_sql  # noqa: F401  (re-export)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -246,32 +248,6 @@ class PlanCache(_LruStats):
         cost_s: float = 0.0,
     ) -> None:
         self._put(key, (bound, choice), template=template, cost_s=cost_s)
-
-
-class BindingCache(_LruStats):
-    """A bounded LRU of bound queries keyed on normalized SQL.
-
-    Binding is constraint-independent, so one entry serves every
-    constraint a query is planned under — and because the optimizer's
-    DAG-planning memo and the estimator's timing cache key on object
-    identity, reusing the *same* :class:`BoundQuery` across constraints
-    transitively shares physical planning and pipeline timings too.
-    """
-
-    name = "binding cache"
-
-    def lookup(self, key: Hashable) -> "BoundQuery | None":
-        return self._get(key)  # type: ignore[return-value]
-
-    def store(
-        self,
-        key: Hashable,
-        bound: "BoundQuery",
-        *,
-        template: Hashable | None = None,
-        cost_s: float = 0.0,
-    ) -> None:
-        self._put(key, bound, template=template, cost_s=cost_s)
 
 
 class SkeletonCache(_LruStats):

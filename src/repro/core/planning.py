@@ -4,16 +4,19 @@ The paper's cost contract ("state an SLA or a budget, get an auditable
 bill") only holds if a query's plan does not depend on which code path
 planned it, so there is one path: :meth:`PlanningPipeline.plan` walks
 
-    parameterize -> keys -> exact lookup -> binding lookup or bind
-    -> MV rewrite -> skeleton lookup -> optimize -> stores
+    parameterize -> keys -> exact lookup -> bind -> MV rewrite
+    -> skeleton lookup -> optimize -> stores
 
-over whichever cache levels (:mod:`repro.core.plan_cache`) the pipeline
-was given.  A level that is not there is skipped: ``use_cache=False``
-and a pipeline built without levels are the same walk with nothing to
-look up or store.  The coordinator and every planner worker process
-instantiate this class, so the module is held to the worker-isolation
-contract (``tests/testing/test_production_imports.py``): planning is
-a pure function of catalog, hardware, query and constraint.
+over whichever of the two cache levels (:mod:`repro.core.plan_cache`)
+the pipeline was given.  A level that is not there is skipped:
+``use_cache=False`` and a pipeline built without levels are the same
+walk with nothing to look up or store.  Binding is no level: the binder
+binds each SQL template once per catalog version and fills every
+instance's literals into it (:mod:`repro.sql.binder`), on every walk
+that is not an exact hit.  The coordinator and every planner worker
+process instantiate this class, so the module is held to the
+worker-isolation contract (``tests/testing/test_production_imports.py``):
+planning is a pure function of catalog, hardware, query and constraint.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.tuning.mv import MVCandidate, try_rewrite
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
-    from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
+    from repro.core.plan_cache import PlanCache, SkeletonCache
     from repro.core.resilience import StageGuard
     from repro.cost.estimator import CostEstimator
     from repro.dop.constraints import Constraint
@@ -53,7 +56,6 @@ class PlanKeys(NamedTuple):
     parameterized: ParameterizedSQL
     version: int
     exact: tuple  # (normalized SQL, constraint, version)
-    binding: tuple  # (normalized SQL, version)
     skeleton: tuple  # skeleton_key(...)
 
 
@@ -67,7 +69,6 @@ class Planned(NamedTuple):
     bound: BoundQuery
     choice: PlanChoice
     level: str = "exact"
-    warm_bind: bool = True
     new_skeleton_trees: tuple | None = None
     bind_s: float = 0.0
     optimize_s: float = 0.0
@@ -89,7 +90,6 @@ class PlanningPipeline:
         explore_bushy: bool,
         applied_mvs: Mapping[str, MVCandidate],
         exact: "PlanCache | None" = None,
-        bindings: "BindingCache | None" = None,
         skeletons: "SkeletonCache | None" = None,
     ) -> None:
         self.catalog = catalog
@@ -101,7 +101,6 @@ class PlanningPipeline:
         #: mapping, so an apply or a rollback changes served plans at once.
         self.applied_mvs = applied_mvs
         self.exact = exact
-        self.bindings = bindings
         self.skeletons = skeletons
 
     def keys(self, sql: str, constraint: "Constraint") -> PlanKeys:
@@ -112,14 +111,13 @@ class PlanningPipeline:
             parameterized,
             version,
             (normalized, constraint, version),
-            (normalized, version),
             skeleton_key(parameterized.template_key, constraint, version),
         )
 
     def levels(self) -> list[tuple[str, object]]:
         """The levels present, as ``(metric label, cache)`` pairs."""
-        caches = (self.exact, self.skeletons, self.bindings)
-        named = zip(("plan", "skeleton", "binding"), caches)
+        caches = (self.exact, self.skeletons)
+        named = zip(("plan", "skeleton"), caches)
         return [(name, cache) for name, cache in named if cache is not None]
 
     def plan(
@@ -148,9 +146,9 @@ class PlanningPipeline:
         ``optimize`` stage blows its deadline: never fails (call it
         unguarded — the degraded path is the floor under the batch),
         never pollutes the levels.  It shares the walk up to the
-        skeleton lookup (reusing the binding the guarded walk usually
-        made before its deadline tripped), then returns level
-        ``"skeleton"`` — the cached shapes re-planned under the query's
+        skeleton lookup (binding again: the guarded walk's bound query
+        is not kept, so physical planning and the DOP search run again
+        too), then returns level ``"skeleton"`` — the cached shapes re-planned under the query's
         literals exactly as a skeleton hit would have, bit-identical to
         full optimization by the skeleton parity contract — or
         ``"heuristic"``: the left-deep DP winner with one DOP search,
@@ -161,42 +159,28 @@ class PlanningPipeline:
         cache-consistency invariant).
         """
         keys = self.keys(sql, constraint)
-        exact, bindings, skeletons = (
-            (self.exact, self.bindings, self.skeletons) if use_cache else (None,) * 3
-        )
+        exact, skeletons = (self.exact, self.skeletons) if use_cache else (None, None)
         if exact is not None and not degraded:
             cached = exact.lookup(keys.exact)
             if cached is not None:
                 if on_bound is not None:
                     on_bound(cached[0])
                 return Planned(*cached)
-        # Binding (and, via the optimizer's DAG memo keyed on the bound
-        # object, physical planning) is constraint-independent: reuse it
-        # when the same query arrives under a second constraint.
-        bound = bindings.lookup(keys.binding) if bindings is not None else None
-        warm_bind = bound is not None
-        bind_s = 0.0
-        if bound is None:
-            # Reuse the parameterization already lexed for the keys:
-            # recurring templates bind from a cached template AST with
-            # the fresh constants substituted (no lex, no parse).
-            template_key = keys.parameterized.template_key
-            constants = keys.parameterized.constants
-            start = time.perf_counter()
-            bound = _staged(
-                guard,
-                "bind",
-                lambda: self.binder.bind_parameterized(template_key, constants, sql),
-            )
-            bind_s = time.perf_counter() - start
-            if bindings is not None and not degraded:
-                bindings.store(
-                    keys.binding, bound, template=template_key, cost_s=bind_s
-                )
-        # MV rewriting happens after the binding level (which keeps the
-        # original binding) and is deterministic per (template, catalog
-        # version), so skeleton reuse stays coherent: every instance of a
-        # template either rewrites onto the view or none does.
+        # Reuse the parameterization already lexed for the keys: a
+        # recurring template is filled with the fresh constants (no lex,
+        # no parse, no bind).
+        template_key = keys.parameterized.template_key
+        constants = keys.parameterized.constants
+        start = time.perf_counter()
+        bound = _staged(
+            guard,
+            "bind",
+            lambda: self.binder.bind_parameterized(template_key, constants, sql),
+        )
+        bind_s = time.perf_counter() - start
+        # MV rewriting is deterministic per (template, catalog version),
+        # so skeleton reuse stays coherent: every instance of a template
+        # either rewrites onto the view or none does.
         bound = self.rewrite_mv(bound)
         if on_bound is not None:
             on_bound(bound)
@@ -207,7 +191,7 @@ class PlanningPipeline:
                 skeletons.store(keys.skeleton, trees)
         if degraded and trees is None:
             choice = self.optimizer.optimize_heuristic(bound, constraint)
-            return Planned(bound, choice, "heuristic", warm_bind)
+            return Planned(bound, choice, "heuristic")
         start = time.perf_counter()
         choice = _staged(
             guard,
@@ -226,7 +210,6 @@ class PlanningPipeline:
             bound,
             choice,
             "optimizer" if trees is None else "skeleton",
-            warm_bind,
             new_trees,
             bind_s,
             optimize_s,
@@ -258,9 +241,7 @@ class PlanningPipeline:
     def absorb(self, keys: PlanKeys, planned) -> None:
         """Store a finished walk's results — this pipeline's own, or a
         worker's :class:`~repro.core.sharding.StagedPlan` — in the
-        skeleton and exact levels.  Never in the binding level: it holds
-        pre-MV-rewrite bindings while ``planned.bound`` is post-rewrite,
-        and the wrong flavor would double-rewrite on the next walk."""
+        skeleton and exact levels."""
         template = keys.parameterized.template_key
         if planned.new_skeleton_trees is not None and self.skeletons is not None:
             self.skeletons.store(

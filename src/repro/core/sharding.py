@@ -11,7 +11,7 @@ exemplar — while keeping every authoritative effect in the coordinator:
   picklable :class:`StageTask` (SQL, constraint, stats version, a
   skeleton hint) and returns a picklable :class:`StagedPlan` (the bound
   query + :class:`~repro.core.bioptimizer.PlanChoice`, newly computed
-  skeleton shapes, per-stage timings, warm-hit flags).  All journal
+  skeleton shapes, per-stage timings, a warm-hit flag).  All journal
   appends, billing, admission, statistics-log writes, and simulation
   stay in the coordinator process — an import-graph assertion
   (``tests/testing/test_production_imports.py``) checks that the worker
@@ -19,8 +19,8 @@ exemplar — while keeping every authoritative effect in the coordinator:
   them.
 - **Template affinity keeps workers warm.**  Tasks are keyed to workers
   by a stable hash of the literal-free template key, so one worker's
-  private binding/skeleton caches serve every instantiation of a
-  recurring template — warm-task hits skip join-order DP and bushy
+  bound templates and private skeleton cache serve every instantiation
+  of a recurring template — warm-task hits skip join-order DP and bushy
   generation exactly like the coordinator's own skeleton cache.
 - **Coherency is broadcast, versions are checked.**  The coordinator
   fingerprints its planning state (catalog stats version, applied MVs,
@@ -103,7 +103,6 @@ class StagedPlan:
     new_skeleton_trees: tuple | None
     bind_s: float
     optimize_s: float
-    warm_bind: bool
     warm_skeleton: bool
 
 
@@ -150,7 +149,7 @@ class WorkerSpec:
     applied_mvs: tuple
     skeleton_seed: tuple
     fingerprint: tuple
-    #: Capacity of the worker's private binding and skeleton caches: the
+    #: Capacity of the worker's private skeleton cache: the
     #: coordinator's own plan-cache capacity (a warm process that never
     #: forgets is a leak).
     cache_capacity: int = 256
@@ -234,7 +233,6 @@ class PlannerWorkerPool:
         # Observability counters (read-through metric sources).
         self.restarts = 0
         self.restaged_tasks = 0
-        self.warm_bind_hits = 0
         self.warm_skeleton_hits = 0
         self.tasks_dispatched = 0
         self.injected_kills = 0
@@ -591,8 +589,6 @@ class PlannerWorkerPool:
                 time.perf_counter() - sent_at,
             )
         if isinstance(payload, StagedPlan):
-            if payload.warm_bind:
-                self.warm_bind_hits += 1
             if payload.warm_skeleton:
                 self.warm_skeleton_hits += 1
             # Whether warm or freshly computed, the worker now holds
@@ -621,17 +617,14 @@ class PlannerWorkerPool:
     @property
     def warm_hits(self) -> dict:
         """Warm-task hits by cache level (metric-source shape)."""
-        return {
-            ("bind",): self.warm_bind_hits,
-            ("skeleton",): self.warm_skeleton_hits,
-        }
+        return {("skeleton",): self.warm_skeleton_hits}
 
     def describe(self) -> str:
         return (
             f"planner pool: {self.size} worker(s), "
             f"{self.tasks_dispatched} task(s) dispatched, "
-            f"{self.warm_bind_hits}/{self.warm_skeleton_hits} warm "
-            f"bind/skeleton hits, {self.restarts} restart(s), "
+            f"{self.warm_skeleton_hits} warm skeleton hit(s), "
+            f"{self.restarts} restart(s), "
             f"{self.restaged_tasks} re-staged, "
             f"{self.injected_kills} injected kill(s)"
         )

@@ -17,9 +17,10 @@ risk of double-billing or double-logging.
 Staging is :meth:`repro.core.planning.PlanningPipeline.plan` — the
 same class the coordinator instantiates, here unguarded (fault points
 and retries are coordinator-side machinery), with no exact level (the
-coordinator answers exact hits without dispatching) and private
-binding/skeleton caches bounded at the coordinator's capacity, seeded
-warm from the :class:`~repro.core.sharding.WorkerSpec` at (re)start.
+coordinator answers exact hits without dispatching), a private
+skeleton cache bounded at the coordinator's capacity and seeded warm
+from the :class:`~repro.core.sharding.WorkerSpec` at (re)start, and the
+pipeline binder's own bound templates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import pickle
 from typing import Any
 
-from repro.core.plan_cache import BindingCache, SkeletonCache
+from repro.core.plan_cache import SkeletonCache
 from repro.core.planning import PlanningPipeline
 from repro.core.sharding import RefreshState, StagedPlan, StageTask, WorkerFailure, WorkerSpec
 from repro.cost.estimator import CostEstimator
@@ -46,7 +47,7 @@ def _picklable(error: Exception) -> Exception:
 
 class PlannerShard:
     """One worker's warm planning state: a planning pipeline over the
-    worker's catalog copy and private binding/skeleton caches."""
+    worker's catalog copy and a private skeleton cache."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.worker_index = spec.worker_index
@@ -68,7 +69,6 @@ class PlannerShard:
             max_dop=self.max_dop,
             explore_bushy=self.explore_bushy,
             applied_mvs={candidate.name: candidate for candidate in applied_mvs},
-            bindings=BindingCache(self.cache_capacity),
             skeletons=SkeletonCache(self.cache_capacity),
         )
 
@@ -76,7 +76,7 @@ class PlannerShard:
         """Apply a coherency broadcast: rebuild planning state over the
         new catalog and drop every warm entry (their keys embed the old
         stats version; a flush-epoch bump has no version change, so the
-        caches must be dropped explicitly)."""
+        cache must be dropped explicitly)."""
         self._install(state.catalog, state.applied_mvs, state.fingerprint)
 
     def _enter_optimize(self, _bound: Any) -> None:
@@ -106,7 +106,6 @@ class PlannerShard:
             new_skeleton_trees=planned.new_skeleton_trees,
             bind_s=planned.bind_s,
             optimize_s=planned.optimize_s,
-            warm_bind=planned.warm_bind,
             warm_skeleton=planned.level == "skeleton",
         )
 

@@ -15,7 +15,7 @@ The public serving API lives in :mod:`repro.core.service`
 :class:`~repro.core.service.ServingScheduler`).  The warehouse wires the
 shared serving machinery — catalog, the planning pipeline
 (:mod:`repro.core.planning`: binder, optimizer, applied-MV rewrite and
-the three-level plan-cache stack) and the ledger
+the two-level plan-cache stack) and the ledger
 (:mod:`repro.core.ledger`: the Statistics Service log, the clock,
 per-tenant billing, the journal and every other piece of authoritative
 state, mutated by one transition function) — and exposes read views of
@@ -44,7 +44,7 @@ from repro.core.governance import (
 )
 from repro.core.journal import WriteAheadJournal
 from repro.core.ledger import Ledger
-from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
+from repro.core.plan_cache import PlanCache, SkeletonCache
 from repro.core.planning import PlanningPipeline
 from repro.core.recovery import RecoveryReport, recover_warehouse
 from repro.core.resilience import (
@@ -161,7 +161,7 @@ class CostIntelligentWarehouse:
 
         #: The planning pipeline (see :mod:`repro.core.planning`): the
         #: binder, the optimizer, the applied-MV rewrite and the
-        #: three-level cache stack, walked by one function.
+        #: exact and skeleton cache levels, walked by one function.
         #: ``plan_cache_size=0`` builds it with no levels.
         self.planning = PlanningPipeline(
             self.catalog,
@@ -170,7 +170,6 @@ class CostIntelligentWarehouse:
             explore_bushy=explore_bushy,
             applied_mvs=self.ledger.applied_mvs,
             exact=_level(PlanCache),
-            bindings=_level(BindingCache),
             skeletons=_level(SkeletonCache),
         )
         self.optimizer = self.planning.optimizer
@@ -306,8 +305,9 @@ class CostIntelligentWarehouse:
 
         This is the planning walk serving uses (see
         :meth:`repro.core.planning.PlanningPipeline.plan`): exact hit,
-        else binding hit or bind, MV rewrite, skeleton hit (re-plan
-        cached join shapes under fresh literals) or full optimization.
+        else bind (a fill of the template's bound form), MV rewrite,
+        skeleton hit (re-plan cached join shapes under fresh literals) or
+        full optimization.
         """
         planned = self.planning.plan(sql, constraint, use_cache=use_plan_cache)
         return planned.bound, planned.choice
@@ -321,11 +321,6 @@ class CostIntelligentWarehouse:
     def skeleton_cache(self) -> SkeletonCache | None:
         """The template-skeleton level of the cache stack."""
         return self.planning.skeletons
-
-    @property
-    def binding_cache(self) -> BindingCache | None:
-        """The bound-query level of the cache stack."""
-        return self.planning.bindings
 
     # ------------------------------------------------------------------ #
     # Resilience / fault injection
@@ -413,8 +408,8 @@ class CostIntelligentWarehouse:
         ranked by the Statistics Service's forecast arrival rates (raw
         log counts break ties, input order last, so an empty log warms in
         the given order), the ``top`` hottest are planned under
-        ``constraint`` — populating the binding, skeleton, and exact
-        caches exactly as serving would — and the warmed family names are
+        ``constraint`` — populating the skeleton and exact levels and the
+        binder's templates exactly as serving would — and the warmed family names are
         returned hottest-first.  Nothing is logged, billed, or
         admission-checked: warming is the warehouse spending background
         planning time, not tenant traffic.  No-op when plan caching is
@@ -438,10 +433,10 @@ class CostIntelligentWarehouse:
         return warmed
 
     def invalidate_plan_cache(self) -> None:
-        """Explicitly flush cached plans, skeletons, and bindings
-        (catalog mutations invalidate automatically via the stats
-        version; use this after out-of-band changes such as hardware
-        recalibration)."""
+        """Explicitly flush cached plans and skeletons (catalog
+        mutations invalidate automatically via the stats version; use
+        this after out-of-band changes such as hardware recalibration,
+        which leave bindings as they are)."""
         self._plan_cache_epoch += 1
         for _, cache in self.planning.levels():
             cache.invalidate()

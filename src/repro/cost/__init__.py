@@ -69,16 +69,16 @@ the object it describes:
   literal-free template key
   (:func:`repro.sql.parameterize.parameterize_sql`), the constraint
   kind, and the stats version, so literal-varying report traffic skips
-  join-order DP and bushy generation and re-runs only constant binding
-  (itself served from a per-template AST cache), cardinality
-  re-estimation, and the DOP search.  A binding cache (normalized SQL ->
-  bound query) makes the second constraint on one arrival share binding,
-  the DAG memo, and all pipeline curves.
+  join-order DP and bushy generation and re-runs only the literal fill
+  of the template's bound form (:mod:`repro.sql.binder` binds each
+  template once per stats version), cardinality re-estimation, and the
+  DOP search.  A second constraint on one arrival binds again and
+  re-plans its DAG; only an exact hit skips both.
 
 Invalidation: curves key on the (projected) cardinality-overrides
 mapping, so new observations never see stale numbers; catalog mutations
-bump ``Catalog.version``, which invalidates exact, skeleton, and
-binding entries by construction; ``CostEstimator.invalidate_caches()``
+bump ``Catalog.version``, which invalidates exact and skeleton entries
+and bound templates by construction; ``CostEstimator.invalidate_caches()``
 handles the one out-of-band case — curves and sweepers bake in the
 hardware and exchange calibration they were compiled with, so call it
 after replacing either.  The compiled path is bit-identical to the

@@ -338,7 +338,7 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
     "repro_worker_warm_task_hits_total": MetricSpec(
         "source",
         "Tasks served from a worker's warm private cache, by level "
-        "(bind / skeleton).",
+        "(skeleton).",
         ("level",),
         read=_optional("worker_pool", lambda pool: pool.warm_hits, absent={}),
     ),

@@ -7,17 +7,40 @@ equi-join edges, and extracts aggregates — producing the
 Representing the query as a graph (rather than a fixed operator tree)
 is what lets join ordering and bushy-plan generation (§3.2) explore
 shapes freely.
+
+Templates
+---------
+
+Report traffic re-issues one SQL shape with new literals, so the binder
+binds each template — a template key plus the kinds of its literals —
+once per catalog version and records where every literal slot lands in
+the bound query.  Each instance is then built by filling its constants
+into those slots with the binder's own literal rules (a string compared
+with a column becomes a dictionary code or an always-false /
+always-true predicate, a string IN list its codes, a date its epoch
+day, a LIMIT its row count); expressions without a slot, and the
+``columns_needed`` memo, are shared between instances.  Two things a
+literal's *value* can change are checked, not assumed: a template whose
+bound query drops a slot (a literal inside ORDER BY, or in an aggregate
+the binder merged with an equal one) binds every instance in full, and
+so does an instance whose literals make two of the template's
+aggregates equal.  Either way the result equals binding a full parse of
+the text, field for field.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Hashable
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import DataType
 from repro.errors import BindError
 from repro.plan.expressions import (
+    COMPARISON_OPS,
     AggCall,
     BinaryOp,
     ColumnRef,
@@ -27,7 +50,6 @@ from repro.plan.expressions import (
     Literal,
     UnaryOp,
     conjuncts,
-    contains_aggregate,
     referenced_columns,
     walk,
 )
@@ -42,7 +64,15 @@ from repro.sql.ast_nodes import (
     AstSelect,
     AstUnary,
 )
-from repro.sql.parser import parse, parse_parameterized
+from repro.sql.parameterize import bind_constants, parameterize_sql
+from repro.sql.parser import TemplateParse, parse, parse_parameterized
+
+#: Bound templates one binder keeps; the least recently used leaves
+#: first.  A template is a pure function of its key and the catalog
+#: version, so an eviction only costs binding it again.  One holds
+#: ~8 KB on the ad-hoc shapes: 256, the plan caches' default capacity,
+#: is ~2 MB.
+TEMPLATE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -134,30 +164,87 @@ class BoundQuery:
         return tuple(sorted(needed))
 
 
+class BindingCache:
+    """The binder's bound templates: a bounded LRU keyed on ``(template
+    key, literal kinds)``.  Each entry carries the catalog version it was
+    bound under; a stale one is bound again and replaced."""
+
+    def __init__(self, capacity: int = TEMPLATE_CAPACITY) -> None:
+        self.capacity = capacity
+        self.lock = threading.Lock()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+
+    def lookup(self, key: Hashable):
+        with self.lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self._entries.move_to_end(key)
+            return found
+
+    def store(self, key: Hashable, template: object) -> None:
+        with self.lock:
+            self._entries[key] = template
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class Binder:
     """Binds parsed statements against a catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
+        self.templates = BindingCache()
 
     def bind_sql(self, sql: str) -> BoundQuery:
-        return self.bind(parse(sql), sql=sql)
+        parameterized = parameterize_sql(sql)
+        return self.bind_parameterized(
+            parameterized.template_key, parameterized.constants, sql
+        )
 
     def bind_parameterized(
         self, template_key: str, constants: tuple, sql: str = ""
     ) -> BoundQuery:
-        """Bind a ``(template_key, constants)`` pair via the template-AST
-        cache — recurring templates skip lexing and parsing entirely."""
-        return self.bind(parse_parameterized(template_key, constants, sql), sql=sql)
+        """Bind a ``(template_key, constants)`` pair: fill the constants
+        into the template's bound form, binding the template first when
+        this catalog version has not (see the module docstring)."""
+        key = (template_key, tuple(kind for kind, _ in constants))
+        version = self.catalog.version
+        template = self.templates.lookup(key)
+        if template is None or template.version != version:
+            parsed = parse_parameterized(template_key, constants, sql)
+            bound, produced = self._bind(parsed.stmt, sql, parsed.slots)
+            template = _BoundTemplate(bound, produced, parsed, version)
+            self.templates.store(key, template)
+            if parsed.constants == constants:
+                # The template was parsed from this very query.
+                bound.__dict__["_columns_needed"] = template.columns_needed
+                return bound
+        bound = template.fill(constants, sql)
+        if bound is None:
+            stmt = parse(sql or bind_constants(template_key, constants))
+            bound = self.bind(stmt, sql=sql)
+        return bound
 
     # ------------------------------------------------------------------ #
     # Statement binding
     # ------------------------------------------------------------------ #
     def bind(self, stmt: AstSelect, sql: str = "") -> BoundQuery:
+        return self._bind(stmt, sql)[0]
+
+    def _bind(
+        self, stmt: AstSelect, sql: str, slots: dict[int, int] | None = None
+    ) -> tuple[BoundQuery, dict]:
+        """Bind ``stmt``.  With ``slots`` (a template parse's), also
+        return what each literal slot produced: ``id(node) -> (node,
+        slot indices, build)``."""
         tables, alias_map = self._bind_tables(stmt)
         owners = self._column_owners(tables)
 
-        scope = _Scope(self.catalog, alias_map, owners)
+        scope = _Scope(self.catalog, alias_map, owners, slots)
 
         # WHERE plus JOIN..ON conditions all feed one conjunct pool.
         predicates: list[Expr] = []
@@ -227,7 +314,7 @@ class Binder:
 
         order_by = self._bind_order_by(stmt, scope, select_exprs, select_names, has_agg)
 
-        return BoundQuery(
+        query = BoundQuery(
             sql=sql,
             tables=tables,
             filters=filters,
@@ -243,6 +330,7 @@ class Binder:
             limit=stmt.limit,
             distinct=distinct,
         )
+        return query, scope.produced
 
     # ------------------------------------------------------------------ #
     # Helpers
@@ -370,18 +458,166 @@ class _AggregateExtractor:
         return name
 
 
+class _BoundTemplate:
+    """A template's bound query, as ``fill`` needs it.
+
+    Each expression list is kept as ``(base, patches)``: ``base`` the
+    template's own expressions, shared by every instance where no slot
+    lies under them, and ``patches`` the ``(position, build)`` pairs
+    whose ``build(values)`` makes the rest from an instance's literal
+    values.
+    """
+
+    def __init__(
+        self, bound: BoundQuery, produced: dict, parsed: TemplateParse, version: int
+    ) -> None:
+        self.version = version
+        self.readers = parsed.readers
+        self.limit_slot = parsed.limit_slot
+        self.tables = tuple(bound.tables)
+        self.join_edges = tuple(bound.join_edges)
+        self.group_keys = tuple(bound.group_keys)
+        self.agg_names = tuple(bound.agg_names)
+        self.select_names = tuple(bound.select_names)
+        self.order_by = tuple(bound.order_by)
+        self.limit = bound.limit
+        self.distinct = bound.distinct
+        used: set[int] = set()
+        self.filters = [
+            (table, _parts(exprs, produced, used))
+            for table, exprs in bound.filters.items()
+        ]
+        self.residuals = _parts(bound.residuals, produced, used)
+        self.aggregates = _parts(bound.aggregates, produced, used)
+        self.select_exprs = _parts(bound.select_exprs, produced, used)
+        having = [] if bound.having is None else [bound.having]
+        self.having = _parts(having, produced, used)
+        #: Every slot must reach the bound query for a fill to be whole.
+        self.fillable = len(used) == len(parsed.slots)
+        #: Aggregates with a slot may coincide under other literals, and
+        #: the binder would have merged them.
+        self.check_aggregates = len(bound.aggregates) > 1 and bool(self.aggregates[1])
+        #: ``BoundQuery.columns_needed`` reads column references only,
+        #: which literals never change.
+        self.columns_needed: dict[str, tuple[str, ...]] = {}
+
+    def fill(self, constants: tuple, sql: str) -> BoundQuery | None:
+        """The instance with ``constants``, or ``None`` when it must be
+        bound in full (see the module docstring)."""
+        if not self.fillable:
+            return None
+        values = [read(text) for read, (_, text) in zip(self.readers, constants)]
+        aggregates = _fill(self.aggregates, values)
+        if self.check_aggregates and len(set(aggregates)) < len(aggregates):
+            return None
+        having = _fill(self.having, values)
+        query = BoundQuery(
+            sql=sql,
+            tables=list(self.tables),
+            filters={table: _fill(parts, values) for table, parts in self.filters},
+            join_edges=list(self.join_edges),
+            residuals=_fill(self.residuals, values),
+            group_keys=list(self.group_keys),
+            aggregates=aggregates,
+            agg_names=list(self.agg_names),
+            select_exprs=_fill(self.select_exprs, values),
+            select_names=list(self.select_names),
+            having=having[0] if having else None,
+            order_by=list(self.order_by),
+            limit=self.limit if self.limit_slot is None else values[self.limit_slot],
+            distinct=self.distinct,
+        )
+        query.__dict__["_columns_needed"] = self.columns_needed
+        return query
+
+
+def _parts(exprs: list[Expr], produced: dict, used: set[int]) -> tuple:
+    """``(base, patches)`` for a list of bound expressions."""
+    patches = []
+    for index, expr in enumerate(exprs):
+        compiled = _compile(expr, produced, used)
+        if compiled is not expr:
+            patches.append((index, compiled))
+    return tuple(exprs), tuple(patches)
+
+
+def _fill(parts: tuple, values: list) -> list[Expr]:
+    base, patches = parts
+    filled = list(base)
+    for index, build in patches:
+        filled[index] = build(values)
+    return filled
+
+
+def _compile(expr: Expr, produced: dict, used: set[int]):
+    """``expr`` itself when no literal slot lies under it, else a
+    function of the slot values that rebuilds it.  Adds the slots it
+    reaches to ``used``."""
+    entry = produced.get(id(expr))
+    if entry is not None:
+        used.update(entry[1])
+        return entry[2]
+    children = expr.children()
+    patches = []
+    for index, child in enumerate(children):
+        part = _compile(child, produced, used)
+        if part is not child:
+            patches.append((index, part))
+    if not patches:
+        return expr
+
+    def build(values: list) -> Expr:
+        rebuilt = list(children)
+        for index, part in patches:
+            rebuilt[index] = part(values)
+        return _with_children(expr, rebuilt)
+
+    return build
+
+
+def _with_children(expr: Expr, children: list[Expr]) -> Expr:
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, children[0], children[1])
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, children[0])
+    if isinstance(expr, FuncCall):
+        return FuncCall(expr.name, tuple(children))
+    if isinstance(expr, AggCall):
+        return AggCall(expr.func, children[0], expr.distinct)
+    if isinstance(expr, InList):
+        return InList(children[0], expr.values, expr.negated)
+    raise BindError(f"cannot rebuild expression {expr!r}")
+
+
 class _Scope:
-    """Expression binding scope: resolves columns and encodes strings."""
+    """Expression binding scope: resolves columns and encodes strings.
+
+    With ``slots`` (``id()`` of each literal node -> its slot), every
+    node made from a literal is recorded in ``produced`` with the slots
+    it read and the function that makes it from other values.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         alias_map: dict[str, str],
         owners: dict[str, list[str]],
+        slots: dict[int, int] | None = None,
     ) -> None:
         self.catalog = catalog
         self.alias_map = alias_map
         self.owners = owners
+        self.slots = slots
+        self.produced: dict[int, tuple] = {}
+
+    def _produced(
+        self, node: Expr, indices: tuple[int, ...], build: Callable[[list], Expr]
+    ) -> Expr:
+        """Record ``node`` as what ``build(values)`` makes from the slots
+        at ``indices`` (holding it, so its ``id`` stays its own while the
+        template binds)."""
+        self.produced[id(node)] = (node, indices, build)
+        return node
 
     # -------------------------- column resolution ---------------------- #
     def bind_column(self, ast: AstColumn) -> ColumnRef:
@@ -405,6 +641,13 @@ class _Scope:
         assert ref.table is not None
         return self.catalog.table(ref.table).schema.column(ref.name).dtype
 
+    def is_string_column(self, expr: Expr) -> bool:
+        return (
+            isinstance(expr, ColumnRef)
+            and expr.table is not None
+            and self.column_type(expr) is DataType.STRING
+        )
+
     def dictionary(self, ref: ColumnRef) -> tuple[str, ...]:
         assert ref.table is not None
         entry = self.catalog.table(ref.table)
@@ -421,11 +664,13 @@ class _Scope:
         if isinstance(ast, AstColumn):
             return self.bind_column(ast)
         if isinstance(ast, AstLiteral):
-            if isinstance(ast.value, str):
-                # Bare string literal outside a comparison context: defer;
-                # comparisons intercept these before binding.
-                return Literal(ast.value)
-            return Literal(ast.value)
+            # A string literal outside a comparison stays a string;
+            # comparisons intercept theirs before binding.
+            node = Literal(ast.value)
+            if self.slots is None:
+                return node
+            index = self.slots[id(ast)]
+            return self._produced(node, (index,), lambda values: Literal(values[index]))
         if isinstance(ast, AstBinary):
             return self._bind_binary(ast)
         if isinstance(ast, AstUnary):
@@ -467,7 +712,7 @@ class _Scope:
             string_side = "right"
         elif isinstance(ast.left, AstLiteral) and isinstance(ast.left.value, str):
             string_side = "left"
-        if string_side is not None and ast.op in ("=", "<>", "<", "<=", ">", ">="):
+        if string_side is not None and ast.op in COMPARISON_OPS:
             if string_side == "right":
                 column_ast, literal_ast, op = ast.left, ast.right, ast.op
             else:
@@ -485,59 +730,105 @@ class _Scope:
                 )
             assert isinstance(literal_ast, AstLiteral)
             assert isinstance(literal_ast.value, str)
-            return self._encode_string_comparison(column, op, literal_ast.value)
-        return BinaryOp(ast.op, self.bind(ast.left), self.bind(ast.right))
-
-    def _encode_string_comparison(
-        self, column: ColumnRef, op: str, value: str
-    ) -> Expr:
-        dictionary = self.dictionary(column)
-        position = bisect.bisect_left(dictionary, value)
-        exact = position < len(dictionary) and dictionary[position] == value
-        if op == "=":
-            if not exact:
-                return _impossible(column)
-            return BinaryOp("=", column, Literal(position))
-        if op == "<>":
-            if not exact:
-                return _always_true(column)
-            return BinaryOp("<>", column, Literal(position))
-        if op == "<":
-            return BinaryOp("<", column, Literal(position))
-        if op == "<=":
-            if exact:
-                return BinaryOp("<=", column, Literal(position))
-            return BinaryOp("<", column, Literal(position))
-        if op == ">":
-            if exact:
-                return BinaryOp(">", column, Literal(position))
-            return BinaryOp(">=", column, Literal(position))
-        if op == ">=":
-            return BinaryOp(">=", column, Literal(position))
-        raise BindError(f"unsupported string comparison operator {op!r}")
+            dictionary = self.dictionary(column)
+            node = _encode_string_comparison(dictionary, column, op, literal_ast.value)
+            if self.slots is None:
+                return node
+            index = self.slots[id(literal_ast)]
+            return self._produced(
+                node,
+                (index,),
+                lambda values: _encode_string_comparison(
+                    dictionary, column, op, values[index]
+                ),
+            )
+        left, right = self.bind(ast.left), self.bind(ast.right)
+        if ast.op in COMPARISON_OPS:
+            for column, other in ((left, right), (right, left)):
+                if _is_number(other) and self.is_string_column(column):
+                    raise BindError(
+                        f"cannot compare string column {column.sql()} with a "
+                        "number"
+                    )
+        return BinaryOp(ast.op, left, right)
 
     def _bind_in_list(self, ast: AstInList) -> Expr:
         operand = self.bind(ast.operand)
-        raw_values = [lit.value for lit in ast.values]
-        if any(isinstance(v, str) for v in raw_values):
+        negated = ast.negated
+        strings = [isinstance(literal.value, str) for literal in ast.values]
+        if any(strings) or self.is_string_column(operand):
             if not isinstance(operand, ColumnRef):
                 raise BindError("string IN-list requires a plain column")
             if self.column_type(operand) is not DataType.STRING:
                 raise BindError(
                     f"cannot apply string IN-list to {operand.sql()}"
                 )
-            dictionary = self.dictionary(operand)
-            codes = tuple(
-                dictionary.index(v)  # type: ignore[arg-type]
-                for v in raw_values
-                if isinstance(v, str) and v in dictionary
-            )
-            if not codes:
-                return (
-                    _always_true(operand) if ast.negated else _impossible(operand)
+            if not all(strings):
+                raise BindError(
+                    f"IN-list on string column {operand.sql()} holds a "
+                    "non-string value"
                 )
-            return InList(operand, codes, negated=ast.negated)
-        return InList(operand, tuple(raw_values), negated=ast.negated)  # type: ignore[arg-type]
+            dictionary = self.dictionary(operand)
+
+            def build(values: tuple) -> Expr:
+                return _encode_in_list(dictionary, operand, values, negated)
+
+        else:
+
+            def build(values: tuple) -> Expr:
+                return InList(operand, values, negated=negated)
+
+        node = build(tuple(literal.value for literal in ast.values))
+        if self.slots is None:
+            return node
+        indices = tuple(self.slots[id(literal)] for literal in ast.values)
+        return self._produced(
+            node, indices, lambda values: build(tuple([values[i] for i in indices]))
+        )
+
+
+def _is_number(expr: Expr) -> bool:
+    """A numeric (or date) literal, negated or not."""
+    if isinstance(expr, UnaryOp) and expr.op == "-":
+        expr = expr.operand
+    return isinstance(expr, Literal) and not isinstance(expr.value, str)
+
+
+def _encode_string_comparison(
+    dictionary: tuple[str, ...], column: ColumnRef, op: str, value: str
+) -> Expr:
+    position = bisect.bisect_left(dictionary, value)
+    exact = position < len(dictionary) and dictionary[position] == value
+    if op == "=":
+        if not exact:
+            return _impossible(column)
+        return BinaryOp("=", column, Literal(position))
+    if op == "<>":
+        if not exact:
+            return _always_true(column)
+        return BinaryOp("<>", column, Literal(position))
+    if op == "<":
+        return BinaryOp("<", column, Literal(position))
+    if op == "<=":
+        if exact:
+            return BinaryOp("<=", column, Literal(position))
+        return BinaryOp("<", column, Literal(position))
+    if op == ">":
+        if exact:
+            return BinaryOp(">", column, Literal(position))
+        return BinaryOp(">=", column, Literal(position))
+    if op == ">=":
+        return BinaryOp(">=", column, Literal(position))
+    raise BindError(f"unsupported string comparison operator {op!r}")
+
+
+def _encode_in_list(
+    dictionary: tuple[str, ...], operand: ColumnRef, values: tuple, negated: bool
+) -> Expr:
+    codes = tuple(dictionary.index(v) for v in values if v in dictionary)
+    if not codes:
+        return _always_true(operand) if negated else _impossible(operand)
+    return InList(operand, codes, negated=negated)
 
 
 def _flip(op: str) -> str:

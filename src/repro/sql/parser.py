@@ -20,6 +20,7 @@ Grammar (roughly):
 from __future__ import annotations
 
 import datetime
+from typing import Callable, NamedTuple
 
 from repro.errors import ParseError
 from repro.sql.ast_nodes import (
@@ -48,152 +49,75 @@ def parse(sql: str) -> AstSelect:
     return _Parser(tokenize(sql)).parse_select()
 
 
-#: Parsed template ASTs keyed on the literal-free template key:
-#: ``(statement, slot specs, id(literal node) -> slot index, limit slot
-#: index or None)``.  Bounded by wholesale reset — template pools are
-#: tiny next to the cap, and the entries are pure functions of the key.
+class TemplateParse(NamedTuple):
+    """One template's parse: the statement as parsed from an instance
+    (whose ``constants`` it keeps), and where its literals sit.
+    ``slots`` maps ``id()`` of every literal node in ``stmt`` to its
+    position among the constants; ``readers`` holds, per position, the
+    function the parser applies to that literal's token text (numbers,
+    dates, negation, LIMIT); ``limit_slot`` is the LIMIT's position, or
+    ``None``."""
+
+    stmt: AstSelect
+    constants: tuple
+    slots: dict[int, int]
+    readers: tuple[Callable[[str], object], ...]
+    limit_slot: int | None
+
+
+#: Template parses keyed on ``(template key, literal kinds)``.  Bounded
+#: by wholesale reset — template pools are tiny next to the cap, and the
+#: entries are pure functions of the key.
 _TEMPLATE_CACHE: dict = {}
 _TEMPLATE_CACHE_CAP = 4096
 
 
 def parse_parameterized(
     template_key: str, constants: tuple, sql: str = ""
-) -> AstSelect:
-    """Parse a ``(template_key, constants)`` pair, reusing the template.
+) -> TemplateParse:
+    """The parse of a ``(template_key, constants)`` pair's template.
 
     Grammar structure depends only on token kinds and keyword/symbol
-    text — literal *values* never steer the parser — so the template's
-    AST is parsed once and subsequent instantiations substitute fresh
-    constants into a structural copy: bit-identical to re-parsing the
-    full token stream, minus the token walk.  Error cases a real parse
-    would reject (a non-string after DATE, a negated string, a
-    non-numeric LIMIT) are re-checked during substitution.  A template
-    seen for the first time is lexed from ``sql`` (the text the pair was
-    split from) or, without it, from the identity the pair renders to.
+    text — literal *values* never steer the parser — so all instances of
+    a template whose literals have the same kinds parse to one statement
+    shape.  It is parsed once per process; the binder binds it once and
+    fills each instance's constants into the slots recorded here.  A
+    template seen for the first time is parsed from ``sql`` (the text the
+    pair was split from) or, without it, from the text the pair renders
+    to.
     """
     from repro.sql.parameterize import bind_constants
 
-    entry = _TEMPLATE_CACHE.get(template_key)
-    if entry is None:
+    key = (template_key, tuple(kind for kind, _ in constants))
+    found = _TEMPLATE_CACHE.get(key)
+    if found is None:
         parser = _Parser(tokenize(sql or bind_constants(template_key, constants)))
         stmt = parser.parse_select()
         slots = parser.literal_slots
-        if len(slots) != len(constants):
-            # A literal token the parser consumed outside the recorded
-            # slots would make substitution unsound; fall back to plain
-            # parsing for this template.
-            entry = None
-        else:
-            id_map = {
-                id(marker): index
-                for index, (marker, kind, _) in enumerate(slots)
-                if kind != "limit"
-            }
-            limit_slot = next(
-                (i for i, (_, kind, _) in enumerate(slots) if kind == "limit"),
-                None,
-            )
-            specs = tuple((kind, negated) for _, kind, negated in slots)
-            if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_CAP:
-                _TEMPLATE_CACHE.clear()
-            _TEMPLATE_CACHE[template_key] = (stmt, specs, id_map, limit_slot)
-        return stmt
-
-    stmt, specs, id_map, limit_slot = entry
-    values = [
-        _slot_value(kind, negated, constant)
-        for (kind, negated), constant in zip(specs, constants)
-    ]
-    return _substitute_select(stmt, id_map, values, limit_slot)
-
-
-def _slot_value(kind: str, negated: bool, constant: tuple[str, str]):
-    token_kind, text = constant
-    if kind == "limit":
-        if token_kind != TokenType.NUMBER.name:
-            raise ParseError("LIMIT requires a number", 0)
-        return int(float(text))
-    if kind == "date":
-        if token_kind != TokenType.STRING.name:
-            raise ParseError("DATE must be followed by a string", 0)
-        value: int | float | str = parse_date(text)
-    elif token_kind == TokenType.NUMBER.name:
-        value = float(text) if "." in text else int(text)
-    else:
-        value = text
-    if negated:
-        if isinstance(value, str):
-            raise ParseError("cannot negate a string literal", 0)
-        # The parser's negation fold builds a plain AstLiteral(-value)
-        # without the date flag; mirror it exactly.
-        return AstLiteral(-value)
-    return AstLiteral(value, is_date=(kind == "date"))
-
-
-def _substitute_expr(node: AstExpr, id_map: dict, values: list) -> AstExpr:
-    index = id_map.get(id(node))
-    if index is not None:
-        return values[index]
-    if isinstance(node, AstBinary):
-        left = _substitute_expr(node.left, id_map, values)
-        right = _substitute_expr(node.right, id_map, values)
-        if left is node.left and right is node.right:
-            return node
-        return AstBinary(node.op, left, right)
-    if isinstance(node, AstUnary):
-        operand = _substitute_expr(node.operand, id_map, values)
-        return node if operand is node.operand else AstUnary(node.op, operand)
-    if isinstance(node, AstBetween):
-        operand = _substitute_expr(node.operand, id_map, values)
-        low = _substitute_expr(node.low, id_map, values)
-        high = _substitute_expr(node.high, id_map, values)
-        if operand is node.operand and low is node.low and high is node.high:
-            return node
-        return AstBetween(operand, low, high, node.negated)
-    if isinstance(node, AstInList):
-        in_values = tuple(
-            _substitute_expr(value, id_map, values) for value in node.values
+        found = TemplateParse(
+            stmt,
+            constants,
+            {id(node): i for i, (node, _) in enumerate(slots) if node is not None},
+            tuple(reader for _, reader in slots),
+            next((i for i, (node, _) in enumerate(slots) if node is None), None),
         )
-        operand = _substitute_expr(node.operand, id_map, values)
-        if operand is node.operand and all(
-            new is old for new, old in zip(in_values, node.values)
-        ):
-            return node
-        return AstInList(operand, in_values, node.negated)  # type: ignore[arg-type]
-    if isinstance(node, AstFuncCall):
-        args = tuple(_substitute_expr(arg, id_map, values) for arg in node.args)
-        if all(new is old for new, old in zip(args, node.args)):
-            return node
-        return AstFuncCall(node.name, args, node.distinct, node.star)
-    # Columns and unmapped literals carry no substitutable state.
-    return node
+        if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_CAP:
+            _TEMPLATE_CACHE.clear()
+        _TEMPLATE_CACHE[key] = found
+    return found
 
 
-def _substitute_select(
-    stmt: AstSelect, id_map: dict, values: list, limit_slot: int | None
-) -> AstSelect:
-    fresh = AstSelect()
-    fresh.items = [
-        AstSelectItem(_substitute_expr(item.expr, id_map, values), item.alias)
-        for item in stmt.items
-    ]
-    fresh.tables = list(stmt.tables)
-    fresh.joins = [
-        AstJoin(join.table, _substitute_expr(join.condition, id_map, values))
-        for join in stmt.joins
-    ]
-    if stmt.where is not None:
-        fresh.where = _substitute_expr(stmt.where, id_map, values)
-    fresh.group_by = list(stmt.group_by)
-    if stmt.having is not None:
-        fresh.having = _substitute_expr(stmt.having, id_map, values)
-    fresh.order_by = [
-        AstOrderItem(_substitute_expr(item.expr, id_map, values), item.ascending)
-        for item in stmt.order_by
-    ]
-    fresh.limit = values[limit_slot] if limit_slot is not None else stmt.limit
-    fresh.distinct = stmt.distinct
-    return fresh
+def _number(text: str) -> int | float:
+    return float(text) if "." in text else int(text)
+
+
+def _limit(text: str) -> int:
+    return int(float(text))
+
+
+def _negated(reader: Callable[[str], object]) -> Callable[[str], object]:
+    """The reader of a literal the parser folded a unary minus into."""
+    return lambda text: -reader(text)  # type: ignore[operator]
 
 
 def parse_date(text: str, position: int = 0) -> int:
@@ -209,11 +133,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
-        #: Literal substitution slots in token order, one per literal
-        #: token consumed: ``[node_or_marker, kind, negated]`` where
-        #: ``kind`` is "plain" (number/string), "date", or "limit".
-        #: The template-AST cache uses these to re-bind fresh constants
-        #: into a cached parse (see :func:`parse_parameterized`).
+        #: One ``[literal node, reader]`` per literal token consumed, in
+        #: token order: the node the literal became (``None`` for LIMIT's
+        #: number) and the function that read its token text (see
+        #: :func:`parse_parameterized`).
         self.literal_slots: list[list] = []
 
     # ------------------------------------------------------------------ #
@@ -305,8 +228,8 @@ class _Parser:
             if token.type is not TokenType.NUMBER:
                 raise ParseError("LIMIT requires a number", token.position)
             self._advance()
-            stmt.limit = int(float(token.text))
-            self.literal_slots.append(["limit", "limit", False])
+            stmt.limit = _limit(token.text)
+            self.literal_slots.append([None, _limit])
         self._accept_symbol(";")
         tail = self._peek()
         if tail.type is not TokenType.EOF:
@@ -430,15 +353,13 @@ class _Parser:
         token = self._peek()
         if token.type is TokenType.NUMBER:
             self._advance()
-            text = token.text
-            value: int | float = float(text) if "." in text else int(text)
-            node = AstLiteral(value)
-            self.literal_slots.append([node, "plain", False])
+            node = AstLiteral(_number(token.text))
+            self.literal_slots.append([node, _number])
             return node
         if token.type is TokenType.STRING:
             self._advance()
             node = AstLiteral(token.text)
-            self.literal_slots.append([node, "plain", False])
+            self.literal_slots.append([node, str])
             return node
         if token.is_keyword("date"):
             self._advance()
@@ -447,7 +368,7 @@ class _Parser:
                 raise ParseError("DATE must be followed by a string", literal.position)
             self._advance()
             node = AstLiteral(parse_date(literal.text, literal.position), is_date=True)
-            self.literal_slots.append([node, "date", False])
+            self.literal_slots.append([node, parse_date])
             return node
         if token.is_symbol("("):
             self._advance()
@@ -472,11 +393,11 @@ class _Parser:
                 raise ParseError("cannot negate a string literal", self._peek().position)
             node = AstLiteral(-value)
             # The negation folds into the literal: repoint its slot at
-            # the folded node and remember the sign for substitution.
+            # the folded node and read its text negated.
             slot = self.literal_slots[-1]
             assert slot[0] is expr.operand
             slot[0] = node
-            slot[2] = True
+            slot[1] = _negated(slot[1])
             return node
         if not isinstance(expr, AstLiteral):
             raise ParseError("expected a literal value", self._peek().position)

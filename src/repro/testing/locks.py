@@ -219,8 +219,8 @@ def instrument_warehouse(
     """Swap every known lock on *warehouse* for a sanitized wrapper.
 
     Covers the ledger lock (which orders serving; it keeps the edge
-    graph's ``warehouse.serving`` name), the journal, all three
-    plan-cache levels, admission, the template frequency provider, both
+    graph's ``warehouse.serving`` name), the journal, both plan-cache
+    levels and the binder's bound templates, admission, the template frequency provider, both
     circuit breakers (statsvc + tuning, the latter only if the tuning
     service has materialized), resilience
     stats, the observability locks (metrics registry, cost history,
@@ -238,11 +238,13 @@ def instrument_warehouse(
         warehouse.journal._lock = sanitizer.wrap(
             warehouse.journal._lock, "journal"
         )
-    for cache_name in ("plan_cache", "skeleton_cache", "binding_cache"):
+    for cache_name in ("plan_cache", "skeleton_cache"):
         cache = getattr(warehouse, cache_name, None)
         if cache is None:
             continue
         cache.lock = sanitizer.wrap(cache.lock, cache_name)
+    templates = warehouse.binder.templates
+    templates.lock = sanitizer.wrap(templates.lock, "bound_templates")
     warehouse.admission._lock = sanitizer.wrap(
         warehouse.admission._lock, "admission"
     )

@@ -31,8 +31,8 @@ Tuning is a long-lived service, not a one-shot call.  The pipeline:
    (:mod:`~repro.tuning.background`), which captures an
    :class:`~repro.core.journal.UndoSnapshot` of prior state before it
    mutates so ``rollback()`` restores bit-identical plans and catalog entries.
-   Every apply/rollback flushes the warehouse's plan/skeleton/binding
-   caches and meters its dollars into the originating tenants' bills.
+   Every apply/rollback flushes the warehouse's plan and skeleton
+   caches (its catalog change re-binds every template) and meters its dollars into the originating tenants' bills.
 5. A :class:`~repro.tuning.service.TuningPolicy` (cadence, storage
    budget, tenant scope, forecast-fed auto-apply gates) lets the serving
    layer drive recurring cycles between batches.

@@ -23,8 +23,9 @@ compute) keeps its components, but the API around them becomes:
   :class:`~repro.tuning.background.BackgroundComputeService` and exposes
   ``propose() / apply(rec) / apply_all() / rollback(rec)``.  Apply and
   rollback are transactional over the catalog (state snapshotted before
-  mutation), flush the warehouse's plan/skeleton/binding caches so
-  serving never reuses a pre-tuning plan, and meter background dollars
+  mutation), flush the warehouse's plan and skeleton caches so serving
+  never reuses a pre-tuning plan (the catalog change re-binds every
+  template), and meter background dollars
   into the originating tenants' :class:`~repro.core.ledger.TenantBill`\\ s.
   The advisor reads ``warehouse.template_queries``, derived from the log
   under the current catalog, so it sees the post-tuning bindings at once.
@@ -255,9 +256,9 @@ class TuningService:
     Owns one What-If Service, one advisor, and one background-compute
     executor for the warehouse's lifetime, keeps the
     full :class:`Recommendation` history, and guarantees serving-layer
-    coherence: every apply/rollback flushes the plan, skeleton, and
-    binding caches, and registers / unregisters applied MVs with the
-    serving path's rewriter.
+    coherence: every apply/rollback flushes the plan and skeleton caches
+    (its catalog change re-binds every template), and registers /
+    unregisters applied MVs with the serving path's rewriter.
     """
 
     def __init__(

@@ -177,13 +177,12 @@ def test_staged_plan_roundtrip(optimizer, bound):
         new_skeleton_trees=optimizer.variant_trees(bound),
         bind_s=0.001,
         optimize_s=0.002,
-        warm_bind=True,
-        warm_skeleton=False,
+        warm_skeleton=True,
     )
     restored = roundtrip(plan)
     assert restored.task_id == plan.task_id
     assert plan_snapshot(restored.choice) == plan_snapshot(choice)
-    assert restored.warm_bind and not restored.warm_skeleton
+    assert restored.warm_skeleton
 
 
 def test_worker_failure_roundtrip_preserves_typed_error():

@@ -217,12 +217,18 @@ def test_skeleton_key_separates_constraint_kinds(warehouse):
     assert warehouse.skeleton_cache.hits == 1
 
 
-def test_binding_shared_across_constraints(warehouse):
+def test_a_second_constraint_binds_and_plans_the_dag_again(warehouse):
+    """Only an exact hit skips binding: the same SQL under a second
+    constraint is filled from its bound template into a new bound query,
+    so the optimizer's DAG memo (keyed on that object) cannot answer."""
     sql = instantiate("q1_pricing_summary", seed=1)
     first = serve(warehouse, sql, sla_constraint(12.0))
+    plans = warehouse.optimizer.dag_plans
     second = serve(warehouse, sql, budget_constraint(0.05))
-    assert warehouse.binding_cache.hits == 1
     assert second.record.sql == first.record.sql
+    assert warehouse.plan_cache.hits == 0
+    assert warehouse.optimizer.dag_plans == plans + 1
+    assert len(warehouse.binder.templates) == 1
 
 
 def test_describe_caches_reports_all_levels(warehouse):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
+from repro.core.plan_cache import PlanCache, SkeletonCache
 from repro.core.planning import PlanningPipeline
 from repro.core.sharding import StageTask, WorkerSpec
 from repro.core.sharding_worker import PlannerShard
@@ -64,15 +64,8 @@ def test_absent_levels_are_skipped_and_plans_do_not_move(catalog):
     shapes = {
         "none": pipeline(catalog),
         "exact-only": pipeline(catalog, exact=PlanCache(8)),
-        "worker": pipeline(
-            catalog, bindings=BindingCache(8), skeletons=SkeletonCache(8)
-        ),
-        "full": pipeline(
-            catalog,
-            exact=PlanCache(8),
-            bindings=BindingCache(8),
-            skeletons=SkeletonCache(8),
-        ),
+        "worker": pipeline(catalog, skeletons=SkeletonCache(8)),
+        "full": pipeline(catalog, exact=PlanCache(8), skeletons=SkeletonCache(8)),
     }
     for constraint in (SLA, budget_constraint(0.05)):
         for value in (0, 1, 0):  # new literal, new literal, a repeat
@@ -86,29 +79,24 @@ def test_absent_levels_are_skipped_and_plans_do_not_move(catalog):
     full = shapes["full"]
     # use_cache=False looked nothing up and stored nothing.
     assert len(full.exact) == 4 and full.exact.hits == 2
-    # One binding serves both constraints of a query.
-    assert len(full.bindings) == 2 and full.bindings.hits == 2
+    # One bound template serves every literal and constraint.
+    assert len(full.binder.templates) == 1
     assert shapes["none"].plan(T_JOIN.format(v=0), SLA).level == "optimizer"
     assert shapes["worker"].plan(T_JOIN.format(v=3), SLA).level == "skeleton"
     assert shapes["exact-only"].plan(T_JOIN.format(v=0), SLA).level == "exact"
 
 
 def test_degraded_walk_stores_nothing(catalog):
-    full = pipeline(
-        catalog,
-        exact=PlanCache(8),
-        bindings=BindingCache(8),
-        skeletons=SkeletonCache(8),
-    )
+    full = pipeline(catalog, exact=PlanCache(8), skeletons=SkeletonCache(8))
     assert full.plan(T_ORDERS.format(v=1), SLA, degraded=True).level == "heuristic"
-    assert (len(full.exact), len(full.bindings), len(full.skeletons)) == (0, 0, 0)
+    assert (len(full.exact), len(full.skeletons)) == (0, 0)
     assert full.plan(T_ORDERS.format(v=1), SLA).level == "optimizer"
     # Same template, new literal: the cached shapes answer, bit-identical
     # to what the full walk produces for that literal.
     warm = T_ORDERS.format(v=2)
     degraded = full.plan(warm, SLA, degraded=True)
     assert degraded.level == "skeleton"
-    assert len(full.exact) == 1 and len(full.bindings) == 1
+    assert len(full.exact) == 1 and len(full.skeletons) == 1
     assert plan_snapshot(degraded.choice) == plan_snapshot(full.plan(warm, SLA).choice)
 
 
@@ -141,23 +129,25 @@ def make_task(catalog, task_id: int, sql: str) -> StageTask:
 
 def test_worker_caches_are_bounded_and_plans_unchanged(catalog):
     """A warm process that never forgets is a leak: after 3 x capacity
-    literal variants of one template the worker holds <= capacity
-    bindings, and every plan equals an uncapped worker's."""
+    templates the worker holds <= capacity skeletons, and every plan
+    equals an uncapped worker's."""
     capacity = 8
     capped = make_shard(catalog, capacity)
     uncapped = make_shard(catalog, 10_000)
-    variants = [T_ORDERS.format(v=100_000 + i) for i in range(3 * capacity)]
-    for task_id, sql in enumerate(variants):
+    templates = [
+        T_ORDERS.format(v=1) + " AND o_custkey > 0" * (i + 1)
+        for i in range(3 * capacity)
+    ]
+    for task_id, sql in enumerate(templates):
         task = make_task(catalog, task_id, sql)
         assert plan_snapshot(capped.stage(task).choice) == plan_snapshot(
             uncapped.stage(task).choice
         )
-    assert len(capped.pipeline.bindings) <= capacity
     assert len(capped.pipeline.skeletons) <= capacity
-    assert len(uncapped.pipeline.bindings) == len(variants)
-    # The first variant was evicted from the capped worker only; it
-    # re-binds there and still plans the same.
-    again = make_task(catalog, len(variants), variants[0])
+    assert len(uncapped.pipeline.skeletons) == len(templates)
+    # The first template's skeleton was evicted from the capped worker
+    # only; it is planned afresh there and still plans the same.
+    again = make_task(catalog, len(templates), templates[0])
     evicted, kept = capped.stage(again), uncapped.stage(again)
-    assert (evicted.warm_bind, kept.warm_bind) == (False, True)
+    assert (evicted.warm_skeleton, kept.warm_skeleton) == (False, True)
     assert plan_snapshot(evicted.choice) == plan_snapshot(kept.choice)

@@ -174,11 +174,10 @@ def test_describe_caches_snapshot(stats_warehouse):
     assert set(report) == {
         "plan_cache",
         "skeleton_cache",
-        "binding_cache",
         "timing_cache",
         "admission",
     }
-    for label in ("plan_cache", "skeleton_cache", "binding_cache"):
+    for label in ("plan_cache", "skeleton_cache"):
         assert set(report[label]) == {
             "entries",
             "capacity",

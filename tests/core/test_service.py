@@ -442,7 +442,7 @@ def test_template_bindings_survive_invalidate_plan_cache(warehouse):
     session.submit(QueryRequest(sql=Q_COUNT, template="counts"))
     cached, _ = warehouse.plan(Q_COUNT, sla_constraint(15.0))  # exact hit
     warehouse.invalidate_plan_cache()
-    assert warehouse.describe_caches()["binding_cache"]["entries"] == 0
+    assert warehouse.describe_caches()["plan_cache"]["entries"] == 0
     bound = warehouse.template_queries["counts"]
     assert bound is not cached
     assert bound.sql == Q_COUNT and bound.table_names == ["orders"]
@@ -465,10 +465,11 @@ def test_stage_scaler_does_not_mutate_shared_sim_config(warehouse):
 def test_optimizer_reset_counters(warehouse):
     session = warehouse.session()
     session.submit(Q_COUNT, sla_constraint(15.0)).result()
-    # A second constraint reuses the binding, so DAG planning is a memo hit.
+    # A second constraint binds again: a new bound query, so DAG
+    # planning runs again (its skeleton kind is new too).
     session.submit(Q_COUNT, budget_constraint(0.5)).result()
     optimizer = warehouse.optimizer
-    assert optimizer.dag_plans == 1
+    assert optimizer.dag_plans == 2
     assert optimizer.dag_memo_hits > 0
     assert warehouse.skeleton_cache.misses == 2  # one per constraint kind
     warehouse.reset_cache_stats()

@@ -456,7 +456,7 @@ def test_worker_pool_metrics_are_sourced():
         assert metrics.value("repro_worker_pool_size") == 2
         assert metrics.value("repro_worker_restarts_total") == 0
         sourced = metrics.sourced("repro_worker_warm_task_hits_total")
-        assert set(sourced) == {("bind",), ("skeleton",)}
+        assert set(sourced) == {("skeleton",)}
         samples = {s.name for s in metrics.collect()}
         assert "repro_worker_ipc_roundtrip_seconds" in samples
     finally:

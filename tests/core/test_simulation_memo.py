@@ -114,26 +114,23 @@ def test_memoized_simulation_equals_a_freshly_built_simulator(warehouse, templat
     assert stats.simulation_computations == len(cases)
 
 
-def test_one_dag_served_under_sla_then_budget_gets_two_entries(warehouse):
-    """Binding and physical planning are constraint-independent, so an
-    SLA and a budget ``PlanChoice`` of one query share a DAG object: the
-    DAG alone is not a key."""
-    sql = instantiate("q6_revenue_forecast", seed=1)
-    session = warehouse.session()
-    sla, budget = (
-        session.submit(QueryRequest(sql=sql, constraint=constraint)).result()
-        for constraint in CONSTRAINTS
-    )
-    assert sla.choice.dag is budget.choice.dag
+def test_one_dag_planned_under_sla_then_budget_gets_two_entries(warehouse):
+    """Physical planning is constraint-independent, so an SLA and a
+    budget ``PlanChoice`` of one bound query share a DAG object: the DAG
+    alone is not a key."""
+    bound = warehouse.binder.bind_sql(instantiate("q6_revenue_forecast", seed=1))
+    choices = [warehouse.optimizer.optimize(bound, c) for c in CONSTRAINTS]
+    assert choices[0].dag is choices[1].dag
+    sims = [
+        warehouse._simulate(choice, constraint, "dop-monitor", None)
+        for choice, constraint in zip(choices, CONSTRAINTS)
+    ]
     assert len(warehouse.estimator._simulation_memo) == 1
-    assert len(warehouse.estimator._simulation_memo[sla.choice.dag]) == 2
-    assert sla.sim is not budget.sim
-    for outcome, constraint in zip((sla, budget), CONSTRAINTS):
+    assert len(warehouse.estimator._simulation_memo[choices[0].dag]) == 2
+    assert sims[0] is not sims[1]
+    for sim, choice, constraint in zip(sims, choices, CONSTRAINTS):
         _assert_same_result(
-            outcome.sim,
-            _fresh_simulation(
-                warehouse, outcome.choice, constraint, "dop-monitor", None
-            ),
+            sim, _fresh_simulation(warehouse, choice, constraint, "dop-monitor", None)
         )
 
 

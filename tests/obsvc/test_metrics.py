@@ -127,7 +127,7 @@ def test_labeled_source_lookup():
         "repro_cache_hits_total", lambda: {("plan",): 7, ("skeleton",): 3}
     )
     assert registry.value("repro_cache_hits_total", cache="plan") == 7
-    assert registry.value("repro_cache_hits_total", cache="binding") == 0
+    assert registry.value("repro_cache_hits_total", cache="exact") == 0
     assert registry.sourced("repro_cache_hits_total") == {
         ("plan",): 7,
         ("skeleton",): 3,

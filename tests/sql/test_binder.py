@@ -86,6 +86,31 @@ def test_string_comparison_against_numeric_column_rejected(tpch_binder):
         tpch_binder.bind_sql("SELECT o_orderkey FROM orders WHERE o_totalprice = 'x'")
 
 
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        "c_mktsegment = 5",
+        "5 < c_mktsegment",
+        "c_mktsegment <> -2",
+        "c_mktsegment BETWEEN 1 AND 3",
+        "c_mktsegment >= DATE '1995-01-01'",
+    ],
+)
+def test_number_against_string_column_rejected(tpch_binder, predicate):
+    """It used to bind as a comparison of dictionary codes."""
+    with pytest.raises(BindError, match="with a number"):
+        tpch_binder.bind_sql(f"SELECT c_custkey FROM customer WHERE {predicate}")
+
+
+@pytest.mark.parametrize("values", ["'BUILDING', 5", "1, 2", "'BUILDING', -1"])
+def test_string_in_list_with_a_number_rejected(tpch_binder, values):
+    """``IN ('BUILDING', 5)`` used to drop the 5 and bind as ``IN (1)``."""
+    with pytest.raises(BindError, match="non-string value"):
+        tpch_binder.bind_sql(
+            f"SELECT c_custkey FROM customer WHERE c_mktsegment IN ({values})"
+        )
+
+
 def test_aggregate_extraction_and_names(tpch_binder):
     bound = tpch_binder.bind_sql(
         "SELECT sum(o_totalprice) AS total, count(*) FROM orders"

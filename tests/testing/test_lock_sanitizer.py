@@ -143,7 +143,7 @@ def test_instrument_warehouse_covers_core_locks_and_serving_works():
     )
     sanitizer = instrument_warehouse(wh)
     assert isinstance(wh.ledger.lock, SanitizedLock)
-    for cache in (wh.plan_cache, wh.skeleton_cache, wh.binding_cache):
+    for cache in (wh.plan_cache, wh.skeleton_cache, wh.binder.templates):
         assert isinstance(cache.lock, SanitizedLock)
     assert isinstance(wh.admission._lock, SanitizedLock)
     assert isinstance(wh.statsvc_breaker._lock, SanitizedLock)

@@ -247,7 +247,7 @@ def test_apply_invalidates_plan_and_skeleton_caches():
     # Every serving cache level is flushed, and the template binding
     # is re-derived under the new catalog: it reads the view.
     caches = wh.describe_caches()
-    for level in ("plan_cache", "skeleton_cache", "binding_cache"):
+    for level in ("plan_cache", "skeleton_cache"):
         assert caches[level]["entries"] == 0
     assert wh.template_queries["q5ish"].table_names == [mv.action.name]
     # Same SQL no longer serves the pre-tuning cached plan.
