@@ -22,10 +22,13 @@ day, a LIMIT its row count); expressions without a slot, and the
 ``columns_needed`` memo, are shared between instances.  Two things a
 literal's *value* can change are checked, not assumed: a template whose
 bound query drops a slot (a literal inside ORDER BY, or in an aggregate
-the binder merged with an equal one) binds every instance in full, and
-so does an instance whose literals make two of the template's
-aggregates equal.  Either way the result equals binding a full parse of
-the text, field for field.
+the binder merged with an equal one) is not kept, so its instances bind
+in full, and so does an instance whose literals make two of the
+template's aggregates equal.  The template parse is process-wide and
+holds the first instance's literals; when those do not bind into a
+fillable template, the binder binds a parse of the instance at hand
+instead.  Either way the result equals binding a full parse of the
+text, field for field.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from repro.sql.ast_nodes import (
     AstUnary,
 )
 from repro.sql.parameterize import bind_constants, parameterize_sql
-from repro.sql.parser import TemplateParse, parse, parse_parameterized
+from repro.sql.parser import TemplateParse, parse, parse_parameterized, parse_template
 
 #: Bound templates one binder keeps; the least recently used leaves
 #: first.  A template is a pure function of its key and the catalog
@@ -215,19 +218,46 @@ class Binder:
         version = self.catalog.version
         template = self.templates.lookup(key)
         if template is None or template.version != version:
-            parsed = parse_parameterized(template_key, constants, sql)
-            bound, produced = self._bind(parsed.stmt, sql, parsed.slots)
-            template = _BoundTemplate(bound, produced, parsed, version)
-            self.templates.store(key, template)
-            if parsed.constants == constants:
-                # The template was parsed from this very query.
-                bound.__dict__["_columns_needed"] = template.columns_needed
+            template, bound = self._bind_template(template_key, constants, sql, version)
+            if template.fillable:
+                self.templates.store(key, template)
+            if bound is not None:
                 return bound
         bound = template.fill(constants, sql)
         if bound is None:
             stmt = parse(sql or bind_constants(template_key, constants))
             bound = self.bind(stmt, sql=sql)
         return bound
+
+    def _bind_template(
+        self, template_key: str, constants: tuple, sql: str, version: int
+    ) -> tuple["_BoundTemplate", BoundQuery | None]:
+        """The template bound, and this instance's bound query when the
+        template was bound from this instance's own literals (``None``
+        when it is still to be filled in).
+
+        The process-wide parse holds the literals of whichever instance
+        came first, and a literal's value can decide whether a statement
+        binds (ORDER BY matches the select list by value) or keeps every
+        slot (equal aggregates merge).  When that parse does not bind
+        into a fillable template, the template is bound from a parse of
+        this instance instead, so another query's literals never decide
+        this one's outcome."""
+        parsed = parse_parameterized(template_key, constants, sql)
+        if parsed.constants != constants:
+            try:
+                template = _BoundTemplate(
+                    *self._bind(parsed.stmt, sql, parsed.slots), parsed, version
+                )
+            except BindError:
+                template = None
+            if template is not None and template.fillable:
+                return template, None
+            parsed = parse_template(template_key, constants, sql)
+        bound, produced = self._bind(parsed.stmt, sql, parsed.slots)
+        template = _BoundTemplate(bound, produced, parsed, version)
+        bound.__dict__["_columns_needed"] = template.columns_needed
+        return template, bound
 
     # ------------------------------------------------------------------ #
     # Statement binding
@@ -492,7 +522,8 @@ class _BoundTemplate:
         self.select_exprs = _parts(bound.select_exprs, produced, used)
         having = [] if bound.having is None else [bound.having]
         self.having = _parts(having, produced, used)
-        #: Every slot must reach the bound query for a fill to be whole.
+        #: Every slot must reach the bound query for a fill to be whole;
+        #: the binder keeps only fillable templates.
         self.fillable = len(used) == len(parsed.slots)
         #: Aggregates with a slot may coincide under other literals, and
         #: the binder would have merged them.
@@ -502,11 +533,10 @@ class _BoundTemplate:
         self.columns_needed: dict[str, tuple[str, ...]] = {}
 
     def fill(self, constants: tuple, sql: str) -> BoundQuery | None:
-        """The instance with ``constants``, or ``None`` when it must be
-        bound in full (see the module docstring)."""
-        if not self.fillable:
-            return None
-        values = [read(text) for read, (_, text) in zip(self.readers, constants)]
+        """The instance with ``constants`` (into a fillable template), or
+        ``None`` when its literals make two aggregates equal and it must
+        be bound in full."""
+        values =[read(text) for read, (_, text) in zip(self.readers, constants)]
         aggregates = _fill(self.aggregates, values)
         if self.check_aggregates and len(set(aggregates)) < len(aggregates):
             return None

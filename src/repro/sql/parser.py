@@ -86,25 +86,32 @@ def parse_parameterized(
     pair was split from) or, without it, from the text the pair renders
     to.
     """
-    from repro.sql.parameterize import bind_constants
-
     key = (template_key, tuple(kind for kind, _ in constants))
     found = _TEMPLATE_CACHE.get(key)
     if found is None:
-        parser = _Parser(tokenize(sql or bind_constants(template_key, constants)))
-        stmt = parser.parse_select()
-        slots = parser.literal_slots
-        found = TemplateParse(
-            stmt,
-            constants,
-            {id(node): i for i, (node, _) in enumerate(slots) if node is not None},
-            tuple(reader for _, reader in slots),
-            next((i for i, (node, _) in enumerate(slots) if node is None), None),
-        )
+        found = parse_template(template_key, constants, sql)
         if len(_TEMPLATE_CACHE) >= _TEMPLATE_CACHE_CAP:
             _TEMPLATE_CACHE.clear()
         _TEMPLATE_CACHE[key] = found
     return found
+
+
+def parse_template(template_key: str, constants: tuple, sql: str = "") -> TemplateParse:
+    """This very instance's template parse, kept nowhere: what
+    :func:`parse_parameterized` caches, and what a binder binds when the
+    cached parse's literals do not bind (see :mod:`repro.sql.binder`)."""
+    from repro.sql.parameterize import bind_constants
+
+    parser = _Parser(tokenize(sql or bind_constants(template_key, constants)))
+    stmt = parser.parse_select()
+    slots = parser.literal_slots
+    return TemplateParse(
+        stmt,
+        constants,
+        {id(node): i for i, (node, _) in enumerate(slots) if node is not None},
+        tuple(reader for _, reader in slots),
+        next((i for i, (node, _) in enumerate(slots) if node is None), None),
+    )
 
 
 def _number(text: str) -> int | float:

@@ -139,13 +139,19 @@ def test_a_catalog_version_bump_binds_the_template_again(catalog):
 
 def test_a_literal_in_order_by_binds_every_instance_in_full(catalog):
     """ORDER BY keeps no literal in the bound query, yet the binder
-    checks it against the select list: such a template fills nothing."""
-    binder = Binder(catalog)
-    assert_parity(binder, "SELECT c_acctbal + 1 AS x FROM customer ORDER BY c_acctbal + 1")
-    filled, reference = bind_both(
-        binder, "SELECT c_acctbal + 1 AS x FROM customer ORDER BY c_acctbal + 2"
-    )
-    assert isinstance(reference, BindError) and type(filled) is BindError
+    checks it against the select list: such a template fills nothing.
+    The process-wide parse keeps whichever instance came first, valid or
+    rejected, and neither decides how the other binds, in any binder."""
+    valid = "SELECT c_acctbal + 1 AS {} FROM customer ORDER BY c_acctbal + 1"
+    invalid = "SELECT c_acctbal + 1 AS {} FROM customer ORDER BY c_acctbal + 2"
+    for alias, order in (("valid_first", (valid, invalid)), ("invalid_first", (invalid, valid))):
+        for binder in (Binder(catalog), Binder(catalog)):
+            for sql in order * 2:
+                assert_parity(binder, sql.format(alias))
+            assert binder.bind_sql(valid.format(alias)).order_by == [(alias, True)]
+            with pytest.raises(BindError):
+                binder.bind_sql(invalid.format(alias))
+            assert len(binder.templates) == 0
 
 
 def test_aggregates_that_coincide_under_new_literals_are_merged(catalog):
@@ -160,6 +166,13 @@ def test_aggregates_that_coincide_under_new_literals_are_merged(catalog):
         merged = binder.bind_sql(sql.format(4, 4))
         assert len(merged.aggregates) == 1
         assert merged.select_exprs[0] == merged.select_exprs[1]
+    # A template first parsed from merging literals is not kept; the
+    # first instance whose literals keep both aggregates binds it.
+    fresh = "SELECT sum(c_acctbal * {}) AS merged_first, sum(c_acctbal * {}) AS b FROM customer"
+    binder = Binder(catalog)
+    for first, second, kept in ((4, 4, 0), (7, 7, 0), (2, 3, 1), (5, 6, 1), (8, 8, 1)):
+        assert_parity(binder, fresh.format(first, second))
+        assert len(binder.templates) == kept
 
 
 def test_threads_sharing_a_binder_bind_what_a_full_parse_does(catalog):
