@@ -3,13 +3,16 @@
 "A graph where the vertices are table attributes and the weights on the
 edges indicate how often the attributes are joined."  The auto-tuning
 advisor mines this graph for materialized-view candidates.
+
+The graph is a plain dict from an attribute pair, sorted so that either
+direction of a join is one edge and two summaries of one log name it
+the same way, to its running weights.  Consumers look edges up by pair;
+the order of ``edges()`` is first-seen order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.statsvc.logs import QueryRecord
 
@@ -28,22 +31,27 @@ class JoinGraph:
     """Attribute-level weighted join graph over a log window."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        # (left, right) -> [count, dollars]
+        self._edges: dict[tuple[str, str], list] = {}
 
     def add_record(self, record: QueryRecord, weight: int = 1) -> None:
         for left, right in record.join_edges:
-            a, b = sorted((left, right))
-            if self.graph.has_edge(a, b):
-                self.graph[a][b]["count"] += weight
-                self.graph[a][b]["dollars"] += record.dollars * weight
+            pair = tuple(sorted((left, right)))
+            stat = self._edges.get(pair)
+            if stat is None:
+                self._edges[pair] = [weight, record.dollars * weight]
             else:
-                self.graph.add_edge(a, b, count=weight, dollars=record.dollars * weight)
+                stat[0] += weight
+                stat[1] += record.dollars * weight
 
     # ------------------------------------------------------------------ #
     # Queries over the graph
     # ------------------------------------------------------------------ #
+    def number_of_edges(self) -> int:
+        return len(self._edges)
+
     def edges(self) -> list[JoinEdgeStat]:
         return [
-            JoinEdgeStat(left=a, right=b, count=data["count"], total_dollars=data["dollars"])
-            for a, b, data in self.graph.edges(data=True)
+            JoinEdgeStat(left=a, right=b, count=count, total_dollars=dollars)
+            for (a, b), (count, dollars) in self._edges.items()
         ]

@@ -11,10 +11,15 @@
   surface is frozen.  (Until PR 21 these three were AST lint rules with
   registries and fixtures; each is one fact about module boundaries.)
 - One production module creates threads: ``core/service.py``.
+- Every third-party module the package imports is declared in
+  ``pyproject.toml``, so a clean install imports it.
 """
 
 import ast
 import inspect
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -246,3 +251,47 @@ def test_warehouse_constructor_keywords_are_frozen():
         "resilience",
         "journal",
     }
+
+
+def declared_dependencies() -> set[str]:
+    """The import names in ``pyproject.toml``'s ``dependencies`` (version
+    specifiers stripped; no declared package renames its module)."""
+    text = (REPO_ROOT / "pyproject.toml").read_text()
+    (listed,) = re.findall(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
+    return {
+        re.split(r"[<>=!~\[; ]", name.strip(), maxsplit=1)[0]
+        for name in re.findall(r"\"([^\"]+)\"", listed)
+    }
+
+
+def test_every_imported_package_is_declared():
+    """A production import is the standard library, ``repro`` itself or a
+    declared dependency: anything else fails ``import repro`` on a clean
+    ``pip install``."""
+    allowed = set(sys.stdlib_module_names) | {"repro"} | declared_dependencies()
+    assert "numpy" in allowed
+    undeclared = sorted(
+        f"{path.relative_to(PACKAGE_ROOT)}: {module}"
+        for path, tree in PRODUCTION.items()
+        for module, _ in from_imports(tree)
+        if module.split(".")[0] not in allowed
+    )
+    assert not undeclared, undeclared
+
+
+def test_importing_the_package_loads_no_undeclared_package():
+    """Checked in a fresh interpreter, where ``networkx`` (installed in
+    the development environment, declared nowhere) would show up if any
+    module the package loads on import pulled it in."""
+    probe = (
+        "import sys, repro, repro.core.warehouse, repro.tuning, repro.statsvc; "
+        "print('networkx' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(PACKAGE_ROOT.parent)},
+    )
+    assert out.stdout.strip() == "False"
