@@ -13,27 +13,26 @@ The search cost stays "comparable to a traditional cost-based optimizer":
 one join-ordering DP plus a handful of DOP searches, each linear in the
 number of pipelines per evaluation.
 
-DAG-planning memo
+Walk-scoped state
 -----------------
 
 Stages 1–2 and the physical planning inside stage 3 do not depend on the
-user constraint, so their output — the variant join trees, physical
-plans, and pipeline DAGs — is memoized per bound query (weakly, entries
-die with the query).  Optimizing the same bound query under a second
-constraint, or re-optimizing it after a plan-cache eviction, pays for
-DAG planning once and re-runs only the DOP search.  The memo also powers
-the serving layer's *plan skeletons*: :meth:`BiObjectiveOptimizer.optimize`
-accepts pre-chosen ``skeleton_trees`` (from
-:class:`~repro.core.plan_cache.SkeletonCache`) and then skips join-order
-DP and bushy generation entirely, re-running only physical planning with
-fresh cardinalities plus the DOP search.
+user constraint.  Their output — variant join trees, physical plans,
+pipeline DAGs — is kept on the planning walk's estimator scratch
+(:meth:`~repro.cost.estimator.CostEstimator.scratch`) beside the curves
+and DOP plans of its search, read back for the skeleton the walk stores
+(:meth:`BiObjectiveOptimizer.variant_trees`), and dropped with it.  What
+carries over between walks is the serving layer's *plan skeleton*:
+:meth:`BiObjectiveOptimizer.optimize` accepts pre-chosen
+``skeleton_trees`` (from :class:`~repro.core.plan_cache.SkeletonCache`)
+and then skips join-order DP and bushy generation entirely, re-running
+only physical planning with fresh cardinalities plus the DOP search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from weakref import WeakKeyDictionary
 
 from repro.catalog.catalog import Catalog
 from repro.cost.estimator import CostEstimator
@@ -94,21 +93,14 @@ class BiObjectiveOptimizer:
     ) -> None:
         self.catalog = catalog
         self.estimator = estimator or CostEstimator()
-        self.dag_planner = DagPlanner(catalog)
+        #: The configured DOP search; each walk runs it over its scratch.
         self.dop_planner = DopPlanner(self.estimator, max_dop=max_dop)
         self.explore_bushy = explore_bushy
         self.max_variants = max_variants
-        #: Per-query memo of ``(catalog version, planned variants)``.
-        self._dag_memo: WeakKeyDictionary[
-            BoundQuery, tuple[int, list[PlannedVariant]]
-        ] = WeakKeyDictionary()
-        self.dag_memo_hits = 0
         self.dag_plans = 0
 
     def reset_counters(self) -> None:
-        """Zero the memo-hit/plan counters without dropping memoized
-        state."""
-        self.dag_memo_hits = 0
+        """Zero the DAG-planning counter."""
         self.dag_plans = 0
 
     # ------------------------------------------------------------------ #
@@ -117,58 +109,58 @@ class BiObjectiveOptimizer:
     def dag_variants(
         self,
         query: BoundQuery,
+        scratch: CostEstimator,
         *,
         skeleton_trees: Sequence[JoinTree | Leaf] | None = None,
     ) -> list[PlannedVariant]:
         """Join-tree variants of ``query``, physically planned.
 
-        Memoized per bound query.  With ``skeleton_trees`` (a cached
-        template skeleton), join-order DP and bushy generation are
-        skipped and the given shapes are re-planned against the query's
-        fresh cardinalities — everything a literal change can affect
-        (build sides, broadcast decisions, operator estimates) is
-        re-derived, exactly as fresh planning with those trees would.
+        Kept on the walk's ``scratch`` (a second call with it returns the
+        same list).  With ``skeleton_trees`` (a cached template
+        skeleton), join-order DP and bushy generation are skipped and the
+        given shapes are re-planned against the query's fresh
+        cardinalities — everything a literal change can affect (build
+        sides, broadcast decisions, operator estimates) is re-derived,
+        exactly as fresh planning with those trees would.
         """
-        version = self.catalog.version
-        memoized = self._dag_memo.get(query)
-        # The catalog version guards against serving plans built from
-        # stale statistics when the same bound query is re-optimized
-        # across a stats refresh / DDL.
-        if memoized is not None and memoized[0] == version:
-            self.dag_memo_hits += 1
-            return memoized[1]
-
+        variants = scratch.planned.get(query)
+        if variants is not None:
+            return variants
         self.dag_plans += 1
+        planner = DagPlanner(self.catalog)
         if skeleton_trees is not None:
             trees: list[JoinTree | Leaf] = list(skeleton_trees)
         else:
-            base_tree = self.dag_planner.choose_join_tree(query)
+            base_tree = planner.choose_join_tree(query)
             trees = [base_tree]
             if self.explore_bushy and len(query.tables) >= 4:
                 base_relations = {
-                    ref.name: self.dag_planner.base_relation(query, ref.name)
+                    ref.name: planner.base_relation(query, ref.name)
                     for ref in query.tables
                 }
                 trees = bushy_variants(
                     base_tree,
                     base_relations,
                     query.join_edges,
-                    self.dag_planner.estimator,
+                    planner.estimator,
                     max_variants=self.max_variants,
                 )
 
         variants = []
         for tree in trees:
-            plan = self.dag_planner.plan_with_tree(query, tree)
+            plan = planner.plan_with_tree(query, tree)
             variants.append(
                 PlannedVariant(tree=tree, plan=plan, dag=decompose_pipelines(plan))
             )
-        self._dag_memo[query] = (version, variants)
+        scratch.planned[query] = variants
         return variants
 
-    def variant_trees(self, query: BoundQuery) -> tuple[JoinTree | Leaf, ...]:
-        """The query's variant join-tree shapes (the plan skeleton)."""
-        return tuple(v.tree for v in self.dag_variants(query))
+    def variant_trees(
+        self, query: BoundQuery, scratch: CostEstimator
+    ) -> tuple[JoinTree | Leaf, ...]:
+        """The query's variant join-tree shapes (the plan skeleton), as
+        the walk that owns ``scratch`` planned them."""
+        return tuple(v.tree for v in self.dag_variants(query, scratch))
 
     # ------------------------------------------------------------------ #
     # Full optimization
@@ -179,16 +171,23 @@ class BiObjectiveOptimizer:
         constraint: Constraint,
         *,
         skeleton_trees: Sequence[JoinTree | Leaf] | None = None,
+        scratch: CostEstimator | None = None,
     ) -> PlanChoice:
         """Full §3.2 pipeline: DAG plan -> bushy variants -> DOP plans.
 
         ``skeleton_trees`` short-circuits stages 1–2 with a cached
-        template skeleton (see :meth:`dag_variants`).
+        template skeleton (see :meth:`dag_variants`).  ``scratch`` is the
+        walk's estimator (a fresh one by default); the returned choice's
+        estimate is read before returning, so the choice holds nothing
+        of it.
         """
-        variants = self.dag_variants(query, skeleton_trees=skeleton_trees)
+        if scratch is None:
+            scratch = self.estimator.scratch()
+        variants = self.dag_variants(query, scratch, skeleton_trees=skeleton_trees)
+        dop_planner = self.dop_planner.with_estimator(scratch)
         best: PlanChoice | None = None
         for index, variant in enumerate(variants):
-            dop_plan = self.dop_planner.plan(variant.dag, constraint)
+            dop_plan = dop_planner.plan(variant.dag, constraint)
             choice = PlanChoice(
                 plan=variant.plan,
                 dag=variant.dag,
@@ -201,46 +200,25 @@ class BiObjectiveOptimizer:
             if best is None or _better(choice, best, constraint):
                 best = choice
         assert best is not None
+        best.dop_plan.estimate  # drop the thunk over the scratch
         return best
 
-    def optimize_heuristic(self, query: BoundQuery, constraint: Constraint) -> PlanChoice:
+    def optimize_heuristic(
+        self,
+        query: BoundQuery,
+        constraint: Constraint,
+        scratch: CostEstimator | None = None,
+    ) -> PlanChoice:
         """Degraded-mode default plan: the left-deep DP winner, no bushy
         exploration.
 
         Bit-identical to what a cold ``explore_bushy=False`` optimizer
         produces for ``query`` — one join-ordering DP, one physical
         plan, one DOP search — which is the contract the serving layer's
-        degraded fallback promises (parity-tested).  When the DAG memo
-        already holds the query's variants, their variant 0 *is* that
-        left-deep base plan (``bushy_variants`` keeps the original tree
-        first), so no planning is repeated.
+        degraded fallback promises (parity-tested).
         """
-        memoized = self._dag_memo.get(query)
-        if memoized is not None and memoized[0] == self.catalog.version:
-            self.dag_memo_hits += 1
-            variant = memoized[1][0]
-            return PlanChoice(
-                plan=variant.plan,
-                dag=variant.dag,
-                dop_plan=self.dop_planner.plan(variant.dag, constraint),
-                join_tree=variant.tree,
-                variant_index=0,
-                bushiness=bushiness(variant.tree),
-                variants_considered=1,
-            )
-        self.dag_plans += 1
-        tree = self.dag_planner.choose_join_tree(query)
-        plan = self.dag_planner.plan_with_tree(query, tree)
-        dag = decompose_pipelines(plan)
-        return PlanChoice(
-            plan=plan,
-            dag=dag,
-            dop_plan=self.dop_planner.plan(dag, constraint),
-            join_tree=tree,
-            variant_index=0,
-            bushiness=bushiness(tree),
-            variants_considered=1,
-        )
+        tree = DagPlanner(self.catalog).choose_join_tree(query)
+        return self.optimize(query, constraint, skeleton_trees=(tree,), scratch=scratch)
 
 
 def _better(candidate: PlanChoice, incumbent: PlanChoice, constraint: Constraint) -> bool:

@@ -64,7 +64,9 @@ class Planned(NamedTuple):
     ``level`` is the deepest level that answered: ``"exact"``,
     ``"skeleton"`` (cached join shapes re-planned under the query's
     literals), ``"optimizer"``, or the degraded floor ``"heuristic"``;
-    ``new_skeleton_trees`` are shapes this walk computed fresh."""
+    ``new_skeleton_trees`` are shapes this walk computed fresh.
+    ``scratch`` is the walk's estimator (``None`` on an exact hit): the
+    serving layer simulates through it, then drops it."""
 
     bound: BoundQuery
     choice: PlanChoice
@@ -72,6 +74,7 @@ class Planned(NamedTuple):
     new_skeleton_trees: tuple | None = None
     bind_s: float = 0.0
     optimize_s: float = 0.0
+    scratch: "CostEstimator | None" = None
 
 
 def _staged(guard: "StageGuard | None", stage: str, fn: Callable[[], object]):
@@ -189,14 +192,17 @@ class PlanningPipeline:
             trees = tuple(skeleton_hint)
             if skeletons is not None:
                 skeletons.store(keys.skeleton, trees)
+        scratch = self.optimizer.estimator.scratch()
         if degraded and trees is None:
-            choice = self.optimizer.optimize_heuristic(bound, constraint)
-            return Planned(bound, choice, "heuristic")
+            choice = self.optimizer.optimize_heuristic(bound, constraint, scratch)
+            return Planned(bound, choice, "heuristic", scratch=scratch)
         start = time.perf_counter()
         choice = _staged(
             guard,
             "optimize",
-            lambda: self.optimizer.optimize(bound, constraint, skeleton_trees=trees),
+            lambda: self.optimizer.optimize(
+                bound, constraint, skeleton_trees=trees, scratch=scratch
+            ),
         )
         # The planning seconds this optimize took are what a future hit
         # on the stored entries saves (a proxy for the skeleton level,
@@ -204,8 +210,8 @@ class PlanningPipeline:
         optimize_s = time.perf_counter() - start
         new_trees = None
         if trees is None and skeletons is not None:
-            # variant_trees() reads the optimizer's DAG memo — no rework.
-            new_trees = self.optimizer.variant_trees(bound)
+            # The variants this walk just planned, read off its scratch.
+            new_trees = self.optimizer.variant_trees(bound, scratch)
         planned = Planned(
             bound,
             choice,
@@ -213,6 +219,7 @@ class PlanningPipeline:
             new_trees,
             bind_s,
             optimize_s,
+            scratch,
         )
         if use_cache and not degraded:
             self.absorb(keys, planned)

@@ -572,6 +572,7 @@ class Session:
         request = handle.request
         assert request.constraint is not None  # resolved at submission
         guard = _request_guard(warehouse, request.tenant)
+        scratch = None
 
         def on_bound(_bound: "BoundQuery") -> None:
             handle._advance(QueryState.BOUND, "bind")
@@ -587,6 +588,7 @@ class Session:
                     on_bound=on_bound,
                     guard=guard,
                 )
+                scratch = planned.scratch
             else:
                 planned = remote_plan()
         except DeadlineExceededError as exc:
@@ -604,6 +606,7 @@ class Session:
             planned = warehouse.planning.plan(
                 request.sql, request.constraint, degraded=True
             )
+            scratch = planned.scratch
             warehouse.resilience_stats.note_degraded()
         if remote_plan is not None:
             on_bound(planned.bound)
@@ -627,7 +630,7 @@ class Session:
 
             def simulate() -> "SimResult":
                 return warehouse._simulate(
-                    choice, request.constraint, request.policy, truth
+                    choice, request.constraint, request.policy, truth, scratch
                 )
 
             sim = guard.run("simulate", simulate) if guard is not None else simulate()

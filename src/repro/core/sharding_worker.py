@@ -20,7 +20,9 @@ and retries are coordinator-side machinery), with no exact level (the
 coordinator answers exact hits without dispatching), a private
 skeleton cache bounded at the coordinator's capacity and seeded warm
 from the :class:`~repro.core.sharding.WorkerSpec` at (re)start, and the
-pipeline binder's own bound templates.
+pipeline binder's own bound templates.  Each task is one walk over its
+own estimator scratch, so nothing of a task's search stays in the worker
+once its plan is shipped.
 """
 
 from __future__ import annotations

@@ -508,6 +508,7 @@ class CostIntelligentWarehouse:
         constraint: Constraint,
         policy: str | ScalingPolicy,
         truth: dict[int, float] | None,
+        scratch: CostEstimator | None = None,
     ) -> SimResult:
         """Simulate one execution of ``choice``.
 
@@ -521,6 +522,8 @@ class CostIntelligentWarehouse:
         and a budget ``PlanChoice``, hence the constraint and the DOP
         assignment in the key.  A :class:`ScalingPolicy` *instance* is
         the caller's, possibly stateful: it bypasses the memo.
+        A run prices through ``scratch``, the planning walk's estimator,
+        or a fresh one (a plan another process searched).
         """
         if isinstance(policy, ScalingPolicy):
             key, policy_obj = None, policy
@@ -536,8 +539,11 @@ class CostIntelligentWarehouse:
             found = self.estimator.recall_simulation(choice.dag, key)
             if found is not None:
                 return found
+        if scratch is None:
+            scratch = self.estimator.scratch()
+        if key is not None:
             policy_obj = make_policy(
-                policy, choice, constraint, self.estimator, max_dop=self.max_dop
+                policy, choice, constraint, scratch, max_dop=self.max_dop
             )
         config = self.sim_config
         if getattr(policy_obj, "name", "") == "stage-scaler":
@@ -545,7 +551,7 @@ class CostIntelligentWarehouse:
         simulator = DistributedSimulator(
             choice.dag,
             choice.dop_plan.dops,
-            self.estimator.models,
+            scratch.models,
             truth=truth,
             planned=choice.dop_plan.estimate,
             policy=policy_obj,

@@ -36,31 +36,27 @@ models are stated twice, on purpose:
   are materialized only where something reads them (the final
   ``CostEstimate``, the simulator).
 
-Around the curves, memoization is layered so that each level dies with
-the object it describes:
+Around the curves, memoization is layered by lifetime:
 
-- **curves** (:mod:`repro.cost.timing_cache`): one per ``(pipeline,
-  projected overrides)``, keyed weakly by pipeline.  Overrides are
-  projected onto the pipeline's own plan nodes first, so a truth the DOP
-  monitor learns about one node recompiles one pipeline, not the plan.
-- **per DAG** (:class:`repro.cost.estimator.CostEstimator`): scan-request
-  fees and the :class:`repro.cost.query_simulator.ScheduleSweeper` (the
-  DAG's structure as positional indexes), keyed weakly by DAG and shared
-  by the optimizer's DOP search and the monitor's replans of that DAG.
-  The search itself (:mod:`repro.dop.planner`) is table-driven over
-  these: a round of candidate moves costs one duration lookup per
-  candidate and one lean sweep, with a critical-path prune for moves
-  provably unable to reduce latency.  Two more tables, keyed weakly by
-  DAG the same way (four in all), hold what is computed *from* a
-  finished plan: the DOP searches already run over the DAG, and the
-  simulated executions of it the warehouse has served (one per policy
-  name, constraint, DOP assignment, truth, ``SimConfig`` and
-  ``max_dop``), so a plan answered from the exact cache is neither
-  searched nor simulated again.
-- **DAG planning** (:mod:`repro.core.bioptimizer`): join-tree variants,
-  physical plans, and pipeline decompositions are memoized per bound
-  query (weakly) — the user constraint never enters DAG planning, so a
-  second constraint on the same query re-runs only the DOP search.
+- **one planning walk** (:meth:`repro.cost.estimator.CostEstimator.scratch`):
+  the curves (:mod:`repro.cost.timing_cache`), one per ``(pipeline,
+  projected overrides)`` — overrides are projected onto the pipeline's
+  own plan nodes first, so a truth the DOP monitor learns about one node
+  recompiles one pipeline, not the plan; per DAG, the scan-request fees,
+  the :class:`repro.cost.query_simulator.ScheduleSweeper` (the DAG's
+  structure as positional indexes) and the DOP searches already run; and
+  the optimizer's join-tree variants, physical plans and pipeline
+  decompositions (:mod:`repro.core.bioptimizer`).  The search itself
+  (:mod:`repro.dop.planner`) is table-driven over these: a round of
+  candidate moves costs one duration lookup per candidate and one lean
+  sweep, with a critical-path prune for moves provably unable to reduce
+  latency.  All of it is plain dictionaries on the walk's scratch,
+  shared by the walk's search, its simulation and the DOP monitor's
+  replans there, and dropped with the handle.
+- **one cached plan**: the simulated executions of a DAG the warehouse
+  has served (one per policy name, constraint, DOP assignment, truth,
+  ``SimConfig`` and ``max_dop``), keyed weakly by the DAG, so a plan
+  answered from the exact cache is neither searched nor simulated again.
 - **plans** (:mod:`repro.core.plan_cache`): the serving layer is a
   *two-level* cache.  The exact level memoizes whole ``PlanChoice``s
   keyed on (normalized SQL string, constraint, catalog stats

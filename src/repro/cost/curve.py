@@ -28,10 +28,10 @@ reference computes the same sub-expression first (``morsels *
 overhead``, ``cores * sort_rate * log_ref``); ``dop * cores * rate``
 stays a run-time product because folding it would round differently.
 
-Lifetime: curves live in a cache keyed *weakly* by their pipeline, so a
-curve must never reference the pipeline — it keeps the operator tuple
-(for labels, rendered only when something reads them) and nothing else
-from the plan.
+Lifetime: curves live in a cache keyed by their pipeline that dies with
+one planning walk (:mod:`repro.cost.timing_cache`).  A curve keeps the
+operator tuple (for labels, rendered only when something reads them) and
+nothing else from the plan.
 """
 
 from __future__ import annotations

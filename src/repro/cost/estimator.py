@@ -6,31 +6,31 @@ uses (the bi-objective optimizer, the DOP planner, the DOP monitor, and
 the What-If Service all "invoke the cost estimator").
 
 What is memoized here, beside the models' compiled curves: four tables
-per :class:`~repro.plan.pipelines.PipelineDag`, each in a dictionary
-keyed *weakly* by the DAG, so an entry lives exactly as long as the plan
-it describes and :meth:`CostEstimator.invalidate_caches` drops all four
-after a recalibration.
+per :class:`~repro.plan.pipelines.PipelineDag`.
 
 - the DAG's object-store GET fees (one float);
 - its :class:`~repro.cost.query_simulator.ScheduleSweeper`;
 - its **DOP-plan memo**: the outcome ``(dops, feasible, evaluations)``
   of every DOP search already run over the DAG, keyed by ``(constraint,
-  overrides_key(overrides), max_dop, enforce_sla_strictly)``.  The
-  search is a pure function of that key and the calibration, so a
-  second DOP-monitor replan of a DAG under the same learned
-  cardinalities is one lookup.  (A monitor that has learned nothing
-  does not search at all, and a plan served again from the exact plan
-  cache is answered by the simulation memo and never replans.)  Values
-  never reference the DAG (a value that did would pin its own weak
-  key).
+  overrides_key(overrides), max_dop, enforce_sla_strictly)`` — a pure
+  function of that key and the calibration, so a DOP monitor's second
+  replan under the same learned cardinalities is one lookup;
 - its **simulation memo**: the
   :class:`~repro.sim.distsim.SimResult` of every simulated execution of
   the DAG the warehouse has run, under the key the warehouse builds
   (see ``CostIntelligentWarehouse._simulate`` and the
   :mod:`repro.sim.distsim` module docstring for why that is a pure
-  function).  Kept here because it has the lifetime of the other three:
-  it dies with the plan and with the calibration (a ``SimResult`` holds
-  pipeline ids, never the DAG, so it does not pin its own weak key).
+  function).
+
+The first three and the curves are plain dictionaries that live as long
+as their estimator.  Serving fills none of the warehouse's own: each
+planning walk prices through a :meth:`CostEstimator.scratch` — the same
+calibration and counters over empty tables — for its search *and* its
+simulation, and drops it with the handle.  The simulation memo is shared
+by an estimator and all its scratches and keyed *weakly* by the DAG, so
+an entry lives as long as the cached plan it answers (a ``SimResult``
+never references the DAG).  :meth:`CostEstimator.invalidate_caches`
+drops the tables and the simulation memo after a recalibration.
 
 :class:`repro.testing.reference.ReferenceEstimator` builds none of them:
 the reference the parity suite compares against.
@@ -46,6 +46,7 @@ from repro.cost.hardware import HardwareCalibration
 from repro.cost.operator_models import OperatorModels, PipelineTiming
 from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
 from repro.cost.regression import ExchangeCalibration
+from repro.cost.timing_cache import TimingCache
 from repro.plan.physical import PhysScan, walk_physical
 from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.util.units import MB
@@ -74,6 +75,14 @@ def scan_request_dollars(dag: PipelineDag, store: ObjectStoreConfig) -> float:
     return dollars
 
 
+def _shallow_copy(obj):
+    """``copy.copy`` without the reduce protocol (four times faster: one
+    scratch per planning walk)."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
+
+
 class CostEstimator:
     """Predicts latency / machine time / dollars for plan fragments.
 
@@ -94,23 +103,31 @@ class CostEstimator:
         self.models = OperatorModels(self.hw, exchange_calibration)
         #: The node price every estimate charges (``DopPlanner`` reads it).
         self.price_per_node_second = self.hw.node.price_per_second
-        self._scan_dollars_cache: WeakKeyDictionary[PipelineDag, float] = (
-            WeakKeyDictionary()
-        )
-        self._sweepers: WeakKeyDictionary[PipelineDag, ScheduleSweeper] = (
-            WeakKeyDictionary()
-        )
-        self._plan_memo: WeakKeyDictionary[PipelineDag, dict] = WeakKeyDictionary()
         self._simulation_memo: WeakKeyDictionary[PipelineDag, dict] = (
             WeakKeyDictionary()
         )
+        self._new_tables()
+
+    def _new_tables(self) -> None:
+        self._scan_dollars: dict[PipelineDag, float] = {}
+        self._sweepers: dict[PipelineDag, ScheduleSweeper] = {}
+        self._plan_memo: dict[PipelineDag, dict] = {}
+        self.planned: dict = {}  # the optimizer's variants, by bound query
+
+    def scratch(self) -> "CostEstimator":
+        """An estimator for one planning walk: this one's calibration,
+        counters and simulation memo over empty tables of its own, which
+        die with it (see the module docstring)."""
+        child, models = _shallow_copy(self), _shallow_copy(self.models)
+        models.cache = TimingCache(self.models.cache.stats)
+        child.models = models
+        child._new_tables()
+        return child
 
     def invalidate_caches(self) -> None:
         """Drop all memoized state (after hardware/model recalibration)."""
         self.models.invalidate_cache()
-        self._scan_dollars_cache.clear()
-        self._sweepers.clear()
-        self._plan_memo.clear()
+        self._new_tables()
         self._simulation_memo.clear()
 
     # ------------------------------------------------------------------ #
@@ -207,8 +224,8 @@ class CostEstimator:
     def scan_request_dollars(self, dag: PipelineDag) -> float:
         """Object-store GET fees for the plan's scans (DOP-independent,
         memoized per DAG)."""
-        dollars = self._scan_dollars_cache.get(dag)
+        dollars = self._scan_dollars.get(dag)
         if dollars is None:
             dollars = scan_request_dollars(dag, self.hw.store)
-            self._scan_dollars_cache[dag] = dollars
+            self._scan_dollars[dag] = dollars
         return dollars

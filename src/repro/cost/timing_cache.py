@@ -8,10 +8,10 @@ durations per DOP.  Every consumer of one estimator — the DOP planner's
 search, the co-finish polish, the DOP monitor's replans, the What-If
 Service, the distributed simulator — reads the same curves.
 
-Curves are keyed *by pipeline identity* in a weak dictionary: pipelines
-die with their plan and their curves follow — no explicit lifetime
-management, no growth across queries.  (Which is why a curve never
-references its pipeline.)
+Curves are keyed *by pipeline identity* in a plain dictionary that lives
+as long as its estimator; in serving that is one planning walk's
+scratch (:meth:`~repro.cost.estimator.CostEstimator.scratch`), whose
+curves die with the walk while its counters are the warehouse's.
 
 Cardinality overrides are *projected per pipeline* before keying: the
 volume model only ever reads override entries for the pipeline's own
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-from weakref import WeakKeyDictionary
 
 from repro.cost.curve import PipelineCurve
 from repro.plan.pipelines import Pipeline
@@ -60,7 +59,8 @@ class TimingCacheStats:
     each); ``plan_*`` count whole DOP searches answered from, and stored
     into, the estimator's per-DAG plan memo; ``simulation_*`` count
     simulated executions answered from, and stored into, its per-DAG
-    simulation memo.
+    simulation memo.  One instance is shared by an estimator and every
+    scratch made from it.
     """
 
     curve_hits: int = 0
@@ -99,15 +99,15 @@ class TimingCache:
     """Per-pipeline memo of compiled cost curves.
 
     Owned by one :class:`~repro.cost.operator_models.OperatorModels`; all
-    of that estimator's callers share it automatically.
+    of that estimator's callers share it automatically.  ``stats`` is
+    passed in when the cache belongs to a scratch and counts into its
+    parent's counters.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, stats: TimingCacheStats | None = None) -> None:
         # pipeline -> (its plan-node ids, {overrides_key: PipelineCurve})
-        self._entries: WeakKeyDictionary[Pipeline, tuple[frozenset, dict]] = (
-            WeakKeyDictionary()
-        )
-        self.stats = TimingCacheStats()
+        self._entries: dict[Pipeline, tuple[frozenset, dict]] = {}
+        self.stats = stats if stats is not None else TimingCacheStats()
 
     def _entry(self, pipeline: Pipeline) -> tuple[frozenset, dict]:
         entry = self._entries.get(pipeline)

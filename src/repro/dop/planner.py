@@ -34,12 +34,11 @@ A finished search is memoized: before it builds a coster,
 ``(constraint, overrides_key(overrides), max_dop,
 enforce_sla_strictly)`` and, on a hit, returns a fresh :class:`DopPlan`
 over a copy of the remembered DOPs with the evaluation count the search
-recorded.  The memo lives with the DAG (weakly keyed) and is dropped by
-``CostEstimator.invalidate_caches()``; a DOP monitor's repeated replan
-under the same learned cardinalities is answered there.  A monitor that
-has learned nothing takes its planned DOPs without calling the planner,
-and a plan served again from the exact plan cache never replans (the
-simulation memo answers it).
+recorded.  Curves, sweeper and memo live as long as the estimator — in
+serving, one walk's scratch, which the DOP monitor's replans during that
+walk's simulation share.  A monitor that has learned nothing takes its
+planned DOPs without calling the planner, and a plan served again from
+the exact plan cache never replans (the simulation memo answers it).
 
 The parity suite runs the same search phases over
 :class:`repro.testing.reference.NaiveCoster` — every candidate fully
@@ -49,6 +48,7 @@ to it: same trajectory, same evaluation count, same floats.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from functools import partial
 from typing import Callable, Iterator
@@ -66,8 +66,9 @@ class _IncrementalCoster:
     """Table-driven coster for one ``(dag, overrides)`` search.
 
     Durations come from the pipelines' cost curves (memoized per DOP,
-    shared with every other search over the same pipelines); schedules
-    come from the DAG's shared sweeper.  Metrics are bit-identical to
+    shared with every other search over the same pipelines through the
+    same estimator); schedules come from the DAG's shared sweeper.
+    Metrics are bit-identical to
     :meth:`CostEstimator.estimate_dag` on the same assignment — the
     sweeper runs the same scheduling arithmetic over the same durations.
     """
@@ -241,6 +242,13 @@ class DopPlanner:
         self.estimator = estimator
         self.max_dop = max_dop
         self.enforce_sla_strictly = enforce_sla_strictly
+
+    def with_estimator(self, estimator: CostEstimator) -> "DopPlanner":
+        """This search — same class, same options — over ``estimator``
+        (the optimizer's per-walk scratch)."""
+        planner = copy.copy(self)
+        planner.estimator = estimator
+        return planner
 
     # ------------------------------------------------------------------ #
     # Entry point

@@ -62,7 +62,9 @@ class PipelineDopMonitor(ScalingPolicy):
     learned, a full replan takes ``planned_dops`` as the replanned
     assignment without searching, and the single-pipeline correction
     reads the estimate-mode curve (``overrides=None``) the optimizer
-    already compiled.  This rests on one invariant: ``planned_dops`` is
+    already compiled (the warehouse builds the monitor over the planning
+    walk's estimator scratch, so curves, sweeper and plan memo are the
+    search's).  This rests on one invariant: ``planned_dops`` is
     the estimator's own ``overrides=None`` search for this DAG under this
     constraint and ``max_dop`` (what :func:`make_policy` passes from the
     served :class:`PlanChoice`), which an observed-mode search with every

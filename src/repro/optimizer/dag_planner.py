@@ -11,7 +11,6 @@ job, applied to this DAG (and to its bushy variants) afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from weakref import WeakKeyDictionary
 
 from repro.catalog.catalog import Catalog
 from repro.errors import OptimizerError
@@ -69,24 +68,18 @@ class DagPlanner:
         self.estimator = CardinalityEstimator(catalog)
         self.broadcast_threshold = broadcast_threshold
         self.left_deep_only = left_deep_only
-        # Per-query memo of table predicates, base-relation estimates,
-        # and join estimates: every join-tree variant of one query
-        # re-plans the same scans, and bushy generation asks for the
-        # same base relations again.  Entries die with the bound query
-        # (weak keys) and are discarded when the catalog version moves,
-        # so a stats refresh between plans of the same query can never
-        # serve stale estimates.
-        self._per_query: "WeakKeyDictionary[BoundQuery, tuple[int, dict]]" = (
-            WeakKeyDictionary()
-        )
+        # Table predicates and base-relation estimates of the query
+        # planned last (every join-tree variant of one query re-plans the
+        # same scans; the optimizer makes one planner per walk), dropped
+        # when the catalog version moves so they are never stale.
+        self._memo: tuple = (None, None, {})  # (query, catalog version, memo)
 
     def _query_memo(self, query: BoundQuery) -> dict:
         version = self.catalog.version
-        entry = self._per_query.get(query)
-        if entry is None or entry[0] != version:
-            entry = (version, {})
-            self._per_query[query] = entry
-        return entry[1]
+        memo = self._memo
+        if memo[0] is not query or memo[1] != version:
+            memo = self._memo = (query, version, {})
+        return memo[2]
 
     def _table_predicate(self, query: BoundQuery, table: str) -> Expr | None:
         memo = self._query_memo(query)

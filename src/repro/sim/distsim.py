@@ -44,11 +44,11 @@ What is memoized, at two levels:
   served from the exact plan cache replayed, event by event, the run
   the first one got — and is stored once
   (``tests/core/test_simulation_memo.py`` sweeps the purity claim
-  against a freshly built simulator).  *Lifetime*: the table is keyed
-  weakly by the DAG, so an entry dies with the plan (the exact cache's
-  eviction is the only retention policy) and
-  ``CostEstimator.invalidate_caches()`` drops it with the curves it was
-  computed from; nothing sizes it.  A caller-supplied
+  against a freshly built simulator).  *Lifetime*: the one estimator
+  table that outlives a planning walk, keyed weakly by the DAG, so an
+  entry dies with the plan (the exact cache's eviction is the only
+  retention policy) and ``CostEstimator.invalidate_caches()`` drops it;
+  nothing sizes it.  A caller-supplied
   :class:`ScalingPolicy` *instance* may carry state between runs and
   bypasses the table.  *Sharing*: one :class:`SimResult` is handed to
   the :class:`~repro.core.service.QueryOutcome` of every arrival it

@@ -4,10 +4,8 @@
 edges indicate how often the attributes are joined."  The auto-tuning
 advisor mines this graph for materialized-view candidates.
 
-The graph is a plain dict from an attribute pair, sorted so that either
-direction of a join is one edge and two summaries of one log name it
-the same way, to its running weights.  Consumers look edges up by pair;
-the order of ``edges()`` is first-seen order.
+Edges are keyed by the sorted attribute pair, so two summaries of one
+log name each edge the same way.
 """
 
 from __future__ import annotations
@@ -36,20 +34,13 @@ class JoinGraph:
 
     def add_record(self, record: QueryRecord, weight: int = 1) -> None:
         for left, right in record.join_edges:
-            pair = tuple(sorted((left, right)))
-            stat = self._edges.get(pair)
-            if stat is None:
-                self._edges[pair] = [weight, record.dollars * weight]
-            else:
-                stat[0] += weight
-                stat[1] += record.dollars * weight
+            stat = self._edges.setdefault(tuple(sorted((left, right))), [0, 0.0])
+            stat[0] += weight
+            stat[1] += record.dollars * weight
 
     # ------------------------------------------------------------------ #
     # Queries over the graph
     # ------------------------------------------------------------------ #
-    def number_of_edges(self) -> int:
-        return len(self._edges)
-
     def edges(self) -> list[JoinEdgeStat]:
         return [
             JoinEdgeStat(left=a, right=b, count=count, total_dollars=dollars)

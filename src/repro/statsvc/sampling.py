@@ -36,7 +36,7 @@ class StatsServiceCostModel:
 
     def summary_bytes(self, summary: WorkloadSummary) -> float:
         attrs = len(summary.attribute_access) + len(summary.filter_access)
-        edges = summary.join_graph.number_of_edges()
+        edges = len(summary.join_graph.edges())
         return (
             attrs * self.summary_bytes_per_attribute
             + edges * self.summary_bytes_per_edge

@@ -12,6 +12,7 @@ production module may import them
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 from typing import Callable, Iterator
 
@@ -97,6 +98,12 @@ class ReferenceEstimator(CostEstimator):
         self.hw = hardware or HardwareCalibration()
         self.models = ReferenceModels(self.hw, exchange_calibration)
         self.price_per_node_second = self.hw.node.price_per_second
+
+    def scratch(self) -> "ReferenceEstimator":
+        """A walk's view: no table to scope but the optimizer's slot."""
+        child = copy.copy(self)
+        child.planned = {}
+        return child
 
     def sweeper(self, dag: PipelineDag) -> ScheduleSweeper:
         return ScheduleSweeper(dag, self.models)

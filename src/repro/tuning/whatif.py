@@ -143,15 +143,17 @@ class WhatIfService:
         Uses the workload's constraint when one is configured; otherwise
         prices the cost-minimal (DOP-planned) execution.
         """
-        planner = DagPlanner(catalog)
-        plan = planner.plan(query)
+        plan = DagPlanner(catalog).plan(query)
         dag = decompose_pipelines(plan)
+        # One question, one scratch: nothing priced here stays in the
+        # (possibly the warehouse's) estimator.
+        estimator = self.estimator.scratch()
         if self.evaluation_constraint is not None:
-            dop_planner = DopPlanner(self.estimator, max_dop=self.max_dop)
+            dop_planner = DopPlanner(estimator, max_dop=self.max_dop)
             dop_plan = dop_planner.plan(dag, self.evaluation_constraint)
             return dop_plan.estimate.total_dollars
         dops = {p.pipeline_id: 1 for p in dag}
-        return self.estimator.estimate_dag(dag, dops).total_dollars
+        return estimator.estimate_dag(dag, dops).total_dollars
 
     # ------------------------------------------------------------------ #
     # Materialized views

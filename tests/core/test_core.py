@@ -101,9 +101,11 @@ def test_warehouse_full_path_with_data(tpch_db):
     assert outcome.record.dollars == outcome.dollars
 
 
-def test_dag_memo_respects_catalog_version():
-    """Re-optimizing the same bound query after a catalog mutation must
-    re-plan from live statistics, not the DAG memo."""
+def test_dag_planning_lives_and_dies_with_its_walk():
+    """The optimizer keeps a bound query's planned variants on the walk's
+    scratch and nowhere else: the walk reads them back without planning
+    again, a second optimize of the same bound query plans its DAGs
+    again, and after a catalog mutation it plans from live statistics."""
     from repro.cost.estimator import CostEstimator
     from repro.sql.binder import Binder
     from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -112,13 +114,18 @@ def test_dag_memo_respects_catalog_version():
     optimizer = BiObjectiveOptimizer(catalog, CostEstimator())
     bound = Binder(catalog).bind_sql(instantiate("q18_large_orders", seed=1))
     constraint = sla_constraint(12.0)
-    optimizer.optimize(bound, constraint)
-    optimizer.optimize(bound, constraint)
+    walk = optimizer.estimator.scratch()
+    first = optimizer.optimize(bound, constraint, scratch=walk)
+    trees = optimizer.variant_trees(bound, walk)
+    assert first.join_tree in trees
     assert optimizer.dag_plans == 1
-    assert optimizer.dag_memo_hits == 1
+    assert optimizer.optimize(bound, constraint).dop_plan == first.dop_plan
+    assert optimizer.dag_plans == 2
     catalog.set_clustering("orders", "o_orderdate", 0.2)
-    optimizer.optimize(bound, constraint)
-    assert optimizer.dag_plans == 2  # stale entry discarded
+    mutated = optimizer.optimize(bound, constraint)
+    assert optimizer.dag_plans == 3
+    fresh = BiObjectiveOptimizer(catalog, CostEstimator()).optimize(bound, constraint)
+    assert mutated.dop_plan == fresh.dop_plan
 
 
 def test_constraint_met_covers_budget(tpch_db):

@@ -99,9 +99,11 @@ def test_dop_plan_with_unread_estimate_roundtrips_equal(optimizer, bound):
     from repro.cost.estimate import CostEstimate
 
     constraint = sla_constraint(20.0)
-    dag = optimizer.dag_variants(bound)[0].dag
-    unread = optimizer.dop_planner.plan(dag, constraint)
-    read = optimizer.dop_planner.plan(dag, constraint)
+    walk = optimizer.estimator.scratch()
+    dag = optimizer.dag_variants(bound, walk)[0].dag
+    planner = optimizer.dop_planner.with_estimator(walk)
+    unread = planner.plan(dag, constraint)
+    read = planner.plan(dag, constraint)
     assert not isinstance(unread._estimate, CostEstimate)  # still a thunk
     assert read.estimate.latency > 0
 
@@ -120,10 +122,12 @@ def test_dop_plan_from_a_memo_hit_roundtrips_equal_to_a_searched_one(bound, cata
     indistinguishable from the one the search itself returned."""
     constraint = sla_constraint(20.0)
     fresh = BiObjectiveOptimizer(catalog, CostEstimator())
-    dag = fresh.dag_variants(bound)[0].dag
+    walk = fresh.estimator.scratch()
+    dag = fresh.dag_variants(bound, walk)[0].dag
     stats = fresh.estimator.models.cache.stats
-    searched = fresh.dop_planner.plan(dag, constraint)
-    recalled = fresh.dop_planner.plan(dag, constraint)
+    planner = fresh.dop_planner.with_estimator(walk)
+    searched = planner.plan(dag, constraint)
+    recalled = planner.plan(dag, constraint)
     assert (stats.plan_computations, stats.plan_hits) == (1, 1)
     assert pickle.dumps(roundtrip(recalled)) == pickle.dumps(roundtrip(searched))
     assert roundtrip(recalled) == searched
@@ -139,7 +143,7 @@ def test_bound_query_roundtrip_replans_identically(optimizer, bound):
 # --------------------------- skeleton entries -------------------------- #
 def test_skeleton_trees_roundtrip_and_replan(optimizer, bound):
     constraint = sla_constraint(20.0)
-    trees = optimizer.variant_trees(bound)
+    trees = optimizer.variant_trees(bound, optimizer.estimator.scratch())
     restored = roundtrip(trees)
     assert len(restored) == len(trees)
     assert [t.describe() for t in restored] == [t.describe() for t in trees]
@@ -151,13 +155,14 @@ def test_skeleton_trees_roundtrip_and_replan(optimizer, bound):
 # ------------------------------ wire records --------------------------- #
 def test_stage_task_roundtrip(optimizer, bound, catalog):
     parameterized = parameterize_sql(SQL)
+    trees = optimizer.variant_trees(bound, optimizer.estimator.scratch())
     task = StageTask(
         task_id=7,
         sql=SQL,
         constraint=sla_constraint(20.0),
         template_key=parameterized.template_key,
         stats_version=catalog.version,
-        skeleton_trees=optimizer.variant_trees(bound),
+        skeleton_trees=trees,
     )
     restored = roundtrip(task)
     assert restored.task_id == task.task_id
@@ -169,12 +174,13 @@ def test_stage_task_roundtrip(optimizer, bound, catalog):
 
 
 def test_staged_plan_roundtrip(optimizer, bound):
-    choice = optimizer.optimize(bound, sla_constraint(20.0))
+    walk = optimizer.estimator.scratch()
+    choice = optimizer.optimize(bound, sla_constraint(20.0), scratch=walk)
     plan = StagedPlan(
         task_id=7,
         bound=bound,
         choice=choice,
-        new_skeleton_trees=optimizer.variant_trees(bound),
+        new_skeleton_trees=optimizer.variant_trees(bound, walk),
         bind_s=0.001,
         optimize_s=0.002,
         warm_skeleton=True,

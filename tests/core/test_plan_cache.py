@@ -12,6 +12,7 @@ from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
+from repro.optimizer.dag_planner import DagPlanner
 from repro.workloads.tpch_queries import instantiate
 
 
@@ -192,19 +193,17 @@ def test_literal_variants_hit_the_skeleton_level(warehouse, monkeypatch):
     serve(warehouse, instantiate("q1_pricing_summary", seed=1), constraint)
     optimizer = warehouse.optimizer
     dag_plans_after_first = optimizer.dag_plans
-    memo_hits_after_first = optimizer.dag_memo_hits
 
-    def join_order_dp(query):
+    def join_order_dp(self, query):
         raise AssertionError("join-order DP re-ran on a skeleton hit")
 
-    monkeypatch.setattr(optimizer.dag_planner, "choose_join_tree", join_order_dp)
+    monkeypatch.setattr(DagPlanner, "choose_join_tree", join_order_dp)
     serve(warehouse, instantiate("q1_pricing_summary", seed=2), constraint)
     assert warehouse.plan_cache.hits == 0  # different literals
     assert warehouse.skeleton_cache.hits == 1
-    # DAG planning ran for the new literals (a new bound query: the DAG
-    # memo cannot answer), but on the cached shapes.
+    # DAG planning ran for the new literals (a new walk), but on the
+    # cached shapes.
     assert optimizer.dag_plans == dag_plans_after_first + 1
-    assert optimizer.dag_memo_hits == memo_hits_after_first
 
 
 def test_skeleton_key_separates_constraint_kinds(warehouse):
@@ -219,8 +218,8 @@ def test_skeleton_key_separates_constraint_kinds(warehouse):
 
 def test_a_second_constraint_binds_and_plans_the_dag_again(warehouse):
     """Only an exact hit skips binding: the same SQL under a second
-    constraint is filled from its bound template into a new bound query,
-    so the optimizer's DAG memo (keyed on that object) cannot answer."""
+    constraint is filled from its bound template into a new bound query
+    and planned by a new walk, which keeps nothing of the first."""
     sql = instantiate("q1_pricing_summary", seed=1)
     first = serve(warehouse, sql, sla_constraint(12.0))
     plans = warehouse.optimizer.dag_plans

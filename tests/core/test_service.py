@@ -470,9 +470,7 @@ def test_optimizer_reset_counters(warehouse):
     session.submit(Q_COUNT, budget_constraint(0.5)).result()
     optimizer = warehouse.optimizer
     assert optimizer.dag_plans == 2
-    assert optimizer.dag_memo_hits > 0
     assert warehouse.skeleton_cache.misses == 2  # one per constraint kind
     warehouse.reset_cache_stats()
     assert optimizer.dag_plans == 0
-    assert optimizer.dag_memo_hits == 0
     assert warehouse.skeleton_cache.misses == 0

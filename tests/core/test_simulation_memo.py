@@ -116,10 +116,13 @@ def test_memoized_simulation_equals_a_freshly_built_simulator(warehouse, templat
 
 def test_one_dag_planned_under_sla_then_budget_gets_two_entries(warehouse):
     """Physical planning is constraint-independent, so an SLA and a
-    budget ``PlanChoice`` of one bound query share a DAG object: the DAG
-    alone is not a key."""
+    budget ``PlanChoice`` of one bound query optimized in one walk share
+    a DAG object: the DAG alone is not a key."""
     bound = warehouse.binder.bind_sql(instantiate("q6_revenue_forecast", seed=1))
-    choices = [warehouse.optimizer.optimize(bound, c) for c in CONSTRAINTS]
+    walk = warehouse.estimator.scratch()
+    choices = [
+        warehouse.optimizer.optimize(bound, c, scratch=walk) for c in CONSTRAINTS
+    ]
     assert choices[0].dag is choices[1].dag
     sims = [
         warehouse._simulate(choice, constraint, "dop-monitor", None)

@@ -157,8 +157,9 @@ def test_skeleton_reuse_parity_literal_varying(
     planning with fresh cardinalities plus the DOP search."""
     donor = BiObjectiveOptimizer(big_catalog, CostEstimator())
     seed_bound = big_binder.bind_sql(instantiate(template, seed=1))
-    donor.optimize(seed_bound, constraint)
-    skeleton = donor.variant_trees(seed_bound)
+    walk = donor.estimator.scratch()
+    donor.optimize(seed_bound, constraint, scratch=walk)
+    skeleton = donor.variant_trees(seed_bound, walk)
 
     for seed in (2, 3):
         sql = instantiate(template, seed=seed)

@@ -193,51 +193,62 @@ def test_invalidate_clears_everything(q5_dag):
     assert cache.stats.timing_computations == before + len(q5_dag)
 
 
-def test_cache_entries_die_with_their_pipelines(big_binder, big_planner):
-    estimator = fresh_estimator()
-    plan = big_planner.plan(
-        big_binder.bind_sql(instantiate("q1_pricing_summary", seed=1))
-    )
-    dag = decompose_pipelines(plan)
-    estimator.estimate_dag(dag, {p.pipeline_id: 2 for p in dag})
-    cache = estimator.models.cache
-    assert len(cache) == len(dag)
-    del dag, plan  # weak keys: dropping the plan drops its cache entries
+def live(kind: type) -> int:
     gc.collect()
-    assert len(cache) == 0
-    assert len(cache._entries) == 0
+    return sum(type(o) is kind for o in gc.get_objects())
 
 
-def test_plan_scoped_caches_empty_once_the_plan_is_gone(big_binder, big_planner):
-    """Curves, schedule sweepers and scan fees are keyed weakly by the
-    plan's pipelines / DAG.  Nothing a search leaves behind — a curve,
-    a sweeper, an unread lazy estimate — may keep the plan alive (a
-    curve holding its pipeline would pin every plan ever priced)."""
+def test_a_scratch_owns_its_tables_and_shares_the_counters(q5_dag):
+    """A walk's scratch prices with its parent's calibration into tables
+    of its own, counting into the parent's stats; the parent's tables
+    stay empty and its simulation memo is the scratch's."""
     from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
 
     estimator = fresh_estimator()
-    plan = big_planner.plan(
-        big_binder.bind_sql(instantiate("q5_local_supplier", seed=2))
-    )
-    dag = decompose_pipelines(plan)
-    planner = DopPlanner(estimator)
-    source = next(iter(dag)).ops[0].node
-    read = planner.plan(dag, sla_constraint(12.0))
-    assert read.estimate.latency > 0
-    unread = planner.plan(dag, sla_constraint(12.0), {source.node_id: 1e6})
-    assert len(estimator.models.cache._entries) == len(dag)
-    assert len(estimator._sweepers) == 1
-    assert len(estimator._scan_dollars_cache) == 1
-    assert len(estimator._plan_memo) == 1
-    assert len(estimator._plan_memo[dag]) == 2  # both searches remembered
+    stats = estimator.models.cache.stats
+    walk = estimator.scratch()
+    assert walk.hw is estimator.hw
+    assert walk.models.exchange is estimator.models.exchange
+    assert walk._simulation_memo is estimator._simulation_memo
+    assert walk.models.cache.stats is stats
 
-    del plan, dag, source, read, unread
-    gc.collect()
-    assert len(estimator.models.cache._entries) == 0
-    assert len(estimator._sweepers) == 0
-    assert len(estimator._scan_dollars_cache) == 0
-    assert len(estimator._plan_memo) == 0
+    dops = {p.pipeline_id: 2 for p in q5_dag}
+    assert walk.estimate_dag(q5_dag, dops) == CostEstimator().estimate_dag(q5_dag, dops)
+    assert len(walk.models.cache) == len(q5_dag)
+    assert stats.timing_computations == len(q5_dag)
+    DopPlanner(walk).plan(q5_dag, sla_constraint(12.0))
+    tables = (walk._sweepers, walk._plan_memo, walk._scan_dollars)
+    assert [len(table) for table in tables] == [1, 1, 1]
+    assert stats.plan_computations == 1
+    assert len(estimator.models.cache) == 0
+    assert not (estimator._sweepers or estimator._plan_memo or estimator._scan_dollars)
+
+
+def test_a_plan_searched_in_a_walk_keeps_nothing_of_it_once_read(q5_dag):
+    """Curves and sweepers die with the walk's scratch.  A plan whose
+    estimate was read holds none of it; an unread estimate is a thunk
+    over the scratch and keeps all of it alive — which is why the
+    optimizer reads its choice's estimate before a walk ends."""
+    from repro.cost.curve import PipelineCurve
+    from repro.cost.query_simulator import ScheduleSweeper
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    before = (live(PipelineCurve), live(ScheduleSweeper))
+    walk = fresh_estimator().scratch()
+    planner = DopPlanner(walk)
+    source = next(iter(q5_dag)).ops[0].node
+    read = planner.plan(q5_dag, sla_constraint(12.0))
+    assert read.estimate.latency > 0
+    unread = planner.plan(q5_dag, sla_constraint(12.0), {source.node_id: 1e6})
+    assert live(PipelineCurve) > before[0]
+
+    del walk, planner
+    assert live(ScheduleSweeper) == before[1] + 1  # held through the thunk
+    del unread
+    assert (live(PipelineCurve), live(ScheduleSweeper)) == before
+    assert read.estimate.latency > 0
 
 
 # --------------------------- DOP-plan memo ----------------------------- #
