@@ -77,14 +77,19 @@ def test_nothing_from_a_walk_outlives_it(big_catalog, max_workers):
         assert isinstance(choice.dop_plan._estimate, CostEstimate)
     assert {kind: live(kind) for kind in before} == before
 
+    # Re-serve what the cache holds (with threads, the last entries
+    # stored need not be the last submitted).
+    first_by_key = {
+        warehouse.planning.keys(r.sql, r.constraint).exact: (r, o)
+        for r, o in zip(served, outcomes)
+    }
+    again = [first_by_key[key] for key, _ in cached]
     stats = warehouse.estimator.models.cache.stats
     hits = stats.simulation_hits
-    tail = served[-CAPACITY:]
-    again = [session.submit(request).result() for request in tail]
-    for outcome, first in zip(again, outcomes[-CAPACITY:]):
-        same_outcome(outcome, first)
+    for request, first in again:
+        same_outcome(session.submit(request).result(), first)
     assert warehouse.plan_cache.hits == CAPACITY
-    assert stats.simulation_hits == hits + sum(r.simulate for r in tail)
+    assert stats.simulation_hits == hits + sum(r.simulate for r, _ in again)
     assert {kind: live(kind) for kind in before} == before
 
 
