@@ -25,10 +25,10 @@ QUERIES = ("q1_pricing_summary", "q5_local_supplier", "q12_shipmode", "scan_orde
 DOPS = (2, 8, 32)
 
 
-def _mean_abs_rel_error(estimator, dags, truth_models, seed=3, skew=0.0):
+def _mean_abs_rel_error(estimator, dags, truth_estimator, seed=3, skew=0.0):
     """Prediction error vs simulator ground truth.
 
-    The simulator always runs on ``truth_models`` (the fixed "real
+    The simulator always runs on ``truth_estimator`` (the fixed "real
     cluster"), independent of the estimator under evaluation.  Skew
     defaults to off here: stragglers are a *run-time* deviation the DOP
     monitor absorbs (§3.3), not something a plan-time estimator is
@@ -41,7 +41,7 @@ def _mean_abs_rel_error(estimator, dags, truth_models, seed=3, skew=0.0):
             dops = uniform_dops(dag, dop)
             predicted = estimator.estimate_dag(dag, dops)
             sim = DistributedSimulator(
-                dag, dops, truth_models,
+                dag, dops, truth_estimator,
                 planned=predicted,
                 config=SimConfig(seed=seed, skew_zipf_s=skew),
             )
@@ -57,15 +57,15 @@ def test_e3_estimator_accuracy_and_speed(benchmark, binder, planner, estimator):
             for q in QUERIES
         ]
 
-        truth_models = OperatorModels()
-        default_error = _mean_abs_rel_error(estimator, dags, truth_models)
+        truth_estimator = CostEstimator()
+        default_error = _mean_abs_rel_error(estimator, dags, truth_estimator)
 
         # Calibration, as §3.1 prescribes, happens "before the service
         # starts" from micro-benchmarks on the real substrate:
         # (a) CPU rates from a single-node run (recovers the hidden
         #     cpu_rate_multiplier the simulator applies);
         # (b) exchange regression models from synthetic transfer sweeps.
-        models = truth_models
+        models = OperatorModels(truth_estimator.hw)
         sim_truth = SimConfig(noise_sigma=0.0, skew_zipf_s=0.0)
         cpu_factor = sim_truth.cpu_rate_multiplier
         from repro.cost.hardware import HardwareCalibration
@@ -90,8 +90,10 @@ def test_e3_estimator_accuracy_and_speed(benchmark, binder, planner, estimator):
         calibrated = CostEstimator(
             cpu_calibrated_hw, exchange_calibration=calibration
         )
-        calibrated_error = _mean_abs_rel_error(calibrated, dags, truth_models)
-        residual_with_skew = _mean_abs_rel_error(calibrated, dags, truth_models, skew=0.5)
+        calibrated_error = _mean_abs_rel_error(calibrated, dags, truth_estimator)
+        residual_with_skew = _mean_abs_rel_error(
+            calibrated, dags, truth_estimator, skew=0.5
+        )
 
         # Lightweightness: invocations/second on the largest DAG.
         biggest = max(dags, key=len)

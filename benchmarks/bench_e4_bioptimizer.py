@@ -13,6 +13,7 @@ from repro.baselines.perfonly import PerformanceOnlyPlanner
 from repro.baselines.serverless import serverless_estimate
 from repro.baselines.tshirt import TShirtProvisioner, uniform_dops
 from repro.core.bioptimizer import BiObjectiveOptimizer
+from repro.cost.operator_models import OperatorModels
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.plan.pipelines import decompose_pipelines
 from repro.util.tables import TextTable
@@ -47,7 +48,7 @@ def test_e4_sla_mode_vs_baselines(benchmark, catalog, binder, planner, estimator
             shirt = estimator.estimate_dag(dag, uniform_dops(dag, pick.nodes))
 
             perf = perfonly.plan(dag).estimate
-            functions = serverless_estimate(dag, estimator.models)
+            functions = serverless_estimate(dag, OperatorModels(estimator.hw))
 
             ours_total += ours.total_dollars
             tshirt_total += shirt.total_dollars

@@ -34,7 +34,7 @@ def test_e6_cofinish_cuts_waste(benchmark, binder, planner, estimator):
         uniform = {p.pipeline_id: 16 for p in dag}
         uniform_estimate = estimator.estimate_dag(dag, uniform)
 
-        balanced = equalize_siblings(dag, uniform, estimator.models, max_dop=64)
+        balanced = equalize_siblings(dag, uniform, estimator, max_dop=64)
         balanced_estimate = estimator.estimate_dag(dag, balanced)
 
         constraint = sla_constraint(uniform_estimate.latency * 1.001)

@@ -82,7 +82,7 @@ def test_e7_resizing_policies(benchmark, binder, planner, estimator):
             for name in policies:
                 policy, config = _policy(name, dag, dop_plan, estimator)
                 sim = DistributedSimulator(
-                    dag, dop_plan.dops, estimator.models,
+                    dag, dop_plan.dops, estimator,
                     truth=truth, planned=dop_plan.estimate,
                     policy=policy, config=config,
                 )

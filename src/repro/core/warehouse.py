@@ -484,7 +484,7 @@ class CostIntelligentWarehouse:
         (benchmark warmup: report steady-state rates only)."""
         for _, cache in self.planning.levels():
             cache.reset_stats()
-        self.estimator.models.cache.stats.reset()
+        self.estimator.stats.reset()
         self.optimizer.reset_counters()
         with self.ledger.lock:
             # Verdict counters are journaled state: checkpoint the zeroed
@@ -551,7 +551,7 @@ class CostIntelligentWarehouse:
         simulator = DistributedSimulator(
             choice.dag,
             choice.dop_plan.dops,
-            scratch.models,
+            scratch,
             truth=truth,
             planned=choice.dop_plan.estimate,
             policy=policy_obj,

@@ -28,10 +28,11 @@ reference computes the same sub-expression first (``morsels *
 overhead``, ``cores * sort_rate * log_ref``); ``dop * cores * rate``
 stays a run-time product because folding it would round differently.
 
-Lifetime: curves live in a cache keyed by their pipeline that dies with
-one planning walk (:mod:`repro.cost.timing_cache`).  A curve keeps the
-operator tuple (for labels, rendered only when something reads them) and
-nothing else from the plan.
+Lifetime: curves live in the estimator's curve table, keyed by their
+pipeline (:meth:`repro.cost.estimator.CostEstimator.curve`), which dies
+with one planning walk's scratch; a curve counts into the estimator's
+counters.  A curve keeps the operator tuple (for labels, rendered only
+when something reads them) and nothing else from the plan.
 """
 
 from __future__ import annotations

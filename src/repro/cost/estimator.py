@@ -1,52 +1,63 @@
-"""The cost estimator facade: plan + DOPs -> predicted time and dollars.
+"""The cost estimator: plan + DOPs -> predicted time and dollars.
 
-Bundles the scalability models, exchange calibration, and the query-level
-simulator behind one object with the interface the rest of the system
-uses (the bi-objective optimizer, the DOP planner, the DOP monitor, and
-the What-If Service all "invoke the cost estimator").
+The one stateful cost object.  The rest of the system (the bi-objective
+optimizer, the DOP planner and its co-finish polish, the DOP monitor,
+the distributed simulator, the What-If Service) all "invoke the cost
+estimator", and it holds everything their pricing reads:
 
-What is memoized here, beside the models' compiled curves: four tables
-per :class:`~repro.plan.pipelines.PipelineDag`.
-
-- the DAG's object-store GET fees (one float);
-- its :class:`~repro.cost.query_simulator.ScheduleSweeper`;
-- its **DOP-plan memo**: the outcome ``(dops, feasible, evaluations)``
-  of every DOP search already run over the DAG, keyed by ``(constraint,
-  overrides_key(overrides), max_dop, enforce_sla_strictly)`` — a pure
+- the **calibration**: the hardware, the exchange coefficients, and the
+  node price, read from the hardware on every estimate;
+- the **counters** (:class:`~repro.cost.timing_cache.TimingCacheStats`);
+- the tables one planning walk fills, all plain dictionaries keyed by
+  pipeline or :class:`~repro.plan.pipelines.PipelineDag`: the compiled
+  cost curves (one per pipeline and projected overrides, see
+  :meth:`CostEstimator.curve`), each DAG's object-store GET fees, its
+  :class:`~repro.cost.query_simulator.ScheduleSweeper`, its **DOP-plan
+  memo** — the outcome ``(dops, feasible, evaluations)`` of every DOP
+  search already run over the DAG, keyed by ``(constraint,
+  overrides_key(overrides), max_dop, enforce_sla_strictly)``, a pure
   function of that key and the calibration, so a DOP monitor's second
-  replan under the same learned cardinalities is one lookup;
-- its **simulation memo**: the
-  :class:`~repro.sim.distsim.SimResult` of every simulated execution of
-  the DAG the warehouse has run, under the key the warehouse builds
-  (see ``CostIntelligentWarehouse._simulate`` and the
-  :mod:`repro.sim.distsim` module docstring for why that is a pure
-  function).
+  replan under the same learned cardinalities is one lookup — and the
+  optimizer's variants (``planned``);
+- the **simulation memo**: the :class:`~repro.sim.distsim.SimResult` of
+  every simulated execution of a DAG the warehouse has run, under the
+  key the warehouse builds (see ``CostIntelligentWarehouse._simulate``
+  and the :mod:`repro.sim.distsim` module docstring for why that is a
+  pure function).
 
-The first three and the curves are plain dictionaries that live as long
-as their estimator.  Serving fills none of the warehouse's own: each
-planning walk prices through a :meth:`CostEstimator.scratch` — the same
-calibration and counters over empty tables — for its search *and* its
-simulation, and drops it with the handle.  The simulation memo is shared
-by an estimator and all its scratches and keyed *weakly* by the DAG, so
-an entry lives as long as the cached plan it answers (a ``SimResult``
-never references the DAG).  :meth:`CostEstimator.invalidate_caches`
-drops the tables and the simulation memo after a recalibration.
+Serving fills none of the warehouse's own walk tables: each planning
+walk prices through a :meth:`CostEstimator.scratch` — one shallow copy
+carrying the same calibration and counters over empty tables — for its
+search *and* its simulation, and drops it with the handle.  The
+simulation memo is shared by an estimator and all its scratches and
+keyed *weakly* by the DAG, so an entry lives as long as the cached plan
+it answers (a ``SimResult`` never references the DAG).
 
-:class:`repro.testing.reference.ReferenceEstimator` builds none of them:
-the reference the parity suite compares against.
+Recalibrating is one assignment (``estimator.hw = ...`` or
+``estimator.exchange = ...``) followed by
+:meth:`CostEstimator.invalidate_caches`, which drops every table and the
+simulation memo: they bake in the calibration they were priced under.
+
+:class:`repro.testing.reference.ReferenceEstimator` builds none of the
+tables: the reference the parity suite compares against.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 from weakref import WeakKeyDictionary
 
+from repro.cost.curve import (
+    PipelineCurve,
+    PipelineTiming,
+    compile_curve,
+    curve_constants,
+)
 from repro.cost.estimate import CostEstimate
 from repro.cost.hardware import HardwareCalibration
-from repro.cost.operator_models import OperatorModels, PipelineTiming
 from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
 from repro.cost.regression import ExchangeCalibration
-from repro.cost.timing_cache import TimingCache
+from repro.cost.timing_cache import TimingCacheStats, overrides_key
 from repro.plan.physical import PhysScan, walk_physical
 from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.util.units import MB
@@ -75,22 +86,13 @@ def scan_request_dollars(dag: PipelineDag, store: ObjectStoreConfig) -> float:
     return dollars
 
 
-def _shallow_copy(obj):
-    """``copy.copy`` without the reduce protocol (four times faster: one
-    scratch per planning walk)."""
-    twin = object.__new__(type(obj))
-    twin.__dict__.update(obj.__dict__)
-    return twin
-
-
 class CostEstimator:
     """Predicts latency / machine time / dollars for plan fragments.
 
-    Prices pipelines from compiled cost curves (:mod:`repro.cost.curve`,
-    shared through :mod:`repro.cost.timing_cache`) and memoizes per-DAG
-    scan fees, schedule sweepers and finished DOP searches (see the
-    module docstring); results are bit-identical to evaluating
-    ``pipeline_volumes`` + ``op_time`` per call, which
+    Prices pipelines from compiled cost curves (:mod:`repro.cost.curve`)
+    and memoizes them, per-DAG scan fees, schedule sweepers and finished
+    DOP searches (see the module docstring); results are bit-identical
+    to evaluating ``pipeline_volumes`` + ``op_time`` per call, which
     :mod:`repro.testing.reference` does for the parity suite.
     """
 
@@ -100,15 +102,17 @@ class CostEstimator:
         exchange_calibration: ExchangeCalibration | None = None,
     ) -> None:
         self.hw = hardware or HardwareCalibration()
-        self.models = OperatorModels(self.hw, exchange_calibration)
-        #: The node price every estimate charges (``DopPlanner`` reads it).
-        self.price_per_node_second = self.hw.node.price_per_second
+        self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
+        self.stats = TimingCacheStats()
+        self._curve_constants: tuple = (None, ())  # (the hw they were read from, them)
         self._simulation_memo: WeakKeyDictionary[PipelineDag, dict] = (
             WeakKeyDictionary()
         )
         self._new_tables()
 
     def _new_tables(self) -> None:
+        # pipeline -> (its plan-node ids, {overrides_key: PipelineCurve})
+        self._curves: dict[Pipeline, tuple[frozenset, dict]] = {}
         self._scan_dollars: dict[PipelineDag, float] = {}
         self._sweepers: dict[PipelineDag, ScheduleSweeper] = {}
         self._plan_memo: dict[PipelineDag, dict] = {}
@@ -118,15 +122,14 @@ class CostEstimator:
         """An estimator for one planning walk: this one's calibration,
         counters and simulation memo over empty tables of its own, which
         die with it (see the module docstring)."""
-        child, models = _shallow_copy(self), _shallow_copy(self.models)
-        models.cache = TimingCache(self.models.cache.stats)
-        child.models = models
+        # copy.copy without the reduce protocol: four times faster.
+        child = object.__new__(type(self))
+        child.__dict__.update(self.__dict__)
         child._new_tables()
         return child
 
     def invalidate_caches(self) -> None:
         """Drop all memoized state (after hardware/model recalibration)."""
-        self.models.invalidate_cache()
         self._new_tables()
         self._simulation_memo.clear()
 
@@ -140,13 +143,7 @@ class CostEstimator:
         overrides: dict[int, float] | None = None,
     ) -> CostEstimate:
         """Estimate a pipeline DAG under a DOP assignment."""
-        estimate = simulate_dag(
-            dag,
-            dops,
-            self.models,
-            overrides=overrides,
-            price_per_node_second=self.price_per_node_second,
-        )
+        estimate = simulate_dag(dag, dops, self, overrides=overrides)
         estimate.scan_request_dollars = self.scan_request_dollars(dag)
         return estimate
 
@@ -156,7 +153,7 @@ class CostEstimator:
         (the optimizer's and the DOP monitor's replans alike)."""
         sweeper = self._sweepers.get(dag)
         if sweeper is None:
-            sweeper = self._sweepers[dag] = ScheduleSweeper(dag, self.models)
+            sweeper = self._sweepers[dag] = ScheduleSweeper(dag, self)
         return sweeper
 
     def recall_plan(
@@ -168,7 +165,7 @@ class CostEstimator:
         searched = self._plan_memo.get(dag)
         found = searched.get(key) if searched is not None else None
         if found is not None:
-            self.models.cache.stats.plan_hits += 1
+            self.stats.plan_hits += 1
         return found
 
     def remember_plan(
@@ -180,7 +177,7 @@ class CostEstimator:
         evaluations: int,
     ) -> None:
         """Record a finished DOP search over ``dag`` under ``key``."""
-        self.models.cache.stats.plan_computations += 1
+        self.stats.plan_computations += 1
         searched = self._plan_memo.get(dag)
         if searched is None:
             searched = self._plan_memo[dag] = {}
@@ -192,18 +189,81 @@ class CostEstimator:
         simulated = self._simulation_memo.get(dag)
         found = simulated.get(key) if simulated is not None else None
         if found is not None:
-            self.models.cache.stats.simulation_hits += 1
+            self.stats.simulation_hits += 1
         return found
 
     def remember_simulation(
         self, dag: PipelineDag, key: tuple, result: "SimResult"
     ) -> None:
         """Record a finished simulated execution of ``dag`` under ``key``."""
-        self.models.cache.stats.simulation_computations += 1
+        self.stats.simulation_computations += 1
         simulated = self._simulation_memo.get(dag)
         if simulated is None:
             simulated = self._simulation_memo[dag] = {}
         simulated[key] = result
+
+    # ------------------------------------------------------------------ #
+    # Pipeline timing
+    # ------------------------------------------------------------------ #
+    def curve(
+        self, pipeline: Pipeline, overrides: dict[int, float] | None = None
+    ) -> PipelineCurve:
+        """The pipeline's compiled cost curve under ``overrides``,
+        compiled once per estimator.
+
+        Overrides are first restricted to the pipeline's own plan nodes:
+        the volume model reads them only there, so a truth the DOP
+        monitor learns about one node recompiles one pipeline, not the
+        plan.  ``None`` stays ``None`` and a non-empty mapping may
+        project to ``{}`` — any mapping switches the volume model into
+        observed-selectivity mode.
+        """
+        entry = self._curves.get(pipeline)
+        if entry is None:
+            node_ids = frozenset(op.node.node_id for op in pipeline.ops)
+            entry = self._curves[pipeline] = (node_ids, {})
+        node_ids, curves = entry
+        if overrides is not None and not overrides.keys() <= node_ids:
+            overrides = {
+                node_id: rows
+                for node_id, rows in overrides.items()
+                if node_id in node_ids
+            }
+        key = overrides_key(overrides)
+        found = curves.get(key)
+        if found is not None:
+            self.stats.curve_hits += 1
+            return found
+        self.stats.curve_computations += 1
+        hw = self.hw
+        if self._curve_constants[0] is not hw:
+            self._curve_constants = (hw, curve_constants(hw))
+        found = curves[key] = compile_curve(
+            pipeline,
+            overrides,
+            hw,
+            self.exchange,
+            self._curve_constants[1],
+            self.stats,
+        )
+        return found
+
+    def durations(
+        self, pipeline: Pipeline, overrides: dict[int, float] | None = None
+    ) -> Callable[[int], float]:
+        """``dop -> duration`` for one pipeline: one lookup, then as many
+        DOP probes as the caller likes."""
+        return self.curve(pipeline, overrides).duration
+
+    def pipeline_summary(
+        self,
+        pipeline: Pipeline,
+        dop: int,
+        overrides: dict[int, float] | None = None,
+    ) -> tuple[float, str, float]:
+        """``(duration, bottleneck label, source_rows)`` at ``dop`` —
+        :meth:`pipeline_timing` without the per-operator breakdown."""
+        return self.curve(pipeline, overrides).summary(dop)
 
     def pipeline_timing(
         self,
@@ -212,11 +272,23 @@ class CostEstimator:
         overrides: dict[int, float] | None = None,
     ) -> PipelineTiming:
         """Timing of one pipeline, per-operator times included."""
-        return self.models.pipeline_timing(pipeline, dop, overrides)
+        return self.curve(pipeline, overrides).timing(dop)
 
-    def throughput(self, pipeline, dop: int, overrides=None) -> float:
-        """Pipeline throughput T(dop) in source rows/second."""
-        return self.models.throughput(pipeline, dop, overrides)
+    def throughput(
+        self,
+        pipeline: Pipeline,
+        dop: int,
+        overrides: dict[int, float] | None = None,
+    ) -> float:
+        """Source-rows-per-second throughput T(dop) of a pipeline.
+
+        This is the throughput function the co-finish heuristic plugs
+        into C1/T1(DOP1) ≈ C2/T2(DOP2) (§3.2).
+        """
+        duration, _, source_rows = self.pipeline_summary(pipeline, dop, overrides)
+        if duration <= 0:
+            return float("inf")
+        return max(source_rows, 1.0) / duration
 
     # ------------------------------------------------------------------ #
     # Secondary cost terms

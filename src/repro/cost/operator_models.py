@@ -10,23 +10,20 @@ recalibrated by regression on synthetic workloads
 A pipeline executes its operators concurrently (streaming), so pipeline
 duration = max of per-operator stream times + accumulated fixed
 overheads (setup costs that do not overlap with streaming).
+
+This module states the models once, per operator and per call, and owns
+no state: the estimator (:mod:`repro.cost.estimator`) holds the
+calibration, the compiled curves and the counters every pricing path
+reads.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from repro.cost.curve import (
-    OpTime,
-    PipelineCurve,
-    PipelineTiming,
-    compile_curve,
-    curve_constants,
-)
+from repro.cost.curve import OpTime
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.regression import ExchangeCalibration
-from repro.cost.timing_cache import TimingCache
 from repro.cost.volumes import OpVolume
 from repro.errors import EstimationError
 from repro.plan.physical import (
@@ -50,12 +47,13 @@ from repro.plan.pipelines import (
 
 
 class OperatorModels:
-    """Evaluates operator and pipeline times from volumes and DOP.
+    """The readable statement of the per-operator models.
 
-    Every pipeline-level question is answered from the pipeline's
-    compiled :class:`PipelineCurve`; :meth:`op_time` is the readable
-    statement of the models, which the curves are held to bit for bit by
-    the per-call evaluator in :mod:`repro.testing.reference`.
+    Holds a calibration and nothing else: no table, no counter.
+    :class:`~repro.cost.estimator.CostEstimator` prices from compiled
+    curves held to :meth:`op_time` bit for bit; the per-call reference
+    (:mod:`repro.testing.reference`) and the serverless baseline call it
+    directly.
     """
 
     def __init__(
@@ -65,86 +63,6 @@ class OperatorModels:
     ) -> None:
         self.hw = hardware or HardwareCalibration()
         self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
-        self.cache = TimingCache()
-        self._curve_constants: tuple = (None, ())  # (the hw they were read from, them)
-
-    @property
-    def timing_computations(self) -> int:
-        """Count of actual timing-model evaluations (curve evaluations
-        that missed the per-DOP memo)."""
-        return self.cache.stats.timing_computations
-
-    # ------------------------------------------------------------------ #
-    # Pipeline-level API
-    # ------------------------------------------------------------------ #
-    def curve(
-        self, pipeline: Pipeline, overrides: dict[int, float] | None = None
-    ) -> PipelineCurve:
-        """The pipeline's compiled cost curve under ``overrides``, shared
-        through the cache."""
-        return self.cache.curve(pipeline, overrides, self._compile)
-
-    def _compile(
-        self, pipeline: Pipeline, overrides: dict[int, float] | None
-    ) -> PipelineCurve:
-        hw = self.hw
-        if self._curve_constants[0] is not hw:
-            self._curve_constants = (hw, curve_constants(hw))
-        return compile_curve(
-            pipeline,
-            overrides,
-            hw,
-            self.exchange,
-            self._curve_constants[1],
-            self.cache.stats,
-        )
-
-    def durations(
-        self, pipeline: Pipeline, overrides: dict[int, float] | None = None
-    ) -> Callable[[int], float]:
-        """``dop -> duration`` for one pipeline: one lookup, then as many
-        DOP probes as the caller likes."""
-        return self.curve(pipeline, overrides).duration
-
-    def pipeline_summary(
-        self,
-        pipeline: Pipeline,
-        dop: int,
-        overrides: dict[int, float] | None = None,
-    ) -> tuple[float, str, float]:
-        """``(duration, bottleneck label, source_rows)`` at ``dop`` —
-        :meth:`pipeline_timing` without the per-operator breakdown."""
-        return self.curve(pipeline, overrides).summary(dop)
-
-    def pipeline_timing(
-        self,
-        pipeline: Pipeline,
-        dop: int,
-        overrides: dict[int, float] | None = None,
-    ) -> PipelineTiming:
-        """Duration of ``pipeline`` at ``dop`` (streaming bottleneck
-        model) with its per-operator times."""
-        return self.curve(pipeline, overrides).timing(dop)
-
-    def invalidate_cache(self) -> None:
-        """Drop compiled curves (after model recalibration)."""
-        self.cache.invalidate()
-
-    def throughput(
-        self,
-        pipeline: Pipeline,
-        dop: int,
-        overrides: dict[int, float] | None = None,
-    ) -> float:
-        """Source-rows-per-second throughput T(dop) of a pipeline.
-
-        This is the throughput function the co-finish heuristic plugs
-        into C1/T1(DOP1) ≈ C2/T2(DOP2) (§3.2).
-        """
-        duration, _, source_rows = self.pipeline_summary(pipeline, dop, overrides)
-        if duration <= 0:
-            return float("inf")
-        return max(source_rows, 1.0) / duration
 
     # ------------------------------------------------------------------ #
     # Per-operator models

@@ -17,20 +17,22 @@ discrete-event simulator that plays the role of the real cluster.
 
 from __future__ import annotations
 
-from repro.compute.node import NodeSpec
+from typing import TYPE_CHECKING
+
 from repro.cost.estimate import CostEstimate, PipelineCost
-from repro.cost.operator_models import OperatorModels
 from repro.errors import EstimationError
 from repro.plan.pipelines import PipelineDag
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.cost.estimator import CostEstimator
 
 
 def simulate_dag(
     dag: PipelineDag,
     dops: dict[int, int],
-    models: OperatorModels,
+    estimator: CostEstimator,
     *,
     overrides: dict[int, float] | None = None,
-    price_per_node_second: float | None = None,
     include_provisioning: bool = True,
 ) -> CostEstimate:
     """Schedule the pipeline DAG and price it.
@@ -39,14 +41,10 @@ def simulate_dag(
     ``overrides`` maps plan-node id -> observed true cardinality.
     ``include_provisioning`` adds the warm-pool attach latency to every
     pipeline that must acquire nodes beyond those inherited from its
-    finished producers.
+    finished producers.  Durations come from ``estimator``'s curves;
+    dollars at the node price of its calibration.
     """
-    spec: NodeSpec = models.hw.node
-    rate = (
-        price_per_node_second
-        if price_per_node_second is not None
-        else spec.price_per_second
-    )
+    hw = estimator.hw
 
     inherited: dict[int, int] = {pid: 0 for pid in dops}
     for pipeline in dag:
@@ -59,11 +57,11 @@ def simulate_dag(
         dop = dops.get(pid)
         if dop is None:
             raise EstimationError(f"no DOP for pipeline {pid}")
-        duration, bottleneck, source_rows = models.pipeline_summary(
+        duration, bottleneck, source_rows = estimator.pipeline_summary(
             pipeline, dop, overrides
         )
         if include_provisioning and dop > inherited.get(pid, 0):
-            duration += models.hw.warm_attach_latency_s
+            duration += hw.warm_attach_latency_s
         timings[pid] = (duration, bottleneck, source_rows)
 
     # ASAP schedule over blocking dependencies.
@@ -100,7 +98,7 @@ def simulate_dag(
         estimate.machine_seconds += cost.machine_seconds
 
     estimate.latency = latency
-    estimate.dollars = estimate.machine_seconds * rate
+    estimate.dollars = estimate.machine_seconds * hw.node.price_per_second
     return estimate
 
 
@@ -124,11 +122,11 @@ class ScheduleSweeper:
     def __init__(
         self,
         dag: PipelineDag,
-        models: OperatorModels,
+        estimator: CostEstimator,
         *,
         include_provisioning: bool = True,
     ) -> None:
-        self.attach = models.hw.warm_attach_latency_s
+        self.attach = estimator.hw.warm_attach_latency_s
         self.include_provisioning = include_provisioning
         self.pids = [p.pipeline_id for p in dag]
         self.index = {pid: i for i, pid in enumerate(self.pids)}

@@ -16,7 +16,7 @@ is the best achievable — exactly as the paper phrases it.
 
 from __future__ import annotations
 
-from repro.cost.operator_models import OperatorModels
+from repro.cost.estimator import CostEstimator
 from repro.errors import OptimizerError
 from repro.plan.pipelines import Pipeline, PipelineDag
 
@@ -24,7 +24,7 @@ from repro.plan.pipelines import Pipeline, PipelineDag
 def min_dop_for_duration(
     pipeline: Pipeline,
     target_seconds: float,
-    models: OperatorModels,
+    estimator: CostEstimator,
     *,
     max_dop: int,
     overrides: dict[int, float] | None = None,
@@ -37,7 +37,7 @@ def min_dop_for_duration(
     """
     if target_seconds <= 0:
         raise OptimizerError(f"target duration must be positive: {target_seconds}")
-    duration_at = models.durations(pipeline, overrides)
+    duration_at = estimator.durations(pipeline, overrides)
     best_dop = 1
     best_duration = float("inf")
     dop = 1
@@ -55,7 +55,7 @@ def min_dop_for_duration(
 def cofinish_dops(
     siblings: list[Pipeline],
     target_seconds: float,
-    models: OperatorModels,
+    estimator: CostEstimator,
     *,
     max_dop: int,
     overrides: dict[int, float] | None = None,
@@ -63,7 +63,7 @@ def cofinish_dops(
     """Co-finishing DOPs for one sibling group against a common target."""
     return {
         p.pipeline_id: min_dop_for_duration(
-            p, target_seconds, models, max_dop=max_dop, overrides=overrides
+            p, target_seconds, estimator, max_dop=max_dop, overrides=overrides
         )
         for p in siblings
     }
@@ -72,7 +72,7 @@ def cofinish_dops(
 def equalize_siblings(
     dag: PipelineDag,
     dops: dict[int, int],
-    models: OperatorModels,
+    estimator: CostEstimator,
     *,
     max_dop: int,
     overrides: dict[int, float] | None = None,
@@ -95,12 +95,12 @@ def equalize_siblings(
         if len(group) < 2:
             continue
         target = max(
-            models.durations(p, overrides)(adjusted[p.pipeline_id]) for p in group
+            estimator.durations(p, overrides)(adjusted[p.pipeline_id]) for p in group
         )
         for sibling in group:
             pid = sibling.pipeline_id
             candidate = min_dop_for_duration(
-                sibling, target, models, max_dop=max_dop, overrides=overrides
+                sibling, target, estimator, max_dop=max_dop, overrides=overrides
             )
             if candidate < adjusted[pid]:
                 adjusted[pid] = candidate

@@ -82,7 +82,7 @@ class _IncrementalCoster:
         self.estimator = estimator
         self.dag = dag
         self.overrides = overrides
-        self._curves = [estimator.models.curve(p, overrides) for p in dag]
+        self._curves = [estimator.curve(p, overrides) for p in dag]
         self._sweeper = estimator.sweeper(dag)
         self._scan_dollars = estimator.scan_request_dollars(dag)
         self.evaluations = 0
@@ -129,7 +129,7 @@ class _IncrementalCoster:
         index = sweeper.index
         dop_list = [dops[pid] for pid in sweeper.pids]
         durations = [curve.duration(dop) for curve, dop in zip(curves, dop_list)]
-        rate = self.estimator.price_per_node_second
+        rate = self.estimator.hw.node.price_per_second
         scan_dollars = self._scan_dollars
 
         keep = None
@@ -315,7 +315,7 @@ class DopPlanner:
 
         # Phase 2: co-finish polish (never increases latency).
         polished = equalize_siblings(
-            dag, dops, self.estimator.models, max_dop=self.max_dop, overrides=overrides
+            dag, dops, self.estimator, max_dop=self.max_dop, overrides=overrides
         )
         if polished != dops:
             polished_latency, polished_dollars = coster.metrics(polished)
@@ -432,7 +432,7 @@ class DopPlanner:
             dops, latency, dollars = move
 
         polished = equalize_siblings(
-            dag, dops, self.estimator.models, max_dop=self.max_dop, overrides=overrides
+            dag, dops, self.estimator, max_dop=self.max_dop, overrides=overrides
         )
         if polished != dops:
             polished_latency, polished_dollars = coster.metrics(polished)

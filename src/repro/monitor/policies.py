@@ -151,7 +151,7 @@ class PipelineDopMonitor(ScalingPolicy):
         new_dop = min_dop_for_duration(
             pipeline,
             max(target_full, 1e-3),
-            self.estimator.models,
+            self.estimator,
             max_dop=self.max_dop,
             overrides=self.learned or None,
         )

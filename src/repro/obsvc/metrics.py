@@ -112,7 +112,7 @@ def _per_cache(read: Callable) -> Callable:
 
 def _per_memo(field_name: str) -> Callable:
     def reader(warehouse) -> dict:
-        stats = warehouse.estimator.models.cache.stats
+        stats = warehouse.estimator.stats
         return {
             (kind,): getattr(stats, f"{kind}_{field_name}")
             for kind in TIMING_CACHE_KINDS

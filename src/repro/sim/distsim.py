@@ -34,7 +34,7 @@ What is memoized, at two levels:
   simulation memo (:meth:`~repro.cost.estimator.CostEstimator.recall_simulation`).
   A run of this simulator reads the DAG, the DOP assignment, the planned
   estimate (a function of the two and the calibration), ``truth``, the
-  :class:`SimConfig`, the operator models, and whatever the scaling
+  :class:`SimConfig`, the estimator's calibration, and whatever the scaling
   policy holds; the warehouse builds the policy, the :class:`WarmPool`
   and the simulator fresh per call from the policy *name*, the
   constraint and ``max_dop``, and nothing reads a clock or an arrival
@@ -78,7 +78,7 @@ from repro.compute.billing import BillingMeter, CostBreakdown
 from repro.compute.pricing import PriceModel
 from repro.compute.warmpool import WarmPool
 from repro.cost.estimate import CostEstimate
-from repro.cost.estimator import scan_request_dollars
+from repro.cost.estimator import CostEstimator, scan_request_dollars
 from repro.cost.operator_models import OperatorModels
 from repro.errors import ExecutionError
 from repro.plan.physical import ExchangeKind
@@ -226,7 +226,7 @@ class DistributedSimulator:
         self,
         dag: PipelineDag,
         dops: dict[int, int],
-        models: OperatorModels,
+        estimator: CostEstimator,
         *,
         truth: dict[int, float] | None = None,
         planned: CostEstimate | None = None,
@@ -235,12 +235,12 @@ class DistributedSimulator:
         price_model: PriceModel | None = None,
     ) -> None:
         self.dag = dag
-        self.models = models
+        self.estimator = estimator
         self.truth = truth or {}
         self.planned = planned
         self.policy = policy or ScalingPolicy()
         self.config = config or SimConfig()
-        self.pool = WarmPool(models.hw.node)
+        self.pool = WarmPool(estimator.hw.node)
         self.meter = BillingMeter(price_model or PriceModel(minimum_billed_seconds=1.0))
         self._states: dict[int, _State] = {}
         for pipeline in dag:
@@ -284,7 +284,7 @@ class DistributedSimulator:
             latency=last_time,
             cost=self.meter.breakdown(),
             scan_request_dollars=scan_request_dollars(
-                self.dag, self.models.hw.store
+                self.dag, self.estimator.hw.store
             ),
             resize_count=self._resize_count,
             cold_starts=self.pool.cold_starts,
@@ -411,7 +411,7 @@ class DistributedSimulator:
                 latency = 0.0
             for _ in range(delta):
                 lease = self.meter.open_lease(
-                    self.models.hw.node, now, label=f"P{state.pipeline.pipeline_id}"
+                    self.estimator.hw.node, now, label=f"P{state.pipeline.pipeline_id}"
                 )
                 state.leases.append(lease)
         elif delta < 0:
@@ -433,7 +433,7 @@ class DistributedSimulator:
     def _true_duration(self, state: _State, dop: int) -> float:
         pipeline = state.pipeline
         config = self.config
-        curve = self.models.curve(pipeline, self.truth or None)
+        curve = self.estimator.curve(pipeline, self.truth or None)
         draws = perturbation_draws(
             config.seed,
             pipeline.pipeline_id,
@@ -443,11 +443,11 @@ class DistributedSimulator:
             config.noise_sigma,
         )
         return true_pipeline_duration(
-            pipeline, dop, self.models, self.truth, config, draws
+            pipeline, dop, self.estimator, self.truth, config, draws
         )
 
     def _true_source_rows(self, pipeline: Pipeline, dop: int) -> float:
-        return self.models.curve(pipeline, self.truth or None).source_rows(dop)
+        return self.estimator.curve(pipeline, self.truth or None).source_rows(dop)
 
     def _observation(self, state: _State, now: float) -> CheckpointObservation:
         pid = state.pipeline.pipeline_id
@@ -496,7 +496,7 @@ def perturbation_draws(
 def true_pipeline_duration(
     pipeline: Pipeline,
     dop: int,
-    models: OperatorModels,
+    estimator: CostEstimator,
     truth: dict[int, float],
     config: SimConfig,
     draws: tuple[float, float],
@@ -504,9 +504,9 @@ def true_pipeline_duration(
     """Pipeline duration with the simulator's hidden perturbations;
     ``draws`` is the run's :func:`perturbation_draws` pair."""
     skew, noise = draws
-    curve = models.curve(pipeline, truth if truth else None)
+    curve = estimator.curve(pipeline, truth if truth else None)
     stream = 0.0
-    fixed = models.hw.pipeline_startup_s
+    fixed = estimator.hw.pipeline_startup_s
     for is_exchange, (stream_s, fixed_s, bytes_in, _) in zip(
         curve.exchange_ops, curve.op_terms(dop)
     ):
@@ -514,7 +514,7 @@ def true_pipeline_duration(
             stream_s *= config.exchange_transfer_multiplier
             fixed_s *= config.exchange_setup_multiplier
             if config.materialize_exchanges:
-                store = models.hw.store
+                store = estimator.hw.store
                 round_trip = 2.0 * bytes_in / (dop * store.per_node_bandwidth)
                 fixed_s += round_trip + 2.0 * store.request_latency_s
         else:

@@ -107,8 +107,10 @@ class BoundQuery:
     each aggregate is exposed under its generated name in ``agg_names``.
 
     Identity semantics (``eq=False``): bound queries are compared and
-    hashed by object identity so the optimizer's DAG-planning memo can
-    key weak per-query entries on them.
+    hashed by object identity, which is what keys a planning walk's
+    join-tree variants (``CostEstimator.planned`` on the walk's scratch)
+    and the :class:`~repro.optimizer.dag_planner.DagPlanner`'s
+    per-query memo — two bindings of one SQL string are two entries.
     """
 
     sql: str

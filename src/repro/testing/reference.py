@@ -1,10 +1,14 @@
 """Parity references: the slow, readable paths production is held to.
 
 Production prices pipelines from compiled cost curves and searches DOPs
-over tables and memos.  The classes here answer the same questions the
-way the models are *stated* — ``pipeline_volumes`` then one ``op_time``
-per operator, per call; every candidate DOP move fully re-estimated —
-and keep nothing between calls.  ``tests/cost/`` and
+over tables and memos, all owned by one
+:class:`~repro.cost.estimator.CostEstimator`.  The classes here answer
+the same questions the way the models are *stated* —
+``pipeline_volumes`` then one
+:meth:`~repro.cost.operator_models.OperatorModels.op_time` per
+operator, per call (:class:`ReferenceEstimator`); every candidate DOP
+move fully re-estimated (:class:`NaiveDopPlanner`) — and keep nothing
+between calls but the counters.  ``tests/cost/`` and
 ``tests/properties/`` require production to match them bit for bit; no
 production module may import them
 (``tests/testing/test_production_imports.py``).
@@ -32,18 +36,23 @@ from repro.plan.pipelines import Pipeline, PipelineDag
 Overrides = dict[int, float] | None
 
 
-class ReferenceModels(OperatorModels):
-    """Per-call ``pipeline_volumes`` + ``op_time``; no curve cache."""
+class ReferenceEstimator(CostEstimator):
+    """A :class:`CostEstimator` that prices every pipeline per call —
+    ``pipeline_volumes`` + ``op_time`` — and keeps no curve, no
+    scan-fee table, no sweeper table, no DOP-plan memo and no
+    simulation memo."""
 
     def __init__(self, hardware=None, exchange_calibration=None) -> None:
-        # Not super().__init__(): that builds the curve cache.
+        # Not super().__init__(): that builds the tables.
         self.hw = hardware or HardwareCalibration()
         self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
         self.stats = TimingCacheStats()
 
-    @property
-    def timing_computations(self) -> int:
-        return self.stats.timing_computations
+    def scratch(self) -> "ReferenceEstimator":
+        """A walk's view: no table to scope but the optimizer's slot."""
+        child = copy.copy(self)
+        child.planned = {}
+        return child
 
     def curve(
         self, pipeline: Pipeline, overrides: Overrides = None
@@ -70,9 +79,10 @@ class ReferenceModels(OperatorModels):
         self, pipeline: Pipeline, dop: int, overrides: Overrides = None
     ) -> curves.PipelineTiming:
         self.stats.timing_computations += 1
+        models = OperatorModels(self.hw, self.exchange)
         volumes = pipeline_volumes(pipeline, dop, overrides)
         op_times = [
-            self.op_time(volume, dop, pipeline=pipeline, index=i)
+            models.op_time(volume, dop, pipeline=pipeline, index=i)
             for i, volume in enumerate(volumes)
         ]
         stream = max((t.stream_s for t in op_times), default=0.0)
@@ -87,26 +97,8 @@ class ReferenceModels(OperatorModels):
             source_rows=volumes[0].rows_out if volumes else 0.0,
         )
 
-
-class ReferenceEstimator(CostEstimator):
-    """A :class:`CostEstimator` over :class:`ReferenceModels` with no
-    scan-fee table, no sweeper table, no DOP-plan memo and no simulation
-    memo."""
-
-    def __init__(self, hardware=None, exchange_calibration=None) -> None:
-        # Not super().__init__(): that builds the per-DAG tables.
-        self.hw = hardware or HardwareCalibration()
-        self.models = ReferenceModels(self.hw, exchange_calibration)
-        self.price_per_node_second = self.hw.node.price_per_second
-
-    def scratch(self) -> "ReferenceEstimator":
-        """A walk's view: no table to scope but the optimizer's slot."""
-        child = copy.copy(self)
-        child.planned = {}
-        return child
-
     def sweeper(self, dag: PipelineDag) -> ScheduleSweeper:
-        return ScheduleSweeper(dag, self.models)
+        return ScheduleSweeper(dag, self)
 
     def recall_plan(self, dag: PipelineDag, key: tuple) -> None:
         return None

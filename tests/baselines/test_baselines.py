@@ -6,6 +6,7 @@ from repro.baselines.perfonly import PerformanceOnlyPlanner
 from repro.baselines.serverless import ServerlessConfig, serverless_estimate
 from repro.baselines.tshirt import TShirtProvisioner, uniform_dops
 from repro.compute.pricing import TSHIRT_SIZES
+from repro.cost.operator_models import OperatorModels
 from repro.dop.constraints import sla_constraint
 from repro.dop.planner import DopPlanner
 from repro.errors import OptimizerError
@@ -65,7 +66,7 @@ def test_perfonly_minimizes_latency_at_cost(q5_dag, estimator):
 
 
 def test_serverless_estimate_shape(q5_dag, estimator):
-    estimate = serverless_estimate(q5_dag, estimator.models)
+    estimate = serverless_estimate(q5_dag, OperatorModels(estimator.hw))
     assert estimate.latency > 0
     assert estimate.dollars > 0
     assert len(estimate.pipelines) == len(q5_dag)
@@ -78,7 +79,7 @@ def test_serverless_cheap_for_tiny_queries(big_binder, big_planner, estimator):
         big_binder.bind_sql("SELECT count(*) AS c FROM nation")
     )
     dag = decompose_pipelines(plan)
-    serverless = serverless_estimate(dag, estimator.models)
+    serverless = serverless_estimate(dag, OperatorModels(estimator.hw))
     cluster = estimator.estimate_dag(dag, uniform_dops(dag, 1))
     assert serverless.dollars < cluster.dollars
 
@@ -86,6 +87,6 @@ def test_serverless_cheap_for_tiny_queries(big_binder, big_planner, estimator):
 def test_serverless_storage_tax_on_shuffles(q5_dag, estimator):
     cheap_storage = ServerlessConfig(storage_bandwidth_per_function=1e12)
     realistic = ServerlessConfig()
-    fast = serverless_estimate(q5_dag, estimator.models, cheap_storage)
-    slow = serverless_estimate(q5_dag, estimator.models, realistic)
+    fast = serverless_estimate(q5_dag, OperatorModels(estimator.hw), cheap_storage)
+    slow = serverless_estimate(q5_dag, OperatorModels(estimator.hw), realistic)
     assert slow.latency > fast.latency

@@ -124,7 +124,7 @@ def test_dop_plan_from_a_memo_hit_roundtrips_equal_to_a_searched_one(bound, cata
     fresh = BiObjectiveOptimizer(catalog, CostEstimator())
     walk = fresh.estimator.scratch()
     dag = fresh.dag_variants(bound, walk)[0].dag
-    stats = fresh.estimator.models.cache.stats
+    stats = fresh.estimator.stats
     planner = fresh.dop_planner.with_estimator(walk)
     searched = planner.plan(dag, constraint)
     recalled = planner.plan(dag, constraint)

@@ -345,7 +345,7 @@ def test_settings_nothing_sets_are_constants_not_options():
     assert list(inspect.signature(DistributedSimulator).parameters) == [
         "dag",
         "dops",
-        "models",
+        "estimator",
         "truth",
         "planned",
         "policy",

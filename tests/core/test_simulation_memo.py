@@ -53,7 +53,7 @@ def _fresh_simulation(warehouse, choice, constraint, policy_name, truth):
     return DistributedSimulator(
         choice.dag,
         choice.dop_plan.dops,
-        warehouse.estimator.models,
+        warehouse.estimator,
         truth=truth,
         planned=choice.dop_plan.estimate,
         policy=policy,
@@ -101,7 +101,7 @@ def test_memoized_simulation_equals_a_freshly_built_simulator(warehouse, templat
             for truth in _truths(choice):
                 first = warehouse._simulate(choice, constraint, policy_name, truth)
                 cases.append((choice, constraint, policy_name, truth, first))
-    stats = warehouse.estimator.models.cache.stats
+    stats = warehouse.estimator.stats
     assert stats.simulation_computations == len(cases) == 16
     assert stats.simulation_hits == 0
     for choice, constraint, policy_name, truth, first in cases:
@@ -197,7 +197,7 @@ def test_a_policy_instance_bypasses_the_memo(warehouse):
     assert policy.starts == 2 * per_run  # the simulator really ran again
     assert second.sim is not first.sim
     assert second.choice is first.choice  # an exact hit all the same
-    stats = warehouse.estimator.models.cache.stats
+    stats = warehouse.estimator.stats
     assert (stats.simulation_hits, stats.simulation_computations) == (0, 0)
     assert _memo_entries(warehouse) == 0
 
@@ -243,7 +243,7 @@ def test_bypassing_the_plan_cache_never_hits(warehouse):
         session.submit(QueryRequest(sql=sql, use_plan_cache=False)).result()
         for _ in range(3)
     ]
-    stats = warehouse.estimator.models.cache.stats
+    stats = warehouse.estimator.stats
     assert (stats.simulation_hits, stats.simulation_computations) == (0, 3)
     for outcome in outcomes[1:]:
         _assert_same_result(outcome.sim, outcomes[0].sim)
@@ -267,7 +267,7 @@ def test_simulate_faults_draw_once_per_arrival_hit_or_not(catalog):
             session.submit(QueryRequest(sql=sql, use_plan_cache=use_plan_cache))
             for _ in range(24)
         ]
-        stats = warehouse.estimator.models.cache.stats
+        stats = warehouse.estimator.stats
         return (
             [(h.state, h.retries) for h in handles],
             warehouse.describe_health()["resilience"],

@@ -84,7 +84,7 @@ def test_nothing_from_a_walk_outlives_it(big_catalog, max_workers):
         for r, o in zip(served, outcomes)
     }
     again = [first_by_key[key] for key, _ in cached]
-    stats = warehouse.estimator.models.cache.stats
+    stats = warehouse.estimator.stats
     hits = stats.simulation_hits
     for request, first in again:
         same_outcome(session.submit(request).result(), first)

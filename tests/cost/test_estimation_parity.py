@@ -21,7 +21,6 @@ from repro.plan.pipelines import decompose_pipelines
 from repro.testing.reference import (
     NaiveDopPlanner,
     ReferenceEstimator,
-    ReferenceModels,
     reference_optimizer,
 )
 from repro.workloads.adhoc import AdhocQueryGenerator
@@ -96,8 +95,8 @@ def assert_curve_matches_reference(pipeline, fast, reference):
 @pytest.mark.parametrize("template", template_names())
 def test_curve_bitwise_parity_tpch(big_binder, big_planner, template):
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
-    fast = CostEstimator().models
-    reference = ReferenceModels()
+    fast = CostEstimator()
+    reference = ReferenceEstimator()
     for pipeline in decompose_pipelines(plan):
         assert_curve_matches_reference(pipeline, fast, reference)
 
@@ -105,8 +104,8 @@ def test_curve_bitwise_parity_tpch(big_binder, big_planner, template):
 @pytest.mark.parametrize("chunk", range(4))
 def test_curve_bitwise_parity_adhoc_shapes(big_binder, big_planner, chunk):
     """>= 200 generated star-join shapes (50 per chunk)."""
-    fast = CostEstimator().models
-    reference = ReferenceModels()
+    fast = CostEstimator()
+    reference = ReferenceEstimator()
     for sql in AdhocQueryGenerator(seed=100 + chunk).batch(50):
         plan = big_planner.plan(big_binder.bind_sql(sql))
         for pipeline in decompose_pipelines(plan):
@@ -223,7 +222,7 @@ def _monitored_run(estimator, dag, constraint, truth):
     result = DistributedSimulator(
         dag,
         planned.dops,
-        estimator.models,
+        estimator,
         truth=truth,
         planned=planned.estimate,
         policy=monitor,
@@ -263,7 +262,7 @@ def test_plan_memo_parity_under_the_dop_monitor(
         }
     reference = _monitored_run(ReferenceEstimator(), dag, constraint, truth)
     memoized = CostEstimator()
-    stats = memoized.models.cache.stats
+    stats = memoized.stats
     cold = _monitored_run(memoized, dag, constraint, truth)
     searches = stats.plan_computations
     warm = _monitored_run(memoized, dag, constraint, truth)
@@ -411,6 +410,6 @@ def test_incremental_search_times_fewer_pipelines(big_catalog, big_binder):
             naive_optimizer.optimize(bound, constraint)
             fast_optimizer.optimize(bound, constraint)
 
-    naive_timings = naive_optimizer.estimator.models.timing_computations
-    fast_timings = fast_estimator.models.timing_computations
+    naive_timings = naive_optimizer.estimator.stats.timing_computations
+    fast_timings = fast_estimator.stats.timing_computations
     assert fast_timings * 5 <= naive_timings

@@ -1,13 +1,13 @@
 import pytest
 
 from repro.cost.hardware import HardwareCalibration
-from repro.cost.operator_models import OperatorModels
+from repro.cost.estimator import CostEstimator
 from repro.plan.pipelines import ROLE_SOURCE_SCAN, decompose_pipelines
 
 
 @pytest.fixture(scope="module")
-def models():
-    return OperatorModels()
+def estimator():
+    return CostEstimator()
 
 
 @pytest.fixture(scope="module")
@@ -29,21 +29,21 @@ def join_pipelines(big_binder, big_planner):
     return decompose_pipelines(plan)
 
 
-def test_scan_duration_decreases_then_saturates(models, scan_pipeline):
+def test_scan_duration_decreases_then_saturates(estimator, scan_pipeline):
     durations = [
-        models.pipeline_timing(scan_pipeline, dop).duration for dop in (1, 2, 4, 8)
+        estimator.pipeline_timing(scan_pipeline, dop).duration for dop in (1, 2, 4, 8)
     ]
     assert durations[0] > durations[1] > durations[2]
 
 
-def test_scan_near_linear_speedup_at_moderate_dop(models, scan_pipeline):
-    d1 = models.pipeline_timing(scan_pipeline, 1).duration
-    d8 = models.pipeline_timing(scan_pipeline, 8).duration
+def test_scan_near_linear_speedup_at_moderate_dop(estimator, scan_pipeline):
+    d1 = estimator.pipeline_timing(scan_pipeline, 1).duration
+    d8 = estimator.pipeline_timing(scan_pipeline, 8).duration
     speedup = d1 / d8
     assert 4.0 < speedup <= 8.5  # near-linear minus fixed overheads
 
 
-def test_shuffle_pipeline_latency_u_curve(models, join_pipelines):
+def test_shuffle_pipeline_latency_u_curve(estimator, join_pipelines):
     """Over-scaling a shuffle-heavy pipeline eventually hurts latency (§2)."""
     probe = join_pipelines.root
     # root pipeline here is gather; use the probe pipeline with exchange
@@ -54,7 +54,7 @@ def test_shuffle_pipeline_latency_u_curve(models, join_pipelines):
     ]
     pipeline = candidates[0]
     durations = {
-        dop: models.pipeline_timing(pipeline, dop).duration
+        dop: estimator.pipeline_timing(pipeline, dop).duration
         for dop in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
     }
     best = min(durations, key=durations.get)
@@ -62,18 +62,18 @@ def test_shuffle_pipeline_latency_u_curve(models, join_pipelines):
     assert durations[512] > durations[best]  # and hurts eventually
 
 
-def test_machine_time_grows_with_dop(models, scan_pipeline):
-    t4 = models.pipeline_timing(scan_pipeline, 4).duration * 4
-    t32 = models.pipeline_timing(scan_pipeline, 32).duration * 32
+def test_machine_time_grows_with_dop(estimator, scan_pipeline):
+    t4 = estimator.pipeline_timing(scan_pipeline, 4).duration * 4
+    t32 = estimator.pipeline_timing(scan_pipeline, 32).duration * 32
     assert t32 > t4
 
 
-def test_throughput_increases_with_dop(models, scan_pipeline):
-    assert models.throughput(scan_pipeline, 8) > models.throughput(scan_pipeline, 1)
+def test_throughput_increases_with_dop(estimator, scan_pipeline):
+    assert estimator.throughput(scan_pipeline, 8) > estimator.throughput(scan_pipeline, 1)
 
 
-def test_bottleneck_reported(models, scan_pipeline):
-    timing = models.pipeline_timing(scan_pipeline, 2)
+def test_bottleneck_reported(estimator, scan_pipeline):
+    timing = estimator.pipeline_timing(scan_pipeline, 2)
     assert timing.bottleneck
     assert len(timing.op_times) == len(scan_pipeline.ops)
 
@@ -82,8 +82,8 @@ def test_spill_penalty_kicks_in():
     tiny_memory = HardwareCalibration.calibrated(
         "standard", hash_memory_fraction=1e-7
     )
-    normal = OperatorModels(HardwareCalibration())
-    constrained = OperatorModels(tiny_memory)
+    normal = CostEstimator(HardwareCalibration())
+    constrained = CostEstimator(tiny_memory)
 
     # Build a join pipeline against the big catalog.
     from repro.optimizer.dag_planner import DagPlanner
@@ -104,7 +104,7 @@ def test_spill_penalty_kicks_in():
     assert slow > fast
 
 
-def test_exchange_calibration_changes_predictions(models, join_pipelines):
+def test_exchange_calibration_changes_predictions(estimator, join_pipelines):
     from repro.cost.regression import ExchangeCalibration, ExchangeCoefficients
     from repro.plan.physical import ExchangeKind
 
@@ -114,7 +114,7 @@ def test_exchange_calibration_changes_predictions(models, join_pipelines):
             for kind in ExchangeKind
         }
     )
-    slow_models = OperatorModels(HardwareCalibration(), slow_exchange)
+    slow_models = CostEstimator(HardwareCalibration(), slow_exchange)
     pipeline = next(
         p
         for p in join_pipelines
@@ -122,5 +122,5 @@ def test_exchange_calibration_changes_predictions(models, join_pipelines):
     )
     assert (
         slow_models.pipeline_timing(pipeline, 8).duration
-        > models.pipeline_timing(pipeline, 8).duration
+        > estimator.pipeline_timing(pipeline, 8).duration
     )

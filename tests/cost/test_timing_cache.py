@@ -1,4 +1,5 @@
-"""Tests for the estimator's cost-curve cache (cost/timing_cache.py)."""
+"""Tests for the estimator's curve table and memos (cost/estimator.py,
+cost/timing_cache.py)."""
 
 import gc
 
@@ -7,7 +8,7 @@ import pytest
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.regression import ExchangeCalibration, ExchangeCoefficients
-from repro.cost.timing_cache import TimingCache, overrides_key
+from repro.cost.timing_cache import overrides_key
 from repro.cost.volumes import pipeline_volumes
 from repro.plan.physical import ExchangeKind
 from repro.plan.pipelines import decompose_pipelines
@@ -25,6 +26,15 @@ def fresh_estimator() -> CostEstimator:
     return CostEstimator()
 
 
+def memoized_durations(estimator: CostEstimator) -> int:
+    """``(pipeline, overrides, dop)`` durations in the estimator's curves."""
+    return sum(
+        len(curve)
+        for _, curves in estimator._curves.values()
+        for curve in curves.values()
+    )
+
+
 # ------------------------------ keys ---------------------------------- #
 def test_overrides_key_distinguishes_none_from_empty():
     # {} switches the volume model into observed-selectivity mode, so it
@@ -39,10 +49,10 @@ def test_volumes_dop_sensitivity_detection(q5_dag):
     """A curve re-derives exactly the volumes that move with DOP (the
     output of a partial aggregate and what flows from it) and keeps the
     rest constant."""
-    models = fresh_estimator().models
+    estimator = fresh_estimator()
     sensitive = []
     for pipeline in q5_dag:
-        curve = models.curve(pipeline)
+        curve = estimator.curve(pipeline)
         by_dop = {
             dop: [rows_out for _, _, _, rows_out in curve.op_terms(dop)]
             for dop in (1, 8)
@@ -61,7 +71,7 @@ def test_timing_memoized_per_dop(q5_dag):
     estimator = fresh_estimator()
     dops = {p.pipeline_id: 4 for p in q5_dag}
     estimator.estimate_dag(q5_dag, dops)
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     computed_first = stats.timing_computations
     assert computed_first == len(q5_dag)
 
@@ -80,7 +90,7 @@ def test_overrides_projected_onto_pipeline_nodes(q5_dag):
     """
     estimator = fresh_estimator()
     dops = {p.pipeline_id: 4 for p in q5_dag}
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
 
     # Baseline: everything computed once under observed-selectivity mode.
     estimator.estimate_dag(q5_dag, dops, overrides={})
@@ -113,7 +123,7 @@ def test_projection_preserves_none_vs_empty(q5_dag):
     not to the estimate-only None mode."""
     estimator = fresh_estimator()
     dops = {p.pipeline_id: 4 for p in q5_dag}
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     none_estimate = estimator.estimate_dag(q5_dag, dops, overrides=None)
     empty_estimate = estimator.estimate_dag(q5_dag, dops, overrides={})
     assert stats.timing_computations == 2 * len(q5_dag)  # distinct slots
@@ -131,7 +141,7 @@ def test_dop_independent_volumes_shared_across_dops(q5_dag):
     estimator = fresh_estimator()
     for dop in (1, 2, 4, 8):
         estimator.estimate_dag(q5_dag, {p.pipeline_id: dop for p in q5_dag})
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     # One volume walk (curve compilation) per pipeline serves every DOP,
     # partial aggregates included.
     assert stats.curve_computations == len(q5_dag)
@@ -182,15 +192,14 @@ def test_invalidate_clears_everything(q5_dag):
     estimator = fresh_estimator()
     dops = {p.pipeline_id: 2 for p in q5_dag}
     estimator.estimate_dag(q5_dag, dops)
-    cache = estimator.models.cache
-    assert len(cache) > 0
+    assert memoized_durations(estimator) > 0
     estimator.sweeper(q5_dag)
     estimator.invalidate_caches()
-    assert len(cache) == 0
+    assert memoized_durations(estimator) == 0
     assert len(estimator._sweepers) == 0  # bakes in the attach latency
-    before = cache.stats.timing_computations
+    before = estimator.stats.timing_computations
     estimator.estimate_dag(q5_dag, dops)
-    assert cache.stats.timing_computations == before + len(q5_dag)
+    assert estimator.stats.timing_computations == before + len(q5_dag)
 
 
 def live(kind: type) -> int:
@@ -206,22 +215,22 @@ def test_a_scratch_owns_its_tables_and_shares_the_counters(q5_dag):
     from repro.dop.planner import DopPlanner
 
     estimator = fresh_estimator()
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     walk = estimator.scratch()
     assert walk.hw is estimator.hw
-    assert walk.models.exchange is estimator.models.exchange
+    assert walk.exchange is estimator.exchange
     assert walk._simulation_memo is estimator._simulation_memo
-    assert walk.models.cache.stats is stats
+    assert walk.stats is stats
 
     dops = {p.pipeline_id: 2 for p in q5_dag}
     assert walk.estimate_dag(q5_dag, dops) == CostEstimator().estimate_dag(q5_dag, dops)
-    assert len(walk.models.cache) == len(q5_dag)
+    assert memoized_durations(walk) == len(q5_dag)
     assert stats.timing_computations == len(q5_dag)
     DopPlanner(walk).plan(q5_dag, sla_constraint(12.0))
     tables = (walk._sweepers, walk._plan_memo, walk._scan_dollars)
     assert [len(table) for table in tables] == [1, 1, 1]
     assert stats.plan_computations == 1
-    assert len(estimator.models.cache) == 0
+    assert memoized_durations(estimator) == 0
     assert not (estimator._sweepers or estimator._plan_memo or estimator._scan_dollars)
 
 
@@ -260,7 +269,7 @@ def test_repeated_replan_is_a_lookup_not_a_search(q5_dag):
     from repro.dop.planner import DopPlanner
 
     estimator = fresh_estimator()
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     planner = DopPlanner(estimator)
     source = next(iter(q5_dag)).ops[0].node
     learned = {source.node_id: float(source.est_rows) * 6.0}
@@ -318,7 +327,7 @@ def test_reference_paths_bypass_the_plan_memo(q5_dag):
     )
 
     estimator = fresh_estimator()
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     naive = NaiveDopPlanner(estimator)
     naive.plan(q5_dag, sla_constraint(12.0))
     assert len(estimator._plan_memo) == 0
@@ -349,7 +358,7 @@ def test_invalidate_empties_the_plan_memo_and_a_new_hw_researches(q5_dag):
     from repro.dop.planner import DopPlanner
 
     estimator = fresh_estimator()
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     planner = DopPlanner(estimator)
     constraint = sla_constraint(12.0)
     before = planner.plan(q5_dag, constraint)
@@ -357,7 +366,7 @@ def test_invalidate_empties_the_plan_memo_and_a_new_hw_researches(q5_dag):
     slow_scan = HardwareCalibration(
         scan_bytes_per_core=estimator.hw.scan_bytes_per_core / 8
     )
-    estimator.hw = estimator.models.hw = slow_scan
+    estimator.hw = slow_scan
     assert planner.plan(q5_dag, constraint).dops == before.dops  # stale hit
     estimator.invalidate_caches()
     assert len(estimator._plan_memo) == 0
@@ -386,7 +395,7 @@ def test_invalidate_after_recalibration_reprices(q5_dag):
     estimator = fresh_estimator()
     before = estimator.estimate_dag(q5_dag, dops)
 
-    estimator.models.exchange = fitted
+    estimator.exchange = fitted
     assert estimator.estimate_dag(q5_dag, dops).latency == before.latency  # stale
     estimator.invalidate_caches()
     recalibrated = estimator.estimate_dag(q5_dag, dops)
@@ -394,7 +403,7 @@ def test_invalidate_after_recalibration_reprices(q5_dag):
     assert recalibrated.latency == expected.latency != before.latency
     assert recalibrated.machine_seconds == expected.machine_seconds
 
-    estimator.hw = estimator.models.hw = slow_net
+    estimator.hw = slow_net
     estimator.invalidate_caches()
     rehosted = estimator.estimate_dag(q5_dag, dops)
     expected = CostEstimator(slow_net, fitted).estimate_dag(q5_dag, dops)
@@ -402,15 +411,47 @@ def test_invalidate_after_recalibration_reprices(q5_dag):
     assert rehosted.machine_seconds == expected.machine_seconds
 
 
+def test_a_recalibrated_estimator_prices_and_bills_like_a_fresh_one(q5_dag):
+    """One assignment on the estimator, then ``invalidate_caches()``:
+    latency, machine time *and* the node price the dollars are billed
+    at all follow the new calibration — in an estimate, in a DOP search
+    and in a scratch taken afterwards."""
+    from repro.dop.constraints import sla_constraint
+    from repro.dop.planner import DopPlanner
+
+    dops = {p.pipeline_id: 4 for p in q5_dag}
+    constraint = sla_constraint(12.0)
+    estimator = fresh_estimator()
+    old = estimator.estimate_dag(q5_dag, dops)
+    DopPlanner(estimator).plan(q5_dag, constraint)
+
+    compute = HardwareCalibration.calibrated("compute-optimized")
+    assert compute.node.price_per_second != estimator.hw.node.price_per_second
+    estimator.hw = compute
+    estimator.invalidate_caches()
+    fresh = CostEstimator(compute)
+
+    def priced(estimate):
+        return estimate.latency, estimate.machine_seconds, estimate.dollars
+
+    expected = priced(fresh.estimate_dag(q5_dag, dops))
+    assert expected != priced(old)
+    assert priced(estimator.estimate_dag(q5_dag, dops)) == expected
+    assert priced(estimator.scratch().estimate_dag(q5_dag, dops)) == expected
+    searched = DopPlanner(estimator).plan(q5_dag, constraint)
+    reference = DopPlanner(fresh).plan(q5_dag, constraint)
+    assert searched.dops == reference.dops
+    assert priced(searched.estimate) == priced(reference.estimate)
+
+
 def test_direct_cache_api_counts_hits(q5_dag):
-    models = fresh_estimator().models
-    cache = TimingCache()
+    estimator = fresh_estimator()
     pipeline = q5_dag.topological_order()[0]
-    first = cache.curve(pipeline, None, models._compile)
-    second = cache.curve(pipeline, None, models._compile)
+    first = estimator.curve(pipeline, None)
+    second = estimator.curve(pipeline, None)
     assert first is second
-    assert cache.stats.curve_computations == 1
-    assert cache.stats.curve_hits == 1
-    cache.stats.reset()
-    assert cache.stats.curve_hits == 0
-    assert "curves" in cache.stats.describe()
+    assert estimator.stats.curve_computations == 1
+    assert estimator.stats.curve_hits == 1
+    estimator.stats.reset()
+    assert estimator.stats.curve_hits == 0
+    assert "curves" in estimator.stats.describe()

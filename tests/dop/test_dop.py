@@ -64,17 +64,17 @@ def test_constraint_hash_never_goes_through_hash_none():
 # --------------------------- co-finish -------------------------------- #
 def test_min_dop_for_duration_monotone(q5_dag, estimator):
     pipeline = q5_dag.topological_order()[0]
-    loose = min_dop_for_duration(pipeline, 1e9, estimator.models, max_dop=64)
+    loose = min_dop_for_duration(pipeline, 1e9, estimator, max_dop=64)
     assert loose == 1
-    d1 = estimator.models.pipeline_timing(pipeline, 1).duration
-    tight = min_dop_for_duration(pipeline, d1 / 3, estimator.models, max_dop=64)
+    d1 = estimator.pipeline_timing(pipeline, 1).duration
+    tight = min_dop_for_duration(pipeline, d1 / 3, estimator, max_dop=64)
     assert tight > 1
 
 
 def test_min_dop_invalid_target(q5_dag, estimator):
     with pytest.raises(OptimizerError):
         min_dop_for_duration(
-            q5_dag.topological_order()[0], 0.0, estimator.models, max_dop=8
+            q5_dag.topological_order()[0], 0.0, estimator, max_dop=8
         )
 
 
@@ -87,11 +87,11 @@ def test_cofinish_group_roughly_equalizes(q5_dag, estimator):
     if len(siblings) < 2:
         pytest.skip("plan has no multi-sibling group")
     target = max(
-        estimator.models.pipeline_timing(p, 1).duration for p in siblings
+        estimator.pipeline_timing(p, 1).duration for p in siblings
     )
-    dops = cofinish_dops(siblings, target, estimator.models, max_dop=64)
+    dops = cofinish_dops(siblings, target, estimator, max_dop=64)
     durations = [
-        estimator.models.pipeline_timing(p, dops[p.pipeline_id]).duration
+        estimator.pipeline_timing(p, dops[p.pipeline_id]).duration
         for p in siblings
     ]
     assert max(durations) <= target * 1.01
@@ -100,7 +100,7 @@ def test_cofinish_group_roughly_equalizes(q5_dag, estimator):
 def test_equalize_siblings_never_increases_latency(join_dag, estimator):
     dops = {p.pipeline_id: 16 for p in join_dag}
     before = estimator.estimate_dag(join_dag, dops)
-    balanced = equalize_siblings(join_dag, dops, estimator.models, max_dop=64)
+    balanced = equalize_siblings(join_dag, dops, estimator, max_dop=64)
     after = estimator.estimate_dag(join_dag, balanced)
     assert after.latency <= before.latency * 1.05
     assert after.total_waste_seconds <= before.total_waste_seconds + 1e-6

@@ -82,7 +82,7 @@ def run_policy(setup_data, estimator, policy_name):
         policy = PerStageScalerPolicy(dag, dop_plan.dops, max_dop=64)
         config = SimConfig(seed=11, materialize_exchanges=True)
     sim = DistributedSimulator(
-        dag, dop_plan.dops, estimator.models,
+        dag, dop_plan.dops, estimator,
         truth=truth, planned=dop_plan.estimate, policy=policy, config=config,
     )
     return sim.run(), policy
@@ -126,11 +126,11 @@ def test_monitor_without_learned_cardinalities_searches_nothing(setup):
         max_dop=64,
     )
     sim = DistributedSimulator(
-        dag, dop_plan.dops, estimator.models,
+        dag, dop_plan.dops, estimator,
         truth=None, planned=dop_plan.estimate, policy=policy,
         config=SimConfig(seed=11),
     )
-    stats = estimator.models.cache.stats
+    stats = estimator.stats
     searches, curves = stats.plan_computations, stats.curve_computations
     sim.run()
     assert policy.replans > 0

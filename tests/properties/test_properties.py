@@ -6,10 +6,12 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from repro.catalog.statistics import EquiDepthHistogram
+from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.engine.batch import Batch
 from repro.engine.operators import execute_aggregate, execute_hash_join, execute_sort
 from repro.plan.expressions import AggCall, BinaryOp, ColumnRef, Literal
 from repro.util.pareto import ParetoPoint, dominates, pareto_frontier
+from repro.workloads.adhoc import AdhocQueryGenerator
 
 # ---------------------------------------------------------------------- #
 # Expression evaluation vs numpy oracle
@@ -301,11 +303,11 @@ def test_compiled_curve_prices_any_chain_like_the_models(chain, dops):
     never mis-price — and both must price every operator at a finite
     time: a NaN compares unequal to itself and drops out of ``max``."""
     from repro.cost.estimator import CostEstimator
-    from repro.testing.reference import ReferenceModels
+    from repro.testing.reference import ReferenceEstimator
 
     pipeline, overrides = chain
-    fast = CostEstimator().models
-    reference = ReferenceModels()
+    fast = CostEstimator()
+    reference = ReferenceEstimator()
     for dop in dops:
         expected = reference.pipeline_timing(pipeline, dop, overrides)
         actual = fast.pipeline_timing(pipeline, dop, overrides)
@@ -314,3 +316,96 @@ def test_compiled_curve_prices_any_chain_like_the_models(chain, dops):
         assert actual.source_rows == expected.source_rows
         assert actual.op_times == expected.op_times
         assert all(math.isfinite(t.stream_s + t.fixed_s) for t in actual.op_times)
+
+
+
+# ---------------------------------------------------------------------- #
+# Memo hits vs recomputation
+# ---------------------------------------------------------------------- #
+_ADHOC_SQL = AdhocQueryGenerator(seed=41).batch(24)
+_memo_constraints = st.one_of(
+    st.floats(min_value=2.0, max_value=60.0).map(sla_constraint),
+    st.floats(min_value=0.005, max_value=0.5).map(budget_constraint),
+)
+
+
+def _drawn_overrides(dag, mode: str, factor: float):
+    """``None``, ``{}``, or one learned truth: the first source off by
+    ``factor``."""
+    if mode == "none":
+        return None
+    if mode == "empty":
+        return {}
+    source = next(iter(dag)).ops[0].node
+    return {source.node_id: float(source.est_rows) * factor}
+
+
+_override_modes = st.sampled_from(("none", "empty", "learned"))
+_factors = st.floats(min_value=0.1, max_value=10.0)
+_memo_cases = (
+    st.integers(0, len(_ADHOC_SQL) - 1),
+    _memo_constraints,
+    _override_modes,
+    _factors,
+)
+
+
+@settings(max_examples=60)
+@given(*_memo_cases)
+def test_a_plan_memo_hit_equals_a_recomputed_search(
+    big_binder, big_planner, shape, constraint, mode, factor
+):
+    """A second search on one walk's scratch is answered from its
+    DOP-plan memo, and what it answers equals a search on a fresh
+    estimator and the naive search over the per-call reference."""
+    from repro.cost.estimator import CostEstimator
+    from repro.dop.planner import DopPlanner
+    from repro.plan.pipelines import decompose_pipelines
+    from repro.testing.reference import NaiveDopPlanner, ReferenceEstimator
+
+    dag = decompose_pipelines(big_planner.plan(big_binder.bind_sql(_ADHOC_SQL[shape])))
+    overrides = _drawn_overrides(dag, mode, factor)
+    scratch = CostEstimator().scratch()
+    planner = DopPlanner(scratch)
+    planner.plan(dag, constraint, overrides)
+    hits = scratch.stats.plan_hits
+    memoized = planner.plan(dag, constraint, overrides)
+    assert scratch.stats.plan_hits == hits + 1
+    assert memoized == DopPlanner(CostEstimator()).plan(dag, constraint, overrides)
+    assert memoized == NaiveDopPlanner(ReferenceEstimator()).plan(
+        dag, constraint, overrides
+    )
+
+
+@settings(max_examples=40)
+@given(*_memo_cases)
+def test_a_simulation_memo_hit_equals_a_recomputed_simulation(
+    big_catalog, shape, constraint, mode, factor
+):
+    """A served plan's second simulation is answered from the
+    simulation memo, and equals the same simulation on a fresh
+    warehouse."""
+    from repro.core.warehouse import CostIntelligentWarehouse
+
+    served = CostIntelligentWarehouse(catalog=big_catalog)
+    _, choice = served.plan(_ADHOC_SQL[shape], constraint)
+    truth = _drawn_overrides(choice.dag, mode, factor)
+    first = served._simulate(choice, constraint, "dop-monitor", truth)
+    stats = served.estimator.stats
+    hits = stats.simulation_hits
+    memoized = served._simulate(choice, constraint, "dop-monitor", truth)
+    assert stats.simulation_hits == hits + 1
+    assert memoized is first
+    fresh = CostIntelligentWarehouse(catalog=big_catalog)
+    recomputed = fresh._simulate(choice, constraint, "dop-monitor", truth)
+    assert fresh.estimator.stats.simulation_hits == 0
+    assert (memoized.latency, memoized.cost, memoized.scan_request_dollars) == (
+        recomputed.latency,
+        recomputed.cost,
+        recomputed.scan_request_dollars,
+    )
+    assert (memoized.resize_count, memoized.cold_starts) == (
+        recomputed.resize_count,
+        recomputed.cold_starts,
+    )
+    assert memoized.runs == recomputed.runs

@@ -29,7 +29,7 @@ def run_sim(dag, dop_plan, estimator, **kwargs):
     sim = DistributedSimulator(
         dag,
         dop_plan.dops,
-        estimator.models,
+        estimator,
         planned=dop_plan.estimate,
         **kwargs,
     )
