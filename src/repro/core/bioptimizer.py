@@ -20,7 +20,7 @@ Stages 1–2 and the physical planning inside stage 3 do not depend on the
 user constraint.  Their output — variant join trees, physical plans,
 pipeline DAGs — is kept on the planning walk's estimator scratch
 (:meth:`~repro.cost.estimator.CostEstimator.scratch`) beside the curves
-and DOP plans of its search, read back for the skeleton the walk stores
+its DOP searches compile, read back for the skeleton the walk stores
 (:meth:`BiObjectiveOptimizer.variant_trees`), and dropped with it.  What
 carries over between walks is the serving layer's *plan skeleton*:
 :meth:`BiObjectiveOptimizer.optimize` accepts pre-chosen

@@ -55,9 +55,8 @@ from repro.core.resilience import (
 )
 from repro.core.service import Session
 from repro.sql.parameterize import parameterize_sql
-from repro.cost.estimator import CostEstimator
+from repro.cost.estimator import CostEstimator, overrides_key
 from repro.cost.hardware import HardwareCalibration
-from repro.cost.timing_cache import overrides_key
 from repro.dop.constraints import Constraint
 from repro.engine.database import Database
 from repro.errors import ReproError

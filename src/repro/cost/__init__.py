@@ -37,30 +37,31 @@ models are stated twice, on purpose:
   ``CostEstimate``, the simulator).
 
 Around the curves, memoization is layered by lifetime.  The tables and
-counters of the first two levels have one owner, the
+counters of the walk and cached-plan levels have one owner, the
 :class:`repro.cost.estimator.CostEstimator`, which also holds the
 calibration they were priced under (hardware, exchange coefficients and
 the node price read from them);
 :class:`repro.cost.operator_models.OperatorModels` is the models'
 readable statement and holds nothing:
 
+- **one DOP search** (:mod:`repro.dop.planner`): the
+  :class:`repro.cost.query_simulator.ScheduleSweeper` (the DAG's
+  structure as positional indexes) the search is table-driven over —
+  a round of candidate moves costs one duration lookup per candidate
+  and one lean sweep, with a critical-path prune for moves provably
+  unable to reduce latency.  Each DAG is searched once per walk, so
+  nothing of a search outlives it but the curves it compiled.
 - **one planning walk** (:meth:`repro.cost.estimator.CostEstimator.scratch`,
   one shallow copy of the estimator over empty tables): the curves, one
   per ``(pipeline, projected overrides)`` — overrides are projected onto
   the pipeline's own plan nodes first, so a truth the DOP monitor learns
   about one node recompiles one pipeline, not the plan; per DAG, the
-  scan-request fees, the
-  :class:`repro.cost.query_simulator.ScheduleSweeper` (the DAG's
-  structure as positional indexes) and the DOP searches already run;
-  and the optimizer's join-tree variants, physical plans and pipeline
-  decompositions (:mod:`repro.core.bioptimizer`).  The search itself
-  (:mod:`repro.dop.planner`) is table-driven over these: a round of
-  candidate moves costs one duration lookup per candidate and one lean
-  sweep, with a critical-path prune for moves provably unable to reduce
-  latency.  All of it is plain dictionaries on the walk's scratch,
-  shared by the walk's search, its simulation and the DOP monitor's
-  replans there, and dropped with the handle; the counters
-  (:class:`repro.cost.timing_cache.TimingCacheStats`) are the parent's.
+  scan-request fees; and the optimizer's join-tree variants, physical
+  plans and pipeline decompositions (:mod:`repro.core.bioptimizer`).
+  All of it is plain dictionaries on the walk's scratch, shared by the
+  walk's search, its simulation and the DOP monitor's replans there,
+  and dropped with the handle; the counters
+  (:class:`repro.cost.estimator.TimingCacheStats`) are the parent's.
 - **one cached plan**: the simulated executions of a DAG the warehouse
   has served (one per policy name, constraint, DOP assignment, truth,
   ``SimConfig`` and ``max_dop``), keyed weakly by the DAG, so a plan
@@ -83,7 +84,7 @@ Invalidation: curves key on the (projected) cardinality-overrides
 mapping, so new observations never see stale numbers; catalog mutations
 bump ``Catalog.version``, which invalidates exact and skeleton entries
 and bound templates by construction; ``CostEstimator.invalidate_caches()``
-handles the one out-of-band case — curves, sweepers and memos bake in
+handles the one out-of-band case — curves and memos bake in
 the hardware and exchange calibration they were priced under, so after
 replacing either (one assignment on the estimator) call it.  The
 compiled path is bit-identical to the reference — enforced by ``tests/cost/test_estimation_parity.py`` (every

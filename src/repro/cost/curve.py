@@ -73,7 +73,7 @@ from repro.plan.pipelines import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cost.hardware import HardwareCalibration
     from repro.cost.regression import ExchangeCalibration
-    from repro.cost.timing_cache import TimingCacheStats
+    from repro.cost.estimator import TimingCacheStats
 
 
 @dataclass(frozen=True)

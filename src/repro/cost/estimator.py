@@ -7,23 +7,23 @@ estimator", and it holds everything their pricing reads:
 
 - the **calibration**: the hardware, the exchange coefficients, and the
   node price, read from the hardware on every estimate;
-- the **counters** (:class:`~repro.cost.timing_cache.TimingCacheStats`);
+- the **counters** (:class:`TimingCacheStats`);
 - the tables one planning walk fills, all plain dictionaries keyed by
   pipeline or :class:`~repro.plan.pipelines.PipelineDag`: the compiled
   cost curves (one per pipeline and projected overrides, see
-  :meth:`CostEstimator.curve`), each DAG's object-store GET fees, its
-  :class:`~repro.cost.query_simulator.ScheduleSweeper`, its **DOP-plan
-  memo** — the outcome ``(dops, feasible, evaluations)`` of every DOP
-  search already run over the DAG, keyed by ``(constraint,
-  overrides_key(overrides), max_dop, enforce_sla_strictly)``, a pure
-  function of that key and the calibration, so a DOP monitor's second
-  replan under the same learned cardinalities is one lookup — and the
-  optimizer's variants (``planned``);
+  :meth:`CostEstimator.curve`, keyed by :func:`overrides_key`), each
+  DAG's object-store GET fees and the optimizer's variants
+  (``planned``);
 - the **simulation memo**: the :class:`~repro.sim.distsim.SimResult` of
   every simulated execution of a DAG the warehouse has run, under the
   key the warehouse builds (see ``CostIntelligentWarehouse._simulate``
   and the :mod:`repro.sim.distsim` module docstring for why that is a
   pure function).
+
+A DOP search keeps nothing here but the curves it compiled: each DAG is
+searched once per walk, so the search builds and drops its own
+:class:`~repro.cost.query_simulator.ScheduleSweeper`
+(:mod:`repro.dop.planner`) and no outcome is memoized.
 
 Serving fills none of the warehouse's own walk tables: each planning
 walk prices through a :meth:`CostEstimator.scratch` — one shallow copy
@@ -44,6 +44,7 @@ tables: the reference the parity suite compares against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 from weakref import WeakKeyDictionary
 
@@ -55,9 +56,8 @@ from repro.cost.curve import (
 )
 from repro.cost.estimate import CostEstimate
 from repro.cost.hardware import HardwareCalibration
-from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
+from repro.cost.query_simulator import simulate_dag
 from repro.cost.regression import ExchangeCalibration
-from repro.cost.timing_cache import TimingCacheStats, overrides_key
 from repro.plan.physical import PhysScan, walk_physical
 from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.util.units import MB
@@ -68,6 +68,55 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Scans read the object store in ranged GETs of this many bytes.
 SCAN_GET_BYTES = 8 * MB
+
+
+def overrides_key(overrides: dict[int, float] | None) -> tuple | None:
+    """Hashable identity of a cardinality-overrides mapping.
+
+    ``None`` and ``{}`` are deliberately distinct: passing any mapping —
+    even an empty one — switches the volume model into
+    observed-selectivity mode for un-overridden operators.
+    """
+    if overrides is None:
+        return None
+    return tuple(sorted(overrides.items()))
+
+
+@dataclass
+class TimingCacheStats:
+    """Hit/miss counters (``describe_caches()["timing_cache"]``).
+
+    ``timing_*`` count per-DOP duration lookups on the curves;
+    ``curve_*`` count curve lookups and compilations (one volume walk
+    each); ``simulation_*`` count simulated executions answered from,
+    and stored into, the estimator's per-DAG simulation memo.  One
+    instance is shared by an estimator and every scratch made from it.
+    """
+
+    curve_hits: int = 0
+    curve_computations: int = 0
+    timing_hits: int = 0
+    timing_computations: int = 0
+    simulation_hits: int = 0
+    simulation_computations: int = 0
+
+    def reset(self) -> None:
+        self.curve_hits = 0
+        self.curve_computations = 0
+        self.timing_hits = 0
+        self.timing_computations = 0
+        self.simulation_hits = 0
+        self.simulation_computations = 0
+
+    def describe(self) -> str:
+        return (
+            f"timings: {self.timing_hits} hits / "
+            f"{self.timing_computations} computed; "
+            f"curves: {self.curve_hits} hits / "
+            f"{self.curve_computations} compiled; "
+            f"simulations: {self.simulation_hits} hits / "
+            f"{self.simulation_computations} run"
+        )
 
 
 def scan_request_dollars(dag: PipelineDag, store: ObjectStoreConfig) -> float:
@@ -90,10 +139,10 @@ class CostEstimator:
     """Predicts latency / machine time / dollars for plan fragments.
 
     Prices pipelines from compiled cost curves (:mod:`repro.cost.curve`)
-    and memoizes them, per-DAG scan fees, schedule sweepers and finished
-    DOP searches (see the module docstring); results are bit-identical
-    to evaluating ``pipeline_volumes`` + ``op_time`` per call, which
-    :mod:`repro.testing.reference` does for the parity suite.
+    and memoizes them and per-DAG scan fees (see the module docstring);
+    results are bit-identical to evaluating ``pipeline_volumes`` +
+    ``op_time`` per call, which :mod:`repro.testing.reference` does for
+    the parity suite.
     """
 
     def __init__(
@@ -114,8 +163,6 @@ class CostEstimator:
         # pipeline -> (its plan-node ids, {overrides_key: PipelineCurve})
         self._curves: dict[Pipeline, tuple[frozenset, dict]] = {}
         self._scan_dollars: dict[PipelineDag, float] = {}
-        self._sweepers: dict[PipelineDag, ScheduleSweeper] = {}
-        self._plan_memo: dict[PipelineDag, dict] = {}
         self.planned: dict = {}  # the optimizer's variants, by bound query
 
     def scratch(self) -> "CostEstimator":
@@ -146,42 +193,6 @@ class CostEstimator:
         estimate = simulate_dag(dag, dops, self, overrides=overrides)
         estimate.scan_request_dollars = self.scan_request_dollars(dag)
         return estimate
-
-    def sweeper(self, dag: PipelineDag) -> ScheduleSweeper:
-        """The DAG's schedule sweeper: its structure as positional
-        indexes, built once and shared by every DOP search over ``dag``
-        (the optimizer's and the DOP monitor's replans alike)."""
-        sweeper = self._sweepers.get(dag)
-        if sweeper is None:
-            sweeper = self._sweepers[dag] = ScheduleSweeper(dag, self)
-        return sweeper
-
-    def recall_plan(
-        self, dag: PipelineDag, key: tuple
-    ) -> tuple[dict[int, int], bool, int] | None:
-        """The ``(dops, feasible, evaluations)`` a DOP search over
-        ``dag`` under ``key`` ended with, if one already ran (the
-        caller copies ``dops`` before handing it out)."""
-        searched = self._plan_memo.get(dag)
-        found = searched.get(key) if searched is not None else None
-        if found is not None:
-            self.stats.plan_hits += 1
-        return found
-
-    def remember_plan(
-        self,
-        dag: PipelineDag,
-        key: tuple,
-        dops: dict[int, int],
-        feasible: bool,
-        evaluations: int,
-    ) -> None:
-        """Record a finished DOP search over ``dag`` under ``key``."""
-        self.stats.plan_computations += 1
-        searched = self._plan_memo.get(dag)
-        if searched is None:
-            searched = self._plan_memo[dag] = {}
-        searched[key] = (dict(dops), feasible, evaluations)
 
     def recall_simulation(self, dag: PipelineDag, key: tuple) -> "SimResult | None":
         """The result a simulated execution of ``dag`` under ``key``

@@ -33,16 +33,15 @@ def simulate_dag(
     estimator: CostEstimator,
     *,
     overrides: dict[int, float] | None = None,
-    include_provisioning: bool = True,
 ) -> CostEstimate:
     """Schedule the pipeline DAG and price it.
 
     ``dops`` maps pipeline id -> degree of parallelism (node count).
-    ``overrides`` maps plan-node id -> observed true cardinality.
-    ``include_provisioning`` adds the warm-pool attach latency to every
+    ``overrides`` maps plan-node id -> observed true cardinality.  Every
     pipeline that must acquire nodes beyond those inherited from its
-    finished producers.  Durations come from ``estimator``'s curves;
-    dollars at the node price of its calibration.
+    finished producers pays the warm-pool attach latency.  Durations
+    come from ``estimator``'s curves; dollars at the node price of its
+    calibration.
     """
     hw = estimator.hw
 
@@ -60,7 +59,7 @@ def simulate_dag(
         duration, bottleneck, source_rows = estimator.pipeline_summary(
             pipeline, dop, overrides
         )
-        if include_provisioning and dop > inherited.get(pid, 0):
+        if dop > inherited.get(pid, 0):
             duration += hw.warm_attach_latency_s
         timings[pid] = (duration, bottleneck, source_rows)
 
@@ -109,7 +108,7 @@ class ScheduleSweeper:
     that differ from the incumbent in exactly one pipeline's DOP, so the
     DAG structure — iteration order, topological order, blocking
     dependencies, consumer edges — is shared by every candidate and is
-    precomputed here once per DAG (as positional indexes; no dict
+    precomputed here once per search (as positional indexes; no dict
     lookups on the per-candidate path).  :meth:`sweep` then prices a
     whole round of moves, returning per move exactly the ``(latency,
     machine_seconds)`` that :func:`simulate_dag` would produce for
@@ -119,15 +118,8 @@ class ScheduleSweeper:
     a full estimate only at phase boundaries.
     """
 
-    def __init__(
-        self,
-        dag: PipelineDag,
-        estimator: CostEstimator,
-        *,
-        include_provisioning: bool = True,
-    ) -> None:
+    def __init__(self, dag: PipelineDag, estimator: CostEstimator) -> None:
         self.attach = estimator.hw.warm_attach_latency_s
-        self.include_provisioning = include_provisioning
         self.pids = [p.pipeline_id for p in dag]
         self.index = {pid: i for i, pid in enumerate(self.pids)}
         self.consumer: list[int | None] = [
@@ -145,6 +137,22 @@ class ScheduleSweeper:
         self.deps_by_pos: list[tuple[int, ...]] = [()] * len(self.pids)
         for position, deps in self._topo_pairs:
             self.deps_by_pos[position] = deps
+
+    def _base(
+        self, dops: list[int], durations: list[float]
+    ) -> tuple[list[int], list[float]]:
+        """Nodes each pipeline inherits from its finished producers, and
+        the durations with the warm-attach term of every pipeline that
+        must acquire more."""
+        inherited = [0] * len(dops)
+        for i, c in enumerate(self.consumer):
+            if c is not None:
+                inherited[c] += dops[i]
+        durs = list(durations)
+        for i, nodes in enumerate(inherited):
+            if dops[i] > nodes:
+                durs[i] += self.attach
+        return inherited, durs
 
     def filter_gainful(
         self,
@@ -169,21 +177,9 @@ class ScheduleSweeper:
         check discards them — but the base metrics keep reports
         honest), and the built base state for :meth:`sweep` to reuse.
         """
-        attach = self.attach
-        provisioning = self.include_provisioning
         consumer = self.consumer
         n = len(self.pids)
-
-        inherited = [0] * n
-        for i in range(n):
-            c = consumer[i]
-            if c is not None:
-                inherited[c] += dops[i]
-        durs = list(durations)
-        if provisioning:
-            for i in range(n):
-                if dops[i] > inherited[i]:
-                    durs[i] += attach
+        inherited, durs = self._base(dops, durations)
 
         start = [0.0] * n
         finish = [0.0] * n
@@ -226,7 +222,7 @@ class ScheduleSweeper:
                 keep.append(True)
                 continue
             c = consumer[p]
-            if c is None or not critical[c] or not provisioning:
+            if c is None or not critical[c]:
                 keep.append(False)
                 continue
             # The consumer's duration changes only when the candidate's
@@ -254,23 +250,9 @@ class ScheduleSweeper:
         :meth:`filter_gainful` on the same assignment built.
         """
         attach = self.attach
-        provisioning = self.include_provisioning
         consumer = self.consumer
         n = len(self.pids)
-
-        if state is not None:
-            inherited, base = state
-        else:
-            inherited = [0] * n
-            for i in range(n):
-                c = consumer[i]
-                if c is not None:
-                    inherited[c] += dops[i]
-            base = list(durations)
-            if provisioning:
-                for i in range(n):
-                    if dops[i] > inherited[i]:
-                        base[i] += attach
+        inherited, base = state if state is not None else self._base(dops, durations)
 
         results: list[tuple[float, float]] = []
         start = [0.0] * n
@@ -280,7 +262,7 @@ class ScheduleSweeper:
         for moved, new_dop, new_raw in moves:
             saved_moved = durs[moved]
             duration = new_raw
-            if provisioning and new_dop > inherited[moved]:
+            if new_dop > inherited[moved]:
                 duration += attach
             durs[moved] = duration
             # The move changes how many nodes the consumer inherits,
@@ -290,7 +272,7 @@ class ScheduleSweeper:
                 saved_consumer = durs[moved_consumer]
                 consumer_inherited = inherited[moved_consumer] - dops[moved] + new_dop
                 duration = durations[moved_consumer]
-                if provisioning and dops[moved_consumer] > consumer_inherited:
+                if dops[moved_consumer] > consumer_inherited:
                     duration += attach
                 durs[moved_consumer] = duration
 

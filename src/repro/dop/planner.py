@@ -17,33 +17,29 @@ The search is table-driven.  One algorithm (:class:`DopPlanner`) asks a
 *coster* two things: the metrics of an assignment and the metrics of a
 round of single-pipeline moves.  The production coster answers both
 from tables: per pipeline, the compiled cost curve's per-DOP duration
-memo (:mod:`repro.cost.curve`); per DAG, one
+memo (:mod:`repro.cost.curve`), shared through the estimator with every
+other search and estimate of the walk; per search, one
 :class:`~repro.cost.query_simulator.ScheduleSweeper` holding the DAG's
-structure as positional indexes, built once and shared by the
-optimizer's search and every DOP-monitor replan of that DAG.  A round
-of candidate moves is then one duration lookup per candidate plus one
-lean sweep — with a critical-path prune that skips candidates provably
-unable to reduce latency — and no ``CostEstimate`` is built during the
-search at all.  The final estimate is built on first read of
-:attr:`DopPlan.estimate`, so a replan that only consumes ``.dops``
-never pays for it.
+structure as positional indexes, built when the search starts and
+dropped with it.  A round of candidate moves is then one duration
+lookup per candidate plus one lean sweep — with a critical-path prune
+that skips candidates provably unable to reduce latency — and no
+``CostEstimate`` is built during the search at all.  The final estimate
+is built on first read of :attr:`DopPlan.estimate`, so a replan that
+only consumes ``.dops`` never pays for it, and neither does a variant
+the optimizer discards on feasibility alone.
 
-A finished search is memoized: before it builds a coster,
-:meth:`DopPlanner.plan` asks the estimator's per-DAG plan memo
-(:meth:`~repro.cost.estimator.CostEstimator.recall_plan`) for
-``(constraint, overrides_key(overrides), max_dop,
-enforce_sla_strictly)`` and, on a hit, returns a fresh :class:`DopPlan`
-over a copy of the remembered DOPs with the evaluation count the search
-recorded.  Curves, sweeper and memo live as long as the estimator — in
-serving, one walk's scratch, which the DOP monitor's replans during that
-walk's simulation share.  A monitor that has learned nothing takes its
-planned DOPs without calling the planner, and a plan served again from
-the exact plan cache never replans (the simulation memo answers it).
+Every call to :meth:`DopPlanner.plan` searches: in serving each DAG is
+searched once per planning walk, and the DOP monitor searches again
+only once it has learned a cardinality that differs from the estimate.
+A monitor that has learned nothing takes its planned DOPs without
+calling the planner, and a plan served again from the exact plan cache
+never replans (the simulation memo answers it).
 
 The parity suite runs the same search phases over
 :class:`repro.testing.reference.NaiveCoster` — every candidate fully
-re-estimated, the memo neither read nor written — and holds the tables
-to it: same trajectory, same evaluation count, same floats.
+re-estimated — and holds the tables to it: same trajectory, same
+evaluation count, same floats.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from typing import Callable, Iterator
 
 from repro.cost.estimate import CostEstimate
 from repro.cost.estimator import CostEstimator
-from repro.cost.timing_cache import overrides_key
+from repro.cost.query_simulator import ScheduleSweeper
 from repro.dop.cofinish import equalize_siblings
 from repro.dop.constraints import Constraint
 from repro.errors import InfeasibleConstraintError
@@ -67,8 +63,9 @@ class _IncrementalCoster:
 
     Durations come from the pipelines' cost curves (memoized per DOP,
     shared with every other search over the same pipelines through the
-    same estimator); schedules come from the DAG's shared sweeper.
-    Metrics are bit-identical to
+    same estimator); schedules come from a sweeper of the coster's own,
+    built over the estimator's current calibration and dropped with the
+    search.  Metrics are bit-identical to
     :meth:`CostEstimator.estimate_dag` on the same assignment — the
     sweeper runs the same scheduling arithmetic over the same durations.
     """
@@ -83,7 +80,7 @@ class _IncrementalCoster:
         self.dag = dag
         self.overrides = overrides
         self._curves = [estimator.curve(p, overrides) for p in dag]
-        self._sweeper = estimator.sweeper(dag)
+        self._sweeper = ScheduleSweeper(dag, estimator)
         self._scan_dollars = estimator.scan_request_dollars(dag)
         self.evaluations = 0
 
@@ -232,6 +229,10 @@ class DopPlan:
 class DopPlanner:
     """Searches DOP assignments for one pipeline DAG."""
 
+    #: Prices the search's assignments and moves; the parity reference
+    #: (``NaiveDopPlanner``) swaps in one that re-estimates every move.
+    coster_class = _IncrementalCoster
+
     def __init__(
         self,
         estimator: CostEstimator,
@@ -260,28 +261,14 @@ class DopPlanner:
         overrides: dict[int, float] | None = None,
     ) -> DopPlan:
         estimator = self.estimator
-        key = (
-            constraint,
-            overrides_key(overrides),
-            self.max_dop,
-            self.enforce_sla_strictly,
-        )
-        found = estimator.recall_plan(dag, key)
-        if found is not None:
-            dops, feasible, evaluations = found
-            dops = dict(dops)
-        else:
-            coster = _IncrementalCoster(estimator, dag, overrides)
-            search = self._plan_for_sla if constraint.is_sla else self._plan_for_budget
-            dops, feasible = search(dag, constraint, overrides, coster)
-            # The final estimate, built on first read, is one more.
-            evaluations = coster.evaluations + 1
-            estimator.remember_plan(dag, key, dops, feasible, evaluations)
+        coster = self.coster_class(estimator, dag, overrides)
+        search = self._plan_for_sla if constraint.is_sla else self._plan_for_budget
+        dops, feasible = search(dag, constraint, overrides, coster)
         plan = DopPlan(
             dops=dops,
             estimate=partial(estimator.estimate_dag, dag, dops, overrides),
             feasible=feasible,
-            evaluations=evaluations,
+            evaluations=coster.evaluations + 1,  # the final estimate
             constraint=constraint,
         )
         if not feasible and self.enforce_sla_strictly:

@@ -5,8 +5,10 @@ protocol and run inside the distributed simulator.
 
 - :class:`StaticPolicy` — execute the static plan unchanged.
 - :class:`PipelineDopMonitor` — the paper's §3.3 design: pipeline-granular
-  adjustment for moderate deviations, full DOP replanning for substantial
-  ones, fed by observed true cardinalities.
+  adjustment for moderate deviations, full DOP replanning (at most
+  :data:`MAX_REPLANS` per query) for substantial ones, fed by observed
+  true cardinalities.  A replan searches afresh only once a cardinality
+  has been learned; it reuses the walk's curves, nothing else.
 - :class:`IntervalScalerPolicy` — whole-cluster scaling on a fixed cadence
   against an SLA (Jockey/Ellis family): scales *every* active pipeline by
   the same factor, which the paper notes "could hurt their resource
@@ -40,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 POLICY_NAMES = ("dop-monitor", "static", "interval-scaler", "stage-scaler")
 
+#: Full replans a :class:`PipelineDopMonitor` makes per query; past it, a
+#: major deviation gets the single-pipeline correction only.
+MAX_REPLANS = 2
+
 
 class StaticPolicy(ScalingPolicy):
     """No run-time adaptation (the static-plan baseline)."""
@@ -63,11 +69,11 @@ class PipelineDopMonitor(ScalingPolicy):
     assignment without searching, and the single-pipeline correction
     reads the estimate-mode curve (``overrides=None``) the optimizer
     already compiled (the warehouse builds the monitor over the planning
-    walk's estimator scratch, so curves, sweeper and plan memo are the
-    search's).  This rests on one invariant: ``planned_dops`` is
-    the estimator's own ``overrides=None`` search for this DAG under this
-    constraint and ``max_dop`` (what :func:`make_policy` passes from the
-    served :class:`PlanChoice`), which an observed-mode search with every
+    walk's estimator scratch, so the curves are the search's).  This
+    rests on one invariant: ``planned_dops`` is the estimator's own
+    ``overrides=None`` search for this DAG under this constraint and
+    ``max_dop`` (what :func:`make_policy` passes from the served
+    :class:`PlanChoice`), which an observed-mode search with every
     source pinned to its estimate returns unchanged
     (``tests/cost/test_estimation_parity.py`` holds that equivalence).
     Deviations in duration alone — skew, noise — then trigger no search,
@@ -87,7 +93,6 @@ class PipelineDopMonitor(ScalingPolicy):
         planned_durations: dict[int, float] | None = None,
         thresholds: DeviationThresholds | None = None,
         max_dop: int = 64,
-        max_replans: int = 2,
     ) -> None:
         self.dag = dag
         self.estimator = estimator
@@ -97,7 +102,6 @@ class PipelineDopMonitor(ScalingPolicy):
         self.planned_durations = dict(planned_durations or {})
         self.thresholds = thresholds or DeviationThresholds()
         self.max_dop = max_dop
-        self.max_replans = max_replans
         self._planner = DopPlanner(estimator, max_dop=max_dop)
         self.learned: dict[int, float] = {}
         self.adjustments = 0
@@ -184,7 +188,7 @@ class PipelineDopMonitor(ScalingPolicy):
         return target_remaining / remaining_fraction
 
     def _full_replan(self, obs: CheckpointObservation) -> ResizeDecision | None:
-        if self.replans >= self.max_replans:
+        if self.replans >= MAX_REPLANS:
             return self._adjust_single(obs)
         self.replans += 1
         if self.learned:

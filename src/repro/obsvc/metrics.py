@@ -85,7 +85,7 @@ class MetricSpec:
 # --------------------------------------------------------------------- #
 #: The estimator memos reported as ``kind`` under the
 #: ``repro_timing_cache_*`` metrics and in ``describe_caches()``.
-TIMING_CACHE_KINDS = ("timing", "curve", "plan", "simulation")
+TIMING_CACHE_KINDS = ("timing", "curve", "simulation")
 
 #: Breaker state -> numeric code for the ``repro_breaker_state`` gauge
 #: (Prometheus samples are numbers; ``describe_health`` maps back).

@@ -1,8 +1,8 @@
 """Parity references: the slow, readable paths production is held to.
 
-Production prices pipelines from compiled cost curves and searches DOPs
-over tables and memos, all owned by one
-:class:`~repro.cost.estimator.CostEstimator`.  The classes here answer
+Production prices pipelines from compiled cost curves, owned by one
+:class:`~repro.cost.estimator.CostEstimator`, and searches DOPs over
+them and a per-search schedule sweeper.  The classes here answer
 the same questions the way the models are *stated* —
 ``pipeline_volumes`` then one
 :meth:`~repro.cost.operator_models.OperatorModels.op_time` per
@@ -17,20 +17,20 @@ production module may import them
 from __future__ import annotations
 
 import copy
-from functools import partial
 from typing import Callable, Iterator
 
 from repro.core.bioptimizer import BiObjectiveOptimizer
 from repro.cost import curve as curves
-from repro.cost.estimator import CostEstimator, scan_request_dollars
+from repro.cost.estimator import (
+    CostEstimator,
+    TimingCacheStats,
+    scan_request_dollars,
+)
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.operator_models import OperatorModels
-from repro.cost.query_simulator import ScheduleSweeper
 from repro.cost.regression import ExchangeCalibration
-from repro.cost.timing_cache import TimingCacheStats
 from repro.cost.volumes import pipeline_volumes
-from repro.dop.constraints import Constraint
-from repro.dop.planner import DopPlan, DopPlanner
+from repro.dop.planner import DopPlanner
 from repro.plan.pipelines import Pipeline, PipelineDag
 
 Overrides = dict[int, float] | None
@@ -39,8 +39,7 @@ Overrides = dict[int, float] | None
 class ReferenceEstimator(CostEstimator):
     """A :class:`CostEstimator` that prices every pipeline per call —
     ``pipeline_volumes`` + ``op_time`` — and keeps no curve, no
-    scan-fee table, no sweeper table, no DOP-plan memo and no
-    simulation memo."""
+    scan-fee table and no simulation memo."""
 
     def __init__(self, hardware=None, exchange_calibration=None) -> None:
         # Not super().__init__(): that builds the tables.
@@ -97,15 +96,6 @@ class ReferenceEstimator(CostEstimator):
             source_rows=volumes[0].rows_out if volumes else 0.0,
         )
 
-    def sweeper(self, dag: PipelineDag) -> ScheduleSweeper:
-        return ScheduleSweeper(dag, self)
-
-    def recall_plan(self, dag: PipelineDag, key: tuple) -> None:
-        return None
-
-    def remember_plan(self, dag: PipelineDag, key: tuple, *outcome) -> None:
-        """Nothing is kept."""
-
     def recall_simulation(self, dag: PipelineDag, key: tuple) -> None:
         return None
 
@@ -143,23 +133,9 @@ class NaiveCoster:
 
 
 class NaiveDopPlanner(DopPlanner):
-    """:class:`DopPlanner`'s search phases over a :class:`NaiveCoster`,
-    never reading or writing the estimator's plan memo (and, being a
-    reference, never raising for an infeasible strict SLA)."""
+    """:class:`DopPlanner`'s search over a :class:`NaiveCoster`."""
 
-    def plan(
-        self, dag: PipelineDag, constraint: Constraint, overrides: Overrides = None
-    ) -> DopPlan:
-        coster = NaiveCoster(self.estimator, dag, overrides)
-        search = self._plan_for_sla if constraint.is_sla else self._plan_for_budget
-        dops, feasible = search(dag, constraint, overrides, coster)
-        return DopPlan(
-            dops=dops,
-            estimate=partial(self.estimator.estimate_dag, dag, dops, overrides),
-            feasible=feasible,
-            evaluations=coster.evaluations + 1,  # the final estimate
-            constraint=constraint,
-        )
+    coster_class = NaiveCoster
 
 
 def reference_optimizer(catalog, **options) -> BiObjectiveOptimizer:

@@ -116,23 +116,6 @@ def test_dop_plan_with_unread_estimate_roundtrips_equal(optimizer, bound):
     assert unread == read  # comparing materializes, too
 
 
-def test_dop_plan_from_a_memo_hit_roundtrips_equal_to_a_searched_one(bound, catalog):
-    """A plan answered from the estimator's DOP-plan memo is a fresh
-    ``DopPlan`` over the remembered assignment; shipped, it must be
-    indistinguishable from the one the search itself returned."""
-    constraint = sla_constraint(20.0)
-    fresh = BiObjectiveOptimizer(catalog, CostEstimator())
-    walk = fresh.estimator.scratch()
-    dag = fresh.dag_variants(bound, walk)[0].dag
-    stats = fresh.estimator.stats
-    planner = fresh.dop_planner.with_estimator(walk)
-    searched = planner.plan(dag, constraint)
-    recalled = planner.plan(dag, constraint)
-    assert (stats.plan_computations, stats.plan_hits) == (1, 1)
-    assert pickle.dumps(roundtrip(recalled)) == pickle.dumps(roundtrip(searched))
-    assert roundtrip(recalled) == searched
-
-
 def test_bound_query_roundtrip_replans_identically(optimizer, bound):
     constraint = budget_constraint(1.0)
     baseline = optimizer.optimize(bound, constraint)

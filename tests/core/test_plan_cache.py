@@ -12,6 +12,7 @@ from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
+from repro.obsvc.metrics import TIMING_CACHE_KINDS
 from repro.optimizer.dag_planner import DagPlanner
 from repro.workloads.tpch_queries import instantiate
 
@@ -240,17 +241,26 @@ def test_describe_caches_reports_all_levels(warehouse):
     assert report["skeleton_cache"]["hit_rate"] == 0.5
     assert report["timing_cache"]["timing_computations"] > 0
     assert 0.0 <= report["timing_cache"]["timing_hit_rate"] <= 1.0
-    # The DOP-plan memo is counted beside the curves, under kind="plan".
-    plans = {
-        name: warehouse.metrics.sourced(f"repro_timing_cache_{name}_total")[("plan",)]
+    # Each estimator memo is reported under its kind of the
+    # repro_timing_cache_* metrics, and nothing else is.
+    memos = {
+        name: warehouse.metrics.sourced(f"repro_timing_cache_{name}_total")
         for name in ("hits", "computations")
     }
-    assert plans["computations"] >= 2  # at least one search per arrival
-    assert report["timing_cache"]["plan_hits"] == plans["hits"]
-    assert report["timing_cache"]["plan_computations"] == plans["computations"]
-    assert report["timing_cache"]["plan_hit_rate"] == plans["hits"] / (
-        plans["hits"] + plans["computations"]
-    )
+    assert {kind for (kind,) in memos["hits"]} == set(TIMING_CACHE_KINDS)
+    assert set(report["timing_cache"]) == {
+        f"{kind}_{field}"
+        for kind in TIMING_CACHE_KINDS
+        for field in ("hits", "computations", "hit_rate")
+    }
+    for kind in TIMING_CACHE_KINDS:
+        hits, computations = memos["hits"][(kind,)], memos["computations"][(kind,)]
+        assert report["timing_cache"][f"{kind}_hits"] == hits
+        assert report["timing_cache"][f"{kind}_computations"] == computations
+        assert report["timing_cache"][f"{kind}_hit_rate"] == (
+            hits / (hits + computations) if hits + computations else 0.0
+        )
+    assert report["timing_cache"]["curve_computations"] > 0
     warehouse.reset_cache_stats()
     report = warehouse.describe_caches()
     assert report["plan_cache"]["hits"] == 0

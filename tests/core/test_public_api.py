@@ -326,10 +326,13 @@ def test_tuning_policy_field_snapshot():
 
 
 def test_settings_nothing_sets_are_constants_not_options():
-    """Simulator, estimator and advisor settings no caller sets are
-    module constants (``sim.distsim.CHECKPOINT_FRACTION`` and
-    friends), not constructor options."""
+    """Simulator, estimator, monitor and advisor settings no caller sets
+    are module constants (``sim.distsim.CHECKPOINT_FRACTION``,
+    ``monitor.policies.MAX_REPLANS`` and friends), not constructor
+    options."""
     from repro import CostEstimator, DistributedSimulator, SimConfig
+    from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
+    from repro.monitor.policies import PipelineDopMonitor
     from repro.tuning.advisor import AutoTuningAdvisor
 
     assert [f.name for f in SimConfig.__dataclass_fields__.values()] == [
@@ -361,6 +364,28 @@ def test_settings_nothing_sets_are_constants_not_options():
         "whatif",
         "storage_budget_bytes",
         "min_template_count",
+    ]
+    # The warm-pool attach term always applies to the estimator's
+    # schedules; only the distributed simulator's config can drop it.
+    assert list(inspect.signature(ScheduleSweeper).parameters) == [
+        "dag",
+        "estimator",
+    ]
+    assert list(inspect.signature(simulate_dag).parameters) == [
+        "dag",
+        "dops",
+        "estimator",
+        "overrides",
+    ]
+    assert list(inspect.signature(PipelineDopMonitor).parameters) == [
+        "dag",
+        "estimator",
+        "constraint",
+        "planned_dops",
+        "planned_latency",
+        "planned_durations",
+        "thresholds",
+        "max_dop",
     ]
 
 

@@ -194,8 +194,9 @@ def test_batched_greedy_rounds_parity(big_binder, big_planner, template, constra
 
 def _monitored_run(estimator, dag, constraint, truth):
     """Simulate ``dag`` under the DOP monitor; returns everything the
-    plan memo could perturb: the monitor's replans (DOPs and evaluation
-    counts), its counters and learned cardinalities, and the result."""
+    estimator's tables could perturb: the monitor's replans (DOPs and
+    evaluation counts), its counters and learned cardinalities, and the
+    result."""
     from repro.monitor.policies import PipelineDopMonitor
     from repro.sim.distsim import DistributedSimulator, SimConfig
 
@@ -248,11 +249,10 @@ def _monitored_run(estimator, dag, constraint, truth):
 def test_plan_memo_parity_under_the_dop_monitor(
     big_binder, big_planner, template, constraint, perturbed
 ):
-    """The per-DAG DOP-plan memo is a pure lookup: monitor decisions,
-    simulation results and every replan's ``evaluations`` are equal with
-    the memo cold, with it warm (a second arrival of the same plan, all
-    replans answered from it) and with ``ReferenceEstimator``, which has
-    no memo."""
+    """Monitor decisions, simulation results and every replan's
+    ``evaluations`` are equal with the estimator's curves cold, with
+    them warm (a second arrival of the same plan on the same estimator)
+    and with ``ReferenceEstimator``, which keeps no table."""
     plan = big_planner.plan(big_binder.bind_sql(instantiate(template, seed=1)))
     dag = decompose_pipelines(plan)
     truth = None
@@ -261,15 +261,11 @@ def test_plan_memo_parity_under_the_dop_monitor(
             p.ops[0].node.node_id: float(p.ops[0].node.est_rows) * 6.0 for p in dag
         }
     reference = _monitored_run(ReferenceEstimator(), dag, constraint, truth)
-    memoized = CostEstimator()
-    stats = memoized.stats
-    cold = _monitored_run(memoized, dag, constraint, truth)
-    searches = stats.plan_computations
-    warm = _monitored_run(memoized, dag, constraint, truth)
+    estimator = CostEstimator()
+    cold = _monitored_run(estimator, dag, constraint, truth)
+    warm = _monitored_run(estimator, dag, constraint, truth)
     assert cold == reference
     assert warm == reference
-    assert stats.plan_computations == searches  # the second arrival searched nothing
-    assert stats.plan_hits >= 1 + len(reference[1])
     if not perturbed:
         assert reference[1] == []  # nothing learned, nothing searched
 

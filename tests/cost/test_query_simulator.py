@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from repro.cost.estimator import CostEstimator
@@ -70,9 +72,11 @@ def test_missing_dop_rejected(q5_dag, estimator):
 
 def test_provisioning_adds_latency(q5_dag, estimator):
     with_prov = simulate_dag(q5_dag, uniform(q5_dag, 4), estimator)
-    without = simulate_dag(
-        q5_dag, uniform(q5_dag, 4), estimator, include_provisioning=False
+    no_attach = CostEstimator(
+        dataclasses.replace(estimator.hw, warm_attach_latency_s=0.0),
+        estimator.exchange,
     )
+    without = simulate_dag(q5_dag, uniform(q5_dag, 4), no_attach)
     assert with_prov.latency > without.latency
 
 

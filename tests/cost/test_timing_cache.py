@@ -1,18 +1,17 @@
-"""Tests for the estimator's curve table and memos (cost/estimator.py,
-cost/timing_cache.py)."""
+"""Tests for the estimator's curve table, memos and counters
+(cost/estimator.py)."""
 
 import gc
 
 import pytest
 
-from repro.cost.estimator import CostEstimator
+from repro.cost.estimator import CostEstimator, overrides_key
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.regression import ExchangeCalibration, ExchangeCoefficients
-from repro.cost.timing_cache import overrides_key
 from repro.cost.volumes import pipeline_volumes
 from repro.plan.physical import ExchangeKind
 from repro.plan.pipelines import decompose_pipelines
-from repro.testing.reference import NaiveDopPlanner, ReferenceEstimator
+from repro.testing.reference import ReferenceEstimator
 from repro.workloads.tpch_queries import instantiate
 
 
@@ -193,10 +192,10 @@ def test_invalidate_clears_everything(q5_dag):
     dops = {p.pipeline_id: 2 for p in q5_dag}
     estimator.estimate_dag(q5_dag, dops)
     assert memoized_durations(estimator) > 0
-    estimator.sweeper(q5_dag)
+    assert len(estimator._scan_dollars) == 1
     estimator.invalidate_caches()
     assert memoized_durations(estimator) == 0
-    assert len(estimator._sweepers) == 0  # bakes in the attach latency
+    assert len(estimator._scan_dollars) == 0  # bakes in the GET price
     before = estimator.stats.timing_computations
     estimator.estimate_dag(q5_dag, dops)
     assert estimator.stats.timing_computations == before + len(q5_dag)
@@ -227,18 +226,18 @@ def test_a_scratch_owns_its_tables_and_shares_the_counters(q5_dag):
     assert memoized_durations(walk) == len(q5_dag)
     assert stats.timing_computations == len(q5_dag)
     DopPlanner(walk).plan(q5_dag, sla_constraint(12.0))
-    tables = (walk._sweepers, walk._plan_memo, walk._scan_dollars)
-    assert [len(table) for table in tables] == [1, 1, 1]
-    assert stats.plan_computations == 1
+    assert len(walk._scan_dollars) == 1
+    assert stats.curve_computations == len(q5_dag)
     assert memoized_durations(estimator) == 0
-    assert not (estimator._sweepers or estimator._plan_memo or estimator._scan_dollars)
+    assert not (estimator._curves or estimator._scan_dollars)
 
 
 def test_a_plan_searched_in_a_walk_keeps_nothing_of_it_once_read(q5_dag):
-    """Curves and sweepers die with the walk's scratch.  A plan whose
-    estimate was read holds none of it; an unread estimate is a thunk
-    over the scratch and keeps all of it alive — which is why the
-    optimizer reads its choice's estimate before a walk ends."""
+    """A sweeper dies with its search and curves with the walk's
+    scratch.  A plan whose estimate was read holds none of it; an
+    unread estimate is a thunk over the scratch and keeps its curves
+    alive — which is why the optimizer reads its choice's estimate
+    before a walk ends."""
     from repro.cost.curve import PipelineCurve
     from repro.cost.query_simulator import ScheduleSweeper
     from repro.dop.constraints import sla_constraint
@@ -252,91 +251,50 @@ def test_a_plan_searched_in_a_walk_keeps_nothing_of_it_once_read(q5_dag):
     assert read.estimate.latency > 0
     unread = planner.plan(q5_dag, sla_constraint(12.0), {source.node_id: 1e6})
     assert live(PipelineCurve) > before[0]
+    assert live(ScheduleSweeper) == before[1]  # each died with its search
 
     del walk, planner
-    assert live(ScheduleSweeper) == before[1] + 1  # held through the thunk
+    assert live(PipelineCurve) > before[0]  # held through the thunk
     del unread
     assert (live(PipelineCurve), live(ScheduleSweeper)) == before
     assert read.estimate.latency > 0
 
 
-# --------------------------- DOP-plan memo ----------------------------- #
-def test_repeated_replan_is_a_lookup_not_a_search(q5_dag):
-    """A second search under an unchanged ``(constraint, learned)`` is
-    answered from the DAG's plan memo: no curve is looked up, no
-    duration priced, no sweep run — and the answer is the same plan."""
-    from repro.dop.constraints import budget_constraint, sla_constraint
+def test_a_search_keeps_no_sweeper_once_its_estimate_is_read(q5_dag):
+    """The schedule sweeper belongs to one search: with the estimator
+    still alive and the plan's estimate read, none is left — so a
+    recalibrated attach latency can never meet a stale one."""
+    from repro.cost.query_simulator import ScheduleSweeper
+    from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
 
+    before = live(ScheduleSweeper)
     estimator = fresh_estimator()
-    stats = estimator.stats
-    planner = DopPlanner(estimator)
-    source = next(iter(q5_dag)).ops[0].node
-    learned = {source.node_id: float(source.est_rows) * 6.0}
-
-    def pricing_work():
-        return (
-            stats.curve_hits,
-            stats.curve_computations,
-            stats.timing_hits,
-            stats.timing_computations,
-        )
-
-    first = planner.plan(q5_dag, sla_constraint(12.0), learned)
-    assert (stats.plan_hits, stats.plan_computations) == (0, 1)
-    searched = pricing_work()
-    again = planner.plan(q5_dag, sla_constraint(12.0), dict(learned))
-    assert (stats.plan_hits, stats.plan_computations) == (1, 1)
-    assert pricing_work() == searched
-    assert again.dops == first.dops and again.dops is not first.dops
-    assert again.evaluations == first.evaluations
-    assert again == first  # reads both lazy estimates
-
-    # Anything the search depends on is part of the key.
-    planner.plan(q5_dag, sla_constraint(12.0))  # estimate-only
-    planner.plan(q5_dag, sla_constraint(12.0), {})  # observed mode
-    planner.plan(q5_dag, budget_constraint(0.05), learned)
-    DopPlanner(estimator, max_dop=16).plan(q5_dag, sla_constraint(12.0), learned)
-    assert (stats.plan_hits, stats.plan_computations) == (1, 5)
+    plan = DopPlanner(estimator).plan(q5_dag, sla_constraint(12.0))
+    assert plan.estimate.latency > 0
+    assert live(ScheduleSweeper) == before
+    assert memoized_durations(estimator) > 0  # the curves stay with it
 
 
+# ---------------------------- DOP searches ----------------------------- #
 def test_mutating_a_returned_assignment_leaves_the_memo_alone(q5_dag):
+    """A handed-out assignment is the caller's: clearing it changes no
+    later search over the same estimator's curves."""
     from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
 
     planner = DopPlanner(fresh_estimator())
     expected = dict(planner.plan(q5_dag, sla_constraint(12.0)).dops)
-    for _ in range(2):  # the searched plan's dict, then a hit's
+    for _ in range(2):  # each search hands out a dict of its own
         handed_out = planner.plan(q5_dag, sla_constraint(12.0))
         assert handed_out.dops == expected
         handed_out.dops.clear()
     assert planner.plan(q5_dag, sla_constraint(12.0)).dops == expected
 
 
-def test_reference_paths_bypass_the_plan_memo(q5_dag):
-    """``ReferenceEstimator`` has no memo; ``NaiveDopPlanner`` neither
-    reads nor writes the one its estimator has."""
-    from repro.dop.constraints import sla_constraint
-    from repro.dop.planner import DopPlanner
-
-    assert not hasattr(ReferenceEstimator(), "_plan_memo")
-    uncached = DopPlanner(ReferenceEstimator())
-    assert (
-        uncached.plan(q5_dag, sla_constraint(12.0)).dops
-        == uncached.plan(q5_dag, sla_constraint(12.0)).dops
-    )
-
-    estimator = fresh_estimator()
-    stats = estimator.stats
-    naive = NaiveDopPlanner(estimator)
-    naive.plan(q5_dag, sla_constraint(12.0))
-    assert len(estimator._plan_memo) == 0
-    DopPlanner(estimator).plan(q5_dag, sla_constraint(12.0))
-    naive.plan(q5_dag, sla_constraint(12.0))
-    assert (stats.plan_hits, stats.plan_computations) == (0, 1)
-
-
 def test_strict_sla_still_raises_on_a_memo_hit(q5_dag):
+    """Every strict search of an infeasible SLA raises, the first over
+    cold curves and the second over warm ones."""
     from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
     from repro.errors import InfeasibleConstraintError
@@ -345,20 +303,19 @@ def test_strict_sla_still_raises_on_a_memo_hit(q5_dag):
     impossible = sla_constraint(1e-6)
     assert not DopPlanner(estimator).plan(q5_dag, impossible).feasible
     strict = DopPlanner(estimator, enforce_sla_strictly=True)
-    for _ in range(2):  # a search, then a hit
+    for _ in range(2):
         with pytest.raises(InfeasibleConstraintError):
             strict.plan(q5_dag, impossible)
 
 
-def test_invalidate_empties_the_plan_memo_and_a_new_hw_researches(q5_dag):
-    """The memo bakes in the calibration the search ran under, like the
-    curves: ``invalidate_caches()`` drops it, and the next search prices
-    against the new hardware."""
+def test_invalidate_then_a_new_hw_researches(q5_dag):
+    """A search prices from curves that bake in the calibration they
+    were compiled under: after ``invalidate_caches()`` the next search
+    prices against the new hardware, like one on a fresh estimator."""
     from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
 
     estimator = fresh_estimator()
-    stats = estimator.stats
     planner = DopPlanner(estimator)
     constraint = sla_constraint(12.0)
     before = planner.plan(q5_dag, constraint)
@@ -367,11 +324,10 @@ def test_invalidate_empties_the_plan_memo_and_a_new_hw_researches(q5_dag):
         scan_bytes_per_core=estimator.hw.scan_bytes_per_core / 8
     )
     estimator.hw = slow_scan
-    assert planner.plan(q5_dag, constraint).dops == before.dops  # stale hit
+    assert planner.plan(q5_dag, constraint).dops == before.dops  # stale curves
     estimator.invalidate_caches()
-    assert len(estimator._plan_memo) == 0
+    assert memoized_durations(estimator) == 0
     rehosted = planner.plan(q5_dag, constraint)
-    assert (stats.plan_hits, stats.plan_computations) == (1, 2)
     expected = DopPlanner(CostEstimator(slow_scan)).plan(q5_dag, constraint)
     assert rehosted == expected
     assert rehosted.dops != before.dops

@@ -109,7 +109,7 @@ def test_monitor_learns_truth(setup, estimator):
             assert rows == pytest.approx(truth[node_id])
 
 
-def test_monitor_without_learned_cardinalities_searches_nothing(setup):
+def test_monitor_without_learned_cardinalities_searches_nothing(setup, monkeypatch):
     """Exact cardinalities (``truth=None``) leave nothing to learn, so a
     forced replan takes the planned DOPs: no DOP search, no new curve."""
     dag, _, _, sla = setup
@@ -130,13 +130,20 @@ def test_monitor_without_learned_cardinalities_searches_nothing(setup):
         truth=None, planned=dop_plan.estimate, policy=policy,
         config=SimConfig(seed=11),
     )
-    stats = estimator.stats
-    searches, curves = stats.plan_computations, stats.curve_computations
+    searches = []
+    search = DopPlanner.plan
+
+    def counted(planner, *args, **kwargs):
+        searches.append(args)
+        return search(planner, *args, **kwargs)
+
+    monkeypatch.setattr(DopPlanner, "plan", counted)
+    curves = estimator.stats.curve_computations
     sim.run()
     assert policy.replans > 0
     assert policy.learned == {}
-    assert stats.plan_computations == searches
-    assert stats.curve_computations == curves
+    assert searches == []
+    assert estimator.stats.curve_computations == curves
 
 
 def test_interval_scaler_scales_up(setup, estimator):
