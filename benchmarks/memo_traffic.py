@@ -15,7 +15,10 @@ hits and lookups, and for the DOP search:
   constraint, overrides, ``max_dop`` and strictness — all a per-DAG
   plan memo could ever answer;
 - ``monitor replans``: the DOP monitor's full replans, and how many of
-  them searched (only those with learned cardinalities do).
+  them searched (only those with learned cardinalities do);
+
+and ``simulations run``: calls of ``DistributedSimulator.run``, the
+simulated executions no plan's ``simulations`` table answered.
 
 A table whose hits stay at zero on every workload answers no lookup.
 The exit code is 1 if a query failed, else 0; nothing is timed.
@@ -31,23 +34,26 @@ from weakref import WeakKeyDictionary
 HERE = Path(__file__).resolve().parent
 
 
-class SearchCounts:
-    """Counts DOP searches and monitor replans by wrapping the two
-    methods for the length of one run."""
+class CallCounts:
+    """Counts DOP searches, monitor replans and simulator runs by
+    wrapping the three methods for the length of one run."""
 
     def __init__(self) -> None:
         self.searches = 0
         self.repeats = 0
         self.replans = 0
         self.learned_replans = 0
+        self.simulations = 0
         self._searched: WeakKeyDictionary = WeakKeyDictionary()
 
     def install(self) -> None:
         from repro.cost.estimator import overrides_key
         from repro.dop.planner import DopPlanner
         from repro.monitor.policies import PipelineDopMonitor
+        from repro.sim.distsim import DistributedSimulator
 
         plan, full_replan = DopPlanner.plan, PipelineDopMonitor._full_replan
+        run = DistributedSimulator.run
 
         def counted_plan(planner, dag, constraint, overrides=None):
             key = (
@@ -70,8 +76,13 @@ class SearchCounts:
                 self.learned_replans += learned
             return decision
 
+        def counted_run(simulator):
+            self.simulations += 1
+            return run(simulator)
+
         DopPlanner.plan = counted_plan
         PipelineDopMonitor._full_replan = counted_replan
+        DistributedSimulator.run = counted_run
 
 
 def ratio_row(name: str, hits: int, lookups: int) -> str:
@@ -95,7 +106,7 @@ def main(argv: list[str]) -> int:
 
     workload = e2e_workloads.WORKLOADS[args.workload]
     warmup, calls = e2e_workloads.generate_calls(workload, args.seed)
-    counts = SearchCounts()
+    counts = CallCounts()
     counts.install()
     dep = e2e_workloads.deploy(workload, workers=0)
     try:
@@ -122,6 +133,8 @@ def main(argv: list[str]) -> int:
         f"  monitor replans {counts.replans:,}, "
         f"of which searched {counts.learned_replans:,}"
     )
+    print("simulator")
+    print(f"  simulations run {counts.simulations:,}")
     return 1 if failed else 0
 
 

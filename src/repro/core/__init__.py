@@ -76,7 +76,7 @@ calls ``Ledger.commit`` — journal the record first when a
 append when not — and recovery applies each replayed record, with
 periodic inline checkpoints bounding replay.  Billing accumulates in
 integral dyadic ledger units
-(:data:`~repro.core.journal.LEDGER_SCALE` per dollar), so a replay
+(:data:`~repro.util.units.LEDGER_SCALE` per dollar), so a replay
 reproduces live totals to the last bit.  Tuning applies are a
 two-record protocol: a ``TuningIntent`` carrying a declarative,
 picklable :class:`~repro.core.journal.UndoSnapshot` (captured before
@@ -151,15 +151,12 @@ cycle-free lock acquisition order, across the chaos histories.
 
 from repro.core.bioptimizer import BiObjectiveOptimizer, PlanChoice
 from repro.core.journal import (
-    LEDGER_SCALE,
     Checkpoint,
     CheckpointState,
     DurableRecommendation,
     JournalEntry,
     UndoSnapshot,
     WriteAheadJournal,
-    from_ledger_units,
-    to_ledger_units,
 )
 from repro.core.ledger import TenantBill
 from repro.core.recovery import RecoveryReport, recover_warehouse
@@ -188,6 +185,7 @@ from repro.core.service import (
 )
 from repro.core.sharding import PlannerWorkerPool
 from repro.core.warehouse import CostIntelligentWarehouse
+from repro.util.units import LEDGER_SCALE, from_ledger_units, to_ledger_units
 
 __all__ = [
     "BiObjectiveOptimizer",

@@ -31,7 +31,7 @@ only physical planning with fresh cardinalities plus the DOP search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.catalog.catalog import Catalog
@@ -48,7 +48,15 @@ from repro.sql.binder import BoundQuery
 
 @dataclass
 class PlanChoice:
-    """The optimizer's selected cost-aware plan."""
+    """The optimizer's selected cost-aware plan.
+
+    ``simulations`` holds the :class:`~repro.sim.distsim.SimResult` of
+    every simulated execution of this plan the warehouse has run, under
+    the key ``CostIntelligentWarehouse._simulate`` builds, so a plan
+    served from the exact cache is not simulated again.  It lives and
+    dies with the choice; equality and ``repr`` ignore it, and
+    ``dataclasses.replace`` starts the copy with an empty table.
+    """
 
     plan: PhysNode
     dag: PipelineDag
@@ -57,6 +65,9 @@ class PlanChoice:
     variant_index: int
     bushiness: int
     variants_considered: int
+    simulations: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def feasible(self) -> bool:

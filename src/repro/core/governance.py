@@ -59,7 +59,7 @@ RETENTION_POLICY_NAMES = ("lru", "cost-aware")
 REFRESH_EVERY = 32
 #: How much of the log's tail a refresh forecasts over.
 WINDOW_RECORDS = 2048
-#: The forecaster every refresh runs (stateless: its settings only).
+#: The forecaster every refresh runs (stateless).
 FORECASTER = WorkloadForecaster()
 
 

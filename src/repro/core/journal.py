@@ -33,9 +33,9 @@ recovery (:mod:`repro.core.recovery`) replays memory while resolving
 storage via the journaled undo snapshots.
 
 Billing is journaled and accumulated in **integral ledger units** of
-``1 / LEDGER_SCALE`` dollars (a dyadic scale, so float -> unit
-conversion is exact and replayed totals match live totals to the last
-bit, independent of accumulation order).
+``1 / LEDGER_SCALE`` dollars (:mod:`repro.util.units`: a dyadic scale,
+so float -> unit conversion is exact and replayed totals match live
+totals to the last bit, independent of accumulation order).
 """
 
 from __future__ import annotations
@@ -51,19 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
     from repro.engine.database import Database
     from repro.statsvc.logs import QueryRecord
-
-
-# Fixed-point billing units live in :mod:`repro.util.units` so that
-# modules below the core layer (e.g. :mod:`repro.core.resilience`,
-# which may import only ``repro.errors`` and ``repro.util``) can meter
-# dollars in the same ledger units.  Re-exported here because the
-# journal is the canonical consumer and existing call sites import
-# them from this module.
-from repro.util.units import (  # noqa: F401  (re-export)
-    LEDGER_SCALE,
-    from_ledger_units,
-    to_ledger_units,
-)
 
 
 # --------------------------------------------------------------------- #
@@ -198,6 +185,9 @@ class TuningCommit:
     tenant_shares: tuple[tuple[str, float], ...] = ()
     candidate: object | None = None  # MVCandidate for the serving rewriter
     physical: bool = False
+    #: The What-If estimate of the net savings rate, $/hour (journals
+    #: written before it existed load with 0.0).
+    net_per_hour: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -265,6 +255,7 @@ class DurableRecommendation:
     tenant_shares: tuple[tuple[str, float], ...] = ()
     candidate: object | None = None
     physical: bool = False
+    net_per_hour: float = 0.0
     #: Set by recovery when this record was resolved from an in-doubt
     #: state: "forward" (rollback completed) or "back" (apply undone).
     resolution: str | None = None

@@ -71,7 +71,7 @@ class TenantBill:
     action's cost to the tenants whose traffic motivated it.
 
     Dollar balances accumulate internally in **integral ledger units**
-    (:data:`~repro.core.journal.LEDGER_SCALE` units per dollar — a
+    (:data:`~repro.util.units.LEDGER_SCALE` units per dollar — a
     power of two, so each charge's conversion is exact and accumulation
     is order-independent).  Floats drift; a crash-recovery replay must
     reproduce live totals *to the last bit*, and integer sums do.  The
@@ -358,6 +358,7 @@ class Ledger:
         durable.tenant_shares = record.tenant_shares
         durable.candidate = record.candidate
         durable.physical = record.physical
+        durable.net_per_hour = record.net_per_hour
         if record.kind == "materialized-view" and record.candidate is not None:
             self.applied_mvs[record.candidate.name] = record.candidate
         self._spend(record, record.kind)

@@ -69,7 +69,6 @@ from itertools import islice
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 from repro.sql.binder import BindingCache  # noqa: F401  (re-export)
-from repro.sql.parameterize import normalize_sql  # noqa: F401  (re-export)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bioptimizer import PlanChoice

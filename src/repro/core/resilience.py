@@ -72,15 +72,19 @@ from repro.util.units import from_ledger_units, to_ledger_units
 # --------------------------------------------------------------------- #
 # Retry
 # --------------------------------------------------------------------- #
+#: The price of the modeled compute a retry burns (the backoff window
+#: spent holding serving resources), metered into the tenant's bill.
+DOLLARS_PER_RETRY_S = 0.01
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded, budget-aware retries with deterministic seeded jitter.
 
     ``backoff_s(stage, attempt)`` is a pure function of the policy seed,
     the stage name, and the attempt number — two runs of the same fault
-    schedule back off (and bill) identically.  ``dollars_per_retry_s``
-    prices the modeled compute a retry burns (the backoff window spent
-    holding serving resources), metered into the tenant's bill.
+    schedule back off (and bill, at :data:`DOLLARS_PER_RETRY_S`)
+    identically.
     """
 
     max_attempts: int = 3
@@ -88,7 +92,6 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     jitter: float = 0.25
     seed: int = 0
-    dollars_per_retry_s: float = 0.01
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -435,7 +438,7 @@ class StageGuard:
                 self.deadline.charge(backoff)
                 if stage_deadline is not None:
                     stage_deadline.charge(backoff)
-                dollars = backoff * self.policy.retry.dollars_per_retry_s
+                dollars = backoff * DOLLARS_PER_RETRY_S
                 if self._charge_retry is not None:
                     self._charge_retry(dollars)
                 if self._stats is not None:

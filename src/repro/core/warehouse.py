@@ -435,7 +435,14 @@ class CostIntelligentWarehouse:
         """Explicitly flush cached plans and skeletons (catalog
         mutations invalidate automatically via the stats version; use
         this after out-of-band changes such as hardware recalibration,
-        which leave bindings as they are)."""
+        which leave bindings as they are).
+
+        Recalibrating a warehouse is three steps: assign the new
+        calibration (``estimator.hw = ...`` or ``estimator.exchange =
+        ...``), call ``estimator.invalidate_caches()`` to clear the walk
+        tables, then call this, which drops the plans and the
+        simulations they keep — both were priced under the old
+        calibration."""
         self._plan_cache_epoch += 1
         for _, cache in self.planning.levels():
             cache.invalidate()
@@ -515,12 +522,14 @@ class CostIntelligentWarehouse:
         ``sim_config``, ``max_dop`` and the estimator's calibration —
         the policy object, the warm pool and the simulator are built
         fresh from them, and no clock or carried state is read — so the
-        result is kept in the estimator's per-DAG simulation memo and
-        every later arrival of the plan gets the same (shared,
-        read-only) :class:`SimResult`.  One DAG can sit behind an SLA
-        and a budget ``PlanChoice``, hence the constraint and the DOP
-        assignment in the key.  A :class:`ScalingPolicy` *instance* is
-        the caller's, possibly stateful: it bypasses the memo.
+        result is kept in ``choice.simulations`` and every later arrival
+        of the plan gets the same (shared, read-only)
+        :class:`SimResult`.  The key names every input of the run
+        beside the plan — the constraint (the caller's argument) and
+        the DOP assignment included — but the calibration:
+        recalibrating drops the plans (see :meth:`invalidate_plan_cache`).
+        A :class:`ScalingPolicy` *instance* is the caller's, possibly
+        stateful: it bypasses the table.
         A run prices through ``scratch``, the planning walk's estimator,
         or a fresh one (a plan another process searched).
         """
@@ -535,7 +544,7 @@ class CostIntelligentWarehouse:
                 self.sim_config,
                 self.max_dop,
             )
-            found = self.estimator.recall_simulation(choice.dag, key)
+            found = choice.simulations.get(key)
             if found is not None:
                 return found
         if scratch is None:
@@ -558,7 +567,7 @@ class CostIntelligentWarehouse:
         )
         result = simulator.run()
         if key is not None:
-            self.estimator.remember_simulation(choice.dag, key, result)
+            choice.simulations[key] = result
         return result
 
     # ------------------------------------------------------------------ #

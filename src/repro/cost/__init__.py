@@ -37,7 +37,7 @@ models are stated twice, on purpose:
   ``CostEstimate``, the simulator).
 
 Around the curves, memoization is layered by lifetime.  The tables and
-counters of the walk and cached-plan levels have one owner, the
+counters of the walk level have one owner, the
 :class:`repro.cost.estimator.CostEstimator`, which also holds the
 calibration they were priced under (hardware, exchange coefficients and
 the node price read from them);
@@ -62,10 +62,13 @@ readable statement and holds nothing:
   walk's search, its simulation and the DOP monitor's replans there,
   and dropped with the handle; the counters
   (:class:`repro.cost.estimator.TimingCacheStats`) are the parent's.
-- **one cached plan**: the simulated executions of a DAG the warehouse
-  has served (one per policy name, constraint, DOP assignment, truth,
-  ``SimConfig`` and ``max_dop``), keyed weakly by the DAG, so a plan
-  answered from the exact cache is neither searched nor simulated again.
+- **one cached plan**: the simulated executions of the plan the
+  warehouse has served (one per policy name, constraint, DOP assignment,
+  truth, ``SimConfig`` and ``max_dop``), kept on the
+  :class:`~repro.core.bioptimizer.PlanChoice` itself
+  (``simulations``), so a plan answered from the exact cache is neither
+  searched nor simulated again.  Nothing under :mod:`repro.cost`
+  outlives a planning walk.
 - **plans** (:mod:`repro.core.plan_cache`): the serving layer is a
   *two-level* cache.  The exact level memoizes whole ``PlanChoice``s
   keyed on (normalized SQL string, constraint, catalog stats
@@ -83,10 +86,13 @@ readable statement and holds nothing:
 Invalidation: curves key on the (projected) cardinality-overrides
 mapping, so new observations never see stale numbers; catalog mutations
 bump ``Catalog.version``, which invalidates exact and skeleton entries
-and bound templates by construction; ``CostEstimator.invalidate_caches()``
-handles the one out-of-band case — curves and memos bake in
-the hardware and exchange calibration they were priced under, so after
-replacing either (one assignment on the estimator) call it.  The
+and bound templates by construction.  Recalibrating — replacing the
+hardware or the exchange calibration, one assignment on the estimator —
+is the one out-of-band case: call ``CostEstimator.invalidate_caches()``,
+which clears the walk tables, then
+``CostIntelligentWarehouse.invalidate_plan_cache()``, which drops the
+plans and the simulations they keep; all of them bake in the
+calibration they were priced under.  The
 compiled path is bit-identical to the reference — enforced by ``tests/cost/test_estimation_parity.py`` (every
 TPC-H pipeline and generated ad-hoc shapes x DOP 1..64 x five override
 modes; search trajectories against the naive per-candidate search) and

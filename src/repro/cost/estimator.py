@@ -13,30 +13,26 @@ estimator", and it holds everything their pricing reads:
   cost curves (one per pipeline and projected overrides, see
   :meth:`CostEstimator.curve`, keyed by :func:`overrides_key`), each
   DAG's object-store GET fees and the optimizer's variants
-  (``planned``);
-- the **simulation memo**: the :class:`~repro.sim.distsim.SimResult` of
-  every simulated execution of a DAG the warehouse has run, under the
-  key the warehouse builds (see ``CostIntelligentWarehouse._simulate``
-  and the :mod:`repro.sim.distsim` module docstring for why that is a
-  pure function).
+  (``planned``).
 
 A DOP search keeps nothing here but the curves it compiled: each DAG is
 searched once per walk, so the search builds and drops its own
 :class:`~repro.cost.query_simulator.ScheduleSweeper`
-(:mod:`repro.dop.planner`) and no outcome is memoized.
+(:mod:`repro.dop.planner`) and no outcome is memoized.  Nothing here
+outlives a planning walk: a served plan's simulated executions live on
+its :class:`~repro.core.bioptimizer.PlanChoice` (``simulations``).
 
 Serving fills none of the warehouse's own walk tables: each planning
 walk prices through a :meth:`CostEstimator.scratch` — one shallow copy
 carrying the same calibration and counters over empty tables — for its
-search *and* its simulation, and drops it with the handle.  The
-simulation memo is shared by an estimator and all its scratches and
-keyed *weakly* by the DAG, so an entry lives as long as the cached plan
-it answers (a ``SimResult`` never references the DAG).
+search *and* its simulation, and drops it with the handle.
 
 Recalibrating is one assignment (``estimator.hw = ...`` or
 ``estimator.exchange = ...``) followed by
-:meth:`CostEstimator.invalidate_caches`, which drops every table and the
-simulation memo: they bake in the calibration they were priced under.
+:meth:`CostEstimator.invalidate_caches`, which drops every table: they
+bake in the calibration they were priced under.  The plans, and the
+simulations they keep, go with
+``CostIntelligentWarehouse.invalidate_plan_cache``.
 
 :class:`repro.testing.reference.ReferenceEstimator` builds none of the
 tables: the reference the parity suite compares against.
@@ -46,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
-from weakref import WeakKeyDictionary
 
 from repro.cost.curve import (
     PipelineCurve,
@@ -63,7 +58,6 @@ from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.util.units import MB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.distsim import SimResult
     from repro.storage.objectstore import ObjectStoreConfig
 
 #: Scans read the object store in ranged GETs of this many bytes.
@@ -88,34 +82,27 @@ class TimingCacheStats:
 
     ``timing_*`` count per-DOP duration lookups on the curves;
     ``curve_*`` count curve lookups and compilations (one volume walk
-    each); ``simulation_*`` count simulated executions answered from,
-    and stored into, the estimator's per-DAG simulation memo.  One
-    instance is shared by an estimator and every scratch made from it.
+    each).  One instance is shared by an estimator and every scratch
+    made from it.
     """
 
     curve_hits: int = 0
     curve_computations: int = 0
     timing_hits: int = 0
     timing_computations: int = 0
-    simulation_hits: int = 0
-    simulation_computations: int = 0
 
     def reset(self) -> None:
         self.curve_hits = 0
         self.curve_computations = 0
         self.timing_hits = 0
         self.timing_computations = 0
-        self.simulation_hits = 0
-        self.simulation_computations = 0
 
     def describe(self) -> str:
         return (
             f"timings: {self.timing_hits} hits / "
             f"{self.timing_computations} computed; "
             f"curves: {self.curve_hits} hits / "
-            f"{self.curve_computations} compiled; "
-            f"simulations: {self.simulation_hits} hits / "
-            f"{self.simulation_computations} run"
+            f"{self.curve_computations} compiled"
         )
 
 
@@ -154,9 +141,6 @@ class CostEstimator:
         self.exchange = exchange_calibration or ExchangeCalibration.analytic(self.hw)
         self.stats = TimingCacheStats()
         self._curve_constants: tuple = (None, ())  # (the hw they were read from, them)
-        self._simulation_memo: WeakKeyDictionary[PipelineDag, dict] = (
-            WeakKeyDictionary()
-        )
         self._new_tables()
 
     def _new_tables(self) -> None:
@@ -166,9 +150,9 @@ class CostEstimator:
         self.planned: dict = {}  # the optimizer's variants, by bound query
 
     def scratch(self) -> "CostEstimator":
-        """An estimator for one planning walk: this one's calibration,
-        counters and simulation memo over empty tables of its own, which
-        die with it (see the module docstring)."""
+        """An estimator for one planning walk: this one's calibration
+        and counters over empty tables of its own, which die with it
+        (see the module docstring)."""
         # copy.copy without the reduce protocol: four times faster.
         child = object.__new__(type(self))
         child.__dict__.update(self.__dict__)
@@ -176,9 +160,8 @@ class CostEstimator:
         return child
 
     def invalidate_caches(self) -> None:
-        """Drop all memoized state (after hardware/model recalibration)."""
+        """Drop every walk table (after hardware/model recalibration)."""
         self._new_tables()
-        self._simulation_memo.clear()
 
     # ------------------------------------------------------------------ #
     # Main entry points
@@ -193,25 +176,6 @@ class CostEstimator:
         estimate = simulate_dag(dag, dops, self, overrides=overrides)
         estimate.scan_request_dollars = self.scan_request_dollars(dag)
         return estimate
-
-    def recall_simulation(self, dag: PipelineDag, key: tuple) -> "SimResult | None":
-        """The result a simulated execution of ``dag`` under ``key``
-        produced, if one already ran (shared: treat it as read-only)."""
-        simulated = self._simulation_memo.get(dag)
-        found = simulated.get(key) if simulated is not None else None
-        if found is not None:
-            self.stats.simulation_hits += 1
-        return found
-
-    def remember_simulation(
-        self, dag: PipelineDag, key: tuple, result: "SimResult"
-    ) -> None:
-        """Record a finished simulated execution of ``dag`` under ``key``."""
-        self.stats.simulation_computations += 1
-        simulated = self._simulation_memo.get(dag)
-        if simulated is None:
-            simulated = self._simulation_memo[dag] = {}
-        simulated[key] = result
 
     # ------------------------------------------------------------------ #
     # Pipeline timing

@@ -58,8 +58,8 @@ class Constraint:
     def bound(self) -> float:
         return self.latency_sla if self.is_sla else self.budget  # type: ignore[return-value]
 
-    def satisfied(self, estimate: CostEstimate, *, slack: float = 1.0) -> bool:
-        return self.bound_value(estimate) <= self.bound() * slack
+    def satisfied(self, estimate: CostEstimate) -> bool:
+        return self.bound_value(estimate) <= self.bound()
 
     def describe(self) -> str:
         if self.is_sla:

@@ -34,7 +34,7 @@ searched once per planning walk, and the DOP monitor searches again
 only once it has learned a cardinality that differs from the estimate.
 A monitor that has learned nothing takes its planned DOPs without
 calling the planner, and a plan served again from the exact plan cache
-never replans (the simulation memo answers it).
+never replans (the plan's own ``simulations`` table answers it).
 
 The parity suite runs the same search phases over
 :class:`repro.testing.reference.NaiveCoster` — every candidate fully

@@ -45,6 +45,8 @@ POLICY_NAMES = ("dop-monitor", "static", "interval-scaler", "stage-scaler")
 #: Full replans a :class:`PipelineDopMonitor` makes per query; past it, a
 #: major deviation gets the single-pipeline correction only.
 MAX_REPLANS = 2
+#: Share of the SLA an :class:`IntervalScalerPolicy` aims to finish in.
+INTERVAL_SLACK = 0.9
 
 
 class StaticPolicy(ScalingPolicy):
@@ -243,14 +245,12 @@ class IntervalScalerPolicy(ScalingPolicy):
         planned_durations: dict[int, float],
         *,
         max_dop: int = 64,
-        slack: float = 0.9,
     ) -> None:
         self.dag = dag
         self.sla = sla_seconds
         self.planned_dops = dict(planned_dops)
         self.planned_durations = dict(planned_durations)
         self.max_dop = max_dop
-        self.slack = slack
         self.scale_ups = 0
 
     def on_checkpoint(self, obs: CheckpointObservation) -> ResizeDecision | None:
@@ -265,7 +265,7 @@ class IntervalScalerPolicy(ScalingPolicy):
             self.planned_durations[pid] for pid in pending if pid > obs.pipeline_id
         )
         projected_finish = obs.time + remaining_here + remaining_rest
-        deadline = self.sla * self.slack
+        deadline = self.sla * INTERVAL_SLACK
         if projected_finish <= deadline:
             return None
         lateness = projected_finish / max(deadline, 1e-9)

@@ -85,7 +85,7 @@ class MetricSpec:
 # --------------------------------------------------------------------- #
 #: The estimator memos reported as ``kind`` under the
 #: ``repro_timing_cache_*`` metrics and in ``describe_caches()``.
-TIMING_CACHE_KINDS = ("timing", "curve", "simulation")
+TIMING_CACHE_KINDS = ("timing", "curve")
 
 #: Breaker state -> numeric code for the ``repro_breaker_state`` gauge
 #: (Prometheus samples are numbers; ``describe_health`` maps back).
@@ -164,10 +164,11 @@ def _admission_verdicts(warehouse) -> dict:
     }
 
 
-def _estimated_savings(tuning) -> int:
+def _estimated_savings(warehouse) -> int:
     return sum(
-        to_ledger_units(rec.report.net_per_hour)
-        for rec in tuning.applied_recommendations
+        to_ledger_units(durable.net_per_hour)
+        for durable in warehouse.ledger.durable_tuning.values()
+        if durable.state == "applied"
     )
 
 
@@ -283,10 +284,6 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source", "Background tuning cycles run this process.",
         read=_optional("_tuning", lambda tuning: tuning.cycles_run),
     ),
-    "repro_tuning_consecutive_failures": MetricSpec(
-        "source", "Consecutive swallowed tuning-cycle failures.",
-        read=_optional("_tuning", lambda tuning: tuning.consecutive_failures),
-    ),
     "repro_background_cost_ledger_units": MetricSpec(
         "source",
         "Background tuning spend billed per tenant, in ledger units.",
@@ -297,7 +294,7 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source",
         "Estimated net savings rate of currently applied recommendations, "
         "in ledger units per hour.",
-        read=_optional("_tuning", _estimated_savings),
+        read=_estimated_savings,
     ),
     # -- journal / durability (sourced from the WAL) --------------------
     "repro_journal_records_total": MetricSpec(

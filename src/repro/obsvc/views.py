@@ -41,11 +41,12 @@ def describe_health(warehouse) -> dict:
         "deadline_hits": metrics.value("repro_deadline_hits_total"),
         "degraded_queries": metrics.value("repro_degraded_queries_total"),
     }
+    failures = metrics.sourced("repro_breaker_consecutive_failures")
     tuning_service = warehouse._tuning
     last_error = tuning_service.last_error if tuning_service is not None else None
     tuning = {
         "cycles_run": metrics.value("repro_tuning_cycles_total"),
-        "consecutive_failures": metrics.value("repro_tuning_consecutive_failures"),
+        "consecutive_failures": failures.get(("tuning",), 0),
         "last_error": (
             f"{type(last_error).__name__}: {last_error}"
             if last_error is not None
@@ -54,7 +55,6 @@ def describe_health(warehouse) -> dict:
     }
     states = metrics.sourced("repro_breaker_state")
     opens = metrics.sourced("repro_breaker_opens_total")
-    failures = metrics.sourced("repro_breaker_consecutive_failures")
     breakers = {
         name: {
             "state": _BREAKER_STATE_NAMES[states.get((name,), 0)],

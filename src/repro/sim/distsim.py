@@ -30,8 +30,8 @@ What is memoized, at two levels:
   first; nothing in it depends on a plan, a calibration or a warehouse,
   so it is never invalidated).
 - *The whole* :class:`SimResult` *of a served plan*, by the warehouse
-  (``CostIntelligentWarehouse._simulate``), in the estimator's per-DAG
-  simulation memo (:meth:`~repro.cost.estimator.CostEstimator.recall_simulation`).
+  (``CostIntelligentWarehouse._simulate``), in the plan's own table
+  (``PlanChoice.simulations``).
   A run of this simulator reads the DAG, the DOP assignment, the planned
   estimate (a function of the two and the calibration), ``truth``, the
   :class:`SimConfig`, the estimator's calibration, and whatever the scaling
@@ -40,14 +40,14 @@ What is memoized, at two levels:
   constraint and ``max_dop``, and nothing reads a clock or an arrival
   time.  So under a policy name the result is a pure function of the
   key ``(policy name, constraint, DOP items, truth items or None,
-  SimConfig, max_dop)`` beside the DAG — every later arrival of a plan
+  SimConfig, max_dop)`` beside the plan — every later arrival of a plan
   served from the exact plan cache replayed, event by event, the run
   the first one got — and is stored once
-  (``tests/core/test_simulation_memo.py`` sweeps the purity claim
-  against a freshly built simulator).  *Lifetime*: the one estimator
-  table that outlives a planning walk, keyed weakly by the DAG, so an
-  entry dies with the plan (the exact cache's eviction is the only
-  retention policy) and ``CostEstimator.invalidate_caches()`` drops it;
+  (``test_memoized_simulation_equals_a_freshly_built_simulator`` sweeps
+  the purity claim against a freshly built simulator).  *Lifetime*: the table is a field
+  of the cached ``PlanChoice``, so an entry dies with the plan (the
+  exact cache's eviction is the only retention policy, and
+  ``CostIntelligentWarehouse.invalidate_plan_cache()`` drops it);
   nothing sizes it.  A caller-supplied
   :class:`ScalingPolicy` *instance* may carry state between runs and
   bypasses the table.  *Sharing*: one :class:`SimResult` is handed to

@@ -36,23 +36,17 @@ class TemplateForecast:
         return self.rate_per_hour * self.avg_dollars
 
 
+#: Width of one arrival-count bin, in seconds.
+BIN_SECONDS = 600.0
+#: Weight of the newest bin in the smoothed arrival rate.
+EWMA_ALPHA = 0.3
+#: Fewest arrivals a template needs before it can be called periodic.
+MIN_OBSERVATIONS = 3
+
+
 class WorkloadForecaster:
     """Per-template arrival-rate and periodicity estimation."""
 
-    def __init__(
-        self,
-        *,
-        bin_seconds: float = 600.0,
-        ewma_alpha: float = 0.3,
-        min_observations: int = 3,
-    ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ReproError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.bin_seconds = bin_seconds
-        self.ewma_alpha = ewma_alpha
-        self.min_observations = min_observations
-
-    # ------------------------------------------------------------------ #
     def forecast(self, store: QueryLogStore) -> dict[str, TemplateForecast]:
         """Per-template forecasts over a log store (or any object with
         the store's read API, e.g. a per-tenant
@@ -84,7 +78,7 @@ class WorkloadForecaster:
         if not records:
             raise ReproError(f"no records for template {template!r}")
         start, end = horizon
-        span = max(end - start, self.bin_seconds)
+        span = max(end - start, BIN_SECONDS)
         times = np.array([r.timestamp for r in records])
 
         rate = self._ewma_rate(times, start, span)
@@ -107,16 +101,14 @@ class WorkloadForecaster:
     # ------------------------------------------------------------------ #
     def _ewma_rate(self, times: np.ndarray, start: float, span: float) -> float:
         """EWMA of per-bin arrival counts, scaled to per-hour."""
-        bins = max(1, int(np.ceil(span / self.bin_seconds)))
+        bins = max(1, int(np.ceil(span / BIN_SECONDS)))
         counts = np.zeros(bins)
-        indices = np.clip(
-            ((times - start) / self.bin_seconds).astype(int), 0, bins - 1
-        )
+        indices = np.clip(((times - start) / BIN_SECONDS).astype(int), 0, bins - 1)
         np.add.at(counts, indices, 1)
         smoothed = counts[0]
         for count in counts[1:]:
-            smoothed = self.ewma_alpha * count + (1 - self.ewma_alpha) * smoothed
-        return float(smoothed) * 3600.0 / self.bin_seconds
+            smoothed = EWMA_ALPHA * count + (1 - EWMA_ALPHA) * smoothed
+        return float(smoothed) * 3600.0 / BIN_SECONDS
 
     def _detect_period(
         self, times: np.ndarray, start: float, span: float
@@ -127,7 +119,7 @@ class WorkloadForecaster:
         call a template periodic when the gap coefficient-of-variation is
         small and we have enough observations.
         """
-        if times.size < max(self.min_observations, 3):
+        if times.size < MIN_OBSERVATIONS:
             return (False, None)
         gaps = np.diff(np.sort(times))
         gaps = gaps[gaps > 0]

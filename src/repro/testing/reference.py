@@ -38,8 +38,8 @@ Overrides = dict[int, float] | None
 
 class ReferenceEstimator(CostEstimator):
     """A :class:`CostEstimator` that prices every pipeline per call —
-    ``pipeline_volumes`` + ``op_time`` — and keeps no curve, no
-    scan-fee table and no simulation memo."""
+    ``pipeline_volumes`` + ``op_time`` — and keeps no curve and no
+    scan-fee table."""
 
     def __init__(self, hardware=None, exchange_calibration=None) -> None:
         # Not super().__init__(): that builds the tables.
@@ -95,12 +95,6 @@ class ReferenceEstimator(CostEstimator):
             op_times=op_times,
             source_rows=volumes[0].rows_out if volumes else 0.0,
         )
-
-    def recall_simulation(self, dag: PipelineDag, key: tuple) -> None:
-        return None
-
-    def remember_simulation(self, dag: PipelineDag, key: tuple, result) -> None:
-        """Nothing is kept."""
 
     def scan_request_dollars(self, dag: PipelineDag) -> float:
         return scan_request_dollars(dag, self.hw.store)

@@ -22,11 +22,15 @@ from repro.tuning.mv import MVCandidate, mv_candidate_from_query
 from repro.tuning.whatif import TuningReport, WhatIfService
 from repro.util.units import GB
 
-#: The forecaster every cycle runs (stateless: its settings only).
+#: The forecaster every cycle runs (stateless).
 FORECASTER = WorkloadForecaster()
 #: Most MV / recluster candidates one cycle prices.
 MAX_MV_CANDIDATES = 5
 MAX_RECLUSTER_CANDIDATES = 3
+#: The storage the accepted actions of one cycle may add, in bytes.
+STORAGE_BUDGET_BYTES = 50 * GB
+#: Fewest logged arrivals a template needs before a cycle tunes for it.
+MIN_TEMPLATE_COUNT = 2
 
 
 @dataclass
@@ -47,34 +51,19 @@ class AdvisorProposals:
 class AutoTuningAdvisor:
     """Generates, prices, and filters tuning proposals."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        whatif: WhatIfService,
-        *,
-        storage_budget_bytes: float = 50 * GB,
-        min_template_count: int = 2,
-    ) -> None:
+    def __init__(self, catalog: Catalog, whatif: WhatIfService) -> None:
         self.catalog = catalog
         self.whatif = whatif
-        self.storage_budget_bytes = storage_budget_bytes
-        self.min_template_count = min_template_count
 
     # ------------------------------------------------------------------ #
     def propose(
-        self,
-        store: QueryLogStore,
-        bound_queries: dict[str, BoundQuery],
-        *,
-        storage_budget_bytes: float | None = None,
+        self, store: QueryLogStore, bound_queries: dict[str, BoundQuery]
     ) -> AdvisorProposals:
         """One tuning cycle over the logged workload.
 
         ``bound_queries`` maps template name -> a representative bound
         query of that family (``warehouse.template_queries``, derived
         from the log on read).
-        ``storage_budget_bytes`` overrides the advisor's configured
-        budget for this cycle only.
         """
         records = list(store)
         if not records:
@@ -85,7 +74,7 @@ class AutoTuningAdvisor:
             template: (bound_queries[template], forecast)
             for template, forecast in forecasts.items()
             if template in bound_queries
-            and forecast.observed_count >= self.min_template_count
+            and forecast.observed_count >= MIN_TEMPLATE_COUNT
         }
 
         proposals = AdvisorProposals(summary=summary)
@@ -103,12 +92,7 @@ class AutoTuningAdvisor:
                 continue
 
         proposals.reports.sort(key=lambda r: r.net_per_hour, reverse=True)
-        proposals.accepted = self._select(
-            proposals.reports,
-            storage_budget_bytes
-            if storage_budget_bytes is not None
-            else self.storage_budget_bytes,
-        )
+        proposals.accepted = self._select(proposals.reports)
         return proposals
 
     # ------------------------------------------------------------------ #
@@ -179,10 +163,9 @@ class AutoTuningAdvisor:
         return None
 
     # ------------------------------------------------------------------ #
-    def _select(
-        self, reports: list[TuningReport], storage_budget_bytes: float
-    ) -> list[TuningReport]:
-        """Greedy accept profitable reports under the storage budget.
+    def _select(self, reports: list[TuningReport]) -> list[TuningReport]:
+        """Greedy accept profitable reports under
+        :data:`STORAGE_BUDGET_BYTES`.
 
         At most one recluster per table per cycle — a second accepted
         layout would silently undo the first.  The table comes from the
@@ -196,7 +179,7 @@ class AutoTuningAdvisor:
         for report in reports:
             if not report.profitable:
                 continue
-            if used_bytes + report.storage_bytes > storage_budget_bytes:
+            if used_bytes + report.storage_bytes > STORAGE_BUDGET_BYTES:
                 continue
             if isinstance(report.candidate, ReclusterCandidate):
                 table = report.candidate.table

@@ -64,7 +64,6 @@ from repro.tuning.background import BackgroundComputeService
 from repro.tuning.clustering import ReclusterCandidate
 from repro.tuning.mv import MVCandidate
 from repro.tuning.whatif import TuningReport, WhatIfService
-from repro.util.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.warehouse import CostIntelligentWarehouse
@@ -198,6 +197,11 @@ class Recommendation:
 # --------------------------------------------------------------------- #
 # Policy
 # --------------------------------------------------------------------- #
+#: The net savings rate ($/hour) a recommendation must reach to be
+#: applied automatically.
+AUTO_APPLY_NET_THRESHOLD = 0.0
+
+
 @dataclass(frozen=True)
 class TuningPolicy:
     """When and how aggressively the warehouse tunes itself.
@@ -209,18 +213,15 @@ class TuningPolicy:
     ``tenant`` scopes the advisor's input to one tenant's log view.
     Auto-apply is forecast-fed: a recommendation is applied without a
     human in the loop only when its net rate clears
-    ``auto_apply_net_threshold`` *and* its break-even horizon (one-time
-    cost divided by the forecast-driven net rate) is within
+    :data:`AUTO_APPLY_NET_THRESHOLD` *and* its break-even horizon
+    (one-time cost divided by the forecast-driven net rate) is within
     ``auto_apply_break_even_hours``.
     """
 
     cadence_queries: int | None = None
     cadence_seconds: float | None = None
     tenant: str | None = None
-    storage_budget_bytes: float = 50 * GB
-    min_forecast_observations: int = 2
     auto_apply: bool = False
-    auto_apply_net_threshold: float = 0.0
     auto_apply_break_even_hours: float = float("inf")
 
     def __post_init__(self) -> None:
@@ -242,7 +243,7 @@ class TuningPolicy:
         """The forecast-fed auto-apply gate for one accepted report."""
         if not self.auto_apply:
             return False
-        if report.net_per_hour < self.auto_apply_net_threshold:
+        if report.net_per_hour < AUTO_APPLY_NET_THRESHOLD:
             return False
         return report.break_even_hours <= self.auto_apply_break_even_hours
 
@@ -269,12 +270,7 @@ class TuningService:
         self.warehouse = warehouse
         self.policy = policy or TuningPolicy()
         self.whatif = WhatIfService(warehouse.catalog, warehouse.estimator)
-        self.advisor = AutoTuningAdvisor(
-            warehouse.catalog,
-            self.whatif,
-            storage_budget_bytes=self.policy.storage_budget_bytes,
-            min_template_count=self.policy.min_forecast_observations,
-        )
+        self.advisor = AutoTuningAdvisor(warehouse.catalog, self.whatif)
         self.background = BackgroundComputeService(
             database=warehouse.database,
             catalog=warehouse.catalog,
@@ -289,12 +285,11 @@ class TuningService:
         #: Failure-domain observability: background cycles swallow
         #: ``ReproError`` by design (tuning must never fail foreground
         #: serving), but swallowed errors must not *vanish* — the last
-        #: one is kept here, and the consecutive-failure count feeds the
-        #: circuit breaker that stops a persistently failing tuner from
+        #: one is kept here, and each is counted into the circuit
+        #: breaker that stops a persistently failing tuner from
         #: burning background dollars.  Surfaced by
         #: ``warehouse.describe_health()``.
         self.last_error: Exception | None = None
-        self.consecutive_failures = 0
         self.breaker = CircuitBreaker("tuning")
         self._last_cycle_log_len = 0
         self._last_cycle_clock: float | None = None
@@ -319,9 +314,7 @@ class TuningService:
         return "\n".join(lines)
 
     # -- proposal -------------------------------------------------------- #
-    def propose(
-        self, *, storage_budget_bytes: float | None = None
-    ) -> list[Recommendation]:
+    def propose(self) -> list[Recommendation]:
         """One advisor cycle over the (policy-scoped) logged workload.
 
         Every priced proposal becomes a :class:`Recommendation`; the
@@ -331,11 +324,7 @@ class TuningService:
         """
         store = self._scoped_logs()
         start = time.perf_counter()
-        proposals = self.advisor.propose(
-            store,
-            self.warehouse.template_queries,
-            storage_budget_bytes=storage_budget_bytes,
-        )
+        proposals = self.advisor.propose(store, self.warehouse.template_queries)
         elapsed = time.perf_counter() - start
         self.last_proposals = proposals
         accepted_ids = {id(report) for report in proposals.accepted}
@@ -414,6 +403,7 @@ class TuningService:
                 if isinstance(action, MaterializeView)
                 else None,
                 physical=undo.physical,
+                net_per_hour=report.net_per_hour,
             )
         )
         self.warehouse.invalidate_plan_cache()
@@ -583,11 +573,9 @@ class TuningService:
 
     def _note_cycle_failure(self, exc: Exception) -> None:
         self.last_error = exc
-        self.consecutive_failures += 1
         self.breaker.record_failure()
 
     def _note_cycle_success(self) -> None:
-        self.consecutive_failures = 0
         self.breaker.record_success()
 
     # -- internals ------------------------------------------------------- #

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.cost.estimator import CostEstimator
-from repro.dop.constraints import Constraint
-from repro.dop.planner import DopPlanner
 from repro.errors import TuningError
 from repro.optimizer.dag_planner import DagPlanner
 from repro.plan.pipelines import decompose_pipelines
@@ -33,6 +31,9 @@ from repro.tuning.clustering import (
 )
 from repro.tuning.mv import MVCandidate, register_hypothetical_mv, try_rewrite
 from repro.util.units import GB, HOURS_PER_MONTH
+
+#: Object-store price of a materialized view's bytes, $/GB-month.
+STORAGE_PRICE_GB_MONTH = 0.023
 
 
 @dataclass
@@ -122,38 +123,24 @@ class WhatIfService:
         catalog: Catalog,
         estimator: CostEstimator | None = None,
         *,
-        evaluation_constraint: Constraint | None = None,
-        max_dop: int = 64,
-        storage_price_gb_month: float = 0.023,
         churn_fraction_per_hour: float = 0.001,
     ) -> None:
         self.catalog = catalog
         self.estimator = estimator or CostEstimator()
-        self.evaluation_constraint = evaluation_constraint
-        self.max_dop = max_dop
-        self.storage_price_gb_month = storage_price_gb_month
         self.churn_fraction_per_hour = churn_fraction_per_hour
 
     # ------------------------------------------------------------------ #
     # Shared query pricing
     # ------------------------------------------------------------------ #
     def query_dollars(self, query: BoundQuery, catalog: Catalog) -> float:
-        """Cost-optimal dollars to answer ``query`` on ``catalog``.
-
-        Uses the workload's constraint when one is configured; otherwise
-        prices the cost-minimal (DOP-planned) execution.
-        """
+        """Dollars to answer ``query`` on ``catalog`` with every
+        pipeline at DOP 1."""
         plan = DagPlanner(catalog).plan(query)
         dag = decompose_pipelines(plan)
         # One question, one scratch: nothing priced here stays in the
         # (possibly the warehouse's) estimator.
-        estimator = self.estimator.scratch()
-        if self.evaluation_constraint is not None:
-            dop_planner = DopPlanner(estimator, max_dop=self.max_dop)
-            dop_plan = dop_planner.plan(dag, self.evaluation_constraint)
-            return dop_plan.estimate.total_dollars
         dops = {p.pipeline_id: 1 for p in dag}
-        return estimator.estimate_dag(dag, dops).total_dollars
+        return self.estimator.scratch().estimate_dag(dag, dops).total_dollars
 
     # ------------------------------------------------------------------ #
     # Materialized views
@@ -191,7 +178,7 @@ class WhatIfService:
         one_time = self._mv_build_dollars(candidate)
         storage_per_hour = (
             (candidate.est_bytes / GB)
-            * self.storage_price_gb_month
+            * STORAGE_PRICE_GB_MONTH
             / HOURS_PER_MONTH
         )
         maintenance_per_hour = one_time * self.churn_fraction_per_hour

@@ -388,7 +388,7 @@ def test_tuning_apply_outage_opens_breaker_and_stops_spending(catalog):
         handles = run_batch()
         assert all(h.state is QueryState.DONE for h in handles)
         assert wh.tuning.cycles_run == cycle + 1
-        assert wh.tuning.consecutive_failures == cycle + 1
+        assert wh.tuning.breaker.consecutive_failures == cycle + 1
         assert isinstance(wh.tuning.last_error, Exception)
 
     health = wh.describe_health()

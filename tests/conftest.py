@@ -3,6 +3,8 @@ the hypothesis profiles."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
@@ -67,6 +69,23 @@ def big_planner(big_catalog) -> DagPlanner:
 @pytest.fixture(scope="session")
 def estimator() -> CostEstimator:
     return CostEstimator()
+
+
+@pytest.fixture
+def simulator_runs(monkeypatch):
+    """Counts ``DistributedSimulator.run`` calls for the length of one
+    test: ``simulator_runs.calls``."""
+    from repro.sim.distsim import DistributedSimulator
+
+    counter = SimpleNamespace(calls=0)
+    run = DistributedSimulator.run
+
+    def counted(simulator):
+        counter.calls += 1
+        return run(simulator)
+
+    monkeypatch.setattr(DistributedSimulator, "run", counted)
+    return counter
 
 
 @pytest.fixture(params=("inline", "threads", "process"))

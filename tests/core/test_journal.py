@@ -14,7 +14,6 @@ import pickle
 import pytest
 
 from repro.core.journal import (
-    LEDGER_SCALE,
     AdmissionDecision,
     Checkpoint,
     CheckpointState,
@@ -31,12 +30,11 @@ from repro.core.journal import (
     TuningIntent,
     UndoSnapshot,
     WriteAheadJournal,
-    from_ledger_units,
     shares_tuple,
-    to_ledger_units,
 )
 from repro.core.ledger import TenantBill
 from repro.core.recovery import apply_entry, recover_warehouse
+from repro.util.units import LEDGER_SCALE, from_ledger_units, to_ledger_units
 from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint

@@ -110,8 +110,9 @@ def _bound_fields(bound) -> dict:
 
 
 def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
-    """Template bindings, query ids, collector watermarks and checkpoint
-    ids are read from the ledger, so nothing needs re-priming after a
+    """Template bindings, query ids, collector watermarks, checkpoint
+    ids and the applied recommendations' estimated savings are read from
+    the ledger, so nothing needs re-priming after a
     recovery.  They used to be mirrors kept in step by hand: after an
     apply the live warehouse's bindings were flushed (``propose()``
     returned nothing) while a recovered one re-derived them."""
@@ -138,6 +139,11 @@ def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
     )
     recovered.enable_collection(cadence_queries=8)
     live.checkpoint()  # matches the checkpoint recovery writes
+
+    # The applied MV's estimated savings are journaled with its commit.
+    savings = "repro_tuning_estimated_savings_ledger_units_per_hour"
+    assert live.metrics.value(savings) > 0
+    assert recovered.metrics.value(savings) == live.metrics.value(savings)
 
     live_bindings, recovered_bindings = (
         live.template_queries,

@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.core.plan_cache import (
-    BindingCache,
-    PlanCache,
-    SkeletonCache,
-    normalize_sql,
-)
+from repro.core.plan_cache import BindingCache, PlanCache, SkeletonCache
 from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
 from repro.obsvc.metrics import TIMING_CACHE_KINDS
 from repro.optimizer.dag_planner import DagPlanner
+from repro.sql.parameterize import normalize_sql
 from repro.workloads.tpch_queries import instantiate
 
 

@@ -231,7 +231,6 @@ def test_resilience_policy_field_snapshot():
         "backoff_multiplier",
         "jitter",
         "seed",
-        "dollars_per_retry_s",
     ]
 
 
@@ -294,7 +293,7 @@ def test_query_outcome_degraded_surface():
 # --------------------------------------------------------------------- #
 def test_tuning_service_signatures():
     propose = inspect.signature(TuningService.propose)
-    assert list(propose.parameters) == ["self", "storage_budget_bytes"]
+    assert list(propose.parameters) == ["self"]
     assert list(inspect.signature(TuningService.apply).parameters) == [
         "self",
         "rec",
@@ -317,23 +316,25 @@ def test_tuning_policy_field_snapshot():
         "cadence_queries",
         "cadence_seconds",
         "tenant",
-        "storage_budget_bytes",
-        "min_forecast_observations",
         "auto_apply",
-        "auto_apply_net_threshold",
         "auto_apply_break_even_hours",
     ]
 
 
 def test_settings_nothing_sets_are_constants_not_options():
-    """Simulator, estimator, monitor and advisor settings no caller sets
-    are module constants (``sim.distsim.CHECKPOINT_FRACTION``,
-    ``monitor.policies.MAX_REPLANS`` and friends), not constructor
-    options."""
+    """Simulator, estimator, monitor, tuning, forecast and retry
+    settings no caller sets are module constants
+    (``sim.distsim.CHECKPOINT_FRACTION``, ``monitor.policies.MAX_REPLANS``,
+    ``tuning.advisor.STORAGE_BUDGET_BYTES``,
+    ``core.resilience.DOLLARS_PER_RETRY_S`` and friends), not
+    constructor options."""
     from repro import CostEstimator, DistributedSimulator, SimConfig
     from repro.cost.query_simulator import ScheduleSweeper, simulate_dag
-    from repro.monitor.policies import PipelineDopMonitor
+    from repro.dop.constraints import Constraint
+    from repro.monitor.policies import IntervalScalerPolicy, PipelineDopMonitor
+    from repro.statsvc.forecast import WorkloadForecaster
     from repro.tuning.advisor import AutoTuningAdvisor
+    from repro.tuning.whatif import WhatIfService
 
     assert [f.name for f in SimConfig.__dataclass_fields__.values()] == [
         "seed",
@@ -362,8 +363,28 @@ def test_settings_nothing_sets_are_constants_not_options():
     assert list(inspect.signature(AutoTuningAdvisor).parameters) == [
         "catalog",
         "whatif",
-        "storage_budget_bytes",
-        "min_template_count",
+    ]
+    assert list(inspect.signature(AutoTuningAdvisor.propose).parameters) == [
+        "self",
+        "store",
+        "bound_queries",
+    ]
+    assert list(inspect.signature(WhatIfService).parameters) == [
+        "catalog",
+        "estimator",
+        "churn_fraction_per_hour",
+    ]
+    assert list(inspect.signature(WorkloadForecaster).parameters) == []
+    assert list(inspect.signature(IntervalScalerPolicy).parameters) == [
+        "dag",
+        "sla_seconds",
+        "planned_dops",
+        "planned_durations",
+        "max_dop",
+    ]
+    assert list(inspect.signature(Constraint.satisfied).parameters) == [
+        "self",
+        "estimate",
     ]
     # The warm-pool attach term always applies to the estimator's
     # schedules; only the distributed simulator's config can drop it.

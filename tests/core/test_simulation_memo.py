@@ -1,10 +1,13 @@
-"""The warehouse's per-plan simulation memo.
+"""A served plan's simulations.
 
 ``CostIntelligentWarehouse._simulate`` keeps the ``SimResult`` of every
-``(DAG; policy name, constraint, DOPs, truth, SimConfig, max_dop)`` it
-has run in the estimator's weak per-DAG table.  These tests hold the
-claim that makes that sound — the simulation is a pure function of that
-key — and the table's bypass, invalidation and lifetime rules.
+``(policy name, constraint, DOPs, truth, SimConfig, max_dop)`` it has
+run for a plan in that ``PlanChoice``'s ``simulations`` table.  These
+tests hold the claim that makes that sound — the simulation is a pure
+function of the plan and that key — and the table's bypass,
+invalidation and lifetime rules.  The ``simulator_runs`` fixture counts
+``DistributedSimulator.run`` calls, so a hit is a run that did not
+happen.
 """
 
 import dataclasses
@@ -79,19 +82,17 @@ def _truths(choice):
     return (None, {node.node_id: float(node.est_rows) * 2.5 for node in sources})
 
 
-def _memo_entries(warehouse):
-    return sum(len(table) for table in warehouse.estimator._simulation_memo.values())
-
-
 # ------------------------------ purity -------------------------------- #
 @pytest.mark.parametrize("template", template_names())
-def test_memoized_simulation_equals_a_freshly_built_simulator(warehouse, template):
+def test_memoized_simulation_equals_a_freshly_built_simulator(
+    warehouse, simulator_runs, template
+):
     """10 templates x 4 policy names x {SLA, budget} x truth in {None,
     overrides}: every combination is simulated once (stored), then — after
-    all the others have run over the same estimator, DAG and draw table —
-    answered from the memo and compared field by field with a simulator
-    built from scratch.  A key that left out the policy name, the
-    constraint, the DOPs or the truth would hand one combination
+    all the others have run over the same estimator, plan and draw table —
+    answered from the plan's table and compared field by field with a
+    simulator built from scratch.  A key that left out the policy name,
+    the constraint, the DOPs or the truth would hand one combination
     another's result here."""
     sql = instantiate(template, seed=3)
     cases = []
@@ -101,23 +102,25 @@ def test_memoized_simulation_equals_a_freshly_built_simulator(warehouse, templat
             for truth in _truths(choice):
                 first = warehouse._simulate(choice, constraint, policy_name, truth)
                 cases.append((choice, constraint, policy_name, truth, first))
-    stats = warehouse.estimator.stats
-    assert stats.simulation_computations == len(cases) == 16
-    assert stats.simulation_hits == 0
-    for choice, constraint, policy_name, truth, first in cases:
-        again = warehouse._simulate(choice, constraint, policy_name, truth)
-        assert again is first
+    assert simulator_runs.calls == len(cases) == 16
+    choices = {id(case[0]): case[0] for case in cases}.values()
+    assert sum(len(choice.simulations) for choice in choices) == len(cases)
+    again = [
+        warehouse._simulate(choice, constraint, policy_name, truth)
+        for choice, constraint, policy_name, truth, _ in cases
+    ]
+    assert simulator_runs.calls == len(cases)
+    for (choice, constraint, policy_name, truth, first), answer in zip(cases, again):
+        assert answer is first
         _assert_same_result(
-            again, _fresh_simulation(warehouse, choice, constraint, policy_name, truth)
+            answer, _fresh_simulation(warehouse, choice, constraint, policy_name, truth)
         )
-    assert stats.simulation_hits == len(cases)
-    assert stats.simulation_computations == len(cases)
 
 
 def test_one_dag_planned_under_sla_then_budget_gets_two_entries(warehouse):
     """Physical planning is constraint-independent, so an SLA and a
     budget ``PlanChoice`` of one bound query optimized in one walk share
-    a DAG object: the DAG alone is not a key."""
+    a DAG object: each choice keeps its own simulation."""
     bound = warehouse.binder.bind_sql(instantiate("q6_revenue_forecast", seed=1))
     walk = warehouse.estimator.scratch()
     choices = [
@@ -128,8 +131,10 @@ def test_one_dag_planned_under_sla_then_budget_gets_two_entries(warehouse):
         warehouse._simulate(choice, constraint, "dop-monitor", None)
         for choice, constraint in zip(choices, CONSTRAINTS)
     ]
-    assert len(warehouse.estimator._simulation_memo) == 1
-    assert len(warehouse.estimator._simulation_memo[choices[0].dag]) == 2
+    assert [list(choice.simulations.values()) for choice in choices] == [
+        [sims[0]],
+        [sims[1]],
+    ]
     assert sims[0] is not sims[1]
     for sim, choice, constraint in zip(sims, choices, CONSTRAINTS):
         _assert_same_result(
@@ -166,17 +171,21 @@ def test_sim_config_max_dop_and_dops_are_key_components(warehouse):
             constraint=constraint,
         ),
     )
+    # ``replace`` starts the copy with a table of its own.
+    assert other.simulations == {} and other.simulations is not choice.simulations
     rescaled = warehouse._simulate(other, constraint, "dop-monitor", None)
     assert rescaled is not capped
     _assert_same_result(
         rescaled,
         _fresh_simulation(warehouse, other, constraint, "dop-monitor", None),
     )
-    assert _memo_entries(warehouse) == 4
+    assert list(choice.simulations.values()) == [base, reseeded, capped]
+    assert list(other.simulations.values()) == [rescaled]
+    assert dataclasses.replace(other) == other  # equality ignores the table
 
 
 # --------------------- bypass, invalidation, lifetime ------------------ #
-def test_a_policy_instance_bypasses_the_memo(warehouse):
+def test_a_policy_instance_bypasses_the_memo(warehouse, simulator_runs):
     """A ``ScalingPolicy`` instance is the caller's object and may carry
     state from run to run: never stored, never answered from the table."""
 
@@ -197,66 +206,108 @@ def test_a_policy_instance_bypasses_the_memo(warehouse):
     assert policy.starts == 2 * per_run  # the simulator really ran again
     assert second.sim is not first.sim
     assert second.choice is first.choice  # an exact hit all the same
-    stats = warehouse.estimator.stats
-    assert (stats.simulation_hits, stats.simulation_computations) == (0, 0)
-    assert _memo_entries(warehouse) == 0
+    assert simulator_runs.calls == 2
+    assert first.choice.simulations == {}
 
 
-def test_invalidate_caches_empties_the_memo(warehouse):
+def test_invalidate_caches_empties_the_memo(warehouse, simulator_runs):
+    """The estimator's ``invalidate_caches`` clears the walk tables only:
+    the simulations live on the cached plan, survive it and a stats
+    reset, and go with ``invalidate_plan_cache``."""
     sql = instantiate("q14_promo_effect", seed=1)
     session = warehouse.session(constraint=CONSTRAINTS[0])
     first = session.submit(sql).result()
     assert session.submit(sql).result().sim is first.sim
     warehouse.estimator.invalidate_caches()
-    assert len(warehouse.estimator._simulation_memo) == 0
+    warehouse.reset_cache_stats()
+    # Counters only: the entry is still there and still answers.
+    kept = session.submit(sql).result()
+    assert kept.choice is first.choice and kept.sim is first.sim
+    assert simulator_runs.calls == 1
+    warehouse.invalidate_plan_cache()
     recomputed = session.submit(sql).result()
-    assert recomputed.choice is first.choice
+    assert recomputed.choice is not first.choice
     assert recomputed.sim is not first.sim
+    assert simulator_runs.calls == 2
+    assert list(recomputed.choice.simulations.values()) == [recomputed.sim]
     _assert_same_result(recomputed.sim, first.sim)
 
 
+def test_recalibrating_re_plans_and_re_simulates(catalog, simulator_runs):
+    """The recalibration recipe: assign the new calibration, clear the
+    estimator's walk tables, drop the plans.  The calibration is not in
+    the simulation key, so until the plans go an exact hit still answers
+    with the old run; after, the next arrival re-plans and re-simulates
+    exactly as a warehouse built on the new hardware does."""
+    sql = instantiate("q3_shipping_priority", seed=1)
+    warehouse = CostIntelligentWarehouse(catalog=catalog)
+    session = warehouse.session(constraint=CONSTRAINTS[0])
+    old = session.submit(sql).result()
+    slower = dataclasses.replace(
+        warehouse.estimator.hw,
+        scan_bytes_per_core=warehouse.estimator.hw.scan_bytes_per_core / 4,
+    )
+
+    warehouse.estimator.hw = slower
+    warehouse.estimator.invalidate_caches()
+    assert session.submit(sql).result().sim is old.sim  # the plan is cached
+    warehouse.invalidate_plan_cache()
+    new = session.submit(sql).result()
+    assert simulator_runs.calls == 2
+    assert new.choice is not old.choice
+    assert new.sim.latency != old.sim.latency
+
+    fresh = CostIntelligentWarehouse(catalog=catalog, hardware=slower)
+    expected = fresh.session(constraint=CONSTRAINTS[0]).submit(sql).result()
+    assert new.choice.dop_plan.dops == expected.choice.dop_plan.dops
+    assert new.choice.dop_plan.estimate == expected.choice.dop_plan.estimate
+    _assert_same_result(new.sim, expected.sim)
+    assert new.record.dollars == expected.record.dollars
+
+
 def test_a_memo_entry_dies_with_its_plan(warehouse):
-    """Weak keys, and values that never reference the DAG: flushing the
-    plan caches (eviction does the same, one entry at a time) is the only
-    thing that has to happen for the simulation to go."""
+    """The table is a field of the choice, and a ``SimResult`` never
+    references it: flushing the plan caches (eviction does the same, one
+    entry at a time) is the only thing that has to happen for the
+    simulation to go."""
     sql = instantiate("q5_local_supplier", seed=1)
     session = warehouse.session(constraint=CONSTRAINTS[0])
     outcome = session.submit(sql).result()
+    assert list(outcome.choice.simulations.values()) == [outcome.sim]
     dag = weakref.ref(outcome.choice.dag)
     sim = weakref.ref(outcome.sim)
-    assert len(warehouse.estimator._simulation_memo) == 1
     del outcome
     gc.collect()
     assert dag() is not None and sim() is not None  # the exact cache holds the plan
     warehouse.invalidate_plan_cache()
     gc.collect()
     assert dag() is None and sim() is None
-    assert len(warehouse.estimator._simulation_memo) == 0
 
 
-def test_bypassing_the_plan_cache_never_hits(warehouse):
-    """``use_plan_cache=False`` plans a new DAG per arrival, so there is
-    nothing to hit: no switch, the key just never repeats."""
+def test_bypassing_the_plan_cache_never_hits(warehouse, simulator_runs):
+    """``use_plan_cache=False`` plans a new choice per arrival, so there
+    is nothing to hit: no switch, the table just starts empty."""
     sql = instantiate("q6_revenue_forecast", seed=1)
     session = warehouse.session(constraint=CONSTRAINTS[0])
     outcomes = [
         session.submit(QueryRequest(sql=sql, use_plan_cache=False)).result()
         for _ in range(3)
     ]
-    stats = warehouse.estimator.stats
-    assert (stats.simulation_hits, stats.simulation_computations) == (0, 3)
+    assert simulator_runs.calls == 3
+    assert len({id(outcome.choice) for outcome in outcomes}) == 3
     for outcome in outcomes[1:]:
         _assert_same_result(outcome.sim, outcomes[0].sim)
 
 
 # ------------------------------- guard --------------------------------- #
-def test_simulate_faults_draw_once_per_arrival_hit_or_not(catalog):
+def test_simulate_faults_draw_once_per_arrival_hit_or_not(catalog, simulator_runs):
     """The lookup sits *inside* the callable the stage guard wraps, so a
     repeated query draws its ``simulate`` fault, retries, pays retry
     dollars and fails exactly as when every arrival re-simulates (here:
     the same traffic with the plan cache bypassed, which never hits)."""
 
     def serve(use_plan_cache):
+        runs = simulator_runs.calls
         warehouse = CostIntelligentWarehouse(catalog=catalog)
         warehouse.inject_faults(
             FaultPlan([FaultSpec(point="simulate", error_rate=0.55)], seed=5)
@@ -267,17 +318,16 @@ def test_simulate_faults_draw_once_per_arrival_hit_or_not(catalog):
             session.submit(QueryRequest(sql=sql, use_plan_cache=use_plan_cache))
             for _ in range(24)
         ]
-        stats = warehouse.estimator.stats
         return (
             [(h.state, h.retries) for h in handles],
             warehouse.describe_health()["resilience"],
             session.bill.ledger_snapshot(),
             (warehouse.faults.fired, warehouse.faults.invocations),
-            stats.simulation_hits,
+            simulator_runs.calls - runs,
         )
 
-    *memoized, hits = serve(use_plan_cache=True)
-    *recomputed, no_hits = serve(use_plan_cache=False)
+    *memoized, hit_runs = serve(use_plan_cache=True)
+    *recomputed, miss_runs = serve(use_plan_cache=False)
     assert memoized == recomputed
     states, resilience, _, (fired, invocations) = memoized
     failures = sum(state is QueryState.FAILED for state, _ in states)
@@ -287,30 +337,7 @@ def test_simulate_faults_draw_once_per_arrival_hit_or_not(catalog):
     # either retried or the attempt that exhausted the allowance.
     assert invocations["simulate"] == len(states) + resilience["retries"]
     assert fired["simulate"] == resilience["retries"] + failures
-    assert hits > 0 and no_hits == 0
-
-
-# ---------------------------- observability ---------------------------- #
-def test_the_memo_is_visible_in_the_registry(warehouse):
-    sql = instantiate("q6_revenue_forecast", seed=1)
-    session = warehouse.session(constraint=CONSTRAINTS[0])
-    for _ in range(4):
-        session.submit(sql).result()
-    block = warehouse.describe_caches()["timing_cache"]
-    assert block["simulation_hits"] == 3
-    assert block["simulation_computations"] == 1
-    assert block["simulation_hit_rate"] == 0.75
-    metrics = warehouse.metrics
-    assert metrics.sourced("repro_timing_cache_hits_total")[("simulation",)] == 3
-    assert (
-        metrics.sourced("repro_timing_cache_computations_total")[("simulation",)] == 1
-    )
-    assert 'repro_timing_cache_hits_total{kind="simulation"} 3' in warehouse.observe(
-        "prometheus"
-    )
-    warehouse.reset_cache_stats()
-    block = warehouse.describe_caches()["timing_cache"]
-    assert block["simulation_hits"] == block["simulation_computations"] == 0
-    # Counters only: the entry is still there and still answers.
-    session.submit(sql).result()
-    assert warehouse.describe_caches()["timing_cache"]["simulation_hits"] == 1
+    # Bypassing the cache, every arrival that got past its faults ran
+    # the simulator; with it, only the first did.
+    assert miss_runs == len(states) - failures
+    assert hit_runs == 1

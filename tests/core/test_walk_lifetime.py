@@ -3,9 +3,9 @@
 A walk's search state — compiled curves, schedule sweepers, scan fees,
 finished DOP searches, the planned variants — lives on the estimator
 scratch the walk took (``CostEstimator.scratch``) and is dropped with the
-handle.  What an exact-cache entry keeps is the bound query, the chosen
-plan with its estimate already read, and (through the simulation memo)
-its ``SimResult``; a re-served query is answered from those alone.
+handle.  What an exact-cache entry keeps is the bound query and the
+chosen plan, with its estimate already read and its ``SimResult`` in its
+``simulations``; a re-served query is answered from those alone.
 """
 
 import dataclasses
@@ -61,7 +61,7 @@ def same_outcome(again, first) -> None:
 
 
 @pytest.mark.parametrize("max_workers", [1, 2], ids=["inline", "threads"])
-def test_nothing_from_a_walk_outlives_it(big_catalog, max_workers):
+def test_nothing_from_a_walk_outlives_it(big_catalog, simulator_runs, max_workers):
     warehouse = CostIntelligentWarehouse(
         catalog=big_catalog, plan_cache_size=CAPACITY
     )
@@ -84,12 +84,11 @@ def test_nothing_from_a_walk_outlives_it(big_catalog, max_workers):
         for r, o in zip(served, outcomes)
     }
     again = [first_by_key[key] for key, _ in cached]
-    stats = warehouse.estimator.stats
-    hits = stats.simulation_hits
+    runs = simulator_runs.calls
     for request, first in again:
         same_outcome(session.submit(request).result(), first)
     assert warehouse.plan_cache.hits == CAPACITY
-    assert stats.simulation_hits == hits + sum(r.simulate for r, _ in again)
+    assert simulator_runs.calls == runs  # each simulated plan kept its run
     assert {kind: live(kind) for kind in before} == before
 
 

@@ -209,7 +209,7 @@ def live(kind: type) -> int:
 def test_a_scratch_owns_its_tables_and_shares_the_counters(q5_dag):
     """A walk's scratch prices with its parent's calibration into tables
     of its own, counting into the parent's stats; the parent's tables
-    stay empty and its simulation memo is the scratch's."""
+    stay empty."""
     from repro.dop.constraints import sla_constraint
     from repro.dop.planner import DopPlanner
 
@@ -218,7 +218,6 @@ def test_a_scratch_owns_its_tables_and_shares_the_counters(q5_dag):
     walk = estimator.scratch()
     assert walk.hw is estimator.hw
     assert walk.exchange is estimator.exchange
-    assert walk._simulation_memo is estimator._simulation_memo
     assert walk.stats is stats
 
     dops = {p.pipeline_id: 2 for p in q5_dag}

@@ -143,7 +143,7 @@ def test_every_declared_source_has_a_provider():
         for name, spec in REGISTERED_METRICS.items()
         if spec.kind == "source"
     }
-    assert len(sources) >= 29
+    assert len(sources) >= 28
     sampled = {sample.name for sample in warehouse.metrics.collect()}
     for name, spec in sources.items():
         produced = spec.read(warehouse)

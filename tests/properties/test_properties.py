@@ -379,26 +379,29 @@ def test_a_second_search_on_one_scratch_equals_a_fresh_one(
 
 @settings(max_examples=40)
 @given(*_memo_cases)
-def test_a_simulation_memo_hit_equals_a_recomputed_simulation(
+def test_a_plan_table_hit_equals_a_recomputed_simulation(
     big_catalog, shape, constraint, mode, factor
 ):
-    """A served plan's second simulation is answered from the
-    simulation memo, and equals the same simulation on a fresh
+    """A served plan's second simulation is answered from the plan's
+    own ``simulations`` table, and equals the same simulation of a copy
+    of the plan (which starts with an empty table) on a fresh
     warehouse."""
+    import dataclasses
+
     from repro.core.warehouse import CostIntelligentWarehouse
 
     served = CostIntelligentWarehouse(catalog=big_catalog)
     _, choice = served.plan(_ADHOC_SQL[shape], constraint)
     truth = _drawn_overrides(choice.dag, mode, factor)
     first = served._simulate(choice, constraint, "dop-monitor", truth)
-    stats = served.estimator.stats
-    hits = stats.simulation_hits
     memoized = served._simulate(choice, constraint, "dop-monitor", truth)
-    assert stats.simulation_hits == hits + 1
     assert memoized is first
+    assert list(choice.simulations.values()) == [first]
     fresh = CostIntelligentWarehouse(catalog=big_catalog)
-    recomputed = fresh._simulate(choice, constraint, "dop-monitor", truth)
-    assert fresh.estimator.stats.simulation_hits == 0
+    copy = dataclasses.replace(choice)
+    recomputed = fresh._simulate(copy, constraint, "dop-monitor", truth)
+    assert recomputed is not first
+    assert list(copy.simulations.values()) == [recomputed]
     assert (memoized.latency, memoized.cost, memoized.scan_request_dollars) == (
         recomputed.latency,
         recomputed.cost,

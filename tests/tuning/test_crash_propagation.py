@@ -120,7 +120,7 @@ def test_crash_during_auto_tune_cycle_propagates_through_submit():
                 )
             )
     # The breaker never saw the crash (no _note_cycle_failure ran).
-    assert wh.tuning.consecutive_failures == 0
+    assert wh.tuning.breaker.consecutive_failures == 0
 
 
 def test_injected_library_error_is_contained_by_the_same_handlers():
