@@ -121,10 +121,12 @@ batch serving interleaves CPU-bound planning under the GIL; with
 ``bind -> optimize`` in warm, long-lived worker *processes*, keyed by
 literal-free template so each worker's bound templates and private
 (bounded) skeleton cache serve every instantiation of its templates.
-Workers exchange only
-picklable wire records (:class:`~repro.core.sharding.StageTask` out,
-:class:`~repro.core.sharding.StagedPlan` back); every authoritative
-effect — admission, billing, statistics logs, journal appends,
+Workers exchange only picklable wire records
+(:class:`~repro.core.sharding.StageTask` out, the walk's
+:class:`~repro.core.planning.Planned` back, and a
+:class:`~repro.core.sharding.WorkerSpec` — catalog, applied MVs,
+calibration, skeleton seed — whenever the planning state changes);
+every authoritative effect — admission, billing, statistics logs, journal appends,
 simulation — happens at the coordinator's ordered finalize, so sharded
 output is bit-identical to the threaded and sequential paths (plans,
 logs, ledger bills, admission verdicts — enforced by the sharded

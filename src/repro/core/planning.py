@@ -245,10 +245,10 @@ class PlanningPipeline:
                 return rewritten
         return bound
 
-    def absorb(self, keys: PlanKeys, planned) -> None:
-        """Store a finished walk's results — this pipeline's own, or a
-        worker's :class:`~repro.core.sharding.StagedPlan` — in the
-        skeleton and exact levels."""
+    def absorb(self, keys: PlanKeys, planned: Planned) -> None:
+        """Store a finished walk's :class:`Planned` — this pipeline's
+        own, or one a planner worker shipped back — in the skeleton and
+        exact levels."""
         template = keys.parameterized.template_key
         if planned.new_skeleton_trees is not None and self.skeletons is not None:
             self.skeletons.store(

@@ -9,9 +9,11 @@ exemplar — while keeping every authoritative effect in the coordinator:
 
 - **Workers plan, the coordinator serves.**  A worker receives a
   picklable :class:`StageTask` (SQL, constraint, stats version, a
-  skeleton hint) and returns a picklable :class:`StagedPlan` (the bound
-  query + :class:`~repro.core.bioptimizer.PlanChoice`, newly computed
-  skeleton shapes, per-stage timings, a warm-hit flag).  All journal
+  skeleton hint) and returns its walk's own
+  :class:`~repro.core.planning.Planned` (the bound query +
+  :class:`~repro.core.bioptimizer.PlanChoice`, the level that answered,
+  newly computed skeleton shapes, per-stage timings), less the walk's
+  estimator scratch.  All journal
   appends, billing, admission, statistics-log writes, and simulation
   stay in the coordinator process — an import-graph assertion
   (``tests/testing/test_production_imports.py``) checks that the worker
@@ -22,13 +24,15 @@ exemplar — while keeping every authoritative effect in the coordinator:
   bound templates and private skeleton cache serve every instantiation
   of a recurring template — warm-task hits skip join-order DP and bushy
   generation exactly like the coordinator's own skeleton cache.
-- **Coherency is broadcast, versions are checked.**  The coordinator
-  fingerprints its planning state (catalog stats version, applied MVs,
-  explicit cache-flush epoch) and broadcasts a :class:`RefreshState`
-  to every worker when it changes (:meth:`PlannerWorkerPool.sync`, run
-  before each sharded batch); each task also carries the stats version
-  it was planned against, which the worker re-checks as a protocol
-  guard.
+- **One spec describes a worker, versions are checked.**  A
+  :class:`WorkerSpec` — catalog, applied MVs, the estimator's hardware
+  and exchange calibration, a skeleton seed — is all a worker plans
+  with.  The coordinator fingerprints its planning state (catalog stats
+  version, applied MVs, explicit cache-flush epoch) and, when it
+  changes, sends every worker a fresh spec, which replaces the worker's
+  planning state whole (:meth:`PlannerWorkerPool.sync`, run before each
+  sharded batch); each task also carries the stats version it was
+  planned against, which the worker re-checks as a protocol guard.
 - **Crashes restart warm; tasks re-stage exactly-once.**  A dead pipe
   (real crash, injected ``worker_crash`` fault, or
   :meth:`PlannerWorkerPool.kill_worker` in tests) restarts the worker
@@ -62,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.core.planning import skeleton_key
+from repro.core.planning import Planned, skeleton_key
 from repro.errors import DeadlineExceededError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,22 +95,6 @@ class StageTask:
 
 
 @dataclass(frozen=True)
-class StagedPlan:
-    """One finished remote planning result (worker -> coordinator)."""
-
-    task_id: int
-    bound: Any  # BoundQuery, post-MV-rewrite
-    choice: Any  # PlanChoice
-    #: Skeleton shapes the worker computed fresh for this task (``None``
-    #: on a warm hit) — the coordinator absorbs them into its own
-    #: skeleton cache so later batches and degraded fallbacks share them.
-    new_skeleton_trees: tuple | None
-    bind_s: float
-    optimize_s: float
-    warm_skeleton: bool
-
-
-@dataclass(frozen=True)
 class WorkerFailure:
     """A typed staging failure (worker -> coordinator).
 
@@ -117,38 +105,30 @@ class WorkerFailure:
     threaded path (:func:`repro.core.service._wrap_failure`).
     """
 
-    task_id: int
     error: Exception
     stage: str  # "bind" | "optimize" | "protocol"
 
 
 @dataclass(frozen=True)
-class RefreshState:
-    """A cache-coherency broadcast (coordinator -> every worker)."""
-
-    catalog: Any
-    applied_mvs: tuple
-    fingerprint: tuple
-
-
-@dataclass(frozen=True)
 class WorkerSpec:
-    """Everything needed to (re)start one warm planner worker.
+    """Everything a planner worker plans with.
 
-    Specs are rebuilt from live coordinator state at every (re)spawn,
-    so a worker restarted after a crash comes back *warm*: current
-    catalog, currently applied MVs, and the coordinator's exported
-    skeleton-cache entries.
+    Specs are rebuilt from live coordinator state at every (re)spawn and
+    every :meth:`PlannerWorkerPool.sync` broadcast, so a worker — fresh,
+    restarted after a crash, or brought up to date — holds the current
+    catalog, the applied MVs, the estimator's calibration and the
+    coordinator's exported skeleton-cache entries.
     """
 
     worker_index: int
     catalog: Any
     hardware: Any
+    #: The estimator's exchange calibration (``CostEstimator.exchange``).
+    exchange: Any
     max_dop: int
     explore_bushy: bool
     applied_mvs: tuple
     skeleton_seed: tuple
-    fingerprint: tuple
     #: Capacity of the worker's private skeleton cache: the
     #: coordinator's own plan-cache capacity (a warm process that never
     #: forgets is a leak).
@@ -217,14 +197,14 @@ class PlannerWorkerPool:
             deque() for _ in range(workers)
         ]
         self._owner: dict[int, int] = {}
-        self._results: dict[int, StagedPlan | WorkerFailure] = {}
+        self._results: dict[int, Planned | WorkerFailure] = {}
         self._abandoned: set[int] = set()
         #: Tasks dropped by hang recovery; their collect raises the
         #: deadline error that triggers the degraded fallback.
         self._hung: set[int] = set()
         #: Per-worker skeleton keys the worker is known to hold (seeded
-        #: at spawn, grown per reply) — redundant hints are stripped
-        #: from dispatches instead of re-pickled every send.
+        #: by each spec sent, grown per reply) — redundant hints are
+        #: stripped from dispatches instead of re-pickled every send.
         self._warmed: list[set] = [set() for _ in range(workers)]
         self._send_marks: dict[int, float] = {}
         self._next_task_id = 0
@@ -286,12 +266,12 @@ class PlannerWorkerPool:
         return WorkerSpec(
             worker_index=index,
             catalog=warehouse.catalog,
-            hardware=warehouse.hw,
+            hardware=warehouse.estimator.hw,
+            exchange=warehouse.estimator.exchange,
             max_dop=warehouse.max_dop,
             explore_bushy=warehouse.optimizer.explore_bushy,
             applied_mvs=tuple(warehouse.ledger.applied_mvs.values()),
             skeleton_seed=skeleton_seed,
-            fingerprint=self._current_fingerprint(),
             # Without an exact level nothing is ever dispatched.
             cache_capacity=exact.capacity if exact is not None else 1,
         )
@@ -355,28 +335,27 @@ class PlannerWorkerPool:
         )
 
     def sync(self) -> bool:
-        """Broadcast planning state to every worker if it changed.
+        """Send every worker a fresh :class:`WorkerSpec` if the planning
+        state changed.
 
         Called at the top of every sharded batch (and after tuning
-        applies between batches have mutated the catalog).  Returns
-        whether a refresh was broadcast.
+        applies between batches have mutated the catalog).  A worker
+        replaces its planning state with the spec's, exactly as a
+        (re)spawn builds it.  Returns whether specs were broadcast.
         """
         fingerprint = self._current_fingerprint()
         if fingerprint == self._synced_fingerprint:
             return False
-        warehouse = self.warehouse
-        refresh = RefreshState(
-            catalog=warehouse.catalog,
-            applied_mvs=tuple(warehouse.ledger.applied_mvs.values()),
-            fingerprint=fingerprint,
-        )
         for index in range(self.size):
+            spec = self._spec(index)
             try:
-                self._conns[index].send(("refresh", refresh))
+                self._conns[index].send(("spec", spec))
             except (BrokenPipeError, OSError):
+                # The restart spawns it from a spec of live state.
                 self._restart(index)
-                # _spawn builds the spec from live state, so the
-                # restarted worker is already at this fingerprint.
+                continue
+            # The worker's new shard holds the spec's seed and nothing else.
+            self._warmed[index] = {key for key, _ in spec.skeleton_seed}
         self._synced_fingerprint = fingerprint
         return True
 
@@ -501,7 +480,7 @@ class PlannerWorkerPool:
             return stage_deadline
         return _DEFAULT_LIVENESS_TIMEOUT_S
 
-    def result_for(self, task_id: int) -> StagedPlan:
+    def result_for(self, task_id: int) -> Planned:
         """Block until ``task_id``'s result is in; recover as needed.
 
         - A worker whose pipe reports EOF crashed: restart it warm,
@@ -565,41 +544,41 @@ class PlannerWorkerPool:
             raise ReproError(
                 f"planner worker {index} sent unknown message {kind!r}"
             )
-        payload = message[1]
+        _, task_id, payload = message
         fifo = self._outstanding[index]
-        if not fifo or fifo[0].task_id != payload.task_id:
+        if not fifo or fifo[0].task_id != task_id:
             # Workers are strictly FIFO and every restart swaps in a
             # fresh pipe, so a reply that skips past live in-flight work
             # is a protocol bug, not a stale leftover — losing those
             # tasks silently would strand their handles.
-            if any(task.task_id == payload.task_id for task in fifo):
+            if any(task.task_id == task_id for task in fifo):
                 raise ReproError(
                     f"planner worker {index} replied to task "
-                    f"{payload.task_id} out of FIFO order"
+                    f"{task_id} out of FIFO order"
                 )
             # Not in the FIFO at all: a reply for a task this pool no
             # longer tracks (defensive; drained pipes die with restarts).
             return
         task = fifo.popleft()
-        self._owner.pop(payload.task_id, None)
-        sent_at = self._send_marks.pop(payload.task_id, None)
+        self._owner.pop(task_id, None)
+        sent_at = self._send_marks.pop(task_id, None)
         if sent_at is not None:
             self.warehouse.metrics.histogram(
                 "repro_worker_ipc_roundtrip_seconds",
                 time.perf_counter() - sent_at,
             )
-        if isinstance(payload, StagedPlan):
-            if payload.warm_skeleton:
+        if kind == "done":
+            if payload.level == "skeleton":
                 self.warm_skeleton_hits += 1
             # Whether warm or freshly computed, the worker now holds
             # this template's skeleton: stop shipping hints for it.
             self._warmed[index].add(
                 skeleton_key(task.template_key, task.constraint, task.stats_version)
             )
-        if payload.task_id in self._abandoned:
-            self._abandoned.discard(payload.task_id)
+        if task_id in self._abandoned:
+            self._abandoned.discard(task_id)
             return
-        self._results[payload.task_id] = payload
+        self._results[task_id] = payload
 
     def _handle_hang(self, index: int) -> None:
         """Recover from an unresponsive worker: drop the hung FIFO head

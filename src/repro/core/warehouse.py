@@ -78,7 +78,6 @@ class CostIntelligentWarehouse:
         catalog: Catalog | None = None,
         *,
         hardware: HardwareCalibration | None = None,
-        estimator: CostEstimator | None = None,
         sim_config: SimConfig | None = None,
         max_dop: int = 64,
         explore_bushy: bool = True,
@@ -99,8 +98,7 @@ class CostIntelligentWarehouse:
         self.database = database
         self.catalog = database.catalog if database is not None else catalog
         assert self.catalog is not None
-        self.hw = hardware or HardwareCalibration()
-        self.estimator = estimator or CostEstimator(self.hw)
+        self.estimator = CostEstimator(hardware)
         self.sim_config = sim_config or SimConfig()
         self.max_dop = max_dop
         #: The persistent tuning service (lazily created on first use);
@@ -189,8 +187,8 @@ class CostIntelligentWarehouse:
         #: frozen constructor surface is untouched.
         self._worker_pool = None
         #: Bumped by every explicit :meth:`invalidate_plan_cache` —
-        #: part of the coherency fingerprint the worker pool broadcasts
-        #: on (version-less flushes must still reach the workers).
+        #: part of the fingerprint on whose change the worker pool sends
+        #: fresh specs (version-less flushes must still reach the workers).
         self._plan_cache_epoch = 0
 
     # ------------------------------------------------------------------ #
@@ -442,7 +440,9 @@ class CostIntelligentWarehouse:
         ...``), call ``estimator.invalidate_caches()`` to clear the walk
         tables, then call this, which drops the plans and the
         simulations they keep — both were priced under the old
-        calibration."""
+        calibration.  Planner workers receive the flush and the new
+        calibration at the next sharded batch's
+        :meth:`~repro.core.sharding.PlannerWorkerPool.sync`."""
         self._plan_cache_epoch += 1
         for _, cache in self.planning.levels():
             cache.invalidate()

@@ -231,15 +231,13 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
     ),
     "repro_timing_cache_hits_total": MetricSpec(
         "source",
-        "Estimator memo hits (per-DOP timing / compiled curve / DOP plan / "
-        "simulated execution).",
+        "Estimator memo hits (per-DOP timing / compiled curve).",
         ("kind",),
         read=_per_memo("hits"),
     ),
     "repro_timing_cache_computations_total": MetricSpec(
         "source",
-        "Estimator memo computations (per-DOP timing / compiled curve / DOP plan / "
-        "simulated execution).",
+        "Estimator memo computations (per-DOP timing / compiled curve).",
         ("kind",),
         read=_per_memo("computations"),
     ),

@@ -96,8 +96,8 @@ def describe_caches(warehouse) -> dict[str, dict]:
     """Hit-rate and governance observability across serving caches.
 
     Reports the exact plan cache, the template skeleton cache, and the
-    estimator's memos (per-DOP timings, compiled curves, simulated
-    executions), plus, per cache, its retention
+    estimator's memos (per-DOP timings and compiled curves), plus, per
+    cache, its retention
     (``"lru"`` or ``"cost-aware"``), and an ``admission`` block with
     per-tenant verdict counts (empty until a tenant budget is
     configured).  Only the retention *name* (a string, not a metric) is

@@ -1,8 +1,9 @@
 """Pickle round-trips for everything that crosses a worker pipe.
 
-Process-sharded serving ships :class:`StageTask` to planner workers and
-:class:`StagedPlan` back; inside those ride bound queries, plan
-choices, skeleton trees, constraints, and parameterized-SQL keys.  A
+Process-sharded serving ships :class:`StageTask` and :class:`WorkerSpec`
+to planner workers and the walk's :class:`Planned` back; inside those
+ride bound queries, plan choices, skeleton trees, constraints,
+calibrations, and parameterized-SQL keys.  A
 field that silently stops pickling turns into a runtime protocol
 failure on every sharded dispatch, so each wire type gets an explicit
 round-trip here — value equality where the type defines it, behavioral
@@ -16,14 +17,11 @@ import pickle
 import pytest
 
 from repro.core.bioptimizer import BiObjectiveOptimizer
-from repro.core.sharding import (
-    RefreshState,
-    StagedPlan,
-    StageTask,
-    WorkerFailure,
-    WorkerSpec,
-)
+from repro.core.planning import Planned
+from repro.core.sharding import StageTask, WorkerFailure, WorkerSpec
 from repro.cost.estimator import CostEstimator
+from repro.cost.hardware import HardwareCalibration
+from repro.cost.regression import ExchangeCalibration, ExchangeCoefficients
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
 from repro.sql.binder import Binder
@@ -156,59 +154,61 @@ def test_stage_task_roundtrip(optimizer, bound, catalog):
     assert len(restored.skeleton_trees) == len(task.skeleton_trees)
 
 
-def test_staged_plan_roundtrip(optimizer, bound):
+def test_planned_reply_roundtrip(optimizer, bound):
     walk = optimizer.estimator.scratch()
     choice = optimizer.optimize(bound, sla_constraint(20.0), scratch=walk)
-    plan = StagedPlan(
-        task_id=7,
-        bound=bound,
-        choice=choice,
-        new_skeleton_trees=optimizer.variant_trees(bound, walk),
+    # A worker ships its walk's Planned less the scratch.
+    plan = Planned(
+        bound,
+        choice,
+        "skeleton",
+        optimizer.variant_trees(bound, walk),
         bind_s=0.001,
         optimize_s=0.002,
-        warm_skeleton=True,
     )
     restored = roundtrip(plan)
-    assert restored.task_id == plan.task_id
+    assert restored.scratch is None
     assert plan_snapshot(restored.choice) == plan_snapshot(choice)
-    assert restored.warm_skeleton
+    assert restored.level == "skeleton"
+    assert (restored.bind_s, restored.optimize_s) == (0.001, 0.002)
+    assert len(restored.new_skeleton_trees) == len(plan.new_skeleton_trees)
 
 
 def test_worker_failure_roundtrip_preserves_typed_error():
-    failure = WorkerFailure(
-        task_id=3, error=ReproError("bad stats"), stage="bind"
-    )
+    failure = WorkerFailure(error=ReproError("bad stats"), stage="bind")
     restored = roundtrip(failure)
     assert isinstance(restored.error, ReproError)
     assert str(restored.error) == "bad stats"
     assert restored.stage == "bind"
 
 
-def test_worker_spec_and_refresh_state_roundtrip(catalog):
+def test_worker_spec_roundtrip(catalog):
+    hardware = HardwareCalibration()
+    exchange = ExchangeCalibration(
+        by_kind={
+            kind: ExchangeCoefficients(transfer_scale=3.0)
+            for kind in ExchangeCalibration.analytic(hardware).by_kind
+        }
+    )
     spec = WorkerSpec(
         worker_index=1,
         catalog=catalog,
-        hardware=None,
+        hardware=hardware,
+        exchange=exchange,
         max_dop=64,
         explore_bushy=False,
         applied_mvs=(),
         skeleton_seed=(),
-        fingerprint=(catalog.version, (), 0),
     )
     restored = roundtrip(spec)
     assert restored.worker_index == 1
     assert restored.catalog.version == catalog.version
-    assert restored.fingerprint == spec.fingerprint
-
-    refresh = RefreshState(
-        catalog=catalog, applied_mvs=(), fingerprint=(catalog.version, (), 0)
-    )
-    restored = roundtrip(refresh)
-    assert restored.fingerprint == refresh.fingerprint
+    assert restored.hardware == hardware
+    assert restored.exchange == exchange
 
 
 # A restored catalog must bind + plan identically: workers receive the
-# catalog through WorkerSpec/RefreshState pickles, and any drift here
+# catalog through WorkerSpec pickles, and any drift here
 # would silently break sharded/threaded plan parity.
 def test_catalog_roundtrip_plans_identically(catalog, optimizer):
     restored_catalog = roundtrip(catalog)

@@ -16,6 +16,7 @@ from repro.core.sharding import StageTask, WorkerSpec
 from repro.core.sharding_worker import PlannerShard
 from repro.cost.estimator import CostEstimator
 from repro.cost.hardware import HardwareCalibration
+from repro.cost.regression import ExchangeCalibration
 from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.sql.parameterize import parameterize_sql
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -107,11 +108,11 @@ def make_shard(catalog, capacity: int) -> PlannerShard:
             worker_index=0,
             catalog=catalog,
             hardware=HardwareCalibration(),
+            exchange=ExchangeCalibration.analytic(HardwareCalibration()),
             max_dop=64,
             explore_bushy=True,
             applied_mvs=(),
             skeleton_seed=(),
-            fingerprint=(catalog.version, (), 0),
             cache_capacity=capacity,
         )
     )
@@ -149,5 +150,5 @@ def test_worker_caches_are_bounded_and_plans_unchanged(catalog):
     # only; it is planned afresh there and still plans the same.
     again = make_task(catalog, len(templates), templates[0])
     evicted, kept = capped.stage(again), uncapped.stage(again)
-    assert (evicted.warm_skeleton, kept.warm_skeleton) == (False, True)
+    assert (evicted.level, kept.level) == ("optimizer", "skeleton")
     assert plan_snapshot(evicted.choice) == plan_snapshot(kept.choice)

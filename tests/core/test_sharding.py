@@ -11,14 +11,18 @@ functional surface.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.service import QueryRequest
 from repro.core.sharding import PlannerWorkerPool, _worker_index_for
 from repro.core.warehouse import CostIntelligentWarehouse
-from repro.dop.constraints import sla_constraint
+from repro.cost.regression import ExchangeCalibration, ExchangeCoefficients
+from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.errors import ReproError
 from repro.testing.faults import FaultPlan, FaultSpec
+from repro.workloads.tpch_queries import instantiate
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SLA = sla_constraint(20.0)
@@ -423,7 +427,7 @@ def test_stats_refresh_broadcasts_before_dispatch():
             served += outcomes(session.submit_many(requests[6:], max_workers=4))
             results.append((served, observable_state(warehouse)))
         assert results[0] == results[1]
-        assert sharded.worker_pool.restarts == 0  # refresh, not restart
+        assert sharded.worker_pool.restarts == 0  # a fresh spec, not a restart
     finally:
         sharded.disable_sharding()
 
@@ -442,6 +446,97 @@ def test_plan_cache_invalidation_reaches_workers():
         assert pool.tasks_dispatched == 8
     finally:
         warehouse.disable_sharding()
+
+
+# A budget this tight makes the DOP search trade dollars against
+# latency, so a calibration a worker did not receive moves the plan.
+BUDGET = budget_constraint(0.01)
+TPCH = ("q3_shipping_priority", "q5_local_supplier", "q10_returned_items")
+
+
+def recalibrate(warehouse, what):
+    """The three-step recipe of ``invalidate_plan_cache``'s docstring."""
+    estimator = warehouse.estimator
+    if what == "exchange":
+        hw = estimator.hw
+        slower = ExchangeCoefficients(3.0, hw.exchange_setup_s, hw.exchange_pair_setup_s)
+        estimator.exchange = ExchangeCalibration(
+            by_kind={kind: slower for kind in estimator.exchange.by_kind}
+        )
+    else:
+        estimator.hw = dataclasses.replace(
+            estimator.hw, scan_bytes_per_core=estimator.hw.scan_bytes_per_core / 16
+        )
+    estimator.invalidate_caches()
+    warehouse.invalidate_plan_cache()
+
+
+@pytest.mark.parametrize(
+    "what, before_pool",
+    [("hardware", True), ("hardware", False), ("exchange", False)],
+    ids=["hardware-before-pool", "hardware-on-live-pool", "exchange-on-live-pool"],
+)
+def test_recalibration_reaches_workers(what, before_pool):
+    """A worker plans with the coordinator's calibration, hardware and
+    exchange, however the warehouse was recalibrated."""
+    requests = [
+        QueryRequest(sql=instantiate(name, seed=seed))
+        for name in TPCH
+        for seed in (1, 2, 3)
+    ]
+    served = []
+    for sharded in (False, True):
+        warehouse = make_warehouse()
+        if before_pool:
+            recalibrate(warehouse, what)
+        if sharded:
+            warehouse.enable_sharding(workers=1)
+        try:
+            if not before_pool:
+                recalibrate(warehouse, what)
+            session = warehouse.session(tenant="t1", constraint=BUDGET)
+            rows = []
+            for handle in session.submit_many(requests):
+                outcome = handle.result()
+                plan = outcome.choice.dop_plan
+                rows.append((plan.dops, repr(plan.estimate), outcome.record.dollars))
+            served.append(rows)
+            if sharded:
+                assert warehouse.worker_pool.tasks_dispatched == len(requests)
+        finally:
+            warehouse.disable_sharding()
+    fields = ("dops", "estimate", "dollars")
+    differing = {
+        field: sum(inline[i] != remote[i] for inline, remote in zip(*served))
+        for i, field in enumerate(fields)
+    }
+    assert differing == dict.fromkeys(fields, 0)
+
+
+def test_flush_resets_what_the_pool_knows_workers_hold():
+    """After a flush and a coordinator-side plan of the template, the
+    coordinator holds the template's skeleton and the worker's record
+    must not claim a skeleton the flush dropped: the worker gets the
+    shapes (from the fresh spec's seed or a hint) and re-plans them as
+    the inline walk does, instead of re-running the join DP."""
+    q5 = "q5_local_supplier"
+    inline = make_warehouse()
+    sharded = make_warehouse()
+    sharded.enable_sharding(workers=1)
+    try:
+        pool = sharded.worker_pool
+        for warehouse in (inline, sharded):
+            session = warehouse.session(tenant="t1", constraint=BUDGET)
+            session.submit_many([QueryRequest(sql=instantiate(q5, seed=1))])[0].result()
+            warehouse.invalidate_plan_cache()
+            warehouse.plan(instantiate(q5, seed=2), BUDGET)
+        hits = pool.warm_skeleton_hits
+        session = sharded.session(tenant="t1", constraint=BUDGET)
+        session.submit_many([QueryRequest(sql=instantiate(q5, seed=3))])[0].result()
+        assert pool.warm_skeleton_hits == hits + 1
+        assert inline.planning.plan(instantiate(q5, seed=3), BUDGET).level == "skeleton"
+    finally:
+        sharded.disable_sharding()
 
 
 # ---------------------------- observability ----------------------------- #

@@ -240,7 +240,6 @@ def test_warehouse_constructor_keywords_are_frozen():
         "database",
         "catalog",
         "hardware",
-        "estimator",
         "sim_config",
         "max_dop",
         "explore_bushy",
