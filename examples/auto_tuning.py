@@ -69,7 +69,7 @@ def main() -> None:
     applied = service.apply_all()
     print(
         f"\napplied {len(applied)} of {len(recommendations)} recommendations "
-        f"on background compute (${service.background_dollars:.4f}, metered "
+        f"on background compute (${warehouse.background_dollars:.4f}, metered "
         "to the originating tenants)"
     )
     print(warehouse.describe_billing())

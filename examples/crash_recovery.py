@@ -14,7 +14,10 @@ Crash-consistent warehouse state in action, on one deterministic kill:
 - ``CostIntelligentWarehouse.recover(journal)`` restores the last
   checkpoint, replays the tail, and resolves the in-doubt apply: the
   commit record never landed, so the journaled undo snapshot rolls the
-  catalog mutation back. No recommendation is ever left ``applying``.
+  catalog mutation back. No recommendation is ever left ``applying``:
+  the ledger holds each recommendation itself, and every journal record
+  moves it, so the recovered ``warehouse.tuning.recommendations`` are
+  the journaled ones.
 - The resumed workload then re-applies the tuning action and finishes —
   and the final bills are **bitwise equal** to a run that never
   crashed: no lost charge, no double charge.
@@ -27,7 +30,12 @@ process death; only the journal and the (durable) catalog survive.
 Run:  python examples/crash_recovery.py
 """
 
-from repro import CostIntelligentWarehouse, QueryRequest, sla_constraint
+from repro import (
+    CostIntelligentWarehouse,
+    QueryRequest,
+    RecommendationState,
+    sla_constraint,
+)
 from repro.core import WriteAheadJournal
 from repro.testing import FaultPlan, SimulatedCrashError, kill
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -66,14 +74,12 @@ def apply_mv(warehouse) -> str:
 
 def run_to_completion(warehouse) -> None:
     """Run — or, after recovery, *resume* — the workload: progress is
-    read back from the recovered log and durable tuning records."""
+    read back from the recovered log and recommendations."""
     done = len(warehouse.logs)
     if done < 3:
         serve(warehouse, done, 3)
         done = 3
-    if not any(
-        d.state == "applied" for d in warehouse.ledger.durable_tuning.values()
-    ):
+    if not warehouse.tuning.applied_recommendations:
         apply_mv(warehouse)
     serve(warehouse, done, len(STEPS))
 
@@ -91,9 +97,10 @@ def main() -> None:
     totals = {
         t: round(b.total_dollars, 6) for t, b in sorted(reference.billing.items())
     }
+    applied = [rec.action.name for rec in reference.tuning.applied_recommendations]
     print(
-        f"reference: {len(reference.logs)} queries, "
-        f"{len(reference.ledger.applied_mvs)} MV applied, bills {totals}"
+        f"reference: {len(reference.logs)} queries, applied {applied}, "
+        f"bills {totals}"
     )
 
     # --- The crashing run: same workload, journaled, killed mid-apply.
@@ -109,12 +116,14 @@ def main() -> None:
         print(f"process died at {crash.point!r} (invocation {crash.invocation})")
 
     stranded = [
-        d for d in doomed.ledger.durable_tuning.values() if d.state == "applying"
+        rec
+        for rec in doomed.tuning.recommendations
+        if rec.state is RecommendationState.APPLYING
     ]
-    mv_name = stranded[0].name
+    mv_name = stranded[0].action.name
     print(
         f"at death: {len(doomed.logs)} queries served, recommendation "
-        f"#{stranded[0].rec_id} stranded in {stranded[0].state!r}, "
+        f"#{stranded[0].rec_id} stranded in {stranded[0].state.value!r}, "
         f"catalog half-mutated (MV registered: "
         f"{catalog.has_view(mv_name) or catalog.has_table(mv_name)})"
     )
@@ -124,23 +133,22 @@ def main() -> None:
     warehouse = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     report = warehouse.last_recovery
     print(report.describe())
-    durable = warehouse.ledger.durable_tuning[stranded[0].rec_id]
+    (resolved,) = warehouse.tuning.recommendations
     print(
-        f"in-doubt apply resolved {durable.resolution!r}: state "
-        f"{durable.state!r}, catalog mutation undone (MV registered: "
-        f"{catalog.has_view(mv_name) or catalog.has_table(mv_name)})"
+        f"in-doubt apply #{resolved.rec_id} resolved {resolved.resolution!r}: "
+        f"state {resolved.state.value!r}, catalog mutation undone (MV "
+        f"registered: {catalog.has_view(mv_name) or catalog.has_table(mv_name)})"
     )
-    assert durable.state == "failed" and durable.resolution == "back"
+    assert resolved.rec_id == stranded[0].rec_id
+    assert resolved.state is RecommendationState.FAILED
+    assert resolved.resolution == "back"
     assert not catalog.has_view(mv_name) and not catalog.has_table(mv_name)
-    assert not any(d.in_doubt for d in warehouse.ledger.durable_tuning.values())
 
     # --- Resume: finish the tuning apply and the remaining queries.
     print("\nResuming the workload on the recovered warehouse...")
     run_to_completion(warehouse)
-    print(
-        f"resumed: {len(warehouse.logs)} queries total, "
-        f"{len(warehouse.ledger.applied_mvs)} MV applied"
-    )
+    applied = [rec.action.name for rec in warehouse.tuning.applied_recommendations]
+    print(f"resumed: {len(warehouse.logs)} queries total, applied {applied}")
 
     # --- The punchline: exactly-once billing, bit-identical plans.
     assert bills(warehouse) == bills(reference), "billing must be exactly-once"

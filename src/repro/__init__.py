@@ -30,11 +30,11 @@ failure of other tenants' work).
 Auto-tuning mirrors that model: ``warehouse.tuning`` is a persistent
 :class:`TuningService` whose ``propose()`` returns typed
 :class:`Recommendation`\\ s (``PROPOSED -> ACCEPTED -> APPLYING ->
-APPLIED / REJECTED / ROLLED_BACK / FAILED``) carrying their What-If
-dollar reports; ``apply()`` runs on background compute with spend
-metered per tenant, and ``rollback()`` restores bit-identical plans and
-catalog state.  A :class:`TuningPolicy` drives recurring cycles from the
-serving layer.
+APPLIED -> ROLLING_BACK -> ROLLED_BACK``, or ``REJECTED`` / ``FAILED``)
+carrying their What-If dollar reports; ``apply()`` runs on background
+compute with spend metered per tenant, and ``rollback()`` restores
+bit-identical plans and catalog state.  A :class:`TuningPolicy` drives
+recurring cycles from the serving layer.
 
 Failure-domain hardening: a :class:`ResiliencePolicy` on the warehouse
 gives every request bounded, budget-aware retries with deterministic

@@ -68,29 +68,31 @@ Crash consistency lives in :mod:`repro.core.ledger`,
 :mod:`repro.core.journal` and :mod:`repro.core.recovery`.  One
 :class:`~repro.core.ledger.Ledger` owns every piece of authoritative
 state (statistics log, clock, per-tenant bills, verdict counters,
-applied MVs, tuning bookkeeping, cost history), and every transition is
-a journal record folded in by one function, ``Ledger.apply``: live code
-calls ``Ledger.commit`` — journal the record first when a
-:class:`WriteAheadJournal` is attached
+tuning recommendations and the applied MVs read off them, cost
+history), and every transition is a journal record folded in by one
+function, ``Ledger.apply``: live code calls ``Ledger.commit`` — journal
+the record first when a :class:`WriteAheadJournal` is attached
 (``CostIntelligentWarehouse(journal=...)``), the same call minus the
 append when not — and recovery applies each replayed record, with
 periodic inline checkpoints bounding replay.  Billing accumulates in
 integral dyadic ledger units
 (:data:`~repro.util.units.LEDGER_SCALE` per dollar), so a replay
 reproduces live totals to the last bit.  Tuning applies are a
-two-record protocol: a ``TuningIntent`` carrying a declarative,
-picklable :class:`~repro.core.journal.UndoSnapshot` (captured before
-the catalog mutates; live rollbacks and recovery execute the same one)
-and a ``TuningCommit`` after; a crash
+two-record protocol: a ``TuningIntent`` carrying the recommendation's
+action and report and a declarative, picklable
+:class:`~repro.core.journal.UndoSnapshot` (captured before the catalog
+mutates; live rollbacks and recovery execute the same one), then a
+``TuningCommit``, each folded into the one
+:class:`~repro.tuning.service.Recommendation` the ledger holds; a crash
 between the two leaves the apply *in doubt*, and
 ``CostIntelligentWarehouse.recover(journal, database=...)`` — which
 restores the latest checkpoint, replays the tail in LSN order, and
-resolves in-doubt records (forward if the commit landed, back via the
-journaled snapshot otherwise) — guarantees no recommendation is ever
-left ``APPLYING``.  The catalog/database is durable storage shared
-with the crashed process; recovery rebuilds warehouse memory over the
-*same* objects and never redoes storage mutations.  The kill-point
-harness (:func:`~repro.testing.faults.kill` at the
+resolves in-doubt recommendations (a rollback forward, an apply back
+via the journaled snapshot) — guarantees none is ever left
+``APPLYING`` or ``ROLLING_BACK``.  The catalog/database is durable
+storage shared with the crashed process; recovery rebuilds warehouse
+memory over the *same* objects and never redoes storage mutations.  The
+kill-point harness (:func:`~repro.testing.faults.kill` at the
 :data:`~repro.testing.faults.CRASH_POINTS` record boundaries) drives
 the crash-recovery chaos suite; ``describe_health()`` carries a
 ``durability`` block (journal length, last checkpoint, records
@@ -155,7 +157,6 @@ from repro.core.bioptimizer import BiObjectiveOptimizer, PlanChoice
 from repro.core.journal import (
     Checkpoint,
     CheckpointState,
-    DurableRecommendation,
     JournalEntry,
     UndoSnapshot,
     WriteAheadJournal,
@@ -200,7 +201,6 @@ __all__ = [
     "LEDGER_SCALE",
     "Checkpoint",
     "CheckpointState",
-    "DurableRecommendation",
     "JournalEntry",
     "UndoSnapshot",
     "WriteAheadJournal",

@@ -14,7 +14,9 @@ gates).  This module is the durability substrate:
   (:class:`RetryCharge`), a collected cost snapshot
   (:class:`CostSnapshotTaken`), and the tuning lifecycle edges
   (:class:`TuningIntent` / :class:`TuningCommit` / :class:`TuningFailed`
-  and their rollback mirrors), plus periodic :class:`Checkpoint`\\ s;
+  and their rollback mirrors: the intent carries the recommendation's
+  action and What-If report once, every later edge only its id and
+  billing delta), plus periodic :class:`Checkpoint`\\ s;
 - :class:`UndoSnapshot` — a *declarative*, picklable capture of how to
   reverse a tuning action, journaled in the intent record **before**
   the catalog mutates: the one undo representation, executed by a live
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import pickle
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import JournalError
@@ -158,47 +160,41 @@ class CostSnapshotTaken:
 class TuningIntent:
     """A tuning apply is about to mutate the catalog.
 
-    Journaled *before* the mutation, carrying the pre-mutation
-    :class:`UndoSnapshot` — the write-ahead half of the two-record
-    apply protocol.  An intent without a matching :class:`TuningCommit`
-    at recovery time is *in doubt* and is rolled back via the snapshot.
+    Journaled *before* the mutation, it carries what the recommendation
+    is about, once — its typed action and What-If report, from which
+    replay rebuilds it — and the pre-mutation :class:`UndoSnapshot`:
+    the write-ahead half of the two-record apply protocol.  An intent
+    without a matching :class:`TuningCommit` at recovery time is *in
+    doubt* and is rolled back via the snapshot.
     """
 
     rec_id: int
-    name: str
-    kind: str
+    action: object  # repro.tuning.service.TuningAction
+    report: object  # repro.tuning.whatif.TuningReport
     undo: UndoSnapshot
     tenant_shares: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class TuningCommit:
-    """The apply's catalog mutation completed; replay re-registers the
-    MV with the serving rewriter, meters the one-time dollars into the
-    originating tenants' bills, and re-creates the background ledger
-    entry."""
+    """The apply's catalog mutation completed; replay marks the
+    recommendation applied, registers an MV with the serving rewriter
+    and meters the one-time dollars into the originating tenants'
+    bills."""
 
     rec_id: int
-    name: str
-    kind: str
     dollars: float
     tenant_shares: tuple[tuple[str, float], ...] = ()
-    candidate: object | None = None  # MVCandidate for the serving rewriter
-    physical: bool = False
-    #: The What-If estimate of the net savings rate, $/hour (journals
-    #: written before it existed load with 0.0).
-    net_per_hour: float = 0.0
 
 
 @dataclass(frozen=True)
 class TuningFailed:
-    """The apply failed *in-process* (typed error, handled live): the
-    recommendation moved ``APPLYING -> FAILED`` with nothing mutated.
-    Replay just closes the durable record — no state effects."""
+    """An apply or rollback failed *in-process* (typed error, handled
+    live) with nothing mutated: a failed apply moves the recommendation
+    ``APPLYING -> FAILED``, a failed rollback ``ROLLING_BACK ->
+    APPLIED``.  Replay carries only the message."""
 
     rec_id: int
-    name: str
-    kind: str
     message: str = ""
 
 
@@ -206,66 +202,25 @@ class TuningFailed:
 class RollbackIntent:
     """A rollback of an applied action is about to mutate the catalog.
 
-    Carries the *original* apply-time :class:`UndoSnapshot`: if the
-    process dies mid-rollback, recovery completes it forward (the user
-    asked for the rollback) by re-applying the snapshot idempotently.
+    The recommendation keeps its apply-time :class:`UndoSnapshot`: if
+    the process dies mid-rollback, recovery completes it forward (the
+    user asked for the rollback) by re-applying the snapshot
+    idempotently and metering these dollars.
     """
 
     rec_id: int
-    name: str
-    kind: str
-    undo: UndoSnapshot | None
     dollars: float = 0.0
     tenant_shares: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class RollbackCommit:
-    """The rollback completed; replay unregisters the MV, meters the
-    reversal dollars, and re-creates the ledger entry."""
+    """The rollback completed; replay marks the recommendation rolled
+    back, unregisters an MV and meters the reversal dollars."""
 
     rec_id: int
-    name: str
-    kind: str
     dollars: float = 0.0
     tenant_shares: tuple[tuple[str, float], ...] = ()
-    candidate: object | None = None
-    physical: bool = False
-
-
-@dataclass
-class DurableRecommendation:
-    """Journal-derived bookkeeping for one recommendation's lifecycle.
-
-    Maintained by the tuning records' handlers in
-    :meth:`repro.core.ledger.Ledger.apply` — the same code live and on
-    replay — so the recovered warehouse knows which applies committed,
-    which are in doubt, and how to undo them.
-    ``state`` is one of ``applying`` / ``applied`` / ``failed`` /
-    ``rolling_back`` / ``rolled_back``; recovery guarantees no record
-    is ever left in an in-doubt state (``applying`` / ``rolling_back``).
-    """
-
-    rec_id: int
-    name: str
-    kind: str
-    state: str
-    undo: UndoSnapshot | None = None
-    dollars: float = 0.0
-    tenant_shares: tuple[tuple[str, float], ...] = ()
-    candidate: object | None = None
-    physical: bool = False
-    net_per_hour: float = 0.0
-    #: Set by recovery when this record was resolved from an in-doubt
-    #: state: "forward" (rollback completed) or "back" (apply undone).
-    resolution: str | None = None
-
-    @property
-    def in_doubt(self) -> bool:
-        return self.state in ("applying", "rolling_back")
-
-    def copy(self) -> "DurableRecommendation":
-        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -274,18 +229,18 @@ class CheckpointState:
 
     Everything replay would otherwise rebuild from the full journal:
     the query log, the clock, per-tenant bills (as integral ledger-unit
-    snapshots), admission verdict counters, the applied-MV registry,
-    the durable tuning bookkeeping, the background-compute ledger, the
-    next recommendation id, and the cost history.
+    snapshots), admission verdict counters, copies of the
+    recommendations whose intent was journaled, the next recommendation
+    id, and the cost history.  The applied-MV registry is read off the
+    recommendations on restore.
     """
 
     clock: float
     records: tuple["QueryRecord", ...]
     bills: tuple[tuple, ...]  # TenantBill.ledger_snapshot() tuples
     verdicts: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
-    applied_mvs: tuple[object, ...]  # MVCandidate values
-    durable_tuning: tuple[DurableRecommendation, ...]
-    ledger: tuple[object, ...] = ()  # background LedgerEntry values
+    #: ``repro.tuning.service.Recommendation`` copies, by rec id.
+    recommendations: tuple[object, ...] = ()
     next_rec_id: int = 1
     #: ``CostHistoryStore.snapshots()``: references to the store's own
     #: frozen snapshots, so successive checkpoints share them.

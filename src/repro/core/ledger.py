@@ -2,11 +2,12 @@
 
 Everything a crash must not lose or double — the Statistics Service
 log, the virtual clock, per-tenant bills, admission verdict counters,
-the applied-MV registry, the durable tuning bookkeeping, the background
-spend list, the cost history and the next recommendation id — is owned
-by one :class:`Ledger`, together with the write-ahead journal, the lock
-that orders writers, and the crash probes around each journal write
-(drawn through the warehouse's
+the tuning recommendations (moved ``APPLYING``, ``APPLIED``,
+``FAILED``, ``ROLLING_BACK`` and ``ROLLED_BACK`` by their records) and
+the applied MVs, the cost history and the next recommendation id — is
+owned by one :class:`Ledger`, together with the write-ahead journal,
+the lock that orders writers, and the crash probes around each journal
+write (drawn through the warehouse's
 :class:`~repro.core.resilience.FaultPort`).
 
 Every transition is a journal record (:mod:`repro.core.journal`), and
@@ -25,12 +26,15 @@ whose transition counts it — live exactly as on replay.  Every site —
 the snapshot collector included — builds its record first and commits
 it.  Two counters advance without a record — the clock at
 admission and the recommendation id at proposal — and replay re-derives
-both (the newest served timestamp, the newest intent's id).
+both (the newest served timestamp, the newest intent's id).  Proposals
+are unjournaled like their id: ``TuningService.propose()`` and
+``apply()`` enter the caller's object, which ``apply`` then moves.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.governance import AdmissionController
@@ -39,7 +43,6 @@ from repro.core.journal import (
     Checkpoint,
     CheckpointState,
     CostSnapshotTaken,
-    DurableRecommendation,
     QueryServed,
     RetryCharge,
     RollbackCommit,
@@ -50,11 +53,11 @@ from repro.core.journal import (
     WriteAheadJournal,
 )
 from repro.core.resilience import FaultPort
-from repro.errors import RecoveryError, ReproError
+from repro.errors import RecoveryError, ReproError, TuningError
 from repro.obsvc.history import CostHistoryStore
 from repro.sql.parameterize import parameterize_sql
 from repro.statsvc.logs import QueryLogStore, QueryRecord
-from repro.tuning.background import LedgerEntry
+from repro.tuning.service import MaterializeView, Recommendation, RecommendationState
 from repro.util.units import from_ledger_units, to_ledger_units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -224,14 +227,14 @@ class Ledger:
         #: Highest journal LSN reflected in memory — the replay
         #: idempotence watermark (:func:`repro.core.recovery.apply_entry`).
         self.applied_lsn = 0
-        #: Recommendation lifecycle bookkeeping by recommendation id;
-        #: recovery resolves any record left in doubt.
-        self.durable_tuning: dict[int, DurableRecommendation] = {}
-        #: Applied materialized views by name — the mapping the planning
-        #: pipeline rewrites over, so it is only ever updated in place.
+        #: Every recommendation by id: this process's proposals and,
+        #: in intent order, every journaled one (checkpointed when
+        #: ``undo`` is set); recovery resolves any left in doubt.
+        self.recommendations: dict[int, Recommendation] = {}
+        #: Applied materialized views by name, in commit order — the
+        #: mapping the planning pipeline rewrites over, so it is only
+        #: ever updated in place.
         self.applied_mvs: dict[str, MVCandidate] = {}
-        #: One entry per committed background apply / rollback.
-        self.background_spend: list[LedgerEntry] = []
         self.cost_history = CostHistoryStore()
         self.next_rec_id = 1
         #: The :class:`~repro.core.recovery.RecoveryReport` of the pass
@@ -332,78 +335,56 @@ class Ledger:
         self._bill_for(record.tenant).charge_retry(record.dollars)
 
     def _apply_tuning_intent(self, record: TuningIntent) -> None:
-        self.durable_tuning[record.rec_id] = DurableRecommendation(
+        # Live, the ledger holds the caller's object; replay rebuilds
+        # it.  Re-inserted, so journaled ones sit in intent order.
+        rec = self.recommendations.pop(record.rec_id, None) or Recommendation(
             rec_id=record.rec_id,
-            name=record.name,
-            kind=record.kind,
-            state="applying",
-            undo=record.undo,
-            tenant_shares=record.tenant_shares,
+            action=record.action,
+            report=record.report,
+            tenant_shares=dict(record.tenant_shares),
         )
+        self.recommendations[record.rec_id] = rec
+        rec.undo = record.undo
+        rec.state = RecommendationState.APPLYING
         self.next_rec_id = max(self.next_rec_id, record.rec_id + 1)
 
     def _apply_tuning_commit(self, record: TuningCommit) -> None:
-        durable = self.durable_tuning.get(record.rec_id)
-        if durable is None:
-            durable = self.durable_tuning[record.rec_id] = DurableRecommendation(
-                rec_id=record.rec_id,
-                name=record.name,
-                kind=record.kind,
-                state="applied",
-            )
-        # The apply-time undo snapshot stays on the committed record: a
-        # crash-resolved rollback needs it.
-        durable.state = "applied"
-        durable.dollars = record.dollars
-        durable.tenant_shares = record.tenant_shares
-        durable.candidate = record.candidate
-        durable.physical = record.physical
-        durable.net_per_hour = record.net_per_hour
-        if record.kind == "materialized-view" and record.candidate is not None:
-            self.applied_mvs[record.candidate.name] = record.candidate
-        self._spend(record, record.kind)
+        rec = self.recommendations[record.rec_id]
+        rec.state = RecommendationState.APPLIED
+        if isinstance(rec.action, MaterializeView):
+            self.applied_mvs[rec.action.name] = rec.action.candidate
+        self._spend(record)
 
     def _apply_tuning_failed(self, record: TuningFailed) -> None:
-        durable = self.durable_tuning.get(record.rec_id)
-        if durable is not None:
-            durable.state = "failed"
+        rec = self.recommendations[record.rec_id]
+        # A rollback that failed before mutating leaves the action applied.
+        rec.state = (
+            RecommendationState.APPLIED
+            if rec.state is RecommendationState.ROLLING_BACK
+            else RecommendationState.FAILED
+        )
+        rec.error = TuningError(record.message)
 
     def _apply_rollback_intent(self, record: RollbackIntent) -> None:
-        durable = self.durable_tuning.get(record.rec_id)
-        if durable is not None:
-            durable.state = "rolling_back"
-            if record.undo is not None:
-                durable.undo = record.undo
-            durable.dollars = record.dollars
-            durable.tenant_shares = record.tenant_shares
+        rec = self.recommendations[record.rec_id]
+        rec.state = RecommendationState.ROLLING_BACK
 
     def _apply_rollback_commit(self, record: RollbackCommit) -> None:
-        durable = self.durable_tuning.get(record.rec_id)
-        if durable is not None:
-            durable.state = "rolled_back"
-            durable.dollars = record.dollars
-        if record.kind == "materialized-view" and record.candidate is not None:
-            self.applied_mvs.pop(record.candidate.name, None)
-        self._spend(record, f"rollback-{record.kind}")
+        rec = self.recommendations[record.rec_id]
+        rec.state = RecommendationState.ROLLED_BACK
+        self.applied_mvs.pop(rec.action.name, None)
+        self._spend(record)
 
     def _apply_checkpoint(self, record: Checkpoint) -> None:
         """A checkpoint is a snapshot, not a transition: recovery
         :meth:`restore`\\ s the latest one and replays only what follows."""
 
-    def _spend(self, record: "TuningCommit | RollbackCommit", kind: str) -> None:
-        """The background spend of a committed apply or rollback: metered
-        into the tenants whose traffic motivated the action, and listed."""
+    def _spend(self, record: "TuningCommit | RollbackCommit") -> None:
+        """Meter a committed apply or rollback into the tenants whose
+        traffic motivated the action."""
         if record.dollars > 0.0:
             for tenant, share in record.tenant_shares or (("default", 1.0),):
                 self._bill_for(tenant).charge_background(record.dollars * share)
-        self.background_spend.append(
-            LedgerEntry(
-                action_name=record.name,
-                kind=kind,
-                dollars=record.dollars,
-                applied_physically=record.physical,
-            )
-        )
 
     # ------------------------------------------------------------------ #
     # Counters that advance without a record (see the module docstring)
@@ -437,11 +418,16 @@ class Ledger:
                     self._admission.verdict_counts.items()
                 )
             ),
-            applied_mvs=tuple(self.applied_mvs.values()),
-            durable_tuning=tuple(
-                durable.copy() for durable in self.durable_tuning.values()
+            # A live exception is copied in its journaled form: it must
+            # unpickle in the recovery process.
+            recommendations=tuple(
+                replace(
+                    rec,
+                    error=None if rec.error is None else TuningError(str(rec.error)),
+                )
+                for rec in self.recommendations.values()
+                if rec.undo is not None
             ),
-            ledger=tuple(self.background_spend),
             next_rec_id=self.next_rec_id,
             cost_history=self.cost_history.snapshots(),
         )
@@ -459,15 +445,18 @@ class Ledger:
         self._admission.restore_counts(
             {tenant: dict(counts) for tenant, counts in state.verdicts}
         )
+        self.recommendations.clear()
+        self.recommendations.update(
+            (rec.rec_id, replace(rec)) for rec in state.recommendations
+        )
         self.applied_mvs.clear()
         self.applied_mvs.update(
-            (candidate.name, candidate) for candidate in state.applied_mvs
+            (rec.action.name, rec.action.candidate)
+            for rec in self.recommendations.values()
+            if isinstance(rec.action, MaterializeView)
+            and rec.state
+            in (RecommendationState.APPLIED, RecommendationState.ROLLING_BACK)
         )
-        self.durable_tuning.clear()
-        self.durable_tuning.update(
-            (durable.rec_id, durable.copy()) for durable in state.durable_tuning
-        )
-        self.background_spend[:] = state.ledger
         self.next_rec_id = state.next_rec_id
         self.cost_history.restore(state.cost_history)
 

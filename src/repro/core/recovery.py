@@ -14,14 +14,16 @@ with the crashed process) and calls :func:`recover_warehouse`, which
    always sufficient) — skipping any entry at or below the restored LSN:
    replay is idempotent, so a crash *during* recovery just recovers
    again;
-3. resolves in-doubt tuning records: an apply whose
+3. resolves in-doubt recommendations: an apply whose
    :class:`~repro.core.journal.TuningCommit` never landed is rolled
    back via the journaled :class:`~repro.core.journal.UndoSnapshot`
    (idempotent — safe whether the catalog mutation finished or not) and
    closed by applying a ``TuningFailed``; a rollback whose commit never
    landed is completed *forward* by applying the ``RollbackCommit`` it
    was about to write (the reversal was requested — finish it, meter
-   it).  No record is ever left ``applying`` or ``rolling_back``.
+   it).  No recommendation is ever left ``APPLYING`` or
+   ``ROLLING_BACK``, and the recovered warehouse's tuning service lists
+   (and can roll back) every one the journal applied.
 
 Nothing else is re-primed.  What the warehouse derives from its ledger
 is read from it: the next query id from the newest logged record, the
@@ -31,8 +33,8 @@ advisor's template bindings from the log on every read.  Serving caches
 restart cold (``warm_cache`` re-warms them from the recovered forecast).
 
 In-doubt *roll-back* resolution is deliberately unbilled: the apply
-never committed, so the tenant sees no charge and the background ledger
-no entry — exactly-once billing against an uncrashed run.  In-doubt
+never committed, so the tenant sees no background charge —
+exactly-once billing against an uncrashed run.  In-doubt
 *roll-forward* completion meters the rollback dollars exactly as the
 live path would have.
 
@@ -52,8 +54,10 @@ from repro.core.journal import (
     RollbackCommit,
     TuningFailed,
     WriteAheadJournal,
+    shares_tuple,
 )
 from repro.errors import RecoveryError
+from repro.tuning.service import RecommendationState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.warehouse import CostIntelligentWarehouse
@@ -92,7 +96,7 @@ def recover_warehouse(
             "recover onto a warehouse without an attached journal "
             "(attach it after recovery)"
         )
-    if len(ledger.logs) or ledger.billing or ledger.durable_tuning:
+    if len(ledger.logs) or ledger.billing or ledger.recommendations:
         raise RecoveryError(
             "recovery needs a fresh warehouse: logs, billing, or tuning "
             "state already present"
@@ -139,45 +143,31 @@ def _resolve_in_doubt(
     warehouse: "CostIntelligentWarehouse", report: RecoveryReport
 ) -> None:
     ledger = warehouse.ledger
-    for durable in ledger.durable_tuning.values():
-        if not durable.in_doubt:
-            continue
-        ident = {
-            "rec_id": durable.rec_id,
-            "name": durable.name,
-            "kind": durable.kind,
-        }
-        if durable.state == "applying":
+    for rec in ledger.recommendations.values():
+        if rec.state is RecommendationState.APPLYING:
             # The commit never landed: the apply is void.  Undo the
             # (possibly partial) catalog mutation via the journaled
             # snapshot — idempotent, so "crashed before mutating" and
             # "crashed after mutating" both land on the prior state.
             # Nothing is billed: the tenant never got the action.
-            if durable.undo is None:
-                raise RecoveryError(
-                    f"in-doubt apply #{durable.rec_id} ({durable.name}) "
-                    "journaled no undo snapshot"
-                )
-            durable.undo.apply(warehouse.database, warehouse.catalog)
-            ledger.apply(TuningFailed(**ident, message="in doubt at recovery"))
-            durable.resolution = "back"
+            rec.undo.apply(warehouse.database, warehouse.catalog)
+            ledger.apply(
+                TuningFailed(rec_id=rec.rec_id, message="in doubt at recovery")
+            )
+            rec.resolution = "back"
             report.in_doubt_back += 1
-        elif durable.state == "rolling_back":
+        elif rec.state is RecommendationState.ROLLING_BACK:
             # The rollback was requested and its undo snapshot is
             # durable: complete it forward by applying the commit record
-            # the live path was about to write — the same metering and
-            # spend entry, through the same code.
-            if durable.undo is not None:
-                durable.undo.apply(warehouse.database, warehouse.catalog)
+            # the live path was about to write — the same metering,
+            # through the same code.
+            rec.undo.apply(warehouse.database, warehouse.catalog)
             ledger.apply(
                 RollbackCommit(
-                    **ident,
-                    dollars=durable.dollars,
-                    tenant_shares=durable.tenant_shares,
-                    candidate=durable.candidate,
-                    physical=durable.physical,
+                    rec_id=rec.rec_id,
+                    dollars=rec.undo.dollars,
+                    tenant_shares=shares_tuple(rec.tenant_shares),
                 )
             )
-            durable.resolution = "forward"
+            rec.resolution = "forward"
             report.in_doubt_forward += 1
-

@@ -166,9 +166,9 @@ def _admission_verdicts(warehouse) -> dict:
 
 def _estimated_savings(warehouse) -> int:
     return sum(
-        to_ledger_units(durable.net_per_hour)
-        for durable in warehouse.ledger.durable_tuning.values()
-        if durable.state == "applied"
+        to_ledger_units(rec.report.net_per_hour)
+        for rec in warehouse.ledger.recommendations.values()
+        if rec.applied
     )
 
 

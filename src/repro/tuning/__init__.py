@@ -26,9 +26,11 @@ Tuning is a long-lived service, not a one-shot call.  The pipeline:
    (:class:`~repro.tuning.service.MaterializeView` /
    :class:`~repro.tuning.service.Recluster`) inside a
    :class:`~repro.tuning.service.Recommendation` with an explicit
-   lifecycle (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED / REJECTED /
-   ROLLED_BACK / FAILED``).  ``apply()`` runs on *background compute*
-   (:mod:`~repro.tuning.background`), which captures an
+   lifecycle (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED ->
+   ROLLING_BACK -> ROLLED_BACK``, with ``REJECTED`` and ``FAILED``
+   beside), held by the warehouse ledger so that a recovered warehouse
+   lists and rolls back what it applied.  ``apply()`` runs on
+   *background compute* (:mod:`~repro.tuning.background`), which captures an
    :class:`~repro.core.journal.UndoSnapshot` of prior state before it
    mutates so ``rollback()`` restores bit-identical plans and catalog entries.
    Every apply/rollback flushes the warehouse's plan and skeleton

@@ -3,8 +3,10 @@
 "Once the What-if Service accepts a tuning proposal ... the job is sent
 to the background compute for execution."  Separate compute keeps tuning
 work from contending with foreground queries (the §4 argument for why
-auto-tuning is more solvable in the cloud); its spend is metered in a
-ledger so experiments can report foreground vs background dollars.
+auto-tuning is more solvable in the cloud).  Its spend is metered by
+the warehouse ledger when an apply or rollback commits, into the
+originating tenants' background dollars, so experiments can report
+foreground vs background spend.
 
 Before anything mutates, :meth:`BackgroundComputeService.capture_undo`
 builds an :class:`~repro.core.journal.UndoSnapshot` — plain data saying
@@ -43,27 +45,11 @@ from repro.tuning.whatif import TuningReport
 
 
 @dataclass
-class LedgerEntry:
-    """One executed background job and what it cost."""
-
-    action_name: str
-    kind: str
-    dollars: float
-    applied_physically: bool
-
-
-@dataclass
 class BackgroundComputeService:
     """Executes accepted tuning actions against the database/catalog."""
 
     database: Database | None = None
     catalog: Catalog | None = None
-    #: One entry per committed apply / rollback.  Written by the
-    #: warehouse ledger when the commit record lands
-    #: (:meth:`repro.core.ledger.Ledger.apply`); the
-    #: :class:`~repro.tuning.service.TuningService` passes the ledger's
-    #: own list here so this stays the place to read background spend.
-    ledger: list[LedgerEntry] = field(default_factory=list)
     #: Fires the ``tuning_apply`` fault point before any job (apply or
     #: rollback) mutates state, so an injected failure models background
     #: compute dying *before* the action landed — nothing is
@@ -76,10 +62,6 @@ class BackgroundComputeService:
             raise TuningError("background compute needs a database or catalog")
         if self.catalog is None and self.database is not None:
             self.catalog = self.database.catalog
-
-    @property
-    def total_spend(self) -> float:
-        return sum(e.dollars for e in self.ledger)
 
     # ------------------------------------------------------------------ #
     def capture_undo(

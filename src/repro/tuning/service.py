@@ -13,15 +13,21 @@ compute) keeps its components, but the API around them becomes:
   contain ``_on_`` and silently skipped MVs whose template binding had
   gone stale).
 - :class:`Recommendation` — one proposal's lifecycle
-  (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED / REJECTED /
-  ROLLED_BACK / FAILED``) with per-stage wall timings, the What-If
-  :class:`~repro.tuning.whatif.TuningReport` attached, and the undo
-  snapshot captured at apply time.
+  (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED -> ROLLING_BACK ->
+  ROLLED_BACK``, with ``REJECTED`` and ``FAILED`` beside) with the
+  What-If :class:`~repro.tuning.whatif.TuningReport` attached and the
+  undo snapshot captured at apply time.  It is the one record of that
+  lifecycle: the warehouse ledger holds it
+  (:attr:`~repro.core.ledger.Ledger.recommendations`), and from an
+  apply's intent on every move is a journal record the ledger folds
+  into it, so a recovered warehouse lists and rolls back what a live
+  one applied.
 - :class:`TuningService` — owned by the warehouse; holds one persistent
   :class:`~repro.tuning.whatif.WhatIfService` /
   :class:`~repro.tuning.advisor.AutoTuningAdvisor` /
   :class:`~repro.tuning.background.BackgroundComputeService` and exposes
-  ``propose() / apply(rec) / apply_all() / rollback(rec)``.  Apply and
+  ``propose() / apply(rec) / apply_all() / rollback(rec)``; its
+  ``recommendations`` are a view of the ledger's.  Apply and
   rollback are transactional over the catalog (state snapshotted before
   mutation), flush the warehouse's plan and skeleton caches so serving
   never reuses a pre-tuning plan (the catalog change re-binds every
@@ -42,7 +48,6 @@ reversible as workloads drift, not fire-and-forget.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, ClassVar, Iterable
@@ -59,7 +64,7 @@ from repro.core.journal import (
 from repro.core.resilience import CircuitBreaker
 from repro.errors import ReproError, TuningError, TuningStateError
 from repro.statsvc.logs import QueryLogStore, TenantLogView
-from repro.tuning.advisor import AdvisorProposals, AutoTuningAdvisor
+from repro.tuning.advisor import AutoTuningAdvisor
 from repro.tuning.background import BackgroundComputeService
 from repro.tuning.clustering import ReclusterCandidate
 from repro.tuning.mv import MVCandidate
@@ -123,11 +128,14 @@ class RecommendationState(Enum):
     APPLYING = "applying"
     APPLIED = "applied"
     REJECTED = "rejected"
+    ROLLING_BACK = "rolling_back"
     ROLLED_BACK = "rolled_back"
     FAILED = "failed"
 
 
-#: Legal forward transitions; anything else raises TuningStateError.
+#: Legal transitions; anything else raises TuningStateError.  The
+#: service makes the unjournaled ones (accept, reject, an apply that
+#: fails before its intent); the ledger's record handlers make the rest.
 _TRANSITIONS: dict[RecommendationState, set[RecommendationState]] = {
     RecommendationState.PROPOSED: {
         RecommendationState.ACCEPTED,
@@ -136,15 +144,17 @@ _TRANSITIONS: dict[RecommendationState, set[RecommendationState]] = {
     RecommendationState.ACCEPTED: {
         RecommendationState.APPLYING,
         RecommendationState.REJECTED,
+        RecommendationState.FAILED,
     },
     RecommendationState.REJECTED: {RecommendationState.ACCEPTED},
     RecommendationState.APPLYING: {
         RecommendationState.APPLIED,
         RecommendationState.FAILED,
     },
-    RecommendationState.APPLIED: {
+    RecommendationState.APPLIED: {RecommendationState.ROLLING_BACK},
+    RecommendationState.ROLLING_BACK: {
         RecommendationState.ROLLED_BACK,
-        RecommendationState.FAILED,
+        RecommendationState.APPLIED,
     },
     RecommendationState.ROLLED_BACK: set(),
     RecommendationState.FAILED: set(),
@@ -156,9 +166,10 @@ class Recommendation:
     """One priced tuning proposal and its apply/rollback lifecycle.
 
     Carries the typed :class:`TuningAction` (with its candidate object),
-    the What-If :class:`~repro.tuning.whatif.TuningReport`, per-stage
-    wall timings (``propose`` / ``apply`` / ``rollback``), and the
-    tenant-attribution shares used to meter background spend.
+    the What-If :class:`~repro.tuning.whatif.TuningReport`, and the
+    tenant-attribution shares used to meter background spend.  The
+    journaled intent sets ``undo``; a replayed failure's ``error`` is a
+    :class:`~repro.errors.TuningError` with the journaled message.
     """
 
     rec_id: int
@@ -166,9 +177,12 @@ class Recommendation:
     report: TuningReport
     state: RecommendationState = RecommendationState.PROPOSED
     tenant_shares: dict[str, float] = field(default_factory=dict)
-    stage_timings: dict[str, float] = field(default_factory=dict)
-    error: Exception | None = None
-    _undo: UndoSnapshot | None = field(default=None, repr=False)
+    error: Exception | None = field(default=None, compare=False)
+    undo: UndoSnapshot | None = field(default=None, repr=False)
+    #: Set by recovery when it resolved this recommendation from an
+    #: in-doubt state: "forward" (rollback completed) or "back" (apply
+    #: undone).
+    resolution: str | None = None
 
     @property
     def applied(self) -> bool:
@@ -181,17 +195,10 @@ class Recommendation:
     def describe(self) -> str:
         from repro.util.units import fmt_dollars
 
-        head = (
+        return (
             f"[{self.state.value}] #{self.rec_id} {self.action.name} "
             f"({self.action.kind}) net={fmt_dollars(self.report.net_per_hour)}/h"
         )
-        if self.stage_timings:
-            stages = ", ".join(
-                f"{name}={seconds * 1e3:.2f}ms"
-                for name, seconds in self.stage_timings.items()
-            )
-            head += f"\n  stages: {stages}"
-        return head
 
 
 # --------------------------------------------------------------------- #
@@ -255,8 +262,8 @@ class TuningService:
     """The warehouse's persistent auto-tuning service.
 
     Owns one What-If Service, one advisor, and one background-compute
-    executor for the warehouse's lifetime, keeps the
-    full :class:`Recommendation` history, and guarantees serving-layer
+    executor for the warehouse's lifetime, lists the ledger's
+    :class:`Recommendation`\\ s, and guarantees serving-layer
     coherence: every apply/rollback flushes the plan and skeleton caches
     (its catalog change re-binds every template), and registers /
     unregisters applied MVs with the serving path's rewriter.
@@ -274,13 +281,8 @@ class TuningService:
         self.background = BackgroundComputeService(
             database=warehouse.database,
             catalog=warehouse.catalog,
-            ledger=warehouse.ledger.background_spend,
             faults=warehouse.fault_port,
         )
-        #: Full recommendation history, every cycle, every state.
-        self.recommendations: list[Recommendation] = []
-        #: The raw advisor output of the latest cycle (legacy shape).
-        self.last_proposals: AdvisorProposals | None = None
         self.cycles_run = 0
         #: Failure-domain observability: background cycles swallow
         #: ``ReproError`` by design (tuning must never fail foreground
@@ -296,9 +298,13 @@ class TuningService:
 
     # -- observability -------------------------------------------------- #
     @property
-    def background_dollars(self) -> float:
-        """Total background-compute spend across applies and rollbacks."""
-        return self.background.total_spend
+    def recommendations(self) -> list[Recommendation]:
+        """Every recommendation the ledger holds, by id: this process's
+        proposals and every journaled one, recovered ones included."""
+        return sorted(
+            self.warehouse.ledger.recommendations.values(),
+            key=lambda rec: rec.rec_id,
+        )
 
     @property
     def applied_recommendations(self) -> list[Recommendation]:
@@ -308,7 +314,7 @@ class TuningService:
         lines = [
             f"tuning service: {self.cycles_run} cycles, "
             f"{len(self.recommendations)} recommendations, "
-            f"${self.background_dollars:.4f} background spend"
+            f"${self.warehouse.background_dollars:.4f} background spend"
         ]
         lines.extend(rec.describe() for rec in self.recommendations)
         return "\n".join(lines)
@@ -323,10 +329,7 @@ class TuningService:
         re-accepted manually via :meth:`accept`).
         """
         store = self._scoped_logs()
-        start = time.perf_counter()
         proposals = self.advisor.propose(store, self.warehouse.template_queries)
-        elapsed = time.perf_counter() - start
-        self.last_proposals = proposals
         accepted_ids = {id(report) for report in proposals.accepted}
         recommendations: list[Recommendation] = []
         for report in proposals.reports:
@@ -336,15 +339,14 @@ class TuningService:
                 report=report,
                 tenant_shares=self._tenant_shares(store, report),
             )
-            rec.stage_timings["propose"] = elapsed
             self._transition(
                 rec,
                 RecommendationState.ACCEPTED
                 if id(report) in accepted_ids
                 else RecommendationState.REJECTED,
             )
+            self._enter(rec)
             recommendations.append(rec)
-            self.recommendations.append(rec)
         self.cycles_run += 1
         self._last_cycle_log_len = len(self.warehouse.logs)
         self._last_cycle_clock = self.warehouse.clock
@@ -365,50 +367,48 @@ class TuningService:
         """Apply one accepted recommendation on background compute.
 
         A **two-record protocol** over the warehouse ledger
-        (:mod:`repro.core.ledger`): a
-        :class:`~repro.core.journal.TuningIntent` carrying the
-        pre-mutation :class:`~repro.core.journal.UndoSnapshot` is
-        committed before the catalog mutates, and a
-        :class:`~repro.core.journal.TuningCommit` after — whose effects
-        register an applied MV with the serving rewriter, meter the
-        one-time dollars into the originating tenants' bills and list
-        the background spend.  A crash between the two leaves the apply
+        (:mod:`repro.core.ledger`), which holds ``rec`` and moves it: a
+        :class:`~repro.core.journal.TuningIntent` carrying the action,
+        its report and the pre-mutation
+        :class:`~repro.core.journal.UndoSnapshot` is committed before
+        the catalog mutates (``APPLYING``), and a
+        :class:`~repro.core.journal.TuningCommit` after (``APPLIED``) —
+        whose effects register an applied MV with the serving rewriter
+        and meter the one-time dollars into the originating tenants'
+        bills.  A crash between the two leaves the apply
         *in doubt*; recovery rolls it back via the journaled snapshot
         (see :mod:`repro.core.recovery`).  On success the plan caches
         are flushed: serving must never reuse a pre-tuning plan.
         """
+        self._check(rec, RecommendationState.APPLYING)
+        self._enter(rec)
         ledger = self.warehouse.ledger
         action, report = rec.action, rec.report
-        ident = {"rec_id": rec.rec_id, "name": action.name, "kind": action.kind}
         shares = shares_tuple(rec.tenant_shares)
-        self._transition(rec, RecommendationState.APPLYING)
-        start = time.perf_counter()
         try:
             undo = self._capture_undo(action, report)
-            ledger.commit(TuningIntent(**ident, undo=undo, tenant_shares=shares))
+        except Exception as exc:
+            # Before the intent nothing is journaled or mutated.
+            rec.error = exc
+            self._transition(rec, RecommendationState.FAILED)
+            raise
+        ledger.commit(TuningIntent(rec.rec_id, action, report, undo, shares))
+        try:
             self._dispatch_apply(action, undo)
         except Exception as exc:
             # Nothing mutated (dispatch is all-or-nothing before its
             # first catalog write), so the intent is closed as failed
             # rather than left in doubt.
-            self._fail(rec, "apply", start, exc)
+            self._fail(rec, exc)
             raise
-        rec._undo = undo
         ledger.commit(
             TuningCommit(
-                **ident,
+                rec_id=rec.rec_id,
                 dollars=report.one_time_dollars,
                 tenant_shares=shares,
-                candidate=action.candidate
-                if isinstance(action, MaterializeView)
-                else None,
-                physical=undo.physical,
-                net_per_hour=report.net_per_hour,
             )
         )
         self.warehouse.invalidate_plan_cache()
-        rec.stage_timings["apply"] = time.perf_counter() - start
-        self._transition(rec, RecommendationState.APPLIED)
         return rec
 
     def apply_all(
@@ -445,67 +445,40 @@ class TuningService:
         catalog entries; for reclustering, the exact prior stored
         table), meters the reversal's cost, and flushes the plan caches
         so serving immediately returns to pre-tuning plans.  The mirror
-        protocol of :meth:`apply`: the
-        :class:`~repro.core.journal.RollbackIntent` carries the
-        apply-time snapshot, so if the process dies mid-rollback,
-        recovery completes the reversal forward.
+        protocol of :meth:`apply` (``ROLLING_BACK``, then
+        ``ROLLED_BACK``): the recommendation keeps its apply-time
+        snapshot, so if the process dies mid-rollback, recovery
+        completes the reversal forward; a rollback that fails before
+        mutating leaves it ``APPLIED``, to be rolled back again.
         """
-        if rec.state is not RecommendationState.APPLIED:
-            raise TuningStateError(
-                f"cannot roll back recommendation #{rec.rec_id} in state "
-                f"{rec.state.value!r}; only applied recommendations roll back",
-                state=rec.state.value,
-            )
-        assert rec._undo is not None
+        self._check(rec, RecommendationState.ROLLING_BACK)
         ledger = self.warehouse.ledger
-        action, undo = rec.action, rec._undo
-        ident = {"rec_id": rec.rec_id, "name": action.name, "kind": action.kind}
         spend = {
-            "dollars": undo.dollars,
+            "dollars": rec.undo.dollars,
             "tenant_shares": shares_tuple(rec.tenant_shares),
         }
-        start = time.perf_counter()
-        ledger.commit(RollbackIntent(**ident, undo=undo, **spend))
+        ledger.commit(RollbackIntent(rec_id=rec.rec_id, **spend))
         try:
-            self.background.rollback(undo)
+            self.background.rollback(rec.undo)
         except Exception as exc:
             # Close the in-doubt window: an in-process rollback failure
-            # (fault fired before anything mutated) must not be
-            # "completed forward" by a later crash recovery.
-            self._fail(rec, "rollback", start, exc)
+            # (fault fired before anything mutated) leaves the action
+            # applied, and a later crash recovery must not complete it
+            # forward.
+            self._fail(rec, exc)
             raise
-        ledger.commit(
-            RollbackCommit(
-                **ident,
-                **spend,
-                candidate=action.candidate
-                if isinstance(action, MaterializeView)
-                else None,
-                physical=undo.physical,
-            )
-        )
+        ledger.commit(RollbackCommit(rec_id=rec.rec_id, **spend))
         self.warehouse.invalidate_plan_cache()
-        rec.stage_timings["rollback"] = time.perf_counter() - start
-        rec._undo = None
-        self._transition(rec, RecommendationState.ROLLED_BACK)
         return rec
 
-    def _fail(
-        self, rec: Recommendation, stage: str, start: float, exc: Exception
-    ) -> None:
-        """An in-process apply / rollback failure: carried on the
-        recommendation and committed as ``TuningFailed``."""
-        rec.error = exc
-        rec.stage_timings[stage] = time.perf_counter() - start
+    def _fail(self, rec: Recommendation, exc: Exception) -> None:
+        """An in-process apply / rollback failure after its intent:
+        committed as ``TuningFailed``, the exception carried on the
+        recommendation."""
         self.warehouse.ledger.commit(
-            TuningFailed(
-                rec_id=rec.rec_id,
-                name=rec.action.name,
-                kind=rec.action.kind,
-                message=str(exc),
-            )
+            TuningFailed(rec_id=rec.rec_id, message=str(exc))
         )
-        self._transition(rec, RecommendationState.FAILED)
+        rec.error = exc
 
     # -- recurring cycles ------------------------------------------------ #
     def maybe_run_cycle(self) -> list[Recommendation] | None:
@@ -627,13 +600,22 @@ class TuningService:
             return {}
         return {tenant: count / total for tenant, count in counts.items()}
 
-    def _transition(
-        self, rec: Recommendation, target: RecommendationState
-    ) -> None:
+    def _enter(self, rec: Recommendation) -> None:
+        """Hold the caller's object in the ledger, for its records to move."""
+        ledger = self.warehouse.ledger
+        with ledger.lock:
+            ledger.recommendations[rec.rec_id] = rec
+
+    def _check(self, rec: Recommendation, target: RecommendationState) -> None:
         if target not in _TRANSITIONS[rec.state]:
             raise TuningStateError(
                 f"recommendation #{rec.rec_id} cannot move "
                 f"{rec.state.value!r} -> {target.value!r}",
                 state=rec.state.value,
             )
+
+    def _transition(
+        self, rec: Recommendation, target: RecommendationState
+    ) -> None:
+        self._check(rec, target)
         rec.state = target

@@ -8,8 +8,9 @@ journal over the *same* surviving catalog.  The scenarios: an apply
 killed in its in-doubt window is rolled back; a rollback killed before
 its commit record is completed forward and metered; a denied query
 journals its verdict and nothing else, at every boundary around it;
-and serving caches re-warm from the recovered forecast to the
-reference's plans.  Kills at generated points of generated histories
+a recovered warehouse lists and rolls back what it applied; and
+serving caches re-warm from the recovered forecast to the reference's
+plans.  Kills at generated points of generated histories
 are ``test_histories.py``'s.
 """
 
@@ -23,6 +24,9 @@ from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import AdmissionDeniedError
 from repro.testing import FaultPlan, SimulatedCrashError, crash_probes, kill
+from repro.tuning.clustering import ReclusterCandidate
+from repro.tuning.service import Recluster, Recommendation, RecommendationState
+from repro.tuning.whatif import TuningReport
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SLA = sla_constraint(20.0)
@@ -87,17 +91,14 @@ def tune(warehouse) -> None:
 
 
 def tuning_applied(warehouse) -> bool:
-    return any(
-        durable.state == "applied"
-        for durable in warehouse.ledger.durable_tuning.values()
-    )
+    return bool(warehouse.tuning.applied_recommendations)
 
 
 def run_script(warehouse, seed: int) -> None:
     """Run (or, after recovery, *resume*) the seed's workload.
 
     Progress is derived from recovered state: the log length says which
-    queries already finalized, the durable tuning records whether the
+    queries already finalized, the recovered recommendations whether the
     apply committed — so a resumed run completes exactly the steps the
     crashed process never finished.
     """
@@ -160,16 +161,19 @@ def test_matrix_reaches_the_in_doubt_window():
     with pytest.raises(SimulatedCrashError):
         run_script(crashed, seed)
     stranded = [
-        d for d in crashed.ledger.durable_tuning.values() if d.state == "applying"
+        rec
+        for rec in crashed.tuning.recommendations
+        if rec.state is RecommendationState.APPLYING
     ]
     assert stranded, "crash_pre_commit must strand an intent"
-    name = stranded[0].name
+    name = stranded[0].action.name
     assert catalog.has_view(name) or catalog.has_table(name)  # half-applied
 
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert recovered.last_recovery.in_doubt_back == 1
-    durable = recovered.ledger.durable_tuning[stranded[0].rec_id]
-    assert durable.state == "failed" and durable.resolution == "back"
+    resolved = recovered.ledger.recommendations[stranded[0].rec_id]
+    assert resolved.state is RecommendationState.FAILED
+    assert resolved.resolution == "back"
     assert not catalog.has_view(name) and not catalog.has_table(name)
     assert not recovered.ledger.applied_mvs
     # Unbilled: the tenant never got the action.
@@ -206,24 +210,84 @@ def test_crash_mid_rollback_completes_forward():
     warehouse.inject_faults(FaultPlan([kill("crash_pre_commit")], seed=seed))
     with pytest.raises(SimulatedCrashError):
         warehouse.tuning.rollback(rec)
-    assert warehouse.ledger.durable_tuning[rec.rec_id].state == "rolling_back"
+    assert rec.state is RecommendationState.ROLLING_BACK
 
     recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
     assert recovered.last_recovery.in_doubt_forward == 1
-    durable = recovered.ledger.durable_tuning[rec.rec_id]
-    assert durable.state == "rolled_back" and durable.resolution == "forward"
+    resolved = recovered.ledger.recommendations[rec.rec_id]
+    assert resolved.state is RecommendationState.ROLLED_BACK
+    assert resolved.resolution == "forward"
     assert not catalog.has_view(name) and not catalog.has_table(name)
     assert not recovered.ledger.applied_mvs
     assert {
         t: b.ledger_snapshot() for t, b in recovered.billing.items()
     } == {t: b.ledger_snapshot() for t, b in reference.billing.items()}
-    assert [
-        (e.action_name, e.kind, e.dollars)
-        for e in recovered.tuning.background.ledger
-    ] == [
-        (e.action_name, e.kind, e.dollars)
-        for e in reference.tuning.background.ledger
-    ]
+    assert lifecycle(recovered.ledger.snapshot().recommendations) == lifecycle(
+        reference.ledger.snapshot().recommendations
+    )
+
+
+def lifecycle(recommendations) -> list:
+    return [(rec.rec_id, rec.action, rec.state) for rec in recommendations]
+
+
+def apply_mv_and_recluster(warehouse) -> None:
+    """The seed-1 workload with its MV applied, then a recluster of
+    ``orders`` applied after a checkpoint: recovery restores one apply
+    and replays the other."""
+    run_script(warehouse, seed=1)
+    warehouse.checkpoint()
+    candidate = ReclusterCandidate(table="orders", key="o_orderdate")
+    report = TuningReport(
+        action_name=candidate.name,
+        kind="recluster",
+        savings_per_hour=1.0,
+        cost_per_hour=0.0,
+        one_time_dollars=0.5,
+        candidate=candidate,
+    )
+    rec = Recommendation(
+        rec_id=warehouse.ledger.issue_rec_id(),
+        action=Recluster(candidate),
+        report=report,
+        tenant_shares={"acme": 0.5, "bolt": 0.5},
+    )
+    warehouse.tuning.accept(rec)
+    warehouse.tuning.apply(rec)
+
+
+def test_a_recovered_warehouse_lists_and_rolls_back_what_it_applied():
+    """The ledger holds the one record of each recommendation, so a
+    recovered warehouse lists the applies its journal committed and
+    rolls them back exactly as the live process would.  A second copy
+    used to live beside the journaled one: after recovery the ledger
+    said ``applied`` while the tuning service listed nothing, and there
+    was no way to roll the applied view back."""
+    catalog = synthetic_tpch_catalog(1.0)
+    journal = WriteAheadJournal()
+    live = make_warehouse(catalog, journal)
+    apply_mv_and_recluster(live)
+    reference = make_warehouse(synthetic_tpch_catalog(1.0), WriteAheadJournal())
+    apply_mv_and_recluster(reference)
+
+    recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
+    applied = recovered.tuning.applied_recommendations
+    assert lifecycle(applied) == lifecycle(live.tuning.applied_recommendations)
+    assert [rec.action.kind for rec in applied] == ["materialized-view", "recluster"]
+
+    for warehouse in (recovered, reference):
+        for rec in warehouse.tuning.applied_recommendations:
+            warehouse.tuning.rollback(rec)
+        assert not warehouse.tuning.applied_recommendations
+    assert {t: b.ledger_snapshot() for t, b in recovered.billing.items()} == {
+        t: b.ledger_snapshot() for t, b in reference.billing.items()
+    }
+    assert recovered.ledger.applied_mvs == reference.ledger.applied_mvs == {}
+    ref_catalog = reference.catalog
+    assert catalog.table_names == ref_catalog.table_names
+    assert [v.name for v in catalog.views()] == [v.name for v in ref_catalog.views()]
+    for table in catalog.table_names:
+        assert catalog.table(table).schema == ref_catalog.table(table).schema
 
 
 # --------------------------------------------------------------------- #

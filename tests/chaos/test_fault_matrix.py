@@ -398,7 +398,7 @@ def test_tuning_apply_outage_opens_breaker_and_stops_spending(catalog):
     # Nothing was half-applied and nothing was billed: the fault fires
     # before any mutation or ledger entry.
     assert wh.background_dollars == 0.0
-    assert not wh.tuning.background.ledger
+    assert not wh.tuning.applied_recommendations
     failed = [
         r for r in wh.tuning.recommendations if r.state.name == "FAILED"
     ]

@@ -4,7 +4,8 @@ A ``hypothesis`` :class:`~hypothesis.stateful.RuleBasedStateMachine`
 drives a journaled, lock-instrumented warehouse through batches from
 three tenants (one budgeted) on the inline and thread executors, seeded
 serving faults, checkpoints, kills at every journal crash point followed
-by recovery and resumption, tuning applies and rollbacks, snapshot
+by recovery and resumption, tuning applies and rollbacks (some failed
+by a one-shot ``tuning_apply`` fault), snapshot
 collection, forecast refreshes and cache invalidation.  After every step
 it is held to two references that share no code with the ledger:
 
@@ -68,6 +69,7 @@ from repro.testing import (
     SimulatedCrashError,
     instrument_warehouse,
     kill,
+    outage,
 )
 from repro.tuning.service import Recommendation
 from repro.util.units import from_ledger_units, to_ledger_units
@@ -143,6 +145,8 @@ TUNING_KILLS = st.none() | st.sampled_from(
 #: A recommendation's durable state, read off the last record the journal
 #: holds for it.  An intent is last only when a crash cut its operation
 #: short, and recovery resolved it: an apply voided, a rollback completed.
+#: A ``TuningFailed`` that follows a ``RollbackIntent`` leaves the action
+#: applied.
 RESOLVED = {
     TuningIntent: "failed",
     TuningCommit: "applied",
@@ -159,6 +163,7 @@ def fold(entries) -> tuple[dict, list, dict]:
     units: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     query_ids: list[int] = []
     last: dict[int, object] = {}
+    rollback_failed: set[int] = set()
 
     def spend(record) -> None:
         if record.dollars > 0.0:
@@ -175,13 +180,20 @@ def fold(entries) -> tuple[dict, list, dict]:
         elif isinstance(record, RetryCharge):
             units[record.tenant][3] += to_ledger_units(record.dollars)
         elif type(record) in RESOLVED:
+            if isinstance(record, TuningFailed) and isinstance(last.get(record.rec_id), RollbackIntent):
+                rollback_failed.add(record.rec_id)
+            else:
+                rollback_failed.discard(record.rec_id)
             last[record.rec_id] = record
             if isinstance(record, (TuningCommit, RollbackCommit)):
                 spend(record)
     for record in last.values():
         if isinstance(record, RollbackIntent):
             spend(record)
-    states = {rec_id: RESOLVED[type(record)] for rec_id, record in last.items()}
+    states = {
+        rec_id: "applied" if rec_id in rollback_failed else RESOLVED[type(record)]
+        for rec_id, record in last.items()
+    }
     return dict(units), query_ids, states
 
 
@@ -280,10 +292,6 @@ class Histories(RuleBasedStateMachine):
         #: before it was built (they restart at zero after a recovery).
         self.degraded = 0
         self.retry_units_before = 0
-        #: Applied recommendations by name.  One outlives a crash as an
-        #: operator's record of it would: the recovered warehouse rolls it
-        #: back by its journaled id.
-        self.applied: dict[str, Recommendation] = {}
         #: The twin's copies of the applies it mirrored, by name.
         self.twin_applied: dict[str, Recommendation] = {}
 
@@ -359,12 +367,16 @@ class Histories(RuleBasedStateMachine):
             self.coverage["worker_kills"] += stats[0]
             self.coverage["restaged_tasks"] += stats[2]
 
-    def _tune(self, op: str, rec: Recommendation, crash) -> None:
-        """Apply or roll back ``rec`` (under a kill, then recover), and
-        mirror on the twin whatever the journaled warehouse ended with."""
+    def _tune(self, op: str, rec: Recommendation, crash, fault: bool = False) -> None:
+        """Apply or roll back ``rec`` (under a kill, then recover; or a
+        one-shot ``tuning_apply`` fault), and mirror on the twin whatever
+        the journaled warehouse ended with."""
         name = rec.action.name
-        if crash is not None:
-            self._install([kill(crash[0], at=crash[1])])
+        specs = [kill(crash[0], at=crash[1])] if crash is not None else []
+        if fault:
+            specs.append(outage("tuning_apply", limit=1))
+        if specs:
+            self._install(specs)
         recovered = False
         try:
             if op == "apply":
@@ -372,19 +384,21 @@ class Histories(RuleBasedStateMachine):
             else:
                 self.wh.tuning.rollback(rec)
         except ReproError:
-            pass  # failed in-process (the MV exists): TuningFailed, nothing mutated
+            # Failed in-process (the MV exists, or the fault fired):
+            # TuningFailed, nothing mutated.
+            if op == "rollback":
+                self.coverage["rollback_failed"] += 1
+                assert rec.applied and self.catalog.has_view(name)
         except SimulatedCrashError as error:
             self._recover(error)
             recovered = True
-        if crash is not None:
+        if specs:
             self._install([])
-        durable = self.wh.ledger.durable_tuning.get(rec.rec_id)
-        state = durable.state if durable is not None else None
+        held = self.wh.ledger.recommendations.get(rec.rec_id)
+        state = held.state.value if held is not None else None
         twin = self.twin
         if op == "apply" and state == "applied":
             self.coverage["applied"] += 1
-            if not recovered:  # else the crash left ``rec`` APPLYING
-                self.applied[name] = rec
             if twin is not None:
                 clone = Recommendation(
                     rec_id=twin.ledger.issue_rec_id(),
@@ -394,12 +408,10 @@ class Histories(RuleBasedStateMachine):
                 )
                 twin.tuning.accept(clone)
                 self.twin_applied[name] = twin.tuning.apply(clone)
-        if op == "rollback" and state != "applied":
-            del self.applied[name]
-            if state == "rolled_back":
-                self.coverage["rolled_back"] += 1
-                if twin is not None:
-                    twin.tuning.rollback(self.twin_applied.pop(name))
+        if op == "rollback" and state == "rolled_back":
+            self.coverage["rolled_back"] += 1
+            if twin is not None:
+                twin.tuning.rollback(self.twin_applied.pop(name))
         if recovered and twin is not None:
             cold_start(twin)
 
@@ -516,12 +528,14 @@ class Histories(RuleBasedStateMachine):
                 self.wh.tuning.accept(rec)
             self._tune("apply", rec, crash)
 
-    @precondition(lambda self: self.applied)
-    @rule(pick=st.integers(0, 3), crash=TUNING_KILLS)
+    @precondition(lambda self: any(rec.applied for rec in self.wh.ledger.recommendations.values()))
+    @rule(pick=st.integers(0, 3), crash=TUNING_KILLS, fault=st.sampled_from((True, False)))
     @counted
-    def rollback(self, pick, crash):
-        names = sorted(self.applied)
-        self._tune("rollback", self.applied[names[pick % len(names)]], crash)
+    def rollback(self, pick, crash, fault):
+        """Roll back one applied recommendation, as the current (perhaps
+        recovered) warehouse lists them."""
+        applied = self.wh.tuning.applied_recommendations
+        self._tune("rollback", applied[pick % len(applied)], crash, fault)
 
     @precondition(lambda self: not self.collecting)
     @rule()
@@ -551,9 +565,8 @@ class Histories(RuleBasedStateMachine):
         stamps = [record.timestamp for record in records]
         assert stamps == sorted(stamps)
 
-        durable = wh.ledger.durable_tuning.values()
-        assert not [d.rec_id for d in durable if d.in_doubt]
-        assert {d.rec_id: d.state for d in durable} == states
+        journaled = [rec for rec in wh.ledger.recommendations.values() if rec.undo is not None]
+        assert {rec.rec_id: rec.state.value for rec in journaled} == states
 
         health = wh.describe_health()["resilience"]
         retry_units = sum(bill.retry_units for bill in bills) - self.retry_units_before
@@ -629,7 +642,7 @@ def test_generated_histories_keep_every_contract():
     assert not rules - set(coverage), f"rules never fired: {rules - set(coverage)}"
     for reached in (
         *CRASH_POINTS, "forecast", "plans", "estimator", "in_doubt_back", "applied",
-        "rolled_back", "FAILED", "DENIED", "degraded", "billed_retry", "retry_leaf",
+        "rolled_back", "rollback_failed", "FAILED", "DENIED", "degraded", "billed_retry", "retry_leaf",
         "twin_dropped", "lock_edges",
     ):
         assert coverage[reached], f"no history reached {reached!r}: {coverage}"

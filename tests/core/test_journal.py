@@ -18,7 +18,6 @@ from repro.core.journal import (
     Checkpoint,
     CheckpointState,
     CostSnapshotTaken,
-    DurableRecommendation,
     JournalEntry,
     QueryServed,
     RECORD_TYPES,
@@ -41,6 +40,13 @@ from repro.dop.constraints import sla_constraint
 from repro.errors import JournalError, RecoveryError, ReproError
 from repro.obsvc.history import CostLeaf, CostSnapshot, TenantCostSlice
 from repro.statsvc.logs import QueryRecord
+from repro.tuning.mv import MVCandidate
+from repro.tuning.service import (
+    MaterializeView,
+    Recommendation,
+    RecommendationState,
+)
+from repro.tuning.whatif import TuningReport
 from repro.util.rng import derive_rng
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
@@ -77,29 +83,34 @@ def sample_records() -> list:
         physical=False,
         base_tables=("customer", "nation"),
     )
+    candidate = MVCandidate(
+        name="mv_q5ish",
+        base_tables=("customer", "nation"),
+        join_edges=(("customer.c_nationkey", "nation.n_nationkey"),),
+        group_by=("n_name",),
+        agg_sources=("sum(c_acctbal)",),
+    )
+    action = MaterializeView(candidate)
+    report = TuningReport(
+        action_name="mv_q5ish",
+        kind="materialized-view",
+        savings_per_hour=0.5,
+        cost_per_hour=0.125,
+        one_time_dollars=0.25,
+        candidate=candidate,
+    )
+    shares = (("acme", 0.75), ("bolt", 0.25))
     return [
         QueryServed(record=make_record()),
         AdmissionDecision(tenant="acme", verdict="admit"),
         RetryCharge(tenant="acme", dollars=0.001),
         TuningIntent(
-            rec_id=1,
-            name="mv_q5ish",
-            kind="materialized-view",
-            undo=undo,
-            tenant_shares=(("acme", 0.75), ("bolt", 0.25)),
+            rec_id=1, action=action, report=report, undo=undo, tenant_shares=shares
         ),
-        TuningCommit(
-            rec_id=1,
-            name="mv_q5ish",
-            kind="materialized-view",
-            dollars=0.25,
-            tenant_shares=(("acme", 0.75), ("bolt", 0.25)),
-        ),
-        TuningFailed(rec_id=2, name="rc_x", kind="recluster", message="boom"),
-        RollbackIntent(
-            rec_id=1, name="mv_q5ish", kind="materialized-view", undo=undo
-        ),
-        RollbackCommit(rec_id=1, name="mv_q5ish", kind="materialized-view"),
+        TuningCommit(rec_id=1, dollars=0.25, tenant_shares=shares),
+        TuningFailed(rec_id=2, message="boom"),
+        RollbackIntent(rec_id=1, tenant_shares=shares),
+        RollbackCommit(rec_id=1, tenant_shares=shares),
         CostSnapshotTaken(
             CostSnapshot(
                 seq=1,
@@ -129,13 +140,13 @@ def sample_records() -> list:
                 records=(make_record(),),
                 bills=(TenantBill("acme").ledger_snapshot(),),
                 verdicts=(("acme", (("admit", 3),)),),
-                applied_mvs=(),
-                durable_tuning=(
-                    DurableRecommendation(
+                recommendations=(
+                    Recommendation(
                         rec_id=1,
-                        name="mv_q5ish",
-                        kind="materialized-view",
-                        state="applied",
+                        action=action,
+                        report=report,
+                        state=RecommendationState.APPLIED,
+                        tenant_shares=dict(shares),
                         undo=undo,
                     ),
                 ),
@@ -346,13 +357,12 @@ def test_undo_snapshot_apply_is_idempotent():
     if not rec.accepted:
         warehouse.tuning.accept(rec)
     warehouse.tuning.apply(rec)
-    durable = warehouse.ledger.durable_tuning[rec.rec_id]
-    assert durable.state == "applied" and durable.undo is not None
-    name = durable.name
+    assert rec.applied and rec.undo is not None
+    name = rec.action.name
     assert catalog.has_view(name) and catalog.has_table(name)
-    durable.undo.apply(warehouse.database, catalog)
+    rec.undo.apply(warehouse.database, catalog)
     assert not catalog.has_view(name) and not catalog.has_table(name)
-    durable.undo.apply(warehouse.database, catalog)  # second pass: no-op
+    rec.undo.apply(warehouse.database, catalog)  # second pass: no-op
     assert not catalog.has_view(name) and not catalog.has_table(name)
 
 
@@ -382,7 +392,7 @@ def test_journaled_serving_is_bit_identical_to_journal_free(
     """The journal records and nothing else: one seeded two-tenant
     workload — serving, then a retry charge, collected snapshots, an MV
     apply, a failed apply and a rollback — run with ``journal=None`` and
-    with a checkpointing journal yields equal ledgers, background spend,
+    with a checkpointing journal yields equal ledgers, recommendations,
     catalogs and plans.  (``journal=None`` is the same ``commit`` minus
     the append, and there is one undo path: this is what holds both.)"""
     journal = WriteAheadJournal(checkpoint_every=32)
@@ -417,13 +427,16 @@ def test_journaled_serving_is_bit_identical_to_journal_free(
                 bills,
                 plans,
                 warehouse.ledger.snapshot(),
-                list(warehouse.tuning.background.ledger),
+                warehouse.tuning.recommendations,
                 (catalog.table_names, [view.name for view in catalog.views()]),
             )
         )
     assert states[0] == states[1]
     assert len(states[0][0]) == 46 and len(states[0][1]) == 2
-    assert len(states[0][4]) == 2 and states[0][3].durable_tuning
+    assert [rec.state.value for rec in states[0][3].recommendations] == [
+        "rolled_back",
+        "failed",
+    ]
     assert journal.last_checkpoint_id is not None  # >= 1 checkpoint taken
 
 

@@ -21,8 +21,8 @@ from repro.workloads.tpch_stats import synthetic_tpch_catalog
 def test_every_journal_append_happens_under_the_ledger_lock(
     history_warehouse, drive_ledger_history
 ):
-    """Tuning records used to be journaled and folded into
-    ``durable_tuning`` bare, while ``checkpoint()`` iterated that dict
+    """Tuning records used to be journaled and folded into the tuning
+    bookkeeping bare, while ``checkpoint()`` iterated that dict
     under the lock from whichever session thread crossed
     ``checkpoint_every``."""
     journal = WriteAheadJournal()
@@ -64,7 +64,7 @@ def test_live_state_equals_replayed_state_for_every_record_type(
         assert getattr(recovered_state, name) == getattr(live_state, name), name
     assert recovered.ledger.applied_lsn == live.ledger.applied_lsn
     # The history exercised every field: none is at its empty default.
-    assert live_state.durable_tuning and live_state.ledger and live_state.verdicts
+    assert live_state.recommendations and live_state.verdicts
     assert live_state.cost_history and live_state.next_rec_id > 1
 
 

@@ -417,6 +417,7 @@ def test_recommendation_lifecycle_surface():
         "APPLYING",
         "APPLIED",
         "REJECTED",
+        "ROLLING_BACK",
         "ROLLED_BACK",
         "FAILED",
     }

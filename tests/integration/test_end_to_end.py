@@ -94,11 +94,13 @@ def test_tuning_cycle_applies_and_improves():
                 simulate=False,
             )
         ).result()
-    wh.tuning.apply_all(wh.tuning.propose())
-    proposals = wh.tuning.last_proposals
+    recommendations = wh.tuning.propose()
     applied_mvs = [
-        r for r in proposals.accepted if r.kind == "materialized-view"
+        r.report
+        for r in recommendations
+        if r.accepted and r.action.kind == "materialized-view"
     ]
+    wh.tuning.apply_all(recommendations)
     if not applied_mvs:
         pytest.skip("workload did not justify an MV at this scale")
     for report in applied_mvs:

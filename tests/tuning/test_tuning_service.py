@@ -7,6 +7,7 @@ the old string-round-trip failure modes (missing template binding,
 """
 
 import dataclasses
+import pickle
 from typing import ClassVar
 
 import pytest
@@ -101,7 +102,6 @@ def test_propose_returns_typed_recommendations():
             RecommendationState.REJECTED,
         )
         assert rec.report.candidate is not None
-        assert "propose" in rec.stage_timings
         assert rec.tenant_shares == {"alpha": 1.0}
         if isinstance(rec.action, MaterializeView):
             # The action carries the candidate object end-to-end.
@@ -145,7 +145,6 @@ def test_mv_apply_rollback_restores_bit_identical_plans():
     back_bound, back_choice = wh.plan(sql, SLA)
     assert back_bound.table_names == ["customer", "nation"]
     assert plan_snapshot(back_choice) == pre
-    assert {"propose", "apply", "rollback"} <= set(mv.stage_timings)
 
 
 def test_recluster_apply_rollback_restores_catalog_entry_identically():
@@ -222,12 +221,9 @@ def test_physical_roundtrips_on_real_data():
     assert db.stored_table("lineitem") is prior_stored
     assert wh.catalog.table("lineitem") is prior_entry
     assert plan_snapshot(wh.plan(DATEQ, SLA)[1]) == dpre
-    ledger_kinds = [e.kind for e in wh.tuning.background.ledger]
-    assert ledger_kinds == [
-        "materialized-view",
-        "rollback-materialized-view",
-        "recluster",
-        "rollback-recluster",
+    assert [(r.action.kind, r.state.value) for r in wh.tuning.recommendations] == [
+        ("materialized-view", "rolled_back"),
+        ("recluster", "rolled_back"),
     ]
 
 
@@ -430,6 +426,43 @@ def test_double_apply_of_same_mv_name_is_rejected_before_mutation():
         wh.tuning.apply(clone)  # name already in the catalog
     assert clone.state is RecommendationState.FAILED
     assert wh.catalog.has_view(mv.action.name)  # original untouched
+
+
+def test_a_rollback_that_fails_before_mutating_leaves_the_action_applied():
+    """A one-shot ``tuning_apply`` fault fails a rollback before it
+    touches the catalog.  It used to mark the recommendation ``FAILED``
+    (terminal) while the view stayed registered and applied: the savings
+    metric read 0 and a second rollback raised ``TuningStateError``."""
+    from repro.testing import FaultPlan
+    from repro.testing.faults import InjectedFault, outage
+
+    wh = stats_warehouse()
+    mv = next(
+        r for r in wh.tuning.propose() if isinstance(r.action, MaterializeView)
+    )
+    wh.tuning.apply(mv)
+    savings = "repro_tuning_estimated_savings_ledger_units_per_hour"
+    applied_savings = wh.metrics.value(savings)
+    assert applied_savings > 0
+
+    wh.inject_faults(FaultPlan([outage("tuning_apply", limit=1)]))
+    with pytest.raises(InjectedFault):
+        wh.tuning.rollback(mv)
+    assert mv.state is RecommendationState.APPLIED
+    assert isinstance(mv.error, InjectedFault)
+    assert wh.catalog.has_view(mv.action.name)
+    assert mv.action.name in wh.ledger.applied_mvs
+    assert wh.metrics.value(savings) == applied_savings
+    # A checkpoint carries the failure in its journaled form, which
+    # unpickles in a recovery process (the injected fault does not).
+    (held,) = pickle.loads(pickle.dumps(wh.ledger.snapshot())).recommendations
+    assert (held.state, str(held.error)) == (mv.state, str(mv.error))
+
+    wh.tuning.rollback(mv)
+    assert mv.state is RecommendationState.ROLLED_BACK
+    assert not wh.catalog.has_view(mv.action.name)
+    assert not wh.ledger.applied_mvs
+    assert wh.metrics.value(savings) == 0
 
 
 # --------------------------------------------------------------------- #

@@ -139,11 +139,10 @@ def test_advisor_cycle_on_warehouse(tpch_db):
                 )
             ).result()
             t += 900.0
-    wh.tuning.propose()
-    proposals = wh.tuning.last_proposals
-    assert proposals.reports
-    kinds = {r.kind for r in proposals.reports}
+    reports = [rec.report for rec in wh.tuning.propose()]
+    assert reports
+    kinds = {r.kind for r in reports}
     assert "materialized-view" in kinds
     # Reports are sorted by net value, best first.
-    nets = [r.net_per_hour for r in proposals.reports]
+    nets = [r.net_per_hour for r in reports]
     assert nets == sorted(nets, reverse=True)
