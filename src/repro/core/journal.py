@@ -15,8 +15,8 @@ gates).  This module is the durability substrate:
   (:class:`CostSnapshotTaken`), and the tuning lifecycle edges
   (:class:`TuningIntent` / :class:`TuningCommit` / :class:`TuningFailed`
   and their rollback mirrors: the intent carries the recommendation's
-  action and What-If report once, every later edge only its id and
-  billing delta), plus periodic :class:`Checkpoint`\\ s;
+  action, What-If report and tenant shares once, every later edge only
+  its id, a failure also its message), plus periodic :class:`Checkpoint`\\ s;
 - :class:`UndoSnapshot` — a *declarative*, picklable capture of how to
   reverse a tuning action, journaled in the intent record **before**
   the catalog mutates: the one undo representation, executed by a live
@@ -161,9 +161,10 @@ class TuningIntent:
     """A tuning apply is about to mutate the catalog.
 
     Journaled *before* the mutation, it carries what the recommendation
-    is about, once — its typed action and What-If report, from which
-    replay rebuilds it — and the pre-mutation :class:`UndoSnapshot`:
-    the write-ahead half of the two-record apply protocol.  An intent
+    is about, once — its typed action, What-If report and tenant
+    shares, from which replay rebuilds it and the commits meter — and
+    the pre-mutation :class:`UndoSnapshot`: the write-ahead half of the
+    two-record apply protocol.  An intent
     without a matching :class:`TuningCommit` at recovery time is *in
     doubt* and is rolled back via the snapshot.
     """
@@ -179,12 +180,10 @@ class TuningIntent:
 class TuningCommit:
     """The apply's catalog mutation completed; replay marks the
     recommendation applied, registers an MV with the serving rewriter
-    and meters the one-time dollars into the originating tenants'
-    bills."""
+    and meters its report's one-time dollars into the originating
+    tenants' bills."""
 
     rec_id: int
-    dollars: float
-    tenant_shares: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -205,22 +204,18 @@ class RollbackIntent:
     The recommendation keeps its apply-time :class:`UndoSnapshot`: if
     the process dies mid-rollback, recovery completes it forward (the
     user asked for the rollback) by re-applying the snapshot
-    idempotently and metering these dollars.
+    idempotently and metering the snapshot's ``dollars``.
     """
 
     rec_id: int
-    dollars: float = 0.0
-    tenant_shares: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class RollbackCommit:
     """The rollback completed; replay marks the recommendation rolled
-    back, unregisters an MV and meters the reversal dollars."""
+    back, unregisters an MV and meters its undo snapshot's dollars."""
 
     rec_id: int
-    dollars: float = 0.0
-    tenant_shares: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,10 @@ from repro.core.journal import (
     TuningFailed,
     TuningIntent,
     WriteAheadJournal,
+    shares_tuple,
 )
 from repro.core.resilience import FaultPort
-from repro.errors import RecoveryError, ReproError, TuningError
+from repro.errors import RecoveryError, ReproError
 from repro.obsvc.history import CostHistoryStore
 from repro.sql.parameterize import parameterize_sql
 from repro.statsvc.logs import QueryLogStore, QueryRecord
@@ -353,7 +354,7 @@ class Ledger:
         rec.state = RecommendationState.APPLIED
         if isinstance(rec.action, MaterializeView):
             self.applied_mvs[rec.action.name] = rec.action.candidate
-        self._spend(record)
+        self._spend(rec, rec.report.one_time_dollars)
 
     def _apply_tuning_failed(self, record: TuningFailed) -> None:
         rec = self.recommendations[record.rec_id]
@@ -363,7 +364,7 @@ class Ledger:
             if rec.state is RecommendationState.ROLLING_BACK
             else RecommendationState.FAILED
         )
-        rec.error = TuningError(record.message)
+        rec.error = record.message
 
     def _apply_rollback_intent(self, record: RollbackIntent) -> None:
         rec = self.recommendations[record.rec_id]
@@ -373,18 +374,18 @@ class Ledger:
         rec = self.recommendations[record.rec_id]
         rec.state = RecommendationState.ROLLED_BACK
         self.applied_mvs.pop(rec.action.name, None)
-        self._spend(record)
+        self._spend(rec, rec.undo.dollars)
 
     def _apply_checkpoint(self, record: Checkpoint) -> None:
         """A checkpoint is a snapshot, not a transition: recovery
         :meth:`restore`\\ s the latest one and replays only what follows."""
 
-    def _spend(self, record: "TuningCommit | RollbackCommit") -> None:
+    def _spend(self, rec: Recommendation, dollars: float) -> None:
         """Meter a committed apply or rollback into the tenants whose
         traffic motivated the action."""
-        if record.dollars > 0.0:
-            for tenant, share in record.tenant_shares or (("default", 1.0),):
-                self._bill_for(tenant).charge_background(record.dollars * share)
+        if dollars > 0.0:
+            for tenant, share in shares_tuple(rec.tenant_shares or {"default": 1.0}):
+                self._bill_for(tenant).charge_background(dollars * share)
 
     # ------------------------------------------------------------------ #
     # Counters that advance without a record (see the module docstring)
@@ -418,13 +419,8 @@ class Ledger:
                     self._admission.verdict_counts.items()
                 )
             ),
-            # A live exception is copied in its journaled form: it must
-            # unpickle in the recovery process.
             recommendations=tuple(
-                replace(
-                    rec,
-                    error=None if rec.error is None else TuningError(str(rec.error)),
-                )
+                replace(rec)
                 for rec in self.recommendations.values()
                 if rec.undo is not None
             ),

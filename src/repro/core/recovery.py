@@ -54,7 +54,6 @@ from repro.core.journal import (
     RollbackCommit,
     TuningFailed,
     WriteAheadJournal,
-    shares_tuple,
 )
 from repro.errors import RecoveryError
 from repro.tuning.service import RecommendationState
@@ -162,12 +161,6 @@ def _resolve_in_doubt(
             # the live path was about to write — the same metering,
             # through the same code.
             rec.undo.apply(warehouse.database, warehouse.catalog)
-            ledger.apply(
-                RollbackCommit(
-                    rec_id=rec.rec_id,
-                    dollars=rec.undo.dollars,
-                    tenant_shares=shares_tuple(rec.tenant_shares),
-                )
-            )
+            ledger.apply(RollbackCommit(rec_id=rec.rec_id))
             rec.resolution = "forward"
             report.in_doubt_forward += 1

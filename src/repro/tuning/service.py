@@ -168,8 +168,8 @@ class Recommendation:
     Carries the typed :class:`TuningAction` (with its candidate object),
     the What-If :class:`~repro.tuning.whatif.TuningReport`, and the
     tenant-attribution shares used to meter background spend.  The
-    journaled intent sets ``undo``; a replayed failure's ``error`` is a
-    :class:`~repro.errors.TuningError` with the journaled message.
+    journaled intent sets ``undo``; a failure sets ``error`` to its
+    message (the exception itself is raised to the caller).
     """
 
     rec_id: int
@@ -177,7 +177,7 @@ class Recommendation:
     report: TuningReport
     state: RecommendationState = RecommendationState.PROPOSED
     tenant_shares: dict[str, float] = field(default_factory=dict)
-    error: Exception | None = field(default=None, compare=False)
+    error: str | None = None
     undo: UndoSnapshot | None = field(default=None, repr=False)
     #: Set by recovery when it resolved this recommendation from an
     #: in-doubt state: "forward" (rollback completed) or "back" (apply
@@ -378,21 +378,27 @@ class TuningService:
         bills.  A crash between the two leaves the apply
         *in doubt*; recovery rolls it back via the journaled snapshot
         (see :mod:`repro.core.recovery`).  On success the plan caches
-        are flushed: serving must never reuse a pre-tuning plan.
+        are flushed: serving must never reuse a pre-tuning plan.  Another
+        object under an id the ledger holds raises ``TuningStateError``.
         """
-        self._check(rec, RecommendationState.APPLYING)
-        self._enter(rec)
         ledger = self.warehouse.ledger
+        with ledger.lock:
+            held = ledger.recommendations.get(rec.rec_id, rec)
+            self._check(held, RecommendationState.APPLYING)
+            self._enter(rec)
         action, report = rec.action, rec.report
-        shares = shares_tuple(rec.tenant_shares)
         try:
             undo = self._capture_undo(action, report)
         except Exception as exc:
             # Before the intent nothing is journaled or mutated.
-            rec.error = exc
+            rec.error = str(exc)
             self._transition(rec, RecommendationState.FAILED)
             raise
-        ledger.commit(TuningIntent(rec.rec_id, action, report, undo, shares))
+        ledger.commit(
+            TuningIntent(
+                rec.rec_id, action, report, undo, shares_tuple(rec.tenant_shares)
+            )
+        )
         try:
             self._dispatch_apply(action, undo)
         except Exception as exc:
@@ -401,13 +407,7 @@ class TuningService:
             # rather than left in doubt.
             self._fail(rec, exc)
             raise
-        ledger.commit(
-            TuningCommit(
-                rec_id=rec.rec_id,
-                dollars=report.one_time_dollars,
-                tenant_shares=shares,
-            )
-        )
+        ledger.commit(TuningCommit(rec_id=rec.rec_id))
         self.warehouse.invalidate_plan_cache()
         return rec
 
@@ -450,14 +450,16 @@ class TuningService:
         snapshot, so if the process dies mid-rollback, recovery
         completes the reversal forward; a rollback that fails before
         mutating leaves it ``APPLIED``, to be rolled back again.
+
+        A journaled recommendation is named by its id: an object held
+        across a recovery rolls back the recovered one, which is the
+        object this returns and moves.
         """
-        self._check(rec, RecommendationState.ROLLING_BACK)
         ledger = self.warehouse.ledger
-        spend = {
-            "dollars": rec.undo.dollars,
-            "tenant_shares": shares_tuple(rec.tenant_shares),
-        }
-        ledger.commit(RollbackIntent(rec_id=rec.rec_id, **spend))
+        with ledger.lock:
+            rec = self._held(rec)
+            self._check(rec, RecommendationState.ROLLING_BACK)
+            ledger.commit(RollbackIntent(rec_id=rec.rec_id))
         try:
             self.background.rollback(rec.undo)
         except Exception as exc:
@@ -467,18 +469,17 @@ class TuningService:
             # forward.
             self._fail(rec, exc)
             raise
-        ledger.commit(RollbackCommit(rec_id=rec.rec_id, **spend))
+        ledger.commit(RollbackCommit(rec_id=rec.rec_id))
         self.warehouse.invalidate_plan_cache()
         return rec
 
     def _fail(self, rec: Recommendation, exc: Exception) -> None:
         """An in-process apply / rollback failure after its intent:
-        committed as ``TuningFailed``, the exception carried on the
-        recommendation."""
+        committed as ``TuningFailed``, whose message the ledger sets as
+        the recommendation's ``error``."""
         self.warehouse.ledger.commit(
             TuningFailed(rec_id=rec.rec_id, message=str(exc))
         )
-        rec.error = exc
 
     # -- recurring cycles ------------------------------------------------ #
     def maybe_run_cycle(self) -> list[Recommendation] | None:
@@ -601,10 +602,34 @@ class TuningService:
         return {tenant: count / total for tenant, count in counts.items()}
 
     def _enter(self, rec: Recommendation) -> None:
-        """Hold the caller's object in the ledger, for its records to move."""
+        """Hold the caller's object in the ledger, for its records to
+        move; an id the ledger holds is never handed to another object."""
         ledger = self.warehouse.ledger
         with ledger.lock:
-            ledger.recommendations[rec.rec_id] = rec
+            held = ledger.recommendations.setdefault(rec.rec_id, rec)
+        if held is not rec:
+            raise TuningStateError(
+                f"recommendation #{rec.rec_id} is held by the ledger as "
+                "another object",
+                state=held.state.value,
+            )
+
+    def _held(self, rec: Recommendation) -> Recommendation:
+        """The ledger's object for ``rec``: ``rec`` itself, or the one
+        recovery rebuilt from the journal for a journaled copy of it
+        (same action, ``undo`` set) that outlived the crash."""
+        held = self.warehouse.ledger.recommendations.get(rec.rec_id)
+        if held is rec or (
+            held is not None
+            and rec.undo is not None
+            and held.action == rec.action
+        ):
+            return held
+        raise TuningStateError(
+            f"recommendation #{rec.rec_id} is not held by this warehouse's "
+            "ledger",
+            state=rec.state.value,
+        )
 
     def _check(self, rec: Recommendation, target: RecommendationState) -> None:
         if target not in _TRANSITIONS[rec.state]:

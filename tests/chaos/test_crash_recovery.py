@@ -8,7 +8,8 @@ journal over the *same* surviving catalog.  The scenarios: an apply
 killed in its in-doubt window is rolled back; a rollback killed before
 its commit record is completed forward and metered; a denied query
 journals its verdict and nothing else, at every boundary around it;
-a recovered warehouse lists and rolls back what it applied; and
+a recovered warehouse lists and rolls back what it applied, and rolls
+back a recommendation object held across the crash exactly once; and
 serving caches re-warm from the recovered forecast to the reference's
 plans.  Kills at generated points of generated histories
 are ``test_histories.py``'s.
@@ -22,7 +23,7 @@ from repro.core.journal import WriteAheadJournal
 from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
-from repro.errors import AdmissionDeniedError
+from repro.errors import AdmissionDeniedError, TuningStateError
 from repro.testing import FaultPlan, SimulatedCrashError, crash_probes, kill
 from repro.tuning.clustering import ReclusterCandidate
 from repro.tuning.service import Recluster, Recommendation, RecommendationState
@@ -288,6 +289,38 @@ def test_a_recovered_warehouse_lists_and_rolls_back_what_it_applied():
     assert [v.name for v in catalog.views()] == [v.name for v in ref_catalog.views()]
     for table in catalog.table_names:
         assert catalog.table(table).schema == ref_catalog.table(table).schema
+
+
+def test_a_recommendation_held_across_a_crash_rolls_back_once():
+    """An object held across a recovery names its journaled id: rolling
+    it back on the recovered warehouse moves the recovered
+    recommendation.  The held object itself stays ``applied``, and a
+    second rollback of it must raise rather than journal and meter the
+    reversal again."""
+    catalog = synthetic_tpch_catalog(1.0)
+    journal = WriteAheadJournal()
+    crashed = make_warehouse(catalog, journal)
+    run_script(crashed, seed=1)
+    held = crashed.tuning.applied_recommendations[0]
+    reference = make_warehouse(synthetic_tpch_catalog(1.0), WriteAheadJournal())
+    run_script(reference, seed=1)
+    reference.tuning.rollback(reference.tuning.applied_recommendations[0])
+
+    # The process dies after the apply's commit: recover from its journal.
+    recovered = CostIntelligentWarehouse.recover(journal, catalog=catalog)
+    rolled = recovered.tuning.rollback(held)
+    assert rolled is recovered.ledger.recommendations[held.rec_id]
+    assert rolled.state is RecommendationState.ROLLED_BACK
+    assert held.state is RecommendationState.APPLIED
+    with pytest.raises(TuningStateError):
+        recovered.tuning.rollback(held)
+    assert {t: b.ledger_snapshot() for t, b in recovered.billing.items()} == {
+        t: b.ledger_snapshot() for t, b in reference.billing.items()
+    }
+    records = [type(entry.record).__name__ for entry in journal.entries()]
+    assert records.count("RollbackIntent") == records.count("RollbackCommit") == 1
+    assert not recovered.ledger.applied_mvs
+    assert not catalog.has_view(held.action.name)
 
 
 # --------------------------------------------------------------------- #

@@ -145,6 +145,9 @@ TUNING_KILLS = st.none() | st.sampled_from(
 #: A recommendation's durable state, read off the last record the journal
 #: holds for it.  An intent is last only when a crash cut its operation
 #: short, and recovery resolved it: an apply voided, a rollback completed.
+#: Commits meter what the apply intent carries: an apply its report's
+#: ``one_time_dollars``, a rollback (completed or in doubt) its
+#: ``undo.dollars``, into its ``tenant_shares``.
 #: A ``TuningFailed`` that follows a ``RollbackIntent`` leaves the action
 #: applied.
 RESOLVED = {
@@ -163,12 +166,13 @@ def fold(entries) -> tuple[dict, list, dict]:
     units: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     query_ids: list[int] = []
     last: dict[int, object] = {}
+    intents: dict[int, TuningIntent] = {}
     rollback_failed: set[int] = set()
 
-    def spend(record) -> None:
-        if record.dollars > 0.0:
-            for tenant, share in record.tenant_shares or (("default", 1.0),):
-                units[tenant][2] += to_ledger_units(record.dollars * share)
+    def spend(rec_id, dollars) -> None:
+        if dollars > 0.0:
+            for tenant, share in intents[rec_id].tenant_shares or (("default", 1.0),):
+                units[tenant][2] += to_ledger_units(dollars * share)
 
     for entry in entries:
         record = entry.record
@@ -185,11 +189,15 @@ def fold(entries) -> tuple[dict, list, dict]:
             else:
                 rollback_failed.discard(record.rec_id)
             last[record.rec_id] = record
-            if isinstance(record, (TuningCommit, RollbackCommit)):
-                spend(record)
-    for record in last.values():
+            if isinstance(record, TuningIntent):
+                intents[record.rec_id] = record
+            elif isinstance(record, TuningCommit):
+                spend(record.rec_id, intents[record.rec_id].report.one_time_dollars)
+            elif isinstance(record, RollbackCommit):
+                spend(record.rec_id, intents[record.rec_id].undo.dollars)
+    for rec_id, record in last.items():
         if isinstance(record, RollbackIntent):
-            spend(record)
+            spend(rec_id, intents[rec_id].undo.dollars)
     states = {
         rec_id: "applied" if rec_id in rollback_failed else RESOLVED[type(record)]
         for rec_id, record in last.items()

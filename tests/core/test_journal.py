@@ -107,10 +107,10 @@ def sample_records() -> list:
         TuningIntent(
             rec_id=1, action=action, report=report, undo=undo, tenant_shares=shares
         ),
-        TuningCommit(rec_id=1, dollars=0.25, tenant_shares=shares),
+        TuningCommit(rec_id=1),
         TuningFailed(rec_id=2, message="boom"),
-        RollbackIntent(rec_id=1, tenant_shares=shares),
-        RollbackCommit(rec_id=1, tenant_shares=shares),
+        RollbackIntent(rec_id=1),
+        RollbackCommit(rec_id=1),
         CostSnapshotTaken(
             CostSnapshot(
                 seq=1,
