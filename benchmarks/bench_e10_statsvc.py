@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.statsvc.logs import QueryLogStore, QueryRecord
+from repro.statsvc.logs import LogView, QueryRecord
 from repro.statsvc.sampling import StatsServiceCostModel, summary_error
 from repro.statsvc.summaries import build_summary
 from repro.util.rng import derive_rng
@@ -28,8 +28,10 @@ NUM_RECORDS = 5000
 
 
 def _synth_log(seed=0):
+    """A synthetic analysis log: every record, read through the
+    unbounded :class:`LogView` (the serving log keeps only a window)."""
     rng = derive_rng(seed, "e10")
-    store = QueryLogStore()
+    records = []
     names = list(TEMPLATES)
     weights = np.array([0.4, 0.15, 0.25, 0.2])
     time = 0.0
@@ -40,7 +42,7 @@ def _synth_log(seed=0):
             (f"{a}.key", f"{b}.key") for a, b in zip(tables, tables[1:])
         )
         time += float(rng.exponential(30.0))
-        store.append(
+        records.append(
             QueryRecord(
                 query_id=i,
                 timestamp=time,
@@ -56,7 +58,7 @@ def _synth_log(seed=0):
                 bytes_scanned=1e8,
             )
         )
-    return store
+    return LogView(records)
 
 
 def test_e10_sampling_tradeoff(benchmark):

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 from repro.errors import AdmissionDeniedError, ReproError
 from repro.statsvc.forecast import WorkloadForecaster
-from repro.statsvc.logs import LogView
+from repro.statsvc.logs import WINDOW_RECORDS, LogView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ledger import TenantBill
@@ -57,8 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 RETENTION_POLICY_NAMES = ("lru", "cost-aware")
 #: Logged queries between two forecast refreshes.
 REFRESH_EVERY = 32
-#: How much of the log's tail a refresh forecasts over.
-WINDOW_RECORDS = 2048
 #: The forecaster every refresh runs (stateless).
 FORECASTER = WorkloadForecaster()
 
@@ -78,11 +76,12 @@ class TemplateFrequencyProvider:
     :class:`~repro.tuning.service.TuningPolicy` auto-apply.  Forecasts
     are recomputed on the *log-append* path (:meth:`note_template`), at
     most once every :data:`REFRESH_EVERY` new records and only over the
-    most recent :data:`WINDOW_RECORDS` of the log (refresh cost is
+    log's window, its newest
+    :data:`~repro.statsvc.logs.WINDOW_RECORDS` (refresh cost is
     bounded, not O(total history) — it runs under the serving lock);
     :meth:`rate_for` is a lock-free dictionary read, because it runs
-    during victim selection under a cache lock — a full-log forecast
-    there would stall every planning thread.
+    during victim selection under a cache lock — a forecast there would
+    stall every planning thread.
     """
 
     def __init__(
@@ -140,7 +139,9 @@ class TemplateFrequencyProvider:
             self._refreshed_at = -1
 
     def _maybe_refresh(self) -> None:
-        size = len(self.logs)
+        # The newest id counts every record logged; the window's length
+        # stops growing once it is full.
+        size = self.logs.last_query_id
         with self._lock:
             if (
                 self._refreshed_at >= 0
@@ -171,7 +172,7 @@ class TemplateFrequencyProvider:
             self.breaker.record_success()
 
     def _compute_rates(self) -> dict[str, float]:
-        """Per-family rates over the recent tail of the log (bounded)."""
+        """Per-family rates over the log's window (bounded)."""
         records = self.logs.tail(WINDOW_RECORDS)
         if not records:
             return {}

@@ -52,7 +52,7 @@ from repro.errors import JournalError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
     from repro.engine.database import Database
-    from repro.statsvc.logs import QueryRecord
+    from repro.statsvc.logs import LogRollups, QueryRecord
 
 
 # --------------------------------------------------------------------- #
@@ -223,11 +223,11 @@ class CheckpointState:
     """A consistent snapshot of the warehouse's journaled state.
 
     Everything replay would otherwise rebuild from the full journal:
-    the query log, the clock, per-tenant bills (as integral ledger-unit
-    snapshots), admission verdict counters, copies of the
-    recommendations whose intent was journaled, the next recommendation
-    id, and the cost history.  The applied-MV registry is read off the
-    recommendations on restore.
+    the query log's window and roll-ups, the clock, per-tenant bills (as
+    integral ledger-unit snapshots), admission verdict counters, copies
+    of the recommendations whose intent was journaled, the next
+    recommendation id, and the cost history.  The applied-MV registry is
+    read off the recommendations on restore.
     """
 
     clock: float
@@ -240,6 +240,10 @@ class CheckpointState:
     #: ``CostHistoryStore.snapshots()``: references to the store's own
     #: frozen snapshots, so successive checkpoints share them.
     cost_history: tuple = ()
+    #: The log's ``LogRollups``; ``None`` in a checkpoint written before
+    #: the log kept a window, whose ``records`` are every record logged
+    #: (restore rebuilds the roll-ups from them).
+    log_rollups: "LogRollups | None" = None
 
 
 @dataclass(frozen=True)

@@ -310,7 +310,7 @@ class Ledger:
         if served.query_id <= self.logs.last_query_id:
             return  # already logged and billed (defensive idempotence)
         self.clock = max(self.clock, served.timestamp)
-        self.logs.append(served)
+        self.logs.append(served, self.cost_history.folded_through)
         template = served.template
         if (
             self.note_template is not None
@@ -410,6 +410,7 @@ class Ledger:
         return CheckpointState(
             clock=self.clock,
             records=tuple(self.logs),
+            log_rollups=self.logs.rollups(),
             bills=tuple(
                 bill.ledger_snapshot() for _, bill in sorted(self.billing.items())
             ),
@@ -430,8 +431,13 @@ class Ledger:
 
     def restore(self, state: CheckpointState) -> None:
         """Load :meth:`snapshot` output, every container in place (the
-        warehouse and the planning pipeline hold views of them)."""
-        self.logs.restore(state.records)
+        warehouse and the planning pipeline hold views of them).  The
+        cost history comes first: a checkpoint without log roll-ups
+        rebuilds them against its newest snapshot."""
+        self.cost_history.restore(state.cost_history)
+        self.logs.restore(
+            state.records, state.log_rollups, self.cost_history.folded_through
+        )
         self.clock = state.clock
         self.billing.clear()
         self.billing.update(
@@ -454,7 +460,6 @@ class Ledger:
             in (RecommendationState.APPLIED, RecommendationState.ROLLING_BACK)
         )
         self.next_rec_id = state.next_rec_id
-        self.cost_history.restore(state.cost_history)
 
     def checkpoint(self) -> None:
         """Journal a :class:`~repro.core.journal.Checkpoint` of the full

@@ -95,7 +95,7 @@ def recover_warehouse(
             "recover onto a warehouse without an attached journal "
             "(attach it after recovery)"
         )
-    if len(ledger.logs) or ledger.billing or ledger.recommendations:
+    if ledger.logs.last_query_id or ledger.billing or ledger.recommendations:
         raise RecoveryError(
             "recovery needs a fresh warehouse: logs, billing, or tuning "
             "state already present"

@@ -435,7 +435,8 @@ class Session:
     # -- per-tenant views ----------------------------------------------- #
     @property
     def logs(self) -> "TenantLogView":
-        """This tenant's isolated view of the Statistics Service log."""
+        """This tenant's isolated view of the Statistics Service log's
+        window (its ``tenant_counts`` reads the log's roll-ups)."""
         return self.warehouse.logs.for_tenant(self.tenant)
 
     @property
@@ -663,6 +664,7 @@ class Session:
             if handle._finalized:
                 return
             handle._finalized = True
+            warehouse.collector.before_append()
             record = served_record(ledger.logs, request, handle.timestamp, staged)
             # Write-ahead: the record (which carries the billing delta)
             # is journaled *before* the log append and the charge, so a

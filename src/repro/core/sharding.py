@@ -567,6 +567,12 @@ class PlannerWorkerPool:
                 "repro_worker_ipc_roundtrip_seconds",
                 time.perf_counter() - sent_at,
             )
+        if task_id in self._abandoned:
+            # Discarded before anything is read off it: drained after a
+            # sync(), it was planned by the worker's previous shard, so
+            # its skeleton says nothing about what the worker holds now.
+            self._abandoned.discard(task_id)
+            return
         if kind == "done":
             if payload.level == "skeleton":
                 self.warm_skeleton_hits += 1
@@ -575,9 +581,6 @@ class PlannerWorkerPool:
             self._warmed[index].add(
                 skeleton_key(task.template_key, task.constraint, task.stats_version)
             )
-        if task_id in self._abandoned:
-            self._abandoned.discard(task_id)
-            return
         self._results[task_id] = payload
 
     def _handle_hang(self, index: int) -> None:

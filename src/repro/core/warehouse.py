@@ -454,15 +454,14 @@ class CostIntelligentWarehouse:
         with the applied-MV rewrite (SQL that no longer binds, after an
         out-of-band schema change, is skipped).
 
-        Derived from the log on every read and never stored, so a live
-        and a recovered warehouse advertise the same bindings, and after
-        a flush, a stats change or a tuning apply every logged family is
-        re-bound under the new catalog rather than hidden until it is
-        served again.
+        Derived from the log's newest-SQL roll-up on every read and
+        never stored, so a live and a recovered warehouse advertise the
+        same bindings, and after a flush, a stats change or a tuning
+        apply every logged family is re-bound under the new catalog
+        rather than hidden until it is served again.
         """
-        newest = {record.template: record.sql for record in self.logs}
         bindings: dict[str, BoundQuery] = {}
-        for template, sql in newest.items():
+        for template, sql in self.logs.newest_sql().items():
             try:
                 bound = self.binder.bind_sql(sql)
             except ReproError:

@@ -5,24 +5,32 @@
 serving layer pings ``warehouse._between_batches()`` after every
 submit/batch, and a snapshot is taken when the configured
 :class:`CollectionPolicy` cadence has elapsed — counted in **queries**
-(log length, an O(1) check) or **virtual seconds** (the warehouse
-clock; never wall time, so identical seeded runs collect at identical
-instants and the history is bitwise reproducible).
+(the log's newest query id, an O(1) check) or **virtual seconds** (the
+warehouse clock; never wall time, so identical seeded runs collect at
+identical instants and the history is bitwise reproducible).
 
 Collection is crash-consistent by the same write-ahead discipline as
-serving: under the ledger lock the collector folds the newly logged
-records' per-operator cost leaves into its cumulative drill-down
-aggregation, builds one :class:`~repro.obsvc.history.TenantCostSlice`
+serving: under the ledger lock the collector adds the per-operator
+cost leaves of the records logged since the newest snapshot to that
+snapshot's cumulative drill-down leaves, builds one :class:`~repro.obsvc.history.TenantCostSlice`
 per billed tenant (ledger units copied from the authoritative
 :class:`~repro.core.ledger.TenantBill`) and commits the
 :class:`~repro.obsvc.history.CostSnapshot` through
 :meth:`~repro.core.ledger.Ledger.commit` like every other transition:
 the ``CostSnapshotTaken`` record carrying it is journaled **before** the
 in-memory :class:`~repro.obsvc.history.CostHistoryStore` append.  A
-crash between the two is healed on replay.  The cadence has no
-watermarks of its own: it is measured from the newest snapshot in the
-history (its ``log_len`` and ``clock``), so a recovered warehouse
-resumes the schedule exactly where the restored history left off.
+crash between the two is healed on replay.  The collector keeps no
+state of its own: the cadence and the fold both stand on the newest
+snapshot in the history (its ``log_len`` query id, ``clock`` and
+leaves), so a recovered warehouse resumes the schedule, and the
+cumulative leaves, exactly where the restored history left off.
+
+The query log keeps only a window of its newest records.  An enabled
+collector snapshots before an append would drop a record it has not
+folded (:meth:`SnapshotCollector.before_append`); the records the log
+dropped while no collector was folding are summed per tenant in the
+log's ``unfolded_units``, closed over by one :data:`DROPPED_LEAF`, so
+every snapshot reconciles against the bills.
 
 The collector is configured post-construction
 (``warehouse.enable_collection(...)``) — the warehouse constructor's
@@ -31,7 +39,6 @@ keyword surface stays frozen.
 
 from __future__ import annotations
 
-import bisect
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -40,6 +47,7 @@ from repro.core.journal import CostSnapshotTaken
 from repro.errors import ReproError
 from repro.obsvc.history import (
     BACKGROUND_LEAF,
+    DROPPED_LEAF,
     RETRY_LEAF,
     CostLeaf,
     CostSnapshot,
@@ -66,7 +74,7 @@ class CollectionPolicy:
 
     Mirrors :class:`~repro.tuning.service.TuningPolicy`'s cadence
     contract: a snapshot is due when either ``cadence_queries`` new
-    log records have landed or ``cadence_seconds`` of *virtual* time
+    queries have been logged or ``cadence_seconds`` of *virtual* time
     has passed since the last snapshot.
     """
 
@@ -95,16 +103,6 @@ class SnapshotCollector:
         self.warehouse = warehouse
         self.policy: "CollectionPolicy | None" = None
         self._lock = threading.Lock()
-        #: Index into the query log up to which leaves are folded.
-        self._folded = 0
-        #: tenant -> (template, pipeline, operator) -> the leaf holding
-        #: its cumulative ledger units.  A :class:`CostLeaf` is rebuilt
-        #: only when its units change, and keys keep sorted order
-        #: incrementally — so a snapshot reuses unchanged leaf objects
-        #: instead of re-sorting and re-materializing the whole
-        #: cumulative aggregation every cadence tick.
-        self._leaf_cache: dict[str, dict[tuple[str, str, str], CostLeaf]] = {}
-        self._sorted_keys: dict[str, list[tuple[str, str, str]]] = {}
 
     # -- configuration --------------------------------------------------- #
     def configure(self, policy: "CollectionPolicy | None") -> None:
@@ -129,7 +127,7 @@ class SnapshotCollector:
         latest = warehouse.cost_history.latest()
         if policy.cadence_queries is not None:
             collected = latest.log_len if latest is not None else 0
-            if len(warehouse.logs) - collected >= policy.cadence_queries:
+            if warehouse.logs.last_query_id - collected >= policy.cadence_queries:
                 return True
         return policy.cadence_seconds is not None and (
             latest is None
@@ -147,46 +145,73 @@ class SnapshotCollector:
         with self.warehouse.ledger.lock:
             return self._collect_locked()
 
+    def before_append(self) -> None:
+        """Snapshot now if the next log append would drop a record no
+        snapshot has folded while this collector is enabled (serving
+        calls this under the ledger lock before each append).  The
+        snapshot is journaled ahead of the record, so replay drops the
+        same records the live log did."""
+        policy = self.policy
+        if policy is None or not policy.recurring:
+            return
+        warehouse = self.warehouse
+        if warehouse.logs.next_drop_id() > warehouse.cost_history.folded_through:
+            self._collect_locked()
+
     # -- snapshotting ----------------------------------------------------- #
     def _collect_locked(self) -> CostSnapshot:
         warehouse = self.warehouse
-        self._fold_locked()
+        folded = self._fold_locked()
+        unfolded = warehouse.logs.unfolded_units()
         slices = tuple(
-            self._slice_for(tenant, bill)
+            self._slice_for(tenant, bill, folded.get(tenant, {}), unfolded.get(tenant, 0))
             for tenant, bill in sorted(warehouse.billing.items())
         )
         snapshot = CostSnapshot(
             seq=warehouse.cost_history.next_seq(),
             clock=warehouse.clock,
-            log_len=len(warehouse.logs),
+            log_len=warehouse.logs.last_query_id,
             tenants=slices,
         )
         warehouse.ledger.commit(CostSnapshotTaken(snapshot))
         warehouse.metrics.counter("repro_cost_snapshots_total")
         return snapshot
 
-    def _fold_locked(self) -> None:
-        """Fold newly logged records' cost leaves into the cumulative
-        per-tenant drill-down aggregation (resumable from any index:
-        records carry their own apportioned leaves)."""
-        records = self.warehouse.logs.since(self._folded)
-        self._folded += len(records)
-        for record in records:
-            tenant = record.tenant
-            cache = self._leaf_cache.setdefault(tenant, {})
-            ordered = self._sorted_keys.setdefault(tenant, [])
+    def _fold_locked(self) -> dict[str, dict[tuple[str, str, str], CostLeaf]]:
+        """The cumulative drill-down aggregation, per tenant by
+        ``(template, pipeline, operator)``: the newest snapshot's leaves
+        plus the cost leaves of every record logged after it (records
+        carry their own apportioned leaves).  A :class:`CostLeaf` is
+        rebuilt only when its units change, so a snapshot shares the
+        unchanged ones with the one before it."""
+        warehouse = self.warehouse
+        latest = warehouse.cost_history.latest()
+        folded: dict[str, dict[tuple[str, str, str], CostLeaf]] = {}
+        for entry in latest.tenants if latest is not None else ():
+            folded[entry.tenant] = {
+                (leaf.template, leaf.pipeline, leaf.operator): leaf
+                for leaf in entry.leaves
+                if leaf.template not in (DROPPED_LEAF, RETRY_LEAF, BACKGROUND_LEAF)
+            }
+        through = latest.log_len if latest is not None else 0
+        for record in warehouse.logs.after(through):
+            cache = folded.setdefault(record.tenant, {})
             for pipeline, operator, units in record.cost_breakdown:
                 key = (record.template or "(adhoc)", pipeline, operator)
                 prior = cache.get(key)
-                if prior is None:
-                    bisect.insort(ordered, key)
-                else:
+                if prior is not None:
                     units += prior.units
                 cache[key] = CostLeaf(key[0], key[1], key[2], units)
+        return folded
 
-    def _slice_for(self, tenant: str, bill) -> TenantCostSlice:
-        cache = self._leaf_cache.get(tenant, {})
-        leaves = [cache[key] for key in self._sorted_keys.get(tenant, ())]
+    def _slice_for(
+        self, tenant: str, bill, folded: dict, unfolded_units: int
+    ) -> TenantCostSlice:
+        leaves = [folded[key] for key in sorted(folded)]
+        if unfolded_units:
+            leaves.append(
+                CostLeaf(DROPPED_LEAF, DROPPED_LEAF, DROPPED_LEAF, unfolded_units)
+            )
         if bill.retry_units:
             leaves.append(
                 CostLeaf(RETRY_LEAF, RETRY_LEAF, RETRY_LEAF, bill.retry_units)

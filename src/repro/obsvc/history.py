@@ -1,7 +1,7 @@
 """Queryable, picklable time series of per-tenant cost snapshots.
 
 A :class:`CostSnapshot` is one scheduled observation of the fleet's
-spend: the virtual clock, the log length, and one
+spend: the virtual clock, the newest logged query id, and one
 :class:`TenantCostSlice` per billed tenant.  Each slice carries the
 tenant's authoritative ledger-unit totals (serving / background /
 retry, copied bit-for-bit from :class:`~repro.core.ledger.TenantBill`)
@@ -34,10 +34,12 @@ __all__ = [
     "TenantCostSlice",
 ]
 
-#: Synthetic leaf labels closing the reconciliation over non-serving
-#: spend components (these have no pipeline/operator decomposition).
+#: Synthetic leaf labels closing the reconciliation over spend with no
+#: pipeline/operator decomposition: retries, background tuning, and
+#: served queries the log's window dropped before a snapshot folded them.
 RETRY_LEAF = "(retries)"
 BACKGROUND_LEAF = "(background)"
+DROPPED_LEAF = "(dropped from the log)"
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class CostSnapshot:
 
     seq: int
     clock: float
+    #: The newest query id logged (ids are gap-free from 1, so also the
+    #: number of queries logged): the leaves fold every record through it.
     log_len: int
     tenants: tuple[TenantCostSlice, ...]
 
@@ -155,6 +159,15 @@ class CostHistoryStore:
     def latest(self) -> "CostSnapshot | None":
         with self._lock:
             return self._snapshots[-1] if self._snapshots else None
+
+    @property
+    def folded_through(self) -> int:
+        """The newest snapshot's ``log_len`` (0 when empty): every query
+        id through it is folded into a snapshot's leaves.  Lock-free —
+        the ledger reads it on every served query, under its own lock,
+        which every append holds."""
+        snapshots = self._snapshots
+        return snapshots[-1].log_len if snapshots else 0
 
     def next_seq(self) -> int:
         with self._lock:

@@ -314,7 +314,7 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
     ),
     "repro_queries_logged_total": MetricSpec(
         "source", "Records in the statistics-service query log.",
-        read=lambda w: len(w.logs),
+        read=lambda w: w.logs.last_query_id,
     ),
     # -- process-sharded serving (sourced from PlannerWorkerPool, 0 /
     #    empty until enable_sharding; IPC histogram owned) --------------

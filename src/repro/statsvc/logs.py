@@ -4,7 +4,10 @@
 execution logs from all the tenants to form the 'ground truth' for
 understanding workload behaviors."
 
-The store keeps no counter beside its records: the next query id is the
+What the service derives from them needs recent history and per-family
+roll-ups, not every record, so :class:`QueryLogStore` keeps the newest
+:data:`WINDOW_RECORDS` records and exact roll-ups of all of them.  The
+store keeps no counter beside its records: the next query id is the
 newest record's id + 1.  The serving layer takes an id and appends its
 record inside one ledger-lock hold, so ids stay sequential and gap-free,
 and a recovered log continues them with nothing re-seeded.
@@ -12,10 +15,16 @@ and a recovered log continues them with nothing re-seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ReproError
+from repro.util.units import to_ledger_units
+
+#: How many of the newest records the log keeps: the window forecasts,
+#: summaries and the tuning advisor read.
+WINDOW_RECORDS = 2048
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,23 @@ class QueryRecord:
         return self.latency_s <= self.sla_seconds
 
 
+@dataclass(frozen=True)
+class LogRollups:
+    """A :class:`QueryLogStore`'s roll-ups as ``dict.items()`` tuples
+    (what a checkpoint carries beside the window)."""
+
+    template_counts: tuple[tuple[str, int], ...]
+    #: ``((template, tenant), count)`` pairs.
+    tenant_counts: tuple[tuple[tuple[str, str], int], ...]
+    newest_sql: tuple[tuple[str, str], ...]
+    unfolded_units: tuple[tuple[str, int], ...]
+
+
 class LogView:
     """The log read API, derived from ``__iter__`` (records in append
-    order).  Usable as-is over any re-iterable run of records — the
-    governance layer forecasts over ``LogView(logs.tail(n))``."""
+    order).  Usable as-is over any re-iterable run of records: the
+    governance layer forecasts over ``LogView(logs.tail(n))``, and a
+    plain list read through it is an unbounded analysis log."""
 
     def __init__(self, records: Iterable[QueryRecord] = ()) -> None:
         self._records = records
@@ -115,66 +137,175 @@ class LogView:
 
 
 class QueryLogStore(LogView):
-    """Append-only in-memory log with time-window queries."""
+    """The newest :data:`WINDOW_RECORDS` records, plus exact roll-ups of
+    every record ever appended.
+
+    Iteration, :meth:`tail`, :meth:`window` and :attr:`horizon` read the
+    window (forecasts and summaries need recent history, not all of it);
+    :meth:`template_counts`, :meth:`tenant_counts` and :meth:`newest_sql`
+    read the roll-ups, which an append updates in O(1).  A record that
+    leaves the window unfolded by any cost snapshot (its id above the
+    ``folded_through`` watermark the ledger passes in) adds its ledger
+    units to :meth:`unfolded_units`, so the cost collector's drill-down
+    still reconciles against the bills.  ``len()`` is the window's
+    length; the number of records ever logged is :attr:`last_query_id`.
+    """
 
     def __init__(self) -> None:
-        super().__init__([])
+        super().__init__(deque())
+        self._template_counts: dict[str, int] = {}
+        self._tenant_counts: dict[tuple[str, str], int] = {}
+        self._newest_sql: dict[str, str] = {}
+        self._unfolded_units: dict[str, int] = {}
+
+    def __iter__(self) -> Iterator[QueryRecord]:
+        # A copy: a reader on another thread never sees the window move.
+        return iter(tuple(self._records))
 
     def next_query_id(self) -> int:
         """The id the next appended record takes (ids start at 1)."""
         return self.last_query_id + 1
 
-    def append(self, record: QueryRecord) -> None:
-        if self._records and record.timestamp < self._records[-1].timestamp:
+    def append(self, record: QueryRecord, folded_through: int = 0) -> None:
+        """Log ``record``, dropping the window's oldest record when full.
+
+        ``folded_through`` is the newest query id a cost snapshot has
+        folded; a dropped record above it is counted in
+        :meth:`unfolded_units`.
+        """
+        records = self._records
+        if records and record.timestamp < records[-1].timestamp:
             raise ReproError(
                 "log records must be appended in timestamp order "
-                f"({record.timestamp} < {self._records[-1].timestamp})"
+                f"({record.timestamp} < {records[-1].timestamp})"
             )
-        self._records.append(record)
+        records.append(record)
+        template, tenant = record.template, record.tenant
+        counts = self._template_counts
+        counts[template] = counts.get(template, 0) + 1
+        key = (template, tenant)
+        counts = self._tenant_counts
+        counts[key] = counts.get(key, 0) + 1
+        self._newest_sql[template] = record.sql
+        if len(records) > WINDOW_RECORDS:
+            dropped = records.popleft()
+            if dropped.query_id > folded_through:
+                units = self._unfolded_units
+                units[dropped.tenant] = units.get(
+                    dropped.tenant, 0
+                ) + to_ledger_units(dropped.dollars)
 
     @property
     def last_query_id(self) -> int:
-        """The id of the newest record (0 when empty)."""
+        """The id of the newest record (0 when empty): ids are gap-free
+        from 1, so this is also the number of records ever logged."""
         return self._records[-1].query_id if self._records else 0
 
-    def restore(self, records: Iterable[QueryRecord]) -> None:
+    @property
+    def newest(self) -> "QueryRecord | None":
+        """The newest record (``None`` when empty)."""
+        return self._records[-1] if self._records else None
+
+    def next_drop_id(self) -> int:
+        """The id of the record the next append drops (0 when none)."""
+        records = self._records
+        return records[0].query_id if len(records) >= WINDOW_RECORDS else 0
+
+    # -- roll-ups -------------------------------------------------------- #
+    def template_counts(self) -> dict[str, int]:
+        """Logged-query counts per template family, over every record."""
+        return dict(self._template_counts)
+
+    def tenant_counts(
+        self, templates: Iterable[str] | None = None
+    ) -> dict[str, int]:
+        """Logged-query counts per tenant over every record, optionally
+        restricted to the given template families."""
+        wanted = set(templates) if templates is not None else None
+        counts: dict[str, int] = {}
+        for (template, tenant), count in self._tenant_counts.items():
+            if wanted is None or template in wanted:
+                counts[tenant] = counts.get(tenant, 0) + count
+        return counts
+
+    def newest_sql(self) -> dict[str, str]:
+        """Each template family's newest logged SQL."""
+        return dict(self._newest_sql)
+
+    def unfolded_units(self) -> dict[str, int]:
+        """Per tenant, the ledger units of records dropped from the
+        window before a cost snapshot folded them."""
+        return dict(self._unfolded_units)
+
+    def rollups(self) -> LogRollups:
+        """The roll-ups as plain tuples (checkpointing)."""
+        return LogRollups(
+            template_counts=tuple(self._template_counts.items()),
+            tenant_counts=tuple(self._tenant_counts.items()),
+            newest_sql=tuple(self._newest_sql.items()),
+            unfolded_units=tuple(self._unfolded_units.items()),
+        )
+
+    def restore(
+        self,
+        records: Iterable[QueryRecord],
+        rollups: "LogRollups | None",
+        folded_through: int,
+    ) -> None:
         """Replace the log wholesale from a recovery checkpoint.
 
         Crash-recovery only (:mod:`repro.core.recovery`): the records
         come from a checkpoint of this same store, so append order and
-        id assignment are already consistent.
+        id assignment are already consistent.  A checkpoint without
+        roll-ups (written before the log kept a window) holds every
+        record: they are appended again, which rebuilds the roll-ups and
+        trims the window.
         """
-        self._records = list(records)
+        self._records = deque()
+        self._template_counts = {}
+        self._tenant_counts = {}
+        self._newest_sql = {}
+        self._unfolded_units = {}
+        if rollups is None:
+            for record in records:
+                self.append(record, folded_through)
+            return
+        self._records.extend(records)
+        self._template_counts.update(rollups.template_counts)
+        self._tenant_counts.update(rollups.tenant_counts)
+        self._newest_sql.update(rollups.newest_sql)
+        self._unfolded_units.update(rollups.unfolded_units)
 
+    # -- the window -------------------------------------------------------- #
     def __len__(self) -> int:
         return len(self._records)
 
     def window(self, start: float, end: float) -> list[QueryRecord]:
         """Records with ``start <= timestamp < end``."""
-        return [r for r in self._records if start <= r.timestamp < end]
+        return [r for r in self if start <= r.timestamp < end]
 
     def tail(self, count: int) -> list[QueryRecord]:
-        """The most recent ``count`` records (all of them when fewer).
-
-        O(count), not O(log): consumers that recompute over recent
-        behavior on a serving path (e.g. the governance layer's forecast
-        refresh) must not scale with total history.
-        """
+        """The most recent ``count`` records (all of them when fewer);
+        O(count), so a serving-path reader never scales with the window."""
+        records = self._records
         if count < 1:
             return []
-        return self._records[-count:]
+        if count >= len(records):
+            return list(records)
+        return [records[index] for index in range(-count, 0)]
 
-    def since(self, start: int) -> list[QueryRecord]:
-        """Records from append index ``start`` onward (O(result), not
-        O(log)) — lets the cost collector fold incrementally."""
-        return self._records[start:]
+    def after(self, query_id: int) -> list[QueryRecord]:
+        """The window's records with ids above ``query_id`` (O(result)) —
+        lets the cost collector fold incrementally."""
+        return self.tail(self.last_query_id - query_id)
 
     @property
     def horizon(self) -> tuple[float, float]:
         """(first, last) record timestamps; (0, 0) when empty."""
-        if not self._records:
+        records = self._records
+        if not records:
             return (0.0, 0.0)
-        return (self._records[0].timestamp, self._records[-1].timestamp)
+        return (records[0].timestamp, records[-1].timestamp)
 
     def for_tenant(self, tenant: str) -> "TenantLogView":
         """An isolated, read-only view of this store for one tenant."""
@@ -187,8 +318,9 @@ class TenantLogView(LogView):
     The Statistics Service keeps one ground-truth log per warehouse
     ("collects the query execution logs from all the tenants"); each
     :class:`~repro.core.service.Session` sees only its tenant's records
-    through this view, so per-tenant analysis (forecasting, accounting)
-    runs unchanged over a slice.
+    in the window through this view, so per-tenant analysis
+    (forecasting, accounting) runs unchanged over a slice;
+    :meth:`tenant_counts` reads the store's roll-ups.
     """
 
     def __init__(self, store: QueryLogStore, tenant: str) -> None:
@@ -201,3 +333,11 @@ class TenantLogView(LogView):
     def window(self, start: float, end: float) -> list[QueryRecord]:
         """This tenant's records with ``start <= timestamp < end``."""
         return [r for r in self._store.window(start, end) if r.tenant == self.tenant]
+
+    def tenant_counts(
+        self, templates: Iterable[str] | None = None
+    ) -> dict[str, int]:
+        """This tenant's logged-query count, optionally restricted to the
+        given template families (``{}`` when there is none)."""
+        count = self._store.tenant_counts(templates).get(self.tenant, 0)
+        return {self.tenant: count} if count else {}

@@ -24,8 +24,8 @@ def served_record(
 ) -> QueryRecord:
     """The Statistics Service log record of one served query, from its
     resolved request and what staging produced (``bound``, ``choice``,
-    ``sim``).  Built under the ledger lock: it reads the log's tail and
-    issues its id."""
+    ``sim``).  Built under the ledger lock: it reads the log's newest
+    record and issues its id."""
     # Timestamps are assigned at *admission* (monotonic across the
     # warehouse), but concurrent sessions interleave their finalize
     # phases arbitrarily, so a later-admitted handle from one batch
@@ -33,9 +33,9 @@ def served_record(
     # Clamp up to the last logged timestamp: the log stays
     # append-ordered and no finalize ever dies on the ordering check
     # (which would lose the record and fail a successful query).
-    tail = logs.tail(1)
-    if tail and timestamp < tail[0].timestamp:
-        timestamp = tail[0].timestamp
+    newest = logs.newest
+    if newest is not None and timestamp < newest.timestamp:
+        timestamp = newest.timestamp
     bound, choice, sim = staged.bound, staged.choice, staged.sim
     columns: set[str] = set()
     filter_columns: set[str] = set()

@@ -293,7 +293,7 @@ class TuningService:
         #: ``warehouse.describe_health()``.
         self.last_error: Exception | None = None
         self.breaker = CircuitBreaker("tuning")
-        self._last_cycle_log_len = 0
+        self._last_cycle_query_id = 0
         self._last_cycle_clock: float | None = None
 
     # -- observability -------------------------------------------------- #
@@ -348,7 +348,7 @@ class TuningService:
             self._enter(rec)
             recommendations.append(rec)
         self.cycles_run += 1
-        self._last_cycle_log_len = len(self.warehouse.logs)
+        self._last_cycle_query_id = self.warehouse.logs.last_query_id
         self._last_cycle_clock = self.warehouse.clock
         return recommendations
 
@@ -494,11 +494,11 @@ class TuningService:
             return None
         due = False
         if self.policy.cadence_queries is not None:
-            # Cadence counts the shared log (O(1) length check — this
+            # Cadence counts the shared log's newest id (O(1) — this
             # runs after every submit); the tenant scope, if any,
             # applies to the advisor's *input*, not the trigger.
             due = (
-                len(self.warehouse.logs) - self._last_cycle_log_len
+                self.warehouse.logs.last_query_id - self._last_cycle_query_id
                 >= self.policy.cadence_queries
             )
         if not due and self.policy.cadence_seconds is not None:
@@ -515,7 +515,7 @@ class TuningService:
             # cycle is not re-attempted after every query; the breaker's
             # call-counted cooldown re-probes after enough skipped
             # cycles.
-            self._last_cycle_log_len = len(self.warehouse.logs)
+            self._last_cycle_query_id = self.warehouse.logs.last_query_id
             self._last_cycle_clock = self.warehouse.clock
             return None
         # Background tuning must never fail foreground serving: any
@@ -527,7 +527,7 @@ class TuningService:
         try:
             recommendations = self.propose()
         except ReproError as exc:
-            self._last_cycle_log_len = len(self.warehouse.logs)
+            self._last_cycle_query_id = self.warehouse.logs.last_query_id
             self._last_cycle_clock = self.warehouse.clock
             self._note_cycle_failure(exc)
             return None

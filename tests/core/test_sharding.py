@@ -260,7 +260,8 @@ def test_dispatch_runs_ahead_of_collection_without_blocking(monkeypatch):
 def test_fail_fast_abandons_only_what_was_sent():
     # A failure at position 0 of a deep batch: only the tasks already
     # dispatched ahead are abandoned, and their late replies neither
-    # leak into nor block the next batch.
+    # leak into nor block the next batch, nor, drained after a sync()
+    # rebuilt the worker's shard, mark a skeleton warm that it dropped.
     warehouse = make_warehouse()
     warehouse.enable_sharding(workers=1)
     try:
@@ -274,6 +275,12 @@ def test_fail_fast_abandons_only_what_was_sent():
         with pytest.raises(ReproError):
             session.submit_many([bad] + good, max_workers=4, fail_fast=True)
         assert pool.tasks_dispatched <= 8
+        assert pool._abandoned
+        warehouse.invalidate_plan_cache()
+        assert pool.sync()
+        while pool._outstanding[0]:
+            pool._drain(0)
+        assert pool._warmed[0] == {key for key, _ in pool._spec(0).skeleton_seed}
         served = outcomes(session.submit_many(good, max_workers=4))
         assert len(served) == 20
         assert not pool._abandoned and not pool._results and not pool._owner
