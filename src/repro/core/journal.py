@@ -24,9 +24,14 @@ gates).  This module is the durability substrate:
 - :class:`WriteAheadJournal` — the append-ordered, LSN-stamped record
   store the ledger (:mod:`repro.core.ledger`) writes to (write-ahead:
   the record lands before the in-memory state it describes mutates, so
-  redo replay is always sufficient).  It keeps no counter beside its
-  entries: the next checkpoint id is the newest checkpoint's id + 1, so
-  a saved and loaded journal continues the sequence by construction.
+  redo replay is always sufficient).  Each :class:`Checkpoint` seals
+  it: the entries before the checkpoint are dropped, since recovery
+  reads only the newest checkpoint and the tail after it, so the
+  journal holds one checkpoint plus the records since, not every
+  served query.  It keeps no counter beside its entries: the next LSN
+  is the newest entry's + 1 and the next checkpoint id the newest
+  checkpoint's + 1, so a saved and loaded journal continues both
+  sequences by construction.
 
 The catalog/database object is treated as *durable storage shared with
 the crashed process* (it survives, possibly half-mutated); the journal
@@ -249,7 +254,8 @@ class CheckpointState:
 @dataclass(frozen=True)
 class Checkpoint:
     """A checkpoint record inline in the journal: recovery restores the
-    latest one, then replays only the records after it."""
+    latest one, then replays only the records after it, so appending one
+    seals the journal behind it."""
 
     checkpoint_id: int
     state: CheckpointState
@@ -289,63 +295,89 @@ class WriteAheadJournal:
     The warehouse appends a record *before* applying the in-memory
     mutation it describes (redo semantics), so replaying the journal
     from the latest :class:`Checkpoint` restores a bit-identical
-    ledger.  Thread-safe; ``checkpoint_every`` (records between
-    checkpoints) drives the warehouse's automatic checkpointing —
-    ``None`` disables it (explicit ``warehouse.checkpoint()`` only).
+    ledger.  Appending a checkpoint **seals** the journal: every entry
+    before it is dropped, because recovery reads only the newest
+    checkpoint and the records after it.  The retained entries are
+    therefore the newest checkpoint (if any) followed by the records
+    appended since; a journal that never checkpoints keeps every
+    record.  ``len(journal)`` is the newest LSN — records ever
+    appended — whatever the seal dropped.  Thread-safe;
+    ``checkpoint_every`` (records between checkpoints) drives the
+    warehouse's automatic checkpointing — ``None`` disables it
+    (explicit ``warehouse.checkpoint()`` only).
     """
 
     def __init__(self, *, checkpoint_every: int | None = None) -> None:
-        if checkpoint_every is not None and checkpoint_every < 1:
+        if checkpoint_every is not None and (
+            not isinstance(checkpoint_every, int) or checkpoint_every < 1
+        ):
             raise JournalError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+                f"checkpoint_every must be an int >= 1, got {checkpoint_every!r}"
             )
         self.checkpoint_every = checkpoint_every
         self._entries: list[JournalEntry] = []
         self._lock = threading.Lock()
-        self._last_checkpoint_lsn = 0  # 0 = no checkpoint yet
 
     def append(self, record: object) -> JournalEntry:
-        """Append one record; returns its LSN-stamped entry."""
+        """Append one record; returns its LSN-stamped entry.  A
+        :class:`Checkpoint` seals the journal behind itself."""
         if not isinstance(record, RECORD_TYPES):
             raise JournalError(
                 f"unknown journal record type {type(record).__name__!r}"
             )
         with self._lock:
-            entry = JournalEntry(lsn=len(self._entries) + 1, record=record)
-            self._entries.append(entry)
+            entries = self._entries
+            lsn = entries[-1].lsn + 1 if entries else 1
+            entry = JournalEntry(lsn=lsn, record=record)
             if isinstance(record, Checkpoint):
-                self._last_checkpoint_lsn = entry.lsn
+                self._entries = [entry]
+            else:
+                entries.append(entry)
             return entry
 
     def __len__(self) -> int:
+        """The newest LSN: records ever appended, sealed ones included."""
         with self._lock:
-            return len(self._entries)
+            return self._entries[-1].lsn if self._entries else 0
 
-    def entries(self, *, after_lsn: int = 0) -> list[JournalEntry]:
-        """All entries with ``lsn > after_lsn``, in LSN order."""
+    def entries(self, *, after_lsn: int | None = None) -> list[JournalEntry]:
+        """The retained entries, in LSN order; with ``after_lsn``, those
+        with ``lsn > after_lsn``.  Raises :class:`JournalError` when the
+        seal dropped an entry after ``after_lsn``."""
         with self._lock:
-            return self._entries[after_lsn:]
+            entries = self._entries
+            if after_lsn is None or not entries:
+                return list(entries)
+            skip = after_lsn - entries[0].lsn + 1
+            if skip < 0:
+                raise JournalError(
+                    f"entries after LSN {after_lsn} were sealed behind the "
+                    f"checkpoint at LSN {entries[0].lsn}"
+                )
+            return entries[skip:]
 
     def last_checkpoint(self) -> JournalEntry | None:
-        """The most recent :class:`Checkpoint` entry, if any."""
+        """The most recent :class:`Checkpoint` entry, if any: the seal
+        keeps it first."""
         with self._lock:
-            if self._last_checkpoint_lsn == 0:
-                return None
-            return self._entries[self._last_checkpoint_lsn - 1]
+            if self._entries and isinstance(self._entries[0].record, Checkpoint):
+                return self._entries[0]
+            return None
 
     @property
     def last_checkpoint_id(self) -> int | None:
         entry = self.last_checkpoint()
         if entry is None:
             return None
-        assert isinstance(entry.record, Checkpoint)
         return entry.record.checkpoint_id
 
     @property
     def records_since_checkpoint(self) -> int:
         """Appends since the latest checkpoint (drives auto-checkpointing)."""
         with self._lock:
-            return len(self._entries) - self._last_checkpoint_lsn
+            entries = self._entries
+            sealed = bool(entries) and isinstance(entries[0].record, Checkpoint)
+            return len(entries) - sealed
 
     def next_checkpoint_id(self) -> int:
         """The id the next :class:`Checkpoint` takes (ids start at 1)."""
@@ -353,7 +385,8 @@ class WriteAheadJournal:
 
     # -- persistence ---------------------------------------------------- #
     def save(self, path: str) -> None:
-        """Serialize the journal to ``path`` (pickle)."""
+        """Serialize the retained entries to ``path`` (pickle); each
+        entry carries its LSN, so a loaded journal continues the count."""
         with self._lock:
             payload = {
                 "entries": list(self._entries),
@@ -364,30 +397,60 @@ class WriteAheadJournal:
 
     @classmethod
     def load(cls, path: str) -> "WriteAheadJournal":
-        """Rebuild a journal from :meth:`save` output."""
+        """Rebuild a journal from :meth:`save` output, sealed at its
+        newest checkpoint (a payload saved before journals sealed holds
+        every entry).  Any unreadable or malformed file raises
+        :class:`JournalError`."""
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
-            entries = payload["entries"]
-            journal = cls(checkpoint_every=payload.get("checkpoint_every"))
-        except (OSError, pickle.PickleError, KeyError, EOFError) as exc:
-            raise JournalError(f"cannot load journal from {path!r}: {exc}")
-        journal._entries = list(entries)
-        last_cp = 0
-        for entry in journal._entries:
-            if isinstance(entry.record, Checkpoint):
-                last_cp = entry.lsn
-        journal._last_checkpoint_lsn = last_cp
+        except Exception as exc:  # unpickling bad bytes raises anything
+            raise JournalError(f"cannot load journal from {path!r}: {exc!r}") from exc
+        entries = _checked_entries(payload, path)
+        journal = cls(checkpoint_every=payload.get("checkpoint_every"))
+        newest = max(
+            (i for i, e in enumerate(entries) if isinstance(e.record, Checkpoint)),
+            default=0,
+        )
+        journal._entries = entries[newest:]
         return journal
 
     def describe(self) -> str:
         with self._lock:
-            total = len(self._entries)
-            since = total - self._last_checkpoint_lsn
+            total = self._entries[-1].lsn if self._entries else 0
+            retained = len(self._entries)
         return (
             f"journal: {total} records, last checkpoint "
-            f"{self.last_checkpoint_id}, {since} since"
+            f"{self.last_checkpoint_id}, {self.records_since_checkpoint} "
+            f"since, {retained} retained"
         )
+
+
+def _checked_entries(payload: object, path: str) -> list[JournalEntry]:
+    """The entries of a loaded payload; :class:`JournalError` unless
+    they are known records with gap-free LSNs that start at 1 or at a
+    checkpoint."""
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, JournalEntry) for entry in entries
+    ):
+        raise JournalError(f"{path!r} holds no journal payload")
+    if not entries:
+        return []
+    # getattr: an entry unpickled from damaged bytes may lack a field.
+    first = getattr(entries[0], "lsn", None)
+    if first != 1 and not isinstance(getattr(entries[0], "record", None), Checkpoint):
+        raise JournalError(f"{path!r}: entries start at LSN {first!r}")
+    for offset, entry in enumerate(entries):
+        lsn = getattr(entry, "lsn", None)
+        if type(lsn) is not int or lsn != first + offset:
+            raise JournalError(f"{path!r}: LSN {lsn!r} breaks the sequence")
+        record = getattr(entry, "record", None)
+        if not isinstance(record, RECORD_TYPES):
+            raise JournalError(
+                f"{path!r}: unknown record type {type(record).__name__!r}"
+            )
+    return entries
 
 
 def shares_tuple(shares: "dict[str, float] | None") -> tuple[tuple[str, float], ...]:

@@ -5,7 +5,9 @@ warehouse over the surviving catalog/database (durable storage shared
 with the crashed process) and calls :func:`recover_warehouse`, which
 
 1. restores the latest :class:`~repro.core.journal.Checkpoint` into
-   the warehouse's ledger (:meth:`repro.core.ledger.Ledger.restore`);
+   the warehouse's ledger (:meth:`repro.core.ledger.Ledger.restore`) —
+   the journal's first retained entry, since a checkpoint seals the
+   journal behind it;
 2. replays every journal record after the checkpoint in LSN order
    through :meth:`repro.core.ledger.Ledger.apply` — the same transition
    function live serving and tuning commit through, so there is no
@@ -84,10 +86,12 @@ def recover_warehouse(
 ) -> RecoveryReport:
     """Restore ``warehouse`` (which must be fresh) from ``journal``.
 
-    The warehouse must have been constructed over the *same* catalog /
-    database objects the crashed process was mutating; the journal is
-    not attached here (the caller attaches it after recovery so replay
-    itself journals nothing).
+    Reads only the journal's retained entries: its newest checkpoint
+    (if any) and the records after it, which is all a sealed journal
+    keeps.  The warehouse must have been constructed over the *same*
+    catalog / database objects the crashed process was mutating; the
+    journal is not attached here (the caller attaches it after recovery
+    so replay itself journals nothing).
     """
     ledger = warehouse.ledger
     if ledger.journal is not None:

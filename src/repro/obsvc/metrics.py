@@ -296,7 +296,7 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
     ),
     # -- journal / durability (sourced from the WAL) --------------------
     "repro_journal_records_total": MetricSpec(
-        "source", "Entries in the write-ahead journal (0 when detached).",
+        "source", "Records appended to the write-ahead journal (0 when detached).",
         read=_optional("journal", len),
     ),
     "repro_journal_records_since_checkpoint": MetricSpec(

@@ -1,5 +1,6 @@
 """Deterministic testing utilities (fault injection for chaos suites,
-lock-order sanitizing for deadlock detection, and — imported explicitly
+lock-order sanitizing for deadlock detection, a journal that keeps
+every record its seal drops, and — imported explicitly
 as :mod:`repro.testing.reference` — the slow parity references the cost
 model and DOP search are held to).
 
@@ -22,6 +23,7 @@ from repro.testing.faults import (
     kill,
     outage,
 )
+from repro.testing.journal import RecordingJournal
 from repro.testing.locks import (
     LockOrderError,
     LockOrderSanitizer,
@@ -38,6 +40,7 @@ __all__ = [
     "InjectedFault",
     "LockOrderError",
     "LockOrderSanitizer",
+    "RecordingJournal",
     "SanitizedLock",
     "SimulatedCrashError",
     "crash_probes",

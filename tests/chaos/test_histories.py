@@ -11,7 +11,10 @@ it is held to two references that share no code with the ledger:
 
 - **the fold** (:func:`fold`) recomputes every tenant's ledger units,
   the logged query ids and each recommendation's durable state from
-  ``journal.entries()``;
+  every record the journal was given since LSN 1 (a
+  :class:`~repro.testing.RecordingJournal`'s ``recorded()``: the
+  journal itself seals at each checkpoint, and its retained entries
+  must be that checkpoint, first and alone, plus the records since);
 - **the twin** is a journal-free, uninstrumented, collection-off
   warehouse fed the same requests inline under the same fault plan; the
   journaled warehouse's handles, log and bills must equal its bit for
@@ -46,6 +49,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.journal import (
+    Checkpoint,
     QueryServed,
     RetryCharge,
     RollbackCommit,
@@ -53,7 +57,6 @@ from repro.core.journal import (
     TuningCommit,
     TuningFailed,
     TuningIntent,
-    WriteAheadJournal,
 )
 from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.service import QueryRequest, QueryState
@@ -66,6 +69,7 @@ from repro.testing import (
     CRASH_POINTS,
     FaultPlan,
     FaultSpec,
+    RecordingJournal,
     SimulatedCrashError,
     instrument_warehouse,
     kill,
@@ -287,7 +291,7 @@ class Histories(RuleBasedStateMachine):
         #: Durable storage: survives every crash, as a database would.
         self.catalog = synthetic_tpch_catalog(1.0)
         self.wh = CostIntelligentWarehouse(
-            catalog=self.catalog, journal=WriteAheadJournal(checkpoint_every=8), **WAREHOUSE
+            catalog=self.catalog, journal=RecordingJournal(checkpoint_every=8), **WAREHOUSE
         )
         self.sanitizer = instrument_warehouse(self.wh)
         self.twin = CostIntelligentWarehouse(catalog=synthetic_tpch_catalog(1.0), **WAREHOUSE)
@@ -559,7 +563,14 @@ class Histories(RuleBasedStateMachine):
         # Locks the warehouse grew since the last step (a fault plan, the
         # tuning breaker, a recovered warehouse) join the sanitizer.
         instrument_warehouse(wh, self.sanitizer)
-        units, query_ids, states = fold(wh.journal.entries())
+        # The seal keeps the newest checkpoint, first and alone, and the
+        # records after it: the recording's tail from that checkpoint.
+        recorded, retained = wh.journal.recorded(), wh.journal.entries()
+        sealed_at = [i for i, entry in enumerate(retained) if isinstance(entry.record, Checkpoint)]
+        assert sealed_at in ([], [0]), sealed_at
+        checkpoints = [i for i, entry in enumerate(recorded) if isinstance(entry.record, Checkpoint)]
+        assert retained == recorded[checkpoints[-1] if checkpoints else 0 :]
+        units, query_ids, states = fold(recorded)
         bills = wh.billing.values()
         assert {
             b.tenant: [b.queries, b.serving_units, b.background_units, b.retry_units]

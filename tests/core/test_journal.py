@@ -40,6 +40,7 @@ from repro.dop.constraints import sla_constraint
 from repro.errors import JournalError, RecoveryError, ReproError
 from repro.obsvc.history import CostLeaf, CostSnapshot, TenantCostSlice
 from repro.statsvc.logs import QueryRecord
+from repro.testing import RecordingJournal
 from repro.tuning.mv import MVCandidate
 from repro.tuning.service import (
     MaterializeView,
@@ -246,6 +247,32 @@ def test_journal_load_failure_raises_journal_error(tmp_path):
         WriteAheadJournal.load(str(path))
     with pytest.raises(JournalError):
         WriteAheadJournal.load(str(tmp_path / "missing.pkl"))
+    # Well-formed pickles that hold no journal: a list, None, an
+    # entries field that is no list, LSNs with a gap, a first entry
+    # past LSN 1 that is no checkpoint, and a record of unknown type.
+    admit = AdmissionDecision(tenant="t", verdict="admit")
+    for payload in (
+        [JournalEntry(lsn=1, record=admit)],
+        None,
+        {"entries": 5},
+        {"entries": [JournalEntry(1, admit), JournalEntry(3, admit)]},
+        {"entries": [JournalEntry(2, admit)]},
+        {"entries": [JournalEntry(1, "a record")]},
+        {"entries": [], "checkpoint_every": "8"},
+    ):
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(JournalError):
+            WriteAheadJournal.load(str(path))
+    # One flipped byte inside a saved journal.
+    journal = WriteAheadJournal()
+    for record in sample_records():
+        journal.append(record)
+    journal.save(str(path))
+    data = bytearray(path.read_bytes())
+    data[40] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(JournalError):
+        WriteAheadJournal.load(str(path))
 
 
 def test_journal_rejects_unknown_record_types():
@@ -264,6 +291,123 @@ def test_lsns_are_sequential_and_gap_free():
     ]
     assert lsns == [1, 2, 3, 4, 5]
     assert [e.lsn for e in journal.entries(after_lsn=2)] == [3, 4, 5]
+
+
+# --------------------------------------------------------------------- #
+# Sealing: a checkpoint drops every entry before it
+# --------------------------------------------------------------------- #
+def empty_checkpoint(checkpoint_id: int) -> Checkpoint:
+    return Checkpoint(
+        checkpoint_id=checkpoint_id,
+        state=CheckpointState(clock=0.0, records=(), bills=(), verdicts=()),
+    )
+
+
+def sealed_journal() -> WriteAheadJournal:
+    """Three records, a checkpoint, two records, a checkpoint, one record:
+    LSNs 1-3, 4 (checkpoint 1), 5-6, 7 (checkpoint 2), 8."""
+    journal = WriteAheadJournal(checkpoint_every=3)
+    for i in range(1, 9):
+        record = (
+            empty_checkpoint(journal.next_checkpoint_id())
+            if i in (4, 7)
+            else AdmissionDecision(tenant="t", verdict="admit")
+        )
+        assert journal.append(record).lsn == i
+    return journal
+
+
+def test_lsns_stay_gap_free_across_seals():
+    journal = sealed_journal()
+    entries = journal.entries()
+    assert [e.lsn for e in entries] == [7, 8]
+    assert entries[0] is journal.last_checkpoint()
+    assert journal.last_checkpoint_id == 2 and journal.next_checkpoint_id() == 3
+    assert journal.records_since_checkpoint == 1
+    assert journal.append(empty_checkpoint(3)).lsn == 9
+    assert [e.lsn for e in journal.entries()] == [9]
+    assert journal.records_since_checkpoint == 0
+
+
+def test_len_is_the_newest_lsn_not_the_retained_count():
+    journal = sealed_journal()
+    assert len(journal) == 8 and len(journal.entries()) == 2
+    assert len(WriteAheadJournal()) == 0
+
+
+def test_entries_after_an_lsn_below_the_seal_raise():
+    journal = sealed_journal()
+    assert [e.lsn for e in journal.entries(after_lsn=6)] == [7, 8]
+    assert [e.lsn for e in journal.entries(after_lsn=7)] == [8]
+    assert journal.entries(after_lsn=8) == []
+    for sealed in (0, 3, 5):
+        with pytest.raises(JournalError):
+            journal.entries(after_lsn=sealed)
+    # A journal that never checkpointed keeps every record.
+    unsealed = WriteAheadJournal()
+    unsealed.append(AdmissionDecision(tenant="t", verdict="admit"))
+    assert [e.lsn for e in unsealed.entries(after_lsn=0)] == [1]
+
+
+def test_sealed_journal_survives_save_and_load(tmp_path):
+    journal = sealed_journal()
+    path = str(tmp_path / "wal.pkl")
+    journal.save(path)
+    loaded = WriteAheadJournal.load(path)
+    assert loaded.entries() == journal.entries()
+    assert len(loaded) == len(journal) == 8
+    assert loaded.checkpoint_every == 3
+    assert loaded.last_checkpoint_id == 2
+    assert loaded.records_since_checkpoint == 1
+    assert loaded.append(empty_checkpoint(loaded.next_checkpoint_id())).lsn == 9
+
+
+def test_unsealed_payload_loads_sealed_at_its_newest_checkpoint(tmp_path):
+    """A journal saved before checkpoints sealed holds every entry; it
+    loads sealed at its newest checkpoint, LSNs and count intact."""
+    admit = AdmissionDecision(tenant="t", verdict="admit")
+    records = [admit, empty_checkpoint(1), admit, admit, empty_checkpoint(2), admit]
+    entries = [JournalEntry(lsn, record) for lsn, record in enumerate(records, 1)]
+    path = tmp_path / "old.pkl"
+    path.write_bytes(pickle.dumps({"entries": entries, "checkpoint_every": 2}))
+    loaded = WriteAheadJournal.load(str(path))
+    assert loaded.entries() == entries[4:]
+    assert len(loaded) == 6 and loaded.last_checkpoint_id == 2
+    # With no checkpoint there is nothing to seal at.
+    path.write_bytes(pickle.dumps({"entries": entries[:1]}))
+    assert WriteAheadJournal.load(str(path)).entries() == entries[:1]
+
+
+def test_recovering_the_sealed_journal_equals_replaying_every_record():
+    """Recovery from the sealed journal (its newest checkpoint plus the
+    tail) bills bit for bit what replaying every non-checkpoint record
+    from LSN 1 into an unsealed journal bills."""
+    catalog = synthetic_tpch_catalog(1.0)
+    journal = RecordingJournal(checkpoint_every=5)
+    live = CostIntelligentWarehouse(catalog=catalog, journal=journal)
+    sessions = [live.session(tenant=t, constraint=SLA) for t in ("acme", "bolt")]
+    for i in range(23):
+        sql = T_JOIN.format(v=i % 4) if i % 3 else T_ORDERS.format(v=1000 * i)
+        sessions[i % 2].submit(QueryRequest(sql=sql, at_time=10.0 * i)).result()
+    live.ledger.commit(RetryCharge(tenant="bolt", dollars=0.0004))
+    recorded = journal.recorded()
+    assert sum(isinstance(e.record, Checkpoint) for e in recorded) >= 4
+    assert len(journal.entries()) < len(recorded)
+
+    unsealed = WriteAheadJournal()
+    for entry in recorded:
+        if not isinstance(entry.record, Checkpoint):
+            unsealed.append(entry.record)
+    sealed = CostIntelligentWarehouse.recover(journal, catalog=catalog)
+    replayed = CostIntelligentWarehouse.recover(unsealed, catalog=catalog)
+    assert sealed.last_recovery.checkpoint_id is not None
+    assert replayed.last_recovery.checkpoint_id is None
+
+    def bills(warehouse):
+        return {t: b.ledger_snapshot() for t, b in warehouse.billing.items()}
+
+    assert bills(sealed) == bills(replayed) == bills(live)
+    assert list(sealed.logs) == list(replayed.logs) == list(live.logs)
 
 
 def test_shares_helpers_are_canonical():

@@ -23,6 +23,7 @@ from repro.obsvc.drilldown import DrillDownNavigator
 from repro.obsvc.history import DROPPED_LEAF
 from repro.sql.parameterize import parameterize_sql
 from repro.statsvc.logs import WINDOW_RECORDS, LogRollups
+from repro.testing import RecordingJournal
 from repro.tuning.service import TuningPolicy
 from repro.util.units import to_ledger_units
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -134,7 +135,7 @@ def served(request):
     catalog = synthetic_tpch_catalog(1.0)
     journal = None
     if request.param == "journaled":
-        journal = WriteAheadJournal(checkpoint_every=512)
+        journal = RecordingJournal(checkpoint_every=512)
     warehouse = CostIntelligentWarehouse(catalog=catalog, journal=journal)
     if journal is not None:
         warehouse.enable_collection(cadence_queries=256)
@@ -162,7 +163,7 @@ def test_the_log_holds_a_window_and_exact_rollups(served):
         return
     # Collection every 256 queries folds each record before it leaves.
     assert logs.unfolded_units() == {}
-    entries = journal.entries()
+    entries = journal.recorded()
     journaled = [e.record.record for e in entries if isinstance(e.record, QueryServed)]
     assert journaled == records
     assert rollup_dicts(logs.rollups()) == fold_rollups(journaled, folded)
@@ -190,7 +191,7 @@ def test_restore_replay_and_a_pre_window_checkpoint_rebuild_the_live_log(served,
         journals["recovered"] = live.journal
         # Replay alone: every record but the checkpoints, from the start.
         replayed = WriteAheadJournal()
-        for entry in live.journal.entries():
+        for entry in live.journal.recorded():
             if not isinstance(entry.record, Checkpoint):
                 replayed.append(entry.record)
         journals["replayed"] = replayed

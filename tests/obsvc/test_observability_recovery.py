@@ -3,7 +3,9 @@
 The collector journals ``CostSnapshotTaken`` write-ahead of the
 in-memory append, so a snapshot whose record landed survives the crash;
 the journal and every checkpoint carry the store's own snapshot objects;
-and journal bytes per served query stay flat as history grows.  Kills
+journal bytes per served query stay flat as history grows; and the
+journal a checkpoint seals stays flat in absolute bytes once the log's
+window is full.  Kills
 anywhere in generated histories with collection on are
 ``tests/chaos/test_histories.py``'s.
 """
@@ -14,12 +16,19 @@ import pickle
 
 import pytest
 
-from tests.obsvc.conftest import SLA, TENANTS, run_workload
+from tests.obsvc.conftest import SLA, T_JOIN, T_ORDERS, TENANTS, run_workload
 from repro.core.service import QueryRequest
 from repro.core.journal import Checkpoint, CostSnapshotTaken, WriteAheadJournal
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.obsvc.drilldown import DrillDownNavigator
-from repro.testing import FaultPlan, SimulatedCrashError, crash_probes, kill
+from repro.statsvc.logs import WINDOW_RECORDS
+from repro.testing import (
+    FaultPlan,
+    RecordingJournal,
+    SimulatedCrashError,
+    crash_probes,
+    kill,
+)
 from repro.workloads.adhoc import AdhocQueryGenerator
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
@@ -73,14 +82,14 @@ def test_journal_and_checkpoints_reference_the_stored_snapshots(catalog, tmp_pat
     """One representation: every ``CostSnapshotTaken`` record and every
     checkpoint hold the store's own frozen snapshot objects (identity,
     not equality), and the saved journal recovers an equal history."""
-    journal = WriteAheadJournal(checkpoint_every=CHECKPOINT_EVERY)
+    journal = RecordingJournal(checkpoint_every=CHECKPOINT_EVERY)
     warehouse = make_observed(catalog, journal)
     run_workload(warehouse, count=QUERIES)
     warehouse.checkpoint()
     stored = warehouse.cost_history.snapshots()
     assert len(stored) >= 2
 
-    records = [entry.record for entry in journal.entries()]
+    records = [entry.record for entry in journal.recorded()]
     taken = [r for r in records if isinstance(r, CostSnapshotTaken)]
     assert len(taken) == len(stored)
     assert all(r.snapshot is s for r, s in zip(taken, stored))
@@ -100,13 +109,15 @@ def test_journal_and_checkpoints_reference_the_stored_snapshots(catalog, tmp_pat
 
 
 def test_journal_bytes_per_query_stay_flat_as_history_grows(catalog):
-    """The pickled journal per served query must not grow with the
-    number of queries served: each checkpoint references the snapshots
-    (and their cumulative leaves) taken so far instead of copying them,
-    so ad-hoc traffic — whose leaf count grows with every new shape —
-    costs the same bytes per query after 4N queries as after N."""
+    """Every record journaled, pickled together, per served query must
+    not grow with the number of queries served: each checkpoint
+    references the snapshots (and their cumulative leaves) taken so far
+    instead of copying them, so ad-hoc traffic — whose leaf count grows
+    with every new shape — costs the same bytes per query after 4N
+    queries as after N.  The recording keeps the checkpoints the
+    journal's seal drops, so they are all counted."""
     base, batch = 256, 32
-    journal = WriteAheadJournal(checkpoint_every=64)
+    journal = RecordingJournal(checkpoint_every=64)
     warehouse = CostIntelligentWarehouse(catalog=catalog, journal=journal)
     warehouse.enable_collection(cadence_queries=batch)
     session = warehouse.session(tenant=TENANTS[0], constraint=SLA)
@@ -120,10 +131,45 @@ def test_journal_bytes_per_query_stay_flat_as_history_grows(catalog):
                 [QueryRequest(sql=sql) for sql in sqls[start : start + batch]]
             ):
                 handle.result()
-        return len(pickle.dumps(journal.entries())) / len(warehouse.logs)
+        return len(pickle.dumps(journal.recorded())) / len(warehouse.logs)
 
     early = serve(queries[:base])
     late = serve(queries[base:])
     assert len(warehouse.logs) == 4 * base
     assert len(warehouse.cost_history) == 4 * base // batch
     assert late <= 1.5 * early, (early, late)
+
+
+def test_sealed_journal_bytes_stay_flat_once_the_window_is_full(catalog):
+    """What the journal retains — its newest checkpoint and the records
+    since — must not grow with the queries served once the log's window
+    is full: the retained journal after 4N queries pickles to at most
+    1.5x its bytes after N, in absolute bytes.  An unsealed journal
+    would hold every ``QueryServed`` and every checkpoint, 4x and more."""
+    batch = 64
+    journal = WriteAheadJournal(checkpoint_every=512)
+    warehouse = CostIntelligentWarehouse(catalog=catalog, journal=journal)
+    warehouse.enable_collection(cadence_queries=512)
+    sessions = [warehouse.session(tenant=tenant, constraint=SLA) for tenant in TENANTS]
+
+    def serve(count: int) -> int:
+        """Serve ``count`` more queries; returns the retained journal's
+        pickled bytes."""
+        for first in range(warehouse.logs.last_query_id, count, batch):
+            requests = [
+                QueryRequest(
+                    sql=T_JOIN.format(v=i % 4) if i % 2 else T_ORDERS.format(v=i % 7),
+                    at_time=float(i),
+                    simulate=False,
+                )
+                for i in range(first, first + batch)
+            ]
+            for handle in sessions[first // batch % 2].submit_many(requests):
+                handle.result()
+        return len(pickle.dumps(journal.entries()))
+
+    early = serve(WINDOW_RECORDS)
+    late = serve(4 * WINDOW_RECORDS)
+    assert late <= 1.5 * early, (early, late)
+    assert warehouse.logs.last_query_id == len(warehouse.logs) * 4
+    assert len(journal) > 4 * WINDOW_RECORDS > len(journal.entries())
