@@ -19,16 +19,21 @@ After 512, 1,024, 2,048, 4,096 and 8,192 queries (those up to
 - ``retained``: the journal's retained entries (its newest checkpoint
   and the records since; ``-`` journal-free).
 
-The exit code is 1 if a query failed, else 0; no size is gated.
+Each warehouse runs in a fresh interpreter, so neither heap is read with
+process-wide memos (the SQL parameterizer's LRU, the template parses)
+that the other run filled.  The exit code is 1 if a query failed, else
+0; no size is gated.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import multiprocessing
 import pickle
 import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +68,9 @@ class Row:
 
 def grow(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Row]:
     """Serve up to ``marks[-1]`` queries on one fresh warehouse; one row
-    per mark."""
+    per mark.  The heap is read with nothing of the run referenced but
+    the warehouse: serving and sizing happen in helpers whose handles,
+    checkpoint entries and pickled bytes die on return."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -73,33 +80,21 @@ def grow(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Row]:
         if journaled:
             warehouse.enable_collection(cadence_queries=COLLECT_EVERY)
         session = warehouse.session(tenant="reports", constraint=SLA)
-        names = template_names()
         rows: list[Row] = []
         served = failed = 0
         for mark in marks:
             while served < mark:
-                requests = [
-                    QueryRequest(sql=instantiate(names[i % len(names)], seed=seed * 2**20 + i))
-                    for i in range(served, served + BATCH)
-                ]
-                handles = session.submit_many(requests)
-                failed += sum(handle.state is not QueryState.DONE for handle in handles)
+                failed += serve_batch(session, served, seed)
                 served += BATCH
             gc.collect()
             heap = tracemalloc.get_traced_memory()[0]
-            if journal is not None:
-                newest = journal.last_checkpoint()
-                checkpoint = pickle.dumps(newest.record) if newest is not None else b""
-                retained: int | None = len(journal.entries())
-            else:
-                checkpoint = pickle.dumps(warehouse.ledger.snapshot())
-                retained = None
+            checkpoint_bytes, retained = checkpoint_size(warehouse)
             rows.append(
                 Row(
                     run="journaled" if journaled else "journal-free",
                     queries=served,
                     heap_mb=heap / 2**20,
-                    checkpoint_mb=len(checkpoint) / 2**20,
+                    checkpoint_mb=checkpoint_bytes / 2**20,
                     retained=retained,
                     failed=failed,
                 )
@@ -107,6 +102,36 @@ def grow(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Row]:
         return rows
     finally:
         tracemalloc.stop()
+
+
+def serve_batch(session, start: int, seed: int) -> int:
+    """Serve report instances ``start`` … ``start + BATCH - 1``; returns
+    how many failed."""
+    names = template_names()
+    requests = [
+        QueryRequest(sql=instantiate(names[i % len(names)], seed=seed * 2**20 + i))
+        for i in range(start, start + BATCH)
+    ]
+    handles = session.submit_many(requests)
+    return sum(handle.state is not QueryState.DONE for handle in handles)
+
+
+def checkpoint_size(warehouse: CostIntelligentWarehouse) -> tuple[int, int | None]:
+    """The newest checkpoint's pickled bytes and the journal's retained
+    entries; journal-free, ``ledger.snapshot()``'s bytes and ``None``."""
+    journal = warehouse.journal
+    if journal is None:
+        return len(pickle.dumps(warehouse.ledger.snapshot())), None
+    newest = journal.last_checkpoint()
+    checkpoint = len(pickle.dumps(newest.record)) if newest is not None else 0
+    return checkpoint, len(journal.entries())
+
+
+def grow_in_child(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Row]:
+    """:func:`grow` in a fresh spawned interpreter."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(grow, journaled, marks, seed).result()
 
 
 def format_rows(rows: list[Row]) -> str:
@@ -127,7 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     marks = tuple(mark for mark in MARKS if mark <= args.queries) or (args.queries,)
     rows = [
-        row for journaled in (True, False) for row in grow(journaled, marks, args.seed)
+        row
+        for journaled in (True, False)
+        for row in grow_in_child(journaled, marks, args.seed)
     ]
     print(format_rows(rows))
     failed = sum(row.failed for row in rows if row.queries == marks[-1])

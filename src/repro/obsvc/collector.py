@@ -12,7 +12,9 @@ identical instants and the history is bitwise reproducible).
 Collection is crash-consistent by the same write-ahead discipline as
 serving: under the ledger lock the collector adds the per-operator
 cost leaves of the records logged since the newest snapshot to that
-snapshot's cumulative drill-down leaves, builds one :class:`~repro.obsvc.history.TenantCostSlice`
+snapshot's cumulative drill-down leaves (keyed by template, pipeline
+and operator shape, so instances of a template that differ only in
+their literals add to the same leaf rather than a new one), builds one :class:`~repro.obsvc.history.TenantCostSlice`
 per billed tenant (ledger units copied from the authoritative
 :class:`~repro.core.ledger.TenantBill`) and commits the
 :class:`~repro.obsvc.history.CostSnapshot` through
@@ -179,9 +181,9 @@ class SnapshotCollector:
 
     def _fold_locked(self) -> dict[str, dict[tuple[str, str, str], CostLeaf]]:
         """The cumulative drill-down aggregation, per tenant by
-        ``(template, pipeline, operator)``: the newest snapshot's leaves
-        plus the cost leaves of every record logged after it (records
-        carry their own apportioned leaves).  A :class:`CostLeaf` is
+        ``(template, pipeline, operator shape)``: the newest snapshot's
+        leaves plus the cost leaves of every record logged after it
+        (records carry their own apportioned leaves, labels interned).  A :class:`CostLeaf` is
         rebuilt only when its units change, so a snapshot shares the
         unchanged ones with the one before it."""
         warehouse = self.warehouse

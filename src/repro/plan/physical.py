@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import PlanError
-from repro.plan.expressions import AggCall, ColumnRef, Expr
+from repro.plan.expressions import AggCall, ColumnRef, Expr, referenced_columns
 
 _node_ids = itertools.count(1)
 
@@ -52,6 +52,13 @@ class PhysNode:
 
     def describe(self) -> str:
         return type(self).__name__
+
+    def shape(self) -> str:
+        """:meth:`describe` without literals, read bytes or fractions:
+        what the operator is, not what one instance of it reads.  The
+        cost drill-down keys its leaves by it, so a new literal never
+        adds a leaf."""
+        return self.describe()
 
     def pretty(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -92,6 +99,9 @@ class PhysScan(PhysNode):
             f"read={self.input_bytes:,.0f}B frac={self.partition_fraction:.2f})"
         )
 
+    def shape(self) -> str:
+        return f"Scan({self.table})"
+
 
 @dataclass
 class PhysFilter(PhysNode):
@@ -106,6 +116,9 @@ class PhysFilter(PhysNode):
 
     def describe(self) -> str:
         return f"Filter({self.predicate.sql()})"
+
+    def shape(self) -> str:
+        return f"Filter({', '.join(sorted(referenced_columns(self.predicate)))})"
 
 
 @dataclass
@@ -224,11 +237,16 @@ class PhysSort(PhysNode):
         return self.child.output_columns()
 
     def describe(self) -> str:
-        keys = ", ".join(
+        topk = f" limit={self.limit}" if self.limit is not None else ""
+        return f"Sort({self._ordering()}{topk})"
+
+    def shape(self) -> str:
+        return f"Sort({self._ordering()})"
+
+    def _ordering(self) -> str:
+        return ", ".join(
             f"{k} {'ASC' if a else 'DESC'}" for k, a in zip(self.keys, self.ascending)
         )
-        topk = f" limit={self.limit}" if self.limit is not None else ""
-        return f"Sort({keys}{topk})"
 
 
 @dataclass
@@ -244,6 +262,9 @@ class PhysLimit(PhysNode):
 
     def describe(self) -> str:
         return f"Limit({self.limit})"
+
+    def shape(self) -> str:
+        return "Limit"
 
 
 def walk_physical(node: PhysNode) -> Iterator[PhysNode]:

@@ -50,8 +50,10 @@ class QueryRecord:
     #: Exact drill-down apportionment of this query's spend:
     #: ``(pipeline, operator, ledger_units)`` triples whose integral
     #: units sum bitwise to ``to_ledger_units(dollars)`` (largest
-    #: remainder, computed once at serving time).  Trailing default
-    #: keeps pre-observability checkpoints loadable.
+    #: remainder, computed once at serving time).  The operator is its
+    #: literal-free shape and role (``Scan(lineitem)[source_scan]``),
+    #: interned, so every instance of a template names the same labels.
+    #: Trailing default keeps pre-observability checkpoints loadable.
     cost_breakdown: tuple = ()
 
     @property

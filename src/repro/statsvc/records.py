@@ -4,10 +4,18 @@ The record is the Statistics Service's ground truth *and* what the
 tenant is billed from, so it carries the exact drill-down apportionment
 of its dollars (:func:`cost_breakdown`) that :mod:`repro.obsvc` later
 folds into cost snapshots.
+
+The strings a record shares with every other instance of its template
+(table-qualified columns, join-edge names, filter columns, group keys
+and the drill-down labels) are interned: the catalog and the plan
+shapes bound them, so window records, retained journal records and
+cost snapshots hold one object per name, and a checkpoint pickles each
+name once.  The SQL text and ``aggregate_sqls`` stay per record.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING
 
 from repro.plan.expressions import referenced_columns
@@ -41,14 +49,14 @@ def served_record(
     filter_columns: set[str] = set()
     for table in bound.table_names:
         for column in bound.columns_needed(table):
-            columns.add(f"{table}.{column}")
+            columns.add(sys.intern(f"{table}.{column}"))
         for predicate in bound.filters.get(table, []):
             for column in referenced_columns(predicate):
-                filter_columns.add(column)
+                filter_columns.add(sys.intern(column))
     edges = tuple(
         (
-            f"{e.left.table}.{e.left.name}",
-            f"{e.right.table}.{e.right.name}",
+            sys.intern(f"{e.left.table}.{e.left.name}"),
+            sys.intern(f"{e.right.table}.{e.right.name}"),
         )
         for e in bound.join_edges
     )
@@ -67,7 +75,7 @@ def served_record(
         tables=tuple(bound.table_names),
         columns=tuple(sorted(columns)),
         join_edges=edges,
-        group_keys=tuple(k.name for k in bound.group_keys),
+        group_keys=tuple(sys.intern(k.name) for k in bound.group_keys),
         filter_columns=tuple(sorted(filter_columns)),
         aggregate_sqls=tuple(a.sql() for a in bound.aggregates),
         latency_s=spent.latency,
@@ -92,6 +100,12 @@ def cost_breakdown(
     always sum bitwise to the units the tenant's bill is charged —
     the invariant the drill-down navigator reconciles against.
     Zero-share leaves are dropped.
+
+    A leaf is labelled by its pipeline and its operator's literal-free
+    :meth:`~repro.plan.physical.PhysNode.shape` plus role, both interned,
+    so every instance of a template files its spend under the same
+    leaves whatever its literals; :meth:`~repro.plan.physical.PhysNode.describe`
+    stays the EXPLAIN text.
     """
     total_units = to_ledger_units(dollars)
     pipelines = list(choice.dag)
@@ -106,7 +120,7 @@ def cost_breakdown(
     for pipeline, pipe_units in zip(
         pipelines, _largest_remainder(total_units, pipe_weights)
     ):
-        label = f"P{pipeline.pipeline_id}"
+        label = sys.intern(f"P{pipeline.pipeline_id}")
         ops = list(pipeline.ops)
         if not ops:
             if pipe_units:
@@ -120,7 +134,7 @@ def cost_breakdown(
         ):
             if op_units:
                 leaves.append(
-                    (label, f"{op.node.describe()}[{op.role}]", op_units)
+                    (label, sys.intern(f"{op.node.shape()}[{op.role}]"), op_units)
                 )
     return tuple(leaves)
 

@@ -56,3 +56,26 @@ def test_sort_describe_directions():
     sort = PhysSort(child=scan, keys=("a", "b"), ascending=(True, False), limit=3)
     text = sort.describe()
     assert "a ASC" in text and "b DESC" in text and "limit=3" in text
+
+
+def test_shape_is_describe_without_literals():
+    def instance(bound: int):
+        predicate = BinaryOp(">", ColumnRef("b", "t"), Literal(bound))
+        scan = PhysScan(table="t", columns=("a", "b"), predicate=predicate)
+        scan.input_bytes = 1000.0 * bound
+        filt = PhysFilter(child=scan, predicate=predicate)
+        sort = PhysSort(child=filt, keys=("a",), ascending=(False,), limit=bound)
+        return [scan, filt, sort, PhysLimit(child=sort, limit=bound)]
+
+    first, second = instance(3), instance(7)
+    assert [node.shape() for node in first] == [
+        "Scan(t)",
+        "Filter(b)",
+        "Sort(a DESC)",
+        "Limit",
+    ]
+    assert [n.shape() for n in first] == [n.shape() for n in second]
+    # describe() stays the literal-bearing EXPLAIN text
+    assert all(a.describe() != b.describe() for a, b in zip(first, second))
+    project = PhysProject(child=first[0], exprs=(ColumnRef("a"),), names=("x",))
+    assert project.shape() == project.describe() == "Project(x)"
