@@ -18,6 +18,13 @@ even ones, and prints:
 It exits 1 when a run fails or when the two sides differ on any seed in
 the run's digest, ``modeled_dollars_per_query`` or
 ``constraint_met_share`` (a speed change must not move an answer).
+
+``--record PATH --label LABEL`` also appends the comparison to the JSON
+list at ``PATH`` (the repo keeps ``BENCH_history.json``): one object
+with the label, both commits, the machine (cores, Python), the
+workload, the pairs, and per end-to-end metric both sides' quartiles,
+the change's wins, the bound, whether the change is inside it, and the
+verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -80,6 +89,62 @@ def within_bound(parent: list[float], change: list[float], better: str, bound: f
     return value <= base * (1.0 + bound)
 
 
+def summarize(runs: dict[str, list[dict]]) -> dict[str, dict]:
+    """Per end-to-end metric of ``BENCHMARK.json``, over paired runs
+    (``runs["parent"][i]`` beside ``runs["change"][i]``, each with a
+    ``metrics`` dict): both sides' quartiles, the change's wins, the
+    bound, whether the change's median is inside it, and the verdict."""
+    rows = {}
+    for metric in SPEC["end_to_end"]:
+        name, better = metric["name"], metric["better"]
+        parent = [run["metrics"][name] for run in runs["parent"]]
+        change = [run["metrics"][name] for run in runs["change"]]
+        rows[name] = {
+            "parent": dict(zip(("q1", "median", "q3"), quartiles(parent))),
+            "change": dict(zip(("q1", "median", "q3"), quartiles(change))),
+            "wins": sum(
+                (c > p) if better == "higher" else (c < p) for p, c in zip(parent, change)
+            ),
+            "bound": metric["bound"],
+            "within_bound": within_bound(parent, change, better, metric["bound"]),
+            "verdict": verdict(parent, change, better),
+        }
+    return rows
+
+
+def record(
+    label: str, parent: str, change: str, workload: str, runs: dict[str, list[dict]]
+) -> dict:
+    """One ``--record`` entry: ``parent`` and ``change`` are commits."""
+    return {
+        "label": label,
+        "parent": parent,
+        "change": change,
+        "env": {"cores": os.cpu_count(), "python": platform.python_version()},
+        "workload": workload,
+        "pairs": len(runs["parent"]),
+        "metrics": summarize(runs),
+    }
+
+
+def append_record(path: Path, entry: dict) -> None:
+    """Append ``entry`` to the JSON list at ``path`` (created if absent)."""
+    history = json.loads(path.read_text()) if path.exists() else []
+    history.append(entry)
+    path.write_text(json.dumps(history, indent=1) + "\n")
+
+
+def commit_of(rev: str, *, dirty: bool = False) -> str:
+    """The short commit of ``rev``; with ``dirty``, marked ``-dirty``
+    when the working tree has changed or untracked files."""
+    def git(*args: str) -> str:
+        done = subprocess.run(["git", "-C", str(REPO), *args], check=True, capture_output=True)
+        return done.stdout.decode().strip()
+
+    commit = git("rev-parse", "--short=7", rev)
+    return commit + "-dirty" if dirty and git("status", "--porcelain") else commit
+
+
 def export_parent(rev: str, dest: Path) -> None:
     archive = subprocess.run(
         ["git", "-C", str(REPO), "archive", "--format=tar", rev],
@@ -128,7 +193,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None, help="passed on to run.py")
+    parser.add_argument("--record", type=Path, default=None, help="JSON list to append to")
+    parser.add_argument("--label", default=None, help="the change's name in --record")
     args = parser.parse_args(argv)
+    if args.record is not None and not args.label:
+        parser.error("--record needs --label")
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
@@ -148,18 +217,18 @@ def main(argv: list[str]) -> int:
 
     print(f"\n{args.workload}, {args.pairs} pairs, parent {args.parent}")
     print(f"{'metric':<28}{'parent q1/median/q3':>34}{'change q1/median/q3':>34}  wins  bound  verdict")
-    for metric in SPEC["end_to_end"]:
-        name, better = metric["name"], metric["better"]
-        parent = [run["metrics"][name] for run in runs["parent"]]
-        change = [run["metrics"][name] for run in runs["change"]]
-        wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
-        inside = within_bound(parent, change, better, metric["bound"])
+    for name, row in summarize(runs).items():
         print(
-            f"{name:<28}{'/'.join(f'{v:.4g}' for v in quartiles(parent)):>34}"
-            f"{'/'.join(f'{v:.4g}' for v in quartiles(change)):>34}"
-            f"  {wins:>2}/{args.pairs}  {'ok ' if inside else 'OUT'}  "
-            f"{verdict(parent, change, better)}"
+            f"{name:<28}{'/'.join(f'{v:.4g}' for v in row['parent'].values()):>34}"
+            f"{'/'.join(f'{v:.4g}' for v in row['change'].values()):>34}"
+            f"  {row['wins']:>2}/{args.pairs}  {'ok ' if row['within_bound'] else 'OUT'}  "
+            f"{row['verdict']}"
         )
+    if args.record is not None:
+        entry = record(
+            args.label, commit_of(args.parent), commit_of("HEAD", dirty=True), args.workload, runs
+        )
+        append_record(args.record, entry)
 
     differing = [
         seed

@@ -15,9 +15,12 @@ After 512, 1,024, 2,048, 4,096 and 8,192 queries (those up to
 - ``heap_mb``: ``tracemalloc``'s traced heap after ``gc.collect()``
   (tracing starts before the catalog is built);
 - ``checkpoint_mb``: the newest checkpoint's pickled bytes — journal-free,
-  ``ledger.snapshot()``'s, which is what a checkpoint would carry;
-- ``retained``: the journal's retained entries (its newest checkpoint
-  and the records since; ``-`` journal-free).
+  ``ledger.snapshot()``'s, which is what a checkpoint would carry.  A
+  checkpoint holds no copy of the log window;
+- ``journal_mb``: the retained entries' pickled bytes, which is what
+  ``WriteAheadJournal.save`` writes: the window's records, the newest
+  checkpoint and the records since (``-`` journal-free);
+- ``retained``: the journal's retained entries (``-`` journal-free).
 
 Each warehouse runs in a fresh interpreter, so neither heap is read with
 process-wide memos (the SQL parameterizer's LRU, the template parses)
@@ -62,6 +65,7 @@ class Row:
     queries: int
     heap_mb: float
     checkpoint_mb: float
+    journal_mb: float | None
     retained: int | None
     failed: int
 
@@ -88,13 +92,14 @@ def grow(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Row]:
                 served += BATCH
             gc.collect()
             heap = tracemalloc.get_traced_memory()[0]
-            checkpoint_bytes, retained = checkpoint_size(warehouse)
+            checkpoint_bytes, journal_bytes, retained = durable_sizes(warehouse)
             rows.append(
                 Row(
                     run="journaled" if journaled else "journal-free",
                     queries=served,
                     heap_mb=heap / 2**20,
                     checkpoint_mb=checkpoint_bytes / 2**20,
+                    journal_mb=None if journal_bytes is None else journal_bytes / 2**20,
                     retained=retained,
                     failed=failed,
                 )
@@ -116,15 +121,19 @@ def serve_batch(session, start: int, seed: int) -> int:
     return sum(handle.state is not QueryState.DONE for handle in handles)
 
 
-def checkpoint_size(warehouse: CostIntelligentWarehouse) -> tuple[int, int | None]:
-    """The newest checkpoint's pickled bytes and the journal's retained
-    entries; journal-free, ``ledger.snapshot()``'s bytes and ``None``."""
+def durable_sizes(
+    warehouse: CostIntelligentWarehouse,
+) -> tuple[int, int | None, int | None]:
+    """The newest checkpoint's pickled bytes, the retained entries'
+    pickled bytes and their count; journal-free,
+    ``ledger.snapshot()``'s bytes and ``None`` twice."""
     journal = warehouse.journal
     if journal is None:
-        return len(pickle.dumps(warehouse.ledger.snapshot())), None
+        return len(pickle.dumps(warehouse.ledger.snapshot())), None, None
     newest = journal.last_checkpoint()
     checkpoint = len(pickle.dumps(newest.record)) if newest is not None else 0
-    return checkpoint, len(journal.entries())
+    entries = journal.entries()
+    return checkpoint, len(pickle.dumps(entries)), len(entries)
 
 
 def grow_in_child(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Row]:
@@ -135,12 +144,16 @@ def grow_in_child(journaled: bool, marks: tuple[int, ...], seed: int) -> list[Ro
 
 
 def format_rows(rows: list[Row]) -> str:
-    lines = [f"{'run':<13} {'queries':>7} {'heap_mb':>8} {'checkpoint_mb':>13} {'retained':>8}"]
+    lines = [
+        f"{'run':<13} {'queries':>7} {'heap_mb':>8} {'checkpoint_mb':>13} "
+        f"{'journal_mb':>10} {'retained':>8}"
+    ]
     for row in rows:
+        journal = "-" if row.journal_mb is None else f"{row.journal_mb:.3f}"
         retained = "-" if row.retained is None else str(row.retained)
         lines.append(
             f"{row.run:<13} {row.queries:>7} {row.heap_mb:>8.2f} "
-            f"{row.checkpoint_mb:>13.2f} {retained:>8}"
+            f"{row.checkpoint_mb:>13.3f} {journal:>10} {retained:>8}"
         )
     return "\n".join(lines)
 

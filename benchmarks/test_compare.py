@@ -1,7 +1,9 @@
-"""The verdict rule of ``benchmarks/compare.py`` on fixed numbers."""
+"""The verdict rule and the ``--record`` entry of ``benchmarks/compare.py``
+on fixed numbers."""
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -9,7 +11,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from compare import quartiles, verdict, within_bound  # noqa: E402
+from compare import (  # noqa: E402
+    SPEC,
+    append_record,
+    quartiles,
+    record,
+    verdict,
+    within_bound,
+)
 
 PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
 
@@ -57,3 +66,48 @@ def test_within_bound_reads_the_better_direction():
     assert within_bound(PARENT, slower, "higher", 0.15)
     assert not within_bound(PARENT, slower, "higher", 0.05)
     assert within_bound(PARENT, slower, "lower", 0.0)
+
+
+def test_a_record_holds_every_metric_of_the_contract(tmp_path):
+    """A fake pair of ten runs: the change is 5 % faster on every
+    metric's better side, equal on the answers."""
+    names = [metric["name"] for metric in SPEC["end_to_end"]]
+    answers = {"modeled_dollars_per_query", "constraint_met_share"}
+
+    def runs(scale_for):
+        return [
+            {"metrics": {name: value * scale_for(name) for name in names}}
+            for value in PARENT
+        ]
+
+    better = {metric["name"]: metric["better"] for metric in SPEC["end_to_end"]}
+    fake = {
+        "parent": runs(lambda name: 1.0),
+        "change": runs(
+            lambda name: 1.0
+            if name in answers
+            else (1.05 if better[name] == "higher" else 0.95)
+        ),
+    }
+    entry = record("window-tail format", "aaaaaaa", "bbbbbbb-dirty", "reports_batch", fake)
+    assert (entry["label"], entry["parent"], entry["change"]) == (
+        "window-tail format", "aaaaaaa", "bbbbbbb-dirty"
+    )
+    assert entry["workload"] == "reports_batch" and entry["pairs"] == 10
+    assert set(entry["env"]) == {"cores", "python"}
+    assert list(entry["metrics"]) == names
+    qps = entry["metrics"]["serve_qps"]
+    assert [qps["parent"][key] for key in ("q1", "median", "q3")] == pytest.approx(
+        quartiles(PARENT)
+    )
+    assert qps["change"]["median"] == pytest.approx(105.0)
+    assert (qps["wins"], qps["bound"], qps["within_bound"], qps["verdict"]) == (
+        10, 0.15, True, "better"
+    )
+    met = entry["metrics"]["constraint_met_share"]
+    assert (met["wins"], met["within_bound"], met["verdict"]) == (0, True, "inconclusive")
+
+    path = tmp_path / "history.json"
+    append_record(path, entry)
+    append_record(path, entry)
+    assert json.loads(path.read_text()) == [entry, entry]

@@ -14,6 +14,7 @@ from growth import BATCH, CHECKPOINT_EVERY, format_rows, grow, main  # noqa: E40
 from repro.core.journal import Checkpoint  # noqa: E402
 from repro.core.service import QueryHandle  # noqa: E402
 from repro.sql.parameterize import parameterize_sql  # noqa: E402
+from repro.statsvc.logs import WINDOW_RECORDS  # noqa: E402
 
 
 def test_growth_reports_a_sealed_journal_at_every_mark():
@@ -25,33 +26,43 @@ def test_growth_reports_a_sealed_journal_at_every_mark():
         ("journal-free", 512),
         ("journal-free", 1024),
     ]
-    # The newest checkpoint and the records since: never more than one
-    # interval and one batch, whatever was served before.
+    # The log window's records, the newest checkpoint and the records
+    # since: never more than a window, one interval and one batch (with
+    # a snapshot and a checkpoint per 256 queries among them), whatever
+    # was served before.
     journaled = rows[:2]
-    assert all(1 <= row.retained <= CHECKPOINT_EVERY + BATCH for row in journaled)
-    assert all(row.retained is None for row in rows[2:])
+    for row in journaled:
+        window = min(row.queries, WINDOW_RECORDS)
+        bound = window + CHECKPOINT_EVERY + BATCH + 2 * (row.queries // 256 + 1)
+        assert window <= row.retained <= bound, (row.retained, bound)
+        assert row.journal_mb > row.checkpoint_mb > 0
+    assert all(row.retained is None and row.journal_mb is None for row in rows[2:])
     assert all(row.heap_mb > 0 and row.checkpoint_mb > 0 for row in rows)
-    assert len(format_rows(rows).splitlines()) == 1 + len(rows)
+    table = format_rows(rows).splitlines()
+    assert len(table) == 1 + len(rows) and "journal_mb" in table[0].split()
 
 
 def test_the_heap_is_read_with_nothing_of_the_run_held(monkeypatch):
-    """At each heap read the last batch's handles, the previous mark's
-    checkpoint entry and its pickled bytes are garbage: the only live
-    checkpoint is the journal's newest."""
+    """At each heap read the last batch's handles, the sizing's
+    checkpoint entries and pickled bytes are garbage: the only live
+    checkpoints are those the journal retains (at 1,024 queries, the
+    newest and the one inside its log window)."""
     read = tracemalloc.get_traced_memory
     seen = []
 
     def probe():
         objects = gc.get_objects()
-        held_bytes = [
-            name
-            for name, value in sys._getframe(1).f_locals.items()
-            if isinstance(value, bytes)
-        ]
+        frame = sys._getframe(1).f_locals
+        held_bytes = [name for name, value in frame.items() if isinstance(value, bytes)]
+        retained = sum(
+            isinstance(entry.record, Checkpoint)
+            for entry in frame["warehouse"].journal.entries()
+        )
         seen.append(
             (
                 sum(isinstance(o, QueryHandle) for o in objects),
                 sum(isinstance(o, Checkpoint) for o in objects),
+                retained,
                 held_bytes,
             )
         )
@@ -59,7 +70,7 @@ def test_the_heap_is_read_with_nothing_of_the_run_held(monkeypatch):
 
     monkeypatch.setattr(tracemalloc, "get_traced_memory", probe)
     grow(True, (512, 1024), seed=1)
-    assert seen == [(0, 1, []), (0, 1, [])]
+    assert seen == [(0, 1, 1, []), (0, 2, 2, [])]
 
 
 def test_growth_main_exits_zero(capsys):
@@ -68,5 +79,8 @@ def test_growth_main_exits_zero(capsys):
     # serves, so a run here would miss.)
     misses = parameterize_sql.cache_info().misses
     assert main(["--queries", str(BATCH), "--seed", "3"]) == 0
-    assert "journal-free" in capsys.readouterr().out
+    header, journaled, free = capsys.readouterr().out.splitlines()
+    columns = header.split()
+    assert float(journaled.split()[columns.index("journal_mb")]) > 0
+    assert free.split()[columns.index("journal_mb")] == "-"
     assert parameterize_sql.cache_info().misses == misses

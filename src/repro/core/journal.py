@@ -25,13 +25,12 @@ gates).  This module is the durability substrate:
   store the ledger (:mod:`repro.core.ledger`) writes to (write-ahead:
   the record lands before the in-memory state it describes mutates, so
   redo replay is always sufficient).  Each :class:`Checkpoint` seals
-  it: the entries before the checkpoint are dropped, since recovery
-  reads only the newest checkpoint and the tail after it, so the
-  journal holds one checkpoint plus the records since, not every
-  served query.  It keeps no counter beside its entries: the next LSN
-  is the newest entry's + 1 and the next checkpoint id the newest
-  checkpoint's + 1, so a saved and loaded journal continues both
-  sequences by construction.
+  it behind the log window's oldest record, so the journal holds the
+  window's records, the newest checkpoint (no copy of the window) and
+  the records since, not every served query.  It keeps no counter
+  beside its entries: the next LSN is the newest entry's + 1 and the
+  next checkpoint id the newest checkpoint's + 1, so a saved and loaded
+  journal continues both sequences by construction.
 
 The catalog/database object is treated as *durable storage shared with
 the crashed process* (it survives, possibly half-mutated); the journal
@@ -53,6 +52,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import JournalError
+
+#: The version :meth:`WriteAheadJournal.save` writes and ``load`` requires.
+FORMAT_VERSION = 1
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
@@ -227,16 +229,17 @@ class RollbackCommit:
 class CheckpointState:
     """A consistent snapshot of the warehouse's journaled state.
 
-    Everything replay would otherwise rebuild from the full journal:
-    the query log's window and roll-ups, the clock, per-tenant bills (as
-    integral ledger-unit snapshots), admission verdict counters, copies
-    of the recommendations whose intent was journaled, the next
-    recommendation id, and the cost history.  The applied-MV registry is
-    read off the recommendations on restore.
+    Everything replay would otherwise rebuild from the full journal but
+    the log window, whose records the journal keeps: the log's
+    roll-ups, the clock, per-tenant bills (as integral ledger-unit
+    snapshots), admission verdict counters, copies of the
+    recommendations whose intent was journaled, the next recommendation
+    id, and the cost history.  The applied-MV registry is read off the
+    recommendations on restore.
     """
 
     clock: float
-    records: tuple["QueryRecord", ...]
+    log_rollups: "LogRollups"
     bills: tuple[tuple, ...]  # TenantBill.ledger_snapshot() tuples
     verdicts: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
     #: ``repro.tuning.service.Recommendation`` copies, by rec id.
@@ -245,19 +248,17 @@ class CheckpointState:
     #: ``CostHistoryStore.snapshots()``: references to the store's own
     #: frozen snapshots, so successive checkpoints share them.
     cost_history: tuple = ()
-    #: The log's ``LogRollups``; ``None`` in a checkpoint written before
-    #: the log kept a window, whose ``records`` are every record logged
-    #: (restore rebuilds the roll-ups from them).
-    log_rollups: "LogRollups | None" = None
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     """A checkpoint record inline in the journal: recovery restores the
-    latest one, then replays only the records after it, so appending one
-    seals the journal behind it."""
+    latest one with the window's records before it, then replays only
+    the records after it, so appending one seals the journal behind the
+    :class:`QueryServed` of ``window_start`` (behind itself at 0)."""
 
     checkpoint_id: int
+    window_start: int  # the log window's oldest query id; 0: empty log
     state: CheckpointState
 
 
@@ -296,10 +297,10 @@ class WriteAheadJournal:
     mutation it describes (redo semantics), so replaying the journal
     from the latest :class:`Checkpoint` restores a bit-identical
     ledger.  Appending a checkpoint **seals** the journal: every entry
-    before it is dropped, because recovery reads only the newest
-    checkpoint and the records after it.  The retained entries are
-    therefore the newest checkpoint (if any) followed by the records
-    appended since; a journal that never checkpoints keeps every
+    before the log window's oldest record is dropped, because recovery
+    reads only the newest checkpoint, the window's records before it
+    (among them whatever else was appended, older checkpoints too) and
+    the records after it; a journal that never checkpoints keeps every
     record.  ``len(journal)`` is the newest LSN — records ever
     appended — whatever the seal dropped.  Thread-safe;
     ``checkpoint_every`` (records between checkpoints) drives the
@@ -309,18 +310,20 @@ class WriteAheadJournal:
 
     def __init__(self, *, checkpoint_every: int | None = None) -> None:
         if checkpoint_every is not None and (
-            not isinstance(checkpoint_every, int) or checkpoint_every < 1
+            type(checkpoint_every) is not int or checkpoint_every < 1
         ):
             raise JournalError(
                 f"checkpoint_every must be an int >= 1, got {checkpoint_every!r}"
             )
         self.checkpoint_every = checkpoint_every
         self._entries: list[JournalEntry] = []
+        #: The newest :class:`Checkpoint` entry, if any.
+        self._checkpoint: JournalEntry | None = None
         self._lock = threading.Lock()
 
     def append(self, record: object) -> JournalEntry:
         """Append one record; returns its LSN-stamped entry.  A
-        :class:`Checkpoint` seals the journal behind itself."""
+        :class:`Checkpoint` seals the journal behind its window."""
         if not isinstance(record, RECORD_TYPES):
             raise JournalError(
                 f"unknown journal record type {type(record).__name__!r}"
@@ -330,9 +333,9 @@ class WriteAheadJournal:
             lsn = entries[-1].lsn + 1 if entries else 1
             entry = JournalEntry(lsn=lsn, record=record)
             if isinstance(record, Checkpoint):
-                self._entries = [entry]
-            else:
-                entries.append(entry)
+                del entries[: _window_index(entries, record.window_start, len(entries))]
+                self._checkpoint = entry
+            entries.append(entry)
             return entry
 
     def __len__(self) -> int:
@@ -351,33 +354,36 @@ class WriteAheadJournal:
             skip = after_lsn - entries[0].lsn + 1
             if skip < 0:
                 raise JournalError(
-                    f"entries after LSN {after_lsn} were sealed behind the "
-                    f"checkpoint at LSN {entries[0].lsn}"
+                    f"entries after LSN {after_lsn} were sealed (kept from {entries[0].lsn})"
                 )
             return entries[skip:]
 
     def last_checkpoint(self) -> JournalEntry | None:
-        """The most recent :class:`Checkpoint` entry, if any: the seal
-        keeps it first."""
+        """The most recent :class:`Checkpoint` entry, if any."""
+        return self._checkpoint
+
+    def checkpoint_window(self) -> list["QueryRecord"]:
+        """The newest checkpoint's log window: the retained
+        :class:`QueryServed` records from its ``window_start`` to it."""
         with self._lock:
-            if self._entries and isinstance(self._entries[0].record, Checkpoint):
-                return self._entries[0]
-            return None
+            checkpoint, entries = self._checkpoint, self._entries
+            if checkpoint is None:
+                return []
+            end = checkpoint.lsn - entries[0].lsn
+            start = _window_index(entries, checkpoint.record.window_start, end)
+            window = (entry.record for entry in entries[start:end])
+            return [record.record for record in window if type(record) is QueryServed]
 
     @property
     def last_checkpoint_id(self) -> int | None:
-        entry = self.last_checkpoint()
-        if entry is None:
-            return None
-        return entry.record.checkpoint_id
+        return self._checkpoint.record.checkpoint_id if self._checkpoint else None
 
     @property
     def records_since_checkpoint(self) -> int:
         """Appends since the latest checkpoint (drives auto-checkpointing)."""
         with self._lock:
-            entries = self._entries
-            sealed = bool(entries) and isinstance(entries[0].record, Checkpoint)
-            return len(entries) - sealed
+            newest = self._entries[-1].lsn if self._entries else 0
+            return newest - (self._checkpoint.lsn if self._checkpoint else 0)
 
     def next_checkpoint_id(self) -> int:
         """The id the next :class:`Checkpoint` takes (ids start at 1)."""
@@ -385,10 +391,12 @@ class WriteAheadJournal:
 
     # -- persistence ---------------------------------------------------- #
     def save(self, path: str) -> None:
-        """Serialize the retained entries to ``path`` (pickle); each
-        entry carries its LSN, so a loaded journal continues the count."""
+        """Serialize the retained entries and :data:`FORMAT_VERSION` to
+        ``path`` (pickle); each entry carries its LSN, so a loaded
+        journal continues the count."""
         with self._lock:
             payload = {
+                "format": FORMAT_VERSION,
                 "entries": list(self._entries),
                 "checkpoint_every": self.checkpoint_every,
             }
@@ -397,10 +405,9 @@ class WriteAheadJournal:
 
     @classmethod
     def load(cls, path: str) -> "WriteAheadJournal":
-        """Rebuild a journal from :meth:`save` output, sealed at its
-        newest checkpoint (a payload saved before journals sealed holds
-        every entry).  Any unreadable or malformed file raises
-        :class:`JournalError`."""
+        """Rebuild a journal from :meth:`save` output.  Any unreadable or
+        malformed file, or a payload of another :data:`FORMAT_VERSION`,
+        raises :class:`JournalError`."""
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
@@ -408,29 +415,40 @@ class WriteAheadJournal:
             raise JournalError(f"cannot load journal from {path!r}: {exc!r}") from exc
         entries = _checked_entries(payload, path)
         journal = cls(checkpoint_every=payload.get("checkpoint_every"))
-        newest = max(
-            (i for i, e in enumerate(entries) if isinstance(e.record, Checkpoint)),
-            default=0,
+        journal._entries = entries
+        journal._checkpoint = next(
+            (e for e in reversed(entries) if isinstance(e.record, Checkpoint)), None
         )
-        journal._entries = entries[newest:]
         return journal
 
     def describe(self) -> str:
-        with self._lock:
-            total = self._entries[-1].lsn if self._entries else 0
-            retained = len(self._entries)
         return (
-            f"journal: {total} records, last checkpoint "
+            f"journal: {len(self)} records, last checkpoint "
             f"{self.last_checkpoint_id}, {self.records_since_checkpoint} "
-            f"since, {retained} retained"
+            f"since, {len(self._entries)} retained"
         )
 
 
+def _window_index(entries: list[JournalEntry], window_start: int, end: int) -> int:
+    """The index in ``entries[:end]`` of query ``window_start``'s
+    :class:`QueryServed` (``end`` for 0); :class:`JournalError` if none."""
+    if not window_start:
+        return end
+    for index in range(end):
+        record = entries[index].record
+        if type(record) is QueryServed and record.record.query_id == window_start:
+            return index
+    raise JournalError(f"the journal lost query {window_start}, the window's start")
+
+
 def _checked_entries(payload: object, path: str) -> list[JournalEntry]:
-    """The entries of a loaded payload; :class:`JournalError` unless
-    they are known records with gap-free LSNs that start at 1 or at a
-    checkpoint."""
-    entries = payload.get("entries") if isinstance(payload, dict) else None
+    """The entries of a loaded payload; :class:`JournalError` unless it
+    is of :data:`FORMAT_VERSION` and they are known records with
+    gap-free LSNs that start at 1 or hold a checkpoint."""
+    version = payload.get("format") if isinstance(payload, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise JournalError(f"{path!r}: format {version!r}, not {FORMAT_VERSION}")
+    entries = payload.get("entries")
     if not isinstance(entries, list) or not all(
         isinstance(entry, JournalEntry) for entry in entries
     ):
@@ -439,8 +457,6 @@ def _checked_entries(payload: object, path: str) -> list[JournalEntry]:
         return []
     # getattr: an entry unpickled from damaged bytes may lack a field.
     first = getattr(entries[0], "lsn", None)
-    if first != 1 and not isinstance(getattr(entries[0], "record", None), Checkpoint):
-        raise JournalError(f"{path!r}: entries start at LSN {first!r}")
     for offset, entry in enumerate(entries):
         lsn = getattr(entry, "lsn", None)
         if type(lsn) is not int or lsn != first + offset:
@@ -450,6 +466,8 @@ def _checked_entries(payload: object, path: str) -> list[JournalEntry]:
             raise JournalError(
                 f"{path!r}: unknown record type {type(record).__name__!r}"
             )
+    if first != 1 and not any(isinstance(e.record, Checkpoint) for e in entries):
+        raise JournalError(f"{path!r}: entries start at LSN {first!r}")
     return entries
 
 

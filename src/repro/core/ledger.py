@@ -406,10 +406,9 @@ class Ledger:
     # Checkpoints
     # ------------------------------------------------------------------ #
     def snapshot(self) -> CheckpointState:
-        """Everything replay would otherwise rebuild from the journal."""
+        """Everything replay would otherwise rebuild but the log window."""
         return CheckpointState(
             clock=self.clock,
-            records=tuple(self.logs),
             log_rollups=self.logs.rollups(),
             bills=tuple(
                 bill.ledger_snapshot() for _, bill in sorted(self.billing.items())
@@ -429,15 +428,12 @@ class Ledger:
             cost_history=self.cost_history.snapshots(),
         )
 
-    def restore(self, state: CheckpointState) -> None:
-        """Load :meth:`snapshot` output, every container in place (the
-        warehouse and the planning pipeline hold views of them).  The
-        cost history comes first: a checkpoint without log roll-ups
-        rebuilds them against its newest snapshot."""
+    def restore(self, state: CheckpointState, window: list[QueryRecord]) -> None:
+        """Load :meth:`snapshot` output and the log ``window`` it was
+        taken over, every container in place (the warehouse and the
+        planning pipeline hold views of them)."""
         self.cost_history.restore(state.cost_history)
-        self.logs.restore(
-            state.records, state.log_rollups, self.cost_history.folded_through
-        )
+        self.logs.restore(window, state.log_rollups)
         self.clock = state.clock
         self.billing.clear()
         self.billing.update(
@@ -462,9 +458,9 @@ class Ledger:
         self.next_rec_id = state.next_rec_id
 
     def checkpoint(self) -> None:
-        """Journal a :class:`~repro.core.journal.Checkpoint` of the full
-        state so recovery replays only the records after it.  Taken
-        under the lock: consistent, with no commit in flight."""
+        """Journal a :class:`~repro.core.journal.Checkpoint` of the state
+        but the log window, whose records the journal keeps, so recovery
+        replays only the records after it.  Taken under the lock."""
         journal = self.journal
         if journal is None:
             raise ReproError("checkpoint() needs an attached journal")
@@ -472,6 +468,7 @@ class Ledger:
             entry = journal.append(
                 Checkpoint(
                     checkpoint_id=journal.next_checkpoint_id(),
+                    window_start=self.logs.first_query_id,
                     state=self.snapshot(),
                 )
             )

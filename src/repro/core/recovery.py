@@ -5,9 +5,9 @@ warehouse over the surviving catalog/database (durable storage shared
 with the crashed process) and calls :func:`recover_warehouse`, which
 
 1. restores the latest :class:`~repro.core.journal.Checkpoint` into
-   the warehouse's ledger (:meth:`repro.core.ledger.Ledger.restore`) —
-   the journal's first retained entry, since a checkpoint seals the
-   journal behind it;
+   the warehouse's ledger (:meth:`repro.core.ledger.Ledger.restore`)
+   with its log window, the journal's ``QueryServed`` records before
+   it, which its roll-ups already count, so they are not applied;
 2. replays every journal record after the checkpoint in LSN order
    through :meth:`repro.core.ledger.Ledger.apply` — the same transition
    function live serving and tuning commit through, so there is no
@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.journal import (
-    Checkpoint,
     JournalEntry,
     RollbackCommit,
     TuningFailed,
@@ -86,9 +85,9 @@ def recover_warehouse(
 ) -> RecoveryReport:
     """Restore ``warehouse`` (which must be fresh) from ``journal``.
 
-    Reads only the journal's retained entries: its newest checkpoint
-    (if any) and the records after it, which is all a sealed journal
-    keeps.  The warehouse must have been constructed over the *same*
+    Reads only what a sealed journal keeps: its newest checkpoint (if
+    any), the log window's records before it and the records after it.
+    The warehouse must have been constructed over the *same*
     catalog / database objects the crashed process was mutating; the
     journal is not attached here (the caller attaches it after recovery
     so replay itself journals nothing).
@@ -107,8 +106,7 @@ def recover_warehouse(
     report = RecoveryReport()
     checkpoint_entry = journal.last_checkpoint()
     if checkpoint_entry is not None:
-        assert isinstance(checkpoint_entry.record, Checkpoint)
-        ledger.restore(checkpoint_entry.record.state)
+        ledger.restore(checkpoint_entry.record.state, journal.checkpoint_window())
         report.checkpoint_id = checkpoint_entry.record.checkpoint_id
         ledger.applied_lsn = checkpoint_entry.lsn
 

@@ -378,13 +378,12 @@ class CostIntelligentWarehouse:
         the crashed process was serving over (storage survives a
         process crash; only warehouse memory dies).  Construction
         kwargs should match the crashed warehouse's.  Restores the
-        latest checkpoint (the journal's first retained entry: each
-        checkpoint seals the journal behind it), replays the journal
-        tail, resolves in-doubt tuning applies (forward if committed,
-        back via the journaled undo snapshot otherwise), then attaches
-        the journal and writes a post-recovery checkpoint, which seals
-        the replayed tail away, so a crash during a later replay never
-        re-reads this one's work.
+        latest checkpoint with the log window the journal keeps before
+        it, replays the journal tail, resolves in-doubt tuning applies
+        (forward if committed, back via the journaled undo snapshot
+        otherwise), then attaches the journal and writes a
+        post-recovery checkpoint, so a later recovery restores this
+        one's work instead of replaying it.
         """
         warehouse = cls(database, catalog, **kwargs)
         ledger = warehouse.ledger

@@ -11,10 +11,7 @@ the per-record largest-remainder apportionment in the warehouse
 guarantees there is never a stray unit.  The operator is the plan
 node's literal-free shape and role
 (:meth:`~repro.plan.physical.PhysNode.shape`), so a tenant's leaves are
-bounded by its templates' plan shapes, not by the literals it served;
-a history restored from a checkpoint taken before shapes keeps its
-literal-bearing labels, and new spend folds under shape labels beside
-them.
+bounded by its templates' plan shapes, not by the literals it served.
 
 The :class:`CostHistoryStore` participates in crash consistency the
 same way the query log does: every snapshot is journaled write-ahead

@@ -53,7 +53,6 @@ class QueryRecord:
     #: remainder, computed once at serving time).  The operator is its
     #: literal-free shape and role (``Scan(lineitem)[source_scan]``),
     #: interned, so every instance of a template names the same labels.
-    #: Trailing default keeps pre-observability checkpoints loadable.
     cost_breakdown: tuple = ()
 
     @property
@@ -66,7 +65,7 @@ class QueryRecord:
 @dataclass(frozen=True)
 class LogRollups:
     """A :class:`QueryLogStore`'s roll-ups as ``dict.items()`` tuples
-    (what a checkpoint carries beside the window)."""
+    (what a checkpoint carries of the log)."""
 
     template_counts: tuple[tuple[str, int], ...]
     #: ``((template, tenant), count)`` pairs.
@@ -204,6 +203,11 @@ class QueryLogStore(LogView):
         return self._records[-1].query_id if self._records else 0
 
     @property
+    def first_query_id(self) -> int:
+        """The id of the window's oldest record (0 when empty)."""
+        return self._records[0].query_id if self._records else 0
+
+    @property
     def newest(self) -> "QueryRecord | None":
         """The newest record (``None`` when empty)."""
         return self._records[-1] if self._records else None
@@ -248,35 +252,17 @@ class QueryLogStore(LogView):
             unfolded_units=tuple(self._unfolded_units.items()),
         )
 
-    def restore(
-        self,
-        records: Iterable[QueryRecord],
-        rollups: "LogRollups | None",
-        folded_through: int,
-    ) -> None:
+    def restore(self, records: Iterable[QueryRecord], rollups: LogRollups) -> None:
         """Replace the log wholesale from a recovery checkpoint.
 
-        Crash-recovery only (:mod:`repro.core.recovery`): the records
-        come from a checkpoint of this same store, so append order and
-        id assignment are already consistent.  A checkpoint without
-        roll-ups (written before the log kept a window) holds every
-        record: they are appended again, which rebuilds the roll-ups and
-        trims the window.
+        Crash-recovery only (:mod:`repro.core.recovery`): ``records`` is
+        the checkpoint's window, which its ``rollups`` already count.
         """
-        self._records = deque()
-        self._template_counts = {}
-        self._tenant_counts = {}
-        self._newest_sql = {}
-        self._unfolded_units = {}
-        if rollups is None:
-            for record in records:
-                self.append(record, folded_through)
-            return
-        self._records.extend(records)
-        self._template_counts.update(rollups.template_counts)
-        self._tenant_counts.update(rollups.tenant_counts)
-        self._newest_sql.update(rollups.newest_sql)
-        self._unfolded_units.update(rollups.unfolded_units)
+        self._records = deque(records)
+        self._template_counts = dict(rollups.template_counts)
+        self._tenant_counts = dict(rollups.tenant_counts)
+        self._newest_sql = dict(rollups.newest_sql)
+        self._unfolded_units = dict(rollups.unfolded_units)
 
     # -- the window -------------------------------------------------------- #
     def __len__(self) -> int:

@@ -1,10 +1,11 @@
 """A write-ahead journal that also keeps every record it was given.
 
 :class:`~repro.core.journal.WriteAheadJournal` seals at each checkpoint,
-so its ``entries()`` begin at the newest one.  A reference that folds
-the whole history from LSN 1 — the generated histories, the log-window
-and snapshot-identity tests — reads :meth:`RecordingJournal.recorded`
-instead: every appended entry, in LSN order, independent of the seal.
+so its ``entries()`` begin at the log window's oldest record.  A
+reference that folds the whole history from LSN 1 — the generated
+histories, the log-window and snapshot-identity tests — reads
+:meth:`RecordingJournal.recorded` instead: every appended entry, in LSN
+order, independent of the seal.
 Recovery, saving and the retained entries are the journal's own.
 """
 

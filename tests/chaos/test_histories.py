@@ -14,7 +14,7 @@ it is held to two references that share no code with the ledger:
   every record the journal was given since LSN 1 (a
   :class:`~repro.testing.RecordingJournal`'s ``recorded()``: the
   journal itself seals at each checkpoint, and its retained entries
-  must be that checkpoint, first and alone, plus the records since);
+  must be the recording's tail from the newest checkpoint's log window);
 - **the twin** is a journal-free, uninstrumented, collection-off
   warehouse fed the same requests inline under the same fault plan; the
   journaled warehouse's handles, log and bills must equal its bit for
@@ -65,6 +65,7 @@ from repro.dop.constraints import sla_constraint
 from repro.errors import AdmissionDeniedError, QueryFailedError, ReproError
 from repro.obsvc.drilldown import DrillDownNavigator
 from repro.obsvc.history import RETRY_LEAF
+from repro.statsvc.logs import WINDOW_RECORDS
 from repro.testing import (
     CRASH_POINTS,
     FaultPlan,
@@ -563,13 +564,28 @@ class Histories(RuleBasedStateMachine):
         # Locks the warehouse grew since the last step (a fault plan, the
         # tuning breaker, a recovered warehouse) join the sanitizer.
         instrument_warehouse(wh, self.sanitizer)
-        # The seal keeps the newest checkpoint, first and alone, and the
-        # records after it: the recording's tail from that checkpoint.
+        # The seal keeps the recording's tail from the newest
+        # checkpoint's window start (the checkpoint itself when the log
+        # was empty), and the records served before that checkpoint are
+        # the live window at it.
         recorded, retained = wh.journal.recorded(), wh.journal.entries()
-        sealed_at = [i for i, entry in enumerate(retained) if isinstance(entry.record, Checkpoint)]
-        assert sealed_at in ([], [0]), sealed_at
         checkpoints = [i for i, entry in enumerate(recorded) if isinstance(entry.record, Checkpoint)]
-        assert retained == recorded[checkpoints[-1] if checkpoints else 0 :]
+        start = 0
+        if checkpoints:
+            newest = recorded[checkpoints[-1]].record
+            served = [
+                (i, entry.record.record)
+                for i, entry in enumerate(recorded[: checkpoints[-1]])
+                if isinstance(entry.record, QueryServed)
+            ][-WINDOW_RECORDS:]
+            start = served[0][0] if served else checkpoints[-1]
+            window = [record for _, record in served]
+            assert newest.window_start == (window[0].query_id if window else 0)
+            assert wh.journal.checkpoint_window() == window
+            tail = recorded[checkpoints[-1] :]
+            if not any(isinstance(entry.record, QueryServed) for entry in tail):
+                assert list(wh.logs) == window
+        assert retained == recorded[start:]
         units, query_ids, states = fold(recorded)
         bills = wh.billing.values()
         assert {

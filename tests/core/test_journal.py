@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.core.journal import (
+    FORMAT_VERSION,
     AdmissionDecision,
     Checkpoint,
     CheckpointState,
@@ -39,7 +40,8 @@ from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import JournalError, RecoveryError, ReproError
 from repro.obsvc.history import CostLeaf, CostSnapshot, TenantCostSlice
-from repro.statsvc.logs import QueryRecord
+from repro.statsvc import logs as logs_module
+from repro.statsvc.logs import LogRollups, QueryRecord
 from repro.testing import RecordingJournal
 from repro.tuning.mv import MVCandidate
 from repro.tuning.service import (
@@ -136,9 +138,15 @@ def sample_records() -> list:
         ),
         Checkpoint(
             checkpoint_id=1,
+            window_start=1,
             state=CheckpointState(
                 clock=30.0,
-                records=(make_record(),),
+                log_rollups=LogRollups(
+                    template_counts=(("q5ish", 1),),
+                    tenant_counts=((("q5ish", "acme"), 1),),
+                    newest_sql=(("q5ish", make_record().sql),),
+                    unfolded_units=(),
+                ),
                 bills=(TenantBill("acme").ledger_snapshot(),),
                 verdicts=(("acme", (("admit", 3),)),),
                 recommendations=(
@@ -238,6 +246,7 @@ def test_journal_save_load_round_trip(tmp_path):
         e.lsn for e in journal.entries()
     ]
     assert loaded.next_checkpoint_id() == journal.next_checkpoint_id()
+    assert loaded.checkpoint_window() == journal.checkpoint_window() == [make_record()]
 
 
 def test_journal_load_failure_raises_journal_error(tmp_path):
@@ -249,7 +258,10 @@ def test_journal_load_failure_raises_journal_error(tmp_path):
         WriteAheadJournal.load(str(tmp_path / "missing.pkl"))
     # Well-formed pickles that hold no journal: a list, None, an
     # entries field that is no list, LSNs with a gap, a first entry
-    # past LSN 1 that is no checkpoint, and a record of unknown type.
+    # past LSN 1 with no checkpoint retained, a record of unknown type,
+    # and a ``checkpoint_every`` that is a string or a bool (``True`` is
+    # an int, and used to run as 1).  Each is of the current format, so
+    # it is refused for its own fault.
     admit = AdmissionDecision(tenant="t", verdict="admit")
     for payload in (
         [JournalEntry(lsn=1, record=admit)],
@@ -259,7 +271,10 @@ def test_journal_load_failure_raises_journal_error(tmp_path):
         {"entries": [JournalEntry(2, admit)]},
         {"entries": [JournalEntry(1, "a record")]},
         {"entries": [], "checkpoint_every": "8"},
+        {"entries": [], "checkpoint_every": True},
     ):
+        if isinstance(payload, dict):
+            payload["format"] = FORMAT_VERSION
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(JournalError):
             WriteAheadJournal.load(str(path))
@@ -281,6 +296,8 @@ def test_journal_rejects_unknown_record_types():
         journal.append(object())
     with pytest.raises(JournalError):
         WriteAheadJournal(checkpoint_every=0)
+    with pytest.raises(JournalError):
+        WriteAheadJournal(checkpoint_every=True)
 
 
 def test_lsns_are_sequential_and_gap_free():
@@ -296,10 +313,16 @@ def test_lsns_are_sequential_and_gap_free():
 # --------------------------------------------------------------------- #
 # Sealing: a checkpoint drops every entry before it
 # --------------------------------------------------------------------- #
-def empty_checkpoint(checkpoint_id: int) -> Checkpoint:
+def empty_checkpoint(checkpoint_id: int, window_start: int = 0) -> Checkpoint:
     return Checkpoint(
         checkpoint_id=checkpoint_id,
-        state=CheckpointState(clock=0.0, records=(), bills=(), verdicts=()),
+        window_start=window_start,
+        state=CheckpointState(
+            clock=0.0,
+            log_rollups=LogRollups((), (), (), ()),
+            bills=(),
+            verdicts=(),
+        ),
     )
 
 
@@ -362,26 +385,87 @@ def test_sealed_journal_survives_save_and_load(tmp_path):
     assert loaded.append(empty_checkpoint(loaded.next_checkpoint_id())).lsn == 9
 
 
-def test_unsealed_payload_loads_sealed_at_its_newest_checkpoint(tmp_path):
-    """A journal saved before checkpoints sealed holds every entry; it
-    loads sealed at its newest checkpoint, LSNs and count intact."""
+def test_a_payload_of_another_format_is_refused(tmp_path):
+    """There is one format: a payload without ``format`` (as saves
+    wrote it before the journal was versioned) or with another version
+    raises, and nothing is read from it."""
+    journal = sealed_journal()
+    path = tmp_path / "wal.pkl"
+    journal.save(str(path))
+    payload = pickle.loads(path.read_bytes())
+    assert payload["format"] == FORMAT_VERSION
+    for version in (None, FORMAT_VERSION + 1, 0, True, "1"):
+        if version is None:
+            del payload["format"]
+        else:
+            payload["format"] = version
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(JournalError, match="format"):
+            WriteAheadJournal.load(str(path))
+
+
+# --------------------------------------------------------------------- #
+# The log window is the journal's retained tail, not a checkpoint field
+# --------------------------------------------------------------------- #
+def served(query_id: int) -> QueryServed:
+    return QueryServed(record=make_record(query_id))
+
+
+def test_a_checkpoint_seals_behind_its_windows_oldest_record():
+    """Entries before the window's first ``QueryServed`` are dropped;
+    the window's records, older checkpoints among them, stay."""
     admit = AdmissionDecision(tenant="t", verdict="admit")
-    records = [admit, empty_checkpoint(1), admit, admit, empty_checkpoint(2), admit]
-    entries = [JournalEntry(lsn, record) for lsn, record in enumerate(records, 1)]
-    path = tmp_path / "old.pkl"
-    path.write_bytes(pickle.dumps({"entries": entries, "checkpoint_every": 2}))
+    journal = WriteAheadJournal()
+    for record in (admit, served(1), admit, served(2)):
+        journal.append(record)
+    journal.append(empty_checkpoint(1, window_start=2))  # LSN 5
+    assert [e.lsn for e in journal.entries()] == [4, 5]
+    for record in (served(3), admit, served(4)):
+        journal.append(record)
+    journal.append(empty_checkpoint(2, window_start=3))  # LSN 9
+    assert [e.lsn for e in journal.entries()] == [6, 7, 8, 9]
+    assert journal.last_checkpoint().lsn == 9 and journal.last_checkpoint_id == 2
+    assert journal.records_since_checkpoint == 0
+    journal.append(served(5))
+    journal.append(empty_checkpoint(3, window_start=4))  # LSN 11
+    entries = journal.entries()
+    assert [e.lsn for e in entries] == [8, 9, 10, 11]
+    assert isinstance(entries[1].record, Checkpoint)  # older, inside the window
+    assert journal.last_checkpoint() is entries[-1]
+    assert journal.checkpoint_window() == [make_record(4), make_record(5)]
+    journal.append(admit)
+    assert journal.records_since_checkpoint == 1
+    assert journal.checkpoint_window() == [make_record(4), make_record(5)]
+
+
+def test_a_window_start_the_journal_does_not_retain_raises(tmp_path):
+    journal = WriteAheadJournal()
+    journal.append(served(1))
+    with pytest.raises(JournalError, match="query 7"):
+        journal.append(empty_checkpoint(1, window_start=7))
+    assert [e.lsn for e in journal.entries()] == [1]  # nothing sealed
+    # A loaded journal whose newest checkpoint lost its window refuses
+    # to recover; nothing falls back.
+    journal.append(empty_checkpoint(1, window_start=1))
+    path = tmp_path / "wal.pkl"
+    journal.save(str(path))
+    payload = pickle.loads(path.read_bytes())
+    payload["entries"] = payload["entries"][1:]
+    path.write_bytes(pickle.dumps(payload))
     loaded = WriteAheadJournal.load(str(path))
-    assert loaded.entries() == entries[4:]
-    assert len(loaded) == 6 and loaded.last_checkpoint_id == 2
-    # With no checkpoint there is nothing to seal at.
-    path.write_bytes(pickle.dumps({"entries": entries[:1]}))
-    assert WriteAheadJournal.load(str(path)).entries() == entries[:1]
+    with pytest.raises(JournalError, match="query 1"):
+        loaded.checkpoint_window()
+    with pytest.raises(JournalError):
+        CostIntelligentWarehouse.recover(loaded, catalog=synthetic_tpch_catalog(1.0))
 
 
-def test_recovering_the_sealed_journal_equals_replaying_every_record():
-    """Recovery from the sealed journal (its newest checkpoint plus the
-    tail) bills bit for bit what replaying every non-checkpoint record
-    from LSN 1 into an unsealed journal bills."""
+def test_recovering_the_sealed_journal_equals_replaying_every_record(monkeypatch):
+    """Recovery from the sealed journal (its newest checkpoint, the log
+    window before it and the tail) bills bit for bit what replaying
+    every non-checkpoint record from LSN 1 into an unsealed journal
+    bills.  An eight-record window makes 23 queries overflow it, so the
+    seal drops entries."""
+    monkeypatch.setattr(logs_module, "WINDOW_RECORDS", 8)
     catalog = synthetic_tpch_catalog(1.0)
     journal = RecordingJournal(checkpoint_every=5)
     live = CostIntelligentWarehouse(catalog=catalog, journal=journal)

@@ -62,6 +62,8 @@ def test_live_state_equals_replayed_state_for_every_record_type(
     live_state, recovered_state = live.ledger.snapshot(), recovered.ledger.snapshot()
     for name in live_state.__dataclass_fields__:
         assert getattr(recovered_state, name) == getattr(live_state, name), name
+    # The snapshot carries no window (the journal holds its records).
+    assert list(recovered.logs) == list(live.logs)
     assert recovered.ledger.applied_lsn == live.ledger.applied_lsn
     # The history exercised every field: none is at its empty default.
     assert live_state.recommendations and live_state.verdicts

@@ -3,15 +3,14 @@
 Served past :data:`~repro.statsvc.logs.WINDOW_RECORDS`, the log holds
 only the window, every cadence that counts logged queries keeps running
 (it reads the newest query id, not the window's length), the roll-ups
-equal a fold over every record served, and restore, replay and a
-checkpoint written before the window (every record, no roll-ups) all
-rebuild the live log.
+equal a fold over every record served, and restore (a checkpoint over
+the window's journaled records), replay and recovering a recovered
+journal all rebuild the live log.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.core.journal import Checkpoint, QueryServed, WriteAheadJournal
 from repro.core.service import QueryRequest, QueryState
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
+from repro.errors import JournalError
 from repro.obsvc.drilldown import DrillDownNavigator
 from repro.obsvc.history import DROPPED_LEAF
 from repro.sql.parameterize import parameterize_sql
@@ -167,26 +167,43 @@ def test_the_log_holds_a_window_and_exact_rollups(served):
     journaled = [e.record.record for e in entries if isinstance(e.record, QueryServed)]
     assert journaled == records
     assert rollup_dicts(logs.rollups()) == fold_rollups(journaled, folded)
-    checkpoints = [e.record.state for e in entries if isinstance(e.record, Checkpoint)]
-    assert len(checkpoints) >= SERVED // 512
-    assert all(len(state.records) <= WINDOW_RECORDS for state in checkpoints)
+    # Each checkpoint names the oldest record of the window it was
+    # taken over, the start of the journal's retained tail.
+    served_ids, starts = [], []
+    for entry in entries:
+        if isinstance(entry.record, QueryServed):
+            served_ids.append(entry.record.record.query_id)
+        elif isinstance(entry.record, Checkpoint):
+            starts.append((entry.record.window_start, served_ids[-WINDOW_RECORDS:][:1]))
+    assert len(starts) >= SERVED // 512
+    assert all([start] == oldest for start, oldest in starts)
 
 
-def test_restore_replay_and_a_pre_window_checkpoint_rebuild_the_live_log(served, tmp_path):
+def test_restore_and_replay_rebuild_the_live_log(served, tmp_path):
     live, records = served
     catalog = live.catalog
-    snapshot = live.ledger.snapshot()
-    # Restore: a journal holding only the live state as its checkpoint.
+    # Restore: a journal holding only the window's records and the live
+    # state as its checkpoint.
     restored_journal = WriteAheadJournal()
-    restored_journal.append(Checkpoint(checkpoint_id=1, state=snapshot))
-    # A checkpoint written before the log kept a window: every record,
-    # and no roll-ups attribute at all once unpickled.
-    old_state = pickle.loads(pickle.dumps(replace(snapshot, records=tuple(records))))
-    vars(old_state).pop("log_rollups")
-    assert old_state.log_rollups is None
-    old_journal = WriteAheadJournal()
-    old_journal.append(Checkpoint(checkpoint_id=1, state=old_state))
-    journals = {"restored": restored_journal, "pre-window": old_journal}
+    for record in live.logs:
+        restored_journal.append(QueryServed(record))
+    restored_journal.append(
+        Checkpoint(
+            checkpoint_id=1,
+            window_start=live.logs.first_query_id,
+            state=live.ledger.snapshot(),
+        )
+    )
+    # A payload saved before the journal carried a format version is
+    # refused, not read as some older shape.
+    path = tmp_path / "unversioned.pkl"
+    restored_journal.save(str(path))
+    payload = pickle.loads(path.read_bytes())
+    del payload["format"]
+    path.write_bytes(pickle.dumps(payload))
+    with pytest.raises(JournalError, match="format"):
+        WriteAheadJournal.load(str(path))
+    journals = {"restored": restored_journal}
     if live.journal is not None:
         journals["recovered"] = live.journal
         # Replay alone: every record but the checkpoints, from the start.
@@ -200,7 +217,7 @@ def test_restore_replay_and_a_pre_window_checkpoint_rebuild_the_live_log(served,
     expected = state_of(live)
     for name, twin in twins.items():
         assert state_of(twin) == expected, name
-        assert len(twin.ledger.snapshot().records) <= WINDOW_RECORDS, name
+        assert len(twin.logs) <= WINDOW_RECORDS, name
     live_snapshot = reconciled(live)
     for name, twin in twins.items():
         assert reconciled(twin) == live_snapshot, name
@@ -208,6 +225,29 @@ def test_restore_replay_and_a_pre_window_checkpoint_rebuild_the_live_log(served,
     assert any(kind == "materialized-view" for kind, _, _ in live_proposals)
     for name, twin in twins.items():
         assert proposals(twin) == live_proposals, name
+
+
+def test_a_recovered_journal_recovers_again(tmp_path):
+    """Recover, serve the same queries on both sides, then recover the
+    recovered warehouse's journal: the window (refilled from the
+    journal, not copied into a checkpoint), roll-ups, bills and next id
+    stay bitwise equal to the live warehouse's."""
+    catalog = synthetic_tpch_catalog(1.0)
+    live = CostIntelligentWarehouse(
+        catalog=catalog, journal=WriteAheadJournal(checkpoint_every=512)
+    )
+    live.enable_collection(cadence_queries=256)
+    first = WINDOW_RECORDS + 300
+    serve(live, first)
+    once = recover_from(live.journal, catalog, tmp_path, "once")
+    once.enable_collection(cadence_queries=256)
+    assert state_of(once) == state_of(live)
+    for warehouse in (live, once):
+        serve(warehouse, 700, start=first)
+    twice = recover_from(once.journal, catalog, tmp_path, "twice")
+    assert twice.last_recovery.checkpoint_id is not None
+    assert state_of(twice) == state_of(once) == state_of(live)
+    assert twice.cost_history.snapshots() == live.cost_history.snapshots()
 
 
 def test_collection_enabled_after_drops_reconciles_exactly():
