@@ -8,7 +8,9 @@ deploys the workload inline — no planner worker processes, so every
 walk's counters land in this process — and serves its warm-up pass and
 its measured calls through the public serving API.  It then prints, per
 plan-cache level and per ``obsvc.metrics.TIMING_CACHE_KINDS`` memo, the
-hits and lookups, and for the DOP search:
+hits and lookups, the same with live entries and capacity for each
+process-wide memo (``obsvc.metrics.PROCESS_MEMOS``), and for the DOP
+search:
 
 - ``searches``: calls of ``DopPlanner.plan``;
 - ``repeats``: searches of a DAG already searched under the same
@@ -87,7 +89,7 @@ class CallCounts:
 
 def ratio_row(name: str, hits: int, lookups: int) -> str:
     rate = hits / lookups if lookups else 0.0
-    return f"  {name:<12} {hits:>10,} hits / {lookups:>10,} lookups  ({rate:.3f})"
+    return f"  {name:<18} {hits:>10,} hits / {lookups:>10,} lookups  ({rate:.3f})"
 
 
 def main(argv: list[str]) -> int:
@@ -127,6 +129,10 @@ def main(argv: list[str]) -> int:
     for kind in TIMING_CACHE_KINDS:
         hits = memos[f"{kind}_hits"]
         print(ratio_row(kind, hits, hits + memos[f"{kind}_computations"]))
+    print("process-wide memos (entries / capacity)")
+    for name, memo in report["process_memos"].items():
+        row = ratio_row(name, memo["hits"], memo["hits"] + memo["misses"])
+        print(f"{row}  {memo['entries']:,} / {memo['capacity']:,}")
     print("DOP search")
     print(f"  searches {counts.searches:,}, repeats {counts.repeats:,}")
     print(

@@ -117,7 +117,10 @@ class UndoSnapshot:
 # --------------------------------------------------------------------- #
 # Journal records
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
+# The records every served query leaves (QueryServed, AdmissionDecision
+# and the JournalEntry stamping each) are slotted: the journal retains
+# the log window's worth of them.
+@dataclass(frozen=True, slots=True)
 class QueryServed:
     """One served query: its Statistics Service log record *is* its
     billing delta (dollars + machine-seconds land on ``record.tenant``)."""
@@ -125,7 +128,7 @@ class QueryServed:
     record: "QueryRecord"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissionDecision:
     """One admission verdict for one query from one tenant.
 
@@ -281,7 +284,7 @@ RECORD_TYPES = (
 # --------------------------------------------------------------------- #
 # The journal
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalEntry:
     """One appended record, stamped with its log sequence number (LSN,
     1-based, gap-free, append-ordered)."""

@@ -36,11 +36,15 @@ from functools import partial
 from typing import Callable
 
 from repro.errors import ReproError
+from repro.sim.distsim import perturbation_draws
+from repro.sql.parameterize import parameterize_sql
+from repro.sql.parser import template_cache_info
 from repro.util.units import to_ledger_units
 
 __all__ = [
     "BREAKER_STATE_CODES",
     "LATENCY_BUCKETS",
+    "PROCESS_MEMOS",
     "REGISTERED_METRICS",
     "TIMING_CACHE_KINDS",
     "MetricNameError",
@@ -116,6 +120,27 @@ def _per_memo(field_name: str) -> Callable:
         return {
             (kind,): getattr(stats, f"{kind}_{field_name}")
             for kind in TIMING_CACHE_KINDS
+        }
+
+    return reader
+
+
+#: The process-wide memos, reported as ``memo`` under the
+#: ``repro_process_memo_*`` metrics and in ``describe_caches()``: each
+#: name's ``cache_info()``-shaped reader.  They belong to the
+#: interpreter, not to a warehouse, so every warehouse in a process
+#: reports the same values.
+PROCESS_MEMOS: dict[str, Callable] = {
+    "parameterize": parameterize_sql.cache_info,
+    "template_parse": template_cache_info,
+    "perturbation_draws": perturbation_draws.cache_info,
+}
+
+
+def _per_process_memo(field_name: str) -> Callable:
+    def reader(_warehouse) -> dict:
+        return {
+            (name,): getattr(info(), field_name) for name, info in PROCESS_MEMOS.items()
         }
 
     return reader
@@ -240,6 +265,23 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "Estimator memo computations (per-DOP timing / compiled curve).",
         ("kind",),
         read=_per_memo("computations"),
+    ),
+    # -- process-wide memos (sourced from their own counters) -----------
+    "repro_process_memo_hits_total": MetricSpec(
+        "source", "Hits per process-wide memo (whole interpreter).", ("memo",),
+        read=_per_process_memo("hits"),
+    ),
+    "repro_process_memo_misses_total": MetricSpec(
+        "source", "Misses per process-wide memo (whole interpreter).", ("memo",),
+        read=_per_process_memo("misses"),
+    ),
+    "repro_process_memo_entries": MetricSpec(
+        "source", "Live entries per process-wide memo.", ("memo",),
+        read=_per_process_memo("currsize"),
+    ),
+    "repro_process_memo_capacity": MetricSpec(
+        "source", "Capacity per process-wide memo.", ("memo",),
+        read=_per_process_memo("maxsize"),
     ),
     # -- admission (sourced from AdmissionController) -------------------
     "repro_admission_verdicts_total": MetricSpec(

@@ -15,7 +15,7 @@ import json
 
 from repro.errors import ReproError
 from repro.obsvc.export import history_json, prometheus_text, registry_json
-from repro.obsvc.metrics import BREAKER_STATE_CODES, TIMING_CACHE_KINDS
+from repro.obsvc.metrics import BREAKER_STATE_CODES, PROCESS_MEMOS, TIMING_CACHE_KINDS
 from repro.util.units import from_ledger_units
 
 __all__ = ["describe_caches", "describe_health", "observe"]
@@ -101,7 +101,9 @@ def describe_caches(warehouse) -> dict[str, dict]:
     (``"lru"`` or ``"cost-aware"``), and an ``admission`` block with
     per-tenant verdict counts (empty until a tenant budget is
     configured).  Only the retention *name* (a string, not a metric) is
-    read off the cache directly.
+    read off the cache directly.  ``process_memos`` reports the
+    process-wide memos (:data:`~repro.obsvc.metrics.PROCESS_MEMOS`),
+    whose counts cover every warehouse in the interpreter.
     """
     metrics = warehouse.metrics
     entries = metrics.sourced("repro_cache_entries")
@@ -138,6 +140,21 @@ def describe_caches(warehouse) -> dict[str, dict]:
         block[f"{kind}_computations"] = computations.get((kind,), 0)
         block[f"{kind}_hit_rate"] = kind_hits / total if total else 0.0
     report["timing_cache"] = block
+    process_hits = metrics.sourced("repro_process_memo_hits_total")
+    process_misses = metrics.sourced("repro_process_memo_misses_total")
+    process_entries = metrics.sourced("repro_process_memo_entries")
+    process_capacity = metrics.sourced("repro_process_memo_capacity")
+    memos: dict[str, dict] = {}
+    for name in PROCESS_MEMOS:
+        hits, misses = process_hits.get((name,), 0), process_misses.get((name,), 0)
+        memos[name] = {
+            "entries": process_entries.get((name,), 0),
+            "capacity": process_capacity.get((name,), 0),
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+        }
+    report["process_memos"] = memos
     return report
 
 

@@ -7,7 +7,9 @@ DOP assignments, which the DOP planner attaches per pipeline afterwards.
 
 Every node carries the optimizer's output-cardinality estimate
 (``est_rows``/``est_bytes``); the distributed simulator later overrides
-these with true values to model estimation error (§3.3).
+these with true values to model estimation error (§3.3).  Nodes are
+slotted (no instance ``__dict__``): cached plans hold them for as long
+as the plan caches keep the plan.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class ExchangeKind(enum.Enum):
     GATHER = "gather"  # collect to a single node (result / final sort)
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysNode:
     """Base physical operator.
 
@@ -71,7 +73,7 @@ class PhysNode:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysScan(PhysNode):
     """Columnar scan of a base table (or materialized view).
 
@@ -103,7 +105,7 @@ class PhysScan(PhysNode):
         return f"Scan({self.table})"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysFilter(PhysNode):
     child: PhysNode
     predicate: Expr
@@ -121,7 +123,7 @@ class PhysFilter(PhysNode):
         return f"Filter({', '.join(sorted(referenced_columns(self.predicate)))})"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysProject(PhysNode):
     child: PhysNode
     exprs: tuple[Expr, ...]
@@ -141,7 +143,7 @@ class PhysProject(PhysNode):
         return f"Project({', '.join(self.names)})"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysExchange(PhysNode):
     """Streaming data redistribution within a pipeline."""
 
@@ -160,7 +162,7 @@ class PhysExchange(PhysNode):
         return f"Exchange({self.kind.value}{keys})"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysHashJoin(PhysNode):
     """Hash join; ``build`` is materialized, ``probe`` streams through."""
 
@@ -198,7 +200,7 @@ class AggMode(enum.Enum):
     FINAL = "final"  # merge of partial states (pipeline breaker)
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysAggregate(PhysNode):
     child: PhysNode
     group_keys: tuple[ColumnRef, ...]
@@ -221,7 +223,7 @@ class PhysAggregate(PhysNode):
         return f"Aggregate[{self.mode.value}](by={keys})"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysSort(PhysNode):
     """Full sort (pipeline breaker); ``limit`` enables top-k short-circuit."""
 
@@ -249,7 +251,7 @@ class PhysSort(PhysNode):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysLimit(PhysNode):
     child: PhysNode
     limit: int

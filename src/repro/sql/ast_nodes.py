@@ -3,6 +3,10 @@
 These nodes mirror the textual query; names are unresolved and string
 literals are raw.  The binder converts them into bound
 :mod:`repro.plan.expressions` trees plus a :class:`~repro.sql.binder.BoundQuery`.
+Every node is slotted: the process-wide template parses hold thousands
+of them, and an instance ``__dict__`` was most of their size.  They
+never cross the planner-worker pipe, so the frozen ones' Python-level
+pickle hooks cost nothing.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from dataclasses import dataclass, field
 class AstExpr:
     """Base class for unbound expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AstColumn(AstExpr):
     name: str
     qualifier: str | None = None
@@ -23,7 +29,7 @@ class AstColumn(AstExpr):
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstLiteral(AstExpr):
     value: float | int | str
     is_date: bool = False
@@ -35,7 +41,7 @@ class AstLiteral(AstExpr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstBinary(AstExpr):
     op: str
     left: AstExpr
@@ -45,7 +51,7 @@ class AstBinary(AstExpr):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstUnary(AstExpr):
     op: str
     operand: AstExpr
@@ -54,7 +60,7 @@ class AstUnary(AstExpr):
         return f"({self.op} {self.operand})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstBetween(AstExpr):
     operand: AstExpr
     low: AstExpr
@@ -66,7 +72,7 @@ class AstBetween(AstExpr):
         return f"({self.operand} {word} {self.low} AND {self.high})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstInList(AstExpr):
     operand: AstExpr
     values: tuple[AstLiteral, ...]
@@ -77,7 +83,7 @@ class AstInList(AstExpr):
         return f"({self.operand} {word} ({', '.join(map(str, self.values))}))"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstFuncCall(AstExpr):
     """Function call; covers aggregates and scalar functions uniformly.
 
@@ -98,31 +104,31 @@ class AstFuncCall(AstExpr):
         return f"{self.name}({inner})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstTableRef:
     name: str
     alias: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstJoin:
     table: AstTableRef
     condition: AstExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstOrderItem:
     expr: AstExpr
     ascending: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AstSelectItem:
     expr: AstExpr
     alias: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class AstSelect:
     """A full SELECT statement."""
 

@@ -5,13 +5,15 @@ definition: :func:`tokenize` walks its matches into ``Token``s and
 ``repro.sql.parameterize`` walks the same matches into the two identity
 strings without building any.  Keywords are case-insensitive;
 identifiers are lower-cased at lexing time (the workload schemas use
-lower-case names throughout).
+lower-case names throughout) and interned, so every parse of a name
+shares one string object.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -108,7 +110,7 @@ def tokenize(sql: str) -> list[Token]:
             continue
         text = match.group()
         if kind == WORD:
-            text = text.lower()
+            text = sys.intern(text.lower())
             token_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
         elif kind == NUMBER:
             token_type = TokenType.NUMBER

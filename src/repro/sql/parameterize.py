@@ -68,7 +68,10 @@ def normalize_sql(sql: str) -> str:
     return parameterize_sql(sql).normalized
 
 
-@lru_cache(maxsize=4096)
+#: As many entries as a plan cache holds by default.  At 4,096 the
+#: entries past the 256th answered 314 of ``adhoc_cold``'s 6,656 lookups
+#: and held 2.1 MB.
+@lru_cache(maxsize=256)  # lint-allow: process-memo spares every exact plan-cache hit a re-scan: 16,600 of 16,640 lookups hit on dashboard_single
 def parameterize_sql(sql: str) -> ParameterizedSQL:
     """Split ``sql`` into a literal-free template key plus its constants.
 

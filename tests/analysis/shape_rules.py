@@ -1,4 +1,4 @@
-"""The seven shape rules: plain AST checks over ``src`` and ``tests``.
+"""The eight shape rules: plain AST checks over ``src`` and ``tests``.
 
 ``test_repo_clean.py`` runs every check over both trees; ``test_rules.py``
 holds each to a snippet that fires it and one that stays clean.  A check
@@ -26,6 +26,9 @@ yields one ``(line, message)`` pair per offence.
                         ``.acquire()``/``.release()``
 ``picklable-record``    journal records and ``ReproError`` fields
                         restricted to picklable plain-data types
+``process-memo``        no ``lru_cache`` / ``cache`` decorator and no
+                        module-level container written inside a function
+                        in ``src`` without its measured reason
 ======================  =================================================
 
 Checks key on the repo's own idioms (``faults.fire``, ``*_dollars``,
@@ -271,6 +274,91 @@ def picklable_record(path: str, tree: ast.AST, lines: list[str]) -> Findings:
                 )
 
 
+_MEMO_DECORATORS = frozenset(
+    {"lru_cache", "functools.lru_cache", "cache", "functools.cache"}
+)
+_CONTAINER_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = frozenset(
+    {"dict", "list", "set", "OrderedDict", "collections.OrderedDict",
+     "defaultdict", "collections.defaultdict", "deque", "collections.deque",
+     "Counter", "collections.Counter", "WeakKeyDictionary", "WeakValueDictionary",
+     "weakref.WeakKeyDictionary", "weakref.WeakValueDictionary"}
+)
+_MUTATORS = frozenset(
+    {"append", "appendleft", "extend", "insert", "add", "update", "setdefault",
+     "pop", "popleft", "popitem", "clear", "remove", "discard", "move_to_end"}
+)
+
+
+def _module_containers(tree: ast.Module) -> dict[str, int]:
+    """Module-level names bound to a fresh container, with their line."""
+    found = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        is_container = isinstance(value, _CONTAINER_LITERALS) or (
+            isinstance(value, ast.Call) and dotted_name(value.func) in _CONTAINER_CALLS
+        )
+        for target in targets if is_container else ():
+            if isinstance(target, ast.Name):
+                found[target.id] = stmt.lineno
+    return found
+
+
+def _written_names(func: ast.AST) -> Iterator[str]:
+    """Names whose object ``func`` mutates: ``name[k] = v``,
+    ``del name[k]``, ``name[k] += v`` and ``name.<mutator>(...)``.  A
+    local that shadows a module-level name counts too (suppress it)."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+        ):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            yield target.id
+
+
+def process_memo(path: str, tree: ast.AST, lines: list[str]) -> Findings:
+    """A memo at module scope belongs to the interpreter, not to a
+    warehouse: nothing bounds it per warehouse, resets it or reports it
+    unless someone wires that by hand, and every warehouse and test in
+    the process shares it.  One that stays names the measurement that
+    keeps it."""
+    if not path.startswith("src/repro/"):
+        return
+    containers = _module_containers(tree)
+    writers: dict[str, str] = {}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in func.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = dotted_name(target)
+            if name in _MEMO_DECORATORS:
+                yield decorator.lineno, (
+                    f"@{name} on {func.name}() is a process-wide memo; "
+                    "give it an owner or state its measured reason"
+                )
+        for name in _written_names(func):
+            if name in containers:
+                writers.setdefault(name, func.name)
+    for name, writer in sorted(writers.items()):
+        yield containers[name], (
+            f"module-level {name} is written in {writer}(): a process-wide "
+            "memo; give it an owner or state its measured reason"
+        )
+
+
 CHECKS = {
     "bare-except": bare_except,
     "wall-clock": wall_clock,
@@ -279,6 +367,7 @@ CHECKS = {
     "stage-guard": stage_guard,
     "naked-acquire": naked_acquire,
     "picklable-record": picklable_record,
+    "process-memo": process_memo,
 }
 
 

@@ -129,6 +129,28 @@ CORPUS: dict[str, Fixture] = {
             "    tables: tuple[str, ...]\n"
         ),
     ),
+    "process-memo": Fixture(
+        path="src/repro/sql/snippet.py",
+        bad=(
+            "import functools\n"
+            "_SEEN = {}\n"
+            "@functools.lru_cache(maxsize=None)\n"
+            "def split(text):\n"
+            "    return tuple(text.split())\n"
+            "def remember(key, value):\n"
+            "    _SEEN[key] = value\n"
+        ),
+        good=(
+            "_LIMITS = {'small': 1}\n"
+            "class Splitter:\n"
+            "    def __init__(self):\n"
+            "        self.seen = {}\n"
+            "    def remember(self, key, value):\n"
+            "        self.seen[key] = value\n"
+            "def limit(name):\n"
+            "    return _LIMITS[name]\n"
+        ),
+    ),
 }
 
 
@@ -281,3 +303,22 @@ def test_picklable_record_checks_error_init_annotations():
     fired, _ = findings_for("picklable-record", bad, "src/repro/errors.py")
     assert len(fired) == 1
     assert "CustomStateError.lock" in fired[0][1]
+
+
+def test_process_memo_reports_the_definition_and_skips_tests():
+    src = (
+        "from collections import OrderedDict\n"
+        "from functools import cache\n"
+        "_PARSES = OrderedDict()\n"
+        "_NAMES = ('a', 'b')\n"
+        "@cache\n"
+        "def f(x):\n"
+        "    _PARSES.move_to_end(x)\n"
+        "    return x in _NAMES\n"
+    )
+    fired, _ = findings_for("process-memo", src, "src/repro/core/x.py")
+    assert [line for line, _ in fired] == [5, 3]  # the decorator, the definition
+    assert "_PARSES is written in f()" in fired[1][1]
+    # tests may keep module-level state of their own
+    fired, _ = findings_for("process-memo", src, "tests/core/test_x.py")
+    assert fired == []

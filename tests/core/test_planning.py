@@ -8,6 +8,8 @@ plan, and the worker's private caches are bounded.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.plan_cache import PlanCache, SkeletonCache
@@ -152,3 +154,20 @@ def test_worker_caches_are_bounded_and_plans_unchanged(catalog):
     evicted, kept = capped.stage(again), uncapped.stage(again)
     assert (evicted.level, kept.level) == ("optimizer", "skeleton")
     assert plan_snapshot(evicted.choice) == plan_snapshot(kept.choice)
+
+
+def test_a_worker_reply_comes_back_equal_after_a_pickle_round_trip(catalog):
+    """What crosses the pipe is what the worker planned: slotted plan
+    nodes restore every field.  Types that compare by identity (the
+    bound query, the DAG) are held to their field-for-field ``repr``."""
+    shard = make_shard(catalog, 8)
+    for task_id, value in enumerate((1, 2)):  # an optimizer walk, a skeleton hit
+        reply = shard.serve(make_task(catalog, task_id, T_JOIN.format(v=value)))
+        assert reply[0] == "done"
+        planned = reply[2]
+        restored = pickle.loads(pickle.dumps(reply))[2]
+        assert restored.choice.plan == planned.choice.plan
+        assert restored.choice.dop_plan == planned.choice.dop_plan
+        assert restored.choice.join_tree == planned.choice.join_tree
+        assert restored.new_skeleton_trees == planned.new_skeleton_trees
+        assert repr(restored) == repr(planned)

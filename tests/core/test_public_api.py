@@ -176,7 +176,18 @@ def test_describe_caches_snapshot(stats_warehouse):
         "skeleton_cache",
         "timing_cache",
         "admission",
+        "process_memos",
     }
+    # the process-wide memos: counted over the whole interpreter
+    assert set(report["process_memos"]) == {
+        "parameterize",
+        "template_parse",
+        "perturbation_draws",
+    }
+    for memo in report["process_memos"].values():
+        assert set(memo) == {"entries", "capacity", "hits", "misses", "hit_rate"}
+        assert 0 <= memo["entries"] <= memo["capacity"]
+    assert report["process_memos"]["parameterize"]["capacity"] == 256
     for label in ("plan_cache", "skeleton_cache"):
         assert set(report[label]) == {
             "entries",

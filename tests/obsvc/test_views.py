@@ -35,6 +35,12 @@ T_JOIN = (
 #: The one metric whose values are host wall time, not a function of
 #: the seeded run.
 WALL_METRIC = "repro_worker_ipc_roundtrip_seconds"
+#: The metrics whose values count the whole interpreter — every
+#: warehouse and test that ran in it — not the seeded run: compared by
+#: key only.
+PROCESS_METRICS = tuple(
+    name for name in REGISTERED_METRICS if name.startswith("repro_process_memo_")
+)
 
 
 def observed_run(sharded: bool) -> dict:
@@ -106,12 +112,19 @@ def observed_run(sharded: bool) -> dict:
 
 def _comparable(views: dict) -> dict:
     """The views as JSON-plain data (tuples -> lists, as the fixture
-    file holds them) with the wall-time metric's values dropped."""
+    file holds them) with the wall-time metric's values and the
+    process-wide memos' values dropped."""
     views = json.loads(json.dumps(views, sort_keys=True, default=str))
-    for sample in views["dict"]["metrics"].get(WALL_METRIC, {}).get("samples", ()):
+    metrics = views["dict"]["metrics"]
+    for sample in metrics.get(WALL_METRIC, {}).get("samples", ()):
         sample["value"] = {"count": sample["value"]["count"]}
+    for name in PROCESS_METRICS:
+        for sample in metrics[name]["samples"]:
+            sample["value"] = None
+    for memo in views["dict"]["caches"]["process_memos"].values():
+        memo.update(dict.fromkeys(memo))
     views["prometheus"] = [
-        line
+        line.rsplit(" ", 1)[0] if line.startswith(PROCESS_METRICS) else line
         for line in views["prometheus"].splitlines()
         if not line.startswith((f"{WALL_METRIC}_bucket", f"{WALL_METRIC}_sum"))
     ]

@@ -1,18 +1,28 @@
 """Physical node helpers: describe, walk, signatures, validation."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.bioptimizer import BiObjectiveOptimizer
+from repro.cost.estimator import CostEstimator
+from repro.dop.constraints import sla_constraint
 from repro.errors import PlanError
 from repro.plan.expressions import BinaryOp, ColumnRef, Literal
 from repro.plan.physical import (
     PhysFilter,
     PhysLimit,
+    PhysNode,
     PhysProject,
     PhysScan,
     PhysSort,
     plan_signature,
     walk_physical,
 )
+from repro.sql.binder import Binder
+from repro.sql.parser import parse
+from repro.workloads.tpch_queries import instantiate, template_names
+from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 
 def test_physical_node_ids_unique():
@@ -79,3 +89,35 @@ def test_shape_is_describe_without_literals():
     assert all(a.describe() != b.describe() for a, b in zip(first, second))
     project = PhysProject(child=first[0], exprs=(ColumnRef("a"),), names=("x",))
     assert project.shape() == project.describe() == "Project(x)"
+
+
+def _ast_nodes(node):
+    """Every AST node reachable from ``node`` through dataclass fields."""
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _ast_nodes(item)
+    elif dataclasses.is_dataclass(node):
+        yield node
+        for f in dataclasses.fields(node):
+            yield from _ast_nodes(getattr(node, f.name))
+
+
+def test_ast_and_plan_nodes_carry_no_instance_dict():
+    """Template parses and cached plans hold these nodes by the
+    thousand; an instance ``__dict__`` was most of each one's size."""
+    catalog = synthetic_tpch_catalog(1.0)
+    binder, optimizer = Binder(catalog), BiObjectiveOptimizer(catalog, CostEstimator())
+    ast_types, plan_types = set(), set()
+    for name in template_names():
+        sql = instantiate(name, seed=1)
+        for node in _ast_nodes(parse(sql)):
+            assert not hasattr(node, "__dict__"), type(node).__name__
+            ast_types.add(type(node).__name__)
+        plan = optimizer.optimize(binder.bind_sql(sql), sla_constraint(20.0)).plan
+        for node in walk_physical(plan):
+            assert not hasattr(node, "__dict__"), type(node).__name__
+            plan_types.add(type(node))
+    assert {"AstSelect", "AstColumn", "AstLiteral", "AstBinary", "AstFuncCall"} <= ast_types
+    assert plan_types >= {PhysScan, PhysProject}
+    for cls in PhysNode.__subclasses__():  # the ones no TPC-H plan built
+        assert not hasattr(cls.__new__(cls), "__dict__"), cls.__name__

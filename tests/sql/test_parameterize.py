@@ -177,7 +177,7 @@ def test_parse_parameterized_matches_full_parse(template):
     for seed in (2, 3, 9):
         sql = instantiate(template, seed=seed)
         filled = _instantiated(parameterize_sql(sql))
-        assert str(filled.__dict__) == str(parse(sql).__dict__)
+        assert repr(filled) == repr(parse(sql))
 
 
 def test_parse_parameterized_negated_date_matches_full_parse():
@@ -190,7 +190,7 @@ def test_parse_parameterized_negated_date_matches_full_parse():
     assert p1.template_key == p2.template_key
     parse_parameterized(p1.template_key, p1.constants)  # populate cache
     substituted = _instantiated(p2)
-    assert str(substituted.__dict__) == str(parse(second).__dict__)
+    assert repr(substituted) == repr(parse(second))
 
 
 def test_negative_literals_in_an_in_list(big_binder):
@@ -210,7 +210,7 @@ def test_negative_literals_in_an_in_list(big_binder):
     assert p1.template_key == p2.template_key
     parse_parameterized(p1.template_key, p1.constants)  # populate cache
     substituted = _instantiated(p2)
-    assert str(substituted.__dict__) == str(parse(second).__dict__)
+    assert repr(substituted) == repr(parse(second))
     assert [f.sql() for f in big_binder.bind_sql(second).filters["orders"]] == [
         "(orders.o_orderkey IN (-7, 3))"
     ]
@@ -224,7 +224,7 @@ def test_parse_parameterized_substitutes_limit_and_dates():
     assert p1.template_key == p2.template_key
     parse_parameterized(p1.template_key, p1.constants)  # populate cache
     substituted = _instantiated(p2)
-    assert str(substituted.__dict__) == str(parse(second).__dict__)
+    assert repr(substituted) == repr(parse(second))
     assert substituted.limit == 9
 
 
@@ -253,6 +253,33 @@ def test_keys_are_plain_strings_and_templates_are_interned():
     assert pickle.loads(pickle.dumps(a)) == a
 
 
+def _identifiers(node) -> list[str]:
+    """Every name, qualifier and alias in a parse, in field order."""
+    if isinstance(node, (list, tuple)):
+        return [name for item in node for name in _identifiers(item)]
+    if not dataclasses.is_dataclass(node):
+        return []
+    found = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if f.name in ("name", "qualifier", "alias") and isinstance(value, str):
+            found.append(value)
+        else:
+            found.extend(_identifiers(value))
+    return found
+
+
+@pytest.mark.parametrize("template", ["q3_shipping_priority", "q5_local_supplier"])
+def test_two_parses_of_a_template_share_their_identifier_strings(template):
+    """Identifiers are interned at lexing: two full parses of one
+    template, from two different texts, hold one string object per
+    name, so every cached parse shares them."""
+    first, second = (parse(instantiate(template, seed=seed)) for seed in (1, 2))
+    names = _identifiers(first)
+    assert len(names) > 10 and names == _identifiers(second)
+    assert all(a is b for a, b in zip(names, _identifiers(second)))
+
+
 def _reachable_bytes(roots) -> int:
     """``sys.getsizeof`` summed over every distinct object reachable from
     ``roots`` through tuples and instance dicts."""
@@ -275,7 +302,7 @@ def _reachable_bytes(roots) -> int:
 @pytest.mark.parametrize("template", template_names())
 def test_identity_footprint_stays_small(template):
     """The identity is what every served SQL string leaves behind in the
-    4,096-entry memo (≈ 4,960 bytes an entry as two token tuples): all
+    256-entry memo (≈ 4,960 bytes an entry as two token tuples): all
     instances of a template share one key object, and an entry — that
     shared key counted once — stays under 1,200 bytes."""
     instances = [
