@@ -23,7 +23,7 @@ from repro import (
     load_tpch,
     sla_constraint,
 )
-from repro.workloads import instantiate
+from repro.workloads.tpch_queries import instantiate
 
 
 def main() -> None:

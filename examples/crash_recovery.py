@@ -36,7 +36,7 @@ from repro import (
     RecommendationState,
     sla_constraint,
 )
-from repro.core import WriteAheadJournal
+from repro.core.journal import WriteAheadJournal
 from repro.testing import FaultPlan, SimulatedCrashError, kill
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 

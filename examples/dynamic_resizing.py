@@ -14,7 +14,7 @@ Run:  python examples/dynamic_resizing.py
 """
 
 from repro import CostIntelligentWarehouse, QueryRequest, synthetic_tpch_catalog
-from repro.dop import sla_constraint
+from repro.dop.constraints import sla_constraint
 from repro.sim.distsim import SimConfig
 from repro.util.tables import TextTable
 

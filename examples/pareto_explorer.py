@@ -19,11 +19,11 @@ from repro import (
 )
 from repro.baselines.tshirt import uniform_dops
 from repro.compute.pricing import TSHIRT_SIZES
-from repro.dop import sla_constraint
+from repro.dop.constraints import sla_constraint
 from repro.optimizer.dag_planner import DagPlanner
 from repro.plan.pipelines import decompose_pipelines
 from repro.util.pareto import ParetoPoint, pareto_frontier
-from repro.workloads import instantiate
+from repro.workloads.tpch_queries import instantiate
 
 
 def main() -> None:

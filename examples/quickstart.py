@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CostIntelligentWarehouse, QueryRequest, load_tpch, sla_constraint
-from repro.dop import budget_constraint
+from repro.dop.constraints import budget_constraint
 
 
 def main() -> None:

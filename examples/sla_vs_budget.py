@@ -12,9 +12,9 @@ Run:  python examples/sla_vs_budget.py
 """
 
 from repro import CostIntelligentWarehouse, QueryRequest, synthetic_tpch_catalog
-from repro.dop import budget_constraint, sla_constraint
+from repro.dop.constraints import budget_constraint, sla_constraint
 from repro.util.tables import TextTable
-from repro.workloads import instantiate
+from repro.workloads.tpch_queries import instantiate
 
 
 def main() -> None:

@@ -64,92 +64,68 @@ Quickstart::
     print(f"{session.tenant} spent ${session.dollars_spent:.4f}")
 """
 
-from repro.catalog import Catalog
-from repro.core import (
-    AdmissionController,
-    AdmissionVerdict,
-    BiObjectiveOptimizer,
-    BreakerState,
-    CircuitBreaker,
-    CostIntelligentWarehouse,
-    Deadline,
-    QueryHandle,
-    QueryOutcome,
-    QueryRequest,
-    QueryState,
-    ResiliencePolicy,
-    RetryPolicy,
-    ServingScheduler,
-    Session,
-    TenantBudget,
-)
-from repro.errors import (
-    AdmissionDeniedError,
-    DeadlineExceededError,
-    RetryExhaustedError,
-    TransientError,
-)
-from repro.cost import CostEstimator, HardwareCalibration
-from repro.dop import DopPlanner, budget_constraint, sla_constraint
-from repro.engine import Database, LocalExecutor
-from repro.sim import DistributedSimulator, SimConfig
-from repro.sql import Binder
-from repro.tuning import (
-    MaterializeView,
-    Recluster,
-    Recommendation,
-    RecommendationState,
-    TuningAction,
-    TuningPolicy,
-    TuningReport,
-    TuningService,
-)
-from repro.workloads import load_tpch
-from repro.workloads.tpch_stats import synthetic_tpch_catalog
+import importlib
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "Catalog",
-    "BiObjectiveOptimizer",
-    "CostIntelligentWarehouse",
-    "QueryHandle",
-    "QueryOutcome",
-    "QueryRequest",
-    "QueryState",
-    "ServingScheduler",
-    "Session",
-    "AdmissionController",
-    "AdmissionVerdict",
-    "AdmissionDeniedError",
-    "TenantBudget",
-    "ResiliencePolicy",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "BreakerState",
-    "Deadline",
-    "TransientError",
-    "DeadlineExceededError",
-    "RetryExhaustedError",
-    "CostEstimator",
-    "HardwareCalibration",
-    "DopPlanner",
-    "sla_constraint",
-    "budget_constraint",
-    "Database",
-    "LocalExecutor",
-    "DistributedSimulator",
-    "SimConfig",
-    "Binder",
-    "TuningAction",
-    "MaterializeView",
-    "Recluster",
-    "Recommendation",
-    "RecommendationState",
-    "TuningPolicy",
-    "TuningReport",
-    "TuningService",
-    "load_tpch",
-    "synthetic_tpch_catalog",
-    "__version__",
-]
+#: Each public name and the module that defines it.  A name is imported
+#: on its first read (PEP 562), so ``import repro`` -- and importing any
+#: submodule, which runs this file first -- loads no other module.
+_DEFINED_IN = {
+    "Catalog": "repro.catalog.catalog",
+    "BiObjectiveOptimizer": "repro.core.bioptimizer",
+    "CostIntelligentWarehouse": "repro.core.warehouse",
+    "QueryHandle": "repro.core.service",
+    "QueryOutcome": "repro.core.service",
+    "QueryRequest": "repro.core.service",
+    "QueryState": "repro.core.service",
+    "ServingScheduler": "repro.core.service",
+    "Session": "repro.core.service",
+    "AdmissionController": "repro.core.governance",
+    "AdmissionVerdict": "repro.core.governance",
+    "AdmissionDeniedError": "repro.errors",
+    "TenantBudget": "repro.core.governance",
+    "ResiliencePolicy": "repro.core.resilience",
+    "RetryPolicy": "repro.core.resilience",
+    "CircuitBreaker": "repro.core.resilience",
+    "BreakerState": "repro.core.resilience",
+    "Deadline": "repro.core.resilience",
+    "TransientError": "repro.errors",
+    "DeadlineExceededError": "repro.errors",
+    "RetryExhaustedError": "repro.errors",
+    "CostEstimator": "repro.cost.estimator",
+    "HardwareCalibration": "repro.cost.hardware",
+    "DopPlanner": "repro.dop.planner",
+    "sla_constraint": "repro.dop.constraints",
+    "budget_constraint": "repro.dop.constraints",
+    "Database": "repro.engine.database",
+    "LocalExecutor": "repro.engine.local_executor",
+    "DistributedSimulator": "repro.sim.distsim",
+    "SimConfig": "repro.sim.distsim",
+    "Binder": "repro.sql.binder",
+    "TuningAction": "repro.tuning.service",
+    "MaterializeView": "repro.tuning.service",
+    "Recluster": "repro.tuning.service",
+    "Recommendation": "repro.tuning.service",
+    "RecommendationState": "repro.tuning.service",
+    "TuningPolicy": "repro.tuning.service",
+    "TuningReport": "repro.tuning.whatif",
+    "TuningService": "repro.tuning.service",
+    "load_tpch": "repro.workloads.tpch_data",
+    "synthetic_tpch_catalog": "repro.workloads.tpch_stats",
+}
+
+__all__ = [*_DEFINED_IN, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _DEFINED_IN.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

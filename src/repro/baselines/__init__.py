@@ -11,15 +11,3 @@
 Run-time scaling baselines (interval and per-stage scalers) live in
 :mod:`repro.monitor.policies`.
 """
-
-from repro.baselines.tshirt import TShirtProvisioner, uniform_dops
-from repro.baselines.perfonly import PerformanceOnlyPlanner
-from repro.baselines.serverless import ServerlessConfig, serverless_estimate
-
-__all__ = [
-    "TShirtProvisioner",
-    "uniform_dops",
-    "PerformanceOnlyPlanner",
-    "ServerlessConfig",
-    "serverless_estimate",
-]

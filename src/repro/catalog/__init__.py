@@ -4,26 +4,3 @@ This package plays the role of the low-latency "Metadata Service" in the
 paper's architecture (Figure 3): it owns the system catalog and the table
 statistics that query planning and cost estimation consume.
 """
-
-from repro.catalog.schema import Column, DataType, TableSchema
-from repro.catalog.statistics import (
-    ColumnStats,
-    EquiDepthHistogram,
-    TableStats,
-    build_column_stats,
-    build_table_stats,
-)
-from repro.catalog.catalog import Catalog, TableEntry
-
-__all__ = [
-    "Column",
-    "DataType",
-    "TableSchema",
-    "ColumnStats",
-    "EquiDepthHistogram",
-    "TableStats",
-    "build_column_stats",
-    "build_table_stats",
-    "Catalog",
-    "TableEntry",
-]

@@ -9,11 +9,13 @@ models rather than black-box learned ones (§3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.errors import CatalogError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 DEFAULT_HISTOGRAM_BUCKETS = 64
 
@@ -52,6 +54,8 @@ class EquiDepthHistogram:
         cls, values: np.ndarray, num_buckets: int = DEFAULT_HISTOGRAM_BUCKETS
     ) -> "EquiDepthHistogram":
         """Build an equi-depth histogram from raw values."""
+        import numpy as np  # planning reads statistics, only builders need numpy
+
         if values.size == 0:
             return cls(bounds=(0.0, 0.0), counts=(0,))
         data = np.sort(values.astype(np.float64))
@@ -183,6 +187,8 @@ def build_column_stats(
     scales counts back up — the knob the Statistics Service (§4) uses to
     trade statistics accuracy for collection cost.
     """
+    import numpy as np  # planning reads statistics, only builders need numpy
+
     if not 0.0 < sample_rate <= 1.0:
         raise CatalogError(f"sample_rate must be in (0, 1], got {sample_rate}")
     total_rows = int(values.size)

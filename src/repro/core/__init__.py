@@ -152,75 +152,3 @@ constructor surface; the lock-order sanitizer
 (:mod:`repro.testing.locks`) checks the runtime complement, a
 cycle-free lock acquisition order, across the chaos histories.
 """
-
-from repro.core.bioptimizer import BiObjectiveOptimizer, PlanChoice
-from repro.core.journal import (
-    Checkpoint,
-    CheckpointState,
-    JournalEntry,
-    UndoSnapshot,
-    WriteAheadJournal,
-)
-from repro.core.ledger import TenantBill
-from repro.core.recovery import RecoveryReport, recover_warehouse
-from repro.core.governance import (
-    AdmissionController,
-    AdmissionVerdict,
-    TemplateFrequencyProvider,
-    TenantBudget,
-)
-from repro.core.resilience import (
-    BreakerState,
-    CircuitBreaker,
-    Deadline,
-    ResiliencePolicy,
-    ResilienceStats,
-    RetryPolicy,
-    StageGuard,
-)
-from repro.core.service import (
-    QueryHandle,
-    QueryOutcome,
-    QueryRequest,
-    QueryState,
-    ServingScheduler,
-    Session,
-)
-from repro.core.sharding import PlannerWorkerPool
-from repro.core.warehouse import CostIntelligentWarehouse
-from repro.util.units import LEDGER_SCALE, from_ledger_units, to_ledger_units
-
-__all__ = [
-    "BiObjectiveOptimizer",
-    "PlanChoice",
-    "CostIntelligentWarehouse",
-    "AdmissionController",
-    "AdmissionVerdict",
-    "TemplateFrequencyProvider",
-    "TenantBudget",
-    "LEDGER_SCALE",
-    "Checkpoint",
-    "CheckpointState",
-    "JournalEntry",
-    "UndoSnapshot",
-    "WriteAheadJournal",
-    "from_ledger_units",
-    "to_ledger_units",
-    "RecoveryReport",
-    "recover_warehouse",
-    "BreakerState",
-    "CircuitBreaker",
-    "Deadline",
-    "ResiliencePolicy",
-    "ResilienceStats",
-    "RetryPolicy",
-    "StageGuard",
-    "QueryHandle",
-    "QueryOutcome",
-    "QueryRequest",
-    "QueryState",
-    "ServingScheduler",
-    "Session",
-    "TenantBill",
-    "PlannerWorkerPool",
-]

@@ -223,8 +223,12 @@ class PlannerWorkerPool:
         if self._started:
             return
         self._synced_fingerprint = self._current_fingerprint()
-        for index in range(self.size):
-            self._spawn(index)
+        try:
+            for index in range(self.size):
+                self._spawn(index)
+        except Exception:
+            self.close()  # no worker outlives a failed start
+            raise
         self._started = True
 
     def close(self) -> None:
@@ -289,15 +293,23 @@ class PlannerWorkerPool:
         )
         proc.start()
         child_conn.close()
-        if not parent_conn.poll(_STARTUP_TIMEOUT_S):
-            proc.terminate()
-            raise ReproError(f"planner worker {index} never came up")
-        ready = parent_conn.recv()
+        try:
+            ready = parent_conn.recv() if parent_conn.poll(_STARTUP_TIMEOUT_S) else None
+        except EOFError:
+            # poll() returns on EOF too: the worker exited while booting.
+            proc.join(timeout=5.0)
+            parent_conn.close()
+            raise ReproError(
+                f"planner worker {index} exited during boot "
+                f"with exit code {proc.exitcode}"
+            ) from None
         if ready != ("ready", index):
             proc.terminate()
-            raise ReproError(
-                f"planner worker {index} sent a bad handshake: {ready!r}"
-            )
+            proc.join(timeout=5.0)
+            parent_conn.close()
+            if ready is None:
+                raise ReproError(f"planner worker {index} never came up")
+            raise ReproError(f"planner worker {index} sent a bad handshake: {ready!r}")
         self._procs[index] = proc
         self._conns[index] = parent_conn
         # The spec seeded the worker with these skeleton entries; hints

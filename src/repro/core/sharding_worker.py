@@ -14,6 +14,13 @@ calibration, query, constraint) and nothing else, which is exactly why a
 crashed worker can be restarted and its tasks re-staged without any
 risk of double-billing or double-logging.
 
+A worker process boots with the planning code only.  ``repro`` and its
+sub-packages import nothing eagerly, and the planning modules import
+numpy only inside the builders and evaluators the planner never calls,
+so a worker loads the 49 ``repro`` modules this module reaches and no
+numpy; ``test_a_planner_worker_loads_only_the_planning_modules`` pins
+that set by serving real tasks in a fresh interpreter.
+
 Staging is :meth:`repro.core.planning.PlanningPipeline.plan` — the
 same class the coordinator instantiates, here unguarded (fault points
 and retries are coordinator-side machinery), with no exact level (the

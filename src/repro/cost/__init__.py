@@ -101,19 +101,3 @@ a ``hypothesis`` sweep over arbitrary operator chains in
 ``CostIntelligentWarehouse.describe_caches()`` reports hit rates across
 every level.
 """
-
-from repro.cost.hardware import HardwareCalibration
-from repro.cost.estimate import CostEstimate, PipelineCost
-from repro.cost.estimator import CostEstimator
-from repro.cost.operator_models import OperatorModels
-from repro.cost.regression import ExchangeCalibration, calibrate_exchange
-
-__all__ = [
-    "HardwareCalibration",
-    "CostEstimate",
-    "PipelineCost",
-    "CostEstimator",
-    "OperatorModels",
-    "ExchangeCalibration",
-    "calibrate_exchange",
-]

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.errors import EstimationError
 from repro.plan.physical import ExchangeKind
 
@@ -98,6 +96,8 @@ def fit_exchange_coefficients(
     broadcast_tree_factor: float,
 ) -> ExchangeCoefficients:
     """Least-squares fit of the three-coefficient model for one kind."""
+    import numpy as np  # calibration only: planning never fits
+
     if len(samples) < 3:
         raise EstimationError(f"need >= 3 samples to fit, got {len(samples)}")
     kinds = {s.kind for s in samples}

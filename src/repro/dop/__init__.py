@@ -5,18 +5,3 @@ minimum dollars subject to a latency SLA, or minimum latency subject to a
 budget — using the cost estimator as the referee, with the co-finish
 heuristic (C1/T1(DOP1) ≈ C2/T2(DOP2)) pruning the sibling search space.
 """
-
-from repro.dop.constraints import Constraint, budget_constraint, sla_constraint
-from repro.dop.cofinish import cofinish_dops, equalize_siblings
-from repro.dop.planner import DopPlan, DopPlanner, exhaustive_search
-
-__all__ = [
-    "Constraint",
-    "sla_constraint",
-    "budget_constraint",
-    "cofinish_dops",
-    "equalize_siblings",
-    "DopPlan",
-    "DopPlanner",
-    "exhaustive_search",
-]

@@ -6,9 +6,3 @@ sets and true per-operator cardinalities, which the distributed simulator
 and the DOP monitor experiments use as the "run-time feedback" the paper's
 §3.3 relies on.
 """
-
-from repro.engine.batch import Batch
-from repro.engine.database import Database
-from repro.engine.local_executor import ExecutionResult, LocalExecutor
-
-__all__ = ["Batch", "Database", "LocalExecutor", "ExecutionResult"]

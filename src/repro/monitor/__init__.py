@@ -8,20 +8,3 @@ two prior-art categories the paper contrasts: whole-cluster interval
 scaling (Jockey/Ellis-style) and per-stage scaling with materialized
 "clean cuts" (BigQuery-style).
 """
-
-from repro.monitor.deviation import DeviationThresholds, deviation_ratio
-from repro.monitor.policies import (
-    IntervalScalerPolicy,
-    PerStageScalerPolicy,
-    PipelineDopMonitor,
-    StaticPolicy,
-)
-
-__all__ = [
-    "DeviationThresholds",
-    "deviation_ratio",
-    "StaticPolicy",
-    "PipelineDopMonitor",
-    "IntervalScalerPolicy",
-    "PerStageScalerPolicy",
-]

@@ -50,46 +50,3 @@ randomness only, dollars as integral ledger units, locks held via
 ``with`` (the registry/history locks are innermost; the lock-order
 sanitizer covers them), and journal writes only through the ledger.
 """
-
-from repro.obsvc.collector import (
-    CollectionError,
-    CollectionPolicy,
-    SnapshotCollector,
-)
-from repro.obsvc.drilldown import DrillDownNavigator, ReconciliationError
-from repro.obsvc.export import history_json, prometheus_text, registry_json
-from repro.obsvc.history import (
-    CostHistoryStore,
-    CostLeaf,
-    CostSnapshot,
-    TenantCostSlice,
-)
-from repro.obsvc.metrics import (
-    LATENCY_BUCKETS,
-    REGISTERED_METRICS,
-    MetricNameError,
-    MetricSpec,
-    MetricsRegistry,
-    Sample,
-)
-
-__all__ = [
-    "CollectionError",
-    "CollectionPolicy",
-    "SnapshotCollector",
-    "DrillDownNavigator",
-    "ReconciliationError",
-    "history_json",
-    "prometheus_text",
-    "registry_json",
-    "CostHistoryStore",
-    "CostLeaf",
-    "CostSnapshot",
-    "TenantCostSlice",
-    "LATENCY_BUCKETS",
-    "REGISTERED_METRICS",
-    "MetricNameError",
-    "MetricSpec",
-    "MetricsRegistry",
-    "Sample",
-]

@@ -6,18 +6,3 @@ producing an execution DAG) from *DOP planning* (per-pipeline parallelism)
 physical operator selection, exchange placement, and the bushy-variant
 generator that the DOP-planning stage explores (§3.2).
 """
-
-from repro.optimizer.cardinality import CardinalityEstimator, EstimatedRelation
-from repro.optimizer.join_order import JoinTree, Leaf, order_joins
-from repro.optimizer.dag_planner import DagPlanner
-from repro.optimizer.bushy import bushy_variants
-
-__all__ = [
-    "CardinalityEstimator",
-    "EstimatedRelation",
-    "JoinTree",
-    "Leaf",
-    "order_joins",
-    "DagPlanner",
-    "bushy_variants",
-]

@@ -1,57 +1,1 @@
 """Query plans: scalar expressions, physical operators, pipelines."""
-
-from repro.plan.expressions import (
-    AggCall,
-    BinaryOp,
-    ColumnRef,
-    Expr,
-    FuncCall,
-    InList,
-    Literal,
-    UnaryOp,
-    conjuncts,
-    make_and,
-    referenced_columns,
-)
-from repro.plan.physical import (
-    ExchangeKind,
-    PhysAggregate,
-    PhysExchange,
-    PhysFilter,
-    PhysHashJoin,
-    PhysLimit,
-    PhysNode,
-    PhysProject,
-    PhysScan,
-    PhysSort,
-    walk_physical,
-)
-from repro.plan.pipelines import Pipeline, PipelineDag, decompose_pipelines
-
-__all__ = [
-    "Expr",
-    "ColumnRef",
-    "Literal",
-    "BinaryOp",
-    "UnaryOp",
-    "FuncCall",
-    "InList",
-    "AggCall",
-    "conjuncts",
-    "make_and",
-    "referenced_columns",
-    "PhysNode",
-    "PhysScan",
-    "PhysFilter",
-    "PhysProject",
-    "PhysHashJoin",
-    "PhysAggregate",
-    "PhysSort",
-    "PhysLimit",
-    "PhysExchange",
-    "ExchangeKind",
-    "walk_physical",
-    "Pipeline",
-    "PipelineDag",
-    "decompose_pipelines",
-]

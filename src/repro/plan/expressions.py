@@ -10,11 +10,14 @@ column name and returns a numpy array (or a scalar broadcast by numpy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import PlanError
+
+# Only the local engine evaluates, so each ``evaluate`` imports numpy
+# itself: planning (and a planner worker process) never loads it.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 # Comparison and arithmetic operators supported by BinaryOp.
 COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
@@ -72,6 +75,8 @@ class Literal(Expr):
     value: float | int | bool | str
 
     def evaluate(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         if isinstance(self.value, str):
             raise PlanError(
                 f"string literal {self.value!r} must be dictionary-encoded "
@@ -101,6 +106,8 @@ class BinaryOp(Expr):
         return (self.left, self.right)
 
     def evaluate(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         lhs = self.left.evaluate(batch)
         rhs = self.right.evaluate(batch)
         op = self.op
@@ -150,6 +157,8 @@ class UnaryOp(Expr):
         return (self.operand,)
 
     def evaluate(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         value = self.operand.evaluate(batch)
         if self.op == "not":
             return np.logical_not(value)
@@ -173,6 +182,8 @@ class InList(Expr):
         return (self.operand,)
 
     def evaluate(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         value = self.operand.evaluate(batch)
         if any(isinstance(v, str) for v in self.values):
             raise PlanError("string IN-list must be dictionary-encoded by the binder")
@@ -202,6 +213,8 @@ class FuncCall(Expr):
         return self.args
 
     def evaluate(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         args = [a.evaluate(batch) for a in self.args]
         if self.name == "abs":
             return np.abs(args[0])

@@ -8,22 +8,3 @@ latencies, lease-minimum billing — plus true cardinalities instead of
 optimizer estimates.  The DOP monitor (§3.3) runs inside it via scaling
 policies and corrects deviations at run time.
 """
-
-from repro.sim.skew import zipf_shares, skew_multiplier
-from repro.sim.distsim import (
-    DistributedSimulator,
-    PipelineRun,
-    SimConfig,
-    SimResult,
-    measure_exchange,
-)
-
-__all__ = [
-    "zipf_shares",
-    "skew_multiplier",
-    "DistributedSimulator",
-    "SimConfig",
-    "SimResult",
-    "PipelineRun",
-    "measure_exchange",
-]

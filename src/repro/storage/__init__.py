@@ -5,18 +5,3 @@ object store models request latency, bandwidth, and request/storage
 pricing, while micro-partitions hold real (numpy) column data with
 min/max zone maps used for partition pruning.
 """
-
-from repro.storage.objectstore import ObjectStore, ObjectStoreConfig, TransferStats
-from repro.storage.micropartition import MicroPartition, ZoneMap
-from repro.storage.table_storage import StoredTable, cluster_by, split_into_partitions
-
-__all__ = [
-    "ObjectStore",
-    "ObjectStoreConfig",
-    "TransferStats",
-    "MicroPartition",
-    "ZoneMap",
-    "StoredTable",
-    "cluster_by",
-    "split_into_partitions",
-]

@@ -10,11 +10,13 @@ is what the reclustering tuning action (§4) improves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 DEFAULT_PARTITION_ROWS = 64_000
 COMPRESSION_RATIO = 3.0
@@ -49,6 +51,9 @@ class MicroPartition:
         columns: dict[str, np.ndarray],
         partition_id: int = 0,
     ) -> None:
+        # Local: the planning path imports this module for its constants.
+        import numpy as np
+
         sizes = {name: arr.size for name, arr in columns.items()}
         if len(set(sizes.values())) > 1:
             raise StorageError(f"ragged columns in partition: {sizes}")

@@ -39,37 +39,3 @@ Tuning is a long-lived service, not a one-shot call.  The pipeline:
    budget, tenant scope, forecast-fed auto-apply gates) lets the serving
    layer drive recurring cycles between batches.
 """
-
-from repro.tuning.mv import MVCandidate, mv_candidate_from_query, try_rewrite
-from repro.tuning.clustering import ReclusterCandidate, recluster_one_time_cost
-from repro.tuning.whatif import TuningReport, WhatIfService
-from repro.tuning.advisor import AutoTuningAdvisor
-from repro.tuning.background import BackgroundComputeService
-from repro.tuning.service import (
-    MaterializeView,
-    Recluster,
-    Recommendation,
-    RecommendationState,
-    TuningAction,
-    TuningPolicy,
-    TuningService,
-)
-
-__all__ = [
-    "MVCandidate",
-    "mv_candidate_from_query",
-    "try_rewrite",
-    "ReclusterCandidate",
-    "recluster_one_time_cost",
-    "TuningReport",
-    "WhatIfService",
-    "AutoTuningAdvisor",
-    "BackgroundComputeService",
-    "TuningAction",
-    "MaterializeView",
-    "Recluster",
-    "Recommendation",
-    "RecommendationState",
-    "TuningPolicy",
-    "TuningService",
-]

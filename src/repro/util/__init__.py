@@ -1,31 +1,1 @@
 """Shared utilities: unit helpers, table rendering, Pareto math, RNG."""
-
-from repro.util.units import (
-    GB,
-    KB,
-    MB,
-    TB,
-    fmt_bytes,
-    fmt_dollars,
-    fmt_duration,
-    fmt_rate,
-)
-from repro.util.pareto import ParetoPoint, dominates, pareto_frontier
-from repro.util.tables import TextTable
-from repro.util.rng import derive_rng
-
-__all__ = [
-    "KB",
-    "MB",
-    "GB",
-    "TB",
-    "fmt_bytes",
-    "fmt_dollars",
-    "fmt_duration",
-    "fmt_rate",
-    "ParetoPoint",
-    "dominates",
-    "pareto_frontier",
-    "TextTable",
-    "derive_rng",
-]

@@ -5,6 +5,10 @@ the snapshot deliberately, alongside the examples and the quickstart.
 """
 
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,9 +77,36 @@ EXPECTED_ALL = [
 
 
 def test_repro_all_snapshot():
+    """The namespace is lazy (PEP 562): ``import repro`` runs only the
+    package's own file, and each public name imports its module on first
+    read, so a process pays only for the modules it uses.  The laziness
+    is checked in a fresh interpreter, where nothing is imported yet."""
     assert list(repro.__all__) == EXPECTED_ALL
     for name in repro.__all__:
         assert hasattr(repro, name), f"repro.__all__ exports missing name {name}"
+    probe = (
+        "import json, sys, repro\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.'))\n"
+        "unlisted = [n for n in repro.__all__ if n not in dir(repro)]\n"
+        "repro.sla_constraint\n"
+        "warehouse = 'repro.core.warehouse' in sys.modules\n"
+        "resolved = [n for n in repro.__all__ if getattr(repro, n) is not None]\n"
+        "print(json.dumps([loaded, unlisted, warehouse, resolved]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    loaded, unlisted, warehouse, resolved = json.loads(out.stdout)
+    assert loaded == []
+    assert unlisted == []
+    assert warehouse is False  # one name does not drag in the warehouse
+    assert resolved == EXPECTED_ALL
+    with pytest.raises(AttributeError, match="no attribute 'NoSuchName'"):
+        repro.NoSuchName
 
 
 def test_query_request_field_snapshot():

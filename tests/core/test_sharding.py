@@ -12,6 +12,7 @@ functional surface.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
@@ -114,6 +115,42 @@ def test_enable_disable_lifecycle():
     warehouse.disable_sharding()
     assert warehouse.worker_pool is None
     assert not second.alive
+
+
+def planner_children():
+    children = multiprocessing.active_children()
+    return [child.name for child in children if child.name.startswith("planner-")]
+
+
+def test_a_worker_that_dies_booting_raises_a_named_error(monkeypatch):
+    """A worker that exits before its handshake (here: a skeleton seed
+    its shard cannot import) is joined and named, at start and at a
+    restart alike; a failed start leaves no sibling worker running."""
+    spec_of = PlannerWorkerPool._spec
+    broken = set()
+
+    def spec(pool, index):
+        real = spec_of(pool, index)
+        return dataclasses.replace(real, skeleton_seed=42) if index in broken else real
+
+    monkeypatch.setattr(PlannerWorkerPool, "_spec", spec)
+    warehouse = make_warehouse()
+    broken.add(1)
+    message = "planner worker 1 exited during boot with exit code 1"
+    with pytest.raises(ReproError, match=message):
+        warehouse.enable_sharding(workers=2)
+    assert warehouse.worker_pool is None
+    assert planner_children() == []
+
+    broken.clear()
+    warehouse.enable_sharding(workers=1)
+    try:
+        broken.add(0)
+        with pytest.raises(ReproError, match="planner worker 0 exited during boot"):
+            warehouse.worker_pool._restart(0)
+        assert planner_children() == []
+    finally:
+        warehouse.disable_sharding()
 
 
 def test_worker_affinity_is_deterministic():

@@ -17,6 +17,7 @@
 
 import ast
 import inspect
+import json
 import re
 import subprocess
 import sys
@@ -50,6 +51,17 @@ def from_imports(tree: ast.AST):
                 yield node.module, alias.name
 
 
+def lazy_names(tree: ast.AST) -> dict[str, str]:
+    """The ``{name: defining module}`` table a package ``__init__``
+    resolves its public names from on first read (PEP 562)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [
+            ast.unparse(target) for target in node.targets
+        ] == ["_DEFINED_IN"]:
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def imported_modules(tree: ast.AST):
     for module, name in from_imports(tree):
         yield module
@@ -80,14 +92,19 @@ def test_no_production_module_imports_repro_testing():
 def test_every_production_module_is_reachable():
     """Each module is imported by another production module, a benchmark
     or an example.  A package ``__init__`` re-exporting it does not
-    count — but an importer that reads a name *through* a package is
-    followed to the module that defines the name."""
+    count — but an importer that reads a name *through* a package, by
+    an import or from its lazy table, is followed to the module that
+    defines the name."""
     modules = {module_name(path): path for path in TREES}
     reexports = {
-        module_name(path): {name: module for module, name in from_imports(tree)}
+        module_name(path): {
+            **{name: module for module, name in from_imports(tree)},
+            **lazy_names(tree),
+        }
         for path, tree in TREES.items()
         if path.name == "__init__.py"
     }
+    assert reexports["repro"]["load_tpch"] == "repro.workloads.tpch_data"
 
     def resolve(module: str, name: "str | None") -> str:
         while name is not None:
@@ -281,10 +298,14 @@ def test_every_imported_package_is_declared():
 def test_importing_the_package_loads_no_undeclared_package():
     """Checked in a fresh interpreter, where ``networkx`` (installed in
     the development environment, declared nowhere) would show up if any
-    module the package loads on import pulled it in."""
+    production module pulled it in.  Importing ``repro`` loads nothing
+    (its names resolve lazily), so the probe imports every module."""
     probe = (
-        "import sys, repro, repro.core.warehouse, repro.tuning, repro.statsvc; "
-        "print('networkx' in sys.modules)"
+        "import importlib, pkgutil, sys, repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not module.name.startswith('repro.testing'):\n"
+        "        importlib.import_module(module.name)\n"
+        "print('networkx' in sys.modules, sum(m.startswith('repro.') for m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -293,4 +314,143 @@ def test_importing_the_package_loads_no_undeclared_package():
         check=True,
         env={"PYTHONPATH": str(PACKAGE_ROOT.parent)},
     )
-    assert out.stdout.strip() == "False"
+    networkx, loaded = out.stdout.split()
+    assert networkx == "False"
+    assert int(loaded) > 50  # the walk really imported the package
+
+
+#: Every ``repro`` module a planner worker process loads: what the
+#: worker entrypoint imports plus what unpickling its spec and tasks and
+#: serving them pulls in.  No coordinator module and no numpy.
+WORKER_MODULES = {
+    "repro",
+    "repro.catalog",
+    "repro.catalog.catalog",
+    "repro.catalog.schema",
+    "repro.catalog.statistics",
+    "repro.compute",
+    "repro.compute.node",
+    "repro.core",
+    "repro.core.bioptimizer",
+    "repro.core.plan_cache",
+    "repro.core.planning",
+    "repro.core.sharding",
+    "repro.core.sharding_worker",
+    "repro.cost",
+    "repro.cost.curve",
+    "repro.cost.estimate",
+    "repro.cost.estimator",
+    "repro.cost.hardware",
+    "repro.cost.query_simulator",
+    "repro.cost.regression",
+    "repro.cost.volumes",
+    "repro.dop",
+    "repro.dop.cofinish",
+    "repro.dop.constraints",
+    "repro.dop.planner",
+    "repro.errors",
+    "repro.optimizer",
+    "repro.optimizer.bushy",
+    "repro.optimizer.cardinality",
+    "repro.optimizer.dag_planner",
+    "repro.optimizer.join_order",
+    "repro.plan",
+    "repro.plan.expressions",
+    "repro.plan.physical",
+    "repro.plan.pipelines",
+    "repro.plan.predicates",
+    "repro.sql",
+    "repro.sql.ast_nodes",
+    "repro.sql.binder",
+    "repro.sql.lexer",
+    "repro.sql.parameterize",
+    "repro.sql.parser",
+    "repro.storage",
+    "repro.storage.micropartition",
+    "repro.storage.objectstore",
+    "repro.tuning",
+    "repro.tuning.mv",
+    "repro.util",
+    "repro.util.units",
+}
+
+WORKER_PROBE = """
+import json, pickle, sys
+from repro.core.sharding_worker import PlannerShard
+spec, tasks = pickle.load(sys.stdin.buffer)
+shard = PlannerShard(spec)
+replies = [shard.serve(task) for task in tasks]
+failed = [reply for reply in replies if reply[0] != "done"]
+assert not failed and len(replies) == len(tasks), failed
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("repro", "numpy"))))
+"""
+
+
+def test_a_planner_worker_loads_only_the_planning_modules():
+    """The runtime twin of
+    ``test_planner_worker_modules_never_touch_coordinator_authority``: a
+    fresh interpreter that imports only the worker entrypoint, builds a
+    shard from a real spec (with an applied MV, so the rewrite runs) and
+    serves TPC-H and ad-hoc tasks loads exactly ``WORKER_MODULES``.  A
+    new import that drags a coordinator module or numpy into the worker
+    fails here and names the module."""
+    import pickle
+
+    from repro.core.sharding import PlannerWorkerPool, StageTask
+    from repro.dop.constraints import sla_constraint
+    from repro.sql.parameterize import parameterize_sql
+    from repro.statsvc.forecast import TemplateForecast
+    from repro.tuning.mv import mv_candidate_from_query
+    from repro.tuning.service import MaterializeView, Recommendation
+    from repro.workloads.adhoc import AdhocQueryGenerator
+    from repro.workloads.tpch_queries import instantiate, template_names
+    from repro.workloads.tpch_stats import synthetic_tpch_catalog
+
+    warehouse = CostIntelligentWarehouse(catalog=synthetic_tpch_catalog(1.0))
+    mv_sql = (
+        "SELECT n_name, sum(c_acctbal) AS bal, count(*) AS cnt "
+        "FROM customer, nation WHERE c_nationkey = n_nationkey "
+        "AND n_regionkey = {r} GROUP BY n_name"
+    )
+    bound = warehouse.binder.bind_sql(mv_sql.format(r=1))
+    candidate = mv_candidate_from_query(bound, warehouse.catalog, name="mv_probe")
+    forecast = TemplateForecast(
+        template="fam",
+        rate_per_hour=120.0,
+        periodic=True,
+        period_s=30.0,
+        observed_count=10,
+        avg_dollars=0.01,
+        avg_machine_seconds=10.0,
+    )
+    report = warehouse.tuning.whatif.evaluate_mv(candidate, {"fam": (bound, forecast)})
+    rec = Recommendation(rec_id=1, action=MaterializeView(candidate), report=report)
+    warehouse.tuning.accept(rec)
+    warehouse.tuning.apply(rec)
+    spec = PlannerWorkerPool(warehouse, workers=1)._spec(0)
+    assert [mv.name for mv in spec.applied_mvs] == ["mv_probe"]
+
+    queries = [mv_sql.format(r=2)]
+    queries += [instantiate(name, seed=3) for name in template_names()]
+    queries += AdhocQueryGenerator(seed=5).batch(8)
+    tasks = [
+        StageTask(
+            task_id=task_id,
+            sql=sql,
+            constraint=sla_constraint(20.0),
+            template_key=parameterize_sql(sql).template_key,
+            stats_version=warehouse.catalog.version,
+        )
+        for task_id, sql in enumerate(queries)
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", WORKER_PROBE],
+        input=pickle.dumps((spec, tasks)),
+        capture_output=True,
+        check=True,
+        env={"PYTHONPATH": str(PACKAGE_ROOT.parent)},
+    )
+    loaded = set(json.loads(out.stdout))
+    assert "numpy" not in loaded
+    assert sorted(loaded - WORKER_MODULES) == []
+    assert sorted(WORKER_MODULES - loaded) == []

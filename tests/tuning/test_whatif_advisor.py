@@ -123,7 +123,7 @@ def test_report_describe_verdicts():
 
 def test_advisor_cycle_on_warehouse(tpch_db):
     from repro import CostIntelligentWarehouse, QueryRequest, sla_constraint
-    from repro.workloads import instantiate
+    from repro.workloads.tpch_queries import instantiate
 
     wh = CostIntelligentWarehouse(database=tpch_db)
     session = wh.session(constraint=sla_constraint(20.0))
