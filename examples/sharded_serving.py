@@ -106,7 +106,7 @@ def main() -> None:
         assert pool.injected_kills == 2 and pool.restarts >= 1
         assert served == baseline, "crashed run diverged from baseline"
         assert bills(crashed) == bills(threaded), "crash perturbed the bills"
-        assert crashed.resilience_stats.retries == 0
+        assert crashed.metrics.value("repro_retries_total") == 0
         print(
             "  in-flight tasks re-staged on warm restarts; every query "
             "billed exactly once,\n  ledger still bit-identical to the "

@@ -110,10 +110,6 @@ class BiObjectiveOptimizer:
         self.max_variants = max_variants
         self.dag_plans = 0
 
-    def reset_counters(self) -> None:
-        """Zero the DAG-planning counter."""
-        self.dag_plans = 0
-
     # ------------------------------------------------------------------ #
     # DAG planning (constraint-independent)
     # ------------------------------------------------------------------ #

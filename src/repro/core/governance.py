@@ -347,10 +347,6 @@ class AdmissionController:
                 tenant: dict(per_tenant) for tenant, per_tenant in counts.items()
             }
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._verdicts.clear()
-
     def describe(self) -> str:
         if not self.active:
             return "admission: no tenant budgets configured (admit all)"

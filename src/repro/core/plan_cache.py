@@ -202,11 +202,6 @@ class _LruStats:
         for key, value in pairs:
             self._put(key, value)
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters (benchmark warmup)."""
-        with self.lock:
-            self.hits = self.misses = self.evictions = 0
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -66,7 +66,6 @@ from repro.errors import (
     TransientError,
 )
 from repro.util.rng import derive_rng
-from repro.util.units import from_ledger_units, to_ledger_units
 
 
 # --------------------------------------------------------------------- #
@@ -304,36 +303,19 @@ class ResiliencePolicy:
 
 
 class ResilienceStats:
-    """Thread-safe counters for ``warehouse.describe_health()``.
-
-    Retry dollars accumulate in integral ledger units (the same
-    fixed-point scale as :class:`~repro.core.ledger.TenantBill` and the
-    journal), so the health snapshot's total matches the sum of the
-    per-tenant ``retry_dollars`` metered onto bills bit for bit,
-    independent of accumulation order.
+    """Thread-safe counters of the two resilience events no journal
+    record carries — deadline hits and degraded outcomes — for
+    ``warehouse.describe_health()`` and the metrics registry.  They
+    count this process: a recovered warehouse starts them at zero.
+    Retries are not counted here: each one is a
+    :class:`~repro.core.journal.RetryCharge` on the tenant's bill,
+    which the registry reads.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.retries = 0
-        self._retry_units = 0
         self.deadline_hits = 0
         self.degraded_queries = 0
-
-    @property
-    def retry_dollars(self) -> float:
-        return from_ledger_units(self._retry_units)
-
-    @property
-    def retry_units(self) -> int:
-        """Retry spend in integral ledger units (the exact form the
-        metrics registry and billing reconciliation consume)."""
-        return self._retry_units
-
-    def note_retry(self, dollars: float) -> None:
-        with self._lock:
-            self.retries += 1
-            self._retry_units += to_ledger_units(dollars)
 
     def note_deadline(self) -> None:
         with self._lock:
@@ -342,24 +324,6 @@ class ResilienceStats:
     def note_degraded(self) -> None:
         with self._lock:
             self.degraded_queries += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "retries": self.retries,
-                "retry_dollars": from_ledger_units(self._retry_units),
-                "deadline_hits": self.deadline_hits,
-                "degraded_queries": self.degraded_queries,
-            }
-
-    def reset(self) -> None:
-        """Zero every counter (benchmark warmup resets, alongside
-        ``warehouse.reset_cache_stats()``)."""
-        with self._lock:
-            self.retries = 0
-            self._retry_units = 0
-            self.deadline_hits = 0
-            self.degraded_queries = 0
 
 
 class StageGuard:
@@ -376,6 +340,9 @@ class StageGuard:
     (:class:`~repro.errors.DeadlineExceededError`,
     :class:`~repro.errors.RetryExhaustedError`, or the original
     non-transient exception).
+    Each retry's modeled backoff dollars go to ``charge_retry`` (the
+    serving layer commits them to the tenant's bill, which counts the
+    retry); ``stats`` counts the deadline hits.
     """
 
     def __init__(
@@ -438,11 +405,8 @@ class StageGuard:
                 self.deadline.charge(backoff)
                 if stage_deadline is not None:
                     stage_deadline.charge(backoff)
-                dollars = backoff * DOLLARS_PER_RETRY_S
                 if self._charge_retry is not None:
-                    self._charge_retry(dollars)
-                if self._stats is not None:
-                    self._stats.note_retry(dollars)
+                    self._charge_retry(backoff * DOLLARS_PER_RETRY_S)
                 self.retries += 1
                 self._check(stage, stage_deadline)
             except ReproError as exc:

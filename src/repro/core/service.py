@@ -55,7 +55,6 @@ from repro.engine.local_executor import LocalExecutor
 from repro.errors import DeadlineExceededError, QueryFailedError, ReproError
 from repro.sql.parameterize import parameterize_sql
 from repro.statsvc.records import served_record
-from repro.util.units import to_ledger_units
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bioptimizer import PlanChoice
@@ -501,9 +500,6 @@ class Session:
                     )
                     handle.admission = verdict
                     if verdict is AdmissionVerdict.DENY:
-                        warehouse.metrics.counter(
-                            "repro_queries_denied_total", tenant=tenant
-                        )
                         handle._deny(
                             controller.denied_error(
                                 tenant,
@@ -571,7 +567,8 @@ class Session:
         """
         warehouse = self.warehouse
         request = handle.request
-        assert request.constraint is not None  # resolved at submission
+        # Both resolved at submission.
+        assert request.constraint is not None and request.tenant is not None
         guard = _request_guard(warehouse, request.tenant)
         scratch = None
 
@@ -672,16 +669,9 @@ class Session:
             # the journal write leaves no trace (the next record takes
             # the same query id).
             ledger.commit(QueryServed(record=record))
-            # Serving-event metrics (registry lock is innermost; dollar
-            # amounts are integral ledger units).
-            warehouse.metrics.counter(
-                "repro_queries_served_total", tenant=record.tenant
-            )
-            warehouse.metrics.counter(
-                "repro_serving_cost_ledger_units",
-                to_ledger_units(record.dollars),
-                tenant=record.tenant,
-            )
+            # The served count and spend are read off the bill the
+            # commit charged; only the latency observation is the
+            # registry's own (its lock is innermost).
             warehouse.metrics.histogram(
                 "repro_query_latency_seconds",
                 record.latency_s,
@@ -727,26 +717,24 @@ def _wrap_failure(handle: QueryHandle, exc: Exception) -> QueryFailedError:
     )
 
 
-def _request_guard(
-    warehouse: "CostIntelligentWarehouse", tenant: str | None
-) -> StageGuard:
+def _request_guard(warehouse: "CostIntelligentWarehouse", tenant: str) -> StageGuard:
     """One request's :class:`~repro.core.resilience.StageGuard`.
 
     The retry allowance is budget-aware: every step the tenant's current
     admission verdict (``check`` with no reservation, never committed)
-    sits past ``ADMIT`` in :class:`AdmissionVerdict` costs one attempt, and each
-    retry's modeled compute is committed to the tenant's bill as a
-    :class:`~repro.core.journal.RetryCharge`.
+    sits past ``ADMIT`` in :class:`AdmissionVerdict` costs one attempt, and
+    every retry is committed to the tenant's bill as a
+    :class:`~repro.core.journal.RetryCharge` of its modeled compute (a
+    zero backoff too: the bill counts the retries).
     """
     policy = warehouse.resilience
     attempts = policy.retry.max_attempts
-    if tenant is not None and warehouse.admission.active:
+    if warehouse.admission.active:
         verdict = warehouse.admission.check(tenant, warehouse.billing.get(tenant))
         attempts = policy.retry.attempts_for(list(AdmissionVerdict).index(verdict))
 
     def charge(dollars: float) -> None:
-        if tenant is not None and dollars > 0.0:
-            warehouse.ledger.commit(RetryCharge(tenant=tenant, dollars=dollars))
+        warehouse.ledger.commit(RetryCharge(tenant=tenant, dollars=dollars))
 
     return StageGuard(
         policy,

@@ -253,6 +253,7 @@ class PlannerWorkerPool:
         self._owner.clear()
         self._results.clear()
         self._hung.clear()
+        self._abandoned.clear()
         self._warmed = [set() for _ in range(self.size)]
         self._send_marks.clear()
         self._started = False

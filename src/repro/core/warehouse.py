@@ -484,30 +484,6 @@ class CostIntelligentWarehouse:
         """Per-tenant spend roll-up, one line per tenant plus the total."""
         return self.ledger.describe_billing()
 
-    def reset_cache_stats(self) -> None:
-        """Zero all cache, optimizer, retention-policy, admission, and
-        resilience counters without dropping entries or budgets
-        (benchmark warmup: report steady-state rates only)."""
-        for _, cache in self.planning.levels():
-            cache.reset_stats()
-        self.estimator.stats.reset()
-        self.optimizer.reset_counters()
-        with self.ledger.lock:
-            # Verdict counters are journaled state: checkpoint the zeroed
-            # counters, or recovery would replay the decisions the reset
-            # forgot.
-            self.admission.reset_stats()
-            if self.journal is not None:
-                self.checkpoint()
-        # Retry / deadline / degraded tallies are warmup noise too: a
-        # benchmark that resets cache counters but keeps phantom retries
-        # reports steady-state hit rates against warmup failures.
-        self.resilience_stats.reset()
-        # Owned registry metrics (served/failed/denied counters, latency
-        # histograms, snapshot tallies) are warmup noise by the same
-        # argument; sourced metrics re-read the subsystems just reset.
-        self.metrics.reset()
-
     def _simulate(
         self,
         choice: PlanChoice,

@@ -91,12 +91,6 @@ class TimingCacheStats:
     timing_hits: int = 0
     timing_computations: int = 0
 
-    def reset(self) -> None:
-        self.curve_hits = 0
-        self.curve_computations = 0
-        self.timing_hits = 0
-        self.timing_computations = 0
-
     def describe(self) -> str:
         return (
             f"timings: {self.timing_hits} hits / "

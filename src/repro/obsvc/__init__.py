@@ -10,13 +10,15 @@ without cycles):
   metric the warehouse emits is declared once in
   :data:`~repro.obsvc.metrics.REGISTERED_METRICS`; emissions against
   undeclared names fail at runtime (``MetricNameError``) *and* at lint
-  time (the ``metric-name`` shape check).  Owned counters and
-  histograms capture serving events; **sourced** read-through
-  views expose the subsystems that already keep authoritative state
-  (the three plan-cache levels, admission verdicts, resilience stats,
-  breakers, tuning, the journal) without double-counting.  All dollar
-  metrics are integral :data:`~repro.util.units.LEDGER_SCALE` units.
-  Each sourced row carries its reader over the warehouse's components.
+  time (the ``metric-name`` shape check).  **Sourced** read-through
+  views expose the state the warehouse already keeps (the ledger's
+  bills, admission verdicts, cost history and journal; the three
+  plan-cache levels, resilience stats, breakers, tuning) without
+  double-counting; owned counters and histograms exist only for events
+  no ledger record carries (failures, latency, IPC round trips).  All
+  dollar metrics are integral :data:`~repro.util.units.LEDGER_SCALE`
+  units.  Each sourced row carries its reader over the warehouse's
+  components.
 
 - :mod:`repro.obsvc.views` — ``describe_health`` / ``describe_caches`` /
   ``observe``: read-only views over this registry, behind the

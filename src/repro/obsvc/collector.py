@@ -176,7 +176,6 @@ class SnapshotCollector:
             tenants=slices,
         )
         warehouse.ledger.commit(CostSnapshotTaken(snapshot))
-        warehouse.metrics.counter("repro_cost_snapshots_total")
         return snapshot
 
     def _fold_locked(self) -> dict[str, dict[tuple[str, str, str], CostLeaf]]:

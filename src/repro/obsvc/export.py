@@ -5,7 +5,7 @@ Two formats, both pure functions over collected samples:
 - :func:`prometheus_text` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` preambles, ``name{label="v"} value`` lines,
   histogram ``_bucket``/``_sum``/``_count`` expansion).  Sourced views
-  are typed ``gauge``; ledger-unit counters are emitted as exact
+  are typed ``gauge``; ledger-unit values are emitted as exact
   integers.
 - :func:`registry_json` / :func:`history_json` — plain-data dicts
   (``json.dumps``-ready) for programmatic consumers; the history form

@@ -3,29 +3,29 @@ metric the warehouse emits.
 
 Two kinds of instruments live here:
 
-- **Owned** counters / histograms, incremented by the serving
-  path at event time (a query finalizing, an admission denial, a cost
-  snapshot landing).  All dollar-valued owned metrics accumulate in
-  integral :data:`~repro.util.units.LEDGER_SCALE` units — never float
-  dollars — so identical seeded runs produce bit-identical values.
-- **Sourced** read-through views over subsystems that already keep
-  authoritative, recovery-participating state (cache counters,
-  admission verdicts, resilience stats, breakers, tuning, the
-  journal).  A sourced metric's row carries its ``read``: a function of
-  the warehouse returning a scalar (label-less metrics) or a
-  ``{label-values-tuple: value}`` mapping, bound by the one loop in
-  :class:`MetricsRegistry`'s constructor; nothing is double-counted and
-  the hot cache paths keep their existing integer stats.
+- **Sourced** read-through views over state the warehouse already keeps
+  and recovers: the ledger (bills, admission verdicts, the cost
+  history, the journal) and the subsystems' own counters (caches,
+  breakers, tuning, the worker pool).  A sourced metric's row carries
+  its ``read``: a function of the warehouse returning a scalar
+  (label-less metrics) or a ``{label-values-tuple: value}`` mapping,
+  bound by the one loop in :class:`MetricsRegistry`'s constructor.
+  Dollar-valued rows read the bills' integral
+  :data:`~repro.util.units.LEDGER_SCALE` units, never float dollars, so
+  identical seeded runs produce bit-identical values.
+- **Owned** counters / histograms, incremented by the serving path at
+  event time — an owned instrument only for an event no ledger record
+  carries (a failed query, a latency or IPC round-trip observation).
+  Anything a journal record carries is read from the ledger instead,
+  so there is no second set of counters to drift from it, and a
+  recovered warehouse reports what the live one did.
 
 Every emission must name a metric declared in
 :data:`REGISTERED_METRICS` — the ``metric-name`` shape check in
 ``tests/analysis`` enforces this statically, and the registry enforces
-it at runtime by raising :class:`MetricNameError`.
-``reset()`` zeroes only owned instruments; sourced views follow their
-underlying subsystem's own reset (``warehouse.reset_cache_stats``
-calls both).  The registry lock is always innermost (acquired under
-the serving lock, never the reverse), keeping the lock-order
-sanitizer's graph acyclic.
+it at runtime by raising :class:`MetricNameError`.  The registry lock
+is always innermost (acquired under the serving lock, never the
+reverse), keeping the lock-order sanitizer's graph acyclic.
 """
 
 from __future__ import annotations
@@ -173,12 +173,16 @@ def _billing_units(warehouse) -> dict:
     return values
 
 
-def _background_units(warehouse) -> dict:
+def _queries_served(warehouse) -> dict:
     return {
-        (tenant,): bill.background_units
+        (tenant,): bill.queries
         for tenant, bill in sorted(warehouse.billing.items())
-        if bill.background_units
+        if bill.queries
     }
+
+
+def _retries(warehouse) -> int:
+    return sum(bill.retries for bill in warehouse.billing.values())
 
 
 def _admission_verdicts(warehouse) -> dict:
@@ -201,15 +205,14 @@ def _estimated_savings(warehouse) -> int:
 #: here — the ``metric-name`` lint rule rejects any emission whose
 #: name is not a key of this dict (or is not a string literal).
 REGISTERED_METRICS: dict[str, MetricSpec] = {
-    # -- serving events (owned; incremented by Session._finalize etc.) --
+    # -- serving events (sourced from the ledger; failures and latency
+    #    owned: no journal record carries them) -------------------------
     "repro_queries_served_total": MetricSpec(
-        "counter", "Queries served to completion, by tenant.", ("tenant",)
+        "source", "Queries served to completion, by tenant.", ("tenant",),
+        read=_queries_served,
     ),
     "repro_queries_failed_total": MetricSpec(
         "counter", "Queries that failed during serving, by tenant.", ("tenant",)
-    ),
-    "repro_queries_denied_total": MetricSpec(
-        "counter", "Queries refused by admission control, by tenant.", ("tenant",)
     ),
     "repro_query_latency_seconds": MetricSpec(
         "histogram",
@@ -217,13 +220,9 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         ("tenant",),
         buckets=LATENCY_BUCKETS,
     ),
-    "repro_serving_cost_ledger_units": MetricSpec(
-        "counter",
-        "Serving spend metered at finalize time, in integral ledger units.",
-        ("tenant",),
-    ),
     "repro_cost_snapshots_total": MetricSpec(
-        "counter", "Cost snapshots appended to the history store."
+        "source", "Cost snapshots appended to the history store.",
+        read=lambda w: len(w.cost_history),
     ),
     # -- billing (sourced from TenantBill ledgers) ----------------------
     "repro_tenant_cost_ledger_units": MetricSpec(
@@ -288,14 +287,10 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source", "Admission verdicts by tenant and verdict.", ("tenant", "verdict"),
         read=_admission_verdicts,
     ),
-    # -- resilience (sourced from ResilienceStats / breakers) -----------
+    # -- resilience (sourced from the bills, ResilienceStats, breakers) -
     "repro_retries_total": MetricSpec(
         "source", "Transient-failure retries across all serving stages.",
-        read=lambda w: w.resilience_stats.retries,
-    ),
-    "repro_retry_cost_ledger_units": MetricSpec(
-        "source", "Retry spend in integral ledger units.",
-        read=lambda w: w.resilience_stats.retry_units,
+        read=_retries,
     ),
     "repro_deadline_hits_total": MetricSpec(
         "source", "Per-request or per-stage deadline expirations.",
@@ -323,12 +318,6 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
     "repro_tuning_cycles_total": MetricSpec(
         "source", "Background tuning cycles run this process.",
         read=_optional("_tuning", lambda tuning: tuning.cycles_run),
-    ),
-    "repro_background_cost_ledger_units": MetricSpec(
-        "source",
-        "Background tuning spend billed per tenant, in ledger units.",
-        ("tenant",),
-        read=_background_units,
     ),
     "repro_tuning_estimated_savings_ledger_units_per_hour": MetricSpec(
         "source",
@@ -459,10 +448,9 @@ class MetricsRegistry:
         self._sources: dict[str, object] = {}  # name -> provider callable
         if warehouse is not None:
             # Every sourced row reads through to the warehouse's own
-            # state: the caches keep their integer stats,
-            # admission its journaled verdict counters, resilience its
-            # ledger-unit tallies, so nothing on a hot path pays for
-            # observability twice.
+            # state: the ledger its bills, verdicts and history, the
+            # caches their integer stats, so nothing on a hot path pays
+            # for observability twice.
             for name, spec in REGISTERED_METRICS.items():
                 if spec.read is not None:
                     self.source(name, partial(spec.read, warehouse))
@@ -597,11 +585,3 @@ class MetricsRegistry:
             value=value,
             help=spec.help,
         )
-
-    # -- lifecycle -------------------------------------------------------- #
-    def reset(self) -> None:
-        """Zero every owned instrument; sourced views are untouched
-        (their owners reset their own state)."""
-        with self._lock:
-            self._counters.clear()
-            self._histograms.clear()

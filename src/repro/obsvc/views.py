@@ -26,17 +26,19 @@ _BREAKER_STATE_NAMES = {code: name for name, code in BREAKER_STATE_CODES.items()
 def describe_health(warehouse) -> dict:
     """Failure-domain observability, alongside :func:`describe_caches`.
 
-    Reports the resilience counters (retries, retry dollars, deadline
-    hits, degraded outcomes), the journal and the last recovery pass,
+    Reports the resilience counters (retries and retry dollars, as
+    billed; deadline hits and degraded outcomes, as counted by this
+    process), the journal and the last recovery pass,
     both circuit breakers (``statsvc`` and ``tuning``), the tuning
     service's last swallowed error and consecutive-failure count, and
     the active fault plan's fired tallies (empty outside chaos testing).
     """
     metrics = warehouse.metrics
+    spend = metrics.sourced("repro_tenant_cost_ledger_units")
     resilience = {
         "retries": metrics.value("repro_retries_total"),
         "retry_dollars": from_ledger_units(
-            metrics.value("repro_retry_cost_ledger_units")
+            sum(units for (_, part), units in spend.items() if part == "retry")
         ),
         "deadline_hits": metrics.value("repro_deadline_hits_total"),
         "degraded_queries": metrics.value("repro_degraded_queries_total"),

@@ -74,7 +74,7 @@ CORPUS: dict[str, Fixture] = {
         ),
         good=(
             "def f(self, tenant):\n"
-            "    self.metrics.counter('repro_queries_served_total', "
+            "    self.metrics.counter('repro_queries_failed_total', "
             "tenant=tenant)\n"
         ),
     ),

@@ -141,12 +141,12 @@ def test_degraded_plan_not_cached_healthy_resubmit_reoptimizes(catalog):
     first = session.submit(QueryRequest(sql=sql, simulate=False))
     assert first.done and first.degraded
     wh.inject_faults(None)
-    wh.reset_cache_stats()
+    hits = wh.describe_caches()["plan_cache"]["hits"]
     second = session.submit(QueryRequest(sql=sql, simulate=False))
     assert second.state is QueryState.DONE and not second.degraded
     # The degraded plan was not stored: the healthy resubmission missed
     # the exact cache and re-optimized from scratch.
-    assert wh.describe_caches()["plan_cache"]["hits"] == 0
+    assert wh.describe_caches()["plan_cache"]["hits"] == hits
     clean = CostIntelligentWarehouse(catalog=catalog)
     assert plan_snapshot(second.result().choice) == plan_snapshot(
         clean.plan(sql, SLA)[1]

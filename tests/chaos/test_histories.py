@@ -300,11 +300,10 @@ class Histories(RuleBasedStateMachine):
         self.sqls: set[str] = set()
         self.faults_active = False
         self.collecting = False
-        #: What the current warehouse's resilience counters should read:
-        #: the DONE handles it served degraded, and the retry units billed
-        #: before it was built (they restart at zero after a recovery).
+        #: The DONE handles the current warehouse served degraded (its
+        #: degraded count restarts at zero after a recovery; the retry
+        #: dollars are read off the bills, so they never do).
         self.degraded = 0
-        self.retry_units_before = 0
         #: The twin's copies of the applies it mirrored, by name.
         self.twin_applied: dict[str, Recommendation] = {}
 
@@ -366,7 +365,6 @@ class Histories(RuleBasedStateMachine):
         for snapshot in history:
             DrillDownNavigator(snapshot).reconcile()
         self.degraded = 0
-        self.retry_units_before = sum(b.retry_units for b in self.wh.billing.values())
         if self.collecting:
             self.wh.enable_collection(cadence_queries=CADENCE)
         self._restart_planners()
@@ -604,9 +602,10 @@ class Histories(RuleBasedStateMachine):
         assert {rec.rec_id: rec.state.value for rec in journaled} == states
 
         health = wh.describe_health()["resilience"]
-        retry_units = sum(bill.retry_units for bill in bills) - self.retry_units_before
-        assert (health["degraded_queries"], health["retry_dollars"]) == (
-            self.degraded, from_ledger_units(retry_units)
+        assert (health["degraded_queries"], health["retries"], health["retry_dollars"]) == (
+            self.degraded,
+            sum(bill.retries for bill in bills),
+            from_ledger_units(sum(bill.retry_units for bill in bills)),
         )
 
         if self.collecting:

@@ -123,9 +123,6 @@ class ReferenceCostAware(ReferenceLru):
         self.entries.clear()
         self.meta.clear()
 
-    def reset_stats(self):
-        self.hits = self.misses = self.evictions = 0
-
 
 TEMPLATES = ("t0", "t1", "t2", "t3")
 
@@ -134,8 +131,7 @@ TEMPLATES = ("t0", "t1", "t2", "t3")
 def retention_programs(draw):
     """A capacity, per-template rates (or ``None``) and a sequence of
     ``(opcode, key, metadata)`` steps: opcodes 0-9 store (with or
-    without ``(template, cost_s)``), 10-17 look up, 18 invalidates, 19
-    resets the counters."""
+    without ``(template, cost_s)``), 10-17 look up, 18 invalidates."""
     capacity = draw(st.sampled_from([1, 2, 3, 5, VICTIM_WINDOW + 2]))
     rates = draw(
         st.none()
@@ -146,7 +142,7 @@ def retention_programs(draw):
     )
     steps = draw(
         st.lists(
-            st.tuples(st.integers(0, 19), st.integers(0, 2 * capacity + 1), metadata),
+            st.tuples(st.integers(0, 18), st.integers(0, 2 * capacity + 1), metadata),
             max_size=120,
         )
     )
@@ -155,7 +151,7 @@ def retention_programs(draw):
 
 @given(retention_programs())
 def test_retention_matches_the_reference_after_every_step(program):
-    """Random store / lookup / invalidate / reset sequences under random
+    """Random store / lookup / invalidate sequences under random
     rates and costs leave the same contents, recency order, hits,
     misses and evictions as :class:`ReferenceCostAware` after every
     step — with a rate and without one."""
@@ -173,12 +169,9 @@ def test_retention_matches_the_reference_after_every_step(program):
             reference.store(key, ("bound", step), template=template, cost_s=cost_s)
         elif opcode < 18:
             assert cache.lookup(key) == reference.lookup(key)
-        elif opcode == 18:
+        else:
             cache.invalidate()
             reference.invalidate()
-        else:
-            cache.reset_stats()
-            reference.reset_stats()
         assert cache.export_state() == tuple(reference.entries.items()), step
         assert (cache.hits, cache.misses, cache.evictions) == (
             reference.hits,
@@ -241,8 +234,6 @@ def test_default_policy_is_lru_and_counted():
     assert cache.evictions == 1
     assert "lru" in cache.describe()
     assert cache._meta == {}  # plain LRU keeps no scoring metadata
-    cache.reset_stats()
-    assert cache.evictions == 0
 
 
 def test_sequential_lru_pinned_at_single_stripe_capacity():
@@ -378,22 +369,28 @@ def test_warehouse_cost_aware_beats_lru_on_hot_template(catalog):
             )
             return handle.result().choice
 
+        def skeleton_lookups():
+            report = warehouse.describe_caches()["skeleton_cache"]
+            return report["hits"], report["misses"]
+
         # Warm-up traffic builds the Statistics Service log the
-        # forecasts read; the measured phase starts from clean counters.
+        # forecasts read; the measured phase's rate is its own lookups.
         for index in range(40):
             name = hot if index % 5 == 0 else cold[index % len(cold)]
             arrive(name, seed=seed, clock=clock)
             seed += 1
             clock += 60.0
         warehouse.frequency.invalidate()
-        warehouse.reset_cache_stats()
+        warm_hits, warm_misses = skeleton_lookups()
         for index in range(40):
             name = hot if index % 5 == 0 else cold[index % len(cold)]
             choice = arrive(name, seed=1000 + index, clock=clock)
             if name == hot:
                 choices.append(choice)
             clock += 60.0
-        hit_rates[policy] = warehouse.describe_caches()["skeleton_cache"]["hit_rate"]
+        hits, misses = skeleton_lookups()
+        hits, misses = hits - warm_hits, misses - warm_misses
+        hit_rates[policy] = hits / (hits + misses)
         hot_choices[policy] = choices
     assert hit_rates["cost-aware"] > hit_rates["lru"]
     # Retention changes *when* we re-optimize, never *what* we serve.
@@ -428,7 +425,7 @@ def test_warm_cache_ranks_by_forecast_and_populates_skeletons(catalog):
     assert warmed == ["q6_revenue_forecast", "q1_pricing_summary"]
     assert len(warehouse.skeleton_cache) == 2
     # A fresh instantiation of a warmed template hits the skeleton level.
-    warehouse.reset_cache_stats()
+    hits = warehouse.describe_caches()["skeleton_cache"]["hits"]
     session.submit(
         quick_request(
             instantiate("q6_revenue_forecast", seed=900),
@@ -436,7 +433,7 @@ def test_warm_cache_ranks_by_forecast_and_populates_skeletons(catalog):
             at_time=clock,
         )
     ).result()
-    assert warehouse.describe_caches()["skeleton_cache"]["hits"] == 1
+    assert warehouse.describe_caches()["skeleton_cache"]["hits"] == hits + 1
 
 
 def test_warm_cache_empty_log_preserves_input_order(catalog):
@@ -596,9 +593,6 @@ def test_controller_counts_and_defer_downgrade():
         "a": {"admit": 1, "defer": 1, "throttle": 1},
         "b": {"admit": 1},
     }
-    controller.reset_stats()
-    assert controller.verdict_counts == {}
-    assert controller.active  # budgets survive a stats reset
 
 
 def test_controller_accepts_bare_floats():

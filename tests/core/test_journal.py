@@ -691,22 +691,3 @@ def test_describe_health_durability_block_tracks_the_journal():
     assert block["records_replayed"] == recovered.last_recovery.records_replayed
     assert block["last_checkpoint_id"] == journal.last_checkpoint_id
     assert block["in_doubt_forward"] == 0 and block["in_doubt_back"] == 0
-
-
-def test_reset_cache_stats_zeroes_resilience_counters():
-    """The PR 6 audit: reset_cache_stats() missed the retry/degraded
-    tallies, so benchmarks reported steady-state cache rates against
-    warmup failures."""
-    warehouse = CostIntelligentWarehouse(catalog=synthetic_tpch_catalog(1.0))
-    stats = warehouse.resilience_stats
-    stats.note_retry(0.25)
-    stats.note_deadline()
-    stats.note_degraded()
-    before = stats.snapshot()
-    assert before["retries"] == 1 and before["degraded_queries"] == 1
-    warehouse.reset_cache_stats()
-    after = stats.snapshot()
-    assert after["retries"] == 0
-    assert after["retry_dollars"] == 0.0
-    assert after["deadline_hits"] == 0
-    assert after["degraded_queries"] == 0

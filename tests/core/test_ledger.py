@@ -77,36 +77,6 @@ def test_each_record_type_has_exactly_one_apply_handler():
         ledger.apply(object())
 
 
-def test_verdict_counts_survive_a_stats_reset_and_a_recovery():
-    """``reset_cache_stats()`` zeroes the journaled verdict counters, so
-    it checkpoints them; recovery used to replay the decisions the
-    reset had forgotten (live ``admit: 2``, recovered ``admit: 5``)."""
-    catalog = synthetic_tpch_catalog(1.0)
-    journal = WriteAheadJournal()
-    live = CostIntelligentWarehouse(
-        catalog=catalog, journal=journal, tenant_budgets={"acme": 100.0}
-    )
-    session = live.session(tenant="acme", constraint=sla_constraint(20.0))
-
-    def serve(indices) -> None:
-        for i in indices:
-            session.submit(
-                QueryRequest(
-                    sql=f"SELECT count(*) AS c FROM orders WHERE o_totalprice > {i}",
-                    at_time=10.0 * i,
-                )
-            ).result()
-
-    serve(range(3))
-    live.reset_cache_stats()
-    serve(range(3, 5))
-    assert live.admission.verdict_counts == {"acme": {"admit": 2}}
-    recovered = CostIntelligentWarehouse.recover(
-        journal, catalog=catalog, tenant_budgets={"acme": 100.0}
-    )
-    assert recovered.admission.verdict_counts == live.admission.verdict_counts
-
-
 def _bound_fields(bound) -> dict:
     return {f.name: getattr(bound, f.name) for f in fields(bound)}
 

@@ -91,8 +91,6 @@ def test_striped_cache_aggregates_counters():
     assert cache.lookup("missing") is None
     assert cache.misses == 1
     assert "lru retention" in cache.describe()
-    cache.reset_stats()
-    assert cache.hits == cache.misses == 0
     cache.invalidate()
     assert len(cache) == 0
 
@@ -257,11 +255,6 @@ def test_describe_caches_reports_all_levels(warehouse):
             hits / (hits + computations) if hits + computations else 0.0
         )
     assert report["timing_cache"]["curve_computations"] > 0
-    warehouse.reset_cache_stats()
-    report = warehouse.describe_caches()
-    assert report["plan_cache"]["hits"] == 0
-    assert report["skeleton_cache"]["misses"] == 0
-    # Entries survive a stats reset.
     assert report["plan_cache"]["entries"] == 2
 
 

@@ -234,22 +234,6 @@ def test_describe_caches_snapshot(stats_warehouse):
     assert report["admission"] == {}
 
 
-def test_reset_cache_stats_zeroes_governance_counters(stats_warehouse):
-    stats_warehouse.admission.set_budget("analyst", 100.0)
-    session = stats_warehouse.session(tenant="analyst")
-    session.submit(
-        "SELECT count(*) AS c FROM orders", sla_constraint(15.0)
-    ).result()
-    report = stats_warehouse.describe_caches()
-    assert report["admission"]["analyst"]["admit"] == 1
-    stats_warehouse.reset_cache_stats()
-    report = stats_warehouse.describe_caches()
-    assert report["admission"] == {}
-    assert report["plan_cache"]["evictions"] == 0
-    # Budgets survive a stats reset (only counters are zeroed).
-    assert stats_warehouse.admission.active
-
-
 # --------------------------------------------------------------------- #
 # Resilience surface (PR 6)
 # --------------------------------------------------------------------- #

@@ -186,44 +186,16 @@ def test_guard_passthrough_without_faults():
 
 def test_guard_retries_transient_then_succeeds_and_meters_dollars():
     charged = []
-    stats = ResilienceStats()
     policy = ResiliencePolicy(retry=RetryPolicy(jitter=0.0, backoff_base_s=0.5))
-    guard = StageGuard(
-        policy, attempts=3, charge_retry=charged.append, stats=stats
-    )
+    guard = StageGuard(policy, attempts=3, charge_retry=charged.append)
     flaky = Flaky(2)
     assert guard.run("optimize", flaky) == "ok"
     assert flaky.calls == 3
     assert guard.retries == 2
     # jitter=0: backoffs are exactly 0.5s and 1.0s at $0.01/s.
     assert charged == pytest.approx([0.005, 0.01])
-    snap = stats.snapshot()
-    assert snap["retries"] == 2
-    assert snap["retry_dollars"] == pytest.approx(0.015)
     # Modeled backoff charged the request deadline as virtual time.
     assert guard.deadline.elapsed_s >= 1.5
-
-
-def test_retry_stats_accumulate_in_exact_ledger_units():
-    """Regression for the analyzer's float-billing rule: retry metering
-    must accumulate integral ledger units, not float ``+=``, so the
-    health snapshot matches the journaled per-tenant charges exactly."""
-    from repro.util.units import to_ledger_units
-
-    stats = ResilienceStats()
-    charges = [0.1] * 10 + [0.005, 1e-9, 123.456]
-    for dollars in charges:
-        stats.note_retry(dollars)
-    expected_units = sum(to_ledger_units(d) for d in charges)
-    assert stats._retry_units == expected_units
-    # Notably 10 * $0.10 contributes exactly 1.0 despite 0.1 being
-    # inexact in binary — integer accumulation has no drift.
-    snap = stats.snapshot()
-    assert snap["retry_dollars"] == stats.retry_dollars
-    assert stats.retry_dollars * (1 << 80) == float(expected_units)
-    stats.reset()
-    assert stats._retry_units == 0
-    assert stats.retry_dollars == 0.0
 
 
 def test_guard_exhaustion_raises_typed_error_with_cause_summary():
@@ -302,7 +274,7 @@ def test_guard_deadline_hits_counted_in_stats():
     guard.deadline.charge(1.0)
     with pytest.raises(DeadlineExceededError):
         guard.run("bind", lambda: "x")
-    assert stats.snapshot()["deadline_hits"] == 1
+    assert stats.deadline_hits == 1
 
 
 # --------------------------------------------------------------------- #

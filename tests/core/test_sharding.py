@@ -325,6 +325,31 @@ def test_fail_fast_abandons_only_what_was_sent():
         warehouse.disable_sharding()
 
 
+def test_a_closed_pool_holds_no_task_ids():
+    # A fail_fast abort leaves abandoned tasks whose replies never
+    # drain; closing the pool forgets them with every other per-task
+    # table.
+    warehouse = make_warehouse()
+    warehouse.enable_sharding(workers=1)
+    pool = warehouse.worker_pool
+    try:
+        session = warehouse.session(tenant="t1", constraint=SLA)
+        bad = QueryRequest(sql="SELECT nope FROM orders", at_time=0.0)
+        good = [
+            QueryRequest(sql=T_ORDERS.format(v=500_000 + i), at_time=30.0 * (i + 1))
+            for i in range(20)
+        ]
+        with pytest.raises(ReproError):
+            session.submit_many([bad] + good, max_workers=4, fail_fast=True)
+        assert pool._abandoned
+    finally:
+        warehouse.disable_sharding()
+    assert not pool.alive
+    assert not any(pool._outstanding)
+    tables = (pool._owner, pool._results, pool._hung, pool._abandoned, pool._send_marks)
+    assert [len(table) for table in tables] == [0] * len(tables)
+
+
 def test_worker_failures_name_the_stage_that_broke():
     # The worker reports which stage failed; the handle carries it exactly
     # as StageGuard names it inline, not the handle's lifecycle state.
@@ -373,7 +398,7 @@ def test_injected_worker_crash_keeps_parity(threaded_baseline):
         assert pool.restarts >= 1 and pool.restaged_tasks >= 1
         # crash recovery is free for tenants: no retry charges, same bills
         assert (served, observable_state(warehouse)) == threaded_baseline
-        assert warehouse.resilience_stats.retries == 0
+        assert warehouse.metrics.value("repro_retries_total") == 0
     finally:
         warehouse.disable_sharding()
 

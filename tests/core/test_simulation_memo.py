@@ -212,15 +212,14 @@ def test_a_policy_instance_bypasses_the_memo(warehouse, simulator_runs):
 
 def test_invalidate_caches_empties_the_memo(warehouse, simulator_runs):
     """The estimator's ``invalidate_caches`` clears the walk tables only:
-    the simulations live on the cached plan, survive it and a stats
-    reset, and go with ``invalidate_plan_cache``."""
+    the simulations live on the cached plan, survive it, and go with
+    ``invalidate_plan_cache``."""
     sql = instantiate("q14_promo_effect", seed=1)
     session = warehouse.session(constraint=CONSTRAINTS[0])
     first = session.submit(sql).result()
     assert session.submit(sql).result().sim is first.sim
     warehouse.estimator.invalidate_caches()
-    warehouse.reset_cache_stats()
-    # Counters only: the entry is still there and still answers.
+    # Walk tables only: the entry is still there and still answers.
     kept = session.submit(sql).result()
     assert kept.choice is first.choice and kept.sim is first.sim
     assert simulator_runs.calls == 1

@@ -2,6 +2,7 @@
 (cost/estimator.py)."""
 
 import gc
+from dataclasses import replace
 
 import pytest
 
@@ -103,17 +104,17 @@ def test_overrides_projected_onto_pipeline_nodes(q5_dag):
         op.node.node_id for p in pipelines[1:] for op in p.ops
     }
     assert local_node not in other_ids  # the truth really is node-local
-    stats.reset()
+    before = replace(stats)
     estimator.estimate_dag(q5_dag, dops, overrides={local_node: 12345.0})
-    assert stats.timing_computations == 1
-    assert stats.timing_hits == len(q5_dag) - 1
+    assert stats.timing_computations - before.timing_computations == 1
+    assert stats.timing_hits - before.timing_hits == len(q5_dag) - 1
 
     # Equal projections share slots: a second mapping agreeing on this
     # plan's nodes (same single override) is a full hit.
-    stats.reset()
+    before = replace(stats)
     estimator.estimate_dag(q5_dag, dops, overrides={local_node: 12345.0})
-    assert stats.timing_computations == 0
-    assert stats.timing_hits == len(q5_dag)
+    assert stats.timing_computations == before.timing_computations
+    assert stats.timing_hits - before.timing_hits == len(q5_dag)
 
 
 def test_projection_preserves_none_vs_empty(q5_dag):
@@ -128,10 +129,10 @@ def test_projection_preserves_none_vs_empty(q5_dag):
     assert stats.timing_computations == 2 * len(q5_dag)  # distinct slots
     # A foreign-only mapping is the {} computation, served from cache.
     foreign = max(op.node.node_id for p in q5_dag for op in p.ops) + 1000
-    stats.reset()
+    before = replace(stats)
     foreign_estimate = estimator.estimate_dag(q5_dag, dops, overrides={foreign: 5.0})
-    assert stats.timing_computations == 0
-    assert stats.timing_hits == len(q5_dag)
+    assert stats.timing_computations == before.timing_computations
+    assert stats.timing_hits - before.timing_hits == len(q5_dag)
     assert foreign_estimate.latency == empty_estimate.latency
     assert none_estimate.latency > 0
 
@@ -407,6 +408,4 @@ def test_direct_cache_api_counts_hits(q5_dag):
     assert first is second
     assert estimator.stats.curve_computations == 1
     assert estimator.stats.curve_hits == 1
-    estimator.stats.reset()
-    assert estimator.stats.curve_hits == 0
     assert "curves" in estimator.stats.describe()

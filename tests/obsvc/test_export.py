@@ -29,7 +29,7 @@ def test_prometheus_text_structure(observed):
     lines = text.splitlines()
     assert text.endswith("\n")
     # one HELP/TYPE preamble per exposed metric, before its samples
-    assert lines.count("# TYPE repro_queries_served_total counter") == 1
+    assert lines.count("# TYPE repro_queries_served_total gauge") == 1
     assert 'repro_queries_served_total{tenant="acme"} 3' in lines
     assert 'repro_queries_served_total{tenant="bolt"} 3' in lines
     # sourced views expose as gauges
@@ -51,7 +51,7 @@ def test_prometheus_text_structure(observed):
 def test_prometheus_escapes_label_values():
     registry = MetricsRegistry()
     registry.counter(
-        "repro_queries_served_total", tenant='we"ird\\ten\nant'
+        "repro_queries_failed_total", tenant='we"ird\\ten\nant'
     )
     text = prometheus_text(registry)
     assert '\\"' in text and "\\\\" in text and "\\n" in text
@@ -68,7 +68,7 @@ def test_registry_json_round_trips_through_json(observed):
     image = registry_json(observed.metrics)
     clone = json.loads(json.dumps(image))
     entry = clone["repro_queries_served_total"]
-    assert entry["kind"] == "counter"
+    assert entry["kind"] == "source"
     served = {
         sample["labels"]["tenant"]: sample["value"]
         for sample in entry["samples"]

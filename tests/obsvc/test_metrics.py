@@ -37,26 +37,28 @@ def test_kind_mismatch_is_rejected():
         registry.counter("repro_query_latency_seconds", tenant="a")
     with pytest.raises(MetricNameError):
         registry.counter("repro_virtual_clock_seconds")
+    with pytest.raises(MetricNameError):
+        registry.counter("repro_queries_served_total", tenant="a")
 
 
 def test_label_mismatch_is_rejected():
     registry = MetricsRegistry()
     with pytest.raises(MetricNameError):
-        registry.counter("repro_queries_served_total")  # missing tenant
+        registry.counter("repro_queries_failed_total")  # missing tenant
     with pytest.raises(MetricNameError):
         registry.counter(
-            "repro_queries_served_total", tenant="a", extra="nope"
+            "repro_queries_failed_total", tenant="a", extra="nope"
         )
     with pytest.raises(MetricNameError):
-        registry.counter("repro_cost_snapshots_total", tenant="a")
+        registry.histogram("repro_worker_ipc_roundtrip_seconds", 0.1, tenant="a")
 
 
 def test_counters_are_integral_and_non_negative():
     registry = MetricsRegistry()
     with pytest.raises(MetricNameError):
-        registry.counter("repro_cost_snapshots_total", -1)
+        registry.counter("repro_queries_failed_total", -1, tenant="a")
     with pytest.raises(MetricNameError):
-        registry.counter("repro_cost_snapshots_total", 0.5)
+        registry.counter("repro_queries_failed_total", 0.5, tenant="a")
 
 
 def test_spec_validation():
@@ -79,17 +81,29 @@ def test_catalogue_is_well_formed():
             assert spec.buckets == tuple(sorted(spec.buckets))
 
 
+def test_owned_rows_are_the_events_no_ledger_record_carries():
+    """Everything a journal record carries is read from the ledger, so
+    a recovered warehouse reports it; the registry owns an instrument
+    only for an event no ledger record carries."""
+    owned = {name for name, spec in REGISTERED_METRICS.items() if spec.kind != "source"}
+    assert owned == {
+        "repro_queries_failed_total",
+        "repro_query_latency_seconds",
+        "repro_worker_ipc_roundtrip_seconds",
+    }
+
+
 # --------------------------------------------------------------------- #
 # Owned instruments
 # --------------------------------------------------------------------- #
 def test_counter_accumulates_per_label_set():
     registry = MetricsRegistry()
-    registry.counter("repro_queries_served_total", tenant="acme")
-    registry.counter("repro_queries_served_total", 2, tenant="acme")
-    registry.counter("repro_queries_served_total", tenant="bolt")
-    assert registry.value("repro_queries_served_total", tenant="acme") == 3
-    assert registry.value("repro_queries_served_total", tenant="bolt") == 1
-    assert registry.value("repro_queries_served_total", tenant="nobody") == 0
+    registry.counter("repro_queries_failed_total", tenant="acme")
+    registry.counter("repro_queries_failed_total", 2, tenant="acme")
+    registry.counter("repro_queries_failed_total", tenant="bolt")
+    assert registry.value("repro_queries_failed_total", tenant="acme") == 3
+    assert registry.value("repro_queries_failed_total", tenant="bolt") == 1
+    assert registry.value("repro_queries_failed_total", tenant="nobody") == 0
 
 
 def test_histogram_snapshot_is_cumulative_with_inf():
@@ -137,18 +151,18 @@ def test_labeled_source_lookup():
 def test_sourced_rejects_owned_kinds():
     registry = MetricsRegistry()
     with pytest.raises(MetricNameError):
-        registry.sourced("repro_queries_served_total")
+        registry.sourced("repro_queries_failed_total")
 
 
 # --------------------------------------------------------------------- #
-# Collection and lifecycle
+# Collection
 # --------------------------------------------------------------------- #
 def test_collect_is_deterministically_ordered():
     def build():
         registry = MetricsRegistry()
-        registry.counter("repro_queries_served_total", tenant="zeta")
-        registry.counter("repro_queries_served_total", tenant="alpha")
-        registry.counter("repro_cost_snapshots_total", 4)
+        registry.counter("repro_queries_failed_total", tenant="zeta")
+        registry.counter("repro_queries_failed_total", tenant="alpha")
+        registry.histogram("repro_worker_ipc_roundtrip_seconds", 0.004)
         registry.source(
             "repro_cache_hits_total", lambda: {("skeleton",): 3, ("plan",): 7}
         )
@@ -159,14 +173,3 @@ def test_collect_is_deterministically_ordered():
     assert [(s.name, s.labels) for s in samples] == sorted(
         (s.name, s.labels) for s in samples
     )
-
-
-def test_reset_clears_owned_but_keeps_sources():
-    registry = MetricsRegistry()
-    registry.counter("repro_cost_snapshots_total", 5)
-    registry.histogram("repro_query_latency_seconds", 1.0, tenant="a")
-    registry.source("repro_virtual_clock_seconds", lambda: 9.0)
-    registry.reset()
-    assert registry.value("repro_cost_snapshots_total") == 0
-    assert registry.value("repro_query_latency_seconds", tenant="a") is None
-    assert registry.value("repro_virtual_clock_seconds") == 9.0

@@ -19,11 +19,14 @@ import pytest
 from tests.obsvc.conftest import SLA, T_JOIN, T_ORDERS, TENANTS, run_workload
 from repro.core.service import QueryRequest
 from repro.core.journal import Checkpoint, CostSnapshotTaken, WriteAheadJournal
+from repro.core.resilience import ResiliencePolicy, RetryPolicy
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.obsvc.drilldown import DrillDownNavigator
+from repro.obsvc.metrics import REGISTERED_METRICS
 from repro.statsvc.logs import WINDOW_RECORDS
 from repro.testing import (
     FaultPlan,
+    FaultSpec,
     RecordingJournal,
     SimulatedCrashError,
     crash_probes,
@@ -173,3 +176,102 @@ def test_sealed_journal_bytes_stay_flat_once_the_window_is_full(catalog):
     assert late <= 1.5 * early, (early, late)
     assert warehouse.logs.last_query_id == len(warehouse.logs) * 4
     assert len(journal) > 4 * WINDOW_RECORDS > len(journal.entries())
+
+
+#: Registry rows a recovered warehouse starts afresh: each counts an
+#: event of the process that served it, which no journal record
+#: carries.  Every other row reads the ledger and must survive recovery.
+PROCESS_LOCAL = {
+    "repro_queries_failed_total": "a failed query leaves no journal record",
+    "repro_query_latency_seconds": "observed per served query, not journaled",
+    "repro_worker_ipc_roundtrip_seconds": "host wall time of this process's pool",
+    "repro_deadline_hits_total": "a deadline hit leaves no journal record",
+    "repro_degraded_queries_total": "the degraded mark is not in the served record",
+    "repro_breaker_state": "breakers are process memory",
+    "repro_breaker_opens_total": "breakers are process memory",
+    "repro_breaker_consecutive_failures": "breakers are process memory",
+    "repro_tuning_cycles_total": "cycles this process ran",
+    "repro_worker_pool_size": "the pool is process memory",
+    "repro_worker_restarts_total": "the pool is process memory",
+    "repro_worker_restaged_tasks_total": "the pool is process memory",
+    "repro_worker_warm_task_hits_total": "the pool is process memory",
+    "repro_cache_entries": "the plan caches start cold",
+    "repro_cache_capacity": "the plan caches are rebuilt from construction kwargs",
+    "repro_cache_hits_total": "the plan caches start cold",
+    "repro_cache_misses_total": "the plan caches start cold",
+    "repro_cache_evictions_total": "the plan caches start cold",
+    "repro_timing_cache_hits_total": "the estimator memos start cold",
+    "repro_timing_cache_computations_total": "the estimator memos start cold",
+    "repro_process_memo_hits_total": "counts the whole interpreter",
+    "repro_process_memo_misses_total": "counts the whole interpreter",
+    "repro_process_memo_entries": "counts the whole interpreter",
+    "repro_process_memo_capacity": "counts the whole interpreter",
+    "repro_journal_records_total": "counts the post-recovery checkpoint",
+    "repro_journal_records_since_checkpoint": "counts from the post-recovery checkpoint",
+    "repro_journal_last_checkpoint_id": "names the post-recovery checkpoint",
+}
+
+
+def _label_sets(*warehouses) -> dict[str, set]:
+    """Every label set a row samples on any of ``warehouses``."""
+    label_sets: dict[str, set] = {}
+    for warehouse in warehouses:
+        for sample in warehouse.metrics.collect():
+            label_sets.setdefault(sample.name, set()).add(sample.labels)
+    return label_sets
+
+
+def _registry_readings(warehouse, label_sets: dict[str, set]) -> dict:
+    """Every ledger-backed row's ``sourced()`` mapping (sourced rows)
+    and its ``value()`` per label set of ``label_sets``."""
+    metrics = warehouse.metrics
+    readings = {}
+    for name, spec in REGISTERED_METRICS.items():
+        if name in PROCESS_LOCAL:
+            continue
+        sourced = metrics.sourced(name) if spec.kind == "source" else None
+        values = {
+            labels: metrics.value(name, **dict(labels))
+            for labels in label_sets.get(name, ())
+        }
+        readings[name] = (sourced, values)
+    return readings
+
+
+def test_a_recovered_warehouse_reports_the_live_registry(catalog):
+    """Every registry row but the process-local ones reads the ledger,
+    so a recovered warehouse reports what the live one did: served
+    queries, spend by component, admission verdicts, retries and
+    snapshots included.  The live readings are taken before recovery
+    writes its checkpoint."""
+    assert set(PROCESS_LOCAL) <= set(REGISTERED_METRICS)
+    budgets = dict.fromkeys(TENANTS, 100.0)
+    resilience = ResiliencePolicy(retry=RetryPolicy(max_attempts=3, seed=7))
+    journal = WriteAheadJournal(checkpoint_every=CHECKPOINT_EVERY)
+    live = CostIntelligentWarehouse(
+        catalog=catalog, journal=journal, tenant_budgets=budgets, resilience=resilience
+    )
+    live.inject_faults(
+        FaultPlan(
+            [FaultSpec(point="simulate", error_rate=1.0, after=1, limit=1)], seed=7
+        )
+    )
+    live.enable_collection(cadence_queries=CADENCE * 2)
+    run_workload(live, count=10)
+    assert live.faults.fired == {"simulate": 1}
+    assert sum(bill.retries for bill in live.billing.values()) == 1
+    assert len(live.cost_history) == 2
+    expected = _registry_readings(live, _label_sets(live))
+
+    recovered = CostIntelligentWarehouse.recover(
+        journal, catalog=catalog, tenant_budgets=budgets, resilience=resilience
+    )
+    found = _registry_readings(recovered, _label_sets(live, recovered))
+    differing = {
+        name: {"live": expected[name], "recovered": found[name]}
+        for name in expected
+        if found[name] != expected[name]
+    }
+    assert not differing, f"{sorted(differing)}: {differing}"
+    retry_dollars = live.describe_health()["resilience"]["retry_dollars"]
+    assert recovered.describe_health()["resilience"]["retry_dollars"] == retry_dollars > 0

@@ -3,8 +3,10 @@ sourced-metric table behind them.
 
 ``views_fixture.json`` was captured from :func:`observed_run` at the
 commit before the views moved out of ``core/warehouse.py``
-(``python tests/obsvc/test_views.py <out.json>`` regenerates it): the
-delegates on the warehouse must keep returning that, key for key.
+(``python tests/obsvc/test_views.py <out.json>`` regenerates it), and
+regenerated only when registry rows were deleted or re-sourced with
+every remaining value equal: the delegates on the warehouse must keep
+returning that, key for key.
 """
 
 from __future__ import annotations
