@@ -23,7 +23,7 @@ After 512, 1,024, 2,048, 4,096 and 8,192 queries (those up to
 - ``retained``: the journal's retained entries (``-`` journal-free).
 
 Each warehouse runs in a fresh interpreter, so neither heap is read with
-process-wide memos (the SQL parameterizer's LRU, the template parses)
+process-wide memos (the SQL parameterizer's LRU, the perturbation draws)
 that the other run filled.  The exit code is 1 if a query failed, else
 0; no size is gated.
 """

@@ -1,4 +1,4 @@
-"""Process-sharded planner serving: warm worker pools that scale with cores.
+"""Process-sharded planner serving: warm worker pools that plan off the coordinator.
 
 The threaded :class:`~repro.core.service.ServingScheduler` fans staging
 out over threads, but CPU-heavy planning (bind -> join-order DP -> bushy
@@ -54,6 +54,14 @@ same worker at the same dispatch boundary in every run, regardless of
 worker timing.  Planning itself is a pure function of (catalog,
 hardware, query, constraint), so sharded output is bit-identical to the
 threaded and sequential paths — enforced by the sharded chaos histories.
+
+Throughput does not scale with workers yet.  With one worker on a
+2-core container, the coordinator alone spends 1.0–1.3 ms of CPU per
+query — unpickling replies 0.23–0.32 ms, simulating 0.31–0.40 ms (the
+walk's curves stay in the worker; inline it is 0.16–0.18 ms),
+finalizing 0.19–0.23 ms (inline 0.12–0.14 ms) — while serving inline
+costs 0.97–1.19 ms in all.  No number of workers raises throughput until
+the coordinator's share shrinks (ROADMAP, ``benchmark`` item (k)).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ from repro.cost.estimate import CostEstimate
 from repro.cost.hardware import HardwareCalibration
 from repro.cost.query_simulator import simulate_dag
 from repro.cost.regression import ExchangeCalibration
-from repro.plan.physical import PhysScan, walk_physical
+from repro.plan.physical import PhysScan
 from repro.plan.pipelines import Pipeline, PipelineDag
 from repro.util.units import MB
 

@@ -38,7 +38,6 @@ from typing import Callable
 from repro.errors import ReproError
 from repro.sim.distsim import perturbation_draws
 from repro.sql.parameterize import parameterize_sql
-from repro.sql.parser import template_cache_info
 from repro.util.units import to_ledger_units
 
 __all__ = [
@@ -129,10 +128,10 @@ def _per_memo(field_name: str) -> Callable:
 #: ``repro_process_memo_*`` metrics and in ``describe_caches()``: each
 #: name's ``cache_info()``-shaped reader.  They belong to the
 #: interpreter, not to a warehouse, so every warehouse in a process
-#: reports the same values.
+#: reports the same values.  There are two: template parses are not
+#: memoized (one costs ~0.06 ms; see :mod:`repro.sql.parser`).
 PROCESS_MEMOS: dict[str, Callable] = {
     "parameterize": parameterize_sql.cache_info,
-    "template_parse": template_cache_info,
     "perturbation_draws": perturbation_draws.cache_info,
 }
 

@@ -3,8 +3,8 @@
 These nodes mirror the textual query; names are unresolved and string
 literals are raw.  The binder converts them into bound
 :mod:`repro.plan.expressions` trees plus a :class:`~repro.sql.binder.BoundQuery`.
-Every node is slotted: the process-wide template parses hold thousands
-of them, and an instance ``__dict__`` was most of their size.  They
+Every node is slotted: every template a binder binds is parsed afresh,
+and an instance ``__dict__`` was most of a node's size.  They
 never cross the planner-worker pipe, so the frozen ones' Python-level
 pickle hooks cost nothing.
 """

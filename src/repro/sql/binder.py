@@ -24,11 +24,11 @@ literal's *value* can change are checked, not assumed: a template whose
 bound query drops a slot (a literal inside ORDER BY, or in an aggregate
 the binder merged with an equal one) is not kept, so its instances bind
 in full, and so does an instance whose literals make two of the
-template's aggregates equal.  The template parse is process-wide and
-holds the first instance's literals; when those do not bind into a
-fillable template, the binder binds a parse of the instance at hand
-instead.  Either way the result equals binding a full parse of the
-text, field for field.
+template's aggregates equal.  A template is bound from a parse of the
+instance at hand (``parse_parameterized`` reads the template key's
+words, with no lexing and no memo), so another query's literals never
+decide this one's outcome.  Filled or bound in full, the result equals
+binding a full parse of the text, field for field.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Hashable
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import DataType
-from repro.errors import BindError
+from repro.errors import BindError, ParseError
 from repro.plan.expressions import (
     COMPARISON_OPS,
     AggCall,
@@ -68,7 +68,7 @@ from repro.sql.ast_nodes import (
     AstUnary,
 )
 from repro.sql.parameterize import bind_constants, parameterize_sql
-from repro.sql.parser import TemplateParse, parse, parse_parameterized, parse_template
+from repro.sql.parser import TemplateParse, parse, parse_parameterized
 
 #: Bound templates one binder keeps; the least recently used leaves
 #: first.  A template is a pure function of its key and the catalog
@@ -223,39 +223,23 @@ class Binder:
             template, bound = self._bind_template(template_key, constants, sql, version)
             if template.fillable:
                 self.templates.store(key, template)
-            if bound is not None:
-                return bound
+            return bound
         bound = template.fill(constants, sql)
         if bound is None:
-            stmt = parse(sql or bind_constants(template_key, constants))
-            bound = self.bind(stmt, sql=sql)
+            bound = self.bind(parse_parameterized(template_key, constants).stmt, sql=sql)
         return bound
 
     def _bind_template(
         self, template_key: str, constants: tuple, sql: str, version: int
-    ) -> tuple["_BoundTemplate", BoundQuery | None]:
-        """The template bound, and this instance's bound query when the
-        template was bound from this instance's own literals (``None``
-        when it is still to be filled in).
-
-        The process-wide parse holds the literals of whichever instance
-        came first, and a literal's value can decide whether a statement
-        binds (ORDER BY matches the select list by value) or keeps every
-        slot (equal aggregates merge).  When that parse does not bind
-        into a fillable template, the template is bound from a parse of
-        this instance instead, so another query's literals never decide
-        this one's outcome."""
-        parsed = parse_parameterized(template_key, constants, sql)
-        if parsed.constants != constants:
-            try:
-                template = _BoundTemplate(
-                    *self._bind(parsed.stmt, sql, parsed.slots), parsed, version
-                )
-            except BindError:
-                template = None
-            if template is not None and template.fillable:
-                return template, None
-            parsed = parse_template(template_key, constants, sql)
+    ) -> tuple["_BoundTemplate", BoundQuery]:
+        """The template bound from this instance's parse, and this
+        instance's bound query."""
+        try:
+            parsed = parse_parameterized(template_key, constants)
+        except ParseError:
+            # The same error, at its offset into the text.
+            parse(sql or bind_constants(template_key, constants))
+            raise
         bound, produced = self._bind(parsed.stmt, sql, parsed.slots)
         template = _BoundTemplate(bound, produced, parsed, version)
         bound.__dict__["_columns_needed"] = template.columns_needed

@@ -81,12 +81,6 @@ class Token:
     text: str
     position: int
 
-    def is_keyword(self, word: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.text == word
-
-    def is_symbol(self, symbol: str) -> bool:
-        return self.type is TokenType.SYMBOL and self.text == symbol
-
 
 def lex_error(match: re.Match) -> ParseError:
     """The error for a ``bad`` match: a quote the string alternative

@@ -1,4 +1,4 @@
-"""Recursive-descent SQL parser: token stream -> unbound AST.
+"""Recursive-descent SQL parser: token texts -> unbound AST.
 
 Grammar (roughly):
 
@@ -15,16 +15,32 @@ Grammar (roughly):
     term      := factor (('*'|'/') factor)*
     factor    := '-' factor | primary
     primary   := literal | func '(' ... ')' | column | '(' expr ')'
+
+The parser reads a list of token *texts*, words lower-cased.  Every
+literal reads :data:`~repro.sql.parameterize.PARAM` and its ``(kind,
+text)`` is the statement's next constant, in token order.  No keyword,
+symbol or identifier is spelled ``?``, and a word is a keyword exactly
+when it is in ``KEYWORDS``, so a keyword or symbol test is one string
+comparison.  Two feeders fill it:
+
+- :func:`parse_parameterized` splits a template key on its single
+  spaces: the key already *is* the canonical token stream
+  (``parameterize_sql`` joins the token texts and writes ``?`` for each
+  literal), so the serving path never lexes a template again;
+- :func:`parse` lexes the text, so its ``ParseError`` offsets point into
+  it.
+
+A template parse costs ~0.06 ms on the ad-hoc shapes, so nothing keeps
+one: each instance is parsed for itself.
 """
 
 from __future__ import annotations
 
 import datetime
-import threading
-from collections import OrderedDict
+import sys
 from typing import Callable, NamedTuple
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.sql.ast_nodes import (
     AstBetween,
     AstBinary,
@@ -40,106 +56,75 @@ from repro.sql.ast_nodes import (
     AstTableRef,
     AstUnary,
 )
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import KEYWORDS, TokenType, tokenize
+from repro.sql.parameterize import PARAM
 
-_COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
-_FUNCTION_NAMES = {"sum", "count", "avg", "min", "max", "abs", "year"}
+_COMPARISONS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
+_FUNCTION_NAMES = frozenset({"sum", "count", "avg", "min", "max", "abs", "year"})
+#: The text after the last token.  A token list ends with two, so a
+#: one-token lookahead never runs off it.
+_END = ""
+#: Every token text that is not an identifier.
+_NOT_NAMES = frozenset(
+    KEYWORDS
+    | {"<>", "!=", "<=", ">=", "<", ">", "=", "(", ")", ",", ".", "+", "-", "*", "/", ";"}
+    | {PARAM, _END}
+)
 
 
 def parse(sql: str) -> AstSelect:
     """Parse one SELECT statement."""
-    return _Parser(tokenize(sql)).parse_select()
+    texts: list[str] = []
+    constants: list[tuple[str, str]] = []
+    positions: list[int] = []
+    for token in tokenize(sql):
+        kind = token.type
+        if kind is TokenType.NUMBER or kind is TokenType.STRING:
+            texts.append(PARAM)
+            constants.append((kind.name, token.text))
+        else:
+            texts.append(token.text)
+        positions.append(token.position)
+    texts.append(_END)
+    positions.append(positions[-1])
+    return _Parser(texts, constants, positions).parse_select()
 
 
 class TemplateParse(NamedTuple):
-    """One template's parse: the statement as parsed from an instance
-    (whose ``constants`` it keeps), and where its literals sit.
-    ``slots`` maps ``id()`` of every literal node in ``stmt`` to its
-    position among the constants; ``readers`` holds, per position, the
-    function the parser applies to that literal's token text (numbers,
-    dates, negation, LIMIT); ``limit_slot`` is the LIMIT's position, or
-    ``None``."""
+    """One instance's parse, and where its literals sit.  ``slots`` maps
+    ``id()`` of every literal node in ``stmt`` to its position among the
+    constants; ``readers`` holds, per position, the function the parser
+    applies to that literal's text (numbers, dates, negation, LIMIT);
+    ``limit_slot`` is the LIMIT's position, or ``None``."""
 
     stmt: AstSelect
-    constants: tuple
     slots: dict[int, int]
     readers: tuple[Callable[[str], object], ...]
     limit_slot: int | None
 
 
-class MemoInfo(NamedTuple):
-    """A process-wide memo's traffic and size, with the field names of
-    ``functools.lru_cache``'s ``cache_info()``."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-#: Template parses keyed on ``(template key, literal kinds)``, least
-#: recently used first; the entries are pure functions of the key.
-#: Process-wide because a warehouse built later in the process reuses
-#: the parses of one built earlier.
-_TEMPLATE_CACHE: OrderedDict = OrderedDict()  # lint-allow: process-memo without it adhoc_cold p50 rose 5-13 % and setup_s 13-41 % (4 of 4 pairs): later set-ups reuse the first's parses
-_TEMPLATE_CACHE_CAP = 4096
-_TEMPLATE_LOCK = threading.Lock()
-_template_hits = 0
-_template_misses = 0
-
-
-def parse_parameterized(
-    template_key: str, constants: tuple, sql: str = ""
-) -> TemplateParse:
-    """The parse of a ``(template_key, constants)`` pair's template.
+def parse_parameterized(template_key: str, constants: tuple) -> TemplateParse:
+    """Parse the statement a ``(template_key, constants)`` pair stands
+    for, from the key's words and the constants, and record its slots.
 
     Grammar structure depends only on token kinds and keyword/symbol
-    text — literal *values* never steer the parser — so all instances of
-    a template whose literals have the same kinds parse to one statement
-    shape.  It is parsed once per process; the binder binds it once and
-    fills each instance's constants into the slots recorded here.  A
-    template seen for the first time is parsed from ``sql`` (the text the
-    pair was split from) or, without it, from the text the pair renders
-    to.
+    text — literal *values* never steer the parser — so every instance
+    of a template parses to one statement shape; the binder binds it
+    once and fills each later instance's constants into the slots
+    recorded here.  Errors carry no offset: there is no text to point
+    into.
     """
-    global _template_hits, _template_misses
-    key = (template_key, tuple(kind for kind, _ in constants))
-    with _TEMPLATE_LOCK:
-        found = _TEMPLATE_CACHE.get(key)
-        if found is not None:
-            _template_hits += 1
-            _TEMPLATE_CACHE.move_to_end(key)
-            return found
-        _template_misses += 1
-    found = parse_template(template_key, constants, sql)
-    with _TEMPLATE_LOCK:
-        found = _TEMPLATE_CACHE.setdefault(key, found)
-        if len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_CAP:
-            _TEMPLATE_CACHE.popitem(last=False)
-    return found
-
-
-def template_cache_info() -> MemoInfo:
-    """Hits, misses, capacity and live entries of the template-parse
-    memo behind :func:`parse_parameterized`."""
-    with _TEMPLATE_LOCK:
-        return MemoInfo(
-            _template_hits, _template_misses, _TEMPLATE_CACHE_CAP, len(_TEMPLATE_CACHE)
+    texts = list(map(sys.intern, template_key.split(" ")))
+    if texts.count(PARAM) != len(constants):
+        raise ReproError(
+            f"template takes {texts.count(PARAM)} constants, got {len(constants)}"
         )
-
-
-def parse_template(template_key: str, constants: tuple, sql: str = "") -> TemplateParse:
-    """This very instance's template parse, kept nowhere: what
-    :func:`parse_parameterized` caches, and what a binder binds when the
-    cached parse's literals do not bind (see :mod:`repro.sql.binder`)."""
-    from repro.sql.parameterize import bind_constants
-
-    parser = _Parser(tokenize(sql or bind_constants(template_key, constants)))
+    texts += (_END, _END)
+    parser = _Parser(texts, constants, None)
     stmt = parser.parse_select()
     slots = parser.literal_slots
     return TemplateParse(
         stmt,
-        constants,
         {id(node): i for i, (node, _) in enumerate(slots) if node is not None},
         tuple(reader for _, reader in slots),
         next((i for i, (node, _) in enumerate(slots) if node is None), None),
@@ -159,7 +144,7 @@ def _negated(reader: Callable[[str], object]) -> Callable[[str], object]:
     return lambda text: -reader(text)  # type: ignore[operator]
 
 
-def parse_date(text: str, position: int = 0) -> int:
+def parse_date(text: str, position: int | None = 0) -> int:
     """Convert ``YYYY-MM-DD`` into epoch days (the engine's date encoding)."""
     try:
         parsed = datetime.date.fromisoformat(text)
@@ -169,267 +154,263 @@ def parse_date(text: str, position: int = 0) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+    __slots__ = ("_texts", "_constants", "_positions", "_pos", "literal_slots")
+
+    def __init__(
+        self, texts: list[str], constants: tuple | list, positions: list[int] | None
+    ) -> None:
+        self._texts = texts
+        self._constants = constants
+        #: Each token's offset into the source text, or ``None``.
+        self._positions = positions
         self._pos = 0
         #: One ``[literal node, reader]`` per literal token consumed, in
         #: token order: the node the literal became (``None`` for LIMIT's
-        #: number) and the function that read its token text (see
-        #: :func:`parse_parameterized`).
+        #: number) and the function that read its text (see
+        #: :func:`parse_parameterized`).  Its length indexes the next
+        #: literal's constant.
         self.literal_slots: list[list] = []
 
     # ------------------------------------------------------------------ #
     # Token helpers
     # ------------------------------------------------------------------ #
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.type is not TokenType.EOF:
+    def _accept(self, text: str) -> bool:
+        """Consume the next token if it reads ``text`` (a keyword or a
+        symbol)."""
+        if self._texts[self._pos] == text:
             self._pos += 1
-        return token
-
-    def _accept_keyword(self, word: str) -> bool:
-        if self._peek().is_keyword(word):
-            self._advance()
             return True
         return False
 
-    def _accept_symbol(self, symbol: str) -> bool:
-        if self._peek().is_symbol(symbol):
-            self._advance()
-            return True
-        return False
+    def _expect(self, text: str) -> None:
+        if self._texts[self._pos] != text:
+            wanted = text.upper() if text in KEYWORDS else repr(text)
+            raise self._error(f"expected {wanted}, found {self._found()!r}")
+        self._pos += 1
 
-    def _expect_keyword(self, word: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(word):
-            raise ParseError(f"expected {word.upper()}, found {token.text!r}", token.position)
-        return self._advance()
+    def _name(self) -> str:
+        text = self._texts[self._pos]
+        if text in _NOT_NAMES:
+            raise self._error(f"expected identifier, found {self._found()!r}")
+        self._pos += 1
+        return text
 
-    def _expect_symbol(self, symbol: str) -> Token:
-        token = self._peek()
-        if not token.is_symbol(symbol):
-            raise ParseError(f"expected {symbol!r}, found {token.text!r}", token.position)
-        return self._advance()
+    def _constant(self) -> tuple[str, str]:
+        """The next literal's ``(kind, text)``."""
+        return self._constants[len(self.literal_slots)]
 
-    def _expect_ident(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.IDENT:
-            raise ParseError(f"expected identifier, found {token.text!r}", token.position)
-        return self._advance()
+    def _found(self) -> str:
+        """The next token as written: a literal's own text."""
+        text = self._texts[self._pos]
+        return self._constant()[1] if text == PARAM else text
+
+    def _position(self, index: int) -> int | None:
+        return None if self._positions is None else self._positions[index]
+
+    def _error(self, message: str, index: int | None = None) -> ParseError:
+        """An error at the token ``index`` (the next token by default)."""
+        return ParseError(message, self._position(self._pos if index is None else index))
 
     # ------------------------------------------------------------------ #
     # Statement
     # ------------------------------------------------------------------ #
     def parse_select(self) -> AstSelect:
-        self._expect_keyword("select")
+        texts = self._texts
+        self._expect("select")
         stmt = AstSelect()
-        stmt.distinct = self._accept_keyword("distinct")
+        stmt.distinct = self._accept("distinct")
         stmt.items.append(self._select_item())
-        while self._accept_symbol(","):
+        while self._accept(","):
             stmt.items.append(self._select_item())
 
-        self._expect_keyword("from")
+        self._expect("from")
         stmt.tables.append(self._table_ref())
         while True:
-            if self._accept_symbol(","):
+            text = texts[self._pos]
+            if text == ",":
+                self._pos += 1
                 stmt.tables.append(self._table_ref())
-                continue
-            if self._peek().is_keyword("inner") or self._peek().is_keyword("join"):
-                self._accept_keyword("inner")
-                self._expect_keyword("join")
+            elif text == "inner" or text == "join":
+                self._accept("inner")
+                self._expect("join")
                 table = self._table_ref()
-                self._expect_keyword("on")
-                condition = self.expr()
-                stmt.joins.append(AstJoin(table=table, condition=condition))
-                continue
-            break
+                self._expect("on")
+                stmt.joins.append(AstJoin(table=table, condition=self._or_expr()))
+            else:
+                break
 
-        if self._accept_keyword("where"):
-            stmt.where = self.expr()
-        if self._accept_keyword("group"):
-            self._expect_keyword("by")
+        if self._accept("where"):
+            stmt.where = self._or_expr()
+        if self._accept("group"):
+            self._expect("by")
             stmt.group_by.append(self._group_column())
-            while self._accept_symbol(","):
+            while self._accept(","):
                 stmt.group_by.append(self._group_column())
-        if self._accept_keyword("having"):
-            stmt.having = self.expr()
-        if self._accept_keyword("order"):
-            self._expect_keyword("by")
+        if self._accept("having"):
+            stmt.having = self._or_expr()
+        if self._accept("order"):
+            self._expect("by")
             stmt.order_by.append(self._order_item())
-            while self._accept_symbol(","):
+            while self._accept(","):
                 stmt.order_by.append(self._order_item())
-        if self._accept_keyword("limit"):
-            token = self._peek()
-            if token.type is not TokenType.NUMBER:
-                raise ParseError("LIMIT requires a number", token.position)
-            self._advance()
-            stmt.limit = _limit(token.text)
+        if self._accept("limit"):
+            if texts[self._pos] != PARAM or self._constant()[0] != "NUMBER":
+                raise self._error("LIMIT requires a number")
+            stmt.limit = _limit(self._constant()[1])
+            self._pos += 1
             self.literal_slots.append([None, _limit])
-        self._accept_symbol(";")
-        tail = self._peek()
-        if tail.type is not TokenType.EOF:
-            raise ParseError(f"unexpected trailing input {tail.text!r}", tail.position)
+        self._accept(";")
+        if texts[self._pos] != _END:
+            raise self._error(f"unexpected trailing input {self._found()!r}")
         return stmt
 
+    def _alias(self) -> str | None:
+        """``AS name``, a bare name, or nothing."""
+        if self._accept("as") or self._texts[self._pos] not in _NOT_NAMES:
+            return self._name()
+        return None
+
     def _select_item(self) -> AstSelectItem:
-        expr = self.expr()
-        alias: str | None = None
-        if self._accept_keyword("as"):
-            alias = self._expect_ident().text
-        elif self._peek().type is TokenType.IDENT:
-            alias = self._advance().text
-        return AstSelectItem(expr=expr, alias=alias)
+        expr = self._or_expr()
+        return AstSelectItem(expr=expr, alias=self._alias())
 
     def _table_ref(self) -> AstTableRef:
-        name = self._expect_ident().text
-        alias: str | None = None
-        if self._accept_keyword("as"):
-            alias = self._expect_ident().text
-        elif self._peek().type is TokenType.IDENT:
-            alias = self._advance().text
-        return AstTableRef(name=name, alias=alias)
+        name = self._name()
+        return AstTableRef(name=name, alias=self._alias())
 
     def _group_column(self) -> AstColumn:
-        expr = self.expr()
+        expr = self._or_expr()
         if not isinstance(expr, AstColumn):
-            raise ParseError("GROUP BY supports plain columns only", self._peek().position)
+            raise self._error("GROUP BY supports plain columns only")
         return expr
 
     def _order_item(self) -> AstOrderItem:
-        expr = self.expr()
-        ascending = True
-        if self._accept_keyword("asc"):
-            ascending = True
-        elif self._accept_keyword("desc"):
-            ascending = False
-        return AstOrderItem(expr=expr, ascending=ascending)
+        expr = self._or_expr()
+        if self._accept("desc"):
+            return AstOrderItem(expr=expr, ascending=False)
+        self._accept("asc")
+        return AstOrderItem(expr=expr, ascending=True)
 
     # ------------------------------------------------------------------ #
     # Expressions
     # ------------------------------------------------------------------ #
-    def expr(self) -> AstExpr:
-        return self._or_expr()
-
     def _or_expr(self) -> AstExpr:
         left = self._and_expr()
-        while self._accept_keyword("or"):
+        while self._texts[self._pos] == "or":
+            self._pos += 1
             left = AstBinary("or", left, self._and_expr())
         return left
 
     def _and_expr(self) -> AstExpr:
         left = self._not_expr()
-        while self._accept_keyword("and"):
+        while self._texts[self._pos] == "and":
+            self._pos += 1
             left = AstBinary("and", left, self._not_expr())
         return left
 
     def _not_expr(self) -> AstExpr:
-        if self._accept_keyword("not"):
+        if self._texts[self._pos] == "not":
+            self._pos += 1
             return AstUnary("not", self._not_expr())
         return self._predicate()
 
     def _predicate(self) -> AstExpr:
         left = self._additive()
-        token = self._peek()
-        if token.type is TokenType.SYMBOL and token.text in _COMPARISONS:
-            self._advance()
-            op = "<>" if token.text == "!=" else token.text
-            return AstBinary(op, left, self._additive())
-        negated = False
-        if token.is_keyword("not"):
-            lookahead = self._peek(1)
-            if lookahead.is_keyword("between") or lookahead.is_keyword("in"):
-                self._advance()
-                negated = True
-                token = self._peek()
-        if token.is_keyword("between"):
-            self._advance()
-            low = self._additive()
-            self._expect_keyword("and")
-            high = self._additive()
-            return AstBetween(left, low, high, negated=negated)
-        if token.is_keyword("in"):
-            self._advance()
-            self._expect_symbol("(")
-            values = [self._literal()]
-            while self._accept_symbol(","):
-                values.append(self._literal())
-            self._expect_symbol(")")
-            return AstInList(left, tuple(values), negated=negated)
+        texts = self._texts
+        text = texts[self._pos]
+        if text in _COMPARISONS:
+            self._pos += 1
+            return AstBinary("<>" if text == "!=" else text, left, self._additive())
+        negated = text == "not" and texts[self._pos + 1] in ("between", "in")
         if negated:
-            raise ParseError("expected BETWEEN or IN after NOT", token.position)
+            self._pos += 1
+            text = texts[self._pos]
+        if text == "between":
+            self._pos += 1
+            low = self._additive()
+            self._expect("and")
+            return AstBetween(left, low, self._additive(), negated=negated)
+        if text == "in":
+            self._pos += 1
+            self._expect("(")
+            values = [self._literal()]
+            while self._accept(","):
+                values.append(self._literal())
+            self._expect(")")
+            return AstInList(left, tuple(values), negated=negated)
         return left
 
     def _additive(self) -> AstExpr:
         left = self._term()
+        texts = self._texts
         while True:
-            token = self._peek()
-            if token.is_symbol("+") or token.is_symbol("-"):
-                self._advance()
-                left = AstBinary(token.text, left, self._term())
-            else:
+            text = texts[self._pos]
+            if text != "+" and text != "-":
                 return left
+            self._pos += 1
+            left = AstBinary(text, left, self._term())
 
     def _term(self) -> AstExpr:
         left = self._factor()
+        texts = self._texts
         while True:
-            token = self._peek()
-            if token.is_symbol("*") or token.is_symbol("/"):
-                self._advance()
-                left = AstBinary(token.text, left, self._factor())
-            else:
+            text = texts[self._pos]
+            if text != "*" and text != "/":
                 return left
+            self._pos += 1
+            left = AstBinary(text, left, self._factor())
 
     def _factor(self) -> AstExpr:
-        if self._accept_symbol("-"):
+        if self._texts[self._pos] == "-":
+            self._pos += 1
             return AstUnary("-", self._factor())
         return self._primary()
 
     def _primary(self) -> AstExpr:
-        token = self._peek()
-        if token.type is TokenType.NUMBER:
-            self._advance()
-            node = AstLiteral(_number(token.text))
-            self.literal_slots.append([node, _number])
+        texts = self._texts
+        pos = self._pos
+        text = texts[pos]
+        if text == PARAM:
+            self._pos = pos + 1
+            kind, value = self._constant()
+            if kind == "NUMBER":
+                node = AstLiteral(_number(value))
+                self.literal_slots.append([node, _number])
+            else:
+                node = AstLiteral(value)
+                self.literal_slots.append([node, str])
             return node
-        if token.type is TokenType.STRING:
-            self._advance()
-            node = AstLiteral(token.text)
-            self.literal_slots.append([node, str])
-            return node
-        if token.is_keyword("date"):
-            self._advance()
-            literal = self._peek()
-            if literal.type is not TokenType.STRING:
-                raise ParseError("DATE must be followed by a string", literal.position)
-            self._advance()
-            node = AstLiteral(parse_date(literal.text, literal.position), is_date=True)
+        if text == "date":
+            pos += 1
+            if texts[pos] != PARAM or self._constant()[0] != "STRING":
+                raise self._error("DATE must be followed by a string", pos)
+            self._pos = pos + 1
+            days = parse_date(self._constant()[1], self._position(pos))
+            node = AstLiteral(days, is_date=True)
             self.literal_slots.append([node, parse_date])
             return node
-        if token.is_symbol("("):
-            self._advance()
-            inner = self.expr()
-            self._expect_symbol(")")
+        if text == "(":
+            self._pos = pos + 1
+            inner = self._or_expr()
+            self._expect(")")
             return inner
-        if token.type is TokenType.IDENT:
-            if token.text in _FUNCTION_NAMES and self._peek(1).is_symbol("("):
+        if text not in _NOT_NAMES:
+            following = texts[pos + 1]
+            if following == "(" and text in _FUNCTION_NAMES:
                 return self._func_call()
-            self._advance()
-            if self._accept_symbol("."):
-                column = self._expect_ident()
-                return AstColumn(name=column.text, qualifier=token.text)
-            return AstColumn(name=token.text)
-        raise ParseError(f"unexpected token {token.text!r}", token.position)
+            if following == ".":
+                self._pos = pos + 2
+                return AstColumn(name=self._name(), qualifier=text)
+            self._pos = pos + 1
+            return AstColumn(name=text)
+        raise self._error(f"unexpected token {self._found()!r}")
 
     def _literal(self) -> AstLiteral:
         expr = self._factor()
         if isinstance(expr, AstUnary) and expr.op == "-" and isinstance(expr.operand, AstLiteral):
             value = expr.operand.value
             if isinstance(value, str):
-                raise ParseError("cannot negate a string literal", self._peek().position)
+                raise self._error("cannot negate a string literal")
             node = AstLiteral(-value)
             # The negation folds into the literal: repoint its slot at
             # the folded node and read its text negated.
@@ -439,21 +420,21 @@ class _Parser:
             slot[1] = _negated(slot[1])
             return node
         if not isinstance(expr, AstLiteral):
-            raise ParseError("expected a literal value", self._peek().position)
+            raise self._error("expected a literal value")
         return expr
 
     def _func_call(self) -> AstExpr:
-        name_token = self._advance()
-        name = name_token.text
-        self._expect_symbol("(")
-        if self._accept_symbol("*"):
-            self._expect_symbol(")")
+        start = self._pos
+        name = self._texts[start]
+        self._pos = start + 2  # the name and its "("
+        if self._accept("*"):
+            self._expect(")")
             if name != "count":
-                raise ParseError(f"{name}(*) is not supported", name_token.position)
+                raise self._error(f"{name}(*) is not supported", start)
             return AstFuncCall(name=name, args=(), star=True)
-        distinct = self._accept_keyword("distinct")
-        args = [self.expr()]
-        while self._accept_symbol(","):
-            args.append(self.expr())
-        self._expect_symbol(")")
+        distinct = self._accept("distinct")
+        args = [self._or_expr()]
+        while self._accept(","):
+            args.append(self._or_expr())
+        self._expect(")")
         return AstFuncCall(name=name, args=tuple(args), distinct=distinct)

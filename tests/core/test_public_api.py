@@ -212,7 +212,6 @@ def test_describe_caches_snapshot(stats_warehouse):
     # the process-wide memos: counted over the whole interpreter
     assert set(report["process_memos"]) == {
         "parameterize",
-        "template_parse",
         "perturbation_draws",
     }
     for memo in report["process_memos"].values():

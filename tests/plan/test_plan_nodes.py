@@ -103,7 +103,7 @@ def _ast_nodes(node):
 
 
 def test_ast_and_plan_nodes_carry_no_instance_dict():
-    """Template parses and cached plans hold these nodes by the
+    """Parses and cached plans make these nodes by the
     thousand; an instance ``__dict__`` was most of each one's size."""
     catalog = synthetic_tpch_catalog(1.0)
     binder, optimizer = Binder(catalog), BiObjectiveOptimizer(catalog, CostEstimator())

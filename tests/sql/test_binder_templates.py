@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import BindError, ReproError
+from repro.errors import BindError, ParseError, ReproError
 from repro.sql.binder import Binder
 from repro.sql.parameterize import bind_constants, parameterize_sql
 from repro.sql.parser import parse
@@ -140,8 +140,8 @@ def test_a_catalog_version_bump_binds_the_template_again(catalog):
 def test_a_literal_in_order_by_binds_every_instance_in_full(catalog):
     """ORDER BY keeps no literal in the bound query, yet the binder
     checks it against the select list: such a template fills nothing.
-    The process-wide parse keeps whichever instance came first, valid or
-    rejected, and neither decides how the other binds, in any binder."""
+    Whichever instance comes first, valid or rejected, neither decides
+    how the other binds, in any binder."""
     valid = "SELECT c_acctbal + 1 AS {} FROM customer ORDER BY c_acctbal + 1"
     invalid = "SELECT c_acctbal + 1 AS {} FROM customer ORDER BY c_acctbal + 2"
     for alias, order in (("valid_first", (valid, invalid)), ("invalid_first", (invalid, valid))):
@@ -152,6 +152,18 @@ def test_a_literal_in_order_by_binds_every_instance_in_full(catalog):
             with pytest.raises(BindError):
                 binder.bind_sql(invalid.format(alias))
             assert len(binder.templates) == 0
+
+
+def test_a_statement_that_does_not_parse_reports_its_offset_in_the_text(catalog):
+    """The template parse reads the key, which has no offsets into the
+    text; the error a binder raises still points into the text."""
+    sql = "SELECT c_name   FROM customer WHERE c_acctbal > 'x' AND"
+    with pytest.raises(ParseError) as raised:
+        Binder(catalog).bind_sql(sql)
+    assert raised.value.position == len(sql)
+    with pytest.raises(ParseError) as full:
+        parse(sql)
+    assert str(raised.value) == str(full.value)
 
 
 def test_aggregates_that_coincide_under_new_literals_are_merged(catalog):

@@ -99,13 +99,12 @@ def test_bind_constants_is_inverse_of_extraction():
 
 def test_bind_constants_arity_mismatch_raises():
     parameterized = parameterize_sql("SELECT a FROM t WHERE a < 5")
-    with pytest.raises(ReproError):
-        bind_constants(parameterized.template_key, ())
-    with pytest.raises(ReproError):
-        bind_constants(
-            parameterized.template_key,
-            parameterized.constants + (("NUMBER", "1"),),
-        )
+    too_many = parameterized.constants + (("NUMBER", "1"),)
+    for split in (bind_constants, parse_parameterized):
+        with pytest.raises(ReproError):
+            split(parameterized.template_key, ())
+        with pytest.raises(ReproError):
+            split(parameterized.template_key, too_many)
 
 
 # ------------------------------ round trip ---------------------------- #
@@ -144,10 +143,12 @@ def test_string_literal_quotes_roundtrip():
 
 
 # --------------------------- template parse --------------------------- #
-def _instantiated(parameterized):
-    """The template's parse with this query's constants read into its
-    slots: what the binder's fill relies on, checked at the AST level."""
-    parsed = parse_parameterized(parameterized.template_key, parameterized.constants)
+def _instantiated(first, parameterized):
+    """``first``'s template parse with another instance's constants read
+    into its slots through its readers: the binder's fill path, checked
+    at the AST level."""
+    assert first.template_key == parameterized.template_key
+    parsed = parse_parameterized(first.template_key, first.constants)
     values = [
         read(text) for read, (_, text) in zip(parsed.readers, parameterized.constants)
     ]
@@ -174,22 +175,19 @@ def _instantiated(parameterized):
 def test_parse_parameterized_matches_full_parse(template):
     """The template's parse, with fresh constants in its slots, is
     exactly the AST a full parse of the text produces."""
+    first = parameterize_sql(instantiate(template, seed=1))
     for seed in (2, 3, 9):
         sql = instantiate(template, seed=seed)
-        filled = _instantiated(parameterize_sql(sql))
+        filled = _instantiated(first, parameterize_sql(sql))
         assert repr(filled) == repr(parse(sql))
 
 
 def test_parse_parameterized_negated_date_matches_full_parse():
     """Regression: the negation fold drops the date flag; the slot's
-    reader must mirror that, or cache hit/miss changes the AST."""
+    reader must mirror that, or a fill changes the AST."""
     first = "SELECT a FROM t WHERE x IN ((-DATE '1996-02-02'))"
     second = "SELECT a FROM t WHERE x IN ((-DATE '1997-05-09'))"
-    p1 = parameterize_sql(first)
-    p2 = parameterize_sql(second)
-    assert p1.template_key == p2.template_key
-    parse_parameterized(p1.template_key, p1.constants)  # populate cache
-    substituted = _instantiated(p2)
+    substituted = _instantiated(parameterize_sql(first), parameterize_sql(second))
     assert repr(substituted) == repr(parse(second))
 
 
@@ -205,11 +203,7 @@ def test_negative_literals_in_an_in_list(big_binder):
     assert [f.sql() for f in bound.filters["orders"]] == [
         "(orders.o_orderkey IN (-1, 2))"
     ]
-    p1 = parameterize_sql(first)
-    p2 = parameterize_sql(second)
-    assert p1.template_key == p2.template_key
-    parse_parameterized(p1.template_key, p1.constants)  # populate cache
-    substituted = _instantiated(p2)
+    substituted = _instantiated(parameterize_sql(first), parameterize_sql(second))
     assert repr(substituted) == repr(parse(second))
     assert [f.sql() for f in big_binder.bind_sql(second).filters["orders"]] == [
         "(orders.o_orderkey IN (-7, 3))"
@@ -219,11 +213,7 @@ def test_negative_literals_in_an_in_list(big_binder):
 def test_parse_parameterized_substitutes_limit_and_dates():
     first = "SELECT a FROM t WHERE d >= DATE '1995-03-04' LIMIT 2"
     second = "SELECT a FROM t WHERE d >= DATE '1996-07-01' LIMIT 9"
-    p1 = parameterize_sql(first)
-    p2 = parameterize_sql(second)
-    assert p1.template_key == p2.template_key
-    parse_parameterized(p1.template_key, p1.constants)  # populate cache
-    substituted = _instantiated(p2)
+    substituted = _instantiated(parameterize_sql(first), parameterize_sql(second))
     assert repr(substituted) == repr(parse(second))
     assert substituted.limit == 9
 

@@ -1,11 +1,6 @@
-import sys
-import threading
-from collections import OrderedDict
-
 import pytest
 
 from repro.errors import ParseError
-from repro.sql import parser
 from repro.sql.ast_nodes import (
     AstBetween,
     AstBinary,
@@ -14,8 +9,7 @@ from repro.sql.ast_nodes import (
     AstInList,
     AstLiteral,
 )
-from repro.sql.parameterize import parameterize_sql
-from repro.sql.parser import parse, parse_date, parse_parameterized, template_cache_info
+from repro.sql.parser import parse, parse_date
 
 
 def test_minimal_select():
@@ -147,51 +141,3 @@ def test_semicolon_allowed():
 
 def test_distinct_select():
     assert parse("SELECT DISTINCT a FROM t").distinct
-
-
-@pytest.fixture
-def small_template_memo(monkeypatch):
-    """The process-wide template-parse memo, emptied and capped at 2."""
-    monkeypatch.setattr(parser, "_TEMPLATE_CACHE", OrderedDict())
-    monkeypatch.setattr(parser, "_TEMPLATE_CACHE_CAP", 2)
-    monkeypatch.setattr(parser, "_template_hits", 0)
-    monkeypatch.setattr(parser, "_template_misses", 0)
-
-
-def _template_parse(sql: str):
-    parameterized = parameterize_sql(sql)
-    return parse_parameterized(parameterized.template_key, parameterized.constants, sql)
-
-
-def test_template_memo_evicts_its_least_recently_used_parse(small_template_memo):
-    a = _template_parse("SELECT a FROM t WHERE a = 1")
-    _template_parse("SELECT b FROM t WHERE b = 1")
-    assert _template_parse("SELECT a FROM t WHERE a = 2") is a  # a is now newest
-    _template_parse("SELECT c FROM t WHERE c = 1")  # evicts b, not a
-    assert _template_parse("SELECT a FROM t WHERE a = 3") is a
-    assert tuple(template_cache_info()) == (2, 3, 2, 2)  # hits, misses, cap, size
-    _template_parse("SELECT b FROM t WHERE b = 2")
-    assert template_cache_info().misses == 4
-
-
-def test_template_memo_counts_every_lookup_under_threads(small_template_memo):
-    """Eight threads over six templates against a cap of two: no count
-    is lost and the memo never holds more than its cap."""
-    sqls = [f"SELECT a FROM t WHERE c{j} = {i}" for i in range(25) for j in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=lambda: [_template_parse(sql) for sql in sqls])
-            for _ in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    info = template_cache_info()
-    assert info.hits + info.misses == 8 * len(sqls)
-    assert info.currsize <= info.maxsize == 2
