@@ -18,11 +18,11 @@ import numpy as np
 
 from repro import (
     CostIntelligentWarehouse,
-    MaterializeView,
     QueryRequest,
     load_tpch,
     sla_constraint,
 )
+from repro.tuning.mv import MVCandidate
 from repro.workloads.tpch_queries import instantiate
 
 
@@ -74,10 +74,10 @@ def main() -> None:
     )
     print(warehouse.describe_billing())
 
-    mvs = [rec for rec in applied if isinstance(rec.action, MaterializeView)]
+    mvs = [rec for rec in applied if isinstance(rec.action, MVCandidate)]
     if mvs:
         rec = mvs[0]
-        candidate = rec.action.candidate  # carried end-to-end, no parsing
+        candidate = rec.action  # the priced candidate itself, no parsing
         template = rec.report.impacts[0].template
         print(f"\n=== serving the {template} family from {candidate.name} ===")
         sql = instantiate(template, seed=1)

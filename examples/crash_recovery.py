@@ -38,6 +38,7 @@ from repro import (
 )
 from repro.core.journal import WriteAheadJournal
 from repro.testing import FaultPlan, SimulatedCrashError, kill
+from repro.tuning.mv import MVCandidate
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
 SLA = sla_constraint(20.0)
@@ -60,11 +61,7 @@ def serve(warehouse, start: int, stop: int) -> None:
 
 
 def apply_mv(warehouse) -> str:
-    recs = [
-        r
-        for r in warehouse.tuning.propose()
-        if r.action.kind == "materialized-view"
-    ]
+    recs = [r for r in warehouse.tuning.propose() if isinstance(r.action, MVCandidate)]
     rec = recs[0]
     if not rec.accepted:
         warehouse.tuning.accept(rec)

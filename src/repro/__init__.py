@@ -103,9 +103,6 @@ _DEFINED_IN = {
     "DistributedSimulator": "repro.sim.distsim",
     "SimConfig": "repro.sim.distsim",
     "Binder": "repro.sql.binder",
-    "TuningAction": "repro.tuning.service",
-    "MaterializeView": "repro.tuning.service",
-    "Recluster": "repro.tuning.service",
     "Recommendation": "repro.tuning.service",
     "RecommendationState": "repro.tuning.service",
     "TuningPolicy": "repro.tuning.service",

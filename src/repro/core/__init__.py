@@ -79,7 +79,7 @@ integral dyadic ledger units
 (:data:`~repro.util.units.LEDGER_SCALE` per dollar), so a replay
 reproduces live totals to the last bit.  Tuning applies are a
 two-record protocol: a ``TuningIntent`` carrying the recommendation's
-action and report and a declarative, picklable
+report (whose candidate is the action) and a declarative, picklable
 :class:`~repro.core.journal.UndoSnapshot` (captured before the catalog
 mutates; live rollbacks and recovery execute the same one), then a
 ``TuningCommit``, each folded into the one

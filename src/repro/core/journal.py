@@ -15,8 +15,9 @@ gates).  This module is the durability substrate:
   (:class:`CostSnapshotTaken`), and the tuning lifecycle edges
   (:class:`TuningIntent` / :class:`TuningCommit` / :class:`TuningFailed`
   and their rollback mirrors: the intent carries the recommendation's
-  action, What-If report and tenant shares once, every later edge only
-  its id, a failure also its message), plus periodic :class:`Checkpoint`\\ s;
+  What-If report, whose candidate is the action, and its tenant shares
+  once, every later edge only its id, a failure also its message), plus
+  periodic :class:`Checkpoint`\\ s;
 - :class:`UndoSnapshot` — a *declarative*, picklable capture of how to
   reverse a tuning action, journaled in the intent record **before**
   the catalog mutates: the one undo representation, executed by a live
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING
 from repro.errors import JournalError
 
 #: The version :meth:`WriteAheadJournal.save` writes and ``load`` requires.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
@@ -72,46 +73,43 @@ class UndoSnapshot:
     Captured by the background executor *before* anything mutates
     (:meth:`~repro.tuning.background.BackgroundComputeService.capture_undo`)
     as plain data, so the same object serves a live rollback and
-    recovery's resolution of an in-doubt apply.  :meth:`apply` is
-    idempotent: every step checks current state first, so resolving the
-    same in-doubt record twice (a crash during recovery) is safe.
+    recovery's resolution of an in-doubt apply.  It holds only what the
+    action's candidate cannot say: the reversal's cost, whether the
+    apply touched stored data, and for a recluster the prior catalog
+    entry and stored table.  :meth:`apply` is idempotent: every step
+    checks current state first, so resolving the same in-doubt record
+    twice (a crash during recovery) is safe.
     """
 
-    action_name: str
-    kind: str  # "materialized-view" | "recluster"
     dollars: float  # what executing the reversal costs
     physical: bool
-    base_tables: tuple[str, ...] = ()
-    table: str | None = None
     prior_entry: object | None = None  # recluster: prior catalog entry
     prior_stored: object | None = None  # recluster (physical): prior table
 
-    def apply(self, database: "Database | None", catalog: "Catalog") -> None:
-        """Physically reverse the action; no-op for any step already done."""
-        if self.kind == "materialized-view":
-            name = self.action_name
-            if (
-                self.physical
-                and database is not None
-                and name in database.table_names
-            ):
-                database.drop_table(name)
-            elif catalog.has_table(name):
-                catalog.drop_table(name)
-            if catalog.has_view(name):
-                catalog.drop_view(name)
-            return
-        if self.kind == "recluster":
-            assert self.table is not None and self.prior_entry is not None
+    def apply(
+        self, candidate: object, database: "Database | None", catalog: "Catalog"
+    ) -> None:
+        """Physically reverse applying ``candidate``; no-op for any step
+        already done.  A snapshot with a prior catalog entry restores
+        it (a recluster); one without drops the view the apply built
+        under the candidate's name."""
+        prior = self.prior_entry
+        if prior is not None:
             if (
                 self.physical
                 and database is not None
                 and self.prior_stored is not None
             ):
-                database.replace_table_storage(self.table, self.prior_stored)
-            catalog.register_table(self.prior_entry, replace_existing=True)
+                database.replace_table_storage(prior.name, self.prior_stored)
+            catalog.register_table(prior, replace_existing=True)
             return
-        raise JournalError(f"no undo semantics for action kind {self.kind!r}")
+        name = candidate.name
+        if self.physical and database is not None and name in database.table_names:
+            database.drop_table(name)
+        elif catalog.has_table(name):
+            catalog.drop_table(name)
+        if catalog.has_view(name):
+            catalog.drop_view(name)
 
 
 # --------------------------------------------------------------------- #
@@ -171,16 +169,15 @@ class TuningIntent:
     """A tuning apply is about to mutate the catalog.
 
     Journaled *before* the mutation, it carries what the recommendation
-    is about, once — its typed action, What-If report and tenant
-    shares, from which replay rebuilds it and the commits meter — and
-    the pre-mutation :class:`UndoSnapshot`: the write-ahead half of the
-    two-record apply protocol.  An intent
+    is about, once — its What-If report (whose candidate *is* the
+    action) and tenant shares, from which replay rebuilds it and the
+    commits meter — and the pre-mutation :class:`UndoSnapshot`: the
+    write-ahead half of the two-record apply protocol.  An intent
     without a matching :class:`TuningCommit` at recovery time is *in
     doubt* and is rolled back via the snapshot.
     """
 
     rec_id: int
-    action: object  # repro.tuning.service.TuningAction
     report: object  # repro.tuning.whatif.TuningReport
     undo: UndoSnapshot
     tenant_shares: tuple[tuple[str, float], ...] = ()

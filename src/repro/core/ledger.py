@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import Callable, Hashable
 
 from repro.core.governance import AdmissionController
 from repro.core.journal import (
@@ -58,11 +58,9 @@ from repro.errors import RecoveryError, ReproError
 from repro.obsvc.history import CostHistoryStore
 from repro.sql.parameterize import parameterize_sql
 from repro.statsvc.logs import QueryLogStore, QueryRecord
-from repro.tuning.service import MaterializeView, Recommendation, RecommendationState
+from repro.tuning.mv import MVCandidate
+from repro.tuning.service import Recommendation, RecommendationState
 from repro.util.units import from_ledger_units, to_ledger_units
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.tuning.mv import MVCandidate
 
 
 class TenantBill:
@@ -340,7 +338,6 @@ class Ledger:
         # it.  Re-inserted, so journaled ones sit in intent order.
         rec = self.recommendations.pop(record.rec_id, None) or Recommendation(
             rec_id=record.rec_id,
-            action=record.action,
             report=record.report,
             tenant_shares=dict(record.tenant_shares),
         )
@@ -352,8 +349,8 @@ class Ledger:
     def _apply_tuning_commit(self, record: TuningCommit) -> None:
         rec = self.recommendations[record.rec_id]
         rec.state = RecommendationState.APPLIED
-        if isinstance(rec.action, MaterializeView):
-            self.applied_mvs[rec.action.name] = rec.action.candidate
+        if isinstance(rec.action, MVCandidate):
+            self.applied_mvs[rec.action.name] = rec.action
         self._spend(rec, rec.report.one_time_dollars)
 
     def _apply_tuning_failed(self, record: TuningFailed) -> None:
@@ -449,9 +446,9 @@ class Ledger:
         )
         self.applied_mvs.clear()
         self.applied_mvs.update(
-            (rec.action.name, rec.action.candidate)
+            (rec.action.name, rec.action)
             for rec in self.recommendations.values()
-            if isinstance(rec.action, MaterializeView)
+            if isinstance(rec.action, MVCandidate)
             and rec.state
             in (RecommendationState.APPLIED, RecommendationState.ROLLING_BACK)
         )

@@ -151,7 +151,7 @@ def _resolve_in_doubt(
             # snapshot — idempotent, so "crashed before mutating" and
             # "crashed after mutating" both land on the prior state.
             # Nothing is billed: the tenant never got the action.
-            rec.undo.apply(warehouse.database, warehouse.catalog)
+            rec.undo.apply(rec.action, warehouse.database, warehouse.catalog)
             ledger.apply(
                 TuningFailed(rec_id=rec.rec_id, message="in doubt at recovery")
             )
@@ -162,7 +162,7 @@ def _resolve_in_doubt(
             # durable: complete it forward by applying the commit record
             # the live path was about to write — the same metering,
             # through the same code.
-            rec.undo.apply(warehouse.database, warehouse.catalog)
+            rec.undo.apply(rec.action, warehouse.database, warehouse.catalog)
             ledger.apply(RollbackCommit(rec_id=rec.rec_id))
             rec.resolution = "forward"
             report.in_doubt_forward += 1

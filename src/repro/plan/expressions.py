@@ -274,10 +274,6 @@ def referenced_columns(expr: Expr) -> set[str]:
     return {node.name for node in walk(expr) if isinstance(node, ColumnRef)}
 
 
-def contains_aggregate(expr: Expr) -> bool:
-    return any(isinstance(node, AggCall) for node in walk(expr))
-
-
 def conjuncts(expr: Expr | None) -> list[Expr]:
     """Split a predicate into its top-level AND-ed conjuncts."""
     if expr is None:

@@ -19,18 +19,19 @@ Tuning is a long-lived service, not a one-shot call.  The pipeline:
    candidate against a catalog overlay and emits a
    :class:`~repro.tuning.whatif.TuningReport` that **carries the
    candidate object** — nothing downstream parses action-name strings.
+   The candidate *is* the tuning action: its ``name`` and ``kind``
+   are the action's, and no wrapper or copy of it exists.
 3. The *advisor* (:mod:`~repro.tuning.advisor`) greedily accepts
    profitable reports under a storage budget.
-4. The *TuningService* (:mod:`~repro.tuning.service`) wraps each report
-   in a typed :class:`~repro.tuning.service.TuningAction`
-   (:class:`~repro.tuning.service.MaterializeView` /
-   :class:`~repro.tuning.service.Recluster`) inside a
-   :class:`~repro.tuning.service.Recommendation` with an explicit
+4. The *TuningService* (:mod:`~repro.tuning.service`) holds each report
+   in a :class:`~repro.tuning.service.Recommendation` (whose ``action``
+   is the report's candidate) with an explicit
    lifecycle (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED ->
    ROLLING_BACK -> ROLLED_BACK``, with ``REJECTED`` and ``FAILED``
    beside), held by the warehouse ledger so that a recovered warehouse
    lists and rolls back what it applied.  ``apply()`` runs on
-   *background compute* (:mod:`~repro.tuning.background`), which captures an
+   *background compute* (:mod:`~repro.tuning.background`, the one place
+   that branches on the candidate's type), which captures an
    :class:`~repro.core.journal.UndoSnapshot` of prior state before it
    mutates so ``rollback()`` restores bit-identical plans and catalog entries.
    Every apply/rollback flushes the warehouse's plan and skeleton

@@ -8,13 +8,18 @@ the warehouse ledger when an apply or rollback commits, into the
 originating tenants' background dollars, so experiments can report
 foreground vs background spend.
 
-Before anything mutates, :meth:`BackgroundComputeService.capture_undo`
-builds an :class:`~repro.core.journal.UndoSnapshot` — plain data saying
-exactly how to physically reverse the action (and what that reversal
-will cost).  The :class:`~repro.tuning.service.TuningService` journals
-that snapshot ahead of the mutation, hands the same snapshot to the
-``apply_*`` method (which reads the physical flag and, for a recluster,
-the prior stored table from it) and holds it on the applied
+A tuning action is its candidate (:class:`~repro.tuning.mv.MVCandidate`
+or :class:`~repro.tuning.clustering.ReclusterCandidate`), and this
+service is the one place that branches on the candidate's type.  Before
+anything mutates, :meth:`BackgroundComputeService.capture_undo` builds
+an :class:`~repro.core.journal.UndoSnapshot` — plain data saying how to
+physically reverse the action (and what that reversal will cost), or a
+:class:`~repro.errors.TuningError` for a candidate type it cannot
+execute.  The :class:`~repro.tuning.service.TuningService` journals that
+snapshot ahead of the mutation, hands it with the candidate to
+:meth:`BackgroundComputeService.apply` (which refuses a view whose name
+the catalog holds, then reads the physical flag and, for a recluster,
+the prior stored table from the snapshot) and holds it on the applied
 :class:`~repro.tuning.service.Recommendation`;
 :meth:`BackgroundComputeService.rollback` executes it.  Tuning actions
 stay revisitable as the workload drifts instead of being
@@ -64,34 +69,52 @@ class BackgroundComputeService:
             self.catalog = self.database.catalog
 
     # ------------------------------------------------------------------ #
-    def capture_undo(
-        self, candidate: "MVCandidate | ReclusterCandidate", report: TuningReport
-    ) -> UndoSnapshot:
+    # The one dispatch on the candidate's type: a new action kind is a
+    # candidate type with a branch in capture_undo and apply.
+    # ------------------------------------------------------------------ #
+    def capture_undo(self, report: TuningReport) -> UndoSnapshot:
         """Snapshot, before anything mutates, how to reverse applying
-        ``candidate`` — the prior catalog entry and stored table for a
-        recluster, so a later rollback restores bit-identical state
-        regardless of what else happened in between."""
+        ``report.candidate`` — the prior catalog entry and stored table
+        for a recluster, so a later rollback restores bit-identical
+        state regardless of what else happened in between.  A candidate
+        of any other type raises :class:`TuningError`."""
         assert self.catalog is not None
-        database = self.database
+        candidate, database = report.candidate, self.database
         if isinstance(candidate, MVCandidate):
             return UndoSnapshot(
-                action_name=candidate.name,
-                kind="materialized-view",
                 dollars=0.0,  # dropping a view is metadata-only
                 physical=database is not None
                 and all(t in database.table_names for t in candidate.base_tables),
-                base_tables=tuple(candidate.base_tables),
             )
-        physical = database is not None and candidate.table in database.table_names
-        return UndoSnapshot(
-            action_name=candidate.name,
-            kind="recluster",
-            dollars=report.one_time_dollars,  # sorting back is another rewrite
-            physical=physical,
-            table=candidate.table,
-            prior_entry=self.catalog.table(candidate.table),
-            prior_stored=database.stored_table(candidate.table) if physical else None,
+        if isinstance(candidate, ReclusterCandidate):
+            table = candidate.table
+            physical = database is not None and table in database.table_names
+            return UndoSnapshot(
+                dollars=report.one_time_dollars,  # sorting back is another rewrite
+                physical=physical,
+                prior_entry=self.catalog.table(table),
+                prior_stored=database.stored_table(table) if physical else None,
+            )
+        raise TuningError(
+            f"no background executor for {type(candidate).__name__} actions"
         )
+
+    def apply(
+        self, candidate: "MVCandidate | ReclusterCandidate", undo: UndoSnapshot
+    ) -> None:
+        """Apply ``candidate``, whose ``undo`` :meth:`capture_undo`
+        took.  A view whose name the catalog already holds raises
+        :class:`TuningError` before anything mutates."""
+        if isinstance(candidate, MVCandidate):
+            name = candidate.name
+            if self.catalog.has_view(name) or self.catalog.has_table(name):
+                raise TuningError(
+                    f"{name!r} already exists in the catalog; roll the prior "
+                    "application back (or rename the candidate) first"
+                )
+            self.apply_mv(candidate, undo)
+        else:
+            self.apply_recluster(candidate, undo)
 
     def apply_mv(self, candidate: MVCandidate, undo: UndoSnapshot) -> None:
         """Materialize an accepted MV (physically when data is present);
@@ -140,7 +163,9 @@ class BackgroundComputeService:
             )
 
     # ------------------------------------------------------------------ #
-    def rollback(self, undo: UndoSnapshot) -> None:
-        """Execute an undo snapshot."""
+    def rollback(
+        self, candidate: "MVCandidate | ReclusterCandidate", undo: UndoSnapshot
+    ) -> None:
+        """Reverse applying ``candidate`` by executing its undo snapshot."""
         self.faults.fire("tuning_apply")
-        undo.apply(self.database, self.catalog)
+        undo.apply(candidate, self.database, self.catalog)

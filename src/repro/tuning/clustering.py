@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.catalog.catalog import Catalog
 from repro.cost.hardware import HardwareCalibration
@@ -24,6 +25,8 @@ from repro.errors import TuningError
 @dataclass(frozen=True)
 class ReclusterCandidate:
     """Proposal: recluster ``table`` on ``key``."""
+
+    kind: ClassVar[str] = "recluster"
 
     table: str
     key: str

@@ -11,6 +11,7 @@ aggregates — including avg — are derivable from the view.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from repro.catalog.catalog import Catalog, MaterializedViewDef, TableEntry
 from repro.catalog.schema import Column, DataType, TableSchema
@@ -34,7 +35,10 @@ from repro.storage.micropartition import COMPRESSION_RATIO
 
 @dataclass(frozen=True)
 class MVCandidate:
-    """A candidate aggregate materialized view."""
+    """A candidate aggregate materialized view; applying it builds and
+    registers the view."""
+
+    kind: ClassVar[str] = "materialized-view"
 
     name: str
     base_tables: tuple[str, ...]

@@ -1,17 +1,20 @@
-"""Tuning-layer request model: typed actions, Recommendations, TuningService.
+"""Tuning-layer request model: Recommendations, TuningService, TuningPolicy.
 
 Mirror of the serving redesign in :mod:`repro.core.service`: tuning is a
 long-lived *service* owned by the warehouse, not a one-shot call.  The
 paper's §4 loop (Statistics Service -> What-If pricing -> background
 compute) keeps its components, but the API around them becomes:
 
-- :class:`TuningAction` — a frozen, typed action hierarchy
-  (:class:`MaterializeView`, :class:`Recluster`).  Each action *carries
-  its candidate object* end-to-end, so nothing downstream ever
-  re-derives a candidate by parsing ``action_name`` strings (the old
+- A tuning action *is* its candidate — a frozen
+  :class:`~repro.tuning.mv.MVCandidate` or
+  :class:`~repro.tuning.clustering.ReclusterCandidate`, with its
+  ``name`` and ``kind`` — carried end to end on the What-If report, so
+  nothing downstream re-derives one by parsing name strings (the old
   ``recluster_<table>_on_<key>`` round-trip broke for identifiers that
   contain ``_on_`` and silently skipped MVs whose template binding had
-  gone stale).
+  gone stale).  Only the
+  :class:`~repro.tuning.background.BackgroundComputeService` branches
+  on its type.
 - :class:`Recommendation` — one proposal's lifecycle
   (``PROPOSED -> ACCEPTED -> APPLYING -> APPLIED -> ROLLING_BACK ->
   ROLLED_BACK``, with ``REJECTED`` and ``FAILED`` beside) with the
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, ClassVar, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.journal import (
     RollbackCommit,
@@ -66,55 +69,12 @@ from repro.errors import ReproError, TuningError, TuningStateError
 from repro.statsvc.logs import QueryLogStore, TenantLogView
 from repro.tuning.advisor import AutoTuningAdvisor
 from repro.tuning.background import BackgroundComputeService
-from repro.tuning.clustering import ReclusterCandidate
-from repro.tuning.mv import MVCandidate
 from repro.tuning.whatif import TuningReport, WhatIfService
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.warehouse import CostIntelligentWarehouse
-
-
-# --------------------------------------------------------------------- #
-# Typed actions
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class TuningAction:
-    """Base class for typed tuning actions.
-
-    Subclasses are frozen value objects that carry the candidate the
-    What-If Service priced, so apply/rollback operate on the exact
-    object that was evaluated.
-    """
-
-    kind: ClassVar[str] = "abstract"
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class MaterializeView(TuningAction):
-    """Build (and register) an aggregate materialized view."""
-
-    candidate: MVCandidate
-    kind: ClassVar[str] = "materialized-view"
-
-    @property
-    def name(self) -> str:
-        return self.candidate.name
-
-
-@dataclass(frozen=True)
-class Recluster(TuningAction):
-    """Re-sort a table on a new clustering key."""
-
-    candidate: ReclusterCandidate
-    kind: ClassVar[str] = "recluster"
-
-    @property
-    def name(self) -> str:
-        return self.candidate.name
+    from repro.tuning.clustering import ReclusterCandidate
+    from repro.tuning.mv import MVCandidate
 
 
 # --------------------------------------------------------------------- #
@@ -165,15 +125,14 @@ _TRANSITIONS: dict[RecommendationState, set[RecommendationState]] = {
 class Recommendation:
     """One priced tuning proposal and its apply/rollback lifecycle.
 
-    Carries the typed :class:`TuningAction` (with its candidate object),
-    the What-If :class:`~repro.tuning.whatif.TuningReport`, and the
+    Carries the What-If :class:`~repro.tuning.whatif.TuningReport`,
+    whose candidate is the action (:attr:`action`), and the
     tenant-attribution shares used to meter background spend.  The
     journaled intent sets ``undo``; a failure sets ``error`` to its
     message (the exception itself is raised to the caller).
     """
 
     rec_id: int
-    action: TuningAction
     report: TuningReport
     state: RecommendationState = RecommendationState.PROPOSED
     tenant_shares: dict[str, float] = field(default_factory=dict)
@@ -183,6 +142,11 @@ class Recommendation:
     #: in-doubt state: "forward" (rollback completed) or "back" (apply
     #: undone).
     resolution: str | None = None
+
+    @property
+    def action(self) -> "MVCandidate | ReclusterCandidate":
+        """The tuning action: the candidate the What-If Service priced."""
+        return self.report.candidate
 
     @property
     def applied(self) -> bool:
@@ -335,7 +299,6 @@ class TuningService:
         for report in proposals.reports:
             rec = Recommendation(
                 rec_id=self.warehouse.ledger.issue_rec_id(),
-                action=self._action_for(report),
                 report=report,
                 tenant_shares=self._tenant_shares(store, report),
             )
@@ -368,8 +331,8 @@ class TuningService:
 
         A **two-record protocol** over the warehouse ledger
         (:mod:`repro.core.ledger`), which holds ``rec`` and moves it: a
-        :class:`~repro.core.journal.TuningIntent` carrying the action,
-        its report and the pre-mutation
+        :class:`~repro.core.journal.TuningIntent` carrying its report
+        (whose candidate is the action) and the pre-mutation
         :class:`~repro.core.journal.UndoSnapshot` is committed before
         the catalog mutates (``APPLYING``), and a
         :class:`~repro.core.journal.TuningCommit` after (``APPLIED``) —
@@ -386,23 +349,21 @@ class TuningService:
             held = ledger.recommendations.get(rec.rec_id, rec)
             self._check(held, RecommendationState.APPLYING)
             self._enter(rec)
-        action, report = rec.action, rec.report
+        background = self.background
         try:
-            undo = self._capture_undo(action, report)
+            undo = background.capture_undo(rec.report)
         except Exception as exc:
             # Before the intent nothing is journaled or mutated.
             rec.error = str(exc)
             self._transition(rec, RecommendationState.FAILED)
             raise
         ledger.commit(
-            TuningIntent(
-                rec.rec_id, action, report, undo, shares_tuple(rec.tenant_shares)
-            )
+            TuningIntent(rec.rec_id, rec.report, undo, shares_tuple(rec.tenant_shares))
         )
         try:
-            self._dispatch_apply(action, undo)
+            background.apply(rec.action, undo)
         except Exception as exc:
-            # Nothing mutated (dispatch is all-or-nothing before its
+            # Nothing mutated (an apply is all-or-nothing before its
             # first catalog write), so the intent is closed as failed
             # rather than left in doubt.
             self._fail(rec, exc)
@@ -461,7 +422,7 @@ class TuningService:
             self._check(rec, RecommendationState.ROLLING_BACK)
             ledger.commit(RollbackIntent(rec_id=rec.rec_id))
         try:
-            self.background.rollback(rec.undo)
+            self.background.rollback(rec.action, rec.undo)
         except Exception as exc:
             # Close the in-doubt window: an in-process rollback failure
             # (fault fired before anything mutated) leaves the action
@@ -557,39 +518,6 @@ class TuningService:
         if self.policy.tenant is not None:
             return self.warehouse.logs.for_tenant(self.policy.tenant)
         return self.warehouse.logs
-
-    def _action_for(self, report: TuningReport) -> TuningAction:
-        candidate = report.candidate
-        if isinstance(candidate, MVCandidate):
-            return MaterializeView(candidate)
-        if isinstance(candidate, ReclusterCandidate):
-            return Recluster(candidate)
-        raise TuningError(
-            f"report {report.action_name!r} carries no typed candidate "
-            "(was it produced by the What-If Service?)"
-        )
-
-    def _capture_undo(
-        self, action: TuningAction, report: TuningReport
-    ) -> UndoSnapshot:
-        if isinstance(action, (MaterializeView, Recluster)):
-            return self.background.capture_undo(action.candidate, report)
-        raise TuningError(
-            f"no background executor for {action.kind!r} actions yet"
-        )
-
-    def _dispatch_apply(self, action: TuningAction, undo: UndoSnapshot) -> None:
-        if isinstance(action, MaterializeView):
-            name = action.candidate.name
-            catalog = self.warehouse.catalog
-            if catalog.has_view(name) or catalog.has_table(name):
-                raise TuningError(
-                    f"{name!r} already exists in the catalog; roll the prior "
-                    "application back (or rename the candidate) first"
-                )
-            self.background.apply_mv(action.candidate, undo)
-        else:
-            self.background.apply_recluster(action.candidate, undo)
 
     def _tenant_shares(
         self, store: "QueryLogStore | TenantLogView", report: TuningReport

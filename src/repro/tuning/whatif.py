@@ -54,23 +54,27 @@ class TemplateImpact:
 class TuningReport:
     """The customer-facing dollar report for one tuning proposal.
 
-    ``candidate`` carries the evaluated candidate object itself
+    ``candidate`` is the evaluated candidate object itself
     (:class:`~repro.tuning.mv.MVCandidate` or
-    :class:`~repro.tuning.clustering.ReclusterCandidate`) so downstream
-    consumers — the advisor's selection, the
-    :class:`~repro.tuning.service.TuningService` apply path — never have
-    to round-trip through ``action_name`` string parsing.
+    :class:`~repro.tuning.clustering.ReclusterCandidate`): the tuning
+    action, whose name and kind the report reads off it.
     """
 
-    action_name: str
-    kind: str  # "materialized-view" | "recluster"
+    candidate: "MVCandidate | ReclusterCandidate"
     savings_per_hour: float  # x
     cost_per_hour: float  # y
     one_time_dollars: float
     impacts: list[TemplateImpact] = field(default_factory=list)
     storage_bytes: float = 0.0
     notes: str = ""
-    candidate: "MVCandidate | ReclusterCandidate | None" = None
+
+    @property
+    def action_name(self) -> str:
+        return self.candidate.name
+
+    @property
+    def kind(self) -> str:
+        return self.candidate.kind
 
     @property
     def net_per_hour(self) -> float:
@@ -183,8 +187,7 @@ class WhatIfService:
         )
         maintenance_per_hour = one_time * self.churn_fraction_per_hour
         return TuningReport(
-            action_name=candidate.name,
-            kind="materialized-view",
+            candidate=candidate,
             savings_per_hour=savings,
             cost_per_hour=storage_per_hour + maintenance_per_hour,
             one_time_dollars=one_time,
@@ -194,7 +197,6 @@ class WhatIfService:
                 f"maintenance modeled as {self.churn_fraction_per_hour:.2%} of "
                 "build cost per hour (incremental refresh on base-table churn)"
             ),
-            candidate=candidate,
         )
 
     def _mv_build_dollars(self, candidate: MVCandidate) -> float:
@@ -243,12 +245,10 @@ class WhatIfService:
         # the full rewrite per hour, proportional to churn.
         maintenance = one_time * self.churn_fraction_per_hour
         return TuningReport(
-            action_name=candidate.name,
-            kind="recluster",
+            candidate=candidate,
             savings_per_hour=savings,
             cost_per_hour=maintenance,
             one_time_dollars=one_time,
             impacts=impacts,
             notes="savings come from zone-map pruning on the new clustering key",
-            candidate=candidate,
         )

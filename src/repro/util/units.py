@@ -72,8 +72,3 @@ def fmt_dollars(dollars: float) -> str:
     if dollars != 0 and abs(dollars) < 0.01:
         return f"${dollars:.4f}"
     return f"${dollars:,.2f}"
-
-
-def fmt_rate(bytes_per_second: float) -> str:
-    """Render a data rate, e.g. ``250.0 MB/s``."""
-    return f"{fmt_bytes(bytes_per_second)}/s"

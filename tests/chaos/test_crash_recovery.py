@@ -26,7 +26,7 @@ from repro.dop.constraints import sla_constraint
 from repro.errors import AdmissionDeniedError, TuningStateError
 from repro.testing import FaultPlan, SimulatedCrashError, crash_probes, kill
 from repro.tuning.clustering import ReclusterCandidate
-from repro.tuning.service import Recluster, Recommendation, RecommendationState
+from repro.tuning.service import Recommendation, RecommendationState
 from repro.tuning.whatif import TuningReport
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
@@ -240,16 +240,13 @@ def apply_mv_and_recluster(warehouse) -> None:
     warehouse.checkpoint()
     candidate = ReclusterCandidate(table="orders", key="o_orderdate")
     report = TuningReport(
-        action_name=candidate.name,
-        kind="recluster",
+        candidate=candidate,
         savings_per_hour=1.0,
         cost_per_hour=0.0,
         one_time_dollars=0.5,
-        candidate=candidate,
     )
     rec = Recommendation(
         rec_id=warehouse.ledger.issue_rec_id(),
-        action=Recluster(candidate),
         report=report,
         tenant_shares={"acme": 0.5, "bolt": 0.5},
     )

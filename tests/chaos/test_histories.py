@@ -413,7 +413,6 @@ class Histories(RuleBasedStateMachine):
             if twin is not None:
                 clone = Recommendation(
                     rec_id=twin.ledger.issue_rec_id(),
-                    action=rec.action,
                     report=rec.report,
                     tenant_shares=rec.tenant_shares,
                 )

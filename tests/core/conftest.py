@@ -61,9 +61,7 @@ def _drive_ledger_history(warehouse, *, t0: float = 0.0, checkpoints: bool = Fal
     tuning.apply(mv)
     # The newest id, so replay's next id (derived from intents) equals
     # the live counter (advanced by every proposal).
-    clone = Recommendation(
-        rec_id=ledger.issue_rec_id(), action=mv.action, report=mv.report
-    )
+    clone = Recommendation(rec_id=ledger.issue_rec_id(), report=mv.report)
     tuning.accept(clone)
     with pytest.raises(TuningError):
         tuning.apply(clone)  # the name is taken: an intent, then a failure

@@ -44,11 +44,7 @@ from repro.statsvc import logs as logs_module
 from repro.statsvc.logs import LogRollups, QueryRecord
 from repro.testing import RecordingJournal
 from repro.tuning.mv import MVCandidate
-from repro.tuning.service import (
-    MaterializeView,
-    Recommendation,
-    RecommendationState,
-)
+from repro.tuning.service import Recommendation, RecommendationState
 from repro.tuning.whatif import TuningReport
 from repro.util.rng import derive_rng
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -79,13 +75,7 @@ def make_record(query_id: int = 1, tenant: str = "acme") -> QueryRecord:
 
 
 def sample_records() -> list:
-    undo = UndoSnapshot(
-        action_name="mv_q5ish",
-        kind="materialized-view",
-        dollars=0.0,
-        physical=False,
-        base_tables=("customer", "nation"),
-    )
+    undo = UndoSnapshot(dollars=0.0, physical=False)
     candidate = MVCandidate(
         name="mv_q5ish",
         base_tables=("customer", "nation"),
@@ -93,14 +83,11 @@ def sample_records() -> list:
         group_by=("n_name",),
         agg_sources=("sum(c_acctbal)",),
     )
-    action = MaterializeView(candidate)
     report = TuningReport(
-        action_name="mv_q5ish",
-        kind="materialized-view",
+        candidate=candidate,
         savings_per_hour=0.5,
         cost_per_hour=0.125,
         one_time_dollars=0.25,
-        candidate=candidate,
     )
     shares = (("acme", 0.75), ("bolt", 0.25))
     return [
@@ -108,7 +95,7 @@ def sample_records() -> list:
         AdmissionDecision(tenant="acme", verdict="admit"),
         RetryCharge(tenant="acme", dollars=0.001),
         TuningIntent(
-            rec_id=1, action=action, report=report, undo=undo, tenant_shares=shares
+            rec_id=1, report=report, undo=undo, tenant_shares=shares
         ),
         TuningCommit(rec_id=1),
         TuningFailed(rec_id=2, message="boom"),
@@ -152,7 +139,6 @@ def sample_records() -> list:
                 recommendations=(
                     Recommendation(
                         rec_id=1,
-                        action=action,
                         report=report,
                         state=RecommendationState.APPLIED,
                         tenant_shares=dict(shares),
@@ -387,14 +373,15 @@ def test_sealed_journal_survives_save_and_load(tmp_path):
 
 def test_a_payload_of_another_format_is_refused(tmp_path):
     """There is one format: a payload without ``format`` (as saves
-    wrote it before the journal was versioned) or with another version
-    raises, and nothing is read from it."""
+    wrote it before the journal was versioned) or with another version,
+    version 1 (whose tuning records copied the action beside its
+    report) among them, raises, and nothing is read from it."""
     journal = sealed_journal()
     path = tmp_path / "wal.pkl"
     journal.save(str(path))
     payload = pickle.loads(path.read_bytes())
     assert payload["format"] == FORMAT_VERSION
-    for version in (None, FORMAT_VERSION + 1, 0, True, "1"):
+    for version in (None, FORMAT_VERSION + 1, 0, 1, True, "1"):
         if version is None:
             del payload["format"]
         else:
@@ -588,9 +575,9 @@ def test_undo_snapshot_apply_is_idempotent():
     assert rec.applied and rec.undo is not None
     name = rec.action.name
     assert catalog.has_view(name) and catalog.has_table(name)
-    rec.undo.apply(warehouse.database, catalog)
+    rec.undo.apply(rec.action, warehouse.database, catalog)
     assert not catalog.has_view(name) and not catalog.has_table(name)
-    rec.undo.apply(warehouse.database, catalog)  # second pass: no-op
+    rec.undo.apply(rec.action, warehouse.database, catalog)  # second pass: no-op
     assert not catalog.has_view(name) and not catalog.has_table(name)
 
 

@@ -15,16 +15,13 @@ import pytest
 import repro
 from repro import (
     CostIntelligentWarehouse,
-    MaterializeView,
     QueryHandle,
     QueryRequest,
     QueryState,
-    Recluster,
     Recommendation,
     RecommendationState,
     Session,
     TenantBudget,
-    TuningAction,
     TuningPolicy,
     TuningService,
 )
@@ -62,9 +59,6 @@ EXPECTED_ALL = [
     "DistributedSimulator",
     "SimConfig",
     "Binder",
-    "TuningAction",
-    "MaterializeView",
-    "Recluster",
     "Recommendation",
     "RecommendationState",
     "TuningPolicy",
@@ -453,11 +447,17 @@ def test_recommendation_lifecycle_surface():
 
 
 def test_tuning_actions_are_frozen_and_typed():
+    """A tuning action is its candidate: a frozen dataclass whose
+    ``kind`` is a class constant, not a field."""
     import dataclasses
 
-    for action_cls in (MaterializeView, Recluster):
-        assert issubclass(action_cls, TuningAction)
+    from repro.tuning.clustering import ReclusterCandidate
+    from repro.tuning.mv import MVCandidate
+
+    for action_cls in (MVCandidate, ReclusterCandidate):
         assert dataclasses.is_dataclass(action_cls)
         assert action_cls.__dataclass_params__.frozen
-    assert MaterializeView.kind == "materialized-view"
-    assert Recluster.kind == "recluster"
+        assert "kind" not in {f.name for f in dataclasses.fields(action_cls)}
+    assert MVCandidate.kind == "materialized-view"
+    assert ReclusterCandidate.kind == "recluster"
+    assert "action" not in {f.name for f in dataclasses.fields(Recommendation)}

@@ -11,7 +11,6 @@ from repro.plan.expressions import (
     Literal,
     UnaryOp,
     conjuncts,
-    contains_aggregate,
     make_and,
     referenced_columns,
 )
@@ -123,13 +122,6 @@ def test_make_and_roundtrip():
 def test_referenced_columns():
     expr = BinaryOp("+", ColumnRef("a"), FuncCall("abs", (ColumnRef("b"),)))
     assert referenced_columns(expr) == {"a", "b"}
-
-
-def test_contains_aggregate():
-    assert contains_aggregate(
-        BinaryOp("+", Literal(1), AggCall(func="count", arg=None))
-    )
-    assert not contains_aggregate(Literal(1))
 
 
 def test_sql_rendering():

@@ -401,7 +401,7 @@ def test_a_planner_worker_loads_only_the_planning_modules():
     from repro.sql.parameterize import parameterize_sql
     from repro.statsvc.forecast import TemplateForecast
     from repro.tuning.mv import mv_candidate_from_query
-    from repro.tuning.service import MaterializeView, Recommendation
+    from repro.tuning.service import Recommendation
     from repro.workloads.adhoc import AdhocQueryGenerator
     from repro.workloads.tpch_queries import instantiate, template_names
     from repro.workloads.tpch_stats import synthetic_tpch_catalog
@@ -424,7 +424,7 @@ def test_a_planner_worker_loads_only_the_planning_modules():
         avg_machine_seconds=10.0,
     )
     report = warehouse.tuning.whatif.evaluate_mv(candidate, {"fam": (bound, forecast)})
-    rec = Recommendation(rec_id=1, action=MaterializeView(candidate), report=report)
+    rec = Recommendation(rec_id=1, report=report)
     warehouse.tuning.accept(rec)
     warehouse.tuning.apply(rec)
     spec = PlannerWorkerPool(warehouse, workers=1)._spec(0)

@@ -87,11 +87,11 @@ def test_mv_end_to_end_result_equality(tpch_db, tpch_binder, candidate):
     """Materialize the MV for real; the rewritten query must return the
     same result as the original query — the core MV correctness check."""
     report = TuningReport(
-        action_name="mv_test", kind="materialized-view",
+        candidate=candidate,
         savings_per_hour=1.0, cost_per_hour=0.0, one_time_dollars=0.0,
     )
     background = BackgroundComputeService(database=tpch_db)
-    background.apply_mv(candidate, background.capture_undo(candidate, report))
+    background.apply(candidate, background.capture_undo(report))
     try:
         executor = LocalExecutor(tpch_db)
         planner = DagPlanner(tpch_db.catalog)

@@ -8,28 +8,25 @@ the old string-round-trip failure modes (missing template binding,
 
 import dataclasses
 import pickle
-from typing import ClassVar
 
 import pytest
 
 from repro import (
     CostIntelligentWarehouse,
-    MaterializeView,
     QueryRequest,
-    Recluster,
     Recommendation,
     RecommendationState,
-    TuningAction,
     TuningPolicy,
     sla_constraint,
 )
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.catalog.statistics import TableStats
+from repro.core.journal import WriteAheadJournal
 from repro.errors import TuningError, TuningStateError
 from repro.statsvc.forecast import TemplateForecast
 from repro.tuning.clustering import ReclusterCandidate
-from repro.tuning.mv import mv_candidate_from_query
+from repro.tuning.mv import MVCandidate, mv_candidate_from_query
 from repro.tuning.whatif import TuningReport
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
@@ -57,10 +54,12 @@ def forecast(template, rate=120.0):
     )
 
 
-def stats_warehouse(*, tenants=(("alpha", 6),), tuning_policy=None):
+def stats_warehouse(*, tenants=(("alpha", 6),), tuning_policy=None, journal=None):
     """Stats-only warehouse with a recurring, MV-friendly workload."""
     wh = CostIntelligentWarehouse(
-        catalog=synthetic_tpch_catalog(1.0), tuning_policy=tuning_policy
+        catalog=synthetic_tpch_catalog(1.0),
+        tuning_policy=tuning_policy,
+        journal=journal,
     )
     t = 0.0
     for tenant, count in tenants:
@@ -93,7 +92,7 @@ def plan_snapshot(choice):
 # Proposal shape
 # --------------------------------------------------------------------- #
 def test_propose_returns_typed_recommendations():
-    wh = stats_warehouse()
+    wh = stats_warehouse(journal=WriteAheadJournal())
     recs = wh.tuning.propose()
     assert recs and recs == wh.tuning.recommendations
     for rec in recs:
@@ -101,14 +100,21 @@ def test_propose_returns_typed_recommendations():
             RecommendationState.ACCEPTED,
             RecommendationState.REJECTED,
         )
-        assert rec.report.candidate is not None
         assert rec.tenant_shares == {"alpha": 1.0}
-        if isinstance(rec.action, MaterializeView):
-            # The action carries the candidate object end-to-end.
-            assert rec.action.candidate is rec.report.candidate
-            assert rec.action.name == rec.report.action_name
+        # The action is the priced candidate itself, one object.
+        assert rec.action is rec.report.candidate
+        assert rec.action.name == rec.report.action_name
+        assert rec.action.kind == rec.report.kind
     assert any(rec.accepted for rec in recs)
     assert wh.tuning.cycles_run == 1
+
+    # It stays one object through an apply and a recovery.
+    applied = wh.tuning.apply(next(rec for rec in recs if rec.accepted))
+    assert applied.action is applied.report.candidate
+    recovered = CostIntelligentWarehouse.recover(wh.journal, catalog=wh.catalog)
+    (held,) = recovered.tuning.applied_recommendations
+    assert held.action is held.report.candidate
+    assert held.action == applied.action
 
 
 # --------------------------------------------------------------------- #
@@ -122,7 +128,7 @@ def test_mv_apply_rollback_restores_bit_identical_plans():
     assert pre_bound.table_names == ["customer", "nation"]
 
     recs = wh.tuning.propose()
-    mv = next(r for r in recs if isinstance(r.action, MaterializeView))
+    mv = next(r for r in recs if isinstance(r.action, MVCandidate))
     assert mv.accepted
     wh.tuning.apply(mv)
     assert mv.applied
@@ -160,7 +166,7 @@ def test_recluster_apply_rollback_restores_catalog_entry_identically():
     report = wh.tuning.whatif.evaluate_recluster(
         candidate, {"dateq": (bound, forecast("dateq"))}
     )
-    rec = Recommendation(rec_id=900, action=Recluster(candidate), report=report)
+    rec = Recommendation(rec_id=900, report=report)
     wh.tuning.accept(rec)
     wh.tuning.apply(rec)
     assert wh.catalog.table("lineitem").schema.clustering_key == "l_receiptdate"
@@ -188,9 +194,7 @@ def test_physical_roundtrips_on_real_data():
     report = wh.tuning.whatif.evaluate_mv(
         candidate, {"fam": (bound, forecast("fam"))}
     )
-    rec = Recommendation(
-        rec_id=901, action=MaterializeView(candidate), report=report
-    )
+    rec = Recommendation(rec_id=901, report=report)
     wh.tuning.accept(rec)
     wh.tuning.apply(rec)
     assert "mv_q5phys" in db.table_names
@@ -213,7 +217,7 @@ def test_physical_roundtrips_on_real_data():
     dreport = wh.tuning.whatif.evaluate_recluster(
         cand, {"dateq": (wh.binder.bind_sql(DATEQ), forecast("dateq"))}
     )
-    drec = Recommendation(rec_id=902, action=Recluster(cand), report=dreport)
+    drec = Recommendation(rec_id=902, report=dreport)
     wh.tuning.accept(drec)
     wh.tuning.apply(drec)
     assert db.stored_table("lineitem").schema.clustering_key == "l_receiptdate"
@@ -238,7 +242,7 @@ def test_apply_invalidates_plan_and_skeleton_caches():
     assert wh.describe_caches()["plan_cache"]["hits"] >= 1
 
     recs = wh.tuning.propose()
-    mv = next(r for r in recs if isinstance(r.action, MaterializeView))
+    mv = next(r for r in recs if isinstance(r.action, MVCandidate))
     wh.tuning.apply(mv)
     # Every serving cache level is flushed, and the template binding
     # is re-derived under the new catalog: it reads the view.
@@ -261,7 +265,7 @@ def test_apply_survives_missing_template_binding(monkeypatch):
     candidate, so apply no longer consults template bindings at all."""
     wh = stats_warehouse()
     recs = wh.tuning.propose()
-    mv = next(r for r in recs if isinstance(r.action, MaterializeView))
+    mv = next(r for r in recs if isinstance(r.action, MVCandidate))
     # Simulate the stale-binding condition: no family binds any more.
     monkeypatch.setattr(
         CostIntelligentWarehouse, "template_queries", property(lambda self: {})
@@ -292,14 +296,12 @@ def test_recluster_identifiers_containing_on_are_not_mangled():
     )
     wh = CostIntelligentWarehouse(catalog=catalog)
     report = TuningReport(
-        action_name=candidate.name,
-        kind="recluster",
+        candidate=candidate,
         savings_per_hour=1.0,
         cost_per_hour=0.0,
         one_time_dollars=0.5,
-        candidate=candidate,
     )
-    rec = Recommendation(rec_id=903, action=Recluster(candidate), report=report)
+    rec = Recommendation(rec_id=903, report=report)
     wh.tuning.accept(rec)
     wh.tuning.apply(rec)
     assert wh.catalog.table("events_on_disk").schema.clustering_key == "ts"
@@ -311,9 +313,9 @@ def test_recluster_identifiers_containing_on_are_not_mangled():
 def test_lifecycle_transitions_enforced():
     wh = stats_warehouse()
     recs = wh.tuning.propose()
-    mv = next(r for r in recs if isinstance(r.action, MaterializeView))
+    mv = next(r for r in recs if isinstance(r.action, MVCandidate))
 
-    rejected = Recommendation(rec_id=904, action=mv.action, report=mv.report)
+    rejected = Recommendation(rec_id=904, report=mv.report)
     wh.tuning.reject(rejected)
     with pytest.raises(TuningStateError):
         wh.tuning.apply(rejected)  # rejected recommendations don't apply
@@ -329,34 +331,32 @@ def test_lifecycle_transitions_enforced():
 
 
 @dataclasses.dataclass(frozen=True)
-class _UnexecutableAction(TuningAction):
-    """An action kind with no background executor."""
+class _UnexecutableCandidate:
+    """A candidate of a type background compute cannot execute."""
 
-    kind: ClassVar[str] = "unexecutable"
-
-    @property
-    def name(self) -> str:
-        return "unexecutable_action"
+    name = "unexecutable_action"
+    kind = "unexecutable"
 
 
 def test_resize_warehouse_action_is_typed_but_not_executable():
-    """An action kind with no background executor fails its apply with
-    a typed error and lands in ``FAILED``."""
-    wh = stats_warehouse()
-    action = _UnexecutableAction()
+    """A candidate of a type with no background executor fails its
+    apply with a typed error before anything is journaled, and lands in
+    ``FAILED``."""
+    wh = stats_warehouse(journal=WriteAheadJournal())
     report = TuningReport(
-        action_name=action.name,
-        kind=action.kind,
+        candidate=_UnexecutableCandidate(),
         savings_per_hour=1.0,
         cost_per_hour=0.0,
         one_time_dollars=0.0,
     )
-    rec = Recommendation(rec_id=905, action=action, report=report)
+    rec = Recommendation(rec_id=905, report=report)
     wh.tuning.accept(rec)
+    journaled = len(wh.journal)
     with pytest.raises(TuningError):
         wh.tuning.apply(rec)
     assert rec.state is RecommendationState.FAILED
     assert rec.error is not None
+    assert len(wh.journal) == journaled
 
 
 def test_apply_all_continues_past_duplicate_recommendations():
@@ -420,9 +420,9 @@ def test_background_failures_do_not_fail_foreground_serving(monkeypatch):
 def test_double_apply_of_same_mv_name_is_rejected_before_mutation():
     wh = stats_warehouse()
     recs = wh.tuning.propose()
-    mv = next(r for r in recs if isinstance(r.action, MaterializeView))
+    mv = next(r for r in recs if isinstance(r.action, MVCandidate))
     wh.tuning.apply(mv)
-    clone = Recommendation(rec_id=906, action=mv.action, report=mv.report)
+    clone = Recommendation(rec_id=906, report=mv.report)
     wh.tuning.accept(clone)
     with pytest.raises(TuningError):
         wh.tuning.apply(clone)  # name already in the catalog
@@ -438,7 +438,6 @@ def test_apply_refuses_a_second_object_under_a_held_id():
     rec = next(r for r in wh.tuning.propose() if r.accepted)
     impostor = Recommendation(
         rec_id=rec.rec_id,
-        action=rec.action,
         report=rec.report,
         state=RecommendationState.ACCEPTED,
     )
@@ -459,7 +458,7 @@ def test_a_rollback_that_fails_before_mutating_leaves_the_action_applied():
 
     wh = stats_warehouse()
     mv = next(
-        r for r in wh.tuning.propose() if isinstance(r.action, MaterializeView)
+        r for r in wh.tuning.propose() if isinstance(r.action, MVCandidate)
     )
     wh.tuning.apply(mv)
     savings = "repro_tuning_estimated_savings_ledger_units_per_hour"
@@ -491,7 +490,7 @@ def test_a_rollback_that_fails_before_mutating_leaves_the_action_applied():
 def test_background_dollars_attributed_to_originating_tenants():
     wh = stats_warehouse(tenants=(("alpha", 4), ("beta", 2)))
     recs = wh.tuning.propose()
-    mv = next(r for r in recs if isinstance(r.action, MaterializeView))
+    mv = next(r for r in recs if isinstance(r.action, MVCandidate))
     assert mv.tenant_shares == pytest.approx({"alpha": 4 / 6, "beta": 2 / 6})
     serving_dollars = wh.billed_dollars
     wh.tuning.apply(mv)

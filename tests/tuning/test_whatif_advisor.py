@@ -107,11 +107,11 @@ def test_improved_depth_bounded(big_catalog):
 
 def test_report_describe_verdicts():
     accept = TuningReport(
-        action_name="a", kind="materialized-view",
+        candidate=ReclusterCandidate(table="a", key="k"),
         savings_per_hour=2.0, cost_per_hour=1.0, one_time_dollars=10.0,
     )
     reject = TuningReport(
-        action_name="b", kind="recluster",
+        candidate=ReclusterCandidate(table="b", key="k"),
         savings_per_hour=0.5, cost_per_hour=1.0, one_time_dollars=10.0,
     )
     assert accept.net_per_hour == pytest.approx(1.0)

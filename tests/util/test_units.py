@@ -1,4 +1,4 @@
-from repro.util.units import GB, KB, MB, TB, fmt_bytes, fmt_dollars, fmt_duration, fmt_rate
+from repro.util.units import GB, KB, MB, TB, fmt_bytes, fmt_dollars, fmt_duration
 
 
 def test_unit_constants_are_powers_of_1024():
@@ -31,7 +31,3 @@ def test_fmt_dollars_subcent_precision():
     assert fmt_dollars(12.5) == "$12.50"
     assert fmt_dollars(0.0) == "$0.00"
     assert fmt_dollars(1234.5) == "$1,234.50"
-
-
-def test_fmt_rate():
-    assert fmt_rate(250 * MB) == "250.00 MB/s"
