@@ -82,8 +82,9 @@ def main() -> None:
     assert marketing_ok, "a tenant budget must never fail another tenant's batch"
     assert any(h.denied for h in handles), "finance should have run dry mid-batch"
 
-    print("\n=== admission ledger ===")
-    print(warehouse.admission.describe())
+    print("\n=== admission verdicts (counted on each tenant's bill) ===")
+    for tenant, verdicts in warehouse.describe_caches()["admission"].items():
+        print(f"  {tenant}: {verdicts}")
     print("\n=== billing ===")
     print(warehouse.describe_billing())
 

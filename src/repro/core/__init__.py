@@ -67,7 +67,8 @@ counters, and the tuning service's last swallowed error.
 Crash consistency lives in :mod:`repro.core.ledger`,
 :mod:`repro.core.journal` and :mod:`repro.core.recovery`.  One
 :class:`~repro.core.ledger.Ledger` owns every piece of authoritative
-state (statistics log, clock, per-tenant bills, verdict counters,
+state (statistics log, clock, per-tenant bills — each holding the
+tenant's spend, admission verdicts and unfolded units —
 tuning recommendations and the applied MVs read off them, cost
 history), and every transition is a journal record folded in by one
 function, ``Ledger.apply``: live code calls ``Ledger.commit`` — journal

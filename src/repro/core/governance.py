@@ -22,9 +22,10 @@ one reads:
   the budget; a denial surfaces as a typed
   :class:`~repro.errors.AdmissionDeniedError` and a ``DENIED`` terminal
   state on the :class:`~repro.core.service.QueryHandle`, never as a
-  failure of other tenants' in-flight work.  The controller decides;
-  the serving layer commits each verdict to the ledger as an
-  ``AdmissionDecision`` record, whose transition is what counts it.
+  failure of other tenants' in-flight work.  The controller holds the
+  budgets and only decides; the serving layer commits each verdict to
+  the ledger as an ``AdmissionDecision`` record, whose transition counts
+  it on the tenant's bill.
 
 Layering: this module sits between the Statistics Service (it *reads*
 logs and forecasts) and the serving layer (which *consults* it); it
@@ -232,17 +233,14 @@ class AdmissionController:
     :meth:`check` (under the serving lock, so bills are consistent) for
     every admitted handle when any budget is configured, and commits the
     verdict to the ledger, whose ``AdmissionDecision`` transition counts
-    it (:meth:`count_verdict`).  Verdict counts are kept per tenant for
-    observability — a deferred query that is later re-admitted or denied
-    counts each decision.
+    it on the tenant's :class:`~repro.core.ledger.TenantBill`.  The
+    controller keeps budgets only, no counts.
     """
 
     def __init__(
         self, budgets: "Mapping[str, TenantBudget | float] | None" = None
     ) -> None:
         self._budgets: dict[str, TenantBudget] = {}
-        self._verdicts: dict[str, dict[str, int]] = {}
-        self._lock = threading.Lock()
         for tenant, budget in (budgets or {}).items():
             self.set_budget(tenant, budget)
 
@@ -322,45 +320,6 @@ class AdmissionController:
             index=index,
             sql=sql,
         )
-
-    @property
-    def verdict_counts(self) -> dict[str, dict[str, int]]:
-        """Per-tenant admission decisions, e.g. ``{"a": {"admit": 3}}``."""
-        with self._lock:
-            return {tenant: dict(counts) for tenant, counts in self._verdicts.items()}
-
-    def count_verdict(self, tenant: str, verdict: str) -> None:
-        """Count one decision: the transition of a committed
-        ``AdmissionDecision``, live and on replay alike (no budget check
-        runs again — the decision already happened)."""
-        with self._lock:
-            counts = self._verdicts.setdefault(tenant, {})
-            counts[verdict] = counts.get(verdict, 0) + 1
-
-    def restore_counts(
-        self, counts: "Mapping[str, Mapping[str, int]]"
-    ) -> None:
-        """Replace the verdict counters wholesale from a recovery
-        checkpoint."""
-        with self._lock:
-            self._verdicts = {
-                tenant: dict(per_tenant) for tenant, per_tenant in counts.items()
-            }
-
-    def describe(self) -> str:
-        if not self.active:
-            return "admission: no tenant budgets configured (admit all)"
-        lines = ["admission by tenant:"]
-        counts = self.verdict_counts
-        for tenant in sorted(self._budgets):
-            budget = self._budgets[tenant]
-            decided = counts.get(tenant, {})
-            summary = ", ".join(
-                f"{name}={decided.get(name, 0)}"
-                for name in ("admit", "throttle", "defer", "deny")
-            )
-            lines.append(f"  {tenant}: ${budget.dollars:.4f} budget, {summary}")
-        return "\n".join(lines)
 
 
 def rank_by_forecast(

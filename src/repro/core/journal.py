@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 from repro.errors import JournalError
 
 #: The version :meth:`WriteAheadJournal.save` writes and ``load`` requires.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.catalog import Catalog
@@ -131,8 +131,9 @@ class AdmissionDecision:
     """One admission verdict for one query from one tenant.
 
     ``DENY`` decisions journal *only* this record — a denied query must
-    leave no billing or log records (no timestamp, no clock advance),
-    so replay restores exactly the verdict counters and nothing else.
+    leave no spend or log records (no timestamp, no clock advance), so
+    replay restores exactly the verdict count on the tenant's bill and
+    nothing else.
     """
 
     tenant: str
@@ -231,17 +232,17 @@ class CheckpointState:
 
     Everything replay would otherwise rebuild from the full journal but
     the log window, whose records the journal keeps: the log's
-    roll-ups, the clock, per-tenant bills (as integral ledger-unit
-    snapshots), admission verdict counters, copies of the
-    recommendations whose intent was journaled, the next recommendation
-    id, and the cost history.  The applied-MV registry is read off the
-    recommendations on restore.
+    roll-ups, the clock, shallow copies of the per-tenant bills (spend
+    in integral ledger units, admission verdict counts and unfolded
+    units — scalars only), copies of the recommendations whose intent
+    was journaled, the next recommendation id, and the cost history.
+    The applied-MV registry is read off the recommendations on restore.
     """
 
     clock: float
     log_rollups: "LogRollups"
-    bills: tuple[tuple, ...]  # TenantBill.ledger_snapshot() tuples
-    verdicts: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
+    #: ``repro.core.ledger.TenantBill`` copies, by tenant.
+    bills: tuple[object, ...]
     #: ``repro.tuning.service.Recommendation`` copies, by rec id.
     recommendations: tuple[object, ...] = ()
     next_rec_id: int = 1

@@ -1,10 +1,12 @@
 """The warehouse's ledger: authoritative state behind one transition function.
 
 Everything a crash must not lose or double — the Statistics Service
-log, the virtual clock, per-tenant bills, admission verdict counters,
-the tuning recommendations (moved ``APPLYING``, ``APPLIED``,
-``FAILED``, ``ROLLING_BACK`` and ``ROLLED_BACK`` by their records) and
-the applied MVs, the cost history and the next recommendation id — is
+log, the virtual clock, per-tenant :class:`TenantBill`\\ s (each
+tenant's one account: its spend, the admission verdicts counted on it
+and the units its log records left the window with unfolded), the
+tuning recommendations (moved ``APPLYING``, ``APPLIED``, ``FAILED``,
+``ROLLING_BACK`` and ``ROLLED_BACK`` by their records) and the applied
+MVs, the cost history and the next recommendation id — is
 owned by one :class:`Ledger`, together with the write-ahead journal,
 the lock that orders writers, and the crash probes around each journal
 write (drawn through the warehouse's
@@ -22,7 +24,12 @@ same ``commit`` minus the append and its probes.
 Admission is no exception:
 :meth:`~repro.core.governance.AdmissionController.check` only decides,
 and ``Session._admit`` commits the verdict as an ``AdmissionDecision``
-whose transition counts it — live exactly as on replay.  Every site —
+whose transition counts it on the tenant's bill — live exactly as on
+replay, so a tenant whose only record is a decision has a zero-spend
+bill.  A served query's transition also counts, on the dropped
+record's bill, a record the log's window drops before any cost
+snapshot folded it (:meth:`~repro.statsvc.logs.QueryLogStore.append`
+returns the record it drops).  Every site —
 the snapshot collector included — builds its record first and commits
 it.  Two counters advance without a record — the clock at
 admission and the recommendation id at proposal — and replay re-derives
@@ -34,10 +41,9 @@ are unjournaled like their id: ``TuningService.propose()`` and
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Hashable
 
-from repro.core.governance import AdmissionController
 from repro.core.journal import (
     AdmissionDecision,
     Checkpoint,
@@ -63,8 +69,19 @@ from repro.tuning.service import Recommendation, RecommendationState
 from repro.util.units import from_ledger_units, to_ledger_units
 
 
+#: Each ``AdmissionVerdict.value`` and the bill field counting it.
+VERDICT_FIELDS = {
+    "admit": "admits",
+    "throttle": "throttles",
+    "defer": "defers",
+    "deny": "denies",
+}
+
+
+@dataclass
 class TenantBill:
-    """Running per-tenant spend, rolled up into warehouse billing.
+    """A tenant's account: its spend, rolled up into warehouse billing,
+    and the admission decisions taken on it.
 
     Serving dollars (``dollars``) and background-tuning dollars
     (``background_dollars``) are metered separately so experiments can
@@ -72,124 +89,100 @@ class TenantBill:
     :class:`~repro.tuning.service.TuningService` attributes each applied
     action's cost to the tenants whose traffic motivated it.
 
-    Dollar balances accumulate internally in **integral ledger units**
+    Dollar balances accumulate in **integral ledger units**
     (:data:`~repro.util.units.LEDGER_SCALE` units per dollar — a
     power of two, so each charge's conversion is exact and accumulation
     is order-independent).  Floats drift; a crash-recovery replay must
     reproduce live totals *to the last bit*, and integer sums do.  The
     public ``dollars`` / ``background_dollars`` / ``retry_dollars``
     views stay floats.
+
+    The bill also counts every committed admission verdict (a deferred
+    query that is later re-admitted or denied counts each decision) and
+    ``unfolded_units``: the serving units of this tenant's records the
+    log's window dropped before a cost snapshot folded them, which the
+    collector's drill-down closes over so it still reconciles.  Only
+    :class:`Ledger` transitions, under the ledger's lock, call the
+    ``charge_*`` and ``count_*`` methods.  Every field is a scalar, so a
+    shallow copy is a snapshot.
     """
 
-    def __init__(self, tenant: str) -> None:
-        self.tenant = tenant
-        self.queries = 0
-        self.machine_seconds = 0.0
-        self.background_actions = 0
-        self.retries = 0
-        self._dollars_units = 0
-        self._background_units = 0
-        self._retry_units = 0
+    tenant: str
+    queries: int = 0
+    machine_seconds: float = 0.0
+    serving_units: int = 0
+    background_actions: int = 0
+    background_units: int = 0
+    retries: int = 0
+    retry_units: int = 0
+    admits: int = 0
+    throttles: int = 0
+    defers: int = 0
+    denies: int = 0
+    unfolded_units: int = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TenantBill(tenant={self.tenant!r}, queries={self.queries}, "
-            f"dollars={self.dollars:.6f}, total={self.total_dollars:.6f})"
-        )
-
-    def charge(self, record: QueryRecord) -> None:
+    def charge_served(self, record: QueryRecord) -> None:
+        """Meter one served query against this tenant."""
         self.queries += 1
-        self._dollars_units += to_ledger_units(record.dollars)
+        self.serving_units += to_ledger_units(record.dollars)
         self.machine_seconds += record.machine_seconds
 
     def charge_background(self, dollars: float) -> None:
         """Meter one background tuning apply/rollback against this tenant."""
         self.background_actions += 1
-        self._background_units += to_ledger_units(dollars)
+        self.background_units += to_ledger_units(dollars)
 
     def charge_retry(self, dollars: float) -> None:
         """Meter one retry attempt's modeled compute against this tenant."""
         self.retries += 1
-        self._retry_units += to_ledger_units(dollars)
+        self.retry_units += to_ledger_units(dollars)
+
+    def count_verdict(self, verdict: str) -> None:
+        """Count one committed admission decision (an
+        ``AdmissionVerdict.value``)."""
+        field = VERDICT_FIELDS[verdict]
+        setattr(self, field, getattr(self, field) + 1)
+
+    def count_unfolded(self, record: QueryRecord) -> None:
+        """Count a record the log's window dropped unfolded."""
+        self.unfolded_units += to_ledger_units(record.dollars)
+
+    def verdicts(self) -> dict[str, int]:
+        """Committed admission decisions by verdict, e.g.
+        ``{"admit": 3}`` (verdicts never decided are omitted)."""
+        return {
+            verdict: getattr(self, field)
+            for verdict, field in VERDICT_FIELDS.items()
+            if getattr(self, field)
+        }
 
     @property
     def dollars(self) -> float:
         """Serving spend (sum of served records' dollars)."""
-        return from_ledger_units(self._dollars_units)
+        return from_ledger_units(self.serving_units)
 
     @property
     def background_dollars(self) -> float:
-        return from_ledger_units(self._background_units)
+        return from_ledger_units(self.background_units)
 
     @property
     def retry_dollars(self) -> float:
-        return from_ledger_units(self._retry_units)
-
-    @property
-    def total_dollars(self) -> float:
-        """Serving plus background plus retry spend."""
-        return from_ledger_units(
-            self._dollars_units + self._background_units + self._retry_units
-        )
-
-    # -- exact ledger views (observability reconciles against these) --- #
-    @property
-    def serving_units(self) -> int:
-        """Serving spend in integral ledger units."""
-        return self._dollars_units
-
-    @property
-    def background_units(self) -> int:
-        """Background-tuning spend in integral ledger units."""
-        return self._background_units
-
-    @property
-    def retry_units(self) -> int:
-        """Retry spend in integral ledger units."""
-        return self._retry_units
+        return from_ledger_units(self.retry_units)
 
     @property
     def total_units(self) -> int:
         """Total spend in integral ledger units."""
-        return self._dollars_units + self._background_units + self._retry_units
+        return self.serving_units + self.background_units + self.retry_units
 
-    # -- durability ----------------------------------------------------- #
+    @property
+    def total_dollars(self) -> float:
+        """Serving plus background plus retry spend."""
+        return from_ledger_units(self.total_units)
+
     def ledger_snapshot(self) -> tuple:
-        """The bill's exact state as a plain tuple (checkpointing, and
-        bit-equality assertions in the recovery tests)."""
-        return (
-            self.tenant,
-            self.queries,
-            self._dollars_units,
-            self.machine_seconds,
-            self._background_units,
-            self.background_actions,
-            self._retry_units,
-            self.retries,
-        )
-
-    @classmethod
-    def from_ledger_snapshot(cls, snapshot: tuple) -> "TenantBill":
-        """Rebuild a bill from :meth:`ledger_snapshot` output."""
-        (
-            tenant,
-            queries,
-            dollars_units,
-            machine_seconds,
-            background_units,
-            background_actions,
-            retry_units,
-            retries,
-        ) = snapshot
-        bill = cls(tenant)
-        bill.queries = queries
-        bill._dollars_units = dollars_units
-        bill.machine_seconds = machine_seconds
-        bill._background_units = background_units
-        bill.background_actions = background_actions
-        bill._retry_units = retry_units
-        bill.retries = retries
-        return bill
+        """The bill's exact state as a plain tuple (bit-equality
+        assertions in the recovery tests and the benchmark's gate)."""
+        return astuple(self)
 
 
 class Ledger:
@@ -197,8 +190,7 @@ class Ledger:
     (:meth:`apply`) that mutates it.
 
     Holds no reference to the warehouse: it is given the log store, the
-    journal (or ``None``), the admission controller whose verdict
-    counters it checkpoints, the fault port its crash probes fire
+    journal (or ``None``), the fault port its crash probes fire
     through, and — under a governed retention policy — the frequency
     provider's ``note_template``.
     """
@@ -208,7 +200,6 @@ class Ledger:
         logs: QueryLogStore,
         *,
         journal: WriteAheadJournal | None,
-        admission: AdmissionController,
         faults: FaultPort,
         note_template: Callable[[str, Hashable], None] | None,
     ) -> None:
@@ -221,7 +212,7 @@ class Ledger:
         self.lock = threading.RLock()
         self.logs = logs
         self.clock = 0.0
-        #: Per-tenant spend roll-up.
+        #: Per-tenant accounts: spend, verdicts and unfolded units.
         self.billing: dict[str, TenantBill] = {}
         #: Highest journal LSN reflected in memory — the replay
         #: idempotence watermark (:func:`repro.core.recovery.apply_entry`).
@@ -239,7 +230,6 @@ class Ledger:
         #: The :class:`~repro.core.recovery.RecoveryReport` of the pass
         #: that built this ledger, when it was recovered.
         self.last_recovery = None
-        self._admission = admission
         self._faults = faults
         #: ``None`` unless a retention policy reads template forecasts.
         self.note_template = note_template
@@ -308,7 +298,12 @@ class Ledger:
         if served.query_id <= self.logs.last_query_id:
             return  # already logged and billed (defensive idempotence)
         self.clock = max(self.clock, served.timestamp)
-        self.logs.append(served, self.cost_history.folded_through)
+        dropped = self.logs.append(served)
+        if (
+            dropped is not None
+            and dropped.query_id > self.cost_history.folded_through
+        ):
+            self._bill_for(dropped.tenant).count_unfolded(dropped)
         template = served.template
         if (
             self.note_template is not None
@@ -325,10 +320,10 @@ class Ledger:
             self.note_template(
                 template, parameterize_sql(served.sql).template_key
             )
-        self._bill_for(served.tenant).charge(served)
+        self._bill_for(served.tenant).charge_served(served)
 
     def _apply_admission(self, record: AdmissionDecision) -> None:
-        self._admission.count_verdict(record.tenant, record.verdict)
+        self._bill_for(record.tenant).count_verdict(record.verdict)
 
     def _apply_retry(self, record: RetryCharge) -> None:
         self._bill_for(record.tenant).charge_retry(record.dollars)
@@ -407,15 +402,7 @@ class Ledger:
         return CheckpointState(
             clock=self.clock,
             log_rollups=self.logs.rollups(),
-            bills=tuple(
-                bill.ledger_snapshot() for _, bill in sorted(self.billing.items())
-            ),
-            verdicts=tuple(
-                (tenant, tuple(sorted(counts.items())))
-                for tenant, counts in sorted(
-                    self._admission.verdict_counts.items()
-                )
-            ),
+            bills=tuple(replace(bill) for _, bill in sorted(self.billing.items())),
             recommendations=tuple(
                 replace(rec)
                 for rec in self.recommendations.values()
@@ -433,13 +420,9 @@ class Ledger:
         self.logs.restore(window, state.log_rollups)
         self.clock = state.clock
         self.billing.clear()
-        self.billing.update(
-            (snapshot[0], TenantBill.from_ledger_snapshot(snapshot))
-            for snapshot in state.bills
-        )
-        self._admission.restore_counts(
-            {tenant: dict(counts) for tenant, counts in state.verdicts}
-        )
+        # Copied again, so a checkpoint the journal keeps never aliases
+        # a live bill.
+        self.billing.update((bill.tenant, replace(bill)) for bill in state.bills)
         self.recommendations.clear()
         self.recommendations.update(
             (rec.rec_id, replace(rec)) for rec in state.recommendations

@@ -359,10 +359,12 @@ class Session:
             handle._fail(_wrap_failure(handle, exc))
             return handle
         handle = QueryHandle(resolved)
+        warehouse = self.warehouse
+        since = (warehouse.logs.last_query_id, warehouse.clock)
         self._admit([handle])
         if not handle.denied:
             self._serve_handle(handle)
-            self.warehouse._between_batches()
+            warehouse._between_batches(*since)
         return handle
 
     def submit_many(
@@ -408,11 +410,13 @@ class Session:
         scheduler = ServingScheduler(
             self, max_workers=max_workers, fail_fast=fail_fast
         )
+        warehouse = self.warehouse
+        since = (warehouse.logs.last_query_id, warehouse.clock)
         handles = scheduler.run(entries)
         # Recurring tuning runs *between* batches (policy cadence), never
         # while scheduler threads are staging over the shared caches;
         # scheduled cost collection follows the same contract.
-        self.warehouse._between_batches()
+        warehouse._between_batches(*since)
         return handles
 
     def plan(

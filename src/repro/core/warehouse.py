@@ -141,7 +141,6 @@ class CostIntelligentWarehouse:
         self.ledger = Ledger(
             self.logs,
             journal=journal,
-            admission=self.admission,
             faults=self.fault_port,
             # Only cost-aware retention reads the forecasts this feeds.
             note_template=self.frequency.note_template if cost_aware else None,
@@ -562,14 +561,15 @@ class CostIntelligentWarehouse:
             self._tuning = TuningService(self, self.tuning_policy)
         return self._tuning
 
-    def _between_batches(self) -> None:
+    def _between_batches(self, since_query_id: int, since_clock: float) -> None:
         """Serving-layer hook, run by :class:`~repro.core.service.Session`
-        after every submission: a tuning cycle when a recurring
+        after every submission with the newest query id and the clock it
+        read before serving: a tuning cycle when a recurring
         :class:`~repro.tuning.service.TuningPolicy` is due, then a cost
         snapshot when a recurring collection policy is due."""
         policy = self._tuning.policy if self._tuning is not None else self.tuning_policy
         if policy is not None and policy.recurring:
-            self.tuning.maybe_run_cycle()
+            self.tuning.maybe_run_cycle(since_query_id, since_clock)
         collection = self.collector.policy
         if collection is not None and collection.recurring:
             self.collector.maybe_collect()

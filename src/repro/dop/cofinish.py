@@ -52,23 +52,6 @@ def min_dop_for_duration(
     return best_dop
 
 
-def cofinish_dops(
-    siblings: list[Pipeline],
-    target_seconds: float,
-    estimator: CostEstimator,
-    *,
-    max_dop: int,
-    overrides: dict[int, float] | None = None,
-) -> dict[int, int]:
-    """Co-finishing DOPs for one sibling group against a common target."""
-    return {
-        p.pipeline_id: min_dop_for_duration(
-            p, target_seconds, estimator, max_dop=max_dop, overrides=overrides
-        )
-        for p in siblings
-    }
-
-
 def equalize_siblings(
     dag: PipelineDag,
     dops: dict[int, int],

@@ -30,9 +30,9 @@ cumulative leaves, exactly where the restored history left off.
 The query log keeps only a window of its newest records.  An enabled
 collector snapshots before an append would drop a record it has not
 folded (:meth:`SnapshotCollector.before_append`); the records the log
-dropped while no collector was folding are summed per tenant in the
-log's ``unfolded_units``, closed over by one :data:`DROPPED_LEAF`, so
-every snapshot reconciles against the bills.
+dropped while no collector was folding are summed on each tenant's
+bill (``TenantBill.unfolded_units``), closed over by one
+:data:`DROPPED_LEAF`, so every snapshot reconciles against the bills.
 
 The collector is configured post-construction
 (``warehouse.enable_collection(...)``) — the warehouse constructor's
@@ -164,9 +164,8 @@ class SnapshotCollector:
     def _collect_locked(self) -> CostSnapshot:
         warehouse = self.warehouse
         folded = self._fold_locked()
-        unfolded = warehouse.logs.unfolded_units()
         slices = tuple(
-            self._slice_for(tenant, bill, folded.get(tenant, {}), unfolded.get(tenant, 0))
+            self._slice_for(bill, folded.get(tenant, {}))
             for tenant, bill in sorted(warehouse.billing.items())
         )
         snapshot = CostSnapshot(
@@ -205,13 +204,11 @@ class SnapshotCollector:
                 cache[key] = CostLeaf(key[0], key[1], key[2], units)
         return folded
 
-    def _slice_for(
-        self, tenant: str, bill, folded: dict, unfolded_units: int
-    ) -> TenantCostSlice:
+    def _slice_for(self, bill, folded: dict) -> TenantCostSlice:
         leaves = [folded[key] for key in sorted(folded)]
-        if unfolded_units:
+        if bill.unfolded_units:
             leaves.append(
-                CostLeaf(DROPPED_LEAF, DROPPED_LEAF, DROPPED_LEAF, unfolded_units)
+                CostLeaf(DROPPED_LEAF, DROPPED_LEAF, DROPPED_LEAF, bill.unfolded_units)
             )
         if bill.retry_units:
             leaves.append(
@@ -227,7 +224,7 @@ class SnapshotCollector:
                 )
             )
         return TenantCostSlice(
-            tenant=tenant,
+            tenant=bill.tenant,
             queries=bill.queries,
             machine_seconds=bill.machine_seconds,
             serving_units=bill.serving_units,

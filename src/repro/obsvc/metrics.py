@@ -9,7 +9,7 @@ Two kinds of instruments live here:
   breakers, tuning, the worker pool).  A sourced metric's row carries
   its ``read``: a function of the warehouse returning a scalar
   (label-less metrics) or a ``{label-values-tuple: value}`` mapping,
-  bound by the one loop in :class:`MetricsRegistry`'s constructor.
+  which :class:`MetricsRegistry` calls with its warehouse on each read.
   Dollar-valued rows read the bills' integral
   :data:`~repro.util.units.LEDGER_SCALE` units, never float dollars, so
   identical seeded runs produce bit-identical values.
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from repro.errors import ReproError
@@ -187,8 +186,8 @@ def _retries(warehouse) -> int:
 def _admission_verdicts(warehouse) -> dict:
     return {
         (tenant, verdict): count
-        for tenant, counts in warehouse.admission.verdict_counts.items()
-        for verdict, count in counts.items()
+        for tenant, bill in sorted(warehouse.billing.items())
+        for verdict, count in bill.verdicts().items()
     }
 
 
@@ -281,7 +280,7 @@ REGISTERED_METRICS: dict[str, MetricSpec] = {
         "source", "Capacity per process-wide memo.", ("memo",),
         read=_per_process_memo("maxsize"),
     ),
-    # -- admission (sourced from AdmissionController) -------------------
+    # -- admission (sourced from the verdicts counted on TenantBill) ----
     "repro_admission_verdicts_total": MetricSpec(
         "source", "Admission verdicts by tenant and verdict.", ("tenant", "verdict"),
         read=_admission_verdicts,
@@ -432,8 +431,8 @@ class _Histogram:
 class MetricsRegistry:
     """Owned instruments + sourced views behind one declared namespace.
 
-    Given a ``warehouse``, every sourced row is bound to it; without
-    one, sources are whatever :meth:`source` registers.
+    Every sourced row is read off ``warehouse`` through its spec's
+    ``read`` (without a warehouse, sourced rows read as empty).
     All mutation happens under a single internal lock (always acquired
     via ``with``, always innermost relative to the serving lock).
     ``collect()`` returns a deterministically ordered sample list; the
@@ -444,15 +443,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, tuple[str, ...]], int] = {}
         self._histograms: dict[tuple[str, tuple[str, ...]], _Histogram] = {}
-        self._sources: dict[str, object] = {}  # name -> provider callable
-        if warehouse is not None:
-            # Every sourced row reads through to the warehouse's own
-            # state: the ledger its bills, verdicts and history, the
-            # caches their integer stats, so nothing on a hot path pays
-            # for observability twice.
-            for name, spec in REGISTERED_METRICS.items():
-                if spec.read is not None:
-                    self.source(name, partial(spec.read, warehouse))
+        #: Every sourced row reads through to the warehouse's own
+        #: state: the ledger its bills and history, the caches their
+        #: integer stats, so nothing on a hot path pays for
+        #: observability twice.
+        self._warehouse = warehouse
 
     # -- declaration enforcement ---------------------------------------- #
     @staticmethod
@@ -501,18 +496,6 @@ class MetricsRegistry:
                 hist = self._histograms[key] = _Histogram(spec.buckets)
             hist.observe(value)
 
-    # -- sourced views --------------------------------------------------- #
-    def source(self, name: str, provider) -> None:
-        """Register the read-through provider for a sourced metric.
-
-        ``provider`` takes no arguments and returns a number (when the
-        spec has no labels) or a ``{label-values-tuple: number}``
-        mapping (one entry per live label combination).
-        """
-        self._spec(name, "source")
-        with self._lock:
-            self._sources[name] = provider
-
     # -- reads ----------------------------------------------------------- #
     def value(self, name: str, **labels: str):
         """Current value of one metric (0 when never emitted)."""
@@ -529,11 +512,9 @@ class MetricsRegistry:
             with self._lock:
                 hist = self._histograms.get((name, values))
                 return hist.snapshot() if hist is not None else None
-        with self._lock:
-            provider = self._sources.get(name)
-        if provider is None:
+        if self._warehouse is None:
             return 0
-        produced = provider()
+        produced = spec.read(self._warehouse)
         if spec.labels:
             return produced.get(values, 0)
         return produced
@@ -541,11 +522,9 @@ class MetricsRegistry:
     def sourced(self, name: str) -> dict:
         """Full ``{label-values-tuple: value}`` mapping of one source."""
         spec = self._spec(name, "source")
-        with self._lock:
-            provider = self._sources.get(name)
-        if provider is None:
+        if self._warehouse is None:
             return {}
-        produced = provider()
+        produced = spec.read(self._warehouse)
         if not spec.labels:
             return {(): produced}
         return dict(produced)
@@ -558,19 +537,14 @@ class MetricsRegistry:
             histograms = {
                 key: hist.snapshot() for key, hist in self._histograms.items()
             }
-            sources = dict(self._sources)
         for (name, values), count in counters.items():
             samples.append(self._sample(name, values, count))
         for (name, values), snap in histograms.items():
             samples.append(self._sample(name, values, snap))
-        for name, provider in sources.items():
-            spec = REGISTERED_METRICS[name]
-            produced = provider()
-            if not spec.labels:
-                samples.append(self._sample(name, (), produced))
-                continue
-            for values, value in produced.items():
-                samples.append(self._sample(name, tuple(values), value))
+        for name, spec in REGISTERED_METRICS.items():
+            if spec.kind == "source":
+                for values, value in self.sourced(name).items():
+                    samples.append(self._sample(name, tuple(values), value))
         samples.sort(key=lambda s: (s.name, s.labels))
         return samples
 

@@ -101,8 +101,8 @@ def describe_caches(warehouse) -> dict[str, dict]:
     estimator's memos (per-DOP timings and compiled curves), plus, per
     cache, its retention
     (``"lru"`` or ``"cost-aware"``), and an ``admission`` block with
-    per-tenant verdict counts (empty until a tenant budget is
-    configured).  Only the retention *name* (a string, not a metric) is
+    the verdicts counted on each tenant's bill, zero counts omitted
+    (empty until a tenant budget is configured).  Only the retention *name* (a string, not a metric) is
     read off the cache directly.  ``process_memos`` reports the
     process-wide memos (:data:`~repro.obsvc.metrics.PROCESS_MEMOS`),
     whose counts cover every warehouse in the interpreter.

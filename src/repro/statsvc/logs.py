@@ -10,7 +10,10 @@ roll-ups, not every record, so :class:`QueryLogStore` keeps the newest
 store keeps no counter beside its records: the next query id is the
 newest record's id + 1.  The serving layer takes an id and appends its
 record inside one ledger-lock hold, so ids stay sequential and gap-free,
-and a recovered log continues them with nothing re-seeded.
+and a recovered log continues them with nothing re-seeded.  The store
+keeps no account of what its window drops either: an append returns
+the dropped record, and the ledger counts it on the tenant's bill when
+no cost snapshot has folded it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ReproError
-from repro.util.units import to_ledger_units
 
 #: How many of the newest records the log keeps: the window forecasts,
 #: summaries and the tuning advisor read.
@@ -71,7 +73,6 @@ class LogRollups:
     #: ``((template, tenant), count)`` pairs.
     tenant_counts: tuple[tuple[tuple[str, str], int], ...]
     newest_sql: tuple[tuple[str, str], ...]
-    unfolded_units: tuple[tuple[str, int], ...]
 
 
 class LogView:
@@ -144,12 +145,11 @@ class QueryLogStore(LogView):
     Iteration, :meth:`tail`, :meth:`window` and :attr:`horizon` read the
     window (forecasts and summaries need recent history, not all of it);
     :meth:`template_counts`, :meth:`tenant_counts` and :meth:`newest_sql`
-    read the roll-ups, which an append updates in O(1).  A record that
-    leaves the window unfolded by any cost snapshot (its id above the
-    ``folded_through`` watermark the ledger passes in) adds its ledger
-    units to :meth:`unfolded_units`, so the cost collector's drill-down
-    still reconciles against the bills.  ``len()`` is the window's
-    length; the number of records ever logged is :attr:`last_query_id`.
+    read the roll-ups, which an append updates in O(1).  :meth:`append`
+    returns the record it drops from the window, so the ledger can
+    count a record no cost snapshot folded on its tenant's bill.
+    ``len()`` is the window's length; the number of records ever logged
+    is :attr:`last_query_id`.
     """
 
     def __init__(self) -> None:
@@ -157,7 +157,6 @@ class QueryLogStore(LogView):
         self._template_counts: dict[str, int] = {}
         self._tenant_counts: dict[tuple[str, str], int] = {}
         self._newest_sql: dict[str, str] = {}
-        self._unfolded_units: dict[str, int] = {}
 
     def __iter__(self) -> Iterator[QueryRecord]:
         # A copy: a reader on another thread never sees the window move.
@@ -167,13 +166,9 @@ class QueryLogStore(LogView):
         """The id the next appended record takes (ids start at 1)."""
         return self.last_query_id + 1
 
-    def append(self, record: QueryRecord, folded_through: int = 0) -> None:
-        """Log ``record``, dropping the window's oldest record when full.
-
-        ``folded_through`` is the newest query id a cost snapshot has
-        folded; a dropped record above it is counted in
-        :meth:`unfolded_units`.
-        """
+    def append(self, record: QueryRecord) -> "QueryRecord | None":
+        """Log ``record``; when the window is full, drop its oldest
+        record and return it (``None`` when nothing drops)."""
         records = self._records
         if records and record.timestamp < records[-1].timestamp:
             raise ReproError(
@@ -189,12 +184,8 @@ class QueryLogStore(LogView):
         counts[key] = counts.get(key, 0) + 1
         self._newest_sql[template] = record.sql
         if len(records) > WINDOW_RECORDS:
-            dropped = records.popleft()
-            if dropped.query_id > folded_through:
-                units = self._unfolded_units
-                units[dropped.tenant] = units.get(
-                    dropped.tenant, 0
-                ) + to_ledger_units(dropped.dollars)
+            return records.popleft()
+        return None
 
     @property
     def last_query_id(self) -> int:
@@ -238,18 +229,12 @@ class QueryLogStore(LogView):
         """Each template family's newest logged SQL."""
         return dict(self._newest_sql)
 
-    def unfolded_units(self) -> dict[str, int]:
-        """Per tenant, the ledger units of records dropped from the
-        window before a cost snapshot folded them."""
-        return dict(self._unfolded_units)
-
     def rollups(self) -> LogRollups:
         """The roll-ups as plain tuples (checkpointing)."""
         return LogRollups(
             template_counts=tuple(self._template_counts.items()),
             tenant_counts=tuple(self._tenant_counts.items()),
             newest_sql=tuple(self._newest_sql.items()),
-            unfolded_units=tuple(self._unfolded_units.items()),
         )
 
     def restore(self, records: Iterable[QueryRecord], rollups: LogRollups) -> None:
@@ -262,7 +247,6 @@ class QueryLogStore(LogView):
         self._template_counts = dict(rollups.template_counts)
         self._tenant_counts = dict(rollups.tenant_counts)
         self._newest_sql = dict(rollups.newest_sql)
-        self._unfolded_units = dict(rollups.unfolded_units)
 
     # -- the window -------------------------------------------------------- #
     def __len__(self) -> int:

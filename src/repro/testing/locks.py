@@ -245,9 +245,6 @@ def instrument_warehouse(
         cache.lock = sanitizer.wrap(cache.lock, cache_name)
     templates = warehouse.binder.templates
     templates.lock = sanitizer.wrap(templates.lock, "bound_templates")
-    warehouse.admission._lock = sanitizer.wrap(
-        warehouse.admission._lock, "admission"
-    )
     warehouse.frequency._lock = sanitizer.wrap(
         warehouse.frequency._lock, "frequency"
     )

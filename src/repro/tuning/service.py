@@ -179,8 +179,11 @@ class TuningPolicy:
 
     ``cadence_queries`` / ``cadence_seconds`` make the service recurring:
     the serving layer calls :meth:`TuningService.maybe_run_cycle` after
-    every batch, and a cycle runs when either cadence has elapsed
-    (``cadence_queries`` counts the warehouse-wide log — an O(1) check).
+    every batch, and a cycle runs when the batch crossed a multiple of
+    either cadence (``cadence_queries`` counts the warehouse-wide log's
+    query ids, ``cadence_seconds`` the virtual clock — O(1) checks of
+    ledger state, so a recovered warehouse tunes when the live one
+    would).
     ``tenant`` scopes the advisor's input to one tenant's log view.
     Auto-apply is forecast-fed: a recommendation is applied without a
     human in the loop only when its net rate clears
@@ -257,8 +260,6 @@ class TuningService:
         #: ``warehouse.describe_health()``.
         self.last_error: Exception | None = None
         self.breaker = CircuitBreaker("tuning")
-        self._last_cycle_query_id = 0
-        self._last_cycle_clock: float | None = None
 
     # -- observability -------------------------------------------------- #
     @property
@@ -311,8 +312,6 @@ class TuningService:
             self._enter(rec)
             recommendations.append(rec)
         self.cycles_run += 1
-        self._last_cycle_query_id = self.warehouse.logs.last_query_id
-        self._last_cycle_clock = self.warehouse.clock
         return recommendations
 
     def accept(self, rec: Recommendation) -> Recommendation:
@@ -443,53 +442,48 @@ class TuningService:
         )
 
     # -- recurring cycles ------------------------------------------------ #
-    def maybe_run_cycle(self) -> list[Recommendation] | None:
-        """Run a cycle if the policy's cadence has elapsed.
+    def maybe_run_cycle(
+        self, since_query_id: int, since_clock: float
+    ) -> list[Recommendation] | None:
+        """Run a cycle if the batch just served crossed a multiple of
+        the policy's cadence.
 
-        Called by the serving layer between batches.  Auto-applies the
-        accepted recommendations that clear the policy's forecast-fed
-        gate.  Returns the cycle's recommendations, or ``None`` when no
-        cycle was due (or the log was empty).
+        ``since_query_id`` and ``since_clock`` are the newest query id
+        and the clock before the batch; the cadence counts from them to
+        the ledger's values now, so nothing here is kept between
+        batches.  Called by the serving layer between batches.
+        Auto-applies the accepted recommendations that clear the
+        policy's forecast-fed gate.  Returns the cycle's
+        recommendations, or ``None`` when no cycle was due.
         """
-        if not self.policy.recurring:
-            return None
-        due = False
-        if self.policy.cadence_queries is not None:
-            # Cadence counts the shared log's newest id (O(1) — this
-            # runs after every submit); the tenant scope, if any,
-            # applies to the advisor's *input*, not the trigger.
-            due = (
-                self.warehouse.logs.last_query_id - self._last_cycle_query_id
-                >= self.policy.cadence_queries
-            )
-        if not due and self.policy.cadence_seconds is not None:
-            due = (
-                self._last_cycle_clock is None
-                or self.warehouse.clock - self._last_cycle_clock
-                >= self.policy.cadence_seconds
-            )
+        policy = self.policy
+        warehouse = self.warehouse
+        # The tenant scope, if any, applies to the advisor's *input*,
+        # not the trigger.
+        due = (
+            policy.cadence_queries is not None
+            and warehouse.logs.last_query_id // policy.cadence_queries
+            > since_query_id // policy.cadence_queries
+        ) or (
+            policy.cadence_seconds is not None
+            and warehouse.clock // policy.cadence_seconds
+            > since_clock // policy.cadence_seconds
+        )
         if not due:
             return None
         if not self.breaker.allow():
             # OPEN: a persistently failing tuner must stop burning
-            # background dollars.  The cadence advances so the skipped
-            # cycle is not re-attempted after every query; the breaker's
-            # call-counted cooldown re-probes after enough skipped
-            # cycles.
-            self._last_cycle_query_id = self.warehouse.logs.last_query_id
-            self._last_cycle_clock = self.warehouse.clock
+            # background dollars; the breaker's call-counted cooldown
+            # re-probes after enough skipped cycles.
             return None
         # Background tuning must never fail foreground serving: any
         # library error (bind/execution/catalog, not just TuningError)
         # stays on the recommendation / is dropped — but never silently:
         # it is recorded on ``last_error`` and counted into the breaker.
-        # The cadence counters advance so a poisoned cycle is not
-        # retried per query.
+        # A poisoned cycle waits for the next cadence multiple.
         try:
             recommendations = self.propose()
         except ReproError as exc:
-            self._last_cycle_query_id = self.warehouse.logs.last_query_id
-            self._last_cycle_clock = self.warehouse.clock
             self._note_cycle_failure(exc)
             return None
         cycle_error: Exception | None = None

@@ -45,15 +45,6 @@ def from_ledger_units(units: int) -> float:
     return units / LEDGER_SCALE
 
 
-def fmt_bytes(num_bytes: float) -> str:
-    """Render a byte count with a binary-unit suffix, e.g. ``1.50 GB``."""
-    value = float(num_bytes)
-    for suffix, unit in (("TB", TB), ("GB", GB), ("MB", MB), ("KB", KB)):
-        if abs(value) >= unit:
-            return f"{value / unit:.2f} {suffix}"
-    return f"{value:.0f} B"
-
-
 def fmt_duration(seconds: float) -> str:
     """Render a duration, scaling between ms, s, min, and h."""
     if seconds < 0:

@@ -9,16 +9,19 @@ by a one-shot ``tuning_apply`` fault), snapshot
 collection, forecast refreshes and cache invalidation.  After every step
 it is held to two references that share no code with the ledger:
 
-- **the fold** (:func:`fold`) recomputes every tenant's ledger units,
-  the logged query ids and each recommendation's durable state from
+- **the fold** (:func:`fold`) recomputes every tenant's ledger units
+  and admission decisions, the logged query ids and each
+  recommendation's durable state from
   every record the journal was given since LSN 1 (a
   :class:`~repro.testing.RecordingJournal`'s ``recorded()``: the
   journal itself seals at each checkpoint, and its retained entries
   must be the recording's tail from the newest checkpoint's log window);
 - **the twin** is a journal-free, uninstrumented, collection-off
   warehouse fed the same requests inline under the same fault plan; the
-  journaled warehouse's handles, log and bills must equal its bit for
-  bit.  Fault draws follow each point's invocation count, so once
+  journaled warehouse's handles, log and bills' spend must equal its
+  bit for bit (not the bills' verdict counts: a request resumed after
+  a kill is admission-checked again; nor their unfolded units: the
+  twin does not collect).  Fault draws follow each point's invocation count, so once
   serving faults meet a threaded or sharded batch they depend on the
   executor, and the twin is dropped for the rest of that example.
 
@@ -36,6 +39,7 @@ import functools
 import inspect
 import pickle
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -49,6 +53,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.journal import (
+    AdmissionDecision,
     Checkpoint,
     QueryServed,
     RetryCharge,
@@ -166,9 +171,10 @@ RESOLVED = {
 
 def fold(entries) -> tuple[dict, list, dict]:
     """What the journal says the ledger holds, between steps: per-tenant
-    ``[queries, serving, background, retry]`` ledger units, the logged
-    query ids, and each recommendation's durable state."""
-    units: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+    ``[queries, serving, background, retry]`` ledger units and
+    admission decisions, the logged query ids, and each
+    recommendation's durable state."""
+    units: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0, 0])
     query_ids: list[int] = []
     last: dict[int, object] = {}
     intents: dict[int, TuningIntent] = {}
@@ -188,6 +194,8 @@ def fold(entries) -> tuple[dict, list, dict]:
             units[served.tenant][1] += to_ledger_units(served.dollars)
         elif isinstance(record, RetryCharge):
             units[record.tenant][3] += to_ledger_units(record.dollars)
+        elif isinstance(record, AdmissionDecision):
+            units[record.tenant][4] += 1
         elif type(record) in RESOLVED:
             if isinstance(record, TuningFailed) and isinstance(last.get(record.rec_id), RollbackIntent):
                 rollback_failed.add(record.rec_id)
@@ -229,6 +237,15 @@ def handle_row(handle) -> tuple:
         outcome = handle.result()
         return head + (handle.degraded, plan_snapshot(outcome.choice), outcome.record)
     return head + (type(handle.error).__name__, handle.error.cause_type)
+
+
+def spend_of(bill) -> tuple:
+    """A bill's ledger snapshot with its verdict counts and unfolded
+    units zeroed: what the twin must reproduce (see the module
+    docstring)."""
+    return replace(
+        bill, admits=0, throttles=0, defers=0, denies=0, unfolded_units=0
+    ).ledger_snapshot()
 
 
 def pool_stats(warehouse) -> "tuple[int, int, int] | None":
@@ -586,7 +603,13 @@ class Histories(RuleBasedStateMachine):
         units, query_ids, states = fold(recorded)
         bills = wh.billing.values()
         assert {
-            b.tenant: [b.queries, b.serving_units, b.background_units, b.retry_units]
+            b.tenant: [
+                b.queries,
+                b.serving_units,
+                b.background_units,
+                b.retry_units,
+                sum(b.verdicts().values()),
+            ]
             for b in bills
         } == units
         if any(bill.retry_units for bill in bills):
@@ -620,7 +643,7 @@ class Histories(RuleBasedStateMachine):
         if self.twin is not None:
             assert_same_state(
                 *(
-                    ((), tuple(w.logs), {t: b.ledger_snapshot() for t, b in w.billing.items()})
+                    ((), tuple(w.logs), {t: spend_of(b) for t, b in w.billing.items()})
                     for w in (wh, self.twin)
                 ),
                 f"pool (kills, restarts, restaged) {pool_stats(wh)}",

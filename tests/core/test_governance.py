@@ -24,6 +24,7 @@ from repro.core.governance import (
     rank_by_forecast,
 )
 from repro.core.journal import WriteAheadJournal
+from repro.core.ledger import TenantBill
 from repro.core.plan_cache import VICTIM_WINDOW, PlanCache, SkeletonCache
 from repro.core.resilience import CircuitBreaker, FaultPort
 from repro.core.service import QueryHandle, QueryRequest, QueryState, ServingScheduler
@@ -575,10 +576,11 @@ def test_tenant_budget_validation():
 def test_controller_counts_and_defer_downgrade():
     controller = AdmissionController({"a": TenantBudget(5.0, defer_at=0.9)})
     assert controller.active
+    counted = {tenant: TenantBill(tenant) for tenant in ("a", "b")}
 
     def decide(tenant, bill, **kwargs):
         verdict = controller.check(tenant, bill, **kwargs)
-        controller.count_verdict(tenant, verdict.value)
+        counted[tenant].count_verdict(verdict.value)
         return verdict
 
     assert decide("a", _Bill(0.0)) is AdmissionVerdict.ADMIT
@@ -587,12 +589,14 @@ def test_controller_counts_and_defer_downgrade():
     assert decide("a", _Bill(4.6), defer_ok=False) is AdmissionVerdict.THROTTLE
     assert decide("b", None) is AdmissionVerdict.ADMIT  # no budget
     # Deciding alone counts nothing: counting is the committed
-    # decision's transition.
+    # decision's transition, on the tenant's bill.
     assert controller.check("a", _Bill(4.6)) is AdmissionVerdict.DEFER
-    assert controller.verdict_counts == {
+    assert {tenant: bill.verdicts() for tenant, bill in counted.items()} == {
         "a": {"admit": 1, "defer": 1, "throttle": 1},
         "b": {"admit": 1},
     }
+    # The controller keeps its budgets and nothing else.
+    assert list(vars(controller)) == ["_budgets"]
 
 
 def test_controller_accepts_bare_floats():
@@ -721,7 +725,7 @@ def test_deferred_tenant_runs_after_batch_and_can_be_denied(catalog):
     # Both metered items were deferred at batch admission (the counter
     # remembers; handle.admission reflects the latest decision, which
     # for a re-admitted deferred handle is its tail-of-batch verdict).
-    assert warehouse.admission.verdict_counts["metered"]["defer"] == 2
+    assert warehouse.billing["metered"].defers == 2
     assert handles[1].admission is AdmissionVerdict.ADMIT
     # First deferred item served once the batch drained...
     assert handles[0].state is QueryState.DONE
@@ -875,6 +879,8 @@ def test_one_item_batch_admits_like_a_single_submit(catalog):
         request = quick_request(instantiate("q6_revenue_forecast", seed=31))
         handle = session.submit_many([request])[0] if batch else session.submit(request)
         records = [entry.record for entry in journal.entries(after_lsn=served)]
-        effects.append((handle.state, warehouse.admission.verdict_counts, records))
+        effects.append(
+            (handle.state, warehouse.describe_caches()["admission"], records)
+        )
     assert effects[0] == effects[1]
     assert effects[0][:2] == (QueryState.DONE, {"a": {"throttle": 1}})

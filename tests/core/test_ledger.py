@@ -7,13 +7,19 @@ from dataclasses import fields
 
 import pytest
 
-from repro.core.journal import RECORD_TYPES, Checkpoint, WriteAheadJournal
+from repro.core.journal import (
+    RECORD_TYPES,
+    AdmissionDecision,
+    Checkpoint,
+    WriteAheadJournal,
+)
 from repro.core.recovery import recover_warehouse
 from repro.core.service import QueryRequest
 from repro.core.warehouse import CostIntelligentWarehouse
 from repro.dop.constraints import sla_constraint
 from repro.errors import RecoveryError
 from repro.testing import instrument_warehouse
+from repro.tuning.service import TuningPolicy
 from repro.workloads.tpch_queries import instantiate, template_names
 from repro.workloads.tpch_stats import synthetic_tpch_catalog
 
@@ -66,7 +72,8 @@ def test_live_state_equals_replayed_state_for_every_record_type(
     assert list(recovered.logs) == list(live.logs)
     assert recovered.ledger.applied_lsn == live.ledger.applied_lsn
     # The history exercised every field: none is at its empty default.
-    assert live_state.recommendations and live_state.verdicts
+    assert live_state.recommendations
+    assert any(bill.verdicts() for bill in live_state.bills)
     assert live_state.cost_history and live_state.next_rec_id > 1
 
 
@@ -83,14 +90,20 @@ def _bound_fields(bound) -> dict:
 
 def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
     """Template bindings, query ids, collector watermarks, checkpoint
-    ids and the applied recommendations' estimated savings are read from
-    the ledger, so nothing needs re-priming after a
-    recovery.  They used to be mirrors kept in step by hand: after an
+    ids, the tuning cadence and the applied recommendations' estimated
+    savings are read from the ledger, so nothing needs re-priming after
+    a recovery.  They used to be mirrors kept in step by hand: after an
     apply the live warehouse's bindings were flushed (``propose()``
-    returned nothing) while a recovered one re-derived them."""
+    returned nothing) while a recovered one re-derived them, and the
+    tuning service's cadence marks restarted at zero, so the recovered
+    warehouse ran a cycle at its next query that the live one did
+    not."""
     catalog = synthetic_tpch_catalog(1.0)
+    cadence = TuningPolicy(cadence_queries=40)
     live = CostIntelligentWarehouse(
-        catalog=catalog, journal=WriteAheadJournal(checkpoint_every=16)
+        catalog=catalog,
+        journal=WriteAheadJournal(checkpoint_every=16),
+        tuning_policy=cadence,
     )
     live.enable_collection(cadence_queries=8)
     session = live.session(constraint=sla_constraint(20.0))
@@ -107,7 +120,7 @@ def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
     path = str(tmp_path / "journal.pkl")
     live.journal.save(path)
     recovered = CostIntelligentWarehouse.recover(
-        WriteAheadJournal.load(path), catalog=catalog
+        WriteAheadJournal.load(path), catalog=catalog, tuning_policy=cadence
     )
     recovered.enable_collection(cadence_queries=8)
     live.checkpoint()  # matches the checkpoint recovery writes
@@ -126,22 +139,26 @@ def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
     for template, bound in live_bindings.items():
         assert _bound_fields(recovered_bindings[template]) == _bound_fields(bound)
 
-    live_names = [rec.action.name for rec in live.tuning.propose()]
-    assert live_names
-    assert [rec.action.name for rec in recovered.tuning.propose()] == live_names
-
     assert live.journal.last_checkpoint_id > 2
     assert recovered.journal.next_checkpoint_id() == live.journal.next_checkpoint_id()
     assert recovered.collector.due() == live.collector.due()
-    served = []
+    served, cycles = [], []
     for warehouse in (live, recovered):
         session = warehouse.session(constraint=sla_constraint(20.0))
+        ran = warehouse.tuning.cycles_run
         first = session.submit(QueryRequest(sql=requests[0].sql, simulate=False))
         served.append(first.result().record.query_id)
         assert not warehouse.collector.due()
         for request in requests[1:4]:
             session.submit(request).result()
+        cycles.append(warehouse.tuning.cycles_run - ran)
     assert served[0] == served[1] == len(requests) + 1
+    # No multiple of the tuning cadence lies in the four queries served.
+    assert cycles == [0, 0]
+
+    live_names = [rec.action.name for rec in live.tuning.propose()]
+    assert live_names
+    assert [rec.action.name for rec in recovered.tuning.propose()] == live_names
     latest = [w.cost_history.latest() for w in (live, recovered)]
     assert (latest[0].seq, latest[0].log_len, latest[0].clock) == (
         latest[1].seq,
@@ -149,3 +166,38 @@ def test_a_recovered_warehouse_derives_what_the_live_one_does(tmp_path):
         latest[1].clock,
     )
     assert latest[0].log_len == len(requests) + 4
+
+
+def test_a_tenant_denied_at_its_first_query_has_a_zero_spend_bill(tmp_path):
+    """An admission decision is counted on the tenant's bill, so a
+    tenant whose only records are decisions has a bill that spent
+    nothing, live and recovered.  A budget check never denies a tenant
+    that has spent nothing, so the denial is committed the way
+    ``Session._admit`` commits one; the admitted tenant's query fails
+    to bind, leaving its decision as its only record."""
+    catalog = synthetic_tpch_catalog(1.0)
+    live = CostIntelligentWarehouse(
+        catalog=catalog,
+        journal=WriteAheadJournal(),
+        tenant_budgets={"broke": 1.0, "typo": 1.0},
+    )
+    live.ledger.commit(AdmissionDecision(tenant="broke", verdict="deny"))
+    failed = live.session(tenant="typo", constraint=sla_constraint(20.0)).submit(
+        QueryRequest(sql="SELECT nothing FROM no_such_table", simulate=False)
+    )
+    assert failed.failed
+
+    path = str(tmp_path / "journal.pkl")
+    live.journal.save(path)
+    recovered = CostIntelligentWarehouse.recover(
+        WriteAheadJournal.load(path), catalog=catalog
+    )
+    for warehouse in (live, recovered):
+        broke, typo = warehouse.billing["broke"], warehouse.billing["typo"]
+        assert (broke.denies, broke.total_units, broke.queries) == (1, 0, 0)
+        assert (typo.admits, typo.total_units, typo.queries) == (1, 0, 0)
+        assert warehouse.describe_caches()["admission"] == {
+            "broke": {"deny": 1},
+            "typo": {"admit": 1},
+        }
+    assert recovered.ledger.snapshot().bills == live.ledger.snapshot().bills

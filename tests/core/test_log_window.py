@@ -67,20 +67,36 @@ def serve(warehouse, count, *, start=0, templates=tuple(TEMPLATES)):
     return records
 
 
-def fold_rollups(records, folded_through=0):
+def fold_rollups(records):
     """The roll-ups recomputed from every record, outside the log."""
-    templates, tenants, newest, unfolded = {}, {}, {}, {}
+    templates, tenants, newest = {}, {}, {}
     for record in records:
         templates[record.template] = templates.get(record.template, 0) + 1
         key = (record.template, record.tenant)
         tenants[key] = tenants.get(key, 0) + 1
         newest[record.template] = record.sql
+    return templates, tenants, newest
+
+
+def fold_unfolded(records, folded_through):
+    """Per tenant, the units of the records the window dropped above
+    ``folded_through``, recomputed outside the ledger."""
+    unfolded = {}
     for record in records[: max(len(records) - WINDOW_RECORDS, 0)]:
         if record.query_id > folded_through:
             unfolded[record.tenant] = unfolded.get(record.tenant, 0) + to_ledger_units(
                 record.dollars
             )
-    return templates, tenants, newest, unfolded
+    return unfolded
+
+
+def unfolded_units(warehouse):
+    """The non-zero unfolded units on the warehouse's bills."""
+    return {
+        tenant: bill.unfolded_units
+        for tenant, bill in warehouse.billing.items()
+        if bill.unfolded_units
+    }
 
 
 def rollup_dicts(rollups: LogRollups):
@@ -90,7 +106,6 @@ def rollup_dicts(rollups: LogRollups):
             rollups.template_counts,
             rollups.tenant_counts,
             rollups.newest_sql,
-            rollups.unfolded_units,
         )
     )
 
@@ -151,22 +166,23 @@ def test_the_log_holds_a_window_and_exact_rollups(served):
     assert logs.last_query_id == SERVED
     latest = warehouse.cost_history.latest()
     folded = latest.log_len if latest is not None else 0
-    assert rollup_dicts(logs.rollups()) == fold_rollups(records, folded)
+    assert rollup_dicts(logs.rollups()) == fold_rollups(records)
+    assert unfolded_units(warehouse) == fold_unfolded(records, folded)
     assert logs.template_counts() == fold_rollups(records)[0]
     journal = warehouse.journal
     if journal is None:
         # Nothing folded what the window dropped: every dropped unit is
-        # on the roll-up.
-        assert sum(logs.unfolded_units().values()) == sum(
+        # on the bills.
+        assert sum(unfolded_units(warehouse).values()) == sum(
             to_ledger_units(r.dollars) for r in records[:-WINDOW_RECORDS]
         )
         return
     # Collection every 256 queries folds each record before it leaves.
-    assert logs.unfolded_units() == {}
+    assert unfolded_units(warehouse) == {}
     entries = journal.recorded()
     journaled = [e.record.record for e in entries if isinstance(e.record, QueryServed)]
     assert journaled == records
-    assert rollup_dicts(logs.rollups()) == fold_rollups(journaled, folded)
+    assert rollup_dicts(logs.rollups()) == fold_rollups(journaled)
     # Each checkpoint names the oldest record of the window it was
     # taken over, the start of the journal's retained tail.
     served_ids, starts = [], []
@@ -280,7 +296,7 @@ def test_an_enabled_collector_folds_before_the_window_drops(tmp_path):
     warehouse.enable_collection(cadence_queries=3 * WINDOW_RECORDS)
     serve(warehouse, WINDOW_RECORDS + 40)
     assert [s.log_len for s in warehouse.cost_history] == [WINDOW_RECORDS]
-    assert warehouse.logs.unfolded_units() == {}
+    assert unfolded_units(warehouse) == {}
     recovered = recover_from(journal, catalog, tmp_path, "forced")
     assert state_of(recovered) == state_of(warehouse)
     snapshot = reconciled(warehouse)
@@ -312,3 +328,25 @@ def test_cadences_count_queries_past_the_window():
     key = parameterize_sql(TEMPLATES["region"].format(v=0)).template_key
     assert warehouse.frequency.rate_for(key) > 0
     assert "region" in warehouse.frequency.family_rates()
+
+
+def test_verdicts_and_unfolded_units_survive_save_load_recover(tmp_path):
+    """The admission verdicts and the units the window dropped unfolded
+    are on the bills, so a saved, loaded and recovered journal rebuilds
+    them bit for bit, through a checkpoint and the replayed tail."""
+    catalog = synthetic_tpch_catalog(1.0)
+    live = CostIntelligentWarehouse(
+        catalog=catalog,
+        journal=WriteAheadJournal(checkpoint_every=512),
+        tenant_budgets={tenant: 1e6 for tenant in TENANTS},
+    )
+    records = serve(live, WINDOW_RECORDS + 300)
+    assert {tenant: bill.verdicts() for tenant, bill in live.billing.items()} == {
+        tenant: {"admit": bill.queries} for tenant, bill in live.billing.items()
+    }
+    assert unfolded_units(live) == fold_unfolded(records, 0) != {}
+    recovered = recover_from(live.journal, catalog, tmp_path, "accounts")
+    assert recovered.last_recovery.checkpoint_id is not None
+    assert {t: b.ledger_snapshot() for t, b in recovered.billing.items()} == {
+        t: b.ledger_snapshot() for t, b in live.billing.items()
+    }

@@ -327,7 +327,7 @@ def test_tuning_service_signatures():
     ]
     assert list(
         inspect.signature(TuningService.maybe_run_cycle).parameters
-    ) == ["self"]
+    ) == ["self", "since_query_id", "since_clock"]
 
 
 def test_tuning_policy_field_snapshot():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dop.cofinish import cofinish_dops, equalize_siblings, min_dop_for_duration
+from repro.dop.cofinish import equalize_siblings, min_dop_for_duration
 from repro.dop.constraints import Constraint, budget_constraint, sla_constraint
 from repro.dop.planner import DopPlanner, exhaustive_search
 from repro.errors import InfeasibleConstraintError, OptimizerError
@@ -89,9 +89,10 @@ def test_cofinish_group_roughly_equalizes(q5_dag, estimator):
     target = max(
         estimator.pipeline_timing(p, 1).duration for p in siblings
     )
-    dops = cofinish_dops(siblings, target, estimator, max_dop=64)
     durations = [
-        estimator.pipeline_timing(p, dops[p.pipeline_id]).duration
+        estimator.pipeline_timing(
+            p, min_dop_for_duration(p, target, estimator, max_dop=64)
+        ).duration
         for p in siblings
     ]
     assert max(durations) <= target * 1.01

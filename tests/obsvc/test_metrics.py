@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.journal import AdmissionDecision
+from repro.core.warehouse import CostIntelligentWarehouse
 from repro.obsvc.metrics import (
     LATENCY_BUCKETS,
     REGISTERED_METRICS,
@@ -11,6 +13,11 @@ from repro.obsvc.metrics import (
     MetricSpec,
     MetricsRegistry,
 )
+from repro.workloads.tpch_stats import synthetic_tpch_catalog
+
+
+def fresh_warehouse() -> CostIntelligentWarehouse:
+    return CostIntelligentWarehouse(catalog=synthetic_tpch_catalog(1.0))
 
 
 # --------------------------------------------------------------------- #
@@ -25,7 +32,7 @@ def test_undeclared_name_is_rejected_everywhere():
     with pytest.raises(MetricNameError):
         registry.histogram("no_such_metric", 1.0)
     with pytest.raises(MetricNameError):
-        registry.source("no_such_metric", lambda: 0)
+        registry.sourced("no_such_metric")
     with pytest.raises(MetricNameError):
         registry.value("no_such_metric")
 
@@ -130,22 +137,24 @@ def test_scalar_source_and_defaults():
     registry = MetricsRegistry()
     assert registry.value("repro_virtual_clock_seconds") == 0
     assert registry.sourced("repro_virtual_clock_seconds") == {}
-    registry.source("repro_virtual_clock_seconds", lambda: 42.5)
+    warehouse = fresh_warehouse()
+    warehouse.ledger.advance_clock(42.5)
+    registry = MetricsRegistry(warehouse)
     assert registry.value("repro_virtual_clock_seconds") == 42.5
     assert registry.sourced("repro_virtual_clock_seconds") == {(): 42.5}
 
 
 def test_labeled_source_lookup():
-    registry = MetricsRegistry()
-    registry.source(
-        "repro_cache_hits_total", lambda: {("plan",): 7, ("skeleton",): 3}
-    )
-    assert registry.value("repro_cache_hits_total", cache="plan") == 7
-    assert registry.value("repro_cache_hits_total", cache="exact") == 0
-    assert registry.sourced("repro_cache_hits_total") == {
-        ("plan",): 7,
-        ("skeleton",): 3,
-    }
+    """A sourced row reads its spec's ``read`` off the warehouse: the
+    verdicts counted on the bills, zero counts omitted."""
+    warehouse = fresh_warehouse()
+    for tenant, verdict in (("a", "admit"), ("a", "admit"), ("b", "deny")):
+        warehouse.ledger.commit(AdmissionDecision(tenant=tenant, verdict=verdict))
+    registry = MetricsRegistry(warehouse)
+    name = "repro_admission_verdicts_total"
+    assert registry.value(name, tenant="a", verdict="admit") == 2
+    assert registry.value(name, tenant="a", verdict="deny") == 0
+    assert registry.sourced(name) == {("a", "admit"): 2, ("b", "deny"): 1}
 
 
 def test_sourced_rejects_owned_kinds():
@@ -159,13 +168,10 @@ def test_sourced_rejects_owned_kinds():
 # --------------------------------------------------------------------- #
 def test_collect_is_deterministically_ordered():
     def build():
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(fresh_warehouse())
         registry.counter("repro_queries_failed_total", tenant="zeta")
         registry.counter("repro_queries_failed_total", tenant="alpha")
         registry.histogram("repro_worker_ipc_roundtrip_seconds", 0.004)
-        registry.source(
-            "repro_cache_hits_total", lambda: {("skeleton",): 3, ("plan",): 7}
-        )
         return registry.collect()
 
     samples = build()

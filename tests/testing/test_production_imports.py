@@ -10,6 +10,7 @@
   never touch coordinator authority; the warehouse constructor's keyword
   surface is frozen.  (Until PR 21 these three were AST lint rules with
   registries and fixtures; each is one fact about module boundaries.)
+- Only the ledger's transitions charge a ``TenantBill`` or count on it.
 - One production module creates threads: ``core/service.py``.
 - Every third-party module the package imports is declared in
   ``pyproject.toml``, so a clean install imports it.
@@ -214,6 +215,50 @@ def test_the_ledger_journals_only_through_commit():
                 callers.add(method.name)
     assert appends == {"_append", "checkpoint"}, appends
     assert callers == {"commit"}, callers
+
+
+def test_only_the_ledger_charges_or_counts_on_a_bill():
+    """A bill is a tenant's account, kept by the ledger's transitions
+    alone: a charge or count made anywhere else is one that crash
+    replay, which re-runs only the transitions, would not make."""
+    tree = TREES[PACKAGE_ROOT / "core" / "ledger.py"]
+    bill = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "TenantBill"
+    )
+    mutators = {
+        node.name
+        for node in bill.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith(("charge", "count"))
+    }
+    assert mutators == {
+        "charge_served",
+        "charge_background",
+        "charge_retry",
+        "count_verdict",
+        "count_unfolded",
+    }
+    # No other definition shares a name, so a call by name is a bill's.
+    namesakes = [
+        f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}"
+        for path, tree in PRODUCTION.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in mutators
+        and node not in bill.body
+    ]
+    assert namesakes == [], namesakes
+    sites = {
+        str(path.relative_to(PACKAGE_ROOT))
+        for path, tree in PRODUCTION.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in mutators
+    }
+    assert sites == {"core/ledger.py"}, sites
 
 
 def test_planner_worker_modules_never_touch_coordinator_authority():

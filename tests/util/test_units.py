@@ -1,4 +1,4 @@
-from repro.util.units import GB, KB, MB, TB, fmt_bytes, fmt_dollars, fmt_duration
+from repro.util.units import GB, KB, MB, TB, fmt_dollars, fmt_duration
 
 
 def test_unit_constants_are_powers_of_1024():
@@ -6,13 +6,6 @@ def test_unit_constants_are_powers_of_1024():
     assert MB == KB * 1024
     assert GB == MB * 1024
     assert TB == GB * 1024
-
-
-def test_fmt_bytes_picks_largest_unit():
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(1536) == "1.50 KB"
-    assert fmt_bytes(3 * GB) == "3.00 GB"
-    assert fmt_bytes(2.5 * TB) == "2.50 TB"
 
 
 def test_fmt_duration_scales():
